@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import List, Optional
 
 
@@ -203,23 +204,12 @@ def _cmd_conformance(args) -> int:
 def _cmd_simulate(args) -> int:
     import json as _json
 
-    from repro.testing.simulator import (
-        FederationSimulator,
-        SimulationSpec,
-        replay,
-    )
+    from repro.testing.simulator import FederationSimulator, replay
 
     if args.trace:
         result = replay(args.trace)
     else:
-        spec = SimulationSpec(system=args.system,
-                              num_clients=args.clients,
-                              rounds=args.rounds,
-                              key_bits=args.key_bits,
-                              physical_key_bits=args.physical_key_bits,
-                              seed=args.seed,
-                              min_quorum=args.quorum)
-        result = FederationSimulator(spec).run()
+        result = FederationSimulator(_simulation_spec(args)).run()
     print(_json.dumps(result.to_dict(), indent=2, sort_keys=True))
     return 0
 
@@ -234,104 +224,93 @@ def _cmd_fuzz(args) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_failover(args) -> int:
+def _print_simulation(spec) -> int:
+    """Run one simulation; print its result JSON, or the replayable
+    failure (exit 1)."""
     import json as _json
 
-    from repro.federation.faults import FaultPlan
-    from repro.testing.simulator import (
-        DurableFederationSimulator,
-        SimulationFailure,
-        SimulationSpec,
-        crash_consistency_sweep,
-    )
+    from repro.testing.simulator import FederationSimulator, SimulationFailure
 
-    spec = SimulationSpec(system=args.system,
+    try:
+        result = FederationSimulator(spec).run()
+    except SimulationFailure as failure:
+        print(failure)
+        return 1
+    print(_json.dumps(result.to_dict(), indent=2, sort_keys=True))
+    return 0
+
+
+def _print_checks(checks) -> int:
+    """Run sweeps / invariant checks in order, printing each report's
+    summary; the first divergence is printed instead (exit 1)."""
+    from repro.testing.simulator import SimulationFailure
+
+    for check in checks:
+        try:
+            report = check()
+        except SimulationFailure as failure:
+            print(failure)
+            return 1
+        for line in report.summary_lines():
+            print(line)
+    return 0
+
+
+def _simulation_spec(args, **topology):
+    from repro.testing.simulator import SimulationSpec
+
+    return SimulationSpec(system=args.system,
                           num_clients=args.clients,
                           rounds=args.rounds,
                           key_bits=args.key_bits,
                           physical_key_bits=args.physical_key_bits,
                           seed=args.seed,
                           min_quorum=args.quorum,
-                          durable=True)
+                          **topology)
+
+
+def _cmd_failover(args) -> int:
+    import dataclasses
+
+    from repro.federation.faults import FaultPlan
+    from repro.testing.simulator import crash_sweep
+
+    spec = _simulation_spec(args, durable=True)
     if args.sweep:
         modes = (("coordinator_crash", "failover")
                  if args.mode == "both" else (args.mode,))
-        for mode in modes:
-            try:
-                report = crash_consistency_sweep(spec, mode=mode)
-            except SimulationFailure as failure:
-                print(failure)
-                return 1
-            for line in report.summary_lines():
-                print(line)
-        return 0
+        return _print_checks(
+            [partial(crash_sweep, spec, mode=mode) for mode in modes])
 
     plan = FaultPlan(seed=args.seed)
     if args.mode == "failover":
         plan = plan.failover(0, after_record=args.after_record)
     else:
         plan = plan.coordinator_crash(0, after_record=args.after_record)
-    spec = SimulationSpec.from_dict(
-        {**spec.to_dict(), "fault_plan": plan.to_dict()})
-    try:
-        result = DurableFederationSimulator(spec).run()
-    except SimulationFailure as failure:
-        print(failure)
-        return 1
-    print(_json.dumps(result.to_dict(), indent=2, sort_keys=True))
-    return 0
+    return _print_simulation(dataclasses.replace(spec, fault_plan=plan))
 
 
 def _cmd_shard(args) -> int:
-    import json as _json
+    import dataclasses
 
     from repro.federation.faults import FaultPlan
-    from repro.testing.simulator import (
-        ShardedFederationSimulator,
-        SimulationFailure,
-        SimulationSpec,
-        shard_crash_consistency_sweep,
-    )
+    from repro.testing.simulator import crash_sweep
 
-    spec = SimulationSpec(system=args.system,
-                          num_clients=args.clients,
-                          rounds=args.rounds,
-                          key_bits=args.key_bits,
-                          physical_key_bits=args.physical_key_bits,
-                          seed=args.seed,
-                          min_quorum=args.quorum,
-                          sharded=True,
-                          num_shards=args.shards,
-                          queue_capacity=args.queue_capacity,
-                          cohort_size=args.cohort)
+    spec = _simulation_spec(args, sharded=True, num_shards=args.shards,
+                            queue_capacity=args.queue_capacity,
+                            cohort_size=args.cohort)
     if args.sweep:
         scenarios = (("shard-0", False), ("root", False),
                      ("shard-0", True))
-        for node, race in scenarios:
-            try:
-                report = shard_crash_consistency_sweep(
-                    spec, node=node, race_root_failover=race)
-            except SimulationFailure as failure:
-                print(failure)
-                return 1
-            for line in report.summary_lines():
-                print(line)
-        return 0
+        return _print_checks(
+            [partial(crash_sweep, spec, node=node, race_root_failover=race)
+             for node, race in scenarios])
 
     if args.shard_crash is not None:
-        plan = (spec.fault_plan if spec.fault_plan is not None
-                else FaultPlan(seed=args.seed))
-        plan = plan.shard_crash("shard-0", 0,
-                                after_record=args.shard_crash)
-        spec = SimulationSpec.from_dict(
-            {**spec.to_dict(), "fault_plan": plan.to_dict()})
-    try:
-        result = ShardedFederationSimulator(spec).run()
-    except SimulationFailure as failure:
-        print(failure)
-        return 1
-    print(_json.dumps(result.to_dict(), indent=2, sort_keys=True))
-    return 0
+        spec = dataclasses.replace(
+            spec, fault_plan=FaultPlan(seed=args.seed).shard_crash(
+                "shard-0", 0, after_record=args.shard_crash))
+    return _print_simulation(spec)
 
 
 def _build_tenancy_spec(args) -> "object":
@@ -361,43 +340,30 @@ def _build_tenancy_spec(args) -> "object":
 
 
 def _cmd_tenants(args) -> int:
+    import dataclasses
+
     from repro.testing.simulator import (
         MultiTenantSimulator,
-        TenancyFailure,
-        TenancySpec,
-        rebalance_crash_sweep,
+        SimulationFailure,
+        crash_sweep,
         tenant_isolation_check,
     )
 
     spec = _build_tenancy_spec(args)
+    isolation = partial(tenant_isolation_check, spec, "tenant-b")
     if args.sweep:
         # CI smoke: the isolation invariant plus the kill-at-every-
-        # topology-record rebalance sweep, on one small scenario.
-        try:
-            isolation = tenant_isolation_check(spec, "tenant-b")
-        except TenancyFailure as failure:
-            print(failure)
-            return 1
-        for line in isolation.summary_lines():
-            print(line)
-        sweep_spec = TenancySpec.from_dict({
-            **spec.to_dict(),
-            "rebalance_targets": [3, 1, 2],
-            "tenants": [{**t.to_dict(), "fault_plan": None}
-                        for t in spec.tenants],
-        })
-        try:
-            sweep = rebalance_crash_sweep(sweep_spec)
-        except TenancyFailure as failure:
-            print(failure)
-            return 1
-        for line in sweep.summary_lines():
-            print(line)
-        return 0
+        # topology-record pool sweep, on one small scenario.
+        sweep_spec = dataclasses.replace(
+            spec, rebalance_targets=(3, 1, 2),
+            tenants=tuple(dataclasses.replace(t, fault_plan=None)
+                          for t in spec.tenants))
+        return _print_checks([isolation,
+                              partial(crash_sweep, sweep_spec)])
 
     try:
         result = MultiTenantSimulator(spec).run()
-    except TenancyFailure as failure:
+    except SimulationFailure as failure:
         print(failure)
         return 1
     print(f"tenants               {len(spec.tenants)}")
@@ -409,14 +375,7 @@ def _cmd_tenants(args) -> int:
         statuses = ",".join(result.statuses[tenant_id])
         faults = result.tenant_fault_counts[tenant_id]
         print(f"{tenant_id:<21} rounds [{statuses}] faults {faults}")
-    try:
-        isolation = tenant_isolation_check(spec, "tenant-b")
-    except TenancyFailure as failure:
-        print(failure)
-        return 1
-    for line in isolation.summary_lines():
-        print(line)
-    return 0
+    return _print_checks([isolation])
 
 
 def _changed_files():

@@ -50,6 +50,7 @@ from repro.federation.coordinator import (
     CoordinatorError,
     CoordinatorKilled,
     DurableCoordinator,
+    FailoverRecord,
     InvalidTransitionError,
     Lease,
     LeaseError,
@@ -70,8 +71,6 @@ from repro.federation.eventloop import (
     VirtualClock,
 )
 from repro.federation.shard import (
-    FailoverRecord,
-    HierarchicalStandby,
     MultiTenantAggregationService,
     MultiTenantRoundReport,
     RootCoordinator,
@@ -149,7 +148,6 @@ __all__ = [
     "TenantQueueStats",
     "VirtualClock",
     "FailoverRecord",
-    "HierarchicalStandby",
     "MultiTenantAggregationService",
     "MultiTenantRoundReport",
     "RootCoordinator",

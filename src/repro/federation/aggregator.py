@@ -36,7 +36,7 @@ and are now gone; use the ``*_tensor`` methods.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -201,6 +201,93 @@ class SecureAggregator:
                     f"ciphertext outside [0, n^2): corrupted or "
                     f"misframed payload ({str(value)[:40]}...)")
 
+    def resolve_round(self, client_vectors: Sequence[np.ndarray],
+                      round_index: Optional[int] = None,
+                      min_quorum: Optional[int] = None,
+                      cohort_size: Optional[int] = None
+                      ) -> Tuple[List[np.ndarray], int, int]:
+        """The preamble every round entry point shares.
+
+        Validates the client vectors (non-empty, one common length),
+        resolves the round index (default: :attr:`round_cursor`) and the
+        quorum (per-call, else the configured default, else everyone
+        scheduled), and returns ``(vectors, round_index, quorum)``.
+
+        Args:
+            cohort_size: How many of the clients are scheduled when a
+                sharded caller spreads them over several ciphertext
+                sums.  By default every client is scheduled into *one*
+                sum, so their number must fit the packer's safe summand
+                count.
+        """
+        vectors = [np.asarray(v, dtype=np.float64) for v in client_vectors]
+        if not vectors:
+            raise ValueError("a round needs at least one client vector")
+        length = len(vectors[0])
+        for vector in vectors:
+            if len(vector) != length:
+                raise ValueError("client vectors must share a length")
+        if cohort_size is None:
+            cohort_size = len(vectors)
+            if cohort_size > self.packer.max_safe_summands():
+                raise OverflowError(
+                    f"{cohort_size} clients exceed the packer's "
+                    f"{self.packer.max_safe_summands()} safe summands")
+        if round_index is None:
+            round_index = self.round_cursor
+        required = min_quorum if min_quorum is not None else self.min_quorum
+        if required is None:
+            required = cohort_size
+        if not 1 <= required <= cohort_size:
+            raise ValueError(
+                f"quorum {required} impossible with {cohort_size} clients")
+        return vectors, round_index, required
+
+    def client_gate(self, round_index: int, dropped: List[tuple],
+                    injector: Optional[FaultInjector] = None,
+                    deadline_seconds: Optional[float] = None,
+                    representative_charged: bool = False
+                    ) -> Callable[[str, np.ndarray],
+                                  Optional[Tuple[CipherTensor, float]]]:
+        """One round's per-client fault gate and encryption step.
+
+        Returns ``admit(name, vector)``.  Each call runs the client
+        through the injector -- offline, then a straggler delay the
+        round deadline excludes, then a delay that is waited out, each
+        charged as it is decided -- and encrypts the vector of a client
+        that gets through.  Only the first such client of the round (the
+        *representative*) is charged for its client-side work.
+
+        ``admit`` returns ``(tensor, straggler_delay)``, or ``None``
+        after appending ``(name, reason)`` to ``dropped``.
+
+        Args:
+            representative_charged: A resumed round whose log already
+                holds an upload has charged its representative.
+        """
+        def admit(name: str, vector: np.ndarray
+                  ) -> Optional[Tuple[CipherTensor, float]]:
+            nonlocal representative_charged
+            delay = 0.0
+            if injector is not None:
+                if not injector.is_alive(name, round_index):
+                    dropped.append((name, "offline"))
+                    return None
+                delay = injector.straggler_delay(name, round_index)
+                if delay > 0:
+                    if deadline_seconds is not None and \
+                            delay > deadline_seconds:
+                        injector.charge_deadline_miss(name, round_index,
+                                                      deadline_seconds)
+                        dropped.append((name, "deadline"))
+                        return None
+                    injector.charge_straggler(name, round_index, delay)
+            charged = not representative_charged
+            representative_charged = True
+            return self.encrypt_tensor(vector, charged=charged), delay
+
+        return admit
+
     def aggregate(self, client_vectors: Sequence[np.ndarray],
                   tag: str = "gradients",
                   min_quorum: Optional[int] = None,
@@ -232,53 +319,23 @@ class SecureAggregator:
         Raises:
             QuorumError: Fewer survivors than the quorum.
         """
-        vectors = [np.asarray(v, dtype=np.float64) for v in client_vectors]
-        if not vectors:
-            raise ValueError("aggregate needs at least one client vector")
-        length = len(vectors[0])
-        for vector in vectors:
-            if len(vector) != length:
-                raise ValueError("client vectors must share a length")
-        if len(vectors) > self.packer.max_safe_summands():
-            raise OverflowError(
-                f"{len(vectors)} clients exceed the packer's "
-                f"{self.packer.max_safe_summands()} safe summands")
-
+        vectors, round_index, required = self.resolve_round(
+            client_vectors, round_index, min_quorum)
         injector = injector if injector is not None else self.injector
-        if round_index is None:
-            round_index = self.round_cursor
         if deadline_seconds is None:
             deadline_seconds = self.round_deadline_seconds
-        required = min_quorum if min_quorum is not None else self.min_quorum
-        if required is None:
-            required = len(vectors)
-        if not 1 <= required <= len(vectors):
-            raise ValueError(
-                f"quorum {required} impossible with {len(vectors)} clients")
         round_report = AggregationRound(round_index=round_index)
+        admit = self.client_gate(round_index, round_report.dropped,
+                                 injector, deadline_seconds)
 
         uploaded: List[CipherTensor] = []
-        representative_charged = False
         for index, vector in enumerate(vectors):
             name = f"client-{index}"
-            if injector is not None:
-                if not injector.is_alive(name, round_index):
-                    round_report.dropped.append((name, "offline"))
-                    continue
-                delay = injector.straggler_delay(name, round_index)
-                if delay > 0:
-                    if deadline_seconds is not None and \
-                            delay > deadline_seconds:
-                        injector.charge_deadline_miss(name, round_index,
-                                                      deadline_seconds)
-                        round_report.dropped.append((name, "deadline"))
-                        continue
-                    injector.charge_straggler(name, round_index, delay)
-            charged = not representative_charged
-            representative_charged = True
-            tensor = self.encrypt_tensor(vector, charged=charged)
+            gated = admit(name, vector)
+            if gated is None:
+                continue
             try:
-                payload = self.send_tensor(tensor, sender=name,
+                payload = self.send_tensor(gated[0], sender=name,
                                            receiver="server",
                                            tag=f"upload.{tag}")
             except ChannelError as error:

@@ -38,7 +38,15 @@ import json
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+)
 
 import numpy as np
 
@@ -511,9 +519,116 @@ class DurableCoordinator:
         return self._log(UPLOAD_ACCEPTED, round_index, client=client,
                          dedupe_key=key, frame=frame)
 
+    def _accept_delivered(self, round_index: int,
+                          uploads: Sequence[Tuple[str, CipherTensor]]
+                          ) -> None:
+        """Intake step for uploads someone else delivered (a shard's
+        drained queue, the root's leaf partials): validate and journal
+        each one the log does not already hold."""
+        for sender, tensor in uploads:
+            if self.machine.has_upload(round_index, sender):
+                continue  # journaled before a crash: reuse verbatim
+            self.aggregator.validate_ciphertexts(tensor)
+            self.accept_upload(round_index, sender, tensor)
+
     # ------------------------------------------------------------------
-    # The durable round.
+    # The journaled round.
     # ------------------------------------------------------------------
+
+    def _journaled_round(self, round_index: int, tag: str, scheduled: int,
+                         quorum: int,
+                         intake: Callable[[], None],
+                         single_sum: bool = False) -> RoundState:
+        """The write-ahead-logged round every tree node runs.
+
+        ``round_open`` -> the missing ``upload_accepted`` records ->
+        ``quorum_reached`` (or a ``round_close`` abort) -> this node's
+        commit record (:meth:`_commit`) -> ``round_close``, each
+        journaled before it takes effect.  A coordinator recovered
+        mid-round *continues* the round: uploads already in the log are
+        reused verbatim, a logged quorum is not re-declared, a logged
+        commit is not recomputed; a round the log already closed is
+        served from the log.
+
+        Args:
+            scheduled: How many uploads the round was opened for.
+            intake: Journals (via :meth:`accept_upload`) every upload
+                the log does not hold yet; skipped once quorum is
+                logged.
+            single_sum: :meth:`_commit` folds *every* accepted upload
+                into one ciphertext, so their summand total must fit
+                its capacity (a leaf; the flat round bounds its client
+                count up front and the root segments instead).
+
+        Returns the closed round's state.
+
+        Raises:
+            QuorumError: The round closed (now or in the log) below
+                quorum.
+        """
+        if quorum < 1:
+            raise ValueError("quorum must be at least 1")
+        state = self.machine.round
+        if state is None or state.round_index != round_index:
+            self._log(ROUND_OPEN, round_index, tag=tag,
+                      num_clients=scheduled, quorum=quorum)
+            state = self.machine.round
+        # Otherwise the log already holds this round: resume it, or --
+        # the predecessor died right after its round_close -- honour
+        # the decision instead of reopening.
+        if not state.closed and not state.quorum_logged:
+            intake()
+            if len(state.survivors) < quorum:
+                self._log(ROUND_CLOSE, round_index, aborted="quorum")
+            else:
+                accepted = self.machine.upload_tensors()
+                summands = sum(t.meta.summands for t in accepted)
+                if single_sum:
+                    # Honor the *uploads'* codec: an interleaved layout
+                    # affords more summands than the dense default, a
+                    # fact the tensors carry via their TensorMeta.
+                    capacity = accepted[0].meta.summand_capacity()
+                    if summands > capacity:
+                        raise OverflowError(
+                            f"shard cohort carries {summands} summands, "
+                            f"over the {capacity} capacity -- "
+                            f"plan_shards must split it")
+                self._log(QUORUM_REACHED, round_index,
+                          survivors=list(state.survivors),
+                          summands=summands)
+        if not state.closed:
+            if state.result is None and state.partial_frame is None:
+                self._commit(round_index, tag, self.machine.upload_tensors(
+                    engine=self.aggregator.server_engine))
+            self._log(ROUND_CLOSE, round_index)
+        if state.aborted == "quorum":
+            raise QuorumError(round_index, state.survivors, quorum,
+                              scheduled)
+        return state
+
+    def _commit(self, round_index: int, tag: str,
+                uploaded: List[CipherTensor]) -> None:
+        """The commit step: journal what the accepted uploads come to.
+
+        A decrypting node journals the decoded plaintext sum.
+        Persisting the decrypted aggregate is the WAL's whole purpose
+        here -- a successor serves the round without re-decrypting --
+        so this is the one sanctioned plaintext journal write.
+        """
+        decoded = self._decrypt_sum(tag, uploaded)
+        self._log(DECRYPT_COMMITTED, round_index,  # flcheck: allow[plaintext-wire]
+                  result=list(np.asarray(decoded).ravel()),
+                  summands=self.machine.round.summands)
+
+    def _decrypt_sum(self, tag: str,
+                     uploaded: List[CipherTensor]) -> np.ndarray:
+        """Sum the uploads, send every survivor its download, decrypt."""
+        agg = self.aggregator
+        aggregated = agg._server_sum(uploaded)
+        for name in self.machine.round.survivors:
+            agg.send_tensor(aggregated, sender=self.name,
+                            receiver=name, tag=f"download.{tag}")
+        return agg.decrypt_tensor(aggregated, charged=True)
 
     def run_round(self, client_vectors: Sequence[np.ndarray],
                   tag: str = "gradients",
@@ -530,78 +645,26 @@ class DurableCoordinator:
         a logged decrypt is returned without recomputation.
         """
         agg = self.aggregator
-        vectors = [np.asarray(v, dtype=np.float64)
-                   for v in client_vectors]
-        if not vectors:
-            raise ValueError("run_round needs at least one client vector")
-        length = len(vectors[0])
-        for vector in vectors:
-            if len(vector) != length:
-                raise ValueError("client vectors must share a length")
-        if len(vectors) > agg.packer.max_safe_summands():
-            raise OverflowError(
-                f"{len(vectors)} clients exceed the packer's "
-                f"{agg.packer.max_safe_summands()} safe summands")
-        if round_index is None:
-            round_index = agg.round_cursor
-        required = min_quorum if min_quorum is not None else agg.min_quorum
-        if required is None:
-            required = len(vectors)
-        if not 1 <= required <= len(vectors):
-            raise ValueError(
-                f"quorum {required} impossible with {len(vectors)} clients")
-
-        state = self.machine.round
-        if state is not None and state.closed \
-                and state.round_index == round_index:
-            # The log already decided this round (the predecessor died
-            # right after its round_close): honour the decision instead
-            # of reopening.
-            agg.round_cursor = max(agg.round_cursor, round_index + 1)
-            if state.aborted == "quorum":
-                raise QuorumError(round_index, state.survivors,
-                                  required, len(vectors))
-            agg.last_round = AggregationRound(
-                round_index=round_index,
-                survivors=list(state.survivors),
-                summands=state.summands)
-            return np.asarray(state.result, dtype=np.float64)
-        resuming = (state is not None and not state.closed
-                    and state.round_index == round_index)
-        if not resuming:
-            self._log(ROUND_OPEN, round_index, tag=tag,
-                      num_clients=len(vectors), quorum=required)
-            state = self.machine.round
-
-        report = AggregationRound(round_index=round_index,
-                                  survivors=list(state.survivors),
-                                  summands=len(state.survivors))
+        vectors, round_index, required = agg.resolve_round(
+            client_vectors, round_index, min_quorum)
+        report = AggregationRound(round_index=round_index)
         injector = agg.injector
-        deadline = agg.round_deadline_seconds
-        if not state.quorum_logged:
-            representative_charged = bool(state.survivors)
+
+        def intake() -> None:
+            admit = agg.client_gate(
+                round_index, report.dropped, injector,
+                agg.round_deadline_seconds,
+                representative_charged=bool(self.machine.round.survivors))
             for index, vector in enumerate(vectors):
                 name = f"client-{index}"
                 if self.machine.has_upload(round_index, name):
                     continue  # exactly-once: logged before the crash
-                if injector is not None:
-                    if not injector.is_alive(name, round_index):
-                        report.dropped.append((name, "offline"))
-                        continue
-                    delay = injector.straggler_delay(name, round_index)
-                    if delay > 0:
-                        if deadline is not None and delay > deadline:
-                            injector.charge_deadline_miss(
-                                name, round_index, deadline)
-                            report.dropped.append((name, "deadline"))
-                            continue
-                        injector.charge_straggler(name, round_index, delay)
-                charged = not representative_charged
-                representative_charged = True
-                tensor = agg.encrypt_tensor(vector, charged=charged)
+                gated = admit(name, vector)
+                if gated is None:
+                    continue
                 try:
                     payload = agg.send_tensor(
-                        tensor, sender=name, receiver=self.name,
+                        gated[0], sender=name, receiver=self.name,
                         tag=f"upload.{tag}")
                 except ChannelError as error:
                     if injector is None:
@@ -612,41 +675,24 @@ class DurableCoordinator:
                     continue
                 agg.validate_ciphertexts(payload)
                 self.accept_upload(round_index, name, payload)
-            report.survivors = list(state.survivors)
-            report.summands = len(state.survivors)
-            if len(state.survivors) < required:
-                self._log(ROUND_CLOSE, round_index, aborted="quorum")
-                agg.round_cursor = round_index + 1
-                agg.last_round = report
-                raise QuorumError(round_index, state.survivors,
-                                  required, len(vectors))
-            self._log(QUORUM_REACHED, round_index,
-                      survivors=list(state.survivors),
-                      summands=len(state.survivors))
-        else:
-            report.survivors = list(state.survivors)
-            report.summands = state.summands
 
-        if state.result is None:
-            uploaded = self.machine.upload_tensors(
-                engine=agg.server_engine)
-            aggregated = agg._server_sum(uploaded)
-            for name in state.survivors:
-                agg.send_tensor(aggregated, sender=self.name,
-                                receiver=name, tag=f"download.{tag}")
-            decoded = agg.decrypt_tensor(aggregated, charged=True)
-            # The WAL's whole purpose here is to persist the decrypted
-            # aggregate so a restarted coordinator can serve the round
-            # without re-decrypting; this is the sanctioned exception.
-            self._log(DECRYPT_COMMITTED, round_index,  # flcheck: allow[plaintext-wire]
-                      result=list(np.asarray(decoded).ravel()),
-                      summands=state.summands)
-        decoded = np.asarray(state.result, dtype=np.float64)
+        def finish() -> None:
+            # Not reached when the coordinator is killed mid-round: the
+            # aggregator only ever sees rounds that ended.
+            survivors = self.machine.round.survivors
+            report.survivors = list(survivors)
+            report.summands = len(survivors)
+            agg.round_cursor = max(agg.round_cursor, round_index + 1)
+            agg.last_round = report
 
-        self._log(ROUND_CLOSE, round_index)
-        agg.round_cursor = round_index + 1
-        agg.last_round = report
-        return decoded
+        try:
+            state = self._journaled_round(round_index, tag, len(vectors),
+                                          required, intake)
+        except QuorumError:
+            finish()
+            raise
+        finish()
+        return np.asarray(state.result, dtype=np.float64)
 
 
 class StandbyCoordinator:
@@ -664,13 +710,19 @@ class StandbyCoordinator:
             shared in-process engines, which hold the same key).
         lease_manager: The arbitration shared with the primary.
         name: Standby identity.
+        coordinator_cls: What to build at takeover -- the class of the
+            node being shadowed (a leaf's or the root's coordinator in
+            the sharded tree; the flat coordinator by default).
     """
 
     def __init__(self, aggregator: SecureAggregator,
-                 lease_manager: LeaseManager, name: str = "standby"):
+                 lease_manager: LeaseManager, name: str = "standby",
+                 coordinator_cls: Type[DurableCoordinator]
+                 = DurableCoordinator):
         self.aggregator = aggregator
         self.lease_manager = lease_manager
         self.name = name
+        self.coordinator_cls = coordinator_cls
         self.machine = RoundStateMachine()
         self._tail_lsn = 0
 
@@ -700,7 +752,7 @@ class StandbyCoordinator:
         self.tail(image)
         lease = self.lease_manager.acquire(self.name)
         wal = WriteAheadLog.from_bytes(image)
-        successor = DurableCoordinator(
+        successor = self.coordinator_cls(
             self.aggregator, wal=wal, name=self.name,
             incarnation=lease.incarnation,
             lease_manager=self.lease_manager)
@@ -708,6 +760,33 @@ class StandbyCoordinator:
             raise CoordinatorError(
                 "standby shadow state diverged from the log at takeover")
         return successor
+
+
+@dataclass
+class FailoverRecord:
+    """One node death that was recovered or failed over.
+
+    Attributes:
+        node: ``coordinator`` for the flat durable coordinator,
+            ``shard-<i>`` for a leaf, the root's name for the root.
+        kind: The fault kind that killed it -- ``coordinator_crash``
+            (same coordinator restarted from its log), ``failover`` or
+            ``shard_crash`` (the node's hot standby took over).
+        round_index: Round in flight when the kill fired.
+        lsn: Last WAL record the dead node durably appended.
+        incarnation: The successor's fencing incarnation.
+        recovered_digest: The successor's state digest right after
+            replaying the dead node's log -- compared against the
+            uninterrupted run's digest at the same ``lsn`` by the crash
+            sweep.
+    """
+
+    node: str
+    kind: str
+    round_index: int
+    lsn: int
+    incarnation: int
+    recovered_digest: int
 
 
 def recover_coordinator(aggregator: SecureAggregator, image: bytes,

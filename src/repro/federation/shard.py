@@ -12,28 +12,30 @@ the hierarchical tier in between:
   because the :class:`~repro.tensor.meta.TensorMeta` algebra accumulates
   summands additively and ``decode_sum`` overflows past
   ``2**overflow_bits``.
-- :class:`ShardAggregator` -- a *leaf* coordinator: write-ahead-logs its
-  shard's uploads exactly like the durable coordinator, but instead of
-  decrypting it commits the homomorphically combined ciphertext
-  (``partial_committed``) -- leaves never hold the key.
-- :class:`RootCoordinator` -- accepts leaf partials as its uploads,
-  journals them, and decrypts in *capacity-bounded segments*: partials
-  are greedily grouped so each segment's summand total fits the packer's
-  capacity, each segment is decrypted separately, and the decoded sums
-  are added in plaintext.  The Eq. 6 offset correction rides the
-  metadata per segment, so the segmented result is exactly the flat sum.
-- :class:`HierarchicalStandby` -- the PR 4 hot-standby protocol,
-  parameterized over the coordinator class so *every leaf* and the root
-  each get their own WAL + standby; failover composes hierarchically and
-  the crash-consistency sweep holds at both layers.
+- :class:`ShardAggregator` -- a *leaf* coordinator: the durable
+  coordinator's journaled round with delivered uploads as its intake
+  and, instead of a decrypt, a commit step that journals the
+  homomorphically combined ciphertext (``partial_committed``) -- leaves
+  never hold the key.
+- :class:`RootCoordinator` -- the same journaled round with leaf
+  partials as its uploads and a commit step that decrypts in
+  *capacity-bounded segments*: partials are greedily grouped so each
+  segment's summand total fits the packer's capacity, each segment is
+  decrypted separately, and the decoded sums are added in plaintext.
+  The Eq. 6 offset correction rides the metadata per segment, so the
+  segmented result is exactly the flat sum.
+- Every node -- each leaf and the root alike -- gets its own WAL, lease
+  and :class:`~repro.federation.coordinator.StandbyCoordinator` (told
+  which coordinator class to build at takeover); failover composes
+  hierarchically and the crash sweep holds at both layers.
 - :class:`ShardedAggregationService` -- the orchestrator: samples the
   cohort, plans shards, pushes encrypted uploads through the event
   loop's admission control (:mod:`repro.federation.eventloop`), runs the
-  leaf rounds (catching kills and failing over per shard), forwards
-  partials to the root over the charged channel, and runs the root round
-  (same kill handling).  Overload, shedding, and circuit-breaker fencing
-  all degrade the round into quorum + Eq. 6 partial aggregation; nothing
-  is ever lost silently.
+  leaf rounds, forwards partials to the root over the charged channel,
+  and runs the root round -- every node through the same
+  kill-catching, standby-promoting ``_run_node``.  Overload, shedding,
+  and circuit-breaker fencing all degrade the round into quorum + Eq. 6
+  partial aggregation; nothing is ever lost silently.
 
 Capacity invariant (property-tested): for any cohort the reduction tree
 never combines more summands than ``packer.max_safe_summands()`` in one
@@ -49,6 +51,7 @@ import math
 import zlib
 from dataclasses import dataclass, field
 from typing import (
+    Callable,
     Dict,
     List,
     Mapping,
@@ -66,7 +69,9 @@ from repro.federation.coordinator import (
     CoordinatorError,
     CoordinatorKilled,
     DurableCoordinator,
+    FailoverRecord,
     LeaseManager,
+    StandbyCoordinator,
 )
 from repro.federation.eventloop import (
     REJECT_OVERLOAD,
@@ -78,17 +83,14 @@ from repro.federation.eventloop import (
 )
 from repro.federation.faults import (
     COORDINATOR_KINDS,
+    FAILOVER,
     SHARD_CRASH,
     QuorumError,
 )
 from repro.federation.serialization import deserialize_tensor, serialize_tensor
 from repro.federation.tenancy import TenantRegistry
 from repro.federation.wal import (
-    DECRYPT_COMMITTED,
     PARTIAL_COMMITTED,
-    QUORUM_REACHED,
-    ROUND_CLOSE,
-    ROUND_OPEN,
     SHARD_MERGE,
     SHARD_SPLIT,
     WalRecord,
@@ -190,8 +192,8 @@ class ShardAggregator(DurableCoordinator):
 
     Shares the durable coordinator's whole journaling stack -- WAL,
     state machine, digest trail, incarnation fencing, ``kill_after_lsn``
-    -- and replaces the decrypting round with :meth:`combine_round`,
-    which commits the homomorphically combined ciphertext frame
+    and the journaled-round skeleton itself -- and supplies a commit
+    step that journals the homomorphically combined ciphertext frame
     (``partial_committed``) instead of a plaintext result.  A leaf
     killed at any record boundary is recovered (or failed over) with the
     exact accepted ciphertexts replayed from its own log.
@@ -209,135 +211,50 @@ class ShardAggregator(DurableCoordinator):
                 partial (1 by default -- overall quorum is the service's
                 concern, per Eq. 6 partial-aggregation semantics).
         """
-        agg = self.aggregator
-        if quorum < 1:
-            raise ValueError("quorum must be at least 1")
-
-        state = self.machine.round
-        if state is not None and state.closed \
-                and state.round_index == round_index:
-            if state.aborted == "quorum":
-                raise QuorumError(round_index, state.survivors, quorum,
-                                  state.num_clients)
-            return self._partial_tensor(state.partial_frame)
-        resuming = (state is not None and not state.closed
-                    and state.round_index == round_index)
-        if not resuming:
-            self._log(ROUND_OPEN, round_index, tag=f"shard.{tag}",
-                      num_clients=len(uploads), quorum=quorum)
-        state = self.machine.round
-
-        if not state.quorum_logged:
-            for client, tensor in uploads:
-                if self.machine.has_upload(round_index, client):
-                    continue  # journaled before a crash: reuse verbatim
-                agg.validate_ciphertexts(tensor)
-                self.accept_upload(round_index, client, tensor)
-            if len(state.survivors) < quorum:
-                self._log(ROUND_CLOSE, round_index, aborted="quorum")
-                raise QuorumError(round_index, state.survivors, quorum,
-                                  len(uploads))
-            accepted = self.machine.upload_tensors()
-            summands = sum(t.meta.summands for t in accepted)
-            # Honor the *uploads'* codec: an interleaved layout affords
-            # more summands than the dense default, a fact the tensors
-            # themselves carry via their TensorMeta codec identity.
-            capacity = (accepted[0].meta.summand_capacity() if accepted
-                        else agg.packer.max_safe_summands())
-            if summands > capacity:
-                raise OverflowError(
-                    f"shard cohort carries {summands} summands, over the "
-                    f"{capacity} capacity -- plan_shards must split it")
-            self._log(QUORUM_REACHED, round_index,
-                      survivors=list(state.survivors), summands=summands)
-
+        state = self._journaled_round(
+            round_index, f"shard.{tag}", len(uploads), quorum,
+            lambda: self._accept_delivered(round_index, uploads),
+            single_sum=True)
+        # Always rebuilt from the journaled frame, so an uninterrupted
+        # run and a recovered one return byte-identical partials.
         if state.partial_frame is None:
-            tensors = self.machine.upload_tensors(
-                engine=agg.server_engine)
-            partial = agg._server_sum(tensors)
-            self._log(PARTIAL_COMMITTED, round_index,
-                      frame=serialize_tensor(partial.materialize()).hex())
-        if not state.closed:
-            self._log(ROUND_CLOSE, round_index)
-        return self._partial_tensor(state.partial_frame)
-
-    def _partial_tensor(self, frame: Optional[str]) -> CipherTensor:
-        """The committed partial, rebound to the server engine.
-
-        Always rebuilt from the journaled frame, so an uninterrupted
-        run and a recovered one return byte-identical partials.
-        """
-        if frame is None:
             raise CoordinatorError(
                 "round closed without a committed partial")
-        tensor = deserialize_tensor(bytes.fromhex(frame))
+        tensor = deserialize_tensor(bytes.fromhex(state.partial_frame))
         return CipherTensor(tensor.meta, words=list(tensor.words),
                             engine=self.aggregator.server_engine)
+
+    def _commit(self, round_index: int, tag: str,
+                uploaded: List[CipherTensor]) -> None:
+        """Journal the combined ciphertext; the sum stays encrypted."""
+        partial = self.aggregator._server_sum(uploaded)
+        self._log(PARTIAL_COMMITTED, round_index,
+                  frame=serialize_tensor(partial.materialize()).hex())
 
 
 class RootCoordinator(DurableCoordinator):
     """The root of the reduction tree: combines and decrypts partials.
 
     Leaf partials are its uploads (dedupe key ``r{round}:{shard}``, same
-    exactly-once machinery).  Decryption is *segmented*: partials are
-    grouped under the summand capacity, each segment homomorphically
-    summed and decrypted separately, and the decoded sums added in
-    plaintext -- the only way a cohort larger than one ciphertext's
-    capacity can be reduced at all.
+    exactly-once machinery, same journaled-round skeleton).  Its commit
+    step decrypts in *segments*: partials are grouped under the summand
+    capacity, each segment homomorphically summed and decrypted
+    separately, and the decoded sums added in plaintext -- the only way
+    a cohort larger than one ciphertext's capacity can be reduced at
+    all.
     """
 
     def reduce_round(self, partials: Sequence[Tuple[str, CipherTensor]],
                      round_index: int, tag: str = "gradients",
                      quorum: int = 1) -> np.ndarray:
         """One write-ahead-logged root round; returns the decoded sum."""
-        agg = self.aggregator
-        if quorum < 1:
-            raise ValueError("quorum must be at least 1")
-
-        state = self.machine.round
-        if state is not None and state.closed \
-                and state.round_index == round_index:
-            if state.aborted == "quorum":
-                raise QuorumError(round_index, state.survivors, quorum,
-                                  state.num_clients)
-            return np.asarray(state.result, dtype=np.float64)
-        resuming = (state is not None and not state.closed
-                    and state.round_index == round_index)
-        if not resuming:
-            self._log(ROUND_OPEN, round_index, tag=f"root.{tag}",
-                      num_clients=len(partials), quorum=quorum)
-        state = self.machine.round
-
-        if not state.quorum_logged:
-            for shard, tensor in partials:
-                if self.machine.has_upload(round_index, shard):
-                    continue
-                agg.validate_ciphertexts(tensor)
-                self.accept_upload(round_index, shard, tensor)
-            if len(state.survivors) < quorum:
-                self._log(ROUND_CLOSE, round_index, aborted="quorum")
-                raise QuorumError(round_index, state.survivors, quorum,
-                                  len(partials))
-            accepted = self.machine.upload_tensors()
-            summands = sum(t.meta.summands for t in accepted)
-            self._log(QUORUM_REACHED, round_index,
-                      survivors=list(state.survivors), summands=summands)
-
-        if state.result is None:
-            tensors = self.machine.upload_tensors(
-                engine=agg.server_engine)
-            decoded = self._segmented_decrypt(tensors)
-            # Journaling the decoded aggregate is the WAL's purpose: a
-            # successor serves the round without re-decrypting.
-            self._log(DECRYPT_COMMITTED, round_index,  # flcheck: allow[plaintext-wire]
-                      result=list(np.asarray(decoded).ravel()),
-                      summands=state.summands)
-        if not state.closed:
-            self._log(ROUND_CLOSE, round_index)
+        state = self._journaled_round(
+            round_index, f"root.{tag}", len(partials), quorum,
+            lambda: self._accept_delivered(round_index, partials))
         return np.asarray(state.result, dtype=np.float64)
 
-    def _segmented_decrypt(self,
-                           tensors: Sequence[CipherTensor]) -> np.ndarray:
+    def _decrypt_sum(self, tag: str,
+                     tensors: Sequence[CipherTensor]) -> np.ndarray:
         """Capacity-bounded reduction: sum within segments, add decoded."""
         agg = self.aggregator
         # Per-codec capacity from the partials themselves (guard-banded
@@ -353,81 +270,6 @@ class RootCoordinator(DurableCoordinator):
         if total is None:
             raise CoordinatorError("no partials to decrypt")
         return total
-
-
-class HierarchicalStandby:
-    """A hot standby for one node of the reduction tree (leaf or root).
-
-    The PR 4 standby protocol, parameterized over the coordinator class:
-    tails the node's WAL into a shadow state machine and, once the lease
-    lapses, acquires a bumped incarnation and resumes from the log.
-    Takeover asserts the shadow digest matches a fresh replay -- the
-    standby really was hot.
-
-    Args:
-        aggregator: The data path the successor will drive.
-        lease_manager: Arbitration shared with the node's primary.
-        name: Standby identity.
-        coordinator_cls: :class:`ShardAggregator` for a leaf,
-            :class:`RootCoordinator` for the root.
-    """
-
-    def __init__(self, aggregator: SecureAggregator,
-                 lease_manager: LeaseManager, name: str,
-                 coordinator_cls: Type[DurableCoordinator]):
-        from repro.federation.coordinator import RoundStateMachine
-
-        self.aggregator = aggregator
-        self.lease_manager = lease_manager
-        self.name = name
-        self.coordinator_cls = coordinator_cls
-        self.machine = RoundStateMachine()
-        self._tail_lsn = 0
-
-    def tail(self, image: bytes) -> int:
-        """Apply records appended since the last tail; returns how many."""
-        log = WriteAheadLog.from_bytes(image)
-        fresh = log.records_since(self._tail_lsn)
-        for record in fresh:
-            self.machine.apply(record)
-        self._tail_lsn += len(fresh)
-        return len(fresh)
-
-    def take_over(self, image: bytes) -> DurableCoordinator:
-        """Acquire the lapsed lease and resume from the log."""
-        self.tail(image)
-        lease = self.lease_manager.acquire(self.name)
-        wal = WriteAheadLog.from_bytes(image)
-        successor = self.coordinator_cls(
-            self.aggregator, wal=wal, name=self.name,
-            incarnation=lease.incarnation,
-            lease_manager=self.lease_manager)
-        if successor.machine.digest() != self.machine.digest():
-            raise CoordinatorError(
-                "standby shadow state diverged from the log at takeover")
-        return successor
-
-
-@dataclass
-class FailoverRecord:
-    """One node death the service failed over.
-
-    Attributes:
-        node: ``shard-<i>`` for a leaf, ``root`` for the root.
-        round_index: Round in flight when the kill fired.
-        lsn: Last WAL record the dead node durably appended.
-        incarnation: The successor's fencing incarnation.
-        recovered_digest: The successor's state digest right after
-            replaying the dead node's log -- compared against the
-            uninterrupted run's digest at the same ``lsn`` by the
-            sharded crash-consistency sweep.
-    """
-
-    node: str
-    round_index: int
-    lsn: int
-    incarnation: int
-    recovered_digest: int
 
 
 class ShardPool:
@@ -626,6 +468,17 @@ class ShardPool:
 
 
 @dataclass
+class _TreeNode:
+    """One node of the reduction tree: who runs it, who shadows it."""
+
+    #: Prefix-qualified name its standbys are named after.
+    identity: str
+    lease: LeaseManager
+    primary: DurableCoordinator
+    standby: StandbyCoordinator
+
+
+@dataclass
 class ShardRoundReport:
     """Outcome of one sharded aggregation round.
 
@@ -729,19 +582,12 @@ class ShardedAggregationService:
                 aggregator.channel, self.clock,
                 queue_capacity=queue_capacity,
                 overloaded=self._overloaded)
-        self.leaves: Dict[str, ShardAggregator] = {}
-        self._leaf_standbys: Dict[str, HierarchicalStandby] = {}
-        self._leaf_leases: Dict[str, LeaseManager] = {}
         self.root_name = f"{node_prefix}root"
-        self._root_lease = LeaseManager(
-            timeout_seconds=lease_timeout_seconds, clock=self._now)
-        self._root_lease.acquire(self.root_name)
-        self.root: RootCoordinator = RootCoordinator(
-            aggregator, wal=WriteAheadLog(), name=self.root_name,
-            lease_manager=self._root_lease)
-        self._root_standby = HierarchicalStandby(
-            aggregator, self._root_lease, name=f"{self.root_name}-standby",
-            coordinator_cls=RootCoordinator)
+        #: Every node of the reduction tree; the root is just the node
+        #: named :attr:`root_name`, leaves are keyed by shard name.
+        self._nodes: Dict[str, _TreeNode] = {}
+        self._add_node(self.root_name, self.root_name, self.root_name,
+                       RootCoordinator)
         self.last_round: Optional[ShardRoundReport] = None
         #: Every failover the service performed, for the crash sweeps.
         self.failover_log: List[FailoverRecord] = []
@@ -776,90 +622,99 @@ class ShardedAggregationService:
     # Node registry.
     # ------------------------------------------------------------------
 
-    def leaf(self, shard: str) -> ShardAggregator:
-        """The shard's leaf coordinator (created with WAL + standby)."""
-        if shard not in self.leaves:
-            node = f"{self.node_prefix}{shard}"
-            lease = LeaseManager(
-                timeout_seconds=self.lease_timeout_seconds,
-                clock=self._now)
-            lease.acquire(f"{node}-primary")
-            self._leaf_leases[shard] = lease
-            self.leaves[shard] = ShardAggregator(
-                self.aggregator, wal=WriteAheadLog(),
-                name=f"{node}-primary", lease_manager=lease)
-            self._leaf_standbys[shard] = HierarchicalStandby(
-                self.aggregator, lease, name=f"{node}-standby",
-                coordinator_cls=ShardAggregator)
-        return self.leaves[shard]
-
-    def leaf_standby(self, shard: str) -> HierarchicalStandby:
-        """The shard's hot standby (tails the leaf WAL)."""
-        self.leaf(shard)
-        return self._leaf_standbys[shard]
+    def _add_node(self, key: str, identity: str, primary_name: str,
+                  coordinator_cls: Type[DurableCoordinator]) -> None:
+        """Create one tree node: its lease, its WAL-backed primary, and
+        the hot standby that tails it."""
+        lease = LeaseManager(timeout_seconds=self.lease_timeout_seconds,
+                             clock=self._now)
+        lease.acquire(primary_name)
+        self._nodes[key] = _TreeNode(
+            identity=identity, lease=lease,
+            primary=coordinator_cls(
+                self.aggregator, wal=WriteAheadLog(), name=primary_name,
+                lease_manager=lease),
+            standby=StandbyCoordinator(
+                self.aggregator, lease, name=f"{identity}-standby",
+                coordinator_cls=coordinator_cls))
 
     @property
-    def root_standby(self) -> HierarchicalStandby:
-        return self._root_standby
+    def leaves(self) -> Dict[str, ShardAggregator]:
+        """Every leaf's current primary, by shard name."""
+        return {key: node.primary for key, node in self._nodes.items()
+                if key != self.root_name}
+
+    @property
+    def root(self) -> RootCoordinator:
+        """The root's current primary."""
+        return self._nodes[self.root_name].primary
+
+    def leaf(self, shard: str) -> ShardAggregator:
+        """The shard's leaf coordinator (created with WAL + standby)."""
+        if shard not in self._nodes:
+            identity = f"{self.node_prefix}{shard}"
+            self._add_node(shard, identity, f"{identity}-primary",
+                           ShardAggregator)
+        return self._nodes[shard].primary
 
     # ------------------------------------------------------------------
     # Failover plumbing.
     # ------------------------------------------------------------------
 
-    def _charge_fault(self, kind: str, party: str,
-                      round_index: int) -> None:
+    def _fail_over(self, key: str, kind: str, round_index: int,
+                   lsn: int) -> DurableCoordinator:
+        """Promote a dead node's standby over its log."""
+        node = self._nodes[key]
+        image = node.primary.wal.image()
+        node.standby.tail(image)
+        if not node.lease.expired():
+            self.clock.advance(node.lease.timeout_seconds)
+        successor = node.standby.take_over(image)
+        node.primary = successor
+        node.standby = StandbyCoordinator(
+            self.aggregator, node.lease,
+            name=f"{node.identity}-standby-{successor.incarnation}",
+            coordinator_cls=type(successor))
         injector = self.aggregator.injector
-        if injector is not None:
-            injector._record(kind, party, round_index)
-        else:
+        if injector is None:
             self.aggregator.channel.ledger.charge(
                 fault_category(kind), 0.0, count=1)
-
-    def _fail_over_leaf(self, shard: str, round_index: int,
-                        lsn: int) -> ShardAggregator:
-        """Promote the shard's standby over the dead primary's log."""
-        dead = self.leaves[shard]
-        image = dead.wal.image()
-        standby = self._leaf_standbys[shard]
-        standby.tail(image)
-        lease = self._leaf_leases[shard]
-        if not lease.expired():
-            self.clock.advance(lease.timeout_seconds)
-        successor = standby.take_over(image)
-        assert isinstance(successor, ShardAggregator)
-        self.leaves[shard] = successor
-        self._leaf_standbys[shard] = HierarchicalStandby(
-            self.aggregator, lease,
-            name=f"{self.node_prefix}{shard}-standby-"
-                 f"{successor.incarnation}",
-            coordinator_cls=ShardAggregator)
-        self._charge_fault(SHARD_CRASH, shard, round_index)
+        elif kind == SHARD_CRASH:
+            injector.charge_shard_crash(key, round_index)
+        else:
+            injector.charge_failover(round_index, party=key)
         self.failover_log.append(FailoverRecord(
-            node=shard, round_index=round_index, lsn=lsn,
+            node=key, kind=kind, round_index=round_index, lsn=lsn,
             incarnation=successor.incarnation,
             recovered_digest=successor.machine.digest()))
         return successor
 
-    def _fail_over_root(self, round_index: int,
-                        lsn: int) -> RootCoordinator:
-        """Promote the root standby over the dead root's log."""
-        image = self.root.wal.image()
-        self._root_standby.tail(image)
-        if not self._root_lease.expired():
-            self.clock.advance(self._root_lease.timeout_seconds)
-        successor = self._root_standby.take_over(image)
-        assert isinstance(successor, RootCoordinator)
-        self.root = successor
-        self._root_standby = HierarchicalStandby(
-            self.aggregator, self._root_lease,
-            name=f"{self.root_name}-standby-{successor.incarnation}",
-            coordinator_cls=RootCoordinator)
-        self._charge_fault("failover", self.root_name, round_index)
-        self.failover_log.append(FailoverRecord(
-            node=self.root_name, round_index=round_index, lsn=lsn,
-            incarnation=successor.incarnation,
-            recovered_digest=successor.machine.digest()))
-        return successor
+    def _run_node(self, key: str, round_index: int,
+                  report: "ShardRoundReport",
+                  run: Callable[[DurableCoordinator], object]) -> object:
+        """Run one node's journaled round, failing over a scheduled kill
+        (``shard_crash`` for a leaf, either coordinator kind for the
+        root) and resuming the round on the successor."""
+        is_root = key == self.root_name
+        kill_at = self._scheduled_kill(
+            key, round_index,
+            COORDINATOR_KINDS if is_root else (SHARD_CRASH,))
+        node = self._nodes[key]
+        if kill_at is not None:
+            node.primary.kill_after_lsn = kill_at
+        try:
+            return run(node.primary)
+        except CoordinatorKilled as killed:
+            successor = self._fail_over(
+                key, FAILOVER if is_root else SHARD_CRASH, round_index,
+                killed.lsn)
+            if is_root:
+                report.root_failovers += 1
+            else:
+                report.leaf_failovers += 1
+            return run(successor)
+        finally:
+            node.primary.kill_after_lsn = None
 
     def _scheduled_kill(self, party: str, round_index: int,
                         kinds: Tuple[str, ...]) -> Optional[int]:
@@ -897,30 +752,15 @@ class ShardedAggregationService:
         radius the isolation tests pin to the flooding tenant alone.
         """
         agg = self.aggregator
-        vectors = [np.asarray(v, dtype=np.float64)
-                   for v in client_vectors]
-        if not vectors:
-            raise ValueError("run_round needs at least one client vector")
-        length = len(vectors[0])
-        for vector in vectors:
-            if len(vector) != length:
-                raise ValueError("client vectors must share a length")
-        if round_index is None:
-            round_index = agg.round_cursor
+        sampled = cohort_size is not None \
+            and cohort_size < len(client_vectors)
+        vectors, round_index, required = agg.resolve_round(
+            client_vectors, round_index, min_quorum,
+            cohort_size=cohort_size if sampled else len(client_vectors))
         self._current_round = round_index
-
-        if cohort_size is not None and cohort_size < len(vectors):
-            cohort = cohort_sample(len(vectors), cohort_size, self.seed,
-                                   round_index)
-        else:
-            cohort = list(range(len(vectors)))
-        required = min_quorum if min_quorum is not None else agg.min_quorum
-        if required is None:
-            required = len(cohort)
-        if not 1 <= required <= len(cohort):
-            raise ValueError(
-                f"quorum {required} impossible with a cohort of "
-                f"{len(cohort)}")
+        cohort = (cohort_sample(len(vectors), cohort_size, self.seed,
+                                round_index)
+                  if sampled else list(range(len(vectors))))
 
         if self.pool is not None:
             groups = plan_shards(cohort, len(self.pool.active),
@@ -948,7 +788,8 @@ class ShardedAggregationService:
 
         # Phase 1: admission -- encrypt and submit through the event loop.
         shard_uploads: Dict[str, List[Tuple[str, CipherTensor]]] = {}
-        representative_charged = False
+        admit = agg.client_gate(round_index, report.dropped, injector,
+                                agg.round_deadline_seconds)
         active_shards: List[str] = []
         for s_index, group in enumerate(groups):
             shard = shard_names[s_index]
@@ -966,24 +807,10 @@ class ShardedAggregationService:
             overload_charged = False
             for i in group:
                 name = f"client-{i}"
-                delay = 0.0
-                if injector is not None:
-                    if not injector.is_alive(name, round_index):
-                        report.dropped.append((name, "offline"))
-                        continue
-                    delay = injector.straggler_delay(name, round_index)
-                    if delay > 0:
-                        if agg.round_deadline_seconds is not None and \
-                                delay > agg.round_deadline_seconds:
-                            injector.charge_deadline_miss(
-                                name, round_index,
-                                agg.round_deadline_seconds)
-                            report.dropped.append((name, "deadline"))
-                            continue
-                        injector.charge_straggler(name, round_index, delay)
-                charged = not representative_charged
-                representative_charged = True
-                tensor = agg.encrypt_tensor(vectors[i], charged=charged)
+                gated = admit(name, vectors[i])
+                if gated is None:
+                    continue
+                tensor, delay = gated
                 message = Message.for_tensor(
                     tensor.materialize(), sender=name, receiver=shard,
                     tag=f"upload.{tag}",
@@ -1038,25 +865,15 @@ class ShardedAggregationService:
             uploads = shard_uploads.get(shard, [])
             if not uploads:
                 continue
-            leaf = self.leaf(shard)
-            kill_at = self._scheduled_kill(shard, round_index,
-                                           (SHARD_CRASH,))
-            if kill_at is not None:
-                leaf.kill_after_lsn = kill_at
-            try:
-                partial = leaf.combine_round(uploads, round_index, tag=tag)
-            except CoordinatorKilled as killed:
-                successor = self._fail_over_leaf(shard, round_index,
-                                                 killed.lsn)
-                report.leaf_failovers += 1
-                partial = successor.combine_round(uploads, round_index,
-                                                  tag=tag)
-            finally:
-                self.leaves[shard].kill_after_lsn = None
+            self.leaf(shard)
+            partial = self._run_node(
+                shard, round_index, report,
+                lambda leaf: leaf.combine_round(uploads, round_index,
+                                                tag=tag))
             breaker = self._breaker(shard)
             breaker.record_success()
             report.shard_survivors[shard] = list(
-                self.leaves[shard].machine.round.survivors)
+                self._nodes[shard].primary.machine.round.survivors)
             try:
                 sent = agg.send_tensor(partial, sender=shard,
                                        receiver=self.root_name,
@@ -1082,18 +899,9 @@ class ShardedAggregationService:
                               len(cohort))
 
         # Phase 4: root reduction, with its own kill handling.
-        kill_at = self._scheduled_kill(self.root_name, round_index,
-                                       COORDINATOR_KINDS)
-        if kill_at is not None:
-            self.root.kill_after_lsn = kill_at
-        try:
-            result = self.root.reduce_round(partials, round_index, tag=tag)
-        except CoordinatorKilled as killed:
-            successor = self._fail_over_root(round_index, killed.lsn)
-            report.root_failovers += 1
-            result = successor.reduce_round(partials, round_index, tag=tag)
-        finally:
-            self.root.kill_after_lsn = None
+        result = self._run_node(
+            self.root_name, round_index, report,
+            lambda root: root.reduce_round(partials, round_index, tag=tag))
 
         agg.round_cursor = round_index + 1
         agg.last_round = AggregationRound(
@@ -1311,20 +1119,15 @@ class MultiTenantAggregationService:
         asserts the recovered topology and entry routing are
         byte-identical to the uninterrupted run's.
         """
-        operations = 0
-        for _attempt in range(2):
-            try:
-                operations += self.pool.rebalance(
-                    target_count, round_index,
-                    channel=self.async_channel)
-                return operations
-            except CoordinatorKilled:
-                self._recover_pool()
-        # Two kills in one rebalance would need a second scheduled
-        # fault; the sweep schedules one, so this is unreachable there.
-        operations += self.pool.rebalance(target_count, round_index,
-                                          channel=self.async_channel)
-        return operations
+        try:
+            return self.pool.rebalance(target_count, round_index,
+                                       channel=self.async_channel)
+        except CoordinatorKilled:
+            # The heir comes back with its crash knife disarmed, so the
+            # retry runs to completion.
+            self._recover_pool()
+        return self.pool.rebalance(target_count, round_index,
+                                   channel=self.async_channel)
 
     def _recover_pool(self) -> None:
         """Replay the dead pool's topology journal and adopt the heir."""

@@ -406,6 +406,19 @@ def _mutate(rng: random.Random, fmt: str, blob: bytes,
 def _classify(fmt: str, mutant: bytes, original: bytes,
               case_index: int, mutation: str) -> Optional[FuzzFinding]:
     """Apply the two-sided oracle to one mutant; None means clean."""
+    def misdecode(canonical_len: int) -> FuzzFinding:
+        return FuzzFinding(
+            kind="silent_misdecode", case_index=case_index,
+            mutation=mutation, format=fmt,
+            detail=(f"decode accepted a non-canonical frame "
+                    f"(re-serializes to {canonical_len} bytes, mutant "
+                    f"is {len(mutant)})"),
+            blob_hex=mutant.hex())
+
+    # The word width is read back from the *mutant*, so it is attacker
+    # controlled: the canonical length is checked against the mutant's
+    # before anything is built, and the oracle never allocates more
+    # than O(len(mutant)) however large the declared width.
     try:
         if fmt in ("tensor", "tensor3"):
             tensor = deserialize_tensor(mutant)
@@ -415,6 +428,13 @@ def _classify(fmt: str, mutant: bytes, original: bytes,
             # rewritten the magic), so sniff it rather than trusting
             # the corpus label.
             version = 2 if mutant[:4] == TENSOR_MAGIC else 3
+            meta = tensor.meta
+            codec_block = 0 if version == 2 else (
+                1 + len(meta.codec) + 4 + 8 * len(meta.codec_params))
+            canonical_len = (TENSOR_HEADER.size + 4 * len(meta.shape)
+                             + codec_block + tensor.num_words * width)
+            if canonical_len != len(mutant):
+                return misdecode(canonical_len)
             canonical = serialize_tensor(tensor, ciphertext_bytes=width,
                                          version=version)
         elif fmt == "wal":
@@ -429,6 +449,8 @@ def _classify(fmt: str, mutant: bytes, original: bytes,
         else:
             words = deserialize_packed(mutant)
             width = int.from_bytes(mutant[8:12], "big")
+            if 12 + len(words) * width != len(mutant):
+                return misdecode(12 + len(words) * width)
             canonical = serialize_packed(words, width)
     except ValueError:
         # FrameError / KeyMismatchError / plain ValueError: the typed
@@ -441,13 +463,7 @@ def _classify(fmt: str, mutant: bytes, original: bytes,
             detail=f"{type(error).__name__}: {error}",
             blob_hex=mutant.hex())
     if canonical != mutant:
-        return FuzzFinding(
-            kind="silent_misdecode", case_index=case_index,
-            mutation=mutation, format=fmt,
-            detail=(f"decode accepted a non-canonical frame "
-                    f"(re-serializes to {len(canonical)} bytes, mutant "
-                    f"is {len(mutant)})"),
-            blob_hex=mutant.hex())
+        return misdecode(len(canonical))
     return None
 
 

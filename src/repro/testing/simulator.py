@@ -7,12 +7,17 @@ delays all advance modelled time only, so the same
 :class:`SimulationSpec` produces the same per-round survivors, modelled
 seconds, and aggregate checksums on every machine, every run.
 
-The spec is the *trace*: a JSON-round-trippable record of everything the
-run depends on (system name, client count, seed, fault plan, quorum,
-deadline).  When a simulation raises -- a quorum failure, an engine bug,
-anything -- the :class:`SimulationFailure` message embeds
-``(seed, trace)`` and :func:`replay` rebuilds the identical run in a
-fresh process from that JSON alone::
+One of each.  :class:`FederationSimulator` runs a :class:`SimulationSpec`
+through the aggregation step the spec asks for (plain aggregator,
+durable coordinator, or sharded service) and returns one
+:class:`SimulationResult` with per-node WAL counts, digest trails and
+failovers; :class:`MultiTenantSimulator` does the same for the
+differently shaped :class:`TenancySpec`.  :func:`crash_sweep` kills one
+node -- coordinator, leaf, root or shard pool -- after *each* record of
+its journal.  :class:`SimulationFailure` is the one failure type: the
+spec is the *trace*, a JSON record of everything the run depends on,
+embedded in every failure message, and :func:`replay` rebuilds the
+identical run in a fresh process from that JSON alone::
 
     python -c "from repro.testing.simulator import replay; \\
                replay('<trace json>')"
@@ -20,12 +25,13 @@ fresh process from that JSON alone::
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import json
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -33,6 +39,7 @@ from repro.federation.channel import ChannelError
 from repro.federation.coordinator import (
     CoordinatorKilled,
     DurableCoordinator,
+    FailoverRecord,
     LeaseManager,
     StandbyCoordinator,
 )
@@ -40,18 +47,20 @@ from repro.federation.coordinator import (
 # its own time source); re-exported here for backward compatibility.
 from repro.federation.eventloop import VirtualClock  # noqa: F401 -- re-exported
 from repro.federation.faults import (
+    COORDINATOR_CRASH,
     COORDINATOR_KINDS,
     FAILOVER,
     SHARD_CRASH,
+    SHARD_KINDS,
     FaultEvent,
     FaultPlan,
     QuorumError,
 )
 from repro.federation.runtime import FederationRuntime, system_by_name
 from repro.federation.shard import (
-    FailoverRecord,
     MultiTenantAggregationService,
     ShardedAggregationService,
+    ShardPool,
 )
 from repro.federation.tenancy import Tenant, TenantRegistry
 from repro.federation.wal import WriteAheadLog
@@ -87,8 +96,53 @@ class EventQueue:
         return len(self._heap)
 
 
+class _TraceSpec:
+    """JSON round-trip for the frozen spec dataclasses (the traces)."""
+
+    def to_dict(self) -> dict:
+        """JSON-ready fields: nested specs and the fault plan through
+        their own ``to_dict``, tuples as lists."""
+        def plain(value):
+            if hasattr(value, "to_dict"):
+                return value.to_dict()
+            if isinstance(value, tuple):
+                return [plain(item) for item in value]
+            return value
+
+        return {f.name: plain(getattr(self, f.name))
+                for f in dataclasses.fields(self)}
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        """Inverse of :meth:`to_dict`.
+
+        A trace is outside input: a key the spec does not define means
+        the JSON describes some other kind of run, so it is rejected
+        (``ValueError``) instead of silently simulating a default.
+        """
+        known = {f.name for f in dataclasses.fields(cls)}
+        if set(data) - known:
+            raise ValueError(f"unknown {cls.__name__} fields: "
+                             f"{sorted(set(data) - known)}")
+        values = dict(data)
+        if values.get("fault_plan") is not None:
+            values["fault_plan"] = FaultPlan.from_dict(values["fault_plan"])
+        if "physical_key_bits" in known:
+            # A trace that leaves the physical key size out means full
+            # fidelity, whatever the constructor default.
+            values.setdefault("physical_key_bits", None)
+        return cls(**values)
+
+    @classmethod
+    def from_json(cls, blob: str):
+        return cls.from_dict(json.loads(blob))
+
+
 @dataclass(frozen=True)
-class SimulationSpec:
+class SimulationSpec(_TraceSpec):
     """The complete, JSON-round-trippable input of one simulation.
 
     This *is* the replay trace: everything a fresh process needs to
@@ -108,6 +162,7 @@ class SimulationSpec:
     round_deadline_seconds: Optional[float] = None
     incarnation: int = 0
     fault_plan: Optional[FaultPlan] = None
+    #: Route rounds through the write-ahead-logged coordinator.
     durable: bool = False
     #: Route rounds through the two-level sharded service
     #: (:mod:`repro.federation.shard`) instead of one coordinator.
@@ -116,73 +171,38 @@ class SimulationSpec:
     queue_capacity: int = 64
     cohort_size: Optional[int] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "system": self.system,
-            "num_clients": self.num_clients,
-            "rounds": self.rounds,
-            "vector_size": self.vector_size,
-            "key_bits": self.key_bits,
-            "physical_key_bits": self.physical_key_bits,
-            "seed": self.seed,
-            "min_quorum": self.min_quorum,
-            "round_deadline_seconds": self.round_deadline_seconds,
-            "incarnation": self.incarnation,
-            "fault_plan": (self.fault_plan.to_dict()
-                           if self.fault_plan is not None else None),
-            "durable": self.durable,
-            "sharded": self.sharded,
-            "num_shards": self.num_shards,
-            "queue_capacity": self.queue_capacity,
-            "cohort_size": self.cohort_size,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimulationSpec":
-        plan = data.get("fault_plan")
-        return cls(
-            system=data.get("system", "FLBooster"),
-            num_clients=data.get("num_clients", 4),
-            rounds=data.get("rounds", 3),
-            vector_size=data.get("vector_size", 8),
-            key_bits=data.get("key_bits", 256),
-            physical_key_bits=data.get("physical_key_bits"),
-            seed=data.get("seed", 7),
-            min_quorum=data.get("min_quorum"),
-            round_deadline_seconds=data.get("round_deadline_seconds"),
-            incarnation=data.get("incarnation", 0),
-            fault_plan=(FaultPlan.from_dict(plan)
-                        if plan is not None else None),
-            durable=data.get("durable", False),
-            sharded=data.get("sharded", False),
-            num_shards=data.get("num_shards"),
-            queue_capacity=data.get("queue_capacity", 64),
-            cohort_size=data.get("cohort_size"),
-        )
-
-    @classmethod
-    def from_json(cls, blob: str) -> "SimulationSpec":
-        return cls.from_dict(json.loads(blob))
-
 
 class SimulationFailure(AssertionError):
     """A simulation diverged or crashed; message embeds the replay trace.
 
-    ``(seed, trace)`` in the message is sufficient for a fresh process:
-    ``replay(trace_json)`` reconstructs the identical run.
+    The one failure type of every simulator and sweep.  ``trace`` in the
+    message is sufficient for a fresh process: ``replay(trace_json)``
+    reconstructs the identical run -- for a crash-sweep divergence the
+    trace *includes* the kill, so it replays the exact kill-at-record-
+    ``record_index`` run that diverged.
+
+    Attributes:
+        spec: The :class:`SimulationSpec` or :class:`TenancySpec` run.
+        round_index: Round in flight, when the failure belongs to one.
+        record_index: The journal record a sweep killed after, if any.
     """
 
-    def __init__(self, spec: SimulationSpec, round_index: int,
-                 detail: str):
+    def __init__(self, spec: Union[SimulationSpec, "TenancySpec"],
+                 detail: str, round_index: Optional[int] = None,
+                 record_index: Optional[int] = None):
         self.spec = spec
-        self.round_index = round_index
         self.detail = detail
+        self.round_index = round_index
+        self.record_index = record_index
+        where = "" if round_index is None else f" at round {round_index}"
+        if record_index is not None:
+            detail = f"kill after WAL record {record_index}: {detail}"
+        # A tenancy trace carries one seed per tenant, inside the JSON.
+        seed = (f"seed={spec.seed} " if isinstance(spec, SimulationSpec)
+                else "")
         super().__init__(
-            f"simulation failure at round {round_index}: {detail}\n"
-            f"  repro: seed={spec.seed} trace={spec.to_json()}")
+            f"simulation failure{where}: {detail}\n"
+            f"  repro: {seed}trace={spec.to_json()}")
 
 
 @dataclass
@@ -198,14 +218,34 @@ class RoundRecord:
     checksum: int  # crc32 of the aggregated vector bytes
 
 
+#: Node name of the flat durable coordinator in per-node results.
+COORDINATOR = "coordinator"
+#: Node name (and fault-plan party) of the sharded service's root.
+ROOT = "root"
+#: Node name of the shard pool's topology journal in crash sweeps.
+SHARD_POOL = "shard-pool"
+
+
 @dataclass
 class SimulationResult:
-    """Deterministic outcome of one simulation run."""
+    """Deterministic outcome of one simulation run.
+
+    The durable story is told *per node* of whatever tree ran the
+    rounds: ``shard-<i>`` leaves plus the root for the sharded service,
+    the single node :data:`COORDINATOR` for the flat durable
+    coordinator, nothing for the plain aggregator.  The crash sweep
+    compares a killed node's recovered digest against that node's own
+    trail.
+    """
 
     spec: SimulationSpec
     rounds: List[RoundRecord]
     final_time: float
     events_processed: int
+    node_wal_records: Dict[str, int] = field(default_factory=dict)
+    node_digest_trails: Dict[str, List[int]] = field(default_factory=dict)
+    failovers: List[FailoverRecord] = field(default_factory=list)
+    final_weights: List[List[float]] = field(default_factory=list)
 
     def checksum(self) -> int:
         """One integer summarizing every round's aggregate -- the value
@@ -218,7 +258,7 @@ class SimulationResult:
         return digest
 
     def to_dict(self) -> dict:
-        return {
+        data = {
             "trace": self.spec.to_dict(),
             "final_time": self.final_time,
             "events_processed": self.events_processed,
@@ -232,6 +272,60 @@ class SimulationResult:
                 for r in self.rounds
             ],
         }
+        if self.node_wal_records:
+            # The shapes `python -m repro failover` / `shard` print: a
+            # lone coordinator's deaths are told apart by kill kind, a
+            # tree's by node.
+            flat = list(self.node_wal_records) == [COORDINATOR]
+            label = "kind" if flat else "node"
+            deaths = [
+                {label: getattr(f, label), "round": f.round_index,
+                 "lsn": f.lsn, "incarnation": f.incarnation,
+                 "recovered_digest": f.recovered_digest}
+                for f in self.failovers]
+            if flat:
+                data["wal_records"] = self.node_wal_records[COORDINATOR]
+                data["kills"] = deaths
+            else:
+                data["node_wal_records"] = dict(self.node_wal_records)
+                data["failovers"] = deaths
+        return data
+
+    def divergence_from(self, reference: "SimulationResult", node: str,
+                        index: int) -> Optional[str]:
+        """Why this run, killed after ``node``'s record ``index``, is
+        not ``reference`` recovered bit-identically (``None`` if it is)."""
+        kill = next((f for f in self.failovers if f.node == node), None)
+        if kill is None:
+            return f"the scheduled kill of {node} never failed over"
+        expected = reference.node_digest_trails[node][index]
+        if kill.recovered_digest != expected:
+            return (f"{node}: recovered state digest "
+                    f"{kill.recovered_digest} != uninterrupted digest "
+                    f"{expected} at the same record")
+        if self.final_weights != reference.final_weights:
+            return ("final decrypted weights diverged from the "
+                    "uninterrupted run")
+        if self.checksum() != reference.checksum():
+            return (f"round checksum {self.checksum()} != reference "
+                    f"{reference.checksum()}")
+        return None
+
+
+def _client_vectors(seed: int, round_index: int, num_clients: int,
+                    vector_size: int) -> List[np.ndarray]:
+    """Seeded gradient draws; depend only on (seed, round, client) --
+    never on co-tenants, the precondition of the isolation invariant."""
+    rng = np.random.default_rng(seed * 1_000_003 + round_index)
+    return [rng.uniform(-1.0, 1.0, size=vector_size)
+            for _ in range(num_clients)]
+
+
+#: Lease duration on the simulator's virtual clock; failover scenarios
+#: advance past it to let the standby acquire legally.
+LEASE_TIMEOUT_SECONDS = 30.0
+#: Extra virtual seconds past lease expiry before a takeover.
+LEASE_GRACE_SECONDS = 1.0
 
 
 class FederationSimulator:
@@ -241,10 +335,28 @@ class FederationSimulator:
     straggler delay the fault plan holds for that round -- stragglers
     genuinely arrive later on the virtual clock) and one ``aggregate``
     event; the queue drains in deterministic ``(time, sequence)`` order,
-    the aggregation runs through the real
-    :class:`~repro.federation.aggregator.SecureAggregator` (faults,
+    the aggregation step runs through the real federation stack (faults,
     quorum, retries and all), and the clock advances by the round's
     modelled ledger seconds.
+
+    The aggregation step follows the spec:
+
+    - ``sharded`` (or a plan with shard faults, or coordinator kills
+      against the ``root`` party): the two-level
+      :class:`~repro.federation.shard.ShardedAggregationService` on the
+      simulator's virtual clock, which fails its own nodes over
+      (``shard_crash`` against leaves, ``failover`` against the root).
+    - ``durable`` (or a plan with coordinator kills): one
+      :class:`~repro.federation.coordinator.DurableCoordinator`, killed
+      right after it appends the WAL record each event names; a
+      ``coordinator_crash`` restarts it from its own log, a
+      ``failover`` waits out the lease and promotes the hot standby.
+    - otherwise the plain
+      :class:`~repro.federation.aggregator.SecureAggregator`.
+
+    A killed round *continues* -- uploads accepted before the death are
+    reused verbatim from the log -- and every scheduled kill must fire
+    or :meth:`run` raises.
     """
 
     def __init__(self, spec: SimulationSpec):
@@ -262,181 +374,70 @@ class FederationSimulator:
             round_deadline_seconds=spec.round_deadline_seconds,
             incarnation=spec.incarnation,
         )
-        self._gradient_rng = np.random.default_rng(spec.seed)
         self._events_processed = 0
+        self.final_weights: List[List[float]] = []
+        self.service: Optional[ShardedAggregationService] = None
+        self.coordinator: Optional[DurableCoordinator] = None
+        #: Every node death processed so far, in firing order.
+        self.failovers: List[FailoverRecord] = []
+        #: The node kills the plan schedules against this topology.
+        self._scheduled_kills: List[FaultEvent] = []
+        events = spec.fault_plan.events if spec.fault_plan else ()
+        if spec.sharded or any(
+                e.kind in SHARD_KINDS
+                or (e.kind in COORDINATOR_KINDS and e.party == ROOT)
+                for e in events):
+            self.service = ShardedAggregationService(
+                self.runtime.aggregator, clock=self.clock,
+                num_shards=spec.num_shards,
+                queue_capacity=spec.queue_capacity, seed=spec.seed,
+                lease_timeout_seconds=LEASE_TIMEOUT_SECONDS)
+            self.failovers = self.service.failover_log
+            self._scheduled_kills = [
+                e for e in events if e.kind == SHARD_CRASH
+                or (e.kind in COORDINATOR_KINDS
+                    and e.party == self.service.root_name)]
+        elif spec.durable or any(e.kind in COORDINATOR_KINDS
+                                 for e in events):
+            self.lease_manager = LeaseManager(
+                timeout_seconds=LEASE_TIMEOUT_SECONDS,
+                clock=lambda: self.clock.now)
+            lease = self.lease_manager.acquire(COORDINATOR)
+            self.coordinator = DurableCoordinator(
+                self.runtime.aggregator, name=COORDINATOR,
+                incarnation=lease.incarnation,
+                lease_manager=self.lease_manager)
+            self.standby = StandbyCoordinator(
+                self.runtime.aggregator, self.lease_manager, name="standby")
+            if spec.fault_plan is not None:
+                self._scheduled_kills = spec.fault_plan.coordinator_events()
+            self._pending_kills = deque(self._scheduled_kills)
+            self._promotions = 0
+            self._arm_next_kill()
+
+    def nodes(self) -> Dict[str, DurableCoordinator]:
+        """Every journaling node's *current* coordinator, by name."""
+        if self.service is not None:
+            return {**self.service.leaves,
+                    self.service.root_name: self.service.root}
+        if self.coordinator is not None:
+            return {COORDINATOR: self.coordinator}
+        return {}
 
     # ------------------------------------------------------------------
-    # Deterministic inputs.
-    # ------------------------------------------------------------------
-
-    def _client_vectors(self, round_index: int) -> List[np.ndarray]:
-        """Seeded gradient draws; depend only on (seed, round, client)."""
-        rng = np.random.default_rng(
-            self.spec.seed * 1_000_003 + round_index)
-        return [
-            rng.uniform(-1.0, 1.0, size=self.spec.vector_size)
-            for _ in range(self.spec.num_clients)
-        ]
-
-    # ------------------------------------------------------------------
-    # The aggregation step (overridden by the durable simulator).
+    # The aggregation step.
     # ------------------------------------------------------------------
 
     def _aggregate_round(self, vectors: List[np.ndarray],
                          round_index: int) -> np.ndarray:
-        """Run one round through the plain (non-durable) aggregator."""
+        if self.service is not None:
+            return self.service.run_round(
+                vectors, round_index=round_index,
+                cohort_size=self.spec.cohort_size)
+        if self.coordinator is not None:
+            return self._durable_round(vectors, round_index)
         return self.runtime.aggregator.aggregate(
             vectors, round_index=round_index)
-
-    # ------------------------------------------------------------------
-    # The run loop.
-    # ------------------------------------------------------------------
-
-    def run(self) -> SimulationResult:
-        """Execute every round; raises :class:`SimulationFailure` with a
-        replayable ``(seed, trace)`` on any error."""
-        records: List[RoundRecord] = []
-        injector = self.runtime.injector
-        for round_index in range(self.spec.rounds):
-            start = self.clock.now
-            # Schedule this round's events: client submissions (offset
-            # by scheduled straggler delay) then the aggregation barrier.
-            for client in range(self.spec.num_clients):
-                delay = 0.0
-                if injector is not None:
-                    delay = injector.straggler_delay(
-                        f"client-{client}", round_index)
-                self.queue.push(start + delay, "submit",
-                                (round_index, client))
-            self.queue.push(start + 1e9, "aggregate", round_index)
-
-            submitted: List[int] = []
-            while len(self.queue):
-                event = self.queue.pop()
-                self._events_processed += 1
-                if event.kind == "submit":
-                    if event.time > start:
-                        self.clock.advance(event.time - self.clock.now)
-                    submitted.append(event.payload[1])
-                elif event.kind == "aggregate":
-                    break
-
-            vectors = self._client_vectors(round_index)
-            ledger = self.runtime.begin_epoch()
-            try:
-                total = self._aggregate_round(vectors, round_index)
-            except QuorumError as error:
-                raise SimulationFailure(
-                    self.spec, round_index,
-                    f"quorum not met: {error}") from error
-            except SimulationFailure:
-                raise
-            except Exception as error:
-                raise SimulationFailure(
-                    self.spec, round_index,
-                    f"{type(error).__name__}: {error}") from error
-
-            self.clock.advance(ledger.total_seconds)
-            last = self.runtime.aggregator.last_round
-            records.append(RoundRecord(
-                round_index=round_index,
-                start_time=start,
-                end_time=self.clock.now,
-                summands=(last.summands if last is not None
-                          else len(vectors)),
-                survivors=tuple(last.survivors) if last is not None else (),
-                dropped=tuple(last.dropped) if last is not None else (),
-                checksum=zlib.crc32(
-                    np.ascontiguousarray(total).tobytes()),
-            ))
-        return SimulationResult(spec=self.spec, rounds=records,
-                                final_time=self.clock.now,
-                                events_processed=self._events_processed)
-
-
-#: Lease duration on the simulator's virtual clock; failover scenarios
-#: advance past it to let the standby acquire legally.
-LEASE_TIMEOUT_SECONDS = 30.0
-#: Extra virtual seconds past lease expiry before a takeover.
-LEASE_GRACE_SECONDS = 1.0
-
-
-@dataclass
-class CoordinatorKillRecord:
-    """One coordinator death the durable simulator processed.
-
-    Attributes:
-        kind: ``coordinator_crash`` (same coordinator restarted) or
-            ``failover`` (standby took over).
-        round_index: Round in flight when the kill fired.
-        lsn: Last WAL record durably appended before death.
-        incarnation: The successor's fencing incarnation.
-        recovered_digest: The successor's state digest right after
-            replaying the log -- compared against the uninterrupted
-            run's digest at the same ``lsn`` by the sweep.
-    """
-
-    kind: str
-    round_index: int
-    lsn: int
-    incarnation: int
-    recovered_digest: int
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "round": self.round_index,
-                "lsn": self.lsn, "incarnation": self.incarnation,
-                "recovered_digest": self.recovered_digest}
-
-
-@dataclass
-class DurableSimulationResult(SimulationResult):
-    """A :class:`SimulationResult` plus the durable coordinator's story."""
-
-    wal_records: int = 0
-    kills: List[CoordinatorKillRecord] = field(default_factory=list)
-    digest_trail: List[int] = field(default_factory=list)
-    final_weights: List[List[float]] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        data = super().to_dict()
-        data["wal_records"] = self.wal_records
-        data["kills"] = [kill.to_dict() for kill in self.kills]
-        return data
-
-
-class DurableFederationSimulator(FederationSimulator):
-    """The simulator with a write-ahead-logged coordinator in the loop.
-
-    Rounds run through :class:`~repro.federation.coordinator.
-    DurableCoordinator` instead of the bare aggregator; the spec's fault
-    plan may schedule ``coordinator_crash`` / ``failover`` events, each
-    killing the coordinator right after it appends the WAL record named
-    by ``after_record``.  A crash restarts the same coordinator from its
-    own log; a failover advances the virtual clock past the lease, lets
-    the hot standby take over, and promotes a fresh standby.  Either
-    way the round *continues* -- uploads accepted before the death are
-    reused verbatim from the log, never re-requested.
-    """
-
-    def __init__(self, spec: SimulationSpec):
-        super().__init__(spec)
-        self.lease_manager = LeaseManager(
-            timeout_seconds=LEASE_TIMEOUT_SECONDS,
-            clock=lambda: self.clock.now)
-        lease = self.lease_manager.acquire("coordinator")
-        self.coordinator = DurableCoordinator(
-            self.runtime.aggregator, name="coordinator",
-            incarnation=lease.incarnation,
-            lease_manager=self.lease_manager)
-        self.standby = StandbyCoordinator(
-            self.runtime.aggregator, self.lease_manager, name="standby")
-        plan = spec.fault_plan
-        self._pending_kills = deque(plan.coordinator_events()
-                                    if plan is not None else [])
-        self.kills: List[CoordinatorKillRecord] = []
-        self.final_weights: List[List[float]] = []
-        self._promotions = 0
-        self._arm_next_kill()
 
     def _arm_next_kill(self) -> None:
         self.coordinator.kill_after_lsn = (
@@ -473,14 +474,15 @@ class DurableFederationSimulator(FederationSimulator):
                 name=self.coordinator.name,
                 incarnation=lease.incarnation,
                 lease_manager=self.lease_manager)
-        self.kills.append(CoordinatorKillRecord(
-            kind=event.kind, round_index=event.round_index,
-            lsn=killed.lsn, incarnation=self.coordinator.incarnation,
+        self.failovers.append(FailoverRecord(
+            node=COORDINATOR, kind=event.kind,
+            round_index=event.round_index, lsn=killed.lsn,
+            incarnation=self.coordinator.incarnation,
             recovered_digest=self.coordinator.machine.digest()))
         self._arm_next_kill()
 
-    def _aggregate_round(self, vectors: List[np.ndarray],
-                         round_index: int) -> np.ndarray:
+    def _durable_round(self, vectors: List[np.ndarray],
+                       round_index: int) -> np.ndarray:
         try:
             self.coordinator.heartbeat(channel=self.runtime.channel)
         except ChannelError:
@@ -497,50 +499,91 @@ class DurableFederationSimulator(FederationSimulator):
                 continue
             break
         self.standby.tail(self.coordinator.wal.image())
-        self.final_weights.append(
-            [float(v) for v in np.asarray(total).ravel()])
-        return np.asarray(total)
+        return total
 
-    def run(self) -> DurableSimulationResult:
-        base = super().run()
-        if self._pending_kills:
-            leftover = [e.after_record for e in self._pending_kills]
+    # ------------------------------------------------------------------
+    # The run loop.
+    # ------------------------------------------------------------------
+
+    def run(self) -> SimulationResult:
+        """Execute every round; raises :class:`SimulationFailure` with a
+        replayable ``(seed, trace)`` on any error."""
+        records: List[RoundRecord] = []
+        injector = self.runtime.injector
+        for round_index in range(self.spec.rounds):
+            start = self.clock.now
+            # Schedule this round's events: client submissions (offset
+            # by scheduled straggler delay) then the aggregation barrier.
+            for client in range(self.spec.num_clients):
+                delay = 0.0
+                if injector is not None:
+                    delay = injector.straggler_delay(
+                        f"client-{client}", round_index)
+                self.queue.push(start + delay, "submit",
+                                (round_index, client))
+            self.queue.push(start + 1e9, "aggregate", round_index)
+
+            while len(self.queue):
+                event = self.queue.pop()
+                self._events_processed += 1
+                if event.kind == "aggregate":
+                    break
+                if event.time > start:  # a straggler's late submit
+                    self.clock.advance(event.time - self.clock.now)
+
+            vectors = _client_vectors(self.spec.seed, round_index,
+                                      self.spec.num_clients,
+                                      self.spec.vector_size)
+            ledger = self.runtime.begin_epoch()
+            try:
+                total = np.asarray(
+                    self._aggregate_round(vectors, round_index))
+            except QuorumError as error:
+                raise SimulationFailure(
+                    self.spec, f"quorum not met: {error}",
+                    round_index) from error
+            except Exception as error:
+                raise SimulationFailure(
+                    self.spec, f"{type(error).__name__}: {error}",
+                    round_index) from error
+
+            self.clock.advance(ledger.total_seconds)
+            self.final_weights.append([float(v) for v in total.ravel()])
+            last = self.runtime.aggregator.last_round
+            records.append(RoundRecord(
+                round_index=round_index,
+                start_time=start,
+                end_time=self.clock.now,
+                summands=(last.summands if last is not None
+                          else len(vectors)),
+                survivors=tuple(last.survivors) if last is not None else (),
+                dropped=tuple(last.dropped) if last is not None else (),
+                checksum=zlib.crc32(
+                    np.ascontiguousarray(total).tobytes()),
+            ))
+        unfired = len(self._scheduled_kills) - len(self.failovers)
+        if unfired > 0:
             raise SimulationFailure(
-                self.spec, self.spec.rounds - 1,
-                f"scheduled coordinator kills at records {leftover} "
-                f"never fired (log only grew to "
-                f"{len(self.coordinator.wal)} records)")
-        return DurableSimulationResult(
-            spec=base.spec, rounds=base.rounds,
-            final_time=base.final_time,
-            events_processed=base.events_processed,
-            wal_records=len(self.coordinator.wal),
-            kills=list(self.kills),
-            digest_trail=list(self.coordinator.digest_trail),
+                self.spec,
+                f"{unfired} of {len(self._scheduled_kills)} scheduled "
+                f"node kills never fired", self.spec.rounds - 1)
+        nodes = self.nodes()
+        return SimulationResult(
+            spec=self.spec, rounds=records, final_time=self.clock.now,
+            events_processed=self._events_processed,
+            node_wal_records={name: len(node.wal)
+                              for name, node in nodes.items()},
+            node_digest_trails={name: list(node.digest_trail)
+                                for name, node in nodes.items()},
+            failovers=list(self.failovers),
             final_weights=list(self.final_weights))
-
-
-class FailoverFailure(SimulationFailure):
-    """Crash-consistency divergence; carries the replayable kill spec.
-
-    The embedded trace *includes* the coordinator-kill event, so
-    ``replay`` on the printed JSON reconstructs the exact kill-at-
-    record-``record_index`` run that diverged.
-    """
-
-    def __init__(self, spec: SimulationSpec, round_index: int,
-                 record_index: int, detail: str):
-        self.record_index = record_index
-        super().__init__(
-            spec, round_index,
-            f"kill after WAL record {record_index}: {detail}")
 
 
 @dataclass
 class CrashSweepReport:
     """Outcome of a kill-at-every-record-boundary sweep."""
 
-    spec: SimulationSpec
+    spec: Union[SimulationSpec, "TenancySpec"]
     mode: str
     wal_records: int
     boundaries_tested: int
@@ -555,324 +598,6 @@ class CrashSweepReport:
             "verdict              recovered bit-identical at every "
             "boundary",
         ]
-
-
-def _spec_with_kill(spec: SimulationSpec, mode: str, round_index: int,
-                    record_index: int) -> SimulationSpec:
-    plan = spec.fault_plan if spec.fault_plan is not None \
-        else FaultPlan(seed=spec.seed)
-    if mode == FAILOVER:
-        plan = plan.failover(round_index, after_record=record_index)
-    else:
-        plan = plan.coordinator_crash(round_index,
-                                      after_record=record_index)
-    return SimulationSpec.from_dict(
-        {**spec.to_dict(), "fault_plan": plan.to_dict(), "durable": True})
-
-
-def crash_consistency_sweep(spec: SimulationSpec,
-                            mode: str = "coordinator_crash",
-                            record_indices: Optional[List[int]] = None
-                            ) -> CrashSweepReport:
-    """Kill the coordinator after *each* WAL record boundary and verify.
-
-    First runs the spec uninterrupted through the durable coordinator,
-    capturing the per-LSN state digest trail and every round's final
-    decrypted weights.  Then, for each record boundary ``k`` (or only
-    ``record_indices`` when given), re-runs from scratch with a
-    scheduled kill after record ``k``, recovers, and asserts:
-
-    - the successor's replayed state digest equals the uninterrupted
-      run's digest at record ``k`` (bit-identical recovered state), and
-    - every round's final decrypted weights equal the uninterrupted
-      run's exactly (``==``, not approximately).
-
-    Any divergence raises :class:`FailoverFailure` whose message embeds
-    the replayable ``(seed, record-index)`` spec.
-    """
-    reference_spec = SimulationSpec.from_dict(
-        {**spec.to_dict(), "durable": True})
-    reference_sim = DurableFederationSimulator(reference_spec)
-    reference = reference_sim.run()
-    if record_indices is None:
-        record_indices = list(range(reference.wal_records))
-    record_to_round = [record.round_index for record
-                       in reference_sim.coordinator.wal.records]
-    for index in record_indices:
-        if not 0 <= index < reference.wal_records:
-            raise ValueError(
-                f"record index {index} outside the log "
-                f"(0..{reference.wal_records - 1})")
-        round_index = record_to_round[index]
-        killed_spec = _spec_with_kill(spec, mode, round_index, index)
-        try:
-            result = DurableFederationSimulator(killed_spec).run()
-        except SimulationFailure as failure:
-            raise FailoverFailure(
-                killed_spec, round_index, index,
-                f"killed run failed outright: {failure.detail}"
-            ) from failure
-        kill = result.kills[0]
-        if kill.recovered_digest != reference.digest_trail[index]:
-            raise FailoverFailure(
-                killed_spec, round_index, index,
-                f"recovered state digest {kill.recovered_digest} != "
-                f"uninterrupted digest "
-                f"{reference.digest_trail[index]} at the same record")
-        if result.final_weights != reference.final_weights:
-            raise FailoverFailure(
-                killed_spec, round_index, index,
-                "final decrypted weights diverged from the "
-                "uninterrupted run")
-        if result.checksum() != reference.checksum():
-            raise FailoverFailure(
-                killed_spec, round_index, index,
-                f"round checksum {result.checksum()} != reference "
-                f"{reference.checksum()}")
-    return CrashSweepReport(
-        spec=reference_spec, mode=mode,
-        wal_records=reference.wal_records,
-        boundaries_tested=len(record_indices),
-        reference_checksum=reference.checksum())
-
-
-@dataclass
-class ShardedSimulationResult(SimulationResult):
-    """A :class:`SimulationResult` plus the sharded service's story.
-
-    One WAL and one digest trail *per node* of the reduction tree
-    (``shard-<i>`` leaves plus ``root``) -- the sharded crash sweep
-    compares a killed node's recovered digest against its own trail.
-    """
-
-    node_wal_records: Dict[str, int] = field(default_factory=dict)
-    failovers: List[FailoverRecord] = field(default_factory=list)
-    node_digest_trails: Dict[str, List[int]] = field(default_factory=dict)
-    final_weights: List[List[float]] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        data = super().to_dict()
-        data["node_wal_records"] = dict(self.node_wal_records)
-        data["failovers"] = [
-            {"node": f.node, "round": f.round_index, "lsn": f.lsn,
-             "incarnation": f.incarnation,
-             "recovered_digest": f.recovered_digest}
-            for f in self.failovers
-        ]
-        return data
-
-
-class ShardedFederationSimulator(FederationSimulator):
-    """The simulator with the two-level sharded service in the loop.
-
-    Rounds run through :class:`~repro.federation.shard.
-    ShardedAggregationService` -- cohort sampling, admission control,
-    leaf combination, root reduction -- sharing the simulator's virtual
-    clock, so admission deadlines, lease expiry and round time all live
-    on one timeline.  The spec's fault plan may schedule ``shard_crash``
-    kills against leaves, ``failover`` kills against the ``root`` party,
-    and ``queue_overload`` drills against shard admission; every
-    scheduled kill must actually fire or :meth:`run` raises.
-    """
-
-    def __init__(self, spec: SimulationSpec):
-        super().__init__(spec)
-        self.service = ShardedAggregationService(
-            self.runtime.aggregator, clock=self.clock,
-            num_shards=spec.num_shards,
-            queue_capacity=spec.queue_capacity, seed=spec.seed,
-            lease_timeout_seconds=LEASE_TIMEOUT_SECONDS)
-        self.final_weights: List[List[float]] = []
-
-    def _aggregate_round(self, vectors: List[np.ndarray],
-                         round_index: int) -> np.ndarray:
-        total = self.service.run_round(
-            vectors, round_index=round_index,
-            cohort_size=self.spec.cohort_size)
-        self.final_weights.append(
-            [float(v) for v in np.asarray(total).ravel()])
-        return np.asarray(total)
-
-    def _scheduled_kill_count(self) -> int:
-        plan = self.spec.fault_plan
-        if plan is None:
-            return 0
-        return sum(
-            1 for e in plan.events
-            if e.kind == SHARD_CRASH
-            or (e.kind in COORDINATOR_KINDS
-                and e.party == self.service.root_name))
-
-    def run(self) -> ShardedSimulationResult:
-        base = super().run()
-        expected = self._scheduled_kill_count()
-        fired = len(self.service.failover_log)
-        if fired < expected:
-            raise SimulationFailure(
-                self.spec, self.spec.rounds - 1,
-                f"only {fired} of {expected} scheduled node kills fired")
-        trails = {name: list(leaf.digest_trail)
-                  for name, leaf in self.service.leaves.items()}
-        trails[self.service.root_name] = list(
-            self.service.root.digest_trail)
-        wal_records = {name: len(leaf.wal)
-                       for name, leaf in self.service.leaves.items()}
-        wal_records[self.service.root_name] = len(self.service.root.wal)
-        return ShardedSimulationResult(
-            spec=base.spec, rounds=base.rounds,
-            final_time=base.final_time,
-            events_processed=base.events_processed,
-            node_wal_records=wal_records,
-            failovers=list(self.service.failover_log),
-            node_digest_trails=trails,
-            final_weights=list(self.final_weights))
-
-
-def _sharded_spec_with_kill(spec: SimulationSpec, node: str,
-                            round_index: int, record_index: int,
-                            root_record_index: Optional[int] = None
-                            ) -> SimulationSpec:
-    plan = spec.fault_plan if spec.fault_plan is not None \
-        else FaultPlan(seed=spec.seed)
-    if node == "root":
-        plan = plan.failover(round_index, after_record=record_index,
-                             party="root")
-    else:
-        plan = plan.shard_crash(node, round_index,
-                                after_record=record_index)
-    if root_record_index is not None:
-        plan = plan.failover(round_index, after_record=root_record_index,
-                             party="root")
-    return SimulationSpec.from_dict(
-        {**spec.to_dict(), "fault_plan": plan.to_dict(), "sharded": True})
-
-
-def shard_crash_consistency_sweep(spec: SimulationSpec,
-                                  node: str = "shard-0",
-                                  record_indices: Optional[List[int]]
-                                  = None,
-                                  race_root_failover: bool = False
-                                  ) -> CrashSweepReport:
-    """Kill one tree node after *each* of its WAL records and verify.
-
-    The hierarchical twin of :func:`crash_consistency_sweep`: first runs
-    the spec uninterrupted through the sharded service, capturing every
-    node's per-LSN digest trail and each round's final decrypted
-    weights.  Then, for each boundary ``k`` of ``node``'s own log (or
-    only ``record_indices`` when given), re-runs with a scheduled kill
-    after that node's record ``k`` -- ``shard_crash`` for a leaf,
-    ``failover`` against the ``root`` party for the root -- and asserts:
-
-    - the successor's replayed digest equals the uninterrupted run's
-      digest for that node at record ``k``, and
-    - every round's final decrypted weights equal the uninterrupted
-      run's exactly.
-
-    With ``race_root_failover`` (leaf sweeps only) every killed run
-    *also* schedules a root failover in the same round, so a root
-    takeover races a leaf takeover and both must still converge to the
-    reference weights.
-    """
-    reference_spec = SimulationSpec.from_dict(
-        {**spec.to_dict(), "sharded": True})
-    reference_sim = ShardedFederationSimulator(reference_spec)
-    reference = reference_sim.run()
-    root_name = reference_sim.service.root_name
-    if node == root_name:
-        log = reference_sim.service.root.wal
-    elif node in reference_sim.service.leaves:
-        log = reference_sim.service.leaves[node].wal
-    else:
-        known = sorted(reference_sim.service.leaves)
-        raise ValueError(
-            f"unknown node {node!r}; the reference run has "
-            f"{known + [root_name]}")
-    trail = reference.node_digest_trails[node]
-    total_records = len(log)
-    if record_indices is None:
-        record_indices = list(range(total_records))
-    record_to_round = [record.round_index for record in log.records]
-    root_records = reference_sim.service.root.wal.records
-    racing = race_root_failover and node != root_name
-    for index in record_indices:
-        if not 0 <= index < total_records:
-            raise ValueError(
-                f"record index {index} outside {node}'s log "
-                f"(0..{total_records - 1})")
-        round_index = record_to_round[index]
-        root_kill = None
-        if racing:
-            root_kill = next(
-                (i for i, record in enumerate(root_records)
-                 if record.round_index == round_index), None)
-        killed_spec = _sharded_spec_with_kill(
-            spec, node, round_index, index, root_record_index=root_kill)
-        try:
-            result = ShardedFederationSimulator(killed_spec).run()
-        except SimulationFailure as failure:
-            raise FailoverFailure(
-                killed_spec, round_index, index,
-                f"killed run failed outright: {failure.detail}"
-            ) from failure
-        kill = next((f for f in result.failovers if f.node == node),
-                    None)
-        if kill is None:
-            raise FailoverFailure(
-                killed_spec, round_index, index,
-                f"the scheduled kill of {node} never failed over")
-        if kill.recovered_digest != trail[index]:
-            raise FailoverFailure(
-                killed_spec, round_index, index,
-                f"{node}: recovered state digest {kill.recovered_digest}"
-                f" != uninterrupted digest {trail[index]} at the same "
-                f"record")
-        if root_kill is not None and not any(
-                f.node == root_name for f in result.failovers):
-            raise FailoverFailure(
-                killed_spec, round_index, index,
-                "the racing root failover never fired")
-        if result.final_weights != reference.final_weights:
-            raise FailoverFailure(
-                killed_spec, round_index, index,
-                "final decrypted weights diverged from the "
-                "uninterrupted run")
-        if result.checksum() != reference.checksum():
-            raise FailoverFailure(
-                killed_spec, round_index, index,
-                f"round checksum {result.checksum()} != reference "
-                f"{reference.checksum()}")
-    mode = f"shard:{node}" + ("+root-race" if racing else "")
-    return CrashSweepReport(
-        spec=reference_spec, mode=mode,
-        wal_records=total_records,
-        boundaries_tested=len(record_indices),
-        reference_checksum=reference.checksum())
-
-
-def replay(trace_json: str) -> SimulationResult:
-    """Rebuild and run a simulation from a failure's printed trace.
-
-    ``(seed, trace)`` is the full state: this constructs a fresh
-    simulator from the JSON and runs it -- the repro path named in every
-    :class:`SimulationFailure` message.  Traces whose spec is sharded
-    (or whose fault plan schedules shard faults or kills against the
-    ``root`` party) replay through the
-    :class:`ShardedFederationSimulator`; durable traces (or plans with
-    coordinator kills) through the :class:`DurableFederationSimulator`.
-    """
-    spec = SimulationSpec.from_json(trace_json)
-    plan = spec.fault_plan
-    sharded = spec.sharded or (plan is not None and (
-        bool(plan.shard_events())
-        or any(e.kind in COORDINATOR_KINDS and e.party == "root"
-               for e in plan.events)))
-    if sharded:
-        return ShardedFederationSimulator(spec).run()
-    durable = spec.durable or (
-        plan is not None and bool(plan.coordinator_events()))
-    if durable:
-        return DurableFederationSimulator(spec).run()
-    return FederationSimulator(spec).run()
 
 
 def expect_quorum_failure(spec: SimulationSpec) -> SimulationFailure:
@@ -898,7 +623,7 @@ def expect_quorum_failure(spec: SimulationSpec) -> SimulationFailure:
 
 
 @dataclass(frozen=True)
-class TenantSpec:
+class TenantSpec(_TraceSpec):
     """One tenant's slice of a multi-tenant simulation.
 
     Each tenant is a *whole federation*: its own seed (hence its own
@@ -916,45 +641,17 @@ class TenantSpec:
     min_quorum: Optional[int] = None
     fault_plan: Optional[FaultPlan] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "tenant_id": self.tenant_id,
-            "num_clients": self.num_clients,
-            "weight": self.weight,
-            "quota_rate": self.quota_rate,
-            "quota_burst": self.quota_burst,
-            "seed": self.seed,
-            "min_quorum": self.min_quorum,
-            "fault_plan": (self.fault_plan.to_dict()
-                           if self.fault_plan is not None else None),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TenantSpec":
-        plan = data.get("fault_plan")
-        return cls(
-            tenant_id=data["tenant_id"],
-            num_clients=data.get("num_clients", 4),
-            weight=data.get("weight", 1.0),
-            quota_rate=data.get("quota_rate"),
-            quota_burst=data.get("quota_burst", 16),
-            seed=data.get("seed", 7),
-            min_quorum=data.get("min_quorum"),
-            fault_plan=(FaultPlan.from_dict(plan)
-                        if plan is not None else None),
-        )
-
 
 @dataclass(frozen=True)
-class TenancySpec:
+class TenancySpec(_TraceSpec):
     """The JSON-round-trippable input of one multi-tenant simulation.
 
     ``rebalance_targets`` (when given) overrides the elastic policy:
     round ``r`` drives the pool toward target ``targets[min(r, last)]``
-    -- the knob the rebalance crash sweep uses to force both splits
-    *and* merges into the topology journal.  ``pool_kill_after_lsn``
-    arms the pool's crash knife: the first topology record appended at
-    or past that LSN kills the pool mid-handoff.
+    -- the knob the pool crash sweep uses to force both splits *and*
+    merges into the topology journal.  ``pool_kill_after_lsn`` arms the
+    pool's crash knife: the first topology record appended at or past
+    that LSN kills the pool mid-handoff.
     """
 
     system: str = "FLBooster"
@@ -968,46 +665,15 @@ class TenancySpec:
     rebalance_targets: Optional[Tuple[int, ...]] = None
     pool_kill_after_lsn: Optional[int] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "system": self.system,
-            "rounds": self.rounds,
-            "vector_size": self.vector_size,
-            "key_bits": self.key_bits,
-            "physical_key_bits": self.physical_key_bits,
-            "queue_capacity": self.queue_capacity,
-            "initial_shards": self.initial_shards,
-            "tenants": [t.to_dict() for t in self.tenants],
-            "rebalance_targets": (list(self.rebalance_targets)
-                                  if self.rebalance_targets is not None
-                                  else None),
-            "pool_kill_after_lsn": self.pool_kill_after_lsn,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @classmethod
     def from_dict(cls, data: dict) -> "TenancySpec":
-        targets = data.get("rebalance_targets")
-        return cls(
-            system=data.get("system", "FLBooster"),
-            rounds=data.get("rounds", 3),
-            vector_size=data.get("vector_size", 8),
-            key_bits=data.get("key_bits", 256),
-            physical_key_bits=data.get("physical_key_bits"),
-            queue_capacity=data.get("queue_capacity", 64),
-            initial_shards=data.get("initial_shards", 1),
-            tenants=tuple(TenantSpec.from_dict(t)
-                          for t in data.get("tenants", [])),
-            rebalance_targets=(tuple(targets)
-                               if targets is not None else None),
-            pool_kill_after_lsn=data.get("pool_kill_after_lsn"),
-        )
-
-    @classmethod
-    def from_json(cls, blob: str) -> "TenancySpec":
-        return cls.from_dict(json.loads(blob))
+        values = dict(data)
+        values["tenants"] = tuple(TenantSpec.from_dict(t)
+                                  for t in values.get("tenants", ()))
+        if values.get("rebalance_targets") is not None:
+            values["rebalance_targets"] = tuple(
+                values["rebalance_targets"])
+        return super().from_dict(values)
 
     def solo(self, tenant_id: str) -> "TenancySpec":
         """The same world with only ``tenant_id`` in it -- the baseline
@@ -1016,19 +682,7 @@ class TenancySpec:
                      if t.tenant_id == tenant_id)
         if not keep:
             raise ValueError(f"no tenant {tenant_id!r} in the spec")
-        return TenancySpec.from_dict(
-            {**self.to_dict(), "tenants": [t.to_dict() for t in keep]})
-
-
-class TenancyFailure(AssertionError):
-    """A multi-tenant simulation diverged; message embeds the trace."""
-
-    def __init__(self, spec: TenancySpec, detail: str):
-        self.spec = spec
-        self.detail = detail
-        super().__init__(
-            f"tenancy failure: {detail}\n"
-            f"  repro: trace={spec.to_json()}")
+        return dataclasses.replace(self, tenants=keep)
 
 
 @dataclass
@@ -1064,6 +718,37 @@ class TenancySimulationResult:
                     np.asarray(weights, dtype=np.float64).tobytes(),
                     digest)
         return digest
+
+    def to_dict(self) -> dict:
+        return {
+            "trace": self.spec.to_dict(),
+            "checksum": self.checksum(),
+            "statuses": self.statuses,
+            "active_history": self.active_history,
+            "rebalance_ops": self.rebalance_ops,
+            "pool_records": self.pool_records,
+            "pool_failovers": self.pool_failovers,
+            "pool_digest": self.pool_digest,
+            "tenant_fault_counts": self.tenant_fault_counts,
+        }
+
+    def divergence_from(self, reference: "TenancySimulationResult",
+                        node: str, index: int) -> Optional[str]:
+        """Why this run, its pool killed at topology record ``index``,
+        is not ``reference`` recovered bit-identically (``None`` if it
+        is): same final topology digest, same active-shard history,
+        same per-tenant weights, and the pool really did fail over."""
+        if self.pool_failovers < 1:
+            return f"the {node} kill armed at record {index} never fired"
+        if self.pool_digest != reference.pool_digest:
+            return (f"recovered topology digest {self.pool_digest} != "
+                    f"reference {reference.pool_digest}")
+        if self.active_history != reference.active_history:
+            return ("active-shard history diverged from the "
+                    "uninterrupted run")
+        if self.final_weights != reference.final_weights:
+            return "tenant weights diverged from the uninterrupted run"
+        return None
 
 
 class MultiTenantSimulator:
@@ -1119,13 +804,10 @@ class MultiTenantSimulator:
         if spec.pool_kill_after_lsn is not None:
             self.service.pool.kill_after_lsn = spec.pool_kill_after_lsn
 
-    def _tenant_vectors(self, tenant_spec: TenantSpec,
-                        round_index: int) -> List[np.ndarray]:
-        """Seeded draws; depend only on (tenant seed, round, client)."""
-        rng = np.random.default_rng(
-            tenant_spec.seed * 1_000_003 + round_index)
-        return [rng.uniform(-1.0, 1.0, size=self.spec.vector_size)
-                for _ in range(tenant_spec.num_clients)]
+    def nodes(self) -> Dict[str, ShardPool]:
+        """The journaling node a crash sweep can kill: the shard pool
+        (the tenants' own tree nodes live on ``service.services``)."""
+        return {SHARD_POOL: self.service.pool}
 
     def run(self) -> TenancySimulationResult:
         result = TenancySimulationResult(
@@ -1144,15 +826,16 @@ class MultiTenantSimulator:
                     target, round_index)
             vectors = {
                 tenant_spec.tenant_id:
-                self._tenant_vectors(tenant_spec, round_index)
+                _client_vectors(tenant_spec.seed, round_index,
+                                tenant_spec.num_clients,
+                                self.spec.vector_size)
                 for tenant_spec in self.spec.tenants}
             try:
                 report = self.service.run_round(vectors, round_index)
             except Exception as error:
-                raise TenancyFailure(
-                    self.spec,
-                    f"round {round_index}: "
-                    f"{type(error).__name__}: {error}") from error
+                raise SimulationFailure(
+                    self.spec, f"{type(error).__name__}: {error}",
+                    round_index) from error
             result.rebalance_ops += report.rebalance_ops
             result.active_history.append(list(report.active_shards))
             for tenant_id, outcome in report.outcomes.items():
@@ -1204,8 +887,8 @@ def tenant_isolation_check(spec: TenancySpec,
     and all), then runs ``quiet_tenant`` *alone* with the same seeds,
     and asserts the quiet tenant's per-round decoded weights are
     **byte-identical** across the two runs -- ``==`` on the float lists,
-    not approximate.  Raises :class:`TenancyFailure` with a replayable
-    trace on any divergence.
+    not approximate.  Raises :class:`SimulationFailure` with a
+    replayable trace on any divergence.
     """
     noisy = MultiTenantSimulator(spec).run()
     solo_spec = spec.solo(quiet_tenant)
@@ -1213,7 +896,7 @@ def tenant_isolation_check(spec: TenancySpec,
     noisy_weights = noisy.final_weights[quiet_tenant]
     solo_weights = solo.final_weights[quiet_tenant]
     if noisy.statuses[quiet_tenant] != solo.statuses[quiet_tenant]:
-        raise TenancyFailure(
+        raise SimulationFailure(
             spec,
             f"quiet tenant {quiet_tenant!r} status series diverged: "
             f"{noisy.statuses[quiet_tenant]} (noisy) != "
@@ -1224,10 +907,10 @@ def tenant_isolation_check(spec: TenancySpec,
                                               solo_weights))
              if a != b),
             min(len(noisy_weights), len(solo_weights)))
-        raise TenancyFailure(
+        raise SimulationFailure(
             spec,
             f"quiet tenant {quiet_tenant!r} weights diverged from its "
-            f"solo run at round {first} -- isolation is broken")
+            f"solo run -- isolation is broken", first)
     def weights_checksum(weights: List[List[float]]) -> int:
         digest = 0
         for row in weights:
@@ -1241,54 +924,153 @@ def tenant_isolation_check(spec: TenancySpec,
         solo_checksum=weights_checksum(solo_weights))
 
 
-def rebalance_crash_sweep(spec: TenancySpec) -> CrashSweepReport:
-    """Kill the shard pool at *every* topology record and verify.
+# ----------------------------------------------------------------------
+# The crash sweep and replay (every topology).
+# ----------------------------------------------------------------------
 
-    The elastic twin of the coordinator sweeps: first runs the spec
-    uninterrupted, capturing the pool's topology journal, final
-    topology digest, per-round active-shard history, and every tenant's
-    per-round weights.  Then, for each record boundary ``k`` of the
-    topology journal, re-runs with the pool's crash knife armed at
-    ``k`` and asserts the recovered run is **bit-identical**: same
-    final topology digest, same active-shard history, same per-tenant
-    weights, and the pool really did fail over.
+
+def _simulator_for(spec: Union[SimulationSpec, TenancySpec]):
+    return (MultiTenantSimulator(spec) if isinstance(spec, TenancySpec)
+            else FederationSimulator(spec))
+
+
+def _topology_flag(node: str) -> Dict[str, bool]:
+    """The spec field that puts ``node`` into the simulated topology."""
+    return {"durable" if node == COORDINATOR else "sharded": True}
+
+
+def _with_kill(spec: Union[SimulationSpec, TenancySpec], node: str,
+               mode: str, round_index: int, index: int,
+               root_index: Optional[int]
+               ) -> Union[SimulationSpec, TenancySpec]:
+    """``spec`` with a kill of ``node`` after its record ``index`` (and,
+    racing, of the root after its record ``root_index``)."""
+    if isinstance(spec, TenancySpec):
+        return dataclasses.replace(spec, pool_kill_after_lsn=index)
+    plan = spec.fault_plan if spec.fault_plan is not None \
+        else FaultPlan(seed=spec.seed)
+    if node == COORDINATOR:
+        kill = plan.failover if mode == FAILOVER \
+            else plan.coordinator_crash
+        plan = kill(round_index, after_record=index)
+    elif node == ROOT:
+        root_index = index
+    else:
+        plan = plan.shard_crash(node, round_index, after_record=index)
+    if root_index is not None:
+        plan = plan.failover(round_index, after_record=root_index,
+                             party=ROOT)
+    return dataclasses.replace(spec, fault_plan=plan,
+                               **_topology_flag(node))
+
+
+def crash_sweep(spec: Union[SimulationSpec, TenancySpec],
+                node: Optional[str] = None,
+                mode: str = COORDINATOR_CRASH,
+                record_indices: Optional[List[int]] = None,
+                race_root_failover: bool = False) -> CrashSweepReport:
+    """Kill one node after *each* record of its journal and verify.
+
+    Runs the spec uninterrupted, capturing the target node's journal,
+    its per-LSN digest trail and every round's decrypted weights; then,
+    for each record boundary ``k`` (or only ``record_indices``), re-runs
+    from scratch with a kill scheduled after the node's record ``k`` and
+    asserts (the results' ``divergence_from``) that the successor's
+    replayed digest equals the reference digest at ``k`` and that every
+    round's weights and the run checksum match exactly (``==``).
+
+    Args:
+        spec: A :class:`SimulationSpec` is forced durable (``node`` =
+            :data:`COORDINATOR`) or sharded (any other node).  A
+            :class:`TenancySpec` sweeps the shard pool's topology
+            journal -- same final topology digest, active-shard history
+            and tenant weights, and the pool really failed over -- and
+            must make the pool split or merge (``rebalance_targets``).
+        node: :data:`COORDINATOR` (default for a simulation spec),
+            ``shard-<i>``, ``root``, or :data:`SHARD_POOL` (default for
+            a tenancy spec).
+        mode: How the flat coordinator dies: ``coordinator_crash``
+            (restarted from its log) or ``failover`` (standby takes
+            over).  Leaves die by ``shard_crash``, the root by
+            ``failover``.
+        race_root_failover: Leaf sweeps only: every killed run *also*
+            fails the root over in the same round, and both takeovers
+            must still converge to the reference weights.
+
+    Any divergence raises :class:`SimulationFailure` whose message
+    embeds the replayable kill spec.
     """
-    if spec.pool_kill_after_lsn is not None:
-        raise ValueError("the sweep arms the kill itself; pass a spec "
-                         "without pool_kill_after_lsn")
-    reference = MultiTenantSimulator(spec).run()
-    if reference.pool_records == 0:
+    if isinstance(spec, TenancySpec):
+        node = node or SHARD_POOL
+        if spec.pool_kill_after_lsn is not None:
+            raise ValueError("the sweep arms the kill itself; pass a "
+                             "spec without pool_kill_after_lsn")
+        reference_spec, label = spec, "shard-pool-rebalance"
+    else:
+        node = node or COORDINATOR
+        reference_spec = dataclasses.replace(spec,
+                                             **_topology_flag(node))
+        label = mode if node == COORDINATOR else f"shard:{node}"
+    reference_sim = _simulator_for(reference_spec)
+    reference = reference_sim.run()
+    nodes = reference_sim.nodes()
+    if node not in nodes:
+        raise ValueError(f"unknown node {node!r}; the reference run "
+                         f"has {sorted(nodes)}")
+    log = nodes[node].wal.records
+    if not log:
         raise ValueError(
-            "the reference run journaled no topology records; give the "
-            "spec rebalance_targets (or more clients) so the pool "
-            "actually splits or merges")
-    for index in range(reference.pool_records):
-        killed_spec = TenancySpec.from_dict(
-            {**spec.to_dict(), "pool_kill_after_lsn": index})
-        result = MultiTenantSimulator(killed_spec).run()
-        if result.pool_failovers < 1:
-            raise TenancyFailure(
+            f"the reference run journaled no {node} records; give a "
+            f"tenancy spec rebalance_targets (or more clients) so the "
+            f"pool actually splits or merges")
+    racing = race_root_failover and node not in (COORDINATOR, ROOT,
+                                                 SHARD_POOL)
+    if racing:
+        label += "+root-race"
+        root_rounds = [r.round_index for r in nodes[ROOT].wal.records]
+    if record_indices is None:
+        record_indices = list(range(len(log)))
+    for index in record_indices:
+        if not 0 <= index < len(log):
+            raise ValueError(
+                f"record index {index} outside the log of {node} "
+                f"(0..{len(log) - 1})")
+        round_index = log[index].round_index
+        # The racing root dies at its first record of the same round.
+        root_index = (root_rounds.index(round_index)
+                      if racing and round_index in root_rounds else None)
+        killed_spec = _with_kill(spec, node, mode, round_index, index,
+                                 root_index)
+        try:
+            result = _simulator_for(killed_spec).run()
+        except SimulationFailure as failure:
+            raise SimulationFailure(
                 killed_spec,
-                f"the pool kill armed at record {index} never fired")
-        if result.pool_digest != reference.pool_digest:
-            raise TenancyFailure(
-                killed_spec,
-                f"kill at record {index}: recovered topology digest "
-                f"{result.pool_digest} != reference "
-                f"{reference.pool_digest}")
-        if result.active_history != reference.active_history:
-            raise TenancyFailure(
-                killed_spec,
-                f"kill at record {index}: active-shard history "
-                f"diverged from the uninterrupted run")
-        if result.final_weights != reference.final_weights:
-            raise TenancyFailure(
-                killed_spec,
-                f"kill at record {index}: tenant weights diverged "
-                f"from the uninterrupted run")
+                f"killed run failed outright: {failure.detail}",
+                round_index, index) from failure
+        detail = result.divergence_from(reference, node, index)
+        if detail is not None:
+            raise SimulationFailure(killed_spec, detail, round_index,
+                                    index)
     return CrashSweepReport(
-        spec=SimulationSpec(),  # tenancy sweeps carry their own spec
-        mode="shard-pool-rebalance",
-        wal_records=reference.pool_records,
-        boundaries_tested=reference.pool_records,
+        spec=reference_spec, mode=label, wal_records=len(log),
+        boundaries_tested=len(record_indices),
         reference_checksum=reference.checksum())
+
+
+def replay(trace_json: str
+           ) -> Union[SimulationResult, "TenancySimulationResult"]:
+    """Rebuild and run a simulation from a failure's printed trace.
+
+    The trace is the full state: this constructs a fresh simulator from
+    the JSON and runs it -- the repro path named in every
+    :class:`SimulationFailure` message.  A trace with a ``tenants`` key
+    is a :class:`TenancySpec` and replays through the
+    :class:`MultiTenantSimulator`; anything else is a
+    :class:`SimulationSpec`, whose own fields and fault plan pick the
+    :class:`FederationSimulator`'s aggregation step.
+    """
+    data = json.loads(trace_json)
+    spec = (TenancySpec.from_dict(data) if "tenants" in data
+            else SimulationSpec.from_dict(data))
+    return _simulator_for(spec).run()

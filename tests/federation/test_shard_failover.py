@@ -8,12 +8,11 @@ from repro.federation.metrics import FaultReport
 from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
 from repro.federation.shard import ShardedAggregationService
 from repro.testing.simulator import (
-    ShardedFederationSimulator,
-    ShardedSimulationResult,
+    FederationSimulator,
     SimulationFailure,
     SimulationSpec,
+    crash_sweep,
     replay,
-    shard_crash_consistency_sweep,
 )
 
 
@@ -26,31 +25,29 @@ def make_spec(**overrides):
 
 class TestShardCrashSweep:
     def test_leaf_sweep_recovers_bit_identical_everywhere(self):
-        report = shard_crash_consistency_sweep(make_spec(),
-                                               node="shard-0")
+        report = crash_sweep(make_spec(), node="shard-0")
         assert report.mode == "shard:shard-0"
         assert report.boundaries_tested == report.wal_records > 0
 
     def test_root_sweep_recovers_bit_identical_everywhere(self):
-        report = shard_crash_consistency_sweep(make_spec(), node="root")
+        report = crash_sweep(make_spec(), node="root")
         assert report.mode == "shard:root"
         assert report.boundaries_tested == report.wal_records > 0
 
     def test_root_failover_racing_leaf_failover(self):
-        report = shard_crash_consistency_sweep(make_spec(),
-                                               node="shard-1",
-                                               race_root_failover=True)
+        report = crash_sweep(make_spec(), node="shard-1",
+                             race_root_failover=True)
         assert report.mode == "shard:shard-1+root-race"
         assert report.boundaries_tested == report.wal_records > 0
 
     def test_unknown_node_rejected(self):
         with pytest.raises(ValueError):
-            shard_crash_consistency_sweep(make_spec(), node="shard-99")
+            crash_sweep(make_spec(), node="shard-99")
 
     def test_out_of_range_record_rejected(self):
         with pytest.raises(ValueError):
-            shard_crash_consistency_sweep(make_spec(), node="shard-0",
-                                          record_indices=[10_000])
+            crash_sweep(make_spec(), node="shard-0",
+                        record_indices=[10_000])
 
 
 class TestShardedSimulator:
@@ -59,9 +56,10 @@ class TestShardedSimulator:
                                               after_record=1)
         spec = make_spec(rounds=1, sharded=True,
                          fault_plan=plan)
-        result = ShardedFederationSimulator(spec).run()
-        assert isinstance(result, ShardedSimulationResult)
+        result = FederationSimulator(spec).run()
+        assert "root" in result.node_wal_records
         assert [f.node for f in result.failovers] == ["shard-0"]
+        assert result.failovers[0].kind == "shard_crash"
         assert result.failovers[0].lsn == 1
         assert result.failovers[0].incarnation == 1
 
@@ -70,15 +68,15 @@ class TestShardedSimulator:
                                               after_record=10_000)
         spec = make_spec(rounds=1, sharded=True, fault_plan=plan)
         with pytest.raises(SimulationFailure):
-            ShardedFederationSimulator(spec).run()
+            FederationSimulator(spec).run()
 
     def test_replay_dispatches_sharded_traces(self):
         plan = FaultPlan(seed=11).shard_crash("shard-0", 0,
                                               after_record=2)
         spec = make_spec(rounds=1, sharded=True, fault_plan=plan)
-        direct = ShardedFederationSimulator(spec).run()
+        direct = FederationSimulator(spec).run()
         replayed = replay(spec.to_json())
-        assert isinstance(replayed, ShardedSimulationResult)
+        assert replayed.node_wal_records == direct.node_wal_records
         assert replayed.checksum() == direct.checksum()
         assert replayed.final_weights == direct.final_weights
 
@@ -88,14 +86,14 @@ class TestShardedSimulator:
         plan = FaultPlan(seed=11).queue_overload("shard-0", 0)
         spec = make_spec(rounds=1, min_quorum=2, fault_plan=plan)
         replayed = replay(spec.to_json())
-        assert isinstance(replayed, ShardedSimulationResult)
+        assert "root" in replayed.node_wal_records
 
     def test_killed_run_matches_uninterrupted_weights(self):
-        reference = ShardedFederationSimulator(
+        reference = FederationSimulator(
             make_spec(sharded=True)).run()
         plan = FaultPlan(seed=11).shard_crash("shard-1", 1,
                                               after_record=7)
-        killed = ShardedFederationSimulator(
+        killed = FederationSimulator(
             make_spec(sharded=True, fault_plan=plan)).run()
         assert killed.final_weights == reference.final_weights
         assert killed.checksum() == reference.checksum()

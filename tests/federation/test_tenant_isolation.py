@@ -4,7 +4,7 @@ containment and crash-safe elastic rebalancing.
 ``tenant_isolation_check`` asserts the byte-identical guarantee -- a
 quiet tenant's per-round decoded weights are ``==`` between a run where
 its neighbour floods and crashes and a solo run with the same seeds.
-``rebalance_crash_sweep`` kills the shard pool at every topology-journal
+``crash_sweep`` on a tenancy spec kills the shard pool at every topology-journal
 record and asserts recovery is bit-identical to the uninterrupted run.
 """
 
@@ -13,10 +13,11 @@ import pytest
 from repro.federation.faults import FaultPlan
 from repro.testing.simulator import (
     MultiTenantSimulator,
-    TenancyFailure,
+    SimulationFailure,
     TenancySpec,
     TenantSpec,
-    rebalance_crash_sweep,
+    crash_sweep,
+    replay,
     tenant_isolation_check,
 )
 
@@ -94,12 +95,14 @@ class TestRebalanceCrashSweep:
         )
 
     def test_kill_at_every_topology_record_recovers_bit_identically(self):
-        report = rebalance_crash_sweep(self.quiet_spec())
+        report = crash_sweep(self.quiet_spec())
         assert report.mode == "shard-pool-rebalance"
         # targets (3, 1, 2): two splits, then two merges, then one
         # split -- five journaled topology records, each a boundary.
         assert report.wal_records == 5
         assert report.boundaries_tested == 5
+        # The report carries the spec the sweep actually ran.
+        assert report.spec == self.quiet_spec()
 
     def test_killed_run_actually_fails_over(self):
         killed = TenancySpec.from_dict(
@@ -113,7 +116,7 @@ class TestRebalanceCrashSweep:
         killed = TenancySpec.from_dict(
             {**self.quiet_spec().to_dict(), "pool_kill_after_lsn": 0})
         with pytest.raises(ValueError):
-            rebalance_crash_sweep(killed)
+            crash_sweep(killed)
 
     def test_sweep_rejects_specs_that_never_rebalance(self):
         # Elastic target for 7 combined clients is ceil(sqrt(7)) = 3
@@ -122,12 +125,32 @@ class TestRebalanceCrashSweep:
             {**self.quiet_spec().to_dict(), "rebalance_targets": None,
              "initial_shards": 3})
         with pytest.raises(ValueError):
-            rebalance_crash_sweep(static)
+            crash_sweep(static)
 
     def test_divergence_raises_replayable_failure(self):
         spec = self.quiet_spec()
         try:
-            raise TenancyFailure(spec, "synthetic divergence")
-        except TenancyFailure as failure:
+            raise SimulationFailure(spec, "synthetic divergence")
+        except SimulationFailure as failure:
             assert "trace=" in str(failure)
             assert spec.to_json() in str(failure)
+
+    def test_failure_trace_replays_the_tenancy_run(self):
+        """The trace in a tenancy failure used to parse as a default
+        flat ``SimulationSpec`` (the ``tenants`` key silently dropped)
+        and "replay" a 4-client run that had nothing to do with it."""
+        spec = self.quiet_spec()
+        message = str(SimulationFailure(spec, "synthetic divergence"))
+        trace = message[message.index("trace=") + len("trace="):]
+        replayed = replay(trace)
+        assert replayed.spec == spec
+        assert replayed.checksum() == \
+            MultiTenantSimulator(spec).run().checksum()
+
+    def test_unknown_trace_keys_are_rejected(self):
+        data = self.quiet_spec().to_dict()
+        with pytest.raises(ValueError, match="unknown TenancySpec"):
+            TenancySpec.from_dict({**data, "num_clients": 4})
+        with pytest.raises(ValueError, match="unknown TenantSpec"):
+            TenancySpec.from_dict(
+                {**data, "tenants": [{"tenant_id": "t", "wieght": 2}]})

@@ -4,14 +4,12 @@ import pytest
 
 from repro.federation.faults import FaultPlan
 from repro.testing.simulator import (
+    COORDINATOR,
     CrashSweepReport,
-    DurableFederationSimulator,
-    DurableSimulationResult,
-    FailoverFailure,
     FederationSimulator,
     SimulationFailure,
     SimulationSpec,
-    crash_consistency_sweep,
+    crash_sweep,
     replay,
 )
 
@@ -29,15 +27,15 @@ class TestDurableRunEquivalence:
         plain = FederationSimulator(
             SimulationSpec.from_dict(
                 {**spec.to_dict(), "durable": False})).run()
-        durable = DurableFederationSimulator(spec).run()
+        durable = FederationSimulator(spec).run()
         assert durable.checksum() == plain.checksum()
         assert [r.survivors for r in durable.rounds] == \
             [r.survivors for r in plain.rounds]
-        assert durable.kills == []
+        assert durable.failovers == []
         # 3 clients, 2 rounds: (open + 3 uploads + quorum + commit +
-        # close) per round.
-        assert durable.wal_records == 14
-        assert len(durable.digest_trail) == durable.wal_records
+        # close) per round, all on the single node "coordinator".
+        assert durable.node_wal_records == {COORDINATOR: 14}
+        assert len(durable.node_digest_trails[COORDINATOR]) == 14
 
     def test_spec_durable_flag_round_trips(self):
         spec = durable_spec()
@@ -47,28 +45,30 @@ class TestDurableRunEquivalence:
 class TestScheduledKills:
     def test_coordinator_crash_recovers_same_round(self):
         spec = durable_spec()
-        reference = DurableFederationSimulator(spec).run()
+        reference = FederationSimulator(spec).run()
         plan = FaultPlan(seed=spec.seed).coordinator_crash(
             0, after_record=4)
-        killed = DurableFederationSimulator(SimulationSpec.from_dict(
+        killed = FederationSimulator(SimulationSpec.from_dict(
             {**spec.to_dict(), "fault_plan": plan.to_dict()})).run()
-        assert len(killed.kills) == 1
-        kill = killed.kills[0]
+        assert len(killed.failovers) == 1
+        kill = killed.failovers[0]
+        assert kill.node == COORDINATOR
         assert kill.kind == "coordinator_crash"
         assert kill.lsn == 4
         assert kill.incarnation == 1
-        assert kill.recovered_digest == reference.digest_trail[4]
+        assert kill.recovered_digest == \
+            reference.node_digest_trails[COORDINATOR][4]
         assert killed.final_weights == reference.final_weights
         assert killed.checksum() == reference.checksum()
 
     def test_failover_hands_round_to_standby(self):
         spec = durable_spec()
-        reference = DurableFederationSimulator(spec).run()
+        reference = FederationSimulator(spec).run()
         plan = FaultPlan(seed=spec.seed).failover(0, after_record=2)
-        sim = DurableFederationSimulator(SimulationSpec.from_dict(
+        sim = FederationSimulator(SimulationSpec.from_dict(
             {**spec.to_dict(), "fault_plan": plan.to_dict()}))
         result = sim.run()
-        assert result.kills[0].kind == "failover"
+        assert result.failovers[0].kind == "failover"
         assert sim.coordinator.name == "standby"
         assert result.final_weights == reference.final_weights
         # The takeover waited out the lease on the virtual clock.
@@ -76,7 +76,7 @@ class TestScheduledKills:
 
     def test_failover_charges_the_ledger(self):
         plan = FaultPlan(seed=11).failover(0, after_record=1)
-        sim = DurableFederationSimulator(SimulationSpec.from_dict(
+        sim = FederationSimulator(SimulationSpec.from_dict(
             {**durable_spec().to_dict(), "fault_plan": plan.to_dict()}))
         sim.run()
         assert ("failover", "coordinator", 0) in \
@@ -92,7 +92,7 @@ class TestScheduledKills:
                                     fault_plan=base_plan)
         plain = FederationSimulator(plain_spec).run()
         kill_plan = base_plan.failover(0, after_record=2)
-        durable = DurableFederationSimulator(SimulationSpec.from_dict(
+        durable = FederationSimulator(SimulationSpec.from_dict(
             {**plain_spec.to_dict(), "fault_plan": kill_plan.to_dict(),
              "durable": True})).run()
         assert durable.checksum() == plain.checksum()
@@ -105,34 +105,35 @@ class TestScheduledKills:
             {**durable_spec(rounds=1).to_dict(),
              "fault_plan": plan.to_dict()})
         with pytest.raises(SimulationFailure, match="never fired"):
-            DurableFederationSimulator(spec).run()
+            FederationSimulator(spec).run()
 
 
 class TestCrashConsistencySweep:
     def test_sweep_covers_every_boundary(self):
         spec = durable_spec(rounds=1)
-        report = crash_consistency_sweep(spec)
+        report = crash_sweep(spec)
         assert isinstance(report, CrashSweepReport)
         assert report.wal_records == 7
         assert report.boundaries_tested == 7
         assert "bit-identical" in "\n".join(report.summary_lines())
 
     def test_sweep_in_failover_mode(self):
-        report = crash_consistency_sweep(durable_spec(rounds=1),
+        report = crash_sweep(durable_spec(rounds=1),
                                          mode="failover",
                                          record_indices=[0, 3, 6])
         assert report.boundaries_tested == 3
 
     def test_out_of_range_boundary_rejected(self):
         with pytest.raises(ValueError, match="outside the log"):
-            crash_consistency_sweep(durable_spec(rounds=1),
+            crash_sweep(durable_spec(rounds=1),
                                     record_indices=[99])
 
     def test_failure_embeds_replayable_spec(self):
-        failure = FailoverFailure(durable_spec(), round_index=0,
-                                  record_index=3, detail="digest")
+        failure = SimulationFailure(durable_spec(), "digest",
+                                    round_index=0, record_index=3)
         assert failure.record_index == 3
         message = str(failure)
+        assert "kill after WAL record 3: digest" in message
         assert "trace=" in message
         trace = message.split("trace=", 1)[1].strip()
         assert SimulationSpec.from_json(trace) == durable_spec()
@@ -143,12 +144,11 @@ class TestReplayRouting:
         plan = FaultPlan(seed=11).failover(0, after_record=2)
         spec = SimulationSpec.from_dict(
             {**durable_spec().to_dict(), "fault_plan": plan.to_dict()})
-        first = DurableFederationSimulator(spec).run()
+        first = FederationSimulator(spec).run()
         again = replay(spec.to_json())
-        assert isinstance(again, DurableSimulationResult)
+        assert list(again.node_wal_records) == [COORDINATOR]
         assert again.checksum() == first.checksum()
-        assert [k.recovered_digest for k in again.kills] == \
-            [k.recovered_digest for k in first.kills]
+        assert again.failovers == first.failovers
 
     def test_coordinator_events_force_durable_replay(self):
         plan = FaultPlan(seed=11).coordinator_crash(0, after_record=1)
@@ -156,20 +156,20 @@ class TestReplayRouting:
             {**durable_spec().to_dict(), "durable": False,
              "fault_plan": plan.to_dict()})
         result = replay(spec.to_json())
-        assert isinstance(result, DurableSimulationResult)
-        assert len(result.kills) == 1
+        assert list(result.node_wal_records) == [COORDINATOR]
+        assert len(result.failovers) == 1
 
     def test_plain_trace_still_replays_plainly(self):
         spec = SimulationSpec(num_clients=3, rounds=1, vector_size=4,
                               physical_key_bits=128, seed=11)
         result = replay(spec.to_json())
-        assert not isinstance(result, DurableSimulationResult)
+        assert result.node_wal_records == {}
 
     def test_result_to_dict_carries_kills(self):
         plan = FaultPlan(seed=11).coordinator_crash(1, after_record=9)
         spec = SimulationSpec.from_dict(
             {**durable_spec().to_dict(), "fault_plan": plan.to_dict()})
-        data = DurableFederationSimulator(spec).run().to_dict()
+        data = FederationSimulator(spec).run().to_dict()
         assert data["wal_records"] == 14
         assert data["kills"][0]["kind"] == "coordinator_crash"
         assert data["kills"][0]["lsn"] == 9
@@ -177,7 +177,7 @@ class TestReplayRouting:
 
 class TestHeartbeats:
     def test_primary_heartbeats_each_round(self):
-        sim = DurableFederationSimulator(durable_spec())
+        sim = FederationSimulator(durable_spec())
         sim.run()
         ledger = sim.runtime.channel.ledger
         assert ledger.count("comm.coordinator.heartbeat") >= 1

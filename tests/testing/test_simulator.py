@@ -60,6 +60,20 @@ class TestSpecJson:
         spec = SimulationSpec(seed=1, **FAST)
         assert SimulationSpec.from_json(spec.to_json()) == spec
 
+    def test_unknown_keys_are_rejected(self):
+        data = SimulationSpec(seed=1, **FAST).to_dict()
+        with pytest.raises(ValueError, match="unknown SimulationSpec"):
+            SimulationSpec.from_dict({**data, "tenants": []})
+        with pytest.raises(ValueError, match="unknown SimulationSpec"):
+            replay(json.dumps({**data, "num_client": 3}))
+
+    def test_missing_keys_take_the_trace_defaults(self):
+        # A hand-written trace may name only what it cares about; an
+        # absent physical key size means full fidelity.
+        spec = SimulationSpec.from_dict({"seed": 5, "rounds": 1})
+        assert spec == SimulationSpec(seed=5, rounds=1,
+                                      physical_key_bits=None)
+
 
 class TestDeterminism:
     def test_same_spec_same_checksums(self):
