@@ -81,26 +81,18 @@ class RandomizerPool:
         """True once the pool holds precomputed powers."""
         return bool(self._powers)
 
-    def fill(self, rng, n: int, n_squared: int,
-             exponentiate: Optional[Callable] = None) -> None:
+    def fill(self, rng, n: int, obfuscator: Callable[[int], int]) -> None:
         """Draw ``size`` randomizers from ``rng`` and raise them to ``n``.
 
         Args:
             rng: The engine's :class:`~repro.mpint.primes.LimbRandom`.
-            n: The public modulus (randomizer exponent).
-            n_squared: The ciphertext modulus.
-            exponentiate: Optional batch hook mapping the randomizer
-                list to ``[r^n mod n^2, ...]``; the vectorized engine
-                supplies its limb-plane modexp here.  Draw order is
-                identical either way.
+            n: The public modulus the randomizers are units of.
+            obfuscator: ``r -> r^n mod n^2`` of the key the owner holds
+                (:meth:`~repro.crypto.keys.PaillierPrivateKey.obfuscator`
+                or the public key's ``pow()`` fallback).
         """
         randomizers = [rng.random_unit(n) for _ in range(self.size)]
-        if exponentiate is not None:
-            self._powers = [int(p) for p in exponentiate(randomizers)]
-        else:
-            self._powers = [pow(r, n, n_squared) for r in randomizers]
-        if len(self._powers) != self.size:
-            raise ValueError("exponentiate hook changed the pool size")
+        self._powers = [obfuscator(r) for r in randomizers]
         self._cursor = 0
 
     def take(self, count: int = 1) -> List[int]:
@@ -141,6 +133,9 @@ class HeEngine(ABC):
         self.keypair = keypair
         self.public_key = keypair.public_key
         self.private_key = keypair.private_key
+        # r -> r^n mod n^2 by the shortest exact route the held key allows.
+        self._obfuscator = (self.private_key if self.private_key is not None
+                            else self.public_key).obfuscator
         self.nominal_bits = (nominal_bits if nominal_bits is not None
                              else keypair.public_key.key_bits)
         self.ledger = ledger if ledger is not None else CostLedger()
@@ -310,26 +305,19 @@ class HeEngine(ABC):
         positive pool size precomputes that many powers and cycles
         through them -- an experiment-harness speed knob: the *charged*
         cost is unchanged (the cost model always prices a full ``r^n``),
-        only the physical Python arithmetic is amortized.
+        only the physical Python arithmetic is amortized.  Either way
+        the power itself comes from the held key's ``obfuscator``.
         """
-        n = self.public_key.n
-        n_squared = self.public_key.n_squared
         if self._randomizer_pool is None:
-            r = self.rng.random_unit(n)
-            return pow(r, n, n_squared)
-        if not self._randomizer_pool.filled:
-            self._randomizer_pool.fill(
-                self.rng, n, n_squared,
-                exponentiate=self._pool_exponentiate())
-        return self._randomizer_pool.take(1)[0]
+            return self._obfuscator(self.rng.random_unit(self.public_key.n))
+        return self._filled_pool().take(1)[0]
 
-    def _pool_exponentiate(self) -> Optional[Callable]:
-        """Batch hook for pool refills; ``None`` keeps scalar ``pow``.
-
-        Engines with a vectorized modexp override this so refills run
-        batched while drawing the exact same randomizer sequence.
-        """
-        return None
+    def _filled_pool(self) -> RandomizerPool:
+        """The randomizer pool, filled from ``self.rng`` on first use."""
+        pool = self._randomizer_pool
+        if not pool.filled:
+            pool.fill(self.rng, self.public_key.n, self._obfuscator)
+        return pool
 
     def randomizer_pool_snapshot(self) -> List[int]:
         """The pooled ``r^n`` powers, filling the pool first if needed.
@@ -339,11 +327,7 @@ class HeEngine(ABC):
         """
         if self._randomizer_pool is None:
             return []
-        if not self._randomizer_pool.filled:
-            self._randomizer_pool.fill(
-                self.rng, self.public_key.n, self.public_key.n_squared,
-                exponentiate=self._pool_exponentiate())
-        return self._randomizer_pool.snapshot()
+        return self._filled_pool().snapshot()
 
     def _verify_roundtrip(self, plaintext: int) -> bool:
         """Sanity helper: encrypt/decrypt one value outside the ledger."""

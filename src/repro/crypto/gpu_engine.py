@@ -14,7 +14,8 @@ manager (Sec. IV-A2).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from contextlib import contextmanager
+from typing import Iterator, List, Optional, Sequence
 
 from repro.crypto.engine import HeEngine
 from repro.crypto.keys import PaillierKeypair
@@ -130,32 +131,22 @@ class GpuPaillierEngine(HeEngine):
         self.report.scalar_muls += len(ciphertexts)
         return results
 
-    def _charging(self, category: str, ops: int):
-        """Context manager charging the launches made inside the block."""
-        engine = self
-
-        class _Charger:
-            def __enter__(self_inner):
-                self_inner.start = len(engine.kernels.device.launches)
-                return self_inner
-
-            def __exit__(self_inner, exc_type, exc, tb):
-                if exc_type is not None:
-                    return False
-                launches = engine.kernels.device.launches[self_inner.start:]
-                seconds = sum(launch.seconds for launch in launches)
-                engine.ledger.charge(category, seconds, count=ops)
-                if launches:
-                    # Launch-count accounting: lets the ledger show how
-                    # many kernel launches an epoch spent, so op fusion
-                    # (fewer, larger launches) is measurable without
-                    # inspecting the device log.
-                    engine.ledger.charge(CAT_GPU_LAUNCH, 0.0,
-                                         count=len(launches))
-                engine.report.modelled_seconds += seconds
-                return False
-
-        return _Charger()
+    @contextmanager
+    def _charging(self, category: str, ops: int) -> Iterator[None]:
+        """Charge the launches made inside the block (none if it raises)."""
+        log = self.kernels.device.launches
+        start = len(log)
+        yield
+        launches = log[start:]
+        seconds = sum(launch.seconds for launch in launches)
+        self.ledger.charge(category, seconds, count=ops)
+        if launches:
+            # Launch-count accounting: lets the ledger show how
+            # many kernel launches an epoch spent, so op fusion
+            # (fewer, larger launches) is measurable without
+            # inspecting the device log.
+            self.ledger.charge(CAT_GPU_LAUNCH, 0.0, count=len(launches))
+        self.report.modelled_seconds += seconds
 
 
 # ----------------------------------------------------------------------

@@ -30,11 +30,21 @@ class PaillierPublicKey:
     n: int
     g: int
     key_bits: int
+    #: The ciphertext modulus ``n^2``, computed once (derived from ``n``,
+    #: so it takes no part in equality, hashing or repr).
+    n_squared: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def n_squared(self) -> int:
-        """The ciphertext modulus ``n^2``."""
-        return self.n * self.n
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "n_squared", self.n * self.n)
+
+    def obfuscator(self, r: int) -> int:
+        """``r^n mod n^2``, the randomizing factor of Eq. 3.
+
+        This is the definition, and the only route open to a party that
+        holds no private key; a key holder gets the same integer faster
+        from :meth:`PaillierPrivateKey.obfuscator`.
+        """
+        return pow(r, self.n, self.n_squared)
 
     @property
     def max_plaintext(self) -> int:
@@ -53,7 +63,8 @@ class PaillierPrivateKey:
     Besides the textbook ``(lambda, mu)`` of Eq. 4, the key precomputes
     the CRT constants (``hp``, ``hq``, ``q^-1 mod p``) that let
     decryption run two half-size exponentiations instead of one full-size
-    one -- the standard production-Paillier optimization.
+    one -- the standard production-Paillier optimization -- and the
+    per-prime constants of the key-holder :meth:`obfuscator`.
     """
 
     p: int
@@ -64,6 +75,14 @@ class PaillierPrivateKey:
     hp: int = field(init=False)
     hq: int = field(init=False)
     q_inverse: int = field(init=False)
+    # Derived from (p, q) alone: kept out of equality, hashing and repr.
+    p_squared: int = field(init=False, repr=False, compare=False)
+    q_squared: int = field(init=False, repr=False, compare=False)
+    #: ``q mod (p-1)`` and ``p mod (q-1)``: the obfuscator's exponents.
+    obfuscator_exp_p: int = field(init=False, repr=False, compare=False)
+    obfuscator_exp_q: int = field(init=False, repr=False, compare=False)
+    #: ``(q^2)^-1 mod p^2`` for Garner recombination modulo ``n^2``.
+    q_squared_inverse: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.p * self.q != self.public_key.n:
@@ -87,6 +106,31 @@ class PaillierPrivateKey:
         object.__setattr__(self, "hp", hp)
         object.__setattr__(self, "hq", hq)
         object.__setattr__(self, "q_inverse", pow(q, -1, p))
+        object.__setattr__(self, "p_squared", p_squared)
+        object.__setattr__(self, "q_squared", q_squared)
+        object.__setattr__(self, "obfuscator_exp_p", q % (p - 1))
+        object.__setattr__(self, "obfuscator_exp_q", p % (q - 1))
+        object.__setattr__(self, "q_squared_inverse",
+                           pow(q_squared, -1, p_squared))
+
+    def obfuscator(self, r: int) -> int:
+        """``r^n mod n^2`` for a key holder: the same integer as
+        :meth:`PaillierPublicKey.obfuscator`, from half-width modexps.
+
+        Modulo ``p^2``: ``(a + kp)^p = a^p``, so ``r^p`` depends only on
+        ``a = r mod p`` and is the Teichmuller lift of ``a`` -- a
+        ``(p-1)``-th root of unity, multiplicative in ``a``.  Hence
+        ``r^n = (r^p)^q = lift(a^q mod p) = lift(a^(q mod (p-1)) mod p)``
+        and ``lift(b) = b^p mod p^2``.  The same holds modulo ``q^2``;
+        Garner recombines the two residues modulo ``n^2``.  Non-units
+        need no special case (``p | r`` gives 0 on both sides).
+        """
+        p, q = self.p, self.q
+        p_squared, q_squared = self.p_squared, self.q_squared
+        x_p = pow(pow(r % p, self.obfuscator_exp_p, p), p, p_squared)
+        x_q = pow(pow(r % q, self.obfuscator_exp_q, q), q, q_squared)
+        diff = ((x_p - x_q) * self.q_squared_inverse) % p_squared
+        return x_q + q_squared * diff
 
 
 @dataclass(frozen=True)
@@ -124,7 +168,7 @@ def generate_paillier_keypair(key_bits: int,
         if math.gcd(n, (p - 1) * (q - 1)) == 1:
             break
     g = generator if generator is not None else n + 1
-    if math.gcd(g % (n * n), n) != 1 and g % n == 0:
+    if math.gcd(g, n) != 1:
         raise ValueError("generator must be a unit modulo n^2")
     public = PaillierPublicKey(n=n, g=g, key_bits=key_bits)
     private = PaillierPrivateKey(p=p, q=q, public_key=public)

@@ -67,7 +67,7 @@ class Paillier:
             g_m = (1 + plaintext * n) % n_squared
         else:
             g_m = pow(public_key.g, plaintext, n_squared)
-        return (g_m * pow(r, n, n_squared)) % n_squared
+        return (g_m * public_key.obfuscator(r)) % n_squared
 
     @staticmethod
     def raw_decrypt(private_key: PaillierPrivateKey, ciphertext: int) -> int:
@@ -83,11 +83,9 @@ class Paillier:
         if not 0 <= ciphertext < n_squared:
             raise ValueError("ciphertext outside Z_{n^2}")
         p, q = private_key.p, private_key.q
-        p_squared = p * p
-        q_squared = q * q
-        m_p = ((pow(ciphertext, p - 1, p_squared) - 1) // p
+        m_p = ((pow(ciphertext, p - 1, private_key.p_squared) - 1) // p
                * private_key.hp) % p
-        m_q = ((pow(ciphertext, q - 1, q_squared) - 1) // q
+        m_q = ((pow(ciphertext, q - 1, private_key.q_squared) - 1) // q
                * private_key.hq) % q
         # Garner recombination.
         diff = ((m_p - m_q) * private_key.q_inverse) % p

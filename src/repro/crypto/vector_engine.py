@@ -11,9 +11,10 @@ optimizations stacked on top --
   exponentiations recombined via Garner),
 - the binomial ``1 + m n`` shortcut (or a fixed-base window table for
   arbitrary generators) for ``g^m``, and
-- an amortized :class:`~repro.crypto.engine.RandomizerPool` of
-  precomputed ``r^n`` obfuscators, refilled batched from the engine's
-  routed rng stream.
+- the ``r^n`` obfuscators of :class:`~repro.crypto.engine.HeEngine`
+  (the key-holder scalar route, amortized by a
+  :class:`~repro.crypto.engine.RandomizerPool` by default), which are
+  faster per value than a full-width limb-plane modexp.
 
 The engine draws randomizers in exactly the scalar order (one per
 plaintext, sequentially), so its ciphertexts are bit-identical to the
@@ -28,7 +29,7 @@ Constructing the engine without numpy raises.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.crypto.engine import HeEngine
 from repro.crypto.keys import PaillierKeypair
@@ -94,7 +95,11 @@ class VectorPaillierEngine(HeEngine):
         count = len(plaintexts)
         if count == 0:
             return []
-        obfuscators = self._obfuscator_plane(count)
+        # One sequential draw (or pooled power) per plaintext, exactly
+        # as the scalar engines take them.
+        obfuscators = limb_plane.ints_to_plane(
+            [self._randomizer_power() for _ in range(count)],
+            self._plane.num_limbs)
         results = self._encryptor.finish(plaintexts, obfuscators)
         self._charge(CAT_HE_ENCRYPT, count,
                      self.profile.words_per_encrypt(self.nominal_bits))
@@ -142,33 +147,6 @@ class VectorPaillierEngine(HeEngine):
                      self.profile.words_per_scalar_mul(self.nominal_bits))
         self.report.scalar_muls += len(ciphertexts)
         return results
-
-    # ------------------------------------------------------------------
-    # Obfuscators.
-    # ------------------------------------------------------------------
-
-    def _pool_exponentiate(self) -> Optional[Callable]:
-        """Pool refills run the batched limb-plane modexp."""
-        return self._encryptor.randomizer_powers
-
-    def _obfuscator_plane(self, count: int):
-        """``r^n`` per plaintext as a plane, honoring pool semantics.
-
-        Randomizers are always drawn sequentially from ``self.rng`` --
-        ``count`` draws without pooling, ``pool_size`` draws at first
-        refill with pooling -- matching the scalar engines draw for
-        draw.
-        """
-        n = self.public_key.n
-        if self._randomizer_pool is None:
-            randomizers = [self.rng.random_unit(n) for _ in range(count)]
-            return self._encryptor.randomizer_powers_plane(randomizers)
-        if not self._randomizer_pool.filled:
-            self._randomizer_pool.fill(
-                self.rng, n, self.public_key.n_squared,
-                exponentiate=self._pool_exponentiate())
-        powers = self._randomizer_pool.take(count)
-        return limb_plane.ints_to_plane(powers, self._plane.num_limbs)
 
     def _charge(self, category: str, ops: int, words_per_op: int) -> None:
         seconds = self.profile.cpu_seconds(ops, words_per_op)

@@ -42,13 +42,10 @@ class CrtDecryptor:
     def __init__(self, private_key: PaillierPrivateKey):
         require_numpy()
         self.private_key = private_key
-        p, q = private_key.p, private_key.q
-        self._p, self._q = p, q
-        self._p_squared = p * p
-        self._q_squared = q * q
+        self._p, self._q = private_key.p, private_key.q
         self._n_squared = private_key.public_key.n_squared
-        self.plane_p2 = PlaneContext(self._p_squared)
-        self.plane_q2 = PlaneContext(self._q_squared)
+        self.plane_p2 = PlaneContext(private_key.p_squared)
+        self.plane_q2 = PlaneContext(private_key.q_squared)
 
     def decrypt(self, ciphertexts: Sequence[int]) -> List[int]:
         """Decrypt a batch of raw ciphertexts into integers."""
@@ -116,15 +113,6 @@ class VectorEncryptor:
             g_m = [(1 + m * n) % n_squared for m in plaintexts]
             return ints_to_plane(g_m, self.plane.num_limbs)
         return self.fixed_base_table().pow(plaintexts)
-
-    def randomizer_powers_plane(self, randomizers: Sequence[int]):
-        """Batch-exponentiate fresh randomizers: ``r^n mod n^2``."""
-        base = ints_to_plane(list(randomizers), self.plane.num_limbs)
-        return self.plane.pow_shared(base, self._n)
-
-    def randomizer_powers(self, randomizers: Sequence[int]) -> List[int]:
-        """:meth:`randomizer_powers_plane` as Python integers."""
-        return plane_to_ints(self.randomizer_powers_plane(randomizers))
 
     def finish(self, plaintexts: Sequence[int],
                obfuscator_plane) -> List[int]:

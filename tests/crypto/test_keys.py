@@ -54,6 +54,14 @@ class TestPaillierKeyGen:
         with pytest.raises(ValueError):
             generate_paillier_keypair(8)
 
+    def test_generator_sharing_a_prime_with_n_is_rejected(self):
+        honest = generate_paillier_keypair(128, rng=LimbRandom(seed=1))
+        pri, n = honest.private_key, honest.public_key.n
+        for g in (pri.p, pri.q, 3 * pri.p, n, n * n + pri.q):
+            with pytest.raises(ValueError, match="generator must be a unit"):
+                generate_paillier_keypair(128, rng=LimbRandom(seed=1),
+                                          generator=g)
+
     def test_iteration_order_matches_paper(self, paillier_128):
         # Paper API: key_gen(size) -> (pri_key, pub_key).
         pri, pub = paillier_128

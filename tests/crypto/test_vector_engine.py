@@ -142,8 +142,8 @@ class TestRandomizerPoolRouting:
 
     @needs_numpy
     def test_cpu_and_vector_pools_agree(self, paillier_128):
-        """The batched limb-plane refill must reproduce the scalar
-        pow() refill exactly -- same draws, same powers."""
+        """Both engines refill from the same routed stream through the
+        same obfuscator -- same draws, same powers."""
         cpu = _cpu_engine(paillier_128,
                           rng=LimbRandom(seed=seed_for(9211)),
                           randomizer_pool_size=5)
