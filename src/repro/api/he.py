@@ -25,6 +25,7 @@ from repro.crypto.keys import (
 from repro.crypto.paillier import Paillier
 from repro.crypto.rsa import Rsa
 from repro.gpu.kernels import GpuKernels
+from repro.mpint.native import powmod
 from repro.mpint.primes import LimbRandom
 from repro.quantization.packing import PackingPlan
 from repro.tensor.cipher import CipherTensor
@@ -58,7 +59,7 @@ class PaillierApi:
         n = pub_key.n
         n_squared = pub_key.n_squared
         g_m = [(1 + (m % n) * n) % n_squared if pub_key.g == n + 1
-               else pow(pub_key.g, m % n, n_squared) for m in values]
+               else powmod(pub_key.g, m % n, n_squared) for m in values]
         randomizers = [self.rng.random_unit(n) for _ in values]
         r_n = self.kernels.mod_pow_scalar_exponent(randomizers, n, n_squared)
         return self.kernels.mod_mul(g_m, r_n, n_squared)

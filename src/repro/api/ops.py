@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Union
 
 from repro.gpu.kernels import GpuKernels
+from repro.mpint.native import powmod
 
 IntArray = Sequence[int]
 
@@ -91,7 +92,7 @@ class ArrayOps:
         results: List[int] = []
         for value, modulus in zip(a, b):
             try:
-                results.append(pow(value, -1, modulus))
+                results.append(powmod(value, -1, modulus))
             except ValueError as error:
                 raise ValueError(
                     f"{value} has no inverse modulo {modulus}") from error

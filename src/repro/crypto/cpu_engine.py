@@ -22,6 +22,7 @@ from repro.ledger import (
     CAT_HE_SCALAR_MUL,
     CostLedger,
 )
+from repro.mpint.native import powmod
 from repro.mpint.primes import LimbRandom
 
 
@@ -56,7 +57,7 @@ class CpuPaillierEngine(HeEngine):
             if self.public_key.g == n + 1:
                 g_m = (1 + m * n) % n_squared
             else:
-                g_m = pow(self.public_key.g, m, n_squared)
+                g_m = powmod(self.public_key.g, m, n_squared)
             results.append((g_m * self._randomizer_power()) % n_squared)
         self._charge(CAT_HE_ENCRYPT, len(plaintexts),
                      self.profile.words_per_encrypt(self.nominal_bits))

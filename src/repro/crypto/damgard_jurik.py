@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.crypto.keys import generate_paillier_keypair
+from repro.mpint.native import powmod
 from repro.mpint.primes import LimbRandom
 
 
@@ -70,7 +71,7 @@ class DamgardJurikPrivateKey:
         if math.gcd(lam, n_s) != 1:
             raise ValueError("lambda shares a factor with n^s")
         # d = 0 (mod lambda), d = 1 (mod n^s) via CRT.
-        d = lam * pow(lam, -1, n_s)
+        d = lam * powmod(lam, -1, n_s)
         object.__setattr__(self, "d", d)
 
 
@@ -129,7 +130,7 @@ class DamgardJurik:
                 rng = LimbRandom()
             r = rng.random_unit(public_key.n)
         g_m = _one_plus_n_power(plaintext, public_key)
-        return (g_m * pow(r, n_s, modulus)) % modulus
+        return (g_m * powmod(r, n_s, modulus)) % modulus
 
     @staticmethod
     def raw_decrypt(private_key: DamgardJurikPrivateKey,
@@ -139,7 +140,7 @@ class DamgardJurik:
         modulus = public.ciphertext_modulus
         if not 0 <= ciphertext < modulus:
             raise ValueError("ciphertext outside Z_{n^(s+1)}")
-        a = pow(ciphertext, private_key.d, modulus)
+        a = powmod(ciphertext, private_key.d, modulus)
         return _extract_discrete_log(a, public)
 
     @staticmethod
@@ -153,7 +154,7 @@ class DamgardJurik:
         """Plaintext-scalar multiplication: ``c^scalar``."""
         if scalar < 0:
             raise ValueError("negative scalars require encoding")
-        return pow(c, scalar, public_key.ciphertext_modulus)
+        return powmod(c, scalar, public_key.ciphertext_modulus)
 
 
 def _one_plus_n_power(exponent: int,
@@ -171,7 +172,7 @@ def _one_plus_n_power(exponent: int,
     for k in range(1, public_key.s + 1):
         # term = C(exponent, k) * n^k, built incrementally.
         term = term * (exponent - (k - 1)) // k
-        total = (total + term * pow(n, k, modulus)) % modulus
+        total = (total + term * powmod(n, k, modulus)) % modulus
     return total
 
 
@@ -196,8 +197,8 @@ def _extract_discrete_log(a: int,
             i -= 1
             k_factorial *= k
             t2 = (t2 * i) % n_j
-            correction = (t2 * pow(n, k - 1, n_j)
-                          * pow(k_factorial, -1, n_j)) % n_j
+            correction = (t2 * powmod(n, k - 1, n_j)
+                          * powmod(k_factorial, -1, n_j)) % n_j
             t1 = (t1 - correction) % n_j
         i = t1 % n_j
     return i

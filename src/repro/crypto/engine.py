@@ -89,7 +89,7 @@ class RandomizerPool:
             n: The public modulus the randomizers are units of.
             obfuscator: ``r -> r^n mod n^2`` of the key the owner holds
                 (:meth:`~repro.crypto.keys.PaillierPrivateKey.obfuscator`
-                or the public key's ``pow()`` fallback).
+                or the public key's full-width fallback).
         """
         randomizers = [rng.random_unit(n) for _ in range(self.size)]
         self._powers = [obfuscator(r) for r in randomizers]
@@ -99,11 +99,16 @@ class RandomizerPool:
         """The next ``count`` pooled powers, cycling the cursor."""
         if not self._powers:
             raise RuntimeError("pool not filled")
-        out = []
-        for _ in range(count):
-            out.append(self._powers[self._cursor])
-            self._cursor = (self._cursor + 1) % len(self._powers)
-        return out
+        powers = self._powers
+        size = len(powers)
+        start = self._cursor
+        end = start + max(count, 0)
+        self._cursor = end % size
+        if end <= size:
+            return powers[start:end]
+        # Wrapped: the tail, whole laps of the pool, then the head.
+        laps, head = divmod(end - size, size)
+        return powers[start:] + powers * laps + powers[:head]
 
     def snapshot(self) -> List[int]:
         """A copy of the pooled powers (regression tests compare these)."""

@@ -29,6 +29,7 @@ from repro.ledger import (
     CAT_HE_SCALAR_MUL,
     CostLedger,
 )
+from repro.mpint.native import powmod
 from repro.mpint.primes import LimbRandom
 
 
@@ -71,7 +72,7 @@ class GpuPaillierEngine(HeEngine):
                 self.kernels.charge_mod_mul(len(plaintexts),
                                             self._work_bits)
             else:
-                g_m = [pow(self.public_key.g, m, n_squared)
+                g_m = [powmod(self.public_key.g, m, n_squared)
                        for m in plaintexts]
                 self.kernels.charge_mod_pow(len(plaintexts),
                                             self._work_bits,

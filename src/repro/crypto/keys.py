@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.mpint.native import powmod
 from repro.mpint.primes import LimbRandom, generate_distinct_primes
 
 
@@ -44,7 +45,7 @@ class PaillierPublicKey:
         holds no private key; a key holder gets the same integer faster
         from :meth:`PaillierPrivateKey.obfuscator`.
         """
-        return pow(r, self.n, self.n_squared)
+        return powmod(r, self.n, self.n_squared)
 
     @property
     def max_plaintext(self) -> int:
@@ -90,9 +91,9 @@ class PaillierPrivateKey:
         lam = math.lcm(self.p - 1, self.q - 1)
         n = self.public_key.n
         n_squared = self.public_key.n_squared
-        g_lambda = pow(self.public_key.g, lam, n_squared)
+        g_lambda = powmod(self.public_key.g, lam, n_squared)
         l_value = (g_lambda - 1) // n
-        mu = pow(l_value, -1, n)
+        mu = powmod(l_value, -1, n)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
         # CRT constants: hp = L_p(g^(p-1) mod p^2)^-1 mod p, and
@@ -101,17 +102,17 @@ class PaillierPrivateKey:
         g = self.public_key.g
         p_squared = p * p
         q_squared = q * q
-        hp = pow((pow(g, p - 1, p_squared) - 1) // p, -1, p)
-        hq = pow((pow(g, q - 1, q_squared) - 1) // q, -1, q)
+        hp = powmod((powmod(g, p - 1, p_squared) - 1) // p, -1, p)
+        hq = powmod((powmod(g, q - 1, q_squared) - 1) // q, -1, q)
         object.__setattr__(self, "hp", hp)
         object.__setattr__(self, "hq", hq)
-        object.__setattr__(self, "q_inverse", pow(q, -1, p))
+        object.__setattr__(self, "q_inverse", powmod(q, -1, p))
         object.__setattr__(self, "p_squared", p_squared)
         object.__setattr__(self, "q_squared", q_squared)
         object.__setattr__(self, "obfuscator_exp_p", q % (p - 1))
         object.__setattr__(self, "obfuscator_exp_q", p % (q - 1))
         object.__setattr__(self, "q_squared_inverse",
-                           pow(q_squared, -1, p_squared))
+                           powmod(q_squared, -1, p_squared))
 
     def obfuscator(self, r: int) -> int:
         """``r^n mod n^2`` for a key holder: the same integer as
@@ -127,8 +128,8 @@ class PaillierPrivateKey:
         """
         p, q = self.p, self.q
         p_squared, q_squared = self.p_squared, self.q_squared
-        x_p = pow(pow(r % p, self.obfuscator_exp_p, p), p, p_squared)
-        x_q = pow(pow(r % q, self.obfuscator_exp_q, q), q, q_squared)
+        x_p = powmod(powmod(r % p, self.obfuscator_exp_p, p), p, p_squared)
+        x_q = powmod(powmod(r % q, self.obfuscator_exp_q, q), q, q_squared)
         diff = ((x_p - x_q) * self.q_squared_inverse) % p_squared
         return x_q + q_squared * diff
 
@@ -226,7 +227,7 @@ def generate_rsa_keypair(key_bits: int,
         if math.gcd(public_exponent, phi) == 1:
             break
     n = p * q
-    d = pow(public_exponent, -1, phi)
+    d = powmod(public_exponent, -1, phi)
     public = RsaPublicKey(n=n, e=public_exponent, key_bits=key_bits)
     return RsaKeypair(public_key=public,
                       private_key=RsaPrivateKey(d=d, public_key=public))

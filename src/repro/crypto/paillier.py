@@ -23,6 +23,7 @@ from repro.crypto.keys import (
     PaillierPublicKey,
     generate_paillier_keypair,
 )
+from repro.mpint.native import powmod
 from repro.mpint.primes import LimbRandom
 
 
@@ -66,7 +67,7 @@ class Paillier:
             # g^m = (1 + n)^m = 1 + m n (mod n^2): one multiplication.
             g_m = (1 + plaintext * n) % n_squared
         else:
-            g_m = pow(public_key.g, plaintext, n_squared)
+            g_m = powmod(public_key.g, plaintext, n_squared)
         return (g_m * public_key.obfuscator(r)) % n_squared
 
     @staticmethod
@@ -83,9 +84,9 @@ class Paillier:
         if not 0 <= ciphertext < n_squared:
             raise ValueError("ciphertext outside Z_{n^2}")
         p, q = private_key.p, private_key.q
-        m_p = ((pow(ciphertext, p - 1, private_key.p_squared) - 1) // p
+        m_p = ((powmod(ciphertext, p - 1, private_key.p_squared) - 1) // p
                * private_key.hp) % p
-        m_q = ((pow(ciphertext, q - 1, private_key.q_squared) - 1) // q
+        m_q = ((powmod(ciphertext, q - 1, private_key.q_squared) - 1) // q
                * private_key.hq) % q
         # Garner recombination.
         diff = ((m_p - m_q) * private_key.q_inverse) % p
@@ -119,7 +120,7 @@ class Paillier:
         if public_key.g == n + 1:
             g_m = (1 + plaintext * n) % n_squared
         else:
-            g_m = pow(public_key.g, plaintext, n_squared)
+            g_m = powmod(public_key.g, plaintext, n_squared)
         return (c * g_m) % n_squared
 
     @staticmethod
@@ -129,7 +130,7 @@ class Paillier:
         if scalar < 0:
             raise ValueError("negative scalars require encoding; use the "
                              "quantization layer")
-        return pow(c, scalar, public_key.n_squared)
+        return powmod(c, scalar, public_key.n_squared)
 
     # Ergonomic wrappers -------------------------------------------------
 

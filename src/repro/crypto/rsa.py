@@ -18,6 +18,7 @@ from repro.crypto.keys import (
     RsaPublicKey,
     generate_rsa_keypair,
 )
+from repro.mpint.native import powmod
 from repro.mpint.primes import LimbRandom
 
 
@@ -34,7 +35,7 @@ class Rsa:
         """Encrypt: ``m^e mod n``."""
         if not 0 <= plaintext < public_key.n:
             raise ValueError(f"plaintext {plaintext} outside [0, {public_key.n})")
-        return pow(plaintext, public_key.e, public_key.n)
+        return powmod(plaintext, public_key.e, public_key.n)
 
     @staticmethod
     def raw_decrypt(private_key: RsaPrivateKey, ciphertext: int) -> int:
@@ -42,7 +43,7 @@ class Rsa:
         public = private_key.public_key
         if not 0 <= ciphertext < public.n:
             raise ValueError("ciphertext outside Z_n")
-        return pow(ciphertext, private_key.d, public.n)
+        return powmod(ciphertext, private_key.d, public.n)
 
     @staticmethod
     def raw_mul(public_key: RsaPublicKey, c1: int, c2: int) -> int:

@@ -27,6 +27,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from repro.mpint.native import powmod
+
 
 def _keystream(key: bytes, round_index: int, index: int, bits: int) -> int:
     """Deterministic per-(round, index) mask from a shared key."""
@@ -126,7 +128,7 @@ class AffineScheme:
 
     def decrypt(self, ciphertext: int) -> int:
         """Invert the affine map."""
-        return ((ciphertext - self.b) * pow(self.a, -1, self.n)) % self.n
+        return ((ciphertext - self.b) * powmod(self.a, -1, self.n)) % self.n
 
     def add(self, c1: int, c2: int) -> int:
         """Additive homomorphism (with a ``b`` correction at decrypt).
@@ -152,7 +154,7 @@ def affine_known_plaintext_attack(
     (m1, c1), (m2, c2) = pairs[0], pairs[1]
     delta_m = (m1 - m2) % modulus
     try:
-        inverse = pow(delta_m, -1, modulus)
+        inverse = powmod(delta_m, -1, modulus)
     except ValueError as error:
         raise ValueError("degenerate pairs: m1 - m2 not invertible") \
             from error

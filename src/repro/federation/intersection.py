@@ -33,6 +33,7 @@ from repro.federation.channel import Channel, Message
 from repro.federation.metrics import charge_model_compute
 from repro.gpu.cost_model import DEFAULT_PROFILE
 from repro.ledger import CAT_HE_PSI_SIGN, CostLedger
+from repro.mpint.native import powmod
 from repro.mpint.primes import LimbRandom
 
 
@@ -105,7 +106,7 @@ class RsaIntersection:
             r = self._rng.random_unit(n)
             blinds.append(r)
             hashed = _hash_to_group(identifier, n)
-            blinded.append((hashed * pow(r, e, n)) % n)
+            blinded.append((hashed * powmod(r, e, n)) % n)
         charge_model_compute(ledger, 50.0 * len(guest_ids),
                              tag="model.psi.blind")
         self.channel.send(Message(
@@ -114,7 +115,7 @@ class RsaIntersection:
             ciphertext_bytes=self.key_bits // 8))
 
         # (3) Host signs the blinded values and fingerprints its own IDs.
-        signed_blinded = [pow(value, d, n) for value in blinded]
+        signed_blinded = [powmod(value, d, n) for value in blinded]
         # Signing cost: |guest| + |host| full-exponent RSA operations,
         # charged at the nominal key size through the CPU model.
         sign_ops = len(blinded) + len(host_ids)
@@ -125,7 +126,7 @@ class RsaIntersection:
                 DEFAULT_PROFILE.words_per_decrypt(self.key_bits) // 4),
             count=sign_ops)
         host_fingerprints: Set[bytes] = {
-            _fingerprint(pow(_hash_to_group(identifier, n), d, n))
+            _fingerprint(powmod(_hash_to_group(identifier, n), d, n))
             for identifier in host_ids
         }
         self.channel.send(Message(
@@ -141,7 +142,7 @@ class RsaIntersection:
         common: List[str] = []
         for identifier, blind, signature in zip(guest_ids, blinds,
                                                 signed_blinded):
-            unblinded = (signature * pow(blind, -1, n)) % n
+            unblinded = (signature * powmod(blind, -1, n)) % n
             if _fingerprint(unblinded) in host_fingerprints:
                 common.append(identifier)
         charge_model_compute(ledger, 50.0 * len(guest_ids),

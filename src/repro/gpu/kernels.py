@@ -15,6 +15,7 @@ is omitted the actual modulus size is charged.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -28,6 +29,7 @@ from repro.gpu.resource_manager import (
 )
 from repro.mpint.modexp import modexp_multiplication_count
 from repro.mpint.montgomery import cios_work_estimate
+from repro.mpint.native import powmod
 
 #: CUDA's architectural per-thread register ceiling (compute 7.x+).
 MAX_REGISTERS_PER_THREAD = 255
@@ -183,14 +185,17 @@ class GpuKernels:
         the nominal key's exponent length).
         """
         self._check_pair(bases, exponents)
-        results = [pow(base, exp, modulus)
+        results = [powmod(base, exp, modulus)
                    for base, exp in zip(bases, exponents)]
         limbs = self._work_limbs(modulus, work_bits)
-        per_op_modmuls = sum(
-            modexp_multiplication_count(
-                exponent_bits if exponent_bits is not None
-                else max(exp.bit_length(), 1))
-            for exp in exponents) // max(len(exponents), 1)
+        if exponent_bits is not None:
+            per_op_modmuls = modexp_multiplication_count(exponent_bits)
+        else:
+            # Mean schedule length, one count per distinct exponent size.
+            sizes = Counter(max(exp.bit_length(), 1) for exp in exponents)
+            per_op_modmuls = sum(
+                modexp_multiplication_count(bits) * times
+                for bits, times in sizes.items()) // len(exponents)
         words = len(bases) * per_op_modmuls * cios_work_estimate(limbs)
         operand_bytes = limbs * (self.profile.word_bits // 8)
         self._record("mod_pow", tasks=len(bases), limbs=limbs, words=words,

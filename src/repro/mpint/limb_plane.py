@@ -42,6 +42,7 @@ from typing import Dict, List, Sequence
 
 from repro.mpint.limbs import WORD_BITS, from_int
 from repro.mpint.montgomery import MontgomeryContext
+from repro.mpint.native import powmod
 
 try:  # pragma: no cover - exercised via the no-numpy CI job
     import numpy as _np
@@ -378,7 +379,7 @@ class FixedBaseTable:
             self._plain.append(plain_row)
             self._mont_rows.append(
                 ints_to_plane(mont_row, plane.num_limbs))
-            window_base = pow(window_base, self.radix, modulus)
+            window_base = powmod(window_base, self.radix, modulus)
 
     @property
     def max_exponent_bits(self) -> int:

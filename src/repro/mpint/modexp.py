@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.mpint.montgomery import MontgomeryContext, montgomery_multiply
+from repro.mpint.native import powmod
 
 #: Default sliding-window width.  Width 5 is the classic sweet spot for
 #: 1024-4096-bit exponents: 16 precomputed odd powers, ~bits/5 + bits
@@ -109,13 +110,13 @@ def mod_pow(base: int, exponent: int, modulus: int,
             window_bits: int = DEFAULT_WINDOW_BITS) -> int:
     """Convenience wrapper: sliding-window power for an arbitrary modulus.
 
-    Falls back to Python's built-in ``pow`` for even moduli, which the
-    Montgomery representation cannot host.
+    Even moduli, which the Montgomery representation cannot host, go to
+    :func:`repro.mpint.native.powmod` (the builtin ``pow`` for them).
     """
     if modulus <= 0:
         raise ValueError("modulus must be positive")
     if modulus % 2 == 0:
-        return pow(base, exponent, modulus)
+        return powmod(base, exponent, modulus)
     ctx = MontgomeryContext(modulus)
     return sliding_window_pow(base, exponent, ctx, window_bits=window_bits)
 

@@ -20,11 +20,12 @@ from dataclasses import dataclass, field
 from typing import List, Sequence
 
 from repro.mpint.limbs import WORD_BITS, from_int, limbs_for_bits
+from repro.mpint.native import powmod
 
 
 def _modular_inverse(value: int, modulus: int) -> int:
     """Modular inverse via Python's built-in extended-gcd pow."""
-    return pow(value, -1, modulus)
+    return powmod(value, -1, modulus)
 
 
 @dataclass(frozen=True)

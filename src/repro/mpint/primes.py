@@ -18,6 +18,7 @@ import random
 from typing import List, Optional
 
 from repro.mpint.limbs import WORD_BITS, from_int
+from repro.mpint.native import powmod
 
 #: Small primes for fast trial division before Miller-Rabin.
 _SMALL_PRIMES = (
@@ -136,7 +137,7 @@ def is_probable_prime(candidate: int, rounds: int = DEFAULT_ROUNDS,
 
     for _ in range(rounds):
         witness = rng.randint_below(candidate - 3) + 2
-        x = pow(witness, d, candidate)
+        x = powmod(witness, d, candidate)
         if x == 1 or x == candidate - 1:
             continue
         for _ in range(r - 1):

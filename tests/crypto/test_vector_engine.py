@@ -176,6 +176,16 @@ class TestRandomizerPoolRouting:
         with pytest.raises(RuntimeError):
             pool.take(1)
 
+    def test_pool_take_cycles_like_a_per_element_cursor(self):
+        pool = RandomizerPool(5)
+        pool.fill(LimbRandom(seed=seed_for(9213)), 101, lambda r: r)
+        powers = pool.snapshot()
+        cursor = 0
+        for count in (0, 1, 3, 1, 5, 4, 12, 23, 2):
+            expected = [powers[(cursor + i) % 5] for i in range(count)]
+            assert pool.take(count) == expected
+            cursor = (cursor + count) % 5
+
     @pytest.mark.parametrize("pool_size", [0, 64])
     def test_cpu_conformance_passes_with_and_without_pool(
             self, pool_size):

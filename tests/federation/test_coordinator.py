@@ -78,6 +78,39 @@ class TestRoundStateMachine:
         assert machine.digest() == before
         assert machine.round.survivors == ["client-0"]
 
+    def test_digest_is_the_crc_of_the_whole_canonical_blob(self):
+        """The cached ``closed_rounds`` share of the CRC changes nothing:
+        after every record of 12 rounds (string key order puts "10"
+        before "2") the digest is the one-shot CRC of the full blob."""
+        import json
+        import zlib
+
+        def one_shot(machine):
+            state = {
+                "round": (machine.round.to_state_dict()
+                          if machine.round is not None else None),
+                "closed_rounds": {str(k): v for k, v
+                                  in machine.closed_rounds.items()},
+                "max_incarnation": machine.max_incarnation,
+            }
+            return zlib.crc32(json.dumps(
+                state, sort_keys=True,
+                separators=(",", ":")).encode("utf-8"))
+
+        machine = RoundStateMachine()
+        assert machine.digest() == one_shot(machine)
+        for index in range(12):
+            for record in (
+                    open_record(index, incarnation=index // 5),
+                    upload_record("client-0", index,
+                                  incarnation=index // 5),
+                    WalRecord(ROUND_CLOSE, index,
+                              incarnation=index // 5,
+                              payload={"aborted": "quorum"})):
+                machine.apply(record)
+                assert machine.digest() == one_shot(machine)
+        assert len(machine.closed_rounds) == 12
+
     def test_upload_without_open_rejected(self):
         with pytest.raises(InvalidTransitionError, match="no round open"):
             RoundStateMachine().apply(upload_record("client-0"))

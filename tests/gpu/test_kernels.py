@@ -55,6 +55,19 @@ class TestModPow:
         assert kernels.mod_pow_scalar_exponent(bases, 5, n) == \
             [pow(b, 5, n) for b in bases]
 
+    def test_mixed_exponent_sizes_charge_the_mean_schedule(self, kernels):
+        from repro.mpint.modexp import modexp_multiplication_count
+        from repro.mpint.montgomery import cios_work_estimate
+
+        n = (1 << 127) - 1
+        exps = [0, 1, 5, 5, 1 << 40, (1 << 40) + 3, 1 << 90]
+        kernels.mod_pow([3] * len(exps), exps, n)
+        per_op = sum(modexp_multiplication_count(max(e.bit_length(), 1))
+                     for e in exps) // len(exps)
+        limbs = kernels._work_limbs(n, None)
+        assert kernels.device.launches[-1].word_multiplications == \
+            len(exps) * per_op * cios_work_estimate(limbs)
+
     def test_pow_costs_more_than_mul(self, kernels):
         # Large batches so compute dominates the fixed launch latency.
         n = (1 << 127) - 1

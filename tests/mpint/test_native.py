@@ -1,0 +1,301 @@
+"""``repro.mpint.native.powmod`` is ``pow``: same integers, same errors.
+
+numpy-free.  The builtin is the oracle throughout; the tests that need
+the library itself skip where none could be bound (and under
+``pytest --no-native``).
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+import subprocess
+import sys
+import threading
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro
+from repro.mpint import native
+from repro.mpint.native import NATIVE_MIN_MODULUS_BITS, powmod
+
+needs_native = pytest.mark.skipif(
+    not native.HAVE_NATIVE, reason="no libcrypto bound on this host")
+
+
+def outcome(function, *args):
+    """The value ``function`` returns, or the type it raises."""
+    try:
+        return function(*args)
+    except Exception as error:  # noqa: BLE001 - the type is the result
+        return type(error)
+
+
+def assert_same_as_pow(base, exponent, modulus):
+    assert outcome(powmod, base, exponent, modulus) == \
+        outcome(pow, base, exponent, modulus)
+
+
+@pytest.fixture()
+def library_calls(monkeypatch):
+    """The ``(base, exponent, modulus)`` of each call into the library."""
+    calls = []
+    real = native._bn_powmod
+
+    def spy(lib, scratch, base, exponent, modulus):
+        calls.append((base, exponent, modulus))
+        return real(lib, scratch, base, exponent, modulus)
+
+    monkeypatch.setattr(native, "_bn_powmod", spy)
+    return calls
+
+
+# ----------------------------------------------------------------------
+# Identity with pow().
+# ----------------------------------------------------------------------
+
+# Mostly narrow (cheap, and where the cutoff lives), sometimes up to the
+# 4096-bit ciphertext modulus of a 2048-bit key.
+_bits = st.one_of(st.integers(1, 300), st.integers(1, 4096))
+
+
+@st.composite
+def _operands(draw):
+    bits = draw(_bits)
+    modulus = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    if draw(st.booleans()):
+        modulus |= 1
+    base = draw(st.one_of(
+        st.integers(0, modulus),                       # reduced
+        st.integers(modulus, modulus << 70),           # >= modulus
+        st.integers(-(modulus << 70), -1)))            # negative
+    exponent = draw(st.one_of(
+        st.sampled_from((0, 1, -1)),
+        st.integers(2, (1 << 32) - 1),                 # short
+        st.integers(1 << (bits - 1), (1 << bits) - 1),  # full width
+        st.integers(-(1 << bits), -2)))                # negative
+    return base, exponent, modulus
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operands())
+def test_powmod_is_pow(operands):
+    assert_same_as_pow(*operands)
+
+
+@pytest.mark.parametrize("modulus", (1, 0, -1, -7, -(1 << 200) - 1))
+@pytest.mark.parametrize("exponent", (0, 1, 5, -1))
+def test_degenerate_moduli_behave_like_pow(modulus, exponent):
+    for base in (0, 1, 3, -3, 1 << 300):
+        assert_same_as_pow(base, exponent, modulus)
+
+
+def test_rejected_inputs_raise_what_pow_raises():
+    odd = (1 << 255) | 1
+    assert outcome(powmod, 2.0, 3, odd) is TypeError
+    assert outcome(powmod, 2, 3.0, odd) is TypeError
+    assert outcome(powmod, 2, 3, float(odd)) is TypeError
+    assert outcome(powmod, 2, 3, 0) is ValueError
+    # Not invertible: the negative-exponent error is pow's own.
+    assert outcome(powmod, 3, -1, 3 * odd) is ValueError
+    assert powmod(True, 5, odd) == 1
+
+
+@pytest.mark.parametrize("bits", (1024, 2048, 4096))
+def test_real_key_sizes(bits, rng):
+    modulus = rng.randbits(bits) | (1 << (bits - 1)) | 1
+    base = rng.randbits(bits)
+    for exponent in (rng.randbits(bits // 2), rng.randbits(bits), 65537):
+        assert powmod(base, exponent, modulus) == pow(base, exponent,
+                                                      modulus)
+
+
+# ----------------------------------------------------------------------
+# Which route a call takes.
+# ----------------------------------------------------------------------
+
+@needs_native
+def test_cutoff_boundary_on_both_sides(library_calls):
+    below = (1 << (NATIVE_MIN_MODULUS_BITS - 1)) - 1   # 127 bits, odd
+    at = (1 << (NATIVE_MIN_MODULUS_BITS - 1)) + 1      # 128 bits, odd
+    assert below.bit_length() == NATIVE_MIN_MODULUS_BITS - 1
+    assert at.bit_length() == NATIVE_MIN_MODULUS_BITS
+    assert powmod(3, 12345, below) == pow(3, 12345, below)
+    assert library_calls == []
+    assert powmod(3, 12345, at) == pow(3, 12345, at)
+    assert library_calls == [(3, 12345, at)]
+
+
+@needs_native
+def test_only_odd_wide_moduli_and_nonnegative_exponents_go_native(
+        library_calls):
+    odd = (1 << 300) + 7
+    powmod(5, 1 << 200, odd + 1)     # even
+    powmod(5, -1, odd)               # negative exponent
+    assert library_calls == []
+    powmod(-5, 3, odd)               # the base arrives reduced
+    powmod(odd + 2, 0, odd)
+    assert library_calls == [(odd - 5, 3, odd), (2, 0, odd)]
+
+
+@needs_native
+@pytest.mark.parametrize("function, failure", [
+    ("BN_mod_exp_mont_consttime", 0),
+    ("BN_bin2bn", None),
+])
+def test_a_failed_bn_call_falls_back_to_pow(monkeypatch, function,
+                                            failure):
+    modulus = (1 << 521) - 1
+    expected = pow(7, modulus - 2, modulus)
+    cleared = []
+    with monkeypatch.context() as patch:
+        patch.setattr(native._lib, function, lambda *args: failure)
+        patch.setattr(native._lib, "ERR_clear_error",
+                      lambda: cleared.append(True))
+        assert powmod(7, modulus - 2, modulus) == expected
+    assert cleared == [True]
+    # The thread's scratch survives a failed call.
+    assert powmod(7, modulus - 2, modulus) == expected
+
+
+def test_unbound_library_is_pure_pow(no_native, library_calls):
+    assert native.HAVE_NATIVE is False and native.BACKEND == "python"
+    modulus = (1 << 607) - 1
+    assert powmod(3, modulus >> 1, modulus) == pow(3, modulus >> 1, modulus)
+    assert library_calls == []
+
+
+# ----------------------------------------------------------------------
+# Binding.
+# ----------------------------------------------------------------------
+
+@needs_native
+def test_backend_names_the_bound_library():
+    assert native.BACKEND.startswith("libcrypto (")
+    assert native._load()[1] == native.BACKEND
+
+
+def test_load_survives_an_unloadable_library(monkeypatch):
+    def refuse(path):
+        raise OSError(f"cannot load {path}")
+    monkeypatch.setattr(native.ctypes, "CDLL", refuse)
+    assert native._load() == (None, "python")
+
+
+def test_load_rejects_a_library_without_the_bn_api(monkeypatch):
+    monkeypatch.setattr(native.ctypes, "CDLL", lambda path: object())
+    assert native._load() == (None, "python")
+
+
+@needs_native
+def test_load_rejects_a_library_that_fails_the_known_answer(monkeypatch):
+    monkeypatch.setattr(native, "_KAT_RESULT", native._KAT_RESULT ^ 1)
+    assert native._load() == (None, "python")
+
+
+def test_known_answer_is_pow():
+    assert pow(native._KAT_BASE, native._KAT_EXPONENT,
+               native._KAT_MODULUS) == native._KAT_RESULT
+    assert native._KAT_MODULUS.bit_length() >= NATIVE_MIN_MODULUS_BITS
+
+
+def test_package_works_with_the_library_unbindable():
+    """A fresh interpreter where no library loads: imports, falls back."""
+    script = (
+        "import ctypes\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise OSError('unbindable')\n"
+        "ctypes.CDLL = refuse\n"
+        "from repro.mpint import native\n"
+        "assert native.BACKEND == 'python' and not native.HAVE_NATIVE\n"
+        "from repro.crypto.keys import generate_paillier_keypair\n"
+        "from repro.crypto.paillier import Paillier\n"
+        "from repro.mpint.primes import LimbRandom\n"
+        "keys = generate_paillier_keypair(256, rng=LimbRandom(seed=5))\n"
+        "c = Paillier.raw_encrypt(keys.public_key, 41, r=12345)\n"
+        "print(Paillier.raw_decrypt(keys.private_key, c))\n")
+    source = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=120, env={"PYTHONPATH": source, "PATH": ""})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "41"
+
+
+# ----------------------------------------------------------------------
+# Threads.
+# ----------------------------------------------------------------------
+
+@needs_native
+def test_two_threads_interleaving_calls():
+    """ctypes drops the interpreter lock inside the library, so the two
+    threads really overlap there; shared scratch would mix operands."""
+    moduli = ((1 << 521) - 1, (1 << 607) - 1)
+    rounds = 300
+    expected = [[pow(i + 2, modulus >> 3, modulus) for i in range(rounds)]
+                for modulus in moduli]
+    results = [None, None]
+
+    def work(slot):
+        modulus = moduli[slot]
+        results[slot] = [powmod(i + 2, modulus >> 3, modulus)
+                         for i in range(rounds)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(slot,))
+                   for slot in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == expected
+
+
+# ----------------------------------------------------------------------
+# One route: no three-argument pow() left in production code.
+# ----------------------------------------------------------------------
+
+#: (file under src/repro, enclosing function or None for any) that keep
+#: the builtin on purpose: the kernel's own fallback and the oracles.
+POW_ALLOWED = {
+    ("mpint/native.py", "powmod"),
+    ("crypto/paillier.py", "raw_decrypt_textbook"),
+    ("testing/reference.py", None),
+}
+
+
+def _three_argument_pow_calls(tree):
+    """``(line, enclosing function name)`` of each ``pow(a, b, c)``."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "pow" and len(node.args) == 3):
+            found.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_production_tree_has_no_three_argument_pow_outside_the_oracles():
+    package = pathlib.Path(repro.__file__).resolve().parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        relative = path.relative_to(package).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for line, function in _three_argument_pow_calls(tree):
+            if (relative, function) not in POW_ALLOWED and \
+                    (relative, None) not in POW_ALLOWED:
+                offenders.append(f"{relative}:{line} (in {function})")
+    assert offenders == []
