@@ -26,6 +26,11 @@ Methodology notes, so the numbers read honestly:
   twice, with the native kernel bound and with it unbound (the builtin
   ``pow()``), asserting equal outputs; without a bindable libcrypto the
   two columns are the same route and the ratio is ~1.
+- ``resident_vs_python`` times one 1024-word ``sum_ciphertexts`` on the
+  scalar engine twice, with the library bound (the reduction's words
+  stay resident as ``BIGNUM``s across its ten levels) and unbound (every
+  product is ``(x * y) % n^2`` on Python integers), asserting equal
+  sums; the row is tagged ``measured`` with seed, commit and host.
 - CRT-vs-textbook runs both sides on the builtin ``pow()`` (the
   textbook formula is an oracle and never goes native), so the number
   isolates the CRT split itself.  The textbook baseline is timed on a
@@ -34,6 +39,9 @@ Methodology notes, so the numbers read honestly:
 """
 
 import json
+import os
+import platform
+import subprocess
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -53,6 +61,7 @@ SNAPSHOT = REPO_ROOT / "BENCH_vector.json"
 KEY_BITS = 1024
 BATCH_SIZES = (64,) if fast_mode() else (64, 1024)
 TEXTBOOK_SAMPLE = 8
+SUM_WORDS = 1024
 SEED_STREAM = 97
 #: Acceptance bar: what the obfuscator pool must buy on one engine.
 MIN_POOL_AMORTIZATION = 5.0
@@ -66,7 +75,8 @@ def _timed(fn):
 
 @contextmanager
 def _builtin_pow():
-    """Unbind the native kernel for the block: ``powmod`` is ``pow``."""
+    """Unbind the native library for the block: ``powmod`` is ``pow``
+    and no batch becomes resident."""
     bound = native._lib
     native._lib = None
     try:
@@ -164,6 +174,44 @@ def measure_native_vs_pow(keypair, batch=64):
     }
 
 
+def measure_resident_vs_python(keypair, words=SUM_WORDS):
+    """One ``sum_ciphertexts`` of ``words`` ciphertexts, bound vs unbound."""
+    pooled = _scalar_engine(keypair, pool_size=64)
+    ciphertexts = pooled.encrypt_batch(list(range(words)))
+
+    def run():
+        engine = _scalar_engine(keypair)
+        engine.sum_ciphertexts(ciphertexts)      # contexts, free list
+        return _timed(lambda: engine.sum_ciphertexts(ciphertexts))
+
+    total_resident, resident_seconds = run()
+    with _builtin_pow():
+        total_python, python_seconds = run()
+    assert total_resident == total_python
+    try:
+        commit = subprocess.run(
+            ["git", "describe", "--always", "--dirty"], cwd=REPO_ROOT,
+            check=True, capture_output=True, text=True,
+            timeout=30).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        commit = "unknown"
+    return {
+        "kind": "measured",
+        "seed": bench_seed(SEED_STREAM),
+        "commit": commit,
+        "host": f"{platform.machine()} {platform.system()}, "
+                f"{os.cpu_count()} cpus, python "
+                f"{platform.python_version()}",
+        "words": words,
+        "backend": native.BACKEND,
+        "python_seconds": python_seconds,
+        "resident_seconds": resident_seconds,
+        "python_us_per_add": 1e6 * python_seconds / (words - 1),
+        "resident_us_per_add": 1e6 * resident_seconds / (words - 1),
+        "speedup": python_seconds / resident_seconds,
+    }
+
+
 def measure_crt(keypair, batch=64):
     """CRT-split decryption against the textbook lambda formula.
 
@@ -207,10 +255,11 @@ def test_bench_vector_engine(benchmark):
 
     def run():
         return ([measure_batch(keypair, batch) for batch in BATCH_SIZES],
-                measure_crt(keypair), measure_native_vs_pow(keypair))
+                measure_crt(keypair), measure_native_vs_pow(keypair),
+                measure_resident_vs_python(keypair))
 
-    (rows, crt, kernel), = [benchmark.pedantic(run, rounds=1,
-                                               iterations=1)]
+    (rows, crt, kernel, resident), = [benchmark.pedantic(run, rounds=1,
+                                                         iterations=1)]
 
     table = format_table(
         ["Batch", "Encrypt x", "Decrypt x", "Add x",
@@ -227,7 +276,13 @@ def test_bench_vector_engine(benchmark):
                f"(pow(): CRT decrypt vs textbook {crt['speedup']:.1f}x; "
                f"{kernel['backend']} vs pow(): fresh encrypt "
                f"{kernel['encrypt_fresh']['speedup']:.1f}x, CRT decrypt "
-               f"{kernel['decrypt_crt']['speedup']:.1f}x)"))
+               f"{kernel['decrypt_crt']['speedup']:.1f}x; {SUM_WORDS}-word "
+               f"sum resident vs Python "
+               f"{resident['resident_us_per_add']:.1f} vs "
+               f"{resident['python_us_per_add']:.1f} us/add, "
+               f"{resident['speedup']:.1f}x [measured, seed "
+               f"{resident['seed']}, commit {resident['commit']}, "
+               f"{resident['host']}])"))
     publish("bench_vector", table)
 
     snapshot = {
@@ -237,6 +292,7 @@ def test_bench_vector_engine(benchmark):
         "batches": rows,
         "crt_vs_textbook": crt,
         "native_vs_pow": kernel,
+        "resident_vs_python": resident,
         "min_pool_amortization_required": MIN_POOL_AMORTIZATION,
     }
     SNAPSHOT.write_text(json.dumps(snapshot, indent=2) + "\n")

@@ -22,7 +22,7 @@ from repro.ledger import (
     CAT_HE_SCALAR_MUL,
     CostLedger,
 )
-from repro.mpint.native import powmod
+from repro.mpint.native import mulmod_batch, powmod
 from repro.mpint.primes import LimbRandom
 
 
@@ -77,8 +77,7 @@ class CpuPaillierEngine(HeEngine):
         """Homomorphic additions, one modular multiplication each."""
         if len(c1) != len(c2):
             raise ValueError("ciphertext batches differ in length")
-        results = [Paillier.raw_add(self.public_key, x, y)
-                   for x, y in zip(c1, c2)]
+        results = mulmod_batch(c1, c2, self.public_key.n_squared)
         self._charge(CAT_HE_ADD, len(c1),
                      self.profile.words_per_homomorphic_add(self.nominal_bits))
         self.report.additions += len(c1)

@@ -25,6 +25,7 @@ from repro.crypto.keys import PaillierKeypair
 from repro.crypto.paillier import Paillier
 from repro.ledger import CostLedger
 from repro.mpint.primes import LimbRandom
+from repro.tensor import planner
 from repro.tensor.cipher import CipherTensor
 from repro.tensor.meta import KeyMismatchError, key_fingerprint
 from repro.tensor.plain import PlainTensor
@@ -277,23 +278,26 @@ class HeEngine(ABC):
     # Shared helpers.
     # ------------------------------------------------------------------
 
+    @property
+    def residue_modulus(self) -> Optional[int]:
+        """The modulus under which :meth:`add_batch` is a plain product.
+
+        ``n^2`` for Paillier.  :func:`repro.tensor.planner.reduce_rows`
+        holds a reduction's words resident under it; ``None`` keeps them
+        Python integers.
+        """
+        return self.public_key.n_squared
+
     def sum_ciphertexts(self, ciphertexts: Sequence[int]) -> int:
         """Homomorphically sum a batch into one ciphertext.
 
         Reduces pairwise with :meth:`add_batch` so the additions are
-        charged on this engine's execution path.
+        charged on this engine's execution path: the one-word-per-row
+        case of :func:`repro.tensor.planner.reduce_rows`.
         """
-        values = list(ciphertexts)
-        if not values:
+        if not ciphertexts:
             raise ValueError("cannot sum an empty ciphertext batch")
-        while len(values) > 1:
-            half = len(values) // 2
-            pairs_left = values[:half]
-            pairs_right = values[half:2 * half]
-            combined = self.add_batch(pairs_left, pairs_right)
-            leftovers = values[2 * half:]
-            values = combined + leftovers
-        return values[0]
+        return planner.reduce_rows(self, ciphertexts, 1)[0]
 
     def _check_plaintexts(self, plaintexts: Sequence[int]) -> None:
         bound = self.public_key.n

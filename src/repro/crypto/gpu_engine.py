@@ -110,7 +110,7 @@ class GpuPaillierEngine(HeEngine):
             return []
         with self._charging(CAT_HE_ADD, len(c1)):
             results = self.kernels.mod_mul(
-                list(c1), list(c2), self.public_key.n_squared,
+                c1, c2, self.public_key.n_squared,
                 work_bits=self._work_bits)
         self.report.additions += len(c1)
         return results

@@ -68,6 +68,10 @@ class VectorPaillierEngine(HeEngine):
             disables pooling.
     """
 
+    #: Additions run on limb planes, which are built from Python
+    #: integers every call: a reduction's words stay plain.
+    residue_modulus = None
+
     def __init__(self, keypair: PaillierKeypair,
                  profile: HardwareProfile = DEFAULT_PROFILE,
                  nominal_bits: Optional[int] = None,

@@ -380,8 +380,7 @@ class SecureAggregator:
         total = uploaded[0].materialize(engine=self.server_engine)
         for other in uploaded[1:]:
             summed = total.meta.combine_add(other.meta)
-            words = self.server_engine.add_batch(list(total.words),
-                                                 list(other.words))
+            words = self.server_engine.add_batch(total.words, other.words)
             total = CipherTensor(summed, words=words,
                                  engine=self.server_engine)
         return total

@@ -29,7 +29,7 @@ from repro.gpu.resource_manager import (
 )
 from repro.mpint.modexp import modexp_multiplication_count
 from repro.mpint.montgomery import cios_work_estimate
-from repro.mpint.native import powmod
+from repro.mpint.native import mulmod_batch, powmod
 
 #: CUDA's architectural per-thread register ceiling (compute 7.x+).
 MAX_REGISTERS_PER_THREAD = 255
@@ -166,7 +166,7 @@ class GpuKernels:
             results = [self._limb_mod_mul(x, y, modulus)
                        for x, y in zip(a, b)]
         else:
-            results = [(x * y) % modulus for x, y in zip(a, b)]
+            results = mulmod_batch(a, b, modulus)
         limbs = self._work_limbs(modulus, work_bits)
         words = len(a) * cios_work_estimate(limbs)
         operand_bytes = limbs * (self.profile.word_bits // 8)

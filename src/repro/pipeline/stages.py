@@ -158,7 +158,7 @@ class HomomorphicComputePipeline(_PipelineBase):
 
         values, timing = self._gpu_stage(
             "gpu_compute", len(c1),
-            lambda: self.engine.add_batch(list(c1), list(c2)))
+            lambda: self.engine.add_batch(c1, c2))
         result.stages.append(timing)
 
         result.stages.append(self._host_stage(

@@ -193,7 +193,12 @@ class TensorMeta:
         return replace(self, shape=(new_count,), count=new_count)
 
     def summed(self, num_words: int) -> "TensorMeta":
-        """Metadata after homomorphically summing all words into one."""
+        """Metadata after homomorphically summing all words into one.
+
+        Raises:
+            ValueError: The layout cannot be summed, or the sum would
+                carry more summands than :meth:`summand_capacity`.
+        """
         if self.capacity != 1:
             raise ValueError(
                 "sum() needs capacity 1: summing packed words mixes "
@@ -204,5 +209,12 @@ class TensorMeta:
                 "positions; decode and re-encode densely instead")
         if num_words < 1:
             raise ValueError("cannot sum an empty tensor")
-        return replace(self, shape=(1,), count=1,
-                       summands=self.summands * num_words)
+        summands = self.summands * num_words
+        capacity = self.summand_capacity()
+        if summands > capacity:
+            raise ValueError(
+                f"summing {num_words} words of {self.summands} summands "
+                f"each carries {summands} summands, over the "
+                f"{self.codec!r} codec's capacity of {capacity}: the sum "
+                f"would overflow its guard bits and decode to garbage")
+        return replace(self, shape=(1,), count=1, summands=summands)

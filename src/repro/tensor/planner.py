@@ -14,7 +14,9 @@ owns the tree and the flush that turns it into a *minimal* sequence of
 - **add-tree batching** -- an n-ary add of ``k`` tensors of ``m`` words
   reduces level-wise with all pairs of a level concatenated into one
   ``add_batch`` launch: ``ceil(log2 k)`` launches instead of the eager
-  path's ``k - 1``;
+  path's ``k - 1``.  :func:`reduce_rows` is that reduction, and the only
+  one: ``sum()`` is its one-word-per-row case, and the words stay
+  resident in the native library from the first level to the last;
 - **slice pushdown** -- slicing commutes with add and scale, so it is
   pushed to the leaves and costs nothing.
 
@@ -27,6 +29,8 @@ charged differently, exactly like the real systems.
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
+
+from repro.mpint import native
 
 
 class Node:
@@ -128,7 +132,8 @@ class Add(Node):
                 rows.append(child.flush(engine))
                 scalars.append(1)
         rows = _fused_scalar_mul(engine, rows, scalars)
-        return _fused_add_reduce(engine, rows)
+        return reduce_rows(engine, [word for row in rows for word in row],
+                           width)
 
 
 class Sum(Node):
@@ -149,7 +154,7 @@ class Sum(Node):
 
     def flush(self, engine) -> List[int]:
         words = self.child.flush(engine)
-        # sum_ciphertexts reduces pairwise with one add_batch per level:
+        # On an HeEngine this is reduce_rows at one word per row:
         # ceil(log2 n) launches for n words.
         return [engine.sum_ciphertexts(words)]
 
@@ -179,25 +184,33 @@ def _fused_scalar_mul(engine, rows: List[List[int]],
     return rows
 
 
-def _fused_add_reduce(engine, rows: List[List[int]]) -> List[int]:
-    """Level-wise pairwise reduction, one launch per level.
+def reduce_rows(engine, words: Sequence[int], width: int) -> List[int]:
+    """Slot-wise sum of the ``len(words) // width`` rows of ``words``.
 
-    All pairs of a level are concatenated into a single ``add_batch``
-    call, so ``k`` equal-width rows cost ``ceil(log2 k)`` launches.
+    The level-wise pairwise reduction, one ``engine.add_batch`` per
+    level: row ``i`` of a level meets row ``half + i``, all pairs ride
+    the same launch and an odd row out is carried to the next level, so
+    ``k`` rows cost ``ceil(log2 k)`` launches.  An n-ary ``Add`` is this
+    at the tensors' width and ``HeEngine.sum_ciphertexts`` at width 1.
+
+    Where the engine's addition is a modular product under
+    ``engine.residue_modulus``, the words are converted into the native
+    library once (:func:`repro.mpint.native.resident`), every level
+    multiplies and slices them there, and only the final row is read
+    back: no resident batch outlives this call.
     """
-    while len(rows) > 1:
-        half = len(rows) // 2
-        left: List[int] = []
-        right: List[int] = []
-        for pair in range(half):
-            left.extend(rows[pair])
-            right.extend(rows[half + pair])
-        combined = engine.add_batch(left, right)
-        width = len(rows[0])
-        reduced = [combined[pair * width:(pair + 1) * width]
-                   for pair in range(half)]
-        rows = reduced + rows[2 * half:]
-    return list(rows[0]) if rows else []
+    rows = len(words) // width
+    if rows < 2:
+        return list(words)
+    values = native.resident(words,
+                             getattr(engine, "residue_modulus", None))
+    while rows > 1:
+        half = rows // 2
+        split = half * width
+        values = (engine.add_batch(values[:split], values[split:2 * split])
+                  + values[2 * split:])
+        rows -= half
+    return list(values)
 
 
 def eager_flush(node: Node, engine) -> List[int]:
@@ -236,7 +249,10 @@ def plan_summary(node: Node) -> Tuple[int, int]:
     """(engine calls, leaf count) the planner will spend on ``node``.
 
     Purely informational -- used by tests and the benchmark to report
-    fusion wins without executing anything.
+    fusion wins without executing anything.  ``Sum`` and ``Add`` both
+    count the levels of :func:`reduce_rows` (over the child's words and
+    over the operands); residency changes where a level's arithmetic
+    runs, never how many levels or calls there are.
     """
     if isinstance(node, Leaf):
         return 0, 1

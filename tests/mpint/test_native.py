@@ -1,6 +1,7 @@
-"""``repro.mpint.native.powmod`` is ``pow``: same integers, same errors.
+"""``repro.mpint.native.powmod`` is ``pow``: same integers, same errors;
+``mulmod_batch`` over ``resident`` batches is ``(x * y) % n``.
 
-numpy-free.  The builtin is the oracle throughout; the tests that need
+numpy-free.  The builtins are the oracle throughout; the tests that need
 the library itself skip where none could be bound (and under
 ``pytest --no-native``).
 """
@@ -19,7 +20,13 @@ from hypothesis import strategies as st
 
 import repro
 from repro.mpint import native
-from repro.mpint.native import NATIVE_MIN_MODULUS_BITS, powmod
+from repro.mpint.native import (
+    NATIVE_MIN_MODULUS_BITS,
+    ResidueBatch,
+    mulmod_batch,
+    powmod,
+    resident,
+)
 
 needs_native = pytest.mark.skipif(
     not native.HAVE_NATIVE, reason="no libcrypto bound on this host")
@@ -256,6 +263,309 @@ def test_two_threads_interleaving_calls():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == expected
+
+
+# ----------------------------------------------------------------------
+# Resident batches: mulmod_batch is the Python expression.
+# ----------------------------------------------------------------------
+
+def python_products(a, b, modulus):
+    return [(x * y) % modulus for x, y in zip(a, b)]
+
+
+def odd_modulus(rng, bits):
+    return rng.randbits(bits) | (1 << (bits - 1)) | 1
+
+
+def level_wise(values, modulus):
+    """The reducer's pairing (``i`` with ``half + i``, leftovers carried)
+    over whatever ``values`` is, one ``mulmod_batch`` per level."""
+    levels = []
+    while len(values) > 1:
+        half = len(values) // 2
+        levels.append((values[:half], values[half:2 * half]))
+        values = mulmod_batch(*levels[-1], modulus) + values[2 * half:]
+    return values, levels
+
+
+def python_fold(values, modulus):
+    total = 1
+    for value in values:
+        total = (total * value) % modulus
+    return total
+
+
+@st.composite
+def _batches(draw, bits):
+    modulus = draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) | 1
+    residue = st.one_of(st.integers(0, modulus - 1),
+                        st.sampled_from((0, 1, modulus - 1)))
+    size = draw(st.integers(1, 6))
+    return (draw(st.lists(residue, min_size=size, max_size=size)),
+            draw(st.lists(residue, min_size=size, max_size=size)), modulus)
+
+
+@pytest.mark.parametrize("bits", (256, 2048, 4096))
+def test_mulmod_batch_of_resident_batches_is_the_python_expression(bits):
+    @settings(max_examples=25, deadline=None)
+    @given(_batches(bits))
+    def check(batches):
+        a, b, modulus = batches
+        products = mulmod_batch(resident(a, modulus), resident(b, modulus),
+                                modulus)
+        assert list(products) == python_products(a, b, modulus)
+        if native.HAVE_NATIVE:
+            assert type(products) is ResidueBatch
+    check()
+
+
+@pytest.mark.parametrize("count", (1, 2, 3, 5, 7, 1000, 1024))
+def test_a_full_reduction_is_the_python_fold(count, rng):
+    # Odd counts carry a word past a level, so one launch multiplies
+    # handles of different deficits.
+    modulus = odd_modulus(rng, 512)
+    values = [rng.randbits(512) % modulus for _ in range(count)]
+    reduced, levels = level_wise(resident(values, modulus), modulus)
+    assert list(reduced) == [python_fold(values, modulus)]
+    assert len(levels) == (count - 1).bit_length()
+    if native.HAVE_NATIVE:
+        assert all(type(side) is ResidueBatch
+                   for level in levels for side in level)
+
+
+def test_reading_a_batch_back_is_exact_at_every_level(rng):
+    modulus = odd_modulus(rng, 2048)
+    values = [rng.randbits(2048) % modulus for _ in range(5)]
+    plain, batch = list(values), resident(values, modulus)
+    for _ in range(4):
+        plain = python_products(plain, plain[::-1], modulus)
+        batch = mulmod_batch(batch, batch[::-1], modulus)
+        assert list(batch) == plain
+        assert [batch[i] for i in range(-5, 5)] == plain + plain
+        assert len(batch) == 5 and plain[2] in batch
+
+
+def test_aliased_operands(rng):
+    modulus = odd_modulus(rng, 1024)
+    values = [rng.randbits(1024) % modulus for _ in range(6)]
+    batch = resident(values, modulus)
+    assert list(mulmod_batch(batch, batch, modulus)) == \
+        python_products(values, values, modulus)
+    # A slice shares its parent's handles; so does a concatenation.
+    assert list(mulmod_batch(batch[1:4], batch, modulus)) == \
+        python_products(values[1:4], values, modulus)
+    doubled = batch + batch[:2]
+    assert list(mulmod_batch(doubled, doubled[::-1], modulus)) == \
+        python_products(values + values[:2], (values + values[:2])[::-1],
+                        modulus)
+    if native.HAVE_NATIVE:
+        assert batch[1:4]._handles == batch._handles[1:4]
+        assert doubled._handles == batch._handles + batch._handles[:2]
+
+
+def test_operands_outside_the_residue_range_enter_reduced(rng):
+    modulus = odd_modulus(rng, 300)
+    values = [modulus, modulus + 5, (modulus << 40) + 3, -1, -modulus - 2, 7]
+    batch = resident(values, modulus)
+    if native.HAVE_NATIVE:
+        assert list(batch) == [value % modulus for value in values]
+    assert list(mulmod_batch(batch, batch, modulus)) == \
+        python_products(values, values, modulus)
+
+
+@needs_native
+def test_what_cannot_be_resident_stays_a_plain_list(rng):
+    odd = odd_modulus(rng, 512)
+    values = [rng.randbits(500) for _ in range(4)]
+    tiny = (1 << (NATIVE_MIN_MODULUS_BITS - 1)) - 1
+    for modulus in (odd + 1, tiny, 0, -odd, float(odd), None):
+        assert resident(values, modulus) == values
+        assert type(resident(values, modulus)) is list
+    assert resident([], odd) == []
+    assert resident([3, True], odd) == [3, True]
+    assert resident(tuple(values), odd + 1) == values
+    assert type(resident(iter(values), odd)) is ResidueBatch
+
+
+@needs_native
+def test_operands_under_another_modulus_take_the_python_expression(
+        rng, monkeypatch):
+    first, second = odd_modulus(rng, 512), odd_modulus(rng, 512)
+    values = [rng.randbits(500) for _ in range(4)]
+    under_first, under_second = resident(values, first), \
+        resident(values, second)
+    monkeypatch.setattr(
+        native._ModulusContext, "multiply",
+        lambda *args: pytest.fail("the library multiplied"))
+    mixed = (
+        (under_first, under_second, first),
+        (under_first, under_first, second),
+        (under_first, values, first),
+        (values, under_first, first),
+        (under_first, under_first, first + 1),
+    )
+    for a, b, modulus in mixed:
+        products = mulmod_batch(a, b, modulus)
+        assert type(products) is list
+        assert products == python_products(values, values, modulus)
+
+
+@needs_native
+def test_concatenation_outside_one_modulus_is_a_plain_list(rng):
+    first, second = odd_modulus(rng, 256), odd_modulus(rng, 256)
+    values = [rng.randbits(200) for _ in range(3)]
+    batch = resident(values, first)
+    assert batch + values == values + values == values + batch
+    assert batch + resident(values, second) == values + values
+    assert (batch + batch[:0]) is batch and (batch[:0] + batch) is batch
+    with pytest.raises(TypeError):
+        batch + tuple(values)
+
+
+@needs_native
+def test_a_failed_product_falls_back_for_that_level(monkeypatch, rng):
+    modulus = odd_modulus(rng, 1024)
+    values = [rng.randbits(1000) for _ in range(8)]
+    batch = resident(values, modulus)
+    squares = python_products(values, values, modulus)
+    cleared = []
+    idle = sum(map(len, native._free))
+    with monkeypatch.context() as patch:
+        patch.setattr(native._lib, "BN_mod_mul_montgomery",
+                      lambda *args: 0)
+        patch.setattr(native._lib, "ERR_clear_error",
+                      lambda: cleared.append(True))
+        failed = mulmod_batch(batch, batch, modulus)
+    assert type(failed) is list and failed == squares
+    assert cleared == [True]
+    # The handles the failed level took went back; the next level is
+    # native again and the operands are untouched.
+    assert sum(map(len, native._free)) == idle
+    again = mulmod_batch(batch, batch, modulus)
+    assert type(again) is ResidueBatch and list(again) == squares
+
+
+@needs_native
+def test_a_failed_conversion_returns_the_plain_list(monkeypatch, rng):
+    modulus = odd_modulus(rng, 1024)
+    values = [rng.randbits(1000) for _ in range(8)]
+    resident(values, modulus)       # the context exists
+    cleared = []
+    with monkeypatch.context() as patch:
+        patch.setattr(native._lib, "BN_lebin2bn", lambda *args: None)
+        patch.setattr(native._lib, "ERR_clear_error",
+                      lambda: cleared.append(True))
+        assert resident(iter(values), modulus) == values
+    assert cleared == [True]
+
+
+def test_unbound_library_keeps_plain_lists(no_native, rng):
+    modulus = odd_modulus(rng, 1024)
+    values = [rng.randbits(1000) for _ in range(4)]
+    batch = resident(values, modulus)
+    assert type(batch) is list and batch == values
+    assert mulmod_batch(batch, batch, modulus) == \
+        python_products(values, values, modulus)
+
+
+@needs_native
+def test_a_batch_outlives_an_unbinding(rng, monkeypatch):
+    modulus = odd_modulus(rng, 1024)
+    values = [rng.randbits(1000) for _ in range(4)]
+    batch = resident(values, modulus)
+    monkeypatch.setattr(native, "_lib", None)
+    products = mulmod_batch(batch, batch, modulus)
+    assert type(products) is list
+    assert products == python_products(values, values, modulus)
+
+
+@needs_native
+def test_the_free_list_stops_growing_after_the_first_sum(rng):
+    modulus = odd_modulus(rng, 1024)
+    values = [rng.randbits(1000) for _ in range(1024)]
+    expected = python_fold(values, modulus)
+    before = sum(map(len, native._free))
+    idle = []
+    for _ in range(100):
+        reduced, _ = level_wise(resident(values, modulus), modulus)
+        assert list(reduced) == [expected]
+        del reduced, _
+        idle.append(sum(map(len, native._free)))
+    assert len(set(idle)) == 1
+    # Each level's operands are released as the next one starts, so a
+    # sum never holds 2n handles; earlier tests may have left more idle.
+    assert idle[0] <= max(before, 2 * len(values))
+
+
+@needs_native
+def test_idle_handles_are_bounded(rng, monkeypatch):
+    monkeypatch.setattr(native._Block.__del__, "__defaults__",
+                        (native._free, 0))
+    freed = []
+    real = native._lib.BN_free
+    monkeypatch.setattr(native._lib, "BN_free",
+                        lambda handle: (freed.append(handle), real(handle)))
+    modulus = odd_modulus(rng, 256)
+    before = sum(map(len, native._free))
+    batch = resident([3, 5, 7], modulus)
+    handles = list(batch._handles)
+    del batch
+    assert freed == handles
+    assert sum(map(len, native._free)) <= before
+
+
+@needs_native
+def test_two_threads_reducing_concurrently(rng):
+    """Shared context, shared free list, per-thread ``BN_CTX``."""
+    moduli = (odd_modulus(rng, 1024),) * 2 + (odd_modulus(rng, 2048),)
+    batches = [[rng.randbits(1000) for _ in range(257)] for _ in moduli]
+    expected = [python_fold(values, modulus)
+                for values, modulus in zip(batches, moduli)]
+    results = [[] for _ in moduli]
+
+    def work(slot):
+        for _ in range(20):
+            reduced, _ = level_wise(
+                resident(batches[slot], moduli[slot]), moduli[slot])
+            results[slot].extend(reduced)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(slot,))
+                   for slot in range(len(moduli))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[value] * 20 for value in expected]
+
+
+@needs_native
+def test_the_context_cache_is_bounded(rng):
+    held = resident([2, 3], odd_modulus(rng, 256))
+    for _ in range(3 * native._CONTEXT_CACHE_MAX):
+        modulus = odd_modulus(rng, 256)
+        assert list(mulmod_batch(resident([2, 3], modulus),
+                                 resident([5, 7], modulus), modulus)) \
+            == [10, 21]
+        assert len(native._contexts) <= native._CONTEXT_CACHE_MAX
+    # An evicted context lives as long as a batch under it does.
+    assert list(mulmod_batch(held, held, held._context.modulus)) == [4, 9]
+
+
+@needs_native
+def test_load_rejects_a_library_that_fails_the_product_known_answer(
+        monkeypatch):
+    monkeypatch.setattr(native, "_KAT_CUBE", native._KAT_CUBE ^ 1)
+    assert native._load() == (None, "python")
+
+
+def test_product_known_answer_is_the_python_expression():
+    assert native._KAT_RESULT ** 3 % native._KAT_MODULUS == native._KAT_CUBE
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for TensorMeta: validation and the summand algebra."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.quantization.encoding import QuantizationScheme
@@ -86,6 +88,30 @@ class TestSummandAlgebra:
         summed = make_meta(count=6, capacity=1).summed(6)
         assert summed.count == 1
         assert summed.summands == 6
+
+    def test_sum_at_the_summand_capacity_passes(self):
+        # num_parties=8 -> three guard bits -> eight summands.
+        meta = make_meta(count=8, capacity=1)
+        assert meta.summand_capacity() == 8
+        assert meta.summed(8).summands == 8
+        assert make_meta(count=4, capacity=1, summands=2).summed(4) \
+            .summands == 8
+
+    def test_sum_one_past_the_summand_capacity_raises(self):
+        with pytest.raises(ValueError, match="capacity of 8"):
+            make_meta(count=9, capacity=1).summed(9)
+        with pytest.raises(ValueError, match="10 summands"):
+            make_meta(count=5, capacity=1, summands=2).summed(5)
+
+    def test_sum_honours_the_interleave_codecs_wider_band(self):
+        dense = make_meta(count=33, capacity=1)
+        wide = replace(dense, codec="interleave", codec_params=(5,))
+        assert wide.summand_capacity() == 32
+        assert wide.summed(32).summands == 32
+        with pytest.raises(ValueError, match="'interleave' codec"):
+            wide.summed(33)
+        with pytest.raises(ValueError, match="'dense' codec"):
+            dense.summed(32)
 
 
 class TestSlicing:

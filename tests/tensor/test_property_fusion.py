@@ -8,7 +8,7 @@ operand counts and scalar factors.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.crypto.cpu_engine import CpuPaillierEngine
 from repro.ledger import CostLedger
@@ -16,6 +16,11 @@ from repro.mpint.primes import LimbRandom
 from repro.quantization.encoding import QuantizationScheme
 from repro.quantization.packing import BatchPacker
 from repro.tensor.plain import PlainTensor
+
+
+# tests/test_no_native.py collects this class a second time (library
+# unbound), so each method legitimately runs on two instances.
+TWO_BINDINGS = [HealthCheck.differing_executors]
 
 
 @st.composite
@@ -33,7 +38,8 @@ def fusion_cases(draw):
 
 
 class TestFusedEqualsEager:
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=TWO_BINDINGS)
     @given(case=fusion_cases())
     def test_weighted_sum_matches(self, paillier_128, case):
         count, capacity, r_bits, scalars, seed = case
@@ -71,7 +77,8 @@ class TestFusedEqualsEager:
         tolerance = sum(scalars) * scheme.quantization_step
         assert np.allclose(decoded, expected, atol=tolerance)
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=TWO_BINDINGS)
     @given(count=st.integers(min_value=1, max_value=12),
            seed=st.integers(min_value=0, max_value=2 ** 16))
     def test_sum_matches_eager_accumulation(self, paillier_128, count,
