@@ -39,14 +39,17 @@ Methodology notes, so the numbers read honestly:
 """
 
 import json
-import os
-import platform
-import subprocess
 import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from benchmarks.common import bench_random, bench_seed, fast_mode, publish
+from benchmarks.common import (
+    bench_random,
+    bench_seed,
+    fast_mode,
+    provenance,
+    publish,
+)
 from repro.crypto.cpu_engine import CpuPaillierEngine
 from repro.crypto.paillier import Paillier
 from repro.crypto.vector_engine import VectorPaillierEngine
@@ -188,20 +191,9 @@ def measure_resident_vs_python(keypair, words=SUM_WORDS):
     with _builtin_pow():
         total_python, python_seconds = run()
     assert total_resident == total_python
-    try:
-        commit = subprocess.run(
-            ["git", "describe", "--always", "--dirty"], cwd=REPO_ROOT,
-            check=True, capture_output=True, text=True,
-            timeout=30).stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        commit = "unknown"
     return {
         "kind": "measured",
-        "seed": bench_seed(SEED_STREAM),
-        "commit": commit,
-        "host": f"{platform.machine()} {platform.system()}, "
-                f"{os.cpu_count()} cpus, python "
-                f"{platform.python_version()}",
+        **provenance(SEED_STREAM),
         "words": words,
         "backend": native.BACKEND,
         "python_seconds": python_seconds,

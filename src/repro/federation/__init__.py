@@ -22,7 +22,7 @@ ledger so the benchmark harness can read epoch times and component splits.
   failover.
 - :mod:`repro.federation.eventloop` -- the deterministic event loop:
   virtual clock, bounded per-shard ingress queues, admission control,
-  deadline shedding, per-shard circuit breakers.
+  deadline shedding, per-lane circuit breakers.
 - :mod:`repro.federation.shard` -- two-level sharded aggregation (leaf
   shards combine ciphertexts, the root decrypts in capacity-bounded
   segments) with per-node WAL + standby failover, the WAL-journaled
@@ -65,9 +65,8 @@ from repro.federation.eventloop import (
     AsyncChannel,
     CircuitBreaker,
     DrainOutcome,
+    QueueStats,
     QuotaExceeded,
-    ShardQueueStats,
-    TenantQueueStats,
     VirtualClock,
 )
 from repro.federation.shard import (
@@ -143,9 +142,8 @@ __all__ = [
     "AsyncChannel",
     "CircuitBreaker",
     "DrainOutcome",
+    "QueueStats",
     "QuotaExceeded",
-    "ShardQueueStats",
-    "TenantQueueStats",
     "VirtualClock",
     "FailoverRecord",
     "MultiTenantAggregationService",

@@ -36,7 +36,16 @@ and are now gone; use the ``*_tensor`` methods.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Collection,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -85,11 +94,11 @@ class SecureAggregator:
         packer: Plaintext packing plan (capacity 1 models "no BC").
         channel: Byte-counting network.
         packed_serialization: Wire format flag for the channel.
-        injector: Default fault injector consulted per round (crash /
-            dropout / straggler state); per-call arguments override it.
+        injector: Fault injector consulted per round (crash / dropout /
+            straggler state).
         min_quorum: Default minimum surviving clients per round; ``None``
             requires every scheduled client (the fault-free semantics).
-        round_deadline_seconds: Default round deadline; stragglers whose
+        round_deadline_seconds: Round deadline; stragglers whose
             delay exceeds it are excluded from the round instead of
             charged.
         fused: Flush the server-side sum through the lazy fusion planner
@@ -243,57 +252,82 @@ class SecureAggregator:
                 f"quorum {required} impossible with {cohort_size} clients")
         return vectors, round_index, required
 
-    def client_gate(self, round_index: int, dropped: List[tuple],
-                    injector: Optional[FaultInjector] = None,
-                    deadline_seconds: Optional[float] = None,
-                    representative_charged: bool = False
-                    ) -> Callable[[str, np.ndarray],
-                                  Optional[Tuple[CipherTensor, float]]]:
-        """One round's per-client fault gate and encryption step.
+    def client_gate(self, name: str, vector: np.ndarray, round_index: int,
+                    dropped: List[tuple], charged: bool
+                    ) -> Optional[Tuple[CipherTensor, float]]:
+        """One client's fault gate and encryption step.
 
-        Returns ``admit(name, vector)``.  Each call runs the client
-        through the injector -- offline, then a straggler delay the
-        round deadline excludes, then a delay that is waited out, each
-        charged as it is decided -- and encrypts the vector of a client
-        that gets through.  Only the first such client of the round (the
-        *representative*) is charged for its client-side work.
+        Runs the client through the injector -- offline, then a
+        straggler delay the round deadline excludes, then a delay that
+        is waited out, each charged as it is decided -- and encrypts the
+        vector of a client that gets through.  ``charged`` marks the
+        round's *representative*, the first client through the gate: it
+        alone is charged for the clients' (parallel) work.
 
-        ``admit`` returns ``(tensor, straggler_delay)``, or ``None``
-        after appending ``(name, reason)`` to ``dropped``.
-
-        Args:
-            representative_charged: A resumed round whose log already
-                holds an upload has charged its representative.
+        Returns ``(tensor, straggler_delay)``, or ``None`` after
+        appending ``(name, reason)`` to ``dropped``.
         """
-        def admit(name: str, vector: np.ndarray
-                  ) -> Optional[Tuple[CipherTensor, float]]:
-            nonlocal representative_charged
-            delay = 0.0
-            if injector is not None:
-                if not injector.is_alive(name, round_index):
-                    dropped.append((name, "offline"))
+        injector = self.injector
+        deadline_seconds = self.round_deadline_seconds
+        delay = 0.0
+        if injector is not None:
+            if not injector.is_alive(name, round_index):
+                dropped.append((name, "offline"))
+                return None
+            delay = injector.straggler_delay(name, round_index)
+            if delay > 0:
+                if deadline_seconds is not None and \
+                        delay > deadline_seconds:
+                    injector.charge_deadline_miss(name, round_index,
+                                                  deadline_seconds)
+                    dropped.append((name, "deadline"))
                     return None
-                delay = injector.straggler_delay(name, round_index)
-                if delay > 0:
-                    if deadline_seconds is not None and \
-                            delay > deadline_seconds:
-                        injector.charge_deadline_miss(name, round_index,
-                                                      deadline_seconds)
-                        dropped.append((name, "deadline"))
-                        return None
-                    injector.charge_straggler(name, round_index, delay)
-            charged = not representative_charged
-            representative_charged = True
-            return self.encrypt_tensor(vector, charged=charged), delay
+                injector.charge_straggler(name, round_index, delay)
+        return self.encrypt_tensor(vector, charged=charged), delay
 
-        return admit
+    def collect_uploads(self, vectors: Sequence[np.ndarray],
+                        round_index: int, dropped: List[tuple],
+                        send: Callable[[str, CipherTensor], CipherTensor],
+                        held: Collection[str] = ()
+                        ) -> Iterator[Tuple[str, CipherTensor]]:
+        """The upload loop every flat round shares.
+
+        Per scheduled client, in order: a client in ``held`` (its upload
+        was journaled before a crash, so the round's representative is
+        already charged) is passed over; :meth:`client_gate` drops or
+        encrypts; ``send(name, tensor)`` moves it over the charged
+        channel and returns what arrived -- a transfer that exhausted
+        its retries is charged as a lost update and the client dropped;
+        :meth:`validate_ciphertexts` range-checks the payload.  Yields
+        ``(name, payload)`` for each upload that made it, so the
+        caller's acceptance step runs before the next client is gated.
+        """
+        charged = not held
+        for index, vector in enumerate(vectors):
+            name = f"client-{index}"
+            if name in held:
+                continue
+            gated = self.client_gate(name, vector, round_index, dropped,
+                                     charged)
+            if gated is None:
+                continue
+            charged = False
+            try:
+                payload = send(name, gated[0])
+            except ChannelError as error:
+                if self.injector is None:
+                    raise
+                self.injector.charge_lost_update(
+                    name, round_index, wasted_bytes=error.wasted_bytes)
+                dropped.append((name, "lost"))
+                continue
+            self.validate_ciphertexts(payload)
+            yield name, payload
 
     def aggregate(self, client_vectors: Sequence[np.ndarray],
                   tag: str = "gradients",
                   min_quorum: Optional[int] = None,
-                  injector: Optional[FaultInjector] = None,
-                  round_index: Optional[int] = None,
-                  deadline_seconds: Optional[float] = None) -> np.ndarray:
+                  round_index: Optional[int] = None) -> np.ndarray:
         """One secure-averaging round; returns the slot-wise *sum*.
 
         Every client encrypts its vector; the representative client's work
@@ -321,31 +355,14 @@ class SecureAggregator:
         """
         vectors, round_index, required = self.resolve_round(
             client_vectors, round_index, min_quorum)
-        injector = injector if injector is not None else self.injector
-        if deadline_seconds is None:
-            deadline_seconds = self.round_deadline_seconds
         round_report = AggregationRound(round_index=round_index)
-        admit = self.client_gate(round_index, round_report.dropped,
-                                 injector, deadline_seconds)
 
         uploaded: List[CipherTensor] = []
-        for index, vector in enumerate(vectors):
-            name = f"client-{index}"
-            gated = admit(name, vector)
-            if gated is None:
-                continue
-            try:
-                payload = self.send_tensor(gated[0], sender=name,
-                                           receiver="server",
-                                           tag=f"upload.{tag}")
-            except ChannelError as error:
-                if injector is None:
-                    raise
-                injector.charge_lost_update(name, round_index,
-                                            wasted_bytes=error.wasted_bytes)
-                round_report.dropped.append((name, "lost"))
-                continue
-            self.validate_ciphertexts(payload)
+        for name, payload in self.collect_uploads(
+                vectors, round_index, round_report.dropped,
+                send=lambda name, tensor: self.send_tensor(
+                    tensor, sender=name, receiver="server",
+                    tag=f"upload.{tag}")):
             uploaded.append(payload)
             round_report.survivors.append(name)
 

@@ -51,7 +51,7 @@ from typing import (
 import numpy as np
 
 from repro.federation.aggregator import AggregationRound, SecureAggregator
-from repro.federation.channel import ChannelError, Message
+from repro.federation.channel import Message
 from repro.federation.faults import QuorumError
 from repro.federation.serialization import (
     deserialize_tensor,
@@ -198,6 +198,13 @@ class LeaseManager:
                 f"{f' ({holder})' if holder else ''} is fenced: "
                 f"{self.lease.holder!r} holds incarnation "
                 f"{self.lease.incarnation}")
+
+
+def frame_tensor(frame: str, engine) -> CipherTensor:
+    """Decode one journaled (hex) tensor frame onto ``engine``."""
+    tensor = deserialize_tensor(bytes.fromhex(frame))
+    return CipherTensor(tensor.meta, words=list(tensor.words),
+                        engine=engine)
 
 
 @dataclass
@@ -383,19 +390,12 @@ class RoundStateMachine:
                 and not self.round.closed
                 and client in self.round.upload_frames)
 
-    def upload_tensors(self, engine=None) -> List[CipherTensor]:
+    def upload_tensors(self, engine) -> List[CipherTensor]:
         """The accepted uploads as tensors, in acceptance order."""
         if self.round is None:
             return []
-        tensors = []
-        for client in self.round.survivors:
-            tensor = deserialize_tensor(
-                bytes.fromhex(self.round.upload_frames[client]))
-            if engine is not None:
-                tensor = CipherTensor(tensor.meta, words=list(tensor.words),
-                                      engine=engine)
-            tensors.append(tensor)
-        return tensors
+        return [frame_tensor(self.round.upload_frames[client], engine)
+                for client in self.round.survivors]
 
     def digest(self) -> int:
         """CRC-32 of the canonical state -- the bit-identity witness.
@@ -589,12 +589,14 @@ class DurableCoordinator:
         # Otherwise the log already holds this round: resume it, or --
         # the predecessor died right after its round_close -- honour
         # the decision instead of reopening.
+        engine = self.aggregator.server_engine
+        accepted: Optional[List[CipherTensor]] = None
         if not state.closed and not state.quorum_logged:
             intake()
             if len(state.survivors) < quorum:
                 self._log(ROUND_CLOSE, round_index, aborted="quorum")
             else:
-                accepted = self.machine.upload_tensors()
+                accepted = self.machine.upload_tensors(engine)
                 summands = sum(t.meta.summands for t in accepted)
                 if single_sum:
                     # Honor the *uploads'* codec: an interleaved layout
@@ -611,8 +613,11 @@ class DurableCoordinator:
                           summands=summands)
         if not state.closed:
             if state.result is None and state.partial_frame is None:
-                self._commit(round_index, tag, self.machine.upload_tensors(
-                    engine=self.aggregator.server_engine))
+                if accepted is None:
+                    # Quorum was logged by a predecessor: rebuild the
+                    # uploads from the journal.
+                    accepted = self.machine.upload_tensors(engine)
+                self._commit(round_index, tag, accepted)
             self._log(ROUND_CLOSE, round_index)
         if state.aborted == "quorum":
             raise QuorumError(round_index, state.survivors, quorum,
@@ -661,32 +666,15 @@ class DurableCoordinator:
         vectors, round_index, required = agg.resolve_round(
             client_vectors, round_index, min_quorum)
         report = AggregationRound(round_index=round_index)
-        injector = agg.injector
 
         def intake() -> None:
-            admit = agg.client_gate(
-                round_index, report.dropped, injector,
-                agg.round_deadline_seconds,
-                representative_charged=bool(self.machine.round.survivors))
-            for index, vector in enumerate(vectors):
-                name = f"client-{index}"
-                if self.machine.has_upload(round_index, name):
-                    continue  # exactly-once: logged before the crash
-                gated = admit(name, vector)
-                if gated is None:
-                    continue
-                try:
-                    payload = agg.send_tensor(
-                        gated[0], sender=name, receiver=self.name,
-                        tag=f"upload.{tag}")
-                except ChannelError as error:
-                    if injector is None:
-                        raise
-                    injector.charge_lost_update(
-                        name, round_index, wasted_bytes=error.wasted_bytes)
-                    report.dropped.append((name, "lost"))
-                    continue
-                agg.validate_ciphertexts(payload)
+            # Exactly-once: uploads logged before a crash are held.
+            for name, payload in agg.collect_uploads(
+                    vectors, round_index, report.dropped,
+                    send=lambda name, tensor: agg.send_tensor(
+                        tensor, sender=name, receiver=self.name,
+                        tag=f"upload.{tag}"),
+                    held=self.machine.round.upload_frames):
                 self.accept_upload(round_index, name, payload)
 
         def finish() -> None:

@@ -1,5 +1,5 @@
 """Event-loop channel: bounded ingress queues, admission control,
-deadline shedding, and per-shard circuit breaking.
+deadline shedding, and per-lane circuit breaking.
 
 The in-process mailbox loop the federation grew up with delivers every
 upload synchronously and unconditionally -- fine for the paper's four
@@ -17,31 +17,36 @@ layer owns its own time source; the simulator re-exports it):
   overloaded or fenced shard returns instead of accepting an upload it
   cannot serve.  Every rejection is charged to the ledger
   (``comm.admission.reject``), so refused work is never invisible.
-- :class:`CircuitBreaker` -- per-shard failure fencing: after
+- :class:`CircuitBreaker` -- failure fencing: after
   ``failure_threshold`` consecutive delivery failures the breaker opens
   for ``cooldown_seconds`` of modelled time (charged once to
   ``fault.circuit_open``), the shard is excluded from cohorts instead of
   poisoning the root, and a half-open probe readmits it after the
   cooldown.
+- :class:`Lane` -- the unit of admission state, one per (shard,
+  tenant): one :class:`QueueStats` counter set, one breaker, and the
+  tenant's channel, quota bucket, queue slice and overload probe.  A
+  single-tenant service is the one-tenant case: its uploads travel the
+  *anonymous* tenant's lanes (``tenant=None``).
 - :class:`AsyncChannel` -- bounded per-shard ingress queues in front of
   the byte-counting :class:`~repro.federation.channel.Channel`.
-  ``submit`` applies admission control (accept / reject-full /
-  reject-fenced); ``drain`` delivers the backlog in FIFO order, shedding
-  entries whose modelled delivery time would blow the round deadline
-  (charged to ``fault.shed``) so the round degrades into quorum + Eq. 6
-  partial aggregation instead of stalling.
+  ``submit`` applies admission control on the upload's lane (accept /
+  reject-fenced / reject-quota / reject-overload / reject-full);
+  ``drain`` delivers the backlog in FIFO order, shedding entries whose
+  modelled delivery time would blow the round deadline (charged to
+  ``fault.shed``) so the round degrades into quorum + Eq. 6 partial
+  aggregation instead of stalling.
 
-Multi-tenancy (PR 9): when an :class:`AsyncChannel` is built over a
-:class:`~repro.federation.tenancy.TenantRegistry`, admission becomes
-*tenant-scoped*.  Each tenant submits through its own registered
-:class:`~repro.federation.channel.Channel` (so charges land in that
-tenant's ledger, under tenant-prefixed ``comm.admission.*`` categories),
-holds a weighted slice of every shard queue (``capacity * weight /
-total_weight``, floored, at least one slot -- one tenant's flood can
-never occupy another's slots), spends a token-bucket quota per upload
-(:class:`QuotaExceeded`, a retryable :class:`AdmissionRejected` with
-reason ``quota``), and fails against its *own* per-(shard, tenant)
-circuit breaker -- a sick tenant fences only itself.
+Multi-tenancy (PR 9): over a
+:class:`~repro.federation.tenancy.TenantRegistry`, each named tenant
+registers its own :class:`~repro.federation.channel.Channel` (so charges
+land in that tenant's ledger, under tenant-prefixed ``comm.admission.*``
+categories), holds a weighted slice of every shard queue (``capacity *
+weight / total_weight``, floored, at least one slot -- one tenant's
+flood can never occupy another's slots), spends a token-bucket quota per
+upload (:class:`QuotaExceeded`, a retryable :class:`AdmissionRejected`
+with reason ``quota``), and fails against its *own* lanes' circuit
+breakers -- a sick tenant fences only itself.
 
 Accounting invariant (asserted by the overload and tenancy tests):
 every submitted upload is exactly one of *accepted-and-delivered*,
@@ -49,24 +54,23 @@ every submitted upload is exactly one of *accepted-and-delivered*,
 ``comm.admission.reject`` / ``comm.admission.quota``) -- no silent
 loss, and queue memory never exceeds the configured bound.  Across an
 elastic shard split or merge (:meth:`AsyncChannel.migrate`), migrated
-in-flight entries carry their acceptance with them: per shard and per
-tenant, ``accepted + migrated_in - migrated_out == delivered + shed +
-failed + queued`` at every point.
+in-flight entries carry their acceptance with them: per lane -- and so
+per shard, whose totals are the sum of its lanes' -- ``accepted +
+migrated_in - migrated_out == delivered + shed + failed + queued`` at
+every point.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.federation.channel import Channel, ChannelError, Message
 from repro.ledger import (
-    CAT_COMM_ADMISSION_ACCEPT,
-    CAT_COMM_ADMISSION_REJECT,
     CAT_FAULT_CIRCUIT_OPEN,
     CAT_FAULT_SHED,
-    CostLedger,
     admission_category,
 )
 
@@ -76,6 +80,15 @@ ADMISSION_BYTES = 48
 
 #: Modelled per-message dequeue/dispatch overhead of the event loop.
 DISPATCH_SECONDS = 1.0e-6
+
+#: A lane's breaker opens after this many consecutive delivery failures
+#: and stays open for this many modelled seconds.
+BREAKER_FAILURE_THRESHOLD = 3
+BREAKER_COOLDOWN_SECONDS = 60.0
+
+#: Lease duration of every aggregation-tree node (each leaf and the
+#: root); a failover advances the virtual clock past it.
+LEASE_TIMEOUT_SECONDS = 30.0
 
 #: Admission verdict reasons carried by :class:`AdmissionRejected`.
 REJECT_QUEUE_FULL = "queue_full"
@@ -243,26 +256,22 @@ class _QueueEntry:
     """One upload waiting in a shard's ingress queue."""
 
     message: Message
-    sender: str
-    submitted_at: float
-    arrival_delay: float = 0.0
-    tenant: Optional[str] = None
-
-    @property
-    def ready_at(self) -> float:
-        """Earliest modelled time the entry can be dispatched."""
-        return self.submitted_at + self.arrival_delay
+    tenant: Optional[str]
+    #: Earliest modelled time the entry can be dispatched.
+    ready_at: float
 
 
 @dataclass
-class ShardQueueStats:
-    """Admission/backpressure counters for one shard's ingress queue.
+class QueueStats:
+    """Admission/backpressure counters of one :class:`Lane` -- or, read
+    through :attr:`AsyncChannel.stats`, their sum over a shard's lanes
+    beside the whole shard queue's own ``peak_depth``.
 
     ``migrated_in`` / ``migrated_out`` count in-flight entries handed
     between queues by an elastic shard split or merge
     (:meth:`AsyncChannel.migrate`); acceptance travels with the entry,
     so ``accepted + migrated_in - migrated_out == delivered + shed +
-    failed + queued`` holds per shard through any rebalance.
+    failed + queued`` holds per lane through any rebalance.
     """
 
     accepted: int = 0
@@ -283,28 +292,40 @@ class ShardQueueStats:
                 + self.rejected_overload + self.rejected_quota)
 
 
+#: The :class:`QueueStats` fields a shard's total sums over its lanes.
+_SUMMED_COUNTERS = tuple(name for name in QueueStats.__dataclass_fields__
+                         if name != "peak_depth")
+
+
 @dataclass
-class TenantQueueStats:
-    """Per-(shard, tenant) admission counters -- :class:`ShardQueueStats`
-    restricted to one tenant's traffic, so the accounting invariant can
-    be asserted *per tenant* across floods, shedding, and rebalances."""
+class _Terms:
+    """What a tenant registered, shared by every one of its lanes: the
+    channel that delivers its entries and whose *current* ledger takes
+    its charges (epoch rollover swaps ledgers, so none is pinned), its
+    slots in each shard queue (asked per upload: a weighted share moves
+    with the registry), its quota bucket and overload probe."""
 
-    accepted: int = 0
-    rejected_full: int = 0
-    rejected_fenced: int = 0
-    rejected_overload: int = 0
-    rejected_quota: int = 0
-    delivered: int = 0
-    shed: int = 0
-    failed: int = 0
-    migrated_in: int = 0
-    migrated_out: int = 0
-    peak_depth: int = 0
+    channel: Channel
+    slice_bound: Callable[[], int]
+    bucket: Optional[Any] = None
+    overloaded: Optional[Callable[[str], bool]] = None
 
-    @property
-    def rejected(self) -> int:
-        return (self.rejected_full + self.rejected_fenced
-                + self.rejected_overload + self.rejected_quota)
+
+@dataclass
+class Lane:
+    """The unit of admission state: one tenant's path into one shard.
+
+    ``tenant`` is ``None`` for the anonymous tenant of a single-tenant
+    service.  ``queued`` counts the lane's entries now in the shard's
+    queue, so the :class:`QueueStats` algebra is checkable from the
+    lane alone; ``breaker`` fences this lane and no other.
+    """
+
+    tenant: Optional[str]
+    terms: _Terms
+    breaker: CircuitBreaker
+    stats: QueueStats = field(default_factory=QueueStats)
+    queued: int = 0
 
 
 @dataclass
@@ -333,11 +354,14 @@ class AsyncChannel:
     deadline shedding -- and charges only the control plane
     (``comm.admission.*``) and the shed path (``fault.shed``).
 
+    All admission state lives in :attr:`lanes`.  ``channel``,
+    ``queue_capacity`` and ``overloaded`` are the anonymous tenant's
+    terms; :meth:`register_tenant` binds a named tenant's.
+
     Args:
         channel: The byte-counting transfer channel.
         clock: The virtual clock driving deadlines and backoff hints.
         queue_capacity: Ingress bound per shard; the memory guarantee.
-        drain_seconds_per_message: Modelled dispatch cost per dequeue.
         overloaded: Optional predicate ``(shard) -> bool`` consulted at
             admission -- the hook the ``queue_overload`` fault kind uses
             to force rejections deterministically.
@@ -350,121 +374,96 @@ class AsyncChannel:
 
     def __init__(self, channel: Channel, clock: VirtualClock,
                  queue_capacity: int = 64,
-                 drain_seconds_per_message: float = DISPATCH_SECONDS,
                  overloaded: Optional[Callable[[str], bool]] = None,
                  tenants: Optional["TenantRegistry"] = None):
         if queue_capacity < 1:
             raise ValueError("queue_capacity must be at least 1")
-        if drain_seconds_per_message < 0:
-            raise ValueError(
-                "drain_seconds_per_message must be non-negative")
         self.channel = channel
         self.clock = clock
         self.queue_capacity = queue_capacity
-        self.drain_seconds_per_message = drain_seconds_per_message
-        self.overloaded = overloaded
         self.tenants = tenants
         self._queues: Dict[str, Deque[_QueueEntry]] = {}
-        self.stats: Dict[str, ShardQueueStats] = {}
-        self.breakers: Dict[str, CircuitBreaker] = {}
-        #: (shard, tenant) -> tenant-scoped breaker; a tenant's failures
-        #: fence only that tenant's path to the shard.
-        self.tenant_breakers: Dict[Tuple[str, str], CircuitBreaker] = {}
-        #: (shard, tenant) -> tenant-restricted counters.
-        self.tenant_stats: Dict[Tuple[str, str], TenantQueueStats] = {}
-        self._tenant_channels: Dict[str, Channel] = {}
-        self._tenant_buckets: Dict[str, Any] = {}
-
-    @property
-    def ledger(self) -> CostLedger:
-        return self.channel.ledger
+        self._peak_depth: Dict[str, int] = {}
+        self._terms: Dict[Optional[str], _Terms] = {
+            None: _Terms(channel, lambda: queue_capacity,
+                         overloaded=overloaded)}
+        #: (shard, tenant) -> the lane; the only admission state.
+        self.lanes: Dict[Tuple[str, Optional[str]], Lane] = {}
 
     # ------------------------------------------------------------------
-    # Shard registry.
+    # Shards, tenants and lanes.
     # ------------------------------------------------------------------
 
-    def register_shard(self, shard: str,
-                       failure_threshold: int = 3,
-                       cooldown_seconds: float = 60.0) -> CircuitBreaker:
-        """Create (or return) the queue and breaker for one shard."""
+    def _queue(self, shard: str) -> Deque[_QueueEntry]:
+        """One shard's FIFO (every tenant's entries), created on demand."""
         if shard not in self._queues:
             self._queues[shard] = deque()
-            self.stats[shard] = ShardQueueStats()
-            self.breakers[shard] = CircuitBreaker(
-                self.clock, failure_threshold=failure_threshold,
-                cooldown_seconds=cooldown_seconds,
-                charge_open=self._charge_circuit_open)
-        return self.breakers[shard]
+            self._peak_depth[shard] = 0
+        return self._queues[shard]
 
-    def _charge_circuit_open(self) -> None:
-        self.ledger.charge(CAT_FAULT_CIRCUIT_OPEN, 0.0, count=1)
+    def queue_depth(self, shard: str) -> int:
+        """Entries waiting in one shard's queue, across all its lanes."""
+        return len(self._queues.get(shard, ()))
 
-    def queue_depth(self, shard: str, tenant: Optional[str] = None) -> int:
-        """Entries waiting in one shard's queue (optionally one tenant's)."""
-        entries = self._queues.get(shard, ())
-        if tenant is None:
-            return len(entries)
-        return sum(1 for e in entries if e.tenant == tenant)
-
-    # ------------------------------------------------------------------
-    # Tenant registry.
-    # ------------------------------------------------------------------
+    @property
+    def stats(self) -> Dict[str, QueueStats]:
+        """Per-shard totals, summed over the shard's lanes on each read."""
+        totals = {shard: QueueStats(peak_depth=peak)
+                  for shard, peak in self._peak_depth.items()}
+        for (shard, _tenant), lane in self.lanes.items():
+            for name in _SUMMED_COUNTERS:
+                setattr(totals[shard], name, getattr(totals[shard], name)
+                        + getattr(lane.stats, name))
+        return totals
 
     def register_tenant(self, tenant_id: str,
-                        channel: Optional[Channel] = None) -> None:
-        """Bind one tenant's transfer channel (and build its bucket).
+                        channel: Optional[Channel] = None,
+                        overloaded: Optional[Callable[[str], bool]] = None
+                        ) -> None:
+        """Bind one tenant's channel and overload probe (and build its
+        bucket and queue slice).
 
         The channel's ledger receives the tenant's control-plane and
-        shed charges, keeping per-tenant accounting separable; the base
-        channel is used when none is given (single-ledger deployments).
+        shed charges, keeping per-tenant accounting separable; the
+        anonymous tenant's channel and probe are used when none is
+        given (single-ledger deployments).
         """
-        from repro.federation.tenancy import build_bucket
+        from repro.federation.tenancy import TokenBucket
 
         if self.tenants is None:
             raise ValueError(
                 "register_tenant needs an AsyncChannel built over a "
                 "TenantRegistry")
         tenant = self.tenants.require(tenant_id)
-        self._tenant_channels[tenant_id] = (
-            channel if channel is not None else self.channel)
-        if tenant_id not in self._tenant_buckets:
-            self._tenant_buckets[tenant_id] = build_bucket(self.clock,
-                                                           tenant)
+        terms = self._terms.get(tenant_id)
+        if terms is None:
+            terms = self._terms[tenant_id] = _Terms(
+                self.channel,
+                partial(self.tenants.share, tenant_id, self.queue_capacity),
+                TokenBucket(self.clock, tenant.quota_rate,
+                            tenant.quota_burst)
+                if tenant.quota_rate is not None else None)
+        terms.channel = channel if channel is not None else self.channel
+        terms.overloaded = overloaded if overloaded is not None \
+            else self._terms[None].overloaded
 
-    def tenant_channel(self, tenant_id: str) -> Channel:
-        """The transfer channel a tenant's entries deliver through."""
-        try:
-            return self._tenant_channels[tenant_id]
-        except KeyError:
-            raise ValueError(
-                f"tenant {tenant_id!r} has no registered channel; call "
-                f"register_tenant first") from None
-
-    def _tenant_ledger(self, tenant_id: str) -> CostLedger:
-        return self.tenant_channel(tenant_id).ledger
-
-    def tenant_breaker(self, shard: str, tenant_id: str,
-                       failure_threshold: int = 3,
-                       cooldown_seconds: float = 60.0) -> CircuitBreaker:
-        """The (shard, tenant)-scoped breaker, created on first use."""
-        key = (shard, tenant_id)
-        if key not in self.tenant_breakers:
-            def charge_open(tenant_id: str = tenant_id) -> None:
-                self._tenant_ledger(tenant_id).charge(
-                    CAT_FAULT_CIRCUIT_OPEN, 0.0, count=1)
-
-            self.tenant_breakers[key] = CircuitBreaker(
-                self.clock, failure_threshold=failure_threshold,
-                cooldown_seconds=cooldown_seconds,
-                charge_open=charge_open)
-        return self.tenant_breakers[key]
-
-    def _tenant_stats(self, shard: str,
-                      tenant_id: str) -> TenantQueueStats:
-        key = (shard, tenant_id)
-        if key not in self.tenant_stats:
-            self.tenant_stats[key] = TenantQueueStats()
-        return self.tenant_stats[key]
+    def lane(self, shard: str, tenant: Optional[str] = None) -> Lane:
+        """The ``(shard, tenant)`` lane, created on first use."""
+        key = (shard, tenant)
+        lane = self.lanes.get(key)
+        if lane is None:
+            terms = self._terms.get(tenant)
+            if terms is None:
+                raise ValueError(
+                    f"tenant {tenant!r} is not registered with this "
+                    f"channel; call register_tenant first")
+            self._queue(shard)
+            lane = self.lanes[key] = Lane(tenant, terms, CircuitBreaker(
+                self.clock, failure_threshold=BREAKER_FAILURE_THRESHOLD,
+                cooldown_seconds=BREAKER_COOLDOWN_SECONDS,
+                charge_open=lambda: terms.channel.ledger.charge(
+                    CAT_FAULT_CIRCUIT_OPEN, 0.0, count=1)))
+        return lane
 
     # ------------------------------------------------------------------
     # Admission.
@@ -474,50 +473,24 @@ class AsyncChannel:
         return self.channel.profile.network_seconds(ADMISSION_BYTES,
                                                     messages=1)
 
-    def _charge_admission_accept(self,
-                                 tenant: Optional[str] = None) -> None:
-        if tenant is not None:
-            self._tenant_ledger(tenant).charge(
-                admission_category("accept", tenant),
-                self._admission_seconds(), count=1,
-                payload_bytes=ADMISSION_BYTES)
-        else:
-            self.ledger.charge(CAT_COMM_ADMISSION_ACCEPT,
-                               self._admission_seconds(), count=1,
-                               payload_bytes=ADMISSION_BYTES)
-
-    def _charge_admission_reject(self, tenant: Optional[str] = None,
-                                 quota: bool = False) -> None:
-        if tenant is not None:
-            self._tenant_ledger(tenant).charge(
-                admission_category("quota" if quota else "reject",
-                                   tenant),
-                self._admission_seconds(), count=1,
-                payload_bytes=ADMISSION_BYTES)
-        else:
-            self.ledger.charge(CAT_COMM_ADMISSION_REJECT,
-                               self._admission_seconds(), count=1,
-                               payload_bytes=ADMISSION_BYTES)
-
-    def _reject(self, shard: str, reason: str, retry_after: float,
-                tenant: Optional[str] = None) -> AdmissionRejected:
-        self._charge_admission_reject(tenant,
-                                      quota=reason == REJECT_QUOTA)
-        counters = [self.stats[shard]]
-        if tenant is not None:
-            counters.append(self._tenant_stats(shard, tenant))
-        for stats in counters:
-            if reason == REJECT_QUEUE_FULL:
-                stats.rejected_full += 1
-            elif reason == REJECT_CIRCUIT_OPEN:
-                stats.rejected_fenced += 1
-            elif reason == REJECT_QUOTA:
-                stats.rejected_quota += 1
-            else:
-                stats.rejected_overload += 1
-        if reason == REJECT_QUOTA:
-            return QuotaExceeded(shard, tenant,
+    def _reject(self, lane: Lane, shard: str, reason: str,
+                retry_after: float) -> AdmissionRejected:
+        lane.terms.channel.ledger.charge(
+            admission_category(
+                "quota" if reason == REJECT_QUOTA else "reject",
+                lane.tenant),
+            self._admission_seconds(), count=1,
+            payload_bytes=ADMISSION_BYTES)
+        if reason == REJECT_QUEUE_FULL:
+            lane.stats.rejected_full += 1
+        elif reason == REJECT_CIRCUIT_OPEN:
+            lane.stats.rejected_fenced += 1
+        elif reason == REJECT_QUOTA:
+            lane.stats.rejected_quota += 1
+            return QuotaExceeded(shard, lane.tenant,
                                  retry_after_seconds=retry_after)
+        else:
+            lane.stats.rejected_overload += 1
         return AdmissionRejected(shard, reason,
                                  retry_after_seconds=retry_after)
 
@@ -526,81 +499,51 @@ class AsyncChannel:
                tenant: Optional[str] = None) -> None:
         """Admit one upload into a shard's ingress queue, or raise.
 
-        With a ``tenant``, admission is tenant-scoped: the tenant's
-        breaker for this shard is consulted (not the shard-wide one),
-        one quota token is spent (:class:`QuotaExceeded` when the bucket
-        is dry), and the queue-full bound is the tenant's weighted slice
-        of the shared capacity -- another tenant's backlog can never
-        consume this tenant's slots.
+        Admission runs on the ``(shard, tenant)`` lane: its breaker is
+        consulted (no other lane's), one quota token is spent when the
+        tenant is metered (:class:`QuotaExceeded` when the bucket is
+        dry), and the queue-full bound is first the tenant's weighted
+        slice of the shared capacity -- another tenant's backlog can
+        never consume this tenant's slots -- then the whole queue's.
 
         Raises:
-            AdmissionRejected: The shard is fenced (breaker open), its
-                queue (or the tenant's slice) is at capacity, or an
+            AdmissionRejected: The lane is fenced (breaker open), the
+                tenant's slice or the queue is at capacity, or an
                 injected overload is in force.  Charged before raising.
             QuotaExceeded: The tenant's token bucket ran dry; retry
                 after the bucket's refill horizon.
         """
-        self.register_shard(shard)
-        if tenant is None:
-            breaker = self.breakers[shard]
-            if not breaker.allow():
-                remaining = (breaker.opened_at + breaker.cooldown_seconds
-                             - self.clock.now)
-                raise self._reject(shard, REJECT_CIRCUIT_OPEN,
-                                   retry_after=max(remaining, 0.0))
-        else:
-            if self.tenants is None:
-                raise ValueError(
-                    "tenant-tagged submit needs an AsyncChannel built "
-                    "over a TenantRegistry")
-            breaker = self.tenant_breaker(shard, tenant)
-            if not breaker.allow():
-                remaining = (breaker.opened_at + breaker.cooldown_seconds
-                             - self.clock.now)
-                raise self._reject(shard, REJECT_CIRCUIT_OPEN,
-                                   retry_after=max(remaining, 0.0),
-                                   tenant=tenant)
-            bucket = self._tenant_buckets.get(tenant)
-            if bucket is None:
-                raise ValueError(
-                    f"tenant {tenant!r} not registered; call "
-                    f"register_tenant first")
-            if not bucket.try_acquire():
-                raise self._reject(shard, REJECT_QUOTA,
-                                   retry_after=bucket.retry_after(),
-                                   tenant=tenant)
-        if self.overloaded is not None and self.overloaded(shard):
-            raise self._reject(shard, REJECT_OVERLOAD,
-                               retry_after=self.drain_seconds_per_message
-                               * self.queue_capacity,
-                               tenant=tenant)
+        lane = self.lane(shard, tenant)
+        terms = lane.terms
+        breaker = lane.breaker
+        if not breaker.allow():
+            remaining = (breaker.opened_at + breaker.cooldown_seconds
+                         - self.clock.now)
+            raise self._reject(lane, shard, REJECT_CIRCUIT_OPEN,
+                               max(remaining, 0.0))
+        if terms.bucket is not None and not terms.bucket.try_acquire():
+            raise self._reject(lane, shard, REJECT_QUOTA,
+                               terms.bucket.retry_after())
+        if terms.overloaded is not None and terms.overloaded(shard):
+            raise self._reject(lane, shard, REJECT_OVERLOAD,
+                               DISPATCH_SECONDS * self.queue_capacity)
         queue = self._queues[shard]
-        if tenant is not None:
-            slice_bound = self.tenants.share(tenant, self.queue_capacity)
-            if self.queue_depth(shard, tenant) >= slice_bound:
-                raise self._reject(
-                    shard, REJECT_QUEUE_FULL,
-                    retry_after=self.drain_seconds_per_message
-                    * slice_bound,
-                    tenant=tenant)
+        slice_bound = terms.slice_bound()
+        if lane.queued >= slice_bound:
+            raise self._reject(lane, shard, REJECT_QUEUE_FULL,
+                               DISPATCH_SECONDS * slice_bound)
         if len(queue) >= self.queue_capacity:
-            raise self._reject(
-                shard, REJECT_QUEUE_FULL,
-                retry_after=self.drain_seconds_per_message * len(queue),
-                tenant=tenant)
-        self._charge_admission_accept(tenant)
-        queue.append(_QueueEntry(message=message, sender=message.sender,
-                                 submitted_at=self.clock.now,
-                                 arrival_delay=arrival_delay,
-                                 tenant=tenant))
-        stats = self.stats[shard]
-        stats.accepted += 1
-        stats.peak_depth = max(stats.peak_depth, len(queue))
-        if tenant is not None:
-            tstats = self._tenant_stats(shard, tenant)
-            tstats.accepted += 1
-            tstats.peak_depth = max(tstats.peak_depth,
-                                    self.queue_depth(shard, tenant))
+            raise self._reject(lane, shard, REJECT_QUEUE_FULL,
+                               DISPATCH_SECONDS * len(queue))
+        terms.channel.ledger.charge(admission_category("accept", tenant),
+                                    self._admission_seconds(), count=1,
+                                    payload_bytes=ADMISSION_BYTES)
+        queue.append(_QueueEntry(message, tenant,
+                                 self.clock.now + arrival_delay))
+        lane.stats.accepted += 1
+        lane.queued += 1
+        lane.stats.peak_depth = max(lane.stats.peak_depth, lane.queued)
+        self._peak_depth[shard] = max(self._peak_depth[shard], len(queue))
 
     # ------------------------------------------------------------------
     # Dispatch.
@@ -617,17 +560,15 @@ class AsyncChannel:
         degrades into quorum + Eq. 6 partial aggregation.  Transfer
         failures (exhausted retries) are returned rather than raised so
         one sick sender cannot abort the whole drain; the caller feeds
-        them to the shard's circuit breaker.
+        them to the lane's circuit breaker.
 
-        With a ``tenant``, only that tenant's entries are dispatched
-        (in their own FIFO order, through the tenant's registered
-        channel, shed charges against the tenant's ledger); other
-        tenants' entries stay queued untouched.  This is what makes a
-        tenant's drain timeline independent of its neighbours' backlogs.
+        Every entry is dispatched through its own lane's channel and
+        counted on its own lane.  With a ``tenant``, only that tenant's
+        entries are dispatched (in their own FIFO order); other tenants'
+        entries stay queued untouched.  This is what makes a tenant's
+        drain timeline independent of its neighbours' backlogs.
         """
-        self.register_shard(shard)
-        queue = self._queues[shard]
-        stats = self.stats[shard]
+        queue = self._queue(shard)
         outcome = DrainOutcome()
         kept: Deque[_QueueEntry] = deque()
         while queue:
@@ -635,37 +576,30 @@ class AsyncChannel:
             if tenant is not None and entry.tenant != tenant:
                 kept.append(entry)
                 continue
-            tstats = (self._tenant_stats(shard, entry.tenant)
-                      if entry.tenant is not None else None)
-            channel = (self.tenant_channel(entry.tenant)
-                       if entry.tenant is not None else self.channel)
-            self.clock.advance(self.drain_seconds_per_message)
+            lane = self.lanes[(shard, entry.tenant)]
+            channel = lane.terms.channel
+            message = entry.message
+            lane.queued -= 1
+            self.clock.advance(DISPATCH_SECONDS)
             if deadline is not None and \
                     max(entry.ready_at, self.clock.now) > deadline:
-                wire = (entry.message.ciphertext_count
+                wire = (message.ciphertext_count
                         * channel.profile.wire_bytes(
-                            entry.message.ciphertext_bytes,
-                            packed=entry.message.packed)
-                        + entry.message.plaintext_bytes)
+                            message.ciphertext_bytes, packed=message.packed)
+                        + message.plaintext_bytes)
                 channel.ledger.charge(CAT_FAULT_SHED, 0.0, count=1,
                                       payload_bytes=wire)
-                stats.shed += 1
-                if tstats is not None:
-                    tstats.shed += 1
-                outcome.shed.append((entry.sender, "deadline"))
+                lane.stats.shed += 1
+                outcome.shed.append((message.sender, "deadline"))
                 continue
             try:
-                payload = channel.send(entry.message)
+                payload = channel.send(message)
             except ChannelError as error:
-                stats.failed += 1
-                if tstats is not None:
-                    tstats.failed += 1
-                outcome.failed.append((entry.sender, error))
+                lane.stats.failed += 1
+                outcome.failed.append((message.sender, error))
                 continue
-            stats.delivered += 1
-            if tstats is not None:
-                tstats.delivered += 1
-            outcome.delivered.append((entry.sender, payload))
+            lane.stats.delivered += 1
+            outcome.delivered.append((message.sender, payload))
         queue.extend(kept)
         return outcome
 
@@ -681,40 +615,35 @@ class AsyncChannel:
         names the destination shard for the ``index``-th queued entry
         (deterministic routing is the caller's contract; the WAL-
         journaled handoff record pins the same assignment for crash
-        recovery).  Entries keep their submission metadata and relative
-        order, and *acceptance travels with them*: ``migrated_out`` /
+        recovery).  Entries keep their ready time and relative order,
+        and *acceptance travels with them*: ``migrated_out`` /
         ``migrated_in`` counters keep ``accepted + migrated_in -
         migrated_out == delivered + shed + failed + queued`` true per
-        shard and per tenant -- an in-flight upload is never dropped
-        and never double-counted across a rebalance.
+        lane -- an in-flight upload is never dropped and never
+        double-counted across a rebalance.
 
         Returns destination shard -> entries moved.
         """
-        self.register_shard(source)
-        queue = self._queues[source]
-        stats = self.stats[source]
+        queue = self._queue(source)
         moved: Dict[str, int] = {}
         entries = list(queue)
         queue.clear()
         for index, entry in enumerate(entries):
-            target = route(index, entry.sender)
+            target = route(index, entry.message.sender)
             if target == source:
                 queue.append(entry)
                 continue
-            self.register_shard(target)
+            origin = self.lanes[(source, entry.tenant)]
+            landing = self.lane(target, entry.tenant)
             target_queue = self._queues[target]
-            target_stats = self.stats[target]
             target_queue.append(entry)
-            stats.migrated_out += 1
-            target_stats.migrated_in += 1
-            target_stats.peak_depth = max(target_stats.peak_depth,
-                                          len(target_queue))
-            if entry.tenant is not None:
-                self._tenant_stats(source, entry.tenant).migrated_out += 1
-                tstats = self._tenant_stats(target, entry.tenant)
-                tstats.migrated_in += 1
-                tstats.peak_depth = max(
-                    tstats.peak_depth,
-                    self.queue_depth(target, entry.tenant))
+            origin.stats.migrated_out += 1
+            origin.queued -= 1
+            landing.stats.migrated_in += 1
+            landing.queued += 1
+            landing.stats.peak_depth = max(landing.stats.peak_depth,
+                                           landing.queued)
+            self._peak_depth[target] = max(self._peak_depth[target],
+                                           len(target_queue))
             moved[target] = moved.get(target, 0) + 1
         return moved

@@ -13,9 +13,10 @@ channel -- for users who want to see (or extend) the protocol steps:
   federated-averaging round, equivalent to
   :meth:`SecureAggregator.aggregate` (asserted by the tests).
 
-Fault tolerance mirrors the library path: the job consults a
-:class:`~repro.federation.faults.FaultInjector` per round, proceeds with
-any quorum of survivors, and decodes with the *actual* summand count so
+Fault tolerance *is* the library path: the job's uploads run through
+:meth:`SecureAggregator.collect_uploads` (the runtime's fault injector
+and round deadline gate every client), the round proceeds with any
+quorum of survivors, and decodes with the *actual* summand count so
 partial sums come back exact.
 """
 
@@ -27,8 +28,8 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.federation.channel import ChannelError, Message
-from repro.federation.faults import FaultInjector, QuorumError
+from repro.federation.channel import Message
+from repro.federation.faults import QuorumError
 from repro.federation.runtime import FederationRuntime
 from repro.tensor.cipher import CipherTensor
 
@@ -84,8 +85,9 @@ class Party:
 
     def send(self, receiver: "Party", tag: str, payload: Any,
              ciphertext_count: int = 0, plaintext_bytes: int = 0,
-             packed: bool = False) -> None:
-        """Route a tagged message through the (charged) channel."""
+             packed: bool = False) -> Any:
+        """Route a tagged message through the (charged) channel; returns
+        the payload as the receiver's mailbox got it."""
         delivered = self.runtime.channel.send(Message(
             sender=self.name, receiver=receiver.name, tag=tag,
             payload=payload, ciphertext_count=ciphertext_count,
@@ -94,6 +96,7 @@ class Party:
                 if ciphertext_count else 0),
             plaintext_bytes=plaintext_bytes, packed=packed))
         receiver.mailbox.deliver(tag, delivered, sender=self.name)
+        return delivered
 
 
 class ClientParty(Party):
@@ -111,11 +114,15 @@ class ClientParty(Party):
 
     def upload_update(self, server: "AggregatorParty") -> None:
         """Encrypt the local vector and ship it to the server."""
-        tensor = self.runtime.aggregator.encrypt_tensor(
-            self.vector, charged=self.charged)
-        self.send(server, tag="update", payload=tensor,
-                  ciphertext_count=tensor.num_words,
-                  packed=self.runtime.config.packed_serialization)
+        self.upload(server, self.runtime.aggregator.encrypt_tensor(
+            self.vector, charged=self.charged))
+
+    def upload(self, server: "AggregatorParty",
+               tensor: CipherTensor) -> CipherTensor:
+        """Ship an encrypted update; returns it as the server got it."""
+        return self.send(server, tag="update", payload=tensor,
+                         ciphertext_count=tensor.num_words,
+                         packed=self.runtime.config.packed_serialization)
 
     def decrypt_aggregate(self) -> np.ndarray:
         """Decrypt the aggregate the server broadcast.
@@ -198,56 +205,33 @@ class SecureAveragingJob:
             raise ValueError("need at least one client vector")
         self.runtime = runtime
         self.server = AggregatorParty("arbiter", runtime)
+        # The round's representative is the first client through the gate.
         self.clients = [
-            ClientParty(f"client-{index}", runtime, vector,
-                        charged=(index == 0))
+            ClientParty(f"client-{index}", runtime, vector, charged=False)
             for index, vector in enumerate(client_vectors)
         ]
 
     def run(self, min_quorum: Optional[int] = None,
-            injector: Optional[FaultInjector] = None,
-            round_index: int = 0,
-            deadline_seconds: Optional[float] = None) -> np.ndarray:
+            round_index: int = 0) -> np.ndarray:
         """Execute upload -> aggregate -> broadcast -> decrypt; returns
         the averaged vector as the first surviving client decodes it.
 
-        With a fault injector, crashed / dropped-out / too-slow clients
-        skip the round and the server aggregates any quorum of
-        survivors, decoding with the actual summand count.
+        Under the runtime's fault injector, crashed / dropped-out /
+        too-slow clients skip the round and the server aggregates any
+        quorum of survivors, decoding with the actual summand count.
 
         Raises:
             QuorumError: Fewer survivors than ``min_quorum``.
         """
-        injector = injector if injector is not None \
-            else self.runtime.injector
-        participants: List[ClientParty] = []
-        dropped: List[str] = []
-        for client in self.clients:
-            if injector is not None:
-                if not injector.is_alive(client.name, round_index):
-                    dropped.append(client.name)
-                    continue
-                delay = injector.straggler_delay(client.name, round_index)
-                if delay > 0:
-                    if deadline_seconds is not None and \
-                            delay > deadline_seconds:
-                        injector.charge_deadline_miss(
-                            client.name, round_index, deadline_seconds)
-                        dropped.append(client.name)
-                        continue
-                    injector.charge_straggler(client.name, round_index,
-                                              delay)
-            try:
-                client.upload_update(self.server)
-            except ChannelError as error:
-                if injector is None:
-                    raise
-                injector.charge_lost_update(
-                    client.name, round_index,
-                    wasted_bytes=error.wasted_bytes)
-                dropped.append(client.name)
-                continue
-            participants.append(client)
+        clients = {client.name: client for client in self.clients}
+        dropped: List[Tuple[str, str]] = []
+        participants = [
+            clients[name] for name, _ in
+            self.runtime.aggregator.collect_uploads(
+                [client.vector for client in self.clients], round_index,
+                dropped,
+                send=lambda name, tensor: clients[name].upload(
+                    self.server, tensor))]
 
         required = min_quorum if min_quorum is not None \
             else len(self.clients)
@@ -264,5 +248,7 @@ class SecureAveragingJob:
         # The decode's Eq. 6 offset correction rides the tensor metadata
         # (summands accumulated through the homomorphic sum).
         summands = aggregate.meta.summands
+        for client in self.clients:
+            client.charged = client is participants[0]
         decoded = [client.decrypt_aggregate() for client in participants]
         return decoded[0] / summands

@@ -20,9 +20,8 @@ real encodings:
   offsets, new magic/version) followed by a *codec block*: the packing
   codec's registry id plus its integer wire parameters (guard width
   for the interleaved layout; value width and support pattern for the
-  sparse layout).  v3 is the default emission; v2 frames remain
-  readable (they imply the dense codec) and dense tensors can still be
-  emitted as v2 for legacy receivers.
+  sparse layout).  v3 is the only frame written; v2 frames remain
+  readable (they imply the dense codec).
 
 All formats round-trip exactly; the measured bloat factors match the
 cost model's constants (asserted by the tests).
@@ -191,27 +190,16 @@ def _codec_block(meta: TensorMeta) -> bytes:
 
 
 def serialize_tensor(tensor: CipherTensor,
-                     ciphertext_bytes: Optional[int] = None,
-                     version: int = TENSOR3_VERSION) -> bytes:
-    """The packed wire frame: self-describing tensor header + body.
+                     ciphertext_bytes: Optional[int] = None) -> bytes:
+    """The packed wire frame (FLT3): self-describing header + body.
 
     Args:
         tensor: The (materialized or lazy) encrypted tensor; lazy
             expressions are flushed through their attached engine.
         ciphertext_bytes: Fixed word width on the wire; defaults to the
             width of ``n^2`` at the tensor's *physical* key size.
-        version: ``3`` (default) emits the codec-aware FLT3 frame;
-            ``2`` emits a legacy FLT2 frame, which can only describe
-            the dense codec.
     """
     meta = tensor.meta
-    if version not in (TENSOR_VERSION, TENSOR3_VERSION):
-        raise ValueError(f"unknown tensor frame version {version}")
-    if version == TENSOR_VERSION and (meta.codec != "dense"
-                                      or meta.codec_params):
-        raise ValueError(
-            f"legacy FLT2 frames cannot describe the {meta.codec!r} "
-            f"codec; emit version 3")
     width = (ciphertext_bytes if ciphertext_bytes is not None
              else max(1, 2 * meta.physical_bits // 8 + 1))
     words = tensor.words
@@ -220,18 +208,16 @@ def serialize_tensor(tensor: CipherTensor,
             raise ValueError(
                 f"ciphertext of {word.bit_length()} bits does not fit "
                 f"the {width}-byte wire width")
-    magic = TENSOR_MAGIC if version == TENSOR_VERSION else TENSOR3_MAGIC
     header = TENSOR_HEADER.pack(
-        magic, version,
+        TENSOR3_MAGIC, TENSOR3_VERSION,
         1 if meta.packed else 0, len(meta.shape),
         meta.count, meta.summands, meta.capacity, len(words), width,
         meta.nominal_bits, meta.physical_bits,
         meta.scheme.r_bits, meta.scheme.num_parties,
         meta.scheme.alpha, meta.key_fingerprint)
     dims = struct.pack(f">{len(meta.shape)}I", *meta.shape)
-    codec = b"" if version == TENSOR_VERSION else _codec_block(meta)
     body = b"".join(_int_to_bytes(word, width) for word in words)
-    return header + dims + codec + body
+    return header + dims + _codec_block(meta) + body
 
 
 def deserialize_tensor(blob: bytes,

@@ -72,8 +72,10 @@ from repro.federation.coordinator import (
     FailoverRecord,
     LeaseManager,
     StandbyCoordinator,
+    frame_tensor,
 )
 from repro.federation.eventloop import (
+    LEASE_TIMEOUT_SECONDS,
     REJECT_OVERLOAD,
     REJECT_QUEUE_FULL,
     REJECT_QUOTA,
@@ -87,7 +89,7 @@ from repro.federation.faults import (
     SHARD_CRASH,
     QuorumError,
 )
-from repro.federation.serialization import deserialize_tensor, serialize_tensor
+from repro.federation.serialization import serialize_tensor
 from repro.federation.tenancy import TenantRegistry
 from repro.federation.wal import (
     PARTIAL_COMMITTED,
@@ -200,19 +202,20 @@ class ShardAggregator(DurableCoordinator):
     """
 
     def combine_round(self, uploads: Sequence[Tuple[str, CipherTensor]],
-                      round_index: int, tag: str = "gradients",
-                      quorum: int = 1) -> CipherTensor:
+                      round_index: int,
+                      tag: str = "gradients") -> CipherTensor:
         """One write-ahead-logged leaf round; returns the partial.
+
+        One accepted upload is quorum enough for a partial -- overall
+        quorum is the service's concern, per Eq. 6 partial-aggregation
+        semantics.
 
         Args:
             uploads: ``(client, tensor)`` pairs the event loop delivered
                 to this shard, in delivery order.
-            quorum: Minimum accepted uploads for the shard to produce a
-                partial (1 by default -- overall quorum is the service's
-                concern, per Eq. 6 partial-aggregation semantics).
         """
         state = self._journaled_round(
-            round_index, f"shard.{tag}", len(uploads), quorum,
+            round_index, f"shard.{tag}", len(uploads), 1,
             lambda: self._accept_delivered(round_index, uploads),
             single_sum=True)
         # Always rebuilt from the journaled frame, so an uninterrupted
@@ -220,9 +223,8 @@ class ShardAggregator(DurableCoordinator):
         if state.partial_frame is None:
             raise CoordinatorError(
                 "round closed without a committed partial")
-        tensor = deserialize_tensor(bytes.fromhex(state.partial_frame))
-        return CipherTensor(tensor.meta, words=list(tensor.words),
-                            engine=self.aggregator.server_engine)
+        return frame_tensor(state.partial_frame,
+                            self.aggregator.server_engine)
 
     def _commit(self, round_index: int, tag: str,
                 uploaded: List[CipherTensor]) -> None:
@@ -245,11 +247,11 @@ class RootCoordinator(DurableCoordinator):
     """
 
     def reduce_round(self, partials: Sequence[Tuple[str, CipherTensor]],
-                     round_index: int, tag: str = "gradients",
-                     quorum: int = 1) -> np.ndarray:
+                     round_index: int,
+                     tag: str = "gradients") -> np.ndarray:
         """One write-ahead-logged root round; returns the decoded sum."""
         state = self._journaled_round(
-            round_index, f"root.{tag}", len(partials), quorum,
+            round_index, f"root.{tag}", len(partials), 1,
             lambda: self._accept_delivered(round_index, partials))
         return np.asarray(state.result, dtype=np.float64)
 
@@ -525,15 +527,12 @@ class ShardedAggregationService:
             per round, always raised to respect summand capacity.
         queue_capacity: Per-shard ingress bound (the memory guarantee).
         seed: Master seed for cohort sampling streams.
-        lease_timeout_seconds: Leaf/root lease duration; failover
-            advances the clock past it.
-        breaker_failure_threshold / breaker_cooldown_seconds: Per-shard
-            circuit-breaker tuning.
         async_channel: A *shared* ingress (multi-tenant deployments);
             the service builds its own private one when omitted.
-        tenant: Tenant id every submit/drain/breaker interaction is
-            scoped to; requires ``async_channel`` built over a
-            :class:`~repro.federation.tenancy.TenantRegistry`.
+        tenant: Tenant id whose lanes every submit/drain/breaker
+            interaction uses; requires ``async_channel`` built over a
+            :class:`~repro.federation.tenancy.TenantRegistry`.  ``None``
+            is the anonymous tenant of a single-tenant service.
         pool: The elastic :class:`ShardPool` naming the shard queues;
             fixed ``shard-<i>`` names per round when omitted.
         node_prefix: Prefix for leaf/root WAL, lease, and standby names
@@ -545,9 +544,6 @@ class ShardedAggregationService:
                  clock: Optional[VirtualClock] = None,
                  num_shards: Optional[int] = None,
                  queue_capacity: int = 64, seed: int = 7,
-                 lease_timeout_seconds: float = 30.0,
-                 breaker_failure_threshold: int = 3,
-                 breaker_cooldown_seconds: float = 60.0,
                  async_channel: Optional[AsyncChannel] = None,
                  tenant: Optional[str] = None,
                  pool: Optional["ShardPool"] = None,
@@ -557,31 +553,25 @@ class ShardedAggregationService:
         self.num_shards = num_shards
         self.queue_capacity = queue_capacity
         self.seed = seed
-        self.lease_timeout_seconds = lease_timeout_seconds
-        self.breaker_failure_threshold = breaker_failure_threshold
-        self.breaker_cooldown_seconds = breaker_cooldown_seconds
         self._current_round = 0
         self.tenant = tenant
         self.pool = pool
         self.node_prefix = node_prefix
-        if async_channel is not None:
-            if tenant is not None and async_channel.tenants is None:
-                raise ValueError(
-                    "a tenant-scoped service needs an AsyncChannel "
-                    "built over a TenantRegistry")
-            self.async_channel = async_channel
-            if tenant is not None:
-                self.async_channel.register_tenant(
-                    tenant, aggregator.channel)
-        else:
+        if async_channel is None:
             if tenant is not None:
                 raise ValueError(
                     "a tenant-scoped service needs the shared "
                     "async_channel the tenants multiplex")
-            self.async_channel = AsyncChannel(
+            async_channel = AsyncChannel(
                 aggregator.channel, self.clock,
                 queue_capacity=queue_capacity,
                 overloaded=self._overloaded)
+        elif tenant is not None:
+            # Overload faults are tenant-planned: the shared ingress
+            # probes this tenant's own injector, on its lanes only.
+            async_channel.register_tenant(
+                tenant, aggregator.channel, overloaded=self._overloaded)
+        self.async_channel = async_channel
         self.root_name = f"{node_prefix}root"
         #: Every node of the reduction tree; the root is just the node
         #: named :attr:`root_name`, leaves are keyed by shard name.
@@ -592,31 +582,19 @@ class ShardedAggregationService:
         #: Every failover the service performed, for the crash sweeps.
         self.failover_log: List[FailoverRecord] = []
 
-    def _now(self) -> float:
-        return self.clock.now
-
     def _overloaded(self, shard: str) -> bool:
         injector = self.aggregator.injector
         return (injector is not None
                 and injector.queue_overloaded(shard, self._current_round))
 
     def _breaker(self, shard: str):
-        """The breaker admission consults: tenant-scoped when tenanted.
+        """The breaker of this service's lane into ``shard``.
 
-        Fault containment hinges here -- a tenanted service only ever
-        reads and trips *its own* per-(shard, tenant) breaker, so one
-        tenant's failures can never fence another tenant off a shared
-        shard.
+        Fault containment hinges here -- a service only ever reads and
+        trips *its own* tenant's lane, so one tenant's failures can
+        never fence another tenant off a shared shard.
         """
-        if self.tenant is not None:
-            return self.async_channel.tenant_breaker(
-                shard, self.tenant,
-                failure_threshold=self.breaker_failure_threshold,
-                cooldown_seconds=self.breaker_cooldown_seconds)
-        return self.async_channel.register_shard(
-            shard,
-            failure_threshold=self.breaker_failure_threshold,
-            cooldown_seconds=self.breaker_cooldown_seconds)
+        return self.async_channel.lane(shard, self.tenant).breaker
 
     # ------------------------------------------------------------------
     # Node registry.
@@ -626,8 +604,8 @@ class ShardedAggregationService:
                   coordinator_cls: Type[DurableCoordinator]) -> None:
         """Create one tree node: its lease, its WAL-backed primary, and
         the hot standby that tails it."""
-        lease = LeaseManager(timeout_seconds=self.lease_timeout_seconds,
-                             clock=self._now)
+        lease = LeaseManager(timeout_seconds=LEASE_TIMEOUT_SECONDS,
+                             clock=lambda: self.clock.now)
         lease.acquire(primary_name)
         self._nodes[key] = _TreeNode(
             identity=identity, lease=lease,
@@ -788,17 +766,11 @@ class ShardedAggregationService:
 
         # Phase 1: admission -- encrypt and submit through the event loop.
         shard_uploads: Dict[str, List[Tuple[str, CipherTensor]]] = {}
-        admit = agg.client_gate(round_index, report.dropped, injector,
-                                agg.round_deadline_seconds)
+        representative = True
         active_shards: List[str] = []
         for s_index, group in enumerate(groups):
             shard = shard_names[s_index]
-            self.async_channel.register_shard(
-                shard,
-                failure_threshold=self.breaker_failure_threshold,
-                cooldown_seconds=self.breaker_cooldown_seconds)
-            breaker = self._breaker(shard)
-            if not breaker.allow():
+            if not self._breaker(shard).allow():
                 report.fenced_shards.append(shard)
                 for i in group:
                     report.dropped.append((f"client-{i}", "fenced"))
@@ -807,9 +779,11 @@ class ShardedAggregationService:
             overload_charged = False
             for i in group:
                 name = f"client-{i}"
-                gated = admit(name, vectors[i])
+                gated = agg.client_gate(name, vectors[i], round_index,
+                                        report.dropped, representative)
                 if gated is None:
                     continue
+                representative = False
                 tensor, delay = gated
                 message = Message.for_tensor(
                     tensor.materialize(), sender=name, receiver=shard,
@@ -817,41 +791,33 @@ class ShardedAggregationService:
                     ciphertext_bytes=agg.client_engine
                     .nominal_ciphertext_bytes(),
                     packed=agg.packed_serialization)
-                admitted = False
-                try:
-                    self.async_channel.submit(shard, message,
-                                              arrival_delay=delay,
-                                              tenant=self.tenant)
-                    admitted = True
-                except AdmissionRejected as rejection:
-                    if rejection.reason == REJECT_QUOTA:
-                        # This tenant's own token bucket ran dry (the
-                        # typed retryable QuotaExceeded, already charged
-                        # to the tenant's ledger) -- its blast radius
-                        # stays within the tenant by construction.
-                        report.dropped.append((name, "quota"))
-                    elif rejection.reason == REJECT_OVERLOAD:
-                        if injector is not None and not overload_charged:
-                            injector.charge_queue_overload(shard,
-                                                           round_index)
-                            overload_charged = True
-                        report.dropped.append((name, "rejected"))
-                    elif rejection.reason == REJECT_QUEUE_FULL:
-                        # Backpressure: drain the backlog (delivering the
-                        # accepted entries) and retry exactly once.
-                        self._drain_shard(shard, deadline, shard_uploads,
-                                          report, round_index)
-                        try:
-                            self.async_channel.submit(
-                                shard, message, arrival_delay=delay,
-                                tenant=self.tenant)
-                            admitted = True
-                        except AdmissionRejected:
-                            report.dropped.append((name, "rejected"))
-                    else:
-                        report.dropped.append((name, "rejected"))
-                if admitted and flood_intensity > 0:
-                    self._flood(shard, message, delay, flood_intensity)
+                refused = self._try_submit(shard, message, delay)
+                if refused == REJECT_QUEUE_FULL:
+                    # Backpressure: drain the backlog (delivering the
+                    # accepted entries) and retry exactly once; whatever
+                    # refuses the retry, the upload counts as rejected.
+                    self._drain_shard(shard, deadline, shard_uploads,
+                                      report, round_index)
+                    if self._try_submit(shard, message, delay) is None:
+                        refused = None
+                if refused is None:
+                    # tenant_flood duplicates run the same gauntlet on
+                    # the same lane; the leaf's exactly-once dedupe
+                    # absorbs whichever get through.
+                    for _ in range(flood_intensity):
+                        self._try_submit(shard, message, delay)
+                elif refused == REJECT_QUOTA:
+                    # This tenant's own token bucket ran dry (the typed
+                    # retryable QuotaExceeded, already charged to the
+                    # tenant's ledger) -- its blast radius stays within
+                    # the tenant by construction.
+                    report.dropped.append((name, "quota"))
+                else:
+                    if refused == REJECT_OVERLOAD and injector is not None \
+                            and not overload_charged:
+                        injector.charge_queue_overload(shard, round_index)
+                        overload_charged = True
+                    report.dropped.append((name, "rejected"))
 
         # Phase 2: drain every active shard's backlog before its leaf
         # round (entries past the deadline are shed, never lost).
@@ -925,9 +891,7 @@ class ShardedAggregationService:
         breaker = self._breaker(shard)
         outcome = self.async_channel.drain(shard, deadline=deadline,
                                            tenant=self.tenant)
-        buffer = shard_uploads.setdefault(shard, [])
-        for sender, payload in outcome.delivered:
-            buffer.append((sender, payload))
+        shard_uploads.setdefault(shard, []).extend(outcome.delivered)
         for sender, _reason in outcome.shed:
             report.dropped.append((sender, "shed"))
         for sender, error in outcome.failed:
@@ -937,24 +901,16 @@ class ShardedAggregationService:
                     sender, round_index, wasted_bytes=error.wasted_bytes)
             report.dropped.append((sender, "lost"))
 
-    def _flood(self, shard: str, message: Message, delay: float,
-               intensity: int) -> None:
-        """Inject ``tenant_flood`` duplicates behind one admitted upload.
-
-        Each duplicate runs the full admission gauntlet under *this*
-        tenant's identity: it spends the tenant's quota tokens, fills
-        the tenant's slice slots, and any rejection is charged to the
-        tenant's own ledger.  Duplicates that do get through are
-        deduplicated by the leaf's exactly-once machinery, so a flood
-        can waste its own tenant's budget but never corrupt a sum.
-        """
-        for _ in range(intensity):
-            try:
-                self.async_channel.submit(shard, message,
-                                          arrival_delay=delay,
-                                          tenant=self.tenant)
-            except AdmissionRejected:
-                continue
+    def _try_submit(self, shard: str, message: Message,
+                    delay: float) -> Optional[str]:
+        """Submit on this service's lane into ``shard``; returns the
+        (already charged) rejection's reason, or ``None`` once admitted."""
+        try:
+            self.async_channel.submit(shard, message, arrival_delay=delay,
+                                      tenant=self.tenant)
+        except AdmissionRejected as rejection:
+            return rejection.reason
+        return None
 
 
 @dataclass
@@ -1018,44 +974,27 @@ class MultiTenantAggregationService:
         initial_shards: Pool size before the first rebalance.
         elastic: Rebalance the pool toward ``ceil(sqrt(P))`` for the
             round's total client count ``P`` before each round.
-        lease_timeout_seconds / breaker_failure_threshold /
-        breaker_cooldown_seconds: Forwarded to each tenant's service.
     """
 
     def __init__(self, registry: TenantRegistry,
                  clock: Optional[VirtualClock] = None,
                  queue_capacity: int = 64,
                  initial_shards: int = 1,
-                 elastic: bool = True,
-                 lease_timeout_seconds: float = 30.0,
-                 breaker_failure_threshold: int = 3,
-                 breaker_cooldown_seconds: float = 60.0):
+                 elastic: bool = True):
         if len(registry) == 0:
             raise ValueError("the registry must hold at least one tenant")
         self.registry = registry
         self.clock = clock if clock is not None else VirtualClock()
         self.queue_capacity = queue_capacity
         self.elastic = elastic
-        self.lease_timeout_seconds = lease_timeout_seconds
-        self.breaker_failure_threshold = breaker_failure_threshold
-        self.breaker_cooldown_seconds = breaker_cooldown_seconds
         self.pool = ShardPool(initial_shards=initial_shards)
         #: Pool-level charges (rebalance failovers) land here, not on
         #: any tenant's ledger -- the platform pays for its own faults.
         self.platform_ledger = CostLedger()
         self.async_channel: Optional[AsyncChannel] = None
         self.services: Dict[str, ShardedAggregationService] = {}
-        self._active_service: Optional[ShardedAggregationService] = None
         self.pool_failovers = 0
         self.round_reports: List[MultiTenantRoundReport] = []
-
-    def _overloaded(self, shard: str) -> bool:
-        """Dispatch the shared ingress' overload probe to the tenant
-        whose round is in flight (overload faults are tenant-planned)."""
-        service = self._active_service
-        if service is None:
-            return False
-        return service._overloaded(shard)
 
     def attach(self, tenant_id: str, aggregator: SecureAggregator,
                seed: int = 7) -> ShardedAggregationService:
@@ -1076,14 +1015,10 @@ class MultiTenantAggregationService:
         if self.async_channel is None:
             self.async_channel = AsyncChannel(
                 aggregator.channel, self.clock,
-                queue_capacity=self.queue_capacity,
-                overloaded=self._overloaded, tenants=self.registry)
+                queue_capacity=self.queue_capacity, tenants=self.registry)
         service = ShardedAggregationService(
             aggregator, clock=self.clock,
             queue_capacity=self.queue_capacity, seed=seed,
-            lease_timeout_seconds=self.lease_timeout_seconds,
-            breaker_failure_threshold=self.breaker_failure_threshold,
-            breaker_cooldown_seconds=self.breaker_cooldown_seconds,
             async_channel=self.async_channel, tenant=tenant_id,
             pool=self.pool, node_prefix=f"{tenant_id}/")
         self.services[tenant_id] = service
@@ -1153,8 +1088,7 @@ class MultiTenantAggregationService:
 
     def run_round(self,
                   tenant_vectors: Mapping[str, Sequence[np.ndarray]],
-                  round_index: int, tag: str = "gradients",
-                  cohort_sizes: Optional[Mapping[str, int]] = None,
+                  round_index: int, tag: str = "gradients"
                   ) -> MultiTenantRoundReport:
         """One shared round: rebalance once, then every tenant's round.
 
@@ -1170,8 +1104,7 @@ class MultiTenantAggregationService:
                 raise ValueError(
                     f"tenant {tenant_id!r} has no attached service")
         report = MultiTenantRoundReport(round_index=round_index)
-        sizes = {tenant_id: ((cohort_sizes or {}).get(tenant_id)
-                             or len(vectors))
+        sizes = {tenant_id: len(vectors)
                  for tenant_id, vectors in tenant_vectors.items()}
         if self.elastic and sizes:
             report.rebalance_ops = self.rebalance(
@@ -1197,13 +1130,10 @@ class MultiTenantAggregationService:
                      if injector is not None else 0)
             if flood > 0:
                 injector.charge_tenant_flood(tenant_id, round_index)
-            self._active_service = service
             try:
                 result = service.run_round(
                     tenant_vectors[tenant_id], tag=tag,
-                    round_index=round_index,
-                    cohort_size=(cohort_sizes or {}).get(tenant_id),
-                    flood_intensity=flood)
+                    round_index=round_index, flood_intensity=flood)
             except QuorumError as error:
                 report.outcomes[tenant_id] = TenantRoundOutcome(
                     tenant_id, round_index, "quorum_failed",
@@ -1212,7 +1142,5 @@ class MultiTenantAggregationService:
                 report.outcomes[tenant_id] = TenantRoundOutcome(
                     tenant_id, round_index, "ok", result=result,
                     report=service.last_round)
-            finally:
-                self._active_service = None
         self.round_reports.append(report)
         return report

@@ -275,17 +275,3 @@ def weighted_fair_order(backlogs: Mapping[str, int],
             heapq.heappush(heap, ((served + 1) / weight, tenant,
                                   served + 1, backlog, weight))
     return order
-
-
-#: Default bucket parameters for tenants that declare no quota: an
-#: effectively unmetered rate (admission never blocks on tokens).
-UNMETERED_RATE = 1.0e12
-
-
-def build_bucket(clock: VirtualClock, tenant: Tenant) -> TokenBucket:
-    """The tenant's token bucket (unmetered when no quota is set)."""
-    if tenant.quota_rate is None:
-        return TokenBucket(clock, rate=UNMETERED_RATE,
-                           burst=max(tenant.quota_burst, 1 << 20))
-    return TokenBucket(clock, rate=tenant.quota_rate,
-                       burst=tenant.quota_burst)

@@ -11,7 +11,7 @@ and all).  The format is deliberately boring and fully self-checking:
 The payload is canonical JSON (sorted keys, compact separators) of a
 :class:`WalRecord` -- kind, round index, coordinator incarnation, and a
 kind-specific payload dict.  Accepted client uploads embed the full
-serialized ``FLT2`` tensor frame (hex), which is what makes recovery
+serialized ``FLT3`` tensor frame (hex), which is what makes recovery
 *bit-identical*: the successor re-sums the very ciphertext words the
 dead coordinator had accepted instead of asking clients to resend.
 
@@ -287,15 +287,13 @@ class WriteAheadLog:
     real fsynced file.
 
     Args:
-        path: Journal file; ``None`` keeps the log purely in memory.
-        fsync: Flush-and-fsync the file after every append (the
-            write-ahead guarantee).  Ignored for in-memory logs.
+        path: Journal file, flushed and fsynced after every append (the
+            write-ahead guarantee); ``None`` keeps the log purely in
+            memory.
     """
 
-    def __init__(self, path: Optional[Union[str, Path]] = None,
-                 fsync: bool = True):
+    def __init__(self, path: Optional[Union[str, Path]] = None):
         self.path = Path(path) if path is not None else None
-        self.fsync = fsync
         self._buffer = bytearray()
         self._records: List[WalRecord] = []
         self.torn_tail_dropped = False
@@ -347,9 +345,8 @@ class WriteAheadLog:
 
         with open(self.path, "wb") as handle:
             handle.write(bytes(self._buffer))
-            if self.fsync:
-                handle.flush()
-                os.fsync(handle.fileno())
+            handle.flush()
+            os.fsync(handle.fileno())
 
     # ------------------------------------------------------------------
     # Reading.

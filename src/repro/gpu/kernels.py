@@ -133,25 +133,15 @@ class GpuKernels:
         resource_manager: Launch planner; pass one with ``managed=False``
             to model the HAFLO-style baseline.
         profile: Calibrated hardware constants.
-        execute: ``"int"`` (default) computes through Python's big
-            integers; ``"limb"`` computes modular multiplications through
-            the word-by-word CIOS Montgomery schedule of Algorithm 2 --
-            the exact arithmetic a real kernel would run, bit-for-bit
-            identical and much slower (validation/fidelity mode).
     """
 
     def __init__(self, device: Optional[SimulatedGpu] = None,
                  resource_manager: Optional[ResourceManager] = None,
-                 profile: HardwareProfile = DEFAULT_PROFILE,
-                 execute: str = "int"):
-        if execute not in ("int", "limb"):
-            raise ValueError("execute must be 'int' or 'limb'")
+                 profile: HardwareProfile = DEFAULT_PROFILE):
         self.device = device if device is not None else SimulatedGpu()
         self.resource_manager = (resource_manager if resource_manager is not None
                                  else ResourceManager(self.device.spec))
         self.profile = profile
-        self.execute = execute
-        self._montgomery_cache: dict = {}
         validate_budgets(self.device.spec)
 
     # ------------------------------------------------------------------
@@ -162,11 +152,7 @@ class GpuKernels:
                 work_bits: Optional[int] = None) -> List[int]:
         """Element-wise ``a[i] * b[i] mod modulus`` as one launch."""
         self._check_pair(a, b)
-        if self.execute == "limb" and modulus % 2 == 1:
-            results = [self._limb_mod_mul(x, y, modulus)
-                       for x, y in zip(a, b)]
-        else:
-            results = mulmod_batch(a, b, modulus)
+        results = mulmod_batch(a, b, modulus)
         limbs = self._work_limbs(modulus, work_bits)
         words = len(a) * cios_work_estimate(limbs)
         operand_bytes = limbs * (self.profile.word_bits // 8)
@@ -239,29 +225,6 @@ class GpuKernels:
     # ------------------------------------------------------------------
     # Internals.
     # ------------------------------------------------------------------
-
-    def _limb_mod_mul(self, x: int, y: int, modulus: int) -> int:
-        """One modular multiplication through the Algorithm 2 path.
-
-        ``x * y mod n`` as three Montgomery steps: map one operand into
-        the Montgomery domain (so the CIOS product lands back in the
-        plain domain) and run the word-level CIOS schedule.
-        """
-        from repro.mpint.limbs import from_int, to_int
-        from repro.mpint.montgomery import (
-            MontgomeryContext,
-            cios_montgomery_multiply,
-        )
-
-        ctx = self._montgomery_cache.get(modulus)
-        if ctx is None:
-            ctx = MontgomeryContext(modulus)
-            self._montgomery_cache[modulus] = ctx
-        x_mont = ctx.to_montgomery(x % modulus)
-        product = cios_montgomery_multiply(
-            from_int(x_mont, size=ctx.num_limbs),
-            from_int(y % modulus, size=ctx.num_limbs), ctx)
-        return to_int(product)
 
     def _work_limbs(self, modulus: int, work_bits: Optional[int]) -> int:
         bits = work_bits if work_bits is not None else modulus.bit_length()

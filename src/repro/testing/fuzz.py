@@ -37,6 +37,7 @@ from repro.federation.serialization import (
     FrameError,
     TENSOR_HEADER,
     TENSOR_MAGIC,
+    TENSOR_VERSION,
     deserialize_packed,
     deserialize_tensor,
     serialize_packed,
@@ -131,6 +132,24 @@ class FuzzReport:
 # Corpus: valid frames the mutations start from.
 # ----------------------------------------------------------------------
 
+#: The codec block of a dense FLT3 frame: id length, id, zero params.
+_DENSE_CODEC_BLOCK = bytes([len("dense")]) + b"dense" + bytes(4)
+
+
+def downgrade_to_flt2(frame: bytes) -> bytes:
+    """The legacy FLT2 spelling of a dense FLT3 frame: FLT2 magic and
+    version byte, codec block dropped (v2 implies dense).  Nothing
+    writes FLT2 any more, but the reader still takes it from outside,
+    so the fuzzer keeps seeding it."""
+    dims_end = TENSOR_HEADER.size + 4 * frame[6]
+    body_start = dims_end + len(_DENSE_CODEC_BLOCK)
+    if frame[dims_end:body_start] != _DENSE_CODEC_BLOCK:
+        raise ValueError(
+            "FLT2 frames can only describe the parameterless dense codec")
+    return (TENSOR_MAGIC + bytes([TENSOR_VERSION]) + frame[5:dims_end]
+            + frame[body_start:])
+
+
 def _tensor_frame(rng: random.Random) -> Tuple[str, bytes, int]:
     """A valid legacy FLT2 frame with random (but consistent) geometry."""
     capacity = rng.choice([1, 1, 3, 4])
@@ -153,7 +172,8 @@ def _tensor_frame(rng: random.Random) -> Tuple[str, bytes, int]:
         packed=capacity > 1,
     )
     tensor = CipherTensor(meta, words=words)
-    frame = serialize_tensor(tensor, ciphertext_bytes=width, version=2)
+    frame = downgrade_to_flt2(
+        serialize_tensor(tensor, ciphertext_bytes=width))
     return "tensor", frame, width
 
 
@@ -193,7 +213,7 @@ def _tensor3_frame(rng: random.Random) -> Tuple[str, bytes, int]:
     words = [rng.getrandbits(8 * width - 3)
              for _ in range(meta.num_words)]
     tensor = CipherTensor(meta, words=words)
-    frame = serialize_tensor(tensor, ciphertext_bytes=width, version=3)
+    frame = serialize_tensor(tensor, ciphertext_bytes=width)
     return "tensor3", frame, width
 
 
@@ -427,16 +447,17 @@ def _classify(fmt: str, mutant: bytes, original: bytes,
             # accepted mutant actually carries (a mutation may have
             # rewritten the magic), so sniff it rather than trusting
             # the corpus label.
-            version = 2 if mutant[:4] == TENSOR_MAGIC else 3
+            legacy = mutant[:4] == TENSOR_MAGIC
             meta = tensor.meta
-            codec_block = 0 if version == 2 else (
+            codec_block = 0 if legacy else (
                 1 + len(meta.codec) + 4 + 8 * len(meta.codec_params))
             canonical_len = (TENSOR_HEADER.size + 4 * len(meta.shape)
                              + codec_block + tensor.num_words * width)
             if canonical_len != len(mutant):
                 return misdecode(canonical_len)
-            canonical = serialize_tensor(tensor, ciphertext_bytes=width,
-                                         version=version)
+            canonical = serialize_tensor(tensor, ciphertext_bytes=width)
+            if legacy:
+                canonical = downgrade_to_flt2(canonical)
         elif fmt == "wal":
             replayed = replay_wal(mutant)
             # Accepted: the consumed prefix must re-encode byte-exactly

@@ -45,7 +45,10 @@ from repro.federation.coordinator import (
 )
 # VirtualClock now lives with the event loop (the federation layer owns
 # its own time source); re-exported here for backward compatibility.
-from repro.federation.eventloop import VirtualClock  # noqa: F401 -- re-exported
+from repro.federation.eventloop import (  # noqa: F401 -- re-exported
+    LEASE_TIMEOUT_SECONDS,
+    VirtualClock,
+)
 from repro.federation.faults import (
     COORDINATOR_CRASH,
     COORDINATOR_KINDS,
@@ -321,9 +324,6 @@ def _client_vectors(seed: int, round_index: int, num_clients: int,
             for _ in range(num_clients)]
 
 
-#: Lease duration on the simulator's virtual clock; failover scenarios
-#: advance past it to let the standby acquire legally.
-LEASE_TIMEOUT_SECONDS = 30.0
 #: Extra virtual seconds past lease expiry before a takeover.
 LEASE_GRACE_SECONDS = 1.0
 
@@ -390,8 +390,7 @@ class FederationSimulator:
             self.service = ShardedAggregationService(
                 self.runtime.aggregator, clock=self.clock,
                 num_shards=spec.num_shards,
-                queue_capacity=spec.queue_capacity, seed=spec.seed,
-                lease_timeout_seconds=LEASE_TIMEOUT_SECONDS)
+                queue_capacity=spec.queue_capacity, seed=spec.seed)
             self.failovers = self.service.failover_log
             self._scheduled_kills = [
                 e for e in events if e.kind == SHARD_CRASH
@@ -794,8 +793,7 @@ class MultiTenantSimulator:
             self.registry, clock=self.clock,
             queue_capacity=spec.queue_capacity,
             initial_shards=spec.initial_shards,
-            elastic=spec.rebalance_targets is None,
-            lease_timeout_seconds=LEASE_TIMEOUT_SECONDS)
+            elastic=spec.rebalance_targets is None)
         for tenant_spec in spec.tenants:
             self.service.attach(
                 tenant_spec.tenant_id,

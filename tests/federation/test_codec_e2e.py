@@ -19,6 +19,7 @@ from repro.federation.serialization import (
 )
 from repro.federation.shard import ShardedAggregationService
 from repro.quantization.codecs import SparseCodec
+from repro.testing.fuzz import downgrade_to_flt2
 
 
 def make_runtime(num_clients=6, seed=11, **kwargs):
@@ -164,9 +165,11 @@ class TestWireRoundTrips:
             assert list(rebuilt.words) == list(tensor.words)
 
     def test_flt2_still_serializes_dense_tensors(self):
+        """FLT2 is read-only: its only writer left is the fuzzer's
+        downgrade of a dense FLT3 frame."""
         tensor = self._tensors()["dense"]
-        blob = serialize_tensor(tensor, version=TENSOR_VERSION)
-        assert blob[:4] == b"FLT2"
+        blob = downgrade_to_flt2(serialize_tensor(tensor))
+        assert blob[:4] == b"FLT2" and blob[4] == TENSOR_VERSION
         rebuilt = deserialize_tensor(blob)
         assert rebuilt.meta.codec == "dense"
         assert list(rebuilt.words) == list(tensor.words)
@@ -175,8 +178,7 @@ class TestWireRoundTrips:
         tensors = self._tensors()
         for codec_id in ("interleave", "sparse"):
             with pytest.raises(ValueError, match="FLT2"):
-                serialize_tensor(tensors[codec_id],
-                                 version=TENSOR_VERSION)
+                downgrade_to_flt2(serialize_tensor(tensors[codec_id]))
 
     def test_decrypt_after_wire_matches_direct_decrypt(self):
         vectors = sparse_vectors(4)

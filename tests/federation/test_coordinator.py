@@ -226,6 +226,26 @@ class TestDurableRound:
         # commit, close.
         assert len(coordinator.wal) == 7
 
+    def test_accepted_uploads_are_deserialized_once(self, monkeypatch):
+        """An uninterrupted round decodes each journaled frame once: the
+        tensors the quorum check counted are the ones committed."""
+        from repro.federation import coordinator as module
+
+        decoded = []
+        real = module.deserialize_tensor
+
+        def spy(blob, *args, **kwargs):
+            decoded.append(blob)
+            return real(blob, *args, **kwargs)
+
+        monkeypatch.setattr(module, "deserialize_tensor", spy)
+        coordinator = make_runtime().durable_coordinator()
+        coordinator.run_round(client_vectors(3))
+        frames = coordinator.machine.round.upload_frames
+        assert sorted(decoded) == sorted(
+            bytes.fromhex(frame) for frame in frames.values())
+        assert len(decoded) == 3
+
     def test_duplicate_upload_not_journaled(self):
         runtime = make_runtime()
         coordinator = runtime.durable_coordinator()

@@ -6,11 +6,14 @@ from repro.federation.channel import Channel, ChannelError, Message
 from repro.federation.eventloop import (
     ADMISSION_BYTES,
     BREAKER_CLOSED,
+    BREAKER_COOLDOWN_SECONDS,
+    BREAKER_FAILURE_THRESHOLD,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
     AdmissionRejected,
     AsyncChannel,
     CircuitBreaker,
+    DISPATCH_SECONDS,
     VirtualClock,
 )
 from repro.ledger import (
@@ -100,7 +103,7 @@ class TestAdmission:
     def test_accept_charges_control_plane(self):
         loop = AsyncChannel(Channel(), VirtualClock())
         loop.submit("shard-0", upload())
-        ledger = loop.ledger
+        ledger = loop.channel.ledger
         assert ledger.count(CAT_COMM_ADMISSION_ACCEPT) == 1
         assert ledger.payload_bytes(CAT_COMM_ADMISSION_ACCEPT) \
             == ADMISSION_BYTES
@@ -118,7 +121,7 @@ class TestAdmission:
         assert rejection.reason == "queue_full"
         assert rejection.retryable
         assert rejection.retry_after_seconds > 0
-        assert loop.ledger.count(CAT_COMM_ADMISSION_REJECT) == 1
+        assert loop.channel.ledger.count(CAT_COMM_ADMISSION_REJECT) == 1
         assert loop.stats["shard-0"].rejected_full == 1
 
     def test_overload_predicate_rejects(self):
@@ -133,14 +136,15 @@ class TestAdmission:
     def test_open_breaker_fences_the_shard(self):
         clock = VirtualClock()
         loop = AsyncChannel(Channel(), clock)
-        breaker = loop.register_shard("shard-0", failure_threshold=1,
-                                      cooldown_seconds=30.0)
-        breaker.record_failure()
+        breaker = loop.lane("shard-0").breaker
+        for _ in range(BREAKER_FAILURE_THRESHOLD):
+            breaker.record_failure()
         with pytest.raises(AdmissionRejected) as excinfo:
             loop.submit("shard-0", upload())
         assert excinfo.value.reason == "circuit_open"
-        assert excinfo.value.retry_after_seconds == pytest.approx(30.0)
-        assert loop.ledger.count(CAT_FAULT_CIRCUIT_OPEN) == 1
+        assert excinfo.value.retry_after_seconds \
+            == pytest.approx(BREAKER_COOLDOWN_SECONDS)
+        assert loop.channel.ledger.count(CAT_FAULT_CIRCUIT_OPEN) == 1
 
     def test_unknown_reason_rejected(self):
         with pytest.raises(ValueError):
@@ -150,14 +154,13 @@ class TestAdmission:
 class TestDrain:
     def test_fifo_delivery_advances_clock(self):
         clock = VirtualClock()
-        loop = AsyncChannel(Channel(), clock,
-                            drain_seconds_per_message=0.25)
+        loop = AsyncChannel(Channel(), clock)
         loop.submit("shard-0", upload("client-0"))
         loop.submit("shard-0", upload("client-1"))
         outcome = loop.drain("shard-0")
         assert [s for s, _ in outcome.delivered] \
             == ["client-0", "client-1"]
-        assert clock.now == pytest.approx(0.5)
+        assert clock.now == pytest.approx(2 * DISPATCH_SECONDS)
         assert loop.queue_depth("shard-0") == 0
 
     def test_past_deadline_entries_are_shed_and_charged(self):
@@ -169,7 +172,7 @@ class TestDrain:
         outcome = loop.drain("shard-0", deadline=clock.now + 1.0)
         assert [s for s, _ in outcome.delivered] == ["client-0"]
         assert outcome.shed == [("client-1", "deadline")]
-        ledger = loop.ledger
+        ledger = loop.channel.ledger
         assert ledger.count(CAT_FAULT_SHED) == 1
         assert ledger.payload_bytes(CAT_FAULT_SHED) == 128
         assert loop.stats["shard-0"].shed == 1
@@ -204,5 +207,5 @@ class TestDrain:
         assert stats.peak_depth <= capacity
         assert stats.accepted == stats.delivered + stats.shed
         assert stats.accepted + rejected == submitted
-        assert loop.ledger.count(CAT_COMM_ADMISSION_REJECT) == rejected
-        assert loop.ledger.count(CAT_FAULT_SHED) == stats.shed
+        assert loop.channel.ledger.count(CAT_COMM_ADMISSION_REJECT) == rejected
+        assert loop.channel.ledger.count(CAT_FAULT_SHED) == stats.shed

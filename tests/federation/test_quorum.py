@@ -191,6 +191,29 @@ class TestSecureAveragingJobQuorum:
         step = job_runtime.aggregator.scheme.quantization_step
         assert np.allclose(job_result, sum(vectors[:4]) / 4, atol=4 * step)
 
+    def test_job_charges_like_library_when_client_zero_crashes(self):
+        """The representative is the first client through the gate, not
+        client-0: with client-0 down, the job still pays one client's
+        encrypt / pack / decrypt / decode, exactly as ``aggregate``."""
+        plan = FaultPlan().crash("client-0", 0)
+        vectors = client_vectors(4, seed=5)
+        snapshots = []
+        for run in ("job", "library"):
+            runtime = make_runtime(num_clients=4, fault_plan=plan,
+                                   min_quorum=3)
+            if run == "job":
+                SecureAveragingJob(runtime, vectors).run(min_quorum=3)
+            else:
+                runtime.aggregator.aggregate(vectors)
+            snapshots.append({
+                category: entry.count for category, entry in runtime.ledger
+                if category.startswith(("he.", "pipeline."))})
+        job, library = snapshots
+        assert job == library
+        for category in ("he.encrypt", "he.decrypt", "he.add",
+                         "pipeline.encode_pack", "pipeline.unpack_decode"):
+            assert job[category] > 0, category
+
     def test_job_raises_quorum_error(self):
         plan = (FaultPlan().crash("client-0", 0).crash("client-1", 0)
                 .crash("client-2", 0))

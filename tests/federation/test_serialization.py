@@ -22,8 +22,20 @@ from repro.ledger import CostLedger
 from repro.mpint.primes import LimbRandom
 from repro.quantization.encoding import QuantizationScheme
 from repro.quantization.packing import BatchPacker
-from repro.tensor.meta import KeyMismatchError
+from repro.tensor.cipher import CipherTensor
+from repro.tensor.meta import KeyMismatchError, TensorMeta
+from repro.testing.fuzz import downgrade_to_flt2
 from repro.tensor.plain import PlainTensor
+
+
+#: ``serialize_tensor(tensor, ciphertext_bytes=16, version=2)`` at the
+#: last commit that could write FLT2 (3d34801), for the tensor rebuilt
+#: in ``test_committed_flt2_frame_still_reads``.
+FLT2_FRAME = (
+    "464c5432020102000000000800000002000000030000000300000010000004"
+    "0000000040001000043ff0000000000000000102030405060708090a0b0c0d"
+    "0e0f00000002000000040123456789abcdef0123456789abcdef0000000000"
+    "00000000000000000000011ffffffffffffffffffffffffffffffd")
 
 
 class TestPackedFormat:
@@ -141,10 +153,9 @@ class TestTensorFormat:
         with pytest.raises(ValueError, match="version"):
             deserialize_tensor(blob[:4] + b"\x07" + blob[5:])
         # Magic/version cross-lies: v2 magic claiming v3 and vice versa.
-        v3 = serialize_tensor(tensor, version=3)
         with pytest.raises(ValueError, match="version"):
-            deserialize_tensor(b"FLT2" + v3[4:])
-        v2 = serialize_tensor(tensor, version=2)
+            deserialize_tensor(b"FLT2" + blob[4:])
+        v2 = downgrade_to_flt2(blob)
         with pytest.raises(ValueError, match="version"):
             deserialize_tensor(b"FLT3" + v2[4:])
 
@@ -165,6 +176,25 @@ class TestTensorFormat:
 
     def test_magic_is_distinct_from_packed(self):
         assert TENSOR_MAGIC != b"FLBP"
+
+    def test_committed_flt2_frame_still_reads(self):
+        """Nothing writes FLT2 any more; this frame was captured from
+        ``serialize_tensor(..., version=2)`` before the writer went."""
+        meta = TensorMeta(
+            key_fingerprint=bytes(range(16)), nominal_bits=1024,
+            physical_bits=64,
+            scheme=QuantizationScheme(alpha=1.0, r_bits=16,
+                                      num_parties=4),
+            capacity=3, shape=(2, 4), count=8, summands=2, packed=True)
+        words = [0x0123456789abcdef0123456789abcdef, 1, (1 << 125) - 3]
+        rebuilt = deserialize_tensor(bytes.fromhex(FLT2_FRAME))
+        assert rebuilt.meta == meta
+        assert rebuilt.meta.codec == "dense"
+        assert list(rebuilt.words) == words
+        # The downgraded FLT3 frame the fuzzer seeds from is that frame.
+        assert downgrade_to_flt2(serialize_tensor(
+            CipherTensor(meta, words=words), ciphertext_bytes=16)) \
+            == bytes.fromhex(FLT2_FRAME)
 
 
 class TestBloatMatchesCostModel:

@@ -11,6 +11,7 @@ from repro.federation.coordinator import (
     RoundStateMachine,
 )
 from repro.federation.eventloop import (
+    BREAKER_FAILURE_THRESHOLD,
     REJECT_QUOTA,
     AdmissionRejected,
     AsyncChannel,
@@ -136,7 +137,7 @@ class TestTenantAdmission:
         with pytest.raises(QuotaExceeded):
             loop.submit("shard-0", upload("client-2"),
                         tenant="tenant-a")
-        ledger = loop.tenant_channel("tenant-a").ledger
+        ledger = loop.lane("shard-0", "tenant-a").terms.channel.ledger
         assert ledger.count(
             admission_category("accept", "tenant-a")) == 2
         assert ledger.count(
@@ -156,19 +157,19 @@ class TestTenantAdmission:
         # tenant-a still gets in: the shared queue is not full and its
         # own slice (2 slots) is untouched by b's backlog.
         loop.submit("shard-0", upload("client-a"), tenant="tenant-a")
-        assert loop.queue_depth("shard-0", "tenant-a") == 1
+        assert loop.lane("shard-0", "tenant-a").queued == 1
 
     def test_tenant_breaker_is_scoped_per_tenant(self):
         _clock, loop = tenant_loop()
-        breaker_a = loop.tenant_breaker("shard-0", "tenant-a",
-                                        failure_threshold=1)
-        breaker_a.record_failure()
+        breaker_a = loop.lane("shard-0", "tenant-a").breaker
+        for _ in range(BREAKER_FAILURE_THRESHOLD):
+            breaker_a.record_failure()
         with pytest.raises(AdmissionRejected) as excinfo:
             loop.submit("shard-0", upload(), tenant="tenant-a")
         assert excinfo.value.reason == "circuit_open"
         # tenant-b is unaffected on the very same shard.
         loop.submit("shard-0", upload("client-b"), tenant="tenant-b")
-        assert loop.queue_depth("shard-0", "tenant-b") == 1
+        assert loop.lane("shard-0", "tenant-b").queued == 1
 
     def test_tenant_filtered_drain_leaves_others_queued(self):
         _clock, loop = tenant_loop()
@@ -179,18 +180,18 @@ class TestTenantAdmission:
         assert [s for s, _ in outcome.delivered] == ["client-b0",
                                                      "client-b1"]
         assert loop.queue_depth("shard-0") == 1
-        assert loop.queue_depth("shard-0", "tenant-a") == 1
+        assert loop.lane("shard-0", "tenant-a").queued == 1
 
 
 class TestMigrationAccounting:
     def invariant(self, loop, shard, tenant=None):
         if tenant is None:
-            stats = loop.stats[shard]
+            stats, queued = loop.stats[shard], loop.queue_depth(shard)
         else:
-            stats = loop.tenant_stats.get((shard, tenant))
-            if stats is None:
+            lane = loop.lanes.get((shard, tenant))
+            if lane is None:
                 return  # never touched
-        queued = loop.queue_depth(shard, tenant)
+            stats, queued = lane.stats, lane.queued
         assert (stats.accepted + stats.migrated_in - stats.migrated_out
                 == stats.delivered + stats.shed + stats.failed + queued)
 

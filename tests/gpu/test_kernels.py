@@ -131,49 +131,6 @@ class TestManagedVsUnmanaged:
             3 * managed.device.total_seconds
 
 
-class TestLimbExecution:
-    def test_limb_mode_matches_int_mode(self):
-        import random
-        rng = random.Random(41)
-        n = rng.getrandbits(256) | (1 << 255) | 1
-        a = [rng.randrange(n) for _ in range(8)]
-        b = [rng.randrange(n) for _ in range(8)]
-        int_kernels = GpuKernels(execute="int")
-        limb_kernels = GpuKernels(execute="limb")
-        assert limb_kernels.mod_mul(a, b, n) == int_kernels.mod_mul(a, b, n)
-
-    def test_limb_mode_charging_identical(self):
-        n = (1 << 255) | 5
-        int_kernels = GpuKernels(execute="int")
-        limb_kernels = GpuKernels(execute="limb")
-        int_kernels.mod_mul([3] * 4, [5] * 4, n)
-        limb_kernels.mod_mul([3] * 4, [5] * 4, n)
-        assert int_kernels.device.launches[-1].seconds == \
-            limb_kernels.device.launches[-1].seconds
-
-    def test_limb_mode_even_modulus_falls_back(self):
-        kernels = GpuKernels(execute="limb")
-        assert kernels.mod_mul([3], [5], 16) == [15]
-
-    def test_end_to_end_paillier_on_limb_kernels(self, paillier_128=None):
-        from repro.crypto.gpu_engine import GpuPaillierEngine
-        from repro.crypto.keys import generate_paillier_keypair
-        from repro.mpint.primes import LimbRandom
-        keypair = generate_paillier_keypair(64, rng=LimbRandom(seed=51))
-        engine = GpuPaillierEngine(keypair,
-                                   kernels=GpuKernels(execute="limb"),
-                                   rng=LimbRandom(seed=52))
-        values = [1, 2, 3]
-        ciphertexts = engine.encrypt_batch(values)
-        summed = engine.sum_ciphertexts(ciphertexts)
-        assert engine.decrypt_batch([summed]) == [6]
-
-    def test_invalid_mode_raises(self):
-        import pytest as _pytest
-        with _pytest.raises(ValueError):
-            GpuKernels(execute="cuda")
-
-
 class TestMemoryTableIntegration:
     def test_repeated_launches_reuse_slots(self):
         kernels = GpuKernels(resource_manager=ResourceManager(managed=True))
