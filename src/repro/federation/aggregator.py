@@ -54,7 +54,7 @@ from repro.federation.channel import Channel, ChannelError, Message
 from repro.federation.faults import FaultInjector, QuorumError
 from repro.federation.metrics import charge_pipeline_stage
 from repro.ledger import CAT_PIPELINE_ENCODE_PACK, CAT_PIPELINE_UNPACK_DECODE
-from repro.quantization.packing import BatchPacker
+from repro.quantization.packing import SlotCodec
 from repro.tensor.cipher import CipherTensor
 from repro.tensor.plain import PlainTensor
 
@@ -107,7 +107,7 @@ class SecureAggregator:
     """
 
     def __init__(self, client_engine: HeEngine, silent_engine: HeEngine,
-                 server_engine: HeEngine, packer: BatchPacker,
+                 server_engine: HeEngine, packer: SlotCodec,
                  channel: Channel, packed_serialization: bool = False,
                  injector: Optional[FaultInjector] = None,
                  min_quorum: Optional[int] = None,
@@ -419,43 +419,39 @@ class SecureAggregator:
                     charged: bool = True) -> List[int]:
         """Pack already-encrypted values by homomorphic shift-and-add.
 
-        ``[[word]] = sum_i [[v_i]] * 2^(slot * (capacity - 1 - i))`` -- the
-        SecureBoost+ cipher-compression trick.  Each input must hold a
-        value that fits one slot (value bits plus untouched overflow bits).
-        Returns one ciphertext per ``capacity`` inputs.
+        ``[[word]] = sum_i [[v_i]] * 2^slot_shift(i)`` -- the SecureBoost+
+        cipher-compression trick, in whatever slot order the packer lays
+        out.  Each input must hold a value that fits one slot (value bits
+        plus untouched overflow bits).  Returns one ciphertext per
+        ``capacity`` inputs.
         """
         engine = self.client_engine if charged else self.silent_engine
-        codec_id = getattr(self.packer, "codec_id", "dense")
-        if codec_id == "sparse":
+        codec = self.packer
+        if not codec.describe().sliceable:
             raise ValueError(
-                "cipher_pack is undefined for the sparse codec: slot "
-                "positions do not map to ciphertext order")
-        capacity = self.packer.capacity
-        slot_bits = self.packer.slot_bits
+                f"cipher_pack is undefined for the {codec.codec_id!r} "
+                f"codec: slot positions do not map to ciphertext order")
+        capacity = codec.capacity
         if capacity == 1:
             return list(ciphertexts)
+
+        def shifted(value: int, bits: int) -> int:
+            return engine.scalar_mul_batch([value], [1 << bits])[0]
+
         packed: List[int] = []
         for start in range(0, len(ciphertexts), capacity):
-            chunk = list(ciphertexts[start:start + capacity])
-            if codec_id == "interleave":
-                # LSB-first layout: shift each *value* into its slot;
-                # partial chunks need no padding (high slots stay zero).
-                word = chunk[0]
-                for index, value in enumerate(chunk[1:], start=1):
-                    shifted = engine.scalar_mul_batch(
-                        [value], [1 << (slot_bits * index)])
-                    word = engine.add_batch([word], shifted)[0]
-                packed.append(word)
-                continue
-            # Dense MSB-first layout (Horner's scheme); left-align a
-            # partial final chunk to keep slot indices fixed.
-            pad_slots = capacity - len(chunk)
-            word = chunk[0]
-            for value in chunk[1:]:
-                shifted = engine.scalar_mul_batch([word], [1 << slot_bits])
-                word = engine.add_batch(shifted, [value])[0]
-            if pad_slots:
-                word = engine.scalar_mul_batch(
-                    [word], [1 << (slot_bits * pad_slots)])[0]
-            packed.append(word)
+            # ``word`` is kept ``base`` bits below its final position: a
+            # slot lower than ``base`` moves the word up to it (Horner's
+            # scheme, short exponents), a higher one moves the value.
+            word, base = ciphertexts[start], codec.slot_shift(0)
+            for position, value in enumerate(
+                    ciphertexts[start + 1:start + capacity], start=1):
+                shift = codec.slot_shift(position)
+                if shift < base:
+                    word, base = shifted(word, base - shift), shift
+                else:
+                    value = shifted(value, shift - base)
+                word = engine.add_batch([word], [value])[0]
+            # A partial final chunk leaves the word short of its slots.
+            packed.append(shifted(word, base) if base else word)
         return packed

@@ -6,11 +6,16 @@
   scheme the paper contrasts against.
 - :mod:`repro.quantization.packing` -- batch compression (Eq. 9): packing
   ``n = floor(k / (r + ceil(log2 p)))`` quantized gradients into one
-  plaintext, with the compression-ratio and plaintext-space-utilization
-  formulas of Eqs. 11-12.
-- :mod:`repro.quantization.codecs` -- the pluggable codec registry
-  (dense / interleave / sparse) layered over the same protocol, so
-  PlainTensor and the wire format are parameterized by layout.
+  plaintext.  :class:`SlotCodec` is the one slot layout -- validation,
+  word assembly and extraction, word counts, Eqs. 11-12, the summand
+  guard -- with every derived number fixed at construction;
+  :class:`BatchPacker` is its dense (paper) instance.
+- :mod:`repro.quantization.codecs` -- the interleaved and sparse
+  instances, the registry, and :func:`build_codec`, which hands every
+  tensor of a layout the same immutable codec.  The slot layout is
+  decided here and only *asked* elsewhere (``words_needed``,
+  ``slot_shift``, ``describe()`` capabilities), never re-derived from a
+  codec id.
 """
 
 from repro.quantization.codecs import (
@@ -32,6 +37,7 @@ from repro.quantization.packing import (
     BatchPacker,
     CodecCapabilities,
     PackingPlan,
+    SlotCodec,
     compression_ratio,
     plaintext_space_utilization,
 )
@@ -45,6 +51,7 @@ __all__ = [
     "BatchPacker",
     "CodecCapabilities",
     "PackingPlan",
+    "SlotCodec",
     "compression_ratio",
     "plaintext_space_utilization",
     "InterleavedCodec",

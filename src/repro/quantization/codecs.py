@@ -6,24 +6,25 @@ fixed-width slots, MSB first.  Real federated gradients are often
 >99% of the plaintext, and FedBit-style guard-bit layouts show that a
 wider inter-slot gap buys orders of magnitude more safe summands.
 
-This module turns the packer into a *registry of codecs* sharing one
-duck-typed protocol (``BatchPacker`` in packing.py is the default
-``"dense"`` member):
+This module is the *registry of codecs*.  Each one is a
+:class:`~repro.quantization.packing.SlotCodec` (``BatchPacker`` in
+packing.py is the default ``"dense"`` member) and supplies only what its
+layout changes:
 
 ``codec_id``
     Registry name, carried in :class:`~repro.tensor.meta.TensorMeta`
     and on the FLT3 wire frame.
-``pack(encoded) / unpack(words, count)``
-    Integer-level layout; ``unpack`` inverts ``pack`` for summands=1.
-``pack_values(values) / decode_words(words, count, summands)``
-    Float-level entry points used by PlainTensor; ``decode_words``
-    raises :class:`OverflowError` past ``max_safe_summands()``.
 ``codec_params() / from_meta(meta)``
     Wire round-trip: the integer tuple that, together with the scheme
     and capacity, reconstructs the codec on the receiving side.
-``describe()``
-    :class:`~repro.quantization.packing.CodecCapabilities` for the
-    planner, shard capacity planning, and the conformance matrix.
+``slot_count / _to_slots / _encodings``
+    Only when the stored slots are not the logical encodings (the
+    sparse pattern and bias mapping).
+
+``pack`` / ``unpack`` / ``pack_values`` / ``decode_words`` /
+``words_needed`` / ``describe()`` come from the core.  Callers never
+branch on ``codec_id``: they ask the codec (``slot_shift``,
+``words_needed``, ``max_safe_summands()``) or its capabilities.
 
 Every codec decodes through ``scheme.decode_array``, so for any value
 the registry guarantees ``decode(encode(x))`` is **bit-identical**
@@ -32,13 +33,13 @@ across codecs -- the layouts differ, the quantization grid does not.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Sequence, Tuple, Type
+from functools import lru_cache
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
 from repro.quantization.encoding import QuantizationScheme
-from repro.quantization.packing import BatchPacker, CodecCapabilities
+from repro.quantization.packing import BatchPacker, SlotCodec
 
 #: Widest adaptive value width the sparse codec accepts off the wire.
 #: Generous (offsets fit in ~r+1 bits <= 31 for default schemes) but
@@ -54,7 +55,7 @@ MAX_GUARD_BITS = 128
 DEFAULT_EXTRA_GUARD_BITS = 8
 
 
-class InterleavedCodec:
+class InterleavedCodec(SlotCodec):
     """FedBit-style guard-banded layout, LSB-first.
 
     Each slot is ``r + g`` bits with ``g >= b`` guard bits *above* the
@@ -62,17 +63,14 @@ class InterleavedCodec:
 
         word = sum_i  e_i << (i * (r + g))
 
-    Two properties follow:
-
-    * ``max_safe_summands() = 2**g`` -- the guard band, not the Eq. 8
-      minimum, bounds how many words may be slot-wise summed, so a
-      wider band raises summand capacity at equal key size.
-    * unpack needs **no per-slot masking**: slots peel off the low end
-      with repeated divmod by ``2**(r+g)``, each quotient already
-      clean of the slots above it.
+    ``max_safe_summands() = 2**g`` -- the guard band, not the Eq. 8
+    minimum, bounds how many words may be slot-wise summed, so a wider
+    band raises summand capacity at equal key size.
     """
 
     codec_id = "interleave"
+    slot_layout = "interleave-lsb"
+    lsb_first = True
 
     def __init__(self, scheme: QuantizationScheme, plaintext_bits: int,
                  guard_bits: int | None = None,
@@ -85,89 +83,8 @@ class InterleavedCodec:
                 f"{scheme.overflow_bits} Eq. 8 overflow bits")
         if guard_bits > MAX_GUARD_BITS:
             raise ValueError(f"guard band of {guard_bits} bits is unreasonable")
-        self.scheme = scheme
-        self.guard_bits = guard_bits
-        self.plaintext_bits = plaintext_bits
-        if plaintext_bits < self.slot_bits:
-            raise ValueError(
-                f"plaintext of {plaintext_bits} bits cannot hold one "
-                f"{self.slot_bits}-bit interleaved slot")
-        derived = plaintext_bits // self.slot_bits
-        self.capacity = capacity if capacity is not None else derived
-        if self.capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        if self.capacity * self.slot_bits > plaintext_bits:
-            raise ValueError(
-                f"{self.capacity} slots of {self.slot_bits} bits exceed "
-                f"the {plaintext_bits}-bit plaintext")
-
-    @property
-    def slot_bits(self) -> int:
-        """Bits per slot: value bits plus the (widened) guard band."""
-        return self.scheme.r_bits + self.guard_bits
-
-    # ------------------------------------------------------------------
-    # Layout.
-    # ------------------------------------------------------------------
-
-    def pack(self, encoded: Sequence[int]) -> List[int]:
-        """Pack encodings LSB-first, ``capacity`` per word."""
-        bound = 1 << self.scheme.r_bits
-        for value in encoded:
-            if not 0 <= value < bound:
-                raise ValueError(
-                    f"encoding {value} outside the {self.scheme.r_bits}-bit "
-                    f"value range")
-        words: List[int] = []
-        for start in range(0, len(encoded), self.capacity):
-            chunk = encoded[start:start + self.capacity]
-            word = 0
-            for slot, value in enumerate(chunk):
-                word |= value << (slot * self.slot_bits)
-            words.append(word)
-        return words
-
-    def unpack(self, words: Sequence[int], count: int) -> List[int]:
-        """Peel ``count`` slots off the low end of each word.
-
-        The divmod peel reads aggregated words exactly as long as no
-        slot sum crossed its guard band -- no masking required.
-        """
-        expected = math.ceil(count / self.capacity) if count else 0
-        if len(words) < expected:
-            raise ValueError(
-                f"{count} values need {expected} words, got {len(words)}")
-        base = 1 << self.slot_bits
-        values: List[int] = []
-        for word_index, word in enumerate(words):
-            if len(values) >= count:
-                break
-            remaining = min(self.capacity, count - word_index * self.capacity)
-            for _ in range(remaining):
-                word, slot_value = divmod(word, base)
-                values.append(slot_value)
-        return values
-
-    def words_needed(self, n_values: int) -> int:
-        """Plaintext words (and thus ciphertexts) for ``n_values``."""
-        if n_values <= 0:
-            return 0
-        return math.ceil(n_values / self.capacity)
-
-    def max_safe_summands(self) -> int:
-        """The guard band bounds summand capacity: ``2**g``."""
-        return 2 ** self.guard_bits
-
-    def achieved_psu(self, n_values: int) -> float:
-        """Eq. 12 with the widened slot against this plaintext size."""
-        if n_values <= 0:
-            return 0.0
-        return (n_values * self.slot_bits) / (
-            self.plaintext_bits * self.words_needed(n_values))
-
-    # ------------------------------------------------------------------
-    # Codec protocol.
-    # ------------------------------------------------------------------
+        super().__init__(scheme, plaintext_bits, scheme.r_bits, guard_bits,
+                         capacity)
 
     def codec_params(self) -> Tuple[int, ...]:
         """Wire parameters: the guard-band width."""
@@ -187,29 +104,8 @@ class InterleavedCodec:
         return cls(meta.scheme, plaintext_bits=meta.capacity * stride,
                    guard_bits=guard_bits, capacity=meta.capacity)
 
-    def pack_values(self, values: np.ndarray) -> List[int]:
-        """Quantize a flat float array and pack it into plaintext words."""
-        return self.pack(self.scheme.encode_array(np.asarray(values)))
 
-    def decode_words(self, words: Sequence[int], count: int,
-                     summands: int = 1) -> np.ndarray:
-        """Peel slots and decode sums of ``summands`` encodings."""
-        if self.capacity > 1 and summands > self.max_safe_summands():
-            raise OverflowError(
-                f"{summands} summands exceed the {self.guard_bits}-bit "
-                f"guard band")
-        slots = self.unpack(words, count)
-        return _decode_slots(self.scheme, slots, summands)
-
-    def describe(self) -> CodecCapabilities:
-        return CodecCapabilities(
-            slot_layout="interleave-lsb",
-            summand_capacity=self.max_safe_summands(),
-            add_safe=True,
-            sliceable=True)
-
-
-class SparseCodec:
+class SparseCodec(SlotCodec):
     """Index + value layout for CSR-shaped gradients, adaptive width.
 
     For a ~0.1%-dense gradient the dense layout spends >99% of every
@@ -234,12 +130,17 @@ class SparseCodec:
 
     Homomorphic addition is well defined only between tensors sharing
     the pattern (stored sums then decode with the summand count);
-    TensorMeta enforces this through codec-parameter equality.  The
-    layout is not word-sliceable: a word boundary has no aligned
-    meaning in logical index space.
+    TensorMeta enforces this through codec-parameter equality.  Slot
+    ``k`` holds pattern position ``k``, not logical value ``k``, so the
+    layout is not ``sliceable``.
     """
 
     codec_id = "sparse"
+    slot_layout = "sparse-pairs"
+    sliceable = False
+    # The sparse layout enforces its bound at capacity 1 too.
+    single_slot_exempt = False
+    keyed_by_count = True
 
     def __init__(self, scheme: QuantizationScheme, plaintext_bits: int,
                  indices: Sequence[int], value_bits: int,
@@ -251,36 +152,16 @@ class SparseCodec:
             raise ValueError("sparse indices must be non-negative")
         if any(b <= a for a, b in zip(pattern, pattern[1:])):
             raise ValueError("sparse indices must be strictly increasing")
-        self.scheme = scheme
         self.indices = pattern
+        #: Pattern size: how many positions are actually stored.
+        self.nnz = len(pattern)
         self.value_bits = value_bits
-        self.plaintext_bits = plaintext_bits
-        if plaintext_bits < self.slot_bits:
-            raise ValueError(
-                f"plaintext of {plaintext_bits} bits cannot hold one "
-                f"{self.slot_bits}-bit sparse slot")
-        derived = plaintext_bits // self.slot_bits
-        self.capacity = capacity if capacity is not None else derived
-        if self.capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        if self.capacity * self.slot_bits > plaintext_bits:
-            raise ValueError(
-                f"{self.capacity} slots of {self.slot_bits} bits exceed "
-                f"the {plaintext_bits}-bit plaintext")
         #: The zero encoding: what every absent position contributes.
         self.zero_encoding = scheme.encode(0.0)
         #: Unsigned bias applied to grid offsets before packing.
         self.offset_bias = 1 << (value_bits - 1) if value_bits > 1 else 0
-
-    @property
-    def slot_bits(self) -> int:
-        """Bits per stored value: adaptive width plus Eq. 8 guard bits."""
-        return self.value_bits + self.scheme.overflow_bits
-
-    @property
-    def nnz(self) -> int:
-        """Pattern size: how many positions are actually stored."""
-        return len(self.indices)
+        super().__init__(scheme, plaintext_bits, value_bits,
+                         scheme.overflow_bits, capacity)
 
     @classmethod
     def for_values(cls, values: np.ndarray, scheme: QuantizationScheme,
@@ -301,104 +182,60 @@ class SparseCodec:
                    value_bits=value_bits)
 
     # ------------------------------------------------------------------
-    # Layout.
+    # Layout: the support pattern and the bias mapping.
     # ------------------------------------------------------------------
 
-    def _stored(self, encoding: int) -> int:
-        offset = encoding - self.zero_encoding
-        stored = offset + self.offset_bias
-        if not 0 <= stored < (1 << self.value_bits):
-            raise ValueError(
-                f"grid offset {offset} does not fit {self.value_bits} "
-                f"value bits")
-        return stored
+    def slot_count(self, n_values: int) -> int:
+        """Words are driven by the pattern size, not the logical count."""
+        return self.nnz
 
-    def pack(self, encoded: Sequence[int]) -> List[int]:
-        """Pack a full-length encoding vector: store pattern positions.
+    def _to_slots(self, encoded: Sequence[int]) -> List[int]:
+        """Biased grid offsets of the pattern positions.
 
         Off-pattern positions must carry the zero encoding -- anything
         else would be silently dropped, so it raises instead.
         """
-        bound = 1 << self.scheme.r_bits
-        for value in encoded:
-            if not 0 <= value < bound:
-                raise ValueError(
-                    f"encoding {value} outside the {self.scheme.r_bits}-bit "
-                    f"value range")
+        if self.indices and self.indices[-1] >= len(encoded):
+            raise ValueError(
+                f"pattern references index {self.indices[-1]} beyond the "
+                f"{len(encoded)}-value input")
         on_pattern = set(self.indices)
         for position, value in enumerate(encoded):
             if position not in on_pattern and value != self.zero_encoding:
                 raise ValueError(
                     f"position {position} quantizes away from zero but is "
                     f"not in the sparse pattern")
-        stored = [self._stored(encoded[i]) for i in self.indices
-                  if i < len(encoded)]
-        if len(stored) != self.nnz:
-            raise ValueError(
-                f"pattern references index {self.indices[-1]} beyond the "
-                f"{len(encoded)}-value input")
-        words: List[int] = []
-        for start in range(0, len(stored), self.capacity):
-            chunk = stored[start:start + self.capacity]
-            word = 0
-            for value in chunk:
-                word = (word << self.slot_bits) | value
-            word <<= self.slot_bits * (self.capacity - len(chunk))
-            words.append(word)
-        if not words:
-            words.append(0)  # A zero-support tensor still ships one word.
-        return words
+        shift = self.offset_bias - self.zero_encoding
+        stored = [encoded[i] + shift for i in self.indices]
+        for value in stored:
+            if not 0 <= value < (1 << self.value_bits):
+                raise ValueError(
+                    f"grid offset {value - self.offset_bias} does not fit "
+                    f"{self.value_bits} value bits")
+        return stored
 
-    def _stored_slots(self, words: Sequence[int]) -> List[int]:
-        """Read the ``nnz`` stored slots back out of the packed words."""
-        expected = self.words_needed(1)  # depends only on the pattern
-        if len(words) < expected:
-            raise ValueError(
-                f"pattern of {self.nnz} values needs {expected} words, "
-                f"got {len(words)}")
-        mask = (1 << self.slot_bits) - 1
-        slots: List[int] = []
-        for word_index, word in enumerate(words):
-            if len(slots) >= self.nnz:
-                break
-            remaining = min(self.capacity,
-                            self.nnz - word_index * self.capacity)
-            for slot in range(remaining):
-                shift = self.slot_bits * (self.capacity - 1 - slot)
-                slots.append((word >> shift) & mask)
-        return slots
+    def _encodings(self, words: Sequence[int], count: int,
+                   summands: int) -> List[int]:
+        """Scatter stored sums back over the full-length vector.
 
-    def unpack(self, words: Sequence[int], count: int) -> List[int]:
-        """Reconstruct the full-length encoding vector (summands=1)."""
-        if count and self.indices and self.indices[-1] >= count:
+        Absent positions each contributed ``e0`` per summand; stored
+        sums shed ``summands`` copies of the bias.  The result feeds the
+        standard ``decode_array`` path, so the floats match the dense
+        codec bit for bit.
+        """
+        if self.indices and self.indices[-1] >= count:
             raise ValueError(
                 f"pattern index {self.indices[-1]} out of range for "
                 f"{count} values")
-        stored = self._stored_slots(words)
-        encodings = [self.zero_encoding] * count
-        for position, value in zip(self.indices, stored):
-            encodings[position] = value - self.offset_bias + self.zero_encoding
+        absent = summands * self.zero_encoding
+        encodings = [absent] * count
+        unbias = absent - summands * self.offset_bias
+        for position, value in zip(self.indices, self._extract(words, count)):
+            encodings[position] = value + unbias
         return encodings
 
-    def words_needed(self, n_values: int) -> int:
-        """Words are driven by the pattern size, not the logical count."""
-        if n_values <= 0:
-            return 0
-        return max(1, math.ceil(self.nnz / self.capacity))
-
-    def max_safe_summands(self) -> int:
-        """Eq. 8 guard bits bound stored-slot sums, as in the dense case."""
-        return 2 ** self.scheme.overflow_bits
-
-    def achieved_psu(self, n_values: int) -> float:
-        """Payload fraction for the *stored* slots (pattern positions)."""
-        if n_values <= 0 or self.nnz == 0:
-            return 0.0
-        return (self.nnz * self.slot_bits) / (
-            self.plaintext_bits * self.words_needed(n_values))
-
     # ------------------------------------------------------------------
-    # Codec protocol.
+    # Wire protocol.
     # ------------------------------------------------------------------
 
     def codec_params(self) -> Tuple[int, ...]:
@@ -411,8 +248,6 @@ class SparseCodec:
         if not params:
             raise ValueError("sparse codec needs at least a value width")
         value_bits, indices = int(params[0]), params[1:]
-        if not 1 <= value_bits <= MAX_SPARSE_VALUE_BITS:
-            raise ValueError(f"implausible value width: {value_bits} bits")
         if any(int(i) >= meta.count for i in indices):
             raise ValueError(
                 f"sparse pattern index out of range for {meta.count} values")
@@ -420,48 +255,6 @@ class SparseCodec:
         return cls(meta.scheme, plaintext_bits=meta.capacity * slot,
                    indices=indices, value_bits=value_bits,
                    capacity=meta.capacity)
-
-    def pack_values(self, values: np.ndarray) -> List[int]:
-        """Quantize a flat float array and pack its pattern positions."""
-        return self.pack(self.scheme.encode_array(np.asarray(values)))
-
-    def decode_words(self, words: Sequence[int], count: int,
-                     summands: int = 1) -> np.ndarray:
-        """Decode sums of ``summands`` same-pattern tensors.
-
-        Absent positions each contributed ``e0`` per summand; stored
-        sums shed ``summands`` copies of the bias.  Both corrections
-        feed the standard ``decode_array`` path, so the floats match
-        the dense codec bit for bit.
-        """
-        if summands > self.max_safe_summands():
-            raise OverflowError(
-                f"{summands} summands exceed the "
-                f"{self.scheme.overflow_bits} guard bits of the sparse "
-                f"layout")
-        if count and self.indices and self.indices[-1] >= count:
-            raise ValueError(
-                f"pattern index {self.indices[-1]} out of range for "
-                f"{count} values")
-        stored = self._stored_slots(words)
-        encodings = [summands * self.zero_encoding] * count
-        for position, value in zip(self.indices, stored):
-            encodings[position] = (value - summands * self.offset_bias
-                                   + summands * self.zero_encoding)
-        return _decode_slots(self.scheme, encodings, summands)
-
-    def describe(self) -> CodecCapabilities:
-        return CodecCapabilities(
-            slot_layout="sparse-pairs",
-            summand_capacity=self.max_safe_summands(),
-            add_safe=True,       # only between identical patterns --
-            sliceable=False)     # TensorMeta checks codec_params equality.
-
-
-def _decode_slots(scheme: QuantizationScheme, slots: Sequence[int],
-                  summands: int) -> np.ndarray:
-    """Shared decode tail: every codec funnels through decode_array."""
-    return scheme.decode_array(slots, count=summands)
 
 
 # ----------------------------------------------------------------------
@@ -494,15 +287,35 @@ def registered_codecs() -> Dict[str, Type]:
     return dict(_REGISTRY)
 
 
+class _Layout(NamedTuple):
+    """What the FLT3 codec block carries: the identity of one layout."""
+
+    codec: str
+    codec_params: Tuple[int, ...]
+    scheme: QuantizationScheme
+    capacity: int
+    count: Optional[int]
+
+
+@lru_cache(maxsize=256)
+def _codec_of(layout: _Layout):
+    return get_codec(layout.codec).from_meta(layout)
+
+
 def build_codec(meta):
-    """Reconstruct the codec a :class:`TensorMeta` describes.
+    """The codec a :class:`TensorMeta` describes.
 
     Duck-typed over ``meta``: anything carrying ``codec``,
     ``codec_params``, ``scheme``, ``capacity`` (and ``count`` for the
     sparse layout) works, which keeps the wire layer free to hand in a
-    lightweight view during deserialization.
+    lightweight view during deserialization.  Equal layouts share one
+    immutable codec, so only the first meta of a layout pays for (and
+    can fail) its validation; a rejected layout is never cached.
     """
-    return get_codec(meta.codec).from_meta(meta)
+    keyed_by_count = get_codec(meta.codec).keyed_by_count
+    return _codec_of(_Layout(
+        meta.codec, tuple(meta.codec_params), meta.scheme, meta.capacity,
+        meta.count if keyed_by_count else None))
 
 
 register_codec(BatchPacker)

@@ -83,7 +83,7 @@ class QuantizationScheme:
     @property
     def slot_bits(self) -> int:
         """Total bits per encoded value: ``b + r`` (Eq. 8)."""
-        return slot_bits_for(self.r_bits, self.num_parties)
+        return self.r_bits + self.overflow_bits
 
     @property
     def scale(self) -> float:

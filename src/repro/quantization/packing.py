@@ -32,21 +32,32 @@ def packing_capacity(key_bits: int, r_bits: int, num_parties: int) -> int:
     return max(1, key_bits // slot_bits_for(r_bits, num_parties))
 
 
+def _ratio(n_values: int, words: int) -> float:
+    """Eq. 11: logical values carried per ciphertext."""
+    return n_values / words if words else 0.0
+
+
+def _psu(payload_slots: int, slot_bits: int, plaintext_bits: int,
+         words: int) -> float:
+    """Eq. 12: fraction of plaintext bits carrying payload."""
+    if not words:
+        return 0.0
+    return (payload_slots * slot_bits) / (plaintext_bits * words)
+
+
 def compression_ratio(n_values: int, key_bits: int, r_bits: int,
                       num_parties: int) -> float:
     """Eq. 11: achieved ciphertext-count reduction for ``n_values``."""
     capacity = packing_capacity(key_bits, r_bits, num_parties)
-    ciphertexts = math.ceil(n_values / capacity)
-    return n_values / ciphertexts
+    return _ratio(n_values, math.ceil(n_values / capacity))
 
 
 def plaintext_space_utilization(n_values: int, key_bits: int, r_bits: int,
                                 num_parties: int) -> float:
     """Eq. 12: fraction of plaintext bits carrying payload."""
-    slot = slot_bits_for(r_bits, num_parties)
     capacity = packing_capacity(key_bits, r_bits, num_parties)
-    ciphertexts = math.ceil(n_values / capacity)
-    return (n_values * slot) / (key_bits * ciphertexts)
+    return _psu(n_values, slot_bits_for(r_bits, num_parties), key_bits,
+                math.ceil(n_values / capacity))
 
 
 @dataclass(frozen=True)
@@ -62,7 +73,10 @@ class CodecCapabilities:
             encoded tensors is well defined (sparse layouts additionally
             require identical support, enforced by the TensorMeta
             algebra's codec-parameter equality check).
-        sliceable: Whether word-aligned logical slicing is meaningful.
+        sliceable: Whether slot ``k`` of the word stream carries logical
+            value ``k``.  Word-aligned slicing, whole-tensor ``sum()``
+            and ciphertext-side packing only mean something when it
+            does; the sparse layout stores pattern positions instead.
     """
 
     slot_layout: str
@@ -71,48 +85,104 @@ class CodecCapabilities:
     sliceable: bool = True
 
 
-class BatchPacker:
-    """Packs quantized values into multi-precision plaintexts (Eq. 9).
+class SlotCodec:
+    """The one slot layout every packing codec is an instance of.
+
+    A word holds ``capacity`` slots of ``value_bits + guard_bits`` bits,
+    first slot most significant (Eq. 9) or least significant
+    (:attr:`lsb_first`); slot-wise sums of up to ``2**guard_bits`` words
+    never carry into a neighbour.  The core owns everything that follows
+    from those numbers -- validation, word assembly and extraction,
+    word counts, Eqs. 11-12, the summand guard, the capability
+    descriptor -- and fixes all of it at construction, so a codec is an
+    immutable value: :func:`~repro.quantization.codecs.build_codec`
+    shares one instance per layout.
+
+    A concrete codec supplies ``codec_id``, ``slot_layout``, a
+    constructor that derives ``value_bits`` / ``guard_bits`` (setting
+    its own attributes *before* calling this one, which seals the
+    object), ``codec_params()`` / ``from_meta()`` for the wire, and --
+    only when stored slots are not the logical encodings --
+    ``slot_count`` / ``_to_slots`` / ``_encodings``.
 
     Args:
-        scheme: The quantization scheme whose encodings are packed; its
-            ``slot_bits`` fixes the per-value width.
+        scheme: The quantization scheme whose encodings are packed.
+        plaintext_bits: Physical plaintext budget; packing more slots
+            than fit raises at construction.
+        value_bits / guard_bits: Payload and headroom bits of one slot.
         capacity: Values per plaintext.  Normally
-            ``floor(key_bits / slot_bits)``; pass an explicit value to model
-            a *nominal* key whose capacity differs from the physical
-            plaintext (scaled benchmark mode, see DESIGN.md).
-        plaintext_bits: Physical plaintext budget; packing more slots than
-            fit raises at construction.
+            ``floor(plaintext_bits / slot_bits)``; pass an explicit value
+            to model a *nominal* key whose capacity differs from the
+            physical plaintext (scaled benchmark mode, see DESIGN.md).
     """
 
-    #: Registry identity of the dense fixed-width layout (see codecs.py).
-    codec_id = "dense"
+    codec_id: str
+    slot_layout: str
+    #: Slot 0 sits in the low bits (else the Eq. 9 left-to-right order).
+    lsb_first = False
+    #: See :class:`CodecCapabilities`.
+    sliceable = True
+    #: A one-slot word has no neighbour to carry into, so the summand
+    #: guard of :meth:`decode_words` applies from two slots up.
+    single_slot_exempt = True
+    #: Whether ``from_meta`` validates against ``meta.count``, making the
+    #: count part of the layout :func:`build_codec` keys on.
+    keyed_by_count = False
 
     def __init__(self, scheme: QuantizationScheme, plaintext_bits: int,
+                 value_bits: int, guard_bits: int,
                  capacity: int | None = None):
-        if plaintext_bits < scheme.slot_bits:
+        slot_bits = value_bits + guard_bits
+        if plaintext_bits < slot_bits:
             raise ValueError(
                 f"plaintext of {plaintext_bits} bits cannot hold one "
-                f"{scheme.slot_bits}-bit slot")
+                f"{slot_bits}-bit {self.codec_id} slot")
+        if capacity is None:
+            capacity = plaintext_bits // slot_bits
+        if capacity < 1:
+            raise ValueError("capacity must be at least 1")
+        if capacity * slot_bits > plaintext_bits:
+            raise ValueError(
+                f"{capacity} slots of {slot_bits} bits exceed "
+                f"the {plaintext_bits}-bit plaintext")
         self.scheme = scheme
         self.plaintext_bits = plaintext_bits
-        derived = plaintext_bits // scheme.slot_bits
-        self.capacity = capacity if capacity is not None else derived
-        if self.capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        if self.capacity * scheme.slot_bits > plaintext_bits:
-            raise ValueError(
-                f"{self.capacity} slots of {scheme.slot_bits} bits exceed "
-                f"the {plaintext_bits}-bit plaintext")
+        self.capacity = capacity
+        #: Bits per slot (``r + b`` for the paper's layout).
+        self.slot_bits = slot_bits
+        self.guard_bits = guard_bits
+        self._mask = (1 << slot_bits) - 1
+        self._max_summands = 1 << guard_bits
+        # Slot ``i`` sits ``_first_shift + i * _stride`` bits up the word.
+        self._stride = slot_bits if self.lsb_first else -slot_bits
+        self._first_shift = 0 if self.lsb_first else slot_bits * (capacity - 1)
+        self._capabilities = CodecCapabilities(
+            slot_layout=self.slot_layout,
+            summand_capacity=self._max_summands,
+            sliceable=self.sliceable)
 
-    @property
-    def slot_bits(self) -> int:
-        """Bits per packed value (``r + b``)."""
-        return self.scheme.slot_bits
+    def __setattr__(self, name, value):
+        if "_capabilities" in self.__dict__:
+            raise AttributeError(
+                f"{type(self).__name__} is immutable: one instance is "
+                f"shared by every tensor of its layout")
+        object.__setattr__(self, name, value)
 
     def slot_mask(self) -> int:
         """Bit mask of one slot."""
-        return (1 << self.slot_bits) - 1
+        return self._mask
+
+    def slot_shift(self, position: int) -> int:
+        """Bit offset of slot ``position`` within a word."""
+        return self._first_shift + position * self._stride
+
+    def max_safe_summands(self) -> int:
+        """How many packed words may be summed without cross-slot carries."""
+        return self._max_summands
+
+    def describe(self) -> CodecCapabilities:
+        """Capability descriptor for planners and the conformance matrix."""
+        return self._capabilities
 
     # ------------------------------------------------------------------
     # Packing / unpacking.
@@ -121,78 +191,129 @@ class BatchPacker:
     def pack(self, encoded: Sequence[int]) -> List[int]:
         """Pack encodings into plaintext integers, ``capacity`` per word.
 
-        Values are laid out with the first encoding in the most significant
-        slot (the left-to-right order of Eq. 9).  The final word may be
-        partially filled; unpack with the original count.
+        A partial final word keeps its slots at their fixed offsets
+        (left-aligned under the MSB-first order); unpack with the
+        original count.
         """
-        self._check_encodings(encoded)
+        bound = 1 << self.scheme.r_bits
+        for value in encoded:
+            if not 0 <= value < bound:
+                raise ValueError(
+                    f"encoding {value} outside the {self.scheme.r_bits}-bit "
+                    f"value range")
+        slots = self._to_slots(encoded)
+        capacity, first_shift, stride = (
+            self.capacity, self._first_shift, self._stride)
         words: List[int] = []
-        for start in range(0, len(encoded), self.capacity):
-            chunk = encoded[start:start + self.capacity]
-            word = 0
-            for value in chunk:
-                word = (word << self.slot_bits) | value
-            # Left-align a partial final chunk so slot indices stay fixed.
-            word <<= self.slot_bits * (self.capacity - len(chunk))
+        for start in range(0, len(slots), capacity):
+            word, shift = 0, first_shift
+            for value in slots[start:start + capacity]:
+                word |= value << shift
+                shift += stride
             words.append(word)
-        return words
+        # A non-empty tensor with nothing stored still ships one word.
+        return words or [0] * self.words_needed(len(encoded))
 
     def unpack(self, words: Sequence[int], count: int) -> List[int]:
-        """Extract ``count`` slot values from packed words.
+        """Extract the ``count`` encodings ``pack`` laid out.
 
-        Safe for *aggregated* words: each slot is read with its overflow
-        bits included, so slot-wise sums of up to ``2^b`` encodings come
-        back exactly.
+        Safe for *aggregated* words: each slot is read with its guard
+        bits included, so slot-wise sums of up to
+        ``max_safe_summands()`` encodings come back exactly.
         """
-        expected_words = math.ceil(count / self.capacity) if count else 0
-        if len(words) < expected_words:
-            raise ValueError(
-                f"{count} values need {expected_words} words, got {len(words)}")
-        mask = self.slot_mask()
-        values: List[int] = []
-        for word_index, word in enumerate(words):
-            if len(values) >= count:
-                break
-            remaining = min(self.capacity, count - word_index * self.capacity)
-            for slot in range(remaining):
-                shift = self.slot_bits * (self.capacity - 1 - slot)
-                values.append((word >> shift) & mask)
-        return values
+        return self._encodings(words, count, 1)
+
+    def pack_values(self, values: np.ndarray) -> List[int]:
+        """Quantize a flat float array and pack it into plaintext words."""
+        return self.pack(self.scheme.encode_array(np.asarray(values)))
+
+    def decode_words(self, words: Sequence[int], count: int,
+                     summands: int = 1) -> np.ndarray:
+        """Unpack words and decode slot sums of ``summands`` encodings."""
+        if summands > self._max_summands and not (
+                self.capacity == 1 and self.single_slot_exempt):
+            raise OverflowError(
+                f"{summands} summands exceed the {self.guard_bits}-bit "
+                f"guard band of the {self.codec_id} layout")
+        return self.scheme.decode_array(
+            self._encodings(words, count, summands), count=summands)
+
+    def slot_count(self, n_values: int) -> int:
+        """Slots that ``n_values`` logical values occupy."""
+        return n_values
 
     def words_needed(self, n_values: int) -> int:
         """Plaintext words (and thus ciphertexts) for ``n_values``."""
         if n_values <= 0:
             return 0
-        return math.ceil(n_values / self.capacity)
+        return max(1, math.ceil(self.slot_count(n_values) / self.capacity))
+
+    def _to_slots(self, encoded: Sequence[int]) -> Sequence[int]:
+        """The slot values stored for a full-length encoding vector."""
+        return encoded
+
+    def _encodings(self, words: Sequence[int], count: int,
+                   summands: int) -> List[int]:
+        """Per-position sums of ``summands`` encodings read from words."""
+        return self._extract(words, count)
+
+    def _extract(self, words: Sequence[int], count: int) -> List[int]:
+        """Read the stored slots of ``count`` logical values."""
+        expected = self.words_needed(count)
+        if len(words) < expected:
+            raise ValueError(
+                f"{count} values need {expected} words, got {len(words)}")
+        capacity, mask, first_shift, stride = (
+            self.capacity, self._mask, self._first_shift, self._stride)
+        remaining = self.slot_count(count)
+        slots: List[int] = []
+        for word in words:
+            if remaining <= 0:
+                break
+            shift = first_shift
+            for _ in range(min(capacity, remaining)):
+                slots.append((word >> shift) & mask)
+                shift += stride
+            remaining -= capacity
+        return slots
 
     # ------------------------------------------------------------------
     # Theory hooks.
     # ------------------------------------------------------------------
 
     def achieved_compression_ratio(self, n_values: int) -> float:
-        """Eq. 11 evaluated with this packer's capacity."""
-        if n_values <= 0:
-            return 0.0
-        return n_values / self.words_needed(n_values)
+        """Eq. 11 evaluated with this codec's word count."""
+        return _ratio(n_values, self.words_needed(n_values))
 
     def achieved_psu(self, n_values: int) -> float:
-        """Eq. 12 evaluated against this packer's plaintext size."""
-        if n_values <= 0:
-            return 0.0
-        return (n_values * self.slot_bits) / (
-            self.plaintext_bits * self.words_needed(n_values))
-
-    def max_safe_summands(self) -> int:
-        """How many packed words may be summed without cross-slot carries."""
-        return 2 ** self.scheme.overflow_bits
+        """Eq. 12 for the slots actually stored in this plaintext size."""
+        return _psu(self.slot_count(n_values), self.slot_bits,
+                    self.plaintext_bits, self.words_needed(n_values))
 
     # ------------------------------------------------------------------
-    # Codec protocol (see quantization/codecs.py).
+    # Wire protocol (see quantization/codecs.py).
     # ------------------------------------------------------------------
 
     def codec_params(self) -> Tuple[int, ...]:
-        """Wire parameters; the dense layout is fully fixed by the scheme."""
+        """Integer wire parameters that, with the scheme and capacity,
+        rebuild this layout through ``from_meta``."""
         return ()
+
+
+class BatchPacker(SlotCodec):
+    """The paper's dense layout (Eq. 9): ``r + b``-bit slots, MSB first.
+
+    Fully fixed by the scheme, so it adds nothing to the core and takes
+    no wire parameters.  See :class:`SlotCodec` for the arguments.
+    """
+
+    codec_id = "dense"
+    slot_layout = "dense-msb"
+
+    def __init__(self, scheme: QuantizationScheme, plaintext_bits: int,
+                 capacity: int | None = None):
+        super().__init__(scheme, plaintext_bits, scheme.r_bits,
+                         scheme.overflow_bits, capacity)
 
     @classmethod
     def from_meta(cls, meta) -> "BatchPacker":
@@ -202,36 +323,6 @@ class BatchPacker:
         return cls(meta.scheme,
                    plaintext_bits=meta.capacity * meta.scheme.slot_bits,
                    capacity=meta.capacity)
-
-    def pack_values(self, values: np.ndarray) -> List[int]:
-        """Quantize a flat float array and pack it into plaintext words."""
-        return self.pack(self.scheme.encode_array(np.asarray(values)))
-
-    def decode_words(self, words: Sequence[int], count: int,
-                     summands: int = 1) -> np.ndarray:
-        """Unpack words and decode slot sums of ``summands`` encodings."""
-        if self.capacity > 1 and summands > self.max_safe_summands():
-            raise OverflowError(
-                f"{summands} summands exceed the {self.scheme.overflow_bits} "
-                f"guard bits of the dense layout")
-        slots = self.unpack(words, count)
-        return self.scheme.decode_array(slots, count=summands)
-
-    def describe(self) -> CodecCapabilities:
-        """Capability descriptor for planners and the conformance matrix."""
-        return CodecCapabilities(
-            slot_layout="dense-msb",
-            summand_capacity=self.max_safe_summands(),
-            add_safe=True,
-            sliceable=True)
-
-    def _check_encodings(self, encoded: Sequence[int]) -> None:
-        bound = 1 << self.scheme.r_bits
-        for value in encoded:
-            if not 0 <= value < bound:
-                raise ValueError(
-                    f"encoding {value} outside the {self.scheme.r_bits}-bit "
-                    f"value range")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@
 
 from repro.tensor.cipher import CipherTensor
 from repro.tensor.meta import KeyMismatchError, TensorMeta, key_fingerprint
-from repro.tensor.plain import PLAINTEXT_FINGERPRINT, PlainTensor, packer_for
+from repro.tensor.plain import PLAINTEXT_FINGERPRINT, PlainTensor
 
 __all__ = [
     "CipherTensor",
@@ -21,5 +21,4 @@ __all__ = [
     "key_fingerprint",
     "PLAINTEXT_FINGERPRINT",
     "PlainTensor",
-    "packer_for",
 ]

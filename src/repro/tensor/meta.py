@@ -13,7 +13,6 @@ all of it to the payload itself, so a decode can never be asked to guess.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, replace
 from typing import Tuple
 
@@ -99,6 +98,7 @@ class TensorMeta:
                            tuple(int(p) for p in self.codec_params))
         # Reject unknown codec ids and implausible parameters up front:
         # a meta that cannot rebuild its codec cannot be decoded either.
+        # Only the first meta of a layout pays for the validation.
         build_codec(self)
 
     @property
@@ -110,10 +110,6 @@ class TensorMeta:
     @property
     def num_words(self) -> int:
         """Ciphertext words the payload occupies (codec-dependent)."""
-        if self.count == 0:
-            return 0
-        if self.codec == "dense":
-            return math.ceil(self.count / self.capacity)
         return build_codec(self).words_needed(self.count)
 
     def summand_capacity(self) -> int:
@@ -203,10 +199,10 @@ class TensorMeta:
             raise ValueError(
                 "sum() needs capacity 1: summing packed words mixes "
                 "unrelated slots")
-        if self.codec == "sparse":
+        if not build_codec(self).describe().sliceable:
             raise ValueError(
-                "sum() over the sparse layout mixes distinct pattern "
-                "positions; decode and re-encode densely instead")
+                f"sum() over the {self.codec!r} layout mixes distinct "
+                f"pattern positions; decode and re-encode densely instead")
         if num_words < 1:
             raise ValueError("cannot sum an empty tensor")
         summands = self.summands * num_words

@@ -15,22 +15,11 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.quantization.codecs import build_codec
-from repro.quantization.packing import BatchPacker
+from repro.quantization.packing import SlotCodec
 from repro.tensor.meta import TensorMeta
 
 #: Fingerprint of "not encrypted yet / no key".
 PLAINTEXT_FINGERPRINT = b"\x00" * 16
-
-
-def packer_for(meta: TensorMeta):
-    """Reconstruct the packing codec a tensor's metadata describes.
-
-    Historically this always rebuilt the dense Eq. 9
-    :class:`~repro.quantization.packing.BatchPacker`; it now consults
-    the codec registry, so metas carrying ``codec="interleave"`` or
-    ``codec="sparse"`` come back as their own layouts.
-    """
-    return build_codec(meta)
 
 
 class PlainTensor:
@@ -70,27 +59,24 @@ class PlainTensor:
     # ------------------------------------------------------------------
 
     @classmethod
-    def encode(cls, values: np.ndarray, packer: BatchPacker,
-               nominal_bits: int = 0,
-               physical_bits: int = 0) -> "PlainTensor":
+    def encode(cls, values: np.ndarray, packer: SlotCodec) -> "PlainTensor":
         """Encode, quantize and pack a real-valued array (Eqs. 6-9).
 
         Args:
             values: Real-valued array of any shape.
             packer: Any registered packing codec (the dense Eq. 9
-                :class:`BatchPacker`, the interleaved layout, or a
+                ``BatchPacker``, the interleaved layout, or a
                 pattern-pinned sparse codec); its identity and wire
-                parameters are recorded in the metadata.
-            nominal_bits / physical_bits: Key geometry recorded in the
-                metadata; an engine overwrites them at encryption time.
+                parameters are recorded in the metadata.  The key
+                geometry stays zero until an engine encrypts the tensor.
         """
         array = np.asarray(values, dtype=np.float64)
         flat = array.ravel()
         words = packer.pack_values(flat)
         meta = TensorMeta(
             key_fingerprint=PLAINTEXT_FINGERPRINT,
-            nominal_bits=nominal_bits,
-            physical_bits=physical_bits,
+            nominal_bits=0,
+            physical_bits=0,
             scheme=packer.scheme,
             capacity=packer.capacity,
             shape=tuple(array.shape),
@@ -112,8 +98,7 @@ class PlainTensor:
         interleaved and sparse payloads all come back through the same
         call.
         """
-        codec = packer_for(self.meta)
-        decoded = codec.decode_words(
+        decoded = build_codec(self.meta).decode_words(
             list(self.words), self.meta.count, summands=self.meta.summands)
         return np.asarray(decoded).reshape(self.meta.shape)
 
@@ -127,5 +112,5 @@ class PlainTensor:
 
     def slot_values(self) -> Tuple[int, ...]:
         """The raw (still encoded) slot values."""
-        packer = packer_for(self.meta)
-        return tuple(packer.unpack(list(self.words), self.meta.count))
+        return tuple(build_codec(self.meta).unpack(
+            list(self.words), self.meta.count))

@@ -8,6 +8,8 @@ from repro.federation.runtime import (
     FLBOOSTER_SYSTEM,
     FederationRuntime,
 )
+from repro.quantization.codecs import SparseCodec
+from repro.quantization.packing import BatchPacker
 
 
 @pytest.fixture()
@@ -122,6 +124,50 @@ class TestCipherPack:
         words = engine.decrypt_batch(packed)
         recovered = aggregator.packer.unpack(words, len(values))
         assert recovered == values
+
+    @pytest.mark.parametrize("codec", ["dense", "interleave"])
+    def test_decrypts_to_exactly_pack(self, codec):
+        runtime = FederationRuntime(FLBOOSTER_SYSTEM, num_clients=4,
+                                    key_bits=256, physical_key_bits=256,
+                                    packing_codec=codec)
+        aggregator, packer = runtime.aggregator, runtime.plan.packer
+        engine = runtime.client_engine
+        # One full word plus a partial final chunk of three.
+        values = [(37 * i + 5) % (1 << packer.scheme.r_bits)
+                  for i in range(packer.capacity + 3)]
+        exponents = []
+        scalar_mul = engine.scalar_mul_batch
+        engine.scalar_mul_batch = lambda cs, ks: (
+            exponents.extend(ks) or scalar_mul(cs, ks))
+        packed = aggregator.cipher_pack(engine.encrypt_batch(values))
+        assert engine.decrypt_batch(packed) == packer.pack(values)
+        # The charged work is the layout's cheapest order: Horner steps
+        # of one slot for MSB-first (plus the left-align of the partial
+        # chunk), one per-value lift for LSB-first.
+        slot, full = packer.slot_bits, packer.capacity - 1
+        if codec == "dense":
+            assert exponents == [1 << slot] * (full + 2) + [
+                1 << slot * (packer.capacity - 3)]
+        else:
+            assert exponents == [1 << slot * i for i in range(1, full + 1)
+                                 ] + [1 << slot, 1 << 2 * slot]
+
+    def test_refuses_a_codec_without_positional_slots(
+            self, flbooster_runtime):
+        aggregator = flbooster_runtime.aggregator
+        scheme = aggregator.scheme
+        aggregator.packer = SparseCodec(scheme, 255, indices=(0, 2),
+                                        value_bits=8)
+        with pytest.raises(ValueError, match="slot positions"):
+            aggregator.cipher_pack([11, 22, 33])
+
+        class Opaque(BatchPacker):      # refused by capability, not by id
+            codec_id = "opaque"
+            sliceable = False
+
+        aggregator.packer = Opaque(scheme, 255)
+        with pytest.raises(ValueError, match="'opaque'"):
+            aggregator.cipher_pack([11, 22, 33])
 
     def test_capacity_one_is_identity(self, fate_runtime):
         aggregator = fate_runtime.aggregator

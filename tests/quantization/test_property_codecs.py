@@ -6,7 +6,9 @@ Satellite of the codec-layer issue: every registered codec must satisfy
 2. homomorphic addition correctness up to ``max_safe_summands()``,
 3. overflow detection exactly one summand past the limit,
 4. cross-codec decode bit-identity: ``decode(encode(x))`` produces the
-   same floats no matter which layout carried the encodings.
+   same floats no matter which layout carried the encodings,
+5. one word count: the meta, the packer's output and ``words_needed``
+   agree for every input length, the empty array included.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from repro.quantization.codecs import InterleavedCodec, SparseCodec
 from repro.quantization.encoding import QuantizationScheme
 from repro.quantization.packing import BatchPacker
+from repro.tensor.plain import PlainTensor
 
 PLAINTEXT_BITS = 512
 
@@ -144,3 +147,21 @@ def test_decode_is_bit_identical_across_codecs(values, r_bits, parties):
     baseline = outputs.pop("dense")
     for codec_id, decoded in outputs.items():
         assert np.array_equal(baseline, decoded), codec_id
+
+
+# ----------------------------------------------------------------------
+# 5. one word count, empty input included.
+# ----------------------------------------------------------------------
+
+@settings(max_examples=40)
+@given(st.lists(unit_floats, min_size=0, max_size=50),
+       r_bits_strategy, parties_strategy)
+def test_word_count_agrees_between_meta_packer_and_formula(
+        values, r_bits, parties):
+    scheme = _scheme(r_bits, parties)
+    arr = np.array(values)
+    for codec in _all_codecs(scheme, arr):
+        words = codec.pack_values(arr)
+        meta = PlainTensor.encode(arr, codec).meta
+        assert meta.num_words == len(words) == \
+            codec.words_needed(len(arr)), codec.codec_id

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.tensor.plain import PLAINTEXT_FINGERPRINT, PlainTensor, packer_for
+from repro.quantization.codecs import build_codec
+from repro.tensor.plain import PLAINTEXT_FINGERPRINT, PlainTensor
 
 
 class TestRoundtrip:
@@ -44,7 +45,7 @@ class TestViews:
     def test_packer_for_reconstructs_unpacking(self, packed_packer):
         values = np.linspace(-0.9, 0.9, 9)
         plain = PlainTensor.encode(values, packed_packer)
-        rebuilt = packer_for(plain.meta)
+        rebuilt = build_codec(plain.meta)
         assert rebuilt.capacity == packed_packer.capacity
         assert rebuilt.unpack(plain.word_list(), 9) == \
             list(plain.slot_values())
