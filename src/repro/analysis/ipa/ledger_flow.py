@@ -11,9 +11,9 @@ reconcile when they move together, so the rule checks both directions:
   :data:`repro.ledger.CONSERVATION_COUNTERS`) somewhere in its
   control-flow neighbourhood: the charging function, its callees
   (transitively), or any caller and *its* callees.  The neighbourhood
-  is deliberately wide because the repo splits the two sides across
-  helpers (``_charge_admission_accept`` charges, its caller ``submit``
-  counts).
+  is deliberately wide so the two sides may sit in different helpers
+  (one charges, its caller counts); today ``AsyncChannel.submit``,
+  ``_reject`` and ``drain`` each do both themselves.
 - **counter-without-charge** -- incrementing ``accepted`` / a
   ``rejected_*`` counter / ``shed`` on a conservation-tracked stats
   object without any charge of the corresponding verdict in the same
@@ -231,8 +231,8 @@ class LedgerConservationRule(Rule):
         """Own transitive effects, joined with every caller's.
 
         A caller's summary already includes *its* callees, so sibling
-        helpers (``submit`` counts what ``_charge_admission_accept``
-        charges) fall inside the neighbourhood without a second hop.
+        helpers (a caller counts what its callee charges) fall inside
+        the neighbourhood without a second hop.
         """
         nearby = effects.summary(qualname) or FlowEffects()
         for caller in effects.callgraph.callers.get(qualname, ()):

@@ -12,8 +12,6 @@
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from repro.federation.runtime import (
     ABLATION_SYSTEMS,
     FATE_SYSTEM,
@@ -23,28 +21,12 @@ from repro.federation.runtime import (
     SystemConfig,
     WITHOUT_BC,
     WITHOUT_GHE,
+    system_by_name,
 )
 
 FATE = FATE_SYSTEM
 HAFLO = HAFLO_SYSTEM
 FLBOOSTER = FLBOOSTER_SYSTEM
-
-_ALL: Tuple[SystemConfig, ...] = (
-    FATE, HAFLO, FLBOOSTER, WITHOUT_GHE, WITHOUT_BC)
-
-
-def system_by_name(name: str) -> SystemConfig:
-    """Look up a configuration by its display name.
-
-    Raises ``KeyError`` with the available names when unknown.
-    """
-    for config in _ALL:
-        if config.name == name:
-            return config
-    raise KeyError(
-        f"unknown system {name!r}; available: "
-        f"{[config.name for config in _ALL]}")
-
 
 __all__ = [
     "FATE",

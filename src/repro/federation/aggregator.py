@@ -51,7 +51,13 @@ import numpy as np
 
 from repro.crypto.engine import HeEngine
 from repro.federation.channel import Channel, ChannelError, Message
-from repro.federation.faults import FaultInjector, QuorumError
+from repro.federation.faults import (
+    DEADLINE,
+    LOST_UPDATE,
+    STRAGGLER,
+    FaultInjector,
+    QuorumError,
+)
 from repro.federation.metrics import charge_pipeline_stage
 from repro.ledger import CAT_PIPELINE_ENCODE_PACK, CAT_PIPELINE_UNPACK_DECODE
 from repro.quantization.packing import SlotCodec
@@ -95,7 +101,7 @@ class SecureAggregator:
         channel: Byte-counting network.
         packed_serialization: Wire format flag for the channel.
         injector: Fault injector consulted per round (crash / dropout /
-            straggler state).
+            straggler state); the channel's by default.
         min_quorum: Default minimum surviving clients per round; ``None``
             requires every scheduled client (the fault-free semantics).
         round_deadline_seconds: Round deadline; stragglers whose
@@ -119,7 +125,7 @@ class SecureAggregator:
         self.packer = packer
         self.channel = channel
         self.packed_serialization = packed_serialization
-        self.injector = injector
+        self.injector = injector or channel.injector
         self.min_quorum = min_quorum
         self.round_deadline_seconds = round_deadline_seconds
         self.fused = fused
@@ -173,19 +179,14 @@ class SecureAggregator:
         return plain.decode()
 
     def send_tensor(self, tensor: CipherTensor, sender: str,
-                    receiver: str, tag: str,
-                    packed: Optional[bool] = None) -> CipherTensor:
-        """Transmit a tensor, charging the wire at nominal sizes.
-
-        Args:
-            packed: Wire-format flag for byte accounting; defaults to the
-                aggregator's ``packed_serialization`` setting.
-        """
+                    receiver: str, tag: str) -> CipherTensor:
+        """Transmit a tensor, charging the wire at nominal sizes in the
+        aggregator's ``packed_serialization`` wire format."""
         materialized = tensor.materialize()
         return self.channel.send(Message.for_tensor(
             materialized, sender=sender, receiver=receiver, tag=tag,
             ciphertext_bytes=self.client_engine.nominal_ciphertext_bytes(),
-            packed=self.packed_serialization if packed is None else packed))
+            packed=self.packed_serialization))
 
     # ------------------------------------------------------------------
     # The full round.
@@ -269,20 +270,17 @@ class SecureAggregator:
         """
         injector = self.injector
         deadline_seconds = self.round_deadline_seconds
-        delay = 0.0
-        if injector is not None:
-            if not injector.is_alive(name, round_index):
-                dropped.append((name, "offline"))
+        if not injector.is_alive(name, round_index):
+            dropped.append((name, "offline"))
+            return None
+        delay = injector.straggler_delay(name, round_index)
+        if delay > 0:
+            if deadline_seconds is not None and delay > deadline_seconds:
+                injector.record(DEADLINE, name, round_index,
+                                seconds=deadline_seconds)
+                dropped.append((name, "deadline"))
                 return None
-            delay = injector.straggler_delay(name, round_index)
-            if delay > 0:
-                if deadline_seconds is not None and \
-                        delay > deadline_seconds:
-                    injector.charge_deadline_miss(name, round_index,
-                                                  deadline_seconds)
-                    dropped.append((name, "deadline"))
-                    return None
-                injector.charge_straggler(name, round_index, delay)
+            injector.record(STRAGGLER, name, round_index, seconds=delay)
         return self.encrypt_tensor(vector, charged=charged), delay
 
     def collect_uploads(self, vectors: Sequence[np.ndarray],
@@ -315,10 +313,8 @@ class SecureAggregator:
             try:
                 payload = send(name, gated[0])
             except ChannelError as error:
-                if self.injector is None:
-                    raise
-                self.injector.charge_lost_update(
-                    name, round_index, wasted_bytes=error.wasted_bytes)
+                self.injector.record(LOST_UPDATE, name, round_index,
+                                     payload_bytes=error.wasted_bytes)
                 dropped.append((name, "lost"))
                 continue
             self.validate_ciphertexts(payload)
@@ -341,7 +337,7 @@ class SecureAggregator:
         ``fused=False`` it runs the eager pair-at-a-time path.  Both
         produce bit-identical ciphertext sums.
 
-        Under a fault injector, clients may be crashed, dropped out,
+        Under the fault plan, clients may be crashed, dropped out,
         excluded by the round deadline (stragglers), or lose their upload
         after exhausting retries.  The round proceeds with the survivors
         as long as their number meets ``min_quorum`` (default: the

@@ -15,9 +15,10 @@ arrays (Sec. V's data-conversion stage).
 Fault tolerance: every :class:`Message` carries a checksum over its
 payload; transfers are retried under a
 :class:`~repro.federation.faults.RetryPolicy` (exponential backoff +
-jitter, charged as modelled time), and an attached
-:class:`~repro.federation.faults.FaultInjector` can drop or corrupt
-attempts.  Failed attempts are charged to the ledger *before*
+jitter, charged as modelled time), and the channel's
+:class:`~repro.federation.faults.FaultInjector` -- the one loss and
+corruption process -- decides which attempts are dropped or corrupted.
+Failed attempts are charged to the ledger *before*
 :class:`ChannelError` is raised, so lost work is never invisible.
 """
 
@@ -31,7 +32,12 @@ from typing import Any, List, Optional
 
 import numpy as np
 
-from repro.federation.faults import FaultInjector, RetryPolicy, jitter_seed
+from repro.federation.faults import (
+    FaultInjector,
+    FaultPlan,
+    RetryPolicy,
+    jitter_seed,
+)
 from repro.gpu.cost_model import DEFAULT_PROFILE, HardwareProfile
 from repro.ledger import (
     CAT_FAULT_CORRUPT,
@@ -189,40 +195,30 @@ class Channel:
         ledger: Cost ledger charged with every transfer.
         trace: Keep full message objects for inspection (tests); disabled
             by default to bound memory in long runs.
-        drop_probability: Per-attempt loss probability (failure
-            injection); dropped attempts are retransmitted and charged
-            again, up to the retry policy's budget.
-        max_retries: Back-compat shorthand for
-            ``RetryPolicy(max_retries=...)`` without backoff; ignored
-            when ``retry_policy`` is given.
-        seed: Determinism seed for the loss and jitter processes.
-        retry_policy: Full retry/backoff configuration; backoff seconds
-            are charged as modelled time under ``fault.retransmit``.
-        injector: Optional fault injector contributing message loss and
-            ciphertext corruption on top of ``drop_probability``.
+        seed: Determinism seed for the backoff jitter stream.
+        retry_policy: Retry/backoff configuration (five retries without
+            backoff by default); backoff seconds are charged as modelled
+            time under ``fault.retransmit``.
+        injector: The fault injector whose plan drops
+            (``FaultPlan.with_message_loss``) and corrupts
+            (``with_corruption``) attempts; one over the empty plan --
+            every attempt delivered intact -- by default.
     """
 
     def __init__(self, profile: HardwareProfile = DEFAULT_PROFILE,
                  ledger: Optional[CostLedger] = None, trace: bool = False,
-                 drop_probability: float = 0.0, max_retries: int = 5,
                  seed: int = 0,
                  retry_policy: Optional[RetryPolicy] = None,
                  injector: Optional[FaultInjector] = None):
-        if not 0.0 <= drop_probability < 1.0:
-            raise ValueError("drop_probability must be in [0, 1)")
-        if max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
         self.profile = profile
         self.ledger = ledger if ledger is not None else CostLedger()
         self.stats = ChannelStats()
         self.trace = trace
         self.log: List[Message] = []
-        self.drop_probability = drop_probability
         self.retry_policy = (retry_policy if retry_policy is not None
-                             else RetryPolicy(max_retries=max_retries))
-        self.max_retries = self.retry_policy.max_retries
-        self.injector = injector
-        self._loss_rng = random.Random(seed)
+                             else RetryPolicy())
+        self.injector = injector or FaultInjector(FaultPlan(),
+                                                  ledger=self.ledger)
         # Backoff jitter draws from its own stream, derived from the
         # REPRO_TEST_SEED master seed: whether a policy jitters can
         # never change which attempts the loss process drops.
@@ -232,16 +228,9 @@ class Channel:
     # Fault processes.
     # ------------------------------------------------------------------
 
-    def _attempt_dropped(self) -> bool:
-        """Draw the loss processes for one transmission attempt."""
-        if self.injector is not None and self.injector.should_drop_message():
-            return True
-        return (self.drop_probability > 0.0
-                and self._loss_rng.random() < self.drop_probability)
-
     def _attempt_corrupted(self, message: Message) -> bool:
         """Draw corruption; detected via the checksum mismatch."""
-        if self.injector is None or not self.injector.should_corrupt():
+        if not self.injector.should_corrupt():
             return False
         tampered = self.injector.corrupt_payload(message.payload)
         return payload_checksum(tampered) != message.checksum
@@ -276,7 +265,7 @@ class Channel:
         delivered = False
         while True:
             attempts += 1
-            dropped = self._attempt_dropped()
+            dropped = self.injector.should_drop_message()
             corrupted = (not dropped) and self._attempt_corrupted(message)
             if not dropped and not corrupted:
                 delivered = True

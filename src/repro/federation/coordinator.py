@@ -259,11 +259,7 @@ class RoundStateMachine:
         self.round: Optional[RoundState] = None
         #: round_index -> digest of the round's final state.
         self.closed_rounds: Dict[int, int] = {}
-        #: CRC-32 of the digest blob up to and including the serialized
-        #: ``closed_rounds``; ``None`` until first use and after a close.
-        self._closed_rounds_crc: Optional[int] = None
         self.max_incarnation = 0
-        self.records_applied = 0
 
     # ------------------------------------------------------------------
     # Application.
@@ -288,10 +284,7 @@ class RoundStateMachine:
             PARTIAL_COMMITTED: self._apply_partial,
             ROUND_CLOSE: self._apply_close,
         }[record.kind]
-        changed = handler(record)
-        if changed:
-            self.records_applied += 1
-        return changed
+        return handler(record)
 
     def _require_round(self, record: WalRecord) -> RoundState:
         if self.round is None or self.round.closed:
@@ -376,7 +369,6 @@ class RoundStateMachine:
         state.closed = True
         state.aborted = record.payload.get("aborted")
         self.closed_rounds[state.round_index] = self.digest()
-        self._closed_rounds_crc = None
         return True
 
     # ------------------------------------------------------------------
@@ -403,27 +395,19 @@ class RoundStateMachine:
         Two machines that applied the same record prefix produce the
         same digest; the crash-consistency sweep asserts a recovered
         coordinator's digest equals the uninterrupted run's digest at
-        the same record index.
-
-        The blob is the compact, key-sorted JSON of ``closed_rounds``,
-        ``max_incarnation`` and ``round``, in that (sorted) order.
-        ``closed_rounds`` only changes when a round closes, so the CRC
-        over its share of the blob is kept and continued over the rest:
-        a digest costs the open round, not the history.
+        the same record index.  It serializes the whole open round
+        (every accepted frame), so the round path takes it once, at
+        ``round_close``; recovery and takeover take it once more.
         """
-        prefix_crc = self._closed_rounds_crc
-        if prefix_crc is None:
-            closed = json.dumps(
-                {str(k): v for k, v in self.closed_rounds.items()},
-                sort_keys=True, separators=(",", ":"))
-            prefix_crc = self._closed_rounds_crc = zlib.crc32(
-                ('{"closed_rounds":' + closed).encode("utf-8"))
-        open_round = json.dumps(
-            self.round.to_state_dict() if self.round is not None else None,
-            sort_keys=True, separators=(",", ":"))
-        rest = ',"max_incarnation":%d,"round":%s}' % (
-            self.max_incarnation, open_round)
-        return zlib.crc32(rest.encode("utf-8"), prefix_crc)
+        state = {
+            "round": (self.round.to_state_dict()
+                      if self.round is not None else None),
+            "closed_rounds": {str(k): v for k, v
+                              in self.closed_rounds.items()},
+            "max_incarnation": self.max_incarnation,
+        }
+        return zlib.crc32(json.dumps(
+            state, sort_keys=True, separators=(",", ":")).encode("utf-8"))
 
 
 class DurableCoordinator:
@@ -461,12 +445,8 @@ class DurableCoordinator:
         self.name = name
         self.lease_manager = lease_manager
         self.machine = RoundStateMachine()
-        #: State digest after each applied LSN -- ``digest_trail[k]`` is
-        #: the bit-identity witness for "recovered after record k".
-        self.digest_trail: List[int] = []
         for record in self.wal.records:
             self.machine.apply(record)
-            self.digest_trail.append(self.machine.digest())
         if incarnation is None:
             incarnation = (self.machine.max_incarnation + 1
                            if len(self.wal) else 0)
@@ -495,10 +475,25 @@ class DurableCoordinator:
                            incarnation=self.incarnation, payload=payload)
         lsn = self.wal.append(record)
         changed = self.machine.apply(record)
-        self.digest_trail.append(self.machine.digest())
         if self.kill_after_lsn is not None and lsn >= self.kill_after_lsn:
             raise CoordinatorKilled(lsn)
         return changed
+
+    @property
+    def digest_trail(self) -> List[int]:
+        """State digest after each LSN -- ``digest_trail[k]`` is the
+        bit-identity witness for "recovered after record k".
+
+        Derived, not kept: the journal replayed through a fresh machine,
+        exactly what a coordinator recovered at record ``k`` computes.
+        Only the crash sweeps read it, so no append pays for it.
+        """
+        machine = RoundStateMachine()
+        trail: List[int] = []
+        for record in self.wal.records:
+            machine.apply(record)
+            trail.append(machine.digest())
+        return trail
 
     def heartbeat(self, channel=None) -> None:
         """Renew this coordinator's lease (no-op without a manager)."""

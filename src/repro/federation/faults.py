@@ -9,12 +9,15 @@ re-run under adverse conditions and still reproduce bit-for-bit:
   events (permanent crash, transient dropout with rejoin, straggler
   delay) plus stochastic per-message processes (loss, ciphertext
   corruption);
-- :class:`FaultInjector` -- the live interpreter of a plan: queried by the
-  aggregation layer per round and by the channel per message, charging
-  every triggered event to the cost ledger under ``fault.*`` categories;
+- :class:`FaultInjector` -- the live and *only* interpreter of a plan:
+  queried by the aggregation layer per round and by the channel per
+  message, charging every triggered event to the cost ledger under
+  ``fault.*`` categories through its one :meth:`FaultInjector.record`.
+  Every runtime, channel and aggregator holds one; a run without faults
+  is a run over the empty ``FaultPlan()``, which never draws, never
+  drops and never charges;
 - :class:`RetryPolicy` -- exponential backoff with jitter and a
-  modelled-time budget, replacing the channel's old inline geometric
-  retry loop;
+  modelled-time budget, the one way to configure retransmission;
 - :class:`QuorumError` -- raised when a round cannot gather the minimum
   number of surviving clients.
 
@@ -91,6 +94,11 @@ QUEUE_OVERLOAD = "queue_overload"
 #: asserts other tenants' weights stay byte-identical.
 TENANT_FLOOD = "tenant_flood"
 TENANT_CRASH = "tenant_crash"
+#: Kinds a plan cannot schedule but a round can *observe* and
+#: :meth:`FaultInjector.record`: a straggler the round deadline
+#: excluded, and an upload lost after its transfer exhausted its retries.
+DEADLINE = "deadline"
+LOST_UPDATE = "lost_update"
 
 _EVENT_KINDS = (CRASH, DROPOUT, STRAGGLER, COORDINATOR_CRASH, FAILOVER,
                 SHARD_CRASH, QUEUE_OVERLOAD, TENANT_FLOOD, TENANT_CRASH)
@@ -397,15 +405,12 @@ class RetryPolicy:
         return False
 
 
-#: The default policy for fault-enabled runs: five retries, 50 ms base
-#: backoff doubling to a 2 s ceiling, 10% jitter.
+#: The runtime's default policy: five retries, 50 ms base backoff
+#: doubling to a 2 s ceiling, 10% jitter.  Only a dropped or corrupted
+#: attempt consults it, so a run over the empty plan never does.
 DEFAULT_RETRY_POLICY = RetryPolicy(max_retries=5, base_delay=0.05,
                                    backoff_factor=2.0, max_delay=2.0,
                                    jitter=0.1)
-
-#: Back-compat policy matching the old inline loop: retries without
-#: backoff, so modelled times are unchanged when no plan is active.
-NO_BACKOFF_POLICY = RetryPolicy(max_retries=5)
 
 
 class FaultInjector:
@@ -413,12 +418,15 @@ class FaultInjector:
 
     The aggregation layer asks :meth:`is_alive` / :meth:`straggler_delay`
     per (party, round); the channel asks :meth:`should_drop_message` /
-    :meth:`should_corrupt` per attempt.  Every triggered event is charged
-    to the bound ledger under a ``fault.*`` category and appended to
+    :meth:`should_corrupt` per attempt; the services ask
+    :meth:`scheduled_kill` / :meth:`queue_overloaded` /
+    :meth:`tenant_crashed` / :meth:`tenant_flood_intensity`.  Whoever
+    acts on an answer reports it through :meth:`record`, which charges
+    the bound ledger under the kind's ``fault.*`` category and appends to
     :attr:`triggered` for the :class:`~repro.federation.metrics.FaultReport`.
 
     Args:
-        plan: The fault schedule.
+        plan: The fault schedule; ``FaultPlan()`` is the fault-free run.
         ledger: Cost ledger to charge; rebindable via
             :meth:`bind_ledger` on epoch rollover.
         incarnation: Checkpoint/resume generation.  Seeds the stochastic
@@ -451,11 +459,11 @@ class FaultInjector:
         """Whether a party participates in a round; charges the event."""
         for event in self.plan.events_for(party):
             if event.kind == CRASH and round_index >= event.round_index:
-                self._record(CRASH, party, round_index)
+                self.record(CRASH, party, round_index)
                 return False
             if event.kind == DROPOUT and self.incarnation == 0 and \
                     event.round_index <= round_index < event.rejoin_round:
-                self._record(DROPOUT, party, round_index)
+                self.record(DROPOUT, party, round_index)
                 return False
         return True
 
@@ -468,85 +476,41 @@ class FaultInjector:
                 total += event.delay_seconds
         return total
 
-    def charge_straggler(self, party: str, round_index: int,
-                         delay_seconds: float) -> None:
-        """Charge a straggler delay that was waited out."""
-        self._record(STRAGGLER, party, round_index,
-                     seconds=delay_seconds)
+    # ------------------------------------------------------------------
+    # Node, shard and tenant state (pure queries; the service that acts
+    # on the answer records it).
+    # ------------------------------------------------------------------
 
-    def charge_deadline_miss(self, party: str, round_index: int,
-                             deadline_seconds: float) -> None:
-        """Charge a straggler excluded by the round deadline."""
-        self._record("deadline", party, round_index,
-                     seconds=deadline_seconds)
-
-    def charge_lost_update(self, party: str, round_index: int,
-                           wasted_bytes: int = 0) -> None:
-        """Charge a client update lost after exhausting retries."""
-        self._record("lost_update", party, round_index,
-                     payload_bytes=wasted_bytes)
-
-    def charge_coordinator_crash(self, round_index: int,
-                                 party: str = "coordinator") -> None:
-        """Charge a coordinator kill-and-recover cycle."""
-        self._record(COORDINATOR_CRASH, party, round_index)
-
-    def charge_failover(self, round_index: int,
-                        party: str = "coordinator") -> None:
-        """Charge a standby takeover of a dead coordinator's round."""
-        self._record(FAILOVER, party, round_index)
-
-    def charge_shard_crash(self, shard: str, round_index: int) -> None:
-        """Charge a leaf shard kill-and-failover cycle."""
-        self._record(SHARD_CRASH, shard, round_index)
+    def scheduled_kill(self, party: str, round_index: int,
+                       kinds: Tuple[str, ...]) -> Optional[int]:
+        """The WAL record after whose append node ``party`` is scheduled
+        to die in ``round_index`` by an event of one of ``kinds``."""
+        for event in self.plan.events:
+            if event.kind in kinds and event.party == party \
+                    and event.round_index == round_index:
+                return event.after_record
+        return None
 
     def queue_overloaded(self, shard: str, round_index: int) -> bool:
-        """Whether an injected overload is in force for a shard/round.
-
-        Pure query (the :class:`~repro.federation.eventloop.AsyncChannel`
-        consults it at admission); the triggered rejection itself is
-        charged once per round via :meth:`charge_queue_overload`.
-        """
+        """Whether an injected overload is in force for a shard/round
+        (the :class:`~repro.federation.eventloop.AsyncChannel` consults
+        it at admission)."""
         return any(e.kind == QUEUE_OVERLOAD and e.party == shard
                    and e.round_index == round_index
                    for e in self.plan.events)
 
-    def charge_queue_overload(self, shard: str, round_index: int) -> None:
-        """Charge an injected admission-control overload."""
-        self._record(QUEUE_OVERLOAD, shard, round_index)
-
-    # ------------------------------------------------------------------
-    # Tenant-level state (consumed by the multi-tenant service).
-    # ------------------------------------------------------------------
-
     def tenant_flood_intensity(self, tenant: str,
                                round_index: int) -> int:
-        """Extra retransmissions per client of ``tenant`` this round.
-
-        Pure query; the triggered storm is charged once per round via
-        :meth:`charge_tenant_flood`.
-        """
+        """Extra retransmissions per client of ``tenant`` this round."""
         return sum(e.intensity for e in self.plan.events
                    if e.kind == TENANT_FLOOD and e.party == tenant
                    and e.round_index == round_index)
 
     def tenant_crashed(self, tenant: str, round_index: int) -> bool:
-        """Whether ``tenant`` is offline in ``round_index``.
-
-        Pure query; the skipped round is charged via
-        :meth:`charge_tenant_crash`.
-        """
+        """Whether ``tenant`` is offline in ``round_index``."""
         return any(e.kind == TENANT_CRASH and e.party == tenant
                    and round_index >= e.round_index
                    for e in self.plan.events)
-
-    def charge_tenant_flood(self, tenant: str, round_index: int) -> None:
-        """Charge an injected tenant retry storm (once per round)."""
-        self._record(TENANT_FLOOD, tenant, round_index)
-
-    def charge_tenant_crash(self, tenant: str, round_index: int) -> None:
-        """Charge a tenant-wide outage observed in a round."""
-        self._record(TENANT_CRASH, tenant, round_index)
 
     # ------------------------------------------------------------------
     # Per-message stochastic processes (consumed by the channel).
@@ -591,8 +555,15 @@ class FaultInjector:
     # Bookkeeping.
     # ------------------------------------------------------------------
 
-    def _record(self, kind: str, party: str, round_index: int,
-                seconds: float = 0.0, payload_bytes: int = 0) -> None:
+    def record(self, kind: str, party: str, round_index: int,
+               seconds: float = 0.0, payload_bytes: int = 0) -> None:
+        """Charge one fault that took effect and remember it.
+
+        ``kind`` is one of this module's kind constants; ``seconds`` is
+        modelled time the fault cost the round (a straggler waited out,
+        a deadline run down), ``payload_bytes`` the wire bytes it wasted
+        (a lost update's failed attempts).
+        """
         self.triggered.append((kind, party, round_index))
         self.ledger.charge(fault_category(kind), seconds, count=1,
                            payload_bytes=payload_bytes)

@@ -150,13 +150,13 @@ class FederationRuntime:
             full quantization precision and packs only what the physical
             plaintext holds -- the mode the convergence experiments use,
             where precision matters and time accounting is secondary.
-        fault_plan: Optional fault schedule; builds a
-            :class:`~repro.federation.faults.FaultInjector` shared by the
-            channel and the aggregator.
-        retry_policy: Channel retry/backoff configuration.  Defaults to
-            zero-backoff retries (legacy behaviour) without a fault plan
-            and to :data:`~repro.federation.faults.DEFAULT_RETRY_POLICY`
-            with one.
+        fault_plan: The fault schedule interpreted by the one
+            :class:`~repro.federation.faults.FaultInjector` the channel
+            and the aggregator share; ``None`` (kept as given on
+            :attr:`fault_plan`) runs over the empty ``FaultPlan()``.
+        retry_policy: Channel retry/backoff configuration;
+            :data:`~repro.federation.faults.DEFAULT_RETRY_POLICY` by
+            default (consulted only once an attempt is dropped).
         min_quorum: Minimum surviving clients per aggregation round;
             ``None`` requires all clients.
         round_deadline_seconds: Stragglers delayed beyond this miss the
@@ -229,21 +229,17 @@ class FederationRuntime:
         self.min_quorum = min_quorum
         self.round_deadline_seconds = round_deadline_seconds
         self.incarnation = incarnation
-        self.injector = (FaultInjector(fault_plan, ledger=self.ledger,
-                                       incarnation=incarnation)
-                         if fault_plan is not None else None)
-        if retry_policy is None and fault_plan is not None:
-            # Fault-enabled runs default to real backoff; fault-free runs
-            # keep the zero-backoff policy so modelled times are
-            # unchanged.
-            retry_policy = DEFAULT_RETRY_POLICY
-        self.retry_policy = retry_policy
+        self.injector = FaultInjector(
+            fault_plan if fault_plan is not None else FaultPlan(),
+            ledger=self.ledger, incarnation=incarnation)
+        self.retry_policy = (retry_policy if retry_policy is not None
+                             else DEFAULT_RETRY_POLICY)
 
         self.client_engine = self._build_engine(self.ledger)
         self.server_engine = self._build_engine(self.ledger)
         self.silent_engine = self._build_engine(self._silent_ledger)
         self.channel = Channel(profile=profile, ledger=self.ledger,
-                               retry_policy=retry_policy,
+                               retry_policy=self.retry_policy,
                                injector=self.injector,
                                seed=seed + incarnation)
         self.plan = self._build_plan()
@@ -395,8 +391,7 @@ class FederationRuntime:
         self.client_engine.ledger = self.ledger
         self.server_engine.ledger = self.ledger
         self.channel.ledger = self.ledger
-        if self.injector is not None:
-            self.injector.bind_ledger(self.ledger)
+        self.injector.bind_ledger(self.ledger)
         return self.ledger
 
     def gpu_device(self) -> Optional[SimulatedGpu]:

@@ -86,7 +86,11 @@ from repro.federation.eventloop import (
 from repro.federation.faults import (
     COORDINATOR_KINDS,
     FAILOVER,
+    LOST_UPDATE,
+    QUEUE_OVERLOAD,
     SHARD_CRASH,
+    TENANT_CRASH,
+    TENANT_FLOOD,
     QuorumError,
 )
 from repro.federation.serialization import serialize_tensor
@@ -583,9 +587,8 @@ class ShardedAggregationService:
         self.failover_log: List[FailoverRecord] = []
 
     def _overloaded(self, shard: str) -> bool:
-        injector = self.aggregator.injector
-        return (injector is not None
-                and injector.queue_overloaded(shard, self._current_round))
+        return self.aggregator.injector.queue_overloaded(
+            shard, self._current_round)
 
     def _breaker(self, shard: str):
         """The breaker of this service's lane into ``shard``.
@@ -653,14 +656,7 @@ class ShardedAggregationService:
             self.aggregator, node.lease,
             name=f"{node.identity}-standby-{successor.incarnation}",
             coordinator_cls=type(successor))
-        injector = self.aggregator.injector
-        if injector is None:
-            self.aggregator.channel.ledger.charge(
-                fault_category(kind), 0.0, count=1)
-        elif kind == SHARD_CRASH:
-            injector.charge_shard_crash(key, round_index)
-        else:
-            injector.charge_failover(round_index, party=key)
+        self.aggregator.injector.record(kind, key, round_index)
         self.failover_log.append(FailoverRecord(
             node=key, kind=kind, round_index=round_index, lsn=lsn,
             incarnation=successor.incarnation,
@@ -674,7 +670,7 @@ class ShardedAggregationService:
         (``shard_crash`` for a leaf, either coordinator kind for the
         root) and resuming the round on the successor."""
         is_root = key == self.root_name
-        kill_at = self._scheduled_kill(
+        kill_at = self.aggregator.injector.scheduled_kill(
             key, round_index,
             COORDINATOR_KINDS if is_root else (SHARD_CRASH,))
         node = self._nodes[key]
@@ -693,17 +689,6 @@ class ShardedAggregationService:
             return run(successor)
         finally:
             node.primary.kill_after_lsn = None
-
-    def _scheduled_kill(self, party: str, round_index: int,
-                        kinds: Tuple[str, ...]) -> Optional[int]:
-        injector = self.aggregator.injector
-        if injector is None:
-            return None
-        for event in injector.plan.events:
-            if event.kind in kinds and event.party == party \
-                    and event.round_index == round_index:
-                return event.after_record
-        return None
 
     # ------------------------------------------------------------------
     # The sharded round.
@@ -813,9 +798,8 @@ class ShardedAggregationService:
                     # the tenant by construction.
                     report.dropped.append((name, "quota"))
                 else:
-                    if refused == REJECT_OVERLOAD and injector is not None \
-                            and not overload_charged:
-                        injector.charge_queue_overload(shard, round_index)
+                    if refused == REJECT_OVERLOAD and not overload_charged:
+                        injector.record(QUEUE_OVERLOAD, shard, round_index)
                         overload_charged = True
                     report.dropped.append((name, "rejected"))
 
@@ -846,10 +830,8 @@ class ShardedAggregationService:
                                        tag=f"partial.{tag}")
             except ChannelError as error:
                 breaker.record_failure()
-                if injector is None:
-                    raise
-                injector.charge_lost_update(
-                    shard, round_index, wasted_bytes=error.wasted_bytes)
+                injector.record(LOST_UPDATE, shard, round_index,
+                                payload_bytes=error.wasted_bytes)
                 for name, _ in uploads:
                     report.dropped.append((name, "lost"))
                 report.shard_survivors.pop(shard, None)
@@ -896,9 +878,8 @@ class ShardedAggregationService:
             report.dropped.append((sender, "shed"))
         for sender, error in outcome.failed:
             breaker.record_failure()
-            if injector is not None:
-                injector.charge_lost_update(
-                    sender, round_index, wasted_bytes=error.wasted_bytes)
+            injector.record(LOST_UPDATE, sender, round_index,
+                            payload_bytes=error.wasted_bytes)
             report.dropped.append((sender, "lost"))
 
     def _try_submit(self, shard: str, message: Message,
@@ -1079,7 +1060,7 @@ class MultiTenantAggregationService:
         for service in self.services.values():
             service.pool = heir
         self.pool_failovers += 1
-        self.platform_ledger.charge(fault_category("failover"), 0.0,
+        self.platform_ledger.charge(fault_category(FAILOVER), 0.0,
                                     count=1)
 
     # ------------------------------------------------------------------
@@ -1117,19 +1098,16 @@ class MultiTenantAggregationService:
                 continue
             service = self.services[tenant_id]
             injector = service.aggregator.injector
-            if injector is not None \
-                    and injector.tenant_crashed(tenant_id, round_index):
-                injector.charge_tenant_crash(tenant_id, round_index)
+            if injector.tenant_crashed(tenant_id, round_index):
+                injector.record(TENANT_CRASH, tenant_id, round_index)
                 service.aggregator.round_cursor = round_index + 1
                 report.outcomes[tenant_id] = TenantRoundOutcome(
                     tenant_id, round_index, "crashed",
                     detail="tenant offline under injected tenant_crash")
                 continue
-            flood = (injector.tenant_flood_intensity(tenant_id,
-                                                     round_index)
-                     if injector is not None else 0)
+            flood = injector.tenant_flood_intensity(tenant_id, round_index)
             if flood > 0:
-                injector.charge_tenant_flood(tenant_id, round_index)
+                injector.record(TENANT_FLOOD, tenant_id, round_index)
             try:
                 result = service.run_round(
                     tenant_vectors[tenant_id], tag=tag,

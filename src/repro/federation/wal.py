@@ -36,6 +36,7 @@ not produce.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -287,9 +288,11 @@ class WriteAheadLog:
     real fsynced file.
 
     Args:
-        path: Journal file, flushed and fsynced after every append (the
-            write-ahead guarantee); ``None`` keeps the log purely in
-            memory.
+        path: Journal file; every append writes its one frame at the end
+            of the file, flushed and fsynced before it returns (the
+            write-ahead guarantee), so a writer killed mid-append leaves
+            every earlier record in place and at most a torn tail.
+            ``None`` keeps the log purely in memory.
     """
 
     def __init__(self, path: Optional[Union[str, Path]] = None):
@@ -322,8 +325,13 @@ class WriteAheadLog:
         self._buffer = bytearray(blob[:result.consumed_bytes])
         self.torn_tail_dropped = result.torn_tail
         if result.torn_tail and self.path is not None:
-            # Persist the trim so the next reader sees a clean log.
-            self._flush_file()
+            # Persist the trim so the next reader sees a clean log.  The
+            # one rewrite of the journal goes through a temp file and an
+            # atomic rename: dying here leaves the torn file or the
+            # trimmed one, never less than the intact prefix.
+            trimmed = self.path.with_name(self.path.name + ".tmp")
+            self._write_durably(trimmed, "wb", bytes(self._buffer))
+            os.replace(trimmed, self.path)
 
     # ------------------------------------------------------------------
     # Appending.
@@ -333,18 +341,17 @@ class WriteAheadLog:
         """Durably append one record; returns its log sequence number."""
         frame = encode_record(record)
         if not self._buffer:
-            self._buffer.extend(WAL_MAGIC)
+            frame = WAL_MAGIC + frame  # the magic travels with record 0
         self._buffer.extend(frame)
         self._records.append(record)
         if self.path is not None:
-            self._flush_file()
+            self._write_durably(self.path, "ab", frame)
         return len(self._records) - 1
 
-    def _flush_file(self) -> None:
-        import os
-
-        with open(self.path, "wb") as handle:
-            handle.write(bytes(self._buffer))
+    @staticmethod
+    def _write_durably(path: Path, mode: str, data: bytes) -> None:
+        with open(path, mode) as handle:
+            handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
 

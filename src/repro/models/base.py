@@ -148,9 +148,7 @@ class FederatedModel(ABC):
         # decode reshapes without protocol-level bookkeeping.
         tensor = aggregator.encrypt_tensor(scaled, charged=True)
         payload = aggregator.send_tensor(
-            tensor, sender=sender, receiver=receiver, tag=tag,
-            packed=(runtime.config.packed_serialization
-                    and runtime.config.batch_compression))
+            tensor, sender=sender, receiver=receiver, tag=tag)
         return aggregator.decrypt_tensor(payload, charged=True) * scale
 
     # ------------------------------------------------------------------

@@ -51,10 +51,8 @@ from repro.federation.eventloop import (  # noqa: F401 -- re-exported
 )
 from repro.federation.faults import (
     COORDINATOR_CRASH,
-    COORDINATOR_KINDS,
     FAILOVER,
     SHARD_CRASH,
-    SHARD_KINDS,
     FaultEvent,
     FaultPlan,
     QuorumError,
@@ -382,22 +380,19 @@ class FederationSimulator:
         self.failovers: List[FailoverRecord] = []
         #: The node kills the plan schedules against this topology.
         self._scheduled_kills: List[FaultEvent] = []
-        events = spec.fault_plan.events if spec.fault_plan else ()
-        if spec.sharded or any(
-                e.kind in SHARD_KINDS
-                or (e.kind in COORDINATOR_KINDS and e.party == ROOT)
-                for e in events):
+        plan = self.runtime.injector.plan
+        coordinator_kills = plan.coordinator_events()
+        root_kills = [e for e in coordinator_kills if e.party == ROOT]
+        shard_events = plan.shard_events()
+        if spec.sharded or shard_events or root_kills:
             self.service = ShardedAggregationService(
                 self.runtime.aggregator, clock=self.clock,
                 num_shards=spec.num_shards,
                 queue_capacity=spec.queue_capacity, seed=spec.seed)
             self.failovers = self.service.failover_log
-            self._scheduled_kills = [
-                e for e in events if e.kind == SHARD_CRASH
-                or (e.kind in COORDINATOR_KINDS
-                    and e.party == self.service.root_name)]
-        elif spec.durable or any(e.kind in COORDINATOR_KINDS
-                                 for e in events):
+            self._scheduled_kills = root_kills + [
+                e for e in shard_events if e.kind == SHARD_CRASH]
+        elif spec.durable or coordinator_kills:
             self.lease_manager = LeaseManager(
                 timeout_seconds=LEASE_TIMEOUT_SECONDS,
                 clock=lambda: self.clock.now)
@@ -408,8 +403,7 @@ class FederationSimulator:
                 lease_manager=self.lease_manager)
             self.standby = StandbyCoordinator(
                 self.runtime.aggregator, self.lease_manager, name="standby")
-            if spec.fault_plan is not None:
-                self._scheduled_kills = spec.fault_plan.coordinator_events()
+            self._scheduled_kills = coordinator_kills
             self._pending_kills = deque(self._scheduled_kills)
             self._promotions = 0
             self._arm_next_kill()
@@ -446,12 +440,11 @@ class FederationSimulator:
     def _handle_kill(self, event: FaultEvent,
                      killed: CoordinatorKilled) -> None:
         """Process one coordinator death: recover or fail over."""
-        injector = self.runtime.injector
+        self.runtime.injector.record(event.kind, COORDINATOR,
+                                     event.round_index)
         image = self.coordinator.wal.image()
         self.standby.tail(image)
         if event.kind == FAILOVER:
-            if injector is not None:
-                injector.charge_failover(event.round_index)
             # Let the dead primary's lease lapse on the virtual clock,
             # then the hot standby acquires a bumped incarnation.
             lease = self.lease_manager.lease
@@ -464,8 +457,6 @@ class FederationSimulator:
                 self.runtime.aggregator, self.lease_manager,
                 name=f"standby-{self._promotions}")
         else:
-            if injector is not None:
-                injector.charge_coordinator_crash(event.round_index)
             lease = self.lease_manager.acquire(self.coordinator.name)
             self.coordinator = DurableCoordinator(
                 self.runtime.aggregator,
@@ -514,10 +505,8 @@ class FederationSimulator:
             # Schedule this round's events: client submissions (offset
             # by scheduled straggler delay) then the aggregation barrier.
             for client in range(self.spec.num_clients):
-                delay = 0.0
-                if injector is not None:
-                    delay = injector.straggler_delay(
-                        f"client-{client}", round_index)
+                delay = injector.straggler_delay(f"client-{client}",
+                                                 round_index)
                 self.queue.push(start + delay, "submit",
                                 (round_index, client))
             self.queue.push(start + 1e9, "aggregate", round_index)
@@ -572,7 +561,7 @@ class FederationSimulator:
             events_processed=self._events_processed,
             node_wal_records={name: len(node.wal)
                               for name, node in nodes.items()},
-            node_digest_trails={name: list(node.digest_trail)
+            node_digest_trails={name: node.digest_trail
                                 for name, node in nodes.items()},
             failovers=list(self.failovers),
             final_weights=list(self.final_weights))
@@ -848,11 +837,9 @@ class MultiTenantSimulator:
         result.pool_failovers = self.service.pool_failovers
         result.pool_records = len(self.service.pool.wal)
         result.pool_digest = self.service.pool.digest()
-        for tenant_spec in self.spec.tenants:
-            injector = self.runtimes[tenant_spec.tenant_id].injector
-            result.tenant_fault_counts[tenant_spec.tenant_id] = (
-                dict(injector.triggered_counts())
-                if injector is not None else {})
+        for tenant_id, runtime in self.runtimes.items():
+            result.tenant_fault_counts[tenant_id] = \
+                runtime.injector.triggered_counts()
         return result
 
 

@@ -18,6 +18,16 @@ def make_channel(trace=False, **profile_kwargs):
     return Channel(profile=profile, ledger=CostLedger(), trace=trace)
 
 
+def make_lossy_channel(drop, seed, policy, ledger=None):
+    """A channel losing each attempt with probability ``drop``: the
+    plan's loss process, seeded like the channel, under ``policy``."""
+    plan = FaultPlan(seed=seed).with_message_loss(drop)
+    return Channel(profile=HardwareProfile(),
+                   ledger=ledger if ledger is not None else CostLedger(),
+                   seed=seed, retry_policy=policy,
+                   injector=FaultInjector(plan))
+
+
 class TestSend:
     def test_returns_payload(self):
         channel = make_channel()
@@ -105,9 +115,7 @@ class TestBroadcast:
         attempt the *whole* receiver list, and aggregate the failures
         into one error instead of aborting at the first."""
         def doomed_channel():
-            return Channel(profile=HardwareProfile(), ledger=CostLedger(),
-                           drop_probability=0.99, seed=5,
-                           retry_policy=RetryPolicy(max_retries=0))
+            return make_lossy_channel(0.99, 5, RetryPolicy(max_retries=0))
 
         receivers = ["c1", "c2", "c3"]
         message = Message(sender="s", receiver="*", tag="down",
@@ -146,11 +154,7 @@ class TestFailureInjection:
         assert channel.stats.retransmissions == 0
 
     def test_drops_charge_retransmissions(self):
-        from repro.federation.channel import Channel
-        from repro.gpu.cost_model import HardwareProfile
-        from repro.ledger import CostLedger
-        channel = Channel(profile=HardwareProfile(), ledger=CostLedger(),
-                          drop_probability=0.5, max_retries=50, seed=3)
+        channel = make_lossy_channel(0.5, 3, RetryPolicy(max_retries=50))
         for _ in range(50):
             channel.send(Message(sender="a", receiver="b", tag="t",
                                  payload=None, plaintext_bytes=100))
@@ -159,43 +163,50 @@ class TestFailureInjection:
         assert channel.stats.wire_bytes > 50 * 100
 
     def test_exhausted_retries_raise(self):
-        from repro.federation.channel import Channel, ChannelError
-        from repro.gpu.cost_model import HardwareProfile
-        from repro.ledger import CostLedger
-        channel = Channel(profile=HardwareProfile(), ledger=CostLedger(),
-                          drop_probability=0.95, max_retries=1, seed=1)
+        channel = make_lossy_channel(0.95, 1, RetryPolicy(max_retries=1))
         with pytest.raises(ChannelError):
             for _ in range(100):
                 channel.send(Message(sender="a", receiver="b", tag="t",
                                      payload=None, plaintext_bytes=1))
 
+    def test_plan_loss_drops_the_attempts_the_channel_seed_names(self):
+        """One loss process, same draws: the literals were captured at
+        the commit before it, from the channel's own
+        ``drop_probability=0.5, max_retries=3, seed=3``."""
+        channel = make_lossy_channel(0.5, 3, RetryPolicy(max_retries=3))
+        for _ in range(200):
+            try:
+                channel.send(Message(sender="a", receiver="b", tag="t",
+                                     payload=None, plaintext_bytes=250))
+            except ChannelError:
+                pass
+        stats = channel.stats
+        assert (stats.messages, stats.failed_messages,
+                stats.retransmissions, stats.wire_bytes) == \
+            (193, 7, 173, 93250)
+        assert stats.modelled_seconds == pytest.approx(0.2078142857142862)
+
     def test_delivery_still_returns_payload(self):
-        from repro.federation.channel import Channel
-        from repro.gpu.cost_model import HardwareProfile
-        from repro.ledger import CostLedger
-        channel = Channel(profile=HardwareProfile(), ledger=CostLedger(),
-                          drop_probability=0.3, max_retries=100, seed=2)
+        channel = make_lossy_channel(0.3, 2, RetryPolicy(max_retries=100))
         payload = {"ok": True}
         for _ in range(20):
             assert channel.send(Message(sender="a", receiver="b", tag="t",
                                         payload=payload)) is payload
 
     def test_invalid_parameters_raise(self):
-        from repro.federation.channel import Channel
         with pytest.raises(ValueError):
-            Channel(drop_probability=1.0)
+            FaultPlan().with_message_loss(1.0)
         with pytest.raises(ValueError):
-            Channel(max_retries=-1)
+            RetryPolicy(max_retries=-1)
 
     def test_training_survives_lossy_channel(self):
         import numpy as np
-        from repro.federation.channel import Channel
         from repro.federation.runtime import (FLBOOSTER_SYSTEM,
                                               FederationRuntime)
         runtime = FederationRuntime(FLBOOSTER_SYSTEM, num_clients=4,
                                     key_bits=256, physical_key_bits=256)
-        lossy = Channel(profile=runtime.profile, ledger=runtime.ledger,
-                        drop_probability=0.2, max_retries=50, seed=4)
+        lossy = make_lossy_channel(0.2, 4, RetryPolicy(max_retries=50),
+                                   ledger=runtime.ledger)
         runtime.channel = lossy
         runtime.aggregator.channel = lossy
         result = runtime.aggregator.aggregate([np.full(8, 0.1)] * 4)
@@ -227,9 +238,8 @@ class TestFailureAccounting:
     """Dropped attempts must be charged before ChannelError is raised."""
 
     def make_lossy(self, drop, retries, seed, policy=None):
-        return Channel(profile=HardwareProfile(), ledger=CostLedger(),
-                       drop_probability=drop, max_retries=retries,
-                       seed=seed, retry_policy=policy)
+        return make_lossy_channel(
+            drop, seed, policy or RetryPolicy(max_retries=retries))
 
     def test_channel_error_carries_diagnostics(self):
         channel = self.make_lossy(0.95, 1, 1)
@@ -291,9 +301,7 @@ class TestRetransmissionAccountingProperty:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("drop", [0.0, 0.2, 0.5])
     def test_send_invariants(self, seed, drop):
-        channel = Channel(profile=HardwareProfile(), ledger=CostLedger(),
-                          drop_probability=drop, max_retries=200,
-                          seed=seed)
+        channel = make_lossy_channel(drop, seed, RetryPolicy(max_retries=200))
         per_message = 64
         for _ in range(40):
             channel.send(Message(sender="a", receiver="b", tag="t",
@@ -311,9 +319,7 @@ class TestRetransmissionAccountingProperty:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_broadcast_invariants(self, seed):
-        channel = Channel(profile=HardwareProfile(), ledger=CostLedger(),
-                          drop_probability=0.3, max_retries=200,
-                          seed=seed)
+        channel = make_lossy_channel(0.3, seed, RetryPolicy(max_retries=200))
         receivers = [f"c{i}" for i in range(6)]
         per_message = 32
         for _ in range(10):
@@ -330,8 +336,7 @@ class TestRetransmissionAccountingProperty:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_invariants_hold_across_failures(self, seed):
-        channel = Channel(profile=HardwareProfile(), ledger=CostLedger(),
-                          drop_probability=0.6, max_retries=2, seed=seed)
+        channel = make_lossy_channel(0.6, seed, RetryPolicy(max_retries=2))
         per_message = 16
         attempted = 0
         for _ in range(60):
@@ -355,7 +360,8 @@ class TestCorruptionDetection:
         injector = FaultInjector(plan)
         ledger = CostLedger()
         channel = Channel(profile=HardwareProfile(), ledger=ledger,
-                          max_retries=100, injector=injector)
+                          retry_policy=RetryPolicy(max_retries=100),
+                          injector=injector)
         payload = [123456789, 987654321]
         for _ in range(30):
             delivered = channel.send(Message(
@@ -370,7 +376,7 @@ class TestCorruptionDetection:
     def test_injector_loss_feeds_channel(self):
         plan = FaultPlan(seed=4).with_message_loss(0.4)
         channel = Channel(profile=HardwareProfile(), ledger=CostLedger(),
-                          max_retries=100,
+                          retry_policy=RetryPolicy(max_retries=100),
                           injector=FaultInjector(plan))
         for _ in range(40):
             channel.send(Message(sender="a", receiver="b", tag="t",
@@ -386,10 +392,9 @@ class TestJitterSeeding:
                        ciphertext_count=1, ciphertext_bytes=64)
 
     def lossy_channel(self, jitter):
-        return Channel(ledger=CostLedger(), drop_probability=0.4, seed=3,
-                       retry_policy=RetryPolicy(max_retries=8,
-                                                base_delay=0.5,
-                                                jitter=jitter))
+        return make_lossy_channel(
+            0.4, 3, RetryPolicy(max_retries=8, base_delay=0.5,
+                                jitter=jitter))
 
     def test_jitter_never_perturbs_loss_draws(self):
         plain = self.lossy_channel(jitter=0.0)

@@ -79,8 +79,7 @@ class TestRoundStateMachine:
         assert machine.round.survivors == ["client-0"]
 
     def test_digest_is_the_crc_of_the_whole_canonical_blob(self):
-        """The cached ``closed_rounds`` share of the CRC changes nothing:
-        after every record of 12 rounds (string key order puts "10"
+        """After every record of 12 rounds (string key order puts "10"
         before "2") the digest is the one-shot CRC of the full blob."""
         import json
         import zlib
@@ -245,6 +244,52 @@ class TestDurableRound:
         assert sorted(decoded) == sorted(
             bytes.fromhex(frame) for frame in frames.values())
         assert len(decoded) == 3
+
+    def test_fault_free_round_digests_once_per_node(self, monkeypatch):
+        """Only ``round_close`` takes the state digest on the round
+        path: appending the other records of an 8-upload round pays
+        nothing for the crash sweep's witness."""
+        calls = []
+        real = RoundStateMachine.digest
+
+        def spy(machine):
+            calls.append(machine)
+            return real(machine)
+
+        monkeypatch.setattr(RoundStateMachine, "digest", spy)
+        vectors = client_vectors(8)
+        coordinator = make_runtime(8).durable_coordinator()
+        coordinator.run_round(vectors)
+        assert len(coordinator.wal) == 12  # open, 8 uploads, quorum, ...
+        assert calls == [coordinator.machine]
+
+        del calls[:]
+        service = make_runtime(8).sharded_service()
+        service.run_round(vectors)
+        nodes = [*service.leaves.values(), service.root]
+        assert len(nodes) == 4  # ceil(sqrt(8)) leaves and the root
+        assert calls == [node.machine for node in nodes]
+
+    def test_digest_trail_is_the_replayed_journal(self):
+        """``digest_trail`` holds no state: at every record index it is
+        what a coordinator recovered from the image up to that record
+        computes, trail and live digest alike."""
+        runtime = make_runtime()
+        reference = runtime.durable_coordinator()
+        for round_index in range(2):
+            reference.run_round(client_vectors(3, seed=round_index))
+        trail = reference.digest_trail
+        assert len(trail) == len(reference.wal) == 14
+        assert trail[-1] == reference.machine.digest()
+        with pytest.raises(AttributeError):
+            reference.digest_trail = []
+        prefix = WriteAheadLog()
+        for index, record in enumerate(reference.wal.records):
+            prefix.append(record)
+            recovered = recover_coordinator(runtime.aggregator,
+                                            prefix.image())
+            assert recovered.machine.digest() == trail[index]
+            assert recovered.digest_trail == trail[:index + 1]
 
     def test_duplicate_upload_not_journaled(self):
         runtime = make_runtime()

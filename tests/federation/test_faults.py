@@ -3,7 +3,13 @@
 import pytest
 
 from repro.federation.faults import (
+    COORDINATOR_CRASH,
     DEFAULT_RETRY_POLICY,
+    FAILOVER,
+    LOST_UPDATE,
+    QUEUE_OVERLOAD,
+    SHARD_CRASH,
+    STRAGGLER,
     FaultEvent,
     FaultInjector,
     FaultPlan,
@@ -94,8 +100,8 @@ class TestFaultInjector:
         plan = FaultPlan().crash("client-0", 0)
         injector = FaultInjector(plan, ledger=ledger)
         injector.is_alive("client-0", 0)
-        injector.charge_straggler("client-1", 0, 3.0)
-        injector.charge_lost_update("client-2", 0, wasted_bytes=100)
+        injector.record(STRAGGLER, "client-1", 0, seconds=3.0)
+        injector.record(LOST_UPDATE, "client-2", 0, payload_bytes=100)
         assert ledger.count("fault.crash") == 1
         assert ledger.seconds("fault.straggler") == 3.0
         assert ledger.payload_bytes("fault.lost_update") == 100
@@ -227,8 +233,8 @@ class TestCoordinatorFaultEvents:
     def test_charges_land_in_fault_categories(self):
         ledger = CostLedger()
         injector = FaultInjector(FaultPlan(seed=1), ledger)
-        injector.charge_coordinator_crash(0)
-        injector.charge_failover(1)
+        injector.record(COORDINATOR_CRASH, "coordinator", 0)
+        injector.record(FAILOVER, "coordinator", 1)
         assert ledger.count("fault.coordinator_crash") == 1
         assert ledger.count("fault.failover") == 1
         assert ("coordinator_crash", "coordinator", 0) in injector.triggered
@@ -272,8 +278,8 @@ class TestShardFaultEvents:
         assert not injector.queue_overloaded("shard-0", 1)
         assert not injector.queue_overloaded("shard-1", 2)
         assert ledger.count("fault.queue_overload") == 0  # query free
-        injector.charge_queue_overload("shard-0", 2)
-        injector.charge_shard_crash("shard-1", 0)
+        injector.record(QUEUE_OVERLOAD, "shard-0", 2)
+        injector.record(SHARD_CRASH, "shard-1", 0)
         assert ledger.count("fault.queue_overload") == 1
         assert ledger.count("fault.shard_crash") == 1
         assert ("queue_overload", "shard-0", 2) in injector.triggered

@@ -1,9 +1,17 @@
 """Quorum-based partial aggregation: k-of-n rounds decode exactly."""
 
+import random
+import zlib
+
 import numpy as np
 import pytest
 
-from repro.federation.faults import FaultInjector, FaultPlan, QuorumError
+from repro.federation.faults import (
+    FaultInjector,
+    FaultPlan,
+    QuorumError,
+    RetryPolicy,
+)
 from repro.tensor.cipher import CipherTensor
 from repro.federation.parties import (
     AggregatorParty,
@@ -105,6 +113,39 @@ class TestPartialSumDecode:
         runtime.aggregator.aggregate(client_vectors(4))
         assert runtime.ledger.seconds("fault.straggler") == 5.0
         assert runtime.aggregator.last_round.summands == 4
+
+    @pytest.mark.parametrize("entry", ["aggregate", "durable", "sharded"])
+    def test_lost_uploads_degrade_every_entry_point_alike(self, entry):
+        """An upload whose transfer exhausts its retries is charged as a
+        ``lost_update`` and dropped, and quorum decides -- through every
+        round entry point, whether the plan holds only a loss process or
+        schedules events too.  (Loss seed 2 drops the uploads of
+        clients 2 and 3 and no download.)"""
+        lossy = FaultPlan(seed=2).with_message_loss(0.25)
+        vectors = client_vectors(6)
+        for plan in (lossy, lossy.straggler("client-0", 0, 2.0)):
+            runtime = make_runtime(
+                num_clients=6, fault_plan=plan, min_quorum=2,
+                retry_policy=RetryPolicy(max_retries=0))
+            run_round = {
+                "aggregate": runtime.aggregator.aggregate,
+                "durable": runtime.durable_coordinator().run_round,
+                "sharded": runtime.sharded_service().run_round,
+            }[entry]
+            decoded = run_round(vectors)  # no ChannelError escapes
+            step = runtime.aggregator.scheme.quantization_step
+            expected = sum(vectors[i] for i in (0, 1, 4, 5))
+            assert np.allclose(decoded, expected, atol=4 * step)
+            report = runtime.aggregator.last_round
+            assert report.dropped == [("client-2", "lost"),
+                                      ("client-3", "lost")]
+            assert report.summands == 4
+            assert runtime.ledger.count("fault.lost_update") == 2
+            assert runtime.ledger.count("fault.giveup") == 2
+            assert runtime.ledger.payload_bytes("fault.lost_update") == \
+                runtime.ledger.payload_bytes("fault.giveup")
+            assert [kind for kind, _, _ in runtime.injector.triggered
+                    if kind != "straggler"] == ["lost_update"] * 2
 
     def test_round_cursor_advances_and_lines_up_events(self):
         plan = FaultPlan().crash("client-3", 1)
@@ -241,7 +282,40 @@ class TestRuntimeQuorumValidation:
             make_runtime(num_clients=4, min_quorum=0)
 
     def test_injector_only_with_plan(self):
-        runtime = make_runtime(num_clients=2)
-        assert runtime.injector is None
-        with_plan = make_runtime(num_clients=2, fault_plan=FaultPlan())
-        assert isinstance(with_plan.injector, FaultInjector)
+        """No plan *is* the empty plan: a runtime built without
+        ``fault_plan`` holds an injector over ``FaultPlan()`` and runs
+        byte for byte like one handed an explicit empty plan -- same
+        journals, same ledger rows, same weights -- and neither
+        injector fires or draws."""
+        seed = 7
+
+        def run(sharded, **kwargs):
+            runtime = make_runtime(num_clients=4, seed=seed, **kwargs)
+            assert isinstance(runtime.injector, FaultInjector)
+            if sharded:
+                service = runtime.sharded_service()
+                run_round = service.run_round
+            else:
+                coordinator = runtime.durable_coordinator()
+                run_round = coordinator.run_round
+            weights = [run_round(client_vectors(4, seed=r), round_index=r)
+                       .tolist() for r in range(2)]
+            nodes = ({**service.leaves, "root": service.root} if sharded
+                     else {"coordinator": coordinator})
+            injector = runtime.injector
+            assert injector.triggered == []
+            assert injector._rng.getstate() == random.Random(
+                injector.plan.seed).getstate()  # not one draw
+            return {
+                "wal": {name: zlib.crc32(node.wal.image())
+                        for name, node in nodes.items()},
+                "ledger": [(category, entry.seconds.hex(), entry.count,
+                            entry.payload_bytes)
+                           for category, entry in runtime.ledger],
+                "weights": weights,
+            }
+
+        for sharded in (False, True):
+            bare = run(sharded)
+            assert bare["wal"] and bare["ledger"]
+            assert bare == run(sharded, fault_plan=FaultPlan(seed=seed))

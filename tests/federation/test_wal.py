@@ -4,6 +4,7 @@ import zlib
 
 import pytest
 
+from repro.federation import wal as wal_module
 from repro.federation.serialization import FrameError
 from repro.federation.wal import (
     MAX_PAYLOAD_BYTES,
@@ -20,6 +21,29 @@ from repro.federation.wal import (
     encode_record,
     replay_wal,
 )
+
+
+def spying_open(on_write):
+    """An ``open`` whose files hand every ``write`` to
+    ``on_write(real_handle, data)`` -- to count the bytes an append
+    writes, or to die inside the write."""
+    class SpiedFile:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def write(self, data):
+            return on_write(self.handle, data)
+
+        def __getattr__(self, name):
+            return getattr(self.handle, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return self.handle.__exit__(*exc_info)
+
+    return lambda path, mode: SpiedFile(open(path, mode))
 
 
 def sample_records():
@@ -204,6 +228,59 @@ class TestWriteAheadLog:
         third = WriteAheadLog(path=path)
         assert not third.torn_tail_dropped
         assert list(third.records) == sample_records()[:-1]
+
+    def test_one_append_writes_one_frame(self, tmp_path, monkeypatch):
+        """The journal is appended to, not rewritten: a log of n records
+        costs n frames of writes, not n images."""
+        written = []
+        monkeypatch.setattr(
+            wal_module, "open", spying_open(
+                lambda handle, data: (written.append(len(data)),
+                                      handle.write(data))),
+            raising=False)
+        log = WriteAheadLog(path=tmp_path / "round.wal")
+        for record in sample_records():
+            log.append(record)
+        frames = [len(encode_record(r)) for r in sample_records()]
+        assert written == [len(WAL_MAGIC) + frames[0], *frames[1:]]
+        assert (tmp_path / "round.wal").read_bytes() == log.image()
+
+    @pytest.mark.parametrize("landed", [0, 5],
+                             ids=["before-write", "mid-frame"])
+    def test_writer_killed_inside_append_loses_no_earlier_record(
+            self, tmp_path, monkeypatch, landed):
+        """The crash the WAL exists for: the process dies inside the
+        fourth append's write.  The three records already journaled stay
+        readable; what the dying write left is at most a torn tail,
+        trimmed (atomically) by the next open."""
+        path = tmp_path / "round.wal"
+        log = WriteAheadLog(path=path)
+        for record in sample_records():
+            log.append(record)
+        intact = path.read_bytes()
+
+        class Killed(BaseException):
+            pass
+
+        def dying_write(handle, data):
+            handle.write(data[:landed])
+            handle.flush()
+            raise Killed
+
+        with monkeypatch.context() as patch:
+            patch.setattr(wal_module, "open", spying_open(dying_write),
+                          raising=False)
+            with pytest.raises(Killed):
+                log.append(WalRecord(ROUND_OPEN, 1))
+        assert path.read_bytes()[:len(intact)] == intact
+
+        reopened = WriteAheadLog(path=path)
+        assert list(reopened.records) == sample_records()
+        assert reopened.torn_tail_dropped == (landed > 0)
+        assert path.read_bytes() == intact
+        assert [p.name for p in tmp_path.iterdir()] == ["round.wal"]
+        assert reopened.append(WalRecord(ROUND_OPEN, 1)) == 3
+        assert len(WriteAheadLog(path=path)) == 4
 
     def test_empty_file_is_valid_empty_log(self, tmp_path):
         path = tmp_path / "empty.wal"

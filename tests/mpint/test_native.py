@@ -9,6 +9,7 @@ the library itself skip where none could be bound (and under
 from __future__ import annotations
 
 import ast
+import gc
 import pathlib
 import subprocess
 import sys
@@ -484,6 +485,10 @@ def test_the_free_list_stops_growing_after_the_first_sum(rng):
     modulus = odd_modulus(rng, 1024)
     values = [rng.randbits(1000) for _ in range(1024)]
     expected = python_fold(values, modulus)
+    # Batches earlier tests left in reference cycles release their
+    # handles whenever the collector gets to them; do that now, so none
+    # lands on the free list mid-test and counts against the sum.
+    gc.collect()
     before = sum(map(len, native._free))
     idle = []
     for _ in range(100):
