@@ -1,4 +1,4 @@
-"""Guided end-to-end walkthrough: align, train, audit, ship.
+"""Guided end-to-end walkthrough: align, train, evaluate, ship.
 
 Run:  python examples/tutorial_walkthrough.py
 
@@ -6,10 +6,9 @@ A complete vertical-FL engagement on FLBooster, in order:
 
   1. sample alignment       (blind-RSA PSI)
   2. secure training        (Hetero SBT through the encrypted pipeline)
-  3. privacy audit          (what did the host actually see?)
-  4. held-out evaluation    (AUC on unseen users)
-  5. persistence            (save / reload the trained model)
-  6. cost accounting        (where the modelled time went)
+  3. held-out evaluation    (AUC on unseen users)
+  4. persistence            (save / reload the trained model)
+  5. cost accounting        (where the modelled time went)
 """
 
 import json
@@ -19,10 +18,9 @@ from pathlib import Path
 
 from repro.baselines import FLBOOSTER
 from repro.datasets import synthetic_like, train_test_split, vertical_split
-from repro.federation import RsaIntersection, audit_channel, \
-    assert_vertical_privacy
+from repro.federation import RsaIntersection
 from repro.federation.runtime import FederationRuntime
-from repro.gpu.profiler import profile_device
+from repro.ledger import CostLedger
 from repro.models import HeteroSecureBoost
 from repro.models.evaluation import load_model_state, roc_auc, \
     save_model_state
@@ -46,49 +44,38 @@ def main() -> None:
     runtime = FederationRuntime(FLBOOSTER, num_clients=2, key_bits=1024,
                                 physical_key_bits=256,
                                 bc_capacity="physical")
-    runtime.channel.trace = True            # keep the log for the audit
-    total_ledger_seconds = 0.0
+    training = CostLedger()                 # every epoch's ledger, merged
     epochs = 8
     for _ in range(epochs):
         ledger = runtime.begin_epoch()
         model.run_epoch(runtime)
-        total_ledger_seconds += ledger.total_seconds
+        training.merge(ledger)
     print(f"2. trained {epochs} boosting rounds, final loss "
-          f"{model.loss():.4f} ({total_ledger_seconds:.1f} s modelled)")
+          f"{model.loss():.4f} ({training.total_seconds:.1f} s modelled)")
 
-    # 3 -- privacy audit ----------------------------------------------
-    report = audit_channel(runtime.channel)
-    assert_vertical_privacy(report, host_names=["host"])
-    print("3. privacy audit:")
-    for line in report.summary_lines():
-        print(f"   {line}")
-
-    # 4 -- held-out evaluation ---------------------------------------
+    # 3 -- held-out evaluation ---------------------------------------
     guest_block, host_block = (part.features for part in vertical_split(
         test, num_parties=2, seed=model.seed))
     scores = model.predict_scores(guest_block, host_block)
-    print(f"4. held-out AUC on {test.num_instances} unseen users: "
+    print(f"3. held-out AUC on {test.num_instances} unseen users: "
           f"{roc_auc(scores, test.labels):.3f}")
 
-    # 5 -- persistence -------------------------------------------------
+    # 4 -- persistence -------------------------------------------------
     with tempfile.TemporaryDirectory() as workdir:
         path = Path(workdir) / "sbt_state.json"
         save_model_state(model, path)
         fresh = HeteroSecureBoost(train, max_depth=3, num_bins=8, seed=13)
         load_model_state(fresh, path)
         size = len(json.loads(path.read_text()))
-        print(f"5. state saved/reloaded ({path.stat().st_size:,} bytes, "
+        print(f"4. state saved/reloaded ({path.stat().st_size:,} bytes, "
               f"{size} fields); losses match: "
               f"{abs(fresh.loss() - model.loss()) < 1e-12}")
 
-    # 6 -- cost accounting ---------------------------------------------
-    device = runtime.gpu_device()
-    profile = profile_device(device)
-    print(f"6. GPU profile: {profile.total_launches} launches, busiest "
-          f"kernel {profile.busiest_kernel()!r} "
-          f"({profile.time_share(profile.busiest_kernel()):.0%} of device "
-          f"time, mean utilization "
-          f"{device.mean_sm_utilization():.0%})")
+    # 5 -- cost accounting ---------------------------------------------
+    shares = ", ".join(f"{component} {percent:.0f}%" for component, percent
+                       in training.component_percentages().items())
+    print(f"5. modelled time: {shares}; "
+          f"{training.count('gpu.launch')} simulated kernel launches")
 
 
 if __name__ == "__main__":

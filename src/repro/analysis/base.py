@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Type
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Type
 
 from repro.analysis.diagnostics import Diagnostic
 
@@ -104,6 +104,9 @@ class ImportMap:
 
     def __init__(self, tree: ast.Module):
         self._names: Dict[str, str] = {}
+        #: Every fully qualified name the module imports, at any depth
+        #: and whether or not a later import shadows its local name.
+        self.targets: Set[str] = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -111,6 +114,7 @@ class ImportMap:
                     target = alias.name if alias.asname else \
                         alias.name.split(".", 1)[0]
                     self._names[local] = target
+                    self.targets.add(alias.name)
             elif isinstance(node, ast.ImportFrom) and node.module \
                     and node.level == 0:
                 for alias in node.names:
@@ -118,6 +122,7 @@ class ImportMap:
                         continue
                     local = alias.asname or alias.name
                     self._names[local] = f"{node.module}.{alias.name}"
+                    self.targets.add(self._names[local])
 
     def resolve(self, node: ast.expr) -> Optional[str]:
         """Fully qualified dotted path of a name chain, or ``None``.

@@ -36,11 +36,8 @@ _EXPORTS = {
     "RsaPublicKey": "repro.crypto.keys",
     "RsaPrivateKey": "repro.crypto.keys",
     "Paillier": "repro.crypto.paillier",
-    "PaillierCiphertext": "repro.crypto.paillier",
     "Rsa": "repro.crypto.rsa",
-    "RsaCiphertext": "repro.crypto.rsa",
     "HeEngine": "repro.crypto.engine",
-    "EngineReport": "repro.crypto.engine",
     "RandomizerPool": "repro.crypto.engine",
     "CpuPaillierEngine": "repro.crypto.cpu_engine",
     "GpuPaillierEngine": "repro.crypto.gpu_engine",
@@ -65,11 +62,11 @@ if TYPE_CHECKING:  # pragma: no cover - import-time types for tooling
         RsaPublicKey,
         RsaPrivateKey,
     )
-    from repro.crypto.paillier import Paillier, PaillierCiphertext
-    from repro.crypto.rsa import Rsa, RsaCiphertext
+    from repro.crypto.paillier import Paillier
+    from repro.crypto.rsa import Rsa
     from repro.crypto.cpu_engine import CpuPaillierEngine
     from repro.crypto.gpu_engine import GpuPaillierEngine
-    from repro.crypto.engine import HeEngine, EngineReport, RandomizerPool
+    from repro.crypto.engine import HeEngine, RandomizerPool
     from repro.crypto.vector_engine import VectorPaillierEngine
     from repro.crypto.vector_math import CrtDecryptor, VectorEncryptor
     from repro.crypto.damgard_jurik import (

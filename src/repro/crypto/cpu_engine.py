@@ -61,7 +61,6 @@ class CpuPaillierEngine(HeEngine):
             results.append((g_m * self._randomizer_power()) % n_squared)
         self._charge(CAT_HE_ENCRYPT, len(plaintexts),
                      self.profile.words_per_encrypt(self.nominal_bits))
-        self.report.encryptions += len(plaintexts)
         return results
 
     def decrypt_batch(self, ciphertexts: Sequence[int]) -> List[int]:
@@ -70,7 +69,6 @@ class CpuPaillierEngine(HeEngine):
                    for c in ciphertexts]
         self._charge(CAT_HE_DECRYPT, len(ciphertexts),
                      self.profile.words_per_decrypt(self.nominal_bits))
-        self.report.decryptions += len(ciphertexts)
         return results
 
     def add_batch(self, c1: Sequence[int], c2: Sequence[int]) -> List[int]:
@@ -80,7 +78,6 @@ class CpuPaillierEngine(HeEngine):
         results = mulmod_batch(c1, c2, self.public_key.n_squared)
         self._charge(CAT_HE_ADD, len(c1),
                      self.profile.words_per_homomorphic_add(self.nominal_bits))
-        self.report.additions += len(c1)
         return results
 
     def scalar_mul_batch(self, ciphertexts: Sequence[int],
@@ -92,13 +89,11 @@ class CpuPaillierEngine(HeEngine):
                    for c, k in zip(ciphertexts, scalars)]
         self._charge(CAT_HE_SCALAR_MUL, len(ciphertexts),
                      self.profile.words_per_scalar_mul(self.nominal_bits))
-        self.report.scalar_muls += len(ciphertexts)
         return results
 
     def _charge(self, category: str, ops: int, words_per_op: int) -> None:
         seconds = self.profile.cpu_seconds(ops, words_per_op)
         self.ledger.charge(category, seconds, count=ops)
-        self.report.modelled_seconds += seconds
 
 
 # ----------------------------------------------------------------------

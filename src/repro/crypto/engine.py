@@ -18,34 +18,16 @@ paper's 1024/2048/4096 bits (see DESIGN.md).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.crypto.keys import PaillierKeypair
-from repro.crypto.paillier import Paillier
 from repro.ledger import CostLedger
 from repro.mpint.primes import LimbRandom
 from repro.tensor import planner
 from repro.tensor.cipher import CipherTensor
 from repro.tensor.meta import KeyMismatchError, key_fingerprint
 from repro.tensor.plain import PlainTensor
-
-
-@dataclass
-class EngineReport:
-    """Operation counts and modelled time of one engine's lifetime."""
-
-    encryptions: int = 0
-    decryptions: int = 0
-    additions: int = 0
-    scalar_muls: int = 0
-    modelled_seconds: float = 0.0
-
-    @property
-    def total_operations(self) -> int:
-        """All HE operations performed."""
-        return (self.encryptions + self.decryptions
-                + self.additions + self.scalar_muls)
 
 
 #: Conformance registry: engine name -> factory.  A factory takes one
@@ -146,7 +128,6 @@ class HeEngine(ABC):
                              else keypair.public_key.key_bits)
         self.ledger = ledger if ledger is not None else CostLedger()
         self.rng = rng if rng is not None else LimbRandom()
-        self.report = EngineReport()
         self.randomizer_pool_size = randomizer_pool_size
         self._randomizer_pool: Optional[RandomizerPool] = (
             RandomizerPool(randomizer_pool_size)
@@ -337,8 +318,3 @@ class HeEngine(ABC):
         if self._randomizer_pool is None:
             return []
         return self._filled_pool().snapshot()
-
-    def _verify_roundtrip(self, plaintext: int) -> bool:
-        """Sanity helper: encrypt/decrypt one value outside the ledger."""
-        c = Paillier.raw_encrypt(self.public_key, plaintext, rng=self.rng)
-        return Paillier.raw_decrypt(self.private_key, c) == plaintext

@@ -84,7 +84,6 @@ class GpuPaillierEngine(HeEngine):
                                         self.nominal_bits)
             results = self.kernels.mod_mul(g_m, r_n, n_squared,
                                            work_bits=self._work_bits)
-        self.report.encryptions += len(plaintexts)
         return results
 
     def decrypt_batch(self, ciphertexts: Sequence[int]) -> List[int]:
@@ -99,7 +98,6 @@ class GpuPaillierEngine(HeEngine):
             self.kernels.charge_mod_pow(len(ciphertexts), self._work_bits,
                                         self.nominal_bits)
             self.kernels.charge_mod_mul(len(ciphertexts), self.nominal_bits)
-        self.report.decryptions += len(ciphertexts)
         return results
 
     def add_batch(self, c1: Sequence[int], c2: Sequence[int]) -> List[int]:
@@ -112,7 +110,6 @@ class GpuPaillierEngine(HeEngine):
             results = self.kernels.mod_mul(
                 c1, c2, self.public_key.n_squared,
                 work_bits=self._work_bits)
-        self.report.additions += len(c1)
         return results
 
     def scalar_mul_batch(self, ciphertexts: Sequence[int],
@@ -129,7 +126,6 @@ class GpuPaillierEngine(HeEngine):
             results = self.kernels.mod_pow(
                 list(ciphertexts), list(scalars), self.public_key.n_squared,
                 work_bits=self._work_bits)
-        self.report.scalar_muls += len(ciphertexts)
         return results
 
     @contextmanager
@@ -147,7 +143,6 @@ class GpuPaillierEngine(HeEngine):
             # (fewer, larger launches) is measurable without
             # inspecting the device log.
             self.ledger.charge(CAT_GPU_LAUNCH, 0.0, count=len(launches))
-        self.report.modelled_seconds += seconds
 
 
 # ----------------------------------------------------------------------

@@ -7,14 +7,13 @@ additive homomorphic property ``E(m1) * E(m2) = E(m1 + m2)`` -- plus the
 scalar multiplication ``E(m)^k = E(k m)`` federated aggregation uses.
 
 The class-level functions operate on raw integers so the engines can batch
-them; :class:`PaillierCiphertext` is the ergonomic wrapper the public API
-exposes with operator overloading.
+them; the operator-overloading handle over them is
+:class:`repro.api.plugin.EncryptedNumber`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.crypto.keys import (
@@ -30,8 +29,8 @@ from repro.mpint.primes import LimbRandom
 class Paillier:
     """Namespace of Paillier primitives over raw integers.
 
-    Mirrors the paper's API surface (Table I): ``key_gen``, ``encrypt``,
-    ``decrypt``, ``add``.
+    Mirrors the paper's API surface (Table I): ``key_gen`` and the
+    ``raw_`` forms of ``encrypt``, ``decrypt``, ``add``.
     """
 
     @staticmethod
@@ -131,65 +130,3 @@ class Paillier:
             raise ValueError("negative scalars require encoding; use the "
                              "quantization layer")
         return powmod(c, scalar, public_key.n_squared)
-
-    # Ergonomic wrappers -------------------------------------------------
-
-    @staticmethod
-    def encrypt(public_key: PaillierPublicKey, plaintext: int,
-                rng: Optional[LimbRandom] = None) -> "PaillierCiphertext":
-        """Encrypt into a :class:`PaillierCiphertext` wrapper."""
-        value = Paillier.raw_encrypt(public_key, plaintext, rng=rng)
-        return PaillierCiphertext(value=value, public_key=public_key)
-
-    @staticmethod
-    def decrypt(private_key: PaillierPrivateKey,
-                ciphertext: "PaillierCiphertext") -> int:
-        """Decrypt a wrapped ciphertext."""
-        return Paillier.raw_decrypt(private_key, ciphertext.value)
-
-    @staticmethod
-    def add(public_key: PaillierPublicKey, c1: "PaillierCiphertext",
-            c2: "PaillierCiphertext") -> "PaillierCiphertext":
-        """Homomorphic addition of two wrapped ciphertexts."""
-        return PaillierCiphertext(
-            value=Paillier.raw_add(public_key, c1.value, c2.value),
-            public_key=public_key)
-
-
-@dataclass(frozen=True)
-class PaillierCiphertext:
-    """A Paillier ciphertext bound to its public key.
-
-    Supports ``+`` with another ciphertext or a plain integer and ``*`` with
-    a non-negative integer scalar, the exact operations secure federated
-    averaging needs.
-    """
-
-    value: int
-    public_key: PaillierPublicKey
-
-    def __add__(self, other) -> "PaillierCiphertext":
-        if isinstance(other, PaillierCiphertext):
-            if other.public_key is not self.public_key and \
-                    other.public_key != self.public_key:
-                raise ValueError("cannot add ciphertexts under different keys")
-            new = Paillier.raw_add(self.public_key, self.value, other.value)
-        elif isinstance(other, int):
-            new = Paillier.raw_add_plain(self.public_key, self.value, other)
-        else:
-            return NotImplemented
-        return PaillierCiphertext(value=new, public_key=self.public_key)
-
-    __radd__ = __add__
-
-    def __mul__(self, scalar) -> "PaillierCiphertext":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        new = Paillier.raw_scalar_mul(self.public_key, self.value, scalar)
-        return PaillierCiphertext(value=new, public_key=self.public_key)
-
-    __rmul__ = __mul__
-
-    def serialized_bytes(self) -> int:
-        """Byte size of this ciphertext on the wire."""
-        return self.public_key.ciphertext_bytes()

@@ -9,7 +9,6 @@ callers must treat it as a homomorphic primitive, not general encryption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.crypto.keys import (
@@ -49,46 +48,3 @@ class Rsa:
     def raw_mul(public_key: RsaPublicKey, c1: int, c2: int) -> int:
         """Homomorphic multiplication: ``E(m1) * E(m2) = E(m1 m2)``."""
         return (c1 * c2) % public_key.n
-
-    # Ergonomic wrappers -------------------------------------------------
-
-    @staticmethod
-    def encrypt(public_key: RsaPublicKey, plaintext: int) -> "RsaCiphertext":
-        """Encrypt into an :class:`RsaCiphertext` wrapper."""
-        return RsaCiphertext(value=Rsa.raw_encrypt(public_key, plaintext),
-                             public_key=public_key)
-
-    @staticmethod
-    def decrypt(private_key: RsaPrivateKey,
-                ciphertext: "RsaCiphertext") -> int:
-        """Decrypt a wrapped ciphertext."""
-        return Rsa.raw_decrypt(private_key, ciphertext.value)
-
-    @staticmethod
-    def mul(public_key: RsaPublicKey, c1: "RsaCiphertext",
-            c2: "RsaCiphertext") -> "RsaCiphertext":
-        """Homomorphic multiplication of wrapped ciphertexts."""
-        return RsaCiphertext(
-            value=Rsa.raw_mul(public_key, c1.value, c2.value),
-            public_key=public_key)
-
-
-@dataclass(frozen=True)
-class RsaCiphertext:
-    """An RSA ciphertext bound to its public key; supports ``*``."""
-
-    value: int
-    public_key: RsaPublicKey
-
-    def __mul__(self, other) -> "RsaCiphertext":
-        if not isinstance(other, RsaCiphertext):
-            return NotImplemented
-        if other.public_key != self.public_key:
-            raise ValueError("cannot multiply ciphertexts under different keys")
-        return RsaCiphertext(
-            value=Rsa.raw_mul(self.public_key, self.value, other.value),
-            public_key=self.public_key)
-
-    def serialized_bytes(self) -> int:
-        """Byte size of this ciphertext on the wire."""
-        return self.public_key.ciphertext_bytes()

@@ -107,7 +107,6 @@ class VectorPaillierEngine(HeEngine):
         results = self._encryptor.finish(plaintexts, obfuscators)
         self._charge(CAT_HE_ENCRYPT, count,
                      self.profile.words_per_encrypt(self.nominal_bits))
-        self.report.encryptions += count
         return results
 
     def decrypt_batch(self, ciphertexts: Sequence[int]) -> List[int]:
@@ -115,7 +114,6 @@ class VectorPaillierEngine(HeEngine):
         results = self._decryptor.decrypt(ciphertexts)
         self._charge(CAT_HE_DECRYPT, len(ciphertexts),
                      self.profile.words_per_decrypt(self.nominal_bits))
-        self.report.decryptions += len(ciphertexts)
         return results
 
     def add_batch(self, c1: Sequence[int], c2: Sequence[int]) -> List[int]:
@@ -130,7 +128,6 @@ class VectorPaillierEngine(HeEngine):
         results = limb_plane.plane_to_ints(plane.mod_mul(a, b))
         self._charge(CAT_HE_ADD, len(c1),
                      self.profile.words_per_homomorphic_add(self.nominal_bits))
-        self.report.additions += len(c1)
         return results
 
     def scalar_mul_batch(self, ciphertexts: Sequence[int],
@@ -149,13 +146,11 @@ class VectorPaillierEngine(HeEngine):
         results = limb_plane.plane_to_ints(plane.pow_vary(base, scalars))
         self._charge(CAT_HE_SCALAR_MUL, len(ciphertexts),
                      self.profile.words_per_scalar_mul(self.nominal_bits))
-        self.report.scalar_muls += len(ciphertexts)
         return results
 
     def _charge(self, category: str, ops: int, words_per_op: int) -> None:
         seconds = self.profile.cpu_seconds(ops, words_per_op)
         self.ledger.charge(category, seconds, count=ops)
-        self.report.modelled_seconds += seconds
 
 
 # ----------------------------------------------------------------------

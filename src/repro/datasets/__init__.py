@@ -19,7 +19,6 @@ from repro.datasets.generators import (
     DATASET_GENERATORS,
     PAPER_SCALES,
 )
-from repro.datasets.sparse import CsrMatrix
 from repro.datasets.partition import (
     horizontal_split,
     vertical_split,
@@ -40,5 +39,4 @@ __all__ = [
     "vertical_split",
     "HorizontalPartition",
     "VerticalPartition",
-    "CsrMatrix",
 ]

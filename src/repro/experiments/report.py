@@ -29,7 +29,6 @@ SECTION_ORDER = [
     ("fig4_pipeline_stages", "Fig. 4 companion — pipeline stages"),
     ("ablation_resource_manager", "Ablation — resource manager"),
     ("ablation_pipeline_depth", "Ablation — pipeline depth"),
-    ("ablation_reduction", "Ablation — reduction strategy"),
     ("scaling_participants", "Beyond the paper — participant scaling"),
     ("related_work_symmetric", "Related work — symmetric HE"),
 ]

@@ -88,7 +88,6 @@ from repro.federation.tenancy import (
     TenantRegistry,
     TokenBucket,
     UnknownTenantError,
-    tenant_key_fingerprint,
     weighted_fair_order,
 )
 from repro.federation.runtime import FederationRuntime, SystemConfig
@@ -99,18 +98,7 @@ from repro.federation.wal import (
     replay_wal,
 )
 from repro.federation.metrics import EpochReport, FaultReport, flop_seconds
-from repro.federation.parties import (
-    ClientParty,
-    AggregatorParty,
-    SecureAveragingJob,
-)
 from repro.federation.intersection import RsaIntersection
-from repro.federation.topology import ClusterTopology, PAPER_TOPOLOGY
-from repro.federation.privacy_audit import (
-    audit_channel,
-    assert_vertical_privacy,
-    AuditReport,
-)
 
 __all__ = [
     "Channel",
@@ -158,7 +146,6 @@ __all__ = [
     "TenantRegistry",
     "TokenBucket",
     "UnknownTenantError",
-    "tenant_key_fingerprint",
     "weighted_fair_order",
     "cohort_sample",
     "default_num_shards",
@@ -170,13 +157,5 @@ __all__ = [
     "replay_wal",
     "EpochReport",
     "flop_seconds",
-    "ClientParty",
-    "AggregatorParty",
-    "SecureAveragingJob",
     "RsaIntersection",
-    "ClusterTopology",
-    "PAPER_TOPOLOGY",
-    "audit_channel",
-    "assert_vertical_privacy",
-    "AuditReport",
 ]

@@ -386,12 +386,21 @@ class FederationRuntime:
     # ------------------------------------------------------------------
 
     def begin_epoch(self) -> CostLedger:
-        """Swap in a fresh ledger for the next epoch; returns it."""
+        """Swap in a fresh ledger for the next epoch; returns it.
+
+        The simulated devices' launch logs start over with it: a launch
+        is charged when it is recorded, so the log is per epoch, like
+        the ledger it mirrors, instead of growing for the runtime's life.
+        """
         self.ledger = CostLedger()
         self.client_engine.ledger = self.ledger
         self.server_engine.ledger = self.ledger
         self.channel.ledger = self.ledger
         self.injector.bind_ledger(self.ledger)
+        for engine in (self.client_engine, self.server_engine,
+                       self.silent_engine):
+            if isinstance(engine, GpuPaillierEngine):
+                engine.kernels.device.reset()
         return self.ledger
 
     def gpu_device(self) -> Optional[SimulatedGpu]:

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional
 
 from repro.federation.eventloop import VirtualClock
-from repro.tensor.meta import key_fingerprint as _key_fingerprint
 
 
 class UnknownTenantError(KeyError):
@@ -47,18 +46,6 @@ class UnknownTenantError(KeyError):
         self.tenant_id = tenant_id
         super().__init__(
             f"unknown tenant {tenant_id!r}; register it first")
-
-
-def tenant_key_fingerprint(public_key) -> str:
-    """Hex fingerprint of a Paillier public key, as a tenant pins it.
-
-    The same 16-byte :func:`repro.tensor.meta.key_fingerprint` every
-    :class:`~repro.tensor.meta.TensorMeta` carries, hex-encoded so it
-    journals and JSON-round-trips cleanly.  The multi-tenant service
-    compares it against the attached aggregator's engine fingerprint --
-    two tenants must never mix ciphertexts under each other's keys.
-    """
-    return _key_fingerprint(public_key).hex()
 
 
 @dataclass(frozen=True)
@@ -77,7 +64,7 @@ class Tenant:
         quota_burst: Bucket depth -- the largest admission burst the
             quota allows.
         key_fingerprint: Optional pin to the tenant federation's public
-            key (see :func:`key_fingerprint`); the multi-tenant service
+            key (``engine.fingerprint().hex()``); the multi-tenant service
             refuses an aggregator whose key does not match.
     """
 

@@ -19,9 +19,10 @@ Replay semantics (:func:`replay_wal`) distinguish the two corruption
 shapes a crash can leave:
 
 - a **torn tail** -- the final record is incomplete (its declared length
-  runs past end-of-file) or fails its CRC with nothing after it.  That
-  is the signature of a coordinator killed mid-``write``; the tail is
-  dropped and replay succeeds with the records before it.
+  runs past end-of-file, or a first append stopped inside the magic) or
+  fails its CRC with nothing after it.  That is the signature of a
+  coordinator killed mid-``write``; the tail is dropped and replay
+  succeeds with the records before it.
 - **mid-log corruption** -- a record fails validation but intact records
   follow it.  No crash produces that (appends are sequential), so it is
   a :class:`WalError`, never silently skipped.
@@ -227,14 +228,17 @@ class WalReplay:
 def replay_wal(blob: bytes) -> WalReplay:
     """Replay a WAL image, tolerating exactly one torn tail.
 
-    An empty image is an empty log.  A non-empty image must start with
-    the full magic.  A record that fails validation is dropped as a torn
-    tail only when nothing intact follows it; otherwise the log is
-    corrupt and :class:`WalError` is raised.
+    An empty image is an empty log.  The magic travels with record 0,
+    so a proper prefix of it is a first append torn before anything was
+    recorded: the empty log with a torn tail.  Any other image must
+    start with the full magic.  A record that fails validation is
+    dropped as a torn tail only when nothing intact follows it;
+    otherwise the log is corrupt and :class:`WalError` is raised.
     """
-    if not blob:
-        return WalReplay(records=[], consumed_bytes=0, torn_tail=False)
-    if len(blob) < len(WAL_MAGIC) or blob[:len(WAL_MAGIC)] != WAL_MAGIC:
+    if len(blob) < len(WAL_MAGIC) and WAL_MAGIC.startswith(blob):
+        return WalReplay(records=[], consumed_bytes=0,
+                         torn_tail=bool(blob))
+    if blob[:len(WAL_MAGIC)] != WAL_MAGIC:
         raise WalError(
             f"not a WAL image: expected magic {WAL_MAGIC!r}, got "
             f"{blob[:len(WAL_MAGIC)]!r}")

@@ -21,8 +21,6 @@ from repro.gpu.device import DeviceSpec, SimulatedGpu, KernelLaunch, RTX_3090
 from repro.gpu.resource_manager import ResourceManager, BlockPlan
 from repro.gpu.cost_model import HardwareProfile, DEFAULT_PROFILE
 from repro.gpu.kernels import GpuKernels
-from repro.gpu.keygen import ParallelKeyGenerator, KeygenStats
-from repro.gpu.profiler import profile_device, DeviceProfile
 
 __all__ = [
     "DeviceSpec",
@@ -34,8 +32,4 @@ __all__ = [
     "HardwareProfile",
     "DEFAULT_PROFILE",
     "GpuKernels",
-    "ParallelKeyGenerator",
-    "KeygenStats",
-    "profile_device",
-    "DeviceProfile",
 ]

@@ -119,5 +119,5 @@ class SimulatedGpu:
         return weighted / total
 
     def reset(self) -> None:
-        """Clear the launch log (between benchmark configurations)."""
+        """Clear the launch log (the runtime does, at every epoch)."""
         self.launches.clear()

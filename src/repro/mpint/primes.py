@@ -34,8 +34,8 @@ DEFAULT_ROUNDS = 64
 class LimbRandom:
     """A per-thread random generator for multi-precision integers.
 
-    Each simulated GPU thread owns one instance seeded from the warp seed and
-    its thread index, so parallel key generation is reproducible.
+    A stream is named by a seed and a thread index, so one seed feeds any
+    number of independent, reproducible generators.
 
     Two modes, split explicitly:
 
@@ -45,8 +45,8 @@ class LimbRandom:
       recorded simulation transcript would leak the keypair.  flcheck's
       determinism rule whitelists this module for exactly that reason.
     - :meth:`reproducible` -- a ``random.Random`` stream derived from
-      ``(seed << 16) ^ thread_index``, used by tests and the simulated GPU
-      keygen so parallel prime search replays bit-for-bit.
+      ``(seed << 16) ^ thread_index``, used by tests and simulations so
+      every keypair and randomizer replays bit-for-bit.
 
     The constructor keeps its historical signature (``seed=None`` selects
     entropy mode) so existing call sites behave identically, but new code

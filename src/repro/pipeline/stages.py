@@ -11,10 +11,15 @@ Each pipeline runs the real mathematics of its phase and records one
   convert, with no processing/compression stages (ciphertext in,
   ciphertext out -- exactly as Sec. V-A notes).
 
-Stage seconds come from the same cost model the engines use: GPU stages
-read the launches they triggered; host-side stages charge counted integer
-work.  The sum of stages equals what the engine would have charged, so the
-pipeline view is a decomposition, not a second opinion.
+GPU stages read the launches they triggered off the engine's ledger, so
+they are exactly what the engine charged.  Host-side stages charge counted
+integer work at ``flops / CPU_FLOP_RATE`` -- *not* what the runtime charges
+for the same work: ``SecureAggregator`` prices encode/pack and
+unpack/decode at ``PIPELINE_SECONDS_PER_VALUE`` per value, ~7,000x more
+(20.48 ms against 0.003 ms for 2,048 gradients).  The pipeline view
+therefore decomposes the engine's time and prices the host stages as pure
+arithmetic; it does not sum to a runtime round's ledger
+(docs/cost_model.md, "Two host-stage constants").
 """
 
 from __future__ import annotations

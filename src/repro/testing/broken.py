@@ -52,7 +52,6 @@ class BrokenMontgomeryEngine(CpuPaillierEngine):
             self.public_key.n_squared
             for c, k in zip(ciphertexts, scalars)
         ]
-        self.report.scalar_muls += len(ciphertexts)
         return results
 
 

@@ -145,11 +145,11 @@ class TestCharging:
         cs = cpu.encrypt_batch([1, 2])
         cpu.decrypt_batch(cs)
         cpu.add_batch(cs, cs)
-        assert cpu.report.encryptions == 2
-        assert cpu.report.decryptions == 2
-        assert cpu.report.additions == 2
-        assert cpu.report.total_operations == 6
-        assert cpu.report.modelled_seconds > 0
+        assert cpu.ledger.count("he.encrypt") == 2
+        assert cpu.ledger.count("he.decrypt") == 2
+        assert cpu.ledger.count("he.add") == 2
+        assert cpu.ledger.count("he") == 6
+        assert cpu.ledger.seconds("he") > 0
 
 
 class TestRandomizerPool:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.crypto.paillier import Paillier
 from repro.crypto.keys import generate_paillier_keypair
-from repro.mpint.primes import LimbRandom
 
 
 class TestRoundtrip:
@@ -81,46 +80,6 @@ class TestHomomorphism:
         c = Paillier.raw_encrypt(pub, 7, rng=rng)
         with pytest.raises(ValueError):
             Paillier.raw_scalar_mul(pub, c, -2)
-
-
-class TestCiphertextWrapper:
-    def test_operator_add(self, paillier_128, rng):
-        pub, pri = paillier_128.public_key, paillier_128.private_key
-        c1 = Paillier.encrypt(pub, 10, rng=rng)
-        c2 = Paillier.encrypt(pub, 20, rng=rng)
-        assert Paillier.decrypt(pri, c1 + c2) == 30
-
-    def test_operator_add_plain(self, paillier_128, rng):
-        pub, pri = paillier_128.public_key, paillier_128.private_key
-        c = Paillier.encrypt(pub, 10, rng=rng)
-        assert Paillier.decrypt(pri, c + 5) == 15
-        assert Paillier.decrypt(pri, 5 + c) == 15
-
-    def test_operator_scalar_mul(self, paillier_128, rng):
-        pub, pri = paillier_128.public_key, paillier_128.private_key
-        c = Paillier.encrypt(pub, 10, rng=rng)
-        assert Paillier.decrypt(pri, c * 3) == 30
-        assert Paillier.decrypt(pri, 3 * c) == 30
-
-    def test_sum_builtin(self, paillier_128, rng):
-        pub, pri = paillier_128.public_key, paillier_128.private_key
-        cs = [Paillier.encrypt(pub, v, rng=rng) for v in (1, 2, 3, 4)]
-        total = cs[0]
-        for c in cs[1:]:
-            total = total + c
-        assert Paillier.decrypt(pri, total) == 10
-
-    def test_mixed_keys_raise(self, paillier_128, rng):
-        other = generate_paillier_keypair(128, rng=LimbRandom(seed=77))
-        c1 = Paillier.encrypt(paillier_128.public_key, 1, rng=rng)
-        c2 = Paillier.encrypt(other.public_key, 1, rng=rng)
-        with pytest.raises(ValueError):
-            _ = c1 + c2
-
-    def test_serialized_bytes(self, paillier_128, rng):
-        c = Paillier.encrypt(paillier_128.public_key, 1, rng=rng)
-        assert c.serialized_bytes() == \
-            paillier_128.public_key.ciphertext_bytes()
 
 
 class TestArbitraryGenerator:

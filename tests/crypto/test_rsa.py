@@ -48,20 +48,3 @@ class TestHomomorphism:
             expected *= value
         assert Rsa.raw_decrypt(pri, product_cipher) == expected
 
-
-class TestWrapper:
-    def test_operator_mul(self, rsa_128):
-        pub, pri = rsa_128.public_key, rsa_128.private_key
-        c = Rsa.encrypt(pub, 6) * Rsa.encrypt(pub, 9)
-        assert Rsa.decrypt(pri, c) == 54
-
-    def test_serialized_bytes(self, rsa_128):
-        c = Rsa.encrypt(rsa_128.public_key, 1)
-        assert c.serialized_bytes() == rsa_128.public_key.ciphertext_bytes()
-
-    def test_mixed_keys_raise(self, rsa_128, rng):
-        from repro.crypto.keys import generate_rsa_keypair
-        other = generate_rsa_keypair(128, rng=rng)
-        with pytest.raises(ValueError):
-            _ = Rsa.encrypt(rsa_128.public_key, 2) * \
-                Rsa.encrypt(other.public_key, 2)

@@ -120,11 +120,11 @@ class TestVectorEngineSemantics:
         engine.add_batch(c, c)
         engine.scalar_mul_batch(c, [2, 2, 2, 2])
         engine.decrypt_batch(c)
-        assert engine.report.encryptions == 4
-        assert engine.report.additions == 4
-        assert engine.report.scalar_muls == 4
-        assert engine.report.decryptions == 4
-        assert engine.report.modelled_seconds > 0
+        assert engine.ledger.count("he.encrypt") == 4
+        assert engine.ledger.count("he.add") == 4
+        assert engine.ledger.count("he.scalar_mul") == 4
+        assert engine.ledger.count("he.decrypt") == 4
+        assert engine.ledger.seconds("he") > 0
 
 
 class TestRandomizerPoolRouting:

@@ -12,12 +12,6 @@ from repro.federation.faults import (
     QuorumError,
     RetryPolicy,
 )
-from repro.tensor.cipher import CipherTensor
-from repro.federation.parties import (
-    AggregatorParty,
-    Mailbox,
-    SecureAveragingJob,
-)
 from repro.federation.runtime import (
     FATE_SYSTEM,
     FLBOOSTER_SYSTEM,
@@ -157,6 +151,39 @@ class TestPartialSumDecode:
         assert runtime.aggregator.last_round.summands == 3
         assert runtime.aggregator.round_cursor == 2
 
+    def test_crashed_client_zero_hands_the_charge_on(self):
+        """The representative is the first client through the gate, not
+        client-0: with client-0 down the round still pays exactly one
+        client's encrypt / pack / decrypt / decode -- what it pays when
+        the crash hits the last client instead."""
+        vectors = client_vectors(4, seed=5)
+        snapshots = []
+        for crashed in ("client-0", "client-3"):
+            runtime = make_runtime(
+                num_clients=4, min_quorum=3,
+                fault_plan=FaultPlan().crash(crashed, 0))
+            runtime.aggregator.aggregate(vectors)
+            assert runtime.aggregator.last_round.dropped == \
+                [(crashed, "offline")]
+            snapshots.append({
+                category: entry.count for category, entry in runtime.ledger
+                if category.startswith(("he.", "pipeline."))})
+        first_down, last_down = snapshots
+        assert first_down == last_down
+        for category in ("he.encrypt", "he.decrypt", "he.add",
+                         "pipeline.encode_pack", "pipeline.unpack_decode"):
+            assert first_down[category] > 0, category
+
+    def test_fate_runtime_also_supports_quorum(self):
+        plan = FaultPlan().crash("client-3", 0)
+        runtime = FederationRuntime(FATE_SYSTEM, num_clients=4,
+                                    key_bits=256, physical_key_bits=256,
+                                    fault_plan=plan, min_quorum=3)
+        vectors = client_vectors(4, seed=7)
+        decoded = runtime.aggregator.aggregate(vectors)
+        step = runtime.aggregator.scheme.quantization_step
+        assert np.allclose(decoded, sum(vectors[:3]), atol=3 * step)
+
 
 class TestCiphertextValidation:
     def test_out_of_range_ciphertext_rejected(self):
@@ -169,109 +196,6 @@ class TestCiphertextValidation:
         with pytest.raises(ValueError):
             runtime.aggregator.validate_ciphertexts(["junk"])
         runtime.aggregator.validate_ciphertexts([0, bound - 1])  # in range
-
-
-class TestMailboxSenders:
-    def test_deliver_remembers_sender(self):
-        mailbox = Mailbox()
-        mailbox.deliver("update", [1], sender="client-0")
-        mailbox.deliver("update", [2], sender="client-2")
-        assert mailbox.senders("update") == ["client-0", "client-2"]
-        sender, payload = mailbox.collect_with_sender("update")
-        assert (sender, payload) == ("client-0", [1])
-        assert mailbox.senders("update") == ["client-2"]
-
-
-class TestAggregatorPartyDiagnostics:
-    """Satellite: a short round names exactly the missing clients."""
-
-    def test_missing_clients_named(self):
-        runtime = make_runtime(num_clients=3)
-        server = AggregatorParty("arbiter", runtime)
-        ciphertexts = runtime.aggregator.encrypt_tensor(
-            np.zeros(4), charged=False)
-        server.mailbox.deliver("update", ciphertexts, sender="client-1")
-        expected = ["client-0", "client-1", "client-2"]
-        with pytest.raises(LookupError) as excinfo:
-            server.aggregate_updates(3, expected_clients=expected)
-        message = str(excinfo.value)
-        assert "client-0" in message
-        assert "client-2" in message
-        assert "client-1" not in message.split("missing:")[1]
-
-    def test_quorum_accepts_partial_mailbox(self):
-        runtime = make_runtime(num_clients=3)
-        server = AggregatorParty("arbiter", runtime)
-        for name in ("client-0", "client-2"):
-            server.mailbox.deliver(
-                "update",
-                runtime.aggregator.encrypt_tensor(np.ones(4),
-                                                  charged=False),
-                sender=name)
-        total = server.aggregate_updates(3, min_quorum=2)
-        assert isinstance(total, CipherTensor)
-        # Partial sums carry the actual summand count in their metadata.
-        assert total.meta.summands == 2
-
-
-class TestSecureAveragingJobQuorum:
-    def test_job_matches_library_partial_average(self):
-        plan = FaultPlan().crash("client-4", 0).crash("client-5", 0)
-        vectors = client_vectors(6, seed=3)
-
-        job_runtime = make_runtime(num_clients=6, fault_plan=plan,
-                                   min_quorum=4)
-        job = SecureAveragingJob(job_runtime, vectors)
-        job_result = job.run(min_quorum=4)
-
-        lib_runtime = make_runtime(num_clients=6, fault_plan=plan,
-                                   min_quorum=4)
-        lib_result = lib_runtime.aggregator.average(vectors)
-
-        assert np.allclose(job_result, lib_result, atol=1e-12)
-        step = job_runtime.aggregator.scheme.quantization_step
-        assert np.allclose(job_result, sum(vectors[:4]) / 4, atol=4 * step)
-
-    def test_job_charges_like_library_when_client_zero_crashes(self):
-        """The representative is the first client through the gate, not
-        client-0: with client-0 down, the job still pays one client's
-        encrypt / pack / decrypt / decode, exactly as ``aggregate``."""
-        plan = FaultPlan().crash("client-0", 0)
-        vectors = client_vectors(4, seed=5)
-        snapshots = []
-        for run in ("job", "library"):
-            runtime = make_runtime(num_clients=4, fault_plan=plan,
-                                   min_quorum=3)
-            if run == "job":
-                SecureAveragingJob(runtime, vectors).run(min_quorum=3)
-            else:
-                runtime.aggregator.aggregate(vectors)
-            snapshots.append({
-                category: entry.count for category, entry in runtime.ledger
-                if category.startswith(("he.", "pipeline."))})
-        job, library = snapshots
-        assert job == library
-        for category in ("he.encrypt", "he.decrypt", "he.add",
-                         "pipeline.encode_pack", "pipeline.unpack_decode"):
-            assert job[category] > 0, category
-
-    def test_job_raises_quorum_error(self):
-        plan = (FaultPlan().crash("client-0", 0).crash("client-1", 0)
-                .crash("client-2", 0))
-        runtime = make_runtime(num_clients=4, fault_plan=plan)
-        job = SecureAveragingJob(runtime, client_vectors(4))
-        with pytest.raises(QuorumError):
-            job.run(min_quorum=2)
-
-    def test_fate_runtime_also_supports_quorum(self):
-        plan = FaultPlan().crash("client-3", 0)
-        runtime = FederationRuntime(FATE_SYSTEM, num_clients=4,
-                                    key_bits=256, physical_key_bits=256,
-                                    fault_plan=plan, min_quorum=3)
-        vectors = client_vectors(4, seed=7)
-        decoded = runtime.aggregator.aggregate(vectors)
-        step = runtime.aggregator.scheme.quantization_step
-        assert np.allclose(decoded, sum(vectors[:3]), atol=3 * step)
 
 
 class TestRuntimeQuorumValidation:

@@ -1,5 +1,6 @@
 """Tests for system configurations and runtime wiring."""
 
+import numpy as np
 import pytest
 
 from repro.baselines import system_by_name
@@ -16,6 +17,7 @@ from repro.federation.runtime import (
     WITHOUT_GHE,
     cached_keypair,
 )
+from repro.gpu.device import SimulatedGpu
 
 
 class TestConfigs:
@@ -115,6 +117,32 @@ class TestRuntimeWiring:
         assert first.total_seconds > 0.0
         assert runtime.client_engine.ledger is second
         assert runtime.channel.ledger is second
+
+    def test_begin_epoch_starts_the_device_logs_over(self, monkeypatch):
+        """Launch logs are per epoch, like the ledger they mirror: two
+        epochs leave only the second's launches, and every charge --
+        made as its launch is recorded -- is what it is when the logs
+        are never cleared."""
+        def two_epochs():
+            runtime = FederationRuntime(FLBOOSTER_SYSTEM, num_clients=3,
+                                        key_bits=256, physical_key_bits=256)
+            vectors = [np.full(8, 0.1 * client) for client in range(3)]
+            ledgers = []
+            for _ in range(2):
+                ledgers.append(runtime.begin_epoch())
+                runtime.aggregator.aggregate(vectors)
+            logs = [len(engine.kernels.device.launches) for engine in
+                    (runtime.client_engine, runtime.server_engine,
+                     runtime.silent_engine)]
+            return [ledger.snapshot() for ledger in ledgers], logs
+
+        ledgers, logs = two_epochs()
+        monkeypatch.setattr(SimulatedGpu, "reset", lambda self: None)
+        ledgers_uncleared, logs_uncleared = two_epochs()
+        assert ledgers == ledgers_uncleared
+        assert all(logs) and logs_uncleared == [2 * log for log in logs]
+        # The silent engine launches too, but into the silent ledger.
+        assert ledgers[1]["gpu.launch"][1] == logs[0] + logs[1]
 
     def test_keypair_cache_reuses(self):
         assert cached_keypair(256, seed=9) is cached_keypair(256, seed=9)

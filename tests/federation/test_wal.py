@@ -46,6 +46,21 @@ def spying_open(on_write):
     return lambda path, mode: SpiedFile(open(path, mode))
 
 
+class Killed(BaseException):
+    """The writing process, dying inside a ``write``."""
+
+
+def dying_open(landed):
+    """An ``open`` whose files die in their first ``write``, after
+    ``landed`` bytes of it reached the file."""
+    def dying_write(handle, data):
+        handle.write(data[:landed])
+        handle.flush()
+        raise Killed
+
+    return spying_open(dying_write)
+
+
 def sample_records():
     return [
         WalRecord(ROUND_OPEN, 0, payload={"tag": "gradients",
@@ -137,6 +152,19 @@ class TestReplay:
     def test_bad_magic_rejected(self):
         with pytest.raises(WalError, match="magic"):
             replay_wal(b"NOPE" + encode_record(sample_records()[0]))
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_first_append_torn_inside_the_magic_is_the_empty_log(
+            self, length):
+        replayed = replay_wal(WAL_MAGIC[:length])
+        assert replayed.records == []
+        assert replayed.consumed_bytes == 0
+        assert replayed.torn_tail
+
+    @pytest.mark.parametrize("blob", [b"N", b"FX", b"FWX", b"FWL2"])
+    def test_short_or_wrong_magic_is_still_rejected(self, blob):
+        with pytest.raises(WalError, match="magic"):
+            replay_wal(blob)
 
     @pytest.mark.parametrize("cut", [1, 4, 9])
     def test_torn_tail_trimmed(self, cut):
@@ -259,16 +287,8 @@ class TestWriteAheadLog:
             log.append(record)
         intact = path.read_bytes()
 
-        class Killed(BaseException):
-            pass
-
-        def dying_write(handle, data):
-            handle.write(data[:landed])
-            handle.flush()
-            raise Killed
-
         with monkeypatch.context() as patch:
-            patch.setattr(wal_module, "open", spying_open(dying_write),
+            patch.setattr(wal_module, "open", dying_open(landed),
                           raising=False)
             with pytest.raises(Killed):
                 log.append(WalRecord(ROUND_OPEN, 1))
@@ -281,6 +301,32 @@ class TestWriteAheadLog:
         assert [p.name for p in tmp_path.iterdir()] == ["round.wal"]
         assert reopened.append(WalRecord(ROUND_OPEN, 1)) == 3
         assert len(WriteAheadLog(path=path)) == 4
+
+    @pytest.mark.parametrize("landed", [1, 2, 3])
+    def test_writer_killed_inside_the_magic_reopens_empty(
+            self, tmp_path, monkeypatch, landed):
+        """Killed 1-3 bytes into its very first append, a writer has
+        recorded nothing: the node reopens on an empty log (the stub
+        trimmed away), not on a corrupt one, and journals on from LSN
+        0."""
+        path = tmp_path / "round.wal"
+
+        with monkeypatch.context() as patch:
+            patch.setattr(wal_module, "open", dying_open(landed),
+                          raising=False)
+            with pytest.raises(Killed):
+                WriteAheadLog(path=path).append(sample_records()[0])
+        assert path.read_bytes() == WAL_MAGIC[:landed]
+
+        reopened = WriteAheadLog(path=path)
+        assert reopened.torn_tail_dropped
+        assert len(reopened) == 0
+        assert path.read_bytes() == b""
+        assert [p.name for p in tmp_path.iterdir()] == ["round.wal"]
+        assert reopened.append(sample_records()[0]) == 0
+        again = WriteAheadLog(path=path)
+        assert not again.torn_tail_dropped
+        assert list(again.records) == sample_records()[:1]
 
     def test_empty_file_is_valid_empty_log(self, tmp_path):
         path = tmp_path / "empty.wal"
