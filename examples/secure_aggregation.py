@@ -50,7 +50,7 @@ def main() -> None:
         if config.batch_compression:
             packer = runtime.plan.packer
             print(f"  packing: {packer.capacity} gradients/ciphertext, "
-                  f"compression {packer.achieved_compression_ratio(GRADIENT_DIM):.1f}x, "
+                  f"compression {GRADIENT_DIM / packer.words_needed(GRADIENT_DIM):.1f}x, "
                   f"PSU {packer.achieved_psu(GRADIENT_DIM):.1%}")
         print()
 

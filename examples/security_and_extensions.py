@@ -11,41 +11,33 @@ Part 2 runs the Damgard-Jurik generalization (paper ref. [21]): degree
 ciphertext at a better bytes-per-value rate.
 """
 
+import math
+
 import numpy as np
 
 from repro.crypto.damgard_jurik import (
     DamgardJurik,
     generate_damgard_jurik_keypair,
-    packing_gain,
 )
 from repro.experiments import format_table
-from repro.federation.serialization import (
-    deserialize_objects,
-    serialize_objects,
-)
 from repro.mpint.primes import LimbRandom
-from repro.quantization.encoding import (
-    LegacyFloatEncoding,
-    QuantizationScheme,
-)
+from repro.quantization.encoding import QuantizationScheme
 
 
 def demonstrate_leak() -> None:
     print("=" * 64)
     print("Part 1: what the legacy encoding leaks (paper Sec. IV-B)")
     print("=" * 64)
-    legacy = LegacyFloatEncoding()
     gradients = [0.00012, 0.47, 3.1, 812.0]
 
     print("\nan eavesdropper reads plaintext exponents off the wire:")
     for gradient in gradients:
-        significand, exponent = legacy.encode(gradient)
-        low, high = legacy.magnitude_interval(gradient)
-        blob = serialize_objects([significand], ciphertext_bytes=64,
-                                 exponent=exponent)
-        _, wire_exponent = deserialize_objects(blob, 64)[0]
+        # (encrypt(significand), exponent): only the significand of
+        # frexp's split is encrypted, the exponent ships in the clear.
+        _significand, exponent = math.frexp(gradient)
+        low, high = math.ldexp(0.5, exponent), math.ldexp(1.0, exponent)
         print(f"  gradient {gradient:>10.5f}: wire exponent "
-              f"{wire_exponent:+3d} -> |g| is in [{low:g}, {high:g})")
+              f"{exponent:+3d} -> |g| is in [{low:g}, {high:g})")
 
     scheme = QuantizationScheme(alpha=1.0, r_bits=16)
     print("\nthe secure encoding maps every magnitude into one flat "
@@ -77,10 +69,12 @@ def demonstrate_damgard_jurik() -> None:
         c = DamgardJurik.raw_encrypt(pub, word, rng=rng)
         recovered = DamgardJurik.raw_decrypt(pri, c)
         assert recovered == word
+        bytes_per_slot = pub.ciphertext_bytes() / capacity
+        if s == 1:
+            paillier_bytes_per_slot = bytes_per_slot
         rows.append([s, pub.plaintext_bits, capacity,
-                     pub.ciphertext_bytes(),
-                     f"{pub.ciphertext_bytes() / capacity:.0f}",
-                     f"{packing_gain(256, s):.2f}x"])
+                     pub.ciphertext_bytes(), f"{bytes_per_slot:.0f}",
+                     f"{paillier_bytes_per_slot / bytes_per_slot:.2f}x"])
     print()
     print(format_table(
         ["s", "Plaintext bits", "32-bit slots", "Ciphertext bytes",

@@ -38,7 +38,7 @@ Run it as ``python -m repro lint``; see ``docs/analysis.md`` for the
 pragma and baseline workflow.
 """
 
-from repro.analysis.base import Rule, rule_names
+from repro.analysis.base import Rule
 from repro.analysis.deprecation import DeprecatedApiRule
 from repro.analysis.determinism import DeterminismRule
 from repro.analysis.diagnostics import Diagnostic, LintReport
@@ -81,7 +81,6 @@ __all__ = [
     "WalDisciplineRule",
     "TimeBudgetExceeded",
     "load_baseline",
-    "rule_names",
     "run_lint",
     "write_baseline",
 ]

@@ -24,11 +24,6 @@ def register(cls: Type["Rule"]) -> Type["Rule"]:
     return cls
 
 
-def rule_names() -> List[str]:
-    """All registered rule names, sorted."""
-    return sorted(RULE_REGISTRY)
-
-
 class Rule:
     """One invariant checker.
 

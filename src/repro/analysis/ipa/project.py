@@ -8,10 +8,10 @@ which file the diff touched).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable
 
 from repro.analysis.ipa.callgraph import CallGraph, Resolver
-from repro.analysis.ipa.symbols import FunctionInfo, SymbolTable
+from repro.analysis.ipa.symbols import SymbolTable
 
 
 class Project:
@@ -36,16 +36,3 @@ class Project:
         self.resolver = Resolver(self.symbols)
         self.callgraph = CallGraph(self.symbols, self.resolver)
 
-    def unit_for(self, display_path: str):
-        """The module unit behind a diagnostic path (pragma lookups)."""
-        return self.units.get(display_path)
-
-    def functions_in(self, display_path: str) -> List[FunctionInfo]:
-        """Every function defined in one module, in definition order."""
-        return sorted(
-            (fn for fn in self.symbols.functions.values()
-             if fn.unit is self.units.get(display_path)),
-            key=lambda fn: fn.node.lineno)
-
-    def function_at(self, qualname: str) -> Optional[FunctionInfo]:
-        return self.symbols.functions.get(qualname)

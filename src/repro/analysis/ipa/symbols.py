@@ -116,6 +116,8 @@ class SymbolTable:
         #: bare method name -> qualnames of every definition project-wide
         #: (the duck-typed registry fallback draws candidates from here).
         self.methods_by_name: Dict[str, List[str]] = {}
+        #: module -> the parsed unit it was indexed from.
+        self.units: Dict[str, object] = {}
         #: module -> its ImportMap (shared with per-module rules).
         self.imports: Dict[str, ImportMap] = {}
         #: module -> local top-level name -> qualname defined there.
@@ -130,6 +132,7 @@ class SymbolTable:
     def add_unit(self, unit) -> None:
         """Index one parsed module."""
         module = module_name(unit.display_path)
+        self.units[module] = unit
         imports = ImportMap(unit.tree)
         self.imports[module] = imports
         scope = self.module_scope.setdefault(module, {})

@@ -23,7 +23,7 @@ so rule and ledger can never drift apart):
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Union
 
 import repro.ledger as _ledger
 from repro.analysis.base import Rule, callee_name, register
@@ -159,14 +159,3 @@ class LedgerCategoryRule(Rule):
                     f"assembled dynamically")
         return ("unanalyzable ledger category expression; use a string "
                 "literal, CAT_* constant, or validated builder")
-
-    @staticmethod
-    def charge_sites(tree: ast.Module) -> List[Tuple[ast.Call, ast.expr]]:
-        """(call, category expression) pairs -- exposed for tests."""
-        sites = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                category = _category_argument(node)
-                if category is not None:
-                    sites.append((node, category))
-        return sites

@@ -13,7 +13,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.api.ops import ArrayOps
 from repro.crypto.engine import HeEngine
-from repro.crypto.gpu_engine import GpuPaillierEngine
 from repro.crypto.keys import (
     PaillierKeypair,
     PaillierPrivateKey,
@@ -173,17 +172,6 @@ class FlBooster:
         return self.ops.mod_pow(x, p, n)
 
     # Encrypted tensors -----------------------------------------------
-
-    def he_engine(self, keypair: PaillierKeypair,
-                  nominal_bits: Optional[int] = None) -> GpuPaillierEngine:
-        """A batched Paillier engine sharing this session's GPU.
-
-        The returned engine's kernel launches land on ``self.kernels``,
-        so tensor work is visible in the same device log and utilization
-        stats as the Table I array operations.
-        """
-        return GpuPaillierEngine(keypair, kernels=self.kernels,
-                                 nominal_bits=nominal_bits)
 
     def encrypt_tensor(self, engine: HeEngine, values,
                        alpha: float = 1.0, r_bits: int = 30,

@@ -48,7 +48,6 @@ _EXPORTS = {
     "DamgardJurikKeypair": "repro.crypto.damgard_jurik",
     "generate_damgard_jurik_keypair": "repro.crypto.damgard_jurik",
     "MaskingScheme": "repro.crypto.symmetric_he",
-    "AffineScheme": "repro.crypto.symmetric_he",
 }
 
 __all__ = list(_EXPORTS)
@@ -74,7 +73,7 @@ if TYPE_CHECKING:  # pragma: no cover - import-time types for tooling
         DamgardJurikKeypair,
         generate_damgard_jurik_keypair,
     )
-    from repro.crypto.symmetric_he import MaskingScheme, AffineScheme
+    from repro.crypto.symmetric_he import MaskingScheme
 
 
 def __getattr__(name):

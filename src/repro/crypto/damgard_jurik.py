@@ -204,21 +204,6 @@ def _extract_discrete_log(a: int,
     return i
 
 
-def packing_gain(key_bits: int, s: int, slot_bits: int = 32) -> float:
-    """Ciphertext-count gain of degree-``s`` DJ over plain Paillier.
-
-    Plain Paillier packs ``key_bits / slot`` values into a ``2 x key``
-    ciphertext; degree-``s`` DJ packs ``s x key_bits / slot`` values into
-    an ``(s+1) x key`` ciphertext.  Returns the reduction in *bytes per
-    packed value* relative to Paillier.
-    """
-    if s < 1:
-        raise ValueError("s must be at least 1")
-    paillier_bytes_per_value = (2 * key_bits) / (key_bits // slot_bits)
-    dj_bytes_per_value = ((s + 1) * key_bits) / (s * key_bits // slot_bits)
-    return paillier_bytes_per_value / dj_bytes_per_value
-
-
 # ----------------------------------------------------------------------
 # Conformance registration (differential oracle, repro.testing).
 # ----------------------------------------------------------------------

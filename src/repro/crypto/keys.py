@@ -47,11 +47,6 @@ class PaillierPublicKey:
         """
         return powmod(r, self.n, self.n_squared)
 
-    @property
-    def max_plaintext(self) -> int:
-        """Largest representable plaintext (exclusive bound is ``n``)."""
-        return self.n - 1
-
     def ciphertext_bytes(self) -> int:
         """Serialized size of one ciphertext (an element of ``Z_{n^2}``)."""
         return -(-self.n_squared.bit_length() // 8)

@@ -110,19 +110,6 @@ class Paillier:
         return (c1 * c2) % public_key.n_squared
 
     @staticmethod
-    def raw_add_plain(public_key: PaillierPublicKey, c: int,
-                      plaintext: int) -> int:
-        """Add a plaintext to a ciphertext: ``c * g^m mod n^2``."""
-        n = public_key.n
-        n_squared = public_key.n_squared
-        plaintext %= n
-        if public_key.g == n + 1:
-            g_m = (1 + plaintext * n) % n_squared
-        else:
-            g_m = powmod(public_key.g, plaintext, n_squared)
-        return (c * g_m) % n_squared
-
-    @staticmethod
     def raw_scalar_mul(public_key: PaillierPublicKey, c: int,
                        scalar: int) -> int:
         """Multiply the underlying plaintext by ``scalar``: ``c^scalar``."""

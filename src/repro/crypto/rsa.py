@@ -43,8 +43,3 @@ class Rsa:
         if not 0 <= ciphertext < public.n:
             raise ValueError("ciphertext outside Z_n")
         return powmod(ciphertext, private_key.d, public.n)
-
-    @staticmethod
-    def raw_mul(public_key: RsaPublicKey, c1: int, c2: int) -> int:
-        """Homomorphic multiplication: ``E(m1) * E(m2) = E(m1 m2)``."""
-        return (c1 * c2) % public_key.n

@@ -1,33 +1,25 @@
-"""Symmetric additive "HE" schemes and why the paper rejects them.
+"""A symmetric additive "HE" scheme, the kind the paper rejects.
 
 Sec. II surveys symmetric homomorphic mechanisms (IHC&MRS, MORE, SFHE,
 ASHE, FLASHE) and notes that "many of [them] have been proved to be
-insecure and vulnerable to attacks".  This module reproduces both sides
-of that argument:
+insecure and vulnerable to attacks".  :class:`MaskingScheme` is the
+fast side of that argument: a FLASHE/ASHE-style additive one-time-mask
+scheme, ``E(m) = m + k_i (mod 2^b)`` with per-index keystream masks
+that cancel across participants during aggregation.  It is additively
+homomorphic and orders of magnitude cheaper than Paillier, which is why
+the systems literature keeps proposing it -- and a mask reused across
+rounds falls to one known (plaintext, ciphertext) pair: ``k = c - m``
+strips every other ciphertext under that mask.
 
-- :class:`MaskingScheme` -- a FLASHE/ASHE-style additive one-time-mask
-  scheme: ``E(m) = m + k_i (mod 2^b)`` with per-index keystream masks
-  that cancel across participants during aggregation.  It is fast and
-  additively homomorphic, which is why the systems literature keeps
-  proposing it.
-- :func:`known_plaintext_attack` -- the standard break when masks are
-  reused across rounds: one known (plaintext, ciphertext) pair per index
-  recovers the keystream and decrypts every other round.
-- :class:`AffineScheme` -- a MORE-style affine cipher ``E(m) = a m + b``;
-  :func:`affine_known_plaintext_attack` recovers ``(a, b)`` from two
-  known pairs (Vizar & Vaudenay's observation, paper ref. [60]).
-
-These exist for the security comparison and the related-work benchmarks;
-the production path stays Paillier.
+It exists for the related-work benchmark; the production path stays
+Paillier.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
-
-from repro.mpint.native import powmod
+from typing import List, Sequence
 
 
 def _keystream(key: bytes, round_index: int, index: int, bits: int) -> int:
@@ -92,75 +84,6 @@ class MaskingScheme:
             for index, value in enumerate(vector):
                 totals[index] = (totals[index] + value) % modulus
         return totals
-
-
-def known_plaintext_attack(scheme_bits: int, known_plaintext: int,
-                           known_ciphertext: int,
-                           target_ciphertext: int) -> int:
-    """Break mask reuse with one known pair.
-
-    If the same mask ``k`` encrypts two messages (mask reuse across
-    rounds -- the temptation every "efficient" variant falls into), an
-    adversary holding one (m, c) pair computes ``k = c - m`` and strips
-    it off any other ciphertext.  Returns the recovered plaintext.
-    """
-    modulus = 1 << scheme_bits
-    recovered_mask = (known_ciphertext - known_plaintext) % modulus
-    return (target_ciphertext - recovered_mask) % modulus
-
-
-@dataclass(frozen=True)
-class AffineScheme:
-    """MORE-style affine cipher ``E(m) = a m + b mod n`` (insecure)."""
-
-    a: int
-    b: int
-    n: int
-
-    def __post_init__(self) -> None:
-        import math
-        if math.gcd(self.a, self.n) != 1:
-            raise ValueError("a must be invertible modulo n")
-
-    def encrypt(self, value: int) -> int:
-        """``a m + b mod n``."""
-        return (self.a * value + self.b) % self.n
-
-    def decrypt(self, ciphertext: int) -> int:
-        """Invert the affine map."""
-        return ((ciphertext - self.b) * powmod(self.a, -1, self.n)) % self.n
-
-    def add(self, c1: int, c2: int) -> int:
-        """Additive homomorphism (with a ``b`` correction at decrypt).
-
-        ``E(m1) + E(m2) = a (m1 + m2) + 2b``: summing ``t`` ciphertexts
-        needs the aggregator to know ``t`` -- provided here by the
-        two-term case.
-        """
-        return (c1 + c2 - self.b) % self.n
-
-
-def affine_known_plaintext_attack(
-        pairs: Sequence[Tuple[int, int]], modulus: int) -> Tuple[int, int]:
-    """Recover ``(a, b)`` of an affine scheme from two known pairs.
-
-    The Vizar-Vaudenay style break (paper ref. [60]): with
-    ``c1 = a m1 + b`` and ``c2 = a m2 + b``,
-    ``a = (c1 - c2) / (m1 - m2)`` and ``b`` follows.  Raises
-    ``ValueError`` when the pairs are degenerate.
-    """
-    if len(pairs) < 2:
-        raise ValueError("need two known plaintext/ciphertext pairs")
-    (m1, c1), (m2, c2) = pairs[0], pairs[1]
-    delta_m = (m1 - m2) % modulus
-    try:
-        inverse = powmod(delta_m, -1, modulus)
-    except ValueError as error:
-        raise ValueError("degenerate pairs: m1 - m2 not invertible") \
-            from error
-    a = ((c1 - c2) * inverse) % modulus
-    b = (c1 - a * m1) % modulus
-    return a, b
 
 
 # ----------------------------------------------------------------------

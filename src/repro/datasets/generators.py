@@ -52,12 +52,6 @@ class Dataset:
         """Columns in the scaled dataset."""
         return self.features.shape[1]
 
-    def scale_factor(self) -> float:
-        """Paper-scale work per unit of scaled work (instances x dims)."""
-        ours = self.num_instances * self.num_features
-        paper = self.paper_instances * self.paper_features
-        return paper / ours
-
 
 #: Paper-scale dimensions from Table II.
 PAPER_SCALES: Dict[str, Tuple[int, int]] = {

@@ -58,7 +58,6 @@ from repro.federation.coordinator import (
     RoundStateMachine,
     StaleIncarnationError,
     StandbyCoordinator,
-    recover_coordinator,
 )
 from repro.federation.eventloop import (
     AdmissionRejected,
@@ -88,7 +87,6 @@ from repro.federation.tenancy import (
     TenantRegistry,
     TokenBucket,
     UnknownTenantError,
-    weighted_fair_order,
 )
 from repro.federation.runtime import FederationRuntime, SystemConfig
 from repro.federation.wal import (
@@ -125,7 +123,6 @@ __all__ = [
     "RoundStateMachine",
     "StaleIncarnationError",
     "StandbyCoordinator",
-    "recover_coordinator",
     "AdmissionRejected",
     "AsyncChannel",
     "CircuitBreaker",
@@ -146,7 +143,6 @@ __all__ = [
     "TenantRegistry",
     "TokenBucket",
     "UnknownTenantError",
-    "weighted_fair_order",
     "cohort_sample",
     "default_num_shards",
     "plan_shards",

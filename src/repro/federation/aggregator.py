@@ -178,15 +178,40 @@ class SecureAggregator:
                                   tag=CAT_PIPELINE_UNPACK_DECODE)
         return plain.decode()
 
+    def _tensor_message(self, tensor: CipherTensor, sender: str,
+                        receiver: str, tag: str) -> Message:
+        """The message shipping ``tensor``, sized at nominal ciphertext
+        bytes in the aggregator's ``packed_serialization`` wire format."""
+        return Message.for_tensor(
+            tensor.materialize(), sender=sender, receiver=receiver, tag=tag,
+            ciphertext_bytes=self.client_engine.nominal_ciphertext_bytes(),
+            packed=self.packed_serialization)
+
     def send_tensor(self, tensor: CipherTensor, sender: str,
                     receiver: str, tag: str) -> CipherTensor:
-        """Transmit a tensor, charging the wire at nominal sizes in the
-        aggregator's ``packed_serialization`` wire format."""
-        materialized = tensor.materialize()
-        return self.channel.send(Message.for_tensor(
-            materialized, sender=sender, receiver=receiver, tag=tag,
-            ciphertext_bytes=self.client_engine.nominal_ciphertext_bytes(),
-            packed=self.packed_serialization))
+        """Transmit a tensor over the charged channel."""
+        return self.channel.send(
+            self._tensor_message(tensor, sender, receiver, tag))
+
+    def broadcast_tensor(self, tensor: CipherTensor, sender: str,
+                         receivers: List[str], tag: str,
+                         round_index: int) -> None:
+        """Send one tensor to every receiver; a lost copy degrades.
+
+        One message (one payload checksum) goes through
+        :meth:`Channel.broadcast`, which serves and charges every
+        receiver whatever happens to the others.  A copy that exhausts
+        its retries is recorded as ``fault.lost_update`` with the bytes
+        its attempts wasted, exactly as a lost upload is: the round's
+        sum is already computed, so it stands.
+        """
+        try:
+            self.channel.broadcast(
+                self._tensor_message(tensor, sender, "*", tag), receivers)
+        except ChannelError as error:
+            for receiver, wasted in error.lost.items():
+                self.injector.record(LOST_UPDATE, receiver, round_index,
+                                     payload_bytes=wasted)
 
     # ------------------------------------------------------------------
     # The full round.
@@ -344,6 +369,8 @@ class SecureAggregator:
         aggregator's configured quorum, or *all* clients when none is
         set), and the tensor metadata accumulates the *actual* summand
         count so partial sums decode exactly (Eq. 6 offset correction).
+        A download lost the same way is recorded, not raised: the sum
+        is already computed (:meth:`broadcast_tensor`).
         Details of the round land in :attr:`last_round`.
 
         Raises:
@@ -371,9 +398,8 @@ class SecureAggregator:
 
         aggregated = self._server_sum(uploaded)
 
-        for name in round_report.survivors:
-            self.send_tensor(aggregated, sender="server", receiver=name,
-                             tag=f"download.{tag}")
+        self.broadcast_tensor(aggregated, "server", round_report.survivors,
+                              f"download.{tag}", round_index)
 
         # The Eq. 6 offset correction rides the metadata: each surviving
         # tensor contributed summands=1, so the aggregate's summand count

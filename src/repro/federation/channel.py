@@ -28,7 +28,7 @@ import itertools
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -112,7 +112,7 @@ class Message:
     """One transfer between parties.
 
     Attributes:
-        sender / receiver: Party names, for the trace log.
+        sender / receiver: Party names.
         tag: Protocol step name; becomes the ledger category suffix.
         payload: The actual Python object handed to the receiver.
         ciphertext_count: Ciphertexts inside the payload.
@@ -176,14 +176,18 @@ class ChannelError(RuntimeError):
         attempts: Attempts made (first transmission + retransmissions).
         wasted_bytes: Wire bytes consumed by the failed attempts (already
             charged to the ledger when this is raised).
+        lost: For a failed :meth:`Channel.broadcast`, receiver -> the
+            wire bytes its abandoned copy wasted; empty for one transfer.
     """
 
     def __init__(self, message: str, tag: Optional[str] = None,
-                 attempts: int = 0, wasted_bytes: int = 0):
+                 attempts: int = 0, wasted_bytes: int = 0,
+                 lost: Optional[Dict[str, int]] = None):
         super().__init__(message)
         self.tag = tag
         self.attempts = attempts
         self.wasted_bytes = wasted_bytes
+        self.lost = lost or {}
 
 
 class Channel:
@@ -193,8 +197,6 @@ class Channel:
         profile: Hardware constants (bandwidth, latency, serialization
             bloat factors).
         ledger: Cost ledger charged with every transfer.
-        trace: Keep full message objects for inspection (tests); disabled
-            by default to bound memory in long runs.
         seed: Determinism seed for the backoff jitter stream.
         retry_policy: Retry/backoff configuration (five retries without
             backoff by default); backoff seconds are charged as modelled
@@ -206,15 +208,12 @@ class Channel:
     """
 
     def __init__(self, profile: HardwareProfile = DEFAULT_PROFILE,
-                 ledger: Optional[CostLedger] = None, trace: bool = False,
-                 seed: int = 0,
+                 ledger: Optional[CostLedger] = None, seed: int = 0,
                  retry_policy: Optional[RetryPolicy] = None,
                  injector: Optional[FaultInjector] = None):
         self.profile = profile
         self.ledger = ledger if ledger is not None else CostLedger()
         self.stats = ChannelStats()
-        self.trace = trace
-        self.log: List[Message] = []
         self.retry_policy = (retry_policy if retry_policy is not None
                              else RetryPolicy())
         self.injector = injector or FaultInjector(FaultPlan(),
@@ -305,8 +304,6 @@ class Channel:
                 tag=message.tag, attempts=attempts, wasted_bytes=wasted)
 
         self.stats.messages += 1
-        if self.trace:
-            self.log.append(message)
         return message.payload
 
     def broadcast(self, message: Message, receivers: List[str]) -> Any:
@@ -315,12 +312,13 @@ class Channel:
         Every receiver is attempted even when an earlier copy fails:
         each per-receiver :meth:`send` charges its own attempts (failed
         ones included) before raising, and the failures are re-raised
-        *after* the loop as one aggregate :class:`ChannelError` carrying
-        the total attempt count and wasted bytes.  Aborting on the first
+        *after* the loop as one aggregate :class:`ChannelError` naming
+        the receivers that went unserved and carrying the total attempt
+        count and wasted bytes.  Aborting on the first
         failure would leave the remaining receivers both unserved and
         uncharged -- invisible lost work, which the ledger forbids.
         """
-        failures: List[ChannelError] = []
+        failures: Dict[str, ChannelError] = {}
         for receiver in receivers:
             copy = Message(
                 sender=message.sender,
@@ -336,12 +334,15 @@ class Channel:
             try:
                 self.send(copy)
             except ChannelError as error:
-                failures.append(error)
+                failures[receiver] = error
         if failures:
+            lost = {receiver: failure.wasted_bytes
+                    for receiver, failure in failures.items()}
             raise ChannelError(
                 f"broadcast {message.tag!r} failed for "
-                f"{len(failures)}/{len(receivers)} receivers",
+                f"{len(lost)}/{len(receivers)} receivers: "
+                f"{', '.join(lost)}",
                 tag=message.tag,
-                attempts=sum(f.attempts for f in failures),
-                wasted_bytes=sum(f.wasted_bytes for f in failures))
+                attempts=sum(f.attempts for f in failures.values()),
+                wasted_bytes=sum(lost.values()), lost=lost)
         return message.payload

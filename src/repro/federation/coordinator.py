@@ -638,9 +638,9 @@ class DurableCoordinator:
         """Sum the uploads, send every survivor its download, decrypt."""
         agg = self.aggregator
         aggregated = agg._server_sum(uploaded)
-        for name in self.machine.round.survivors:
-            agg.send_tensor(aggregated, sender=self.name,
-                            receiver=name, tag=f"download.{tag}")
+        state = self.machine.round
+        agg.broadcast_tensor(aggregated, self.name, state.survivors,
+                             f"download.{tag}", state.round_index)
         return agg.decrypt_tensor(aggregated, charged=True)
 
     def run_round(self, client_vectors: Sequence[np.ndarray],
@@ -783,19 +783,3 @@ class FailoverRecord:
     lsn: int
     incarnation: int
     recovered_digest: int
-
-
-def recover_coordinator(aggregator: SecureAggregator, image: bytes,
-                        name: str = "coordinator",
-                        lease_manager: Optional[LeaseManager] = None
-                        ) -> DurableCoordinator:
-    """Rebuild a coordinator from a dead one's WAL image.
-
-    Trims a torn tail (a record the dead coordinator was mid-append on),
-    replays the intact prefix, and returns a successor with a bumped
-    incarnation, ready for :meth:`DurableCoordinator.run_round` to
-    finish the in-flight round.
-    """
-    wal = WriteAheadLog.from_bytes(image)
-    return DurableCoordinator(aggregator, wal=wal, name=name,
-                              lease_manager=lease_manager)

@@ -148,11 +148,6 @@ class AdmissionRejected(RuntimeError):
             f"shard {shard!r} rejected upload ({reason}); retry after "
             f"{retry_after_seconds:.3f}s")
 
-    @property
-    def retryable(self) -> bool:
-        """Whether retrying can ever succeed (always, by design)."""
-        return True
-
 
 class QuotaExceeded(AdmissionRejected):
     """A tenant's token-bucket quota ran dry at admission.

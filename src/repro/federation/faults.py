@@ -104,7 +104,6 @@ _EVENT_KINDS = (CRASH, DROPOUT, STRAGGLER, COORDINATOR_CRASH, FAILOVER,
                 SHARD_CRASH, QUEUE_OVERLOAD, TENANT_FLOOD, TENANT_CRASH)
 COORDINATOR_KINDS = (COORDINATOR_CRASH, FAILOVER)
 SHARD_KINDS = (SHARD_CRASH, QUEUE_OVERLOAD)
-TENANT_KINDS = (TENANT_FLOOD, TENANT_CRASH)
 
 
 class QuorumError(RuntimeError):
@@ -300,10 +299,6 @@ class FaultPlan:
     def shard_events(self) -> List[FaultEvent]:
         """The scheduled shard-level faults, in schedule order."""
         return [e for e in self.events if e.kind in SHARD_KINDS]
-
-    def tenant_events(self) -> List[FaultEvent]:
-        """The scheduled tenant-level faults, in schedule order."""
-        return [e for e in self.events if e.kind in TENANT_KINDS]
 
     # ------------------------------------------------------------------
     # Wire form (consumed by the deterministic simulator's trace).

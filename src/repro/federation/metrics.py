@@ -216,22 +216,6 @@ class FaultReport:
             fault_seconds=ledger.seconds("fault"),
         )
 
-    @property
-    def total_events(self) -> int:
-        """All fault events observed."""
-        return (self.crashes + self.dropouts + self.stragglers
-                + self.deadline_misses + self.lost_updates
-                + self.retransmissions + self.corrupted + self.giveups
-                + self.coordinator_crashes + self.failovers
-                + self.shard_crashes + self.queue_overloads
-                + self.shed + self.circuit_opens
-                + self.tenant_floods + self.tenant_crashes)
-
-    @property
-    def has_faults(self) -> bool:
-        """Whether anything at all went wrong."""
-        return self.total_events > 0
-
     def merge(self, other: "FaultReport") -> "FaultReport":
         """Sum two reports (e.g. across epochs of one run)."""
         return FaultReport(

@@ -334,54 +334,6 @@ class FederationRuntime:
                            nominal_key_bits=self.key_bits)
 
     # ------------------------------------------------------------------
-    # Durable-coordinator wiring (PR 4).
-    # ------------------------------------------------------------------
-
-    def durable_coordinator(self, wal=None, lease_manager=None,
-                            name: str = "coordinator"):
-        """A write-ahead-logged coordinator over this runtime's path.
-
-        Args:
-            wal: An existing :class:`~repro.federation.wal.WriteAheadLog`
-                to recover from; a fresh in-memory log by default.
-            lease_manager: Optional
-                :class:`~repro.federation.coordinator.LeaseManager` for
-                hot-standby arbitration.
-        """
-        from repro.federation.coordinator import DurableCoordinator
-
-        return DurableCoordinator(self.aggregator, wal=wal, name=name,
-                                  lease_manager=lease_manager)
-
-    def standby_coordinator(self, lease_manager, name: str = "standby"):
-        """A hot standby tailing this runtime's coordinator WAL."""
-        from repro.federation.coordinator import StandbyCoordinator
-
-        return StandbyCoordinator(self.aggregator,
-                                  lease_manager=lease_manager, name=name)
-
-    def sharded_service(self, clock=None, num_shards=None,
-                        queue_capacity: int = 64,
-                        seed: Optional[int] = None):
-        """The two-level sharded aggregation service over this runtime.
-
-        Args:
-            clock: A :class:`~repro.federation.eventloop.VirtualClock`
-                shared with the caller's timeline; fresh by default.
-            num_shards: Fixed shard count; ``ceil(sqrt(cohort))`` per
-                round by default.
-            queue_capacity: Per-shard ingress queue bound.
-            seed: Cohort-sampling master seed; the runtime's seed by
-                default.
-        """
-        from repro.federation.shard import ShardedAggregationService
-
-        return ShardedAggregationService(
-            self.aggregator, clock=clock, num_shards=num_shards,
-            queue_capacity=queue_capacity,
-            seed=self.seed if seed is None else seed)
-
-    # ------------------------------------------------------------------
     # Epoch lifecycle.
     # ------------------------------------------------------------------
 

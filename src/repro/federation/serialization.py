@@ -1,19 +1,15 @@
 """Wire serialization of ciphertext payloads.
 
 The cost model charges communication from *nominal* ciphertext sizes and
-a serialization bloat factor; this module provides the two concrete wire
-formats those factors describe, so byte counts can be verified against
-real encodings:
+a serialization bloat factor
+(:meth:`repro.gpu.cost_model.HardwareProfile.wire_bytes`); this module
+is the concrete frame the runtime ships:
 
-- ``objects`` -- per-element framed records, the FATE-style path: each
-  ciphertext is wrapped with a type tag, a length header, a key
-  fingerprint and a Python-object envelope.  Bloat ~2.5x raw.
-- ``packed`` -- FLBooster's binary format: one header, then fixed-width
-  big-endian ciphertext words back to back.  Bloat ~1.05x raw.
-- ``tensor`` (v2) -- the packed body prefixed by a self-describing
-  header carrying the full :class:`~repro.tensor.meta.TensorMeta`: key
-  fingerprint, key geometry, quantization scheme, packing capacity,
-  logical shape and summand count.  Decoding a v2 frame needs *no*
+- ``tensor`` (v2) -- fixed-width big-endian ciphertext words back to
+  back, prefixed by a self-describing header carrying the full
+  :class:`~repro.tensor.meta.TensorMeta`: key fingerprint, key
+  geometry, quantization scheme, packing capacity, logical shape and
+  summand count.  Decoding a v2 frame needs *no*
   caller-supplied metadata, and the decoder validates the key
   fingerprint so cross-key payloads fail loudly.
 - ``tensor`` (v3, ``FLT3``) -- the v2 header (same fixed layout and
@@ -23,15 +19,14 @@ real encodings:
   sparse layout).  v3 is the only frame written; v2 frames remain
   readable (they imply the dense codec).
 
-All formats round-trip exactly; the measured bloat factors match the
-cost model's constants (asserted by the tests).
+Both versions round-trip exactly.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
 
 from repro.quantization.encoding import QuantizationScheme
 from repro.tensor.cipher import CipherTensor
@@ -50,8 +45,6 @@ class FrameError(ValueError):
     framing one).
     """
 
-#: Frame magic for the packed format.
-PACKED_MAGIC = b"FLBP"
 #: Frame magic + version for the self-describing tensor format.
 TENSOR_MAGIC = b"FLT2"
 #: Fixed-size part of the v2/v3 tensor header: magic, version, flags,
@@ -69,11 +62,6 @@ TENSOR3_MAGIC = b"FLT3"
 TENSOR3_VERSION = 3
 #: Longest codec id accepted off the wire (one length byte anyway).
 MAX_CODEC_ID_LEN = 32
-#: Per-object envelope overhead of the object format, bytes: type tag,
-#: schema name, key fingerprint, exponent field, length headers -- the
-#: accumulated framing of a serialized ciphertext *object*.
-OBJECT_ENVELOPE = struct.Struct(">4sI16sqI")
-OBJECT_MAGIC = b"FOBJ"
 
 
 def _int_to_bytes(value: int, length: int) -> bytes:
@@ -82,100 +70,6 @@ def _int_to_bytes(value: int, length: int) -> bytes:
 
 def _bytes_to_int(blob: bytes) -> int:
     return int.from_bytes(blob, "big")
-
-
-def serialize_packed(ciphertexts: Sequence[int],
-                     ciphertext_bytes: int) -> bytes:
-    """FLBooster's packed binary wire format.
-
-    Args:
-        ciphertexts: Raw ciphertext integers.
-        ciphertext_bytes: Fixed width of each ciphertext on the wire.
-    """
-    header = PACKED_MAGIC + struct.pack(">II", len(ciphertexts),
-                                        ciphertext_bytes)
-    body = b"".join(_int_to_bytes(value, ciphertext_bytes)
-                    for value in ciphertexts)
-    return header + body
-
-
-def deserialize_packed(blob: bytes) -> List[int]:
-    """Invert :func:`serialize_packed`.
-
-    Validates the frame end to end before slicing: a short header, a
-    zero word width with a non-zero count, or a body whose length does
-    not match ``count * width`` all raise a clear ``ValueError`` instead
-    of silently mis-slicing into garbage ciphertexts.
-    """
-    if len(blob) < 12:
-        raise FrameError(
-            f"truncated frame: packed header needs 12 bytes, got "
-            f"{len(blob)}")
-    if blob[:4] != PACKED_MAGIC:
-        raise FrameError("not a packed ciphertext frame")
-    count, width = struct.unpack(">II", blob[4:12])
-    if count and width == 0:
-        raise FrameError(
-            f"corrupt frame: {count} ciphertexts declared with zero "
-            f"word width")
-    body = len(blob) - 12
-    expected = count * width
-    if body != expected:
-        kind = "truncated" if body < expected else "oversized"
-        raise FrameError(
-            f"{kind} frame: {count} x {width}-byte words need "
-            f"{expected} body bytes, got {body}")
-    return [_bytes_to_int(blob[12 + i * width:12 + (i + 1) * width])
-            for i in range(count)]
-
-
-def serialize_objects(ciphertexts: Sequence[int], ciphertext_bytes: int,
-                      key_fingerprint: bytes = b"\x00" * 16,
-                      exponent: int = 0) -> bytes:
-    """The per-element object wire format (FATE-style).
-
-    Each element carries the envelope a serialized ciphertext object
-    drags along: type tag, element length, the public-key fingerprint,
-    the (plaintext!) exponent field of the legacy float encoding, and a
-    value-length header.  Values are *variable length* (objects serialize
-    the integer, not a fixed-width buffer), padded with framing
-    overhead -- which is where the ~2.5x wire bloat comes from.
-    """
-    if len(key_fingerprint) != 16:
-        raise ValueError("key fingerprint must be 16 bytes")
-    frames = []
-    for value in ciphertexts:
-        payload = _int_to_bytes(value, ciphertext_bytes)
-        envelope = OBJECT_ENVELOPE.pack(OBJECT_MAGIC, len(payload),
-                                        key_fingerprint, exponent,
-                                        len(payload))
-        # Object formats also carry per-element schema/framing text; a
-        # fixed descriptor mimics pickle/protobuf field names.  Repeat
-        # enough to cover any ciphertext width, then cut exactly.
-        descriptor_len = ciphertext_bytes * 3 // 2
-        unit = b"repro.crypto.paillier.PaillierCiphertext\x00"
-        descriptor = (unit * (descriptor_len // len(unit) + 1))
-        frames.append(envelope + descriptor[:descriptor_len] + payload)
-    return b"".join(frames)
-
-
-def deserialize_objects(blob: bytes,
-                        ciphertext_bytes: int) -> List[Tuple[int, int]]:
-    """Invert :func:`serialize_objects`; returns (value, exponent) pairs."""
-    descriptor_len = ciphertext_bytes * 3 // 2
-    frame_len = OBJECT_ENVELOPE.size + descriptor_len + ciphertext_bytes
-    if len(blob) % frame_len != 0:
-        raise FrameError("corrupt object stream")
-    out: List[Tuple[int, int]] = []
-    for offset in range(0, len(blob), frame_len):
-        magic, _length, _fp, exponent, _l2 = OBJECT_ENVELOPE.unpack(
-            blob[offset:offset + OBJECT_ENVELOPE.size])
-        if magic != OBJECT_MAGIC:
-            raise FrameError("bad object frame magic")
-        start = offset + OBJECT_ENVELOPE.size + descriptor_len
-        value = _bytes_to_int(blob[start:start + ciphertext_bytes])
-        out.append((value, exponent))
-    return out
 
 
 def _codec_block(meta: TensorMeta) -> bytes:
@@ -345,16 +239,3 @@ def _parse_codec_block(blob: bytes, offset: int):
                             blob[params_at + 4:params_end])
               if param_count else ())
     return codec_id, tuple(params), params_end
-
-
-def measured_bloat(ciphertexts: Sequence[int], ciphertext_bytes: int,
-                   packed: bool) -> float:
-    """Wire bytes per raw ciphertext byte for a batch (cf. cost model)."""
-    raw = len(ciphertexts) * ciphertext_bytes
-    if raw == 0:
-        return 0.0
-    if packed:
-        wire = len(serialize_packed(ciphertexts, ciphertext_bytes))
-    else:
-        wire = len(serialize_objects(ciphertexts, ciphertext_bytes))
-    return wire / raw

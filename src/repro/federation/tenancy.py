@@ -1,4 +1,4 @@
-"""Multi-tenant primitives: registry, quotas, and weighted fairness.
+"""Multi-tenant primitives: registry, weighted shares, and quotas.
 
 The ROADMAP's north star is one platform multiplexing *many*
 federations over shared hardware; the PR 6 sharded service still assumes
@@ -17,11 +17,6 @@ multi-tenant service (:mod:`repro.federation.shard`) share:
   loop's :class:`~repro.federation.eventloop.VirtualClock`; admission
   spends one token per upload and the bucket's deficit yields the
   typed retry hint of ``QuotaExceeded``.
-- :func:`weighted_fair_order` -- deterministic weighted-fair-queueing
-  service order over per-tenant backlogs (virtual finish tags), with
-  the classic bound the property suite asserts: in any prefix of
-  length ``L`` a continuously-backlogged tenant is served at least
-  ``floor(L * weight / total_weight) - 1`` times.
 
 Isolation contract (asserted end-to-end by the tenant-isolation tests):
 a tenant operating within its own weighted share and quota observes
@@ -32,9 +27,8 @@ the shard topology, and per-tenant-partitioned admission bookkeeping.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.federation.eventloop import VirtualClock
 
@@ -137,11 +131,6 @@ class TenantRegistry:
         return self._tenants.get(tenant_id)
 
     @property
-    def tenant_ids(self) -> List[str]:
-        """Registered ids, in registration order."""
-        return list(self._tenants)
-
-    @property
     def total_weight(self) -> float:
         return sum(t.weight for t in self._tenants.values())
 
@@ -225,40 +214,3 @@ class TokenBucket:
         if deficit <= 0:
             return 0.0
         return deficit / self.rate
-
-
-def weighted_fair_order(backlogs: Mapping[str, int],
-                        weights: Mapping[str, float]) -> List[str]:
-    """Deterministic WFQ service order over per-tenant backlogs.
-
-    Classic virtual-finish-tag scheduling: tenant ``t``'s ``k``-th
-    queued entry is tagged ``(k + 1) / weight(t)`` and service follows
-    ascending tags, tenant id breaking ties.  The resulting fairness
-    bound (property-tested): in any prefix of length ``L``, a tenant
-    with at least ``floor(L * w / W)`` entries backlogged is served at
-    least ``floor(L * w / W) - 1`` times -- no starvation beyond its
-    weight, regardless of how the other backlogs are distributed.
-
-    Args:
-        backlogs: tenant id -> queued entry count (non-negative).
-        weights: tenant id -> fair-share weight (positive); every
-            backlogged tenant must have a weight.
-    """
-    heap: List = []
-    for tenant, backlog in backlogs.items():
-        if backlog < 0:
-            raise ValueError(f"negative backlog for {tenant!r}")
-        if backlog == 0:
-            continue
-        weight = weights.get(tenant)
-        if weight is None or weight <= 0:
-            raise ValueError(f"tenant {tenant!r} needs a positive weight")
-        heapq.heappush(heap, (1.0 / weight, tenant, 1, backlog, weight))
-    order: List[str] = []
-    while heap:
-        _tag, tenant, served, backlog, weight = heapq.heappop(heap)
-        order.append(tenant)
-        if served < backlog:
-            heapq.heappush(heap, ((served + 1) / weight, tenant,
-                                  served + 1, backlog, weight))
-    return order

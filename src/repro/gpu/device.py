@@ -32,11 +32,6 @@ class DeviceSpec:
     pcie_bandwidth: float              # bytes / second, host <-> device
 
     @property
-    def max_warps_per_sm(self) -> int:
-        """Maximum resident warps on one SM."""
-        return self.max_threads_per_sm // self.warp_size
-
-    @property
     def max_concurrent_threads(self) -> int:
         """Device-wide resident thread limit (T_max in Eq. 10)."""
         return self.num_sms * self.max_threads_per_sm
@@ -102,11 +97,6 @@ class SimulatedGpu:
     def total_seconds(self) -> float:
         """Modelled GPU-side time across all launches."""
         return sum(launch.seconds for launch in self.launches)
-
-    @property
-    def total_bytes_transferred(self) -> int:
-        """Host<->device traffic across all launches."""
-        return sum(l.bytes_in + l.bytes_out for l in self.launches)
 
     def mean_sm_utilization(self) -> float:
         """Launch-weighted average SM utilization (the Fig. 6 metric)."""

@@ -131,11 +131,6 @@ class MemoryTable:
                 return
         raise ValueError(f"unknown device address {address}")
 
-    @property
-    def bytes_reserved(self) -> int:
-        """Total device memory ever carved out of the arena."""
-        return self._next_address
-
 
 class ResourceManager:
     """Block-size, register, memory and branch management (Sec. IV-A2).

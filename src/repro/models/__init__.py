@@ -19,7 +19,7 @@ masked-transfer equivalents with matching operation counts.
 """
 
 from repro.models.base import FederatedModel, TrainingTrace
-from repro.models.optim import SgdOptimizer, AdamOptimizer
+from repro.models.optim import AdamOptimizer
 from repro.models.losses import (
     sigmoid,
     logistic_loss,
@@ -44,7 +44,6 @@ MODEL_REGISTRY = {
 __all__ = [
     "FederatedModel",
     "TrainingTrace",
-    "SgdOptimizer",
     "AdamOptimizer",
     "sigmoid",
     "logistic_loss",

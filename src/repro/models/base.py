@@ -52,13 +52,6 @@ class TrainingTrace:
         """Loss after the last epoch."""
         return self.losses[-1] if self.losses else float("nan")
 
-    def converged_at(self, tolerance: float = CONVERGENCE_TOLERANCE) -> Optional[int]:
-        """First epoch index where successive losses differ < tolerance."""
-        for index in range(1, len(self.losses)):
-            if abs(self.losses[index] - self.losses[index - 1]) < tolerance:
-                return index
-        return None
-
 
 class FederatedModel(ABC):
     """A federated model bound to a dataset, trained through a runtime.

@@ -89,11 +89,6 @@ class HomoNeuralNetwork(FederatedModel):
             cursor += size
         return out
 
-    @property
-    def parameter_count(self) -> int:
-        """Values aggregated per round (the BC-relevant payload size)."""
-        return sum(value.size for value in self.params.values())
-
     # ------------------------------------------------------------------
     # Training.
     # ------------------------------------------------------------------

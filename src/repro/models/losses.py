@@ -52,16 +52,6 @@ def logistic_gradient(X: np.ndarray, z: np.ndarray, y: np.ndarray,
     return gradient
 
 
-def taylor_residual(z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The linearized residual ``d = 0.25 z - 0.5 (2y - 1)``.
-
-    This is the ``fore_gradient`` of FATE's Hetero LR: the gradient of the
-    second-order Taylor approximation of the logistic loss, linear in the
-    forward sum ``z`` so encrypted forward fragments combine additively.
-    """
-    return 0.25 * z - 0.5 * (2.0 * y - 1.0)
-
-
 def taylor_gradient(X: np.ndarray, d: np.ndarray,
                     weights: np.ndarray | None = None,
                     l2: float = 0.0) -> np.ndarray:

@@ -2,8 +2,7 @@
 
 After the secure pipeline delivers decrypted aggregated gradients, the
 local update ``W_{t+1} = W_t - alpha_t * grad`` runs in plaintext.  The
-paper trains with Adam [33]; plain SGD is provided for the Eq. 1 baseline
-and for tests.
+paper trains with Adam [33].
 """
 
 from __future__ import annotations
@@ -19,29 +18,6 @@ class Optimizer(ABC):
     @abstractmethod
     def step(self, weights: np.ndarray, gradient: np.ndarray) -> np.ndarray:
         """Return updated weights; must not mutate the inputs."""
-
-
-class SgdOptimizer(Optimizer):
-    """Plain SGD (Eq. 1), optionally with momentum."""
-
-    def __init__(self, learning_rate: float = 0.1, momentum: float = 0.0):
-        if learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.learning_rate = learning_rate
-        self.momentum = momentum
-        self._velocity: np.ndarray | None = None
-
-    def step(self, weights: np.ndarray, gradient: np.ndarray) -> np.ndarray:
-        """One SGD step."""
-        if self.momentum == 0.0:
-            return weights - self.learning_rate * gradient
-        if self._velocity is None:
-            self._velocity = np.zeros_like(weights)
-        self._velocity = self.momentum * self._velocity - \
-            self.learning_rate * gradient
-        return weights + self._velocity
 
 
 class AdamOptimizer(Optimizer):

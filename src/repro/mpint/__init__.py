@@ -6,7 +6,6 @@ This package implements that FRNS-style radix representation together with
 the arithmetic the paper builds on it:
 
 - :mod:`repro.mpint.limbs` -- the word-array representation and conversions.
-- :mod:`repro.mpint.arith` -- schoolbook add/sub/mul/divmod/compare on limbs.
 - :mod:`repro.mpint.montgomery` -- Algorithm 1 (basic Montgomery) and
   Algorithm 2 (CIOS parallel Montgomery multiplication).
 - :mod:`repro.mpint.modexp` -- sliding-window modular exponentiation.
@@ -22,15 +21,6 @@ from repro.mpint.limbs import (
     from_int,
     to_int,
     limbs_for_bits,
-    normalize,
-)
-from repro.mpint.arith import (
-    limb_add,
-    limb_sub,
-    limb_mul,
-    limb_divmod,
-    limb_mod,
-    limb_compare,
 )
 from repro.mpint.montgomery import (
     MontgomeryContext,
@@ -43,7 +33,6 @@ from repro.mpint.limb_plane import (
     HAVE_NUMPY,
     FixedBaseTable,
     PlaneContext,
-    batched_cios_multiply,
     batched_pow,
     ints_to_plane,
     plane_to_ints,
@@ -54,13 +43,6 @@ __all__ = [
     "from_int",
     "to_int",
     "limbs_for_bits",
-    "normalize",
-    "limb_add",
-    "limb_sub",
-    "limb_mul",
-    "limb_divmod",
-    "limb_mod",
-    "limb_compare",
     "MontgomeryContext",
     "montgomery_multiply",
     "cios_montgomery_multiply",
@@ -72,7 +54,6 @@ __all__ = [
     "HAVE_NUMPY",
     "PlaneContext",
     "FixedBaseTable",
-    "batched_cios_multiply",
     "batched_pow",
     "ints_to_plane",
     "plane_to_ints",

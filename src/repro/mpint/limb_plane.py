@@ -363,20 +363,16 @@ class FixedBaseTable:
         self.radix = 1 << window_bits
         modulus = plane.modulus
         r_mod = plane.r_mod
-        #: Plain-integer table entries, ``_plain[j][d] = g^(d << (w j))``;
-        #: kept for golden-vector replay and debugging.
-        self._plain: List[List[int]] = []
+        #: Row ``j`` holds ``g^(d << (w j))`` for every digit ``d``, in
+        #: Montgomery form.
         self._mont_rows = []
         window_base = self.base
         for _ in range(self.num_windows):
-            plain_row: List[int] = []
             mont_row: List[int] = []
             value = 1
             for _digit in range(self.radix):
-                plain_row.append(value)
                 mont_row.append((value * r_mod) % modulus)
                 value = (value * window_base) % modulus
-            self._plain.append(plain_row)
             self._mont_rows.append(
                 ints_to_plane(mont_row, plane.num_limbs))
             window_base = powmod(window_base, self.radix, modulus)
@@ -385,10 +381,6 @@ class FixedBaseTable:
     def max_exponent_bits(self) -> int:
         """Largest exponent bit-length this table covers."""
         return self.num_windows * self.window_bits
-
-    def table_entry(self, window: int, digit: int) -> int:
-        """The plain value ``base^(digit << (window_bits * window))``."""
-        return self._plain[window][digit]
 
     def pow(self, exponents: Sequence[int]):
         """``base ** exponents[j] mod N`` per column, canonical output."""
@@ -415,10 +407,6 @@ class FixedBaseTable:
                 result = self.plane.mont_mul(result, gathered)
         return self.plane.exit_montgomery(result)
 
-    def pow_ints(self, exponents: Sequence[int]) -> List[int]:
-        """Convenience: :meth:`pow` returned as Python integers."""
-        return plane_to_ints(self.pow(exponents))
-
 
 # ----------------------------------------------------------------------
 # Convenience wrappers over int lists (used by the property suites).
@@ -435,19 +423,6 @@ def plane_context(modulus: int, headroom: int = 1) -> PlaneContext:
             _CONTEXT_CACHE.clear()
         _CONTEXT_CACHE[key] = PlaneContext(modulus, headroom=headroom)
     return _CONTEXT_CACHE[key]
-
-
-def batched_cios_multiply(a_values: Sequence[int], b_values: Sequence[int],
-                          ctx: MontgomeryContext) -> List[int]:
-    """Batched twin of :func:`~repro.mpint.montgomery.cios_montgomery_multiply`.
-
-    Uses the exact-match geometry (``headroom=0``) so the results are
-    bit-identical to running the scalar kernel per element.
-    """
-    plane = plane_context(ctx.modulus, headroom=0)
-    a = ints_to_plane(a_values, plane.num_limbs)
-    b = ints_to_plane(b_values, plane.num_limbs)
-    return plane_to_ints(plane.mont_mul(a, b))
 
 
 def batched_pow(values: Sequence[int], exponent: int, modulus: int,

@@ -85,29 +85,6 @@ def to_int(limbs: Sequence[int], word_bits: int = WORD_BITS) -> int:
     return value
 
 
-def normalize(limbs: Sequence[int], word_bits: int = WORD_BITS) -> List[int]:
-    """Propagate carries so every limb fits in ``word_bits`` bits.
-
-    Accepts limbs that have accumulated overflow (e.g. after a vectorized
-    addition) and returns the canonical representation.  The result may be
-    longer than the input if the top limb carried out.
-
-    >>> normalize([WORD_MASK + 3, 0])
-    [2, 1]
-    """
-    mask = (1 << word_bits) - 1
-    out: List[int] = []
-    carry = 0
-    for limb in limbs:
-        total = limb + carry
-        out.append(total & mask)
-        carry = total >> word_bits
-    while carry:
-        out.append(carry & mask)
-        carry >>= word_bits
-    return out
-
-
 class LimbVector:
     """A fixed-width multi-precision integer stored as limbs.
 
@@ -116,8 +93,8 @@ class LimbVector:
     per thread) is well defined even for small values.
 
     The class intentionally keeps a tiny surface: arithmetic lives in
-    :mod:`repro.mpint.arith` as free functions over raw limb lists, matching
-    the kernel-style code in the paper's Algorithm 2.
+    :mod:`repro.mpint.montgomery` as free functions over raw limb lists,
+    the kernel-style code of the paper's Algorithm 2.
     """
 
     __slots__ = ("limbs", "word_bits")

@@ -5,8 +5,8 @@ FLBooster "develop[s] a random number generator for large integers
 number generator for each thread in a warp".  This module reproduces that
 machinery:
 
-- :class:`LimbRandom` -- a deterministic per-thread generator producing
-  uniformly random limb arrays; one instance per simulated GPU thread.
+- :class:`LimbRandom` -- the generator of uniformly random large
+  integers, seeded for replay or backed by OS entropy.
 - :func:`is_probable_prime` -- the Miller-Rabin test used in key generation.
 - :func:`generate_prime` -- rejection sampling of probable primes with the
   paper's constraint that ``p`` and ``q`` match the working limb length.
@@ -17,7 +17,6 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-from repro.mpint.limbs import WORD_BITS, from_int
 from repro.mpint.native import powmod
 
 #: Small primes for fast trial division before Miller-Rabin.
@@ -32,48 +31,27 @@ DEFAULT_ROUNDS = 64
 
 
 class LimbRandom:
-    """A per-thread random generator for multi-precision integers.
+    """The random generator for multi-precision integers.
 
-    A stream is named by a seed and a thread index, so one seed feeds any
-    number of independent, reproducible generators.
+    Two modes, picked by the seed:
 
-    Two modes, split explicitly:
-
-    - :meth:`entropy` -- backed by ``random.SystemRandom`` (the OS CSPRNG).
+    - ``seed=None`` -- backed by ``random.SystemRandom`` (the OS CSPRNG).
       This is the *only* sanctioned non-deterministic random source in the
       library: production key generation must not be replayable, or a
       recorded simulation transcript would leak the keypair.  flcheck's
       determinism rule whitelists this module for exactly that reason.
-    - :meth:`reproducible` -- a ``random.Random`` stream derived from
-      ``(seed << 16) ^ thread_index``, used by tests and simulations so
-      every keypair and randomizer replays bit-for-bit.
-
-    The constructor keeps its historical signature (``seed=None`` selects
-    entropy mode) so existing call sites behave identically, but new code
-    should name the mode it wants via the classmethods.
+    - an integer seed -- a ``random.Random`` stream derived from
+      ``seed << 16``, used by tests and simulations so every keypair and
+      randomizer replays bit-for-bit.
     """
 
-    def __init__(self, seed: Optional[int] = None, thread_index: int = 0):
+    def __init__(self, seed: Optional[int] = None):
         if seed is None:
             self._rng: random.Random = random.SystemRandom()
             self.entropy_backed = True
         else:
-            self._rng = random.Random((seed << 16) ^ thread_index)
+            self._rng = random.Random(seed << 16)
             self.entropy_backed = False
-        self.thread_index = thread_index
-
-    @classmethod
-    def entropy(cls, thread_index: int = 0) -> "LimbRandom":
-        """An OS-entropy generator for production key generation."""
-        return cls(seed=None, thread_index=thread_index)
-
-    @classmethod
-    def reproducible(cls, seed: int, thread_index: int = 0) -> "LimbRandom":
-        """A seeded, replayable generator for tests and simulation."""
-        if seed is None:
-            raise ValueError("reproducible mode requires an explicit seed; "
-                             "use LimbRandom.entropy() for OS entropy")
-        return cls(seed=seed, thread_index=thread_index)
 
     def randbits(self, bits: int) -> int:
         """Uniform random integer with at most ``bits`` bits."""
@@ -86,12 +64,6 @@ class LimbRandom:
         if bound <= 0:
             raise ValueError("bound must be positive")
         return self._rng.randrange(bound)
-
-    def random_limbs(self, bits: int,
-                     word_bits: int = WORD_BITS) -> List[int]:
-        """Random limb array of exactly ``bits`` significant bits."""
-        value = self.randbits(bits) | (1 << (bits - 1))
-        return from_int(value, word_bits=word_bits)
 
     def random_unit(self, modulus: int) -> int:
         """Random element of ``Z_modulus^*`` (coprime with the modulus)."""

@@ -11,7 +11,6 @@ from repro.pipeline.stages import (
     PipelineResult,
     EncryptionPipeline,
     DecryptionPipeline,
-    HomomorphicComputePipeline,
 )
 from repro.pipeline.scheduler import (
     StreamBatch,
@@ -24,7 +23,6 @@ __all__ = [
     "PipelineResult",
     "EncryptionPipeline",
     "DecryptionPipeline",
-    "HomomorphicComputePipeline",
     "StreamBatch",
     "StreamScheduler",
     "he_shaped_batches",

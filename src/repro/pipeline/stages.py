@@ -6,10 +6,7 @@ Each pipeline runs the real mathematics of its phase and records one
 - encryption (steps 1-4): load/convert -> encode+quantize -> pad+pack ->
   GPU compute -> convert/return;
 - decryption (steps 5-9): load/convert -> GPU compute -> unpack ->
-  unquantize+decode -> convert/return;
-- homomorphic computation (step 4/5 loop): convert -> GPU compute ->
-  convert, with no processing/compression stages (ciphertext in,
-  ciphertext out -- exactly as Sec. V-A notes).
+  unquantize+decode -> convert/return.
 
 GPU stages read the launches they triggered off the engine's ledger, so
 they are exactly what the engine charged.  Host-side stages charge counted
@@ -144,29 +141,4 @@ class DecryptionPipeline(_PipelineBase):
         result.stages.append(self._host_stage(
             "return_conversion", count, flops_per_item=2.0))
         result.values = list(decoded)
-        return result
-
-
-class HomomorphicComputePipeline(_PipelineBase):
-    """Fig. 4 homomorphic phase: ciphertexts in, ciphertexts out.
-
-    No processing or compression stages -- "the raw data and the result
-    are both ciphertexts" (Sec. V-A).
-    """
-
-    def run_addition(self, c1: Sequence[int],
-                     c2: Sequence[int]) -> PipelineResult:
-        """Element-wise homomorphic addition of two ciphertext arrays."""
-        result = PipelineResult(values=[])
-        result.stages.append(self._host_stage(
-            "data_conversion", len(c1), flops_per_item=1.0))
-
-        values, timing = self._gpu_stage(
-            "gpu_compute", len(c1),
-            lambda: self.engine.add_batch(c1, c2))
-        result.stages.append(timing)
-
-        result.stages.append(self._host_stage(
-            "return_conversion", len(values), flops_per_item=1.0))
-        result.values = values
         return result

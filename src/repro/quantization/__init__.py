@@ -28,7 +28,6 @@ from repro.quantization.codecs import (
 )
 from repro.quantization.encoding import (
     QuantizationScheme,
-    LegacyFloatEncoding,
     DEFAULT_QUANTIZATION_BITS,
     overflow_bits_for,
     slot_bits_for,
@@ -44,7 +43,6 @@ from repro.quantization.packing import (
 
 __all__ = [
     "QuantizationScheme",
-    "LegacyFloatEncoding",
     "DEFAULT_QUANTIZATION_BITS",
     "overflow_bits_for",
     "slot_bits_for",

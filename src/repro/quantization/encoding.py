@@ -17,17 +17,13 @@ Note on Eq. 7: the paper writes ``q = e * (2^r - 1)``, which only fills the
 ``r``-bit range when ``alpha = 1/2``.  We normalize by the interval width,
 ``q = round(e / (2 alpha) * (2^r - 1))``, which reduces to the paper's
 formula at ``alpha = 1/2`` and keeps every ``alpha`` loss-minimal.
-
-The module also implements the *insecure* legacy encoding the paper
-criticizes -- ``(encrypt(significand), exponent)`` with the exponent left
-in plaintext -- so the security comparison is reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -91,11 +87,6 @@ class QuantizationScheme:
         return (2 ** self.r_bits - 1) / (2 * self.alpha)
 
     @property
-    def max_encoded(self) -> int:
-        """Largest single encoding: ``2^r - 1``."""
-        return 2 ** self.r_bits - 1
-
-    @property
     def quantization_step(self) -> float:
         """Real-valued width of one quantization level."""
         return 1.0 / self.scale
@@ -146,53 +137,3 @@ class QuantizationScheme:
             raise ValueError("count must be at least 1")
         values = np.asarray([float(e) for e in encoded], dtype=np.float64)
         return values / self.scale - count * self.alpha
-
-
-@dataclass(frozen=True)
-class LegacyFloatEncoding:
-    """The insecure ``(encrypt(significand), exponent)`` scheme.
-
-    Existing FL stacks quantize by encrypting only the significand and
-    shipping the exponent in plaintext (Sec. IV-B).  The exponent reveals
-    the approximate magnitude of every gradient -- the leak the paper's
-    encoding-quantization closes.  Provided for the security comparison
-    and the migration examples.
-    """
-
-    significand_bits: int = 53
-
-    def encode(self, value: float) -> Tuple[int, int]:
-        """Split into ``(significand_int, plaintext_exponent)``.
-
-        The significand integer is what gets encrypted; the exponent is
-        transmitted in the clear (the leak).
-        """
-        if value == 0:
-            return 0, 0
-        mantissa, exponent = math.frexp(abs(value))
-        significand = int(mantissa * (1 << self.significand_bits))
-        if value < 0:
-            # Sign folded into the significand -- but the *exponent* still
-            # leaks magnitude regardless.
-            significand = (1 << (self.significand_bits + 1)) - significand
-        return significand, exponent
-
-    def decode(self, significand: int, exponent: int) -> float:
-        """Invert :meth:`encode`."""
-        if significand == 0 and exponent == 0:
-            return 0.0
-        sign_bound = 1 << self.significand_bits
-        if significand >= sign_bound:
-            mantissa = -((1 << (self.significand_bits + 1)) - significand)
-        else:
-            mantissa = significand
-        return math.ldexp(mantissa / sign_bound, exponent)
-
-    def leaked_bits(self, value: float) -> int:
-        """What an adversary learns: the plaintext exponent."""
-        return self.encode(value)[1]
-
-    def magnitude_interval(self, value: float) -> Tuple[float, float]:
-        """The open interval ``[2^(e-1), 2^e)`` the leak pins |value| into."""
-        exponent = self.leaked_bits(value)
-        return (math.ldexp(0.5, exponent), math.ldexp(1.0, exponent))

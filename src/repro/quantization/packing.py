@@ -168,10 +168,6 @@ class SlotCodec:
                 f"shared by every tensor of its layout")
         object.__setattr__(self, name, value)
 
-    def slot_mask(self) -> int:
-        """Bit mask of one slot."""
-        return self._mask
-
     def slot_shift(self, position: int) -> int:
         """Bit offset of slot ``position`` within a word."""
         return self._first_shift + position * self._stride
@@ -280,10 +276,6 @@ class SlotCodec:
     # ------------------------------------------------------------------
     # Theory hooks.
     # ------------------------------------------------------------------
-
-    def achieved_compression_ratio(self, n_values: int) -> float:
-        """Eq. 11 evaluated with this codec's word count."""
-        return _ratio(n_values, self.words_needed(n_values))
 
     def achieved_psu(self, n_values: int) -> float:
         """Eq. 12 for the slots actually stored in this plaintext size."""

@@ -122,12 +122,6 @@ class CipherTensor:
         """A copy carrying different raw words (same metadata)."""
         return CipherTensor(self.meta, words=words, engine=self.engine)
 
-    def planned_engine_calls(self) -> int:
-        """Engine calls the fusion planner would spend materializing."""
-        if self._words is not None:
-            return 0
-        return planner.plan_summary(self._node)[0]
-
     # ------------------------------------------------------------------
     # Lazy arithmetic.
     # ------------------------------------------------------------------

@@ -10,7 +10,7 @@ everything it needs from the attached :class:`~repro.tensor.meta.TensorMeta`
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -109,8 +109,3 @@ class PlainTensor:
     def word_list(self) -> List[int]:
         """The packed plaintext words as a fresh list."""
         return list(self.words)
-
-    def slot_values(self) -> Tuple[int, ...]:
-        """The raw (still encoded) slot values."""
-        return tuple(build_codec(self.meta).unpack(
-            list(self.words), self.meta.count))

@@ -28,7 +28,7 @@ charged differently, exactly like the real systems.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.mpint import native
 
@@ -242,41 +242,4 @@ def eager_flush(node: Node, engine) -> List[int]:
         for word in words[1:]:
             total = engine.add_batch([total], [word])[0]
         return [total]
-    raise TypeError(f"unknown node type {type(node).__name__}")
-
-
-def plan_summary(node: Node) -> Tuple[int, int]:
-    """(engine calls, leaf count) the planner will spend on ``node``.
-
-    Purely informational -- used by tests and the benchmark to report
-    fusion wins without executing anything.  ``Sum`` and ``Add`` both
-    count the levels of :func:`reduce_rows` (over the child's words and
-    over the operands); residency changes where a level's arithmetic
-    runs, never how many levels or calls there are.
-    """
-    if isinstance(node, Leaf):
-        return 0, 1
-    if isinstance(node, Scale):
-        calls, leaves = plan_summary(node.child)
-        return calls + 1, leaves
-    if isinstance(node, Sum):
-        calls, leaves = plan_summary(node.child)
-        levels = (node.child.num_words - 1).bit_length()
-        return calls + levels, leaves
-    if isinstance(node, Add):
-        calls = 0
-        leaves = 0
-        any_scaled = False
-        for child in node.children:
-            if isinstance(child, Scale):
-                inner_calls, inner_leaves = plan_summary(child.child)
-                any_scaled = True
-            else:
-                inner_calls, inner_leaves = plan_summary(child)
-            calls += inner_calls
-            leaves += inner_leaves
-        if any_scaled:
-            calls += 1
-        levels = max(0, (len(node.children) - 1).bit_length())
-        return calls + levels, leaves
     raise TypeError(f"unknown node type {type(node).__name__}")

@@ -1,4 +1,4 @@
-"""Structured fuzzer for the FLT2 / FLT3 / FLBP wire formats and the WAL.
+"""Structured fuzzer for the FLT2 / FLT3 wire formats and the WAL.
 
 Seeded mutation of valid frames -- bit flips, truncation, extension,
 length-field lies, fingerprint swaps, magic/version tampering,
@@ -38,9 +38,7 @@ from repro.federation.serialization import (
     TENSOR_HEADER,
     TENSOR_MAGIC,
     TENSOR_VERSION,
-    deserialize_packed,
     deserialize_tensor,
-    serialize_packed,
     serialize_tensor,
 )
 from repro.federation.wal import (
@@ -217,14 +215,6 @@ def _tensor3_frame(rng: random.Random) -> Tuple[str, bytes, int]:
     return "tensor3", frame, width
 
 
-def _packed_frame(rng: random.Random) -> Tuple[str, bytes, int]:
-    """A valid FLBP frame with random count and width."""
-    width = rng.choice([4, 8, 16, 32])
-    count = rng.randrange(0, 17)
-    words = [rng.getrandbits(8 * width - 1) for _ in range(count)]
-    return "packed", serialize_packed(words, width), width
-
-
 def _wal_frame(rng: random.Random) -> Tuple[str, bytes, int]:
     """A valid WAL image: magic plus 1-4 framed records."""
     frames = []
@@ -265,8 +255,6 @@ def _corpus_frame(rng: random.Random,
         return _tensor_frame(rng)
     if draw < 0.50:
         return _tensor3_frame(rng)
-    if draw < 0.78:
-        return _packed_frame(rng)
     return _wal_frame(rng)
 
 
@@ -295,12 +283,10 @@ def _codec_block_extent(blob: bytes) -> Tuple[int, int, int, int]:
 
 def _mutate(rng: random.Random, fmt: str, blob: bytes,
             mutation: str) -> bytes:
-    if fmt in ("tensor", "tensor3"):
-        header_size = TENSOR_HEADER.size
-    elif fmt == "wal":
+    if fmt == "wal":
         header_size = len(WAL_MAGIC) + RECORD_HEADER.size
     else:
-        header_size = 12
+        header_size = TENSOR_HEADER.size
     if mutation == "bit_flip" and blob:
         return _flip_bit(blob, rng.randrange(len(blob)), rng.randrange(8))
     if mutation == "header_bit_flip":
@@ -314,13 +300,11 @@ def _mutate(rng: random.Random, fmt: str, blob: bytes,
         return blob + extra
     if mutation == "length_lie":
         # Overwrite one of the count / width fields with a lying value.
-        if fmt in ("tensor", "tensor3"):
-            offset = rng.choice([8, 20, 24])  # count / num_words / width
-        elif fmt == "wal":
+        if fmt == "wal":
             extents = _wal_extents(blob)
             offset = rng.choice(extents)[0]   # a record's length field
         else:
-            offset = rng.choice([4, 8])       # count / width
+            offset = rng.choice([8, 20, 24])  # count / num_words / width
         lie = rng.choice([0, 1, 0xFF, 0xFFFF, 0x7FFFFFFF,
                           rng.getrandbits(31)])
         out = bytearray(blob)
@@ -458,7 +442,7 @@ def _classify(fmt: str, mutant: bytes, original: bytes,
             canonical = serialize_tensor(tensor, ciphertext_bytes=width)
             if legacy:
                 canonical = downgrade_to_flt2(canonical)
-        elif fmt == "wal":
+        else:
             replayed = replay_wal(mutant)
             # Accepted: the consumed prefix must re-encode byte-exactly
             # (torn-tail trimming drops *only* the unconsumed suffix).
@@ -467,12 +451,6 @@ def _classify(fmt: str, mutant: bytes, original: bytes,
                                      for r in replayed.records))
             mutant = mutant[:replayed.consumed_bytes] \
                 if replayed.torn_tail else mutant
-        else:
-            words = deserialize_packed(mutant)
-            width = int.from_bytes(mutant[8:12], "big")
-            if 12 + len(words) * width != len(mutant):
-                return misdecode(12 + len(words) * width)
-            canonical = serialize_packed(words, width)
     except ValueError:
         # FrameError / KeyMismatchError / plain ValueError: the typed
         # rejection family.  Clean.
@@ -521,10 +499,8 @@ def run_fuzz(cases: int = 500, seed: Union[int, str] = 0,
             try:
                 if fmt in ("tensor", "tensor3"):
                     deserialize_tensor(mutant)
-                elif fmt == "wal":
-                    replay_wal(mutant)
                 else:
-                    deserialize_packed(mutant)
+                    replay_wal(mutant)
                 report.accepted += 1
             except ValueError:
                 report.rejected += 1

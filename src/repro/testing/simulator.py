@@ -137,10 +137,6 @@ class _TraceSpec:
             values.setdefault("physical_key_bits", None)
         return cls(**values)
 
-    @classmethod
-    def from_json(cls, blob: str):
-        return cls.from_dict(json.loads(blob))
-
 
 @dataclass(frozen=True)
 class SimulationSpec(_TraceSpec):
@@ -586,23 +582,6 @@ class CrashSweepReport:
             "verdict              recovered bit-identical at every "
             "boundary",
         ]
-
-
-def expect_quorum_failure(spec: SimulationSpec) -> SimulationFailure:
-    """Run a spec that must fail quorum; returns the failure.
-
-    Test helper: asserts the failure actually carries a replayable
-    trace (the JSON parses back into an equal spec).
-    """
-    try:
-        FederationSimulator(spec).run()
-    except SimulationFailure as failure:
-        rebuilt = SimulationSpec.from_json(failure.spec.to_json())
-        if rebuilt != spec:
-            raise AssertionError(
-                "failure trace does not round-trip to the original spec")
-        return failure
-    raise AssertionError("simulation unexpectedly succeeded")
 
 
 # ----------------------------------------------------------------------

@@ -141,10 +141,6 @@ class ConformanceTrace:
                    ops=tuple(TraceOp.from_dict(op)
                              for op in data.get("ops", [])))
 
-    @classmethod
-    def from_json(cls, blob: str) -> "ConformanceTrace":
-        return cls.from_dict(json.loads(blob))
-
 
 class TraceBuilder:
     """Fluent construction of a :class:`ConformanceTrace`."""

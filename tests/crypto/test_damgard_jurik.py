@@ -5,7 +5,6 @@ import pytest
 from repro.crypto.damgard_jurik import (
     DamgardJurik,
     generate_damgard_jurik_keypair,
-    packing_gain,
 )
 from repro.crypto.paillier import Paillier
 from repro.mpint.primes import LimbRandom
@@ -110,13 +109,3 @@ class TestGeometry:
         sizes = [dj_keys[s].public_key.ciphertext_bytes() for s in (1, 2, 3)]
         assert sizes[1] == pytest.approx(1.5 * sizes[0], rel=0.05)
         assert sizes[2] == pytest.approx(2.0 * sizes[0], rel=0.05)
-
-    def test_packing_gain_monotone(self):
-        gains = [packing_gain(1024, s) for s in (1, 2, 4, 8)]
-        assert gains[0] == pytest.approx(1.0)
-        assert gains == sorted(gains)
-        assert gains[-1] < 2.0     # asymptote is 2x
-
-    def test_packing_gain_validation(self):
-        with pytest.raises(ValueError):
-            packing_gain(1024, 0)

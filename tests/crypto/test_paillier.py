@@ -63,12 +63,6 @@ class TestHomomorphism:
         c2 = Paillier.raw_encrypt(pub, 2, rng=rng)
         assert Paillier.raw_decrypt(pri, Paillier.raw_add(pub, c1, c2)) == 1
 
-    def test_add_plain(self, paillier_128, rng):
-        pub, pri = paillier_128.public_key, paillier_128.private_key
-        c = Paillier.raw_encrypt(pub, 100, rng=rng)
-        assert Paillier.raw_decrypt(
-            pri, Paillier.raw_add_plain(pub, c, 23)) == 123
-
     def test_scalar_mul(self, paillier_128, rng):
         pub, pri = paillier_128.public_key, paillier_128.private_key
         c = Paillier.raw_encrypt(pub, 7, rng=rng)

@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.he import RsaApi
 from repro.crypto.keys import generate_paillier_keypair, generate_rsa_keypair
 from repro.crypto.paillier import Paillier
 from repro.crypto.rsa import Rsa
@@ -47,16 +48,6 @@ def test_paillier_scalar_homomorphism(message, scalar):
 
 
 @settings(max_examples=30)
-@given(small_values, small_values)
-def test_paillier_add_plain(message, plain):
-    pub, pri = _PAILLIER.public_key, _PAILLIER.private_key
-    c = Paillier.raw_encrypt(pub, message, rng=_RNG)
-    assert Paillier.raw_decrypt(
-        pri, Paillier.raw_add_plain(pub, c, plain)) == \
-        (message + plain) % pub.n
-
-
-@settings(max_examples=30)
 @given(plaintexts)
 def test_paillier_crt_equals_textbook(message):
     c = Paillier.raw_encrypt(_PAILLIER.public_key, message, rng=_RNG)
@@ -75,6 +66,6 @@ def test_rsa_roundtrip(message):
 @given(small_values, small_values)
 def test_rsa_multiplicative_homomorphism(m1, m2):
     pub, pri = _RSA.public_key, _RSA.private_key
-    c = Rsa.raw_mul(pub, Rsa.raw_encrypt(pub, m1),
-                    Rsa.raw_encrypt(pub, m2))
+    [c] = RsaApi().mul(pub, [Rsa.raw_encrypt(pub, m1)],
+                       [Rsa.raw_encrypt(pub, m2)])
     assert Rsa.raw_decrypt(pri, c) == (m1 * m2) % pub.n

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api.he import RsaApi
 from repro.crypto.rsa import Rsa
 
 
@@ -28,23 +29,24 @@ class TestHomomorphism:
         pub, pri = rsa_128.public_key, rsa_128.private_key
         c1 = Rsa.raw_encrypt(pub, 6)
         c2 = Rsa.raw_encrypt(pub, 7)
-        assert Rsa.raw_decrypt(pri, Rsa.raw_mul(pub, c1, c2)) == 42
+        [product] = RsaApi().mul(pub, [c1], [c2])
+        assert Rsa.raw_decrypt(pri, product) == 42
 
     def test_multiplication_wraps_modulo_n(self, rsa_128):
         pub, pri = rsa_128.public_key, rsa_128.private_key
         big = pub.n - 1
         c1 = Rsa.raw_encrypt(pub, big)
         c2 = Rsa.raw_encrypt(pub, big)
-        assert Rsa.raw_decrypt(pri, Rsa.raw_mul(pub, c1, c2)) == \
-            (big * big) % pub.n
+        [product] = RsaApi().mul(pub, [c1], [c2])
+        assert Rsa.raw_decrypt(pri, product) == (big * big) % pub.n
 
     def test_chain_of_multiplications(self, rsa_128):
         pub, pri = rsa_128.public_key, rsa_128.private_key
         product_cipher = Rsa.raw_encrypt(pub, 1)
         expected = 1
         for value in (2, 3, 5, 7):
-            product_cipher = Rsa.raw_mul(pub, product_cipher,
-                                         Rsa.raw_encrypt(pub, value))
+            [product_cipher] = RsaApi().mul(
+                pub, [product_cipher], [Rsa.raw_encrypt(pub, value)])
             expected *= value
         assert Rsa.raw_decrypt(pri, product_cipher) == expected
 

@@ -62,7 +62,6 @@ class TestGenerators:
         ds = rcv1_like(instances=100, features=50)
         assert (ds.paper_instances, ds.paper_features) == \
             PAPER_SCALES["RCV1"]
-        assert ds.scale_factor() > 1000
 
     def test_labels_not_degenerate(self):
         for ds in (rcv1_like(instances=256, features=128),

@@ -13,6 +13,7 @@ from repro.experiments.harness import (
     run_training_with_recovery,
 )
 from repro.federation.faults import FaultPlan
+from repro.federation.metrics import FaultReport
 
 
 def make_checkpoint(**overrides):
@@ -74,7 +75,7 @@ class TestFaultFreeRecovery:
         assert recovered.failures == []
         assert recovered.trace.losses == plain.losses
         assert recovered.trace.epoch_seconds == plain.epoch_seconds
-        assert not recovered.fault_report.has_faults
+        assert recovered.fault_report == FaultReport()
 
     def test_checkpoint_written_per_epoch(self, tmp_path):
         path = tmp_path / "run.json"

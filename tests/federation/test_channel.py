@@ -13,9 +13,9 @@ from repro.gpu.cost_model import HardwareProfile
 from repro.ledger import CostLedger
 
 
-def make_channel(trace=False, **profile_kwargs):
+def make_channel(**profile_kwargs):
     profile = HardwareProfile(**profile_kwargs)
-    return Channel(profile=profile, ledger=CostLedger(), trace=trace)
+    return Channel(profile=profile, ledger=CostLedger())
 
 
 def make_lossy_channel(drop, seed, policy, ledger=None):
@@ -79,19 +79,6 @@ class TestSend:
                                  ciphertext_bytes=10))
         assert channel.stats.messages == 3
         assert channel.stats.ciphertexts == 6
-
-    def test_trace_keeps_messages(self):
-        channel = make_channel(trace=True)
-        channel.send(Message(sender="a", receiver="b", tag="t",
-                             payload="x"))
-        assert len(channel.log) == 1
-        assert channel.log[0].payload == "x"
-
-    def test_no_trace_by_default(self):
-        channel = make_channel()
-        channel.send(Message(sender="a", receiver="b", tag="t",
-                             payload="x"))
-        assert channel.log == []
 
     def test_message_ids_monotonic(self):
         m1 = Message(sender="a", receiver="b", tag="t", payload=None)

@@ -11,10 +11,11 @@ from repro.federation.coordinator import (
     LeaseManager,
     RoundStateMachine,
     StaleIncarnationError,
-    recover_coordinator,
+    StandbyCoordinator,
 )
 from repro.federation.faults import QuorumError
 from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
+from repro.federation.shard import ShardedAggregationService
 from repro.federation.wal import (
     DECRYPT_COMMITTED,
     QUORUM_REACHED,
@@ -218,7 +219,7 @@ class TestDurableRound:
         vectors = client_vectors(3)
         plain = make_runtime().aggregator.aggregate(vectors)
         durable_runtime = make_runtime()
-        coordinator = durable_runtime.durable_coordinator()
+        coordinator = DurableCoordinator(durable_runtime.aggregator)
         durable = coordinator.run_round(vectors)
         assert np.array_equal(durable, plain)
         # One clean 3-client round journals open, 3 uploads, quorum,
@@ -238,7 +239,7 @@ class TestDurableRound:
             return real(blob, *args, **kwargs)
 
         monkeypatch.setattr(module, "deserialize_tensor", spy)
-        coordinator = make_runtime().durable_coordinator()
+        coordinator = DurableCoordinator(make_runtime().aggregator)
         coordinator.run_round(client_vectors(3))
         frames = coordinator.machine.round.upload_frames
         assert sorted(decoded) == sorted(
@@ -258,13 +259,15 @@ class TestDurableRound:
 
         monkeypatch.setattr(RoundStateMachine, "digest", spy)
         vectors = client_vectors(8)
-        coordinator = make_runtime(8).durable_coordinator()
+        coordinator = DurableCoordinator(make_runtime(8).aggregator)
         coordinator.run_round(vectors)
         assert len(coordinator.wal) == 12  # open, 8 uploads, quorum, ...
         assert calls == [coordinator.machine]
 
         del calls[:]
-        service = make_runtime(8).sharded_service()
+        runtime = make_runtime(8)
+        service = ShardedAggregationService(runtime.aggregator,
+                                            seed=runtime.seed)
         service.run_round(vectors)
         nodes = [*service.leaves.values(), service.root]
         assert len(nodes) == 4  # ceil(sqrt(8)) leaves and the root
@@ -275,7 +278,7 @@ class TestDurableRound:
         what a coordinator recovered from the image up to that record
         computes, trail and live digest alike."""
         runtime = make_runtime()
-        reference = runtime.durable_coordinator()
+        reference = DurableCoordinator(runtime.aggregator)
         for round_index in range(2):
             reference.run_round(client_vectors(3, seed=round_index))
         trail = reference.digest_trail
@@ -286,14 +289,15 @@ class TestDurableRound:
         prefix = WriteAheadLog()
         for index, record in enumerate(reference.wal.records):
             prefix.append(record)
-            recovered = recover_coordinator(runtime.aggregator,
-                                            prefix.image())
+            recovered = DurableCoordinator(
+                runtime.aggregator,
+                wal=WriteAheadLog.from_bytes(prefix.image()))
             assert recovered.machine.digest() == trail[index]
             assert recovered.digest_trail == trail[:index + 1]
 
     def test_duplicate_upload_not_journaled(self):
         runtime = make_runtime()
-        coordinator = runtime.durable_coordinator()
+        coordinator = DurableCoordinator(runtime.aggregator)
         vectors = client_vectors(3)
         coordinator._log(
             "round_open", 0,
@@ -308,18 +312,19 @@ class TestDurableRound:
     def test_kill_at_every_boundary_recovers_bit_identical(self,
                                                            kill_lsn):
         vectors = client_vectors(3)
-        reference = make_runtime().durable_coordinator()
+        reference = DurableCoordinator(make_runtime().aggregator)
         expected = reference.run_round(vectors)
 
         runtime = make_runtime()
-        coordinator = runtime.durable_coordinator()
+        coordinator = DurableCoordinator(runtime.aggregator)
         coordinator.kill_after_lsn = kill_lsn
         with pytest.raises(CoordinatorKilled) as info:
             coordinator.run_round(vectors)
         assert info.value.lsn == kill_lsn
 
-        successor = recover_coordinator(runtime.aggregator,
-                                        coordinator.wal.image())
+        successor = DurableCoordinator(
+            runtime.aggregator,
+            wal=WriteAheadLog.from_bytes(coordinator.wal.image()))
         assert successor.machine.digest() == \
             reference.digest_trail[kill_lsn]
         assert successor.incarnation == 1
@@ -329,13 +334,14 @@ class TestDurableRound:
     def test_recovery_reuses_logged_ciphertexts_verbatim(self):
         vectors = client_vectors(3)
         runtime = make_runtime()
-        coordinator = runtime.durable_coordinator()
+        coordinator = DurableCoordinator(runtime.aggregator)
         coordinator.kill_after_lsn = 3  # open + 3 uploads journaled
         with pytest.raises(CoordinatorKilled):
             coordinator.run_round(vectors)
         logged = coordinator.machine.round.upload_frames.copy()
-        successor = recover_coordinator(runtime.aggregator,
-                                        coordinator.wal.image())
+        successor = DurableCoordinator(
+            runtime.aggregator,
+            wal=WriteAheadLog.from_bytes(coordinator.wal.image()))
         assert successor.machine.round.upload_frames == logged
         successor.run_round(vectors)
         # The pre-crash frames are still byte-identical in the log.
@@ -349,7 +355,7 @@ class TestDurableRound:
 
         plan = FaultPlan(seed=0).crash("client-2", 0)
         runtime = make_runtime(fault_plan=plan, min_quorum=3)
-        coordinator = runtime.durable_coordinator()
+        coordinator = DurableCoordinator(runtime.aggregator)
         with pytest.raises(QuorumError):
             coordinator.run_round(client_vectors(3))
         assert coordinator.machine.round.closed
@@ -360,7 +366,8 @@ class TestDurableRound:
         runtime = make_runtime()
         manager = LeaseManager(timeout_seconds=10.0, clock=lambda: 0.0)
         lease = manager.acquire("coordinator")
-        coordinator = runtime.durable_coordinator(lease_manager=manager)
+        coordinator = DurableCoordinator(runtime.aggregator,
+                                         lease_manager=manager)
         assert coordinator.incarnation == lease.incarnation
         # A successor bumps the lease; the deposed primary is fenced.
         manager.lease.expires_at = -1.0
@@ -379,15 +386,17 @@ class TestDurableRound:
 class TestStandbyFailover:
     def test_hot_standby_takeover_mid_round(self):
         vectors = client_vectors(3)
-        expected = make_runtime().durable_coordinator().run_round(vectors)
+        expected = DurableCoordinator(
+            make_runtime().aggregator).run_round(vectors)
 
         runtime = make_runtime()
         clock = {"now": 0.0}
         manager = LeaseManager(timeout_seconds=5.0,
                                clock=lambda: clock["now"])
         manager.acquire("coordinator")
-        primary = runtime.durable_coordinator(lease_manager=manager)
-        standby = runtime.standby_coordinator(manager)
+        primary = DurableCoordinator(runtime.aggregator,
+                                     lease_manager=manager)
+        standby = StandbyCoordinator(runtime.aggregator, manager)
         primary.kill_after_lsn = 2
         with pytest.raises(CoordinatorKilled):
             primary.run_round(vectors)
@@ -413,8 +422,9 @@ class TestStandbyFailover:
         manager = LeaseManager(timeout_seconds=5.0,
                                clock=lambda: clock["now"])
         manager.acquire("coordinator")
-        primary = runtime.durable_coordinator(lease_manager=manager)
-        standby = runtime.standby_coordinator(manager)
+        primary = DurableCoordinator(runtime.aggregator,
+                                     lease_manager=manager)
+        standby = StandbyCoordinator(runtime.aggregator, manager)
         primary.kill_after_lsn = 2  # open + client-0 + client-1 logged
         with pytest.raises(CoordinatorKilled):
             primary.run_round(vectors)
@@ -437,7 +447,7 @@ class TestStandbyFailover:
         clock = {"now": 100.0}
         manager = LeaseManager(timeout_seconds=5.0,
                                clock=lambda: clock["now"])
-        standby = runtime.standby_coordinator(manager)
+        standby = StandbyCoordinator(runtime.aggregator, manager)
         log = WriteAheadLog()
         log.append(open_record(clients=3, quorum=3))
         # Tail one image, then take over from a *different* image whose

@@ -119,7 +119,6 @@ class TestAdmission:
         rejection = excinfo.value
         assert rejection.shard == "shard-0"
         assert rejection.reason == "queue_full"
-        assert rejection.retryable
         assert rejection.retry_after_seconds > 0
         assert loop.channel.ledger.count(CAT_COMM_ADMISSION_REJECT) == 1
         assert loop.stats["shard-0"].rejected_full == 1

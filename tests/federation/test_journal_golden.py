@@ -14,8 +14,9 @@ stack must leave every one of them untouched.
 Only :func:`build_simulator`, :func:`simulator_nodes` and
 :func:`result_failovers` know which simulator class runs a spec and
 where it keeps a node's coordinator; the federation-layer scenarios
-(``FederationRuntime.durable_coordinator()`` / ``.sharded_service()`` /
-``MultiTenantAggregationService``) touch no simulator at all.
+(``DurableCoordinator`` / ``ShardedAggregationService`` /
+``MultiTenantAggregationService`` over a runtime's aggregator) touch no
+simulator at all.
 """
 
 import json
@@ -26,14 +27,19 @@ import pytest
 
 from repro.federation.coordinator import (
     CoordinatorKilled,
+    DurableCoordinator,
     LeaseManager,
-    recover_coordinator,
+    StandbyCoordinator,
 )
 from repro.federation.eventloop import VirtualClock
 from repro.federation.faults import FaultPlan
 from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
-from repro.federation.shard import MultiTenantAggregationService
+from repro.federation.shard import (
+    MultiTenantAggregationService,
+    ShardedAggregationService,
+)
 from repro.federation.tenancy import Tenant, TenantRegistry
+from repro.federation.wal import WriteAheadLog
 from repro.testing.simulator import (
     FederationSimulator,
     MultiTenantSimulator,
@@ -278,7 +284,7 @@ def runtime_durable():
                                        .crash("client-3", 1)
                                        .straggler("client-1", 0, 3.0)
                                        .straggler("client-2", 1, 30.0)))
-    coordinator = runtime.durable_coordinator()
+    coordinator = DurableCoordinator(runtime.aggregator)
     rounds = [coordinator.run_round(vectors_for(4, r)) for r in range(2)]
     return coordinator_print(runtime, coordinator, rounds)
 
@@ -286,12 +292,13 @@ def runtime_durable():
 def runtime_durable_recovered():
     """Kill after record 2, recover from the image, finish both rounds."""
     runtime = make_runtime(3)
-    coordinator = runtime.durable_coordinator()
+    coordinator = DurableCoordinator(runtime.aggregator)
     coordinator.kill_after_lsn = 2
     with pytest.raises(CoordinatorKilled):
         coordinator.run_round(vectors_for(3, 0))
-    successor = recover_coordinator(runtime.aggregator,
-                                    coordinator.wal.image())
+    successor = DurableCoordinator(
+        runtime.aggregator,
+        wal=WriteAheadLog.from_bytes(coordinator.wal.image()))
     recovered_digest = successor.machine.digest()
     rounds = [successor.run_round(vectors_for(3, r), round_index=r)
               for r in range(2)]
@@ -306,8 +313,9 @@ def runtime_durable_standby():
     clock = VirtualClock()
     lease = LeaseManager(timeout_seconds=30.0, clock=lambda: clock.now)
     lease.acquire("coordinator")
-    coordinator = runtime.durable_coordinator(lease_manager=lease)
-    standby = runtime.standby_coordinator(lease)
+    coordinator = DurableCoordinator(runtime.aggregator,
+                                     lease_manager=lease)
+    standby = StandbyCoordinator(runtime.aggregator, lease)
     coordinator.heartbeat(channel=runtime.channel)
     coordinator.kill_after_lsn = 5
     with pytest.raises(CoordinatorKilled):
@@ -326,7 +334,8 @@ def runtime_durable_standby():
 def sharded_runtime_print(plan=None, rounds=2, num_clients=6, **kwargs):
     runtime = make_runtime(num_clients, fault_plan=plan, **kwargs)
     clock = VirtualClock()
-    service = runtime.sharded_service(clock=clock)
+    service = ShardedAggregationService(runtime.aggregator, clock=clock,
+                                        seed=runtime.seed)
     weights = [service.run_round(vectors_for(num_clients, r),
                                  round_index=r) for r in range(rounds)]
     return {

@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.federation.coordinator import DurableCoordinator
 from repro.federation.faults import (
     FaultInjector,
     FaultPlan,
@@ -17,6 +18,8 @@ from repro.federation.runtime import (
     FLBOOSTER_SYSTEM,
     FederationRuntime,
 )
+from repro.federation.shard import ShardedAggregationService
+from repro.federation.wal import DECRYPT_COMMITTED, ROUND_CLOSE
 
 
 def make_runtime(num_clients=8, **kwargs):
@@ -123,8 +126,9 @@ class TestPartialSumDecode:
                 retry_policy=RetryPolicy(max_retries=0))
             run_round = {
                 "aggregate": runtime.aggregator.aggregate,
-                "durable": runtime.durable_coordinator().run_round,
-                "sharded": runtime.sharded_service().run_round,
+                "durable": DurableCoordinator(runtime.aggregator).run_round,
+                "sharded": ShardedAggregationService(
+                    runtime.aggregator, seed=runtime.seed).run_round,
             }[entry]
             decoded = run_round(vectors)  # no ChannelError escapes
             step = runtime.aggregator.scheme.quantization_step
@@ -140,6 +144,38 @@ class TestPartialSumDecode:
                 runtime.ledger.payload_bytes("fault.giveup")
             assert [kind for kind, _, _ in runtime.injector.triggered
                     if kind != "straggler"] == ["lost_update"] * 2
+
+    @pytest.mark.parametrize("entry", ["aggregate", "durable"])
+    def test_a_lost_download_degrades_like_a_lost_upload(self, entry):
+        """The sum is computed (and, journaled, past ``quorum_reached``)
+        before the downloads go out: a copy that exhausts its retries is
+        a ``lost_update`` with its wasted bytes, every other survivor is
+        still served and charged, and the round returns its sum.  (Loss
+        seed 5 drops no upload and exactly client-2's download.)"""
+        vectors = client_vectors(4)
+        expected = make_runtime(num_clients=4).aggregator.aggregate(vectors)
+        runtime = make_runtime(
+            num_clients=4, min_quorum=2,
+            fault_plan=FaultPlan(seed=5).with_message_loss(0.15),
+            retry_policy=RetryPolicy(max_retries=0))
+        coordinator = DurableCoordinator(runtime.aggregator)
+        run_round = {"aggregate": runtime.aggregator.aggregate,
+                     "durable": coordinator.run_round}[entry]
+        decoded = run_round(vectors)  # no ChannelError escapes
+        assert np.array_equal(decoded, expected)
+        assert runtime.aggregator.last_round.dropped == []
+        assert runtime.aggregator.last_round.summands == 4
+        ledger, stats = runtime.ledger, runtime.channel.stats
+        assert ledger.count("comm.download.gradients") == 4
+        assert stats.messages == 4 + 3
+        assert stats.failed_messages == 1
+        assert ledger.count("fault.lost_update") == 1
+        assert ledger.payload_bytes("fault.lost_update") == \
+            ledger.payload_bytes("fault.giveup") > 0
+        assert runtime.injector.triggered == [("lost_update", "client-2", 0)]
+        if entry == "durable":
+            assert [record.kind for record in coordinator.wal.records[-2:]] \
+                == [DECRYPT_COMMITTED, ROUND_CLOSE]
 
     def test_round_cursor_advances_and_lines_up_events(self):
         plan = FaultPlan().crash("client-3", 1)
@@ -217,10 +253,11 @@ class TestRuntimeQuorumValidation:
             runtime = make_runtime(num_clients=4, seed=seed, **kwargs)
             assert isinstance(runtime.injector, FaultInjector)
             if sharded:
-                service = runtime.sharded_service()
+                service = ShardedAggregationService(runtime.aggregator,
+                                                    seed=runtime.seed)
                 run_round = service.run_round
             else:
-                coordinator = runtime.durable_coordinator()
+                coordinator = DurableCoordinator(runtime.aggregator)
                 run_round = coordinator.run_round
             weights = [run_round(client_vectors(4, seed=r), round_index=r)
                        .tolist() for r in range(2)]

@@ -1,7 +1,5 @@
 """Tests for the concrete wire formats."""
 
-import struct
-
 import numpy as np
 import pytest
 
@@ -9,15 +7,9 @@ from repro.crypto.cpu_engine import CpuPaillierEngine
 from repro.federation.serialization import (
     TENSOR_HEADER,
     TENSOR_MAGIC,
-    deserialize_objects,
-    deserialize_packed,
     deserialize_tensor,
-    measured_bloat,
-    serialize_objects,
-    serialize_packed,
     serialize_tensor,
 )
-from repro.gpu.cost_model import DEFAULT_PROFILE
 from repro.ledger import CostLedger
 from repro.mpint.primes import LimbRandom
 from repro.quantization.encoding import QuantizationScheme
@@ -36,68 +28,6 @@ FLT2_FRAME = (
     "0000000040001000043ff0000000000000000102030405060708090a0b0c0d"
     "0e0f00000002000000040123456789abcdef0123456789abcdef0000000000"
     "00000000000000000000011ffffffffffffffffffffffffffffffd")
-
-
-class TestPackedFormat:
-    def test_roundtrip(self):
-        values = [0, 1, (1 << 2047) - 1, 12345678901234567890]
-        blob = serialize_packed(values, ciphertext_bytes=256)
-        assert deserialize_packed(blob) == values
-
-    def test_size_is_header_plus_fixed_width(self):
-        blob = serialize_packed([1, 2, 3], ciphertext_bytes=256)
-        assert len(blob) == 12 + 3 * 256
-
-    def test_bad_magic_raises(self):
-        with pytest.raises(ValueError):
-            deserialize_packed(b"XXXX" + b"\x00" * 20)
-
-    def test_truncated_raises(self):
-        blob = serialize_packed([1, 2], ciphertext_bytes=64)
-        with pytest.raises(ValueError, match="truncated"):
-            deserialize_packed(blob[:-1])
-
-    def test_truncated_header_raises(self):
-        with pytest.raises(ValueError, match="truncated"):
-            deserialize_packed(b"FLBP\x00")
-
-    def test_oversized_raises(self):
-        blob = serialize_packed([1, 2], ciphertext_bytes=64)
-        with pytest.raises(ValueError, match="oversized"):
-            deserialize_packed(blob + b"\x00")
-
-    def test_zero_width_with_count_raises(self):
-        blob = b"FLBP" + struct.pack(">II", 3, 0)
-        with pytest.raises(ValueError, match="zero"):
-            deserialize_packed(blob)
-
-    def test_empty_batch(self):
-        assert deserialize_packed(serialize_packed([], 256)) == []
-
-
-class TestObjectFormat:
-    def test_roundtrip_values_and_exponents(self):
-        values = [7, 99, (1 << 500) + 3]
-        blob = serialize_objects(values, ciphertext_bytes=128, exponent=-12)
-        decoded = deserialize_objects(blob, ciphertext_bytes=128)
-        assert [value for value, _ in decoded] == values
-        assert all(exponent == -12 for _, exponent in decoded)
-
-    def test_exponent_travels_in_plaintext(self):
-        # The leak the paper's encoding-quantization closes: the exponent
-        # is readable straight off the wire without any key.
-        blob = serialize_objects([42], ciphertext_bytes=64, exponent=-7)
-        _, exponent = deserialize_objects(blob, ciphertext_bytes=64)[0]
-        assert exponent == -7
-
-    def test_bad_fingerprint_length_raises(self):
-        with pytest.raises(ValueError):
-            serialize_objects([1], 64, key_fingerprint=b"short")
-
-    def test_corrupt_stream_raises(self):
-        blob = serialize_objects([1, 2], ciphertext_bytes=64)
-        with pytest.raises(ValueError):
-            deserialize_objects(blob[:-3], ciphertext_bytes=64)
 
 
 @pytest.fixture()
@@ -195,25 +125,3 @@ class TestTensorFormat:
         assert downgrade_to_flt2(serialize_tensor(
             CipherTensor(meta, words=words), ciphertext_bytes=16)) \
             == bytes.fromhex(FLT2_FRAME)
-
-
-class TestBloatMatchesCostModel:
-    def test_object_bloat_near_model_constant(self):
-        values = list(range(100))
-        bloat = measured_bloat(values, ciphertext_bytes=256, packed=False)
-        model = DEFAULT_PROFILE.serialization_bloat_objects
-        assert abs(bloat - model) / model < 0.15
-
-    def test_packed_bloat_near_model_constant(self):
-        values = list(range(100))
-        bloat = measured_bloat(values, ciphertext_bytes=256, packed=True)
-        model = DEFAULT_PROFILE.serialization_bloat_packed
-        assert abs(bloat - model) / model < 0.05
-
-    def test_packed_much_tighter_than_objects(self):
-        values = list(range(50))
-        assert measured_bloat(values, 256, packed=True) * 2 < \
-            measured_bloat(values, 256, packed=False)
-
-    def test_empty(self):
-        assert measured_bloat([], 256, packed=True) == 0.0

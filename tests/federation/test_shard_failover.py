@@ -113,7 +113,6 @@ class TestFailoverAccounting:
         assert service.last_round.leaf_failovers == 1
         report = FaultReport.from_ledger(runtime.ledger)
         assert report.shard_crashes == 1
-        assert report.total_events >= 1
         assert any("shard crashes" in line and "1" in line
                    for line in report.summary_lines())
 

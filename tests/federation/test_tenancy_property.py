@@ -1,11 +1,6 @@
-"""Property tests for the weighted-fair scheduler and quota buckets.
+"""Property tests for the quota buckets and the ingress lanes.
 
-The fairness bound under test is the classic WFQ guarantee
-(:func:`repro.federation.tenancy.weighted_fair_order`): in any service
-prefix of length ``L``, a tenant holding at least ``floor(L * w / W)``
-backlogged entries is served at least ``floor(L * w / W) - 1`` times --
-no tenant can be starved beyond its weight, however the other backlogs
-are shaped.  The token-bucket property is the quota guarantee: over any
+The token-bucket property is the quota guarantee: over any
 schedule of acquisitions and clock advances, admitted tokens never
 exceed ``burst + rate * elapsed``.  The lane property is the ingress
 accounting: over any interleaving of ``submit`` / ``drain`` /
@@ -17,7 +12,6 @@ the sum of its lanes'.
 """
 
 import dataclasses
-import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,60 +27,7 @@ from repro.federation.tenancy import (
     Tenant,
     TenantRegistry,
     TokenBucket,
-    weighted_fair_order,
 )
-
-TENANT_IDS = ["tenant-a", "tenant-b", "tenant-c", "tenant-d"]
-
-
-@st.composite
-def backlog_scenarios(draw):
-    """A few tenants with random backlogs and positive weights."""
-    count = draw(st.integers(min_value=1, max_value=len(TENANT_IDS)))
-    tenants = TENANT_IDS[:count]
-    backlogs = {t: draw(st.integers(min_value=0, max_value=24))
-                for t in tenants}
-    weights = {t: draw(st.floats(min_value=0.25, max_value=8.0,
-                                 allow_nan=False, allow_infinity=False))
-               for t in tenants}
-    return backlogs, weights
-
-
-@settings(max_examples=200)
-@given(backlog_scenarios())
-def test_order_is_a_permutation_of_the_backlogs(scenario):
-    backlogs, weights = scenario
-    order = weighted_fair_order(backlogs, weights)
-    assert len(order) == sum(backlogs.values())
-    for tenant, backlog in backlogs.items():
-        assert order.count(tenant) == backlog
-
-
-@settings(max_examples=200)
-@given(backlog_scenarios())
-def test_no_tenant_starved_beyond_its_weight(scenario):
-    backlogs, weights = scenario
-    order = weighted_fair_order(backlogs, weights)
-    total_weight = sum(weights[t] for t in backlogs if backlogs[t] > 0)
-    served = {t: 0 for t in backlogs}
-    for position, tenant in enumerate(order, start=1):
-        served[tenant] += 1
-        for other, backlog in backlogs.items():
-            entitled = math.floor(
-                position * weights[other] / total_weight)
-            if backlog >= entitled:
-                assert served[other] >= entitled - 1, (
-                    f"{other} served {served[other]} times in a prefix "
-                    f"of {position} despite entitlement {entitled}")
-
-
-@settings(max_examples=200)
-@given(backlog_scenarios())
-def test_order_is_deterministic(scenario):
-    backlogs, weights = scenario
-    assert (weighted_fair_order(backlogs, weights)
-            == weighted_fair_order(dict(reversed(backlogs.items())),
-                                   weights))
 
 
 @st.composite

@@ -8,6 +8,8 @@ its neighbour floods and crashes and a solo run with the same seeds.
 record and asserts recovery is bit-identical to the uninterrupted run.
 """
 
+import json
+
 import pytest
 
 from repro.federation.faults import FaultPlan
@@ -75,7 +77,7 @@ class TestFaultContainment:
 
     def test_spec_round_trips_through_json(self):
         spec = noisy_spec(rebalance_targets=(3, 1, 2))
-        assert TenancySpec.from_json(spec.to_json()) == spec
+        assert TenancySpec.from_dict(json.loads(spec.to_json())) == spec
 
 
 class TestRebalanceCrashSweep:

@@ -14,7 +14,7 @@ class TestDeviceSpec:
     def test_rtx3090_shape(self):
         assert RTX_3090.num_sms == 82
         assert RTX_3090.warp_size == 32
-        assert RTX_3090.max_warps_per_sm == 1536 // 32
+        assert RTX_3090.max_threads_per_sm == 1536
 
     def test_max_concurrent_threads(self):
         assert RTX_3090.max_concurrent_threads == 82 * 1536
@@ -24,7 +24,6 @@ class TestDeviceSpec:
                           warp_size=32, registers_per_sm=1024,
                           shared_memory_per_sm=1024, global_memory=1 << 20,
                           core_clock_hz=1e9, pcie_bandwidth=1e9)
-        assert spec.max_warps_per_sm == 2
         assert spec.max_concurrent_threads == 128
 
 
@@ -35,11 +34,6 @@ class TestSimulatedGpu:
         gpu.record_launch(make_launch(seconds=2.0))
         assert len(gpu.launches) == 2
         assert gpu.total_seconds == 3.0
-
-    def test_bytes_transferred(self):
-        gpu = SimulatedGpu()
-        gpu.record_launch(make_launch())
-        assert gpu.total_bytes_transferred == 300
 
     def test_mean_utilization_time_weighted(self):
         gpu = SimulatedGpu()

@@ -113,9 +113,3 @@ class TestMemoryTable:
     def test_nonpositive_allocation_raises(self):
         with pytest.raises(ValueError):
             MemoryTable(capacity=100).allocate(0)
-
-    def test_bytes_reserved_tracks_arena(self):
-        table = MemoryTable(capacity=1000)
-        table.allocate(100)
-        table.allocate(200)
-        assert table.bytes_reserved == 300

@@ -64,8 +64,6 @@ class TestFaultToleranceAcceptance:
         assert report.straggler_seconds >= 30.0
         assert report.dropouts >= 2
         assert report.retransmissions > 0
-        assert report.has_faults
-        assert report.total_events > 0
 
     def test_checkpoint_persisted(self, result):
         outcome, path = result

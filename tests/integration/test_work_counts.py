@@ -17,6 +17,7 @@ from repro.federation.runtime import (
     FederationRuntime,
     cached_keypair,
 )
+from repro.federation.shard import ShardedAggregationService
 from repro.federation.wal import ROUND_CLOSE
 from repro.mpint import native
 from repro.quantization import encoding
@@ -64,7 +65,8 @@ def test_a_warm_journaled_round_digests_only_at_round_close(monkeypatch):
     re-serialises the whole open round for every record."""
     runtime = FederationRuntime(FLBOOSTER_SYSTEM, num_clients=8,
                                 key_bits=1024)
-    service = runtime.sharded_service()
+    service = ShardedAggregationService(runtime.aggregator,
+                                        seed=runtime.seed)
     uploads = [np.linspace(-0.9, 0.9, 64) * (i + 1) / 8 for i in range(8)]
     service.run_round(uploads, round_index=0)   # builds the nodes
     calls = []

@@ -81,15 +81,5 @@ class TestTrainingTrace:
         trace = TrainingTrace(system="s", model="m", dataset="d")
         assert np.isnan(trace.final_loss)
 
-    def test_converged_at(self):
-        trace = TrainingTrace(system="s", model="m", dataset="d",
-                              losses=[1.0, 0.5, 0.5 - 1e-9, 0.4])
-        assert trace.converged_at(tolerance=1e-6) == 2
-
-    def test_not_converged(self):
-        trace = TrainingTrace(system="s", model="m", dataset="d",
-                              losses=[1.0, 0.5, 0.1])
-        assert trace.converged_at(tolerance=1e-6) is None
-
     def test_paper_tolerance_constant(self):
         assert CONVERGENCE_TOLERANCE == 1e-6

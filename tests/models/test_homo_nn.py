@@ -40,9 +40,6 @@ class TestTraining:
         runtime = make_runtime()
         ledger = runtime.begin_epoch()
         model.run_epoch(runtime)
-        # Each round packs the whole parameter vector.
-        capacity = runtime.plan.packer.capacity
-        words = -(-model.parameter_count // capacity)
         per_round_uploads = 4          # one per client
         assert ledger.count("comm.upload.homo_nn.delta") == \
             per_round_uploads * model.rounds_per_epoch
@@ -63,7 +60,7 @@ class TestFlattening:
     def test_roundtrip(self, dataset):
         model = HomoNeuralNetwork(dataset, num_clients=4, seed=0)
         flat = model._flatten(model.params)
-        assert len(flat) == model.parameter_count
+        assert len(flat) == sum(v.size for v in model.params.values())
         restored = model._unflatten(flat)
         for name, value in model.params.items():
             assert np.array_equal(restored[name], value)

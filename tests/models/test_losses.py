@@ -9,7 +9,6 @@ from repro.models.losses import (
     logistic_loss,
     sigmoid,
     taylor_gradient,
-    taylor_residual,
 )
 
 
@@ -76,21 +75,6 @@ class TestLogisticGradient:
 
 
 class TestTaylorResidual:
-    def test_linear_in_forward_sum(self):
-        # The property vertical FL relies on: d(z1 + z2) splits additively.
-        y = np.array([1.0, 0.0])
-        z1 = np.array([0.3, -0.2])
-        z2 = np.array([0.1, 0.4])
-        combined = taylor_residual(z1 + z2, y)
-        partial = 0.25 * z1 + taylor_residual(z2, y)
-        assert np.allclose(combined, partial)
-
-    def test_approximates_true_residual_near_zero(self):
-        y = np.array([1.0, 0.0, 1.0])
-        z = np.array([0.05, -0.08, 0.01])
-        true_residual = sigmoid(z) - y
-        assert np.allclose(taylor_residual(z, y), true_residual, atol=0.03)
-
     def test_taylor_gradient_shape_and_l2(self):
         X = np.ones((4, 3))
         d = np.full(4, 0.5)

@@ -1,51 +1,13 @@
-"""Tests for the SGD / Adam optimizers."""
+"""Tests for the Adam optimizer."""
 
 import numpy as np
 import pytest
 
-from repro.models.optim import AdamOptimizer, SgdOptimizer
+from repro.models.optim import AdamOptimizer
 
 
 def quadratic_gradient(w):
     return 2.0 * (w - 3.0)      # minimum at w == 3
-
-
-class TestSgd:
-    def test_step_direction(self):
-        optimizer = SgdOptimizer(learning_rate=0.1)
-        w = np.array([0.0])
-        w_next = optimizer.step(w, quadratic_gradient(w))
-        assert w_next[0] > w[0]
-
-    def test_converges_on_quadratic(self):
-        optimizer = SgdOptimizer(learning_rate=0.1)
-        w = np.array([0.0])
-        for _ in range(200):
-            w = optimizer.step(w, quadratic_gradient(w))
-        assert w[0] == pytest.approx(3.0, abs=1e-6)
-
-    def test_does_not_mutate_inputs(self):
-        optimizer = SgdOptimizer(learning_rate=0.1)
-        w = np.array([1.0])
-        gradient = np.array([2.0])
-        optimizer.step(w, gradient)
-        assert w[0] == 1.0 and gradient[0] == 2.0
-
-    def test_momentum_accelerates(self):
-        plain = SgdOptimizer(learning_rate=0.01)
-        momentum = SgdOptimizer(learning_rate=0.01, momentum=0.9)
-        w_plain = w_momentum = np.array([0.0])
-        for _ in range(20):
-            w_plain = plain.step(w_plain, quadratic_gradient(w_plain))
-            w_momentum = momentum.step(w_momentum,
-                                       quadratic_gradient(w_momentum))
-        assert abs(w_momentum[0] - 3.0) < abs(w_plain[0] - 3.0)
-
-    def test_invalid_params_raise(self):
-        with pytest.raises(ValueError):
-            SgdOptimizer(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            SgdOptimizer(learning_rate=0.1, momentum=1.0)
 
 
 class TestAdam:

@@ -8,7 +8,6 @@ from repro.mpint.limbs import (
     LimbVector,
     from_int,
     limbs_for_bits,
-    normalize,
     to_int,
 )
 
@@ -53,18 +52,6 @@ class TestToInt:
     def test_masks_oversized_limbs(self):
         # to_int treats each limb modulo the word size.
         assert to_int([WORD_MASK + 1]) == 0
-
-
-class TestNormalize:
-    def test_propagates_single_carry(self):
-        assert normalize([WORD_MASK + 3, 0]) == [2, 1]
-
-    def test_extends_on_top_carry(self):
-        assert normalize([0, WORD_MASK + 1]) == [0, 0, 1]
-
-    def test_identity_on_canonical(self):
-        limbs = [1, 2, 3]
-        assert normalize(limbs) == limbs
 
 
 class TestLimbsForBits:

@@ -3,8 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpint.arith import limb_add, limb_divmod, limb_mul, limb_sub
-from repro.mpint.limbs import from_int, normalize, to_int
+from repro.mpint.limbs import from_int, to_int
 from repro.mpint.modexp import sliding_window_pow
 from repro.mpint.montgomery import (
     MontgomeryContext,
@@ -13,7 +12,6 @@ from repro.mpint.montgomery import (
 )
 
 nonneg = st.integers(min_value=0, max_value=1 << 256)
-positive = st.integers(min_value=1, max_value=1 << 128)
 odd_modulus = st.integers(min_value=3, max_value=1 << 128).map(lambda x: x | 1)
 
 
@@ -26,43 +24,6 @@ def test_limb_roundtrip(value):
 def test_padding_preserves_value(value, extra):
     limbs = from_int(value)
     assert to_int(limbs + [0] * extra) == value
-
-
-@given(nonneg)
-def test_normalize_canonical_is_identity_value(value):
-    assert to_int(normalize(from_int(value))) == value
-
-
-@given(nonneg, nonneg)
-def test_add_matches_python(a, b):
-    total, carry = limb_add(from_int(a), from_int(b))
-    size = max(len(from_int(a)), len(from_int(b)))
-    assert to_int(total) + (carry << (32 * size)) == a + b
-
-
-@given(nonneg, nonneg)
-def test_sub_then_add_roundtrips(a, b):
-    low, high = sorted((a, b))
-    size = max(len(from_int(high)), 1)
-    diff, borrow = limb_sub(from_int(high, size=size),
-                            from_int(low, size=size))
-    assert borrow == 0
-    total, _ = limb_add(diff, from_int(low, size=size))
-    assert to_int(total) == high
-
-
-@given(nonneg, nonneg)
-def test_mul_matches_python(a, b):
-    assert to_int(limb_mul(from_int(a), from_int(b))) == a * b
-
-
-@settings(max_examples=40)
-@given(nonneg, positive)
-def test_divmod_invariant(a, b):
-    quotient, remainder = limb_divmod(from_int(a), from_int(b))
-    q, r = to_int(quotient), to_int(remainder)
-    assert a == q * b + r
-    assert 0 <= r < b
 
 
 @settings(max_examples=40)

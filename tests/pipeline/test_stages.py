@@ -8,7 +8,6 @@ from repro.mpint.primes import LimbRandom
 from repro.pipeline import (
     DecryptionPipeline,
     EncryptionPipeline,
-    HomomorphicComputePipeline,
 )
 from repro.quantization.encoding import QuantizationScheme
 from repro.quantization.packing import BatchPacker
@@ -79,28 +78,7 @@ class TestDecryptionPipeline:
 
 
 class TestHomomorphicPipeline:
-    def test_no_processing_stages(self, setup):
-        # Sec. V-A: ciphertext in, ciphertext out -- no pack/encode steps.
-        engine, packer = setup
-        c = engine.encrypt_batch([1, 2, 3])
-        result = HomomorphicComputePipeline(engine, packer).run_addition(
-            c, c)
-        names = [stage.name for stage in result.stages]
-        assert "encode_quantize" not in names
-        assert "pad_pack" not in names
-        assert "gpu_compute" in names
-
-    def test_addition_correct(self, setup):
-        engine, packer = setup
-        c1 = engine.encrypt_batch([10, 20])
-        c2 = engine.encrypt_batch([1, 2])
-        result = HomomorphicComputePipeline(engine, packer).run_addition(
-            c1, c2)
-        assert engine.decrypt_batch(result.values) == [11, 22]
-
     def test_stage_seconds_lookup_missing_is_zero(self, setup):
         engine, packer = setup
-        c = engine.encrypt_batch([1])
-        result = HomomorphicComputePipeline(engine, packer).run_addition(
-            c, c)
+        result = EncryptionPipeline(engine, packer).run(np.zeros(1))
         assert result.stage_seconds("nonexistent") == 0.0

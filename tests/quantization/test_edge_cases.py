@@ -55,8 +55,8 @@ class TestSchemeExtremes:
     def test_boundary_rounding_stays_in_range(self):
         scheme = QuantizationScheme(alpha=1.0, r_bits=8)
         epsilon = np.nextafter(1.0, 2.0)
-        assert 0 <= scheme.encode(epsilon) <= scheme.max_encoded
-        assert 0 <= scheme.encode(-epsilon) <= scheme.max_encoded
+        assert 0 <= scheme.encode(epsilon) <= 2 ** 8 - 1
+        assert 0 <= scheme.encode(-epsilon) <= 2 ** 8 - 1
 
 
 class TestPackerExtremes:

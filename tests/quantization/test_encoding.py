@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.quantization.encoding import (
-    LegacyFloatEncoding,
     QuantizationScheme,
 )
 
@@ -42,11 +41,11 @@ class TestEncodeDecode:
     def test_bounds_map_to_extremes(self):
         scheme = QuantizationScheme(alpha=1.0, r_bits=8)
         assert scheme.encode(-1.0) == 0
-        assert scheme.encode(1.0) == scheme.max_encoded
+        assert scheme.encode(1.0) == 2 ** 8 - 1
 
     def test_clipping_outside_alpha(self):
         scheme = QuantizationScheme(alpha=0.5, r_bits=8)
-        assert scheme.encode(10.0) == scheme.max_encoded
+        assert scheme.encode(10.0) == 2 ** 8 - 1
         assert scheme.encode(-10.0) == 0
 
     def test_encoding_is_unsigned_r_bits(self):
@@ -114,26 +113,6 @@ class TestVectorInterface:
 
 
 class TestLegacyEncoding:
-    def test_roundtrip(self):
-        legacy = LegacyFloatEncoding()
-        for value in (0.0, 1.5, -2.75, 1e-9, -123456.789):
-            significand, exponent = legacy.encode(value)
-            assert legacy.decode(significand, exponent) == \
-                pytest.approx(value, rel=1e-12)
-
-    def test_exponent_leaks_magnitude(self):
-        legacy = LegacyFloatEncoding()
-        # Same exponent class -> indistinguishable; different magnitude
-        # classes -> the adversary separates them from plaintext data.
-        assert legacy.leaked_bits(0.6) == legacy.leaked_bits(0.9)
-        assert legacy.leaked_bits(0.6) != legacy.leaked_bits(600.0)
-
-    def test_magnitude_interval_contains_value(self):
-        legacy = LegacyFloatEncoding()
-        for value in (0.3, 7.2, 1000.5):
-            low, high = legacy.magnitude_interval(value)
-            assert low <= abs(value) < high
-
     def test_secure_scheme_leaks_nothing_comparable(self):
         # The Eq. 6-8 encoding of any in-range value is a plain unsigned
         # integer with no plaintext side-channel: every output lies in the

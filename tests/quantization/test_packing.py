@@ -1,6 +1,5 @@
 """Tests for batch compression (paper Eqs. 9, 11-13)."""
 
-import math
 import random
 
 import pytest
@@ -131,18 +130,12 @@ class TestTheory:
         assert plaintext_space_utilization(32, 1024, 30, 4) == \
             pytest.approx(1.0)
 
-    def test_achieved_matches_formula(self, packer):
-        n = 100
-        assert packer.achieved_compression_ratio(n) == \
-            pytest.approx(n / math.ceil(n / packer.capacity))
-
     def test_achieved_psu(self, packer):
         n = packer.capacity
         expected = n * packer.slot_bits / packer.plaintext_bits
         assert packer.achieved_psu(n) == pytest.approx(expected)
 
     def test_zero_values(self, packer):
-        assert packer.achieved_compression_ratio(0) == 0.0
         assert packer.achieved_psu(0) == 0.0
         assert packer.words_needed(0) == 0
 

@@ -39,8 +39,9 @@ class TestViews:
     def test_slot_values_match_scheme_encoding(self, packed_packer):
         values = np.array([-1.0, 0.0, 0.5, 1.0, 0.25])
         plain = PlainTensor.encode(values, packed_packer)
-        expected = tuple(packed_packer.scheme.encode_array(values))
-        assert plain.slot_values() == expected
+        expected = list(packed_packer.scheme.encode_array(values))
+        assert build_codec(plain.meta).unpack(
+            plain.word_list(), plain.meta.count) == expected
 
     def test_packer_for_reconstructs_unpacking(self, packed_packer):
         values = np.linspace(-0.9, 0.9, 9)
@@ -48,7 +49,7 @@ class TestViews:
         rebuilt = build_codec(plain.meta)
         assert rebuilt.capacity == packed_packer.capacity
         assert rebuilt.unpack(plain.word_list(), 9) == \
-            list(plain.slot_values())
+            list(packed_packer.scheme.encode_array(values))
 
 
 class TestInvariants:

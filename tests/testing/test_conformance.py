@@ -8,6 +8,8 @@ registered engine automatically gains the full trace suite.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.testing import (
@@ -78,7 +80,8 @@ def test_codec_traces_json_roundtrip():
     from repro.testing.trace import ConformanceTrace, codec_trace_suite
 
     for trace in codec_trace_suite():
-        rebuilt = ConformanceTrace.from_json(trace.to_json())
+        rebuilt = ConformanceTrace.from_dict(
+            json.loads(trace.to_json()))
         assert rebuilt == trace
 
 

@@ -1,5 +1,7 @@
 """Durable-coordinator simulation: crash sweeps, failover, replay."""
 
+import json
+
 import pytest
 
 from repro.federation.faults import FaultPlan
@@ -39,7 +41,7 @@ class TestDurableRunEquivalence:
 
     def test_spec_durable_flag_round_trips(self):
         spec = durable_spec()
-        assert SimulationSpec.from_json(spec.to_json()) == spec
+        assert SimulationSpec.from_dict(json.loads(spec.to_json())) == spec
 
 
 class TestScheduledKills:
@@ -136,7 +138,7 @@ class TestCrashConsistencySweep:
         assert "kill after WAL record 3: digest" in message
         assert "trace=" in message
         trace = message.split("trace=", 1)[1].strip()
-        assert SimulationSpec.from_json(trace) == durable_spec()
+        assert SimulationSpec.from_dict(json.loads(trace)) == durable_spec()
 
 
 class TestReplayRouting:

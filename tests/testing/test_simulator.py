@@ -13,7 +13,6 @@ from repro.testing.simulator import (
     SimulationFailure,
     SimulationSpec,
     VirtualClock,
-    expect_quorum_failure,
     replay,
 )
 
@@ -54,11 +53,11 @@ class TestSpecJson:
                         .with_message_loss(0.02)
                         .with_corruption(0.01)),
             **FAST)
-        assert SimulationSpec.from_json(spec.to_json()) == spec
+        assert SimulationSpec.from_dict(json.loads(spec.to_json())) == spec
 
     def test_roundtrip_without_fault_plan(self):
         spec = SimulationSpec(seed=1, **FAST)
-        assert SimulationSpec.from_json(spec.to_json()) == spec
+        assert SimulationSpec.from_dict(json.loads(spec.to_json())) == spec
 
     def test_unknown_keys_are_rejected(self):
         data = SimulationSpec(seed=1, **FAST).to_dict()
@@ -127,7 +126,11 @@ class TestFailureReport:
         spec = SimulationSpec(
             num_clients=3, rounds=2, seed=3, min_quorum=3,
             fault_plan=FaultPlan(seed=1).crash("client-0", 0), **FAST)
-        failure = expect_quorum_failure(spec)
+        with pytest.raises(SimulationFailure) as exc_info:
+            FederationSimulator(spec).run()
+        failure = exc_info.value
+        assert SimulationSpec.from_dict(
+            json.loads(failure.spec.to_json())) == spec
         message = str(failure)
         assert f"seed={spec.seed}" in message
         assert spec.to_json() in message
@@ -136,7 +139,9 @@ class TestFailureReport:
         spec = SimulationSpec(
             num_clients=3, rounds=2, seed=3, min_quorum=3,
             fault_plan=FaultPlan(seed=1).crash("client-0", 0), **FAST)
-        failure = expect_quorum_failure(spec)
+        with pytest.raises(SimulationFailure) as exc_info:
+            FederationSimulator(spec).run()
+        failure = exc_info.value
         message = str(failure)
         trace_json = message[message.index("trace=") + len("trace="):]
         with pytest.raises(SimulationFailure) as exc_info:

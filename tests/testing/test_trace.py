@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.testing.trace import (
@@ -30,12 +32,14 @@ class TestTraceOp:
 class TestTraceJson:
     def test_every_standard_trace_roundtrips(self):
         for trace in standard_traces():
-            rebuilt = ConformanceTrace.from_json(trace.to_json())
+            rebuilt = ConformanceTrace.from_dict(
+                json.loads(trace.to_json()))
             assert rebuilt == trace
 
     def test_ring_trace_roundtrips_with_requires(self):
         trace = ring_trace(4)
-        rebuilt = ConformanceTrace.from_json(trace.to_json())
+        rebuilt = ConformanceTrace.from_dict(
+            json.loads(trace.to_json()))
         assert rebuilt == trace
         assert "ring_decrypt" in rebuilt.requires
 
