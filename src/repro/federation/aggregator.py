@@ -409,20 +409,14 @@ class SecureAggregator:
 
     def _server_sum(self, uploaded: List[CipherTensor]) -> CipherTensor:
         """Homomorphically sum the uploads on the server engine."""
-        if self.fused:
-            total = uploaded[0]
-            for other in uploaded[1:]:
-                total = total + other
-            return total.materialize(engine=self.server_engine)
-        # Eager path: one add_batch per client pair, exactly the
-        # pre-fusion data path (kept for the comparison benchmarks).
-        total = uploaded[0].materialize(engine=self.server_engine)
+        total = uploaded[0]
         for other in uploaded[1:]:
-            summed = total.meta.combine_add(other.meta)
-            words = self.server_engine.add_batch(total.words, other.words)
-            total = CipherTensor(summed, words=words,
-                                 engine=self.server_engine)
-        return total
+            total = total + other
+        # fused=False (kept for the comparison benchmarks) flushes the
+        # same sum with the planner's unfused semantics: one add_batch
+        # per upload, left to right.
+        return total.materialize(engine=self.server_engine,
+                                 eager=not self.fused)
 
     def average(self, client_vectors: Sequence[np.ndarray],
                 tag: str = "gradients", **kwargs) -> np.ndarray:

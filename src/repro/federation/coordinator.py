@@ -17,11 +17,13 @@ aggregator itself, the last single point of failure in the federation:
   (accepted ciphertext uploads included) and finishes the round.
 - :class:`LeaseManager` / :class:`StandbyCoordinator` -- hot-standby
   failover: the primary heartbeats a lease (heartbeats are charged to
-  the channel like any other message); a standby tails the WAL, and
+  the channel like any other message); a standby tails the WAL -- or
+  is built when the primary dies, with the whole log to follow -- and
   once the lease expires it acquires a bumped incarnation, fences the
-  old primary, and takes over mid-round.  Full-quorum failovers yield
-  final weights identical to the fault-free run; degraded ones fall
-  back to PR 1's partial-quorum Eq. 6 offset correction.
+  old primary, and takes over mid-round over one parse of the image.
+  Full-quorum failovers yield final weights identical to the
+  fault-free run; degraded ones fall back to PR 1's partial-quorum
+  Eq. 6 offset correction.
 
 Determinism note: re-encrypting a vector after recovery draws fresh
 Paillier randomizers, so the *ciphertexts* of post-recovery uploads
@@ -732,7 +734,9 @@ class StandbyCoordinator:
         Returns:
             Number of new records applied to the shadow machine.
         """
-        log = WriteAheadLog.from_bytes(image)
+        return self._follow(WriteAheadLog.from_bytes(image))
+
+    def _follow(self, log: WriteAheadLog) -> int:
         fresh = log.records_since(self._tail_lsn)
         for record in fresh:
             self.machine.apply(record)
@@ -742,12 +746,16 @@ class StandbyCoordinator:
     def take_over(self, image: bytes) -> DurableCoordinator:
         """Acquire the lapsed lease and resume from the log.
 
+        The image is opened once: the log that brings the shadow
+        machine up to date is the log the successor is built over, so
+        callers need not :meth:`tail` the same image first.
+
         Raises:
             LeaseError: The primary's lease has not expired.
         """
-        self.tail(image)
-        lease = self.lease_manager.acquire(self.name)
         wal = WriteAheadLog.from_bytes(image)
+        self._follow(wal)
+        lease = self.lease_manager.acquire(self.name)
         successor = self.coordinator_cls(
             self.aggregator, wal=wal, name=self.name,
             incarnation=lease.incarnation,

@@ -125,6 +125,33 @@ class EpochReport:
         return self.component_seconds.get(COMPONENT_OTHERS, 0.0)
 
 
+#: The fault kinds, listed once: (count field, ledger category,
+#: summary label).  :class:`FaultReport` snapshots, sums and prints from
+#: this table, in this order.
+_FAULT_KINDS = (
+    ("crashes", "fault.crash", "crashes observed"),
+    ("dropouts", "fault.dropout", "dropouts observed"),
+    ("stragglers", "fault.straggler", "stragglers waited"),
+    ("deadline_misses", "fault.deadline", "deadline misses"),
+    ("lost_updates", "fault.lost_update", "lost updates"),
+    ("retransmissions", "fault.retransmit", "retransmissions"),
+    ("corrupted", "fault.corrupt", "corrupted payloads"),
+    ("giveups", "fault.giveup", "abandoned transfers"),
+    ("coordinator_crashes", "fault.coordinator_crash",
+     "coordinator crashes"),
+    ("failovers", "fault.failover", "standby failovers"),
+    ("shard_crashes", "fault.shard_crash", "shard crashes"),
+    ("queue_overloads", "fault.queue_overload", "queue overloads"),
+    ("shed", "fault.shed", "uploads shed"),
+    ("circuit_opens", "fault.circuit_open", "circuit opens"),
+    ("tenant_floods", "fault.tenant_flood", "tenant floods"),
+    ("tenant_crashes", "fault.tenant_crash", "tenant crashes"),
+)
+#: Categories whose payload bytes went to attempts that failed.
+_WASTED_BYTES = ("fault.retransmit", "fault.giveup",
+                 "fault.lost_update", "fault.shed")
+
+
 @dataclass
 class FaultReport:
     """Summary of the fault events charged to a ledger.
@@ -191,57 +218,19 @@ class FaultReport:
     def from_ledger(cls, ledger: CostLedger) -> "FaultReport":
         """Snapshot a ledger's ``fault.*`` categories."""
         return cls(
-            crashes=ledger.count("fault.crash"),
-            dropouts=ledger.count("fault.dropout"),
-            stragglers=ledger.count("fault.straggler"),
             straggler_seconds=ledger.seconds("fault.straggler"),
-            deadline_misses=ledger.count("fault.deadline"),
-            lost_updates=ledger.count("fault.lost_update"),
-            retransmissions=ledger.count("fault.retransmit"),
             backoff_seconds=ledger.seconds("fault.retransmit"),
-            corrupted=ledger.count("fault.corrupt"),
-            giveups=ledger.count("fault.giveup"),
-            coordinator_crashes=ledger.count("fault.coordinator_crash"),
-            failovers=ledger.count("fault.failover"),
-            shard_crashes=ledger.count("fault.shard_crash"),
-            queue_overloads=ledger.count("fault.queue_overload"),
-            shed=ledger.count("fault.shed"),
-            circuit_opens=ledger.count("fault.circuit_open"),
-            tenant_floods=ledger.count("fault.tenant_flood"),
-            tenant_crashes=ledger.count("fault.tenant_crash"),
-            wasted_bytes=(ledger.payload_bytes("fault.retransmit")
-                          + ledger.payload_bytes("fault.giveup")
-                          + ledger.payload_bytes("fault.lost_update")
-                          + ledger.payload_bytes("fault.shed")),
+            wasted_bytes=sum(ledger.payload_bytes(category)
+                             for category in _WASTED_BYTES),
             fault_seconds=ledger.seconds("fault"),
-        )
+            **{name: ledger.count(category)
+               for name, category, _label in _FAULT_KINDS})
 
     def merge(self, other: "FaultReport") -> "FaultReport":
         """Sum two reports (e.g. across epochs of one run)."""
-        return FaultReport(
-            crashes=self.crashes + other.crashes,
-            dropouts=self.dropouts + other.dropouts,
-            stragglers=self.stragglers + other.stragglers,
-            straggler_seconds=self.straggler_seconds
-            + other.straggler_seconds,
-            deadline_misses=self.deadline_misses + other.deadline_misses,
-            lost_updates=self.lost_updates + other.lost_updates,
-            retransmissions=self.retransmissions + other.retransmissions,
-            backoff_seconds=self.backoff_seconds + other.backoff_seconds,
-            corrupted=self.corrupted + other.corrupted,
-            giveups=self.giveups + other.giveups,
-            coordinator_crashes=self.coordinator_crashes
-            + other.coordinator_crashes,
-            failovers=self.failovers + other.failovers,
-            shard_crashes=self.shard_crashes + other.shard_crashes,
-            queue_overloads=self.queue_overloads + other.queue_overloads,
-            shed=self.shed + other.shed,
-            circuit_opens=self.circuit_opens + other.circuit_opens,
-            tenant_floods=self.tenant_floods + other.tenant_floods,
-            tenant_crashes=self.tenant_crashes + other.tenant_crashes,
-            wasted_bytes=self.wasted_bytes + other.wasted_bytes,
-            fault_seconds=self.fault_seconds + other.fault_seconds,
-        )
+        return FaultReport(**{
+            f.name: getattr(self, f.name) + getattr(other, f.name)
+            for f in dataclasses.fields(self)})
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready form (bench artifacts, per-tenant fault tables).
@@ -264,25 +253,12 @@ class FaultReport:
 
     def summary_lines(self) -> List[str]:
         """Human-readable summary (the CLI's fault table body)."""
-        return [
-            f"crashes observed      {self.crashes}",
-            f"dropouts observed     {self.dropouts}",
-            f"stragglers waited     {self.stragglers} "
-            f"({self.straggler_seconds:.2f}s)",
-            f"deadline misses       {self.deadline_misses}",
-            f"lost updates          {self.lost_updates}",
-            f"retransmissions       {self.retransmissions} "
-            f"({self.backoff_seconds:.3f}s backoff)",
-            f"corrupted payloads    {self.corrupted}",
-            f"abandoned transfers   {self.giveups}",
-            f"coordinator crashes   {self.coordinator_crashes}",
-            f"standby failovers     {self.failovers}",
-            f"shard crashes         {self.shard_crashes}",
-            f"queue overloads       {self.queue_overloads}",
-            f"uploads shed          {self.shed}",
-            f"circuit opens         {self.circuit_opens}",
-            f"tenant floods         {self.tenant_floods}",
-            f"tenant crashes        {self.tenant_crashes}",
+        seconds = {
+            "stragglers": f" ({self.straggler_seconds:.2f}s)",
+            "retransmissions": f" ({self.backoff_seconds:.3f}s backoff)",
+        }
+        return [f"{label:<22}{getattr(self, name)}{seconds.get(name, '')}"
+                for name, _category, label in _FAULT_KINDS] + [
             f"wasted wire bytes     {self.wasted_bytes}",
             f"total fault seconds   {self.fault_seconds:.2f}",
         ]

@@ -24,10 +24,11 @@ the hierarchical tier in between:
   decrypted separately, and the decoded sums are added in plaintext.
   The Eq. 6 offset correction rides the metadata per segment, so the
   segmented result is exactly the flat sum.
-- Every node -- each leaf and the root alike -- gets its own WAL, lease
-  and :class:`~repro.federation.coordinator.StandbyCoordinator` (told
-  which coordinator class to build at takeover); failover composes
-  hierarchically and the crash sweep holds at both layers.
+- Every node -- each leaf and the root alike -- gets its own WAL and
+  lease; its :class:`~repro.federation.coordinator.StandbyCoordinator`
+  (told which coordinator class to build at takeover) exists from the
+  primary's death, so a fault-free round builds none.  Failover
+  composes hierarchically and the crash sweep holds at both layers.
 - :class:`ShardedAggregationService` -- the orchestrator: samples the
   cohort, plans shards, pushes encrypted uploads through the event
   loop's admission control (:mod:`repro.federation.eventloop`), runs the
@@ -475,13 +476,12 @@ class ShardPool:
 
 @dataclass
 class _TreeNode:
-    """One node of the reduction tree: who runs it, who shadows it."""
+    """One node of the reduction tree: who runs it, under which lease."""
 
     #: Prefix-qualified name its standbys are named after.
     identity: str
     lease: LeaseManager
     primary: DurableCoordinator
-    standby: StandbyCoordinator
 
 
 @dataclass
@@ -605,8 +605,7 @@ class ShardedAggregationService:
 
     def _add_node(self, key: str, identity: str, primary_name: str,
                   coordinator_cls: Type[DurableCoordinator]) -> None:
-        """Create one tree node: its lease, its WAL-backed primary, and
-        the hot standby that tails it."""
+        """Create one tree node: its lease and its WAL-backed primary."""
         lease = LeaseManager(timeout_seconds=LEASE_TIMEOUT_SECONDS,
                              clock=lambda: self.clock.now)
         lease.acquire(primary_name)
@@ -614,10 +613,7 @@ class ShardedAggregationService:
             identity=identity, lease=lease,
             primary=coordinator_cls(
                 self.aggregator, wal=WriteAheadLog(), name=primary_name,
-                lease_manager=lease),
-            standby=StandbyCoordinator(
-                self.aggregator, lease, name=f"{identity}-standby",
-                coordinator_cls=coordinator_cls))
+                lease_manager=lease))
 
     @property
     def leaves(self) -> Dict[str, ShardAggregator]:
@@ -631,7 +627,7 @@ class ShardedAggregationService:
         return self._nodes[self.root_name].primary
 
     def leaf(self, shard: str) -> ShardAggregator:
-        """The shard's leaf coordinator (created with WAL + standby)."""
+        """The shard's leaf coordinator (created with WAL + lease)."""
         if shard not in self._nodes:
             identity = f"{self.node_prefix}{shard}"
             self._add_node(shard, identity, f"{identity}-primary",
@@ -644,18 +640,20 @@ class ShardedAggregationService:
 
     def _fail_over(self, key: str, kind: str, round_index: int,
                    lsn: int) -> DurableCoordinator:
-        """Promote a dead node's standby over its log."""
+        """Build a dead node's standby and promote it over its log."""
         node = self._nodes[key]
-        image = node.primary.wal.image()
-        node.standby.tail(image)
+        dead = node.primary
+        # The first primary runs as incarnation 0; a promoted standby's
+        # own standby is named after the incarnation it shadows.
+        standby = StandbyCoordinator(
+            self.aggregator, node.lease,
+            name=f"{node.identity}-standby" + (
+                f"-{dead.incarnation}" if dead.incarnation else ""),
+            coordinator_cls=type(dead))
         if not node.lease.expired():
             self.clock.advance(node.lease.timeout_seconds)
-        successor = node.standby.take_over(image)
+        successor = standby.take_over(dead.wal.image())
         node.primary = successor
-        node.standby = StandbyCoordinator(
-            self.aggregator, node.lease,
-            name=f"{node.identity}-standby-{successor.incarnation}",
-            coordinator_cls=type(successor))
         self.aggregator.injector.record(kind, key, round_index)
         self.failover_log.append(FailoverRecord(
             node=key, kind=kind, round_index=round_index, lsn=lsn,
@@ -840,9 +838,19 @@ class ShardedAggregationService:
 
         survivors = report.survivors
         report.summands = sum(t.meta.summands for _, t in partials)
-        if report.summands < required:
+
+        def finish() -> None:
+            # Both exits of a round that ended publish the same outcome
+            # (as DurableCoordinator.run_round).  Not reached when the
+            # root reduction raises: the cursor stays on this round.
             self.last_round = report
             agg.round_cursor = round_index + 1
+            agg.last_round = AggregationRound(
+                round_index=round_index, survivors=survivors,
+                dropped=list(report.dropped), summands=report.summands)
+
+        if report.summands < required:
+            finish()
             raise QuorumError(round_index, survivors, required,
                               len(cohort))
 
@@ -850,12 +858,7 @@ class ShardedAggregationService:
         result = self._run_node(
             self.root_name, round_index, report,
             lambda root: root.reduce_round(partials, round_index, tag=tag))
-
-        agg.round_cursor = round_index + 1
-        agg.last_round = AggregationRound(
-            round_index=round_index, survivors=survivors,
-            dropped=list(report.dropped), summands=report.summands)
-        self.last_round = report
+        finish()
         return result
 
     def _drain_shard(self, shard: str, deadline: Optional[float],

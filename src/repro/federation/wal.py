@@ -214,8 +214,9 @@ class WalReplay:
 
     Attributes:
         records: The intact records, in append order.
-        consumed_bytes: Bytes covered by the magic plus intact records;
-            re-encoding :attr:`records` reproduces exactly this prefix.
+        consumed_bytes: Bytes covered by the magic plus intact records
+            (0 when there are none); re-encoding :attr:`records`
+            reproduces exactly this prefix.
         torn_tail: Whether trailing bytes were dropped as a torn write
             (coordinator killed mid-append).
     """
@@ -228,22 +229,22 @@ class WalReplay:
 def replay_wal(blob: bytes) -> WalReplay:
     """Replay a WAL image, tolerating exactly one torn tail.
 
-    An empty image is an empty log.  The magic travels with record 0,
-    so a proper prefix of it is a first append torn before anything was
-    recorded: the empty log with a torn tail.  Any other image must
-    start with the full magic.  A record that fails validation is
-    dropped as a torn tail only when nothing intact follows it;
-    otherwise the log is corrupt and :class:`WalError` is raised.
+    An empty image is an empty log.  An image must start with the magic
+    (or, when shorter, be a prefix of it).  A record that fails
+    validation is dropped as a torn tail only when nothing intact
+    follows it; otherwise the log is corrupt and :class:`WalError` is
+    raised.  The magic travels with record 0, so when no record
+    survives, whatever the first append left -- part of the magic, all
+    of it, part of record 0's frame -- recorded nothing: the empty log
+    with a torn tail and nothing consumed.
     """
-    if len(blob) < len(WAL_MAGIC) and WAL_MAGIC.startswith(blob):
-        return WalReplay(records=[], consumed_bytes=0,
-                         torn_tail=bool(blob))
-    if blob[:len(WAL_MAGIC)] != WAL_MAGIC:
+    if not WAL_MAGIC.startswith(blob[:len(WAL_MAGIC)]):
         raise WalError(
             f"not a WAL image: expected magic {WAL_MAGIC!r}, got "
             f"{blob[:len(WAL_MAGIC)]!r}")
     records: List[WalRecord] = []
     offset = len(WAL_MAGIC)
+    torn_tail = False
     while offset < len(blob):
         try:
             record, offset_after = _decode_one(blob, offset)
@@ -253,12 +254,15 @@ def replay_wal(blob: bytes) -> WalReplay:
                     f"mid-log corruption: {error} (intact records "
                     f"follow, so this is damage, not a torn "
                     f"write)") from error
-            return WalReplay(records=records, consumed_bytes=offset,
-                             torn_tail=True)
+            torn_tail = True
+            break
         records.append(record)
         offset = offset_after
+    if not records:
+        return WalReplay(records=[], consumed_bytes=0,
+                         torn_tail=bool(blob))
     return WalReplay(records=records, consumed_bytes=offset,
-                     torn_tail=False)
+                     torn_tail=torn_tail)
 
 
 def _intact_record_follows(blob: bytes, failed_offset: int) -> bool:
@@ -286,10 +290,12 @@ def _intact_record_follows(blob: bytes, failed_offset: int) -> bool:
 class WriteAheadLog:
     """An append-only, CRC-framed record journal.
 
-    Backed by an optional file (``path``) and always by an in-memory
-    byte image, so the deterministic simulator can run thousands of
-    crash scenarios without touching disk while production use gets a
-    real fsynced file.
+    The log *is* its records, held once, with an optional file
+    (``path``) under them: the byte image is derived on demand
+    (:meth:`image` re-encodes the records, byte-identical to what was
+    written because every frame is canonical), so the deterministic
+    simulator can run thousands of crash scenarios without touching
+    disk while production use gets a real fsynced file.
 
     Args:
         path: Journal file; every append writes its one frame at the end
@@ -301,7 +307,6 @@ class WriteAheadLog:
 
     def __init__(self, path: Optional[Union[str, Path]] = None):
         self.path = Path(path) if path is not None else None
-        self._buffer = bytearray()
         self._records: List[WalRecord] = []
         self.torn_tail_dropped = False
         if self.path is not None and self.path.exists():
@@ -325,8 +330,7 @@ class WriteAheadLog:
 
     def _load(self, blob: bytes) -> None:
         result = replay_wal(blob)
-        self._records = list(result.records)
-        self._buffer = bytearray(blob[:result.consumed_bytes])
+        self._records = result.records
         self.torn_tail_dropped = result.torn_tail
         if result.torn_tail and self.path is not None:
             # Persist the trim so the next reader sees a clean log.  The
@@ -334,7 +338,8 @@ class WriteAheadLog:
             # atomic rename: dying here leaves the torn file or the
             # trimmed one, never less than the intact prefix.
             trimmed = self.path.with_name(self.path.name + ".tmp")
-            self._write_durably(trimmed, "wb", bytes(self._buffer))
+            self._write_durably(trimmed, "wb",
+                                blob[:result.consumed_bytes])
             os.replace(trimmed, self.path)
 
     # ------------------------------------------------------------------
@@ -344,9 +349,8 @@ class WriteAheadLog:
     def append(self, record: WalRecord) -> int:
         """Durably append one record; returns its log sequence number."""
         frame = encode_record(record)
-        if not self._buffer:
+        if not self._records:
             frame = WAL_MAGIC + frame  # the magic travels with record 0
-        self._buffer.extend(frame)
         self._records.append(record)
         if self.path is not None:
             self._write_durably(self.path, "ab", frame)
@@ -373,7 +377,10 @@ class WriteAheadLog:
 
     def image(self) -> bytes:
         """The full byte image (what a crashed coordinator leaves)."""
-        return bytes(self._buffer)
+        if not self._records:
+            return b""
+        return WAL_MAGIC + b"".join(encode_record(record)
+                                    for record in self._records)
 
     def records_since(self, lsn: int) -> List[WalRecord]:
         """Records appended at or after ``lsn`` (standby tailing)."""

@@ -98,12 +98,15 @@ class CipherTensor:
     # Materialization.
     # ------------------------------------------------------------------
 
-    def materialize(self, engine=None) -> "CipherTensor":
+    def materialize(self, engine=None,
+                    eager: bool = False) -> "CipherTensor":
         """Flush the expression into a materialized tensor.
 
         Args:
             engine: Engine to execute on; defaults to the engine attached
                 at construction (the encrypting engine).
+            eager: Flush through :func:`planner.eager_flush` -- one
+                engine call per op, no fusion -- instead of the plan.
         """
         if self._words is not None and engine is None:
             return self
@@ -115,7 +118,8 @@ class CipherTensor:
             raise RuntimeError(
                 "lazy CipherTensor has no engine to flush through; pass "
                 "one to materialize(engine=...)")
-        words = self._node.flush(executor)
+        words = (planner.eager_flush(self._node, executor) if eager
+                 else self._node.flush(executor))
         return CipherTensor(self.meta, words=words, engine=executor)
 
     def with_words(self, words: Sequence[int]) -> "CipherTensor":

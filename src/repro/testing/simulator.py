@@ -439,7 +439,6 @@ class FederationSimulator:
         self.runtime.injector.record(event.kind, COORDINATOR,
                                      event.round_index)
         image = self.coordinator.wal.image()
-        self.standby.tail(image)
         if event.kind == FAILOVER:
             # Let the dead primary's lease lapse on the virtual clock,
             # then the hot standby acquires a bumped incarnation.

@@ -5,9 +5,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.federation.coordinator import CoordinatorError
 from repro.federation.faults import FaultPlan, QuorumError
 from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
 from repro.federation.shard import (
+    RootCoordinator,
     ShardedAggregationService,
     cohort_sample,
     default_num_shards,
@@ -148,6 +150,48 @@ class TestShardedRound:
         with pytest.raises(QuorumError):
             service.run_round(client_vectors(6), round_index=0)
         assert service.last_round.summands == 2
+
+    def test_quorum_failure_is_the_aggregators_last_round_too(self):
+        """Flat or sharded, ``aggregator.last_round`` describes the
+        round that just ended -- also when it ended below quorum."""
+        plan = FaultPlan(seed=0)
+        for i in range(4):
+            plan = plan.crash(f"client-{i}", round_index=1)
+        runtime = make_runtime(num_clients=6, fault_plan=plan,
+                               min_quorum=3)
+        service = ShardedAggregationService(runtime.aggregator, seed=11)
+        vectors = client_vectors(6)
+        service.run_round(vectors, round_index=0)
+        with pytest.raises(QuorumError):
+            service.run_round(vectors, round_index=1)
+        last = runtime.aggregator.last_round
+        assert last.round_index == 1
+        assert last.survivors == service.last_round.survivors == \
+            ["client-4", "client-5"]
+        assert last.dropped == [(f"client-{i}", "offline")
+                                for i in range(4)]
+        assert last.summands == 2
+        assert runtime.aggregator.round_cursor == 2
+
+    def test_a_root_reduction_that_raises_does_not_complete_the_round(
+            self, monkeypatch):
+        """The aggregator only sees rounds that ended: when the root
+        reduction raises, the cursor stays on the round in flight (the
+        harness checkpoints it as ``rounds_completed``)."""
+        runtime = make_runtime(num_clients=6)
+        service = ShardedAggregationService(runtime.aggregator, seed=11)
+        vectors = client_vectors(6)
+        service.run_round(vectors, round_index=0)
+
+        def reduce_round(self, partials, round_index, tag):
+            raise CoordinatorError("root lost mid-reduction")
+
+        monkeypatch.setattr(RootCoordinator, "reduce_round", reduce_round)
+        with pytest.raises(CoordinatorError):
+            service.run_round(vectors, round_index=1)
+        assert runtime.aggregator.round_cursor == 1
+        assert runtime.aggregator.last_round.round_index == 0
+        assert service.last_round.round_index == 0
 
     def test_queue_overload_rejects_one_shard_without_silent_loss(self):
         plan = FaultPlan(seed=0).queue_overload("shard-0", 0)

@@ -1,5 +1,6 @@
 """WAL codec and replay: framing, torn tails, mid-log corruption."""
 
+import tracemalloc
 import zlib
 
 import pytest
@@ -153,10 +154,12 @@ class TestReplay:
         with pytest.raises(WalError, match="magic"):
             replay_wal(b"NOPE" + encode_record(sample_records()[0]))
 
-    @pytest.mark.parametrize("length", [1, 2, 3])
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 12, -1])
     def test_first_append_torn_inside_the_magic_is_the_empty_log(
             self, length):
-        replayed = replay_wal(WAL_MAGIC[:length])
+        """Or past it, inside record 0's frame: the magic is record 0's,
+        so with no record there is no prefix to keep."""
+        replayed = replay_wal(self.image(sample_records()[:1])[:length])
         assert replayed.records == []
         assert replayed.consumed_bytes == 0
         assert replayed.torn_tail
@@ -302,28 +305,32 @@ class TestWriteAheadLog:
         assert reopened.append(WalRecord(ROUND_OPEN, 1)) == 3
         assert len(WriteAheadLog(path=path)) == 4
 
-    @pytest.mark.parametrize("landed", [1, 2, 3])
+    @pytest.mark.parametrize("landed", [1, 2, 3, 4, 5, 12, -1])
     def test_writer_killed_inside_the_magic_reopens_empty(
             self, tmp_path, monkeypatch, landed):
-        """Killed 1-3 bytes into its very first append, a writer has
-        recorded nothing: the node reopens on an empty log (the stub
-        trimmed away), not on a corrupt one, and journals on from LSN
-        0."""
+        """Killed anywhere inside its very first append -- in the magic
+        (1-3), right after it (4), or in record 0's frame (5, 12, all
+        but the last byte) -- a writer has recorded nothing: the node
+        reopens on an empty log (the stub trimmed away, magic included,
+        since the next append brings its own), not on a corrupt one, and
+        journals on from LSN 0 into a file that is its image."""
         path = tmp_path / "round.wal"
+        first = WAL_MAGIC + encode_record(sample_records()[0])
 
         with monkeypatch.context() as patch:
             patch.setattr(wal_module, "open", dying_open(landed),
                           raising=False)
             with pytest.raises(Killed):
                 WriteAheadLog(path=path).append(sample_records()[0])
-        assert path.read_bytes() == WAL_MAGIC[:landed]
+        assert path.read_bytes() == first[:landed]
 
         reopened = WriteAheadLog(path=path)
         assert reopened.torn_tail_dropped
         assert len(reopened) == 0
-        assert path.read_bytes() == b""
+        assert path.read_bytes() == reopened.image() == b""
         assert [p.name for p in tmp_path.iterdir()] == ["round.wal"]
         assert reopened.append(sample_records()[0]) == 0
+        assert path.read_bytes() == reopened.image() == first
         again = WriteAheadLog(path=path)
         assert not again.torn_tail_dropped
         assert list(again.records) == sample_records()[:1]
@@ -333,3 +340,51 @@ class TestWriteAheadLog:
         path.write_bytes(b"")
         log = WriteAheadLog(path=path)
         assert len(log) == 0
+
+    def test_file_bytes_and_both_derived_images_agree(self, tmp_path):
+        """The image is derived from the records, so it has to be what
+        the appends wrote: for every record kind, the file, the
+        file-backed log's image and an in-memory log's image are the
+        same bytes -- as appended, after a reopen, and after a torn
+        tail was trimmed."""
+        records = [WalRecord(kind, index // 3, incarnation=index // 5,
+                             payload={"frame": f"{index:02x}" * index,
+                                      "survivors": ["client-0"] * index})
+                   for index, kind in enumerate(RECORD_KINDS)]
+        path = tmp_path / "round.wal"
+        on_disk, in_memory = WriteAheadLog(path=path), WriteAheadLog()
+        assert on_disk.image() == in_memory.image() == b""
+        for record in records:
+            on_disk.append(record)
+            in_memory.append(record)
+            assert path.read_bytes() == on_disk.image() == in_memory.image()
+
+        reopened = WriteAheadLog(path=path)
+        assert path.read_bytes() == reopened.image() == in_memory.image()
+
+        path.write_bytes(path.read_bytes()[:-3])
+        trimmed = WriteAheadLog(path=path)
+        assert trimmed.torn_tail_dropped
+        assert path.read_bytes() == trimmed.image() == \
+            WriteAheadLog.from_bytes(in_memory.image()[:-3]).image()
+        trimmed.append(records[-1])
+        assert path.read_bytes() == trimmed.image() == in_memory.image()
+
+    def test_the_journal_is_held_once(self):
+        """The accepted frames are the journal's bulk, and the records
+        already hold them: a second copy (a byte image kept beside the
+        records) doubles what every node retains per round."""
+        log = WriteAheadLog()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for index in range(200):
+                client = f"client-{index}"
+                log.append(WalRecord(UPLOAD_ACCEPTED, 0, payload={
+                    "client": client, "dedupe_key": f"r0:{client}",
+                    "frame": f"{index:04x}" * 512}))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        framed = sum(len(encode_record(r)) for r in log.records)
+        assert retained < 1.5 * framed

@@ -7,11 +7,18 @@ would show in a round time only as noise, so the count is the assertion.
 native library is known to bind.)
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.crypto.gpu_engine import GpuPaillierEngine
-from repro.federation.coordinator import RoundStateMachine
+from repro.federation import wal
+from repro.federation.coordinator import (
+    RoundStateMachine,
+    StandbyCoordinator,
+)
+from repro.federation.faults import COORDINATOR_CRASH, FAILOVER, FaultPlan
 from repro.federation.runtime import (
     FLBOOSTER_SYSTEM,
     FederationRuntime,
@@ -21,6 +28,7 @@ from repro.federation.shard import ShardedAggregationService
 from repro.federation.wal import ROUND_CLOSE
 from repro.mpint import native
 from repro.quantization import encoding
+from repro.testing.simulator import FederationSimulator, SimulationSpec
 
 
 @pytest.mark.skipif(not native.HAVE_NATIVE,
@@ -79,3 +87,77 @@ def test_a_warm_journaled_round_digests_only_at_round_close(monkeypatch):
                  for node in (*service.leaves.values(), service.root)
                  for record in node.wal.records)
     assert len(calls) == closes > 0
+
+
+@pytest.fixture
+def takeover_work(monkeypatch):
+    """Every journal image parsed and every standby built, as they
+    happen: ``(parses, standbys)``, the latter by name."""
+    parses, standbys = [], []
+    replay = wal.replay_wal
+    monkeypatch.setattr(
+        wal, "replay_wal", lambda blob: parses.append(len(blob))
+        or replay(blob))
+    build = StandbyCoordinator.__init__
+
+    def counting_build(standby, *args, **kwargs):
+        build(standby, *args, **kwargs)
+        standbys.append(standby.name)
+
+    monkeypatch.setattr(StandbyCoordinator, "__init__", counting_build)
+    return parses, standbys
+
+
+SHARDED = SimulationSpec(num_clients=6, rounds=2, sharded=True)
+
+
+def test_a_fault_free_sharded_run_builds_no_standby_and_parses_nothing(
+        takeover_work):
+    """A tree node's standby exists from its primary's death; nothing
+    re-reads a journal nobody lost."""
+    simulator = FederationSimulator(SHARDED)
+    simulator.run()
+    assert len(simulator.nodes()) == 4
+    assert takeover_work == ([], [])
+
+
+def test_a_shard_crash_parses_the_dead_leafs_image_once(takeover_work):
+    """One parse per takeover -- the log that catches the shadow machine
+    up is the log the successor runs on -- and one standby per death,
+    named as the eagerly built ones were."""
+    plan = (FaultPlan(seed=SHARDED.seed)
+            .shard_crash("shard-1", 0, after_record=2)
+            .shard_crash("shard-1", 1, after_record=8))
+    result = FederationSimulator(
+        dataclasses.replace(SHARDED, fault_plan=plan)).run()
+    parses, standbys = takeover_work
+    assert [(f.node, f.lsn, f.incarnation) for f in result.failovers] == \
+        [("shard-1", 2, 1), ("shard-1", 8, 2)]
+    assert len(parses) == 2
+    assert standbys == ["shard-1-standby", "shard-1-standby-1"]
+
+
+@pytest.mark.parametrize("kind", [FAILOVER, COORDINATOR_CRASH])
+def test_a_flat_coordinator_kill_parses_its_image_once(
+        takeover_work, monkeypatch, kind):
+    """Standby takeover or in-place restart alike: the dead
+    coordinator's image is read once at the kill (the hot standby's
+    per-round tail is the other, separate, read)."""
+    parses, _standbys = takeover_work
+    at_kill = []
+    handle = FederationSimulator._handle_kill
+
+    def counting_handle(simulator, event, killed):
+        before = len(parses)
+        handle(simulator, event, killed)
+        at_kill.append(len(parses) - before)
+
+    monkeypatch.setattr(FederationSimulator, "_handle_kill",
+                        counting_handle)
+    plan = FaultPlan(seed=7)
+    plan = (plan.failover if kind == FAILOVER
+            else plan.coordinator_crash)(0, after_record=3)
+    result = FederationSimulator(
+        SimulationSpec(rounds=1, fault_plan=plan)).run()
+    assert [f.kind for f in result.failovers] == [kind]
+    assert at_kill == [1]
