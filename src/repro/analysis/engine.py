@@ -163,7 +163,12 @@ def load_baseline(path: Path) -> Set[Fingerprint]:
 
 
 def _fsync_directory(directory: Path) -> None:
-    """Flush a directory entry so a rename survives power loss."""
+    """Flush a directory entry so a rename survives power loss.
+
+    ``repro.federation.wal.replace_durably`` is the runtime's spelling of
+    the same step; ``repro.analysis`` imports nothing outside itself, so
+    the linter keeps its own copy.
+    """
     try:
         handle = os.open(directory, os.O_RDONLY)
     except OSError:  # pragma: no cover -- platform without dir fds

@@ -130,12 +130,6 @@ def _cmd_faults(args) -> int:
     if args.straggler_delay > 0:
         plan = plan.straggler(f"client-{args.crashes}", round_index=2,
                               delay_seconds=args.straggler_delay)
-    if args.coordinator_crash is not None:
-        plan = plan.coordinator_crash(0,
-                                      after_record=args.coordinator_crash)
-    if args.failover is not None:
-        plan = plan.failover(0, after_record=args.failover)
-
     if args.dump_plan:
         import json as _json
 
@@ -497,14 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--key-bits", type=int, default=1024)
     faults.add_argument("--max-restarts", type=int, default=10)
     faults.add_argument("--seed", type=int, default=0)
-    faults.add_argument("--coordinator-crash", type=int, default=None,
-                        metavar="RECORD",
-                        help="schedule a coordinator crash after this "
-                             "WAL record")
-    faults.add_argument("--failover", type=int, default=None,
-                        metavar="RECORD",
-                        help="schedule a standby failover after this "
-                             "WAL record")
     faults.add_argument("--dump-plan", action="store_true",
                         help="print the fault plan JSON and exit")
     faults.set_defaults(handler=_cmd_faults)

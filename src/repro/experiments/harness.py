@@ -17,7 +17,6 @@ DESIGN.md, "Timing methodology").  Two fidelity knobs:
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
@@ -34,6 +33,7 @@ from repro.federation.channel import ChannelError
 from repro.federation.faults import FaultPlan, QuorumError, RetryPolicy
 from repro.federation.metrics import EpochReport, FaultReport
 from repro.federation.runtime import FederationRuntime, SystemConfig
+from repro.federation.wal import replace_durably
 from repro.gpu.resource_manager import ResourceManager
 from repro.models import (
     HeteroLogisticRegression,
@@ -51,25 +51,6 @@ from repro.models.base import (
 #: Largest physical key the scaled sweeps use (the nominal-4096 case);
 #: hosts 128 packing slots with usable precision.
 DEFAULT_PHYSICAL_KEY_BITS = 1024
-
-
-def _fsync_directory(directory: Path) -> None:
-    """Fsync a directory entry so a just-renamed file survives a crash.
-
-    Some filesystems (and all of Windows) refuse ``O_RDONLY`` opens or
-    fsync on directories; the rename is already atomic there, so the
-    extra durability step is best-effort.
-    """
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
 
 
 def physical_key_for(nominal_bits: int) -> int:
@@ -261,15 +242,10 @@ class TrainingCheckpoint:
                 for name, value in self.model_state.items()}
 
     def save(self, path: Union[str, Path]) -> None:
-        """Write the checkpoint atomically and durably.
-
-        The payload goes to a temp file that is flushed and fsynced
-        *before* the rename, and the directory entry is fsynced after
-        it, so a crash at any point leaves either the old complete
-        checkpoint or the new complete checkpoint -- never a torn one.
-        A stale ``.tmp`` from an earlier crashed save is overwritten.
-        """
-        target = Path(path)
+        """Write the checkpoint atomically and durably
+        (:func:`~repro.federation.wal.replace_durably`): a crash at any
+        point leaves either the old complete checkpoint or the new
+        complete checkpoint -- never a torn one."""
         payload = {
             "version": self.version, "system": self.system,
             "model": self.model, "dataset": self.dataset,
@@ -279,13 +255,7 @@ class TrainingCheckpoint:
             "losses": self.losses, "epoch_seconds": self.epoch_seconds,
             "model_state": self.model_state, "restarts": self.restarts,
         }
-        temporary = target.with_suffix(target.suffix + ".tmp")
-        with open(temporary, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload))
-            handle.flush()
-            os.fsync(handle.fileno())
-        temporary.replace(target)
-        _fsync_directory(target.parent)
+        replace_durably(Path(path), json.dumps(payload).encode("utf-8"))
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "TrainingCheckpoint":
@@ -373,7 +343,7 @@ def run_training_with_recovery(
         target = Path(checkpoint_path)
         # A .tmp next to the checkpoint is a save that died before its
         # rename; the checkpoint itself is still the last complete one.
-        stale = target.with_suffix(target.suffix + ".tmp")
+        stale = target.with_name(target.name + ".tmp")
         if stale.exists():
             stale.unlink()
         if target.exists():

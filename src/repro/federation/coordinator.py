@@ -16,14 +16,18 @@ aggregator itself, the last single point of failure in the federation:
   :meth:`DurableCoordinator.recover` rebuilds a bit-identical state
   (accepted ciphertext uploads included) and finishes the round.
 - :class:`LeaseManager` / :class:`StandbyCoordinator` -- hot-standby
-  failover: the primary heartbeats a lease (heartbeats are charged to
-  the channel like any other message); a standby tails the WAL -- or
-  is built when the primary dies, with the whole log to follow -- and
-  once the lease expires it acquires a bumped incarnation, fences the
-  old primary, and takes over mid-round over one parse of the image.
-  Full-quorum failovers yield final weights identical to the
-  fault-free run; degraded ones fall back to PR 1's partial-quorum
-  Eq. 6 offset correction.
+  failover: the primary holds a lease (the flat coordinator heartbeats
+  it, charged to the channel like any other message); a standby is
+  built when the primary dies, and once the lease expires it acquires
+  a bumped incarnation, fences the old primary, and takes over
+  mid-round over one parse of the image.  Full-quorum failovers yield
+  final weights identical to the fault-free run; degraded ones fall
+  back to PR 1's partial-quorum Eq. 6 offset correction.
+- :class:`NodeSupervisor` -- the one death-and-recovery path of every
+  journaled coordinator, alone (the flat durable topology) or as a
+  node of the sharded tree: it arms each node's scheduled kills
+  through the fault injector and restarts or fails the node over by
+  the kill's kind.
 
 Determinism note: re-encrypting a vector after recovery draws fresh
 Paillier randomizers, so the *ciphertexts* of post-recovery uploads
@@ -54,7 +58,8 @@ import numpy as np
 
 from repro.federation.aggregator import AggregationRound, SecureAggregator
 from repro.federation.channel import Message
-from repro.federation.faults import QuorumError
+from repro.federation.eventloop import LEASE_TIMEOUT_SECONDS, VirtualClock
+from repro.federation.faults import COORDINATOR_CRASH, FaultEvent, QuorumError
 from repro.federation.serialization import (
     deserialize_tensor,
     serialize_tensor,
@@ -694,13 +699,11 @@ class DurableCoordinator:
 
 
 class StandbyCoordinator:
-    """A hot standby that tails the WAL and takes over a lapsed lease.
+    """A standby that takes over a dead primary's lapsed lease.
 
     The standby keeps a *shadow* :class:`RoundStateMachine` fed from the
-    primary's log, so at takeover time it already holds the round state
-    and only has to win the lease.  :meth:`take_over` asserts the shadow
-    digest matches a fresh replay of the log -- the standby really was
-    hot, not stale.
+    dead primary's log at takeover, and :meth:`take_over` asserts the
+    shadow digest matches the successor's own replay of the same log.
 
     Args:
         aggregator: The data path the standby will drive after takeover
@@ -722,40 +725,20 @@ class StandbyCoordinator:
         self.name = name
         self.coordinator_cls = coordinator_cls
         self.machine = RoundStateMachine()
-        self._tail_lsn = 0
-
-    def tail(self, image: bytes) -> int:
-        """Apply records the primary appended since the last tail.
-
-        Args:
-            image: The WAL byte image (a shipped segment in production;
-                the shared in-memory image in the simulator).
-
-        Returns:
-            Number of new records applied to the shadow machine.
-        """
-        return self._follow(WriteAheadLog.from_bytes(image))
-
-    def _follow(self, log: WriteAheadLog) -> int:
-        fresh = log.records_since(self._tail_lsn)
-        for record in fresh:
-            self.machine.apply(record)
-        self._tail_lsn += len(fresh)
-        return len(fresh)
 
     def take_over(self, image: bytes) -> DurableCoordinator:
         """Acquire the lapsed lease and resume from the log.
 
         The image is opened once: the log that brings the shadow
-        machine up to date is the log the successor is built over, so
-        callers need not :meth:`tail` the same image first.
+        machine up to date is the log the successor is built over.
 
         Raises:
             LeaseError: The primary's lease has not expired.
         """
         wal = WriteAheadLog.from_bytes(image)
-        self._follow(wal)
         lease = self.lease_manager.acquire(self.name)
+        for record in wal.records:
+            self.machine.apply(record)
         successor = self.coordinator_cls(
             self.aggregator, wal=wal, name=self.name,
             incarnation=lease.incarnation,
@@ -791,3 +774,112 @@ class FailoverRecord:
     lsn: int
     incarnation: int
     recovered_digest: int
+
+
+@dataclass
+class _Node:
+    """One supervised node: who runs it, under which lease."""
+
+    #: Prefix-qualified name its standbys are named after.
+    identity: str
+    lease: LeaseManager
+    primary: DurableCoordinator
+
+
+class NodeSupervisor:
+    """The one death-and-recovery path of every journaled coordinator.
+
+    Holds each node's lease and current primary -- the flat durable
+    coordinator is a one-node user, the sharded service adds its root
+    and a node per leaf -- and runs a node's round step under the kills
+    the aggregator's :class:`~repro.federation.faults.FaultInjector`
+    schedules against that node in that round, one at a time: after a
+    death the successor is armed with the node's next kill, so a node
+    can die more than once in a round.  Recovery follows the kill's
+    kind:
+
+    - ``coordinator_crash`` restarts the same coordinator from its image
+      at the next incarnation;
+    - ``failover`` / ``shard_crash`` build a :class:`StandbyCoordinator`
+      at the death (``<identity>-standby``, suffixed ``-<incarnation>``
+      once the dead primary was itself a successor), wait out the lease
+      -- one timeout on the clock while it is live -- and let it take
+      over with one parse of the image.
+
+    Every death appends one :class:`FailoverRecord` to
+    :attr:`failover_log` and is charged once through
+    ``injector.record(kind, node, round)``.
+
+    Args:
+        aggregator: The data path every node shares in-process.
+        clock: The virtual clock the leases run on.
+    """
+
+    def __init__(self, aggregator: SecureAggregator, clock: VirtualClock):
+        self.aggregator = aggregator
+        self.clock = clock
+        self.nodes: Dict[str, _Node] = {}
+        self.failover_log: List[FailoverRecord] = []
+
+    def add(self, key: str, identity: str, primary_name: str,
+            coordinator_cls: Type[DurableCoordinator]) -> None:
+        """Create node ``key`` -- its fault-plan party and failover-log
+        name -- with its lease and its WAL-backed primary
+        ``primary_name``; ``identity`` names its standbys."""
+        lease = LeaseManager(timeout_seconds=LEASE_TIMEOUT_SECONDS,
+                             clock=lambda: self.clock.now)
+        lease.acquire(primary_name)
+        self.nodes[key] = _Node(
+            identity=identity, lease=lease,
+            primary=coordinator_cls(self.aggregator, name=primary_name,
+                                    lease_manager=lease))
+
+    def run(self, key: str, round_index: int,
+            step: Callable[[DurableCoordinator], object]) -> object:
+        """Run ``step`` on node ``key``'s primary, recovering every kill
+        scheduled against the node in ``round_index`` and resuming the
+        round on each successor."""
+        node = self.nodes[key]
+        kills = iter(self.aggregator.injector.scheduled_kills(
+            key, round_index))
+        while True:
+            kill = next(kills, None)
+            if kill is not None:
+                node.primary.kill_after_lsn = kill.after_record
+            try:
+                return step(node.primary)
+            except CoordinatorKilled as killed:
+                self._recover(key, kill, round_index, killed.lsn)
+            finally:
+                node.primary.kill_after_lsn = None
+
+    def _recover(self, key: str, kill: FaultEvent, round_index: int,
+                 lsn: int) -> None:
+        """Replace node ``key``'s dead primary as ``kill.kind`` says."""
+        node = self.nodes[key]
+        dead = node.primary
+        if kill.kind == COORDINATOR_CRASH:
+            lease = node.lease.acquire(dead.name)
+            successor = type(dead)(
+                self.aggregator, wal=WriteAheadLog.from_bytes(
+                    dead.wal.image()),
+                name=dead.name, incarnation=lease.incarnation,
+                lease_manager=node.lease)
+        else:
+            # The first primary runs as incarnation 0; a promoted
+            # standby's own standby is named after the incarnation it
+            # shadows.
+            standby = StandbyCoordinator(
+                self.aggregator, node.lease,
+                name=f"{node.identity}-standby" + (
+                    f"-{dead.incarnation}" if dead.incarnation else ""),
+                coordinator_cls=type(dead))
+            if not node.lease.expired():
+                self.clock.advance(node.lease.timeout_seconds)
+            successor = standby.take_over(dead.wal.image())
+        node.primary = successor
+        self.aggregator.injector.record(kill.kind, key, round_index)
+        self.failover_log.append(FailoverRecord(
+            node=key, kind=kill.kind, round_index=round_index, lsn=lsn,
+            incarnation=successor.incarnation,
+            recovered_digest=successor.machine.digest()))

@@ -103,6 +103,8 @@ LOST_UPDATE = "lost_update"
 _EVENT_KINDS = (CRASH, DROPOUT, STRAGGLER, COORDINATOR_CRASH, FAILOVER,
                 SHARD_CRASH, QUEUE_OVERLOAD, TENANT_FLOOD, TENANT_CRASH)
 COORDINATOR_KINDS = (COORDINATOR_CRASH, FAILOVER)
+#: Every kind that kills a journaled node after a WAL record.
+NODE_KILL_KINDS = COORDINATOR_KINDS + (SHARD_CRASH,)
 SHARD_KINDS = (SHARD_CRASH, QUEUE_OVERLOAD)
 
 
@@ -169,7 +171,7 @@ class FaultEvent:
                 raise ValueError("dropout needs rejoin_round > round_index")
         if self.kind == STRAGGLER and self.delay_seconds <= 0:
             raise ValueError("straggler needs a positive delay")
-        if self.kind in COORDINATOR_KINDS or self.kind == SHARD_CRASH:
+        if self.kind in NODE_KILL_KINDS:
             if self.after_record is None or self.after_record < 0:
                 raise ValueError(
                     f"{self.kind} needs a non-negative after_record "
@@ -414,7 +416,7 @@ class FaultInjector:
     The aggregation layer asks :meth:`is_alive` / :meth:`straggler_delay`
     per (party, round); the channel asks :meth:`should_drop_message` /
     :meth:`should_corrupt` per attempt; the services ask
-    :meth:`scheduled_kill` / :meth:`queue_overloaded` /
+    :meth:`scheduled_kills` / :meth:`queue_overloaded` /
     :meth:`tenant_crashed` / :meth:`tenant_flood_intensity`.  Whoever
     acts on an answer reports it through :meth:`record`, which charges
     the bound ledger under the kind's ``fault.*`` category and appends to
@@ -476,15 +478,15 @@ class FaultInjector:
     # on the answer records it).
     # ------------------------------------------------------------------
 
-    def scheduled_kill(self, party: str, round_index: int,
-                       kinds: Tuple[str, ...]) -> Optional[int]:
-        """The WAL record after whose append node ``party`` is scheduled
-        to die in ``round_index`` by an event of one of ``kinds``."""
-        for event in self.plan.events:
-            if event.kind in kinds and event.party == party \
-                    and event.round_index == round_index:
-                return event.after_record
-        return None
+    def scheduled_kills(self, party: str,
+                        round_index: int) -> List[FaultEvent]:
+        """Node ``party``'s scheduled deaths in ``round_index``, in WAL
+        record order (the node's supervisor arms them one at a time)."""
+        return sorted((event for event in self.plan.events
+                       if event.kind in NODE_KILL_KINDS
+                       and event.party == party
+                       and event.round_index == round_index),
+                      key=lambda event: event.after_record)
 
     def queue_overloaded(self, shard: str, round_index: int) -> bool:
         """Whether an injected overload is in force for a shard/round

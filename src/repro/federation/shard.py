@@ -25,17 +25,18 @@ the hierarchical tier in between:
   The Eq. 6 offset correction rides the metadata per segment, so the
   segmented result is exactly the flat sum.
 - Every node -- each leaf and the root alike -- gets its own WAL and
-  lease; its :class:`~repro.federation.coordinator.StandbyCoordinator`
-  (told which coordinator class to build at takeover) exists from the
-  primary's death, so a fault-free round builds none.  Failover
+  lease from the one
+  :class:`~repro.federation.coordinator.NodeSupervisor` the flat
+  durable coordinator also runs under; a node's standby exists from
+  its primary's death, so a fault-free round builds none.  Failover
   composes hierarchically and the crash sweep holds at both layers.
 - :class:`ShardedAggregationService` -- the orchestrator: samples the
   cohort, plans shards, pushes encrypted uploads through the event
   loop's admission control (:mod:`repro.federation.eventloop`), runs the
   leaf rounds, forwards partials to the root over the charged channel,
-  and runs the root round -- every node through the same
-  kill-catching, standby-promoting ``_run_node``.  Overload, shedding,
-  and circuit-breaker fencing all degrade the round into quorum + Eq. 6
+  and runs the root round -- every node through the supervisor's
+  kill-arming, recovering ``run``.  Overload, shedding, and
+  circuit-breaker fencing all degrade the round into quorum + Eq. 6
   partial aggregation; nothing is ever lost silently.
 
 Capacity invariant (property-tested): for any cohort the reduction tree
@@ -52,14 +53,12 @@ import math
 import zlib
 from dataclasses import dataclass, field
 from typing import (
-    Callable,
     Dict,
     List,
     Mapping,
     Optional,
     Sequence,
     Tuple,
-    Type,
 )
 
 import numpy as np
@@ -70,13 +69,10 @@ from repro.federation.coordinator import (
     CoordinatorError,
     CoordinatorKilled,
     DurableCoordinator,
-    FailoverRecord,
-    LeaseManager,
-    StandbyCoordinator,
+    NodeSupervisor,
     frame_tensor,
 )
 from repro.federation.eventloop import (
-    LEASE_TIMEOUT_SECONDS,
     REJECT_OVERLOAD,
     REJECT_QUEUE_FULL,
     REJECT_QUOTA,
@@ -85,11 +81,9 @@ from repro.federation.eventloop import (
     VirtualClock,
 )
 from repro.federation.faults import (
-    COORDINATOR_KINDS,
     FAILOVER,
     LOST_UPDATE,
     QUEUE_OVERLOAD,
-    SHARD_CRASH,
     TENANT_CRASH,
     TENANT_FLOOD,
     QuorumError,
@@ -475,16 +469,6 @@ class ShardPool:
 
 
 @dataclass
-class _TreeNode:
-    """One node of the reduction tree: who runs it, under which lease."""
-
-    #: Prefix-qualified name its standbys are named after.
-    identity: str
-    lease: LeaseManager
-    primary: DurableCoordinator
-
-
-@dataclass
 class ShardRoundReport:
     """Outcome of one sharded aggregation round.
 
@@ -502,8 +486,6 @@ class ShardRoundReport:
     dropped: List[Tuple[str, str]] = field(default_factory=list)
     fenced_shards: List[str] = field(default_factory=list)
     summands: int = 0
-    leaf_failovers: int = 0
-    root_failovers: int = 0
 
     @property
     def survivors(self) -> List[str]:
@@ -539,9 +521,6 @@ class ShardedAggregationService:
             is the anonymous tenant of a single-tenant service.
         pool: The elastic :class:`ShardPool` naming the shard queues;
             fixed ``shard-<i>`` names per round when omitted.
-        node_prefix: Prefix for leaf/root WAL, lease, and standby names
-            (``"tenant-a/"`` keeps tenants' node identities disjoint on
-            a shared pool).
     """
 
     def __init__(self, aggregator: SecureAggregator,
@@ -550,8 +529,7 @@ class ShardedAggregationService:
                  queue_capacity: int = 64, seed: int = 7,
                  async_channel: Optional[AsyncChannel] = None,
                  tenant: Optional[str] = None,
-                 pool: Optional["ShardPool"] = None,
-                 node_prefix: str = ""):
+                 pool: Optional["ShardPool"] = None):
         self.aggregator = aggregator
         self.clock = clock if clock is not None else VirtualClock()
         self.num_shards = num_shards
@@ -560,7 +538,9 @@ class ShardedAggregationService:
         self._current_round = 0
         self.tenant = tenant
         self.pool = pool
-        self.node_prefix = node_prefix
+        #: Prefix of leaf/root WAL, lease and standby names: ``"<tenant>/"``
+        #: keeps tenants' node identities disjoint on a shared pool.
+        self.node_prefix = f"{tenant}/" if tenant is not None else ""
         if async_channel is None:
             if tenant is not None:
                 raise ValueError(
@@ -576,15 +556,15 @@ class ShardedAggregationService:
             async_channel.register_tenant(
                 tenant, aggregator.channel, overloaded=self._overloaded)
         self.async_channel = async_channel
-        self.root_name = f"{node_prefix}root"
+        self.root_name = f"{self.node_prefix}root"
         #: Every node of the reduction tree; the root is just the node
         #: named :attr:`root_name`, leaves are keyed by shard name.
-        self._nodes: Dict[str, _TreeNode] = {}
-        self._add_node(self.root_name, self.root_name, self.root_name,
-                       RootCoordinator)
+        self.supervisor = NodeSupervisor(aggregator, self.clock)
+        self.supervisor.add(self.root_name, self.root_name, self.root_name,
+                            RootCoordinator)
         self.last_round: Optional[ShardRoundReport] = None
-        #: Every failover the service performed, for the crash sweeps.
-        self.failover_log: List[FailoverRecord] = []
+        #: Every node death the service recovered, for the crash sweeps.
+        self.failover_log = self.supervisor.failover_log
 
     def _overloaded(self, shard: str) -> bool:
         return self.aggregator.injector.queue_overloaded(
@@ -603,90 +583,25 @@ class ShardedAggregationService:
     # Node registry.
     # ------------------------------------------------------------------
 
-    def _add_node(self, key: str, identity: str, primary_name: str,
-                  coordinator_cls: Type[DurableCoordinator]) -> None:
-        """Create one tree node: its lease and its WAL-backed primary."""
-        lease = LeaseManager(timeout_seconds=LEASE_TIMEOUT_SECONDS,
-                             clock=lambda: self.clock.now)
-        lease.acquire(primary_name)
-        self._nodes[key] = _TreeNode(
-            identity=identity, lease=lease,
-            primary=coordinator_cls(
-                self.aggregator, wal=WriteAheadLog(), name=primary_name,
-                lease_manager=lease))
-
     @property
     def leaves(self) -> Dict[str, ShardAggregator]:
         """Every leaf's current primary, by shard name."""
-        return {key: node.primary for key, node in self._nodes.items()
+        return {key: node.primary
+                for key, node in self.supervisor.nodes.items()
                 if key != self.root_name}
 
     @property
     def root(self) -> RootCoordinator:
         """The root's current primary."""
-        return self._nodes[self.root_name].primary
+        return self.supervisor.nodes[self.root_name].primary
 
     def leaf(self, shard: str) -> ShardAggregator:
         """The shard's leaf coordinator (created with WAL + lease)."""
-        if shard not in self._nodes:
+        if shard not in self.supervisor.nodes:
             identity = f"{self.node_prefix}{shard}"
-            self._add_node(shard, identity, f"{identity}-primary",
-                           ShardAggregator)
-        return self._nodes[shard].primary
-
-    # ------------------------------------------------------------------
-    # Failover plumbing.
-    # ------------------------------------------------------------------
-
-    def _fail_over(self, key: str, kind: str, round_index: int,
-                   lsn: int) -> DurableCoordinator:
-        """Build a dead node's standby and promote it over its log."""
-        node = self._nodes[key]
-        dead = node.primary
-        # The first primary runs as incarnation 0; a promoted standby's
-        # own standby is named after the incarnation it shadows.
-        standby = StandbyCoordinator(
-            self.aggregator, node.lease,
-            name=f"{node.identity}-standby" + (
-                f"-{dead.incarnation}" if dead.incarnation else ""),
-            coordinator_cls=type(dead))
-        if not node.lease.expired():
-            self.clock.advance(node.lease.timeout_seconds)
-        successor = standby.take_over(dead.wal.image())
-        node.primary = successor
-        self.aggregator.injector.record(kind, key, round_index)
-        self.failover_log.append(FailoverRecord(
-            node=key, kind=kind, round_index=round_index, lsn=lsn,
-            incarnation=successor.incarnation,
-            recovered_digest=successor.machine.digest()))
-        return successor
-
-    def _run_node(self, key: str, round_index: int,
-                  report: "ShardRoundReport",
-                  run: Callable[[DurableCoordinator], object]) -> object:
-        """Run one node's journaled round, failing over a scheduled kill
-        (``shard_crash`` for a leaf, either coordinator kind for the
-        root) and resuming the round on the successor."""
-        is_root = key == self.root_name
-        kill_at = self.aggregator.injector.scheduled_kill(
-            key, round_index,
-            COORDINATOR_KINDS if is_root else (SHARD_CRASH,))
-        node = self._nodes[key]
-        if kill_at is not None:
-            node.primary.kill_after_lsn = kill_at
-        try:
-            return run(node.primary)
-        except CoordinatorKilled as killed:
-            successor = self._fail_over(
-                key, FAILOVER if is_root else SHARD_CRASH, round_index,
-                killed.lsn)
-            if is_root:
-                report.root_failovers += 1
-            else:
-                report.leaf_failovers += 1
-            return run(successor)
-        finally:
-            node.primary.kill_after_lsn = None
+            self.supervisor.add(shard, identity, f"{identity}-primary",
+                                ShardAggregator)
+        return self.supervisor.nodes[shard].primary
 
     # ------------------------------------------------------------------
     # The sharded round.
@@ -814,14 +729,14 @@ class ShardedAggregationService:
             if not uploads:
                 continue
             self.leaf(shard)
-            partial = self._run_node(
-                shard, round_index, report,
+            partial = self.supervisor.run(
+                shard, round_index,
                 lambda leaf: leaf.combine_round(uploads, round_index,
                                                 tag=tag))
             breaker = self._breaker(shard)
             breaker.record_success()
             report.shard_survivors[shard] = list(
-                self._nodes[shard].primary.machine.round.survivors)
+                self.leaf(shard).machine.round.survivors)
             try:
                 sent = agg.send_tensor(partial, sender=shard,
                                        receiver=self.root_name,
@@ -855,8 +770,8 @@ class ShardedAggregationService:
                               len(cohort))
 
         # Phase 4: root reduction, with its own kill handling.
-        result = self._run_node(
-            self.root_name, round_index, report,
+        result = self.supervisor.run(
+            self.root_name, round_index,
             lambda root: root.reduce_round(partials, round_index, tag=tag))
         finish()
         return result
@@ -1004,7 +919,7 @@ class MultiTenantAggregationService:
             aggregator, clock=self.clock,
             queue_capacity=self.queue_capacity, seed=seed,
             async_channel=self.async_channel, tenant=tenant_id,
-            pool=self.pool, node_prefix=f"{tenant_id}/")
+            pool=self.pool)
         self.services[tenant_id] = service
         return service
 

@@ -287,6 +287,47 @@ def _intact_record_follows(blob: bytes, failed_offset: int) -> bool:
     return True
 
 
+def _write_durably(path: Path, mode: str, data: bytes) -> None:
+    with open(path, mode) as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
+def _fsync_directory(directory: Path) -> None:
+    """Fsync a directory entry so a just-renamed file survives a crash.
+
+    Some filesystems (and all of Windows) refuse ``O_RDONLY`` opens or
+    fsync on directories; the rename is already atomic there, so the
+    extra durability step is best-effort.
+    """
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
+
+
+def replace_durably(path: Path, data: bytes) -> None:
+    """Atomically and durably make ``data`` the whole of ``path``.
+
+    Write ``<name>.tmp``, fsync it, rename it over ``path``, fsync the
+    directory: a crash at any point leaves the old complete file or the
+    new complete one, never a torn one, and once this returns the rename
+    survives power loss.  A stale ``.tmp`` from an earlier crashed
+    replace is overwritten.
+    """
+    temporary = path.with_name(path.name + ".tmp")
+    _write_durably(temporary, "wb", data)
+    os.replace(temporary, path)
+    _fsync_directory(path.parent)
+
+
 class WriteAheadLog:
     """An append-only, CRC-framed record journal.
 
@@ -336,11 +377,10 @@ class WriteAheadLog:
             # Persist the trim so the next reader sees a clean log.  The
             # one rewrite of the journal goes through a temp file and an
             # atomic rename: dying here leaves the torn file or the
-            # trimmed one, never less than the intact prefix.
-            trimmed = self.path.with_name(self.path.name + ".tmp")
-            self._write_durably(trimmed, "wb",
-                                blob[:result.consumed_bytes])
-            os.replace(trimmed, self.path)
+            # trimmed one, never less than the intact prefix -- and the
+            # directory fsync keeps the rename, so records appended to
+            # the new file later cannot vanish with it on power loss.
+            replace_durably(self.path, blob[:result.consumed_bytes])
 
     # ------------------------------------------------------------------
     # Appending.
@@ -353,15 +393,8 @@ class WriteAheadLog:
             frame = WAL_MAGIC + frame  # the magic travels with record 0
         self._records.append(record)
         if self.path is not None:
-            self._write_durably(self.path, "ab", frame)
+            _write_durably(self.path, "ab", frame)
         return len(self._records) - 1
-
-    @staticmethod
-    def _write_durably(path: Path, mode: str, data: bytes) -> None:
-        with open(path, mode) as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
 
     # ------------------------------------------------------------------
     # Reading.
@@ -381,9 +414,3 @@ class WriteAheadLog:
             return b""
         return WAL_MAGIC + b"".join(encode_record(record)
                                     for record in self._records)
-
-    def records_since(self, lsn: int) -> List[WalRecord]:
-        """Records appended at or after ``lsn`` (standby tailing)."""
-        if lsn < 0:
-            raise ValueError("lsn must be non-negative")
-        return list(self._records[lsn:])

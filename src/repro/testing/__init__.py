@@ -7,7 +7,7 @@ Three pillars (PR 3's tentpole):
   that replays each trace against every registered engine *and* a pure
   ``pow()`` reference, asserting bit-identical ciphertexts;
 - :mod:`repro.testing.simulator` -- the deterministic federation
-  simulator (seeded virtual clock + event queue, zero wall-clock
+  simulator (seeded virtual clock, zero wall-clock
   dependence) whose failures replay from ``(seed, trace)`` alone;
 - :mod:`repro.testing.fuzz` -- the structured FLT2 wire-format fuzzer
   (seeded header/payload mutations that must always produce *typed*

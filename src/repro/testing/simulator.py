@@ -1,7 +1,7 @@
 """Deterministic federation simulator: virtual time, replayable traces.
 
 Drives :class:`~repro.federation.runtime.FederationRuntime` rounds from a
-seeded virtual clock and event queue with **zero wall-clock dependence**:
+seeded virtual clock with **zero wall-clock dependence**:
 client gradient draws, fault injection, channel retries and straggler
 delays all advance modelled time only, so the same
 :class:`SimulationSpec` produces the same per-round survivors, modelled
@@ -26,34 +26,26 @@ identical run in a fresh process from that JSON alone::
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import json
 import zlib
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.federation.channel import ChannelError
 from repro.federation.coordinator import (
-    CoordinatorKilled,
     DurableCoordinator,
     FailoverRecord,
-    LeaseManager,
-    StandbyCoordinator,
+    NodeSupervisor,
 )
 # VirtualClock now lives with the event loop (the federation layer owns
 # its own time source); re-exported here for backward compatibility.
-from repro.federation.eventloop import (  # noqa: F401 -- re-exported
-    LEASE_TIMEOUT_SECONDS,
-    VirtualClock,
-)
+from repro.federation.eventloop import VirtualClock
 from repro.federation.faults import (
     COORDINATOR_CRASH,
     FAILOVER,
-    SHARD_CRASH,
-    FaultEvent,
+    NODE_KILL_KINDS,
     FaultPlan,
     QuorumError,
 )
@@ -64,37 +56,6 @@ from repro.federation.shard import (
     ShardPool,
 )
 from repro.federation.tenancy import Tenant, TenantRegistry
-from repro.federation.wal import WriteAheadLog
-
-
-@dataclass(order=True)
-class _Event:
-    """One scheduled event; ordering is (time, sequence) -- fully
-    deterministic even for simultaneous events."""
-
-    time: float
-    sequence: int
-    kind: str = field(compare=False)
-    payload: Any = field(compare=False, default=None)
-
-
-class EventQueue:
-    """A seeded-deterministic priority queue of simulation events."""
-
-    def __init__(self):
-        self._heap: List[_Event] = []
-        self._sequence = 0
-
-    def push(self, time: float, kind: str, payload: Any = None) -> None:
-        heapq.heappush(self._heap,
-                       _Event(time, self._sequence, kind, payload))
-        self._sequence += 1
-
-    def pop(self) -> _Event:
-        return heapq.heappop(self._heap)
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
 
 class _TraceSpec:
@@ -238,7 +199,6 @@ class SimulationResult:
     spec: SimulationSpec
     rounds: List[RoundRecord]
     final_time: float
-    events_processed: int
     node_wal_records: Dict[str, int] = field(default_factory=dict)
     node_digest_trails: Dict[str, List[int]] = field(default_factory=dict)
     failovers: List[FailoverRecord] = field(default_factory=list)
@@ -258,7 +218,6 @@ class SimulationResult:
         data = {
             "trace": self.spec.to_dict(),
             "final_time": self.final_time,
-            "events_processed": self.events_processed,
             "checksum": self.checksum(),
             "rounds": [
                 {"round": r.round_index, "summands": r.summands,
@@ -318,37 +277,35 @@ def _client_vectors(seed: int, round_index: int, num_clients: int,
             for _ in range(num_clients)]
 
 
-#: Extra virtual seconds past lease expiry before a takeover.
-LEASE_GRACE_SECONDS = 1.0
-
-
 class FederationSimulator:
-    """Event-driven, wall-clock-free driver of federation rounds.
+    """Wall-clock-free driver of federation rounds.
 
-    Each round schedules one ``submit`` event per client (offset by any
-    straggler delay the fault plan holds for that round -- stragglers
-    genuinely arrive later on the virtual clock) and one ``aggregate``
-    event; the queue drains in deterministic ``(time, sequence)`` order,
-    the aggregation step runs through the real federation stack (faults,
-    quorum, retries and all), and the clock advances by the round's
-    modelled ledger seconds.
+    Each round first advances the virtual clock to every late
+    straggler's arrival, in order (the straggler delays the fault plan
+    holds for that round -- stragglers genuinely arrive later on the
+    virtual clock), then runs the aggregation step through the real
+    federation stack (faults, quorum, retries and all), and finally
+    advances the clock by the round's modelled ledger seconds.
 
     The aggregation step follows the spec:
 
     - ``sharded`` (or a plan with shard faults, or coordinator kills
       against the ``root`` party): the two-level
       :class:`~repro.federation.shard.ShardedAggregationService` on the
-      simulator's virtual clock, which fails its own nodes over
-      (``shard_crash`` against leaves, ``failover`` against the root).
+      simulator's virtual clock.
     - ``durable`` (or a plan with coordinator kills): one
-      :class:`~repro.federation.coordinator.DurableCoordinator`, killed
-      right after it appends the WAL record each event names; a
-      ``coordinator_crash`` restarts it from its own log, a
-      ``failover`` waits out the lease and promotes the hot standby.
+      :class:`~repro.federation.coordinator.DurableCoordinator`, the
+      one node of a
+      :class:`~repro.federation.coordinator.NodeSupervisor`, which
+      heartbeats its lease each round.
     - otherwise the plain
       :class:`~repro.federation.aggregator.SecureAggregator`.
 
-    A killed round *continues* -- uploads accepted before the death are
+    Either durable topology dies right after the WAL record each kill
+    names and recovers through its supervisor: a ``coordinator_crash``
+    restarts the node from its own log, a ``failover`` or
+    ``shard_crash`` waits out the lease and promotes a standby.  A
+    killed round *continues* -- uploads accepted before the death are
     reused verbatim from the log -- and every scheduled kill must fire
     or :meth:`run` raises.
     """
@@ -356,7 +313,6 @@ class FederationSimulator:
     def __init__(self, spec: SimulationSpec):
         self.spec = spec
         self.clock = VirtualClock()
-        self.queue = EventQueue()
         self.runtime = FederationRuntime(
             config=system_by_name(spec.system),
             num_clients=spec.num_clients,
@@ -368,50 +324,32 @@ class FederationSimulator:
             round_deadline_seconds=spec.round_deadline_seconds,
             incarnation=spec.incarnation,
         )
-        self._events_processed = 0
         self.final_weights: List[List[float]] = []
         self.service: Optional[ShardedAggregationService] = None
-        self.coordinator: Optional[DurableCoordinator] = None
-        #: Every node death processed so far, in firing order.
-        self.failovers: List[FailoverRecord] = []
-        #: The node kills the plan schedules against this topology.
-        self._scheduled_kills: List[FaultEvent] = []
+        #: Whichever durable topology runs the rounds, its nodes' one
+        #: supervisor (``None`` for the plain aggregator).
+        self.supervisor: Optional[NodeSupervisor] = None
         plan = self.runtime.injector.plan
         coordinator_kills = plan.coordinator_events()
-        root_kills = [e for e in coordinator_kills if e.party == ROOT]
-        shard_events = plan.shard_events()
-        if spec.sharded or shard_events or root_kills:
+        if spec.sharded or plan.shard_events() or any(
+                e.party == ROOT for e in coordinator_kills):
             self.service = ShardedAggregationService(
                 self.runtime.aggregator, clock=self.clock,
                 num_shards=spec.num_shards,
                 queue_capacity=spec.queue_capacity, seed=spec.seed)
-            self.failovers = self.service.failover_log
-            self._scheduled_kills = root_kills + [
-                e for e in shard_events if e.kind == SHARD_CRASH]
+            self.supervisor = self.service.supervisor
         elif spec.durable or coordinator_kills:
-            self.lease_manager = LeaseManager(
-                timeout_seconds=LEASE_TIMEOUT_SECONDS,
-                clock=lambda: self.clock.now)
-            lease = self.lease_manager.acquire(COORDINATOR)
-            self.coordinator = DurableCoordinator(
-                self.runtime.aggregator, name=COORDINATOR,
-                incarnation=lease.incarnation,
-                lease_manager=self.lease_manager)
-            self.standby = StandbyCoordinator(
-                self.runtime.aggregator, self.lease_manager, name="standby")
-            self._scheduled_kills = coordinator_kills
-            self._pending_kills = deque(self._scheduled_kills)
-            self._promotions = 0
-            self._arm_next_kill()
+            self.supervisor = NodeSupervisor(self.runtime.aggregator,
+                                             self.clock)
+            self.supervisor.add(COORDINATOR, COORDINATOR, COORDINATOR,
+                                DurableCoordinator)
 
     def nodes(self) -> Dict[str, DurableCoordinator]:
         """Every journaling node's *current* coordinator, by name."""
-        if self.service is not None:
-            return {**self.service.leaves,
-                    self.service.root_name: self.service.root}
-        if self.coordinator is not None:
-            return {COORDINATOR: self.coordinator}
-        return {}
+        if self.supervisor is None:
+            return {}
+        return {key: node.primary
+                for key, node in self.supervisor.nodes.items()}
 
     # ------------------------------------------------------------------
     # The aggregation step.
@@ -423,68 +361,18 @@ class FederationSimulator:
             return self.service.run_round(
                 vectors, round_index=round_index,
                 cohort_size=self.spec.cohort_size)
-        if self.coordinator is not None:
-            return self._durable_round(vectors, round_index)
+        if self.supervisor is not None:
+            try:
+                self.supervisor.nodes[COORDINATOR].primary.heartbeat(
+                    channel=self.runtime.channel)
+            except ChannelError:
+                pass  # a lost heartbeat just leaves the lease unrenewed
+            return self.supervisor.run(
+                COORDINATOR, round_index,
+                lambda coordinator: coordinator.run_round(
+                    vectors, round_index=round_index))
         return self.runtime.aggregator.aggregate(
             vectors, round_index=round_index)
-
-    def _arm_next_kill(self) -> None:
-        self.coordinator.kill_after_lsn = (
-            self._pending_kills[0].after_record
-            if self._pending_kills else None)
-
-    def _handle_kill(self, event: FaultEvent,
-                     killed: CoordinatorKilled) -> None:
-        """Process one coordinator death: recover or fail over."""
-        self.runtime.injector.record(event.kind, COORDINATOR,
-                                     event.round_index)
-        image = self.coordinator.wal.image()
-        if event.kind == FAILOVER:
-            # Let the dead primary's lease lapse on the virtual clock,
-            # then the hot standby acquires a bumped incarnation.
-            lease = self.lease_manager.lease
-            if lease is not None and lease.expires_at > self.clock.now:
-                self.clock.advance(lease.expires_at - self.clock.now)
-            self.clock.advance(LEASE_GRACE_SECONDS)
-            self.coordinator = self.standby.take_over(image)
-            self._promotions += 1
-            self.standby = StandbyCoordinator(
-                self.runtime.aggregator, self.lease_manager,
-                name=f"standby-{self._promotions}")
-        else:
-            lease = self.lease_manager.acquire(self.coordinator.name)
-            self.coordinator = DurableCoordinator(
-                self.runtime.aggregator,
-                wal=WriteAheadLog.from_bytes(image),
-                name=self.coordinator.name,
-                incarnation=lease.incarnation,
-                lease_manager=self.lease_manager)
-        self.failovers.append(FailoverRecord(
-            node=COORDINATOR, kind=event.kind,
-            round_index=event.round_index, lsn=killed.lsn,
-            incarnation=self.coordinator.incarnation,
-            recovered_digest=self.coordinator.machine.digest()))
-        self._arm_next_kill()
-
-    def _durable_round(self, vectors: List[np.ndarray],
-                       round_index: int) -> np.ndarray:
-        try:
-            self.coordinator.heartbeat(channel=self.runtime.channel)
-        except ChannelError:
-            pass  # a lost heartbeat just leaves the lease unrenewed
-        while True:
-            try:
-                total = self.coordinator.run_round(
-                    vectors, round_index=round_index)
-            except CoordinatorKilled as killed:
-                # run_round on the successor resumes the round (or, if
-                # death landed on the round_close record, returns the
-                # already-decided result / re-raises the quorum abort).
-                self._handle_kill(self._pending_kills.popleft(), killed)
-                continue
-            break
-        self.standby.tail(self.coordinator.wal.image())
-        return total
 
     # ------------------------------------------------------------------
     # The run loop.
@@ -497,22 +385,14 @@ class FederationSimulator:
         injector = self.runtime.injector
         for round_index in range(self.spec.rounds):
             start = self.clock.now
-            # Schedule this round's events: client submissions (offset
-            # by scheduled straggler delay) then the aggregation barrier.
-            for client in range(self.spec.num_clients):
-                delay = injector.straggler_delay(f"client-{client}",
-                                                 round_index)
-                self.queue.push(start + delay, "submit",
-                                (round_index, client))
-            self.queue.push(start + 1e9, "aggregate", round_index)
-
-            while len(self.queue):
-                event = self.queue.pop()
-                self._events_processed += 1
-                if event.kind == "aggregate":
-                    break
-                if event.time > start:  # a straggler's late submit
-                    self.clock.advance(event.time - self.clock.now)
+            # Wait for every straggler's late submission, in arrival
+            # order; on-time submissions arrive at the round's start.
+            for arrival in sorted(
+                    start + injector.straggler_delay(f"client-{client}",
+                                                     round_index)
+                    for client in range(self.spec.num_clients)):
+                if arrival > start:
+                    self.clock.advance(arrival - self.clock.now)
 
             vectors = _client_vectors(self.spec.seed, round_index,
                                       self.spec.num_clients,
@@ -544,21 +424,24 @@ class FederationSimulator:
                 checksum=zlib.crc32(
                     np.ascontiguousarray(total).tobytes()),
             ))
-        unfired = len(self._scheduled_kills) - len(self.failovers)
+        failovers = (self.supervisor.failover_log
+                     if self.supervisor is not None else [])
+        scheduled = [e for e in injector.plan.events
+                     if e.kind in NODE_KILL_KINDS]
+        unfired = len(scheduled) - len(failovers)
         if unfired > 0:
             raise SimulationFailure(
                 self.spec,
-                f"{unfired} of {len(self._scheduled_kills)} scheduled "
+                f"{unfired} of {len(scheduled)} scheduled "
                 f"node kills never fired", self.spec.rounds - 1)
         nodes = self.nodes()
         return SimulationResult(
             spec=self.spec, rounds=records, final_time=self.clock.now,
-            events_processed=self._events_processed,
             node_wal_records={name: len(node.wal)
                               for name, node in nodes.items()},
             node_digest_trails={name: node.digest_trail
                                 for name, node in nodes.items()},
-            failovers=list(self.failovers),
+            failovers=list(failovers),
             final_weights=list(self.final_weights))
 
 

@@ -9,7 +9,10 @@ CRC over each round's ledger category totals plus the injector's
 ``triggered`` sequence.  The literals were captured at commit
 ``fc37bc0`` (py3.11.7 / numpy 2.4.6) and are stable across processes and
 ``PYTHONHASHSEED``; a restructuring of the aggregation or simulation
-stack must leave every one of them untouched.
+stack must leave every one of them untouched.  One literal was amended
+since, with its mapping from the old value pinned by a test:
+``durable-failover.final_time`` lost the flat failover's 1.0 s lease
+grace when the flat and tree nodes came to share one supervisor.
 
 Only :func:`build_simulator`, :func:`simulator_nodes` and
 :func:`result_failovers` know which simulator class runs a spec and
@@ -437,7 +440,7 @@ GOLDEN = {
     "durable-failover": {
         "checksum": 904145964,
         "failovers": [["coordinator", 3, 1, 3910647757]],
-        "final_time": 31.008819289091193,
+        "final_time": 30.008819289091193,
         "ledgers": [245227241, 2362328453, 2362328453],
         "nodes": {"coordinator": [24, 2969285241, 3427276074]},
         "triggered": [["failover", "coordinator", 0]],
@@ -700,6 +703,24 @@ GOLDEN["runtime-tenancy-pool-kill"] = {
     "platform_ledger": 122954199,
     "pool": [5, 1721135234, 2433745248, 1],
 }
+
+
+#: ``durable-failover.final_time`` as captured up to commit ``9bb9484``,
+#: when the flat coordinator's failover waited out the lease plus a
+#: fixed 1.0 s grace; the tree's rule it now shares waits out the lease
+#: alone.  Nothing else in any golden moved with it.
+PRE_SUPERVISOR_FAILOVER_FINAL_TIME = 31.008819289091193
+LEASE_GRACE_SECONDS = 1.0
+
+
+def test_flat_failover_final_time_maps_from_the_lease_grace_era():
+    """Old literal minus one grace per standby promotion is the new one,
+    exactly."""
+    golden = GOLDEN["durable-failover"]
+    promotions = sum(kind == "failover" for kind, _, _ in golden["triggered"])
+    assert promotions == 1
+    assert (PRE_SUPERVISOR_FAILOVER_FINAL_TIME
+            - LEASE_GRACE_SECONDS * promotions) == golden["final_time"]
 
 
 @pytest.mark.parametrize("name", SCENARIOS)

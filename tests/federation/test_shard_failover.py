@@ -110,7 +110,7 @@ class TestFailoverAccounting:
         rng = np.random.default_rng(3)
         vectors = [rng.uniform(-0.5, 0.5, size=4) for _ in range(4)]
         service.run_round(vectors, round_index=0)
-        assert service.last_round.leaf_failovers == 1
+        assert [f.node for f in service.failover_log] == ["shard-0"]
         report = FaultReport.from_ledger(runtime.ledger)
         assert report.shard_crashes == 1
         assert any("shard crashes" in line and "1" in line

@@ -1,5 +1,7 @@
 """WAL codec and replay: framing, torn tails, mid-log corruption."""
 
+import os
+import stat
 import tracemalloc
 import zlib
 
@@ -228,15 +230,6 @@ class TestWriteAheadLog:
         assert list(clone.records) == sample_records()[:-1]
         assert clone.torn_tail_dropped
 
-    def test_records_since(self):
-        log = WriteAheadLog()
-        for record in sample_records():
-            log.append(record)
-        assert log.records_since(1) == sample_records()[1:]
-        assert log.records_since(3) == []
-        with pytest.raises(ValueError):
-            log.records_since(-1)
-
     def test_file_backed_log_survives_reopen(self, tmp_path):
         path = tmp_path / "round.wal"
         log = WriteAheadLog(path=path)
@@ -259,6 +252,28 @@ class TestWriteAheadLog:
         third = WriteAheadLog(path=path)
         assert not third.torn_tail_dropped
         assert list(third.records) == sample_records()[:-1]
+
+    def test_torn_tail_trim_fsyncs_the_directory(self, tmp_path,
+                                                 monkeypatch):
+        """The trim renames a new inode over the journal; until the
+        directory entry is fsynced that rename -- and every record later
+        fsynced into the new file -- can be lost on power loss."""
+        path = tmp_path / "round.wal"
+        log = WriteAheadLog(path=path)
+        for record in sample_records():
+            log.append(record)
+        path.write_bytes(path.read_bytes()[:-3])
+        synced = []
+        fsync = os.fsync
+
+        def spying_fsync(fd):
+            synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spying_fsync)
+        WriteAheadLog(path=path)
+        assert synced == [False, True]   # the trimmed file, then its dir
+        assert not (tmp_path / "round.wal.tmp").exists()
 
     def test_one_append_writes_one_frame(self, tmp_path, monkeypatch):
         """The journal is appended to, not rewritten: a log of n records

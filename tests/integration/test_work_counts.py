@@ -137,27 +137,72 @@ def test_a_shard_crash_parses_the_dead_leafs_image_once(takeover_work):
     assert standbys == ["shard-1-standby", "shard-1-standby-1"]
 
 
+def test_a_leaf_killed_twice_in_one_round_fails_over_twice(takeover_work):
+    """The supervisor arms each successor with the node's next kill in
+    the round, so a second death in the same round fires too."""
+    plan = (FaultPlan(seed=SHARDED.seed)
+            .shard_crash("shard-1", 0, after_record=2)
+            .shard_crash("shard-1", 0, after_record=4))
+    result = FederationSimulator(
+        dataclasses.replace(SHARDED, fault_plan=plan)).run()
+    parses, standbys = takeover_work
+    assert [(f.node, f.lsn, f.incarnation) for f in result.failovers] == \
+        [("shard-1", 2, 1), ("shard-1", 4, 2)]
+    assert len(parses) == 2
+    assert standbys == ["shard-1-standby", "shard-1-standby-1"]
+
+
+def test_a_root_coordinator_crash_restarts_the_root_in_place(takeover_work):
+    """Recovery follows the kill's kind: a crashed root restarts under
+    its own name at the next incarnation, with no standby."""
+    plan = FaultPlan(seed=SHARDED.seed).coordinator_crash(
+        0, after_record=1, party="root")
+    simulator = FederationSimulator(
+        dataclasses.replace(SHARDED, fault_plan=plan))
+    result = simulator.run()
+    parses, standbys = takeover_work
+    assert [(f.node, f.kind, f.lsn, f.incarnation)
+            for f in result.failovers] == \
+        [("root", COORDINATOR_CRASH, 1, 1)]
+    assert simulator.runtime.injector.triggered == \
+        [(COORDINATOR_CRASH, "root", 0)]
+    root = simulator.nodes()["root"]
+    assert (root.name, root.incarnation) == ("root", 1)
+    assert (len(parses), standbys) == (1, [])
+
+
+@pytest.mark.parametrize("rounds", [1, 3, 6])
+def test_a_fault_free_flat_durable_run_parses_nothing(takeover_work,
+                                                      rounds):
+    """The flat coordinator's standby exists from its death, like a
+    tree node's: no per-round re-read of a journal nobody lost."""
+    FederationSimulator(SimulationSpec(rounds=rounds, durable=True)).run()
+    assert takeover_work == ([], [])
+
+
 @pytest.mark.parametrize("kind", [FAILOVER, COORDINATOR_CRASH])
-def test_a_flat_coordinator_kill_parses_its_image_once(
-        takeover_work, monkeypatch, kind):
+def test_a_flat_coordinator_kill_parses_its_image_once(takeover_work,
+                                                      kind):
     """Standby takeover or in-place restart alike: the dead
-    coordinator's image is read once at the kill (the hot standby's
-    per-round tail is the other, separate, read)."""
-    parses, _standbys = takeover_work
-    at_kill = []
-    handle = FederationSimulator._handle_kill
-
-    def counting_handle(simulator, event, killed):
-        before = len(parses)
-        handle(simulator, event, killed)
-        at_kill.append(len(parses) - before)
-
-    monkeypatch.setattr(FederationSimulator, "_handle_kill",
-                        counting_handle)
+    coordinator's image is read once, at the kill, and nowhere else."""
     plan = FaultPlan(seed=7)
     plan = (plan.failover if kind == FAILOVER
             else plan.coordinator_crash)(0, after_record=3)
     result = FederationSimulator(
         SimulationSpec(rounds=1, fault_plan=plan)).run()
+    parses, standbys = takeover_work
     assert [f.kind for f in result.failovers] == [kind]
-    assert at_kill == [1]
+    assert len(parses) == 1
+    assert standbys == (["coordinator-standby"] if kind == FAILOVER
+                        else [])
+
+
+def test_the_flat_failover_golden_parses_once_and_builds_one_standby(
+        takeover_work):
+    """The ``durable-failover`` journal-golden scenario: three rounds,
+    one standby promotion."""
+    plan = FaultPlan(seed=7).failover(0, after_record=3)
+    FederationSimulator(SimulationSpec(durable=True, fault_plan=plan)).run()
+    parses, standbys = takeover_work
+    assert len(parses) == 1
+    assert standbys == ["coordinator-standby"]

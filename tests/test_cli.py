@@ -122,9 +122,20 @@ class TestFaultsDumpPlan:
 
         from repro.federation.faults import FaultPlan
 
-        assert main(["faults", "--dump-plan", "--crashes", "1",
-                     "--coordinator-crash", "4", "--failover", "9"]) == 0
+        assert main(["faults", "--dump-plan", "--crashes", "2",
+                     "--clients", "5"]) == 0
         data = json.loads(capsys.readouterr().out)
         plan = FaultPlan.from_dict(data)
-        assert [e.after_record for e in plan.coordinator_events()] == [4, 9]
+        assert [(e.kind, e.party) for e in plan.events] == [
+            ("crash", "client-4"), ("crash", "client-3"),
+            ("straggler", "client-2")]
         assert plan.to_dict() == data
+
+    @pytest.mark.parametrize("flag", ["--coordinator-crash", "--failover"])
+    def test_coordinator_kill_flags_are_rejected(self, flag, capsys):
+        """Training aggregates through ``SecureAggregator.average``,
+        which no coordinator kill reaches, so ``faults`` offers none."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["faults", "--dump-plan", f"{flag}=4"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -71,7 +71,7 @@ class TestScheduledKills:
             {**spec.to_dict(), "fault_plan": plan.to_dict()}))
         result = sim.run()
         assert result.failovers[0].kind == "failover"
-        assert sim.coordinator.name == "standby"
+        assert sim.nodes()[COORDINATOR].name == "coordinator-standby"
         assert result.final_weights == reference.final_weights
         # The takeover waited out the lease on the virtual clock.
         assert result.final_time > reference.final_time

@@ -8,7 +8,6 @@ import pytest
 
 from repro.federation.faults import FaultPlan
 from repro.testing.simulator import (
-    EventQueue,
     FederationSimulator,
     SimulationFailure,
     SimulationSpec,
@@ -29,16 +28,6 @@ class TestVirtualClock:
     def test_rejects_negative_steps(self):
         with pytest.raises(ValueError):
             VirtualClock().advance(-0.1)
-
-
-class TestEventQueue:
-    def test_orders_by_time_then_insertion(self):
-        queue = EventQueue()
-        queue.push(2.0, "b")
-        queue.push(1.0, "a")
-        queue.push(1.0, "a2")
-        popped = [queue.pop().kind for _ in range(3)]
-        assert popped == ["a", "a2", "b"]
 
 
 class TestSpecJson:
