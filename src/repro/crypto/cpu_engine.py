@@ -48,17 +48,24 @@ class CpuPaillierEngine(HeEngine):
         self.profile = profile
 
     def encrypt_batch(self, plaintexts: Sequence[int]) -> List[int]:
-        """Encrypt sequentially, charging per-op CPU time."""
+        """Encrypt sequentially, charging per-op CPU time.
+
+        With the standard generator ``g = n + 1``, ``g^m r^n`` is
+        ``(1 + m n) r^n mod n^2 = (r^n + n (m r^n mod n)) mod n^2``
+        (because ``m n x mod n^2 = n (m x mod n)``): one product modulo
+        ``n`` instead of one modulo ``n^2``, the same integers.
+        """
         self._check_plaintexts(plaintexts)
         n = self.public_key.n
         n_squared = self.public_key.n_squared
         results = []
         for m in plaintexts:
             if self.public_key.g == n + 1:
-                g_m = (1 + m * n) % n_squared
+                r_n = self._randomizer_power()
+                results.append((r_n + n * (m * r_n % n)) % n_squared)
             else:
                 g_m = powmod(self.public_key.g, m, n_squared)
-            results.append((g_m * self._randomizer_power()) % n_squared)
+                results.append((g_m * self._randomizer_power()) % n_squared)
         self._charge(CAT_HE_ENCRYPT, len(plaintexts),
                      self.profile.words_per_encrypt(self.nominal_bits))
         return results

@@ -66,9 +66,11 @@ class GpuPaillierEngine(HeEngine):
             return []
         n = self.public_key.n
         n_squared = self.public_key.n_squared
+        standard = self.public_key.g == n + 1
         with self._charging(CAT_HE_ENCRYPT, len(plaintexts)):
-            if self.public_key.g == n + 1:
-                g_m = [(1 + m * n) % n_squared for m in plaintexts]
+            if standard:
+                # g^m = 1 + m n: charged as its mod_mul launch, and never
+                # formed (the product below folds it in).
                 self.kernels.charge_mod_mul(len(plaintexts),
                                             self._work_bits)
             else:
@@ -82,8 +84,17 @@ class GpuPaillierEngine(HeEngine):
             r_n = [self._randomizer_power() for _ in plaintexts]
             self.kernels.charge_mod_pow(len(plaintexts), self._work_bits,
                                         self.nominal_bits)
-            results = self.kernels.mod_mul(g_m, r_n, n_squared,
-                                           work_bits=self._work_bits)
+            if standard:
+                # (1 + m n) r^n mod n^2 = (r^n + n (m r^n mod n)) mod n^2,
+                # since m n x mod n^2 = n (m x mod n): the same integers
+                # for one product modulo n, charged as the same launch.
+                results = [(r + n * (m * r % n)) % n_squared
+                           for m, r in zip(plaintexts, r_n)]
+                self.kernels.charge_mod_mul(len(plaintexts),
+                                            self._work_bits)
+            else:
+                results = self.kernels.mod_mul(g_m, r_n, n_squared,
+                                               work_bits=self._work_bits)
         return results
 
     def decrypt_batch(self, ciphertexts: Sequence[int]) -> List[int]:

@@ -65,6 +65,7 @@ from repro.federation.serialization import (
     serialize_tensor,
 )
 from repro.federation.wal import (
+    CHECKPOINT,
     DECRYPT_COMMITTED,
     PARTIAL_COMMITTED,
     QUORUM_REACHED,
@@ -274,6 +275,8 @@ class RoundStateMachine:
 
     def apply(self, record: WalRecord) -> bool:
         """Apply one record; returns ``False`` for a deduplicated no-op."""
+        if record.kind == CHECKPOINT:
+            return self._apply_checkpoint(record)
         if record.incarnation < self.max_incarnation:
             raise StaleIncarnationError(
                 f"record from incarnation {record.incarnation} after "
@@ -292,6 +295,18 @@ class RoundStateMachine:
             ROUND_CLOSE: self._apply_close,
         }[record.kind]
         return handler(record)
+
+    def _apply_checkpoint(self, record: WalRecord) -> bool:
+        if self.round is not None or self.closed_rounds:
+            raise InvalidTransitionError(
+                "checkpoint after other records: it stands for the "
+                "records a compaction dropped, so only a log's first "
+                "record can be one")
+        payload = record.payload
+        self.closed_rounds = {int(index): digest for index, digest
+                              in payload["closed_rounds"].items()}
+        self.max_incarnation = payload["max_incarnation"]
+        return True
 
     def _require_round(self, record: WalRecord) -> RoundState:
         if self.round is None or self.round.closed:
@@ -378,6 +393,22 @@ class RoundStateMachine:
         self.closed_rounds[state.round_index] = self.digest()
         return True
 
+    def checkpoint(self, lsn: int, resume: WalRecord) -> WalRecord:
+        """The record that stands for this machine's log once every
+        record before LSN ``lsn`` -- where ``resume`` opens the next
+        round -- is dropped.
+
+        It carries what replaying ``[checkpoint, resume, ...]`` cannot
+        re-derive: a copy of the closed rounds' digests and the highest
+        incarnation seen.  The closed round itself needs nothing, since
+        ``resume`` replaces it.
+        """
+        return WalRecord(
+            CHECKPOINT, resume.round_index, incarnation=resume.incarnation,
+            payload={"closed_rounds": {str(index): digest for index, digest
+                                       in self.closed_rounds.items()},
+                     "lsn": lsn, "max_incarnation": self.max_incarnation})
+
     # ------------------------------------------------------------------
     # Inspection.
     # ------------------------------------------------------------------
@@ -425,7 +456,10 @@ class DurableCoordinator:
     state.  Killing the coordinator after any append leaves a log from
     which a successor (same name restarted, or a hot standby) rebuilds
     the identical round state and finishes the round -- accepted uploads
-    are reused verbatim from the log, never re-requested.
+    are reused verbatim from the log, never re-requested.  The log holds
+    one round: the ``round_open`` after a closed round compacts it to a
+    checkpoint and that ``round_open``, so a round just closed is still
+    served from the log until the next one opens.
 
     Args:
         aggregator: The aggregation data path (engines, packer, channel,
@@ -474,32 +508,44 @@ class DurableCoordinator:
         """Fence, append, then apply one transition.
 
         Returns whether the record changed state (``False`` only for
-        deduplicated uploads, which are not even appended).
+        deduplicated uploads, which are not even appended).  A
+        ``round_open`` after a closed round also compacts the log: the
+        machine's checkpoint from before it replaces every earlier
+        record.
         """
         if self.lease_manager is not None:
             self.lease_manager.fence(self.incarnation, holder=self.name)
         record = WalRecord(kind=kind, round_index=round_index,
                            incarnation=self.incarnation, payload=payload)
         lsn = self.wal.append(record)
+        previous = self.machine.round
+        checkpoint = (self.machine.checkpoint(lsn, record)
+                      if kind == ROUND_OPEN and previous is not None
+                      and previous.closed else None)
         changed = self.machine.apply(record)
+        if checkpoint is not None:
+            self.wal.compact(checkpoint)
         if self.kill_after_lsn is not None and lsn >= self.kill_after_lsn:
             raise CoordinatorKilled(lsn)
         return changed
 
     @property
     def digest_trail(self) -> List[int]:
-        """State digest after each LSN -- ``digest_trail[k]`` is the
-        bit-identity witness for "recovered after record k".
+        """State digest after each LSN the journal still holds --
+        ``digest_trail[k]`` is the bit-identity witness for "recovered
+        after record ``wal.first_lsn + k``".
 
-        Derived, not kept: the journal replayed through a fresh machine,
-        exactly what a coordinator recovered at record ``k`` computes.
-        Only the crash sweeps read it, so no append pays for it.
+        Derived, not kept: the journal (checkpoint included) replayed
+        through a fresh machine, exactly what a coordinator recovered at
+        that record computes; the checkpoint takes no LSN, so it adds no
+        entry.  Only the crash sweeps read it, so no append pays for it.
         """
         machine = RoundStateMachine()
         trail: List[int] = []
         for record in self.wal.records:
             machine.apply(record)
-            trail.append(machine.digest())
+            if record.kind != CHECKPOINT:
+                trail.append(machine.digest())
         return trail
 
     def heartbeat(self, channel=None) -> None:

@@ -5,15 +5,27 @@ a crash at any point leaves a log from which a successor reconstructs
 the exact in-flight state (accepted uploads included, ciphertext words
 and all).  The format is deliberately boring and fully self-checking:
 
-    file  := [magic "FWL1"] record*          (magic only when non-empty)
+    file  := [magic "FWL1"] [checkpoint] record*  (magic only when non-empty)
     record:= [u32 payload_len][u32 crc32(payload)][payload]
 
-The payload is canonical JSON (sorted keys, compact separators) of a
-:class:`WalRecord` -- kind, round index, coordinator incarnation, and a
-kind-specific payload dict.  Accepted client uploads embed the full
-serialized ``FLT3`` tensor frame (hex), which is what makes recovery
-*bit-identical*: the successor re-sums the very ciphertext words the
-dead coordinator had accepted instead of asking clients to resend.
+(a checkpoint is framed like any record).  The payload is canonical JSON
+(sorted keys, compact separators) of a :class:`WalRecord` -- kind, round
+index, coordinator incarnation, and a kind-specific payload dict.
+Accepted client uploads embed the full serialized ``FLT3`` tensor frame
+(hex), which is what makes recovery *bit-identical*: the successor
+re-sums the very ciphertext words the dead coordinator had accepted
+instead of asking clients to resend.
+
+Log sequence numbers are *absolute*: the record with LSN ``k`` is the
+``k``-th the log ever appended, however much was dropped since.  A round
+node keeps its journal one round long: when its next round opens, it
+compacts the log (:meth:`WriteAheadLog.compact`) to one ``checkpoint``
+record followed by the new ``round_open``.  The checkpoint carries what
+replay cannot re-derive once the records before it are gone -- the
+closed rounds' digests, the highest incarnation seen, and the LSN at
+which the log resumes -- and takes no LSN itself.  It is legal only as a
+log's first record; anywhere else it is a :class:`WalError`.  An image
+without one (a log that never compacted) replays as it always did.
 
 Replay semantics (:func:`replay_wal`) distinguish the two corruption
 shapes a crash can leave:
@@ -42,7 +54,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.federation.serialization import FrameError
 
@@ -84,6 +96,13 @@ RECORD_KINDS = (ROUND_OPEN, UPLOAD_ACCEPTED, QUORUM_REACHED,
 #: The subset legal in a shard-pool topology journal.
 REBALANCE_KINDS = (SHARD_SPLIT, SHARD_MERGE)
 
+#: Stands for every record a compaction dropped (module docstring).  Not
+#: one of :data:`RECORD_KINDS`: nothing appends it, it takes no LSN, and
+#: only a log's first record may be one.
+CHECKPOINT = "checkpoint"
+#: A checkpoint's payload fields, exactly.
+CHECKPOINT_FIELDS = ("closed_rounds", "lsn", "max_incarnation")
+
 
 class WalError(FrameError):
     """A WAL frame failed validation (malformed, lying, or corrupt).
@@ -117,17 +136,57 @@ class WalRecord:
     payload: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in RECORD_KINDS:
+        if self.kind not in RECORD_KINDS and self.kind != CHECKPOINT:
             raise ValueError(f"unknown WAL record kind {self.kind!r}; "
-                             f"choose from {RECORD_KINDS}")
+                             f"choose from {RECORD_KINDS + (CHECKPOINT,)}")
         if self.round_index < 0:
             raise ValueError("round_index must be non-negative")
         if self.incarnation < 0:
             raise ValueError("incarnation must be non-negative")
+        if self.kind == CHECKPOINT:
+            _check_checkpoint(self)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "round_index": self.round_index,
                 "incarnation": self.incarnation, "payload": self.payload}
+
+
+def _natural(value) -> bool:
+    """A non-negative JSON integer (Python's ``bool`` is not one here)."""
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= 0
+
+
+def _check_checkpoint(record: WalRecord) -> None:
+    """Refuse (``ValueError``) a checkpoint no compaction would write."""
+    payload = record.payload
+    if not isinstance(payload, dict) or \
+            tuple(sorted(payload)) != CHECKPOINT_FIELDS:
+        raise ValueError(
+            f"a checkpoint's payload holds exactly {CHECKPOINT_FIELDS}")
+    closed = payload["closed_rounds"]
+    if not isinstance(closed, dict) or not closed:
+        raise ValueError("a checkpoint's closed_rounds must be a "
+                         "non-empty object: a compaction follows a "
+                         "closed round")
+    for index, digest in closed.items():
+        if not (isinstance(index, str) and index.isascii()
+                and index.isdigit() and index == str(int(index))):
+            raise ValueError(f"closed round {index!r} is not a round "
+                             f"index in canonical decimal")
+        if not (_natural(digest) and digest < 1 << 32):
+            raise ValueError(f"closed round {index} has digest "
+                             f"{digest!r}, not a CRC-32")
+    most = payload["max_incarnation"]
+    if not (_natural(most) and most <= record.incarnation):
+        raise ValueError(
+            f"a checkpoint's max_incarnation {most!r} must be an integer "
+            f"in [0, {record.incarnation}] (its writer's incarnation)")
+    lsn = payload["lsn"]
+    if not (_natural(lsn) and lsn >= 2 * len(closed)):
+        raise ValueError(
+            f"a checkpoint resuming at LSN {lsn!r} cannot stand for "
+            f"{len(closed)} closed rounds of at least two records each")
 
 
 def encode_record(record: WalRecord) -> bytes:
@@ -230,7 +289,8 @@ def replay_wal(blob: bytes) -> WalReplay:
     """Replay a WAL image, tolerating exactly one torn tail.
 
     An empty image is an empty log.  An image must start with the magic
-    (or, when shorter, be a prefix of it).  A record that fails
+    (or, when shorter, be a prefix of it), and only its first record may
+    be a checkpoint (a :class:`WalError` otherwise).  A record that fails
     validation is dropped as a torn tail only when nothing intact
     follows it; otherwise the log is corrupt and :class:`WalError` is
     raised.  The magic travels with record 0, so when no record
@@ -256,6 +316,11 @@ def replay_wal(blob: bytes) -> WalReplay:
                     f"write)") from error
             torn_tail = True
             break
+        if record.kind == CHECKPOINT and records:
+            raise WalError(
+                f"checkpoint as record {len(records)} (offset {offset}): "
+                f"it stands for the records a compaction dropped, so "
+                f"only a log's first record can be one")
         records.append(record)
         offset = offset_after
     if not records:
@@ -329,14 +394,18 @@ def replace_durably(path: Path, data: bytes) -> None:
 
 
 class WriteAheadLog:
-    """An append-only, CRC-framed record journal.
+    """An append-only, CRC-framed record journal, compacted by round.
 
     The log *is* its records, held once, with an optional file
     (``path``) under them: the byte image is derived on demand
     (:meth:`image` re-encodes the records, byte-identical to what was
     written because every frame is canonical), so the deterministic
     simulator can run thousands of crash scenarios without touching
-    disk while production use gets a real fsynced file.
+    disk while production use gets a real fsynced file.  A round node
+    compacts its log when its next round opens (:meth:`compact`), so it
+    holds one checkpoint and one round of records however many rounds
+    it ran; LSNs stay absolute -- :meth:`append` returns, and ``len()``
+    counts, every record ever appended.
 
     Args:
         path: Journal file; every append writes its one frame at the end
@@ -348,8 +417,15 @@ class WriteAheadLog:
 
     def __init__(self, path: Optional[Union[str, Path]] = None):
         self.path = Path(path) if path is not None else None
+        #: Stands for every record before :attr:`first_lsn`; ``None``
+        #: until the log is compacted.
+        self.checkpoint: Optional[WalRecord] = None
+        #: The records from :attr:`first_lsn` on, in append order.
         self._records: List[WalRecord] = []
         self.torn_tail_dropped = False
+        #: Why appends are refused: a failed append left part of a frame
+        #: in the file that could not be cut off again.
+        self._unwritable: Optional[OSError] = None
         if self.path is not None and self.path.exists():
             self._load(self.path.read_bytes())
 
@@ -371,46 +447,120 @@ class WriteAheadLog:
 
     def _load(self, blob: bytes) -> None:
         result = replay_wal(blob)
-        self._records = result.records
+        records = result.records
+        if records and records[0].kind == CHECKPOINT:
+            self.checkpoint, records = records[0], records[1:]
+        self._records = records
         self.torn_tail_dropped = result.torn_tail
         if result.torn_tail and self.path is not None:
             # Persist the trim so the next reader sees a clean log.  The
-            # one rewrite of the journal goes through a temp file and an
-            # atomic rename: dying here leaves the torn file or the
-            # trimmed one, never less than the intact prefix -- and the
-            # directory fsync keeps the rename, so records appended to
-            # the new file later cannot vanish with it on power loss.
+            # rewrite goes through a temp file and an atomic rename:
+            # dying here leaves the torn file or the trimmed one, never
+            # less than the intact prefix -- and the directory fsync
+            # keeps the rename, so records appended to the new file
+            # later cannot vanish with it on power loss.
             replace_durably(self.path, blob[:result.consumed_bytes])
 
     # ------------------------------------------------------------------
-    # Appending.
+    # Appending and compacting.
     # ------------------------------------------------------------------
 
     def append(self, record: WalRecord) -> int:
-        """Durably append one record; returns its log sequence number."""
-        frame = encode_record(record)
-        if not self._records:
-            frame = WAL_MAGIC + frame  # the magic travels with record 0
-        self._records.append(record)
+        """Durably append one record; returns its log sequence number.
+
+        A file-backed log holds the record only once its frame is in the
+        file, so an append that raises leaves ``len()`` and
+        :meth:`image` as they were.  When the write itself fails (an
+        ``OSError``: a full disk, say), whatever part of the frame
+        reached the file is cut off again, so the next acknowledged
+        append lands right after the last one; if even that fails, the
+        log refuses every later append rather than journal past a torn
+        frame that the next open would trim with them.
+        """
+        if record.kind == CHECKPOINT:
+            raise WalError("a checkpoint is never appended: compact() "
+                           "writes it in place of the records it stands "
+                           "for")
         if self.path is not None:
+            frame = encode_record(record)
+            if not len(self):
+                frame = WAL_MAGIC + frame  # the magic travels with record 0
+            self._write_frame(frame)
+        self._records.append(record)
+        return len(self) - 1
+
+    def _write_frame(self, frame: bytes) -> None:
+        """Append ``frame`` to the file, all of it or none of it."""
+        if self._unwritable is not None:
+            raise WalError(
+                f"journal {self.path} refuses appends: a failed append "
+                f"left a partial frame that could not be cut off "
+                f"({self._unwritable})")
+        intact = self.path.stat().st_size if self.path.exists() else 0
+        try:
             _write_durably(self.path, "ab", frame)
-        return len(self._records) - 1
+        except OSError:
+            try:
+                with open(self.path, "r+b") as handle:
+                    handle.truncate(intact)
+                    os.fsync(handle.fileno())
+            except OSError as error:
+                self._unwritable = error
+            raise
+
+    def compact(self, checkpoint: WalRecord) -> None:
+        """Drop every record before ``checkpoint``'s resume LSN; the
+        checkpoint stands in for them as the log's first record.
+
+        LSNs do not move: the records kept keep theirs and the next
+        append gets the one it would have had.  A file-backed log swaps
+        in its new image through :func:`replace_durably`, so a writer
+        killed anywhere inside the compaction leaves the old image or
+        the new one, and both replay to the same state.
+        """
+        if checkpoint.kind != CHECKPOINT:
+            raise ValueError(f"compact() takes a checkpoint record, not "
+                             f"{checkpoint.kind!r}")
+        lsn = checkpoint.payload["lsn"]
+        if not self.first_lsn < lsn < len(self):
+            raise ValueError(
+                f"a checkpoint resuming at LSN {lsn} must drop a record "
+                f"and keep one; the log holds LSNs "
+                f"{self.first_lsn}..{len(self) - 1}")
+        kept = self._records[lsn - self.first_lsn:]
+        if self.path is not None:
+            replace_durably(self.path, _image([checkpoint, *kept]))
+        self.checkpoint, self._records = checkpoint, kept
 
     # ------------------------------------------------------------------
     # Reading.
     # ------------------------------------------------------------------
 
     @property
+    def first_lsn(self) -> int:
+        """LSN of the first record the log still holds (0 until it is
+        compacted)."""
+        return 0 if self.checkpoint is None \
+            else self.checkpoint.payload["lsn"]
+
+    @property
     def records(self) -> Tuple[WalRecord, ...]:
-        """Every intact record, in append order."""
-        return tuple(self._records)
+        """Every record the log holds, in order: the checkpoint (once
+        the log was compacted), then the records from :attr:`first_lsn`."""
+        head = () if self.checkpoint is None else (self.checkpoint,)
+        return head + tuple(self._records)
 
     def __len__(self) -> int:
-        return len(self._records)
+        """Records ever appended: the LSN the next append gets."""
+        return self.first_lsn + len(self._records)
 
     def image(self) -> bytes:
         """The full byte image (what a crashed coordinator leaves)."""
-        if not self._records:
-            return b""
-        return WAL_MAGIC + b"".join(encode_record(record)
-                                    for record in self._records)
+        return _image(self.records)
+
+
+def _image(records: Sequence[WalRecord]) -> bytes:
+    """``FWL1`` and one canonical frame per record; empty for none."""
+    if not records:
+        return b""
+    return WAL_MAGIC + b"".join(encode_record(record) for record in records)

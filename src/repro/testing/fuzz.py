@@ -4,8 +4,9 @@ Seeded mutation of valid frames -- bit flips, truncation, extension,
 length-field lies, fingerprint swaps, magic/version tampering,
 FLT3-specific codec-block attacks (codec-id lies, codec-parameter
 corruption, sparse-pattern lies: out-of-range / duplicate / unsorted
-indices), and WAL-specific CRC lies and record splices -- with a strict
-two-sided oracle on every case:
+indices), and WAL-specific CRC lies, record splices and checkpoint lies
+(misplaced, doubled, a lying resume LSN, a ``closed_rounds`` that is not
+an object) -- with a strict two-sided oracle on every case:
 
 - a decoder may **reject** the mutant, but only with a *typed* error
   (:class:`~repro.federation.serialization.FrameError` or its
@@ -29,7 +30,9 @@ pair reproduces the exact mutant bytes in a fresh process.
 from __future__ import annotations
 
 import hashlib
+import json
 import random
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -42,6 +45,7 @@ from repro.federation.serialization import (
     serialize_tensor,
 )
 from repro.federation.wal import (
+    CHECKPOINT,
     RECORD_HEADER,
     RECORD_KINDS,
     WAL_MAGIC,
@@ -69,6 +73,7 @@ MUTATIONS = (
     "codec_id_lie",      # FLT3: rewrite the codec id / its length byte
     "codec_param_corrupt",  # FLT3: corrupt one codec parameter or count
     "sparse_index_lie",  # FLT3: out-of-range/duplicate/unsorted pattern
+    "checkpoint_lie",    # WAL: misplaced/doubled/lying checkpoint
 )
 
 
@@ -215,9 +220,24 @@ def _tensor3_frame(rng: random.Random) -> Tuple[str, bytes, int]:
     return "tensor3", frame, width
 
 
+def _checkpoint_record(rng: random.Random) -> WalRecord:
+    """A valid checkpoint: 1-3 closed rounds, a plausible resume LSN."""
+    closed = {str(index): rng.getrandbits(32)
+              for index in range(rng.randrange(1, 4))}
+    incarnation = rng.randrange(3)
+    return WalRecord(
+        CHECKPOINT, len(closed), incarnation=incarnation,
+        payload={"closed_rounds": closed,
+                 "lsn": 2 * len(closed) + rng.randrange(40),
+                 "max_incarnation": rng.randrange(incarnation + 1)})
+
+
 def _wal_frame(rng: random.Random) -> Tuple[str, bytes, int]:
-    """A valid WAL image: magic plus 1-4 framed records."""
+    """A valid WAL image: magic, a third of the time a checkpoint (a
+    compacted log), then 1-4 framed records."""
     frames = []
+    if rng.random() < 1 / 3:
+        frames.append(encode_record(_checkpoint_record(rng)))
     for _ in range(rng.randrange(1, 5)):
         kind = rng.choice(RECORD_KINDS)
         payload = {}
@@ -242,6 +262,39 @@ def _wal_extents(blob: bytes) -> List[Tuple[int, int]]:
         extents.append((offset, end))
         offset = end
     return extents
+
+
+def _raw_frame(data: dict) -> bytes:
+    """Frame a record dict as-is, CRC and all: how a lying field gets
+    past the CRC check to the field validation."""
+    payload = json.dumps(data, sort_keys=True,
+                         separators=(",", ":")).encode("utf-8")
+    return RECORD_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def _checkpoint_lie(rng: random.Random, blob: bytes) -> bytes:
+    """A *valid* image's checkpoint (one is added when it has none)
+    misplaced, doubled, or re-framed with a lying field."""
+    frames = [blob[start:end] for start, end in _wal_extents(blob)]
+    if replay_wal(blob).records[0].kind == CHECKPOINT:
+        checkpoint = frames.pop(0)
+    else:
+        checkpoint = encode_record(_checkpoint_record(rng))
+    attack = rng.choice(["not_first", "twice", "lsn_lie", "closed_rounds"])
+    if attack == "not_first":
+        frames.insert(rng.randrange(1, len(frames) + 1), checkpoint)
+    elif attack == "twice":
+        frames[:0] = [checkpoint, checkpoint]
+    else:
+        data = json.loads(checkpoint[RECORD_HEADER.size:])
+        if attack == "lsn_lie":
+            data["payload"]["lsn"] = rng.choice(
+                [-1, 0, 1, "7", True, 2.5, None, 1 << 64])
+        else:
+            data["payload"]["closed_rounds"] = rng.choice(
+                [[], [1, 2], "0", 7, None, True])
+        frames.insert(0, _raw_frame(data))
+    return WAL_MAGIC + b"".join(frames)
 
 
 def _corpus_frame(rng: random.Random,
@@ -384,6 +437,8 @@ def _mutate(rng: random.Random, fmt: str, blob: bytes,
         out = bytearray(blob)
         out[start + 4:start + 8] = rng.getrandbits(32).to_bytes(4, "big")
         return bytes(out)
+    if mutation == "checkpoint_lie" and fmt == "wal":
+        return _checkpoint_lie(rng, blob)
     if mutation == "record_splice" and fmt == "wal":
         extents = _wal_extents(blob)
         start, end = rng.choice(extents)

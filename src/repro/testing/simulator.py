@@ -56,6 +56,7 @@ from repro.federation.shard import (
     ShardPool,
 )
 from repro.federation.tenancy import Tenant, TenantRegistry
+from repro.federation.wal import CHECKPOINT
 
 
 class _TraceSpec:
@@ -193,14 +194,18 @@ class SimulationResult:
     the single node :data:`COORDINATOR` for the flat durable
     coordinator, nothing for the plain aggregator.  The crash sweep
     compares a killed node's recovered digest against that node's own
-    trail.
+    trail: ``node_trails[node][lsn]`` is the round and the state digest
+    after the node's record ``lsn``, for every record it ever appended
+    (its journal holds only the last round; the simulator noted each
+    round's before the next one compacted it away).
     """
 
     spec: SimulationSpec
     rounds: List[RoundRecord]
     final_time: float
     node_wal_records: Dict[str, int] = field(default_factory=dict)
-    node_digest_trails: Dict[str, List[int]] = field(default_factory=dict)
+    node_trails: Dict[str, Dict[int, Tuple[int, int]]] = field(
+        default_factory=dict)
     failovers: List[FailoverRecord] = field(default_factory=list)
     final_weights: List[List[float]] = field(default_factory=list)
 
@@ -254,7 +259,7 @@ class SimulationResult:
         kill = next((f for f in self.failovers if f.node == node), None)
         if kill is None:
             return f"the scheduled kill of {node} never failed over"
-        expected = reference.node_digest_trails[node][index]
+        _round, expected = reference.node_trails[node][index]
         if kill.recovered_digest != expected:
             return (f"{node}: recovered state digest "
                     f"{kill.recovered_digest} != uninterrupted digest "
@@ -329,6 +334,8 @@ class FederationSimulator:
         #: Whichever durable topology runs the rounds, its nodes' one
         #: supervisor (``None`` for the plain aggregator).
         self.supervisor: Optional[NodeSupervisor] = None
+        #: node -> LSN -> (round, digest); see ``SimulationResult``.
+        self.trails: Dict[str, Dict[int, Tuple[int, int]]] = {}
         plan = self.runtime.injector.plan
         coordinator_kills = plan.coordinator_events()
         if spec.sharded or plan.shard_events() or any(
@@ -350,6 +357,18 @@ class FederationSimulator:
             return {}
         return {key: node.primary
                 for key, node in self.supervisor.nodes.items()}
+
+    def _note_trails(self) -> None:
+        """Note each node's round and digest at every LSN its journal
+        still holds: a node keeps one round, the sweep needs them all."""
+        for name, node in self.nodes().items():
+            trail = self.trails.setdefault(name, {})
+            held = [record for record in node.wal.records
+                    if record.kind != CHECKPOINT]
+            for offset, (record, digest) in enumerate(
+                    zip(held, node.digest_trail)):
+                trail[node.wal.first_lsn + offset] = (record.round_index,
+                                                      digest)
 
     # ------------------------------------------------------------------
     # The aggregation step.
@@ -411,6 +430,7 @@ class FederationSimulator:
                     round_index) from error
 
             self.clock.advance(ledger.total_seconds)
+            self._note_trails()
             self.final_weights.append([float(v) for v in total.ravel()])
             last = self.runtime.aggregator.last_round
             records.append(RoundRecord(
@@ -439,8 +459,7 @@ class FederationSimulator:
             spec=self.spec, rounds=records, final_time=self.clock.now,
             node_wal_records={name: len(node.wal)
                               for name, node in nodes.items()},
-            node_digest_trails={name: node.digest_trail
-                                for name, node in nodes.items()},
+            node_trails=self.trails,
             failovers=list(failovers),
             final_weights=list(self.final_weights))
 
@@ -817,8 +836,8 @@ def crash_sweep(spec: Union[SimulationSpec, TenancySpec],
                 race_root_failover: bool = False) -> CrashSweepReport:
     """Kill one node after *each* record of its journal and verify.
 
-    Runs the spec uninterrupted, capturing the target node's journal,
-    its per-LSN digest trail and every round's decrypted weights; then,
+    Runs the spec uninterrupted, capturing the target node's per-LSN
+    round and digest trail and every round's decrypted weights; then,
     for each record boundary ``k`` (or only ``record_indices``), re-runs
     from scratch with a kill scheduled after the node's record ``k`` and
     asserts (the results' ``divergence_from``) that the successor's
@@ -863,8 +882,14 @@ def crash_sweep(spec: Union[SimulationSpec, TenancySpec],
     if node not in nodes:
         raise ValueError(f"unknown node {node!r}; the reference run "
                          f"has {sorted(nodes)}")
-    log = nodes[node].wal.records
-    if not log:
+    if isinstance(spec, TenancySpec):
+        # The pool's topology journal is never compacted: it is whole.
+        rounds = {lsn: record.round_index
+                  for lsn, record in enumerate(nodes[node].wal.records)}
+    else:
+        rounds = {lsn: round_index for lsn, (round_index, _digest)
+                  in reference.node_trails[node].items()}
+    if not rounds:
         raise ValueError(
             f"the reference run journaled no {node} records; give a "
             f"tenancy spec rebalance_targets (or more clients) so the "
@@ -873,18 +898,20 @@ def crash_sweep(spec: Union[SimulationSpec, TenancySpec],
                                                  SHARD_POOL)
     if racing:
         label += "+root-race"
-        root_rounds = [r.round_index for r in nodes[ROOT].wal.records]
+        root_trail = reference.node_trails[ROOT]
     if record_indices is None:
-        record_indices = list(range(len(log)))
+        record_indices = sorted(rounds)
     for index in record_indices:
-        if not 0 <= index < len(log):
+        if index not in rounds:
             raise ValueError(
                 f"record index {index} outside the log of {node} "
-                f"(0..{len(log) - 1})")
-        round_index = log[index].round_index
+                f"(0..{len(rounds) - 1})")
+        round_index = rounds[index]
         # The racing root dies at its first record of the same round.
-        root_index = (root_rounds.index(round_index)
-                      if racing and round_index in root_rounds else None)
+        root_index = min((lsn for lsn, (root_round, _digest)
+                          in root_trail.items()
+                          if root_round == round_index),
+                         default=None) if racing else None
         killed_spec = _with_kill(spec, node, mode, round_index, index,
                                  root_index)
         try:
@@ -899,7 +926,7 @@ def crash_sweep(spec: Union[SimulationSpec, TenancySpec],
             raise SimulationFailure(killed_spec, detail, round_index,
                                     index)
     return CrashSweepReport(
-        spec=reference_spec, mode=label, wal_records=len(log),
+        spec=reference_spec, mode=label, wal_records=len(rounds),
         boundaries_tested=len(record_indices),
         reference_checksum=reference.checksum())
 

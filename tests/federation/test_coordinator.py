@@ -1,4 +1,8 @@
-"""Durable coordinator: state machine, exactly-once, lease failover."""
+"""Durable coordinator: state machine, exactly-once, lease failover,
+one-round journals."""
+
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,17 +17,21 @@ from repro.federation.coordinator import (
     StaleIncarnationError,
     StandbyCoordinator,
 )
+from repro.federation import wal as wal_module
 from repro.federation.faults import QuorumError
 from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
 from repro.federation.shard import ShardedAggregationService
 from repro.federation.wal import (
+    CHECKPOINT,
     DECRYPT_COMMITTED,
     QUORUM_REACHED,
     ROUND_CLOSE,
     ROUND_OPEN,
     UPLOAD_ACCEPTED,
+    WAL_MAGIC,
     WalRecord,
     WriteAheadLog,
+    encode_record,
 )
 
 
@@ -158,6 +166,14 @@ class TestRoundStateMachine:
         with pytest.raises(StaleIncarnationError):
             machine.apply(upload_record("client-0", incarnation=1))
 
+    def test_a_checkpoint_only_as_the_first_record(self):
+        machine = RoundStateMachine()
+        machine.apply(open_record())
+        checkpoint = WalRecord(CHECKPOINT, 1, payload={
+            "closed_rounds": {"0": 1}, "lsn": 2, "max_incarnation": 0})
+        with pytest.raises(InvalidTransitionError, match="first record"):
+            machine.apply(checkpoint)
+
     def test_digest_depends_on_applied_prefix(self):
         a, b = RoundStateMachine(), RoundStateMachine()
         a.apply(open_record())
@@ -274,26 +290,43 @@ class TestDurableRound:
         assert calls == [node.machine for node in nodes]
 
     def test_digest_trail_is_the_replayed_journal(self):
-        """``digest_trail`` holds no state: at every record index it is
-        what a coordinator recovered from the image up to that record
-        computes, trail and live digest alike."""
+        """``digest_trail`` holds no state: at every LSN the journal
+        still holds it is what a coordinator recovered from the image up
+        to that record computes, and what a machine that replayed every
+        record ever appended computes -- the checkpoint stands in for
+        the dropped ones exactly."""
         runtime = make_runtime()
         reference = DurableCoordinator(runtime.aggregator)
+        appended = []
+        append = reference.wal.append
+        reference.wal.append = \
+            lambda record: appended.append(record) or append(record)
+        trails = []
         for round_index in range(2):
             reference.run_round(client_vectors(3, seed=round_index))
-        trail = reference.digest_trail
-        assert len(trail) == len(reference.wal) == 14
-        assert trail[-1] == reference.machine.digest()
+            trails.append((reference.wal.first_lsn, reference.digest_trail))
+        assert [(first, len(trail)) for first, trail in trails] == \
+            [(0, 7), (7, 7)]
+        assert len(reference.wal) == len(appended) == 14
+        assert trails[-1][1][-1] == reference.machine.digest()
+        uninterrupted, everything = RoundStateMachine(), []
+        for record in appended:
+            uninterrupted.apply(record)
+            everything.append(uninterrupted.digest())
+        assert trails[0][1] + trails[1][1] == everything
         with pytest.raises(AttributeError):
             reference.digest_trail = []
-        prefix = WriteAheadLog()
-        for index, record in enumerate(reference.wal.records):
-            prefix.append(record)
+        first, trail = trails[-1]
+        held = reference.wal.records
+        assert held[0].kind == "checkpoint"
+        for index in range(1, len(held)):
+            prefix = WAL_MAGIC + b"".join(
+                encode_record(record) for record in held[:index + 1])
             recovered = DurableCoordinator(
-                runtime.aggregator,
-                wal=WriteAheadLog.from_bytes(prefix.image()))
-            assert recovered.machine.digest() == trail[index]
-            assert recovered.digest_trail == trail[:index + 1]
+                runtime.aggregator, wal=WriteAheadLog.from_bytes(prefix))
+            assert len(recovered.wal) == first + index
+            assert recovered.machine.digest() == trail[index - 1]
+            assert recovered.digest_trail == trail[:index]
 
     def test_duplicate_upload_not_journaled(self):
         runtime = make_runtime()
@@ -454,3 +487,114 @@ class TestStandbyFailover:
         # over; the digest check is exercised by equality.
         successor = standby.take_over(log.image())
         assert successor.machine.digest() == standby.machine.digest()
+
+
+class Killed(BaseException):
+    """The writing process, dying inside a compaction."""
+
+
+class TestOneRoundJournal:
+    """A round node's ``round_open`` after a closed round compacts its
+    log to a checkpoint and that ``round_open``."""
+
+    def test_a_sharded_run_keeps_every_node_one_round_long(
+            self, monkeypatch):
+        appended = {}
+        append = WriteAheadLog.append
+
+        def counting(log, record):
+            lsn = append(log, record)
+            appended.setdefault(id(log), Counter())[record.round_index] += 1
+            return lsn
+
+        monkeypatch.setattr(WriteAheadLog, "append", counting)
+        runtime = make_runtime(8)
+        service = ShardedAggregationService(runtime.aggregator,
+                                            seed=runtime.seed)
+        for round_index in range(6):
+            service.run_round(client_vectors(8, seed=round_index),
+                              round_index=round_index)
+            nodes = [*service.leaves.values(), service.root]
+            assert len(nodes) == 4
+            for node in nodes:
+                counts = appended[id(node.wal)]
+                assert len(node.wal) == sum(counts.values())
+                assert len(node.wal.records) <= counts[round_index] + 1
+                assert [record.round_index for record in node.wal.records
+                        if record.kind != CHECKPOINT] == \
+                    [round_index] * counts[round_index]
+                assert (node.wal.checkpoint is None) == (round_index == 0)
+
+    def test_a_file_backed_coordinator_file_is_its_image_after_every_compaction(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "coordinator.wal"
+        coordinator = DurableCoordinator(make_runtime().aggregator,
+                                         wal=WriteAheadLog(path=path))
+        compactions = []
+        compact = WriteAheadLog.compact
+
+        def checked(log, checkpoint):
+            compact(log, checkpoint)
+            compactions.append(checkpoint.payload["lsn"])
+            assert path.read_bytes() == log.image()
+
+        monkeypatch.setattr(WriteAheadLog, "compact", checked)
+        for round_index in range(4):
+            coordinator.run_round(client_vectors(3, seed=round_index))
+            assert path.read_bytes() == coordinator.wal.image()
+        assert compactions == [7, 14, 21]
+        reopened = DurableCoordinator(make_runtime().aggregator,
+                                      wal=WriteAheadLog(path=path))
+        assert len(reopened.wal) == 28
+        assert reopened.machine.digest() == coordinator.machine.digest()
+
+    @pytest.mark.parametrize("where", ["temp-write", "rename",
+                                       "directory-fsync"])
+    def test_a_writer_killed_inside_the_compaction_recovers_either_image(
+            self, tmp_path, monkeypatch, where):
+        """The compaction swaps images through ``replace_durably``: dying
+        before the rename leaves the old image (plus the ``round_open``
+        already appended), after it the new one -- and both recover to
+        the uninterrupted digest at that ``round_open``."""
+        reference = DurableCoordinator(make_runtime().aggregator)
+        expected = [reference.run_round(client_vectors(3, seed=r))
+                    for r in range(2)]
+        assert reference.wal.first_lsn == 7
+        open_digest = reference.digest_trail[0]
+
+        path = tmp_path / "coordinator.wal"
+        runtime = make_runtime()
+        coordinator = DurableCoordinator(runtime.aggregator,
+                                         wal=WriteAheadLog(path=path))
+        coordinator.run_round(client_vectors(3, seed=0))
+
+        def dying_on_temp(name, mode):
+            handle = open(name, mode)
+            if Path(name).suffix == ".tmp":
+                handle.write(b"FWL1")
+                handle.close()
+                raise Killed
+            return handle
+
+        def die(*args):
+            raise Killed
+
+        with monkeypatch.context() as patch:
+            if where == "temp-write":
+                patch.setattr(wal_module, "open", dying_on_temp,
+                              raising=False)
+            elif where == "rename":
+                patch.setattr(wal_module.os, "replace", die)
+            else:
+                patch.setattr(wal_module, "_fsync_directory", die)
+            with pytest.raises(Killed):
+                coordinator.run_round(client_vectors(3, seed=1))
+        survivor = WriteAheadLog(path=path)
+        assert (survivor.checkpoint is not None) == \
+            (where == "directory-fsync")
+        successor = DurableCoordinator(runtime.aggregator, wal=survivor)
+        assert len(successor.wal) == 8
+        assert successor.machine.digest() == open_digest
+        result = successor.run_round(client_vectors(3, seed=1),
+                                     round_index=1)
+        assert np.array_equal(result, expected[1])

@@ -9,10 +9,22 @@ CRC over each round's ledger category totals plus the injector's
 ``triggered`` sequence.  The literals were captured at commit
 ``fc37bc0`` (py3.11.7 / numpy 2.4.6) and are stable across processes and
 ``PYTHONHASHSEED``; a restructuring of the aggregation or simulation
-stack must leave every one of them untouched.  One literal was amended
-since, with its mapping from the old value pinned by a test:
-``durable-failover.final_time`` lost the flat failover's 1.0 s lease
-grace when the flat and tree nodes came to share one supervisor.
+stack must leave every one of them untouched.  Two changes amended
+literals since, each with its mapping from the old values pinned by a
+test: ``durable-failover.final_time`` lost the flat failover's 1.0 s
+lease grace when the flat and tree nodes came to share one supervisor;
+and once a round node compacted its journal when its next round opens,
+every ``crc32(wal.image())`` of a node that ran more than one round and
+the ``runtime-durable*`` ``trail`` CRCs moved.  Their mapping is
+mechanical -- the new image is the old image compacted at its last
+``round_open``, the new trail the old trail from that ``round_open``'s
+LSN on -- and :func:`test_new_literals_are_the_old_journals_compacted`
+applies it to the old journals themselves, committed beside this file
+as ``journal_images_pre_checkpoint.zlib``: zlib-compressed JSON,
+``{scenario: {"images": {node: image hex}, "trail": [digest, ...]}}``,
+captured at commit ``7ea0927`` by running every scenario with
+:func:`node_prints` (and :func:`coordinator_print`) also recording each
+node's ``wal.image()`` (and ``digest_trail``).
 
 Only :func:`build_simulator`, :func:`simulator_nodes` and
 :func:`result_failovers` know which simulator class runs a spec and
@@ -28,10 +40,13 @@ import zlib
 import numpy as np
 import pytest
 
+from pathlib import Path
+
 from repro.federation.coordinator import (
     CoordinatorKilled,
     DurableCoordinator,
     LeaseManager,
+    RoundStateMachine,
     StandbyCoordinator,
 )
 from repro.federation.eventloop import VirtualClock
@@ -42,7 +57,7 @@ from repro.federation.shard import (
     ShardedAggregationService,
 )
 from repro.federation.tenancy import Tenant, TenantRegistry
-from repro.federation.wal import WriteAheadLog
+from repro.federation.wal import ROUND_OPEN, WriteAheadLog
 from repro.testing.simulator import (
     FederationSimulator,
     MultiTenantSimulator,
@@ -418,7 +433,7 @@ GOLDEN = {
         "failovers": [],
         "final_time": 0.008819289091197433,
         "ledgers": [2362328453, 2362328453, 2362328453],
-        "nodes": {"coordinator": [24, 807766438, 2535598544]},
+        "nodes": {"coordinator": [24, 3678397252, 2535598544]},
         "triggered": [],
     },
     "durable-crash": {
@@ -426,7 +441,7 @@ GOLDEN = {
         "failovers": [["coordinator", 10, 1, 396201337]],
         "final_time": 0.008819289091197433,
         "ledgers": [2362328453, 1084151145, 2362328453],
-        "nodes": {"coordinator": [24, 67924066, 2706029230]},
+        "nodes": {"coordinator": [24, 2227813336, 2706029230]},
         "triggered": [["coordinator_crash", "coordinator", 1]],
     },
     "durable-crash-at-close": {
@@ -434,7 +449,7 @@ GOLDEN = {
         "failovers": [["coordinator", 7, 1, 2243163425]],
         "final_time": 0.008819289091197433,
         "ledgers": [1084151145, 2362328453, 2362328453],
-        "nodes": {"coordinator": [24, 3630202411, 2706029230]},
+        "nodes": {"coordinator": [24, 2227813336, 2706029230]},
         "triggered": [["coordinator_crash", "coordinator", 0]],
     },
     "durable-failover": {
@@ -442,7 +457,7 @@ GOLDEN = {
         "failovers": [["coordinator", 3, 1, 3910647757]],
         "final_time": 30.008819289091193,
         "ledgers": [245227241, 2362328453, 2362328453],
-        "nodes": {"coordinator": [24, 2969285241, 3427276074]},
+        "nodes": {"coordinator": [24, 4288225702, 3427276074]},
         "triggered": [["failover", "coordinator", 0]],
     },
     "durable-gate": {
@@ -450,7 +465,7 @@ GOLDEN = {
         "failovers": [],
         "final_time": 43.169455281118594,
         "ledgers": [2328201023, 1852418365, 775146722],
-        "nodes": {"coordinator": [26, 2226409290, 499973705]},
+        "nodes": {"coordinator": [26, 837136654, 499973705]},
         "triggered": [["dropout", "client-1", 0], ["deadline", "client-3",
             0], ["straggler", "client-2", 1], ["crash", "client-5", 1],
             ["crash", "client-5", 2]],
@@ -475,8 +490,8 @@ GOLDEN = {
     },
     "runtime-durable": {
         "ledger": 2999844436,
-        "nodes": {"coordinator": [14, 3876298094, 3150700375]},
-        "trail": 1578015119,
+        "nodes": {"coordinator": [14, 2333800967, 3150700375]},
+        "trail": 786146907,
         "triggered": [["straggler", "client-1", 0], ["deadline", "client-2",
             1], ["crash", "client-3", 1]],
         "weights": 2919714246,
@@ -484,9 +499,9 @@ GOLDEN = {
     "runtime-durable-recovered": {
         "incarnation": 1,
         "ledger": 2595044071,
-        "nodes": {"coordinator": [14, 2176282361, 2151611835]},
+        "nodes": {"coordinator": [14, 1550632707, 2151611835]},
         "recovered_digest": 3029713793,
-        "trail": 178397541,
+        "trail": 3187833654,
         "triggered": [],
         "weights": 2081636579,
     },
@@ -494,9 +509,9 @@ GOLDEN = {
         "incarnation": 1,
         "ledger": 804530070,
         "name": "standby",
-        "nodes": {"coordinator": [14, 3198544898, 2151611835]},
+        "nodes": {"coordinator": [14, 1550632707, 2151611835]},
         "recovered_digest": 4178562215,
-        "trail": 4254143573,
+        "trail": 3187833654,
         "triggered": [],
         "weights": 2081636579,
     },
@@ -504,9 +519,9 @@ GOLDEN = {
         "clock": 1.2000000000000002e-05,
         "failovers": [],
         "ledger": 268351327,
-        "nodes": {"root": [14, 3283335799, 551548984], "shard-0": [12,
-            3819568507, 291221087], "shard-1": [12, 91607590, 3907602567],
-            "shard-2": [12, 523153734, 1096275112]},
+        "nodes": {"root": [14, 2029072265, 551548984], "shard-0": [12,
+            1234024212, 291221087], "shard-1": [12, 2034962417, 3907602567],
+            "shard-2": [12, 3615206772, 1096275112]},
         "stats": 150381558,
         "triggered": [],
         "weights": 1010087874,
@@ -515,9 +530,9 @@ GOLDEN = {
         "clock": 6.999999999999999e-06,
         "failovers": [],
         "ledger": 2100862459,
-        "nodes": {"root": [13, 1203115511, 1923381633], "shard-0": [11,
-            3357095386, 1844295519], "shard-1": [5, 3457095088, 261389691],
-            "shard-2": [11, 649659513, 1586354254]},
+        "nodes": {"root": [13, 1796022842, 1923381633], "shard-0": [11,
+            1130699069, 1844295519], "shard-1": [5, 3457095088, 261389691],
+            "shard-2": [11, 4012075493, 1586354254]},
         "stats": 3175859980,
         "triggered": [["dropout", "client-1", 0], ["deadline", "client-3",
             0], ["straggler", "client-2", 1], ["queue_overload", "shard-1",
@@ -528,9 +543,9 @@ GOLDEN = {
         "clock": 1.2000000000000002e-05,
         "failovers": [],
         "ledger": 952836645,
-        "nodes": {"root": [14, 3081748041, 2051813014], "shard-0": [12,
-            914910073, 341980843], "shard-1": [12, 3763829940, 3529268621],
-            "shard-2": [12, 25350030, 3364232567]},
+        "nodes": {"root": [14, 2006156167, 2051813014], "shard-0": [12,
+            3735694512, 341980843], "shard-1": [12, 1632229155, 3529268621],
+            "shard-2": [12, 7245684, 3364232567]},
         "stats": 150381558,
         "triggered": [],
         "weights": 1010087874,
@@ -539,9 +554,9 @@ GOLDEN = {
         "clock": 30.000012000000005,
         "failovers": [["shard-1", 3, 1, 1834487739]],
         "ledger": 3192566869,
-        "nodes": {"root": [14, 3283335799, 551548984], "shard-0": [12,
-            3819568507, 291221087], "shard-1": [12, 64318761, 3886273441],
-            "shard-2": [12, 523153734, 1096275112]},
+        "nodes": {"root": [14, 2029072265, 551548984], "shard-0": [12,
+            1234024212, 291221087], "shard-1": [12, 2643898156, 3886273441],
+            "shard-2": [12, 3615206772, 1096275112]},
         "stats": 150381558,
         "triggered": [["shard_crash", "shard-1", 0]],
         "weights": 1010087874,
@@ -550,9 +565,9 @@ GOLDEN = {
         "clock": 30.000012,
         "failovers": [["root", 7, 1, 3729822314]],
         "ledger": 3376933905,
-        "nodes": {"root": [14, 607060022, 4143360762], "shard-0": [12,
-            3819568507, 291221087], "shard-1": [12, 91607590, 3907602567],
-            "shard-2": [12, 523153734, 1096275112]},
+        "nodes": {"root": [14, 2674759112, 4143360762], "shard-0": [12,
+            1234024212, 291221087], "shard-1": [12, 2034962417, 3907602567],
+            "shard-2": [12, 3615206772, 1096275112]},
         "stats": 150381558,
         "triggered": [["failover", "root", 1]],
         "weights": 1010087874,
@@ -561,14 +576,14 @@ GOLDEN = {
         "failovers": {"tenant-a": [], "tenant-b": []},
         "final_time": 2.1000000000000006e-05,
         "ledgers": {"tenant-a": [161028548], "tenant-b": [4294695915]},
-        "nodes": {"tenant-a/root": [18, 2116221135, 2062033599],
+        "nodes": {"tenant-a/root": [18, 601682204, 2062033599],
             "tenant-a/shard-2": [5, 2798795741, 1943930038],
             "tenant-a/shard-3": [5, 1886420659, 3351913685],
             "tenant-a/shard-4": [5, 3820476715, 1827744190],
             "tenant-a/shard-6": [7, 2680040661, 1706401907],
             "tenant-a/shard-7": [6, 3836501873, 3489097434],
             "tenant-a/shard-8": [5, 2269902410, 238257886], "tenant-b/root":
-            [18, 831350240, 2491983045], "tenant-b/shard-2": [5, 3773161039,
+            [18, 2372805815, 2491983045], "tenant-b/shard-2": [5, 3773161039,
             3542394433], "tenant-b/shard-3": [6, 2105570932, 4204881267],
             "tenant-b/shard-4": [5, 2690220545, 2002151224],
             "tenant-b/shard-6": [8, 4174874437, 1968808129],
@@ -584,9 +599,9 @@ GOLDEN = {
         "failovers": [],
         "final_time": 0.016357666984808988,
         "ledgers": [1303513582, 1303513582, 1303513582],
-        "nodes": {"root": [21, 1438749397, 2449090184], "shard-0": [18,
-            2498893914, 3998647967], "shard-1": [18, 586855966, 2203006142],
-            "shard-2": [18, 2553681165, 1125438971]},
+        "nodes": {"root": [21, 1155996494, 2449090184], "shard-0": [18,
+            3037909911, 3998647967], "shard-1": [18, 2261038173, 2203006142],
+            "shard-2": [18, 1468858053, 1125438971]},
         "triggered": [],
     },
     "sharded-cohort": {
@@ -594,8 +609,8 @@ GOLDEN = {
         "failovers": [],
         "final_time": 0.013167880953605136,
         "ledgers": [232362901, 232362901, 232362901],
-        "nodes": {"root": [18, 2535328299, 681809721], "shard-0": [21,
-            1540189156, 1741199826], "shard-1": [18, 1553037928, 55905743]},
+        "nodes": {"root": [18, 2748556545, 681809721], "shard-0": [21,
+            840684413, 1741199826], "shard-1": [18, 2741884007, 55905743]},
         "triggered": [],
     },
     "sharded-gate": {
@@ -603,9 +618,9 @@ GOLDEN = {
         "failovers": [],
         "final_time": 43.119226379974414,
         "ledgers": [1677215621, 3976246386, 2181434145],
-        "nodes": {"root": [21, 1828712863, 2610010558], "shard-0": [17,
-            163723997, 3387223957], "shard-1": [17, 817029336, 4214924687],
-            "shard-2": [16, 2871656420, 824730241]},
+        "nodes": {"root": [21, 3005294867, 2610010558], "shard-0": [17,
+            3006143723, 3387223957], "shard-1": [17, 2231276723, 4214924687],
+            "shard-2": [16, 4203684407, 824730241]},
         "triggered": [["dropout", "client-1", 0], ["deadline", "client-3",
             0], ["straggler", "client-2", 1], ["crash", "client-5", 1],
             ["crash", "client-5", 2]],
@@ -615,9 +630,9 @@ GOLDEN = {
         "failovers": [["shard-0", 9, 1, 3622855975]],
         "final_time": 30.016357666984817,
         "ledgers": [1303513582, 1604109491, 1303513582],
-        "nodes": {"root": [21, 1438749397, 2449090184], "shard-0": [18,
-            2449332520, 3708652754], "shard-1": [18, 586855966, 2203006142],
-            "shard-2": [18, 2553681165, 1125438971]},
+        "nodes": {"root": [21, 1155996494, 2449090184], "shard-0": [18,
+            1332565677, 3708652754], "shard-1": [18, 2261038173, 2203006142],
+            "shard-2": [18, 1468858053, 1125438971]},
         "triggered": [["shard_crash", "shard-0", 1]],
     },
     "sharded-leaf-racing-root": {
@@ -626,9 +641,9 @@ GOLDEN = {
             668929891]],
         "final_time": 30.01635766698482,
         "ledgers": [4127660172, 1303513582, 1303513582],
-        "nodes": {"root": [21, 1861070988, 2004059980], "shard-0": [18,
-            2498893914, 3998647967], "shard-1": [18, 1432693226,
-            1642094886], "shard-2": [18, 2553681165, 1125438971]},
+        "nodes": {"root": [21, 1690060021, 2004059980], "shard-0": [18,
+            3037909911, 3998647967], "shard-1": [18, 555718093,
+            1642094886], "shard-2": [18, 1468858053, 1125438971]},
         "triggered": [["shard_crash", "shard-1", 0], ["failover", "root",
             0]],
     },
@@ -637,9 +652,9 @@ GOLDEN = {
         "failovers": [["root", 8, 1, 2243624356]],
         "final_time": 30.016357666984817,
         "ledgers": [1303513582, 4235503799, 1303513582],
-        "nodes": {"root": [21, 2863087868, 3500028136], "shard-0": [18,
-            2498893914, 3998647967], "shard-1": [18, 586855966, 2203006142],
-            "shard-2": [18, 2553681165, 1125438971]},
+        "nodes": {"root": [21, 561783688, 3500028136], "shard-0": [18,
+            3037909911, 3998647967], "shard-1": [18, 2261038173, 2203006142],
+            "shard-2": [18, 1468858053, 1125438971]},
         "triggered": [["failover", "root", 1]],
     },
     "tenancy": {
@@ -648,14 +663,14 @@ GOLDEN = {
         "final_time": 0.009419236883428576,
         "ledgers": {"tenant-a": [1886333272, 2569419306, 2040430928],
             "tenant-b": [1662969393, 2221999410, 1794068025]},
-        "nodes": {"tenant-a/root": [18, 3260382820, 3631729261],
+        "nodes": {"tenant-a/root": [18, 1060604414, 3631729261],
             "tenant-a/shard-2": [5, 174536636, 1633374738],
             "tenant-a/shard-3": [6, 1022267368, 518198635],
             "tenant-a/shard-4": [5, 528535500, 564362829],
             "tenant-a/shard-6": [8, 2191586314, 385541138],
             "tenant-a/shard-7": [6, 2120489747, 3711681308],
             "tenant-a/shard-8": [6, 4245589463, 215142018], "tenant-b/root":
-            [18, 2400206709, 2346855920], "tenant-b/shard-2": [5,
+            [18, 3830755644, 2346855920], "tenant-b/shard-2": [5,
             3291690097, 1585182601], "tenant-b/shard-3": [6, 2807873112,
             4210860293], "tenant-b/shard-4": [5, 257741142, 1794633029],
             "tenant-b/shard-6": [8, 1874591445, 4228584518],
@@ -673,14 +688,14 @@ GOLDEN = {
         "final_time": 0.011524403444455858,
         "ledgers": {"tenant-a": [3922419983, 4082205199, 2015167136],
             "tenant-b": [2238892451, 2238892451, 2238892451]},
-        "nodes": {"tenant-a/root": [13, 599237225, 1033038239],
+        "nodes": {"tenant-a/root": [13, 2373468396, 1033038239],
             "tenant-a/shard-2": [5, 4275441293, 4148938785],
-            "tenant-a/shard-3": [10, 2921833535, 3095764261],
-            "tenant-a/shard-4": [10, 3074635001, 2598744192],
-            "tenant-b/root": [21, 2147053939, 204538018],
-            "tenant-b/shard-2": [15, 1690891208, 1764194323],
-            "tenant-b/shard-3": [18, 2276004784, 2759357186],
-            "tenant-b/shard-4": [15, 1235717549, 414532591]},
+            "tenant-a/shard-3": [10, 3730013844, 3095764261],
+            "tenant-a/shard-4": [10, 3242103187, 2598744192],
+            "tenant-b/root": [21, 2153909650, 204538018],
+            "tenant-b/shard-2": [15, 591875306, 1764194323],
+            "tenant-b/shard-3": [18, 873436660, 2759357186],
+            "tenant-b/shard-4": [15, 460636507, 414532591]},
         "platform_ledger": 223132457,
         "pool": [2, 1810196156, 808249340, 0],
         "statuses": {"tenant-a": ["ok", "ok", "crashed"], "tenant-b": ["ok",
@@ -723,6 +738,62 @@ def test_flat_failover_final_time_maps_from_the_lease_grace_era():
             - LEASE_GRACE_SECONDS * promotions) == golden["final_time"]
 
 
+#: Every scenario's node journals (and ``runtime-durable*`` trails) as
+#: captured at commit ``7ea0927``, before round nodes compacted.
+PRE_CHECKPOINT = json.loads(zlib.decompress(
+    (Path(__file__).parent / "journal_images_pre_checkpoint.zlib")
+    .read_bytes()))
+
+
+def compacted(image):
+    """A pre-checkpoint journal as this code leaves it: every record
+    before the last ``round_open`` replaced by the checkpoint a live node
+    writes there.  Returns the compacted log."""
+    log = WriteAheadLog.from_bytes(image)
+    records = log.records
+    opens = [lsn for lsn, record in enumerate(records)
+             if record.kind == ROUND_OPEN]
+    if opens[-1] > 0:
+        machine = RoundStateMachine()
+        for record in records[:opens[-1]]:
+            machine.apply(record)
+        log.compact(machine.checkpoint(opens[-1], records[opens[-1]]))
+    return log
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_new_literals_are_the_old_journals_compacted(name):
+    """Rule (b): every moved literal is its old journal, compacted."""
+    old = PRE_CHECKPOINT[name]
+    nodes = GOLDEN[name]["nodes"]
+    assert sorted(old.get("images", {})) == sorted(nodes)
+    for node, image in old.get("images", {}).items():
+        log = compacted(bytes.fromhex(image))
+        assert zlib.crc32(log.image()) == nodes[node][1], node
+        assert len(log) == nodes[node][0], node
+    if "trail" in GOLDEN[name]:
+        (image,) = old["images"].values()
+        first = compacted(bytes.fromhex(image)).first_lsn
+        assert first > 0
+        assert zlib.crc32(json.dumps(old["trail"][first:]).encode(
+            "utf-8")) == GOLDEN[name]["trail"]
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_every_pre_checkpoint_journal_still_replays(name):
+    """A journal written before compaction existed -- no checkpoint,
+    every round in it -- opens under this code on the same record count
+    and state digest the live node reports."""
+    for node, image in PRE_CHECKPOINT[name].get("images", {}).items():
+        log = WriteAheadLog.from_bytes(bytes.fromhex(image))
+        assert log.checkpoint is None and log.first_lsn == 0
+        machine = RoundStateMachine()
+        for record in log.records:
+            machine.apply(record)
+        length, _crc, digest = GOLDEN[name]["nodes"][node]
+        assert (len(log), machine.digest()) == (length, digest), node
+
+
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_journal_matches_golden(name):
     # Through JSON so tuples and int keys compare as the literal holds them.
@@ -734,11 +805,11 @@ def test_issue_headline_values():
     """The figures the refactor's issue quotes, spelled out."""
     durable = GOLDEN["durable"]
     assert durable["checksum"] == 904145964
-    assert durable["nodes"]["coordinator"][1] == 807766438
+    assert durable["nodes"]["coordinator"][1] == 3678397252
     assert durable["final_time"] == 0.008819289091197433
     sharded = GOLDEN["sharded"]
     assert sharded["checksum"] == 3574509080
-    assert sharded["nodes"]["root"][1] == 1438749397
+    assert sharded["nodes"]["root"][1] == 1155996494
     killed = GOLDEN["sharded-leaf-kill"]
     assert killed["failovers"] == [["shard-0", 9, 1, 3622855975]]
     assert killed["final_time"] == 30.016357666984817

@@ -1,5 +1,8 @@
-"""WAL codec and replay: framing, torn tails, mid-log corruption."""
+"""WAL codec and replay: framing, torn tails, mid-log corruption,
+checkpoints and compaction."""
 
+import errno
+import json
 import os
 import stat
 import tracemalloc
@@ -10,6 +13,7 @@ import pytest
 from repro.federation import wal as wal_module
 from repro.federation.serialization import FrameError
 from repro.federation.wal import (
+    CHECKPOINT,
     MAX_PAYLOAD_BYTES,
     RECORD_HEADER,
     RECORD_KINDS,
@@ -62,6 +66,28 @@ def dying_open(landed):
         raise Killed
 
     return spying_open(dying_write)
+
+
+def full_disk(handle, data):
+    """A ``write`` that lands half the frame, then runs out of space."""
+    handle.write(data[:len(data) // 2])
+    handle.flush()
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def raw_frame(data):
+    """Frame any JSON value as a record, CRC and all: how a lying field
+    gets past the CRC to the field checks."""
+    payload = json.dumps(data, sort_keys=True,
+                         separators=(",", ":")).encode("utf-8")
+    return RECORD_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def checkpoint_record(lsn=3, incarnation=1, **payload):
+    fields = {"closed_rounds": {"0": 12345}, "lsn": lsn,
+              "max_incarnation": 1}
+    fields.update(payload)
+    return WalRecord(CHECKPOINT, 1, incarnation=incarnation, payload=fields)
 
 
 def sample_records():
@@ -385,6 +411,55 @@ class TestWriteAheadLog:
         trimmed.append(records[-1])
         assert path.read_bytes() == trimmed.image() == in_memory.image()
 
+    def test_a_failed_append_leaves_no_trace(self, tmp_path, monkeypatch):
+        """A write that fails half way through its frame (a full disk)
+        is cut back off: the log neither counts the record nor keeps its
+        bytes, so the next acknowledged append lands right after the
+        last one and a reopen returns every acknowledged record."""
+        path = tmp_path / "round.wal"
+        log = WriteAheadLog(path=path)
+        first, second, third = sample_records()
+        log.append(first)
+        with monkeypatch.context() as patch:
+            patch.setattr(wal_module, "open", spying_open(full_disk),
+                          raising=False)
+            with pytest.raises(OSError, match="No space"):
+                log.append(second)
+        assert len(log) == 1
+        assert path.read_bytes() == log.image()
+        assert log.append(third) == 1
+        assert path.read_bytes() == log.image()
+        reopened = WriteAheadLog(path=path)
+        assert not reopened.torn_tail_dropped
+        assert list(reopened.records) == [first, third]
+
+    def test_a_failed_append_that_cannot_be_cut_back_refuses_the_next(
+            self, tmp_path, monkeypatch):
+        """If the torn half-frame cannot be truncated away either, no
+        later append may land behind it (a reopen would trim it as part
+        of the torn tail): the log refuses them, typed."""
+        path = tmp_path / "round.wal"
+        log = WriteAheadLog(path=path)
+        first, second, third = sample_records()
+        log.append(first)
+        spied = spying_open(full_disk)
+
+        def opener(path, mode):
+            if mode == "r+b":
+                raise OSError(errno.EIO, "Input/output error")
+            return spied(path, mode)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(wal_module, "open", opener, raising=False)
+            with pytest.raises(OSError, match="No space"):
+                log.append(second)
+        with pytest.raises(WalError, match="refuses appends"):
+            log.append(third)
+        assert len(log) == 1
+        reopened = WriteAheadLog(path=path)
+        assert reopened.torn_tail_dropped
+        assert list(reopened.records) == [first]
+
     def test_the_journal_is_held_once(self):
         """The accepted frames are the journal's bulk, and the records
         already hold them: a second copy (a byte image kept beside the
@@ -403,3 +478,87 @@ class TestWriteAheadLog:
             tracemalloc.stop()
         framed = sum(len(encode_record(r)) for r in log.records)
         assert retained < 1.5 * framed
+
+
+class TestCheckpoint:
+    """Compaction: one checkpoint stands for every dropped record, LSNs
+    stay absolute, and a checkpoint anywhere else is typed damage."""
+
+    def compacted_log(self, path=None):
+        """Round 0 journaled, round 1 opened, then compacted."""
+        log = WriteAheadLog(path=path)
+        for record in sample_records():
+            log.append(record)
+        log.append(WalRecord(ROUND_OPEN, 1, incarnation=1))
+        log.compact(checkpoint_record())
+        return log
+
+    def test_compaction_keeps_lsns_absolute(self):
+        log = self.compacted_log()
+        assert (len(log), log.first_lsn) == (4, 3)
+        assert list(log.records) == [checkpoint_record(),
+                                     WalRecord(ROUND_OPEN, 1, incarnation=1)]
+        upload = WalRecord(UPLOAD_ACCEPTED, 1, incarnation=1)
+        assert log.append(upload) == 4
+        clone = WriteAheadLog.from_bytes(log.image())
+        assert clone.records == log.records
+        assert (len(clone), clone.first_lsn) == (5, 3)
+        assert clone.image() == log.image()
+
+    @pytest.mark.parametrize("lsn", [2, 3, 4])
+    def test_a_compaction_drops_a_record_and_keeps_one(self, lsn):
+        log = self.compacted_log()   # holds LSN 3 only
+        with pytest.raises(ValueError, match="drop a record and keep one"):
+            log.compact(checkpoint_record(lsn=lsn))
+
+    def test_a_checkpoint_is_never_appended(self):
+        with pytest.raises(WalError, match="never appended"):
+            WriteAheadLog().append(checkpoint_record())
+
+    def test_file_backed_compaction_writes_the_image(self, tmp_path):
+        path = tmp_path / "round.wal"
+        log = self.compacted_log(path)
+        assert path.read_bytes() == log.image()
+        assert [p.name for p in tmp_path.iterdir()] == ["round.wal"]
+        log.append(WalRecord(UPLOAD_ACCEPTED, 1, incarnation=1))
+        assert path.read_bytes() == log.image()
+        reopened = WriteAheadLog(path=path)
+        assert reopened.records == log.records and len(reopened) == 5
+
+    @pytest.mark.parametrize("where", ["second", "last", "twice"])
+    def test_a_checkpoint_anywhere_but_first_is_typed(self, where):
+        frames = [encode_record(record) for record in sample_records()]
+        checkpoint = encode_record(checkpoint_record())
+        if where == "second":
+            frames.insert(1, checkpoint)
+        elif where == "last":
+            frames.append(checkpoint)   # intact: damage, not a torn tail
+        else:
+            frames[:0] = [checkpoint, checkpoint]
+        with pytest.raises(WalError, match="only a log's first record"):
+            replay_wal(WAL_MAGIC + b"".join(frames))
+
+    @pytest.mark.parametrize("lie", [
+        {"closed_rounds": []}, {"closed_rounds": "0"},
+        {"closed_rounds": {}}, {"closed_rounds": {"00": 1}},
+        {"closed_rounds": {"-1": 1}}, {"closed_rounds": {"0": -1}},
+        {"closed_rounds": {"0": 1 << 32}}, {"closed_rounds": {"0": True}},
+        {"lsn": -1}, {"lsn": 1}, {"lsn": "7"}, {"lsn": True},
+        {"lsn": 2.5}, {"lsn": None},
+        {"max_incarnation": 2}, {"max_incarnation": -1},
+        {"extra": 0},
+    ], ids=lambda lie: json.dumps(lie))
+    def test_a_lying_checkpoint_is_typed(self, lie):
+        """Each lie passes the CRC; the field checks catch it."""
+        data = checkpoint_record().to_dict()
+        data["payload"].update(lie)
+        with pytest.raises(WalError, match="rejected"):
+            decode_record(raw_frame(data))
+        with pytest.raises(ValueError):
+            WalRecord(CHECKPOINT, 1, incarnation=1, payload=data["payload"])
+
+    def test_a_missing_checkpoint_field_is_typed(self):
+        data = checkpoint_record().to_dict()
+        del data["payload"]["max_incarnation"]
+        with pytest.raises(WalError, match="rejected"):
+            decode_record(raw_frame(data))

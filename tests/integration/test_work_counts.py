@@ -8,6 +8,7 @@ native library is known to bind.)
 """
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from repro.federation.runtime import (
     cached_keypair,
 )
 from repro.federation.shard import ShardedAggregationService
-from repro.federation.wal import ROUND_CLOSE
+from repro.federation.wal import ROUND_CLOSE, WriteAheadLog
 from repro.mpint import native
 from repro.quantization import encoding
 from repro.testing.simulator import FederationSimulator, SimulationSpec
@@ -119,6 +120,28 @@ def test_a_fault_free_sharded_run_builds_no_standby_and_parses_nothing(
     simulator.run()
     assert len(simulator.nodes()) == 4
     assert takeover_work == ([], [])
+
+
+def test_a_fault_free_six_round_run_checkpoints_once_per_node_and_round(
+        takeover_work, monkeypatch):
+    """Compaction rides on the ``round_open`` a node appends anyway: one
+    checkpoint per node per round after the first, and still no journal
+    parsed and no standby built."""
+    checkpoints = Counter()
+    compact = WriteAheadLog.compact
+
+    def counting(log, checkpoint):
+        checkpoints[id(log), checkpoint.round_index] += 1
+        compact(log, checkpoint)
+
+    monkeypatch.setattr(WriteAheadLog, "compact", counting)
+    simulator = FederationSimulator(dataclasses.replace(SHARDED, rounds=6))
+    simulator.run()
+    assert len(simulator.nodes()) == 4
+    assert takeover_work == ([], [])
+    assert set(checkpoints.values()) == {1}
+    assert sorted(round_index for _, round_index in checkpoints) == \
+        sorted(list(range(1, 6)) * 4)
 
 
 def test_a_shard_crash_parses_the_dead_leafs_image_once(takeover_work):

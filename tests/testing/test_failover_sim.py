@@ -37,7 +37,11 @@ class TestDurableRunEquivalence:
         # 3 clients, 2 rounds: (open + 3 uploads + quorum + commit +
         # close) per round, all on the single node "coordinator".
         assert durable.node_wal_records == {COORDINATOR: 14}
-        assert len(durable.node_digest_trails[COORDINATOR]) == 14
+        # The journal keeps one round; the trail still covers every LSN.
+        trail = durable.node_trails[COORDINATOR]
+        assert sorted(trail) == list(range(14))
+        assert [round_index for round_index, _ in trail.values()] == \
+            [0] * 7 + [1] * 7
 
     def test_spec_durable_flag_round_trips(self):
         spec = durable_spec()
@@ -59,7 +63,7 @@ class TestScheduledKills:
         assert kill.lsn == 4
         assert kill.incarnation == 1
         assert kill.recovered_digest == \
-            reference.node_digest_trails[COORDINATOR][4]
+            reference.node_trails[COORDINATOR][4][1]
         assert killed.final_weights == reference.final_weights
         assert killed.checksum() == reference.checksum()
 

@@ -165,7 +165,8 @@ class TestWalFuzzing:
             assert replayed.consumed_bytes == len(blob)
 
     @pytest.mark.parametrize("mutation", ["crc_lie", "record_splice",
-                                          "truncate", "bitflip"])
+                                          "truncate", "bitflip",
+                                          "checkpoint_lie"])
     def test_wal_mutations_never_confuse_the_oracle(self, mutation):
         import random
 
@@ -176,6 +177,37 @@ class TestWalFuzzing:
             finding = fuzz_module._classify("wal", mutant, blob, seed,
                                             mutation)
             assert finding is None, str(finding)
+
+    def test_the_corpus_seeds_compacted_logs(self):
+        import random
+
+        from repro.federation.wal import CHECKPOINT, replay_wal
+
+        firsts = [replay_wal(fuzz_module._wal_frame(
+            random.Random(seed))[1]).records[0].kind for seed in range(60)]
+        assert 10 < firsts.count(CHECKPOINT) < 40
+
+    def test_checkpoint_lies_are_rejected_unless_byte_exact(self):
+        """Misplaced, doubled and non-object ``closed_rounds`` mutants are
+        always typed rejections; a lying resume LSN is one too, unless it
+        is a well-formed LSN (then the image round-trips exactly)."""
+        import random
+
+        from repro.federation.wal import replay_wal
+
+        rejected = accepted = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            _fmt, blob, _width = fuzz_module._wal_frame(rng)
+            mutant = fuzz_module._mutate(rng, "wal", blob, "checkpoint_lie")
+            assert fuzz_module._classify("wal", mutant, blob, seed,
+                                         "checkpoint_lie") is None
+            try:
+                replay_wal(mutant)
+                accepted += 1
+            except ValueError:
+                rejected += 1
+        assert rejected > 150 and accepted > 0
 
     def test_500_case_campaign_with_wal_still_clean(self):
         report = run_fuzz(cases=500, seed="wal-ci")
