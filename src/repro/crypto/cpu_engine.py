@@ -50,22 +50,19 @@ class CpuPaillierEngine(HeEngine):
     def encrypt_batch(self, plaintexts: Sequence[int]) -> List[int]:
         """Encrypt sequentially, charging per-op CPU time.
 
-        With the standard generator ``g = n + 1``, ``g^m r^n`` is
-        ``(1 + m n) r^n mod n^2 = (r^n + n (m r^n mod n)) mod n^2``
-        (because ``m n x mod n^2 = n (m x mod n)``): one product modulo
-        ``n`` instead of one modulo ``n^2``, the same integers.
+        The standard generator ``g = n + 1`` takes the one-product route
+        of :meth:`HeEngine._encrypt_standard`; any other ``g`` pays its
+        ``g^m`` modexp.
         """
         self._check_plaintexts(plaintexts)
         n = self.public_key.n
         n_squared = self.public_key.n_squared
-        results = []
-        for m in plaintexts:
-            if self.public_key.g == n + 1:
-                r_n = self._randomizer_power()
-                results.append((r_n + n * (m * r_n % n)) % n_squared)
-            else:
-                g_m = powmod(self.public_key.g, m, n_squared)
-                results.append((g_m * self._randomizer_power()) % n_squared)
+        if self.public_key.g == n + 1:
+            results = self._encrypt_standard(plaintexts)
+        else:
+            results = [powmod(self.public_key.g, m, n_squared)
+                       * self._randomizer_power() % n_squared
+                       for m in plaintexts]
         self._charge(CAT_HE_ENCRYPT, len(plaintexts),
                      self.profile.words_per_encrypt(self.nominal_bits))
         return results

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.keys import PaillierKeypair
 from repro.ledger import CostLedger
@@ -50,6 +50,9 @@ class RandomizerPool:
     the pool-free path (one draw per encrypted value), which is what
     keeps pooled engines bit-comparable in the conformance oracle while
     the pool has capacity.
+
+    Beside each power it keeps ``r^n mod n``, the factor the standard
+    encryption (:meth:`HeEngine._encrypt_standard`) multiplies by.
     """
 
     def __init__(self, size: int):
@@ -57,6 +60,7 @@ class RandomizerPool:
             raise ValueError("pool size must be positive")
         self.size = size
         self._powers: List[int] = []
+        self._residues: List[int] = []
         self._cursor = 0
 
     @property
@@ -76,22 +80,32 @@ class RandomizerPool:
         """
         randomizers = [rng.random_unit(n) for _ in range(self.size)]
         self._powers = [obfuscator(r) for r in randomizers]
+        self._residues = [power % n for power in self._powers]
         self._cursor = 0
 
     def take(self, count: int = 1) -> List[int]:
         """The next ``count`` pooled powers, cycling the cursor."""
+        return self.take_with_residues(count)[0]
+
+    def take_with_residues(self, count: int
+                           ) -> Tuple[List[int], List[int]]:
+        """The next ``count`` pooled powers and their residues mod
+        ``n``, cycling the cursor."""
         if not self._powers:
             raise RuntimeError("pool not filled")
-        powers = self._powers
-        size = len(powers)
+        size = len(self._powers)
         start = self._cursor
         end = start + max(count, 0)
         self._cursor = end % size
-        if end <= size:
-            return powers[start:end]
-        # Wrapped: the tail, whole laps of the pool, then the head.
-        laps, head = divmod(end - size, size)
-        return powers[start:] + powers * laps + powers[:head]
+
+        def cycled(values: List[int]) -> List[int]:
+            if end <= size:
+                return values[start:end]
+            # Wrapped: the tail, whole laps of the pool, then the head.
+            laps, head = divmod(end - size, size)
+            return values[start:] + values * laps + values[:head]
+
+        return cycled(self._powers), cycled(self._residues)
 
     def snapshot(self) -> List[int]:
         """A copy of the pooled powers (regression tests compare these)."""
@@ -286,6 +300,29 @@ class HeEngine(ABC):
             if not 0 <= value < bound:
                 raise ValueError(
                     f"plaintext {value} outside [0, {bound}); encode first")
+
+    def _encrypt_standard(self, plaintexts: Sequence[int]) -> List[int]:
+        """Encrypt under the standard generator ``g = n + 1``.
+
+        ``g^m r^n`` is ``(1 + m n) r^n mod n^2 = r^n + n (m r^n mod n)``
+        (because ``m n x mod n^2 = n (m x mod n)``): one product modulo
+        ``n``, taken against ``r^n mod n``.  The sum is below ``2 n^2``,
+        so its reduction modulo ``n^2`` is one conditional subtraction.
+        Randomizers are drawn in plaintext order, one per value.
+        """
+        n = self.public_key.n
+        n_squared = self.public_key.n_squared
+        if self._randomizer_pool is None:
+            powers = [self._randomizer_power() for _ in plaintexts]
+            residues = [power % n for power in powers]
+        else:
+            powers, residues = self._filled_pool().take_with_residues(
+                len(plaintexts))
+        results = []
+        for m, power, residue in zip(plaintexts, powers, residues):
+            word = power + n * (m * residue % n)
+            results.append(word - n_squared if word >= n_squared else word)
+        return results
 
     def _randomizer_power(self) -> int:
         """Return ``r^n mod n^2`` for a fresh-enough randomizer.

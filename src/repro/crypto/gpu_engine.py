@@ -81,18 +81,21 @@ class GpuPaillierEngine(HeEngine):
                                             self.nominal_bits)
             # Physical r^n values come from the (possibly pooled)
             # randomizer source; the launch is charged at full cost.
-            r_n = [self._randomizer_power() for _ in plaintexts]
-            self.kernels.charge_mod_pow(len(plaintexts), self._work_bits,
-                                        self.nominal_bits)
             if standard:
-                # (1 + m n) r^n mod n^2 = (r^n + n (m r^n mod n)) mod n^2,
-                # since m n x mod n^2 = n (m x mod n): the same integers
-                # for one product modulo n, charged as the same launch.
-                results = [(r + n * (m * r % n)) % n_squared
-                           for m, r in zip(plaintexts, r_n)]
+                # The one-product route (HeEngine._encrypt_standard):
+                # the same integers, charged as the r^n launch and the
+                # final mod_mul launch.
+                results = self._encrypt_standard(plaintexts)
+                self.kernels.charge_mod_pow(len(plaintexts),
+                                            self._work_bits,
+                                            self.nominal_bits)
                 self.kernels.charge_mod_mul(len(plaintexts),
                                             self._work_bits)
             else:
+                r_n = [self._randomizer_power() for _ in plaintexts]
+                self.kernels.charge_mod_pow(len(plaintexts),
+                                            self._work_bits,
+                                            self.nominal_bits)
                 results = self.kernels.mod_mul(g_m, r_n, n_squared,
                                                work_bits=self._work_bits)
         return results

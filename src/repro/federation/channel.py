@@ -60,13 +60,26 @@ def payload_checksum(payload: Any) -> int:
     """Deterministic 64-bit checksum of a message payload.
 
     Covers the payload shapes the federation ships -- (nested) lists of
-    multi-precision integers, numpy arrays, dicts, strings -- without
-    relying on Python's randomized ``hash``.  The receiver recomputes it
-    to detect in-flight corruption (Paillier is malleable: a flipped bit
-    decrypts to garbage instead of erroring, see
-    ``tests/integration/test_failure_injection.py``).
+    multi-precision integers, numpy arrays, dicts, strings -- and every
+    bit of every integer in them.  Integers go through CPython's numeric
+    ``hash``, which is ``x mod (2^61 - 1)`` and never salted (only the
+    hash of ``str`` / ``bytes`` is, so those go through ``zlib``): a flip
+    of bit ``k`` moves it by ``2^k``, never ``0`` modulo a prime.  The
+    receiver recomputes the checksum to detect in-flight corruption
+    (Paillier is malleable: a flipped bit decrypts to garbage instead of
+    erroring, see ``tests/integration/test_failure_injection.py``).
     """
     return _mix(payload) & _CHECKSUM_MASK
+
+
+def _meta_fields(meta) -> tuple:
+    """Every :class:`~repro.tensor.meta.TensorMeta` field, as numbers."""
+    scheme = meta.scheme
+    return (int.from_bytes(meta.key_fingerprint, "big"), meta.nominal_bits,
+            meta.physical_bits, scheme.alpha, scheme.r_bits,
+            scheme.num_parties, meta.capacity, meta.shape, meta.count,
+            meta.summands, meta.packed, zlib.crc32(meta.codec.encode()),
+            meta.codec_params)
 
 
 def _mix(payload: Any) -> int:
@@ -75,8 +88,7 @@ def _mix(payload: Any) -> int:
     if isinstance(payload, bool):
         return _CHECKSUM_SEED ^ int(payload)
     if isinstance(payload, int):
-        # Fold huge ciphertext integers without hashing their full repr.
-        return (payload ^ (payload >> 64) ^ (payload >> 128)) & _CHECKSUM_MASK
+        return hash(payload) & _CHECKSUM_MASK
     if isinstance(payload, float):
         return zlib.adler32(repr(payload).encode())
     if isinstance(payload, (bytes, bytearray)):
@@ -88,10 +100,10 @@ def _mix(payload: Any) -> int:
     if isinstance(payload, CipherTensor):
         # Cover the ciphertext words AND the metadata a receiver decodes
         # with -- a tampered summand count or fingerprint must fail the
-        # checksum just like a flipped ciphertext bit.
-        meta = payload.meta
-        return _mix((payload.words, meta.key_fingerprint, meta.count,
-                     meta.summands, meta.capacity, meta.shape))
+        # checksum just like a flipped ciphertext bit.  One flat pass: a
+        # tuple's hash changes whenever one element's hash does.
+        return hash((payload.words, _meta_fields(payload.meta))) \
+            & _CHECKSUM_MASK
     if isinstance(payload, (list, tuple)):
         digest = _CHECKSUM_SEED ^ len(payload)
         for item in payload:

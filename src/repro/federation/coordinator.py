@@ -217,7 +217,18 @@ def frame_tensor(frame: str, engine) -> CipherTensor:
 
 @dataclass
 class RoundState:
-    """Mutable state of the round currently in flight."""
+    """Mutable state of the round currently in flight.
+
+    ``held_uploads`` / ``held_partial`` are the tensors beside the
+    frames: what this round's coordinator accepted and committed
+    itself, kept so its own commit sums them instead of decoding its
+    journal again.  They are never journaled and take no part in the
+    digest; a machine rebuilt from a log starts without them and
+    decodes each frame once, on first use
+    (:meth:`RoundStateMachine.upload_tensors`).  The uploads are let go
+    at ``round_close``, once the commit they feed is journaled; the
+    partial stays, since a closed leaf round still returns it.
+    """
 
     round_index: int
     tag: str
@@ -232,6 +243,10 @@ class RoundState:
     partial_frame: Optional[str] = None
     closed: bool = False
     aborted: Optional[str] = None
+    held_uploads: Dict[str, CipherTensor] = field(
+        default_factory=dict, compare=False, repr=False)
+    held_partial: Optional[CipherTensor] = field(
+        default=None, compare=False, repr=False)
 
     def to_state_dict(self) -> dict:
         """Canonical JSON-ready form, the basis of the state digest."""
@@ -390,6 +405,7 @@ class RoundStateMachine:
         state = self._require_round(record)
         state.closed = True
         state.aborted = record.payload.get("aborted")
+        state.held_uploads.clear()
         self.closed_rounds[state.round_index] = self.digest()
         return True
 
@@ -421,11 +437,23 @@ class RoundStateMachine:
                 and client in self.round.upload_frames)
 
     def upload_tensors(self, engine) -> List[CipherTensor]:
-        """The accepted uploads as tensors, in acceptance order."""
+        """The accepted uploads as tensors, in acceptance order.
+
+        An upload the round holds is returned as held; one only the log
+        holds -- journaled before a takeover or restart -- is decoded
+        from its frame onto ``engine`` and held from then on.
+        """
         if self.round is None:
             return []
-        return [frame_tensor(self.round.upload_frames[client], engine)
-                for client in self.round.survivors]
+        held = self.round.held_uploads
+        frames = self.round.upload_frames
+        tensors = []
+        for client in self.round.survivors:
+            tensor = held.get(client)
+            if tensor is None:
+                tensor = held[client] = frame_tensor(frames[client], engine)
+            tensors.append(tensor)
+        return tensors
 
     def digest(self) -> int:
         """CRC-32 of the canonical state -- the bit-identity witness.
@@ -576,9 +604,16 @@ class DurableCoordinator:
         if self.machine.round is not None and \
                 key in self.machine.round.dedupe_keys:
             return False
-        frame = serialize_tensor(tensor.materialize()).hex()
-        return self._log(UPLOAD_ACCEPTED, round_index, client=client,
-                         dedupe_key=key, frame=frame)
+        materialized = tensor.materialize()
+        frame = serialize_tensor(materialized).hex()
+        if not self._log(UPLOAD_ACCEPTED, round_index, client=client,
+                         dedupe_key=key, frame=frame):
+            return False
+        # The frame decodes to exactly this tensor on the server engine,
+        # so the round's commit sums it without decoding the frame.
+        self.machine.round.held_uploads[client] = materialized.materialize(
+            engine=self.aggregator.server_engine)
+        return True
 
     def _accept_delivered(self, round_index: int,
                           uploads: Sequence[Tuple[str, CipherTensor]]

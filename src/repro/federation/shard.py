@@ -217,20 +217,25 @@ class ShardAggregator(DurableCoordinator):
             round_index, f"shard.{tag}", len(uploads), 1,
             lambda: self._accept_delivered(round_index, uploads),
             single_sum=True)
-        # Always rebuilt from the journaled frame, so an uninterrupted
-        # run and a recovered one return byte-identical partials.
         if state.partial_frame is None:
             raise CoordinatorError(
                 "round closed without a committed partial")
-        return frame_tensor(state.partial_frame,
-                            self.aggregator.server_engine)
+        # The partial this leaf committed is held beside its frame; one
+        # a predecessor committed is decoded from the frame.  Either
+        # way it equals the frame's decode, so an uninterrupted run and
+        # a recovered one return identical partials.
+        if state.held_partial is None:
+            state.held_partial = frame_tensor(
+                state.partial_frame, self.aggregator.server_engine)
+        return state.held_partial
 
     def _commit(self, round_index: int, tag: str,
                 uploaded: List[CipherTensor]) -> None:
         """Journal the combined ciphertext; the sum stays encrypted."""
         partial = self.aggregator._server_sum(uploaded)
         self._log(PARTIAL_COMMITTED, round_index,
-                  frame=serialize_tensor(partial.materialize()).hex())
+                  frame=serialize_tensor(partial).hex())
+        self.machine.round.held_partial = partial
 
 
 class RootCoordinator(DurableCoordinator):

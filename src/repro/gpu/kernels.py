@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.gpu.cost_model import DEFAULT_PROFILE, HardwareProfile
 from repro.gpu.device import DeviceSpec, KernelLaunch, SimulatedGpu
@@ -143,6 +143,11 @@ class GpuKernels:
                                  else ResourceManager(self.device.spec))
         self.profile = profile
         validate_budgets(self.device.spec)
+        #: Launch shape -> (threads per task, SM utilization, seconds):
+        #: a shape's geometry and modelled time depend on nothing else,
+        #: so each distinct shape is priced once.
+        self._prices: Dict[Tuple[int, int, int, int, int],
+                           Tuple[int, float, float]] = {}
 
     # ------------------------------------------------------------------
     # Public kernels.
@@ -238,12 +243,25 @@ class GpuKernels:
         if not a:
             raise ValueError("kernel launched with an empty batch")
 
+    def _price(self, tasks: int, limbs: int, words: int, bytes_in: int,
+               bytes_out: int) -> Tuple[int, float, float]:
+        """(threads per task, SM utilization, seconds) of one launch."""
+        key = (tasks, limbs, words, bytes_in, bytes_out)
+        price = self._prices.get(key)
+        if price is None:
+            plan = self.resource_manager.plan(tasks, limbs)
+            seconds = self.profile.gpu_seconds(
+                tasks, words, bytes_in, bytes_out, plan,
+                spec=self.device.spec,
+                managed=self.resource_manager.managed)
+            price = self._prices[key] = (plan.threads_per_task,
+                                         plan.sm_utilization, seconds)
+        return price
+
     def _record(self, name: str, tasks: int, limbs: int, words: int,
                 bytes_in: int, bytes_out: int) -> float:
-        plan = self.resource_manager.plan(tasks, limbs)
-        seconds = self.profile.gpu_seconds(
-            tasks, words, bytes_in, bytes_out, plan,
-            spec=self.device.spec, managed=self.resource_manager.managed)
+        threads_per_task, sm_utilization, seconds = self._price(
+            tasks, limbs, words, bytes_in, bytes_out)
         if self.resource_manager.managed:
             # The memory table (Sec. IV-A2): operand and result buffers
             # are claimed per launch and marked free afterwards, so
@@ -257,11 +275,11 @@ class GpuKernels:
         self.device.record_launch(KernelLaunch(
             name=name,
             tasks=tasks,
-            threads_per_task=plan.threads_per_task,
+            threads_per_task=threads_per_task,
             word_multiplications=words,
             bytes_in=bytes_in,
             bytes_out=bytes_out,
-            sm_utilization=plan.sm_utilization,
+            sm_utilization=sm_utilization,
             seconds=seconds,
         ))
         return seconds

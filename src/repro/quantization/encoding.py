@@ -128,7 +128,11 @@ class QuantizationScheme:
         clipped = np.clip(np.asarray(values, dtype=np.float64),
                           -self.alpha, self.alpha)
         scaled = np.rint((clipped + self.alpha) * self.scale)
-        return [int(v) for v in scaled]
+        # Encodings below 2^63 convert exactly through int64; wider
+        # schemes, and a NaN (which int() rejects), go value by value.
+        if self.r_bits < 63 and not np.isnan(scaled).any():
+            return scaled.astype(np.int64).tolist()
+        return [int(v) for v in scaled.tolist()]
 
     def decode_array(self, encoded: Sequence[int],
                      count: int = 1) -> np.ndarray:

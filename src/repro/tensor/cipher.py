@@ -133,10 +133,27 @@ class CipherTensor:
     def __add__(self, other: "CipherTensor") -> "CipherTensor":
         if not isinstance(other, CipherTensor):
             return NotImplemented
-        meta = self.meta.combine_add(other.meta)
+        return CipherTensor.add_all([self, other])
+
+    @staticmethod
+    def add_all(tensors: Sequence["CipherTensor"]) -> "CipherTensor":
+        """The lazy slot-wise sum of ``tensors``, as one n-ary add.
+
+        What ``tensors[0] + tensors[1] + ...`` builds -- the planner
+        flattens nested adds anyway -- without the intermediate tensors
+        and metas: one combined meta (the same operand checks, the same
+        errors) and one :class:`~repro.tensor.planner.Add` node.  The
+        sum flushes through the first operand's engine that has one.
+        """
+        first = tensors[0]
+        if len(tensors) == 1:
+            return first
+        meta = first.meta.combine_add(*(t.meta for t in tensors[1:]))
+        engine = next((t.engine for t in tensors if t.engine is not None),
+                      None)
         return CipherTensor(meta,
-                            node=planner.Add([self._node, other._node]),
-                            engine=self.engine or other.engine)
+                            node=planner.Add([t._node for t in tensors]),
+                            engine=engine)
 
     def __mul__(self, scalar: int) -> "CipherTensor":
         if not isinstance(scalar, int) or isinstance(scalar, bool):

@@ -13,8 +13,8 @@ all of it to the payload itself, so a decode can never be asked to guess.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
-from typing import Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Tuple
 
 from repro.quantization.codecs import build_codec
 from repro.quantization.encoding import QuantizationScheme
@@ -64,6 +64,9 @@ class TensorMeta:
             scheme and capacity they reconstruct the exact layout on the
             receiving side (guard width for interleave; value width and
             support pattern for sparse).
+
+    The codec the layout names and the word count it implies are
+    derived once, at construction; they take no part in equality.
     """
 
     key_fingerprint: bytes
@@ -77,6 +80,8 @@ class TensorMeta:
     packed: bool = False
     codec: str = "dense"
     codec_params: Tuple[int, ...] = ()
+    _codec: Any = field(init=False, repr=False, compare=False)
+    _num_words: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.key_fingerprint) != 16:
@@ -99,7 +104,10 @@ class TensorMeta:
         # Reject unknown codec ids and implausible parameters up front:
         # a meta that cannot rebuild its codec cannot be decoded either.
         # Only the first meta of a layout pays for the validation.
-        build_codec(self)
+        codec = build_codec(self)
+        object.__setattr__(self, "_codec", codec)
+        object.__setattr__(self, "_num_words",
+                           codec.words_needed(self.count))
 
     @property
     def scheme_id(self) -> str:
@@ -110,7 +118,7 @@ class TensorMeta:
     @property
     def num_words(self) -> int:
         """Ciphertext words the payload occupies (codec-dependent)."""
-        return build_codec(self).words_needed(self.count)
+        return self._num_words
 
     def summand_capacity(self) -> int:
         """How many same-layout tensors may be slot-wise summed.
@@ -120,20 +128,30 @@ class TensorMeta:
         planning and the segmented decrypt consult this instead of
         assuming ``2**overflow_bits``.
         """
-        return build_codec(self).max_safe_summands()
+        return self._codec.max_safe_summands()
 
     # ------------------------------------------------------------------
     # Derived metadata for the homomorphic operations.
     # ------------------------------------------------------------------
 
-    def combine_add(self, other: "TensorMeta") -> "TensorMeta":
-        """Metadata of a slot-wise sum of two tensors.
+    def combine_add(self, *others: "TensorMeta") -> "TensorMeta":
+        """Metadata of the slot-wise sum of this tensor and ``others``.
+
+        One meta for the whole n-ary sum: each operand is checked
+        against this one, and the summand counts add.
 
         Raises:
-            KeyMismatchError: The operands were encrypted under
-                different keys.
-            ValueError: The operands' layouts are incompatible.
+            KeyMismatchError: An operand was encrypted under a
+                different key.
+            ValueError: An operand's layout is incompatible.
         """
+        summands = self.summands
+        for other in others:
+            self._check_addable(other)
+            summands += other.summands
+        return replace(self, summands=summands)
+
+    def _check_addable(self, other: "TensorMeta") -> None:
         if self.key_fingerprint != other.key_fingerprint:
             raise KeyMismatchError(
                 "cannot add ciphertexts under different keys "
@@ -155,7 +173,6 @@ class TensorMeta:
         if self.count != other.count or self.shape != other.shape:
             raise ValueError(
                 f"shape mismatch: {self.shape} vs {other.shape}")
-        return replace(self, summands=self.summands + other.summands)
 
     def scaled(self, scalar: int) -> "TensorMeta":
         """Metadata after multiplying every slot by a positive integer.
@@ -170,7 +187,7 @@ class TensorMeta:
 
     def sliced(self, start: int, stop: int) -> "TensorMeta":
         """Metadata of a word-aligned logical slice ``[start:stop]``."""
-        if not build_codec(self).describe().sliceable:
+        if not self._codec.describe().sliceable:
             raise ValueError(
                 f"the {self.codec!r} codec is not sliceable: word "
                 f"boundaries have no aligned meaning in index space")
@@ -199,7 +216,7 @@ class TensorMeta:
             raise ValueError(
                 "sum() needs capacity 1: summing packed words mixes "
                 "unrelated slots")
-        if not build_codec(self).describe().sliceable:
+        if not self._codec.describe().sliceable:
             raise ValueError(
                 f"sum() over the {self.codec!r} layout mixes distinct "
                 f"pattern positions; decode and re-encode densely instead")

@@ -160,6 +160,22 @@ class TestRandomizerPool:
         values = list(range(20))
         assert engine.decrypt_batch(engine.encrypt_batch(values)) == values
 
+    @pytest.mark.parametrize("engine_cls", [CpuPaillierEngine,
+                                            GpuPaillierEngine])
+    def test_pooled_encryption_is_the_textbook_product(self, paillier_128,
+                                                       engine_cls):
+        """r^n mod n beside each pooled r^n, one product modulo n and a
+        conditional subtraction: still g^m r^n mod n^2, lap after lap."""
+        engine = engine_cls(paillier_128, rng=LimbRandom(seed=6),
+                            randomizer_pool_size=3)
+        public = paillier_128.public_key
+        n, n_squared = public.n, public.n_squared
+        values = [0, 1, n - 1, 12345, n // 2, 7, n - 2]
+        powers = engine.randomizer_pool_snapshot()
+        assert engine.encrypt_batch(values) == [
+            pow(public.g, m, n_squared) * powers[i % 3] % n_squared
+            for i, m in enumerate(values)]
+
     def test_pool_cycles(self, paillier_128):
         engine = CpuPaillierEngine(paillier_128, nominal_bits=256,
                                    rng=LimbRandom(seed=6),

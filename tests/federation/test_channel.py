@@ -1,5 +1,10 @@
 """Tests for the byte-counting communication channel."""
 
+import copy
+import dataclasses
+import random
+
+import numpy as np
 import pytest
 
 from repro.federation.channel import (
@@ -9,8 +14,10 @@ from repro.federation.channel import (
     payload_checksum,
 )
 from repro.federation.faults import FaultInjector, FaultPlan, RetryPolicy
+from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
 from repro.gpu.cost_model import HardwareProfile
 from repro.ledger import CostLedger
+from repro.tensor.cipher import CipherTensor
 
 
 def make_channel(**profile_kwargs):
@@ -341,7 +348,72 @@ class TestRetransmissionAccountingProperty:
         assert channel.ledger.payload_bytes("comm.t") == stats.wire_bytes
 
 
+@pytest.fixture(scope="module")
+def ciphertext_1024():
+    """A real upload at a 1024-bit key: 2048-bit ciphertext words."""
+    runtime = FederationRuntime(FLBOOSTER_SYSTEM, num_clients=4,
+                                key_bits=1024)
+    return runtime.aggregator.encrypt_tensor(np.linspace(-0.5, 0.5, 40))
+
+
 class TestCorruptionDetection:
+    def test_every_bit_of_a_2048_bit_word_reaches_the_checksum(self):
+        """The old fold of an int saw bits 0-191 only, so nine flips in
+        ten of a real ciphertext word went unnoticed."""
+        word = random.Random(5).getrandbits(2048) | 1 << 2047
+        base = payload_checksum([3, word])
+        assert all(payload_checksum([3, word ^ 1 << bit]) != base
+                   for bit in range(2048))
+
+    def test_every_bit_of_a_tensor_reaches_the_checksum(self,
+                                                        ciphertext_1024):
+        words = ciphertext_1024.words
+        base = payload_checksum(ciphertext_1024)
+        for index, word in enumerate(words):
+            for bit in range(2048):
+                flipped = list(words)
+                flipped[index] = word ^ 1 << bit
+                assert payload_checksum(
+                    ciphertext_1024.with_words(flipped)) != base
+
+    def test_every_metadata_field_reaches_the_checksum(self,
+                                                       ciphertext_1024):
+        meta = ciphertext_1024.meta
+        scheme = meta.scheme
+        lies = {
+            "key_fingerprint": bytes(15) + b"\x01",
+            "nominal_bits": meta.nominal_bits + 1,
+            "physical_bits": meta.physical_bits + 1,
+            "scheme": dataclasses.replace(scheme, alpha=2 * scheme.alpha),
+            "capacity": meta.capacity + 1,
+            "shape": (1, meta.count),
+            "count": meta.count + 1,
+            "summands": meta.summands + 1,
+            "packed": not meta.packed,
+            "codec": "interleave",
+            "codec_params": meta.codec_params + (1,),
+        }
+        assert set(lies) == {field.name for field in dataclasses.fields(meta)
+                             if field.init}
+        lies = [(name, value) for name, value in lies.items()] + [
+            ("scheme", dataclasses.replace(scheme, r_bits=scheme.r_bits + 1)),
+            ("scheme", dataclasses.replace(
+                scheme, num_parties=scheme.num_parties + 1))]
+        base = payload_checksum(ciphertext_1024)
+        for name, value in lies:
+            lying = copy.copy(meta)
+            object.__setattr__(lying, name, value)
+            tensor = CipherTensor(lying, words=ciphertext_1024.words)
+            assert payload_checksum(tensor) != base, name
+
+    def test_injected_corruption_of_real_ciphertexts_is_caught(
+            self, ciphertext_1024):
+        injector = FaultInjector(FaultPlan(seed=2).with_corruption(0.5))
+        base = payload_checksum(ciphertext_1024)
+        for _ in range(500):
+            tampered = injector.corrupt_payload(ciphertext_1024)
+            assert payload_checksum(tampered) != base
+
     def test_corrupted_payload_detected_and_retransmitted(self):
         plan = FaultPlan(seed=9).with_corruption(0.5)
         injector = FaultInjector(plan)

@@ -242,9 +242,11 @@ class TestDurableRound:
         # commit, close.
         assert len(coordinator.wal) == 7
 
-    def test_accepted_uploads_are_deserialized_once(self, monkeypatch):
-        """An uninterrupted round decodes each journaled frame once: the
-        tensors the quorum check counted are the ones committed."""
+    def test_accepted_uploads_are_decoded_only_by_a_rebuilt_coordinator(
+            self, monkeypatch):
+        """The live primary sums the tensors it accepted and decodes
+        nothing; a coordinator rebuilt from its image decodes each
+        journaled frame once, and the round comes out the same."""
         from repro.federation import coordinator as module
 
         decoded = []
@@ -255,12 +257,24 @@ class TestDurableRound:
             return real(blob, *args, **kwargs)
 
         monkeypatch.setattr(module, "deserialize_tensor", spy)
-        coordinator = DurableCoordinator(make_runtime().aggregator)
-        coordinator.run_round(client_vectors(3))
-        frames = coordinator.machine.round.upload_frames
+        vectors = client_vectors(3)
+        live = DurableCoordinator(make_runtime().aggregator)
+        expected = live.run_round(vectors)
+        assert decoded == []
+
+        aggregator = make_runtime().aggregator
+        dying = DurableCoordinator(aggregator)
+        dying.kill_after_lsn = 3  # round_open + three uploads
+        with pytest.raises(CoordinatorKilled):
+            dying.run_round(vectors)
+        rebuilt = DurableCoordinator(
+            aggregator, wal=WriteAheadLog.from_bytes(dying.wal.image()))
+        result = rebuilt.run_round(vectors, round_index=0)
+        frames = rebuilt.machine.round.upload_frames
         assert sorted(decoded) == sorted(
             bytes.fromhex(frame) for frame in frames.values())
         assert len(decoded) == 3
+        assert np.array_equal(result, expected)
 
     def test_fault_free_round_digests_once_per_node(self, monkeypatch):
         """Only ``round_close`` takes the state digest on the round

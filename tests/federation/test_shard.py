@@ -5,10 +5,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.federation.coordinator import CoordinatorError
+from repro.federation.coordinator import (
+    CoordinatorError,
+    RoundStateMachine,
+    frame_tensor,
+)
+from repro.federation.eventloop import VirtualClock
 from repro.federation.faults import FaultPlan, QuorumError
 from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
 from repro.federation.shard import (
+    MultiTenantAggregationService,
     RootCoordinator,
     ShardedAggregationService,
     cohort_sample,
@@ -16,6 +22,7 @@ from repro.federation.shard import (
     plan_shards,
     segment_partials,
 )
+from repro.federation.tenancy import Tenant, TenantRegistry
 
 
 def make_runtime(num_clients=6, seed=11, **kwargs):
@@ -251,3 +258,64 @@ class TestShardedRound:
             service.run_round([np.zeros(3), np.zeros(4)])
         with pytest.raises(ValueError):
             service.run_round(client_vectors(2), min_quorum=5)
+
+
+class TestHeldTensors:
+    """What a node sums without decoding its journal is what decoding
+    its journal would give."""
+
+    def test_held_uploads_and_partials_equal_their_frames(self,
+                                                          monkeypatch):
+        summed = []
+        upload_tensors = RoundStateMachine.upload_tensors
+
+        def spy(machine, engine):
+            tensors = upload_tensors(machine, engine)
+            state = machine.round
+            summed.append((engine, [state.upload_frames[client]
+                                    for client in state.survivors],
+                           tensors))
+            return tensors
+
+        monkeypatch.setattr(RoundStateMachine, "upload_tensors", spy)
+        # The benchmark's two-tenant fan-in, at 16 clients a tenant.
+        tenants = (("tenant-a", 1.0), ("tenant-b", 2.0))
+        runtimes = {tenant_id: make_runtime(16, seed=11 + 10 * offset)
+                    for offset, (tenant_id, _) in enumerate(tenants)}
+        service = MultiTenantAggregationService(
+            TenantRegistry([Tenant(tenant_id, weight=weight,
+                                   quota_rate=1.0e6, quota_burst=32)
+                            for tenant_id, weight in tenants]),
+            clock=VirtualClock(), queue_capacity=64, elastic=True)
+        for tenant_id, runtime in runtimes.items():
+            service.attach(tenant_id, runtime.aggregator)
+        vectors = {tenant_id: client_vectors(16, length=8, seed=offset)
+                   for offset, tenant_id in enumerate(runtimes)}
+        report = service.run_round(vectors, 0)
+        assert {o.status for o in report.outcomes.values()} == {"ok"}
+
+        uploads = 0
+        for engine, frames, tensors in summed:
+            assert len(tensors) == len(frames)
+            for frame, held in zip(frames, tensors):
+                decoded = frame_tensor(frame, engine)
+                assert held.meta == decoded.meta
+                assert held.words == decoded.words
+                uploads += 1
+        partials = 0
+        for tenant_id, tenant_service in service.services.items():
+            engine = runtimes[tenant_id].aggregator.server_engine
+            for leaf in tenant_service.leaves.values():
+                state = leaf.machine.round
+                decoded = frame_tensor(state.partial_frame, engine)
+                assert state.held_partial.meta == decoded.meta
+                assert state.held_partial.words == decoded.words
+                partials += 1
+            for node in (*tenant_service.leaves.values(),
+                         tenant_service.root):
+                # Uploads are held for the open round only.
+                assert node.machine.round.closed
+                assert node.machine.round.held_uploads == {}
+        assert len(summed) == partials + len(service.services)
+        assert partials > 2
+        assert uploads == 2 * 16 + partials

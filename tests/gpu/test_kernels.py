@@ -4,9 +4,13 @@ import random
 
 import pytest
 
+from repro.crypto.gpu_engine import GpuPaillierEngine
+from repro.federation.runtime import cached_keypair
 from repro.gpu.device import SimulatedGpu
 from repro.gpu.kernels import GpuKernels
 from repro.gpu.resource_manager import ResourceManager
+from repro.ledger import CostLedger
+from repro.mpint.primes import LimbRandom
 
 
 @pytest.fixture()
@@ -148,3 +152,39 @@ class TestMemoryTableIntegration:
         kernels.mod_mul([1] * 16, [2] * 16, n)
         table = kernels.resource_manager.memory
         assert table.hits == 0 and table.misses == 0
+
+
+class _PricedAfresh(GpuKernels):
+    """Prices every launch as if its shape had never been seen."""
+
+    def _price(self, *shape):
+        self._prices.clear()
+        return super()._price(*shape)
+
+
+class TestLaunchPriceTable:
+    @pytest.mark.parametrize("managed", [True, False])
+    def test_table_pricing_records_what_fresh_pricing_records(self,
+                                                              managed):
+        """Same launch sequence, priced from the table or afresh: the
+        same launch log, ledger and memory-table hits and misses."""
+        keypair = cached_keypair(256, seed=3)
+        runs = []
+        for kernels_cls in (GpuKernels, _PricedAfresh):
+            kernels = kernels_cls(
+                resource_manager=ResourceManager(managed=managed))
+            engine = GpuPaillierEngine(keypair, kernels=kernels,
+                                       ledger=CostLedger(),
+                                       rng=LimbRandom(seed=5),
+                                       randomizer_pool_size=4)
+            for count in (3, 5, 3, 3, 5):
+                words = engine.encrypt_batch(list(range(count)))
+                total = engine.sum_ciphertexts(words)
+                engine.scalar_mul_batch(words, [2] * count)
+                engine.decrypt_batch([total, total])
+            memory = kernels.resource_manager.memory
+            runs.append((kernels.device.launches, engine.ledger,
+                         memory.hits, memory.misses))
+        table, fresh = runs
+        assert len(table[0]) > 40
+        assert table == fresh

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.crypto.gpu_engine import GpuPaillierEngine
-from repro.federation import wal
+from repro.federation import coordinator, wal
 from repro.federation.coordinator import (
     RoundStateMachine,
     StandbyCoordinator,
@@ -26,9 +26,11 @@ from repro.federation.runtime import (
     cached_keypair,
 )
 from repro.federation.shard import ShardedAggregationService
-from repro.federation.wal import ROUND_CLOSE, WriteAheadLog
+from repro.federation.wal import ROUND_CLOSE, UPLOAD_ACCEPTED, WriteAheadLog
+from repro.gpu.cost_model import HardwareProfile
 from repro.mpint import native
 from repro.quantization import encoding
+from repro.tensor import meta
 from repro.testing.simulator import FederationSimulator, SimulationSpec
 
 
@@ -66,6 +68,84 @@ def test_a_warm_upload_encodes_without_rederiving_its_geometry(monkeypatch):
                         lambda p: calls.append(p) or derive(p))
     runtime.aggregator.encrypt_tensor(upload)
     assert calls == []
+
+
+def test_a_warm_uploads_word_count_builds_no_codec(monkeypatch):
+    """A meta derives its codec and word count when it is built, so
+    reading them along the upload path -- the message's ciphertext
+    count, the tensor's own -- looks nothing up."""
+    runtime = FederationRuntime(FLBOOSTER_SYSTEM, num_clients=128,
+                                key_bits=1024)
+    tensor = runtime.aggregator.encrypt_tensor(np.linspace(-0.9, 0.9, 64))
+    calls = []
+    build = meta.build_codec
+    monkeypatch.setattr(meta, "build_codec",
+                        lambda layout: calls.append(layout) or build(layout))
+    runtime.aggregator.send_tensor(tensor, sender="client-0",
+                                   receiver="server", tag="upload.gradients")
+    assert tensor.num_words == tensor.meta.num_words == 3
+    assert calls == []
+
+
+def test_a_repeated_launch_shape_is_priced_once(monkeypatch):
+    """Every launch is still recorded; only its geometry and modelled
+    seconds are looked up once a shape has been priced."""
+    engine = GpuPaillierEngine(cached_keypair(1024, seed=1),
+                               randomizer_pool_size=8)
+    priced = []
+    price = HardwareProfile.gpu_seconds
+
+    def counting(profile, tasks, words, bytes_in, bytes_out, plan,
+                 **kwargs):
+        priced.append((tasks, words, bytes_in, bytes_out))
+        return price(profile, tasks, words, bytes_in, bytes_out, plan,
+                     **kwargs)
+
+    monkeypatch.setattr(HardwareProfile, "gpu_seconds", counting)
+    for _ in range(3):
+        words = engine.encrypt_batch([1, 2, 3])
+        engine.add_batch(words, words)
+    launches = engine.kernels.device.launches
+    assert len(launches) == 12
+    assert sorted(priced) == sorted({
+        (launch.tasks, launch.word_multiplications, launch.bytes_in,
+         launch.bytes_out) for launch in launches})
+    assert len(priced) == 2
+
+
+@pytest.fixture
+def frame_decodes(monkeypatch):
+    """Every journaled frame decoded back into a tensor, as it happens."""
+    decoded = []
+    decode = coordinator.deserialize_tensor
+    monkeypatch.setattr(
+        coordinator, "deserialize_tensor",
+        lambda blob, *args: decoded.append(blob) or decode(blob, *args))
+    return decoded
+
+
+def test_a_fault_free_sharded_run_decodes_no_journaled_frame(
+        frame_decodes):
+    """Each node sums the uploads it accepted and the partial it
+    committed; nothing reads a frame back while its writer lives."""
+    FederationSimulator(SHARDED).run()
+    assert frame_decodes == []
+
+
+def test_a_leaf_takeover_decodes_each_dead_leafs_upload_once(
+        frame_decodes):
+    """The successor decodes what only the log holds -- the upload the
+    dead leaf journaled -- once, and holds what it accepts itself."""
+    plan = FaultPlan(seed=SHARDED.seed).shard_crash("shard-1", 0,
+                                                    after_record=1)
+    simulator = FederationSimulator(
+        dataclasses.replace(SHARDED, rounds=1, fault_plan=plan))
+    result = simulator.run()
+    assert [(f.node, f.lsn) for f in result.failovers] == [("shard-1", 1)]
+    journaled = [record for record in simulator.nodes()["shard-1"].wal.records
+                 if record.kind == UPLOAD_ACCEPTED]
+    assert len(journaled) == 2
+    assert frame_decodes == [bytes.fromhex(journaled[0].payload["frame"])]
 
 
 def test_a_warm_journaled_round_digests_only_at_round_close(monkeypatch):

@@ -107,6 +107,24 @@ class TestVectorInterface:
         encoded = scheme.encode_array(np.array([1.0]))
         assert type(encoded[0]) is int
 
+    @pytest.mark.parametrize("r_bits", [12, 30, 62, 63, 200])
+    def test_array_matches_the_value_by_value_conversion(self, r_bits):
+        """Encodings under 2^63 convert through int64, wider ones value
+        by value: both equal the plain per-value int()."""
+        scheme = QuantizationScheme(alpha=0.75, r_bits=r_bits)
+        values = np.concatenate([[-2.0, -0.75, 0.0, 0.75, 3.0],
+                                 np.linspace(-0.8, 0.8, 59)])
+        scaled = np.rint((np.clip(values, -0.75, 0.75) + 0.75)
+                         * scheme.scale)
+        encoded = scheme.encode_array(values)
+        assert encoded == [int(v) for v in scaled]
+        assert all(type(v) is int for v in encoded)
+
+    def test_nan_is_rejected_not_encoded(self):
+        with pytest.raises(ValueError, match="NaN"):
+            QuantizationScheme(r_bits=30).encode_array(
+                np.array([0.5, np.nan]))
+
     def test_decode_array_count_validation(self):
         with pytest.raises(ValueError):
             QuantizationScheme().decode_array([1], count=0)
