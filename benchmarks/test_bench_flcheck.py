@@ -2,7 +2,7 @@
 
 The lint gate rides every CI push under a ``--max-seconds 50`` budget,
 so its wall time is a tracked artifact like any table: this benchmark
-times a full seven-rule run over ``src/repro`` (per-module rules plus
+times a full six-rule run over ``src/repro`` (per-module rules plus
 the whole-program call graph and summary fixpoints) and a
 ``--changed-only`` run scoped to one file, which still builds the full
 call graph but re-parses nothing thanks to the mtime unit cache.  The
@@ -53,6 +53,7 @@ def test_bench_flcheck():
         ["scan", "files", "rules", "seconds", "findings"], rows))
 
     SNAPSHOT.write_text(json.dumps({
+        "kind": "measured",
         "rules": sorted(rule.name for rule in ALL_RULES),
         "files_scanned": full.files_scanned,
         "full": {

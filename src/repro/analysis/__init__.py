@@ -12,7 +12,8 @@ run.
 Rules (each in its own module, all registered in :data:`ALL_RULES`):
 
 - ``plaintext-wire``   -- taint analysis from ``decrypt*`` / ``PlainTensor``
-  to ``send`` / ``serialize_*`` / WAL sinks (:mod:`repro.analysis.taint`);
+  to ``send`` / ``serialize_*`` / WAL sinks, one interprocedural pass
+  (:mod:`repro.analysis.taint`);
 - ``determinism``      -- global RNG / wall-clock / OS-entropy use outside
   the whitelisted modules (:mod:`repro.analysis.determinism`);
 - ``ledger-category``  -- charge-site categories validated against
@@ -20,8 +21,6 @@ Rules (each in its own module, all registered in :data:`ALL_RULES`):
   (:mod:`repro.analysis.ledger_rule`);
 - ``deprecated-api``   -- resurrection of removed raw-list shims and
   gmpy-style bigint imports (:mod:`repro.analysis.deprecation`);
-- ``kernel-budget``    -- declared kernel resource envelopes evaluated
-  against device limits (:mod:`repro.analysis.kernel_budget`);
 - ``wal-discipline``   -- journal-then-act ordering on write-ahead-log
   records, checked interprocedurally
   (:mod:`repro.analysis.ipa.wal_rule`);
@@ -29,10 +28,11 @@ Rules (each in its own module, all registered in :data:`ALL_RULES`):
   counters the conservation law expects
   (:mod:`repro.analysis.ipa.ledger_flow`).
 
-The last two need a whole-program view -- symbol table, class
-hierarchy, call graph, and summary fixpoints live under
-:mod:`repro.analysis.ipa`; ``plaintext-wire`` also runs an
-interprocedural pass on top of its per-module one.
+``plaintext-wire`` and the last two need a whole-program view --
+symbol table, class hierarchy, call graph, and summary fixpoints live
+under :mod:`repro.analysis.ipa`.  Kernel resource envelopes are not a
+lint rule: :class:`repro.gpu.kernels.GpuKernels` validates them against
+the device whenever kernels are built.
 
 Run it as ``python -m repro lint``; see ``docs/analysis.md`` for the
 pragma and baseline workflow.
@@ -51,7 +51,6 @@ from repro.analysis.engine import (
 )
 from repro.analysis.ipa.ledger_flow import LedgerConservationRule
 from repro.analysis.ipa.wal_rule import WalDisciplineRule
-from repro.analysis.kernel_budget import KernelBudgetRule
 from repro.analysis.ledger_rule import LedgerCategoryRule
 from repro.analysis.taint import PlaintextWireRule
 
@@ -61,7 +60,6 @@ ALL_RULES = (
     DeterminismRule,
     LedgerCategoryRule,
     DeprecatedApiRule,
-    KernelBudgetRule,
     WalDisciplineRule,
     LedgerConservationRule,
 )
@@ -71,7 +69,6 @@ __all__ = [
     "Diagnostic",
     "DeprecatedApiRule",
     "DeterminismRule",
-    "KernelBudgetRule",
     "LedgerCategoryRule",
     "LedgerConservationRule",
     "LintReport",

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import ast
 import json
-import os
 import re
 import time
 from dataclasses import dataclass, field
@@ -34,6 +33,7 @@ from repro.analysis.diagnostics import (
     LintReport,
     normalize_message,
 )
+from repro.federation.wal import replace_durably
 
 #: ``# flcheck: allow[rule-a, rule-b]``
 _PRAGMA_RE = re.compile(r"#\s*flcheck:\s*allow\[([^\]]+)\]")
@@ -162,30 +162,13 @@ def load_baseline(path: Path) -> Set[Fingerprint]:
             for entry in payload.get("findings", [])}
 
 
-def _fsync_directory(directory: Path) -> None:
-    """Flush a directory entry so a rename survives power loss.
-
-    ``repro.federation.wal.replace_durably`` is the runtime's spelling of
-    the same step; ``repro.analysis`` imports nothing outside itself, so
-    the linter keeps its own copy.
-    """
-    try:
-        handle = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover -- platform without dir fds
-        return
-    try:
-        os.fsync(handle)
-    finally:
-        os.close(handle)
-
-
 def write_baseline(path: Path, findings: Iterable[Diagnostic]) -> None:
     """Rewrite ``path`` to grandfather exactly ``findings``.
 
-    Written atomically (tmp file + fsync + rename + directory fsync,
-    the same discipline as ``TrainingCheckpoint.save``) so an
-    interrupted ``--update-baseline`` can never leave a truncated
-    baseline that silently un-grandfathers the whole tree.
+    Written through :func:`repro.federation.wal.replace_durably` (tmp
+    file + fsync + rename + directory fsync) so an interrupted
+    ``--update-baseline`` can never leave a truncated baseline that
+    silently un-grandfathers the whole tree.
     """
     entries = sorted({d.fingerprint for d in findings})
     payload = {
@@ -193,13 +176,8 @@ def write_baseline(path: Path, findings: Iterable[Diagnostic]) -> None:
         "findings": [{"rule": rule, "path": file_path, "message": message}
                      for rule, file_path, message in entries],
     }
-    temporary = path.with_suffix(path.suffix + ".tmp")
-    with open(temporary, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    temporary.replace(path)
-    _fsync_directory(path.parent)
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    replace_durably(path, text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

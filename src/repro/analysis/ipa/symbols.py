@@ -172,6 +172,16 @@ class SymbolTable:
                 self._index_body(unit, module, stmt.body,
                                  prefix=qualname, cls=qualname,
                                  scope=None)
+            else:
+                # Definitions under if / for / while / with / try belong
+                # to the enclosing scope.
+                blocks = [getattr(stmt, name, ())
+                          for name in ("body", "orelse", "finalbody")]
+                blocks += [handler.body
+                           for handler in getattr(stmt, "handlers", ())]
+                for block in blocks:
+                    self._index_body(unit, module, block, prefix=prefix,
+                                     cls=cls, scope=scope)
 
     def link_hierarchy(self) -> None:
         """Resolve base-class names once every unit is indexed."""

@@ -1,9 +1,8 @@
-"""Interprocedural taint for ``plaintext-wire``: summaries + reporting.
+"""The ``plaintext-wire`` engine: taint summaries + one reporting pass.
 
-The per-module rule in :mod:`repro.analysis.taint` stops at call
-boundaries: a decrypt result laundered through a one-line helper reaches
-the channel unseen.  This module closes that hole with *per-function
-taint summaries* composed along the project call graph:
+A decrypt result laundered through a one-line helper must still be seen
+where it reaches the channel, so the taint engine composes *per-function
+taint summaries* along the project call graph:
 
 - ``ret_always`` -- the function returns decrypted data no matter what
   goes in (it calls ``decrypt*`` / builds a ``PlainTensor`` and returns
@@ -21,11 +20,13 @@ taint summaries* composed along the project call graph:
 
 Summaries are context-insensitive (one per function, joined over call
 sites and over CHA dispatch candidates) and are computed with the same
-boolean engine as the local rule: each function body is re-analyzed
-under one *assumption* per parameter ("only parameter ``i`` is
-tainted"), and facts that appear under assumption ``i`` but not under
-the empty assumption are attributed to that parameter.  Monotonicity of
-the boolean lattice makes the attribution exact.
+boolean engine that reports: each function body is re-analyzed under
+one *assumption* per parameter ("only parameter ``i`` is tainted"), and
+facts that appear under assumption ``i`` but not under the empty
+assumption are attributed to that parameter.  Monotonicity of the
+boolean lattice makes the attribution exact.  A call nothing in the
+project defines keeps the local heuristic: a tainted receiver or
+argument taints its result.
 
 ``self``-attribute flows are tracked object-insensitively: one
 project-wide set of attribute *names* that may hold plaintext, grown to
@@ -33,10 +34,11 @@ a fixpoint by re-running the summary pass until no new attribute is
 discovered (a ``self.buf = decrypt(...)`` in one method makes
 ``self.buf`` a taint source in every other method reading it).
 
-The reporting pass then re-analyzes each function with all summaries
-and the attribute set active and emits only findings the local rule
-cannot see (anything it can see is deduplicated away by location), with
-the full call path rendered in the message::
+The reporting pass then analyzes every module body and every function
+once, with all summaries and the attribute set active.  A call that is
+itself a sink yields one finding; a call whose callee's summary reaches
+a sink yields one per sink label, with the full call path rendered in
+the message::
 
     plaintext leak: decrypted value 'share' flows into relay() and
     reaches send() (path: collect -> relay -> forward -> send())
@@ -52,12 +54,12 @@ from repro.analysis.base import callee_name
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.ipa.dataflow import SummaryAnalysis
 from repro.analysis.ipa.project import Project
-from repro.analysis.ipa.symbols import FunctionInfo
-from repro.analysis.taint import (_describe, _FunctionTaint, _sink_label,
-                                  _target_names)
+from repro.analysis.ipa.symbols import FunctionInfo, module_name
+from repro.analysis.taint import (_describe, _is_sanitizer, _is_source,
+                                  _sink_label, _target_names)
 
 #: Assumption runs per function are bounded: parameters past this index
-#: are never assumed tainted (their flows fall back to the local rule).
+#: are never assumed tainted (their flows are not summarized).
 MAX_ASSUMED_PARAMS = 6
 
 #: Global attribute-taint rounds (each is a full summary fixpoint); the
@@ -109,24 +111,33 @@ def _param_offset(candidate: FunctionInfo, call: ast.Call,
     return 0
 
 
-class _IpaTaint(_FunctionTaint):
-    """The boolean taint engine extended with summary composition.
+class _FunctionTaint:
+    """Taint state and sink detection for one function (or module) body.
 
-    One instance analyzes one function body either to *summarize* it
-    (``assumed`` carries parameter names taken as tainted; effects are
-    collected, no diagnostics) or to *report* (``assumed`` empty,
-    ``collect_findings`` true).
+    One instance analyzes one body either to *summarize* it (``assumed``
+    carries parameter names taken as tainted; effects are collected, no
+    diagnostics) or to *report* (``assumed`` empty, ``report`` true).
+    Calls that resolve in the project compose their callees' summaries;
+    unresolved calls keep the local heuristic (a tainted receiver or
+    argument taints the result).
     """
 
     def __init__(self, rule, fn: FunctionInfo, analysis: "TaintSummaries",
                  assumed: FrozenSet[str] = frozenset(),
-                 collect_findings: bool = False):
-        super().__init__(rule, fn.unit, fn.name)
+                 report: bool = False):
+        self.rule = rule
         self.fn = fn
         self.analysis = analysis
         self.assumed = assumed
-        self.collect_findings = collect_findings
-        self.tainted |= assumed
+        self.tainted: Set[str] = set(assumed)
+        #: Whether sink hits become diagnostics; off in summary mode and
+        #: during a loop body's silent warm-up pass.
+        self.reporting = report
+        self.hits: List[Diagnostic] = []
+        #: Reported sites: ``(line, col)`` for a direct sink, which also
+        #: covers summary flows into the same call, and ``(line, col,
+        #: label)`` for a summary flow.
+        self._seen: Set[tuple] = set()
         # Collected effects (summary mode).
         self.returned_taint = False
         self.attrs_written: Set[str] = set()
@@ -144,16 +155,13 @@ class _IpaTaint(_FunctionTaint):
     # -- candidate plumbing ----------------------------------------------
 
     def _candidates(self, call: ast.Call) -> List[FunctionInfo]:
-        symbols = self.analysis.symbols
         targets = self._site_targets.get(id(call))
-        if targets is None:
-            targets = self.analysis.resolve(self.fn, call)
-        found = []
-        for qualname in targets:
-            info = symbols.functions.get(qualname)
-            if info is not None:
-                found.append(info)
-        return found
+        if targets is None:  # a module body: not in the call graph
+            targets = self._site_targets[id(call)] = \
+                self.analysis.resolve(self.fn, call)
+        functions = self.analysis.symbols.functions
+        return [functions[qualname] for qualname in targets
+                if qualname in functions]
 
     def _static_receiver(self, call: ast.Call) -> bool:
         if not isinstance(call.func, ast.Attribute):
@@ -181,22 +189,87 @@ class _IpaTaint(_FunctionTaint):
                 flows[candidate.params.index(kw.arg)] = kw.value
         return flows
 
-    # -- hook overrides ---------------------------------------------------
+    def _is_self_attribute(self, node: ast.Attribute) -> bool:
+        return isinstance(node.value, ast.Name) and \
+            node.value.id == self.fn.self_param
 
-    def call_effect(self, node: ast.Call, receiver_tainted: bool,
-                    arg_taints: List[bool],
-                    kw_taints: Dict[Optional[str], bool]) -> Optional[bool]:
+    # -- expression taint ------------------------------------------------
+
+    def is_tainted(self, node: ast.expr) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id in self.tainted
+        if isinstance(node, ast.Attribute):
+            if self._is_self_attribute(node) and \
+                    self.analysis.attr_is_tainted(self.fn.cls, node.attr):
+                return True
+            return self.is_tainted(node.value)
+        if isinstance(node, ast.Subscript):
+            return self.is_tainted(node.value) or self.is_tainted(node.slice)
+        if isinstance(node, ast.Call):
+            return self._call_taint(node)
+        if isinstance(node, ast.BinOp):
+            return self.is_tainted(node.left) or self.is_tainted(node.right)
+        if isinstance(node, ast.UnaryOp):
+            return self.is_tainted(node.operand)
+        if isinstance(node, ast.BoolOp):
+            return any(self.is_tainted(value) for value in node.values)
+        if isinstance(node, ast.Compare):
+            # Comparison results are booleans, not plaintext payloads --
+            # but operands still need visiting for walrus bindings.
+            self.is_tainted(node.left)
+            for comparator in node.comparators:
+                self.is_tainted(comparator)
+            return False
+        if isinstance(node, ast.IfExp):
+            return self.is_tainted(node.body) or self.is_tainted(node.orelse)
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(self.is_tainted(elt) for elt in node.elts)
+        if isinstance(node, ast.Dict):
+            return any(self.is_tainted(value) for value in node.values
+                       if value is not None) or \
+                   any(key is not None and self.is_tainted(key)
+                       for key in node.keys)
+        if isinstance(node, ast.Starred):
+            return self.is_tainted(node.value)
+        if isinstance(node, ast.JoinedStr):
+            return any(self.is_tainted(value) for value in node.values)
+        if isinstance(node, ast.FormattedValue):
+            return self.is_tainted(node.value)
+        if isinstance(node, ast.NamedExpr):
+            result = self.is_tainted(node.value)
+            self._bind(node.target, result)
+            return result
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+            return self._comprehension_taint(node, [node.elt])
+        if isinstance(node, ast.DictComp):
+            return self._comprehension_taint(node, [node.key, node.value])
+        if isinstance(node, (ast.Await, ast.YieldFrom)):
+            return self.is_tainted(node.value)
+        if isinstance(node, ast.Yield):
+            return node.value is not None and self.is_tainted(node.value)
+        return False
+
+    def _call_taint(self, node: ast.Call) -> bool:
+        if _is_sanitizer(node.func):
+            return False
+        if _is_source(node.func):
+            return True
+        receiver = isinstance(node.func, ast.Attribute) and \
+            self.is_tainted(node.func.value)
+        arg_taints = [self.is_tainted(arg) for arg in node.args]
+        kw_taints = {kw.arg: self.is_tainted(kw.value)
+                     for kw in node.keywords}
         candidates = self._candidates(node)
         if not candidates:
-            return None  # unresolved call: keep the local heuristic
+            # Unresolved call: a method on a tainted receiver
+            # (x.ravel()) or any tainted argument taints the result.
+            return receiver or any(arg_taints) or any(kw_taints.values())
         for candidate in candidates:
             summary = self.analysis.summary_for(candidate.qualname)
-            if summary.ret_always:
-                self._origin_call = callee_name(node.func)
-                return True
-            flows = self._actual_taints(node, candidate, receiver_tainted,
+            flows = self._actual_taints(node, candidate, receiver,
                                         arg_taints, kw_taints)
-            if any(index in summary.ret_deps for index in flows):
+            if summary.ret_always or \
+                    any(index in summary.ret_deps for index in flows):
                 self._origin_call = callee_name(node.func)
                 return True
         # Every candidate's summary says the result is clean: this is
@@ -204,7 +277,124 @@ class _IpaTaint(_FunctionTaint):
         # clean whatever went in), overriding the local heuristic.
         return False
 
-    def observe_call(self, call: ast.Call) -> None:
+    def _comprehension_taint(self, node, results: List[ast.expr]) -> bool:
+        bound: List[str] = []
+        iter_tainted = False
+        for gen in node.generators:
+            if self.is_tainted(gen.iter):
+                iter_tainted = True
+                for name in _target_names(gen.target):
+                    if name not in self.tainted:
+                        self.tainted.add(name)
+                        bound.append(name)
+        result = iter_tainted or \
+            any(self.is_tainted(expr) for expr in results)
+        for name in bound:  # comprehension targets do not escape
+            self.tainted.discard(name)
+        return result
+
+    # -- bindings --------------------------------------------------------
+
+    def _bind(self, target: ast.expr, value_tainted: bool) -> None:
+        """Bind one assignment target, by its structure.
+
+        Tainting every name inside a target would make
+        ``self.weights[i] = tainted`` taint ``self`` and ``i`` -- too
+        coarse once attributes are tracked by name: a tainted ``self``
+        makes *every* attribute read tainted.  So subscript and starred
+        wrappers unwrap to the container being written (weak update:
+        writing one clean element does not clean it), a ``self``
+        attribute write records the attribute, and a plain name gets a
+        strong update (assignment both taints and *untaints*).
+        """
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for elt in target.elts:
+                self._bind(elt, value_tainted)
+            return
+        core = target
+        while isinstance(core, (ast.Subscript, ast.Starred)):
+            core = core.value
+        weak = core is not target
+        if isinstance(core, ast.Attribute):
+            if self._is_self_attribute(core):
+                if value_tainted:
+                    self.attrs_written.add(core.attr)
+            elif value_tainted:  # obj.attr = tainted: obj now holds taint
+                self.tainted.update(_target_names(core.value))
+            return
+        if isinstance(core, ast.Name):
+            if value_tainted:
+                self.tainted.add(core.id)
+            elif not weak:
+                self.tainted.discard(core.id)
+                self.origins.pop(core.id, None)
+            return
+        for name in _target_names(target):
+            if value_tainted:
+                self.tainted.add(name)
+            else:
+                self.tainted.discard(name)
+
+    def _assign(self, targets: List[ast.expr], value: ast.expr) -> None:
+        self._origin_call = None
+        for target in targets:
+            if isinstance(target, (ast.Tuple, ast.List)) and \
+                    isinstance(value, (ast.Tuple, ast.List)) and \
+                    len(target.elts) == len(value.elts):
+                # Element-wise tuple unpacking keeps precision:
+                # ``a, b = decrypt(x), 0`` taints only ``a``.
+                for t_elt, v_elt in zip(target.elts, value.elts):
+                    self._bind(t_elt, self.is_tainted(v_elt))
+            else:
+                self._bind(target, self.is_tainted(value))
+        origin = self._origin_call
+        for target in targets:
+            for name in _target_names(target):
+                if name not in self.tainted:
+                    self.origins.pop(name, None)
+                elif origin is not None:
+                    self.origins[name] = origin
+
+    # -- sinks -----------------------------------------------------------
+
+    def _scan_sinks(self, node: ast.AST) -> None:
+        """Record sink facts always; emit diagnostics only when reporting.
+
+        A call is checked as a sink itself first, then for the sinks its
+        callees' summaries reach; one finding per call site when it is a
+        sink itself.
+        """
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                self._check_direct_sink(call)
+                self._check_summary_sinks(call)
+
+    def _check_direct_sink(self, call: ast.Call) -> None:
+        label = _sink_label(call.func)
+        if not label:
+            return
+        flows = [arg for arg in call.args if self.is_tainted(arg)]
+        flows += [kw.value for kw in call.keywords
+                  if self.is_tainted(kw.value)]
+        if not flows:
+            return
+        self.sink_hits.setdefault((label, (self.fn.name,)), None)
+        key = (call.lineno, call.col_offset)
+        if not self.reporting or key in self._seen:
+            return
+        self._seen.add(key)
+        origin = ""
+        if isinstance(flows[0], ast.Name):
+            producer = self.origins.get(flows[0].id)
+            if producer is not None:
+                origin = f" (returned decrypted by {producer}())"
+        self.hits.append(self.rule.diagnostic(
+            self.fn.unit, call,
+            f"plaintext leak: decrypted value {_describe(flows[0])}"
+            f"{origin} reaches {label}() without passing through "
+            f"encrypt_tensor", symbol=self.fn.name))
+
+    def _check_summary_sinks(self, call: ast.Call) -> None:
         candidates = self._candidates(call)
         if not candidates:
             return
@@ -234,127 +424,98 @@ class _IpaTaint(_FunctionTaint):
     def _record_summary_sink(self, call: ast.Call, candidate: FunctionInfo,
                              actual: ast.expr, label: str,
                              path: Tuple[str, ...]) -> None:
-        full_path = (self.fn.name,) + path
+        full_path = (self.fn.name or "<module>",) + path
         self.sink_hits.setdefault((label, full_path), None)
-        if not (self.collect_findings and self.reporting):
+        site = (call.lineno, call.col_offset)
+        if not self.reporting or site in self._seen or \
+                site + (label,) in self._seen:
             return
-        site = (call.lineno, call.col_offset, label)
-        if site in self._seen:
-            return
-        self._seen.add(site)
+        self._seen.add(site + (label,))
         rendered = " -> ".join(full_path) + f" -> {label}()"
         self.hits.append(self.rule.diagnostic(
-            self.unit, call,
+            self.fn.unit, call,
             f"plaintext leak: decrypted value {_describe(actual)} flows "
             f"into {candidate.name}() and reaches {label}() without "
             f"passing through encrypt_tensor (path: {rendered})",
-            symbol=self.symbol))
+            symbol=self.fn.name))
 
-    def attribute_taint(self, node: ast.Attribute) -> Optional[bool]:
-        if isinstance(node.value, ast.Name) and \
-                node.value.id == self.fn.self_param and \
-                self.analysis.attr_is_tainted(self.fn.cls, node.attr):
-            return True
-        return None
+    # -- statements ------------------------------------------------------
 
-    def bind_attribute(self, target: ast.Attribute,
-                       value_tainted: bool) -> bool:
-        if not (isinstance(target.value, ast.Name)
-                and target.value.id == self.fn.self_param):
-            return False
-        if value_tainted:
-            self.attrs_written.add(target.attr)
-        return True  # claim it: do not coarsely taint ``self`` itself
+    def run(self, body: List[ast.stmt]) -> List[Diagnostic]:
+        self.visit_body(body)
+        return self.hits
 
-    def _bind(self, target: ast.expr, value_tainted: bool) -> None:
-        """Structured targets, unlike the base's name walk.
+    def visit_body(self, body: List[ast.stmt]) -> None:
+        for stmt in body:
+            self.visit_stmt(stmt)
 
-        The base rule taints every name inside an assignment target, so
-        ``self.weights[i] = tainted`` taints ``self`` and ``i`` -- too
-        coarse once attributes are tracked by name: a tainted ``self``
-        makes *every* attribute read tainted.  Here subscript and
-        starred wrappers unwrap to the container being written (weak
-        update: writing one clean element does not clean it), and
-        attribute writes go through :meth:`bind_attribute`.
-        """
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                self._bind(elt, value_tainted)
-            return
-        core = target
-        while isinstance(core, (ast.Subscript, ast.Starred)):
-            core = core.value
-        weak = core is not target
-        if isinstance(core, ast.Attribute):
-            if self.bind_attribute(core, value_tainted):
-                return
-            if value_tainted:  # obj.attr = tainted: obj now holds taint
-                for name in _target_names(core.value):
-                    self.tainted.add(name)
-            return
-        if isinstance(core, ast.Name):
-            if value_tainted:
-                self.tainted.add(core.id)
-            elif not weak:
-                self.tainted.discard(core.id)
-                self.origins.pop(core.id, None)
-            return
-        super()._bind(target, value_tainted)
+    def _visit_loop_body(self, body: List[ast.stmt]) -> None:
+        """Loop bodies get a silent warm-up pass first, so taint created
+        late in iteration N is visible to sinks early in iteration N+1
+        (loop-carried flows)."""
+        was_reporting = self.reporting
+        self.reporting = False
+        self.visit_body(body)
+        self.reporting = was_reporting
+        self.visit_body(body)
 
-    def on_return(self, tainted: bool) -> None:
-        if tainted:
-            self.returned_taint = True
-
-    # -- sinks and provenance ---------------------------------------------
-
-    def _assign(self, targets: List[ast.expr], value: ast.expr) -> None:
-        self._origin_call = None
-        super()._assign(targets, value)
-        origin = self._origin_call
-        for target in targets:
-            for name in _target_names(target):
-                if name not in self.tainted:
-                    self.origins.pop(name, None)
-                elif origin is not None:
-                    self.origins[name] = origin
-
-    def _scan_sinks(self, node: ast.AST) -> None:
-        """Record sink facts always; emit diagnostics only when reporting.
-
-        Replaces the base scanner so summary mode can harvest reached
-        sinks without fabricating diagnostics, and reporting mode can
-        attach provenance for summary-produced taint.
-        """
-        for call in ast.walk(node):
-            if not isinstance(call, ast.Call):
-                continue
-            self.observe_call(call)
-            label = _sink_label(call.func)
-            if not label:
-                continue
-            flows = [arg for arg in call.args if self.is_tainted(arg)]
-            flows += [kw.value for kw in call.keywords
-                      if self.is_tainted(kw.value)]
-            if not flows:
-                continue
-            self.sink_hits.setdefault((label, (self.fn.name,)), None)
-            if not (self.collect_findings and self.reporting):
-                continue
-            key = (call.lineno, call.col_offset)
-            if key in self._seen:
-                continue
-            self._seen.add(key)
-            described = _describe(flows[0])
-            origin = ""
-            if isinstance(flows[0], ast.Name):
-                producer = self.origins.get(flows[0].id)
-                if producer is not None:
-                    origin = f" (returned decrypted by {producer}())"
-            self.hits.append(self.rule.diagnostic(
-                self.unit, call,
-                f"plaintext leak: decrypted value {described}{origin} "
-                f"reaches {label}() without passing through "
-                f"encrypt_tensor", symbol=self.symbol))
+    def visit_stmt(self, stmt: ast.stmt) -> None:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            return  # nested scopes are analyzed independently
+        if isinstance(stmt, ast.Assign):
+            self._scan_sinks(stmt.value)
+            self._assign(stmt.targets, stmt.value)
+        elif isinstance(stmt, ast.AnnAssign):
+            if stmt.value is not None:
+                self._scan_sinks(stmt.value)
+                self._bind(stmt.target, self.is_tainted(stmt.value))
+        elif isinstance(stmt, ast.AugAssign):
+            self._scan_sinks(stmt.value)
+            already = self.is_tainted(stmt.target)
+            self._bind(stmt.target,
+                       already or self.is_tainted(stmt.value))
+        elif isinstance(stmt, ast.Expr):
+            self._scan_sinks(stmt.value)
+            self.is_tainted(stmt.value)  # evaluate walrus bindings
+        elif isinstance(stmt, (ast.Return, ast.Raise)):
+            value = stmt.value if isinstance(stmt, ast.Return) else stmt.exc
+            if value is not None:
+                self._scan_sinks(value)
+            if isinstance(stmt, ast.Return) and value is not None and \
+                    self.is_tainted(value):
+                self.returned_taint = True
+        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
+            self._scan_sinks(stmt.iter)
+            if self.is_tainted(stmt.iter):
+                self._bind(stmt.target, True)
+            self._visit_loop_body(stmt.body)
+            self.visit_body(stmt.orelse)
+        elif isinstance(stmt, ast.While):
+            self._scan_sinks(stmt.test)
+            self.is_tainted(stmt.test)   # evaluate walrus bindings
+            self._visit_loop_body(stmt.body)
+            self.visit_body(stmt.orelse)
+        elif isinstance(stmt, ast.If):
+            self._scan_sinks(stmt.test)
+            self.is_tainted(stmt.test)   # evaluate walrus bindings
+            self.visit_body(stmt.body)
+            self.visit_body(stmt.orelse)
+        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+            for item in stmt.items:
+                self._scan_sinks(item.context_expr)
+                if item.optional_vars is not None:
+                    self._bind(item.optional_vars,
+                               self.is_tainted(item.context_expr))
+            self.visit_body(stmt.body)
+        elif isinstance(stmt, ast.Try):
+            self.visit_body(stmt.body)
+            for handler in stmt.handlers:
+                self.visit_body(handler.body)
+            self.visit_body(stmt.orelse)
+            self.visit_body(stmt.finalbody)
+        # Assert/Delete/Import/Global/Nonlocal/Pass/Break/Continue: no
+        # taint flow.
 
 
 class TaintSummaries(SummaryAnalysis):
@@ -401,8 +562,8 @@ class TaintSummaries(SummaryAnalysis):
         return EMPTY_SUMMARY
 
     def _analyze(self, fn: FunctionInfo,
-                 assumed: FrozenSet[str]) -> _IpaTaint:
-        analyzer = _IpaTaint(self.rule, fn, self, assumed=assumed)
+                 assumed: FrozenSet[str]) -> _FunctionTaint:
+        analyzer = _FunctionTaint(self.rule, fn, self, assumed=assumed)
         analyzer.run(fn.node.body)
         return analyzer
 
@@ -436,14 +597,12 @@ class TaintSummaries(SummaryAnalysis):
                             attr_deps=frozenset(attr_deps))
 
 
-def collect_ipa_findings(rule, project: Project) -> List[Diagnostic]:
-    """All interprocedural ``plaintext-wire`` findings for a project.
+def collect_findings(rule, project: Project) -> List[Diagnostic]:
+    """Every ``plaintext-wire`` finding for a project.
 
     Runs the attribute fixpoint (summaries re-derived until no new
-    tainted ``self`` attribute appears), then one reporting pass per
-    function; findings the per-module rule already produces are
-    deduplicated away by location so the two passes compose without
-    double counts.
+    tainted ``self`` attribute appears), then one reporting pass over
+    each module body and each function.
     """
     attr_taint: Set[Tuple[str, str]] = set()
     analysis = TaintSummaries(rule, project, attr_taint)
@@ -456,16 +615,30 @@ def collect_ipa_findings(rule, project: Project) -> List[Diagnostic]:
         analysis = TaintSummaries(rule, project, attr_taint)
         analysis.run()
 
-    local_keys = _local_finding_keys(rule, project)
+    functions = analysis.symbols.functions
+    scopes = [_module_scope(unit) for unit in project.units.values()]
+    scopes += [functions[qualname] for qualname in sorted(functions)]
     findings: List[Diagnostic] = []
-    for qualname in sorted(analysis.symbols.functions):
-        fn = analysis.symbols.functions[qualname]
-        reporter = _IpaTaint(rule, fn, analysis, collect_findings=True)
-        for diag in reporter.run(fn.node.body):
-            if (diag.path, diag.line, diag.col) in local_keys:
-                continue
-            findings.append(diag)
+    for fn in scopes:
+        reporter = _FunctionTaint(rule, fn, analysis, report=True)
+        findings.extend(reporter.run(fn.node.body))
     return findings
+
+
+def _module_scope(unit) -> FunctionInfo:
+    """A module's top-level statements as a parameterless function.
+
+    Named ``""`` (the module-scope symbol of a diagnostic) and qualified
+    apart from every real definition; it is reported on, never
+    summarized, and its calls resolve through the module's imports.
+    """
+    module = module_name(unit.display_path)
+    node = ast.FunctionDef(
+        name="", args=ast.arguments(posonlyargs=[], args=[], kwonlyargs=[],
+                                    kw_defaults=[], defaults=[]),
+        body=unit.tree.body, decorator_list=[])
+    return FunctionInfo(qualname=f"{module}.<module>", module=module,
+                        name="", node=node, unit=unit)
 
 
 def _always_attrs(analysis: TaintSummaries) -> Set[Tuple[str, str]]:
@@ -477,12 +650,3 @@ def _always_attrs(analysis: TaintSummaries) -> Set[Tuple[str, str]]:
         if fn is not None and fn.cls is not None:
             grown |= {(fn.cls, attr) for attr in summary.attr_always}
     return grown
-
-
-def _local_finding_keys(rule, project: Project) -> Set[Tuple[str, int, int]]:
-    """(path, line, col) of every purely local plaintext-wire finding."""
-    keys: Set[Tuple[str, int, int]] = set()
-    for unit in project.units.values():
-        for diag in rule.check(unit):
-            keys.add((diag.path, diag.line, diag.col))
-    return keys

@@ -1,14 +1,13 @@
 """Rule ``plaintext-wire``: decrypted values must not reach the wire.
 
-Intraprocedural taint analysis.  A value is *tainted* when it originates
-from a decryption (any call whose last dotted segment starts with
-``decrypt``) or from a :class:`PlainTensor` construction; taint follows
-assignments (including tuple unpacking and augmented assignment),
-arithmetic, containers, subscripts, attribute access, comprehensions,
-ternaries, f-strings, and calls that receive a tainted receiver or
-argument.  Any call whose last segment starts with ``encrypt`` is a
-*sanitizer*: its result is clean, whatever went in -- re-encryption
-clears taint.
+A value is *tainted* when it originates from a decryption (any call
+whose last dotted segment starts with ``decrypt``) or from a
+:class:`PlainTensor` construction; taint follows assignments (including
+tuple unpacking and augmented assignment), arithmetic, containers,
+subscripts, attribute access, comprehensions, ternaries, f-strings, and
+calls that receive a tainted receiver or argument.  Any call whose last
+segment starts with ``encrypt`` is a *sanitizer*: its result is clean,
+whatever went in -- re-encryption clears taint.
 
 Sinks are the places bytes leave the process's trust boundary:
 
@@ -23,17 +22,20 @@ line -- today the only one in-tree is the coordinator's
 ``DECRYPT_COMMITTED`` WAL record, whose entire point is to persist the
 decrypted aggregate for crash recovery.
 
-The analysis is per-function (parameters start clean, calls are not
-followed); loop bodies get a silent warm-up pass so loop-carried taint is
-visible to sinks earlier in the body.  It trades inter-procedural depth
-for zero-configuration speed, which is the right point for a diff-time
-gate.
+The rule runs as one interprocedural pass
+(:mod:`repro.analysis.ipa.taint_summaries`): every function body and
+every module body is analyzed once with per-function taint summaries
+composed along the project call graph, so a decrypt result laundered
+through a helper is seen where it is handed over.  Loop bodies get a
+silent warm-up pass so loop-carried taint is visible to sinks earlier in
+the body.  This module holds the rule and its source / sink / sanitizer
+vocabulary.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Set, Tuple
+from typing import Iterator, List
 
 from repro.analysis.base import Rule, callee_name, register
 from repro.analysis.diagnostics import Diagnostic
@@ -88,274 +90,6 @@ def _target_names(target: ast.expr) -> List[str]:
     return names
 
 
-class _FunctionTaint:
-    """Taint state and sink detection for one function (or module) body.
-
-    The interprocedural pass (:mod:`repro.analysis.ipa.taint_summaries`)
-    subclasses this and overrides the ``call_effect`` / ``observe_call``
-    / ``attribute_taint`` / ``bind_attribute`` / ``on_return`` hooks to
-    consult per-function summaries; the defaults below keep the original
-    purely local behavior.
-    """
-
-    def __init__(self, rule: Rule, unit, symbol: str):
-        self.rule = rule
-        self.unit = unit
-        self.symbol = symbol
-        self.tainted: Set[str] = set()
-        self.reporting = False
-        self.hits: List[Diagnostic] = []
-        self._seen: Set[Tuple[int, int]] = set()
-
-    # -- interprocedural hooks (no-ops for the local analysis) -----------
-
-    def call_effect(self, node: ast.Call, receiver_tainted: bool,
-                    arg_taints: List[bool],
-                    kw_taints: "dict") -> "bool | None":
-        """Taint verdict for a call's *result* from callee summaries.
-
-        ``None`` falls back to the local heuristic (tainted receiver or
-        argument taints the result); ``False`` overrides it -- that is
-        how an ``encrypt_tensor`` wrapper acts as a sanitizer.
-        """
-        return None
-
-    def observe_call(self, call: ast.Call) -> None:
-        """Called for every call while scanning sinks (summary sinks)."""
-
-    def attribute_taint(self, node: ast.Attribute) -> "bool | None":
-        """Taint verdict for an attribute read; ``None`` -> recurse."""
-        return None
-
-    def bind_attribute(self, target: ast.Attribute,
-                       value_tainted: bool) -> bool:
-        """Handle an attribute assignment; ``True`` claims the binding."""
-        return False
-
-    def on_return(self, tainted: bool) -> None:
-        """Called for every ``return`` with the value's taint."""
-
-    # -- expression taint ------------------------------------------------
-
-    def is_tainted(self, node: ast.expr) -> bool:
-        if isinstance(node, ast.Name):
-            return node.id in self.tainted
-        if isinstance(node, ast.Attribute):
-            modeled = self.attribute_taint(node)
-            if modeled is not None:
-                return modeled
-            return self.is_tainted(node.value)
-        if isinstance(node, ast.Subscript):
-            return self.is_tainted(node.value) or self.is_tainted(node.slice)
-        if isinstance(node, ast.Call):
-            return self._call_taint(node)
-        if isinstance(node, ast.BinOp):
-            return self.is_tainted(node.left) or self.is_tainted(node.right)
-        if isinstance(node, ast.UnaryOp):
-            return self.is_tainted(node.operand)
-        if isinstance(node, ast.BoolOp):
-            return any(self.is_tainted(value) for value in node.values)
-        if isinstance(node, ast.Compare):
-            # Comparison results are booleans, not plaintext payloads --
-            # but operands still need visiting for walrus bindings.
-            self.is_tainted(node.left)
-            for comparator in node.comparators:
-                self.is_tainted(comparator)
-            return False
-        if isinstance(node, ast.IfExp):
-            return self.is_tainted(node.body) or self.is_tainted(node.orelse)
-        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-            return any(self.is_tainted(elt) for elt in node.elts)
-        if isinstance(node, ast.Dict):
-            return any(self.is_tainted(value) for value in node.values
-                       if value is not None) or \
-                   any(key is not None and self.is_tainted(key)
-                       for key in node.keys)
-        if isinstance(node, ast.Starred):
-            return self.is_tainted(node.value)
-        if isinstance(node, ast.JoinedStr):
-            return any(self.is_tainted(value) for value in node.values)
-        if isinstance(node, ast.FormattedValue):
-            return self.is_tainted(node.value)
-        if isinstance(node, ast.NamedExpr):
-            result = self.is_tainted(node.value)
-            self._bind(node.target, result)
-            return result
-        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
-            return self._comprehension_taint(node, [node.elt])
-        if isinstance(node, ast.DictComp):
-            return self._comprehension_taint(node, [node.key, node.value])
-        if isinstance(node, (ast.Await, ast.YieldFrom)):
-            return self.is_tainted(node.value)
-        if isinstance(node, ast.Yield):
-            return node.value is not None and self.is_tainted(node.value)
-        return False
-
-    def _call_taint(self, node: ast.Call) -> bool:
-        if _is_sanitizer(node.func):
-            return False
-        if _is_source(node.func):
-            return True
-        receiver = isinstance(node.func, ast.Attribute) and \
-            self.is_tainted(node.func.value)
-        arg_taints = [self.is_tainted(arg) for arg in node.args]
-        kw_taints = {kw.arg: self.is_tainted(kw.value)
-                     for kw in node.keywords}
-        modeled = self.call_effect(node, receiver, arg_taints, kw_taints)
-        if modeled is not None:
-            return modeled
-        # Local heuristic: a method on a tainted receiver (x.ravel())
-        # or any tainted argument taints the result.
-        return receiver or any(arg_taints) or any(kw_taints.values())
-
-    def _comprehension_taint(self, node, results: List[ast.expr]) -> bool:
-        bound: List[str] = []
-        iter_tainted = False
-        for gen in node.generators:
-            if self.is_tainted(gen.iter):
-                iter_tainted = True
-                for name in _target_names(gen.target):
-                    if name not in self.tainted:
-                        self.tainted.add(name)
-                        bound.append(name)
-        result = iter_tainted or \
-            any(self.is_tainted(expr) for expr in results)
-        for name in bound:  # comprehension targets do not escape
-            self.tainted.discard(name)
-        return result
-
-    # -- bindings --------------------------------------------------------
-
-    def _bind(self, target: ast.expr, value_tainted: bool) -> None:
-        """Strong update: assignment both taints and *untaints*."""
-        if isinstance(target, ast.Attribute) and \
-                self.bind_attribute(target, value_tainted):
-            return
-        for name in _target_names(target):
-            if value_tainted:
-                self.tainted.add(name)
-            else:
-                self.tainted.discard(name)
-
-    def _assign(self, targets: List[ast.expr], value: ast.expr) -> None:
-        for target in targets:
-            if isinstance(target, (ast.Tuple, ast.List)) and \
-                    isinstance(value, (ast.Tuple, ast.List)) and \
-                    len(target.elts) == len(value.elts):
-                # Element-wise tuple unpacking keeps precision:
-                # ``a, b = decrypt(x), 0`` taints only ``a``.
-                for t_elt, v_elt in zip(target.elts, value.elts):
-                    self._bind(t_elt, self.is_tainted(v_elt))
-            else:
-                self._bind(target, self.is_tainted(value))
-
-    # -- sinks -----------------------------------------------------------
-
-    def _scan_sinks(self, node: ast.AST) -> None:
-        for call in ast.walk(node):
-            if not isinstance(call, ast.Call):
-                continue
-            self.observe_call(call)
-            label = _sink_label(call.func)
-            if not label:
-                continue
-            flows = [arg for arg in call.args if self.is_tainted(arg)]
-            flows += [kw.value for kw in call.keywords
-                      if self.is_tainted(kw.value)]
-            if not flows:
-                continue
-            key = (call.lineno, call.col_offset)
-            if not self.reporting or key in self._seen:
-                continue
-            self._seen.add(key)
-            described = _describe(flows[0])
-            self.hits.append(self.rule.diagnostic(
-                self.unit, call,
-                f"plaintext leak: decrypted value {described} reaches "
-                f"{label}() without passing through encrypt_tensor",
-                symbol=self.symbol))
-
-    # -- statements ------------------------------------------------------
-
-    def run(self, body: List[ast.stmt]) -> List[Diagnostic]:
-        self.reporting = True
-        self.visit_body(body)
-        return self.hits
-
-    def visit_body(self, body: List[ast.stmt]) -> None:
-        for stmt in body:
-            self.visit_stmt(stmt)
-
-    def _visit_loop_body(self, body: List[ast.stmt]) -> None:
-        """Loop bodies get a silent warm-up pass first, so taint created
-        late in iteration N is visible to sinks early in iteration N+1
-        (loop-carried flows)."""
-        was_reporting = self.reporting
-        self.reporting = False
-        self.visit_body(body)
-        self.reporting = was_reporting
-        self.visit_body(body)
-
-    def visit_stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            return  # nested scopes are analyzed independently
-        if isinstance(stmt, ast.Assign):
-            self._scan_sinks(stmt.value)
-            self._assign(stmt.targets, stmt.value)
-        elif isinstance(stmt, ast.AnnAssign):
-            if stmt.value is not None:
-                self._scan_sinks(stmt.value)
-                self._bind(stmt.target, self.is_tainted(stmt.value))
-        elif isinstance(stmt, ast.AugAssign):
-            self._scan_sinks(stmt.value)
-            already = self.is_tainted(stmt.target)
-            self._bind(stmt.target,
-                       already or self.is_tainted(stmt.value))
-        elif isinstance(stmt, ast.Expr):
-            self._scan_sinks(stmt.value)
-            self.is_tainted(stmt.value)  # evaluate walrus bindings
-        elif isinstance(stmt, (ast.Return, ast.Raise)):
-            value = stmt.value if isinstance(stmt, ast.Return) else stmt.exc
-            if value is not None:
-                self._scan_sinks(value)
-            if isinstance(stmt, ast.Return):
-                self.on_return(value is not None and
-                               self.is_tainted(value))
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._scan_sinks(stmt.iter)
-            if self.is_tainted(stmt.iter):
-                self._bind(stmt.target, True)
-            self._visit_loop_body(stmt.body)
-            self.visit_body(stmt.orelse)
-        elif isinstance(stmt, ast.While):
-            self._scan_sinks(stmt.test)
-            self.is_tainted(stmt.test)   # evaluate walrus bindings
-            self._visit_loop_body(stmt.body)
-            self.visit_body(stmt.orelse)
-        elif isinstance(stmt, ast.If):
-            self._scan_sinks(stmt.test)
-            self.is_tainted(stmt.test)   # evaluate walrus bindings
-            self.visit_body(stmt.body)
-            self.visit_body(stmt.orelse)
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                self._scan_sinks(item.context_expr)
-                if item.optional_vars is not None:
-                    self._bind(item.optional_vars,
-                               self.is_tainted(item.context_expr))
-            self.visit_body(stmt.body)
-        elif isinstance(stmt, ast.Try):
-            self.visit_body(stmt.body)
-            for handler in stmt.handlers:
-                self.visit_body(handler.body)
-            self.visit_body(stmt.orelse)
-            self.visit_body(stmt.finalbody)
-        elif isinstance(stmt, (ast.Assert, ast.Delete)):
-            pass
-        # Import/Global/Nonlocal/Pass/Break/Continue: no taint flow.
-
-
 def _describe(node: ast.expr) -> str:
     if isinstance(node, ast.Name):
         return f"'{node.id}'"
@@ -372,15 +106,5 @@ class PlaintextWireRule(Rule):
     needs_project = True
 
     def check_project(self, project) -> Iterator[Diagnostic]:
-        """Interprocedural findings the per-module pass cannot see."""
-        from repro.analysis.ipa.taint_summaries import collect_ipa_findings
-        yield from collect_ipa_findings(self, project)
-
-    def check(self, unit) -> Iterator[Diagnostic]:
-        scopes: List[Tuple[str, List[ast.stmt]]] = [("", unit.tree.body)]
-        for node in ast.walk(unit.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scopes.append((node.name, node.body))
-        for symbol, body in scopes:
-            analyzer = _FunctionTaint(self, unit, symbol)
-            yield from analyzer.run(body)
+        from repro.analysis.ipa.taint_summaries import collect_findings
+        yield from collect_findings(self, project)

@@ -24,9 +24,10 @@ Commands:
   run through the sharded service by default, or the per-node
   crash-consistency sweep (leaf, root, and a root failover racing a
   leaf failover); exits non-zero on any divergence.
-- ``lint [PATHS ...]``           -- run the flcheck static invariant
-  rules (plaintext-wire, determinism, ledger-category, deprecated-api,
-  kernel-budget) over src/repro; exits non-zero on live findings.
+- ``lint [PATHS ...]``           -- run the six flcheck static
+  invariant rules (plaintext-wire, determinism, ledger-category,
+  deprecated-api, wal-discipline, ledger-conservation) over src/repro;
+  exits non-zero on live findings.
 """
 
 from __future__ import annotations
@@ -604,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     tenants.set_defaults(handler=_cmd_tenants)
 
     lint = commands.add_parser(
-        "lint", help="run the flcheck static invariant rules")
+        "lint", help="run the six flcheck static invariant rules")
     lint.add_argument("paths", nargs="*",
                       help="files/directories to scan "
                            "(default: the installed repro package)")

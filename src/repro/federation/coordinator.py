@@ -782,9 +782,8 @@ class DurableCoordinator:
 class StandbyCoordinator:
     """A standby that takes over a dead primary's lapsed lease.
 
-    The standby keeps a *shadow* :class:`RoundStateMachine` fed from the
-    dead primary's log at takeover, and :meth:`take_over` asserts the
-    shadow digest matches the successor's own replay of the same log.
+    At takeover it acquires the lease and builds its successor over the
+    dead primary's log, which the successor replays once.
 
     Args:
         aggregator: The data path the standby will drive after takeover
@@ -793,8 +792,8 @@ class StandbyCoordinator:
         lease_manager: The arbitration shared with the primary.
         name: Standby identity.
         coordinator_cls: What to build at takeover -- the class of the
-            node being shadowed (a leaf's or the root's coordinator in
-            the sharded tree; the flat coordinator by default).
+            node it replaces (a leaf's or the root's coordinator in the
+            sharded tree; the flat coordinator by default).
     """
 
     def __init__(self, aggregator: SecureAggregator,
@@ -805,29 +804,19 @@ class StandbyCoordinator:
         self.lease_manager = lease_manager
         self.name = name
         self.coordinator_cls = coordinator_cls
-        self.machine = RoundStateMachine()
 
     def take_over(self, image: bytes) -> DurableCoordinator:
         """Acquire the lapsed lease and resume from the log.
-
-        The image is opened once: the log that brings the shadow
-        machine up to date is the log the successor is built over.
 
         Raises:
             LeaseError: The primary's lease has not expired.
         """
         wal = WriteAheadLog.from_bytes(image)
         lease = self.lease_manager.acquire(self.name)
-        for record in wal.records:
-            self.machine.apply(record)
-        successor = self.coordinator_cls(
+        return self.coordinator_cls(
             self.aggregator, wal=wal, name=self.name,
             incarnation=lease.incarnation,
             lease_manager=self.lease_manager)
-        if successor.machine.digest() != self.machine.digest():
-            raise CoordinatorError(
-                "standby shadow state diverged from the log at takeover")
-        return successor
 
 
 @dataclass
@@ -949,7 +938,7 @@ class NodeSupervisor:
         else:
             # The first primary runs as incarnation 0; a promoted
             # standby's own standby is named after the incarnation it
-            # shadows.
+            # replaces.
             standby = StandbyCoordinator(
                 self.aggregator, node.lease,
                 name=f"{node.identity}-standby" + (

@@ -172,10 +172,10 @@ class FederationRuntime:
             capacity).  The sparse codec is per-tensor (it needs a
             support pattern), so it is not a session knob.
         he_backend: HE execution path: ``"auto"`` (default, follows
-            ``config.gpu_he``), ``"cpu"`` (scalar CPU engine), ``"gpu"``
-            (simulated GPU engine), or ``"vector"`` (batched limb-plane
-            engine; requires numpy).  All paths are bit-identical under
-            a shared seed, so this knob changes wall-clock only.
+            ``config.gpu_he``), ``"cpu"`` (scalar CPU engine), or
+            ``"gpu"`` (simulated GPU engine).  Both engines compute
+            bit-identical results under a shared seed; they differ in
+            what they charge.
     """
 
     def __init__(self, config: SystemConfig, num_clients: int,
@@ -194,9 +194,8 @@ class FederationRuntime:
                  he_backend: str = "auto"):
         if bc_capacity not in ("nominal", "physical"):
             raise ValueError("bc_capacity must be 'nominal' or 'physical'")
-        if he_backend not in ("auto", "cpu", "gpu", "vector"):
-            raise ValueError(
-                "he_backend must be 'auto', 'cpu', 'gpu', or 'vector'")
+        if he_backend not in ("auto", "cpu", "gpu"):
+            raise ValueError("he_backend must be 'auto', 'cpu', or 'gpu'")
         if packing_codec not in ("dense", "interleave"):
             raise ValueError(
                 "packing_codec must be 'dense' or 'interleave' (the "
@@ -264,17 +263,6 @@ class FederationRuntime:
         backend = self.he_backend
         if backend == "auto":
             backend = "gpu" if self.config.gpu_he else "cpu"
-        if backend == "vector":
-            from repro.mpint.limb_plane import HAVE_NUMPY
-            if not HAVE_NUMPY:
-                raise RuntimeError(
-                    "he_backend='vector' requires numpy; use 'cpu' or "
-                    "'gpu' (or 'auto') on numpy-free installs")
-            from repro.crypto.vector_engine import VectorPaillierEngine
-            return VectorPaillierEngine(
-                self.keypair, profile=self.profile,
-                nominal_bits=self.key_bits, ledger=ledger, rng=self._rng,
-                randomizer_pool_size=self.randomizer_pool_size)
         if backend == "gpu":
             manager = ResourceManager(managed=self.config.managed_gpu)
             kernels = GpuKernels(device=SimulatedGpu(),

@@ -44,10 +44,10 @@ class KernelBudget:
 
     These are *declarations*, not measurements: each kernel states the
     most registers, shared memory, and block width it will ever request,
-    and both flcheck's ``kernel-budget`` rule (statically, at lint time)
-    and :meth:`GpuKernels.__init__` (at construction) verify the envelope
-    is launchable on the target :class:`DeviceSpec`.  An over-budget
-    kernel therefore fails lint, not a simulation run.
+    and :meth:`GpuKernels.__init__` validates every envelope against its
+    device's :class:`DeviceSpec` (:func:`validate_budgets`).  An
+    over-budget kernel therefore fails the first time any GPU engine is
+    built, before it launches anything.
 
     Attributes:
         registers_per_thread: Worst-case registers one thread may hold.
@@ -96,8 +96,7 @@ class KernelBudget:
 #: figure is the unmanaged worst case the resource manager can budget --
 #: the branch-handling factor times the base + per-limb cost at the
 #: 2-limbs-per-thread split -- so the declaration stays honest even for
-#: the HAFLO-style baseline path.  flcheck evaluates these expressions
-#: against the RTX_3090 spec; keep every operand a constant.
+#: the HAFLO-style baseline path.
 KERNEL_BUDGETS: Dict[str, KernelBudget] = {
     "mod_mul": KernelBudget(
         registers_per_thread=UNMANAGED_BRANCH_REGISTER_FACTOR * (

@@ -211,15 +211,14 @@ class CostLedger:
     itself; callers charge the seconds their cost model derived, keeping
     scaled execution and paper-scale accounting cleanly separated.
 
-    With ``strict=True`` every charged category must be registered in
-    :data:`CATEGORY_FAMILIES`; the default stays permissive so ad-hoc
-    ledgers in tests and notebooks keep working -- repo code is held to
-    the registry statically by flcheck instead.
+    Any category string is accepted, so ad-hoc ledgers in tests and
+    notebooks keep working; repo code is held to
+    :data:`CATEGORY_FAMILIES` statically by flcheck's
+    ``ledger-category`` rule instead.
     """
 
     _entries: Dict[str, LedgerEntry] = field(
         default_factory=lambda: defaultdict(LedgerEntry))
-    strict: bool = False
 
     def charge(self, category: str, seconds: float, count: int = 1,
                payload_bytes: int = 0) -> None:
@@ -233,8 +232,6 @@ class CostLedger:
         """
         if seconds < 0:
             raise ValueError(f"cannot charge negative time: {seconds}")
-        if self.strict:
-            validate_category(category)
         entry = self._entries[category]
         entry.seconds += seconds
         entry.count += count

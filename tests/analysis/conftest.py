@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.engine import load_module
+from repro.analysis.ipa.project import Project
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -15,9 +16,17 @@ def fixture_unit(name):
     return load_module(path, f"fixtures/{name}")
 
 
+def raw_findings(rule, unit):
+    """Every diagnostic ``rule`` reports for ``unit``, suppressed or not;
+    a whole-program rule sees the unit as a one-module project."""
+    if rule.needs_project:
+        return list(rule.check_project(Project([unit])))
+    return list(rule.check(unit))
+
+
 def live_findings(rule, unit):
     """Diagnostics from ``rule`` minus pragma-suppressed ones."""
-    return [diag for diag in rule.check(unit)
+    return [diag for diag in raw_findings(rule, unit)
             if not unit.allows(diag.rule, diag.line)]
 
 

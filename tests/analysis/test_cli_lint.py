@@ -13,14 +13,13 @@ SRC_REPRO = Path(repro.__file__).resolve().parent
 
 
 def test_shipped_codebase_is_flcheck_clean(capsys):
-    # The acceptance gate: all seven rules, default paths, empty baseline.
+    # The acceptance gate: all six rules, default paths, empty baseline.
     assert main(["lint", "--json", str(SRC_REPRO)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["clean"] is True
     assert payload["rules_run"] == sorted([
         "plaintext-wire", "determinism", "ledger-category",
-        "deprecated-api", "kernel-budget", "wal-discipline",
-        "ledger-conservation"])
+        "deprecated-api", "wal-discipline", "ledger-conservation"])
 
 
 def test_planted_leak_fails_lint(tmp_path, capsys):

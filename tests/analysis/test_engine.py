@@ -20,11 +20,10 @@ LEAK = ("def leak(channel, engine, c):\n"
         "    channel.send(plain)\n")
 
 
-def test_all_seven_rules_are_registered():
+def test_all_six_rules_are_registered():
     assert sorted(rule.name for rule in ALL_RULES) == [
-        "deprecated-api", "determinism", "kernel-budget",
-        "ledger-category", "ledger-conservation", "plaintext-wire",
-        "wal-discipline"]
+        "deprecated-api", "determinism", "ledger-category",
+        "ledger-conservation", "plaintext-wire", "wal-discipline"]
 
 
 def test_run_lint_over_a_directory(tmp_path):

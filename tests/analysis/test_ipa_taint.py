@@ -16,13 +16,6 @@ def _ipa_findings(*names):
     return list(rule.check_project(_project(*names)))
 
 
-def test_local_pass_provably_misses_the_corpus():
-    """The flagged corpus is invisible to the per-module rule."""
-    rule = PlaintextWireRule()
-    unit = fixture_unit("ipa_taint_flagged.py")
-    assert list(rule.check(unit)) == []
-
-
 def test_ipa_pass_flags_exactly_the_marked_lines():
     unit = fixture_unit("ipa_taint_flagged.py")
     findings = _ipa_findings("ipa_taint_flagged.py")

@@ -5,7 +5,12 @@ import ast
 from repro.analysis.engine import ModuleUnit
 from repro.analysis.taint import PlaintextWireRule
 
-from tests.analysis.conftest import fixture_unit, live_findings, marked_lines
+from tests.analysis.conftest import (
+    fixture_unit,
+    live_findings,
+    marked_lines,
+    raw_findings,
+)
 
 
 def _unit_from(source):
@@ -14,8 +19,8 @@ def _unit_from(source):
 
 
 def _lines(source):
-    rule = PlaintextWireRule()
-    return sorted(d.line for d in rule.check(_unit_from(source)))
+    return sorted(d.line for d in raw_findings(PlaintextWireRule(),
+                                                _unit_from(source)))
 
 
 class TestBasicLeaks:
@@ -85,6 +90,33 @@ class TestEdgeCases:
             "        channel.send(plain)\n")
         assert lines == [3]
 
+    def test_module_level_leak(self):
+        findings = raw_findings(PlaintextWireRule(), _unit_from(
+            "import channel, engine\n"
+            "c = engine.load()\n"
+            "channel.send(engine.decrypt_tensor(c))\n"))
+        assert [(d.line, d.symbol) for d in findings] == [(3, "")]
+
+    def test_def_under_a_compound_statement(self):
+        lines = _lines(
+            "try:\n"
+            "    import numpy\n"
+            "except ImportError:\n"
+            "    def f(channel, engine, c):\n"
+            "        channel.send(engine.decrypt_tensor(c))\n")
+        assert lines == [5]
+
+    def test_a_sink_call_is_one_finding(self):
+        """A direct sink whose own definition also reaches a sink is
+        reported once, not again through its summary."""
+        lines = _lines(
+            "class Channel:\n"
+            "    def send(self, payload):\n"
+            "        serialize_tensor(payload)\n"
+            "def f(channel: Channel, engine, c):\n"
+            "    channel.send(engine.decrypt_tensor(c))\n")
+        assert lines == [5]
+
     def test_with_binding(self):
         lines = _lines(
             "def f(channel, engine, c):\n"
@@ -117,7 +149,7 @@ class TestSanitizers:
 class TestPragma:
     def test_pragma_suppresses_but_rule_still_fires(self):
         unit = fixture_unit("taint_good.py")
-        raw = list(PlaintextWireRule().check(unit))
+        raw = raw_findings(PlaintextWireRule(), unit)
         suppressed = [d for d in raw if unit.allows(d.rule, d.line)]
         assert len(suppressed) == 1
         assert suppressed[0].symbol == "pragma_suppressed"

@@ -293,24 +293,3 @@ class TestGracefulDegradation:
         assert "vector-paillier" in factories
         assert factories["vector-paillier"].capabilities == frozenset(
             {"encrypt", "decrypt", "add", "scalar_mul"})
-
-    def test_runtime_rejects_vector_backend_without_numpy(
-            self, monkeypatch):
-        from repro.federation.runtime import (
-            FATE_SYSTEM,
-            FederationRuntime,
-        )
-        import repro.mpint.limb_plane as lp
-        monkeypatch.setattr(lp, "HAVE_NUMPY", False)
-        with pytest.raises(RuntimeError, match="numpy"):
-            FederationRuntime(FATE_SYSTEM, num_clients=2, key_bits=128,
-                              he_backend="vector")
-
-    def test_runtime_rejects_unknown_backend(self):
-        from repro.federation.runtime import (
-            FATE_SYSTEM,
-            FederationRuntime,
-        )
-        with pytest.raises(ValueError, match="he_backend"):
-            FederationRuntime(FATE_SYSTEM, num_clients=2, key_bits=128,
-                              he_backend="simd")

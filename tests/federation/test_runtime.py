@@ -71,6 +71,18 @@ class TestRuntimeWiring:
         assert runtime.gpu_device() is not None
         assert runtime.client_engine.kernels.resource_manager.managed
 
+    def test_auto_still_follows_system_config(self):
+        runtime = FederationRuntime(FLBOOSTER_SYSTEM, num_clients=6,
+                                    seed=11, key_bits=256,
+                                    physical_key_bits=128)
+        assert isinstance(runtime.client_engine, GpuPaillierEngine)
+
+    @pytest.mark.parametrize("backend", ["vector", "simd"])
+    def test_runtime_rejects_unknown_backend(self, backend):
+        with pytest.raises(ValueError, match="he_backend"):
+            FederationRuntime(FATE_SYSTEM, num_clients=2, key_bits=128,
+                              he_backend=backend)
+
     def test_haflo_unmanaged_resource_manager(self):
         runtime = FederationRuntime(HAFLO_SYSTEM, num_clients=2,
                                     key_bits=256, physical_key_bits=256)

@@ -6,8 +6,13 @@ import pytest
 
 from repro.crypto.gpu_engine import GpuPaillierEngine
 from repro.federation.runtime import cached_keypair
-from repro.gpu.device import SimulatedGpu
-from repro.gpu.kernels import GpuKernels
+from repro.gpu.device import RTX_3090, SimulatedGpu
+from repro.gpu.kernels import (
+    KERNEL_BUDGETS,
+    GpuKernels,
+    KernelBudget,
+    validate_budgets,
+)
 from repro.gpu.resource_manager import ResourceManager
 from repro.ledger import CostLedger
 from repro.mpint.primes import LimbRandom
@@ -188,3 +193,53 @@ class TestLaunchPriceTable:
         table, fresh = runs
         assert len(table[0]) > 40
         assert table == fresh
+
+
+class TestKernelBudgets:
+    """Declared envelopes are checked where kernels are built."""
+
+    @pytest.mark.parametrize("fields, expected", [
+        # registers_per_thread, shared_memory_per_block, block_size
+        ((300, 16 * 1024, 128), "architectural ceiling 255"),
+        ((32, 16 * 1024, 100), "not a positive multiple of the warp size"),
+        ((32, 16 * 1024, 2048), "CUDA per-block ceiling 1024"),
+        ((128, 16 * 1024, 1024), "but an SM has 65536"),
+        ((32, 128 * 1024, 128), "shared_memory_per_block 131072 exceeds"),
+    ], ids=["register-ceiling", "warp-multiple", "block-width",
+            "register-file", "shared-memory"])
+    def test_each_violation_is_named(self, fields, expected):
+        registers, shared, block = fields
+        budget = KernelBudget(registers_per_thread=registers,
+                              shared_memory_per_block=shared,
+                              block_size=block)
+        problems = budget.violations(RTX_3090)
+        assert any(expected in problem for problem in problems), problems
+
+    def test_shipped_budgets_fit_the_device(self):
+        validate_budgets(RTX_3090)
+        GpuKernels()
+
+    def test_runtime_validation_rejects_over_budget(self, monkeypatch):
+        bad = KernelBudget(registers_per_thread=300,
+                           shared_memory_per_block=1 << 20,
+                           block_size=100)
+        assert len(bad.violations(RTX_3090)) == 3
+        monkeypatch.setitem(KERNEL_BUDGETS, "bogus", bad)
+        with pytest.raises(ValueError, match="exceed device limits"):
+            validate_budgets(RTX_3090)
+        with pytest.raises(ValueError, match="bogus: "):
+            GpuKernels()
+
+    def test_declared_budgets_match_resource_model(self):
+        # The declared register envelope covers the unmanaged worst case
+        # the resource manager can produce for the 2-limbs-per-thread
+        # split.
+        from repro.gpu.resource_manager import (
+            BASE_REGISTERS_PER_THREAD,
+            REGISTERS_PER_LIMB,
+            UNMANAGED_BRANCH_REGISTER_FACTOR,
+        )
+        worst = UNMANAGED_BRANCH_REGISTER_FACTOR * (
+            BASE_REGISTERS_PER_THREAD + REGISTERS_PER_LIMB * 2)
+        for budget in KERNEL_BUDGETS.values():
+            assert budget.registers_per_thread >= worst

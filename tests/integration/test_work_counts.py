@@ -225,9 +225,8 @@ def test_a_fault_free_six_round_run_checkpoints_once_per_node_and_round(
 
 
 def test_a_shard_crash_parses_the_dead_leafs_image_once(takeover_work):
-    """One parse per takeover -- the log that catches the shadow machine
-    up is the log the successor runs on -- and one standby per death,
-    named as the eagerly built ones were."""
+    """One parse per takeover and one standby per death, named as the
+    eagerly built ones were."""
     plan = (FaultPlan(seed=SHARDED.seed)
             .shard_crash("shard-1", 0, after_record=2)
             .shard_crash("shard-1", 1, after_record=8))
@@ -238,6 +237,30 @@ def test_a_shard_crash_parses_the_dead_leafs_image_once(takeover_work):
         [("shard-1", 2, 1), ("shard-1", 8, 2)]
     assert len(parses) == 2
     assert standbys == ["shard-1-standby", "shard-1-standby-1"]
+
+
+def test_a_takeover_replays_each_journaled_record_once(monkeypatch):
+    """The successor's replay of the dead primary's log is the only one:
+    no second machine is fed the same records to compare digests."""
+    applied, takeovers = [], []
+    apply = RoundStateMachine.apply
+    monkeypatch.setattr(
+        RoundStateMachine, "apply",
+        lambda machine, record: applied.append(record)
+        or apply(machine, record))
+    take_over = StandbyCoordinator.take_over
+
+    def counting(standby, image):
+        applied.clear()
+        successor = take_over(standby, image)
+        takeovers.append((len(applied), len(successor.wal.records)))
+        return successor
+
+    monkeypatch.setattr(StandbyCoordinator, "take_over", counting)
+    plan = FaultPlan(seed=7).failover(0, after_record=3)
+    FederationSimulator(SimulationSpec(rounds=1, fault_plan=plan)).run()
+    (applies, records), = takeovers
+    assert applies == records == 4
 
 
 def test_a_leaf_killed_twice_in_one_round_fails_over_twice(takeover_work):
