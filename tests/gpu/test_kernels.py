@@ -195,25 +195,42 @@ class TestLaunchPriceTable:
         assert table == fresh
 
 
+#: One budget per violation kind:
+#: (registers_per_thread, shared_memory_per_block, block_size) -> message.
+VIOLATIONS = pytest.mark.parametrize("fields, expected", [
+    ((300, 16 * 1024, 128), "architectural ceiling 255"),
+    ((32, 16 * 1024, 100), "not a positive multiple of the warp size"),
+    ((32, 16 * 1024, 2048), "CUDA per-block ceiling 1024"),
+    ((128, 16 * 1024, 1024), "but an SM has 65536"),
+    ((32, 128 * 1024, 128), "shared_memory_per_block 131072 exceeds"),
+], ids=["register-ceiling", "warp-multiple", "block-width",
+        "register-file", "shared-memory"])
+
+
+def _budget(fields):
+    registers, shared, block = fields
+    return KernelBudget(registers_per_thread=registers,
+                        shared_memory_per_block=shared,
+                        block_size=block)
+
+
 class TestKernelBudgets:
     """Declared envelopes are checked where kernels are built."""
 
-    @pytest.mark.parametrize("fields, expected", [
-        # registers_per_thread, shared_memory_per_block, block_size
-        ((300, 16 * 1024, 128), "architectural ceiling 255"),
-        ((32, 16 * 1024, 100), "not a positive multiple of the warp size"),
-        ((32, 16 * 1024, 2048), "CUDA per-block ceiling 1024"),
-        ((128, 16 * 1024, 1024), "but an SM has 65536"),
-        ((32, 128 * 1024, 128), "shared_memory_per_block 131072 exceeds"),
-    ], ids=["register-ceiling", "warp-multiple", "block-width",
-            "register-file", "shared-memory"])
+    @VIOLATIONS
     def test_each_violation_is_named(self, fields, expected):
-        registers, shared, block = fields
-        budget = KernelBudget(registers_per_thread=registers,
-                              shared_memory_per_block=shared,
-                              block_size=block)
-        problems = budget.violations(RTX_3090)
+        problems = _budget(fields).violations(RTX_3090)
         assert any(expected in problem for problem in problems), problems
+
+    @VIOLATIONS
+    def test_kernels_refuse_each_violation(self, fields, expected,
+                                           monkeypatch):
+        # The construction gate fires on each kind on its own, not only on
+        # a budget that breaks several limits at once.
+        monkeypatch.setitem(KERNEL_BUDGETS, "bogus", _budget(fields))
+        with pytest.raises(ValueError, match="bogus: ") as raised:
+            GpuKernels()
+        assert expected in str(raised.value)
 
     def test_shipped_budgets_fit_the_device(self):
         validate_budgets(RTX_3090)
