@@ -145,6 +145,11 @@ class SymbolTable:
         for stmt in body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qualname = f"{prefix}.{stmt.name}"
+                if qualname in self.functions:
+                    # A redefinition (a property setter, one def per
+                    # branch of an ``if``) is kept under its own name so
+                    # every definition is analyzed.
+                    qualname = f"{qualname}@{stmt.lineno}"
                 info = FunctionInfo(
                     qualname=qualname, module=module, name=stmt.name,
                     node=stmt, unit=unit, cls=cls,
@@ -173,12 +178,13 @@ class SymbolTable:
                                  prefix=qualname, cls=qualname,
                                  scope=None)
             else:
-                # Definitions under if / for / while / with / try belong
-                # to the enclosing scope.
+                # Definitions under if / for / while / with / try /
+                # match belong to the enclosing scope.
                 blocks = [getattr(stmt, name, ())
                           for name in ("body", "orelse", "finalbody")]
-                blocks += [handler.body
-                           for handler in getattr(stmt, "handlers", ())]
+                blocks += [clause.body for clause in
+                           getattr(stmt, "handlers", []) +
+                           getattr(stmt, "cases", [])]
                 for block in blocks:
                     self._index_body(unit, module, block, prefix=prefix,
                                      cls=cls, scope=scope)

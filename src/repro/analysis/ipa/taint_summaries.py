@@ -26,7 +26,11 @@ facts that appear under assumption ``i`` but not under the empty
 assumption are attributed to that parameter.  Monotonicity of the
 boolean lattice makes the attribution exact.  A call nothing in the
 project defines keeps the local heuristic: a tainted receiver or
-argument taints its result.
+argument taints its result.  So does a resolved call whose tainted
+actual lands in no summarized parameter (``*args``, ``**kwargs``, a
+``*xs`` / ``**mapping`` actual, a parameter past
+:data:`MAX_ASSUMED_PARAMS`), and a constructor call, whose result is
+the instance rather than what ``__init__`` returns.
 
 ``self``-attribute flows are tracked object-insensitively: one
 project-wide set of attribute *names* that may hold plaintext, grown to
@@ -59,7 +63,8 @@ from repro.analysis.taint import (_describe, _is_sanitizer, _is_source,
                                   _sink_label, _target_names)
 
 #: Assumption runs per function are bounded: parameters past this index
-#: are never assumed tainted (their flows are not summarized).
+#: are never assumed tainted, so a tainted actual landing there falls
+#: back to the local rule (the call's result is tainted).
 MAX_ASSUMED_PARAMS = 6
 
 #: Global attribute-taint rounds (each is a full summary fixpoint); the
@@ -172,22 +177,46 @@ class _FunctionTaint:
 
     def _actual_taints(self, call: ast.Call, candidate: FunctionInfo,
                        receiver: bool, arg_taints: List[bool],
-                       kw_taints: Dict[Optional[str], bool],
-                       ) -> Dict[int, ast.expr]:
-        """param index -> the tainted actual expression feeding it."""
+                       kw_taints: List[bool],
+                       ) -> Tuple[Dict[int, ast.expr], bool]:
+        """param index -> the tainted actual expression feeding it.
+
+        Also says whether some tainted actual lands in no summarized
+        parameter: a ``*xs`` or ``**mapping`` actual, one bound to
+        ``*args`` / ``**kwargs`` or past :data:`MAX_ASSUMED_PARAMS`, or
+        the receiver of a static or class method.  The summary knows
+        nothing of such an actual, so the caller keeps the local
+        heuristic for it.
+        """
         offset = _param_offset(candidate, call, self._static_receiver(call))
+        arguments = candidate.node.args
+        positional = min(len(arguments.posonlyargs) + len(arguments.args),
+                         MAX_ASSUMED_PARAMS)
+        summarized = candidate.params[:MAX_ASSUMED_PARAMS]
         flows: Dict[int, ast.expr] = {}
-        if receiver and offset == 1 and candidate.binding == "instance" \
-                and isinstance(call.func, ast.Attribute):
-            flows[0] = call.func.value
+        unsummarized = False
+        if receiver:
+            if offset == 1 and candidate.binding == "instance" \
+                    and isinstance(call.func, ast.Attribute):
+                flows[0] = call.func.value
+            else:
+                unsummarized = True
         for position, arg in enumerate(call.args):
-            if arg_taints[position]:
+            if not arg_taints[position]:
+                continue
+            if offset + position < positional:
                 flows[offset + position] = arg
-        for kw in call.keywords:
-            if kw.arg is not None and kw_taints.get(kw.arg) and \
-                    kw.arg in candidate.params:
+            if isinstance(arg, ast.Starred) or \
+                    offset + position >= positional:
+                unsummarized = True
+        for kw, tainted in zip(call.keywords, kw_taints):
+            if not tainted:
+                continue
+            if kw.arg in summarized:
                 flows[candidate.params.index(kw.arg)] = kw.value
-        return flows
+            else:
+                unsummarized = True
+        return flows, unsummarized
 
     def _is_self_attribute(self, node: ast.Attribute) -> bool:
         return isinstance(node.value, ast.Name) and \
@@ -257,18 +286,23 @@ class _FunctionTaint:
         receiver = isinstance(node.func, ast.Attribute) and \
             self.is_tainted(node.func.value)
         arg_taints = [self.is_tainted(arg) for arg in node.args]
-        kw_taints = {kw.arg: self.is_tainted(kw.value)
-                     for kw in node.keywords}
+        kw_taints = [self.is_tainted(kw.value) for kw in node.keywords]
+        any_tainted = receiver or any(arg_taints) or any(kw_taints)
         candidates = self._candidates(node)
         if not candidates:
             # Unresolved call: a method on a tainted receiver
             # (x.ravel()) or any tainted argument taints the result.
-            return receiver or any(arg_taints) or any(kw_taints.values())
+            return any_tainted
         for candidate in candidates:
             summary = self.analysis.summary_for(candidate.qualname)
-            flows = self._actual_taints(node, candidate, receiver,
-                                        arg_taints, kw_taints)
-            if summary.ret_always or \
+            flows, unsummarized = self._actual_taints(
+                node, candidate, receiver, arg_taints, kw_taints)
+            # A constructor's result is the instance, not what
+            # ``__init__`` returns: built from taint, it holds it.
+            constructor = candidate.name == "__init__" and \
+                not isinstance(node.func, ast.Attribute)
+            if summary.ret_always or unsummarized or \
+                    (constructor and any_tainted) or \
                     any(index in summary.ret_deps for index in flows):
                 self._origin_call = callee_name(node.func)
                 return True
@@ -401,14 +435,13 @@ class _FunctionTaint:
         receiver = isinstance(call.func, ast.Attribute) and \
             self.is_tainted(call.func.value)
         arg_taints = [self.is_tainted(arg) for arg in call.args]
-        kw_taints = {kw.arg: self.is_tainted(kw.value)
-                     for kw in call.keywords}
-        if not (receiver or any(arg_taints) or any(kw_taints.values())):
+        kw_taints = [self.is_tainted(kw.value) for kw in call.keywords]
+        if not (receiver or any(arg_taints) or any(kw_taints)):
             return
         for candidate in candidates:
             summary = self.analysis.summary_for(candidate.qualname)
-            flows = self._actual_taints(call, candidate, receiver,
-                                        arg_taints, kw_taints)
+            flows, _ = self._actual_taints(call, candidate, receiver,
+                                           arg_taints, kw_taints)
             for index, actual in sorted(flows.items()):
                 for label, path in summary.sink_flows_for(index):
                     self._record_summary_sink(call, candidate, actual,

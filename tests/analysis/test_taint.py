@@ -106,6 +106,37 @@ class TestEdgeCases:
             "        channel.send(engine.decrypt_tensor(c))\n")
         assert lines == [5]
 
+    def test_every_one_of_two_conditional_defs(self):
+        lines = _lines(
+            "import os\n"
+            "if os.environ.get('X'):\n"
+            "    def f(channel, engine, c):\n"
+            "        channel.send(engine.decrypt_tensor(c))\n"
+            "else:\n"
+            "    def f(channel, engine, c):\n"
+            "        channel.send(c)\n")
+        assert lines == [4]
+
+    def test_property_getter_beside_its_setter(self):
+        lines = _lines(
+            "class Node:\n"
+            "    @property\n"
+            "    def value(self):\n"
+            "        self.channel.send(self.engine.decrypt_tensor(self.c))\n"
+            "    @value.setter\n"
+            "    def value(self, v):\n"
+            "        self.c = v\n")
+        assert lines == [4]
+
+    def test_def_under_a_match_case(self):
+        lines = _lines(
+            "import sys\n"
+            "match sys.argv:\n"
+            "    case [_, 'leak']:\n"
+            "        def f(channel, engine, c):\n"
+            "            channel.send(engine.decrypt_tensor(c))\n")
+        assert lines == [5]
+
     def test_a_sink_call_is_one_finding(self):
         """A direct sink whose own definition also reaches a sink is
         reported once, not again through its summary."""
@@ -141,9 +172,68 @@ class TestSanitizers:
             "engine.decrypt_tensor(c)))\n")
         assert lines == []
 
+    def test_a_clean_summary_overrides_the_local_rule(self):
+        lines = _lines(
+            "def size(v):\n"
+            "    return 0\n"
+            "def f(channel, engine, c):\n"
+            "    channel.send(size(engine.decrypt_tensor(c)))\n")
+        assert lines == []
+
     def test_good_corpus_is_clean(self):
         unit = fixture_unit("taint_good.py")
         assert live_findings(PlaintextWireRule(), unit) == []
+
+
+class TestUnsummarizedActuals:
+    """A tainted actual no parameter summary covers taints the result,
+    as an unresolved call's would."""
+
+    def test_varargs_forwarder(self):
+        lines = _lines(
+            "def first(*v):\n"
+            "    return v[0]\n"
+            "def f(channel, engine, c):\n"
+            "    y = first(engine.decrypt_tensor(c))\n"
+            "    channel.send(y)\n")
+        assert lines == [5]
+
+    def test_kwargs_forwarder_and_double_star_actual(self):
+        lines = _lines(
+            "def pack(**kw):\n"
+            "    return kw\n"
+            "def f(channel, engine, c):\n"
+            "    channel.send(pack(x=engine.decrypt_tensor(c)))\n"
+            "    channel.send(pack(**{'x': engine.decrypt_tensor(c)}))\n")
+        assert lines == [4, 5]
+
+    def test_starred_actual(self):
+        lines = _lines(
+            "def size(v):\n"
+            "    return 0\n"
+            "def f(channel, engine, c):\n"
+            "    channel.send(size(*[engine.decrypt_tensor(c)]))\n")
+        assert lines == [4]
+
+    def test_parameter_past_the_assumption_bound(self):
+        lines = _lines(
+            "def pick(a, b, c, d, e, f, g):\n"
+            "    return g\n"
+            "def f(channel, engine, c):\n"
+            "    y = pick(0, 0, 0, 0, 0, 0, engine.decrypt_tensor(c))\n"
+            "    channel.send(y)\n"
+            "    z = pick(0, 0, 0, 0, 0, 0, g=engine.decrypt_tensor(c))\n"
+            "    channel.send(z)\n")
+        assert lines == [5, 7]
+
+    def test_constructor_result_holds_its_arguments(self):
+        lines = _lines(
+            "class Box:\n"
+            "    def __init__(self, v):\n"
+            "        self.v = v\n"
+            "def f(channel, engine, c):\n"
+            "    channel.send(Box(engine.decrypt_tensor(c)))\n")
+        assert lines == [5]
 
 
 class TestPragma:
