@@ -68,9 +68,8 @@ class CpuPaillierEngine(HeEngine):
         return results
 
     def decrypt_batch(self, ciphertexts: Sequence[int]) -> List[int]:
-        """Decrypt sequentially, charging per-op CPU time."""
-        results = [Paillier.raw_decrypt(self.private_key, c)
-                   for c in ciphertexts]
+        """Decrypt the batch by CRT, charging per-op CPU time."""
+        results = Paillier.raw_decrypt_batch(self.private_key, ciphertexts)
         self._charge(CAT_HE_DECRYPT, len(ciphertexts),
                      self.profile.words_per_decrypt(self.nominal_bits))
         return results

@@ -68,18 +68,19 @@ class RandomizerPool:
         """True once the pool holds precomputed powers."""
         return bool(self._powers)
 
-    def fill(self, rng, n: int, obfuscator: Callable[[int], int]) -> None:
+    def fill(self, rng, n: int,
+             obfuscators: Callable[[List[int]], List[int]]) -> None:
         """Draw ``size`` randomizers from ``rng`` and raise them to ``n``.
 
         Args:
             rng: The engine's :class:`~repro.mpint.primes.LimbRandom`.
             n: The public modulus the randomizers are units of.
-            obfuscator: ``r -> r^n mod n^2`` of the key the owner holds
-                (:meth:`~repro.crypto.keys.PaillierPrivateKey.obfuscator`
+            obfuscators: ``[r] -> [r^n mod n^2]`` of the key the owner
+                holds (:meth:`~repro.crypto.keys.PaillierPrivateKey.obfuscators`
                 or the public key's full-width fallback).
         """
         randomizers = [rng.random_unit(n) for _ in range(self.size)]
-        self._powers = [obfuscator(r) for r in randomizers]
+        self._powers = obfuscators(randomizers)
         self._residues = [power % n for power in self._powers]
         self._cursor = 0
 
@@ -135,9 +136,11 @@ class HeEngine(ABC):
         self.keypair = keypair
         self.public_key = keypair.public_key
         self.private_key = keypair.private_key
-        # r -> r^n mod n^2 by the shortest exact route the held key allows.
-        self._obfuscator = (self.private_key if self.private_key is not None
-                            else self.public_key).obfuscator
+        # [r] -> [r^n mod n^2] by the shortest exact route the held key
+        # allows.
+        self._obfuscators = (self.private_key
+                             if self.private_key is not None
+                             else self.public_key).obfuscators
         self.nominal_bits = (nominal_bits if nominal_bits is not None
                              else keypair.public_key.key_bits)
         self.ledger = ledger if ledger is not None else CostLedger()
@@ -308,12 +311,14 @@ class HeEngine(ABC):
         (because ``m n x mod n^2 = n (m x mod n)``): one product modulo
         ``n``, taken against ``r^n mod n``.  The sum is below ``2 n^2``,
         so its reduction modulo ``n^2`` is one conditional subtraction.
-        Randomizers are drawn in plaintext order, one per value.
+        Randomizers are drawn in plaintext order, one per value, all of
+        them before the batch's powers are taken.
         """
         n = self.public_key.n
         n_squared = self.public_key.n_squared
         if self._randomizer_pool is None:
-            powers = [self._randomizer_power() for _ in plaintexts]
+            powers = self._obfuscators(
+                [self.rng.random_unit(n) for _ in plaintexts])
             residues = [power % n for power in powers]
         else:
             powers, residues = self._filled_pool().take_with_residues(
@@ -333,17 +338,18 @@ class HeEngine(ABC):
         through them -- an experiment-harness speed knob: the *charged*
         cost is unchanged (the cost model always prices a full ``r^n``),
         only the physical Python arithmetic is amortized.  Either way
-        the power itself comes from the held key's ``obfuscator``.
+        the power itself comes from the held key's ``obfuscators``.
         """
         if self._randomizer_pool is None:
-            return self._obfuscator(self.rng.random_unit(self.public_key.n))
+            return self._obfuscators(
+                [self.rng.random_unit(self.public_key.n)])[0]
         return self._filled_pool().take(1)[0]
 
     def _filled_pool(self) -> RandomizerPool:
         """The randomizer pool, filled from ``self.rng`` on first use."""
         pool = self._randomizer_pool
         if not pool.filled:
-            pool.fill(self.rng, self.public_key.n, self._obfuscator)
+            pool.fill(self.rng, self.public_key.n, self._obfuscators)
         return pool
 
     def randomizer_pool_snapshot(self) -> List[int]:

@@ -107,8 +107,8 @@ class GpuPaillierEngine(HeEngine):
         with self._charging(CAT_HE_DECRYPT, len(ciphertexts)):
             # Physical values via CRT decryption; the launch is charged as
             # the full c^lambda kernel plus the mu multiplication.
-            results = [Paillier.raw_decrypt(self.private_key, c)
-                       for c in ciphertexts]
+            results = Paillier.raw_decrypt_batch(self.private_key,
+                                                 ciphertexts)
             self.kernels.charge_mod_pow(len(ciphertexts), self._work_bits,
                                         self.nominal_bits)
             self.kernels.charge_mod_mul(len(ciphertexts), self.nominal_bits)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional, Sequence
 
-from repro.mpint.native import powmod
+from repro.mpint.native import powmod, run_pair
 from repro.mpint.primes import LimbRandom, generate_distinct_primes
 
 
@@ -46,6 +46,10 @@ class PaillierPublicKey:
         from :meth:`PaillierPrivateKey.obfuscator`.
         """
         return powmod(r, self.n, self.n_squared)
+
+    def obfuscators(self, randomizers: Sequence[int]) -> List[int]:
+        """:meth:`obfuscator` of each randomizer, in order."""
+        return [self.obfuscator(r) for r in randomizers]
 
     def ciphertext_bytes(self) -> int:
         """Serialized size of one ciphertext (an element of ``Z_{n^2}``)."""
@@ -110,8 +114,12 @@ class PaillierPrivateKey:
                            powmod(q_squared, -1, p_squared))
 
     def obfuscator(self, r: int) -> int:
-        """``r^n mod n^2`` for a key holder: the same integer as
-        :meth:`PaillierPublicKey.obfuscator`, from half-width modexps.
+        """``r^n mod n^2`` for a key holder: :meth:`obfuscators` of one."""
+        return self.obfuscators([r])[0]
+
+    def obfuscators(self, randomizers: Sequence[int]) -> List[int]:
+        """``r^n mod n^2`` of each randomizer, in order: the same integers
+        as :meth:`PaillierPublicKey.obfuscators`, from half-width modexps.
 
         Modulo ``p^2``: ``(a + kp)^p = a^p``, so ``r^p`` depends only on
         ``a = r mod p`` and is the Teichmuller lift of ``a`` -- a
@@ -119,14 +127,24 @@ class PaillierPrivateKey:
         ``r^n = (r^p)^q = lift(a^q mod p) = lift(a^(q mod (p-1)) mod p)``
         and ``lift(b) = b^p mod p^2``.  The same holds modulo ``q^2``;
         Garner recombines the two residues modulo ``n^2``.  Non-units
-        need no special case (``p | r`` gives 0 on both sides).
+        need no special case (``p | r`` gives 0 on both sides).  The
+        p-chains and the q-chains are independent, so a large enough
+        batch runs them on two cores (:func:`repro.mpint.native.run_pair`).
         """
-        p, q = self.p, self.q
         p_squared, q_squared = self.p_squared, self.q_squared
-        x_p = powmod(powmod(r % p, self.obfuscator_exp_p, p), p, p_squared)
-        x_q = powmod(powmod(r % q, self.obfuscator_exp_q, q), q, q_squared)
-        diff = ((x_p - x_q) * self.q_squared_inverse) % p_squared
-        return x_q + q_squared * diff
+
+        def chains(prime: int, exponent: int, prime_squared: int):
+            return lambda: [powmod(powmod(r % prime, exponent, prime),
+                                   prime, prime_squared)
+                            for r in randomizers]
+
+        lifts_p, lifts_q = run_pair(
+            chains(self.p, self.obfuscator_exp_p, p_squared),
+            chains(self.q, self.obfuscator_exp_q, q_squared),
+            len(randomizers), p_squared.bit_length())
+        inverse = self.q_squared_inverse
+        return [x_q + q_squared * ((x_p - x_q) * inverse % p_squared)
+                for x_p, x_q in zip(lifts_p, lifts_q)]
 
 
 @dataclass(frozen=True)

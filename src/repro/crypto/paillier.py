@@ -14,7 +14,7 @@ them; the operator-overloading handle over them is
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import List, Optional, Sequence
 
 from repro.crypto.keys import (
     PaillierKeypair,
@@ -22,7 +22,7 @@ from repro.crypto.keys import (
     PaillierPublicKey,
     generate_paillier_keypair,
 )
-from repro.mpint.native import powmod
+from repro.mpint.native import powmod, run_pair
 from repro.mpint.primes import LimbRandom
 
 
@@ -71,25 +71,48 @@ class Paillier:
 
     @staticmethod
     def raw_decrypt(private_key: PaillierPrivateKey, ciphertext: int) -> int:
-        """Decrypt an integer ciphertext (Eq. 4), via CRT.
+        """Decrypt an integer ciphertext (Eq. 4): :meth:`raw_decrypt_batch`
+        of one."""
+        return Paillier.raw_decrypt_batch(private_key, [ciphertext])[0]
+
+    @staticmethod
+    def raw_decrypt_batch(private_key: PaillierPrivateKey,
+                          ciphertexts: Sequence[int]) -> List[int]:
+        """Decrypt integer ciphertexts (Eq. 4), via CRT.
 
         Computes ``m mod p`` and ``m mod q`` with half-size
         exponentiations and recombines -- numerically identical to the
         textbook formula (verified by the property tests) at a quarter of
-        the cost.
+        the cost.  The ``c^(p-1) mod p^2`` and ``c^(q-1) mod q^2`` powers
+        are independent, so a large enough batch runs the two sets on two
+        cores (:func:`repro.mpint.native.run_pair`); the range checks come
+        before, and the recombination after, on the calling thread.
         """
-        public = private_key.public_key
-        n_squared = public.n_squared
-        if not 0 <= ciphertext < n_squared:
-            raise ValueError("ciphertext outside Z_{n^2}")
+        ciphertexts = list(ciphertexts)
+        n_squared = private_key.public_key.n_squared
+        for ciphertext in ciphertexts:
+            if not 0 <= ciphertext < n_squared:
+                raise ValueError("ciphertext outside Z_{n^2}")
         p, q = private_key.p, private_key.q
-        m_p = ((powmod(ciphertext, p - 1, private_key.p_squared) - 1) // p
-               * private_key.hp) % p
-        m_q = ((powmod(ciphertext, q - 1, private_key.q_squared) - 1) // q
-               * private_key.hq) % q
-        # Garner recombination.
-        diff = ((m_p - m_q) * private_key.q_inverse) % p
-        return m_q + diff * q
+        p_squared = private_key.p_squared
+
+        def powers(prime: int, prime_squared: int):
+            exponent = prime - 1
+            return lambda: [powmod(c, exponent, prime_squared)
+                            for c in ciphertexts]
+
+        powers_p, powers_q = run_pair(
+            powers(p, p_squared), powers(q, private_key.q_squared),
+            len(ciphertexts), p_squared.bit_length())
+        hp, hq, q_inverse = (private_key.hp, private_key.hq,
+                             private_key.q_inverse)
+        results = []
+        for u_p, u_q in zip(powers_p, powers_q):
+            m_p = (u_p - 1) // p * hp % p
+            m_q = (u_q - 1) // q * hq % q
+            # Garner recombination.
+            results.append(m_q + (m_p - m_q) * q_inverse % p * q)
+        return results
 
     @staticmethod
     def raw_decrypt_textbook(private_key: PaillierPrivateKey,

@@ -47,22 +47,44 @@ Montgomery product of deficits ``d1`` and ``d2`` has deficit
 with a cached ``R^(d+1) mod N``.  Residues here are ciphertexts, hence
 public: their handles are recycled through a free list and ``BN_free``d,
 never cleared.
+
+The third piece is concurrency.  The paper puts modexps on however many
+parallel units the host has; here those are libcrypto on each core, and
+``ctypes`` drops the interpreter lock inside every call.
+:func:`run_pair` runs one callable on a single lazily started worker
+thread while the caller runs the other -- the two CRT halves of a batch
+of decryptions or obfuscations (:mod:`repro.crypto`).  It runs both on
+the caller when no library is bound (``pow()`` holds the lock), when the
+process may use one CPU, or when the batch is under the measured
+crossover :data:`SPLIT_MIN_WORK`; below it, waking the worker costs more
+than it saves.  A forked child drops the inherited worker and builds its
+own.
 """
 
 from __future__ import annotations
 
 import ctypes
 import ctypes.util
+import os
 import threading
 from collections.abc import Sequence
 from itertools import repeat
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Tuple, TypeVar, Union)
 
 __all__ = ["powmod", "resident", "mulmod_batch", "ResidueBatch",
-           "HAVE_NATIVE", "BACKEND", "NATIVE_MIN_MODULUS_BITS"]
+           "run_pair", "HAVE_NATIVE", "BACKEND", "NATIVE_MIN_MODULUS_BITS",
+           "SPLIT_MIN_WORK"]
+
+T = TypeVar("T")
+U = TypeVar("U")
 
 #: Narrowest (odd) modulus handed to the library (docs/cost_model.md).
 NATIVE_MIN_MODULUS_BITS = 128
+
+#: Least work per side, as powers x modulus bits cubed, that pays for
+#: waking a second thread (docs/cost_model.md): six 1024-bit powers.
+SPLIT_MIN_WORK = 6 * 1024 ** 3
 
 _CUTOFF = 1 << (NATIVE_MIN_MODULUS_BITS - 1)
 
@@ -438,6 +460,118 @@ def powmod(base: int, exponent: int, modulus: int) -> int:
     if result is None:
         return pow(base, exponent, modulus)
     return result
+
+
+# ----------------------------------------------------------------------
+# Two halves on two cores.
+# ----------------------------------------------------------------------
+
+class _Worker:
+    """One daemon thread that runs one submitted callable at a time.
+
+    Two plain locks carry the handoff both ways (the cheapest wake
+    CPython has); ``busy`` is held by whichever caller owns the worker.
+    """
+
+    def __init__(self) -> None:
+        self.busy = threading.Lock()
+        self._posted = threading.Lock()
+        self._posted.acquire()
+        self._finished = threading.Lock()
+        self._finished.acquire()
+        self._job: Optional[Callable[[], object]] = None
+        self._outcome: Tuple[bool, object] = (True, None)
+        threading.Thread(target=self._serve, name="repro-native-worker",
+                         daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            self._posted.acquire()
+            job, self._job = self._job, None
+            try:
+                self._outcome = (True, job())
+            except BaseException as error:  # re-raised on the caller
+                self._outcome = (False, error)
+            self._finished.release()
+
+    def submit(self, job: Callable[[], object]) -> None:
+        """Start ``job`` on the worker (the caller holds ``busy``)."""
+        self._job = job
+        self._posted.release()
+
+    def wait(self) -> Tuple[bool, object]:
+        """``(True, value)`` or ``(False, error)`` of the submitted job."""
+        self._finished.acquire()
+        outcome, self._outcome = self._outcome, (True, None)
+        return outcome
+
+
+# The process's worker, built on the first split; _worker_lock guards
+# building it.
+_worker: Optional[_Worker] = None
+_worker_lock = threading.Lock()
+
+
+def _drop_worker() -> None:
+    # A forked child inherits the worker object but not its thread, and
+    # may inherit the lock held: it builds its own of both.
+    global _worker, _worker_lock
+    _worker = None
+    _worker_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_drop_worker)
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _split_worthwhile(powers: int, modulus_bits: int) -> bool:
+    """Whether ``powers`` native exponentiations per side, modulo
+    ``modulus_bits``-bit moduli, pay for handing one side to a second
+    core (the crossover table is in docs/cost_model.md)."""
+    return (_lib is not None
+            and powers * modulus_bits ** 3 >= SPLIT_MIN_WORK
+            and _cpus() > 1)
+
+
+def run_pair(first: Callable[[], T], second: Callable[[], U],
+             powers: int, modulus_bits: int) -> Tuple[T, U]:
+    """``(first(), second())``, with ``first`` on the worker thread when
+    the split is worthwhile.
+
+    Both callables must be pure functions of their inputs whose time is
+    native :func:`powmod` calls (ctypes drops the interpreter lock
+    inside them), so the result cannot depend on which thread ran what.
+    An exception ``first`` raises on the worker is raised here, after
+    both sides finished.  A caller that finds the worker owned by
+    another thread runs both sides itself.
+    """
+    global _worker
+    if not _split_worthwhile(powers, modulus_bits):
+        return first(), second()
+    with _worker_lock:
+        if _worker is None:
+            _worker = _Worker()
+        worker = _worker
+    if not worker.busy.acquire(blocking=False):
+        return first(), second()
+    worker.submit(first)
+    try:
+        second_value = second()
+    finally:
+        # Released only once the job is collected: a wait interrupted
+        # here leaves the worker owned, and later batches run serially.
+        ok, first_value = worker.wait()
+        worker.busy.release()
+    if not ok:
+        raise first_value
+    return first_value, second_value
 
 
 def resident(values: Iterable[int],

@@ -13,21 +13,30 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.crypto.cpu_engine import CpuPaillierEngine
 from repro.crypto.gpu_engine import GpuPaillierEngine
+from repro.datasets.generators import synthetic_like
 from repro.federation import coordinator, wal
 from repro.federation.coordinator import (
     RoundStateMachine,
     StandbyCoordinator,
 )
+from repro.federation.eventloop import VirtualClock
 from repro.federation.faults import COORDINATOR_CRASH, FAILOVER, FaultPlan
 from repro.federation.runtime import (
     FLBOOSTER_SYSTEM,
+    WITHOUT_BC,
     FederationRuntime,
     cached_keypair,
 )
-from repro.federation.shard import ShardedAggregationService
+from repro.federation.shard import (
+    MultiTenantAggregationService,
+    ShardedAggregationService,
+)
+from repro.federation.tenancy import Tenant, TenantRegistry
 from repro.federation.wal import ROUND_CLOSE, UPLOAD_ACCEPTED, WriteAheadLog
 from repro.gpu.cost_model import HardwareProfile
+from repro.models.homo_lr import HomoLogisticRegression
 from repro.mpint import native
 from repro.quantization import encoding
 from repro.tensor import meta
@@ -111,6 +120,105 @@ def test_a_repeated_launch_shape_is_priced_once(monkeypatch):
         (launch.tasks, launch.word_multiplications, launch.bytes_in,
          launch.bytes_out) for launch in launches})
     assert len(priced) == 2
+
+
+@pytest.fixture
+def splits(monkeypatch):
+    """Per ``decrypt_batch``, in call order: (words, worker submissions
+    made inside it); ``"other"`` counts submissions made elsewhere."""
+    record = {"decrypts": [], "other": 0}
+    submit = native._Worker.submit
+
+    def counting_submit(worker, job):
+        record["other"] += 1
+        submit(worker, job)
+
+    monkeypatch.setattr(native._Worker, "submit", counting_submit)
+    for engine_cls in (CpuPaillierEngine, GpuPaillierEngine):
+        def counting_decrypt(engine, ciphertexts,
+                             _decrypt=engine_cls.decrypt_batch):
+            before = record["other"]
+            result = _decrypt(engine, ciphertexts)
+            record["decrypts"].append((len(ciphertexts),
+                                       record["other"] - before))
+            record["other"] = before
+            return result
+        monkeypatch.setattr(engine_cls, "decrypt_batch", counting_decrypt)
+    return record
+
+
+needs_two_cores = pytest.mark.skipif(
+    not native.HAVE_NATIVE or native._cpus() < 2,
+    reason="the CRT split needs the native library and two CPUs")
+
+
+@needs_two_cores
+def test_a_2048_bit_homo_lr_epoch_splits_each_decrypt_batch_once(splits):
+    """``homo_lr_pooled_2048``'s shape: each 16-word decrypt puts its
+    p-half on the worker, and the warm epoch obfuscates nothing."""
+    runtime = FederationRuntime(FLBOOSTER_SYSTEM, num_clients=4,
+                                key_bits=2048, physical_key_bits=2048,
+                                seed=7, he_backend="auto")
+    model = HomoLogisticRegression(synthetic_like(256, 1024, seed=7),
+                                   num_clients=4, rounds_per_epoch=1,
+                                   seed=7)
+    runtime.begin_epoch()
+    model.run_epoch(runtime)            # set-up: fills the pools
+    splits["decrypts"].clear()
+    splits["other"] = 0
+    runtime.begin_epoch()
+    model.run_epoch(runtime)
+    assert splits["decrypts"] == [(16, 1)]
+    assert splits["other"] == 0
+
+
+@needs_two_cores
+def test_a_cipher_hist_round_splits_nothing(splits):
+    """``cipher_hist_1024``'s shape: one-word bins decrypt under the
+    crossover, where waking the worker would cost more than it saves."""
+    runtime = FederationRuntime(WITHOUT_BC, num_clients=128, key_bits=1024,
+                                physical_key_bits=1024, seed=7,
+                                he_backend="auto")
+    encrypted = runtime.aggregator.encrypt_tensor(
+        np.linspace(-0.9, 0.9, 1024))
+    splits["decrypts"].clear()
+    splits["other"] = 0
+    for start in range(0, 1024, 128):
+        bin_sum = encrypted[start:start + 128].sum()
+        runtime.aggregator.decrypt_tensor(runtime.aggregator.send_tensor(
+            bin_sum.materialize(engine=runtime.server_engine),
+            sender="host", receiver="guest", tag="histogram"))
+    assert splits["decrypts"] == [(1, 0)] * 8
+    assert splits["other"] == 0
+
+
+@needs_two_cores
+def test_a_tenant_fanin_round_splits_nothing(splits):
+    """``tenant_fanin_2x128``'s shape: each tenant's 3-word root decrypt
+    sits under the crossover; only set-up's pool fills split."""
+    tenants = (("tenant-a", 1.0), ("tenant-b", 2.0))
+    runtimes = {tenant_id: FederationRuntime(
+        FLBOOSTER_SYSTEM, num_clients=128, key_bits=1024,
+        physical_key_bits=1024, seed=7 + 10 * offset, he_backend="auto")
+        for offset, (tenant_id, _) in enumerate(tenants)}
+    service = MultiTenantAggregationService(
+        TenantRegistry([Tenant(tenant_id, weight=weight, quota_rate=1.0e6,
+                               quota_burst=256)
+                        for tenant_id, weight in tenants]),
+        clock=VirtualClock(), queue_capacity=64, elastic=True)
+    for tenant_id, runtime in runtimes.items():
+        service.attach(tenant_id, runtime.aggregator)
+    rng = np.random.default_rng(7)
+    for round_index in range(2):       # round 0 is set-up
+        splits["decrypts"].clear()
+        splits["other"] = 0
+        vectors = {tenant_id: [rng.uniform(-1.0, 1.0, 64)
+                               for _ in range(128)]
+                   for tenant_id in runtimes}
+        report = service.run_round(vectors, round_index)
+        assert {o.status for o in report.outcomes.values()} == {"ok"}
+    assert splits["decrypts"] == [(3, 0), (3, 0)]
+    assert splits["other"] == 0
 
 
 @pytest.fixture

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import ast
 import gc
+import os
 import pathlib
+import select
+import signal
 import subprocess
 import sys
 import threading
@@ -20,6 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.crypto.keys import generate_paillier_keypair
+from repro.crypto.paillier import Paillier
 from repro.mpint import native
 from repro.mpint.native import (
     NATIVE_MIN_MODULUS_BITS,
@@ -28,6 +33,8 @@ from repro.mpint.native import (
     powmod,
     resident,
 )
+from repro.mpint.primes import LimbRandom
+from tests.conftest import seed_for
 
 needs_native = pytest.mark.skipif(
     not native.HAVE_NATIVE, reason="no libcrypto bound on this host")
@@ -264,6 +271,147 @@ def test_two_threads_interleaving_calls():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == expected
+
+
+# ----------------------------------------------------------------------
+# Two halves on two cores: run_pair.
+# ----------------------------------------------------------------------
+
+@pytest.fixture()
+def two_cpus(monkeypatch):
+    """Affinity reads two CPUs, so the split runs under ``taskset`` too."""
+    monkeypatch.setattr(native, "_cpus", lambda: 2)
+
+
+@pytest.fixture()
+def submissions(monkeypatch):
+    """Each callable handed to the worker thread."""
+    jobs = []
+    submit = native._Worker.submit
+
+    def spy(worker, job):
+        jobs.append(job)
+        submit(worker, job)
+
+    monkeypatch.setattr(native._Worker, "submit", spy)
+    return jobs
+
+
+@pytest.fixture()
+def always_split(two_cpus, monkeypatch):
+    monkeypatch.setattr(native, "SPLIT_MIN_WORK", 0)
+
+
+def _keypair(bits, seed):
+    return generate_paillier_keypair(bits, rng=LimbRandom(seed=seed))
+
+
+def _ciphertexts(keypair, count, seed):
+    draws = LimbRandom(seed=seed)
+    values = [draws.random_unit(keypair.public_key.n)
+              for _ in range(count)]
+    return values, [Paillier.raw_encrypt(keypair.public_key, m, rng=draws)
+                    for m in values]
+
+
+@needs_native
+@pytest.mark.parametrize("bits, count, splits", (
+    (2048, 16, True),     # homo_lr_pooled_2048's decrypt_batch
+    (1024, 1, False),     # one cipher_hist_1024 bin
+    (1024, 3, False),     # a tenant_fanin_2x128 root decrypt
+))
+def test_crossover_on_both_sides(two_cpus, submissions, bits, count,
+                                 splits):
+    """Both sides of the measured crossover (docs/cost_model.md)."""
+    keypair = _keypair(bits, seed=seed_for(7400 + bits))
+    values, ciphertexts = _ciphertexts(keypair, count, seed_for(7401))
+    pri = keypair.private_key
+    assert Paillier.raw_decrypt_batch(pri, ciphertexts) == values
+    assert len(submissions) == int(splits)
+    for modulus_bits in (pri.p_squared.bit_length(), bits - 1, bits):
+        assert native._split_worthwhile(count, modulus_bits) is splits
+
+
+@needs_native
+def test_one_cpu_or_no_library_runs_serially(submissions, monkeypatch):
+    monkeypatch.setattr(native.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert not native._split_worthwhile(16, 2048)
+    monkeypatch.setattr(native, "_cpus", lambda: 2)
+    assert native._split_worthwhile(16, 2048)
+    monkeypatch.setattr(native, "_lib", None)
+    assert not native._split_worthwhile(16, 2048)
+    assert native.run_pair(lambda: 1, lambda: 2, 16, 2048) == (1, 2)
+    assert submissions == []
+
+
+@needs_native
+def test_split_halves_are_the_serial_integers(always_split, submissions):
+    keypair = _keypair(512, seed=seed_for(7410))
+    pub, pri = keypair.public_key, keypair.private_key
+    values, ciphertexts = _ciphertexts(keypair, 9, seed_for(7411))
+    assert Paillier.raw_decrypt_batch(pri, ciphertexts) == values == [
+        Paillier.raw_decrypt_textbook(pri, c) for c in ciphertexts]
+    draws = LimbRandom(seed=seed_for(7412))
+    randomizers = [draws.random_unit(pub.n) for _ in range(9)]
+    assert pri.obfuscators(randomizers) == \
+        [pow(r, pub.n, pub.n_squared) for r in randomizers]
+    assert len(submissions) == 2
+
+
+@needs_native
+def test_a_worker_failure_raises_on_the_caller_and_the_worker_lives_on(
+        always_split, submissions):
+    caller = threading.get_ident()
+
+    def fail():
+        raise ZeroDivisionError("on the worker")
+
+    with pytest.raises(ZeroDivisionError, match="on the worker"):
+        native.run_pair(fail, threading.get_ident, 1, 2048)
+    with pytest.raises(KeyError, match="on the caller"):
+        native.run_pair(threading.get_ident, lambda: {}["on the caller"],
+                        1, 2048)
+    worker_thread, caller_thread = native.run_pair(
+        threading.get_ident, threading.get_ident, 1, 2048)
+    assert caller_thread == caller != worker_thread
+    assert len(submissions) == 3
+    # A worker another caller owns is not waited for: both sides run here.
+    with native._worker.busy:
+        assert native.run_pair(threading.get_ident, threading.get_ident,
+                               1, 2048) == (caller, caller)
+    assert len(submissions) == 3
+
+
+@needs_native
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this OS")
+def test_a_child_forked_after_a_split_builds_its_own_worker(
+        always_split, submissions):
+    keypair = _keypair(512, seed=seed_for(7420))
+    values, ciphertexts = _ciphertexts(keypair, 8, seed_for(7421))
+    pri = keypair.private_key
+    assert Paillier.raw_decrypt_batch(pri, ciphertexts) == values
+    assert native._worker is not None and len(submissions) == 1
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: report, then leave without unwinding pytest
+        try:
+            fresh = native._worker is None
+            result = Paillier.raw_decrypt_batch(pri, ciphertexts)
+            ok = fresh and result == values and len(submissions) == 2
+            os.write(write, b"1" if ok else b"0")
+        finally:
+            os._exit(0)
+    os.close(write)
+    try:
+        ready, _, _ = select.select([read], [], [], 120)
+        if not ready:
+            os.kill(pid, signal.SIGKILL)
+        assert ready, "the forked child did not finish its decrypt"
+        assert os.read(read, 1) == b"1"
+    finally:
+        os.close(read)
+        os.waitpid(pid, 0)
 
 
 # ----------------------------------------------------------------------
