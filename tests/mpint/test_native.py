@@ -17,6 +17,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -384,6 +385,44 @@ def test_a_worker_failure_raises_on_the_caller_and_the_worker_lives_on(
 
 
 @needs_native
+def test_callers_racing_for_the_worker_each_get_their_own_halves(
+        always_split, submissions):
+    """Four callers on two cores: whoever finds the worker owned runs
+    both halves itself, and no caller ever collects another's result."""
+    moduli = [(1 << 521) - 1, (1 << 607) - 1, (1 << 1279) - 1,
+              (1 << 2203) - 1]
+    rounds = 100
+    results = [[] for _ in moduli]
+
+    def work(slot):
+        modulus = moduli[slot]
+        for i in range(rounds):
+            results[slot].append(native.run_pair(
+                lambda: powmod(i + 2, 65537, modulus),
+                lambda: powmod(i + 3, 65537, modulus),
+                1, modulus.bit_length()))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(slot,), daemon=True)
+                   for slot in range(len(moduli))]
+        for thread in threads:
+            thread.start()
+        # One deadline for all: a lost handoff hangs every caller.
+        deadline = time.monotonic() + 30
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[(pow(i + 2, 65537, modulus),
+                         pow(i + 3, 65537, modulus))
+                        for i in range(rounds)] for modulus in moduli]
+    assert 0 < len(submissions) <= len(moduli) * rounds
+
+
+@needs_native
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this OS")
 def test_a_child_forked_after_a_split_builds_its_own_worker(
         always_split, submissions):
@@ -404,7 +443,7 @@ def test_a_child_forked_after_a_split_builds_its_own_worker(
             os._exit(0)
     os.close(write)
     try:
-        ready, _, _ = select.select([read], [], [], 120)
+        ready, _, _ = select.select([read], [], [], 30)
         if not ready:
             os.kill(pid, signal.SIGKILL)
         assert ready, "the forked child did not finish its decrypt"
