@@ -24,7 +24,6 @@ from repro.crypto.keys import (
 from repro.crypto.paillier import Paillier
 from repro.crypto.rsa import Rsa
 from repro.gpu.kernels import GpuKernels
-from repro.mpint.native import powmod
 from repro.mpint.primes import LimbRandom
 from repro.quantization.packing import PackingPlan
 from repro.tensor.cipher import CipherTensor
@@ -53,26 +52,37 @@ class PaillierApi:
 
     def encrypt(self, pub_key: PaillierPublicKey,
                 plaintext: Ints) -> List[int]:
-        """Encrypt an array of plaintexts (one GPU batch)."""
+        """Encrypt an array of plaintexts in ``[0, n)`` (one GPU batch)."""
         values = _as_list(plaintext)
         n = pub_key.n
         n_squared = pub_key.n_squared
-        g_m = [(1 + (m % n) * n) % n_squared if pub_key.g == n + 1
-               else powmod(pub_key.g, m % n, n_squared) for m in values]
+        for value in values:
+            if not 0 <= value < n:
+                raise ValueError(f"plaintext {value} outside [0, n)")
+        g_m = [1 + m * n for m in values]
         randomizers = [self.rng.random_unit(n) for _ in values]
         r_n = self.kernels.mod_pow_scalar_exponent(randomizers, n, n_squared)
         return self.kernels.mod_mul(g_m, r_n, n_squared)
 
     def decrypt(self, pri_key: PaillierPrivateKey,
                 ciphertext: Ints) -> List[int]:
-        """Decrypt an array of ciphertexts (one GPU batch)."""
+        """Decrypt an array of ciphertexts in ``[0, n^2)`` (one GPU batch).
+
+        The values come from :meth:`Paillier.raw_decrypt_batch`; the
+        launches charged are the ``c^lambda mod n^2`` kernel and the
+        ``mu`` multiplication modulo ``n``, as the GPU engine charges
+        them.
+        """
         values = _as_list(ciphertext)
+        if not values:
+            raise ValueError("cannot decrypt an empty batch")
+        results = Paillier.raw_decrypt_batch(pri_key, values)
         public = pri_key.public_key
-        c_lambda = self.kernels.mod_pow_scalar_exponent(
-            values, pri_key.lam, public.n_squared)
-        l_values = [(value - 1) // public.n for value in c_lambda]
-        return self.kernels.mod_mul(
-            l_values, [pri_key.mu] * len(l_values), public.n)
+        self.kernels.charge_mod_pow(len(values),
+                                    public.n_squared.bit_length(),
+                                    pri_key.lam.bit_length())
+        self.kernels.charge_mod_mul(len(values), public.n.bit_length())
+        return results
 
     def add(self, pub_key: PaillierPublicKey, ciphertext1: Ints,
             ciphertext2: Ints) -> List[int]:

@@ -16,8 +16,8 @@ Engines split the *where* from the *what*:
 - :class:`repro.crypto.gpu_engine.GpuPaillierEngine` -- batched kernels on
   the simulated GPU (the HAFLO / FLBooster path).
 - :class:`repro.crypto.vector_engine.VectorPaillierEngine` -- batched
-  limb-plane execution on real numpy arrays (CRT decryption, fixed-base
-  windows, pooled obfuscators); resolvable only when numpy is available.
+  limb-plane execution on real numpy arrays (CRT decryption, pooled
+  obfuscators); resolvable only when numpy is available.
 
 Exports resolve lazily (PEP 562) so that the numpy-free pieces --
 :mod:`repro.crypto.keys`, :mod:`repro.crypto.paillier`,

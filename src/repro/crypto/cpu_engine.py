@@ -22,7 +22,7 @@ from repro.ledger import (
     CAT_HE_SCALAR_MUL,
     CostLedger,
 )
-from repro.mpint.native import mulmod_batch, powmod
+from repro.mpint.native import mulmod_batch
 from repro.mpint.primes import LimbRandom
 
 
@@ -48,21 +48,10 @@ class CpuPaillierEngine(HeEngine):
         self.profile = profile
 
     def encrypt_batch(self, plaintexts: Sequence[int]) -> List[int]:
-        """Encrypt sequentially, charging per-op CPU time.
-
-        The standard generator ``g = n + 1`` takes the one-product route
-        of :meth:`HeEngine._encrypt_standard`; any other ``g`` pays its
-        ``g^m`` modexp.
-        """
+        """Encrypt by the one-product route of
+        :meth:`HeEngine._encrypt_standard`, charging per-op CPU time."""
         self._check_plaintexts(plaintexts)
-        n = self.public_key.n
-        n_squared = self.public_key.n_squared
-        if self.public_key.g == n + 1:
-            results = self._encrypt_standard(plaintexts)
-        else:
-            results = [powmod(self.public_key.g, m, n_squared)
-                       * self._randomizer_power() % n_squared
-                       for m in plaintexts]
+        results = self._encrypt_standard(plaintexts)
         self._charge(CAT_HE_ENCRYPT, len(plaintexts),
                      self.profile.words_per_encrypt(self.nominal_bits))
         return results

@@ -84,10 +84,6 @@ class RandomizerPool:
         self._residues = [power % n for power in self._powers]
         self._cursor = 0
 
-    def take(self, count: int = 1) -> List[int]:
-        """The next ``count`` pooled powers, cycling the cursor."""
-        return self.take_with_residues(count)[0]
-
     def take_with_residues(self, count: int
                            ) -> Tuple[List[int], List[int]]:
         """The next ``count`` pooled powers and their residues mod
@@ -305,45 +301,39 @@ class HeEngine(ABC):
                     f"plaintext {value} outside [0, {bound}); encode first")
 
     def _encrypt_standard(self, plaintexts: Sequence[int]) -> List[int]:
-        """Encrypt under the standard generator ``g = n + 1``.
+        """Encrypt under the generator ``g = n + 1``.
 
         ``g^m r^n`` is ``(1 + m n) r^n mod n^2 = r^n + n (m r^n mod n)``
         (because ``m n x mod n^2 = n (m x mod n)``): one product modulo
         ``n``, taken against ``r^n mod n``.  The sum is below ``2 n^2``,
         so its reduction modulo ``n^2`` is one conditional subtraction.
-        Randomizers are drawn in plaintext order, one per value, all of
-        them before the batch's powers are taken.
         """
         n = self.public_key.n
         n_squared = self.public_key.n_squared
-        if self._randomizer_pool is None:
-            powers = self._obfuscators(
-                [self.rng.random_unit(n) for _ in plaintexts])
-            residues = [power % n for power in powers]
-        else:
-            powers, residues = self._filled_pool().take_with_residues(
-                len(plaintexts))
+        powers, residues = self._take_obfuscators(len(plaintexts))
         results = []
         for m, power, residue in zip(plaintexts, powers, residues):
             word = power + n * (m * residue % n)
             results.append(word - n_squared if word >= n_squared else word)
         return results
 
-    def _randomizer_power(self) -> int:
-        """Return ``r^n mod n^2`` for a fresh-enough randomizer.
+    def _take_obfuscators(self, count: int) -> Tuple[List[int], List[int]]:
+        """``count`` powers ``r^n mod n^2`` and their residues mod ``n``.
 
-        With ``randomizer_pool_size == 0`` a fresh randomizer is drawn
-        and exponentiated every call (full cryptographic hygiene).  A
-        positive pool size precomputes that many powers and cycles
-        through them -- an experiment-harness speed knob: the *charged*
-        cost is unchanged (the cost model always prices a full ``r^n``),
-        only the physical Python arithmetic is amortized.  Either way
-        the power itself comes from the held key's ``obfuscators``.
+        With ``randomizer_pool_size == 0`` every randomizer is drawn
+        first, in order, and the held key's ``obfuscators`` raises them
+        all in one call (full cryptographic hygiene).  A positive pool
+        size cycles through that many precomputed powers -- an
+        experiment-harness speed knob: the *charged* cost is unchanged
+        (the cost model always prices a full ``r^n``), only the physical
+        Python arithmetic is amortized.
         """
-        if self._randomizer_pool is None:
-            return self._obfuscators(
-                [self.rng.random_unit(self.public_key.n)])[0]
-        return self._filled_pool().take(1)[0]
+        if self._randomizer_pool is not None:
+            return self._filled_pool().take_with_residues(count)
+        n = self.public_key.n
+        powers = self._obfuscators(
+            [self.rng.random_unit(n) for _ in range(count)])
+        return powers, [power % n for power in powers]
 
     def _filled_pool(self) -> RandomizerPool:
         """The randomizer pool, filled from ``self.rng`` on first use."""

@@ -1,8 +1,8 @@
 """GPU Paillier engine: the HAFLO / FLBooster path (paper Sec. IV-A3).
 
 Batches are executed by the simulated GPU kernels: encryption is the
-``g^m`` multiplication plus an ``r^n`` exponentiation kernel and a final
-modular-multiplication kernel; decryption is the ``c^lambda`` kernel
+``g^m = 1 + m n`` multiplication plus an ``r^n`` exponentiation kernel and
+a final modular-multiplication kernel; decryption is the ``c^lambda`` kernel
 followed by the ``L``-function and a ``mu`` multiplication kernel;
 homomorphic addition is one modular-multiplication kernel.
 
@@ -29,7 +29,6 @@ from repro.ledger import (
     CAT_HE_SCALAR_MUL,
     CostLedger,
 )
-from repro.mpint.native import powmod
 from repro.mpint.primes import LimbRandom
 
 
@@ -64,40 +63,16 @@ class GpuPaillierEngine(HeEngine):
         self._check_plaintexts(plaintexts)
         if not plaintexts:
             return []
-        n = self.public_key.n
-        n_squared = self.public_key.n_squared
-        standard = self.public_key.g == n + 1
         with self._charging(CAT_HE_ENCRYPT, len(plaintexts)):
-            if standard:
-                # g^m = 1 + m n: charged as its mod_mul launch, and never
-                # formed (the product below folds it in).
-                self.kernels.charge_mod_mul(len(plaintexts),
-                                            self._work_bits)
-            else:
-                g_m = [powmod(self.public_key.g, m, n_squared)
-                       for m in plaintexts]
-                self.kernels.charge_mod_pow(len(plaintexts),
-                                            self._work_bits,
-                                            self.nominal_bits)
-            # Physical r^n values come from the (possibly pooled)
-            # randomizer source; the launch is charged at full cost.
-            if standard:
-                # The one-product route (HeEngine._encrypt_standard):
-                # the same integers, charged as the r^n launch and the
-                # final mod_mul launch.
-                results = self._encrypt_standard(plaintexts)
-                self.kernels.charge_mod_pow(len(plaintexts),
-                                            self._work_bits,
-                                            self.nominal_bits)
-                self.kernels.charge_mod_mul(len(plaintexts),
-                                            self._work_bits)
-            else:
-                r_n = [self._randomizer_power() for _ in plaintexts]
-                self.kernels.charge_mod_pow(len(plaintexts),
-                                            self._work_bits,
-                                            self.nominal_bits)
-                results = self.kernels.mod_mul(g_m, r_n, n_squared,
-                                               work_bits=self._work_bits)
+            # The one-product route (HeEngine._encrypt_standard): g^m =
+            # 1 + m n is never formed, and r^n comes from the (possibly
+            # pooled) randomizer source.  Charged as the kernels would
+            # run it: the g^m mod_mul, the r^n mod_pow, the final mod_mul.
+            results = self._encrypt_standard(plaintexts)
+            self.kernels.charge_mod_mul(len(plaintexts), self._work_bits)
+            self.kernels.charge_mod_pow(len(plaintexts), self._work_bits,
+                                        self.nominal_bits)
+            self.kernels.charge_mod_mul(len(plaintexts), self._work_bits)
         return results
 
     def decrypt_batch(self, ciphertexts: Sequence[int]) -> List[int]:

@@ -2,10 +2,10 @@
 
 Key generation follows the paper exactly: two large primes ``p`` and ``q``
 of equal length from the Miller-Rabin generator, ``n = p * q``,
-``lambda = lcm(p - 1, q - 1)``, and a generator ``g`` in ``Z*_{n^2}``.
-The default generator is ``g = n + 1``, the standard choice that turns
-``g^m`` into the single multiplication ``1 + m n``; arbitrary generators
-are supported for faithfulness to Eq. 3.
+``lambda = lcm(p - 1, q - 1)``, and the generator ``g = n + 1``, the
+standard choice (FATE's too) that turns ``g^m`` into the single
+multiplication ``1 + m n``.  It is the only generator: the private
+constants below follow from it in closed form.
 """
 
 from __future__ import annotations
@@ -20,16 +20,14 @@ from repro.mpint.primes import LimbRandom, generate_distinct_primes
 
 @dataclass(frozen=True)
 class PaillierPublicKey:
-    """Paillier public key ``(g, n)``.
+    """Paillier public key ``(g, n)`` with ``g = n + 1``.
 
     Attributes:
         n: The modulus ``p * q``.
-        g: Generator in ``Z*_{n^2}``; ``n + 1`` unless specified.
         key_bits: Bit length of ``n`` at generation time.
     """
 
     n: int
-    g: int
     key_bits: int
     #: The ciphertext modulus ``n^2``, computed once (derived from ``n``,
     #: so it takes no part in equality, hashing or repr).
@@ -37,6 +35,11 @@ class PaillierPublicKey:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_squared", self.n * self.n)
+
+    @property
+    def g(self) -> int:
+        """The generator ``n + 1``, so ``g^m = 1 + m n mod n^2``."""
+        return self.n + 1
 
     def obfuscator(self, r: int) -> int:
         """``r^n mod n^2``, the randomizing factor of Eq. 3.
@@ -87,24 +90,18 @@ class PaillierPrivateKey:
     def __post_init__(self) -> None:
         if self.p * self.q != self.public_key.n:
             raise ValueError("private primes do not match the public modulus")
-        lam = math.lcm(self.p - 1, self.q - 1)
-        n = self.public_key.n
-        n_squared = self.public_key.n_squared
-        g_lambda = powmod(self.public_key.g, lam, n_squared)
-        l_value = (g_lambda - 1) // n
-        mu = powmod(l_value, -1, n)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "mu", mu)
-        # CRT constants: hp = L_p(g^(p-1) mod p^2)^-1 mod p, and
-        # symmetrically for q.
         p, q = self.p, self.q
-        g = self.public_key.g
+        lam = math.lcm(p - 1, q - 1)
+        # With g = n + 1, g^k = 1 + k n mod n^2, so the textbook
+        # mu = L(g^lambda mod n^2)^-1 mod n is lambda^-1 mod n, and
+        # hp = L_p(g^(p-1) mod p^2)^-1 mod p is (-q mod p)^-1 mod p
+        # (symmetrically hq): no modexp at all.
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "mu", powmod(lam, -1, self.public_key.n))
+        object.__setattr__(self, "hp", powmod(-q % p, -1, p))
+        object.__setattr__(self, "hq", powmod(-p % q, -1, q))
         p_squared = p * p
         q_squared = q * q
-        hp = powmod((powmod(g, p - 1, p_squared) - 1) // p, -1, p)
-        hq = powmod((powmod(g, q - 1, q_squared) - 1) // q, -1, q)
-        object.__setattr__(self, "hp", hp)
-        object.__setattr__(self, "hq", hq)
         object.__setattr__(self, "q_inverse", powmod(q, -1, p))
         object.__setattr__(self, "p_squared", p_squared)
         object.__setattr__(self, "q_squared", q_squared)
@@ -160,14 +157,12 @@ class PaillierKeypair:
 
 
 def generate_paillier_keypair(key_bits: int,
-                              rng: Optional[LimbRandom] = None,
-                              generator: Optional[int] = None) -> PaillierKeypair:
+                              rng: Optional[LimbRandom] = None) -> PaillierKeypair:
     """Generate a Paillier keypair of ``key_bits`` modulus length.
 
     Args:
         key_bits: Target bit length of ``n``; each prime gets half.
         rng: Deterministic random source (per-thread generator).
-        generator: Explicit ``g``; defaults to ``n + 1``.
     """
     if key_bits < 16:
         raise ValueError("key_bits must be at least 16")
@@ -181,10 +176,7 @@ def generate_paillier_keypair(key_bits: int,
         # check is cheap and guards tiny test keys.
         if math.gcd(n, (p - 1) * (q - 1)) == 1:
             break
-    g = generator if generator is not None else n + 1
-    if math.gcd(g, n) != 1:
-        raise ValueError("generator must be a unit modulo n^2")
-    public = PaillierPublicKey(n=n, g=g, key_bits=key_bits)
+    public = PaillierPublicKey(n=n, key_bits=key_bits)
     private = PaillierPrivateKey(p=p, q=q, public_key=public)
     return PaillierKeypair(public_key=public, private_key=private)
 

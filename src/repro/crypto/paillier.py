@@ -1,7 +1,7 @@
 """The Paillier cryptosystem (paper Sec. III-B, Eqs. 3-5).
 
 Implements the four processes the paper describes -- key generation,
-encryption ``E(m) = g^m r^n mod n^2``, decryption
+encryption ``E(m) = g^m r^n mod n^2`` with ``g = n + 1``, decryption
 ``D(c) = L(c^lambda mod n^2) / L(g^lambda mod n^2) mod n``, and the
 additive homomorphic property ``E(m1) * E(m2) = E(m1 + m2)`` -- plus the
 scalar multiplication ``E(m)^k = E(k m)`` federated aggregation uses.
@@ -62,12 +62,8 @@ class Paillier:
             r = rng.random_unit(n)
         elif math.gcd(r, n) != 1:
             raise ValueError("randomizer must be a unit modulo n")
-        if public_key.g == n + 1:
-            # g^m = (1 + n)^m = 1 + m n (mod n^2): one multiplication.
-            g_m = (1 + plaintext * n) % n_squared
-        else:
-            g_m = powmod(public_key.g, plaintext, n_squared)
-        return (g_m * public_key.obfuscator(r)) % n_squared
+        # g^m = (1 + n)^m = 1 + m n (mod n^2): one multiplication.
+        return (1 + plaintext * n) * public_key.obfuscator(r) % n_squared
 
     @staticmethod
     def raw_decrypt(private_key: PaillierPrivateKey, ciphertext: int) -> int:

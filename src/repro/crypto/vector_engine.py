@@ -9,8 +9,7 @@ optimizations stacked on top --
 
 - CRT-split decryption (half-size mod-``p^2``/mod-``q^2``
   exponentiations recombined via Garner),
-- the binomial ``1 + m n`` shortcut (or a fixed-base window table for
-  arbitrary generators) for ``g^m``, and
+- the binomial ``1 + m n`` shortcut for ``g^m``, and
 - the ``r^n`` obfuscators of :class:`~repro.crypto.engine.HeEngine`
   (the key-holder scalar route, amortized by a
   :class:`~repro.crypto.engine.RandomizerPool` by default), which are
@@ -99,11 +98,10 @@ class VectorPaillierEngine(HeEngine):
         count = len(plaintexts)
         if count == 0:
             return []
-        # One sequential draw (or pooled power) per plaintext, exactly
-        # as the scalar engines take them.
-        obfuscators = limb_plane.ints_to_plane(
-            [self._randomizer_power() for _ in range(count)],
-            self._plane.num_limbs)
+        # The scalar engines' draws and powers, taken the same way.
+        powers, _ = self._take_obfuscators(count)
+        obfuscators = limb_plane.ints_to_plane(powers,
+                                               self._plane.num_limbs)
         results = self._encryptor.finish(plaintexts, obfuscators)
         self._charge(CAT_HE_ENCRYPT, count,
                      self.profile.words_per_encrypt(self.nominal_bits))

@@ -1,7 +1,7 @@
 """Batched Paillier mathematics on limb planes (numpy-optional).
 
 The pieces of the vectorized Paillier path that are pure mathematics --
-CRT-split decryption and fixed-base ``g^m`` exponentiation -- live here,
+CRT-split decryption and the ``g^m r^n`` product -- live here,
 importable without numpy (and without the engine/tensor stack), so the
 mpint property suites can diff-test them directly against the scalar
 formulas in :mod:`repro.crypto.paillier`.  Constructing any of the
@@ -14,12 +14,10 @@ helpers with the ledger/tensor plumbing of the engine abstraction.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.crypto.keys import PaillierPrivateKey, PaillierPublicKey
 from repro.mpint.limb_plane import (
-    FIXED_BASE_WINDOW_BITS,
-    FixedBaseTable,
     PlaneContext,
     ints_to_plane,
     plane_to_ints,
@@ -79,43 +77,21 @@ class CrtDecryptor:
 class VectorEncryptor:
     """Vectorized Paillier encryption core (``g^m`` times an obfuscator).
 
-    ``g = n + 1`` uses the binomial shortcut ``1 + m n mod n^2`` (one
-    big-integer multiplication per value); any other generator goes
-    through a precomputed :class:`~repro.mpint.limb_plane.FixedBaseTable`
-    over ``m``'s full range.  The caller supplies the ``r^n`` obfuscator
-    plane (pooled or freshly exponentiated) and gets the finished
-    ciphertext batch from one batched modular multiplication.
+    ``g^m`` is the binomial ``1 + m n mod n^2`` (one big-integer
+    multiplication per value).  The caller supplies the ``r^n``
+    obfuscator plane (pooled or freshly exponentiated) and gets the
+    finished ciphertext batch from one batched modular multiplication.
     """
 
-    def __init__(self, public_key: PaillierPublicKey,
-                 window_bits: int = FIXED_BASE_WINDOW_BITS):
+    def __init__(self, public_key: PaillierPublicKey):
         require_numpy()
         self.public_key = public_key
-        self._n = public_key.n
-        self._n_squared = public_key.n_squared
-        self.plane = PlaneContext(self._n_squared)
-        self._fixed_base: Optional[FixedBaseTable] = None
-        self._window_bits = window_bits
-
-    def fixed_base_table(self) -> FixedBaseTable:
-        """The (lazily built) ``g^m`` window table for general ``g``."""
-        if self._fixed_base is None:
-            self._fixed_base = FixedBaseTable(
-                self.plane, self.public_key.g,
-                max_exponent_bits=self._n.bit_length(),
-                window_bits=self._window_bits)
-        return self._fixed_base
-
-    def g_pow_plane(self, plaintexts: Sequence[int]):
-        """``g^m mod n^2`` for every plaintext, as a canonical plane."""
-        n, n_squared = self._n, self._n_squared
-        if self.public_key.g == n + 1:
-            g_m = [(1 + m * n) % n_squared for m in plaintexts]
-            return ints_to_plane(g_m, self.plane.num_limbs)
-        return self.fixed_base_table().pow(plaintexts)
+        self.plane = PlaneContext(public_key.n_squared)
 
     def finish(self, plaintexts: Sequence[int],
                obfuscator_plane) -> List[int]:
         """Combine ``g^m`` with the obfuscators: the ciphertext batch."""
-        g_plane = self.g_pow_plane(plaintexts)
+        n = self.public_key.n
+        g_plane = ints_to_plane([1 + m * n for m in plaintexts],
+                                self.plane.num_limbs)
         return plane_to_ints(self.plane.mod_mul(g_plane, obfuscator_plane))

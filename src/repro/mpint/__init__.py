@@ -11,8 +11,7 @@ the arithmetic the paper builds on it:
 - :mod:`repro.mpint.modexp` -- sliding-window modular exponentiation.
 - :mod:`repro.mpint.primes` -- Miller-Rabin testing and prime generation.
 - :mod:`repro.mpint.limb_plane` -- batched limb-matrix (numpy) CIOS
-  multiplication, shared/varying modexp, and fixed-base window tables;
-  optional, degrades to :data:`~repro.mpint.limb_plane.HAVE_NUMPY` =
+  multiplication and shared/varying modexp; optional, degrades to :data:`~repro.mpint.limb_plane.HAVE_NUMPY` =
   ``False`` without numpy.
 """
 
@@ -31,7 +30,6 @@ from repro.mpint.modexp import mod_pow, sliding_window_pow
 from repro.mpint.primes import is_probable_prime, generate_prime, LimbRandom
 from repro.mpint.limb_plane import (
     HAVE_NUMPY,
-    FixedBaseTable,
     PlaneContext,
     batched_pow,
     ints_to_plane,
@@ -53,7 +51,6 @@ __all__ = [
     "LimbRandom",
     "HAVE_NUMPY",
     "PlaneContext",
-    "FixedBaseTable",
     "batched_pow",
     "ints_to_plane",
     "plane_to_ints",

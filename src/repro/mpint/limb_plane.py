@@ -42,7 +42,6 @@ from typing import Dict, List, Sequence
 
 from repro.mpint.limbs import WORD_BITS, from_int
 from repro.mpint.montgomery import MontgomeryContext
-from repro.mpint.native import powmod
 
 try:  # pragma: no cover - exercised via the no-numpy CI job
     import numpy as _np
@@ -55,10 +54,6 @@ except ImportError:  # pragma: no cover
 #: Default sliding-window width for batched exponentiation (matches
 #: :data:`repro.mpint.modexp.DEFAULT_WINDOW_BITS`).
 DEFAULT_WINDOW_BITS = 5
-
-#: Default window width for fixed-base tables; wider than the sliding
-#: window because table build cost is amortized across every batch.
-FIXED_BASE_WINDOW_BITS = 6
 
 
 def require_numpy():
@@ -331,81 +326,6 @@ class PlaneContext:
                 multiplied = self.mont_mul(result, mont_base)
                 result = np.where(select, multiplied, result)
         return self.exit_montgomery(result)
-
-
-# ----------------------------------------------------------------------
-# Fixed-base windowed exponentiation.
-# ----------------------------------------------------------------------
-
-class FixedBaseTable:
-    """Precomputed windowed powers of one base for batched modexp.
-
-    For a fixed base ``g`` and window width ``w``, stores
-    ``g^(d * 2^(w*j)) mod N`` for every window ``j`` and digit ``d`` in
-    Montgomery form.  :meth:`pow` then needs one gathered Montgomery
-    multiplication per nonzero window digit -- no squarings at all --
-    which is the classic fixed-base trade for Paillier ``g^m``
-    encryption under an arbitrary generator.
-    """
-
-    def __init__(self, plane: PlaneContext, base: int,
-                 max_exponent_bits: int,
-                 window_bits: int = FIXED_BASE_WINDOW_BITS):
-        require_numpy()
-        if max_exponent_bits <= 0:
-            raise ValueError("max_exponent_bits must be positive")
-        if window_bits <= 0:
-            raise ValueError("window_bits must be positive")
-        self.plane = plane
-        self.base = base % plane.modulus
-        self.window_bits = window_bits
-        self.num_windows = -(-max_exponent_bits // window_bits)
-        self.radix = 1 << window_bits
-        modulus = plane.modulus
-        r_mod = plane.r_mod
-        #: Row ``j`` holds ``g^(d << (w j))`` for every digit ``d``, in
-        #: Montgomery form.
-        self._mont_rows = []
-        window_base = self.base
-        for _ in range(self.num_windows):
-            mont_row: List[int] = []
-            value = 1
-            for _digit in range(self.radix):
-                mont_row.append((value * r_mod) % modulus)
-                value = (value * window_base) % modulus
-            self._mont_rows.append(
-                ints_to_plane(mont_row, plane.num_limbs))
-            window_base = powmod(window_base, self.radix, modulus)
-
-    @property
-    def max_exponent_bits(self) -> int:
-        """Largest exponent bit-length this table covers."""
-        return self.num_windows * self.window_bits
-
-    def pow(self, exponents: Sequence[int]):
-        """``base ** exponents[j] mod N`` per column, canonical output."""
-        np = _np
-        exps = [int(e) for e in exponents]
-        digit_mask = self.radix - 1
-        limit = 1 << self.max_exponent_bits
-        for e in exps:
-            if not 0 <= e < limit:
-                raise ValueError(
-                    f"exponent {e} outside this table's "
-                    f"{self.max_exponent_bits}-bit range")
-        result = None
-        for window in range(self.num_windows):
-            digits = np.array(
-                [(e >> (window * self.window_bits)) & digit_mask
-                 for e in exps], dtype=np.intp)
-            if result is not None and not digits.any():
-                continue
-            gathered = self._mont_rows[window][:, digits]
-            if result is None:
-                result = gathered
-            else:
-                result = self.plane.mont_mul(result, gathered)
-        return self.plane.exit_montgomery(result)
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ class TestPaillierApi:
 
     def test_encrypt_decrypt_array(self, fl, paillier_keys):
         pri, pub = paillier_keys
-        values = [0, 1, 12345, 999999]
+        values = [0, 1, 12345, 999999, pub.n - 1]
         assert fl.paillier.decrypt(pri, fl.paillier.encrypt(pub, values)) \
             == values
 
@@ -52,6 +52,64 @@ class TestPaillierApi:
         a = fl.paillier.encrypt(pub, [5])
         b = fl.paillier.encrypt(pub, [5])
         assert a != b
+
+
+#: Out-of-range inputs as functions of the modulus ``n``.
+BELOW_ZERO = pytest.param(lambda n: -1, id="minus-one")
+PLAINTEXTS_OUT_OF_RANGE = [BELOW_ZERO,
+                           pytest.param(lambda n: n, id="n"),
+                           pytest.param(lambda n: n + 5, id="n-plus-5")]
+CIPHERTEXTS_OUT_OF_RANGE = [BELOW_ZERO,
+                            pytest.param(lambda n: n * n, id="n-squared"),
+                            pytest.param(lambda n: n * n + 3,
+                                         id="n-squared-plus-3")]
+
+
+class TestPaillierApiRanges:
+    """Encrypt takes plaintexts in [0, n) and decrypt ciphertexts in
+    [0, n^2), like the engines; a rejected batch launches nothing."""
+
+    @pytest.mark.parametrize("bad", PLAINTEXTS_OUT_OF_RANGE)
+    def test_encrypt_rejects_plaintexts_outside_zn(self, fl, paillier_keys,
+                                                   bad):
+        _, pub = paillier_keys
+        launches = len(fl.kernels.device.launches)
+        with pytest.raises(ValueError, match="outside"):
+            fl.paillier.encrypt(pub, [5, bad(pub.n)])
+        assert len(fl.kernels.device.launches) == launches
+
+    @pytest.mark.parametrize("bad", CIPHERTEXTS_OUT_OF_RANGE)
+    def test_decrypt_rejects_ciphertexts_outside_zn2(self, fl,
+                                                     paillier_keys, bad):
+        pri, pub = paillier_keys
+        good = fl.paillier.encrypt(pub, [5])
+        launches = len(fl.kernels.device.launches)
+        with pytest.raises(ValueError, match="outside"):
+            fl.paillier.decrypt(pri, good + [bad(pub.n)])
+        assert len(fl.kernels.device.launches) == launches
+
+    def test_decrypt_of_nothing_raises(self, fl, paillier_keys):
+        pri, _ = paillier_keys
+        with pytest.raises(ValueError):
+            fl.paillier.decrypt(pri, [])
+
+
+def test_decrypt_launches_are_pinned():
+    """One decrypt of four words under a 256-bit key charges the textbook
+    c^lambda mod n^2 launch and the mu multiplication modulo n: these
+    tuples were captured when the kernels still computed them."""
+    fl = FlBooster(seed=3)
+    pri, pub = fl.paillier.key_gen(256)
+    values = [0, 1, 2 ** 200, pub.n - 1]
+    ciphertexts = fl.paillier.encrypt(pub, values)
+    log = fl.kernels.device.launches
+    start = len(log)
+    assert fl.paillier.decrypt(pri, ciphertexts) == values
+    assert [(launch.name, launch.tasks, launch.word_multiplications,
+             launch.bytes_in, launch.bytes_out, launch.seconds)
+            for launch in log[start:]] == [
+        ("mod_pow", 4, 597060, 480, 240, 4.0174120871325805e-05),
+        ("mod_mul", 4, 420, 224, 112, 5.054467906450891e-06)]
 
 
 class TestRsaApi:

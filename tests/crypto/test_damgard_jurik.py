@@ -92,8 +92,7 @@ class TestPaillierCompatibility:
         dj = generate_damgard_jurik_keypair(128, s=1, rng=rng)
         from repro.crypto.keys import (PaillierPublicKey,
                                        PaillierPrivateKey)
-        pub = PaillierPublicKey(n=dj.public_key.n, g=dj.public_key.n + 1,
-                                key_bits=128)
+        pub = PaillierPublicKey(n=dj.public_key.n, key_bits=128)
         pri = PaillierPrivateKey(p=dj.private_key.p, q=dj.private_key.q,
                                  public_key=pub)
         c = DamgardJurik.raw_encrypt(dj.public_key, 777, rng=dj_rng)

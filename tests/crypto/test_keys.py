@@ -1,5 +1,6 @@
 """Tests for key generation and derived constants."""
 
+import functools
 import math
 
 import pytest
@@ -11,6 +12,8 @@ from repro.crypto.keys import (
     generate_rsa_keypair,
 )
 from repro.mpint.primes import LimbRandom, is_probable_prime
+
+from tests.conftest import seed_for
 
 
 class TestPaillierKeyGen:
@@ -54,14 +57,6 @@ class TestPaillierKeyGen:
         with pytest.raises(ValueError):
             generate_paillier_keypair(8)
 
-    def test_generator_sharing_a_prime_with_n_is_rejected(self):
-        honest = generate_paillier_keypair(128, rng=LimbRandom(seed=1))
-        pri, n = honest.private_key, honest.public_key.n
-        for g in (pri.p, pri.q, 3 * pri.p, n, n * n + pri.q):
-            with pytest.raises(ValueError, match="generator must be a unit"):
-                generate_paillier_keypair(128, rng=LimbRandom(seed=1),
-                                          generator=g)
-
     def test_iteration_order_matches_paper(self, paillier_128):
         # Paper API: key_gen(size) -> (pri_key, pub_key).
         pri, pub = paillier_128
@@ -71,6 +66,26 @@ class TestPaillierKeyGen:
     def test_ciphertext_bytes(self, paillier_128):
         assert paillier_128.public_key.ciphertext_bytes() == \
             -(-paillier_128.public_key.n_squared.bit_length() // 8)
+
+
+@functools.lru_cache(maxsize=None)
+def _keypair(bits: int, seed: int):
+    return generate_paillier_keypair(bits, rng=LimbRandom(seed=seed))
+
+
+@pytest.mark.parametrize("seed", (11, 12, 13))
+@pytest.mark.parametrize("bits", (128, 1024, 2048))
+def test_closed_form_constants_are_the_textbook_ones(bits, seed):
+    """mu, hp and hq are closed forms of g = n + 1; the definitions,
+    computed here with the builtin pow, must give the same integers."""
+    pri = _keypair(bits, seed_for(seed)).private_key
+    n, p, q = pri.public_key.n, pri.p, pri.q
+    l_value = (pow(n + 1, pri.lam, n * n) - 1) // n
+    assert pri.mu * l_value % n == 1
+    assert pri.mu == pow(l_value, -1, n)
+    for prime, h in ((p, pri.hp), (q, pri.hq)):
+        l_prime = (pow(n + 1, prime - 1, prime * prime) - 1) // prime
+        assert h == pow(l_prime, -1, prime)
 
 
 class TestRsaKeyGen:

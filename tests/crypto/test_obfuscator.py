@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.crypto.keys import (
     PaillierKeypair,
-    PaillierPrivateKey,
     PaillierPublicKey,
     generate_paillier_keypair,
 )
@@ -71,8 +70,7 @@ class TestKeyHolderIdentity:
 
 def test_public_key_only_fallback_is_pow():
     keypair = _keypair(256)
-    pub = PaillierPublicKey(n=keypair.public_key.n, g=keypair.public_key.g,
-                            key_bits=256)
+    pub = PaillierPublicKey(n=keypair.public_key.n, key_bits=256)
     r = LimbRandom(seed=seed_for(1310)).random_unit(pub.n)
     expected = pow(r, pub.n, pub.n * pub.n)
     assert pub.obfuscator(r) == expected
@@ -80,23 +78,9 @@ def test_public_key_only_fallback_is_pow():
         (1 + 5 * pub.n) * expected % (pub.n * pub.n)
 
 
-def test_identity_is_independent_of_the_generator():
-    base = _keypair(128)
-    n = base.public_key.n
-    pub = PaillierPublicKey(n=n, g=(1 + 7 * n) * pow(3, n, n * n) % (n * n),
-                            key_bits=128)
-    pri = PaillierPrivateKey(p=base.private_key.p, q=base.private_key.q,
-                             public_key=pub)
-    r = LimbRandom(seed=seed_for(1311)).random_unit(n)
-    assert pri.obfuscator(r) == pow(r, n, n * n)
-    c = (pow(pub.g, 41, n * n) * pri.obfuscator(r)) % (n * n)
-    assert c == Paillier.raw_encrypt(pub, 41, r=r)
-    assert Paillier.raw_decrypt_textbook(pri, c) == 41
-
-
 def test_derived_constants_stay_out_of_equality_hash_and_repr():
     pri, pub = _keypair(128)
-    twin = PaillierPublicKey(n=pub.n, g=pub.g, key_bits=pub.key_bits)
+    twin = PaillierPublicKey(n=pub.n, key_bits=pub.key_bits)
     assert twin == pub and hash(twin) == hash(pub)
     assert pub.n_squared == pub.n * pub.n
     assert (pri.p_squared, pri.q_squared) == (pri.p ** 2, pri.q ** 2)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.crypto.paillier import Paillier
-from repro.crypto.keys import generate_paillier_keypair
 
 
 class TestRoundtrip:
@@ -75,16 +74,3 @@ class TestHomomorphism:
         with pytest.raises(ValueError):
             Paillier.raw_scalar_mul(pub, c, -2)
 
-
-class TestArbitraryGenerator:
-    def test_random_g_still_works(self, rng):
-        keypair = generate_paillier_keypair(64, rng=rng, generator=None)
-        n = keypair.public_key.n
-        # Rebuild with an explicit non-standard generator g = n + 1 + n^2/…
-        from repro.crypto.keys import PaillierPublicKey, PaillierPrivateKey
-        g = (n + 1) * (n + 1) % (n * n)   # also a valid generator
-        pub = PaillierPublicKey(n=n, g=g, key_bits=64)
-        pri = PaillierPrivateKey(p=keypair.private_key.p,
-                                 q=keypair.private_key.q, public_key=pub)
-        c = Paillier.raw_encrypt(pub, 99, rng=rng)
-        assert Paillier.raw_decrypt(pri, c) == 99

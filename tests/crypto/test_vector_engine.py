@@ -100,20 +100,6 @@ class TestVectorEngineSemantics:
         assert (cpu.scalar_mul_batch(c_cpu, scalars)
                 == vec.scalar_mul_batch(c_vec, scalars))
 
-    def test_non_binomial_generator_uses_fixed_base_table(self):
-        """An explicit generator routes g^m through the window table;
-        results must still match the scalar engine bit for bit."""
-        from repro.crypto.keys import generate_paillier_keypair
-        keypair = generate_paillier_keypair(
-            128, rng=LimbRandom(seed=seed_for(9201)), generator=5)
-        cpu = _cpu_engine(keypair, randomizer_pool_size=0)
-        vec = _vector_engine(keypair, randomizer_pool_size=0)
-        assert vec._encryptor.public_key.g == 5
-        values = [0, 1, 12345]
-        assert cpu.encrypt_batch(values) == vec.encrypt_batch(values)
-        # And the table actually got built (binomial keys never do).
-        assert vec._encryptor._fixed_base is not None
-
     def test_report_counters_accumulate(self, paillier_128):
         engine = _vector_engine(paillier_128)
         c = engine.encrypt_batch([1, 2, 3, 4])
@@ -174,7 +160,7 @@ class TestRandomizerPoolRouting:
     def test_pool_take_before_fill_raises(self):
         pool = RandomizerPool(3)
         with pytest.raises(RuntimeError):
-            pool.take(1)
+            pool.take_with_residues(1)
 
     def test_pool_take_cycles_like_a_per_element_cursor(self):
         pool = RandomizerPool(5)
@@ -183,7 +169,7 @@ class TestRandomizerPoolRouting:
         cursor = 0
         for count in (0, 1, 3, 1, 5, 4, 12, 23, 2):
             expected = [powers[(cursor + i) % 5] for i in range(count)]
-            assert pool.take(count) == expected
+            assert pool.take_with_residues(count) == (expected, expected)
             cursor = (cursor + count) % 5
 
     @pytest.mark.parametrize("pool_size", [0, 64])

@@ -137,14 +137,14 @@ def _crt_keypair(crt: dict):
     )
     p, q = int(crt["p"]), int(crt["q"])
     n = p * q
-    public = PaillierPublicKey(n=n, g=n + 1, key_bits=n.bit_length())
+    public = PaillierPublicKey(n=n, key_bits=n.bit_length())
     private = PaillierPrivateKey(p=p, q=q, public_key=public)
     return PaillierKeypair(public_key=public, private_key=private)
 
 
 class TestFixedBaseGolden:
-    """The committed fixed-base window vectors, replayed through both
-    the scalar kernels and the limb-plane table."""
+    """The committed fixed-base window vectors, replayed through the
+    scalar sliding window."""
 
     def test_table_entries_match_plain_pow(self, extended_vectors):
         modulus = int(extended_vectors["modulus"])
@@ -162,35 +162,6 @@ class TestFixedBaseGolden:
         for case in fb["powers"]:
             assert sliding_window_pow(base, int(case["exponent"]),
                                       ctx) == int(case["expected"])
-
-    @needs_numpy
-    def test_limb_plane_table_replays_entries(self, extended_vectors):
-        modulus = int(extended_vectors["modulus"])
-        fb = extended_vectors["fixed_base"]
-        plane = limb_plane.PlaneContext(modulus)
-        table = limb_plane.FixedBaseTable(
-            plane, int(fb["base"]),
-            max_exponent_bits=extended_vectors["bits"],
-            window_bits=fb["window_bits"])
-        assert table.num_windows >= fb["num_windows"]
-        rows = [limb_plane.plane_to_ints(plane.exit_montgomery(row))
-                for row in table._mont_rows]
-        for entry in fb["table_entries"]:
-            assert rows[entry["window"]][entry["digit"]] == \
-                int(entry["expected"])
-
-    @needs_numpy
-    def test_limb_plane_table_replays_powers(self, extended_vectors):
-        modulus = int(extended_vectors["modulus"])
-        fb = extended_vectors["fixed_base"]
-        plane = limb_plane.PlaneContext(modulus)
-        table = limb_plane.FixedBaseTable(
-            plane, int(fb["base"]),
-            max_exponent_bits=extended_vectors["bits"],
-            window_bits=fb["window_bits"])
-        exponents = [int(case["exponent"]) for case in fb["powers"]]
-        expected = [int(case["expected"]) for case in fb["powers"]]
-        assert limb_plane.plane_to_ints(table.pow(exponents)) == expected
 
 
 class TestCrtGolden:

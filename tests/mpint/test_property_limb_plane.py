@@ -124,26 +124,6 @@ def test_pow_vary_matches_scalar(bits, shape, seed):
     assert got == [pow(b, e, modulus) for b, e in zip(bases, exponents)]
 
 
-@settings(max_examples=5, deadline=None)
-@given(bits=st.sampled_from((1024, 2048)),
-       shape=st.sampled_from(BATCH_SHAPES),
-       seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_fixed_base_table_matches_pow(bits, shape, seed):
-    modulus = _modulus(bits)
-    plane = limb_plane.PlaneContext(modulus)
-    rnd = random.Random(seed)
-    base = 2 + rnd.randrange(modulus - 2)
-    exp_bits = EXP_BITS[2048]
-    table = limb_plane.FixedBaseTable(plane, base,
-                                      max_exponent_bits=exp_bits)
-    exponents = [rnd.getrandbits(exp_bits) for _ in range(shape)]
-    for i, edge in enumerate((0, 1, (1 << exp_bits) - 1)):
-        if i < shape:
-            exponents[i] = edge
-    got = limb_plane.plane_to_ints(table.pow(exponents))
-    assert got == [pow(base, e, modulus) for e in exponents]
-
-
 def _golden_key(bits: int):
     from repro.crypto.keys import (
         PaillierKeypair,
@@ -154,7 +134,7 @@ def _golden_key(bits: int):
         (GOLDEN_DIR / f"vectors_{bits}.json").read_text())["crt"]
     p, q = int(crt["p"]), int(crt["q"])
     n = p * q
-    public = PaillierPublicKey(n=n, g=n + 1, key_bits=n.bit_length())
+    public = PaillierPublicKey(n=n, key_bits=n.bit_length())
     private = PaillierPrivateKey(p=p, q=q, public_key=public)
     return PaillierKeypair(public_key=public, private_key=private)
 
@@ -183,28 +163,6 @@ def test_crt_decrypt_matches_scalar(bits, shape, seed):
             for c in ciphertexts]
     assert got == want
     assert got == plaintexts
-
-
-@settings(max_examples=4, deadline=None)
-@given(bits=st.sampled_from((1024, 2048)),
-       shape=st.sampled_from(BATCH_SHAPES),
-       seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_fixed_base_encrypt_matches_pow(bits, shape, seed):
-    """Encryption's g^m leg through the window table vs plain pow --
-    with a non-binomial generator, the path real encryption takes."""
-    from repro.crypto.vector_math import VectorEncryptor
-    from repro.crypto.keys import PaillierPublicKey
-    keypair = _golden_key(bits)
-    n = keypair.public_key.n
-    n_squared = keypair.public_key.n_squared
-    rnd = random.Random(seed)
-    g = 2 + rnd.randrange(n_squared - 2)
-    public = PaillierPublicKey(n=n, g=g, key_bits=n.bit_length())
-    encryptor = VectorEncryptor(public)
-    plaintexts = _values(seed ^ 0x77777777, shape, n, edges=True)
-    plane = encryptor.g_pow_plane(plaintexts)
-    got = limb_plane.plane_to_ints(plane)
-    assert got == [pow(g, m, n_squared) for m in plaintexts]
 
 
 def test_edge_batch_exact():
