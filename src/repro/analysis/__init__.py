@@ -23,19 +23,18 @@ Rules (each in its own module, all registered in :data:`ALL_RULES`):
   gmpy-style bigint imports (:mod:`repro.analysis.deprecation`);
 - ``wal-discipline``   -- journal-then-act ordering on write-ahead-log
   records, checked interprocedurally
-  (:mod:`repro.analysis.ipa.wal_rule`);
-- ``ledger-conservation`` -- admission verdicts must move the flow
-  counters the conservation law expects
-  (:mod:`repro.analysis.ipa.ledger_flow`).
+  (:mod:`repro.analysis.ipa.wal_rule`).
 
-``plaintext-wire`` and the last two need a whole-program view --
+``plaintext-wire`` and ``wal-discipline`` need a whole-program view --
 symbol table, class hierarchy, call graph, and summary fixpoints live
-under :mod:`repro.analysis.ipa`.  Kernel resource envelopes are not a
-lint rule: :class:`repro.gpu.kernels.GpuKernels` validates them against
-the device whenever kernels are built.
+under :mod:`repro.analysis.ipa`.  One gate per invariant: what the
+runtime already enforces where it matters is not linted twice.  Kernel
+resource envelopes are checked by :class:`repro.gpu.kernels.GpuKernels`
+whenever kernels are built, and the ingress charges and counts each
+admission verdict in one call (``AsyncChannel._charge``).
 
 Run it as ``python -m repro lint``; see ``docs/analysis.md`` for the
-pragma and baseline workflow.
+pragma workflow.
 """
 
 from repro.analysis.base import Rule
@@ -45,11 +44,8 @@ from repro.analysis.diagnostics import Diagnostic, LintReport
 from repro.analysis.engine import (
     ModuleUnit,
     TimeBudgetExceeded,
-    load_baseline,
     run_lint,
-    write_baseline,
 )
-from repro.analysis.ipa.ledger_flow import LedgerConservationRule
 from repro.analysis.ipa.wal_rule import WalDisciplineRule
 from repro.analysis.ledger_rule import LedgerCategoryRule
 from repro.analysis.taint import PlaintextWireRule
@@ -61,7 +57,6 @@ ALL_RULES = (
     LedgerCategoryRule,
     DeprecatedApiRule,
     WalDisciplineRule,
-    LedgerConservationRule,
 )
 
 __all__ = [
@@ -70,14 +65,11 @@ __all__ = [
     "DeprecatedApiRule",
     "DeterminismRule",
     "LedgerCategoryRule",
-    "LedgerConservationRule",
     "LintReport",
     "ModuleUnit",
     "PlaintextWireRule",
     "Rule",
     "WalDisciplineRule",
     "TimeBudgetExceeded",
-    "load_baseline",
     "run_lint",
-    "write_baseline",
 ]

@@ -36,8 +36,8 @@ class Rule:
     :attr:`needs_project` and implements :meth:`check_project`; the
     engine builds one :class:`~repro.analysis.ipa.project.Project` per
     run and calls ``check_project`` once, after the per-module pass.
-    Project findings go through the same pragma / baseline suppression,
-    keyed by each diagnostic's path.
+    Project findings go through the same pragma suppression, keyed by
+    each diagnostic's path.
     """
 
     #: CLI-visible rule identifier (kebab-case).

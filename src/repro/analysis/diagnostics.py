@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 #: Fingerprint identifying a finding across line-number churn: the line is
-#: deliberately excluded so an unrelated edit above a grandfathered finding
-#: does not resurrect it from the baseline.
+#: deliberately excluded so an unrelated edit above a finding keeps its
+#: identity in SARIF consumers.
 Fingerprint = Tuple[str, str, str]
 
 #: Quoted identifiers inside messages (``'plain'``, ``"tenant-a"``).
@@ -25,12 +25,12 @@ _CALL_PATH = re.compile(r"\(path: .*\)")
 def normalize_message(message: str) -> str:
     """A message with volatile identifiers stripped, for fingerprints.
 
-    Baseline fingerprints must survive renames that do not change what
-    the finding *is*: renaming a local variable rewrites the quoted
+    Fingerprints must survive renames that do not change what the
+    finding *is*: renaming a local variable rewrites the quoted
     identifier a taint message embeds, and renaming a helper rewrites
-    the rendered call path, but either way it is the same grandfathered
-    finding.  Both spans collapse to fixed placeholders, so only the
-    rule, file, and the message's structural text identify a finding.
+    the rendered call path, but either way it is the same finding.
+    Both spans collapse to fixed placeholders, so only the rule, file,
+    and the message's structural text identify a finding.
     """
     message = _QUOTED.sub("'<id>'", message)
     return _CALL_PATH.sub("(path: <path>)", message)
@@ -59,7 +59,11 @@ class Diagnostic:
 
     @property
     def fingerprint(self) -> Fingerprint:
-        """Line- and identifier-independent identity for the baseline."""
+        """Line- and identifier-independent identity of the finding.
+
+        SARIF's ``partialFingerprints`` carries it, so code-scanning
+        tools track one finding across unrelated edits and renames.
+        """
         return (self.rule, self.path, normalize_message(self.message))
 
     def format(self) -> str:
@@ -83,13 +87,11 @@ class Diagnostic:
 class LintReport:
     """Everything one lint run produced.
 
-    ``findings`` are the live diagnostics (not suppressed by pragma, not
-    in the baseline); ``baselined`` counts matches grandfathered by the
-    baseline file; ``suppressed`` counts pragma-silenced hits.
+    ``findings`` are the live diagnostics (not suppressed by pragma);
+    ``suppressed`` counts pragma-silenced hits.
     """
 
     findings: List[Diagnostic] = field(default_factory=list)
-    baselined: int = 0
     suppressed: int = 0
     files_scanned: int = 0
     rules_run: List[str] = field(default_factory=list)
@@ -105,7 +107,6 @@ class LintReport:
             "clean": self.clean,
             "files_scanned": self.files_scanned,
             "rules_run": list(self.rules_run),
-            "baselined": self.baselined,
             "suppressed": self.suppressed,
             "elapsed_seconds": round(self.elapsed_seconds, 3),
             "findings": [d.to_json() for d in self.findings],
@@ -179,12 +180,7 @@ class LintReport:
         lines = [d.format() for d in self.findings]
         summary = (f"flcheck: {len(self.findings)} finding(s) in "
                    f"{self.files_scanned} file(s)")
-        extras = []
-        if self.baselined:
-            extras.append(f"{self.baselined} baselined")
         if self.suppressed:
-            extras.append(f"{self.suppressed} pragma-suppressed")
-        if extras:
-            summary += f" ({', '.join(extras)})"
+            summary += f" ({self.suppressed} pragma-suppressed)"
         lines.append(summary)
         return "\n".join(lines)

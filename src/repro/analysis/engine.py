@@ -1,15 +1,11 @@
-"""The flcheck engine: file discovery, pragmas, baseline, rule driving.
+"""The flcheck engine: file discovery, pragmas, rule driving.
 
-Suppression workflow, in precedence order:
-
-1. **Pragma** -- ``# flcheck: allow[rule-name]`` on the *anchor line* of a
-   finding silences that rule there forever; use it for deliberate,
-   commented exceptions (e.g. the WAL's decrypt-commit record).  Several
-   rules may be listed comma-separated.
-2. **Baseline** -- ``flcheck-baseline.json`` grandfathers existing
-   findings by (rule, path, message) fingerprint so a new rule can land
-   before the codebase is clean.  ``--update-baseline`` rewrites it; the
-   repo's committed baseline is empty and should stay that way.
+The one waiver is the **pragma**: ``# flcheck: allow[rule-name]`` on the
+*anchor line* of a finding silences that rule there; use it for
+deliberate, commented exceptions (e.g. the WAL's decrypt-commit record).
+Several rules may be listed comma-separated.  There is no baseline file:
+a rule lands together with the fixes or pragmas that keep the tree
+clean.
 
 This module reads the wall clock (``time.monotonic``) only to enforce the
 CI ``--max-seconds`` bound; it is whitelisted in the determinism rule
@@ -19,21 +15,14 @@ because lint never runs inside a simulation.
 from __future__ import annotations
 
 import ast
-import json
 import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.base import RULE_REGISTRY, Rule
-from repro.analysis.diagnostics import (
-    Diagnostic,
-    Fingerprint,
-    LintReport,
-    normalize_message,
-)
-from repro.federation.wal import replace_durably
+from repro.analysis.diagnostics import Diagnostic, LintReport
 
 #: ``# flcheck: allow[rule-a, rule-b]``
 _PRAGMA_RE = re.compile(r"#\s*flcheck:\s*allow\[([^\]]+)\]")
@@ -143,44 +132,6 @@ def _display_path(path: Path, roots: Sequence[Path]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Baseline file.
-# ---------------------------------------------------------------------------
-
-def load_baseline(path: Path) -> Set[Fingerprint]:
-    """Fingerprints grandfathered by ``path`` (missing file -> empty).
-
-    Messages are re-normalized on load so baselines written before the
-    identifier-stripping fingerprint landed keep matching.
-    """
-    if not path.exists():
-        return set()
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    if payload.get("version") != 1:
-        raise ValueError(f"unsupported baseline version in {path}")
-    return {(entry["rule"], entry["path"],
-             normalize_message(entry["message"]))
-            for entry in payload.get("findings", [])}
-
-
-def write_baseline(path: Path, findings: Iterable[Diagnostic]) -> None:
-    """Rewrite ``path`` to grandfather exactly ``findings``.
-
-    Written through :func:`repro.federation.wal.replace_durably` (tmp
-    file + fsync + rename + directory fsync) so an interrupted
-    ``--update-baseline`` can never leave a truncated baseline that
-    silently un-grandfathers the whole tree.
-    """
-    entries = sorted({d.fingerprint for d in findings})
-    payload = {
-        "version": 1,
-        "findings": [{"rule": rule, "path": file_path, "message": message}
-                     for rule, file_path, message in entries],
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    replace_durably(path, text.encode("utf-8"))
-
-
-# ---------------------------------------------------------------------------
 # The runner.
 # ---------------------------------------------------------------------------
 
@@ -199,7 +150,6 @@ def _resolve_rules(rule_filter: Optional[Sequence[str]]) -> List[Rule]:
 
 def run_lint(paths: Sequence[Path],
              rule_filter: Optional[Sequence[str]] = None,
-             baseline: Optional[Set[Fingerprint]] = None,
              max_seconds: Optional[float] = None,
              excludes: Sequence[str] = (),
              changed_paths: Optional[Set[Path]] = None) -> LintReport:
@@ -208,7 +158,6 @@ def run_lint(paths: Sequence[Path],
     Args:
         paths: Files or directories to scan.
         rule_filter: Rule names to run; all registered rules when omitted.
-        baseline: Grandfathered fingerprints (see :func:`load_baseline`).
         max_seconds: Abort with :class:`TimeBudgetExceeded` when the scan
             runs longer than this.
         excludes: Directory names skipped during discovery.
@@ -220,10 +169,9 @@ def run_lint(paths: Sequence[Path],
 
     Returns:
         A :class:`LintReport`; ``report.findings`` holds only live (not
-        suppressed, not baselined) diagnostics, sorted by location.
+        pragma-suppressed) diagnostics, sorted by location.
     """
     rules = _resolve_rules(rule_filter)
-    baseline = baseline or set()
     started = time.monotonic()
     report = LintReport(rules_run=[rule.name for rule in rules])
 
@@ -258,8 +206,6 @@ def run_lint(paths: Sequence[Path],
     def admit(unit: ModuleUnit, diag: Diagnostic) -> None:
         if unit.allows(diag.rule, diag.line):
             report.suppressed += 1
-        elif diag.fingerprint in baseline:
-            report.baselined += 1
         else:
             report.findings.append(diag)
 

@@ -1,9 +1,8 @@
 """Interprocedural analysis (ipa): the whole-program layer under flcheck.
 
-The five original flcheck rules are strictly per-module: each sees one
-parsed file and nothing else, which is why a decrypt result laundered
-through a one-line helper reached the channel unseen.  This subpackage
-gives rules a *project* view:
+A per-module rule sees one parsed file and nothing else, which is why
+a decrypt result laundered through a one-line helper reached the
+channel unseen.  This subpackage gives rules a *project* view:
 
 - :mod:`repro.analysis.ipa.symbols` -- a project-wide symbol table:
   every function and class under the scanned roots, module-qualified,
@@ -27,10 +26,7 @@ gives rules a *project* view:
   sanitizers) composed along the call graph, with the full call path
   rendered in every diagnostic;
 - :mod:`repro.analysis.ipa.wal_rule` -- ``wal-discipline``: the
-  journal-then-act typestate check over WAL records;
-- :mod:`repro.analysis.ipa.conservation` -- ``ledger-conservation``:
-  admission charges matched against the queue-accounting counter
-  algebra exported by :mod:`repro.ledger`.
+  journal-then-act typestate check over WAL records.
 
 Summaries are context-insensitive (one summary per function, joined
 over all call sites) but *summary-composed*: a helper's effects are

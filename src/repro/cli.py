@@ -24,10 +24,11 @@ Commands:
   run through the sharded service by default, or the per-node
   crash-consistency sweep (leaf, root, and a root failover racing a
   leaf failover); exits non-zero on any divergence.
-- ``lint [PATHS ...]``           -- run the six flcheck static
+- ``lint [PATHS ...]``           -- run the five flcheck static
   invariant rules (plaintext-wire, determinism, ledger-category,
-  deprecated-api, wal-discipline, ledger-conservation) over src/repro;
-  exits non-zero on live findings.
+  deprecated-api, wal-discipline) over src/repro; exits non-zero on
+  live findings (an inline ``# flcheck: allow[rule]`` pragma is the
+  only waiver).
 """
 
 from __future__ import annotations
@@ -406,14 +407,11 @@ def _cmd_lint(args) -> int:
     from repro.analysis import (
         ALL_RULES,
         TimeBudgetExceeded,
-        load_baseline,
         run_lint,
-        write_baseline,
     )
 
     paths = [Path(p) for p in args.paths] if args.paths else \
         [Path(repro.__file__).resolve().parent]
-    baseline_path = Path(args.baseline)
     changed_paths = None
     if args.changed_only:
         changed_paths = _changed_files()
@@ -423,7 +421,6 @@ def _cmd_lint(args) -> int:
     try:
         report = run_lint(paths,
                           rule_filter=args.rule or None,
-                          baseline=load_baseline(baseline_path),
                           max_seconds=args.max_seconds,
                           excludes=tuple(args.exclude),
                           changed_paths=changed_paths)
@@ -431,11 +428,6 @@ def _cmd_lint(args) -> int:
         print(f"flcheck: error: {exc}", file=sys.stderr)
         return 2
 
-    if args.update_baseline:
-        write_baseline(baseline_path, report.findings)
-        print(f"flcheck: wrote {len(report.findings)} finding(s) to "
-              f"{baseline_path}")
-        return 0
     if args.sarif:
         descriptions = {rule.name: rule.description for rule in ALL_RULES}
         Path(args.sarif).write_text(report.to_sarif(descriptions) + "\n",
@@ -605,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     tenants.set_defaults(handler=_cmd_tenants)
 
     lint = commands.add_parser(
-        "lint", help="run the six flcheck static invariant rules")
+        "lint", help="run the five flcheck static invariant rules")
     lint.add_argument("paths", nargs="*",
                       help="files/directories to scan "
                            "(default: the installed repro package)")
@@ -613,10 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="run only this rule (repeatable)")
     lint.add_argument("--json", action="store_true",
                       help="machine-readable report on stdout")
-    lint.add_argument("--baseline", default="flcheck-baseline.json",
-                      help="grandfathered-findings file")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="rewrite the baseline to the current findings")
     lint.add_argument("--sarif", metavar="FILE", default=None,
                       help="also write the report as a SARIF 2.1.0 log")
     lint.add_argument("--changed-only", action="store_true",

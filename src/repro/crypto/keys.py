@@ -24,7 +24,10 @@ class PaillierPublicKey:
 
     Attributes:
         n: The modulus ``p * q``.
-        key_bits: Bit length of ``n`` at generation time.
+        key_bits: The size asked of :func:`generate_paillier_keypair`,
+            not the exact width: ``n`` has ``key_bits - 1`` or
+            ``key_bits`` bits (two ``key_bits / 2``-bit primes), so read
+            ``n.bit_length()`` where the width matters.
     """
 
     n: int
@@ -158,10 +161,15 @@ class PaillierKeypair:
 
 def generate_paillier_keypair(key_bits: int,
                               rng: Optional[LimbRandom] = None) -> PaillierKeypair:
-    """Generate a Paillier keypair of ``key_bits`` modulus length.
+    """Generate a Paillier keypair from two ``key_bits // 2``-bit primes.
+
+    The product of two ``b``-bit primes has ``2b - 1`` or ``2b`` bits,
+    so for an even ``key_bits``, ``n`` has ``key_bits - 1`` or
+    ``key_bits`` bits: at seed 7 (the default of ``cached_keypair``) a
+    1024-bit key's ``n`` has 1023.
 
     Args:
-        key_bits: Target bit length of ``n``; each prime gets half.
+        key_bits: Nominal size of ``n``; each prime gets half.
         rng: Deterministic random source (per-thread generator).
     """
     if key_bits < 16:

@@ -52,7 +52,10 @@ Accounting invariant (asserted by the overload and tenancy tests):
 every submitted upload is exactly one of *accepted-and-delivered*,
 *shed* (ledger ``fault.shed``), or *rejected* (ledger
 ``comm.admission.reject`` / ``comm.admission.quota``) -- no silent
-loss, and queue memory never exceeds the configured bound.  Across an
+loss, and queue memory never exceeds the configured bound.  One call
+(``AsyncChannel._charge``) both charges each verdict and counts it on
+its lane, so every channel ledger's admission and shed counts equal
+the lane counters summed over the lanes charging it.  Across an
 elastic shard split or merge (:meth:`AsyncChannel.migrate`), migrated
 in-flight entries carry their acceptance with them: per lane -- and so
 per shard, whose totals are the sum of its lanes' -- ``accepted +
@@ -96,8 +99,13 @@ REJECT_CIRCUIT_OPEN = "circuit_open"
 REJECT_OVERLOAD = "overload"
 REJECT_QUOTA = "quota"
 
-_REJECT_REASONS = (REJECT_QUEUE_FULL, REJECT_CIRCUIT_OPEN,
-                   REJECT_OVERLOAD, REJECT_QUOTA)
+#: Rejection reason -> (admission verdict charged, lane counter bumped).
+_REJECTIONS = {
+    REJECT_QUEUE_FULL: ("reject", "rejected_full"),
+    REJECT_CIRCUIT_OPEN: ("reject", "rejected_fenced"),
+    REJECT_OVERLOAD: ("reject", "rejected_overload"),
+    REJECT_QUOTA: ("quota", "rejected_quota"),
+}
 
 
 class VirtualClock:
@@ -138,9 +146,9 @@ class AdmissionRejected(RuntimeError):
 
     def __init__(self, shard: str, reason: str,
                  retry_after_seconds: float = 0.0):
-        if reason not in _REJECT_REASONS:
+        if reason not in _REJECTIONS:
             raise ValueError(f"unknown rejection reason {reason!r}; "
-                             f"choose from {_REJECT_REASONS}")
+                             f"choose from {tuple(_REJECTIONS)}")
         self.shard = shard
         self.reason = reason
         self.retry_after_seconds = retry_after_seconds
@@ -468,24 +476,24 @@ class AsyncChannel:
         return self.channel.profile.network_seconds(ADMISSION_BYTES,
                                                     messages=1)
 
+    def _charge(self, category: str, lane: Lane, counter: str,
+                seconds: float, payload_bytes: int) -> None:
+        """Charge one verdict to the lane's channel ledger and count it
+        on the lane's :class:`QueueStats` -- the one place an admission
+        or shed verdict is either charged or counted, so the ledger and
+        the counters cannot drift apart."""
+        lane.terms.channel.ledger.charge(category, seconds, count=1,
+                                         payload_bytes=payload_bytes)
+        setattr(lane.stats, counter, getattr(lane.stats, counter) + 1)
+
     def _reject(self, lane: Lane, shard: str, reason: str,
                 retry_after: float) -> AdmissionRejected:
-        lane.terms.channel.ledger.charge(
-            admission_category(
-                "quota" if reason == REJECT_QUOTA else "reject",
-                lane.tenant),
-            self._admission_seconds(), count=1,
-            payload_bytes=ADMISSION_BYTES)
-        if reason == REJECT_QUEUE_FULL:
-            lane.stats.rejected_full += 1
-        elif reason == REJECT_CIRCUIT_OPEN:
-            lane.stats.rejected_fenced += 1
-        elif reason == REJECT_QUOTA:
-            lane.stats.rejected_quota += 1
+        verdict, counter = _REJECTIONS[reason]
+        self._charge(admission_category(verdict, lane.tenant), lane, counter,
+                     self._admission_seconds(), ADMISSION_BYTES)
+        if reason == REJECT_QUOTA:
             return QuotaExceeded(shard, lane.tenant,
                                  retry_after_seconds=retry_after)
-        else:
-            lane.stats.rejected_overload += 1
         return AdmissionRejected(shard, reason,
                                  retry_after_seconds=retry_after)
 
@@ -530,12 +538,10 @@ class AsyncChannel:
         if len(queue) >= self.queue_capacity:
             raise self._reject(lane, shard, REJECT_QUEUE_FULL,
                                DISPATCH_SECONDS * len(queue))
-        terms.channel.ledger.charge(admission_category("accept", tenant),
-                                    self._admission_seconds(), count=1,
-                                    payload_bytes=ADMISSION_BYTES)
+        self._charge(admission_category("accept", tenant), lane, "accepted",
+                     self._admission_seconds(), ADMISSION_BYTES)
         queue.append(_QueueEntry(message, tenant,
                                  self.clock.now + arrival_delay))
-        lane.stats.accepted += 1
         lane.queued += 1
         lane.stats.peak_depth = max(lane.stats.peak_depth, lane.queued)
         self._peak_depth[shard] = max(self._peak_depth[shard], len(queue))
@@ -582,9 +588,7 @@ class AsyncChannel:
                         * channel.profile.wire_bytes(
                             message.ciphertext_bytes, packed=message.packed)
                         + message.plaintext_bytes)
-                channel.ledger.charge(CAT_FAULT_SHED, 0.0, count=1,
-                                      payload_bytes=wire)
-                lane.stats.shed += 1
+                self._charge(CAT_FAULT_SHED, lane, "shed", 0.0, wire)
                 outcome.shed.append((message.sender, "deadline"))
                 continue
             try:

@@ -64,15 +64,8 @@ CAT_FAULT_GIVEUP = "fault.giveup"
 CAT_FAULT_SHED = "fault.shed"
 CAT_FAULT_CIRCUIT_OPEN = "fault.circuit_open"
 
-#: Admission-control plane of the sharded aggregation service
-#: (:mod:`repro.federation.eventloop`).  ``comm`` is an open family, so
-#: these are ordinary ``comm.*`` tags; the constants pin the exact
-#: spellings reports read back.
-CAT_COMM_ADMISSION_ACCEPT = "comm.admission.accept"
-CAT_COMM_ADMISSION_REJECT = "comm.admission.reject"
-CAT_COMM_ADMISSION_QUOTA = "comm.admission.quota"
-
-#: Admission verdicts the multi-tenant ingress may charge.  Tenant-aware
+#: Admission verdicts the ingress (:mod:`repro.federation.eventloop`)
+#: may charge, as ordinary tags of the open ``comm`` family.  Tenant-aware
 #: charge sites append the tenant id as a final segment
 #: (``comm.admission.accept.tenant-a``) via :func:`admission_category`,
 #: so one ledger scan with prefix ``comm.admission.accept.`` splits the
@@ -100,47 +93,6 @@ CATEGORY_FAMILIES: Dict[str, Optional[frozenset]] = {
 OPEN_FAMILIES = frozenset(
     family for family, suffixes in CATEGORY_FAMILIES.items()
     if suffixes is None)
-
-# ---------------------------------------------------------------------------
-# Admission conservation law.
-#
-# The sharded ingress (:mod:`repro.federation.eventloop`) maintains, per
-# shard and per tenant::
-#
-#     accepted + migrated_in - migrated_out
-#         == delivered + shed + failed + queued
-#
-# at every point in modelled time.  The ledger sees the same events
-# through charges (``comm.admission.accept`` / ``.reject`` / ``.quota``,
-# ``fault.shed``), so the two views stay reconcilable only when every
-# admission charge moves a matching flow counter and vice versa.  The
-# tables below name that correspondence once; flcheck's
-# ``ledger-conservation`` rule holds charge sites and counter
-# increments to it statically.
-# ---------------------------------------------------------------------------
-
-#: Admission verdict -> flow counters a charge of that verdict must
-#: move in the same control-flow neighbourhood (function, callees, or
-#: callers).  ``reject`` covers every rejection counter because the
-#: flat single-tenant spelling does not split by reason; the dedicated
-#: ``quota`` verdict pins the token-bucket counter.
-CONSERVATION_COUNTERS: Dict[str, frozenset] = {
-    "accept": frozenset({"accepted"}),
-    "reject": frozenset({"rejected_full", "rejected_fenced",
-                         "rejected_overload", "rejected_quota"}),
-    "quota": frozenset({"rejected_quota"}),
-    "shed": frozenset({"shed"}),
-}
-
-#: Counters on the inflow side of the conservation equation.
-CONSERVATION_SOURCES = frozenset({"accepted", "migrated_in"})
-
-#: Counters on the outflow side.  ``delivered`` / ``failed`` /
-#: ``migrated_*`` have no dedicated admission category (delivery cost
-#: is charged by the transfer itself), so only ``shed`` appears in
-#: :data:`CONSERVATION_COUNTERS` as well.
-CONSERVATION_SINKS = frozenset({"delivered", "shed", "failed",
-                                "migrated_out"})
 
 
 def is_known_category(category: str) -> bool:

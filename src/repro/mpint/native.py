@@ -269,7 +269,9 @@ class _ModulusContext:
         self._lib = lib
         self.modulus = modulus
         self.size = (modulus.bit_length() + 7) >> 3
-        self._fixups: Dict[int, ResidueBatch] = {}
+        # Deficit -> the block holding R^(deficit+1): a block, not a
+        # batch, so the context holds nothing that points back at it.
+        self._fixups: Dict[int, _Block] = {}
         self._mont = lib.BN_MONT_CTX_new()
         scratch = _scratch(lib)
         bn_modulus = scratch.numbers[1]
@@ -280,22 +282,31 @@ class _ModulusContext:
                                         scratch.ctx)):
             raise MemoryError("libcrypto could not set up a BN_MONT_CTX")
         # R is whatever this build's word size makes it: the Montgomery
-        # product of 1 and 1 is R^-1.
-        one = self.enter([1])
-        r_inverse = self.multiply(one, one)
-        self._r = powmod(self.leave(r_inverse._handles[0], 0), -1, modulus)
+        # product of 1 and 1 is R^-1.  Scratch operands, not blocks, so
+        # building a context frees no handles.
+        r_inverse, one = scratch.numbers[0], scratch.numbers[2]
+        if not (lib.BN_lebin2bn(b"\x01", 1, one)
+                and lib.BN_mod_mul_montgomery(r_inverse, one, one,
+                                              self._mont, scratch.ctx)):
+            raise MemoryError("BN_mod_mul_montgomery failed")
+        self._r = powmod(self.leave(r_inverse, 0), -1, modulus)
 
     def __del__(self) -> None:
         if self._mont:
             self._lib.BN_MONT_CTX_free(self._mont)
 
-    def enter(self, words: List[int]) -> "ResidueBatch":
-        """``words`` (each in ``[0, modulus)``) as handles of deficit 0."""
+    def _fill(self, words: List[int]) -> _Block:
+        """A block holding ``words`` (each in ``[0, modulus)``)."""
         lib, size = self._lib, self.size
         block = _Block(lib, len(words))
         data = map(int.to_bytes, words, repeat(size), repeat("little"))
         if not all(map(lib.BN_lebin2bn, data, repeat(size), block.handles)):
             raise MemoryError("libcrypto could not fill a BIGNUM")
+        return block
+
+    def enter(self, words: List[int]) -> "ResidueBatch":
+        """``words`` (each in ``[0, modulus)``) as handles of deficit 0."""
+        block = self._fill(words)
         return ResidueBatch(self, block.handles, [0] * len(words), (block,))
 
     def multiply(self, a: "ResidueBatch", b: "ResidueBatch") -> "ResidueBatch":
@@ -318,11 +329,10 @@ class _ModulusContext:
             fixup = self._fixups.get(deficit)
             if fixup is None:
                 power = powmod(self._r, deficit + 1, self.modulus)
-                fixup = self._fixups.setdefault(deficit,
-                                                self.enter([power]))
+                fixup = self._fixups.setdefault(deficit, self._fill([power]))
             restored = scratch.numbers[0]
             if not lib.BN_mod_mul_montgomery(
-                    restored, handle, fixup._handles[0], self._mont,
+                    restored, handle, fixup.handles[0], self._mont,
                     scratch.ctx):
                 lib.ERR_clear_error()
                 raise MemoryError("BN_mod_mul_montgomery failed")

@@ -1,4 +1,4 @@
-"""`python -m repro lint`: exit codes, JSON output, baseline workflow."""
+"""`python -m repro lint`: exit codes, JSON output, the rule set."""
 
 import json
 from pathlib import Path
@@ -13,13 +13,13 @@ SRC_REPRO = Path(repro.__file__).resolve().parent
 
 
 def test_shipped_codebase_is_flcheck_clean(capsys):
-    # The acceptance gate: all six rules, default paths, empty baseline.
+    # The acceptance gate: all five rules, default paths, no waiver file.
     assert main(["lint", "--json", str(SRC_REPRO)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["clean"] is True
     assert payload["rules_run"] == sorted([
         "plaintext-wire", "determinism", "ledger-category",
-        "deprecated-api", "wal-discipline", "ledger-conservation"])
+        "deprecated-api", "wal-discipline"])
 
 
 def test_planted_leak_fails_lint(tmp_path, capsys):
@@ -46,28 +46,6 @@ def test_rule_filter_and_human_output(tmp_path, capsys):
 def test_unknown_rule_exits_2(capsys):
     assert main(["lint", "--rule", "bogus", str(SRC_REPRO)]) == 2
     assert "unknown rule" in capsys.readouterr().err
-
-
-def test_update_baseline_then_clean(tmp_path, capsys):
-    planted = tmp_path / "evil.py"
-    planted.write_text(LEAK_FIXTURE.read_text())
-    baseline = tmp_path / "baseline.json"
-    assert main(["lint", "--baseline", str(baseline),
-                 "--update-baseline", str(planted)]) == 0
-    assert baseline.exists()
-    # Grandfathered: same findings now exit clean.
-    assert main(["lint", "--baseline", str(baseline),
-                 str(planted)]) == 0
-    payload = json.loads(baseline.read_text())
-    assert payload["version"] == 1
-    assert payload["findings"]
-
-
-def test_shipped_baseline_is_empty():
-    committed = Path(__file__).resolve().parents[2] / \
-        "flcheck-baseline.json"
-    payload = json.loads(committed.read_text())
-    assert payload == {"version": 1, "findings": []}
 
 
 def test_max_seconds_budget_exit_code(capsys):

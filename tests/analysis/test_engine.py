@@ -1,4 +1,4 @@
-"""Engine mechanics: pragmas, baseline, discovery, budget, report."""
+"""Engine mechanics: pragmas, discovery, budget, report."""
 
 import json
 
@@ -8,9 +8,7 @@ from repro.analysis import ALL_RULES
 from repro.analysis.engine import (
     TimeBudgetExceeded,
     discover_files,
-    load_baseline,
     run_lint,
-    write_baseline,
 )
 
 from tests.analysis.conftest import FIXTURES
@@ -20,10 +18,10 @@ LEAK = ("def leak(channel, engine, c):\n"
         "    channel.send(plain)\n")
 
 
-def test_all_six_rules_are_registered():
+def test_all_five_rules_are_registered():
     assert sorted(rule.name for rule in ALL_RULES) == [
         "deprecated-api", "determinism", "ledger-category",
-        "ledger-conservation", "plaintext-wire", "wal-discipline"]
+        "plaintext-wire", "wal-discipline"]
 
 
 def test_run_lint_over_a_directory(tmp_path):
@@ -67,35 +65,6 @@ def test_pragma_allow_all(tmp_path):
         "    plain = engine.decrypt_tensor(c)\n"
         "    channel.send(plain)  # flcheck: allow[all]\n")
     assert run_lint([tmp_path]).clean
-
-
-def test_baseline_roundtrip(tmp_path):
-    (tmp_path / "leak.py").write_text(LEAK)
-    first = run_lint([tmp_path])
-    assert not first.clean
-
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, first.findings)
-    fingerprints = load_baseline(baseline_path)
-    assert fingerprints == {d.fingerprint for d in first.findings}
-
-    second = run_lint([tmp_path], baseline=fingerprints)
-    assert second.clean
-    assert second.baselined == len(first.findings)
-
-
-def test_baseline_survives_line_churn(tmp_path):
-    (tmp_path / "leak.py").write_text(LEAK)
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, run_lint([tmp_path]).findings)
-    # Push the leak down ten lines; the fingerprint ignores line numbers.
-    (tmp_path / "leak.py").write_text("\n" * 10 + LEAK)
-    report = run_lint([tmp_path], baseline=load_baseline(baseline_path))
-    assert report.clean and report.baselined == 1
-
-
-def test_missing_baseline_is_empty(tmp_path):
-    assert load_baseline(tmp_path / "absent.json") == set()
 
 
 def test_syntax_error_becomes_a_finding(tmp_path):

@@ -95,11 +95,13 @@ def test_sarif_columns_are_one_based():
     assert region["startColumn"] == 1  # ast col 0 -> SARIF column 1
 
 
-def test_sarif_fingerprints_match_the_baseline_identity():
-    payload = json.loads(_report().to_sarif())
+def test_sarif_fingerprints_are_the_diagnostic_identity():
+    report = _report()
+    payload = json.loads(report.to_sarif())
     fingerprint = payload["runs"][0]["results"][0][
         "partialFingerprints"]["flcheck/v1"]
-    # Normalized exactly like the baseline: the identifier is stripped.
+    assert fingerprint == "|".join(report.findings[0].fingerprint)
+    # Normalized: the identifier is stripped.
     assert "'<id>'" in fingerprint
     assert fingerprint.startswith("plaintext-wire|repro/a.py|")
 

@@ -1,31 +1,11 @@
-"""Suppression precedence: pragmas, baselines, and their interaction."""
-
-import json
+"""Suppression: the inline pragma, the one waiver."""
 
 from repro.analysis.diagnostics import normalize_message
-from repro.analysis.engine import (
-    load_baseline,
-    load_module,
-    run_lint,
-    write_baseline,
-)
-
-LEAK_LINE = "    channel.send(plain)"
-
-RNG_LINE = "    return random.random()"
-
-
-def _leak_module(sink_suffix=""):
-    return ("import random\n"
-            "def leak(channel, engine, c):\n"
-            "    plain = engine.decrypt_tensor(c)\n"
-            f"{LEAK_LINE}{sink_suffix}\n"
-            "def entropy():\n"
-            f"{RNG_LINE}\n")
+from repro.analysis.engine import run_lint
 
 
 # ---------------------------------------------------------------------------
-# Pragma precedence.
+# Pragmas.
 # ---------------------------------------------------------------------------
 
 def test_multi_rule_pragma_silences_each_listed_rule(tmp_path):
@@ -61,38 +41,6 @@ def test_pragma_for_the_wrong_rule_does_not_suppress(tmp_path):
     assert [d.rule for d in report.findings] == ["plaintext-wire"]
 
 
-def test_pragma_wins_over_baseline(tmp_path):
-    """A pragma-silenced hit counts as suppressed, not baselined,
-    even when the same fingerprint is also grandfathered."""
-    (tmp_path / "mod.py").write_text(_leak_module())
-    first = run_lint([tmp_path])
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, first.findings)
-
-    (tmp_path / "mod.py").write_text(
-        _leak_module(sink_suffix="  # flcheck: allow[plaintext-wire]"))
-    report = run_lint([tmp_path], baseline=load_baseline(baseline_path))
-    assert report.clean
-    assert report.suppressed == 1          # the pragma took the leak
-    assert report.baselined == 1           # the RNG hit stayed baselined
-
-
-def test_baseline_does_not_cover_new_findings(tmp_path):
-    (tmp_path / "mod.py").write_text(_leak_module())
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, run_lint([tmp_path]).findings)
-    # A second, different leak appears: only it should surface.
-    (tmp_path / "mod.py").write_text(
-        _leak_module() +
-        "def leak2(channel, engine, c):\n"
-        "    other = engine.decrypt_share(c)\n"
-        "    channel.broadcast(other)\n")
-    report = run_lint([tmp_path], baseline=load_baseline(baseline_path))
-    assert len(report.findings) == 1
-    assert report.findings[0].symbol == "leak2"
-    assert report.baselined == 2
-
-
 def test_pragmas_parse_per_unit():
     source = ("x = 1  # flcheck: allow[rule-a, rule-b]\n"
               "y = 2  # flcheck: allow[all]\n")
@@ -110,7 +58,7 @@ def test_pragmas_parse_per_unit():
 
 
 # ---------------------------------------------------------------------------
-# Baseline fingerprints survive identifier churn (the churn fix).
+# Fingerprints survive identifier churn.
 # ---------------------------------------------------------------------------
 
 def test_normalize_message_strips_identifiers_and_paths():
@@ -121,68 +69,6 @@ def test_normalize_message_strips_identifiers_and_paths():
     assert normalize_message(
         "reaches send() (path: forward -> relay -> send())") == \
         "reaches send() (path: <path>)"
-
-
-def test_baseline_survives_variable_rename(tmp_path):
-    """Renaming the tainted local must not resurrect a baselined leak."""
-    (tmp_path / "mod.py").write_text(
-        "def leak(channel, engine, c):\n"
-        "    plain = engine.decrypt_tensor(c)\n"
-        "    channel.send(plain)\n")
-    baseline_path = tmp_path / "baseline.json"
-    first = run_lint([tmp_path])
-    assert "'plain'" in first.findings[0].message
-    write_baseline(baseline_path, first.findings)
-
-    (tmp_path / "mod.py").write_text(
-        "def leak(channel, engine, c):\n"
-        "    cleartext = engine.decrypt_tensor(c)\n"
-        "    channel.send(cleartext)\n")
-    report = run_lint([tmp_path], baseline=load_baseline(baseline_path))
-    assert report.clean
-    assert report.baselined == 1
-
-
-def test_legacy_unnormalized_baseline_still_matches(tmp_path):
-    """Baselines written before normalization load through the same
-    normalizer, so their raw-identifier messages keep matching."""
-    (tmp_path / "mod.py").write_text(
-        "def leak(channel, engine, c):\n"
-        "    plain = engine.decrypt_tensor(c)\n"
-        "    channel.send(plain)\n")
-    first = run_lint([tmp_path])
-    legacy = {
-        "version": 1,
-        "findings": [{"rule": d.rule, "path": d.path,
-                      "message": d.message}  # raw, un-normalized
-                     for d in first.findings],
-    }
-    baseline_path = tmp_path / "baseline.json"
-    baseline_path.write_text(json.dumps(legacy))
-    report = run_lint([tmp_path], baseline=load_baseline(baseline_path))
-    assert report.clean and report.baselined == 1
-
-
-# ---------------------------------------------------------------------------
-# Atomic baseline writes.
-# ---------------------------------------------------------------------------
-
-def test_write_baseline_leaves_no_temporary_file(tmp_path):
-    (tmp_path / "mod.py").write_text(_leak_module())
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, run_lint([tmp_path]).findings)
-    assert baseline_path.exists()
-    assert list(tmp_path.glob("*.tmp")) == []
-
-
-def test_write_baseline_replaces_atomically(tmp_path):
-    baseline_path = tmp_path / "baseline.json"
-    baseline_path.write_text("{\"version\": 1, \"findings\": "
-                             "[{\"rule\": \"old\", \"path\": \"p\", "
-                             "\"message\": \"m\"}]}")
-    write_baseline(baseline_path, [])
-    payload = json.loads(baseline_path.read_text())
-    assert payload == {"version": 1, "findings": []}
 
 
 # ---------------------------------------------------------------------------

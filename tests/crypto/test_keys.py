@@ -11,6 +11,7 @@ from repro.crypto.keys import (
     generate_paillier_keypair,
     generate_rsa_keypair,
 )
+from repro.federation.runtime import cached_keypair
 from repro.mpint.primes import LimbRandom, is_probable_prime
 
 from tests.conftest import seed_for
@@ -86,6 +87,22 @@ def test_closed_form_constants_are_the_textbook_ones(bits, seed):
     for prime, h in ((p, pri.hp), (q, pri.hq)):
         l_prime = (pow(n + 1, prime - 1, prime * prime) - 1) // prime
         assert h == pow(l_prime, -1, prime)
+
+
+@pytest.mark.parametrize("seed", (1, 7, 11, 31))
+@pytest.mark.parametrize("bits", (128, 256, 1024, 2048))
+def test_modulus_has_key_bits_or_one_fewer(bits, seed):
+    """Two ``bits / 2``-bit primes multiply to ``bits - 1`` or ``bits``
+    bits; keygen promises no more (DESIGN.md section 5c)."""
+    assert _keypair(bits, seed).public_key.n.bit_length() in (bits - 1, bits)
+
+
+def test_the_default_seed_keys_are_one_bit_short():
+    """``cached_keypair``'s default seed, which the e2e workloads use,
+    gives an ``n`` one bit short of the nominal size at both benchmark
+    key sizes -- the width packing plans are sized from."""
+    assert [cached_keypair(bits).public_key.n.bit_length()
+            for bits in (1024, 2048)] == [1023, 2047]
 
 
 class TestRsaKeyGen:

@@ -1,5 +1,8 @@
 """Event loop: clock, admission control, shedding, circuit breaking."""
 
+import contextlib
+from functools import partial
+
 import pytest
 
 from repro.federation.channel import Channel, ChannelError, Message
@@ -16,12 +19,15 @@ from repro.federation.eventloop import (
     DISPATCH_SECONDS,
     VirtualClock,
 )
+from repro.federation.tenancy import Tenant, TenantRegistry
 from repro.ledger import (
-    CAT_COMM_ADMISSION_ACCEPT,
-    CAT_COMM_ADMISSION_REJECT,
     CAT_FAULT_CIRCUIT_OPEN,
     CAT_FAULT_SHED,
+    admission_category,
 )
+
+ACCEPT = admission_category("accept")
+REJECT = admission_category("reject")
 
 
 def upload(sender="client-0", receiver="shard-0", payload_bytes=64):
@@ -104,9 +110,8 @@ class TestAdmission:
         loop = AsyncChannel(Channel(), VirtualClock())
         loop.submit("shard-0", upload())
         ledger = loop.channel.ledger
-        assert ledger.count(CAT_COMM_ADMISSION_ACCEPT) == 1
-        assert ledger.payload_bytes(CAT_COMM_ADMISSION_ACCEPT) \
-            == ADMISSION_BYTES
+        assert ledger.count(ACCEPT) == 1
+        assert ledger.payload_bytes(ACCEPT) == ADMISSION_BYTES
         assert loop.stats["shard-0"].accepted == 1
         assert loop.queue_depth("shard-0") == 1
 
@@ -120,7 +125,7 @@ class TestAdmission:
         assert rejection.shard == "shard-0"
         assert rejection.reason == "queue_full"
         assert rejection.retry_after_seconds > 0
-        assert loop.channel.ledger.count(CAT_COMM_ADMISSION_REJECT) == 1
+        assert loop.channel.ledger.count(REJECT) == 1
         assert loop.stats["shard-0"].rejected_full == 1
 
     def test_overload_predicate_rejects(self):
@@ -206,5 +211,68 @@ class TestDrain:
         assert stats.peak_depth <= capacity
         assert stats.accepted == stats.delivered + stats.shed
         assert stats.accepted + rejected == submitted
-        assert loop.channel.ledger.count(CAT_COMM_ADMISSION_REJECT) == rejected
+        assert loop.channel.ledger.count(REJECT) == rejected
         assert loop.channel.ledger.count(CAT_FAULT_SHED) == stats.shed
+
+
+# ----------------------------------------------------------------------
+# One accounting call: each verdict is one charge and one count.
+# ----------------------------------------------------------------------
+
+#: Lane counter -> the one category its verdict charges.
+VERDICTS = {
+    "accepted": ACCEPT,
+    "rejected_full": REJECT,
+    "rejected_fenced": REJECT,
+    "rejected_overload": REJECT,
+    "rejected_quota": admission_category("quota", "tenant-a"),
+    "shed": CAT_FAULT_SHED,
+}
+
+
+def _edge_of(counter):
+    """A loop one act away from the verdict ``counter`` counts, the lane
+    that counts it (anonymous, except the metered ``tenant-a`` for
+    quota) and the act."""
+    loop = AsyncChannel(
+        Channel(), VirtualClock(), queue_capacity=1,
+        overloaded=lambda _shard: counter == "rejected_overload",
+        tenants=TenantRegistry([Tenant("tenant-a", quota_rate=1.0,
+                                       quota_burst=1)]))
+    loop.register_tenant("tenant-a")
+    tenant = "tenant-a" if counter == "rejected_quota" else None
+    act = partial(loop.submit, "shard-0", upload(), tenant=tenant)
+    if counter in ("rejected_full", "rejected_quota"):
+        act()
+    elif counter == "rejected_fenced":
+        breaker = loop.lane("shard-0").breaker
+        while breaker.allow():
+            breaker.record_failure()
+    elif counter == "shed":
+        loop.submit("shard-0", upload(), arrival_delay=100.0)
+        act = partial(loop.drain, "shard-0", deadline=1.0)
+    return loop, loop.lane("shard-0", tenant), act
+
+
+@pytest.mark.parametrize("counter", VERDICTS)
+def test_each_verdict_is_one_charge_and_one_count(counter):
+    loop, lane, act = _edge_of(counter)
+    ledger = loop.channel.ledger
+    charged = ledger.snapshot()
+    counted = {name: getattr(lane.stats, name) for name in VERDICTS}
+    with contextlib.suppress(AdmissionRejected):
+        act()
+    zero = (0.0, 0, 0)
+    moved = {category: tuple(now - was for now, was in
+                             zip(totals, charged.get(category, zero)))
+             for category, totals in ledger.snapshot().items()
+             if totals != charged.get(category, zero)}
+    if counter == "shed":
+        assert moved == {CAT_FAULT_SHED: (0.0, 1, 64)}
+    else:
+        seconds = loop.channel.profile.network_seconds(ADMISSION_BYTES,
+                                                       messages=1)
+        assert moved == {VERDICTS[counter]: (seconds, 1, ADMISSION_BYTES)}
+    assert {name: getattr(lane.stats, name) - counted[name]
+            for name in VERDICTS} == {
+        name: int(name == counter) for name in VERDICTS}

@@ -4,11 +4,13 @@ The token-bucket property is the quota guarantee: over any
 schedule of acquisitions and clock advances, admitted tokens never
 exceed ``burst + rate * elapsed``.  The lane property is the ingress
 accounting: over any interleaving of ``submit`` / ``drain`` /
-``migrate`` on the anonymous lane and two named tenants sharing one
+``migrate`` / floods / fencing / overload toggles on the anonymous
+lane and two named tenants sharing one
 :class:`~repro.federation.eventloop.AsyncChannel`, ``accepted +
 migrated_in - migrated_out == delivered + shed + failed + queued``
-holds on every lane after every step, and a shard's totals are exactly
-the sum of its lanes'.
+holds on every lane after every step, a shard's totals are exactly
+the sum of its lanes', and every channel ledger's admission and shed
+counts equal the lane counters summed over the lanes that charge it.
 """
 
 import dataclasses
@@ -28,6 +30,7 @@ from repro.federation.tenancy import (
     TenantRegistry,
     TokenBucket,
 )
+from repro.ledger import CAT_FAULT_SHED, admission_category
 
 
 @st.composite
@@ -112,7 +115,15 @@ lane_steps = st.lists(
                   st.sampled_from(LANES), st.booleans()),
         # Migration only ever leaves shard-0 (alternating onto the other
         # two), so shard-0 is filled by admission alone.
-        st.tuples(st.just("migrate"))),
+        st.tuples(st.just("migrate")),
+        # One lane floods its shard past any slice; delivery failures
+        # open one lane's breaker; an injected overload toggles.
+        st.tuples(st.just("flood"), st.sampled_from(SHARDS[:2]),
+                  st.sampled_from(LANES),
+                  st.sampled_from(["ok", "late", "bad"])),
+        st.tuples(st.just("fence"), st.sampled_from(SHARDS[:2]),
+                  st.sampled_from(LANES)),
+        st.tuples(st.just("overload"), st.sampled_from(SHARDS[:2]))),
     min_size=1, max_size=60)
 
 
@@ -140,14 +151,33 @@ def check_lanes(loop, model, peaks):
         assert total.peak_depth == peaks[shard]
     # Only admission fills shard-0, so the memory bound holds there.
     assert peaks["shard-0"] <= LANE_CAPACITY
+    # Each verdict is charged and counted by one call, so every channel
+    # ledger reconciles with the lanes that charge it.
+    charged = {}
+    for lane in loop.lanes.values():
+        ledger = lane.terms.channel.ledger
+        charged.setdefault(id(ledger), (ledger, []))[1].append(lane.stats)
+    for ledger, lanes in charged.values():
+        def total(*counters):
+            return sum(getattr(stats, name)
+                       for stats in lanes for name in counters)
+        assert ledger.count(admission_category("accept")) \
+            == total("accepted")
+        assert ledger.count(admission_category("reject")) == total(
+            "rejected_full", "rejected_fenced", "rejected_overload")
+        assert ledger.count(admission_category("quota")) \
+            == total("rejected_quota")
+        assert ledger.count(CAT_FAULT_SHED) == total("shed")
 
 
 @settings(max_examples=150, deadline=None)
 @given(lane_steps)
 def test_lane_algebra_holds_under_any_interleaving(steps):
     clock = VirtualClock()
+    overloaded = set()
     loop = AsyncChannel(
         FlakyChannel(), clock, queue_capacity=LANE_CAPACITY,
+        overloaded=overloaded.__contains__,
         tenants=TenantRegistry([Tenant("tenant-a", weight=1.0),
                                 Tenant("tenant-b", weight=2.0,
                                        quota_rate=4.0, quota_burst=3)]))
@@ -155,21 +185,27 @@ def test_lane_algebra_holds_under_any_interleaving(steps):
     loop.register_tenant("tenant-b", FlakyChannel())
     model = {shard: [] for shard in SHARDS}
     peaks = {shard: 0 for shard in SHARDS}
+
+    def submit(sender, shard, tenant, kind):
+        sender += "-bad" if kind == "bad" else ""
+        try:
+            loop.submit(
+                shard, Message(sender=sender, receiver=shard,
+                               tag="upload.test", payload=sender,
+                               plaintext_bytes=32),
+                arrival_delay=1.0e6 if kind == "late" else 0.0,
+                tenant=tenant)
+        except AdmissionRejected:
+            pass
+        else:
+            model[shard].append(tenant)
+
     for serial, step in enumerate(steps):
         if step[0] == "submit":
-            _, shard, tenant, kind = step
-            sender = f"client-{serial}" + ("-bad" if kind == "bad" else "")
-            try:
-                loop.submit(
-                    shard, Message(sender=sender, receiver=shard,
-                                   tag="upload.test", payload=serial,
-                                   plaintext_bytes=32),
-                    arrival_delay=1.0e6 if kind == "late" else 0.0,
-                    tenant=tenant)
-            except AdmissionRejected:
-                pass
-            else:
-                model[shard].append(tenant)
+            submit(f"client-{serial}", *step[1:])
+        elif step[0] == "flood":
+            for index in range(LANE_CAPACITY + 1):
+                submit(f"client-{serial}-{index}", *step[1:])
         elif step[0] == "drain":
             _, shard, tenant, with_deadline = step
             before = {key: lane.queued for key, lane in loop.lanes.items()}
@@ -185,6 +221,12 @@ def test_lane_algebra_holds_under_any_interleaving(steps):
             for key, lane in loop.lanes.items():
                 if key[0] != shard or tenant not in (None, key[1]):
                     assert lane.queued == before[key]
+        elif step[0] == "fence":
+            breaker = loop.lane(step[1], step[2]).breaker
+            while breaker.allow():
+                breaker.record_failure()
+        elif step[0] == "overload":
+            overloaded ^= {step[1]}
         else:
             moved = loop.migrate(
                 "shard-0", lambda index, _sender: SHARDS[1 + index % 2])
@@ -195,3 +237,9 @@ def test_lane_algebra_holds_under_any_interleaving(steps):
         for shard in SHARDS:
             peaks[shard] = max(peaks[shard], len(model[shard]))
         check_lanes(loop, model, peaks)
+    # The round closes: a deadline drain of every shard sheds each late
+    # arrival still queued.
+    for shard in SHARDS:
+        loop.drain(shard, deadline=clock.now + 1.0)
+        model[shard] = []
+    check_lanes(loop, model, peaks)

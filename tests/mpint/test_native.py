@@ -18,6 +18,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -704,6 +705,25 @@ def test_idle_handles_are_bounded(rng, monkeypatch):
     del batch
     assert freed == handles
     assert sum(map(len, native._free)) <= before
+
+
+@needs_native
+def test_a_dropped_context_needs_no_cycle_collector(rng):
+    """A context's deficit fixups hold blocks, not batches pointing back
+    at it, so dropping the context and its last batch frees it at once."""
+    modulus = odd_modulus(rng, 256)
+    gc.disable()
+    try:
+        batch = resident([3, 5, 7], modulus)
+        product = mulmod_batch(batch, batch, modulus)
+        assert product._deficits == [1, 1, 1]
+        assert list(product) == [9, 25, 49]  # leave() builds a fixup
+        context = weakref.ref(product._context)
+        assert context()._fixups
+        del native._contexts[modulus], batch, product
+        assert context() is None
+    finally:
+        gc.enable()
 
 
 @needs_native
