@@ -3,9 +3,8 @@
 The one waiver is the **pragma**: ``# flcheck: allow[rule-name]`` on the
 *anchor line* of a finding silences that rule there; use it for
 deliberate, commented exceptions (e.g. the WAL's decrypt-commit record).
-Several rules may be listed comma-separated.  There is no baseline file:
-a rule lands together with the fixes or pragmas that keep the tree
-clean.
+Several rules may be listed comma-separated.  A new rule lands together
+with the fixes or pragmas that keep the tree clean.
 
 This module reads the wall clock (``time.monotonic``) only to enforce the
 CI ``--max-seconds`` bound; it is whitelisted in the determinism rule
