@@ -39,14 +39,21 @@ across the levels of a reduction: :func:`resident` turns a batch of
 residues into a :class:`ResidueBatch` -- library ``BIGNUM`` handles, one
 conversion per word -- products of resident batches are one
 ``BN_mod_mul_montgomery`` per pair and stay resident, and the caller
-leaves with ``list(batch)``.  Words never enter Montgomery form.  A
-handle with *deficit* ``d`` stores ``x * R^-d mod N`` for the residue
-``x`` it stands for: entering stores ``x`` itself (``d = 0``), the
-Montgomery product of deficits ``d1`` and ``d2`` has deficit
-``d1 + d2 + 1``, and reading a word back is one more Montgomery product
-with a cached ``R^(d+1) mod N``.  Residues here are ciphertexts, hence
-public: their handles are recycled through a free list and ``BN_free``d,
-never cleared.
+leaves with ``list(batch)``.  A batch lives as long as something refers
+to it: :class:`repro.tensor.planner.Leaf` keeps its words' batch for as
+long as its tensor lives, and its slices and permuted views take
+theirs with :meth:`ResidueBatch.gather`, so a word is converted once
+however many reductions read it.  :func:`resident` hands back a batch
+already under the requested modulus unchanged.  Words never enter
+Montgomery form.  A handle with *deficit* ``d`` stores ``x * R^-d mod N``
+for the residue ``x`` it stands for: entering stores ``x`` itself
+(``d = 0``), the Montgomery product of deficits ``d1`` and ``d2`` has
+deficit ``d1 + d2 + 1``, and reading a word back is one more Montgomery
+product with a cached ``R^(d+1) mod N``.  A batch whose handles share
+one deficit stores it once, as an ``int``.  Residues here are
+ciphertexts, hence public: their handles are recycled through a free
+list and ``BN_free``d, never cleared.  A batch is never duplicated:
+copying one returns it, and pickling one raises ``TypeError``.
 
 The third piece is concurrency.  The paper puts modexps on however many
 parallel units the host has; here those are libcrypto on each core, and
@@ -67,6 +74,7 @@ import ctypes
 import ctypes.util
 import os
 import threading
+from array import array
 from collections.abc import Sequence
 from itertools import repeat
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
@@ -215,39 +223,42 @@ def _bn_powmod(lib: ctypes.CDLL, scratch: _Scratch, base: int,
 # Resident batches.
 # ----------------------------------------------------------------------
 
-# Idle handles, shared by every thread, in the lists their blocks gave
-# back.  Only ``list.pop`` and ``list.append`` of a whole list touch it:
-# each is atomic under the interpreter lock, and a list is private to
-# whoever popped it, so a finalizer running half-way through a take
+# Idle handles, shared by every thread, in the arrays their blocks gave
+# back.  Only ``list.pop`` and ``list.append`` of a whole array touch
+# it: each is atomic under the interpreter lock, and an array is private
+# to whoever popped it, so a finalizer running half-way through a take
 # cannot hand the same handle out twice.
-_free: List[List[int]] = []
+_free: List[array] = []
 
 
 class _Block:
     """Owner of the handles one conversion or one product allocated.
 
-    Batches that share the handles (slices, concatenations) keep the
-    block alive; when the last of them goes, the handles are recycled.
+    Batches that share the handles (slices, gathers, concatenations)
+    keep the block alive; when the last of them goes, the handles are
+    recycled.  The handles are ``BIGNUM`` pointers packed in an
+    ``array('Q')``, eight bytes each.
     """
 
     __slots__ = ("_lib", "handles")
 
     def __init__(self, lib: ctypes.CDLL, count: int) -> None:
         self._lib = lib
-        handles = self.handles = []
+        handles = self.handles = array("Q")
         try:
             while len(handles) < count:
                 handles += _free.pop()
         except IndexError:
             missing = count - len(handles)
-            handles += filter(None, (lib.BN_new() for _ in range(missing)))
+            handles.extend(
+                filter(None, (lib.BN_new() for _ in range(missing))))
             if len(handles) < count:
                 raise MemoryError("libcrypto could not allocate a BIGNUM")
         if len(handles) > count:
             _free.append(handles[count:])
             del handles[count:]
 
-    def __del__(self, free: List[List[int]] = _free,
+    def __del__(self, free: List[array] = _free,
                 limit: int = _FREE_LIST_MAX) -> None:
         # Defaults, not globals: module globals are gone at shutdown.
         handles = self.handles
@@ -256,6 +267,15 @@ class _Block:
         else:
             for handle in handles:
                 self._lib.BN_free(handle)
+
+
+# One deficit shared by every handle of a batch, or one per handle.
+Deficits = Union[int, List[int]]
+
+
+def _spread(deficits: Deficits, count: int) -> List[int]:
+    """``deficits`` as one entry per handle of a ``count``-handle batch."""
+    return [deficits] * count if type(deficits) is int else deficits
 
 
 class _ModulusContext:
@@ -292,8 +312,10 @@ class _ModulusContext:
         self._r = powmod(self.leave(r_inverse, 0), -1, modulus)
 
     def __del__(self) -> None:
-        if self._mont:
-            self._lib.BN_MONT_CTX_free(self._mont)
+        # A constructor that raised leaves no _mont to free.
+        mont = getattr(self, "_mont", None)
+        if mont:
+            self._lib.BN_MONT_CTX_free(mont)
 
     def _fill(self, words: List[int]) -> _Block:
         """A block holding ``words`` (each in ``[0, modulus)``)."""
@@ -307,7 +329,7 @@ class _ModulusContext:
     def enter(self, words: List[int]) -> "ResidueBatch":
         """``words`` (each in ``[0, modulus)``) as handles of deficit 0."""
         block = self._fill(words)
-        return ResidueBatch(self, block.handles, [0] * len(words), (block,))
+        return ResidueBatch(self, block.handles, 0, (block,))
 
     def multiply(self, a: "ResidueBatch", b: "ResidueBatch") -> "ResidueBatch":
         """Pairwise products of two batches resident under this modulus."""
@@ -318,7 +340,12 @@ class _ModulusContext:
                        a._handles, b._handles, repeat(self._mont, count),
                        repeat(_scratch(lib).ctx))):
             raise MemoryError("BN_mod_mul_montgomery failed")
-        deficits = [x + y + 1 for x, y in zip(a._deficits, b._deficits)]
+        x, y = a._deficits, b._deficits
+        if type(x) is int and type(y) is int:
+            deficits: Deficits = x + y + 1
+        else:
+            deficits = [d + e + 1 for d, e in zip(_spread(x, count),
+                                                  _spread(y, count))]
         return ResidueBatch(self, block.handles, deficits, (block,))
 
     def leave(self, handle: int, deficit: int) -> int:
@@ -348,37 +375,56 @@ class ResidueBatch(Sequence):
     """Residues modulo one odd modulus, held as libcrypto ``BIGNUM``s.
 
     A read-only ``Sequence[int]``: indexing and iteration yield exactly
-    the residues, a slice or a ``+`` of two batches under the same
-    modulus shares the handles instead of converting, and ``+`` with
-    anything else is a plain list.  Built by :func:`resident` and
-    :func:`mulmod_batch` only.
+    the residues, a slice, a :meth:`gather` or a ``+`` of two batches
+    under the same modulus shares the handles instead of converting, and
+    ``+`` with anything else is a plain list.  Built by :func:`resident`
+    and :func:`mulmod_batch` only, and never duplicated: copies are the
+    batch itself, and a pickle would carry bare pointers, so it raises.
     """
 
     __slots__ = ("_context", "_handles", "_deficits", "_owners")
 
-    def __init__(self, context: _ModulusContext, handles: List[int],
-                 deficits: List[int], owners: Tuple[_Block, ...]) -> None:
+    def __init__(self, context: _ModulusContext, handles: array,
+                 deficits: Deficits, owners: Tuple[_Block, ...]) -> None:
         self._context = context
         self._handles = handles
         self._deficits = deficits
         self._owners = owners
 
+    @property
+    def modulus(self) -> int:
+        """The modulus the residues are held under."""
+        return self._context.modulus
+
     def __len__(self) -> int:
         return len(self._handles)
 
     def __getitem__(self, index):
+        deficits = self._deficits
         if isinstance(index, slice):
             handles = self._handles[index]
-            return ResidueBatch(self._context, handles,
-                                self._deficits[index],
-                                self._owners if handles else ())
-        return self._context.leave(self._handles[index],
-                                   self._deficits[index])
+            return ResidueBatch(
+                self._context, handles,
+                deficits if type(deficits) is int else deficits[index],
+                self._owners if handles else ())
+        handle = self._handles[index]
+        return self._context.leave(
+            handle, deficits if type(deficits) is int else deficits[index])
+
+    def gather(self, positions: Sequence[int]) -> "ResidueBatch":
+        """The batch ``[self[i] for i in positions]``, sharing handles."""
+        handles = array("Q", map(self._handles.__getitem__, positions))
+        deficits = self._deficits
+        if type(deficits) is not int:
+            deficits = list(map(deficits.__getitem__, positions))
+        return ResidueBatch(self._context, handles, deficits,
+                            self._owners if handles else ())
 
     def __iter__(self) -> Iterator[int]:
         # A generator, so the iterator keeps the owners alive.
         leave = self._context.leave
-        for handle, deficit in zip(self._handles, self._deficits):
+        for handle, deficit in zip(self._handles, _spread(
+                self._deficits, len(self._handles))):
             yield leave(handle, deficit)
 
     def __add__(self, other):
@@ -388,13 +434,25 @@ class ResidueBatch(Sequence):
                 return self
             if not self._handles:
                 return other
+            x, y = self._deficits, other._deficits
+            deficits = x if type(x) is int and x == y else \
+                _spread(x, len(self)) + _spread(y, len(other))
             return ResidueBatch(
-                self._context, self._handles + other._handles,
-                self._deficits + other._deficits,
+                self._context, self._handles + other._handles, deficits,
                 self._owners + other._owners)
         if isinstance(other, (list, ResidueBatch)):
             return list(self) + list(other)
         return NotImplemented
+
+    def __copy__(self) -> "ResidueBatch":
+        return self
+
+    def __deepcopy__(self, memo) -> "ResidueBatch":
+        return self
+
+    def __reduce_ex__(self, protocol):
+        raise TypeError(f"cannot pickle {type(self).__name__}: its words "
+                        f"are library handles; pickle list(batch)")
 
     def __radd__(self, other):
         return other + list(self) if isinstance(other, list) \
@@ -588,14 +646,19 @@ def resident(values: Iterable[int],
              modulus: int) -> Union[ResidueBatch, List[int]]:
     """``values`` reduced modulo ``modulus`` and held by the library.
 
-    One ``int.to_bytes`` and one ``BN_lebin2bn`` per word.  The plain
-    ``list(values)`` comes back instead when there is nothing to hold
-    them in or no point: no library bound, an even modulus or one
-    narrower than :data:`NATIVE_MIN_MODULUS_BITS`, an empty batch, a
-    value that is not a plain ``int``, or a ``BN_*`` failure.
+    One ``int.to_bytes`` and one ``BN_lebin2bn`` per word; a
+    :class:`ResidueBatch` already held under ``modulus`` comes back
+    unchanged, converting nothing.  The plain ``list(values)`` comes
+    back instead when there is nothing to hold them in or no point: no
+    library bound, an even modulus or one narrower than
+    :data:`NATIVE_MIN_MODULUS_BITS`, an empty batch, a value that is not
+    a plain ``int``, or a ``BN_*`` failure.
     """
-    words = list(values)
     lib = _lib
+    if (lib is not None and type(values) is ResidueBatch
+            and values.modulus == modulus):
+        return values
+    words = list(values)
     if (lib is None or type(modulus) is not int or modulus < _CUTOFF
             or not modulus & 1 or not words
             or set(map(type, words)) != {int}):

@@ -58,6 +58,21 @@ class CipherTensor:
     def __setattr__(self, name, value):
         raise AttributeError("CipherTensor is immutable")
 
+    # Immutable, so a copy is the tensor itself; a pickle carries the
+    # metadata and the integer words only -- no engine, no handles.
+    def __copy__(self) -> "CipherTensor":
+        return self
+
+    def __deepcopy__(self, memo) -> "CipherTensor":
+        return self
+
+    def __reduce__(self):
+        if self._words is None and self.engine is None:
+            raise TypeError(
+                "cannot pickle a lazy CipherTensor with no engine to flush "
+                "through; materialize(engine=...) it first")
+        return CipherTensor, (self.meta, self.words)
+
     # ------------------------------------------------------------------
     # Introspection.
     # ------------------------------------------------------------------
@@ -112,7 +127,8 @@ class CipherTensor:
             return self
         executor = engine if engine is not None else self.engine
         if self._words is not None:
-            return CipherTensor(self.meta, words=self._words,
+            # The same leaf, so its native handles come along.
+            return CipherTensor(self.meta, node=self._node,
                                 engine=executor)
         if executor is None:
             raise RuntimeError(
@@ -123,8 +139,17 @@ class CipherTensor:
         return CipherTensor(self.meta, words=words, engine=executor)
 
     def with_words(self, words: Sequence[int]) -> "CipherTensor":
-        """A copy carrying different raw words (same metadata)."""
-        return CipherTensor(self.meta, words=words, engine=self.engine)
+        """A copy carrying different raw words (same metadata).
+
+        When every word is one of this (materialized) tensor's -- a
+        permutation or a selection of them -- the copy is a view that
+        shares this tensor's native handles instead of converting its
+        words again; foreign or tampered words make a plain tensor.
+        """
+        node = self._node
+        leaf = (node.view(words) if isinstance(node, planner.Leaf)
+                else planner.Leaf(words))
+        return CipherTensor(self.meta, node=leaf, engine=self.engine)
 
     # ------------------------------------------------------------------
     # Lazy arithmetic.
@@ -169,11 +194,15 @@ class CipherTensor:
 
         Slices must fall on packing-capacity boundaries; with
         ``capacity == 1`` (the uncompressed path) any slice works.
-        Single-integer indexing returns a one-value tensor.
+        Single-integer indexing returns a one-value tensor and, like a
+        list, raises ``IndexError`` outside ``-len(t) <= index < len(t)``.
         """
         if isinstance(index, int):
-            if index < 0:
-                index += self.meta.count
+            count = self.meta.count
+            if not -count <= index < count:
+                raise IndexError(f"index {index} out of range for a "
+                                 f"tensor of {count} values")
+            index %= count
             index = slice(index, index + 1)
         if not isinstance(index, slice):
             raise TypeError("CipherTensor supports int/slice indexing")

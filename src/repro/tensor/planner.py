@@ -17,6 +17,12 @@ owns the tree and the flush that turns it into a *minimal* sequence of
   path's ``k - 1``.  :func:`reduce_rows` is that reduction, and the only
   one: ``sum()`` is its one-word-per-row case, and the words stay
   resident in the native library from the first level to the last;
+- **resident leaves** -- a :class:`Leaf` enters its words into the
+  native library the first time a reduction reads it and keeps the
+  handles for as long as its tensor lives; its slices and the permuted
+  views ``CipherTensor.with_words`` makes of it hold positions into it,
+  not words of their own, and gather the shared handles when they are
+  reduced, so each word is converted once however often it is read;
 - **slice pushdown** -- slicing commutes with add and scale, so it is
   pushed to the leaves and costs nothing.
 
@@ -28,7 +34,10 @@ charged differently, exactly like the real systems.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from array import array
+from functools import reduce
+from operator import add
+from typing import List, Optional, Sequence
 
 from repro.mpint import native
 
@@ -47,21 +56,70 @@ class Node:
         """Evaluate into raw ciphertext words through ``engine``."""
         raise NotImplementedError
 
+    def operand(self, engine) -> Sequence[int]:
+        """The words as a reduction's operand: held by the native
+        library under ``engine.residue_modulus`` where they already are,
+        plain integers otherwise."""
+        return self.flush(engine)
+
 
 class Leaf(Node):
-    """Materialized ciphertext words."""
+    """Materialized ciphertext words.
 
-    __slots__ = ("words", "num_words")
+    A leaf built from words is a *source*: the first :meth:`operand`
+    under a modulus enters all of its words into the native library and
+    keeps the batch.  A leaf built with ``source`` (a slice, or a
+    permuted view from :meth:`view`) holds ``positions`` into the
+    source's words -- a ``range`` or an ``array('I')``, never handles --
+    and gathers the source's handles when it is reduced.
+    """
 
-    def __init__(self, words: Sequence[int]):
+    __slots__ = ("words", "num_words", "_source", "_positions",
+                 "_resident")
+
+    def __init__(self, words: Sequence[int],
+                 source: Optional["Leaf"] = None,
+                 positions: Optional[Sequence[int]] = None):
         self.words = tuple(words)
         self.num_words = len(self.words)
+        self._source = source
+        self._positions = positions
+        self._resident: Optional[native.ResidueBatch] = None
 
     def sliced(self, start: int, stop: int) -> "Leaf":
-        return Leaf(self.words[start:stop])
+        if self._source is None:
+            return Leaf(self.words[start:stop], self, range(start, stop))
+        return Leaf(self.words[start:stop], self._source,
+                    self._positions[start:stop])
+
+    def view(self, words: Sequence[int]) -> "Leaf":
+        """A leaf of ``words``, sharing this leaf's source when every
+        word is one of the source's; a plain source leaf otherwise."""
+        source = self._source or self
+        # Built for this call only: a leaf keeps positions, not values.
+        position = {word: index for index, word in enumerate(source.words)}
+        try:
+            positions = array("I", map(position.__getitem__, words))
+        except KeyError:
+            return Leaf(words)
+        return Leaf(words, source, positions)
 
     def flush(self, engine) -> List[int]:
         return list(self.words)
+
+    def operand(self, engine) -> Sequence[int]:
+        if self.num_words < 2:
+            # A lone word is no reduction: nothing to enter.
+            return list(self.words)
+        modulus = getattr(engine, "residue_modulus", None)
+        source = self._source or self
+        batch = source._resident
+        if batch is None or batch.modulus != modulus:
+            batch = native.resident(source.words, modulus)
+            if type(batch) is not native.ResidueBatch:
+                return list(self.words)
+            source._resident = batch
+        return batch if source is self else batch.gather(self._positions)
 
 
 class Scale(Node):
@@ -122,18 +180,20 @@ class Add(Node):
             return []
         # Pending (words, scalar) rows: Scale children hold their factor
         # back so all factors fuse into one scalar_mul_batch launch.
-        rows: List[List[int]] = []
+        rows: List[Sequence[int]] = []
         scalars: List[int] = []
         for child in self.children:
             if isinstance(child, Scale):
                 rows.append(child.child.flush(engine))
                 scalars.append(child.scalar)
             else:
-                rows.append(child.flush(engine))
+                rows.append(child.operand(engine))
                 scalars.append(1)
         rows = _fused_scalar_mul(engine, rows, scalars)
-        return reduce_rows(engine, [word for row in rows for word in row],
-                           width)
+        # Resident rows join by sharing handles; the rest enter here.
+        modulus = getattr(engine, "residue_modulus", None)
+        return reduce_rows(engine, reduce(add, (
+            native.resident(row, modulus) for row in rows)), width)
 
 
 class Sum(Node):
@@ -153,18 +213,17 @@ class Sum(Node):
         raise IndexError("a summed tensor has exactly one word")
 
     def flush(self, engine) -> List[int]:
-        words = self.child.flush(engine)
         # On an HeEngine this is reduce_rows at one word per row:
         # ceil(log2 n) launches for n words.
-        return [engine.sum_ciphertexts(words)]
+        return [engine.sum_ciphertexts(self.child.operand(engine))]
 
 
 # ----------------------------------------------------------------------
 # Fusion helpers.
 # ----------------------------------------------------------------------
 
-def _fused_scalar_mul(engine, rows: List[List[int]],
-                      scalars: List[int]) -> List[List[int]]:
+def _fused_scalar_mul(engine, rows: List[Sequence[int]],
+                      scalars: List[int]) -> List[Sequence[int]]:
     """Apply per-row scalars with a single coalesced kernel launch."""
     pending = [index for index, scalar in enumerate(scalars)
                if scalar != 1 and rows[index]]
@@ -194,10 +253,13 @@ def reduce_rows(engine, words: Sequence[int], width: int) -> List[int]:
     at the tensors' width and ``HeEngine.sum_ciphertexts`` at width 1.
 
     Where the engine's addition is a modular product under
-    ``engine.residue_modulus``, the words are converted into the native
-    library once (:func:`repro.mpint.native.resident`), every level
-    multiplies and slices them there, and only the final row is read
-    back: no resident batch outlives this call.
+    ``engine.residue_modulus``, the words are held in the native library
+    (:func:`repro.mpint.native.resident`), every level multiplies and
+    slices them there, and only the final row is read back.  ``words``
+    may already be resident -- a leaf's :meth:`Leaf.operand`, whose
+    handles live with its tensor and are shared by its slices and views
+    -- and then nothing is converted; the products of the levels are
+    this call's own and are dropped with it.
     """
     rows = len(words) // width
     if rows < 2:

@@ -63,6 +63,44 @@ def test_a_1024_word_sum_stays_resident_at_every_level(monkeypatch):
     assert levels == [True] * 10
 
 
+@pytest.mark.skipif(not native.HAVE_NATIVE,
+                    reason="residency needs the native library")
+def test_a_warm_cipher_hist_round_converts_no_word(monkeypatch):
+    """``cipher_hist_1024``'s shape: bins of permuted views of one
+    encrypted tensor.  The first round enters the source's words into
+    the library once; a warm round reduces every bin from the handles
+    the source kept, converting nothing."""
+    runtime = FederationRuntime(WITHOUT_BC, num_clients=128, key_bits=1024,
+                                physical_key_bits=1024, seed=7,
+                                he_backend="auto")
+    aggregator = runtime.aggregator
+    encrypted = aggregator.encrypt_tensor(np.linspace(-0.9, 0.9, 1024))
+    rng = np.random.default_rng(7)
+    views = [encrypted.with_words([encrypted.words[i]
+                                   for i in rng.permutation(1024)])
+             for _ in range(2)]
+    converted = []
+    fill = native._ModulusContext._fill
+    monkeypatch.setattr(
+        native._ModulusContext, "_fill",
+        lambda context, words: converted.append(len(words))
+        or fill(context, words))
+
+    def one_round():
+        return [aggregator.decrypt_tensor(aggregator.send_tensor(
+            view[start:start + 128].sum().materialize(
+                engine=runtime.server_engine),
+            sender="host", receiver="guest", tag="histogram"))[0]
+            for view in views for start in range(0, 1024, 128)]
+
+    first = one_round()
+    # The source's words, then at most the one R^(d+1) fixup.
+    assert converted[0] == 1024 and sum(converted) <= 1025
+    del converted[:]
+    assert one_round() == first
+    assert converted == []
+
+
 def test_a_warm_upload_encodes_without_rederiving_its_geometry(monkeypatch):
     """Slot widths, masks and shifts are fixed when the scheme and the
     codec are built; a log2 back on the encode path is what this

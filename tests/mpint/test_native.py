@@ -552,6 +552,43 @@ def test_aliased_operands(rng):
         assert doubled._handles == batch._handles + batch._handles[:2]
 
 
+def test_a_gathered_batch_shares_its_source(rng):
+    modulus = odd_modulus(rng, 1024)
+    values = [rng.randbits(1024) % modulus for _ in range(7)]
+    batch = resident(values, modulus)
+    mixed = mulmod_batch(batch[:3], batch[3:6], modulus) + batch[6:]
+    positions = [3, 0, 2, 2, 1]
+    for source, plain in ((batch, values), (mixed, list(mixed))):
+        gathered = source.gather(positions) if native.HAVE_NATIVE \
+            else [source[i] for i in positions]
+        assert list(gathered) == [plain[i] for i in positions]
+        if native.HAVE_NATIVE:
+            assert list(gathered._handles) == \
+                [source._handles[i] for i in positions]
+            assert gathered._owners == source._owners
+
+
+@needs_native
+def test_resident_passes_a_batch_under_its_modulus_through(rng,
+                                                           monkeypatch):
+    modulus, other = odd_modulus(rng, 1024), odd_modulus(rng, 1024)
+    values = [rng.randbits(1024) % modulus for _ in range(4)]
+    batch = resident(values, modulus)
+    product = mulmod_batch(batch, batch, modulus)
+    entered = []
+    fill = native._ModulusContext._fill
+    monkeypatch.setattr(native._ModulusContext, "_fill",
+                        lambda context, words: entered.append(words)
+                        or fill(context, words))
+    assert resident(batch, modulus) is batch
+    assert resident(product, modulus) is product
+    assert entered == []
+    # Under another modulus it is a list of residues like any other.
+    moved = resident(batch, other)
+    assert list(moved) == [value % other for value in values]
+    assert entered == [[value % other for value in values]]
+
+
 def test_operands_outside_the_residue_range_enter_reduced(rng):
     modulus = odd_modulus(rng, 300)
     values = [modulus, modulus + 5, (modulus << 40) + 3, -1, -modulus - 2, 7]
@@ -716,7 +753,7 @@ def test_a_dropped_context_needs_no_cycle_collector(rng):
     try:
         batch = resident([3, 5, 7], modulus)
         product = mulmod_batch(batch, batch, modulus)
-        assert product._deficits == [1, 1, 1]
+        assert native._spread(product._deficits, 3) == [1, 1, 1]
         assert list(product) == [9, 25, 49]  # leave() builds a fixup
         context = weakref.ref(product._context)
         assert context()._fixups

@@ -1,10 +1,14 @@
 """Tests for CipherTensor: lazy ops, fusion planning, key safety."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.crypto.cpu_engine import CpuPaillierEngine
 from repro.ledger import CostLedger
+from repro.mpint import native
 from repro.mpint.primes import LimbRandom
 from repro.tensor.cipher import CipherTensor
 from repro.tensor.meta import KeyMismatchError
@@ -152,6 +156,19 @@ class TestSlicing:
         step = flat_packer.scheme.quantization_step
         assert np.allclose(decoded, [-0.2], atol=step)
 
+    def test_int_index_is_checked_like_a_list(self, engine, flat_packer):
+        values = np.array([0.1, -0.2, 0.3])
+        tensor = encrypt(engine, flat_packer, values)
+        step = flat_packer.scheme.quantization_step
+        for index, expected in ((0, 0.1), (-1, 0.3)):
+            decoded = engine.decrypt_tensor(tensor[index]).decode()
+            assert np.allclose(decoded, [expected], atol=step)
+        for index in (len(tensor), -len(tensor) - 1, 10):
+            with pytest.raises(IndexError,
+                               match=rf"index {index} out of range for a "
+                                     rf"tensor of 3 values"):
+                _ = tensor[index]
+
     def test_slice_pushdown_through_add(self, engine, flat_packer):
         t1 = encrypt(engine, flat_packer, np.full(6, 0.2))
         t2 = encrypt(engine, flat_packer, np.full(6, 0.3))
@@ -200,3 +217,51 @@ class TestInvariants:
             expr.materialize()
         # Passing an engine explicitly recovers.
         assert not expr.materialize(engine=engine).is_lazy
+
+
+class TestCopyAndPickle:
+    """An immutable tensor copies as itself and pickles as its metadata
+    and integer words, whatever its leaf holds in the native library."""
+
+    @staticmethod
+    def reduced(engine, flat_packer):
+        tensor = encrypt(engine, flat_packer, np.linspace(-0.5, 0.5, 6))
+        tensor[1:5].sum().materialize()
+        return tensor
+
+    def test_copies_are_the_tensor(self, engine, flat_packer):
+        fresh = encrypt(engine, flat_packer, np.zeros(3))
+        for tensor in (fresh, self.reduced(engine, flat_packer),
+                       fresh + fresh):
+            assert copy.copy(tensor) is tensor
+            assert copy.deepcopy(tensor) is tensor
+            assert copy.deepcopy([tensor])[0] is tensor
+
+    def test_reduced_tensor_round_trips(self, engine, flat_packer):
+        tensor = self.reduced(engine, flat_packer)
+        if native.HAVE_NATIVE:
+            assert type(tensor._node._resident) is native.ResidueBatch
+        for original in (tensor, encrypt(engine, flat_packer, np.ones(2))):
+            clone = pickle.loads(pickle.dumps(original))
+            assert clone.meta == original.meta and clone.engine is None
+            assert clone.words == original.words
+            assert [type(word) for word in clone.words] == \
+                [int] * original.num_words
+            assert np.array_equal(engine.decrypt_tensor(clone).decode(),
+                                  engine.decrypt_tensor(original).decode())
+
+    def test_lazy_tensor_materializes_or_refuses(self, engine, flat_packer):
+        tensor = encrypt(engine, flat_packer, np.full(4, 0.25))
+        clone = pickle.loads(pickle.dumps(tensor + tensor))
+        assert clone.words == (tensor + tensor).words
+        detached = CipherTensor(tensor.meta, words=tensor.words)
+        with pytest.raises(TypeError, match="lazy CipherTensor"):
+            pickle.dumps(detached + detached)
+
+    @pytest.mark.skipif(not native.HAVE_NATIVE,
+                        reason="residency needs the native library")
+    def test_a_residue_batch_is_never_duplicated(self, engine, flat_packer):
+        batch = self.reduced(engine, flat_packer)._node._resident
+        assert copy.copy(batch) is batch and copy.deepcopy(batch) is batch
+        with pytest.raises(TypeError, match="ResidueBatch"):
+            pickle.dumps(batch)

@@ -4,7 +4,10 @@ Paillier's homomorphic ops are modular multiplications/exponentiations,
 so the fused level-wise reduction and the eager pair-at-a-time path must
 produce *bit-identical* ciphertexts -- not merely close decodes.  The
 sweep covers value counts, packing capacities, quantization schemes,
-operand counts and scalar factors.
+operand counts and scalar factors, and the leaves a fused reduction
+reads from the native library: permuted ``with_words`` views and slices
+that share a source's handles, and views of foreign or tampered words,
+which must fall back to a plain leaf of their own.
 """
 
 import numpy as np
@@ -15,6 +18,7 @@ from repro.ledger import CostLedger
 from repro.mpint.primes import LimbRandom
 from repro.quantization.encoding import QuantizationScheme
 from repro.quantization.packing import BatchPacker
+from repro.tensor import planner
 from repro.tensor.plain import PlainTensor
 
 
@@ -99,3 +103,45 @@ class TestFusedEqualsEager:
         decoded = engine.decrypt_tensor(total).decode()
         assert np.allclose(decoded, values.sum(),
                            atol=count * scheme.quantization_step)
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=TWO_BINDINGS)
+    @given(count=st.integers(min_value=2, max_value=16),
+           seed=st.integers(min_value=0, max_value=2 ** 16))
+    def test_views_and_slices_of_resident_leaves_match_eager(
+            self, paillier_128, count, seed):
+        scheme = QuantizationScheme(alpha=1.0, r_bits=12, num_parties=16)
+        packer = BatchPacker(scheme, plaintext_bits=127, capacity=1)
+        engine = CpuPaillierEngine(paillier_128, ledger=CostLedger(),
+                                   rng=LimbRandom(seed=7))
+        rng = np.random.default_rng(seed)
+        tensor = engine.encrypt_tensor(PlainTensor.encode(
+            rng.uniform(-0.9, 0.9, count), packer))
+        other = engine.encrypt_tensor(PlainTensor.encode(
+            rng.uniform(-0.9, 0.9, count), packer))
+        view = tensor.with_words(
+            [tensor.words[i] for i in rng.permutation(count)])
+        tampered = list(view.words)
+        index = int(rng.integers(count))
+        tampered[index] ^= 1 << int(rng.integers(tampered[index]
+                                                 .bit_length()))
+        foreign = view.with_words(tampered)
+        mixed = tensor.with_words(list(tensor.words[1:]) + [other.words[0]])
+        assert view._node._source is tensor._node
+        for plain in (foreign, mixed):
+            assert plain._node._source is None
+        start = int(rng.integers(count - 1))
+        stop = int(rng.integers(start + 1, count + 1))
+        expressions = [
+            view.sum(), view[start:stop].sum(), tensor[start:stop].sum(),
+            view[1:][start:stop].sum() if stop < count else view.sum(),
+            (view + tensor)[start:stop], view + 2 * tensor + view,
+            foreign.sum(), foreign + view, mixed.sum(), mixed + tensor]
+        # Twice: the second flush reads the handles the first one kept.
+        for _ in range(2):
+            for expression in expressions:
+                fused = expression.materialize()
+                assert [type(word) for word in fused.words] == \
+                    [int] * fused.num_words
+                assert list(fused.words) == \
+                    planner.eager_flush(expression._node, engine)

@@ -1,11 +1,13 @@
 """The one level-wise reducer, with its words resident and without.
 
 ``planner.reduce_rows`` holds a reduction's words inside the native
-library from the first level to the last.  That must be invisible: the
-same ciphertext words, device launches and ledger entries whether or
-not a library is bound, nothing but plain integers in the result, and
--- where a library *is* bound -- resident operands at every level, so a
-silently disengaged path cannot hide behind the fallback.
+library from the first level to the last, and a leaf keeps its words
+there for as long as its tensor lives, shared by its slices and
+permuted views.  That must be invisible: the same ciphertext words,
+device launches and ledger entries whether or not a library is bound,
+nothing but plain integers in the result, and -- where a library *is*
+bound -- resident operands at every level and each word converted once,
+so a silently disengaged path cannot hide behind the fallback.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ def packer_for(summands):
     return BatchPacker(scheme, plaintext_bits=127, capacity=1)
 
 
-def histogram(engine_class, keypair):
-    """Everything observable about a VIEWS x BINS x BIN_SIZE histogram."""
+def histogram(engine_class, keypair, passes=1):
+    """Everything observable about ``passes`` VIEWS x BINS x BIN_SIZE
+    histograms over the same views."""
     engine = engine_class(keypair, ledger=CostLedger(),
                           rng=LimbRandom(seed=31))
     rng = np.random.default_rng(17)
@@ -47,14 +50,14 @@ def histogram(engine_class, keypair):
     encrypted = engine.encrypt_tensor(
         PlainTensor.encode(values, packer_for(BIN_SIZE)))
     orders = [rng.permutation(len(values)) for _ in range(VIEWS)]
-    sums = [
-        encrypted.with_words([encrypted.words[i] for i in order])
-        [b * BIN_SIZE:(b + 1) * BIN_SIZE].sum().materialize()
-        for order in orders for b in range(BINS)]
+    views = [encrypted.with_words([encrypted.words[i] for i in order])
+             for order in orders]
+    sums = [view[b * BIN_SIZE:(b + 1) * BIN_SIZE].sum().materialize()
+            for _ in range(passes) for view in views for b in range(BINS)]
     decoded = [float(engine.decrypt_tensor(total).decode()[0])
                for total in sums]
     expected = [float(values[order[b * BIN_SIZE:(b + 1) * BIN_SIZE]].sum())
-                for order in orders for b in range(BINS)]
+                for order in orders for b in range(BINS)] * passes
     kernels = getattr(engine, "kernels", None)
     return {
         "words": [total.words for total in sums],
@@ -62,6 +65,22 @@ def histogram(engine_class, keypair):
         "ledger": engine.ledger.snapshot(),
         "decoded": decoded,
     }, expected
+
+
+@pytest.fixture()
+def fills(monkeypatch):
+    """The size of every conversion into the library, from a fresh
+    context cache (so the first leave of a deficit builds its fixup)."""
+    seen = []
+    fill = native._ModulusContext._fill
+
+    def spy(context, words):
+        seen.append(len(words))
+        return fill(context, words)
+
+    monkeypatch.setattr(native._ModulusContext, "_fill", spy)
+    monkeypatch.setattr(native, "_contexts", {})
+    return seen
 
 
 @pytest.fixture()
@@ -81,14 +100,20 @@ def products(monkeypatch):
 @SCALAR_ENGINES
 def test_histogram_is_identical_bound_and_unbound(engine_class,
                                                   paillier_128,
-                                                  monkeypatch):
-    bound, expected = histogram(engine_class, paillier_128)
+                                                  monkeypatch, fills):
+    bound, expected = histogram(engine_class, paillier_128, passes=2)
+    if native.HAVE_NATIVE:
+        # The source's words, once for every view and both passes, then
+        # the one R^(d+1) fixup all bins of depth LEVELS leave through.
+        assert fills == [BINS * BIN_SIZE, 1]
     with monkeypatch.context() as patch:
         _unbind_native(patch.setattr)
-        unbound, _ = histogram(engine_class, paillier_128)
+        unbound, _ = histogram(engine_class, paillier_128, passes=2)
     assert bound == unbound
+    half = VIEWS * BINS
+    assert bound["words"][:half] == bound["words"][half:]
     # snapshot rows are (seconds, count, bytes)
-    assert bound["ledger"]["he.add"][1] == VIEWS * BINS * (BIN_SIZE - 1)
+    assert bound["ledger"]["he.add"][1] == 2 * half * (BIN_SIZE - 1)
     tolerance = BIN_SIZE * packer_for(BIN_SIZE).scheme.quantization_step
     assert np.allclose(bound["decoded"], expected, atol=tolerance)
     # Nothing resident escapes into a tensor.
@@ -131,6 +156,33 @@ def test_every_level_of_an_nary_add_sees_resident_operands(
     assert list(fused.words) == eager
     assert np.allclose(engine.decrypt_tensor(fused).decode(), sum(arrays),
                        atol=5 * packer_for(8).scheme.quantization_step)
+
+
+@SCALAR_ENGINES
+def test_a_second_pass_converts_nothing(engine_class, paillier_128,
+                                        fills):
+    engine = engine_class(paillier_128, ledger=CostLedger(),
+                          rng=LimbRandom(seed=31))
+    encrypted = engine.encrypt_tensor(PlainTensor.encode(
+        np.linspace(-0.9, 0.9, BINS * BIN_SIZE), packer_for(BIN_SIZE)))
+    order = np.random.default_rng(3).permutation(BINS * BIN_SIZE)
+    view = encrypted.with_words([encrypted.words[i] for i in order])
+    bins = [view[b * BIN_SIZE:(b + 1) * BIN_SIZE] for b in range(BINS)]
+    both = view + encrypted
+
+    def one_pass():
+        return ([part.sum().materialize().words for part in bins],
+                both.materialize().words)
+
+    first = one_pass()
+    converted = list(fills)
+    del fills[:]
+    assert one_pass() == first
+    assert first[1] == tuple(planner.eager_flush(both._node, engine))
+    if native.HAVE_NATIVE:
+        # The source's words, then the fixups of deficits LEVELS and 1.
+        assert converted == [BINS * BIN_SIZE, 1, 1]
+        assert fills == []
 
 
 def test_one_shot_adds_stay_python(paillier_128, products):
