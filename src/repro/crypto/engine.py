@@ -287,7 +287,11 @@ class HeEngine(ABC):
 
         Reduces pairwise with :meth:`add_batch` so the additions are
         charged on this engine's execution path: the one-word-per-row
-        case of :func:`repro.tensor.planner.reduce_rows`.
+        case of :func:`repro.tensor.planner.reduce_rows`.  The batch may
+        be a :class:`repro.mpint.native.ResidueBatch` under
+        :attr:`residue_modulus` -- what a tensor's ``sum()`` passes when
+        its leaf's words are resident -- and is then reduced without
+        converting a word.
         """
         if not ciphertexts:
             raise ValueError("cannot sum an empty ciphertext batch")

@@ -74,7 +74,6 @@ import ctypes
 import ctypes.util
 import os
 import threading
-from array import array
 from collections.abc import Sequence
 from itertools import repeat
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
@@ -223,12 +222,12 @@ def _bn_powmod(lib: ctypes.CDLL, scratch: _Scratch, base: int,
 # Resident batches.
 # ----------------------------------------------------------------------
 
-# Idle handles, shared by every thread, in the arrays their blocks gave
-# back.  Only ``list.pop`` and ``list.append`` of a whole array touch
-# it: each is atomic under the interpreter lock, and an array is private
-# to whoever popped it, so a finalizer running half-way through a take
+# Idle handles, shared by every thread, in the lists their blocks gave
+# back.  Only ``list.pop`` and ``list.append`` of a whole list touch it:
+# each is atomic under the interpreter lock, and a list is private to
+# whoever popped it, so a finalizer running half-way through a take
 # cannot hand the same handle out twice.
-_free: List[array] = []
+_free: List[List[int]] = []
 
 
 class _Block:
@@ -236,29 +235,27 @@ class _Block:
 
     Batches that share the handles (slices, gathers, concatenations)
     keep the block alive; when the last of them goes, the handles are
-    recycled.  The handles are ``BIGNUM`` pointers packed in an
-    ``array('Q')``, eight bytes each.
+    recycled.
     """
 
     __slots__ = ("_lib", "handles")
 
     def __init__(self, lib: ctypes.CDLL, count: int) -> None:
         self._lib = lib
-        handles = self.handles = array("Q")
+        handles = self.handles = []
         try:
             while len(handles) < count:
                 handles += _free.pop()
         except IndexError:
             missing = count - len(handles)
-            handles.extend(
-                filter(None, (lib.BN_new() for _ in range(missing))))
+            handles += filter(None, (lib.BN_new() for _ in range(missing)))
             if len(handles) < count:
                 raise MemoryError("libcrypto could not allocate a BIGNUM")
         if len(handles) > count:
             _free.append(handles[count:])
             del handles[count:]
 
-    def __del__(self, free: List[array] = _free,
+    def __del__(self, free: List[List[int]] = _free,
                 limit: int = _FREE_LIST_MAX) -> None:
         # Defaults, not globals: module globals are gone at shutdown.
         handles = self.handles
@@ -384,7 +381,7 @@ class ResidueBatch(Sequence):
 
     __slots__ = ("_context", "_handles", "_deficits", "_owners")
 
-    def __init__(self, context: _ModulusContext, handles: array,
+    def __init__(self, context: _ModulusContext, handles: List[int],
                  deficits: Deficits, owners: Tuple[_Block, ...]) -> None:
         self._context = context
         self._handles = handles
@@ -413,10 +410,11 @@ class ResidueBatch(Sequence):
 
     def gather(self, positions: Sequence[int]) -> "ResidueBatch":
         """The batch ``[self[i] for i in positions]``, sharing handles."""
-        handles = array("Q", map(self._handles.__getitem__, positions))
+        source = self._handles
+        handles = [source[i] for i in positions]
         deficits = self._deficits
         if type(deficits) is not int:
-            deficits = list(map(deficits.__getitem__, positions))
+            deficits = [deficits[i] for i in positions]
         return ResidueBatch(self._context, handles, deficits,
                             self._owners if handles else ())
 

@@ -95,6 +95,7 @@ class Leaf(Node):
     def view(self, words: Sequence[int]) -> "Leaf":
         """A leaf of ``words``, sharing this leaf's source when every
         word is one of the source's; a plain source leaf otherwise."""
+        words = tuple(words)
         source = self._source or self
         # Built for this call only: a leaf keeps positions, not values.
         position = {word: index for index, word in enumerate(source.words)}

@@ -179,6 +179,31 @@ class TestSlicing:
         assert np.allclose(decoded, 0.5, atol=2 * step)
 
 
+class TestWithWords:
+    def test_a_permutation_shares_the_source(self, engine, flat_packer):
+        values = np.linspace(-0.9, 0.9, 6)
+        tensor = encrypt(engine, flat_packer, values)
+        order = [4, 0, 5, 1, 3, 2]
+        for words in ([tensor.words[i] for i in order],
+                      (tensor.words[i] for i in order)):
+            view = tensor.with_words(words)
+            assert view.words == tuple(tensor.words[i] for i in order)
+            assert view._node._source is tensor._node
+            assert list(view._node._positions) == order
+            assert view[2:4]._node._source is tensor._node
+            decoded = engine.decrypt_tensor(view).decode()
+            step = flat_packer.scheme.quantization_step
+            assert np.allclose(decoded, values[order], atol=step)
+
+    def test_foreign_words_make_a_plain_leaf(self, engine, flat_packer):
+        tensor = encrypt(engine, flat_packer, np.zeros(3))
+        other = encrypt(engine, flat_packer, np.ones(3))
+        words = iter([tensor.words[0], tensor.words[1], other.words[2]])
+        view = tensor.with_words(words)
+        assert view._node._source is None
+        assert view.words == tensor.words[:2] + other.words[2:]
+
+
 class TestKeySafety:
     def test_cross_key_add_raises(self, engine, other_engine, flat_packer):
         t1 = encrypt(engine, flat_packer, np.zeros(4))
