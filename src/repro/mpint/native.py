@@ -309,10 +309,8 @@ class _ModulusContext:
         self._r = powmod(self.leave(r_inverse, 0), -1, modulus)
 
     def __del__(self) -> None:
-        # A constructor that raised leaves no _mont to free.
-        mont = getattr(self, "_mont", None)
-        if mont:
-            self._lib.BN_MONT_CTX_free(mont)
+        if self._mont:
+            self._lib.BN_MONT_CTX_free(self._mont)
 
     def _fill(self, words: List[int]) -> _Block:
         """A block holding ``words`` (each in ``[0, modulus)``)."""
