@@ -66,12 +66,13 @@ class Node:
 class Leaf(Node):
     """Materialized ciphertext words.
 
-    A leaf built from words is a *source*: the first :meth:`operand`
-    under a modulus enters all of its words into the native library and
-    keeps the batch.  A leaf built with ``source`` (a slice, or a
-    permuted view from :meth:`view`) holds ``positions`` into the
-    source's words -- a ``range`` or an ``array('I')``, never handles --
-    and gathers the source's handles when it is reduced.
+    A leaf built from words is a *source*: the first reduction that
+    reads it under a modulus enters all of its words into the native
+    library (:func:`_enter`) and the leaf keeps the batch.  A leaf built
+    with ``source`` (a slice, or a permuted view from :meth:`view`)
+    holds ``positions`` into the source's words -- a ``range`` or an
+    ``array('I')``, never handles -- and gathers the source's handles
+    when it is reduced.
     """
 
     __slots__ = ("words", "num_words", "_source", "_positions",
@@ -109,18 +110,21 @@ class Leaf(Node):
         return list(self.words)
 
     def operand(self, engine) -> Sequence[int]:
-        if self.num_words < 2:
-            # A lone word is no reduction: nothing to enter.
-            return list(self.words)
         modulus = getattr(engine, "residue_modulus", None)
-        source = self._source or self
-        batch = source._resident
-        if batch is None or batch.modulus != modulus:
-            batch = native.resident(source.words, modulus)
-            if type(batch) is not native.ResidueBatch:
+        batch = self._held(modulus)
+        if batch is None:
+            _enter([self], modulus)
+            batch = self._held(modulus)
+            if batch is None:
                 return list(self.words)
-            source._resident = batch
-        return batch if source is self else batch.gather(self._positions)
+        return batch if self._source is None \
+            else batch.gather(self._positions)
+
+    def _held(self, modulus) -> Optional[native.ResidueBatch]:
+        """The source's batch, if it is resident under ``modulus``."""
+        batch = (self._source or self)._resident
+        return batch if batch is not None and batch.modulus == modulus \
+            else None
 
 
 class Scale(Node):
@@ -179,6 +183,9 @@ class Add(Node):
         width = self.num_words
         if width == 0:
             return []
+        modulus = getattr(engine, "residue_modulus", None)
+        _enter([child for child in self.children
+                if isinstance(child, Leaf)], modulus)
         # Pending (words, scalar) rows: Scale children hold their factor
         # back so all factors fuse into one scalar_mul_batch launch.
         rows: List[Sequence[int]] = []
@@ -192,7 +199,6 @@ class Add(Node):
                 scalars.append(1)
         rows = _fused_scalar_mul(engine, rows, scalars)
         # Resident rows join by sharing handles; the rest enter here.
-        modulus = getattr(engine, "residue_modulus", None)
         return reduce_rows(engine, reduce(add, (
             native.resident(row, modulus) for row in rows)), width)
 
@@ -222,6 +228,29 @@ class Sum(Node):
 # ----------------------------------------------------------------------
 # Fusion helpers.
 # ----------------------------------------------------------------------
+
+def _enter(leaves: Sequence[Leaf], modulus) -> None:
+    """Hold the words of every source behind ``leaves`` that is not yet
+    resident under ``modulus``, all in one conversion: each source keeps
+    its slice of the one batch (and the batch's block lives while any
+    of them does).  Nothing happens where the library declines."""
+    sources = {}
+    for leaf in leaves:
+        if leaf._held(modulus) is None:
+            source = leaf._source or leaf
+            sources[id(source)] = source
+    if not sources:
+        return
+    batch = native.resident(
+        [word for source in sources.values() for word in source.words],
+        modulus)
+    if type(batch) is not native.ResidueBatch:
+        return
+    start = 0
+    for source in sources.values():
+        source._resident = batch[start:start + source.num_words]
+        start += source.num_words
+
 
 def _fused_scalar_mul(engine, rows: List[Sequence[int]],
                       scalars: List[int]) -> List[Sequence[int]]:
