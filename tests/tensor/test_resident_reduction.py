@@ -24,6 +24,7 @@ from repro.mpint.primes import LimbRandom
 from repro.quantization.encoding import QuantizationScheme
 from repro.quantization.packing import BatchPacker
 from repro.tensor import planner
+from repro.tensor.cipher import CipherTensor
 from repro.tensor.plain import PlainTensor
 from tests.conftest import _unbind_native
 
@@ -183,6 +184,24 @@ def test_a_second_pass_converts_nothing(engine_class, paillier_128,
         # The source's words, then the fixups of deficits LEVELS and 1.
         assert converted == [BINS * BIN_SIZE, 1, 1]
         assert fills == []
+
+
+@SCALAR_ENGINES
+def test_an_nary_add_enters_its_leaves_in_one_conversion(
+        engine_class, paillier_128, fills):
+    engine = engine_class(paillier_128, ledger=CostLedger(),
+                          rng=LimbRandom(seed=31))
+    tensors = [engine.encrypt_tensor(PlainTensor.encode(
+        np.full(3, 0.1 * i), packer_for(8))) for i in range(5)]
+    total = CipherTensor.add_all(tensors)
+    first = total.materialize().words
+    assert list(first) == planner.eager_flush(total._node, engine)
+    if native.HAVE_NATIVE:
+        # Five leaves' words in one conversion, then the final fixup.
+        assert fills == [15, 1]
+    del fills[:]
+    again = CipherTensor.add_all(tensors[::-1]).materialize().words
+    assert again == first and fills == []
 
 
 def test_one_shot_adds_stay_python(paillier_128, products):
