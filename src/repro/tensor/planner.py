@@ -111,12 +111,11 @@ class Leaf(Node):
 
     def operand(self, engine) -> Sequence[int]:
         modulus = getattr(engine, "residue_modulus", None)
+        if self._held(modulus) is None:
+            _enter([self], modulus)
         batch = self._held(modulus)
         if batch is None:
-            _enter([self], modulus)
-            batch = self._held(modulus)
-            if batch is None:
-                return list(self.words)
+            return list(self.words)
         return batch if self._source is None \
             else batch.gather(self._positions)
 
