@@ -57,6 +57,7 @@ from repro.federation.faults import (
     STRAGGLER,
     FaultInjector,
     QuorumError,
+    client_names,
 )
 from repro.federation.metrics import charge_pipeline_stage
 from repro.ledger import CAT_PIPELINE_ENCODE_PACK, CAT_PIPELINE_UNPACK_DECODE
@@ -326,8 +327,7 @@ class SecureAggregator:
         caller's acceptance step runs before the next client is gated.
         """
         charged = not held
-        for index, vector in enumerate(vectors):
-            name = f"client-{index}"
+        for name, vector in zip(client_names(len(vectors)), vectors):
             if name in held:
                 continue
             gated = self.client_gate(name, vector, round_index, dropped,

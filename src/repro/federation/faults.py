@@ -107,6 +107,26 @@ COORDINATOR_KINDS = (COORDINATOR_CRASH, FAILOVER)
 NODE_KILL_KINDS = COORDINATOR_KINDS + (SHARD_CRASH,)
 SHARD_KINDS = (SHARD_CRASH, QUEUE_OVERLOAD)
 
+#: ``client-<i>`` for every index a round has named so far, each string
+#: built once.  Rounds share these objects instead of formatting fresh
+#: copies per client, so the reports a service keeps hold pointers, not
+#: names -- their memory is one list slot per client, however many
+#: rounds are kept.
+_CLIENT_NAMES: List[str] = []
+
+
+def client_names(count: int) -> List[str]:
+    """The shared name table, grown to cover ``client-0 .. count-1``.
+
+    Party names are values -- everything compares them by equality -- so
+    which string object a list points at never shows.  The table only
+    grows (to the largest cohort seen); index it, never mutate it.
+    """
+    if len(_CLIENT_NAMES) < count:
+        _CLIENT_NAMES.extend(f"client-{i}"
+                             for i in range(len(_CLIENT_NAMES), count))
+    return _CLIENT_NAMES
+
 
 class QuorumError(RuntimeError):
     """A round gathered fewer surviving clients than the quorum.

@@ -87,6 +87,7 @@ from repro.federation.faults import (
     TENANT_CRASH,
     TENANT_FLOOD,
     QuorumError,
+    client_names,
 )
 from repro.federation.serialization import serialize_tensor
 from repro.federation.tenancy import TenantRegistry
@@ -657,11 +658,11 @@ class ShardedAggregationService:
                                  max_summands=agg.packer
                                  .max_safe_summands())
             shard_names = [f"shard-{s}" for s in range(len(groups))]
+        names = client_names(len(vectors))
         report = ShardRoundReport(
-            round_index=round_index,
-            cohort=[f"client-{i}" for i in cohort])
+            round_index=round_index, cohort=[names[i] for i in cohort])
         report.shard_groups = {
-            shard_names[s]: [f"client-{i}" for i in group]
+            shard_names[s]: [names[i] for i in group]
             for s, group in enumerate(groups)}
         deadline = (self.clock.now + agg.round_deadline_seconds
                     if agg.round_deadline_seconds is not None else None)
@@ -676,12 +677,12 @@ class ShardedAggregationService:
             if not self._breaker(shard).allow():
                 report.fenced_shards.append(shard)
                 for i in group:
-                    report.dropped.append((f"client-{i}", "fenced"))
+                    report.dropped.append((names[i], "fenced"))
                 continue
             active_shards.append(shard)
             overload_charged = False
             for i in group:
-                name = f"client-{i}"
+                name = names[i]
                 gated = agg.client_gate(name, vectors[i], round_index,
                                         report.dropped, representative)
                 if gated is None:

@@ -48,6 +48,7 @@ from repro.federation.faults import (
     NODE_KILL_KINDS,
     FaultPlan,
     QuorumError,
+    client_names,
 )
 from repro.federation.runtime import FederationRuntime, system_by_name
 from repro.federation.shard import (
@@ -406,8 +407,9 @@ class FederationSimulator:
             start = self.clock.now
             # Wait for every straggler's late submission, in arrival
             # order; on-time submissions arrive at the round's start.
+            names = client_names(self.spec.num_clients)
             for arrival in sorted(
-                    start + injector.straggler_delay(f"client-{client}",
+                    start + injector.straggler_delay(names[client],
                                                      round_index)
                     for client in range(self.spec.num_clients)):
                 if arrival > start:
