@@ -112,20 +112,23 @@ SHARD_KINDS = (SHARD_CRASH, QUEUE_OVERLOAD)
 #: copies per client, so the reports a service keeps hold pointers, not
 #: names -- their memory is one list slot per client, however many
 #: rounds are kept.
-_CLIENT_NAMES: List[str] = []
+_client_names: Tuple[str, ...] = ()
 
 
-def client_names(count: int) -> List[str]:
+def client_names(count: int) -> Tuple[str, ...]:
     """The shared name table, grown to cover ``client-0 .. count-1``.
 
     Party names are values -- everything compares them by equality -- so
     which string object a list points at never shows.  The table only
-    grows (to the largest cohort seen); index it, never mutate it.
+    grows, to the largest cohort seen, and is replaced rather than
+    mutated, so a caller's table never changes under it.
     """
-    if len(_CLIENT_NAMES) < count:
-        _CLIENT_NAMES.extend(f"client-{i}"
-                             for i in range(len(_CLIENT_NAMES), count))
-    return _CLIENT_NAMES
+    global _client_names
+    names = _client_names
+    if len(names) < count:
+        names = _client_names = names + tuple(
+            f"client-{i}" for i in range(len(names), count))
+    return names
 
 
 class QuorumError(RuntimeError):
