@@ -403,11 +403,11 @@ class FederationSimulator:
         replayable ``(seed, trace)`` on any error."""
         records: List[RoundRecord] = []
         injector = self.runtime.injector
+        names = client_names(self.spec.num_clients)
         for round_index in range(self.spec.rounds):
             start = self.clock.now
             # Wait for every straggler's late submission, in arrival
             # order; on-time submissions arrive at the round's start.
-            names = client_names(self.spec.num_clients)
             for arrival in sorted(
                     start + injector.straggler_delay(names[client],
                                                      round_index)

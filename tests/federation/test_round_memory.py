@@ -85,8 +85,6 @@ def test_kept_rounds_do_not_grow_with_the_cohort(runs):
     its journals' per-round digests -- not a name string per client per
     report field, which made the growth scale with the cohort."""
     small, large = runs[16][1], runs[64][1]
-    print(f"bytes kept per round: {small:.0f} at 16 clients, "
-          f"{large:.0f} at 64")
     assert large < 1.5 * small, (small, large)
 
 
