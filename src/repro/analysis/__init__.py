@@ -9,7 +9,7 @@ module under ``src/repro`` with :mod:`ast` and reports typed diagnostics
 with file:line anchors, so a violating diff fails lint instead of a fuzz
 run.
 
-Rules (each in its own module, all registered in :data:`ALL_RULES`):
+Rules (each in its own module, all listed in :data:`ALL_RULES`):
 
 - ``plaintext-wire``   -- taint analysis from ``decrypt*`` / ``PlainTensor``
   to ``send`` / ``serialize_*`` / WAL sinks, one interprocedural pass
@@ -42,6 +42,7 @@ from repro.analysis.deprecation import DeprecatedApiRule
 from repro.analysis.determinism import DeterminismRule
 from repro.analysis.diagnostics import Diagnostic, LintReport
 from repro.analysis.engine import (
+    ALL_RULES,
     ModuleUnit,
     TimeBudgetExceeded,
     run_lint,
@@ -49,15 +50,6 @@ from repro.analysis.engine import (
 from repro.analysis.ipa.wal_rule import WalDisciplineRule
 from repro.analysis.ledger_rule import LedgerCategoryRule
 from repro.analysis.taint import PlaintextWireRule
-
-#: Every shipped rule, in reporting order.
-ALL_RULES = (
-    PlaintextWireRule,
-    DeterminismRule,
-    LedgerCategoryRule,
-    DeprecatedApiRule,
-    WalDisciplineRule,
-)
 
 __all__ = [
     "ALL_RULES",

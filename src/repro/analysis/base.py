@@ -1,28 +1,14 @@
-"""The rule framework: base class, registry, shared AST helpers."""
+"""The rule framework: base class and shared AST helpers."""
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Type
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set
 
 from repro.analysis.diagnostics import Diagnostic
 
 if TYPE_CHECKING:  # pragma: no cover -- import cycle at runtime only
     from repro.analysis.engine import ModuleUnit
-
-#: name -> rule class; populated by :func:`register`.
-RULE_REGISTRY: Dict[str, Type["Rule"]] = {}
-
-
-def register(cls: Type["Rule"]) -> Type["Rule"]:
-    """Class decorator adding a rule to the registry under its name."""
-    if not cls.name:
-        raise ValueError(f"rule class {cls.__name__} declares no name")
-    if cls.name in RULE_REGISTRY:
-        raise ValueError(f"duplicate rule name {cls.name!r}")
-    RULE_REGISTRY[cls.name] = cls
-    return cls
-
 
 class Rule:
     """One invariant checker.

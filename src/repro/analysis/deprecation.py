@@ -21,7 +21,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.base import ImportMap, Rule, callee_name, register
+from repro.analysis.base import ImportMap, Rule, callee_name
 from repro.analysis.diagnostics import Diagnostic
 
 #: Retired raw-list helpers (PR 2 removed them for CipherTensor).
@@ -36,7 +36,6 @@ def _banned_module(name: str) -> bool:
                for banned in _BANNED_MODULES)
 
 
-@register
 class DeprecatedApiRule(Rule):
     name = "deprecated-api"
     description = ("no raw-list encrypt/decrypt shims, no gmpy-style "

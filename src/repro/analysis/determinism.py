@@ -31,7 +31,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional, Set, Tuple
 
-from repro.analysis.base import ImportMap, Rule, register
+from repro.analysis.base import ImportMap, Rule
 from repro.analysis.diagnostics import Diagnostic
 
 #: Posix path suffixes/prefix-dirs exempt from this rule.
@@ -73,7 +73,6 @@ def _whitelisted(display_path: str) -> bool:
         any(marker in display_path for marker in WHITELIST_DIRS)
 
 
-@register
 class DeterminismRule(Rule):
     name = "determinism"
     description = ("no global RNG, wall clock, or OS entropy outside "

@@ -20,8 +20,23 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.base import RULE_REGISTRY, Rule
+from repro.analysis.base import Rule
+from repro.analysis.deprecation import DeprecatedApiRule
+from repro.analysis.determinism import DeterminismRule
 from repro.analysis.diagnostics import Diagnostic, LintReport
+from repro.analysis.ipa.wal_rule import WalDisciplineRule
+from repro.analysis.ledger_rule import LedgerCategoryRule
+from repro.analysis.taint import PlaintextWireRule
+
+#: Every shipped rule, in reporting order.  A run with no ``--rule``
+#: filter runs them all, in name order.
+ALL_RULES = (
+    PlaintextWireRule,
+    DeterminismRule,
+    LedgerCategoryRule,
+    DeprecatedApiRule,
+    WalDisciplineRule,
+)
 
 #: ``# flcheck: allow[rule-a, rule-b]``
 _PRAGMA_RE = re.compile(r"#\s*flcheck:\s*allow\[([^\]]+)\]")
@@ -135,16 +150,17 @@ def _display_path(path: Path, roots: Sequence[Path]) -> str:
 # ---------------------------------------------------------------------------
 
 def _resolve_rules(rule_filter: Optional[Sequence[str]]) -> List[Rule]:
+    by_name = {rule.name: rule for rule in ALL_RULES}
     if rule_filter:
-        unknown = sorted(set(rule_filter) - set(RULE_REGISTRY))
+        unknown = sorted(set(rule_filter) - set(by_name))
         if unknown:
             raise ValueError(
                 f"unknown rule(s) {', '.join(unknown)}; "
-                f"available: {', '.join(sorted(RULE_REGISTRY))}")
+                f"available: {', '.join(sorted(by_name))}")
         names = list(dict.fromkeys(rule_filter))
     else:
-        names = sorted(RULE_REGISTRY)
-    return [RULE_REGISTRY[name]() for name in names]
+        names = sorted(by_name)
+    return [by_name[name]() for name in names]
 
 
 def run_lint(paths: Sequence[Path],
@@ -156,7 +172,8 @@ def run_lint(paths: Sequence[Path],
 
     Args:
         paths: Files or directories to scan.
-        rule_filter: Rule names to run; all registered rules when omitted.
+        rule_filter: Rule names to run; all of :data:`ALL_RULES` when
+            omitted.
         max_seconds: Abort with :class:`TimeBudgetExceeded` when the scan
             runs longer than this.
         excludes: Directory names skipped during discovery.

@@ -42,7 +42,7 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
-from repro.analysis.base import Rule, callee_name, dotted_name, register
+from repro.analysis.base import Rule, callee_name, dotted_name
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.ipa.callgraph import own_statements
 from repro.analysis.ipa.dataflow import SummaryAnalysis
@@ -150,7 +150,6 @@ def _machine_receiver(project, fn: FunctionInfo, call: ast.Call) -> bool:
     return False
 
 
-@register
 class WalDisciplineRule(Rule):
     name = "wal-discipline"
     description = ("WAL records must be journaled (wal.append) before "

@@ -26,7 +26,7 @@ import ast
 from typing import Iterator, List, Optional, Union
 
 import repro.ledger as _ledger
-from repro.analysis.base import Rule, callee_name, register
+from repro.analysis.base import Rule, callee_name
 from repro.analysis.diagnostics import Diagnostic
 
 #: Attribute calls whose first positional arg is a category.
@@ -83,7 +83,6 @@ def _fstring_prefix(node: ast.JoinedStr) -> str:
     return prefix
 
 
-@register
 class LedgerCategoryRule(Rule):
     name = "ledger-category"
     description = ("categories at CostLedger charge sites must come from "

@@ -37,7 +37,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List
 
-from repro.analysis.base import Rule, callee_name, register
+from repro.analysis.base import Rule, callee_name
 from repro.analysis.diagnostics import Diagnostic
 
 #: Call targets (last dotted segment) whose results are tainted.
@@ -98,7 +98,6 @@ def _describe(node: ast.expr) -> str:
     return "(expression)"
 
 
-@register
 class PlaintextWireRule(Rule):
     name = "plaintext-wire"
     description = ("decrypted values must pass through encrypt_tensor "

@@ -12,7 +12,7 @@ Commands:
 - ``report [--output PATH]``     -- aggregate benchmarks/results/ into
   one markdown report.
 - ``conformance``                -- replay the differential-oracle trace
-  suite against every registered engine.
+  suite against every engine in the oracle's table.
 - ``simulate [--trace JSON]``    -- run (or replay) a deterministic
   federation simulation.
 - ``fuzz --cases N --seed S``    -- fuzz the wire-format decoders; exits
@@ -24,6 +24,10 @@ Commands:
   run through the sharded service by default, or the per-node
   crash-consistency sweep (leaf, root, and a root failover racing a
   leaf failover); exits non-zero on any divergence.
+- ``tenants [--sweep]``          -- two tenants on one shared shard pool,
+  one of them flooding and crashing: one run by default, or the
+  tenant-isolation check plus the kill-at-every-topology-record pool
+  sweep; exits non-zero on any divergence.
 - ``lint [PATHS ...]``           -- run the five flcheck static
   invariant rules (plaintext-wire, determinism, ledger-category,
   deprecated-api, wal-discipline) over src/repro; exits non-zero on

@@ -86,27 +86,3 @@ class CpuPaillierEngine(HeEngine):
     def _charge(self, category: str, ops: int, words_per_op: int) -> None:
         seconds = self.profile.cpu_seconds(ops, words_per_op)
         self.ledger.charge(category, seconds, count=ops)
-
-
-# ----------------------------------------------------------------------
-# Conformance registration (differential oracle, repro.testing).
-# ----------------------------------------------------------------------
-
-def _cpu_conformance_factory(trace):
-    """CPU Paillier vs the textbook ``pow()`` Paillier reference."""
-    from repro.crypto.keys import generate_paillier_keypair
-    from repro.testing.conformance import ConformancePair
-    from repro.testing.parties import HeEngineParty
-    from repro.testing.reference import PaillierReference
-    keypair = generate_paillier_keypair(
-        trace.key_bits, rng=LimbRandom(seed=trace.seed))
-    engine = CpuPaillierEngine(keypair,
-                               rng=LimbRandom(seed=trace.seed + 1))
-    reference = PaillierReference(keypair, seed=trace.seed + 1)
-    return ConformancePair(party=HeEngineParty(engine),
-                           reference=reference)
-
-
-_cpu_conformance_factory.capabilities = frozenset(
-    {"encrypt", "decrypt", "add", "scalar_mul"})
-HeEngine.register_conformance("cpu-paillier", _cpu_conformance_factory)

@@ -202,29 +202,3 @@ def _extract_discrete_log(a: int,
             t1 = (t1 - correction) % n_j
         i = t1 % n_j
     return i
-
-
-# ----------------------------------------------------------------------
-# Conformance registration (differential oracle, repro.testing).
-# ----------------------------------------------------------------------
-
-def _dj_conformance_factory(trace):
-    """Damgard-Jurik primitives vs the generic ``pow()`` reference."""
-    from repro.testing.conformance import ConformancePair
-    from repro.testing.parties import DamgardJurikParty
-    from repro.testing.reference import DamgardJurikReference
-    keypair = generate_damgard_jurik_keypair(
-        trace.key_bits, s=2, rng=LimbRandom(seed=trace.seed))
-    party = DamgardJurikParty(keypair, seed=trace.seed + 1)
-    reference = DamgardJurikReference(keypair, seed=trace.seed + 1)
-    return ConformancePair(party=party, reference=reference)
-
-
-def _register_dj_conformance() -> None:
-    from repro.crypto.engine import HeEngine
-    _dj_conformance_factory.capabilities = frozenset(
-        {"encrypt", "decrypt", "add", "scalar_mul"})
-    HeEngine.register_conformance("damgard-jurik", _dj_conformance_factory)
-
-
-_register_dj_conformance()

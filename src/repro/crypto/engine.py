@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.crypto.keys import PaillierKeypair
 from repro.ledger import CostLedger
@@ -28,15 +28,6 @@ from repro.tensor import planner
 from repro.tensor.cipher import CipherTensor
 from repro.tensor.meta import KeyMismatchError, key_fingerprint
 from repro.tensor.plain import PlainTensor
-
-
-#: Conformance registry: engine name -> factory.  A factory takes one
-#: :class:`repro.testing.trace.ConformanceTrace` and returns a
-#: :class:`repro.testing.conformance.ConformancePair` (the party under
-#: test plus its plain-``pow()`` reference).  Factories live here on the
-#: engine abstraction so ``repro.testing`` can auto-discover every
-#: registered execution path without hard-coding the engine list.
-_CONFORMANCE_FACTORIES: Dict[str, Callable] = {}
 
 
 class RandomizerPool:
@@ -146,44 +137,6 @@ class HeEngine(ABC):
             RandomizerPool(randomizer_pool_size)
             if randomizer_pool_size > 0 else None)
         self._fingerprint: Optional[bytes] = None
-
-    # ------------------------------------------------------------------
-    # Conformance registry (the differential-oracle API).
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def register_conformance(cls, name: str,
-                             factory: Optional[Callable] = None):
-        """Register an execution path with the differential oracle.
-
-        Usable directly (``HeEngine.register_conformance("cpu", make)``)
-        or as a decorator.  ``factory(trace)`` must return a
-        :class:`repro.testing.conformance.ConformancePair`; the pytest
-        conformance suite parametrizes over every registered name, so a
-        new engine joins the oracle with this one call.
-        """
-        def _register(fn: Callable) -> Callable:
-            _CONFORMANCE_FACTORIES[name] = fn
-            return fn
-        if factory is not None:
-            return _register(factory)
-        return _register
-
-    @classmethod
-    def deregister_conformance(cls, name: str) -> bool:
-        """Remove an engine from the oracle; True when it was present.
-
-        Optional backends (the numpy limb-plane engine) call this so a
-        registration never outlives its dependency: when numpy is
-        absent the engine is simply not an execution path, and the
-        conformance matrix must not parametrize over it.
-        """
-        return _CONFORMANCE_FACTORIES.pop(name, None) is not None
-
-    @classmethod
-    def conformance_factories(cls) -> Dict[str, Callable]:
-        """Registered conformance factories by engine name (a copy)."""
-        return dict(_CONFORMANCE_FACTORIES)
 
     # ------------------------------------------------------------------
     # Key geometry.

@@ -132,27 +132,3 @@ class GpuPaillierEngine(HeEngine):
             # (fewer, larger launches) is measurable without
             # inspecting the device log.
             self.ledger.charge(CAT_GPU_LAUNCH, 0.0, count=len(launches))
-
-
-# ----------------------------------------------------------------------
-# Conformance registration (differential oracle, repro.testing).
-# ----------------------------------------------------------------------
-
-def _gpu_conformance_factory(trace):
-    """Simulated-GPU Paillier vs the textbook ``pow()`` reference."""
-    from repro.crypto.keys import generate_paillier_keypair
-    from repro.testing.conformance import ConformancePair
-    from repro.testing.parties import HeEngineParty
-    from repro.testing.reference import PaillierReference
-    keypair = generate_paillier_keypair(
-        trace.key_bits, rng=LimbRandom(seed=trace.seed))
-    engine = GpuPaillierEngine(keypair,
-                               rng=LimbRandom(seed=trace.seed + 1))
-    reference = PaillierReference(keypair, seed=trace.seed + 1)
-    return ConformancePair(party=HeEngineParty(engine),
-                           reference=reference)
-
-
-_gpu_conformance_factory.capabilities = frozenset(
-    {"encrypt", "decrypt", "add", "scalar_mul"})
-HeEngine.register_conformance("gpu-paillier", _gpu_conformance_factory)

@@ -84,38 +84,3 @@ class MaskingScheme:
             for index, value in enumerate(vector):
                 totals[index] = (totals[index] + value) % modulus
         return totals
-
-
-# ----------------------------------------------------------------------
-# Conformance registration (differential oracle, repro.testing).
-# ----------------------------------------------------------------------
-
-def _masking_conformance_factory(trace):
-    """Ring masking vs an independent sha256 re-derivation.
-
-    Ring size is the trace's encrypt count (each encrypt op takes the
-    next ring slot), so a full-ring trace decrypts to cancelled masks.
-    """
-    from repro.testing.conformance import ConformancePair
-    from repro.testing.parties import MaskingParty
-    from repro.testing.reference import MaskingReference
-    encrypts = sum(1 for op in trace.ops if op.op == "encrypt")
-    num_parties = max(2, encrypts)
-    key = hashlib.sha256(
-        b"conformance-masking" + trace.seed.to_bytes(8, "big")).digest()[:16]
-    scheme = MaskingScheme(key=key, num_parties=num_parties, bits=64)
-    party = MaskingParty(scheme)
-    reference = MaskingReference(key, num_parties, bits=64,
-                                 seed=trace.seed)
-    return ConformancePair(party=party, reference=reference)
-
-
-def _register_masking_conformance() -> None:
-    from repro.crypto.engine import HeEngine
-    _masking_conformance_factory.capabilities = frozenset(
-        {"encrypt", "add", "ring_decrypt"})
-    HeEngine.register_conformance("symmetric-masking",
-                                  _masking_conformance_factory)
-
-
-_register_masking_conformance()

@@ -20,10 +20,9 @@ plaintext, sequentially), so its ciphertexts are bit-identical to the
 scalar engines and the plain-``pow()`` reference under a shared seed --
 which is what lets the conformance matrix diff-test it for free.
 
-numpy is optional: this module imports cleanly without it and then
-*deregisters* itself from the conformance registry instead of
-registering, so the oracle's matrix never names an unusable path.
-Constructing the engine without numpy raises.
+numpy is optional: this module imports cleanly without it, the
+oracle's engine table (:func:`repro.testing.conformance.engines`) then
+leaves this path out, and constructing the engine raises.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from repro.mpint.primes import LimbRandom
 #: engine's design point (the r^n exponentiation is the whole cost of
 #: an encryption); pass ``randomizer_pool_size=0`` for fully fresh
 #: randomizers on every value (full cryptographic hygiene -- the
-#: conformance factory runs this way so randomizer streams align with
+#: conformance oracle runs this way so randomizer streams align with
 #: the reference for traces of any length).
 DEFAULT_POOL_SIZE = 64
 
@@ -149,35 +148,3 @@ class VectorPaillierEngine(HeEngine):
     def _charge(self, category: str, ops: int, words_per_op: int) -> None:
         seconds = self.profile.cpu_seconds(ops, words_per_op)
         self.ledger.charge(category, seconds, count=ops)
-
-
-# ----------------------------------------------------------------------
-# Conformance registration (differential oracle, repro.testing).
-# ----------------------------------------------------------------------
-
-def _vector_conformance_factory(trace):
-    """Limb-plane Paillier vs the textbook ``pow()`` reference."""
-    from repro.crypto.keys import generate_paillier_keypair
-    from repro.testing.conformance import ConformancePair
-    from repro.testing.parties import HeEngineParty
-    from repro.testing.reference import PaillierReference
-    keypair = generate_paillier_keypair(
-        trace.key_bits, rng=LimbRandom(seed=trace.seed))
-    engine = VectorPaillierEngine(keypair,
-                                  rng=LimbRandom(seed=trace.seed + 1),
-                                  randomizer_pool_size=0)
-    reference = PaillierReference(keypair, seed=trace.seed + 1)
-    return ConformancePair(party=HeEngineParty(engine),
-                           reference=reference)
-
-
-_vector_conformance_factory.capabilities = frozenset(
-    {"encrypt", "decrypt", "add", "scalar_mul"})
-
-if limb_plane.HAVE_NUMPY:
-    HeEngine.register_conformance("vector-paillier",
-                                  _vector_conformance_factory)
-else:  # pragma: no cover - exercised by the no-numpy degradation tests
-    # Graceful degradation: importing this module must never leave a
-    # stale registration behind when the array backend is unavailable.
-    HeEngine.deregister_conformance("vector-paillier")

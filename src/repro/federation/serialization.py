@@ -14,7 +14,7 @@ is the concrete frame the runtime ships:
   fingerprint so cross-key payloads fail loudly.
 - ``tensor`` (v3, ``FLT3``) -- the v2 header (same fixed layout and
   offsets, new magic/version) followed by a *codec block*: the packing
-  codec's registry id plus its integer wire parameters (guard width
+  codec's id plus its integer wire parameters (guard width
   for the interleaved layout; value width and support pattern for the
   sparse layout).  v3 is the only frame written; v2 frames remain
   readable (they imply the dense codec).
@@ -73,7 +73,7 @@ def _bytes_to_int(blob: bytes) -> int:
 
 
 def _codec_block(meta: TensorMeta) -> bytes:
-    """The v3 codec block: registry id + integer wire parameters."""
+    """The v3 codec block: codec id + integer wire parameters."""
     codec_id = meta.codec.encode("ascii")
     if not 1 <= len(codec_id) <= MAX_CODEC_ID_LEN:
         raise ValueError(f"codec id {meta.codec!r} not serializable")
@@ -177,9 +177,9 @@ def deserialize_tensor(blob: bytes,
             f"frame encrypted under key {fingerprint.hex()[:8]}, "
             f"receiver expects {expected_fingerprint.hex()[:8]}")
     # Header fields are attacker-controlled: any combination the
-    # scheme, codec registry, or tensor constructors reject is a
+    # scheme, codec table, or tensor constructors reject is a
     # framing lie, reported as such instead of leaking implementation
-    # exceptions.  That covers codec-id lies (unknown registry name),
+    # exceptions.  That covers codec-id lies (an id not in the table),
     # parameter corruption (implausible widths) and sparse-pattern lies
     # (out-of-range / duplicate / unsorted indices).
     try:

@@ -11,7 +11,7 @@
   guard -- with every derived number fixed at construction;
   :class:`BatchPacker` is its dense (paper) instance.
 - :mod:`repro.quantization.codecs` -- the interleaved and sparse
-  instances, the registry, and :func:`build_codec`, which hands every
+  instances, the codec table, and :func:`build_codec`, which hands every
   tensor of a layout the same immutable codec.  The slot layout is
   decided here and only *asked* elsewhere (``words_needed``,
   ``slot_shift``, ``describe()`` capabilities), never re-derived from a
@@ -19,12 +19,11 @@
 """
 
 from repro.quantization.codecs import (
+    CODECS,
     InterleavedCodec,
     SparseCodec,
     build_codec,
     get_codec,
-    register_codec,
-    registered_codecs,
 )
 from repro.quantization.encoding import (
     QuantizationScheme,
@@ -56,6 +55,5 @@ __all__ = [
     "SparseCodec",
     "build_codec",
     "get_codec",
-    "register_codec",
-    "registered_codecs",
+    "CODECS",
 ]

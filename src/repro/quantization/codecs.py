@@ -6,13 +6,13 @@ fixed-width slots, MSB first.  Real federated gradients are often
 >99% of the plaintext, and FedBit-style guard-bit layouts show that a
 wider inter-slot gap buys orders of magnitude more safe summands.
 
-This module is the *registry of codecs*.  Each one is a
+This module holds the *codec table*, :data:`CODECS`.  Each codec is a
 :class:`~repro.quantization.packing.SlotCodec` (``BatchPacker`` in
 packing.py is the default ``"dense"`` member) and supplies only what its
 layout changes:
 
 ``codec_id``
-    Registry name, carried in :class:`~repro.tensor.meta.TensorMeta`
+    Table key, carried in :class:`~repro.tensor.meta.TensorMeta`
     and on the FLT3 wire frame.
 ``codec_params() / from_meta(meta)``
     Wire round-trip: the integer tuple that, together with the scheme
@@ -27,7 +27,7 @@ branch on ``codec_id``: they ask the codec (``slot_shift``,
 ``words_needed``, ``max_safe_summands()``) or its capabilities.
 
 Every codec decodes through ``scheme.decode_array``, so for any value
-the registry guarantees ``decode(encode(x))`` is **bit-identical**
+the table guarantees ``decode(encode(x))`` is **bit-identical**
 across codecs -- the layouts differ, the quantization grid does not.
 """
 
@@ -258,33 +258,22 @@ class SparseCodec(SlotCodec):
 
 
 # ----------------------------------------------------------------------
-# Registry.
+# The codec table.
 # ----------------------------------------------------------------------
 
-_REGISTRY: Dict[str, Type] = {}
+#: Every packing codec, by ``codec_id``.
+CODECS: Dict[str, Type[SlotCodec]] = {
+    cls.codec_id: cls for cls in (BatchPacker, InterleavedCodec, SparseCodec)
+}
 
 
-def register_codec(cls) -> Type:
-    """Register a codec class under its ``codec_id`` (idempotent)."""
-    codec_id = cls.codec_id
-    existing = _REGISTRY.get(codec_id)
-    if existing is not None and existing is not cls:
-        raise ValueError(f"codec id {codec_id!r} already registered")
-    _REGISTRY[codec_id] = cls
-    return cls
-
-
-def get_codec(codec_id: str):
-    """Look up a codec class; unknown ids raise ``ValueError``."""
+def get_codec(codec_id: str) -> Type[SlotCodec]:
+    """Look up a codec class; unknown ids (off the wire) raise
+    ``ValueError``."""
     try:
-        return _REGISTRY[codec_id]
+        return CODECS[codec_id]
     except KeyError:
         raise ValueError(f"unknown packing codec: {codec_id!r}") from None
-
-
-def registered_codecs() -> Dict[str, Type]:
-    """Snapshot of the registry (id -> class)."""
-    return dict(_REGISTRY)
 
 
 class _Layout(NamedTuple):
@@ -317,7 +306,3 @@ def build_codec(meta):
         meta.codec, tuple(meta.codec_params), meta.scheme, meta.capacity,
         meta.count if keyed_by_count else None))
 
-
-register_codec(BatchPacker)
-register_codec(InterleavedCodec)
-register_codec(SparseCodec)

@@ -57,7 +57,7 @@ class TensorMeta:
             Eq. 6 translation-offset multiplier the decode must subtract.
         packed: Whether the words use the Eq. 9 multi-slot layout (true
             exactly when ``capacity > 1``).
-        codec: Registry id of the packing codec that laid out the words
+        codec: Id of the packing codec that laid out the words
             (``"dense"`` / ``"interleave"`` / ``"sparse"``; see
             :mod:`repro.quantization.codecs`).
         codec_params: The codec's wire parameters -- together with the

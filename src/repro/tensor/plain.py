@@ -64,7 +64,7 @@ class PlainTensor:
 
         Args:
             values: Real-valued array of any shape.
-            packer: Any registered packing codec (the dense Eq. 9
+            packer: Any packing codec (the dense Eq. 9
                 ``BatchPacker``, the interleaved layout, or a
                 pattern-pinned sparse codec); its identity and wire
                 parameters are recorded in the metadata.  The key

@@ -4,12 +4,12 @@ Three pillars (PR 3's tentpole):
 
 - :mod:`repro.testing.trace` / :mod:`repro.testing.conformance` -- the
   declarative op-trace format and the cross-engine differential oracle
-  that replays each trace against every registered engine *and* a pure
+  that replays each trace against every engine in its table *and* a pure
   ``pow()`` reference, asserting bit-identical ciphertexts;
 - :mod:`repro.testing.simulator` -- the deterministic federation
   simulator (seeded virtual clock, zero wall-clock
   dependence) whose failures replay from ``(seed, trace)`` alone;
-- :mod:`repro.testing.fuzz` -- the structured FLT2 wire-format fuzzer
+- :mod:`repro.testing.fuzz` -- the structured FLT2 / FLT3 wire-format fuzzer
   (seeded header/payload mutations that must always produce *typed*
   rejections, never crashes or silent mis-decodes).
 """
@@ -20,7 +20,7 @@ from repro.testing.conformance import (
     ConformanceResult,
     check_fused_vs_eager,
     conformance_matrix,
-    discovered_factories,
+    engines,
     full_trace_suite,
     replay,
     run_all,
@@ -43,7 +43,7 @@ __all__ = [
     "TraceOp",
     "check_fused_vs_eager",
     "conformance_matrix",
-    "discovered_factories",
+    "engines",
     "full_trace_suite",
     "replay",
     "ring_trace",

@@ -21,6 +21,7 @@ from typing import List, Sequence
 from repro.crypto.cpu_engine import CpuPaillierEngine
 from repro.mpint.montgomery import MontgomeryContext
 from repro.mpint.modexp import sliding_window_pow
+from repro.testing.conformance import ConformancePair, _paillier_pair
 
 
 def corrupt_context(modulus: int) -> MontgomeryContext:
@@ -55,21 +56,10 @@ class BrokenMontgomeryEngine(CpuPaillierEngine):
         return results
 
 
-def broken_conformance_factory(trace):
-    """Factory mirroring the healthy CPU path but with the broken engine.
+def broken_conformance_factory(trace) -> ConformancePair:
+    """The healthy Paillier rows' pair, built around the broken engine.
 
-    Registered under no name on purpose -- the suite builds it directly
-    so the broken engine never pollutes :func:`conformance_matrix`.
+    In no engine table on purpose -- the suite builds it directly so the
+    broken engine never pollutes :func:`conformance_matrix`.
     """
-    from repro.crypto.keys import generate_paillier_keypair
-    from repro.mpint.primes import LimbRandom
-    from repro.testing.conformance import ConformancePair
-    from repro.testing.parties import HeEngineParty
-    from repro.testing.reference import PaillierReference
-    keypair = generate_paillier_keypair(
-        trace.key_bits, rng=LimbRandom(seed=trace.seed))
-    engine = BrokenMontgomeryEngine(keypair,
-                                    rng=LimbRandom(seed=trace.seed + 1))
-    reference = PaillierReference(keypair, seed=trace.seed + 1)
-    return ConformancePair(party=HeEngineParty(engine),
-                           reference=reference)
+    return _paillier_pair(BrokenMontgomeryEngine, trace)

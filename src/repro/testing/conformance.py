@@ -13,22 +13,37 @@ the ``(seed, trace)`` JSON needed to reproduce the failure in a fresh
 process -- the same discipline HAFLO and the FPGA accelerator papers use
 to validate kernels against a software reference.
 
-Engines join the oracle through
-:meth:`repro.crypto.engine.HeEngine.register_conformance`; importing
-:func:`discovered_factories` pulls in the five built-in execution paths
-(CPU Paillier, simulated-GPU Paillier, vectorized limb-plane Paillier,
-Damgard-Jurik, symmetric masking).  The limb-plane path only registers
-when numpy is importable; without it the matrix simply shrinks.
+The engines it checks are one table, :func:`engines`: the five
+execution paths (CPU Paillier, simulated-GPU Paillier, vectorized
+limb-plane Paillier, Damgard-Jurik, symmetric masking), each with the
+party class that declares its capabilities and the builder of its
+(party, reference) pair.  Adding an engine is adding a row.  The
+limb-plane row is present only when numpy is importable; without it the
+matrix simply shrinks.
 """
 
 from __future__ import annotations
 
-import importlib
+import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
+                    Sequence, Tuple, Type)
 
+from repro.crypto.cpu_engine import CpuPaillierEngine
+from repro.crypto.damgard_jurik import generate_damgard_jurik_keypair
 from repro.crypto.engine import HeEngine
+from repro.crypto.gpu_engine import GpuPaillierEngine
+from repro.crypto.keys import generate_paillier_keypair
+from repro.crypto.symmetric_he import MaskingScheme
+from repro.crypto.vector_engine import VectorPaillierEngine
+from repro.mpint import limb_plane
+from repro.mpint.primes import LimbRandom
 from repro.tensor import planner
+from repro.testing.parties import (DamgardJurikParty, HeEngineParty,
+                                   MaskingParty)
+from repro.testing.reference import (DamgardJurikReference,
+                                     MaskingReference, PaillierReference)
 from repro.testing.trace import (
     ADD,
     DECRYPT,
@@ -41,16 +56,6 @@ from repro.testing.trace import (
     ring_trace,
     standard_traces,
 )
-
-#: Modules whose import registers the built-in conformance factories.
-_BUILTIN_ENGINE_MODULES = (
-    "repro.crypto.cpu_engine",
-    "repro.crypto.gpu_engine",
-    "repro.crypto.damgard_jurik",
-    "repro.crypto.symmetric_he",
-    "repro.crypto.vector_engine",
-)
-
 
 class ConformanceFailure(AssertionError):
     """An engine diverged from its reference (or the shadow model).
@@ -98,20 +103,83 @@ class ConformanceResult:
     decrypted: Dict[str, List[int]] = field(default_factory=dict)
 
 
-def discovered_factories() -> Dict[str, Callable]:
-    """All registered conformance factories, importing the built-ins."""
-    for module in _BUILTIN_ENGINE_MODULES:
-        importlib.import_module(module)
-    return HeEngine.conformance_factories()
+def _paillier_pair(engine_cls: Type[HeEngine],
+                   trace: ConformanceTrace) -> ConformancePair:
+    """A Paillier engine vs the textbook ``pow()`` Paillier reference.
+
+    Both sides draw their randomizers from the same trace-seeded
+    stream, and the engine's randomizer pool is off, so every encrypt
+    takes a fresh randomizer exactly as the reference does.
+    """
+    keypair = generate_paillier_keypair(
+        trace.key_bits, rng=LimbRandom(seed=trace.seed))
+    engine = engine_cls(keypair, rng=LimbRandom(seed=trace.seed + 1),
+                        randomizer_pool_size=0)
+    reference = PaillierReference(keypair, seed=trace.seed + 1)
+    return ConformancePair(party=HeEngineParty(engine),
+                           reference=reference)
+
+
+def _damgard_jurik_pair(trace: ConformanceTrace) -> ConformancePair:
+    """Damgard-Jurik primitives vs the generic ``pow()`` reference."""
+    keypair = generate_damgard_jurik_keypair(
+        trace.key_bits, s=2, rng=LimbRandom(seed=trace.seed))
+    return ConformancePair(
+        party=DamgardJurikParty(keypair, seed=trace.seed + 1),
+        reference=DamgardJurikReference(keypair, seed=trace.seed + 1))
+
+
+def _masking_pair(trace: ConformanceTrace) -> ConformancePair:
+    """Ring masking vs an independent sha256 re-derivation.
+
+    Ring size is the trace's encrypt count (each encrypt op takes the
+    next ring slot), so a full-ring trace decrypts to cancelled masks.
+    """
+    encrypts = sum(1 for op in trace.ops if op.op == ENCRYPT)
+    num_parties = max(2, encrypts)
+    key = hashlib.sha256(
+        b"conformance-masking" + trace.seed.to_bytes(8, "big")).digest()[:16]
+    scheme = MaskingScheme(key=key, num_parties=num_parties, bits=64)
+    return ConformancePair(
+        party=MaskingParty(scheme),
+        reference=MaskingReference(key, num_parties, bits=64,
+                                   seed=trace.seed))
+
+
+class EngineRow(NamedTuple):
+    """One engine of the oracle."""
+
+    #: The party class; its ``capabilities`` decide which traces run.
+    party: type
+    #: ``build(trace)`` -> the engine's :class:`ConformancePair`.
+    build: Callable[[ConformanceTrace], ConformancePair]
+
+
+def engines() -> Dict[str, EngineRow]:
+    """The engines the oracle checks, by name.
+
+    The limb-plane row needs numpy and is left out without it.
+    """
+    table = {
+        "cpu-paillier": EngineRow(
+            HeEngineParty, partial(_paillier_pair, CpuPaillierEngine)),
+        "gpu-paillier": EngineRow(
+            HeEngineParty, partial(_paillier_pair, GpuPaillierEngine)),
+        "damgard-jurik": EngineRow(DamgardJurikParty, _damgard_jurik_pair),
+        "symmetric-masking": EngineRow(MaskingParty, _masking_pair),
+    }
+    if limb_plane.HAVE_NUMPY:
+        table["vector-paillier"] = EngineRow(
+            HeEngineParty, partial(_paillier_pair, VectorPaillierEngine))
+    return table
 
 
 def full_trace_suite(key_bits: int = 128) -> List[ConformanceTrace]:
     """Standard traces, per-codec packing traces, and the ring trace.
 
-    The codec traces replay every registered packing codec's words
-    through real homomorphic adds, so codec x engine combinations are
-    diff-tested bit-identically for free whenever either registry
-    grows.
+    The codec traces replay every packing codec's words through real
+    homomorphic adds, so codec x engine combinations are diff-tested
+    bit-identically for free whenever either table grows.
     """
     return (standard_traces(key_bits=key_bits)
             + codec_trace_suite(key_bits=key_bits)
@@ -124,14 +192,13 @@ def conformance_matrix(
     """Every (engine, trace) combination the engine can replay.
 
     The pytest conformance suite parametrizes over exactly this list, so
-    registering a new engine automatically adds its rows.
+    a new row of :func:`engines` gains the full trace suite; engines are
+    in name order, traces in suite order.
     """
-    factories = discovered_factories()
     matrix: List[Tuple[str, ConformanceTrace]] = []
-    for name, factory in sorted(factories.items()):
-        caps = getattr(factory, "capabilities", None)
+    for name, row in sorted(engines().items()):
         for trace in full_trace_suite(key_bits=key_bits):
-            if caps is None or trace.runnable_on(caps):
+            if trace.runnable_on(row.party.capabilities):
                 matrix.append((name, trace))
     return matrix
 
@@ -233,17 +300,17 @@ def replay(trace: ConformanceTrace, pair: ConformancePair,
 def run_trace(engine_name: str,
               trace: ConformanceTrace) -> ConformanceResult:
     """Build the named engine's pair and replay one trace."""
-    factories = discovered_factories()
-    if engine_name not in factories:
+    table = engines()
+    if engine_name not in table:
         raise KeyError(
-            f"no conformance factory registered under {engine_name!r}; "
-            f"known: {sorted(factories)}")
-    pair = factories[engine_name](trace)
+            f"no conformance engine named {engine_name!r}; "
+            f"known: {sorted(table)}")
+    pair = table[engine_name].build(trace)
     return replay(trace, pair, engine_name=engine_name)
 
 
 def run_all(key_bits: int = 128) -> List[ConformanceResult]:
-    """Replay the full suite against every registered engine."""
+    """Replay the full suite against every engine."""
     results = []
     for engine_name, trace in conformance_matrix(key_bits=key_bits):
         results.append(run_trace(engine_name, trace))

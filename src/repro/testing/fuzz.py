@@ -181,7 +181,7 @@ def _tensor_frame(rng: random.Random) -> Tuple[str, bytes, int]:
 
 
 def _tensor3_frame(rng: random.Random) -> Tuple[str, bytes, int]:
-    """A valid FLT3 frame under a random registered codec."""
+    """A valid FLT3 frame under a random codec."""
     scheme = QuantizationScheme(alpha=1.0,
                                 r_bits=rng.choice([16, 30]),
                                 num_parties=rng.randrange(1, 9))

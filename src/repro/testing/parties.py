@@ -19,7 +19,7 @@ their binomial/discrete-log shortcuts -- the code actually under test);
 The adapters also expose the ``*_batch`` method names of the engine
 protocol, so the lazy fusion planner can flush expressions through them
 -- which is how the fused-vs-eager conformance check runs on every
-registered path, not just the Paillier engines.
+engine of the oracle, not just the Paillier ones.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ registers::
     pack      r3 <- pack(r2, slot_bits=16)
     decrypt   out <- r2           # compared against the shadow model
 
-The same trace replays against every registered engine *and* a pure
+The same trace replays against every engine of the oracle *and* a pure
 ``pow()``-based reference implementation; the oracle asserts the raw
 ciphertext words are bit-identical after every op and that decrypted
 plaintexts match a plain-integer shadow model.  Traces are JSON-round-
@@ -185,7 +185,7 @@ class TraceBuilder:
 
 
 def standard_traces(key_bits: int = 128) -> List[ConformanceTrace]:
-    """The shared trace suite every registered engine replays.
+    """The shared trace suite every engine of the oracle replays.
 
     Covers the full op surface: encrypt/decrypt round trips, batched
     homomorphic addition, per-element scalar multiplication, the
@@ -247,7 +247,7 @@ def standard_traces(key_bits: int = 128) -> List[ConformanceTrace]:
 def codec_trace_suite(key_bits: int = 128) -> List[ConformanceTrace]:
     """Per-codec traces: packed words through real homomorphic adds.
 
-    For every registered packing codec, the same three fixed gradients
+    For every packing codec, the same three fixed gradients
     are quantized and packed into plaintext words *by that codec*, then
     replayed as ciphertexts through an add chain that stays within the
     codec's ``max_safe_summands()``.  The oracle's bit-identical word
@@ -261,7 +261,7 @@ def codec_trace_suite(key_bits: int = 128) -> List[ConformanceTrace]:
     decrypting trace (engines with ``decrypt``) and an add-only trace
     (runnable by the symmetric masking path too).
     """
-    from repro.quantization.codecs import registered_codecs
+    from repro.quantization.codecs import CODECS
     from repro.quantization.encoding import QuantizationScheme
 
     scheme = QuantizationScheme(alpha=1.0, r_bits=16, num_parties=8)
@@ -276,8 +276,7 @@ def codec_trace_suite(key_bits: int = 128) -> List[ConformanceTrace]:
     envelope = [max(abs(g[i]) for g in grads) for i in range(len(grads[0]))]
 
     traces: List[ConformanceTrace] = []
-    for seed_base, (codec_id, cls) in enumerate(
-            sorted(registered_codecs().items())):
+    for seed_base, (codec_id, cls) in enumerate(sorted(CODECS.items())):
         if codec_id == "sparse":
             codec = cls.for_values(envelope, scheme, plaintext_bits)
         else:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.analysis import ALL_RULES
+from repro.analysis import ALL_RULES, Rule
 from repro.analysis.engine import (
     TimeBudgetExceeded,
     discover_files,
@@ -12,6 +12,7 @@ from repro.analysis.engine import (
 )
 
 from tests.analysis.conftest import FIXTURES
+from tests.conftest import concrete_subclasses
 
 LEAK = ("def leak(channel, engine, c):\n"
         "    plain = engine.decrypt_tensor(c)\n"
@@ -22,6 +23,11 @@ def test_all_five_rules_are_registered():
     assert sorted(rule.name for rule in ALL_RULES) == [
         "deprecated-api", "determinism", "ledger-category",
         "plaintext-wire", "wal-discipline"]
+
+
+def test_every_rule_class_is_in_all_rules():
+    assert set(ALL_RULES) == concrete_subclasses(Rule, "repro.analysis")
+    assert len({rule.name for rule in ALL_RULES}) == len(ALL_RULES)
 
 
 def test_run_lint_over_a_directory(tmp_path):

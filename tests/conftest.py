@@ -16,7 +16,11 @@ exercised on hosts where the binding works.
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import os
+import pkgutil
+from typing import Set
 
 import pytest
 
@@ -60,6 +64,23 @@ def no_native(monkeypatch):
 def seed_for(stream: int) -> int:
     """Combine the suite master seed with a per-fixture stream id."""
     return MASTER_SEED * 1_000_003 + stream
+
+
+def concrete_subclasses(base: type, package: str) -> Set[type]:
+    """Every non-abstract subclass of ``base`` (at any depth) defined in
+    a module of ``package``, after importing all of that package."""
+    root = importlib.import_module(package)
+    for module in pkgutil.walk_packages(root.__path__, f"{package}."):
+        importlib.import_module(module.name)
+    found: Set[type] = set()
+    frontier = [base]
+    while frontier:
+        for cls in frontier.pop().__subclasses__():
+            frontier.append(cls)
+            if cls.__module__.startswith(f"{package}.") and \
+                    not inspect.isabstract(cls):
+                found.add(cls)
+    return found
 
 
 @pytest.fixture(scope="session")

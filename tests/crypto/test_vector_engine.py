@@ -10,12 +10,12 @@ Three concerns share this module:
   conformance oracle passing pooled and unpooled alike.
 - **Graceful degradation** -- without numpy the module imports, the
   engine class refuses construction, and ``vector-paillier`` is absent
-  from the conformance registry (tier-1 otherwise unaffected).
+  from the conformance oracle's engine table (tier-1 otherwise
+  unaffected).
 """
 
 from __future__ import annotations
 
-import importlib
 import subprocess
 import sys
 import textwrap
@@ -23,7 +23,7 @@ import textwrap
 import pytest
 
 from repro.crypto.cpu_engine import CpuPaillierEngine
-from repro.crypto.engine import HeEngine, RandomizerPool
+from repro.crypto.engine import RandomizerPool
 from repro.mpint import limb_plane
 from repro.mpint.primes import LimbRandom
 
@@ -220,8 +220,7 @@ class TestGracefulDegradation:
 
     def test_limb_plane_imports_without_numpy(self):
         """In a numpy-less interpreter the module must import, report
-        HAVE_NUMPY=False, raise the documented error on use, and leave
-        the conformance registry without a vector-paillier entry."""
+        HAVE_NUMPY=False and raise the documented error on use."""
         code = textwrap.dedent("""
             import sys
 
@@ -257,25 +256,20 @@ class TestGracefulDegradation:
         assert proc.returncode == 0, proc.stderr
         assert "degraded-ok" in proc.stdout
 
-    def test_vector_engine_deregisters_without_numpy(self, monkeypatch):
-        """Reloading the engine module with HAVE_NUMPY forced off must
-        remove the registration rather than leave a stale entry."""
-        import repro.crypto.vector_engine as vector_engine
-        if not limb_plane.HAVE_NUMPY:
-            pytest.skip("needs a numpy build to exercise the flip")
-        try:
-            monkeypatch.setattr(limb_plane, "HAVE_NUMPY", False)
-            importlib.reload(vector_engine)
-            assert "vector-paillier" not in HeEngine.conformance_factories()
-        finally:
-            monkeypatch.undo()
-            importlib.reload(vector_engine)
-        assert "vector-paillier" in HeEngine.conformance_factories()
+    def test_engine_table_leaves_vector_out_without_numpy(self,
+                                                          monkeypatch):
+        """The oracle's table reads HAVE_NUMPY: with it off, neither the
+        table nor the matrix names the limb-plane path."""
+        from repro.testing.conformance import conformance_matrix, engines
+        monkeypatch.setattr(limb_plane, "HAVE_NUMPY", False)
+        assert "vector-paillier" not in engines()
+        assert len(engines()) == 4
+        assert all(name != "vector-paillier"
+                   for name, _trace in conformance_matrix())
 
     @needs_numpy
-    def test_registered_in_conformance_registry(self):
-        from repro.testing.conformance import discovered_factories
-        factories = discovered_factories()
-        assert "vector-paillier" in factories
-        assert factories["vector-paillier"].capabilities == frozenset(
+    def test_in_conformance_table(self):
+        from repro.testing.conformance import engines
+        row = engines()["vector-paillier"]
+        assert row.party.capabilities == frozenset(
             {"encrypt", "decrypt", "add", "scalar_mul"})

@@ -1,9 +1,10 @@
-"""Unit tests for the packing-codec registry and the two new layouts."""
+"""Unit tests for the packing-codec table and the two new layouts."""
 
 import numpy as np
 import pytest
 
 from repro.quantization.codecs import (
+    CODECS,
     DEFAULT_EXTRA_GUARD_BITS,
     MAX_GUARD_BITS,
     MAX_SPARSE_VALUE_BITS,
@@ -11,12 +12,13 @@ from repro.quantization.codecs import (
     SparseCodec,
     build_codec,
     get_codec,
-    register_codec,
-    registered_codecs,
 )
 from repro.quantization.encoding import QuantizationScheme
-from repro.quantization.packing import BatchPacker, CodecCapabilities
+from repro.quantization.packing import (BatchPacker, CodecCapabilities,
+                                        SlotCodec)
 from repro.tensor.meta import TensorMeta
+
+from tests.conftest import concrete_subclasses
 
 SCHEME = QuantizationScheme(alpha=1.0, r_bits=16, num_parties=8)
 
@@ -30,26 +32,20 @@ def _meta(codec="dense", codec_params=(), count=8, capacity=4,
         codec=codec, codec_params=codec_params)
 
 
-class TestRegistry:
-    def test_builtin_codecs_are_registered(self):
-        codecs = registered_codecs()
-        assert codecs["dense"] is BatchPacker
-        assert codecs["interleave"] is InterleavedCodec
-        assert codecs["sparse"] is SparseCodec
+class TestCodecTable:
+    def test_builtin_codecs_are_in_the_table(self):
+        assert CODECS["dense"] is BatchPacker
+        assert CODECS["interleave"] is InterleavedCodec
+        assert CODECS["sparse"] is SparseCodec
+
+    def test_every_slot_codec_is_in_the_table(self):
+        assert set(CODECS.values()) == concrete_subclasses(
+            SlotCodec, "repro.quantization")
+        assert all(CODECS[cls.codec_id] is cls for cls in CODECS.values())
 
     def test_unknown_codec_id_raises(self):
         with pytest.raises(ValueError, match="unknown packing codec"):
             get_codec("zstd")
-
-    def test_reregistration_is_idempotent(self):
-        assert register_codec(BatchPacker) is BatchPacker
-
-    def test_conflicting_registration_raises(self):
-        class Impostor:
-            codec_id = "dense"
-
-        with pytest.raises(ValueError, match="already registered"):
-            register_codec(Impostor)
 
     def test_build_codec_dispatches_on_meta(self):
         assert isinstance(build_codec(_meta()), BatchPacker)

@@ -12,10 +12,10 @@ import pytest
 
 from repro.quantization import encoding
 from repro.quantization.codecs import (
+    CODECS,
     InterleavedCodec,
     SparseCodec,
     build_codec,
-    registered_codecs,
 )
 from repro.quantization.encoding import QuantizationScheme
 from repro.quantization.packing import BatchPacker, SlotCodec
@@ -90,8 +90,8 @@ def test_packed_words_match_the_pre_refactor_layout(name):
 
 
 def test_every_registered_codec_is_one_slot_codec():
-    assert set(registered_codecs()) == {"dense", "interleave", "sparse"}
-    for cls in registered_codecs().values():
+    assert set(CODECS) == {"dense", "interleave", "sparse"}
+    for cls in CODECS.values():
         assert issubclass(cls, SlotCodec)
         for shared in ("pack", "unpack", "pack_values", "decode_words",
                        "words_needed", "achieved_psu", "describe"):

@@ -40,7 +40,6 @@ import pytest
 from repro.analysis.base import callee_name
 from repro.analysis.engine import discover_files, load_module
 from repro.analysis.ipa.symbols import ClassInfo, FunctionInfo, SymbolTable
-from repro.testing import conformance
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -51,12 +50,6 @@ ROOTS = (
     "repro.federation.runtime",
     "repro.experiments.harness",
 )
-
-#: Imports made by module *name* at run time, which no import statement
-#: shows; read from the importing module so the two cannot drift.
-BY_NAME = {
-    "repro.testing.conformance": conformance._BUILTIN_ENGINE_MODULES,
-}
 
 #: Islands kept on purpose: module -> why it stays though no root
 #: reaches it.  ROADMAP.md records this table; keep it short.
@@ -164,8 +157,7 @@ def _reached(table: SymbolTable) -> Set[str]:
         if module in reached:
             continue
         reached.add(module)
-        for target in (*table.imports[module].targets,
-                       *BY_NAME.get(module, ())):
+        for target in table.imports[module].targets:
             defining = _defining_module(table, target)
             if defining is not None:
                 frontier.append(defining)
@@ -207,6 +199,24 @@ def test_kept_lists_only_islands_and_stays_short():
         "KEPT")
     assert len(KEPT) <= 4
     assert all(reason.strip() for reason in KEPT.values())
+
+
+def _in_testing(name: str) -> bool:
+    return name == "repro.testing" or name.startswith("repro.testing.")
+
+
+def test_only_the_cli_and_repro_testing_import_repro_testing():
+    """The correctness harness sits on top of the platform: the library
+    never imports it, at module level or inside a function."""
+    importers = sorted(
+        (module, target)
+        for module, imports in _project().imports.items()
+        if module.partition(".")[0] == "repro" and module != "repro.cli"
+        and not _in_testing(module)
+        for target in imports.targets if _in_testing(target))
+    assert not importers, (
+        f"{len(importers)} imports of repro.testing outside repro.cli and "
+        f"repro.testing: {importers}")
 
 
 # ----------------------------------------------------------------------
