@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import replace
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.crypto.keys import PaillierKeypair
@@ -26,8 +27,16 @@ from repro.ledger import CostLedger
 from repro.mpint.primes import LimbRandom
 from repro.tensor import planner
 from repro.tensor.cipher import CipherTensor
-from repro.tensor.meta import KeyMismatchError, key_fingerprint
+from repro.tensor.meta import KeyMismatchError, TensorMeta, key_fingerprint
 from repro.tensor.plain import PlainTensor
+
+
+@lru_cache(maxsize=256)
+def _encrypted_meta(plain: TensorMeta, fingerprint: bytes, nominal_bits: int,
+                    physical_bits: int) -> TensorMeta:
+    """``plain``'s layout under one key; equal layouts share the meta."""
+    return replace(plain, key_fingerprint=fingerprint,
+                   nominal_bits=nominal_bits, physical_bits=physical_bits)
 
 
 class RandomizerPool:
@@ -196,10 +205,8 @@ class HeEngine(ABC):
         payload without caller-supplied counts, summands or schemes.
         """
         words = self.encrypt_batch(plain.word_list())
-        meta = replace(plain.meta,
-                       key_fingerprint=self.fingerprint(),
-                       nominal_bits=self.nominal_bits,
-                       physical_bits=self.physical_bits)
+        meta = _encrypted_meta(plain.meta, self.fingerprint(),
+                               self.nominal_bits, self.physical_bits)
         return CipherTensor(meta, words=words, engine=self)
 
     def decrypt_tensor(self, tensor: CipherTensor) -> PlainTensor:

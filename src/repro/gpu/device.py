@@ -51,9 +51,12 @@ RTX_3090 = DeviceSpec(
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelLaunch:
     """Record of one simulated kernel launch.
+
+    Immutable, so every launch of one shape can share one record (see
+    :class:`~repro.gpu.kernels.GpuKernels`).
 
     Attributes:
         name: Kernel identifier (e.g. ``"paillier_encrypt"``).

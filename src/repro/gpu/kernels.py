@@ -24,6 +24,7 @@ from repro.gpu.device import DeviceSpec, KernelLaunch, SimulatedGpu
 from repro.gpu.resource_manager import (
     BASE_REGISTERS_PER_THREAD,
     REGISTERS_PER_LIMB,
+    SHAPE_MEMO_SIZE,
     UNMANAGED_BRANCH_REGISTER_FACTOR,
     ResourceManager,
 )
@@ -142,11 +143,12 @@ class GpuKernels:
                                  else ResourceManager(self.device.spec))
         self.profile = profile
         validate_budgets(self.device.spec)
-        #: Launch shape -> (threads per task, SM utilization, seconds):
-        #: a shape's geometry and modelled time depend on nothing else,
-        #: so each distinct shape is priced once.
-        self._prices: Dict[Tuple[int, int, int, int, int],
-                           Tuple[int, float, float]] = {}
+        #: (name, tasks, limbs, words, bytes in, bytes out) -> the
+        #: launch's immutable record: a shape's geometry and modelled
+        #: time depend on nothing else, so each distinct shape is priced
+        #: and recorded once and every launch of it appends that record.
+        self._launches: Dict[Tuple[str, int, int, int, int, int],
+                             KernelLaunch] = {}
 
     # ------------------------------------------------------------------
     # Public kernels.
@@ -242,43 +244,41 @@ class GpuKernels:
         if not a:
             raise ValueError("kernel launched with an empty batch")
 
-    def _price(self, tasks: int, limbs: int, words: int, bytes_in: int,
-               bytes_out: int) -> Tuple[int, float, float]:
-        """(threads per task, SM utilization, seconds) of one launch."""
-        key = (tasks, limbs, words, bytes_in, bytes_out)
-        price = self._prices.get(key)
-        if price is None:
+    def _launch(self, name: str, tasks: int, limbs: int, words: int,
+                bytes_in: int, bytes_out: int) -> KernelLaunch:
+        """The (shared) record of one launch of this shape."""
+        key = (name, tasks, limbs, words, bytes_in, bytes_out)
+        launch = self._launches.get(key)
+        if launch is None:
             plan = self.resource_manager.plan(tasks, limbs)
             seconds = self.profile.gpu_seconds(
                 tasks, words, bytes_in, bytes_out, plan,
                 spec=self.device.spec,
                 managed=self.resource_manager.managed)
-            price = self._prices[key] = (plan.threads_per_task,
-                                         plan.sm_utilization, seconds)
-        return price
+            launch = KernelLaunch(
+                name=name,
+                tasks=tasks,
+                threads_per_task=plan.threads_per_task,
+                word_multiplications=words,
+                bytes_in=bytes_in,
+                bytes_out=bytes_out,
+                sm_utilization=plan.sm_utilization,
+                seconds=seconds,
+            )
+            if len(self._launches) >= SHAPE_MEMO_SIZE:
+                self._launches.clear()
+            self._launches[key] = launch
+        return launch
 
     def _record(self, name: str, tasks: int, limbs: int, words: int,
                 bytes_in: int, bytes_out: int) -> float:
-        threads_per_task, sm_utilization, seconds = self._price(
-            tasks, limbs, words, bytes_in, bytes_out)
+        launch = self._launch(name, tasks, limbs, words, bytes_in, bytes_out)
         if self.resource_manager.managed:
             # The memory table (Sec. IV-A2): operand and result buffers
             # are claimed per launch and marked free afterwards, so
             # repeated launches of the same shape reuse their slots
             # (hits) instead of re-allocating (misses).
-            table = self.resource_manager.memory
-            buffers = [table.allocate(max(bytes_in, 1)),
-                       table.allocate(max(bytes_out, 1))]
-            for address in buffers:
-                table.free(address)
-        self.device.record_launch(KernelLaunch(
-            name=name,
-            tasks=tasks,
-            threads_per_task=threads_per_task,
-            word_multiplications=words,
-            bytes_in=bytes_in,
-            bytes_out=bytes_out,
-            sm_utilization=sm_utilization,
-            seconds=seconds,
-        ))
-        return seconds
+            self.resource_manager.memory.claim_and_release(
+                max(bytes_in, 1), max(bytes_out, 1))
+        self.device.record_launch(launch)
+        return launch.seconds

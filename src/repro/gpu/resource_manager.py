@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.gpu.device import DeviceSpec, RTX_3090
 
@@ -55,6 +55,10 @@ UNMANAGED_BRANCH_REGISTER_FACTOR = 4
 #: statically halves limbs onto threads with a one-warp floor.
 MANAGED_MAX_THREADS_PER_TASK = 128
 UNMANAGED_MIN_THREADS_PER_TASK = 32
+
+#: Most shapes a shape-keyed memo holds (launch plans, launch records,
+#: memory-table outcomes); a full memo starts over.
+SHAPE_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,13 @@ class MemoryTable:
     ``allocate`` looks for a free slot of sufficient size before reserving
     new device memory; ``free`` marks the slot reusable.  ``hits`` counts
     allocations served from the table (no device allocation latency).
+
+    A kernel launch claims an operand and a result buffer and frees both
+    (:meth:`claim_and_release`), so between launches every slot is free
+    and a launch's outcome depends only on its two sizes and the slot
+    list.  The list changes only on a miss, so once a pair of sizes has
+    been claimed it hits twice until the next miss; while no slot is
+    held, a repeat counts those hits without scanning.
     """
 
     capacity: int
@@ -101,6 +112,11 @@ class MemoryTable:
     _next_address: int = 0
     hits: int = 0
     misses: int = 0
+    #: Slots currently marked occupied.
+    _held: int = field(default=0, repr=False, compare=False)
+    #: (in, out) size pairs claimed since the last miss.
+    _both_hit: Set[Tuple[int, int]] = field(
+        default_factory=set, repr=False, compare=False)
 
     def allocate(self, size: int) -> int:
         """Reserve ``size`` bytes; returns the device address."""
@@ -109,6 +125,7 @@ class MemoryTable:
         for index, (address, slot_size, occupied) in enumerate(self._slots):
             if not occupied and slot_size >= size:
                 self._slots[index] = (address, slot_size, True)
+                self._held += 1
                 self.hits += 1
                 return address
         if self._next_address + size > self.capacity:
@@ -118,7 +135,9 @@ class MemoryTable:
         address = self._next_address
         self._next_address += size
         self._slots.append((address, size, True))
+        self._held += 1
         self.misses += 1
+        self._both_hit.clear()
         return address
 
     def free(self, address: int) -> None:
@@ -128,8 +147,29 @@ class MemoryTable:
                 if not occupied:
                     raise ValueError(f"double free of device address {address}")
                 self._slots[index] = (slot_address, slot_size, False)
+                self._held -= 1
                 return
         raise ValueError(f"unknown device address {address}")
+
+    def claim_and_release(self, size_in: int, size_out: int) -> None:
+        """One launch: claim ``size_in`` then ``size_out`` bytes, free both.
+
+        Leaves ``hits``, ``misses`` and the slots exactly as the two
+        ``allocate`` calls and two ``free`` calls would.
+        """
+        key = (size_in, size_out)
+        if not self._held and key in self._both_hit:
+            self.hits += 2
+            return
+        addresses = (self.allocate(size_in), self.allocate(size_out))
+        for address in addresses:
+            self.free(address)
+        # Both buffers now have a slot of their size, and a slot held
+        # during this claim only adds a candidate once freed: with no
+        # slot held, the pair hits until the list changes.
+        if len(self._both_hit) >= SHAPE_MEMO_SIZE:
+            self._both_hit.clear()
+        self._both_hit.add(key)
 
 
 class ResourceManager:
@@ -186,6 +226,8 @@ class ResourceManager:
 
         resident = self._resident_threads(block_size, registers)
         occupancy = resident / self.spec.max_threads_per_sm
+        if len(self._plan_cache) >= SHAPE_MEMO_SIZE:
+            self._plan_cache.clear()
         plan = BlockPlan(
             block_size=block_size,
             threads_per_task=threads_per_task,

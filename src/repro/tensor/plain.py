@@ -10,7 +10,9 @@ everything it needs from the attached :class:`~repro.tensor.meta.TensorMeta`
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import math
+from functools import lru_cache
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -20,6 +22,26 @@ from repro.tensor.meta import TensorMeta
 
 #: Fingerprint of "not encrypted yet / no key".
 PLAINTEXT_FINGERPRINT = b"\x00" * 16
+
+
+@lru_cache(maxsize=256)
+def _plain_meta(packer: SlotCodec, shape: Tuple[int, ...]) -> TensorMeta:
+    """The layout ``packer`` gives an array of ``shape``; one meta per
+    (codec instance, shape).  The key geometry stays zero until an
+    engine encrypts the tensor."""
+    return TensorMeta(
+        key_fingerprint=PLAINTEXT_FINGERPRINT,
+        nominal_bits=0,
+        physical_bits=0,
+        scheme=packer.scheme,
+        capacity=packer.capacity,
+        shape=shape,
+        count=math.prod(shape),
+        summands=1,
+        packed=packer.capacity > 1,
+        codec=packer.codec_id,
+        codec_params=packer.codec_params(),
+    )
 
 
 class PlainTensor:
@@ -67,26 +89,11 @@ class PlainTensor:
             packer: Any packing codec (the dense Eq. 9
                 ``BatchPacker``, the interleaved layout, or a
                 pattern-pinned sparse codec); its identity and wire
-                parameters are recorded in the metadata.  The key
-                geometry stays zero until an engine encrypts the tensor.
+                parameters are recorded in the metadata.
         """
         array = np.asarray(values, dtype=np.float64)
-        flat = array.ravel()
-        words = packer.pack_values(flat)
-        meta = TensorMeta(
-            key_fingerprint=PLAINTEXT_FINGERPRINT,
-            nominal_bits=0,
-            physical_bits=0,
-            scheme=packer.scheme,
-            capacity=packer.capacity,
-            shape=tuple(array.shape),
-            count=flat.size,
-            summands=1,
-            packed=packer.capacity > 1,
-            codec=packer.codec_id,
-            codec_params=packer.codec_params(),
-        )
-        return cls(words, meta)
+        words = packer.pack_values(array.ravel())
+        return cls(words, _plain_meta(packer, array.shape))
 
     def decode(self) -> np.ndarray:
         """Unpack and decode back to a real-valued array.

@@ -3,17 +3,23 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.gpu_engine import GpuPaillierEngine
 from repro.federation.runtime import cached_keypair
-from repro.gpu.device import RTX_3090, SimulatedGpu
+from repro.gpu.device import RTX_3090, KernelLaunch, SimulatedGpu
 from repro.gpu.kernels import (
     KERNEL_BUDGETS,
     GpuKernels,
     KernelBudget,
     validate_budgets,
 )
-from repro.gpu.resource_manager import ResourceManager
+from repro.gpu.resource_manager import (
+    SHAPE_MEMO_SIZE,
+    MemoryTable,
+    ResourceManager,
+)
 from repro.ledger import CostLedger
 from repro.mpint.primes import LimbRandom
 
@@ -162,9 +168,9 @@ class TestMemoryTableIntegration:
 class _PricedAfresh(GpuKernels):
     """Prices every launch as if its shape had never been seen."""
 
-    def _price(self, *shape):
-        self._prices.clear()
-        return super()._price(*shape)
+    def _launch(self, *shape):
+        self._launches.clear()
+        return super()._launch(*shape)
 
 
 class TestLaunchPriceTable:
@@ -193,6 +199,101 @@ class TestLaunchPriceTable:
         table, fresh = runs
         assert len(table[0]) > 40
         assert table == fresh
+
+
+def _reference_launch(kernels, table, device, shape):
+    """What a launch did before launches and memory-table outcomes were
+    memoized: price it afresh, claim both buffers by first-fit scan,
+    free them and log a new record."""
+    name, tasks, limbs, words, bytes_in, bytes_out = shape
+    plan = kernels.resource_manager.plan(tasks, limbs)
+    seconds = kernels.profile.gpu_seconds(
+        tasks, words, bytes_in, bytes_out, plan, spec=device.spec,
+        managed=True)
+    addresses = [table.allocate(max(bytes_in, 1)),
+                 table.allocate(max(bytes_out, 1))]
+    for address in addresses:
+        table.free(address)
+    device.record_launch(KernelLaunch(
+        name=name, tasks=tasks, threads_per_task=plan.threads_per_task,
+        word_multiplications=words, bytes_in=bytes_in,
+        bytes_out=bytes_out, sm_utilization=plan.sm_utilization,
+        seconds=seconds))
+
+
+#: Few distinct sizes, so a size pair repeats (memo hits) while a larger
+#: size than any slot so far forces a miss and a new slot.
+_BYTES = st.sampled_from([0, 96, 512, 4096, 65536])
+_SHAPES = st.tuples(st.sampled_from(["mod_mul", "mod_pow"]),
+                    st.sampled_from([1, 64]), st.sampled_from([1, 32]),
+                    st.integers(1, 2), _BYTES, _BYTES)
+
+
+@st.composite
+def _steps(draw):
+    """Launches drawn from a few shapes, interleaved with buffers held
+    outside any launch (claimed, later released), which the memoized
+    path must notice."""
+    shapes = draw(st.lists(_SHAPES, min_size=1, max_size=4))
+    return draw(st.lists(st.one_of(
+        st.tuples(st.just("launch"), st.sampled_from(shapes)),
+        st.tuples(st.just("hold"), _BYTES),
+        st.tuples(st.just("release"), st.none())), max_size=60))
+
+
+#: A shape whose size pair gets memoized, for the explicit example.
+_PAIR = ("mod_mul", 1, 1, 1, 512, 96)
+
+
+class TestMemoryTableOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(steps=_steps())
+    # A memoized pair, then a buffer held over it, then released.
+    @example(steps=[("launch", _PAIR)] * 2 + [("hold", 96)]
+             + [("launch", _PAIR), ("release", None), ("launch", _PAIR)])
+    def test_memoized_launches_match_the_allocate_free_loop(self, steps):
+        kernels = GpuKernels(resource_manager=ResourceManager(managed=True))
+        table = kernels.resource_manager.memory
+        reference = MemoryTable(capacity=table.capacity)
+        device = SimulatedGpu()
+        held = []
+        for kind, arg in steps:
+            if kind == "launch":
+                kernels._record(*arg)
+                _reference_launch(kernels, reference, device, arg)
+            elif kind == "hold":
+                held.append((table.allocate(max(arg, 1)),
+                             reference.allocate(max(arg, 1))))
+            elif held:
+                address, reference_address = held.pop(0)
+                table.free(address)
+                reference.free(reference_address)
+            assert (table.hits, table.misses, table._slots) == \
+                (reference.hits, reference.misses, reference._slots)
+            log, expected = kernels.device, device
+            assert len(log.launches) == len(expected.launches)
+            assert [launch.name for launch in log.launches] == \
+                [launch.name for launch in expected.launches]
+            assert log.total_seconds == expected.total_seconds
+            assert log.mean_sm_utilization() == \
+                expected.mean_sm_utilization()
+
+    def test_launch_memos_stay_bounded(self):
+        """More shapes than a memo holds: the launch records, plans and
+        memory-table pairs never outgrow the cap, and every launch is
+        still logged with its own shape."""
+        kernels = GpuKernels(resource_manager=ResourceManager(managed=True))
+        manager = kernels.resource_manager
+        # Largest first: every later pair of buffer sizes hits.
+        shapes = range(SHAPE_MEMO_SIZE + 44, 0, -1)
+        for tasks in shapes:
+            kernels.charge_mod_mul(tasks=tasks, modulus_bits=2048)
+            assert len(kernels._launches) <= SHAPE_MEMO_SIZE
+            assert len(manager._plan_cache) <= SHAPE_MEMO_SIZE
+            assert len(manager.memory._both_hit) <= SHAPE_MEMO_SIZE
+        assert manager.memory.misses == 2
+        assert [launch.tasks for launch in kernels.device.launches] == \
+            list(shapes)
 
 
 #: One budget per violation kind:

@@ -36,6 +36,9 @@ from repro.federation.shard import (
 from repro.federation.tenancy import Tenant, TenantRegistry
 from repro.federation.wal import ROUND_CLOSE, UPLOAD_ACCEPTED, WriteAheadLog
 from repro.gpu.cost_model import HardwareProfile
+from repro.gpu.device import KernelLaunch
+from repro.gpu.kernels import GpuKernels
+from repro.gpu.resource_manager import MemoryTable
 from repro.models.homo_lr import HomoLogisticRegression
 from repro.mpint import native
 from repro.quantization import encoding
@@ -158,6 +161,51 @@ def test_a_repeated_launch_shape_is_priced_once(monkeypatch):
         (launch.tasks, launch.word_multiplications, launch.bytes_in,
          launch.bytes_out) for launch in launches})
     assert len(priced) == 2
+
+
+def test_a_warm_upload_builds_no_tensor_meta(monkeypatch):
+    """A layout's plaintext meta is built once per (codec, shape) and its
+    encrypted meta once per plaintext meta, so a warm upload's encode
+    and encrypt share the first upload's metas."""
+    runtime = FederationRuntime(FLBOOSTER_SYSTEM, num_clients=128,
+                                key_bits=1024)
+    upload = np.linspace(-0.9, 0.9, 64)
+    first = runtime.aggregator.encrypt_tensor(upload)
+    built = []
+    post_init = meta.TensorMeta.__post_init__
+    monkeypatch.setattr(meta.TensorMeta, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    warm = runtime.aggregator.encrypt_tensor(-upload)
+    assert built == []
+    assert warm.meta is first.meta
+
+
+def test_repeated_launches_of_one_shape_build_one_record(monkeypatch):
+    """Every launch is logged, but one shape is one shared record, and
+    its two buffers are looked up in the memory table once: later
+    launches count their two hits without scanning."""
+    kernels = GpuKernels()
+    records = []
+
+    def counting_launch(**fields):
+        records.append(fields)
+        return KernelLaunch(**fields)
+
+    monkeypatch.setattr("repro.gpu.kernels.KernelLaunch", counting_launch)
+    table = kernels.resource_manager.memory
+    scans = []
+    allocate = MemoryTable.allocate
+    monkeypatch.setattr(MemoryTable, "allocate",
+                        lambda table, size: scans.append(size)
+                        or allocate(table, size))
+    for _ in range(5):
+        kernels.charge_mod_mul(tasks=64, modulus_bits=2048)
+    launches = kernels.device.launches
+    assert len(records) == 1
+    assert len(launches) == 5 and all(launch is launches[0]
+                                      for launch in launches)
+    assert len(scans) == 2                  # the first launch's two buffers
+    assert (table.hits, table.misses) == (8, 2)
 
 
 @pytest.fixture

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.crypto import engine as engine_module
 from repro.quantization.codecs import build_codec
+from repro.tensor import plain as plain_module
 from repro.tensor.plain import PLAINTEXT_FINGERPRINT, PlainTensor
 
 
@@ -62,3 +64,25 @@ class TestInvariants:
         plain = PlainTensor.encode(np.zeros(3), flat_packer)
         with pytest.raises(ValueError):
             PlainTensor(plain.words[:1], plain.meta)
+
+
+class TestBoundedLayoutMemos:
+    def test_more_layouts_than_the_cap_stay_bounded_and_decode(
+            self, packed_packer, engine):
+        """Metas are memoized per (codec, shape) and per plaintext meta
+        and key, in tables that never outgrow their cap; a layout that
+        fell out of one still encodes, encrypts and decodes."""
+        memos = (plain_module._plain_meta, engine_module._encrypted_meta)
+        cipher = []
+        for count in range(1, 301):
+            values = np.linspace(-0.9, 0.9, count)
+            cipher.append((values, engine.encrypt_tensor(
+                PlainTensor.encode(values, packed_packer))))
+            for memo in memos:
+                info = memo.cache_info()
+                assert info.currsize <= info.maxsize == 256
+        step = packed_packer.scheme.quantization_step
+        for values, tensor in cipher:
+            decoded = engine.decrypt_tensor(tensor).decode()
+            assert decoded.shape == values.shape
+            assert np.allclose(decoded, values, atol=step)
