@@ -43,7 +43,7 @@ def run_mode(fused: bool) -> dict:
         "fused": fused,
         "gpu_launches": ledger.count("gpu.launch"),
         "server_device_launches":
-            len(runtime.server_engine.kernels.device.launches),
+            runtime.server_engine.kernels.device.launches,
         "he_add_ops": ledger.count("he.add"),
         "modelled_seconds": ledger.total_seconds,
         "loss": loss,

@@ -42,7 +42,7 @@ def main() -> None:
 
     # --- What the simulated GPU saw ---------------------------------
     device = fl.kernels.device
-    print(f"\nsimulated GPU: {len(device.launches)} kernel launches, "
+    print(f"\nsimulated GPU: {device.launches} kernel launches, "
           f"mean SM utilization {device.mean_sm_utilization():.0%}, "
           f"{device.total_seconds * 1e3:.2f} ms modelled compute")
 

@@ -76,7 +76,7 @@ def _cmd_demo(_args) -> int:
     print(f"homomorphically double, decrypt ->",
           fl.paillier.decrypt(pri, total))
     device = fl.kernels.device
-    print(f"({len(device.launches)} simulated kernel launches, "
+    print(f"({device.launches} simulated kernel launches, "
           f"SM utilization {device.mean_sm_utilization():.0%})")
     return 0
 

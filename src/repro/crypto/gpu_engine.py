@@ -120,15 +120,14 @@ class GpuPaillierEngine(HeEngine):
     @contextmanager
     def _charging(self, category: str, ops: int) -> Iterator[None]:
         """Charge the launches made inside the block (none if it raises)."""
-        log = self.kernels.device.launches
-        start = len(log)
-        yield
-        launches = log[start:]
-        seconds = sum(launch.seconds for launch in launches)
-        self.ledger.charge(category, seconds, count=ops)
-        if launches:
+        with self.kernels.collect() as prices:
+            yield
+        # Summed in launch order, so a charge is exactly the sum of the
+        # prices it covers.
+        self.ledger.charge(category, sum(prices), count=ops)
+        if prices:
             # Launch-count accounting: lets the ledger show how
             # many kernel launches an epoch spent, so op fusion
             # (fewer, larger launches) is measurable without
-            # inspecting the device log.
-            self.ledger.charge(CAT_GPU_LAUNCH, 0.0, count=len(launches))
+            # inspecting the device.
+            self.ledger.charge(CAT_GPU_LAUNCH, 0.0, count=len(prices))

@@ -328,9 +328,9 @@ class FederationRuntime:
     def begin_epoch(self) -> CostLedger:
         """Swap in a fresh ledger for the next epoch; returns it.
 
-        The simulated devices' launch logs start over with it: a launch
-        is charged when it is recorded, so the log is per epoch, like
-        the ledger it mirrors, instead of growing for the runtime's life.
+        The simulated devices' sums start over with it: a launch is
+        charged when it is recorded, so the sums are per epoch, like the
+        ledger they mirror.
         """
         self.ledger = CostLedger()
         self.client_engine.ledger = self.ledger

@@ -8,16 +8,17 @@ would take -- transfer in, parallel compute across stream multiprocessors,
 transfer out -- following the structure of the paper's Eq. 10.
 
 - :mod:`repro.gpu.device` -- the device description (SMs, warps, registers,
-  memory) and launch bookkeeping.
+  memory) and running sums of the launches' prices.
 - :mod:`repro.gpu.resource_manager` -- the paper's GPU resource manager:
-  block-size selection, the memory table, register budgeting, and branch
-  combining; also the source of the SM-utilization numbers in Fig. 6.
+  block-size selection, register budgeting, branch combining, and the
+  memory table's launch latency; also the source of the SM-utilization
+  numbers in Fig. 6.
 - :mod:`repro.gpu.cost_model` -- the hardware time model (Eq. 10).
 - :mod:`repro.gpu.kernels` -- batched big-integer kernels (mod_mul,
   mod_pow, encrypt/decrypt primitives) used by the GPU HE engine.
 """
 
-from repro.gpu.device import DeviceSpec, SimulatedGpu, KernelLaunch, RTX_3090
+from repro.gpu.device import DeviceSpec, SimulatedGpu, RTX_3090
 from repro.gpu.resource_manager import ResourceManager, BlockPlan
 from repro.gpu.cost_model import HardwareProfile, DEFAULT_PROFILE
 from repro.gpu.kernels import GpuKernels
@@ -25,7 +26,6 @@ from repro.gpu.kernels import GpuKernels
 __all__ = [
     "DeviceSpec",
     "SimulatedGpu",
-    "KernelLaunch",
     "RTX_3090",
     "ResourceManager",
     "BlockPlan",

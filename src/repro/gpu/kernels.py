@@ -3,8 +3,9 @@
 Each kernel executes the real arithmetic for a whole batch (so results are
 bit-exact and downstream training is genuine) and records one simulated
 launch: the resource manager resolves the launch geometry, the cost model
-charges transfer + parallel compute, and the device logs the launch for the
-utilization figures.
+prices transfer + parallel compute, and the device adds the price to the
+sums the utilization figures read.  A price is a function of the launch's
+shape, so each distinct shape is priced once.
 
 Cost accounting is decoupled from the arithmetic through ``work_bits``: the
 kernel charges time as if the modulus had ``work_bits`` bits, which lets
@@ -16,11 +17,12 @@ is omitted the actual modulus size is charged.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.gpu.cost_model import DEFAULT_PROFILE, HardwareProfile
-from repro.gpu.device import DeviceSpec, KernelLaunch, SimulatedGpu
+from repro.gpu.device import DeviceSpec, SimulatedGpu
 from repro.gpu.resource_manager import (
     BASE_REGISTERS_PER_THREAD,
     REGISTERS_PER_LIMB,
@@ -129,7 +131,7 @@ class GpuKernels:
     """Batched modular-arithmetic kernels on a simulated device.
 
     Args:
-        device: Launch log; a fresh :class:`SimulatedGpu` when omitted.
+        device: Launch sums; a fresh :class:`SimulatedGpu` when omitted.
         resource_manager: Launch planner; pass one with ``managed=False``
             to model the HAFLO-style baseline.
         profile: Calibrated hardware constants.
@@ -143,12 +145,12 @@ class GpuKernels:
                                  else ResourceManager(self.device.spec))
         self.profile = profile
         validate_budgets(self.device.spec)
-        #: (name, tasks, limbs, words, bytes in, bytes out) -> the
-        #: launch's immutable record: a shape's geometry and modelled
-        #: time depend on nothing else, so each distinct shape is priced
-        #: and recorded once and every launch of it appends that record.
-        self._launches: Dict[Tuple[str, int, int, int, int, int],
-                             KernelLaunch] = {}
+        #: (tasks, limbs, words, bytes in, bytes out) -> (seconds, SM
+        #: utilization) of a launch of that shape.
+        self._prices: Dict[Tuple[int, int, int, int, int],
+                           Tuple[float, float]] = {}
+        #: Prices of the launches made inside the open :meth:`collect`.
+        self._collected: Optional[List[float]] = None
 
     # ------------------------------------------------------------------
     # Public kernels.
@@ -244,41 +246,41 @@ class GpuKernels:
         if not a:
             raise ValueError("kernel launched with an empty batch")
 
-    def _launch(self, name: str, tasks: int, limbs: int, words: int,
-                bytes_in: int, bytes_out: int) -> KernelLaunch:
-        """The (shared) record of one launch of this shape."""
-        key = (name, tasks, limbs, words, bytes_in, bytes_out)
-        launch = self._launches.get(key)
-        if launch is None:
-            plan = self.resource_manager.plan(tasks, limbs)
-            seconds = self.profile.gpu_seconds(
-                tasks, words, bytes_in, bytes_out, plan,
-                spec=self.device.spec,
-                managed=self.resource_manager.managed)
-            launch = KernelLaunch(
-                name=name,
-                tasks=tasks,
-                threads_per_task=plan.threads_per_task,
-                word_multiplications=words,
-                bytes_in=bytes_in,
-                bytes_out=bytes_out,
-                sm_utilization=plan.sm_utilization,
-                seconds=seconds,
-            )
-            if len(self._launches) >= SHAPE_MEMO_SIZE:
-                self._launches.clear()
-            self._launches[key] = launch
-        return launch
+    @contextmanager
+    def collect(self) -> Iterator[List[float]]:
+        """Prices of the launches made in the block, in launch order."""
+        self._collected = prices = []
+        try:
+            yield prices
+        finally:
+            self._collected = None
+
+    def _price(self, tasks: int, limbs: int, words: int, bytes_in: int,
+               bytes_out: int) -> Tuple[float, float]:
+        """(seconds, SM utilization) of one launch of this shape."""
+        spec = self.device.spec
+        if bytes_in + bytes_out > spec.global_memory:
+            raise MemoryError(
+                f"launch needs {bytes_in + bytes_out} bytes of device "
+                f"memory, the device has {spec.global_memory}")
+        plan = self.resource_manager.plan(tasks, limbs)
+        seconds = self.profile.gpu_seconds(
+            tasks, words, bytes_in, bytes_out, plan, spec=spec,
+            managed=self.resource_manager.managed)
+        return seconds, plan.sm_utilization
 
     def _record(self, name: str, tasks: int, limbs: int, words: int,
                 bytes_in: int, bytes_out: int) -> float:
-        launch = self._launch(name, tasks, limbs, words, bytes_in, bytes_out)
-        if self.resource_manager.managed:
-            # The memory table (Sec. IV-A2): operand and result buffers
-            # are claimed per launch and marked free afterwards, so
-            # repeated launches of the same shape reuse their slots
-            # (hits) instead of re-allocating (misses).
-            self.resource_manager.memory.claim_and_release(
-                max(bytes_in, 1), max(bytes_out, 1))
-        self.device.record_launch(launch)
-        return launch.seconds
+        """Report one ``name`` launch to the device; returns its seconds."""
+        key = (tasks, limbs, words, bytes_in, bytes_out)
+        price = self._prices.get(key)
+        if price is None:
+            price = self._price(*key)
+            if len(self._prices) >= SHAPE_MEMO_SIZE:
+                self._prices.clear()
+            self._prices[key] = price
+        seconds, sm_utilization = price
+        self.device.record_launch(seconds, sm_utilization)
+        if self._collected is not None:
+            self._collected.append(seconds)
+        return seconds

@@ -2,7 +2,7 @@
 
 The resource manager is the piece of FLBooster that "fully release[s] the
 computation power of GPUs": it stores common block sizes and picks one per
-task count, keeps a memory table of marked addresses so repeated launches
+operand size, keeps a memory table of marked addresses so repeated launches
 skip allocation, budgets registers per thread, and combines divergent
 branches so a warp is not split.  Disabling it (the HAFLO configuration)
 reproduces the lower SM utilization of Fig. 6:
@@ -11,6 +11,8 @@ reproduces the lower SM utilization of Fig. 6:
 - without branch combining, divergence doubles register demand and halves
   warp issue efficiency;
 - without the memory table, every launch pays a device-allocation latency.
+  That latency is the table's only effect on a launch's price, so the
+  table is modelled by :data:`LAUNCH_LATENCY_MANAGED` alone.
 
 :meth:`ResourceManager.plan` turns (tasks, limb count) into a
 :class:`BlockPlan` whose occupancy arithmetic follows the standard CUDA
@@ -20,8 +22,8 @@ occupancy calculation against the :class:`~repro.gpu.device.DeviceSpec`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict
 
 from repro.gpu.device import DeviceSpec, RTX_3090
 
@@ -56,8 +58,8 @@ UNMANAGED_BRANCH_REGISTER_FACTOR = 4
 MANAGED_MAX_THREADS_PER_TASK = 128
 UNMANAGED_MIN_THREADS_PER_TASK = 32
 
-#: Most shapes a shape-keyed memo holds (launch plans, launch records,
-#: memory-table outcomes); a full memo starts over.
+#: Most shapes a shape-keyed memo holds (launch plans, launch prices); a
+#: full memo starts over.
 SHAPE_MEMO_SIZE = 256
 
 
@@ -91,87 +93,6 @@ class BlockPlan:
         return self.occupancy * self.issue_efficiency
 
 
-@dataclass
-class MemoryTable:
-    """The marked-address table of Sec. IV-A2.
-
-    ``allocate`` looks for a free slot of sufficient size before reserving
-    new device memory; ``free`` marks the slot reusable.  ``hits`` counts
-    allocations served from the table (no device allocation latency).
-
-    A kernel launch claims an operand and a result buffer and frees both
-    (:meth:`claim_and_release`), so between launches every slot is free
-    and a launch's outcome depends only on its two sizes and the slot
-    list.  The list changes only on a miss, so once a pair of sizes has
-    been claimed it hits twice until the next miss; while no slot is
-    held, a repeat counts those hits without scanning.
-    """
-
-    capacity: int
-    _slots: List[Tuple[int, int, bool]] = field(default_factory=list)
-    _next_address: int = 0
-    hits: int = 0
-    misses: int = 0
-    #: Slots currently marked occupied.
-    _held: int = field(default=0, repr=False, compare=False)
-    #: (in, out) size pairs claimed since the last miss.
-    _both_hit: Set[Tuple[int, int]] = field(
-        default_factory=set, repr=False, compare=False)
-
-    def allocate(self, size: int) -> int:
-        """Reserve ``size`` bytes; returns the device address."""
-        if size <= 0:
-            raise ValueError("allocation size must be positive")
-        for index, (address, slot_size, occupied) in enumerate(self._slots):
-            if not occupied and slot_size >= size:
-                self._slots[index] = (address, slot_size, True)
-                self._held += 1
-                self.hits += 1
-                return address
-        if self._next_address + size > self.capacity:
-            raise MemoryError(
-                f"device memory exhausted: need {size} bytes, "
-                f"{self.capacity - self._next_address} free")
-        address = self._next_address
-        self._next_address += size
-        self._slots.append((address, size, True))
-        self._held += 1
-        self.misses += 1
-        self._both_hit.clear()
-        return address
-
-    def free(self, address: int) -> None:
-        """Mark the slot at ``address`` free for reuse."""
-        for index, (slot_address, slot_size, occupied) in enumerate(self._slots):
-            if slot_address == address:
-                if not occupied:
-                    raise ValueError(f"double free of device address {address}")
-                self._slots[index] = (slot_address, slot_size, False)
-                self._held -= 1
-                return
-        raise ValueError(f"unknown device address {address}")
-
-    def claim_and_release(self, size_in: int, size_out: int) -> None:
-        """One launch: claim ``size_in`` then ``size_out`` bytes, free both.
-
-        Leaves ``hits``, ``misses`` and the slots exactly as the two
-        ``allocate`` calls and two ``free`` calls would.
-        """
-        key = (size_in, size_out)
-        if not self._held and key in self._both_hit:
-            self.hits += 2
-            return
-        addresses = (self.allocate(size_in), self.allocate(size_out))
-        for address in addresses:
-            self.free(address)
-        # Both buffers now have a slot of their size, and a slot held
-        # during this claim only adds a candidate once freed: with no
-        # slot held, the pair hits until the list changes.
-        if len(self._both_hit) >= SHAPE_MEMO_SIZE:
-            self._both_hit.clear()
-        self._both_hit.add(key)
-
-
 class ResourceManager:
     """Block-size, register, memory and branch management (Sec. IV-A2).
 
@@ -185,8 +106,8 @@ class ResourceManager:
     def __init__(self, spec: DeviceSpec = RTX_3090, managed: bool = True):
         self.spec = spec
         self.managed = managed
-        self.memory = MemoryTable(capacity=spec.global_memory)
-        self._plan_cache: Dict[Tuple[int, int], BlockPlan] = {}
+        #: limbs -> plan: the geometry depends on the operand size alone.
+        self._plan_cache: Dict[int, BlockPlan] = {}
 
     def plan(self, tasks: int, limbs: int) -> BlockPlan:
         """Resolve launch geometry for ``tasks`` integers of ``limbs`` words.
@@ -194,11 +115,11 @@ class ResourceManager:
         The managed path picks the block size from
         :data:`COMMON_BLOCK_SIZES` that maximizes occupancy for the register
         budget; the unmanaged path always launches the largest common block.
+        The plan does not depend on ``tasks``, which is only validated.
         """
         if tasks <= 0 or limbs <= 0:
             raise ValueError("tasks and limbs must be positive")
-        key = (min(tasks, self.spec.max_concurrent_threads), limbs)
-        cached = self._plan_cache.get(key)
+        cached = self._plan_cache.get(limbs)
         if cached is not None:
             return cached
 
@@ -238,7 +159,7 @@ class ResourceManager:
             issue_efficiency=issue,
             launch_latency=latency,
         )
-        self._plan_cache[key] = plan
+        self._plan_cache[limbs] = plan
         return plan
 
     def _best_block_size(self, registers_per_thread: int,

@@ -82,9 +82,9 @@ class TestBatchInterface:
     def test_batch_is_single_launch_per_stage(self, keypair):
         public, _private = keypair
         device = public._engine.kernels.device
-        before = len(device.launches)
+        before = device.launches
         public.encrypt_many([1.0] * 64)
-        launches = len(device.launches) - before
+        launches = device.launches - before
         assert launches <= 3          # g^m charge + r^n charge + final mul
 
 

@@ -44,7 +44,7 @@ def run_rounds(clients):
 
     Tracing starts before the first round and both readings are taken
     between rounds, so the state one round hands to the next -- the
-    open round's frames, the epoch's launch log -- is in both and
+    open round's frames, the epoch's device sums -- is in both and
     cancels: what is left is what every round adds for good."""
     service, runtimes = two_tenant_service(clients)
     rng = np.random.default_rng(3)
@@ -54,7 +54,7 @@ def run_rounds(clients):
 
     def run_round(round_index):
         # A fresh ledger per round, as the benchmark runs it: the
-        # device's launch log belongs to the epoch, not to the service.
+        # device's sums belong to the epoch, not to the service.
         for runtime in runtimes:
             runtime.begin_epoch()
         service.run_round(vectors, round_index)

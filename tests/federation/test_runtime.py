@@ -131,10 +131,10 @@ class TestRuntimeWiring:
         assert runtime.channel.ledger is second
 
     def test_begin_epoch_starts_the_device_logs_over(self, monkeypatch):
-        """Launch logs are per epoch, like the ledger they mirror: two
+        """Device sums are per epoch, like the ledger they mirror: two
         epochs leave only the second's launches, and every charge --
-        made as its launch is recorded -- is what it is when the logs
-        are never cleared."""
+        made as its launch is recorded -- is what it is when the sums
+        are never zeroed."""
         def two_epochs():
             runtime = FederationRuntime(FLBOOSTER_SYSTEM, num_clients=3,
                                         key_bits=256, physical_key_bits=256)
@@ -143,7 +143,7 @@ class TestRuntimeWiring:
             for _ in range(2):
                 ledgers.append(runtime.begin_epoch())
                 runtime.aggregator.aggregate(vectors)
-            logs = [len(engine.kernels.device.launches) for engine in
+            logs = [engine.kernels.device.launches for engine in
                     (runtime.client_engine, runtime.server_engine,
                      runtime.silent_engine)]
             return [ledger.snapshot() for ledger in ledgers], logs

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.gpu.device import RTX_3090
-from repro.gpu.resource_manager import (
-    COMMON_BLOCK_SIZES,
-    MemoryTable,
-    ResourceManager,
-)
+from repro.gpu.resource_manager import COMMON_BLOCK_SIZES, ResourceManager
 
 
 class TestBlockPlanning:
@@ -63,53 +59,19 @@ class TestBlockPlanning:
         manager = ResourceManager()
         assert manager.plan(100, 64) is manager.plan(100, 64)
 
+    @pytest.mark.parametrize("managed", [True, False])
+    def test_plan_is_keyed_by_limbs_alone(self, managed):
+        manager = ResourceManager(managed=managed)
+        for limbs in (1, 64, 256):
+            assert manager.plan(1, limbs) is manager.plan(10 ** 6, limbs)
 
-class TestMemoryTable:
-    def test_allocate_and_free(self):
-        table = MemoryTable(capacity=1000)
-        address = table.allocate(100)
-        table.free(address)
-        assert table.misses == 1
-
-    def test_reuse_marks_hit(self):
-        table = MemoryTable(capacity=1000)
-        address = table.allocate(100)
-        table.free(address)
-        again = table.allocate(80)
-        assert again == address
-        assert table.hits == 1
-
-    def test_no_reuse_of_occupied(self):
-        table = MemoryTable(capacity=1000)
-        first = table.allocate(100)
-        second = table.allocate(100)
-        assert first != second
-        assert table.misses == 2
-
-    def test_too_small_slot_not_reused(self):
-        table = MemoryTable(capacity=1000)
-        address = table.allocate(50)
-        table.free(address)
-        big = table.allocate(100)
-        assert big != address
-
-    def test_exhaustion_raises(self):
-        table = MemoryTable(capacity=100)
-        table.allocate(80)
-        with pytest.raises(MemoryError):
-            table.allocate(50)
-
-    def test_double_free_raises(self):
-        table = MemoryTable(capacity=100)
-        address = table.allocate(10)
-        table.free(address)
-        with pytest.raises(ValueError):
-            table.free(address)
-
-    def test_unknown_free_raises(self):
-        with pytest.raises(ValueError):
-            MemoryTable(capacity=100).free(12345)
-
-    def test_nonpositive_allocation_raises(self):
-        with pytest.raises(ValueError):
-            MemoryTable(capacity=100).allocate(0)
+    @pytest.mark.parametrize("managed, expected", [
+        (True, (0.87, 0.86, 0.8483007499855768)),
+        (False, (0.12200438541245993, 0.11908771874579326,
+                 0.11617105207912659)),
+    ], ids=["managed", "unmanaged"])
+    def test_utilization_for_key_size_is_pinned(self, managed, expected):
+        # Literals: how the plan cache is keyed must not move a plan.
+        manager = ResourceManager(managed=managed)
+        assert tuple(manager.utilization_for_key_size(bits)
+                     for bits in (1024, 2048, 4096)) == expected

@@ -31,8 +31,8 @@ class TestFusedVsEager:
             runtime = make_runtime(fused=mode)
             runtime.begin_epoch()
             results[mode] = runtime.aggregator.aggregate(vectors)
-            server_launches[mode] = len(
-                runtime.server_engine.kernels.device.launches)
+            server_launches[mode] = \
+                runtime.server_engine.kernels.device.launches
         # 8 uploads reduce in ceil(log2 8) = 3 fused add launches versus
         # 7 eager ones.
         assert server_launches[True] < server_launches[False]

@@ -36,9 +36,7 @@ from repro.federation.shard import (
 from repro.federation.tenancy import Tenant, TenantRegistry
 from repro.federation.wal import ROUND_CLOSE, UPLOAD_ACCEPTED, WriteAheadLog
 from repro.gpu.cost_model import HardwareProfile
-from repro.gpu.device import KernelLaunch
 from repro.gpu.kernels import GpuKernels
-from repro.gpu.resource_manager import MemoryTable
 from repro.models.homo_lr import HomoLogisticRegression
 from repro.mpint import native
 from repro.quantization import encoding
@@ -152,14 +150,20 @@ def test_a_repeated_launch_shape_is_priced_once(monkeypatch):
                      **kwargs)
 
     monkeypatch.setattr(HardwareProfile, "gpu_seconds", counting)
+    shapes = []
+    record = GpuKernels._record
+
+    def recording(kernels, name, tasks, limbs, words, bytes_in, bytes_out):
+        shapes.append((tasks, words, bytes_in, bytes_out))
+        return record(kernels, name, tasks, limbs, words, bytes_in,
+                      bytes_out)
+
+    monkeypatch.setattr(GpuKernels, "_record", recording)
     for _ in range(3):
         words = engine.encrypt_batch([1, 2, 3])
         engine.add_batch(words, words)
-    launches = engine.kernels.device.launches
-    assert len(launches) == 12
-    assert sorted(priced) == sorted({
-        (launch.tasks, launch.word_multiplications, launch.bytes_in,
-         launch.bytes_out) for launch in launches})
+    assert len(shapes) == engine.kernels.device.launches == 12
+    assert sorted(priced) == sorted(set(shapes))
     assert len(priced) == 2
 
 
@@ -181,31 +185,18 @@ def test_a_warm_upload_builds_no_tensor_meta(monkeypatch):
 
 
 def test_repeated_launches_of_one_shape_build_one_record(monkeypatch):
-    """Every launch is logged, but one shape is one shared record, and
-    its two buffers are looked up in the memory table once: later
-    launches count their two hits without scanning."""
+    """Every launch is counted, but one shape is one memoized price:
+    five launches of it price it once."""
     kernels = GpuKernels()
-    records = []
-
-    def counting_launch(**fields):
-        records.append(fields)
-        return KernelLaunch(**fields)
-
-    monkeypatch.setattr("repro.gpu.kernels.KernelLaunch", counting_launch)
-    table = kernels.resource_manager.memory
-    scans = []
-    allocate = MemoryTable.allocate
-    monkeypatch.setattr(MemoryTable, "allocate",
-                        lambda table, size: scans.append(size)
-                        or allocate(table, size))
-    for _ in range(5):
-        kernels.charge_mod_mul(tasks=64, modulus_bits=2048)
-    launches = kernels.device.launches
-    assert len(records) == 1
-    assert len(launches) == 5 and all(launch is launches[0]
-                                      for launch in launches)
-    assert len(scans) == 2                  # the first launch's two buffers
-    assert (table.hits, table.misses) == (8, 2)
+    prices = []
+    price = GpuKernels._price
+    monkeypatch.setattr(GpuKernels, "_price",
+                        lambda kernels, *shape: prices.append(shape)
+                        or price(kernels, *shape))
+    seconds = {kernels.charge_mod_mul(tasks=64, modulus_bits=2048)
+               for _ in range(5)}
+    assert len(prices) == 1 and len(seconds) == 1
+    assert kernels.device.launches == 5
 
 
 @pytest.fixture

@@ -62,7 +62,8 @@ def histogram(engine_class, keypair, passes=1):
     kernels = getattr(engine, "kernels", None)
     return {
         "words": [total.words for total in sums],
-        "launches": list(kernels.device.launches) if kernels else None,
+        "device": (kernels.device.launches, kernels.device.total_seconds,
+                   kernels.device.busy_seconds) if kernels else None,
         "ledger": engine.ledger.snapshot(),
         "decoded": decoded,
     }, expected
