@@ -124,6 +124,32 @@ class TestCharging:
         assert gpu.ledger.seconds("he.encrypt") > 0
         assert gpu.kernels.device.launches >= 2
 
+    def test_gpu_charge_is_the_sum_of_its_launch_prices(self, paillier_128,
+                                                        monkeypatch):
+        _, gpu = make_engines(paillier_128)
+        prices = []
+        record = GpuKernels._record
+
+        def spy(kernels, *args, **kwargs):
+            prices.append(record(kernels, *args, **kwargs))
+            return prices[-1]
+
+        monkeypatch.setattr(GpuKernels, "_record", spy)
+        gpu.encrypt_batch([1, 2, 3, 4])
+        assert len(prices) == 3
+        assert gpu.ledger.seconds("he.encrypt") == sum(prices)
+        assert gpu.ledger.count("gpu.launch") == 3
+
+    def test_a_raising_block_charges_nothing(self, paillier_128):
+        _, gpu = make_engines(paillier_128)
+        with pytest.raises(RuntimeError):
+            with gpu._charging("he.add", 1):
+                gpu.kernels.charge_mod_mul(1, 256)
+                raise RuntimeError("launch failed")
+        assert gpu.kernels.device.launches == 1
+        assert gpu.ledger.count("he.add") == 0
+        assert gpu.ledger.seconds("he") == 0.0
+
     def test_gpu_batch_faster_than_cpu(self, paillier_128):
         cpu, gpu = make_engines(paillier_128)
         values = list(range(512))

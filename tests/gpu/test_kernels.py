@@ -223,6 +223,35 @@ class TestLaunchPrices:
         assert kernels.device.launches == len(shapes)
         assert 0 < kernels.device.mean_sm_utilization() <= 1
 
+    @pytest.mark.parametrize("managed", [True, False])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_memoized_prices_match_fresh_pricing(self, managed, data):
+        """A few shapes launched over and over: the memo reports each
+        launch at the price a fresh pricing gives, and the device sums
+        agree exactly."""
+        shapes = data.draw(st.lists(_SHAPES, min_size=1, max_size=4))
+        sequence = data.draw(st.lists(st.sampled_from(shapes), min_size=1,
+                                      max_size=30))
+        runs = []
+        for kernels_cls in (GpuKernels, _PricedAfresh):
+            kernels = kernels_cls(
+                resource_manager=ResourceManager(managed=managed))
+            with kernels.collect() as prices:
+                for shape in sequence:
+                    kernels._record(*shape)
+            device = kernels.device
+            runs.append((prices, device.launches, device.total_seconds,
+                         device.busy_seconds))
+        memoized, fresh = runs
+        assert memoized == fresh
+
+    def test_a_launch_that_fills_memory_exactly_is_priced(self):
+        spec = dataclasses.replace(RTX_3090, global_memory=96)
+        kernels = GpuKernels(device=SimulatedGpu(spec=spec))
+        assert kernels.charge_mod_mul(tasks=1, modulus_bits=256) > 0
+        assert kernels.device.launches == 1
+
     def test_exhaustion_raises(self):
         """A launch whose buffers outgrow the device's memory fails."""
         spec = dataclasses.replace(RTX_3090, global_memory=1000)
@@ -244,6 +273,28 @@ class TestLaunchPrices:
             assert len(kernels._prices) <= SHAPE_MEMO_SIZE
             assert len(manager._plan_cache) <= SHAPE_MEMO_SIZE
         assert [launch.tasks for launch in launches] == list(shapes)
+
+
+class TestCollect:
+    def test_collects_the_block_prices_in_launch_order(self, kernels,
+                                                       launches):
+        kernels.charge_mod_mul(tasks=1, modulus_bits=256)
+        with kernels.collect() as prices:
+            kernels.charge_mod_pow(tasks=4, modulus_bits=512,
+                                   exponent_bits=64)
+            kernels.charge_mod_mul(tasks=4, modulus_bits=512)
+        kernels.charge_mod_mul(tasks=2, modulus_bits=256)
+        assert prices == [launch.seconds for launch in launches[1:3]]
+        assert kernels.device.launches == 4
+
+    def test_collect_closes_when_the_block_raises(self, kernels):
+        with pytest.raises(RuntimeError):
+            with kernels.collect() as prices:
+                kernels.charge_mod_mul(tasks=1, modulus_bits=256)
+                raise RuntimeError("launch failed")
+        kernels.charge_mod_mul(tasks=2, modulus_bits=256)
+        assert len(prices) == 1
+        assert kernels._collected is None
 
 
 #: One budget per violation kind:
