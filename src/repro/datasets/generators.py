@@ -10,6 +10,11 @@ pattern -- at laptop scale, with the paper-scale dimensions recorded in
 
 All generators are deterministic given a seed and produce linearly
 separable-ish binary tasks so the four FL models genuinely converge.
+
+A generated dataset is the one copy of its data: every horizontal
+partition and model reads it through row indices, so the generators
+return ``features`` and ``labels`` read-only -- an in-place write raises
+instead of reaching every client's rows.
 """
 
 from __future__ import annotations
@@ -60,6 +65,43 @@ PAPER_SCALES: Dict[str, Tuple[int, int]] = {
     "Synthetic": (100_000, 10_000),
 }
 
+#: Columns per block when standardizing, which bounds the temporary that
+#: the column std needs to ``instances x _STANDARDIZE_COLUMNS`` floats.
+_STANDARDIZE_COLUMNS = 64
+
+
+def _read_only_dataset(name: str, matrix: np.ndarray, labels: np.ndarray,
+                       density: float) -> Dataset:
+    """Freeze the generated arrays and attach the paper-scale dimensions."""
+    matrix.flags.writeable = False
+    labels.flags.writeable = False
+    paper_rows, paper_dims = PAPER_SCALES[name]
+    return Dataset(name=name, features=matrix, labels=labels,
+                   density=density,
+                   paper_instances=paper_rows, paper_features=paper_dims)
+
+
+def _standardize_in_place(matrix: np.ndarray) -> None:
+    """Scale every column to zero mean and unit std, without a full copy.
+
+    The column mean and std are taken over blocks of columns, so the
+    only temporary is one block.  Each column still reduces row by row
+    in the same order, which makes the result bit-identical to
+    ``(matrix - matrix.mean(axis=0)) / (matrix.std(axis=0) + 1e-8)``.
+    The last block absorbs a lone trailing column: a one-column block
+    would reduce pairwise down the column and move the low bits.
+    """
+    columns = matrix.shape[1]
+    mean = np.empty(columns)
+    std = np.empty(columns)
+    starts = range(0, max(columns - 1, 1), _STANDARDIZE_COLUMNS)
+    for start, stop in zip(starts, [*starts[1:], columns]):
+        block = matrix[:, start:stop]
+        mean[start:stop] = block.mean(axis=0)
+        std[start:stop] = block.std(axis=0)
+    matrix -= mean
+    matrix /= std + 1e-8
+
 
 def _labels_from_logits(logits: np.ndarray, rng: np.random.Generator,
                         noise: float = 0.1) -> np.ndarray:
@@ -95,10 +137,8 @@ def rcv1_like(instances: int = 1024, features: int = 512,
     matrix /= norms
     truth = rng.normal(size=features) / np.sqrt(nnz_per_row)
     labels = _labels_from_logits(matrix @ truth * 4.0, rng)
-    paper_rows, paper_dims = PAPER_SCALES["RCV1"]
-    return Dataset(name="RCV1", features=matrix, labels=labels,
-                   density=float((matrix != 0).mean()),
-                   paper_instances=paper_rows, paper_features=paper_dims)
+    return _read_only_dataset("RCV1", matrix, labels,
+                              float((matrix != 0).mean()))
 
 
 def avazu_like(instances: int = 1024, features: int = 1024,
@@ -123,10 +163,8 @@ def avazu_like(instances: int = 1024, features: int = 1024,
                field_index * per_field + categories] = 1.0
     truth = rng.normal(size=features)
     labels = _labels_from_logits(matrix @ truth / np.sqrt(fields) * 3.0, rng)
-    paper_rows, paper_dims = PAPER_SCALES["Avazu"]
-    return Dataset(name="Avazu", features=matrix, labels=labels,
-                   density=float((matrix != 0).mean()),
-                   paper_instances=paper_rows, paper_features=paper_dims)
+    return _read_only_dataset("Avazu", matrix, labels,
+                              float((matrix != 0).mean()))
 
 
 def synthetic_like(instances: int = 1024, features: int = 64,
@@ -148,15 +186,12 @@ def synthetic_like(instances: int = 1024, features: int = 64,
     # Standardize so gradients respect the quantization bound; labels are
     # drawn from the standardized features so an intercept-free linear
     # model can realize the ground truth.
-    matrix = (matrix - matrix.mean(axis=0)) / (matrix.std(axis=0) + 1e-8)
+    _standardize_in_place(matrix)
     u = rng.normal(0.0, alpha)
     truth = rng.normal(u, 1.0, size=features)
     labels = _labels_from_logits(matrix @ truth / np.sqrt(features) * 3.0,
                                  rng)
-    paper_rows, paper_dims = PAPER_SCALES["Synthetic"]
-    return Dataset(name="Synthetic", features=matrix, labels=labels,
-                   density=1.0,
-                   paper_instances=paper_rows, paper_features=paper_dims)
+    return _read_only_dataset("Synthetic", matrix, labels, 1.0)
 
 
 #: Name -> generator, for sweep harnesses.

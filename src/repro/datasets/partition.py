@@ -6,6 +6,10 @@ participant shares the same feature space but is different in samples.
 For heterogeneous models, we vertically divide three datasets into subsets
 of the same number of features, where each participant shares the same
 sample ID space but differs in feature space."
+
+A horizontal partition is the client's row indices into the one dataset,
+not a copy of its rows: a client reads its samples as
+``dataset.features[partition.rows]`` from the shared, read-only arrays.
 """
 
 from __future__ import annotations
@@ -21,16 +25,18 @@ from repro.rng import np_rng
 
 @dataclass(frozen=True)
 class HorizontalPartition:
-    """One client's horizontal shard: same features, disjoint samples."""
+    """One client's horizontal shard: same features, disjoint samples.
+
+    ``rows`` indexes the split dataset's ``features`` and ``labels``.
+    """
 
     client_id: int
-    features: np.ndarray
-    labels: np.ndarray
+    rows: np.ndarray
 
     @property
     def num_instances(self) -> int:
         """Rows owned by this client."""
-        return self.features.shape[0]
+        return len(self.rows)
 
 
 @dataclass(frozen=True)
@@ -92,14 +98,8 @@ def horizontal_split(dataset: Dataset, num_clients: int,
     rng = np_rng(seed)
     order = rng.permutation(dataset.num_instances)
     shards = np.array_split(order, num_clients)
-    return [
-        HorizontalPartition(
-            client_id=index,
-            features=dataset.features[shard],
-            labels=dataset.labels[shard],
-        )
-        for index, shard in enumerate(shards)
-    ]
+    return [HorizontalPartition(client_id=index, rows=shard)
+            for index, shard in enumerate(shards)]
 
 
 def vertical_split(dataset: Dataset, num_parties: int = 2,

@@ -90,8 +90,9 @@ class HomoLogisticRegression(FederatedModel):
         optimizer = self._optimizers[client]
         for start in range(0, len(order), self.batch_size):
             batch = order[start:start + self.batch_size]
-            X = partition.features[batch]
-            y = partition.labels[batch]
+            rows = partition.rows[batch]
+            X = self.dataset.features[rows]
+            y = self.dataset.labels[rows]
             gradient = logistic_gradient(X, X @ weights, y,
                                          weights=weights, l2=self.l2)
             weights = optimizer.step(weights, gradient)

@@ -123,8 +123,9 @@ class HomoNeuralNetwork(FederatedModel):
         order = self.rng.permutation(partition.num_instances)
         for start in range(0, len(order), self.batch_size):
             batch = order[start:start + self.batch_size]
-            X = partition.features[batch]
-            y = partition.labels[batch]
+            rows = partition.rows[batch]
+            X = self.dataset.features[rows]
+            y = self.dataset.labels[rows]
             gradients = self._gradients(params, X, y)
             for name, gradient in gradients.items():
                 params[name] = optimizers[name].step(params[name], gradient)

@@ -70,6 +70,19 @@ class TestGenerators:
             positive_rate = ds.labels.mean()
             assert 0.15 < positive_rate < 0.85
 
+    def test_generated_arrays_are_read_only(self):
+        # Every partition and model reads the one generated copy, so an
+        # in-place write must raise rather than reach other clients' rows.
+        for ds in (rcv1_like(instances=16, features=32),
+                   avazu_like(instances=16, features=16, fields=4),
+                   synthetic_like(instances=16, features=8)):
+            with pytest.raises(ValueError):
+                ds.features[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                ds.features /= 2.0
+            with pytest.raises(ValueError):
+                ds.labels[0] = 1.0
+
 
 class TestHorizontalSplit:
     def test_covers_all_instances(self):
@@ -80,7 +93,7 @@ class TestHorizontalSplit:
     def test_disjoint_shards(self):
         ds = synthetic_like(instances=64, features=4, seed=1)
         parts = horizontal_split(ds, 4, seed=2)
-        rows = np.concatenate([p.features for p in parts])
+        rows = np.concatenate([ds.features[p.rows] for p in parts])
         # Every original row appears exactly once.
         assert sorted(map(tuple, rows)) == \
             sorted(map(tuple, ds.features))
@@ -93,7 +106,7 @@ class TestHorizontalSplit:
     def test_each_client_keeps_labels(self):
         ds = synthetic_like(instances=40, features=4)
         for part in horizontal_split(ds, 2):
-            assert part.labels.shape == (part.num_instances,)
+            assert ds.labels[part.rows].shape == (part.num_instances,)
 
     def test_too_many_clients_raise(self):
         ds = synthetic_like(instances=4, features=4)
