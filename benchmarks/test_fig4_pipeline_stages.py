@@ -1,85 +1,74 @@
-"""Fig. 4 companion: per-stage timing of the data-processing pipeline.
+"""Fig. 4: one FLBooster aggregation round, stage by stage.
 
-Fig. 4 is an architecture figure (no measurements in the paper), but the
-staged pipeline it draws is implemented in :mod:`repro.pipeline`; this
-benchmark prints where one encryption / decryption round's time actually
-goes -- GPU compute dominates, the encode/pack stages are the lightweight
-plug-in the paper promises (Sec. IV-B: "the time spent on encoding and
-quantization is extremely small").
+Fig. 4 draws FLBooster's data path: convert -> encode/quantize -> pack
+-> GPU compute, then the mirror on the way back.  This benchmark runs
+one secure-aggregation round through the runtime (4 clients x 2 048
+gradients at a real 1024-bit key) and prints the round's cost ledger,
+one category per row in the order the round charged them -- the
+figure's order, with Fig. 2's upload / aggregate / download legs in
+between.  The rows are the round: they sum to its ledger total.
+
+The host stages are priced by the runtime's one constant,
+``PIPELINE_SECONDS_PER_VALUE``, the same charge Tables III-VI reproduce
+from.  So this figure follows Table VI (FLBooster's "Others" is 22.1 %
+of a round) rather than Sec. IV-B's "extremely small".
 """
 
 from benchmarks.common import bench_rng, publish
-from repro.crypto.gpu_engine import GpuPaillierEngine
+from repro.baselines import FLBOOSTER
 from repro.experiments import format_table
-from repro.federation.metrics import (
-    CPU_FLOP_RATE,
-    PIPELINE_SECONDS_PER_VALUE,
-)
-from repro.federation.runtime import cached_keypair
-from repro.gpu.kernels import GpuKernels
-from repro.gpu.resource_manager import ResourceManager
-from repro.mpint.primes import LimbRandom
-from repro.pipeline import DecryptionPipeline, EncryptionPipeline
-from repro.quantization.encoding import QuantizationScheme
-from repro.quantization.packing import BatchPacker
+from repro.federation.runtime import FederationRuntime
+from repro.ledger import COMPONENT_COMM, COMPONENT_HE, COMPONENT_OTHERS
 
+CLIENTS = 4
 VALUES = 2048
+
+#: Where each ledger category sits on the Fig. 4 / Fig. 2 data path.
+STAGES = {
+    "pipeline.encode_pack": "convert, encode/quantize, pack (host)",
+    "he.encrypt": "GPU compute: encrypt",
+    "gpu.launch": "GPU kernel launches (count only)",
+    "comm.upload.gradients": "upload to the server",
+    "he.add": "GPU compute: homomorphic sum",
+    "comm.download.gradients": "download to the clients",
+    "he.decrypt": "GPU compute: decrypt",
+    "pipeline.unpack_decode": "unpack, unquantize/decode, convert (host)",
+}
 
 
 def collect():
-    keypair = cached_keypair(256)
-    engine = GpuPaillierEngine(
-        keypair,
-        kernels=GpuKernels(resource_manager=ResourceManager(managed=True)),
-        nominal_bits=1024, rng=LimbRandom(seed=4),
-        randomizer_pool_size=16)
-    scheme = QuantizationScheme(alpha=1.0, r_bits=5, num_parties=4)
-    packer = BatchPacker(scheme,
-                         plaintext_bits=engine.physical_plaintext_bits,
-                         capacity=32)
-    gradients = bench_rng(2).uniform(-1, 1, VALUES)
-    encrypted = EncryptionPipeline(engine, packer).run(gradients)
-    decrypted = DecryptionPipeline(engine, packer).run(
-        encrypted.values, count=VALUES)
-    return encrypted, decrypted
+    runtime = FederationRuntime(FLBOOSTER, num_clients=CLIENTS,
+                                key_bits=1024, seed=7)
+    ledger = runtime.begin_epoch()
+    gradients = bench_rng(2).uniform(-1, 1, (CLIENTS, VALUES))
+    runtime.aggregator.aggregate(list(gradients))
+    return ledger
 
 
 def test_fig4_pipeline_stages(benchmark):
-    encrypted, decrypted = benchmark.pedantic(collect, rounds=1,
-                                              iterations=1)
+    ledger = benchmark.pedantic(collect, rounds=1, iterations=1)
 
-    rows = []
-    for phase, result in (("encryption", encrypted),
-                          ("decryption", decrypted)):
-        for stage in result.stages:
-            share = 100 * stage.seconds / result.total_seconds
-            priced_by = ("engine ledger (Eq. 10 launches)"
-                         if stage.name == "gpu_compute"
-                         else f"flops / CPU_FLOP_RATE ({CPU_FLOP_RATE:.0e})")
-            rows.append([phase, stage.name,
-                         f"{stage.seconds * 1e3:.3f}", f"{share:.1f}%",
-                         priced_by])
-        rows.append([phase, "TOTAL",
-                     f"{result.total_seconds * 1e3:.3f}", "100%", ""])
+    snapshot = ledger.snapshot()
+    total = ledger.total_seconds
+    rows = [[category, STAGES[category], f"{seconds * 1e3:.3f}",
+             f"{100 * seconds / total:.1f}%", count, payload_bytes]
+            for category, (seconds, count, payload_bytes)
+            in snapshot.items()]
+    rows.append(["TOTAL", "", f"{total * 1e3:.3f}", "100%", "", ""])
+    split = ledger.component_percentages()
     table = format_table(
-        ["Phase", "Stage", "ms (modelled)", "Share", "Priced by"],
+        ["Category", "Stage", "ms (modelled)", "Share", "Count", "Bytes"],
         rows,
-        title=f"Fig. 4 -- pipeline stage breakdown "
-              f"({VALUES} gradients @1024, packed)")
-    # The runtime prices the same host work with a different constant;
-    # say so under the table (docs/cost_model.md has both numbers).
+        title=f"Fig. 4 -- one FLBooster aggregation round by stage "
+              f"({CLIENTS} x {VALUES} gradients @1024, packed)")
     table += (
-        f"\nHost rows are not what a runtime round is charged: the ledger "
-        f"prices encode+pack (and unpack+decode) at "
-        f"PIPELINE_SECONDS_PER_VALUE = {PIPELINE_SECONDS_PER_VALUE:.0e}, "
-        f"{VALUES * PIPELINE_SECONDS_PER_VALUE * 1e3:.2f} ms for these "
-        f"{VALUES} values per direction.")
+        f"\nHE / Comm / Others: {split[COMPONENT_HE]:.1f} / "
+        f"{split[COMPONENT_COMM]:.1f} / {split[COMPONENT_OTHERS]:.1f} % "
+        f"(paper Table VI, FLBooster: 5.9 / 72.0 / 22.1 %)")
     publish("fig4_pipeline_stages", table)
 
-    # GPU compute dominates both phases; host-side stages are the
-    # "extremely small" plug-in the paper claims.
-    for result in (encrypted, decrypted):
-        compute = result.stage_seconds("gpu_compute")
-        host_side = result.total_seconds - compute
-        assert compute > 0.5 * result.total_seconds
-        assert host_side < result.total_seconds
+    # The rows are the round, and they split as Table VI's FLBooster row
+    # does: communication first, host conversion second, HE last.
+    assert sum(seconds for seconds, _, _ in snapshot.values()) == total
+    assert split[COMPONENT_COMM] > split[COMPONENT_OTHERS] > \
+        split[COMPONENT_HE]

@@ -2,21 +2,19 @@
 
 Run:  python examples/pipeline_inspection.py
 
-Walks one gradient batch through the staged encryption pipeline, shows
-the per-stage time breakdown, then sweeps the batch-compression theory
-(Eqs. 11-12) across key sizes and slot layouts.
+Runs one secure-aggregation round through the FLBooster runtime, prints
+its cost ledger one category per row in the order the round charged
+them (encode/pack -> encrypt -> upload -> sum -> download -> decrypt ->
+unpack/decode), then sweeps the batch-compression theory (Eqs. 11-12)
+across key sizes and slot layouts.
 """
 
 import numpy as np
 
-from repro.crypto.cpu_engine import CpuPaillierEngine
+from repro.baselines import FLBOOSTER
 from repro.experiments import format_table
-from repro.federation.runtime import cached_keypair
-from repro.mpint.primes import LimbRandom
-from repro.pipeline import DecryptionPipeline, EncryptionPipeline
-from repro.quantization.encoding import QuantizationScheme
+from repro.federation.runtime import FederationRuntime
 from repro.quantization.packing import (
-    BatchPacker,
     compression_ratio,
     packing_capacity,
     plaintext_space_utilization,
@@ -24,35 +22,25 @@ from repro.quantization.packing import (
 
 
 def main() -> None:
-    keypair = cached_keypair(1024)
-    engine = CpuPaillierEngine(keypair, rng=LimbRandom(seed=3),
-                               randomizer_pool_size=16)
-    scheme = QuantizationScheme(alpha=1.0, r_bits=29, num_parties=4)
-    packer = BatchPacker(scheme,
-                         plaintext_bits=engine.physical_plaintext_bits)
+    runtime = FederationRuntime(FLBOOSTER, num_clients=4, key_bits=1024,
+                                seed=7)
+    scheme = runtime.plan.scheme
     print(f"1024-bit Paillier, r = {scheme.r_bits} value bits + "
           f"{scheme.overflow_bits} overflow bits, "
-          f"capacity = {packer.capacity} gradients per ciphertext\n")
+          f"capacity = {runtime.plan.packer.capacity} gradients per "
+          f"ciphertext\n")
 
-    gradients = np.random.default_rng(1).uniform(-1, 1, 256)
-    encrypted = EncryptionPipeline(engine, packer).run(gradients)
-    print("encryption pipeline (Fig. 4, steps 1-4):")
-    for stage in encrypted.stages:
-        share = 100 * stage.seconds / encrypted.total_seconds
-        print(f"  {stage.name:<18s} {stage.seconds * 1e3:9.3f} ms  "
-              f"({share:5.1f}%)  [{stage.items} items]")
-    print(f"  {'TOTAL':<18s} {encrypted.total_seconds * 1e3:9.3f} ms  "
-          f"-> {len(encrypted.values)} ciphertexts\n")
-
-    decrypted = DecryptionPipeline(engine, packer).run(
-        encrypted.values, count=len(gradients))
-    print("decryption pipeline (Fig. 4, steps 5-9):")
-    for stage in decrypted.stages:
-        share = 100 * stage.seconds / decrypted.total_seconds
-        print(f"  {stage.name:<18s} {stage.seconds * 1e3:9.3f} ms  "
-              f"({share:5.1f}%)")
-    error = float(np.max(np.abs(np.array(decrypted.values) - gradients)))
-    print(f"  max roundtrip error: {error:.2e} "
+    ledger = runtime.begin_epoch()
+    gradients = np.random.default_rng(1).uniform(-1, 1, (4, 2048))
+    total = runtime.aggregator.aggregate(list(gradients))
+    print("one aggregation round, by ledger category (Fig. 4 order):")
+    for category, (seconds, count, _) in ledger.snapshot().items():
+        share = 100 * seconds / ledger.total_seconds
+        print(f"  {category:<24s} {seconds * 1e3:9.3f} ms  "
+              f"({share:5.1f}%)  [{count} items]")
+    print(f"  {'TOTAL':<24s} {ledger.total_seconds * 1e3:9.3f} ms")
+    error = float(np.max(np.abs(total - gradients.sum(axis=0))))
+    print(f"  max error of the decrypted sum: {error:.2e} "
           f"(quantization step {scheme.quantization_step:.2e})\n")
 
     rows = []

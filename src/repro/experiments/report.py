@@ -26,9 +26,8 @@ SECTION_ORDER = [
     ("table7_convergence_bias", "Table VII — convergence bias"),
     ("table7_bias_sensitivity", None),
     ("theory_acceleration", "Eqs. 10–14 — theory vs measured"),
-    ("fig4_pipeline_stages", "Fig. 4 companion — pipeline stages"),
+    ("fig4_pipeline_stages", "Fig. 4 — one FLBooster round by stage"),
     ("ablation_resource_manager", "Ablation — resource manager"),
-    ("ablation_pipeline_depth", "Ablation — pipeline depth"),
     ("scaling_participants", "Beyond the paper — participant scaling"),
     ("related_work_symmetric", "Related work — symmetric HE"),
 ]

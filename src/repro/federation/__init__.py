@@ -95,7 +95,7 @@ from repro.federation.wal import (
     WriteAheadLog,
     replay_wal,
 )
-from repro.federation.metrics import EpochReport, FaultReport, flop_seconds
+from repro.federation.metrics import EpochReport, FaultReport
 from repro.federation.intersection import RsaIntersection
 
 __all__ = [
@@ -152,6 +152,5 @@ __all__ = [
     "WriteAheadLog",
     "replay_wal",
     "EpochReport",
-    "flop_seconds",
     "RsaIntersection",
 ]

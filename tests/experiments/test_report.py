@@ -1,8 +1,12 @@
 """Tests for the report aggregator module."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.report import SECTION_ORDER, build_report
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture()
@@ -62,3 +66,10 @@ class TestBuildReport:
                          "table7_convergence_bias",
                          "theory_acceleration"):
             assert required in stems
+
+
+def test_committed_report_is_generated_from_committed_results():
+    # Regenerate with `python -m repro report --output REPORT.md` after
+    # any change under benchmarks/results/.
+    assert (REPO / "REPORT.md").read_text() == \
+        build_report(REPO / "benchmarks" / "results")

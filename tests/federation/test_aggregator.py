@@ -3,10 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.federation.metrics import PIPELINE_SECONDS_PER_VALUE
 from repro.federation.runtime import (
     FATE_SYSTEM,
     FLBOOSTER_SYSTEM,
+    STANDARD_SYSTEMS,
     FederationRuntime,
+)
+from repro.ledger import (
+    CAT_GPU_LAUNCH,
+    CAT_PIPELINE_ENCODE_PACK,
+    CAT_PIPELINE_UNPACK_DECODE,
+    COMPONENT_COMM,
+    COMPONENT_HE,
+    COMPONENT_OTHERS,
 )
 from repro.quantization.codecs import SparseCodec
 from repro.quantization.packing import BatchPacker
@@ -84,6 +94,66 @@ class TestAggregate:
         fate_runtime.aggregator.aggregate([np.zeros(8)] * 4)
         assert ledger.count("comm.upload") == 4
         assert ledger.count("comm.download") == 4
+
+
+ROUND_VALUES = 64
+
+#: Each system's Table VI components, largest share first.
+TABLE6_ORDER = {
+    "FATE": (COMPONENT_HE, COMPONENT_COMM, COMPONENT_OTHERS),
+    "HAFLO": (COMPONENT_COMM, COMPONENT_HE, COMPONENT_OTHERS),
+    "FLBooster": (COMPONENT_COMM, COMPONENT_OTHERS, COMPONENT_HE),
+}
+
+
+@pytest.fixture(scope="module", params=STANDARD_SYSTEMS,
+                ids=lambda config: config.name)
+def round_ledger(request):
+    """One aggregation round's ledger under each compared system."""
+    runtime = FederationRuntime(request.param, num_clients=4, key_bits=512)
+    ledger = runtime.begin_epoch()
+    rng = np.random.default_rng(3)
+    runtime.aggregator.aggregate(
+        [rng.uniform(-0.9, 0.9, ROUND_VALUES) for _ in range(4)])
+    return request.param, ledger
+
+
+class TestRoundLedger:
+    """The ledger of one round is the Fig. 4 breakdown of that round."""
+
+    def test_rows_sum_to_the_round_total(self, round_ledger):
+        _, ledger = round_ledger
+        rows = ledger.snapshot().values()
+        assert sum(seconds for seconds, _, _ in rows) == \
+            ledger.total_seconds
+
+    def test_charged_in_data_path_order(self, round_ledger):
+        _, ledger = round_ledger
+        categories = [category for category in ledger.snapshot()
+                      if category != CAT_GPU_LAUNCH]
+        assert categories == [
+            CAT_PIPELINE_ENCODE_PACK, "he.encrypt",
+            "comm.upload.gradients", "he.add",
+            "comm.download.gradients", "he.decrypt",
+            CAT_PIPELINE_UNPACK_DECODE]
+
+    def test_host_stages_cost_one_constant_per_value(self, round_ledger):
+        _, ledger = round_ledger
+        snapshot = ledger.snapshot()
+        for category in (CAT_PIPELINE_ENCODE_PACK,
+                         CAT_PIPELINE_UNPACK_DECODE):
+            assert snapshot[category] == (
+                ROUND_VALUES * PIPELINE_SECONDS_PER_VALUE, ROUND_VALUES, 0)
+
+    def test_launches_only_on_the_gpu(self, round_ledger):
+        config, ledger = round_ledger
+        assert (CAT_GPU_LAUNCH in ledger.snapshot()) == config.gpu_he
+
+    def test_components_order_as_in_table6(self, round_ledger):
+        config, ledger = round_ledger
+        split = ledger.component_percentages()
+        first, second, third = TABLE6_ORDER[config.name]
+        assert split[first] > split[second] > split[third]
 
 
 class TestEncryptDecryptTensor:

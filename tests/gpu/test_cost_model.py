@@ -115,3 +115,71 @@ class TestTimeModel:
         plan = ResourceManager(managed=True).plan(4096, 64)
         ratio = DEFAULT_PROFILE.eq10_acceleration_ratio(4096, 1024, plan)
         assert ratio > 100       # GPU must beat CPU by orders of magnitude
+
+
+def stream_makespan(batches, depth):
+    """End-to-end seconds of ``(h2d, compute, d2h)`` batches.
+
+    A list-scheduling simulation of Sec. V's stream pipeline: one
+    copy-in engine, one compute engine and one copy-out engine, each
+    running its queue in order; a batch's stages run in that order, and
+    batch ``i`` may start only once batch ``i - depth`` has drained.
+    """
+    h2d_free = compute_free = d2h_free = 0.0
+    done = []
+    for index, (h2d, compute, d2h) in enumerate(batches):
+        ready = done[index - depth] if index >= depth else 0.0
+        h2d_free = max(h2d_free, ready) + h2d
+        compute_free = max(compute_free, h2d_free) + compute
+        d2h_free = max(d2h_free, compute_free) + d2h
+        done.append(d2h_free)
+    return done[-1]
+
+
+def he_batches(count, transfer_fraction=0.05, compute=1.0e-3):
+    """HE-shaped batches: each copy is a small fraction of the compute."""
+    transfer = compute * transfer_fraction
+    return [(transfer, compute, transfer)] * count
+
+
+def transfer_hidden(batches, depth):
+    """Fraction of the copy time the pipeline runs under compute."""
+    transfer = sum(h2d + d2h for h2d, _, d2h in batches)
+    serial = sum(map(sum, batches))
+    return (serial - stream_makespan(batches, depth)) / transfer
+
+
+class TestStreamOverlap:
+    """Where the managed depth (8) and overlap (0.9) constants come from."""
+
+    def test_depth_one_is_serial_and_hides_nothing(self):
+        batches = he_batches(64)
+        assert stream_makespan(batches, 1) == \
+            pytest.approx(sum(map(sum, batches)))
+        assert transfer_hidden(batches, 1) == pytest.approx(
+            DEFAULT_PROFILE.transfer_overlap_unmanaged, abs=1e-9)
+
+    def test_deeper_is_never_slower(self):
+        batches = he_batches(30, transfer_fraction=0.5)
+        spans = [stream_makespan(batches, depth)
+                 for depth in (1, 2, 4, 8, 16)]
+        assert all(later <= earlier + 1e-12
+                   for earlier, later in zip(spans, spans[1:]))
+
+    def test_compute_bound_limit(self):
+        # Small copies: the makespan is the compute plus one fill.
+        batches = he_batches(50)
+        compute = sum(seconds for _, seconds, _ in batches)
+        assert compute < stream_makespan(batches, 8) < 1.1 * compute
+
+    def test_managed_constants(self):
+        assert DEFAULT_PROFILE.pipeline_depth_managed == 8
+        assert DEFAULT_PROFILE.transfer_overlap_managed == 0.9
+        assert transfer_hidden(he_batches(64),
+                               DEFAULT_PROFILE.pipeline_depth_managed) >= \
+            DEFAULT_PROFILE.transfer_overlap_managed
+
+    def test_transfer_heavy_work_cannot_hide_everything(self):
+        # The copy engines saturate: streams do not replace compression.
+        assert transfer_hidden(he_batches(64, transfer_fraction=1.0),
+                               16) < 0.99
