@@ -133,7 +133,7 @@ def stream_makespan(batches, depth):
         compute_free = max(compute_free, h2d_free) + compute
         d2h_free = max(d2h_free, compute_free) + d2h
         done.append(d2h_free)
-    return done[-1]
+    return done[-1] if done else 0.0
 
 
 def he_batches(count, transfer_fraction=0.05, compute=1.0e-3):
@@ -158,6 +158,18 @@ class TestStreamOverlap:
             pytest.approx(sum(map(sum, batches)))
         assert transfer_hidden(batches, 1) == pytest.approx(
             DEFAULT_PROFILE.transfer_overlap_unmanaged, abs=1e-9)
+
+    def test_empty(self):
+        assert stream_makespan([], 8) == 0.0
+
+    def test_single_batch_is_serial(self):
+        batch = (0.1, 1.0, 0.1)
+        assert stream_makespan([batch], 8) == pytest.approx(sum(batch))
+
+    def test_pipelining_beats_serial(self):
+        batches = he_batches(20)
+        assert stream_makespan(batches, 8) < \
+            0.95 * sum(map(sum, batches))
 
     def test_deeper_is_never_slower(self):
         batches = he_batches(30, transfer_fraction=0.5)
