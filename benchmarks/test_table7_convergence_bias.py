@@ -6,9 +6,12 @@ SBT / NN (the paper's observation that tree and network models are more
 sensitive).
 """
 
+from dataclasses import asdict, dataclass
+
 from benchmarks.common import bench_datasets, bench_models, fast_mode, publish
 from repro.baselines import FATE, FLBOOSTER
 from repro.experiments import format_table, run_training
+from repro.federation.runtime import SystemConfig
 
 MAX_EPOCHS = 3 if fast_mode() else 5
 
@@ -42,6 +45,18 @@ def collect():
     return biases
 
 
+@dataclass(frozen=True)
+class SweptWidth(SystemConfig):
+    """A configuration quantizing at ``width`` value bits instead of the
+    fixed width its ``batch_compression`` implies."""
+
+    width: int = 30
+
+    @property
+    def r_bits(self) -> int:
+        return self.width
+
+
 def collect_sensitivity():
     """Bias versus quantization width r (Synthetic, all models).
 
@@ -49,15 +64,14 @@ def collect_sensitivity():
     starts to hold and that the discrete models (SBT) are the most
     sensitive -- the mechanism behind Table VII's model ordering.
     """
-    from dataclasses import replace
-
     out = {}
     for model in bench_models():
         fate = run_training(FATE, model, "Synthetic", 1024,
                             max_epochs=MAX_EPOCHS, physical_key_bits=256)
         for r_bits in (8, 12, 16, 30):
-            config = replace(FLBOOSTER, r_bits=r_bits,
-                             name=f"FLBooster(r={r_bits})")
+            config = SweptWidth(**{**asdict(FLBOOSTER),
+                                    "name": f"FLBooster(r={r_bits})"},
+                                 width=r_bits)
             flb = run_training(config, model, "Synthetic", 1024,
                                max_epochs=MAX_EPOCHS,
                                physical_key_bits=256,

@@ -525,8 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="int, or a string (e.g. 'ci') hashed to one")
     fuzz.add_argument("--corpus", choices=["all", "packing"],
                       default="all",
-                      help="'packing' restricts to FLT2/FLT3 tensor "
-                           "frames (the codec-focused campaign)")
+                      help="'packing' restricts to FLT3 tensor frames "
+                           "(the codec-focused campaign)")
     fuzz.set_defaults(handler=_cmd_fuzz)
 
     failover = commands.add_parser(

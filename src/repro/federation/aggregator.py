@@ -100,7 +100,6 @@ class SecureAggregator:
         server_engine: Engine charged for server-side aggregation.
         packer: Plaintext packing plan (capacity 1 models "no BC").
         channel: Byte-counting network.
-        packed_serialization: Wire format flag for the channel.
         injector: Fault injector consulted per round (crash / dropout /
             straggler state); the channel's by default.
         min_quorum: Default minimum surviving clients per round; ``None``
@@ -115,8 +114,7 @@ class SecureAggregator:
 
     def __init__(self, client_engine: HeEngine, silent_engine: HeEngine,
                  server_engine: HeEngine, packer: SlotCodec,
-                 channel: Channel, packed_serialization: bool = False,
-                 injector: Optional[FaultInjector] = None,
+                 channel: Channel, injector: Optional[FaultInjector] = None,
                  min_quorum: Optional[int] = None,
                  round_deadline_seconds: Optional[float] = None,
                  fused: bool = True):
@@ -125,7 +123,6 @@ class SecureAggregator:
         self.server_engine = server_engine
         self.packer = packer
         self.channel = channel
-        self.packed_serialization = packed_serialization
         self.injector = injector or channel.injector
         self.min_quorum = min_quorum
         self.round_deadline_seconds = round_deadline_seconds
@@ -182,11 +179,10 @@ class SecureAggregator:
     def _tensor_message(self, tensor: CipherTensor, sender: str,
                         receiver: str, tag: str) -> Message:
         """The message shipping ``tensor``, sized at nominal ciphertext
-        bytes in the aggregator's ``packed_serialization`` wire format."""
+        bytes in the wire format its layout implies."""
         return Message.for_tensor(
             tensor.materialize(), sender=sender, receiver=receiver, tag=tag,
-            ciphertext_bytes=self.client_engine.nominal_ciphertext_bytes(),
-            packed=self.packed_serialization)
+            ciphertext_bytes=self.client_engine.nominal_ciphertext_bytes())
 
     def send_tensor(self, tensor: CipherTensor, sender: str,
                     receiver: str, tag: str) -> CipherTensor:

@@ -32,12 +32,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.federation.faults import (
-    FaultInjector,
-    FaultPlan,
-    RetryPolicy,
-    jitter_seed,
-)
+from repro.federation.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.gpu.cost_model import DEFAULT_PROFILE, HardwareProfile
 from repro.ledger import (
     CAT_FAULT_CORRUPT,
@@ -46,6 +41,7 @@ from repro.ledger import (
     CostLedger,
     comm_category,
 )
+from repro.rng import jitter_seed
 from repro.tensor.cipher import CipherTensor
 
 #: Monotonic ids for message tracing.
@@ -78,7 +74,7 @@ def _meta_fields(meta) -> tuple:
     return (int.from_bytes(meta.key_fingerprint, "big"), meta.nominal_bits,
             meta.physical_bits, scheme.alpha, scheme.r_bits,
             scheme.num_parties, meta.capacity, meta.shape, meta.count,
-            meta.summands, meta.packed, zlib.crc32(meta.codec.encode()),
+            meta.summands, zlib.crc32(meta.codec.encode()),
             meta.codec_params)
 
 
@@ -154,16 +150,17 @@ class Message:
 
     @classmethod
     def for_tensor(cls, tensor: CipherTensor, sender: str, receiver: str,
-                   tag: str, ciphertext_bytes: int,
-                   packed: bool = False) -> "Message":
+                   tag: str, ciphertext_bytes: int) -> "Message":
         """Build the message shipping one encrypted tensor.
 
-        The ciphertext count comes from the tensor itself; ``packed``
-        selects the binary packed wire format for byte accounting.
+        The ciphertext count and the wire format come from the tensor's
+        layout: Eq. 9-packed words (``capacity > 1``) ship as binary
+        packed arrays, one value per word as per-element objects.
         """
         return cls(sender=sender, receiver=receiver, tag=tag,
                    payload=tensor, ciphertext_count=tensor.num_words,
-                   ciphertext_bytes=ciphertext_bytes, packed=packed)
+                   ciphertext_bytes=ciphertext_bytes,
+                   packed=tensor.meta.capacity > 1)
 
 
 @dataclass

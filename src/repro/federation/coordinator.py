@@ -41,7 +41,6 @@ log (that part of the state really is bit-identical, which
 from __future__ import annotations
 
 import json
-import time
 import zlib
 from dataclasses import dataclass, field
 from typing import (
@@ -135,19 +134,15 @@ class LeaseManager:
         timeout_seconds: Lease duration; a holder that misses heartbeats
             for this long is considered dead and can be superseded.
         clock: Zero-argument callable returning the current (modelled)
-            time.  The deterministic simulator passes its virtual
-            clock; the default is wall-clock monotonic time.
+            time, e.g. the deterministic virtual clock's ``now``.
     """
 
-    def __init__(self, timeout_seconds: float = 30.0,
-                 clock: Optional[Callable[[], float]] = None):
+    def __init__(self, timeout_seconds: float,
+                 clock: Callable[[], float]):
         if timeout_seconds <= 0:
             raise ValueError("timeout_seconds must be positive")
         self.timeout_seconds = timeout_seconds
-        # Real lease timekeeping needs a real clock; every simulated
-        # path injects a deterministic one through ``clock``.
-        self._clock = clock if clock is not None \
-            else time.monotonic  # flcheck: allow[determinism]
+        self._clock = clock
         self.lease: Optional[Lease] = None
 
     def now(self) -> float:

@@ -8,8 +8,7 @@ the whole round and queue memory grows without bound.  This module
 replaces that loop for the sharded aggregation tier
 (:mod:`repro.federation.shard`) with an explicitly *overload-safe*
 ingress path, driven entirely by the deterministic
-:class:`VirtualClock` (moved here from the simulator so the federation
-layer owns its own time source; the simulator re-exports it):
+:class:`VirtualClock` (the federation layer owns its own time source):
 
 - :class:`VirtualClock` -- monotonic modelled time, the only clock the
   event loop knows.

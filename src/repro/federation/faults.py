@@ -65,7 +65,6 @@ from dataclasses import dataclass, replace
 from typing import Any, List, Optional, Tuple
 
 from repro.ledger import CostLedger, fault_category
-from repro.rng import jitter_seed, master_test_seed  # noqa: F401 -- re-exported
 
 #: Event kinds a :class:`FaultPlan` may schedule.
 CRASH = "crash"

@@ -1,8 +1,8 @@
 """System configurations and runtime wiring (paper Sec. VI competitors).
 
 :class:`SystemConfig` captures what distinguishes the compared systems --
-where HE runs (CPU vs GPU), whether the GPU resource manager is active,
-whether batch compression is applied, and the wire format -- and
+where HE runs (CPU vs GPU), whether the GPU resource manager is active
+and whether batch compression is applied -- and
 :class:`FederationRuntime` turns a configuration into live engines, a
 channel, a packing plan and a fresh-ledger-per-epoch lifecycle.
 
@@ -19,7 +19,7 @@ The five standard configurations (module constants) are the paper's:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.crypto.cpu_engine import CpuPaillierEngine
@@ -53,46 +53,39 @@ class SystemConfig:
         gpu_he: Run HE on the (simulated) GPU instead of the CPU.
         managed_gpu: Enable the resource manager (FLBooster) or not
             (HAFLO-style naive launches).
-        batch_compression: Pack gradients per Eq. 9.
-        packed_serialization: Ship binary packed arrays instead of
-            per-element serialized objects.
-        r_bits: Quantization value bits.  Compression configs use the
-            paper's 30+2 layout; uncompressed configs encode at 52 bits
-            (effectively lossless, matching FATE's float encoding
-            fidelity).
+        batch_compression: Pack gradients per Eq. 9.  Packed words ship
+            as binary packed arrays, one value per word as per-element
+            serialized objects (the wire format follows the layout, see
+            :meth:`~repro.federation.channel.Message.for_tensor`).
     """
 
     name: str
     gpu_he: bool
     managed_gpu: bool
     batch_compression: bool
-    packed_serialization: bool
-    r_bits: int
 
-    def with_name(self, name: str) -> "SystemConfig":
-        """Copy under a different display name."""
-        return replace(self, name=name)
+    @property
+    def r_bits(self) -> int:
+        """Quantization value bits.  Compression configs use the paper's
+        30+2 layout; uncompressed configs encode at 52 bits (effectively
+        lossless, matching FATE's float encoding fidelity)."""
+        return 30 if self.batch_compression else 52
 
 
 FATE_SYSTEM = SystemConfig(
-    name="FATE", gpu_he=False, managed_gpu=False,
-    batch_compression=False, packed_serialization=False, r_bits=52)
+    name="FATE", gpu_he=False, managed_gpu=False, batch_compression=False)
 
 HAFLO_SYSTEM = SystemConfig(
-    name="HAFLO", gpu_he=True, managed_gpu=False,
-    batch_compression=False, packed_serialization=False, r_bits=52)
+    name="HAFLO", gpu_he=True, managed_gpu=False, batch_compression=False)
 
 FLBOOSTER_SYSTEM = SystemConfig(
-    name="FLBooster", gpu_he=True, managed_gpu=True,
-    batch_compression=True, packed_serialization=True, r_bits=30)
+    name="FLBooster", gpu_he=True, managed_gpu=True, batch_compression=True)
 
 WITHOUT_GHE = SystemConfig(
-    name="w/o GHE", gpu_he=False, managed_gpu=False,
-    batch_compression=True, packed_serialization=True, r_bits=30)
+    name="w/o GHE", gpu_he=False, managed_gpu=False, batch_compression=True)
 
 WITHOUT_BC = SystemConfig(
-    name="w/o BC", gpu_he=True, managed_gpu=True,
-    batch_compression=False, packed_serialization=False, r_bits=52)
+    name="w/o BC", gpu_he=True, managed_gpu=True, batch_compression=False)
 
 STANDARD_SYSTEMS = (FATE_SYSTEM, HAFLO_SYSTEM, FLBOOSTER_SYSTEM)
 ABLATION_SYSTEMS = (FLBOOSTER_SYSTEM, WITHOUT_GHE, WITHOUT_BC)
@@ -248,7 +241,6 @@ class FederationRuntime:
             server_engine=self.server_engine,
             packer=self.plan.packer,
             channel=self.channel,
-            packed_serialization=config.packed_serialization,
             injector=self.injector,
             min_quorum=min_quorum,
             round_deadline_seconds=round_deadline_seconds,

@@ -3,23 +3,22 @@
 The cost model charges communication from *nominal* ciphertext sizes and
 a serialization bloat factor
 (:meth:`repro.gpu.cost_model.HardwareProfile.wire_bytes`); this module
-is the concrete frame the runtime ships:
+is the concrete frame the runtime ships, ``FLT3`` (format version 3):
+fixed-width big-endian ciphertext words back to back, prefixed by a
+self-describing header carrying the full
+:class:`~repro.tensor.meta.TensorMeta` -- key fingerprint, key geometry,
+quantization scheme, packing capacity, logical shape and summand count
+-- and a *codec block*: the packing codec's id plus its integer wire
+parameters (guard width for the interleaved layout; value width and
+support pattern for the sparse layout).
 
-- ``tensor`` (v2) -- fixed-width big-endian ciphertext words back to
-  back, prefixed by a self-describing header carrying the full
-  :class:`~repro.tensor.meta.TensorMeta`: key fingerprint, key
-  geometry, quantization scheme, packing capacity, logical shape and
-  summand count.  Decoding a v2 frame needs *no*
-  caller-supplied metadata, and the decoder validates the key
-  fingerprint so cross-key payloads fail loudly.
-- ``tensor`` (v3, ``FLT3``) -- the v2 header (same fixed layout and
-  offsets, new magic/version) followed by a *codec block*: the packing
-  codec's id plus its integer wire parameters (guard width
-  for the interleaved layout; value width and support pattern for the
-  sparse layout).  v3 is the only frame written; v2 frames remain
-  readable (they imply the dense codec).
-
-Both versions round-trip exactly.
+Decoding a frame needs *no* caller-supplied metadata; the decoder
+validates the key fingerprint so cross-key payloads fail loudly, and
+rejects every other magic -- the retired codec-less version 2 frame
+included -- with :class:`FrameError`.  The header's one flag bit says
+the words are Eq. 9-packed; it is written as ``capacity > 1`` and a
+frame whose bit disagrees with its capacity is rejected.  Frames
+round-trip exactly.
 """
 
 from __future__ import annotations
@@ -45,21 +44,17 @@ class FrameError(ValueError):
     framing one).
     """
 
-#: Frame magic + version for the self-describing tensor format.
-TENSOR_MAGIC = b"FLT2"
-#: Fixed-size part of the v2/v3 tensor header: magic, version, flags,
-#: ndim, count, summands, capacity, word count, word width, nominal
-#: bits, physical bits, r bits, participant count, alpha, key
-#: fingerprint.  v3 reuses this struct byte for byte (only magic and
-#: version differ), so field offsets -- and the fuzzer's hardcoded
-#: mutation offsets -- are shared across both versions.
+#: Frame magic of the self-describing (codec-aware) tensor format.
+TENSOR_MAGIC = b"FLT3"
+#: Its format version byte.
+TENSOR_VERSION = 3
+#: Fixed-size part of the tensor header: magic, version, flags, ndim,
+#: count, summands, capacity, word count, word width, nominal bits,
+#: physical bits, r bits, participant count, alpha, key fingerprint.
+#: The fuzzer's mutation offsets are hardcoded against this layout.
 TENSOR_HEADER = struct.Struct(">4sBBBxIIIIIIIHHd16s")
-#: v2 format version byte.
-TENSOR_VERSION = 2
-#: Frame magic for the self-describing v3 (codec-aware) tensor format.
-TENSOR3_MAGIC = b"FLT3"
-#: v3 format version byte.
-TENSOR3_VERSION = 3
+#: The one flag bit: the words are Eq. 9-packed (``capacity > 1``).
+FLAG_PACKED = 1
 #: Longest codec id accepted off the wire (one length byte anyway).
 MAX_CODEC_ID_LEN = 32
 
@@ -73,7 +68,7 @@ def _bytes_to_int(blob: bytes) -> int:
 
 
 def _codec_block(meta: TensorMeta) -> bytes:
-    """The v3 codec block: codec id + integer wire parameters."""
+    """The codec block: codec id + integer wire parameters."""
     codec_id = meta.codec.encode("ascii")
     if not 1 <= len(codec_id) <= MAX_CODEC_ID_LEN:
         raise ValueError(f"codec id {meta.codec!r} not serializable")
@@ -85,7 +80,7 @@ def _codec_block(meta: TensorMeta) -> bytes:
 
 def serialize_tensor(tensor: CipherTensor,
                      ciphertext_bytes: Optional[int] = None) -> bytes:
-    """The packed wire frame (FLT3): self-describing header + body.
+    """The wire frame (FLT3): self-describing header + body.
 
     Args:
         tensor: The (materialized or lazy) encrypted tensor; lazy
@@ -103,8 +98,8 @@ def serialize_tensor(tensor: CipherTensor,
                 f"ciphertext of {word.bit_length()} bits does not fit "
                 f"the {width}-byte wire width")
     header = TENSOR_HEADER.pack(
-        TENSOR3_MAGIC, TENSOR3_VERSION,
-        1 if meta.packed else 0, len(meta.shape),
+        TENSOR_MAGIC, TENSOR_VERSION,
+        FLAG_PACKED if meta.capacity > 1 else 0, len(meta.shape),
         meta.count, meta.summands, meta.capacity, len(words), width,
         meta.nominal_bits, meta.physical_bits,
         meta.scheme.r_bits, meta.scheme.num_parties,
@@ -135,16 +130,16 @@ def deserialize_tensor(blob: bytes,
     (magic, version, flags, ndim, count, summands, capacity, num_words,
      width, nominal_bits, physical_bits, r_bits, num_parties, alpha,
      fingerprint) = TENSOR_HEADER.unpack(blob[:TENSOR_HEADER.size])
-    if magic not in (TENSOR_MAGIC, TENSOR3_MAGIC):
-        raise FrameError("not a tensor frame")
-    expected_version = (TENSOR_VERSION if magic == TENSOR_MAGIC
-                        else TENSOR3_VERSION)
-    if version != expected_version:
-        raise FrameError(
-            f"unsupported tensor frame version {version} under "
-            f"{magic.decode('ascii', 'replace')} magic")
-    if flags & ~1:
+    if magic != TENSOR_MAGIC:
+        raise FrameError(f"not a tensor frame: magic {magic!r}")
+    if version != TENSOR_VERSION:
+        raise FrameError(f"unsupported tensor frame version {version}")
+    if flags & ~FLAG_PACKED:
         raise FrameError(f"corrupt frame: unknown flag bits 0x{flags:02x}")
+    if bool(flags) != (capacity > 1):
+        raise FrameError(
+            f"corrupt frame: packed flag {flags} disagrees with "
+            f"capacity {capacity}")
     if blob[7] != 0:
         raise FrameError("corrupt frame: nonzero header padding")
     if num_words and width == 0:
@@ -155,13 +150,7 @@ def deserialize_tensor(blob: bytes,
         raise FrameError(
             f"truncated frame: {ndim} dims need {dims_end} bytes, got "
             f"{len(blob)}")
-    # v2 frames imply the dense codec; v3 frames carry an explicit
-    # codec block between the dims and the ciphertext body.
-    codec_id, codec_params = "dense", ()
-    body_start = dims_end
-    if magic == TENSOR3_MAGIC:
-        codec_id, codec_params, body_start = _parse_codec_block(
-            blob, dims_end)
+    codec_id, codec_params, body_start = _parse_codec_block(blob, dims_end)
     expected = body_start + num_words * width
     if len(blob) != expected:
         kind = "truncated" if len(blob) < expected else "oversized"
@@ -193,7 +182,6 @@ def deserialize_tensor(blob: bytes,
             shape=tuple(shape),
             count=count,
             summands=summands,
-            packed=bool(flags & 1),
             codec=codec_id,
             codec_params=codec_params,
         )
@@ -210,7 +198,7 @@ def deserialize_tensor(blob: bytes,
 
 
 def _parse_codec_block(blob: bytes, offset: int):
-    """Parse the v3 codec block at ``offset``; returns (id, params, end).
+    """Parse the codec block at ``offset``; returns (id, params, end).
 
     Every length is bounds-checked before slicing so a lying block is a
     typed :class:`FrameError`, never an index crash or a silent

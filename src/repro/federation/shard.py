@@ -693,8 +693,7 @@ class ShardedAggregationService:
                     tensor.materialize(), sender=name, receiver=shard,
                     tag=f"upload.{tag}",
                     ciphertext_bytes=agg.client_engine
-                    .nominal_ciphertext_bytes(),
-                    packed=agg.packed_serialization)
+                    .nominal_ciphertext_bytes())
                 refused = self._try_submit(shard, message, delay)
                 if refused == REJECT_QUEUE_FULL:
                     # Backpressure: drain the backlog (delivering the

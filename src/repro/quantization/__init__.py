@@ -2,8 +2,7 @@
 
 - :mod:`repro.quantization.encoding` -- the secure encoding-quantization of
   Eqs. 6-8 (linear translation + fixed-point amplification + overflow
-  bits), plus the insecure legacy ``(encrypt(significand), exponent)``
-  scheme the paper contrasts against.
+  bits).
 - :mod:`repro.quantization.packing` -- batch compression (Eq. 9): packing
   ``n = floor(k / (r + ceil(log2 p)))`` quantized gradients into one
   plaintext.  :class:`SlotCodec` is the one slot layout -- validation,

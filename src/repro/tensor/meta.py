@@ -55,8 +55,6 @@ class TensorMeta:
         count: Number of logical values (``prod(shape)``).
         summands: How many encodings each slot currently carries -- the
             Eq. 6 translation-offset multiplier the decode must subtract.
-        packed: Whether the words use the Eq. 9 multi-slot layout (true
-            exactly when ``capacity > 1``).
         codec: Id of the packing codec that laid out the words
             (``"dense"`` / ``"interleave"`` / ``"sparse"``; see
             :mod:`repro.quantization.codecs`).
@@ -77,7 +75,6 @@ class TensorMeta:
     shape: Tuple[int, ...]
     count: int
     summands: int = 1
-    packed: bool = False
     codec: str = "dense"
     codec_params: Tuple[int, ...] = ()
     _codec: Any = field(init=False, repr=False, compare=False)

@@ -38,7 +38,6 @@ def _plain_meta(packer: SlotCodec, shape: Tuple[int, ...]) -> TensorMeta:
         shape=shape,
         count=math.prod(shape),
         summands=1,
-        packed=packer.capacity > 1,
         codec=packer.codec_id,
         codec_params=packer.codec_params(),
     )

@@ -9,7 +9,7 @@ Three pillars (PR 3's tentpole):
 - :mod:`repro.testing.simulator` -- the deterministic federation
   simulator (seeded virtual clock, zero wall-clock
   dependence) whose failures replay from ``(seed, trace)`` alone;
-- :mod:`repro.testing.fuzz` -- the structured FLT2 / FLT3 wire-format fuzzer
+- :mod:`repro.testing.fuzz` -- the structured FLT3 / WAL wire-format fuzzer
   (seeded header/payload mutations that must always produce *typed*
   rejections, never crashes or silent mis-decodes).
 """

@@ -1,10 +1,10 @@
-"""Structured fuzzer for the FLT2 / FLT3 wire formats and the WAL.
+"""Structured fuzzer for the FLT3 tensor frame and the WAL.
 
 Seeded mutation of valid frames -- bit flips, truncation, extension,
 length-field lies, fingerprint swaps, magic/version tampering,
-FLT3-specific codec-block attacks (codec-id lies, codec-parameter
-corruption, sparse-pattern lies: out-of-range / duplicate / unsorted
-indices), and WAL-specific CRC lies, record splices and checkpoint lies
+codec-block attacks (codec-id lies, codec-parameter corruption,
+sparse-pattern lies: out-of-range / duplicate / unsorted indices), and
+WAL-specific CRC lies, record splices and checkpoint lies
 (misplaced, doubled, a lying resume LSN, a ``closed_rounds`` that is not
 an object) -- with a strict two-sided oracle on every case:
 
@@ -37,10 +37,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.federation.serialization import (
-    FrameError,
     TENSOR_HEADER,
-    TENSOR_MAGIC,
-    TENSOR_VERSION,
     deserialize_tensor,
     serialize_tensor,
 )
@@ -135,52 +132,7 @@ class FuzzReport:
 # Corpus: valid frames the mutations start from.
 # ----------------------------------------------------------------------
 
-#: The codec block of a dense FLT3 frame: id length, id, zero params.
-_DENSE_CODEC_BLOCK = bytes([len("dense")]) + b"dense" + bytes(4)
-
-
-def downgrade_to_flt2(frame: bytes) -> bytes:
-    """The legacy FLT2 spelling of a dense FLT3 frame: FLT2 magic and
-    version byte, codec block dropped (v2 implies dense).  Nothing
-    writes FLT2 any more, but the reader still takes it from outside,
-    so the fuzzer keeps seeding it."""
-    dims_end = TENSOR_HEADER.size + 4 * frame[6]
-    body_start = dims_end + len(_DENSE_CODEC_BLOCK)
-    if frame[dims_end:body_start] != _DENSE_CODEC_BLOCK:
-        raise ValueError(
-            "FLT2 frames can only describe the parameterless dense codec")
-    return (TENSOR_MAGIC + bytes([TENSOR_VERSION]) + frame[5:dims_end]
-            + frame[body_start:])
-
-
 def _tensor_frame(rng: random.Random) -> Tuple[str, bytes, int]:
-    """A valid legacy FLT2 frame with random (but consistent) geometry."""
-    capacity = rng.choice([1, 1, 3, 4])
-    count = rng.randrange(0, 9)
-    num_words = 0 if count == 0 else -(-count // capacity)
-    width = rng.choice([8, 16, 32])
-    words = [rng.getrandbits(8 * width - 3) for _ in range(num_words)]
-    fingerprint = bytes(rng.getrandbits(8) for _ in range(16))
-    meta = TensorMeta(
-        key_fingerprint=fingerprint,
-        nominal_bits=rng.choice([1024, 2048]),
-        physical_bits=8 * width // 2,
-        scheme=QuantizationScheme(alpha=1.0,
-                                  r_bits=rng.choice([16, 30]),
-                                  num_parties=rng.randrange(1, 9)),
-        capacity=capacity,
-        shape=(count,),
-        count=count,
-        summands=rng.randrange(1, 5),
-        packed=capacity > 1,
-    )
-    tensor = CipherTensor(meta, words=words)
-    frame = downgrade_to_flt2(
-        serialize_tensor(tensor, ciphertext_bytes=width))
-    return "tensor", frame, width
-
-
-def _tensor3_frame(rng: random.Random) -> Tuple[str, bytes, int]:
     """A valid FLT3 frame under a random codec."""
     scheme = QuantizationScheme(alpha=1.0,
                                 r_bits=rng.choice([16, 30]),
@@ -209,7 +161,6 @@ def _tensor3_frame(rng: random.Random) -> Tuple[str, bytes, int]:
         shape=(count,),
         count=count,
         summands=rng.randrange(1, 5),
-        packed=capacity > 1,
         codec=codec,
         codec_params=params,
     )
@@ -217,7 +168,7 @@ def _tensor3_frame(rng: random.Random) -> Tuple[str, bytes, int]:
              for _ in range(meta.num_words)]
     tensor = CipherTensor(meta, words=words)
     frame = serialize_tensor(tensor, ciphertext_bytes=width)
-    return "tensor3", frame, width
+    return "tensor", frame, width
 
 
 def _checkpoint_record(rng: random.Random) -> WalRecord:
@@ -299,15 +250,9 @@ def _checkpoint_lie(rng: random.Random, blob: bytes) -> bytes:
 
 def _corpus_frame(rng: random.Random,
                   corpus: str = "all") -> Tuple[str, bytes, int]:
-    draw = rng.random()
-    if corpus == "packing":
-        # The packing-focused campaign: only tensor frames, weighted
-        # toward the codec-aware v3 format.
-        return _tensor_frame(rng) if draw < 0.35 else _tensor3_frame(rng)
-    if draw < 0.25:
+    # The packing-focused campaign draws only tensor frames.
+    if corpus == "packing" or rng.random() < 0.5:
         return _tensor_frame(rng)
-    if draw < 0.50:
-        return _tensor3_frame(rng)
     return _wal_frame(rng)
 
 
@@ -322,7 +267,7 @@ def _flip_bit(blob: bytes, index: int, bit: int) -> bytes:
 
 
 def _codec_block_extent(blob: bytes) -> Tuple[int, int, int, int]:
-    """Locate the codec block in a *valid* FLT3 frame.
+    """Locate the codec block in a *valid* tensor frame.
 
     Returns ``(block_offset, id_len, params_offset, param_count)`` where
     ``params_offset`` points at the first 8-byte parameter.
@@ -363,20 +308,20 @@ def _mutate(rng: random.Random, fmt: str, blob: bytes,
         out = bytearray(blob)
         out[offset:offset + 4] = lie.to_bytes(4, "big")
         return bytes(out)
-    if mutation == "fingerprint_swap" and fmt in ("tensor", "tensor3"):
+    if mutation == "fingerprint_swap" and fmt == "tensor":
         out = bytearray(blob)
         out[48:64] = bytes(rng.getrandbits(8) for _ in range(16))
         return bytes(out)
     if mutation == "magic_swap":
-        other = rng.choice([b"FLBP", b"FLT2", b"FLT3", b"FLT1",
+        other = rng.choice([b"FLBP", b"FLT3", b"FLT1",
                             b"\x00\x00\x00\x00",
                             bytes(rng.getrandbits(8) for _ in range(4))])
         return other + blob[4:]
-    if mutation == "version_bump" and fmt in ("tensor", "tensor3"):
+    if mutation == "version_bump" and fmt == "tensor":
         out = bytearray(blob)
         out[4] = rng.choice([0, 1, 2, 3, 0xFF])
         return bytes(out)
-    if mutation == "codec_id_lie" and fmt == "tensor3":
+    if mutation == "codec_id_lie" and fmt == "tensor":
         offset, id_len, _params_at, _count = _codec_block_extent(blob)
         out = bytearray(blob)
         if rng.random() < 0.5:
@@ -393,7 +338,7 @@ def _mutate(rng: random.Random, fmt: str, blob: bytes,
             # Lie about the id length itself.
             out[offset] = rng.choice([0, id_len + 1, 0xFF])
         return bytes(out)
-    if mutation == "codec_param_corrupt" and fmt == "tensor3":
+    if mutation == "codec_param_corrupt" and fmt == "tensor":
         offset, _id_len, params_at, count = _codec_block_extent(blob)
         out = bytearray(blob)
         if count and rng.random() < 0.7:
@@ -407,7 +352,7 @@ def _mutate(rng: random.Random, fmt: str, blob: bytes,
             out[params_at - 4:params_at] = rng.choice(
                 [0, 1, count + 1, 0x7FFFFFFF]).to_bytes(4, "big")
         return bytes(out)
-    if mutation == "sparse_index_lie" and fmt == "tensor3":
+    if mutation == "sparse_index_lie" and fmt == "tensor":
         offset, id_len, params_at, count = _codec_block_extent(blob)
         is_sparse = blob[offset + 1:offset + 1 + id_len] == b"sparse"
         if is_sparse and count >= 2:  # params[0] is the width
@@ -479,24 +424,16 @@ def _classify(fmt: str, mutant: bytes, original: bytes,
     # before anything is built, and the oracle never allocates more
     # than O(len(mutant)) however large the declared width.
     try:
-        if fmt in ("tensor", "tensor3"):
+        if fmt == "tensor":
             tensor = deserialize_tensor(mutant)
             width = int.from_bytes(mutant[24:28], "big")
-            # Canonical re-serialization must target the version the
-            # accepted mutant actually carries (a mutation may have
-            # rewritten the magic), so sniff it rather than trusting
-            # the corpus label.
-            legacy = mutant[:4] == TENSOR_MAGIC
             meta = tensor.meta
-            codec_block = 0 if legacy else (
-                1 + len(meta.codec) + 4 + 8 * len(meta.codec_params))
+            codec_block = 1 + len(meta.codec) + 4 + 8 * len(meta.codec_params)
             canonical_len = (TENSOR_HEADER.size + 4 * len(meta.shape)
                              + codec_block + tensor.num_words * width)
             if canonical_len != len(mutant):
                 return misdecode(canonical_len)
             canonical = serialize_tensor(tensor, ciphertext_bytes=width)
-            if legacy:
-                canonical = downgrade_to_flt2(canonical)
         else:
             replayed = replay_wal(mutant)
             # Accepted: the consumed prefix must re-encode byte-exactly
@@ -531,7 +468,7 @@ def run_fuzz(cases: int = 500, seed: Union[int, str] = 0,
         seed: Campaign seed; strings are hashed (``--seed ci``).
         on_case: Optional per-case progress hook.
         corpus: ``"all"`` draws every format; ``"packing"`` restricts
-            to FLT2/FLT3 tensor frames (the codec-focused campaign).
+            to FLT3 tensor frames (the codec-focused campaign).
     """
     if corpus not in ("all", "packing"):
         raise ValueError(f"unknown fuzz corpus {corpus!r}")
@@ -552,7 +489,7 @@ def run_fuzz(cases: int = 500, seed: Union[int, str] = 0,
         else:
             # Re-run the cheap accept/reject split for the tally.
             try:
-                if fmt in ("tensor", "tensor3"):
+                if fmt == "tensor":
                     deserialize_tensor(mutant)
                 else:
                     replay_wal(mutant)

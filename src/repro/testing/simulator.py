@@ -39,8 +39,6 @@ from repro.federation.coordinator import (
     FailoverRecord,
     NodeSupervisor,
 )
-# VirtualClock now lives with the event loop (the federation layer owns
-# its own time source); re-exported here for backward compatibility.
 from repro.federation.eventloop import VirtualClock
 from repro.federation.faults import (
     COORDINATOR_CRASH,

@@ -389,7 +389,6 @@ class TestCorruptionDetection:
             "shape": (1, meta.count),
             "count": meta.count + 1,
             "summands": meta.summands + 1,
-            "packed": not meta.packed,
             "codec": "interleave",
             "codec_params": meta.codec_params + (1,),
         }
@@ -465,7 +464,7 @@ class TestJitterSeeding:
         assert jittered.stats.backoff_seconds > plain.stats.backoff_seconds
 
     def test_master_seed_reroutes_jitter_only(self, monkeypatch):
-        from repro.federation.faults import jitter_seed
+        from repro.rng import jitter_seed
 
         def backoffs(master):
             monkeypatch.setenv("REPRO_TEST_SEED", master)
@@ -482,6 +481,6 @@ class TestJitterSeeding:
         assert jitter_seed(3) == 12345 * 1_000_003 + 7919 + 3
 
     def test_jitter_stream_distinct_per_channel_seed(self):
-        from repro.federation.faults import jitter_seed
+        from repro.rng import jitter_seed
 
         assert jitter_seed(0) != jitter_seed(1)

@@ -12,14 +12,12 @@ import pytest
 from repro.federation.aggregator import SecureAggregator
 from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
 from repro.federation.serialization import (
-    TENSOR3_VERSION,
     TENSOR_VERSION,
     deserialize_tensor,
     serialize_tensor,
 )
 from repro.federation.shard import ShardedAggregationService
 from repro.quantization.codecs import SparseCodec
-from repro.testing.fuzz import downgrade_to_flt2
 
 
 def make_runtime(num_clients=6, seed=11, **kwargs):
@@ -164,22 +162,6 @@ class TestWireRoundTrips:
             assert serialize_tensor(rebuilt) == blob, codec_id
             assert list(rebuilt.words) == list(tensor.words)
 
-    def test_flt2_still_serializes_dense_tensors(self):
-        """FLT2 is read-only: its only writer left is the fuzzer's
-        downgrade of a dense FLT3 frame."""
-        tensor = self._tensors()["dense"]
-        blob = downgrade_to_flt2(serialize_tensor(tensor))
-        assert blob[:4] == b"FLT2" and blob[4] == TENSOR_VERSION
-        rebuilt = deserialize_tensor(blob)
-        assert rebuilt.meta.codec == "dense"
-        assert list(rebuilt.words) == list(tensor.words)
-
-    def test_flt2_cannot_carry_parameterized_codecs(self):
-        tensors = self._tensors()
-        for codec_id in ("interleave", "sparse"):
-            with pytest.raises(ValueError, match="FLT2"):
-                downgrade_to_flt2(serialize_tensor(tensors[codec_id]))
-
     def test_decrypt_after_wire_matches_direct_decrypt(self):
         vectors = sparse_vectors(4)
         runtime = make_runtime(num_clients=4,
@@ -189,4 +171,4 @@ class TestWireRoundTrips:
         direct = runtime.aggregator.decrypt_tensor(tensor)
         wired = runtime.aggregator.decrypt_tensor(rebuilt)
         assert np.array_equal(direct, wired)
-        assert TENSOR3_VERSION == 3
+        assert TENSOR_VERSION == 3

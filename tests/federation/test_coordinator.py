@@ -227,7 +227,7 @@ class TestLeaseManager:
 
     def test_invalid_timeout_rejected(self):
         with pytest.raises(ValueError):
-            LeaseManager(timeout_seconds=0.0)
+            LeaseManager(timeout_seconds=0.0, clock=lambda: 0.0)
 
 
 class TestDurableRound:

@@ -1,23 +1,29 @@
 """Tests for system configurations and runtime wiring."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.baselines import system_by_name
 from repro.crypto.cpu_engine import CpuPaillierEngine
 from repro.crypto.gpu_engine import GpuPaillierEngine
+from repro.federation.channel import Message
 from repro.federation.runtime import (
     ABLATION_SYSTEMS,
     FATE_SYSTEM,
     FLBOOSTER_SYSTEM,
     HAFLO_SYSTEM,
     STANDARD_SYSTEMS,
+    SYSTEMS_BY_NAME,
     FederationRuntime,
     WITHOUT_BC,
     WITHOUT_GHE,
     cached_keypair,
 )
 from repro.gpu.device import SimulatedGpu
+
+ALL_SYSTEMS = tuple(SYSTEMS_BY_NAME.values())
 
 
 class TestConfigs:
@@ -43,7 +49,6 @@ class TestConfigs:
         assert FLBOOSTER_SYSTEM.gpu_he
         assert FLBOOSTER_SYSTEM.managed_gpu
         assert FLBOOSTER_SYSTEM.batch_compression
-        assert FLBOOSTER_SYSTEM.packed_serialization
 
     def test_lookup_by_name(self):
         assert system_by_name("FATE") is FATE_SYSTEM
@@ -51,10 +56,30 @@ class TestConfigs:
         with pytest.raises(KeyError):
             system_by_name("nope")
 
-    def test_with_name(self):
-        renamed = FLBOOSTER_SYSTEM.with_name("custom")
-        assert renamed.name == "custom"
-        assert renamed.batch_compression
+    def test_four_independent_choices(self):
+        assert [f.name for f in dataclasses.fields(FLBOOSTER_SYSTEM)] \
+            == ["name", "gpu_he", "managed_gpu", "batch_compression"]
+
+    def test_r_bits_follows_batch_compression(self):
+        assert {c.name: c.r_bits for c in ALL_SYSTEMS} == {
+            "FATE": 52, "HAFLO": 52, "FLBooster": 30, "w/o GHE": 30,
+            "w/o BC": 52}
+
+
+class TestWireFormat:
+    """The byte-accounting format is derived from the tensor's layout;
+    pinned here against each system's ``batch_compression``."""
+
+    @pytest.mark.parametrize("config", ALL_SYSTEMS, ids=lambda c: c.name)
+    def test_tensor_message_packed_iff_batch_compression(self, config):
+        runtime = FederationRuntime(config, num_clients=2, key_bits=256,
+                                    physical_key_bits=256)
+        tensor = runtime.aggregator.encrypt_tensor(np.linspace(-1, 1, 9))
+        message = Message.for_tensor(
+            tensor, sender="client-0", receiver="server", tag="upload",
+            ciphertext_bytes=64)
+        assert message.packed == config.batch_compression
+        assert message.ciphertext_count == tensor.num_words
 
 
 class TestRuntimeWiring:

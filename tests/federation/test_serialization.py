@@ -7,6 +7,7 @@ from repro.crypto.cpu_engine import CpuPaillierEngine
 from repro.federation.serialization import (
     TENSOR_HEADER,
     TENSOR_MAGIC,
+    FrameError,
     deserialize_tensor,
     serialize_tensor,
 )
@@ -16,13 +17,11 @@ from repro.quantization.encoding import QuantizationScheme
 from repro.quantization.packing import BatchPacker
 from repro.tensor.cipher import CipherTensor
 from repro.tensor.meta import KeyMismatchError, TensorMeta
-from repro.testing.fuzz import downgrade_to_flt2
 from repro.tensor.plain import PlainTensor
 
 
-#: ``serialize_tensor(tensor, ciphertext_bytes=16, version=2)`` at the
-#: last commit that could write FLT2 (3d34801), for the tensor rebuilt
-#: in ``test_committed_flt2_frame_still_reads``.
+#: A version 2 (``FLT2``, codec-less) frame of a capacity-3 dense
+#: tensor, as written before that format was retired.
 FLT2_FRAME = (
     "464c5432020102000000000800000002000000030000000300000010000004"
     "0000000040001000043ff0000000000000000102030405060708090a0b0c0d"
@@ -82,12 +81,10 @@ class TestTensorFormat:
             deserialize_tensor(b"XXXX" + blob[4:])
         with pytest.raises(ValueError, match="version"):
             deserialize_tensor(blob[:4] + b"\x07" + blob[5:])
-        # Magic/version cross-lies: v2 magic claiming v3 and vice versa.
+        # A version 2 frame under the current magic is still version 2.
         with pytest.raises(ValueError, match="version"):
-            deserialize_tensor(b"FLT2" + blob[4:])
-        v2 = downgrade_to_flt2(blob)
-        with pytest.raises(ValueError, match="version"):
-            deserialize_tensor(b"FLT3" + v2[4:])
+            deserialize_tensor(bytes.fromhex(FLT2_FRAME).replace(
+                b"FLT2\x02", b"FLT3\x02", 1))
 
     def test_truncated_and_oversized_raise(self, tensor_fixture):
         _, tensor, _ = tensor_fixture
@@ -107,21 +104,38 @@ class TestTensorFormat:
     def test_magic_is_distinct_from_packed(self):
         assert TENSOR_MAGIC != b"FLBP"
 
-    def test_committed_flt2_frame_still_reads(self):
-        """Nothing writes FLT2 any more; this frame was captured from
-        ``serialize_tensor(..., version=2)`` before the writer went."""
+    def test_flt2_frame_rejected(self):
+        """FLT3 is the only tensor frame: a version 2 frame, valid when
+        it was written, is a typed framing error now."""
+        with pytest.raises(FrameError, match="not a tensor frame"):
+            deserialize_tensor(bytes.fromhex(FLT2_FRAME))
+
+
+class TestPackedFlag:
+    """The header's flag bit is derived from the layout: written as
+    ``capacity > 1``, and a frame whose bit disagrees is rejected."""
+
+    @staticmethod
+    def _frame(capacity):
         meta = TensorMeta(
             key_fingerprint=bytes(range(16)), nominal_bits=1024,
             physical_bits=64,
             scheme=QuantizationScheme(alpha=1.0, r_bits=16,
                                       num_parties=4),
-            capacity=3, shape=(2, 4), count=8, summands=2, packed=True)
-        words = [0x0123456789abcdef0123456789abcdef, 1, (1 << 125) - 3]
-        rebuilt = deserialize_tensor(bytes.fromhex(FLT2_FRAME))
-        assert rebuilt.meta == meta
-        assert rebuilt.meta.codec == "dense"
-        assert list(rebuilt.words) == words
-        # The downgraded FLT3 frame the fuzzer seeds from is that frame.
-        assert downgrade_to_flt2(serialize_tensor(
-            CipherTensor(meta, words=words), ciphertext_bytes=16)) \
-            == bytes.fromhex(FLT2_FRAME)
+            capacity=capacity, shape=(8,), count=8)
+        words = list(range(1, meta.num_words + 1))
+        return serialize_tensor(CipherTensor(meta, words=words),
+                                ciphertext_bytes=16)
+
+    @pytest.mark.parametrize("capacity, flags", [(1, 0), (3, 1), (8, 1)])
+    def test_written_as_capacity_above_one(self, capacity, flags):
+        frame = self._frame(capacity)
+        assert frame[5] == flags
+        assert deserialize_tensor(frame).meta.capacity == capacity
+
+    @pytest.mark.parametrize("capacity", [1, 8])
+    def test_disagreeing_bit_rejected(self, capacity):
+        frame = bytearray(self._frame(capacity))
+        frame[5] ^= 1
+        with pytest.raises(FrameError, match="disagrees with capacity"):
+            deserialize_tensor(bytes(frame))

@@ -28,8 +28,7 @@ def _meta(codec="dense", codec_params=(), count=8, capacity=4,
     return TensorMeta(
         key_fingerprint=b"\x00" * 16, nominal_bits=2048,
         physical_bits=2048, scheme=scheme, capacity=capacity,
-        shape=(count,), count=count, packed=capacity > 1,
-        codec=codec, codec_params=codec_params)
+        shape=(count,), count=count, codec=codec, codec_params=codec_params)
 
 
 class TestCodecTable:

@@ -17,7 +17,7 @@ def make_meta(count=8, capacity=4, summands=1, shape=None,
         key_fingerprint=fingerprint, nominal_bits=128, physical_bits=128,
         scheme=scheme, capacity=capacity,
         shape=shape if shape is not None else (count,), count=count,
-        summands=summands, packed=capacity > 1)
+        summands=summands)
 
 
 class TestValidation:

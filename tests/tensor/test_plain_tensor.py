@@ -25,12 +25,12 @@ class TestRoundtrip:
     def test_word_count_matches_capacity(self, packed_packer):
         plain = PlainTensor.encode(np.zeros(10), packed_packer)
         assert len(plain.words) == 3  # ceil(10 / 4)
-        assert plain.meta.packed
+        assert plain.meta.capacity == 4
 
     def test_capacity_one_not_packed(self, flat_packer):
         plain = PlainTensor.encode(np.zeros(5), flat_packer)
         assert len(plain.words) == 5
-        assert not plain.meta.packed
+        assert plain.meta.capacity == 1
 
     def test_fingerprint_is_plaintext_sentinel(self, flat_packer):
         plain = PlainTensor.encode(np.zeros(2), flat_packer)

@@ -150,7 +150,7 @@ class TestWalFuzzing:
     def test_wal_corpus_format_is_exercised(self):
         report = run_fuzz(cases=400, seed=3)
         assert report.by_format.get("wal", 0) > 0
-        assert set(report.by_format) == {"tensor", "tensor3", "wal"}
+        assert set(report.by_format) == {"tensor", "wal"}
 
     def test_generated_wal_frames_replay_cleanly(self):
         import random
@@ -224,9 +224,9 @@ class TestFlt3Fuzzing:
         import random
 
         for seed in range(30):
-            fmt, blob, _width = fuzz_module._tensor3_frame(
+            fmt, blob, _width = fuzz_module._tensor_frame(
                 random.Random(seed))
-            assert fmt == "tensor3"
+            assert fmt == "tensor"
             tensor = deserialize_tensor(blob)
             assert tensor.meta.codec in ("dense", "interleave", "sparse")
 
@@ -238,20 +238,25 @@ class TestFlt3Fuzzing:
 
         for seed in range(60):
             rng = random.Random(seed * 17 + 3)
-            _fmt, blob, _width = fuzz_module._tensor3_frame(rng)
-            mutant = fuzz_module._mutate(rng, "tensor3", blob, mutation)
-            finding = fuzz_module._classify("tensor3", mutant, blob,
+            _fmt, blob, _width = fuzz_module._tensor_frame(rng)
+            mutant = fuzz_module._mutate(rng, "tensor", blob, mutation)
+            finding = fuzz_module._classify("tensor", mutant, blob,
                                             seed, mutation)
             assert finding is None, str(finding)
 
-    def test_packing_corpus_draws_only_tensor_frames(self):
+    def test_packing_corpus_draws_only_flt3_frames_and_flt2_is_rejected(
+            self):
+        import random
+
+        rng = random.Random(resolve_seed("ci-packing"))
+        for _ in range(200):
+            fmt, blob, _width = fuzz_module._corpus_frame(rng, "packing")
+            assert fmt == "tensor" and blob[:5] == b"FLT3\x03"
+            # The retired version 2 spelling of the same frame.
+            with pytest.raises(FrameError, match="not a tensor frame"):
+                deserialize_tensor(b"FLT2\x02" + blob[5:])
         report = run_fuzz(cases=200, seed="ci-packing", corpus="packing")
-        assert set(report.by_format) <= {"tensor", "tensor3"}
-        assert report.by_format.get("tensor3", 0) > 0
-        # Nothing writes FLT2 any more, but its reader still takes input
-        # from outside: the corpus must keep holding legacy seeds.
-        assert report.by_format.get("tensor", 0) > 0, \
-            "no FLT2 frame was fuzzed"
+        assert set(report.by_format) == {"tensor"}
 
     def test_500_case_packing_campaign_clean(self):
         """The satellite's acceptance criterion for the new corpus."""

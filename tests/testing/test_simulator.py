@@ -6,12 +6,12 @@ import json
 
 import pytest
 
+from repro.federation.eventloop import VirtualClock
 from repro.federation.faults import FaultPlan
 from repro.testing.simulator import (
     FederationSimulator,
     SimulationFailure,
     SimulationSpec,
-    VirtualClock,
     replay,
 )
 
