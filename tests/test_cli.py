@@ -139,3 +139,57 @@ class TestFaultsDumpPlan:
             main(["faults", "--dump-plan", f"{flag}=4"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+#: What each crash sweep and isolation check prints, line for line: the
+#: oracle for the specs the CLI builds (WAL record counts, reference and
+#: isolation checksums must not move when the spec builders change).
+SWEEP_VERDICTS = {
+    ("failover", "--sweep", "--mode", "both", "--rounds", "3"): [
+        "mode                 coordinator_crash",
+        "wal records          21",
+        "boundaries tested    21",
+        "reference checksum   1758972962",
+        "verdict              recovered bit-identical at every boundary",
+        "mode                 failover",
+        "wal records          21",
+        "boundaries tested    21",
+        "reference checksum   1758972962",
+        "verdict              recovered bit-identical at every boundary",
+    ],
+    ("shard", "--sweep", "--rounds", "3", "--clients", "4"): [
+        "mode                 shard:shard-0",
+        "wal records          18",
+        "boundaries tested    18",
+        "reference checksum   904145964",
+        "verdict              recovered bit-identical at every boundary",
+        "mode                 shard:root",
+        "wal records          18",
+        "boundaries tested    18",
+        "reference checksum   904145964",
+        "verdict              recovered bit-identical at every boundary",
+        "mode                 shard:shard-0+root-race",
+        "wal records          18",
+        "boundaries tested    18",
+        "reference checksum   904145964",
+        "verdict              recovered bit-identical at every boundary",
+    ],
+    ("tenants", "--sweep"): [
+        "quiet tenant          tenant-b",
+        "rounds compared       3",
+        "noisy-run checksum    3135553187",
+        "solo-run checksum     3135553187",
+        "verdict               quiet tenant byte-identical to its solo run",
+        "mode                 shard-pool-rebalance",
+        "wal records          5",
+        "boundaries tested    5",
+        "reference checksum   3579369599",
+        "verdict              recovered bit-identical at every boundary",
+    ],
+}
+
+
+def test_sweep_and_isolation_verdicts_are_pinned(capsys):
+    for argv, expected in SWEEP_VERDICTS.items():
+        assert main(list(argv)) == 0, argv
+        assert capsys.readouterr().out.splitlines() == expected, argv
