@@ -38,6 +38,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import partial
 from typing import List, Optional
@@ -202,16 +203,7 @@ def _cmd_conformance(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    import json as _json
-
-    from repro.testing.simulator import FederationSimulator, replay
-
-    if args.trace:
-        result = replay(args.trace)
-    else:
-        result = FederationSimulator(_simulation_spec(args)).run()
-    print(_json.dumps(result.to_dict(), indent=2, sort_keys=True))
-    return 0
+    return _print_simulation(args.trace or _simulation_spec(args).to_json())
 
 
 def _cmd_fuzz(args) -> int:
@@ -224,15 +216,15 @@ def _cmd_fuzz(args) -> int:
     return 0 if report.passed else 1
 
 
-def _print_simulation(spec) -> int:
-    """Run one simulation; print its result JSON, or the replayable
-    failure (exit 1)."""
+def _print_simulation(trace: str) -> int:
+    """Run the simulation ``trace`` describes, as ``replay`` does; print
+    its result JSON, or the replayable failure (exit 1)."""
     import json as _json
 
-    from repro.testing.simulator import FederationSimulator, SimulationFailure
+    from repro.testing.simulator import SimulationFailure, replay
 
     try:
-        result = FederationSimulator(spec).run()
+        result = replay(trace)
     except SimulationFailure as failure:
         print(failure)
         return 1
@@ -256,27 +248,29 @@ def _print_checks(checks) -> int:
     return 0
 
 
-def _simulation_spec(args, **topology):
-    from repro.testing.simulator import SimulationSpec
+def _simulation_spec(args, topology="plain", fault_plan=None, **fields):
+    """The one-federation spec a ``simulate`` / ``failover`` / ``shard``
+    run simulates."""
+    from repro.testing.simulator import FederationSpec, SimulationSpec
 
     return SimulationSpec(system=args.system,
-                          num_clients=args.clients,
                           rounds=args.rounds,
                           key_bits=args.key_bits,
                           physical_key_bits=args.physical_key_bits,
-                          seed=args.seed,
-                          min_quorum=args.quorum,
-                          **topology)
+                          topology=topology,
+                          federations=(FederationSpec(
+                              num_clients=args.clients, seed=args.seed,
+                              min_quorum=args.quorum,
+                              fault_plan=fault_plan),),
+                          **fields)
 
 
 def _cmd_failover(args) -> int:
-    import dataclasses
-
     from repro.federation.faults import FaultPlan
     from repro.testing.simulator import crash_sweep
 
-    spec = _simulation_spec(args, durable=True)
     if args.sweep:
+        spec = _simulation_spec(args, "durable")
         modes = (("coordinator_crash", "failover")
                  if args.mode == "both" else (args.mode,))
         return _print_checks(
@@ -287,16 +281,19 @@ def _cmd_failover(args) -> int:
         plan = plan.failover(0, after_record=args.after_record)
     else:
         plan = plan.coordinator_crash(0, after_record=args.after_record)
-    return _print_simulation(dataclasses.replace(spec, fault_plan=plan))
+    return _print_simulation(
+        _simulation_spec(args, "durable", plan).to_json())
 
 
 def _cmd_shard(args) -> int:
-    import dataclasses
-
     from repro.federation.faults import FaultPlan
     from repro.testing.simulator import crash_sweep
 
-    spec = _simulation_spec(args, sharded=True, num_shards=args.shards,
+    plan = None
+    if args.shard_crash is not None and not args.sweep:
+        plan = FaultPlan(seed=args.seed).shard_crash(
+            "shard-0", 0, after_record=args.shard_crash)
+    spec = _simulation_spec(args, "sharded", plan, num_shards=args.shards,
                             queue_capacity=args.queue_capacity,
                             cohort_size=args.cohort)
     if args.sweep:
@@ -305,37 +302,33 @@ def _cmd_shard(args) -> int:
         return _print_checks(
             [partial(crash_sweep, spec, node=node, race_root_failover=race)
              for node, race in scenarios])
-
-    if args.shard_crash is not None:
-        spec = dataclasses.replace(
-            spec, fault_plan=FaultPlan(seed=args.seed).shard_crash(
-                "shard-0", 0, after_record=args.shard_crash))
-    return _print_simulation(spec)
+    return _print_simulation(spec.to_json())
 
 
 def _build_tenancy_spec(args) -> "object":
     from repro.federation.faults import FaultPlan
-    from repro.testing.simulator import TenancySpec, TenantSpec
+    from repro.testing.simulator import FederationSpec, SimulationSpec
 
     noisy_plan = (FaultPlan(seed=args.seed)
                   .tenant_flood("tenant-a", 0,
                                 intensity=args.flood_intensity)
                   .tenant_crash("tenant-a", 1))
-    return TenancySpec(
+    return SimulationSpec(
         system=args.system,
         rounds=args.rounds,
         key_bits=args.key_bits,
         physical_key_bits=args.physical_key_bits,
+        topology="pool",
         queue_capacity=args.queue_capacity,
-        tenants=(
-            TenantSpec("tenant-a", num_clients=args.clients,
-                       seed=args.seed + 4,
-                       quota_rate=args.quota_rate,
-                       quota_burst=args.quota_burst,
-                       min_quorum=1,
-                       fault_plan=noisy_plan),
-            TenantSpec("tenant-b", num_clients=args.clients,
-                       weight=2.0, seed=args.seed + 16),
+        federations=(
+            FederationSpec("tenant-a", num_clients=args.clients,
+                           seed=args.seed + 4,
+                           quota_rate=args.quota_rate,
+                           quota_burst=args.quota_burst,
+                           min_quorum=1,
+                           fault_plan=noisy_plan),
+            FederationSpec("tenant-b", num_clients=args.clients,
+                           weight=2.0, seed=args.seed + 16),
         ))
 
 
@@ -343,7 +336,7 @@ def _cmd_tenants(args) -> int:
     import dataclasses
 
     from repro.testing.simulator import (
-        MultiTenantSimulator,
+        FederationSimulator,
         SimulationFailure,
         crash_sweep,
         tenant_isolation_check,
@@ -356,25 +349,24 @@ def _cmd_tenants(args) -> int:
         # topology-record pool sweep, on one small scenario.
         sweep_spec = dataclasses.replace(
             spec, rebalance_targets=(3, 1, 2),
-            tenants=tuple(dataclasses.replace(t, fault_plan=None)
-                          for t in spec.tenants))
+            federations=tuple(dataclasses.replace(f, fault_plan=None)
+                              for f in spec.federations))
         return _print_checks([isolation,
                               partial(crash_sweep, sweep_spec)])
 
     try:
-        result = MultiTenantSimulator(spec).run()
+        result = FederationSimulator(spec).run()
     except SimulationFailure as failure:
         print(failure)
         return 1
-    print(f"tenants               {len(spec.tenants)}")
+    print(f"tenants               {len(spec.federations)}")
     print(f"rounds                {spec.rounds}")
     print(f"active shards         {result.active_history[-1]}")
     print(f"rebalance operations  {result.rebalance_ops}")
-    for tenant_spec in spec.tenants:
-        tenant_id = tenant_spec.tenant_id
-        statuses = ",".join(result.statuses[tenant_id])
-        faults = result.tenant_fault_counts[tenant_id]
-        print(f"{tenant_id:<21} rounds [{statuses}] faults {faults}")
+    for tenant_id, statuses in result.statuses.items():
+        faults = result.fault_counts[tenant_id]
+        print(f"{tenant_id:<21} rounds [{','.join(statuses)}] "
+              f"faults {faults}")
     return _print_checks([isolation])
 
 
@@ -626,9 +618,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.  A reader that closes stdout early (``| head``)
+    ends the command with exit status 1, not a traceback."""
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        status = args.handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Send what is left to the null device, so the interpreter's
+        # own flush at exit cannot raise the same error again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -75,7 +75,6 @@ from repro.federation.shard import (
     ShardAggregator,
     ShardedAggregationService,
     ShardPool,
-    ShardRoundReport,
     TenantRoundOutcome,
     cohort_sample,
     default_num_shards,
@@ -137,7 +136,6 @@ __all__ = [
     "ShardAggregator",
     "ShardedAggregationService",
     "ShardPool",
-    "ShardRoundReport",
     "TenantRoundOutcome",
     "Tenant",
     "TenantRegistry",

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import (
     Callable,
     Collection,
+    Dict,
     Iterator,
     List,
     Optional,
@@ -68,21 +69,32 @@ from repro.tensor.plain import PlainTensor
 
 @dataclass
 class AggregationRound:
-    """Outcome of one (possibly partial) aggregation round.
+    """Outcome of one (possibly partial) aggregation round, flat or tree.
+
+    Every scheduled party lands in exactly one bucket, :attr:`survivors`
+    or :attr:`dropped` -- the no-silent-loss invariant.
 
     Attributes:
         round_index: Global round counter of the aggregator.
-        survivors: Client names whose updates reached the server.
+        survivors: Client names whose updates reached the server (in a
+            tree round, the root), in the order the shards ran.
         dropped: Client names lost this round (crash, dropout, deadline
-            miss, or exhausted retries), with the reason.
+            miss, or exhausted retries; a tree round adds ``fenced``,
+            ``rejected``, ``quota``, ``shed`` and ``lost``), with the
+            reason.
         summands: Actual number of vectors summed -- the count used for
             the Eq. 6 translation-offset correction.
+        cohort: A tree round's sampled parties (a flat round schedules
+            every client and leaves it empty).
+        shard_groups: A tree round's parties per shard, in run order.
     """
 
     round_index: int
     survivors: List[str] = field(default_factory=list)
     dropped: List[tuple] = field(default_factory=list)
     summands: int = 0
+    cohort: List[str] = field(default_factory=list)
+    shard_groups: Dict[str, List[str]] = field(default_factory=dict)
 
     @property
     def partial(self) -> bool:

@@ -69,6 +69,7 @@ from repro.federation.coordinator import (
     CoordinatorError,
     CoordinatorKilled,
     DurableCoordinator,
+    FailoverRecord,
     NodeSupervisor,
     frame_tensor,
 )
@@ -101,6 +102,10 @@ from repro.federation.wal import (
 from repro.ledger import CostLedger, fault_category
 from repro.rng import STREAM_MULTIPLIER
 from repro.tensor.cipher import CipherTensor
+
+#: Node name of the shard pool's topology journal in failover logs.
+SHARD_POOL = "shard-pool"
+
 
 #: Default shard count: ``ceil(sqrt(P))`` balances leaf fan-in against
 #: root fan-in, making the root's per-round work grow as ``sqrt(P)``.
@@ -339,6 +344,17 @@ class ShardPool:
             sort_keys=True, separators=(",", ":")).encode("utf-8")
         return zlib.crc32(blob)
 
+    @property
+    def digest_trail(self) -> List[int]:
+        """Topology digest after each journaled record (the crash
+        sweep's witness), replayed on demand so no append pays for it."""
+        replica = ShardPool(initial_shards=self.initial_shards)
+        trail: List[int] = []
+        for record in self.wal.records:
+            replica._apply(record)
+            trail.append(replica.digest())
+        return trail
+
     def _ordinal(self, shard: str) -> int:
         return int(shard.rsplit("-", 1)[1])
 
@@ -474,39 +490,6 @@ class ShardPool:
         return moved
 
 
-@dataclass
-class ShardRoundReport:
-    """Outcome of one sharded aggregation round.
-
-    Every party in the cohort lands in exactly one bucket: a shard's
-    survivor list, or :attr:`dropped` with a reason (``offline``,
-    ``deadline``, ``fenced``, ``rejected``, ``quota``, ``shed``,
-    ``lost``) -- the no-silent-loss invariant, asserted by the
-    overload tests.
-    """
-
-    round_index: int
-    cohort: List[str] = field(default_factory=list)
-    shard_groups: Dict[str, List[str]] = field(default_factory=dict)
-    shard_survivors: Dict[str, List[str]] = field(default_factory=dict)
-    dropped: List[Tuple[str, str]] = field(default_factory=list)
-    fenced_shards: List[str] = field(default_factory=list)
-    summands: int = 0
-
-    @property
-    def survivors(self) -> List[str]:
-        """Every party whose update reached the root, in shard order."""
-        names: List[str] = []
-        for shard in sorted(self.shard_survivors):
-            names.extend(self.shard_survivors[shard])
-        return names
-
-    @property
-    def partial(self) -> bool:
-        """Whether any cohort member missed the round."""
-        return bool(self.dropped)
-
-
 class ShardedAggregationService:
     """The two-level service: event loop, leaf shards, root, failover.
 
@@ -568,7 +551,8 @@ class ShardedAggregationService:
         self.supervisor = NodeSupervisor(aggregator, self.clock)
         self.supervisor.add(self.root_name, self.root_name, self.root_name,
                             RootCoordinator)
-        self.last_round: Optional[ShardRoundReport] = None
+        #: The last round's report -- the aggregator's ``last_round``.
+        self.last_round: Optional[AggregationRound] = None
         #: Every node death the service recovered, for the crash sweeps.
         self.failover_log = self.supervisor.failover_log
 
@@ -659,11 +643,10 @@ class ShardedAggregationService:
                                  .max_safe_summands())
             shard_names = [f"shard-{s}" for s in range(len(groups))]
         names = client_names(len(vectors))
-        report = ShardRoundReport(
-            round_index=round_index, cohort=[names[i] for i in cohort])
-        report.shard_groups = {
-            shard_names[s]: [names[i] for i in group]
-            for s, group in enumerate(groups)}
+        report = AggregationRound(
+            round_index=round_index, cohort=[names[i] for i in cohort],
+            shard_groups={shard_names[s]: [names[i] for i in group]
+                          for s, group in enumerate(groups)})
         deadline = (self.clock.now + agg.round_deadline_seconds
                     if agg.round_deadline_seconds is not None else None)
         injector = agg.injector
@@ -675,7 +658,6 @@ class ShardedAggregationService:
         for s_index, group in enumerate(groups):
             shard = shard_names[s_index]
             if not self._breaker(shard).allow():
-                report.fenced_shards.append(shard)
                 for i in group:
                     report.dropped.append((names[i], "fenced"))
                 continue
@@ -740,8 +722,6 @@ class ShardedAggregationService:
                                                 tag=tag))
             breaker = self._breaker(shard)
             breaker.record_success()
-            report.shard_survivors[shard] = list(
-                self.leaf(shard).machine.round.survivors)
             try:
                 sent = agg.send_tensor(partial, sender=shard,
                                        receiver=self.root_name,
@@ -752,26 +732,24 @@ class ShardedAggregationService:
                                 payload_bytes=error.wasted_bytes)
                 for name, _ in uploads:
                     report.dropped.append((name, "lost"))
-                report.shard_survivors.pop(shard, None)
                 continue
+            # Survivors in the order the shards ran.
+            report.survivors.extend(
+                self.leaf(shard).machine.round.survivors)
             partials.append((shard, sent))
 
-        survivors = report.survivors
         report.summands = sum(t.meta.summands for _, t in partials)
 
         def finish() -> None:
             # Both exits of a round that ended publish the same outcome
             # (as DurableCoordinator.run_round).  Not reached when the
             # root reduction raises: the cursor stays on this round.
-            self.last_round = report
+            self.last_round = agg.last_round = report
             agg.round_cursor = round_index + 1
-            agg.last_round = AggregationRound(
-                round_index=round_index, survivors=survivors,
-                dropped=list(report.dropped), summands=report.summands)
 
         if report.summands < required:
             finish()
-            raise QuorumError(round_index, survivors, required,
+            raise QuorumError(round_index, report.survivors, required,
                               len(cohort))
 
         # Phase 4: root reduction, with its own kill handling.
@@ -784,7 +762,7 @@ class ShardedAggregationService:
     def _drain_shard(self, shard: str, deadline: Optional[float],
                      shard_uploads: Dict[str, List[Tuple[str,
                                                          CipherTensor]]],
-                     report: ShardRoundReport,
+                     report: AggregationRound,
                      round_index: int) -> None:
         """Deliver one shard's backlog into its upload buffer.
 
@@ -823,22 +801,19 @@ class TenantRoundOutcome:
 
     Attributes:
         tenant_id: Which tenant the outcome belongs to.
-        round_index: The shared round index.
         status: ``ok`` (result present), ``crashed`` (the tenant's
             federation was offline under an injected ``tenant_crash``),
             or ``quorum_failed`` (the tenant's own round aborted below
             quorum -- contained, the other tenants still ran).
         result: The decoded aggregate when ``status == "ok"``.
-        report: The tenant service's :class:`ShardRoundReport`.
-        detail: Human-readable failure detail (quorum message).
+        report: The tenant service's round report (its aggregator's
+            ``last_round``); ``None`` for a crashed tenant.
     """
 
     tenant_id: str
-    round_index: int
     status: str
     result: Optional[np.ndarray] = None
-    report: Optional[ShardRoundReport] = None
-    detail: str = ""
+    report: Optional[AggregationRound] = None
 
 
 @dataclass
@@ -898,6 +873,8 @@ class MultiTenantAggregationService:
         self.async_channel: Optional[AsyncChannel] = None
         self.services: Dict[str, ShardedAggregationService] = {}
         self.pool_failovers = 0
+        #: Every pool death recovered, as node :data:`SHARD_POOL`.
+        self.failover_log: List[FailoverRecord] = []
         self.round_reports: List[MultiTenantRoundReport] = []
 
     def attach(self, tenant_id: str, aggregator: SecureAggregator,
@@ -961,14 +938,14 @@ class MultiTenantAggregationService:
         try:
             return self.pool.rebalance(target_count, round_index,
                                        channel=self.async_channel)
-        except CoordinatorKilled:
+        except CoordinatorKilled as killed:
             # The heir comes back with its crash knife disarmed, so the
             # retry runs to completion.
-            self._recover_pool()
+            self._recover_pool(round_index, killed.lsn)
         return self.pool.rebalance(target_count, round_index,
                                    channel=self.async_channel)
 
-    def _recover_pool(self) -> None:
+    def _recover_pool(self, round_index: int, lsn: int) -> None:
         """Replay the dead pool's topology journal and adopt the heir."""
         heir = ShardPool.from_bytes(
             self.pool.wal.image(),
@@ -983,6 +960,10 @@ class MultiTenantAggregationService:
         for service in self.services.values():
             service.pool = heir
         self.pool_failovers += 1
+        self.failover_log.append(FailoverRecord(
+            node=SHARD_POOL, kind=FAILOVER, round_index=round_index,
+            lsn=lsn, incarnation=heir.incarnation,
+            recovered_digest=heir.digest()))
         self.platform_ledger.charge(fault_category(FAILOVER), 0.0,
                                     count=1)
 
@@ -1025,8 +1006,7 @@ class MultiTenantAggregationService:
                 injector.record(TENANT_CRASH, tenant_id, round_index)
                 service.aggregator.round_cursor = round_index + 1
                 report.outcomes[tenant_id] = TenantRoundOutcome(
-                    tenant_id, round_index, "crashed",
-                    detail="tenant offline under injected tenant_crash")
+                    tenant_id, "crashed")
                 continue
             flood = injector.tenant_flood_intensity(tenant_id, round_index)
             if flood > 0:
@@ -1035,13 +1015,12 @@ class MultiTenantAggregationService:
                 result = service.run_round(
                     tenant_vectors[tenant_id], tag=tag,
                     round_index=round_index, flood_intensity=flood)
-            except QuorumError as error:
+            except QuorumError:
                 report.outcomes[tenant_id] = TenantRoundOutcome(
-                    tenant_id, round_index, "quorum_failed",
-                    report=service.last_round, detail=str(error))
+                    tenant_id, "quorum_failed", report=service.last_round)
             else:
                 report.outcomes[tenant_id] = TenantRoundOutcome(
-                    tenant_id, round_index, "ok", result=result,
+                    tenant_id, "ok", result=result,
                     report=service.last_round)
         self.round_reports.append(report)
         return report

@@ -7,12 +7,13 @@ delays all advance modelled time only, so the same
 :class:`SimulationSpec` produces the same per-round survivors, modelled
 seconds, and aggregate checksums on every machine, every run.
 
-One of each.  :class:`FederationSimulator` runs a :class:`SimulationSpec`
-through the aggregation step the spec asks for (plain aggregator,
-durable coordinator, or sharded service) and returns one
-:class:`SimulationResult` with per-node WAL counts, digest trails and
-failovers; :class:`MultiTenantSimulator` does the same for the
-differently shaped :class:`TenancySpec`.  :func:`crash_sweep` kills one
+One of each.  A :class:`SimulationSpec` lists its federations (one
+:class:`FederationSpec` each) and names the topology that aggregates
+them -- ``plain``, ``durable``, ``sharded``, or ``pool``, where several
+federations are tenants of one shared shard pool.
+:class:`FederationSimulator` runs any of them through one round loop and
+returns one :class:`SimulationResult` with per-round records, per-node
+WAL counts, digest trails and failovers.  :func:`crash_sweep` kills one
 node -- coordinator, leaf, root or shard pool -- after *each* record of
 its journal.  :class:`SimulationFailure` is the one failure type: the
 spec is the *trace*, a JSON record of everything the run depends on,
@@ -29,10 +30,11 @@ import dataclasses
 import json
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.federation.aggregator import AggregationRound
 from repro.federation.channel import ChannelError
 from repro.federation.coordinator import (
     DurableCoordinator,
@@ -50,103 +52,166 @@ from repro.federation.faults import (
 )
 from repro.federation.runtime import FederationRuntime, system_by_name
 from repro.federation.shard import (
+    SHARD_POOL,
     MultiTenantAggregationService,
     ShardedAggregationService,
-    ShardPool,
+    TenantRoundOutcome,
 )
 from repro.federation.tenancy import Tenant, TenantRegistry
 from repro.federation.wal import CHECKPOINT
 
+#: The aggregation steps a spec can name (see :class:`FederationSimulator`).
+PLAIN, DURABLE, SHARDED, POOL = "plain", "durable", "sharded", "pool"
+TOPOLOGIES = (PLAIN, DURABLE, SHARDED, POOL)
 
-class _TraceSpec:
-    """JSON round-trip for the frozen spec dataclasses (the traces)."""
 
-    def to_dict(self) -> dict:
-        """JSON-ready fields: nested specs and the fault plan through
-        their own ``to_dict``, tuples as lists."""
-        def plain(value):
-            if hasattr(value, "to_dict"):
-                return value.to_dict()
-            if isinstance(value, tuple):
-                return [plain(item) for item in value]
-            return value
-
-        return {f.name: plain(getattr(self, f.name))
-                for f in dataclasses.fields(self)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict):
-        """Inverse of :meth:`to_dict`.
-
-        A trace is outside input: a key the spec does not define means
-        the JSON describes some other kind of run, so it is rejected
-        (``ValueError``) instead of silently simulating a default.
-        """
-        known = {f.name for f in dataclasses.fields(cls)}
-        if set(data) - known:
-            raise ValueError(f"unknown {cls.__name__} fields: "
-                             f"{sorted(set(data) - known)}")
-        values = dict(data)
-        if values.get("fault_plan") is not None:
-            values["fault_plan"] = FaultPlan.from_dict(values["fault_plan"])
-        if "physical_key_bits" in known:
-            # A trace that leaves the physical key size out means full
-            # fidelity, whatever the constructor default.
-            values.setdefault("physical_key_bits", None)
-        return cls(**values)
+def _trace_fields(cls, data: dict) -> dict:
+    """A trace is outside input: a key the spec does not define means
+    another kind of run, rejected instead of simulating a default."""
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} fields: "
+                         f"{sorted(unknown)}")
+    return dict(data)
 
 
 @dataclass(frozen=True)
-class SimulationSpec(_TraceSpec):
-    """The complete, JSON-round-trippable input of one simulation.
+class FederationSpec:
+    """One federation of a simulation.
 
-    This *is* the replay trace: everything a fresh process needs to
-    reproduce the run bit-for-bit.  ``physical_key_bits`` defaults to
-    ``key_bits`` (full fidelity); specs used in tests pass a small
-    physical key so replays stay fast.
+    Each federation is whole: its own seed (hence its own Paillier
+    keypair and gradient draws), client count, quorum, deadline and
+    fault plan.  ``weight`` / ``quota_rate`` / ``quota_burst`` are its
+    tenant terms on a shared pool; the one-federation topologies ignore
+    them, and ``tenant_id`` names it in results either way.
     """
 
-    system: str = "FLBooster"
+    tenant_id: str = "tenant-0"
     num_clients: int = 4
-    rounds: int = 3
-    vector_size: int = 8
-    key_bits: int = 256
-    physical_key_bits: Optional[int] = 128
     seed: int = 7
     min_quorum: Optional[int] = None
     round_deadline_seconds: Optional[float] = None
     incarnation: int = 0
     fault_plan: Optional[FaultPlan] = None
-    #: Route rounds through the write-ahead-logged coordinator.
-    durable: bool = False
-    #: Route rounds through the two-level sharded service
-    #: (:mod:`repro.federation.shard`) instead of one coordinator.
-    sharded: bool = False
+    weight: float = 1.0
+    quota_rate: Optional[float] = None
+    quota_burst: int = 16
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "FederationSpec":
+        values = _trace_fields(cls, data)
+        if values.get("fault_plan") is not None:
+            values["fault_plan"] = FaultPlan.from_dict(values["fault_plan"])
+        return cls(**values)
+
+
+@dataclass(frozen=True)
+class SimulationSpec:
+    """The complete, JSON-round-trippable input of one simulation.
+
+    This *is* the replay trace: everything a fresh process needs to
+    reproduce the run bit-for-bit.  ``physical_key_bits`` defaults to
+    ``key_bits`` (full fidelity) in a trace that leaves it out; specs
+    used in tests pass a small physical key so replays stay fast.
+
+    ``topology`` picks the aggregation step; only ``pool`` runs more
+    than one federation.  ``num_shards`` fixes the sharded service's
+    shard count (default ``ceil(sqrt(cohort))``) or sizes the pool
+    before its first rebalance (default 1); ``cohort_size`` samples a
+    sharded round's cohort.  Pool only: ``rebalance_targets`` override
+    the elastic policy (round ``r`` drives the pool toward
+    ``targets[min(r, last)]``, forcing splits *and* merges into its
+    journal), and ``pool_kill_after_lsn`` kills the pool at the first
+    topology record appended at or past that LSN.
+    """
+
+    system: str = "FLBooster"
+    rounds: int = 3
+    vector_size: int = 8
+    key_bits: int = 256
+    physical_key_bits: Optional[int] = 128
+    topology: str = PLAIN
+    federations: Tuple[FederationSpec, ...] = (FederationSpec(),)
     num_shards: Optional[int] = None
     queue_capacity: int = 64
     cohort_size: Optional[int] = None
+    rebalance_targets: Optional[Tuple[int, ...]] = None
+    pool_kill_after_lsn: Optional[int] = None
+
+    def __post_init__(self):
+        if self.topology not in TOPOLOGIES:
+            raise ValueError(f"unknown topology {self.topology!r}; "
+                             f"expected one of {TOPOLOGIES}")
+        if not self.federations:
+            raise ValueError("a simulation needs at least one federation")
+        if len(self.federations) > 1 and self.topology != POOL:
+            raise ValueError(
+                f"topology {self.topology!r} runs one federation, not "
+                f"{len(self.federations)}; several share a {POOL!r}")
+        ids = [f.tenant_id for f in self.federations]
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"duplicated tenant ids in {ids}")
+        if self.topology != POOL and (
+                self.rebalance_targets is not None
+                or self.pool_kill_after_lsn is not None):
+            raise ValueError("rebalance_targets and pool_kill_after_lsn "
+                             f"need topology {POOL!r}")
+
+    def to_dict(self) -> dict:
+        """JSON-ready fields, nested federations and fault plans too."""
+        return dataclasses.asdict(self)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "SimulationSpec":
+        """Inverse of :meth:`to_dict`; a key absent from the trace takes
+        the field default, except that an absent physical key size means
+        full fidelity."""
+        values = _trace_fields(cls, data)
+        if "federations" in values:
+            values["federations"] = tuple(
+                FederationSpec.from_dict(f) for f in values["federations"])
+        if values.get("rebalance_targets") is not None:
+            values["rebalance_targets"] = tuple(values["rebalance_targets"])
+        values.setdefault("physical_key_bits", None)
+        return cls(**values)
+
+    def replace_federation(self, **changes) -> "SimulationSpec":
+        """This one-federation spec with that federation's fields
+        changed."""
+        federation, = self.federations
+        return dataclasses.replace(self, federations=(
+            dataclasses.replace(federation, **changes),))
+
+    def solo(self, tenant_id: str) -> "SimulationSpec":
+        """The same world with only ``tenant_id`` in it -- the baseline
+        the isolation invariant compares against."""
+        keep = tuple(f for f in self.federations
+                     if f.tenant_id == tenant_id)
+        if not keep:
+            raise ValueError(f"no tenant {tenant_id!r} in the spec")
+        return dataclasses.replace(self, federations=keep)
 
 
 class SimulationFailure(AssertionError):
     """A simulation diverged or crashed; message embeds the replay trace.
 
-    The one failure type of every simulator and sweep.  ``trace`` in the
+    The one failure type of every simulation and sweep.  ``trace`` in the
     message is sufficient for a fresh process: ``replay(trace_json)``
     reconstructs the identical run -- for a crash-sweep divergence the
     trace *includes* the kill, so it replays the exact kill-at-record-
     ``record_index`` run that diverged.
 
     Attributes:
-        spec: The :class:`SimulationSpec` or :class:`TenancySpec` run.
+        spec: The :class:`SimulationSpec` run.
         round_index: Round in flight, when the failure belongs to one.
         record_index: The journal record a sweep killed after, if any.
     """
 
-    def __init__(self, spec: Union[SimulationSpec, "TenancySpec"],
-                 detail: str, round_index: Optional[int] = None,
+    def __init__(self, spec: SimulationSpec, detail: str,
+                 round_index: Optional[int] = None,
                  record_index: Optional[int] = None):
         self.spec = spec
         self.detail = detail
@@ -155,48 +220,65 @@ class SimulationFailure(AssertionError):
         where = "" if round_index is None else f" at round {round_index}"
         if record_index is not None:
             detail = f"kill after WAL record {record_index}: {detail}"
-        # A tenancy trace carries one seed per tenant, inside the JSON.
-        seed = (f"seed={spec.seed} " if isinstance(spec, SimulationSpec)
-                else "")
+        seeds = ",".join(str(f.seed) for f in spec.federations)
         super().__init__(
             f"simulation failure{where}: {detail}\n"
-            f"  repro: {seed}trace={spec.to_json()}")
+            f"  repro: seed={seeds} trace={spec.to_json()}")
 
 
 @dataclass
 class RoundRecord:
-    """What one aggregation round did, in modelled time."""
+    """What one federation's aggregation round did, in modelled time.
+
+    ``status`` is ``ok`` (``weights`` holds the decoded aggregate) or,
+    contained to its tenant on a shared pool, ``crashed`` or
+    ``quorum_failed``; any other topology raises
+    :class:`SimulationFailure` on a failed round instead.
+    """
 
     round_index: int
-    start_time: float
-    end_time: float
+    federation: str
+    status: str
+    modelled_seconds: float
     summands: int
     survivors: Tuple[str, ...]
     dropped: Tuple[str, ...]
-    checksum: int  # crc32 of the aggregated vector bytes
+    weights: Optional[List[float]] = None
+
+    @property
+    def checksum(self) -> int:
+        """crc32 of the aggregated vector's bytes (0 without one)."""
+        return _weights_crc([self.weights] if self.weights else [])
+
+
+def _weights_crc(rows: List[List[float]], digest: int = 0) -> int:
+    """crc32 over decoded weight rows' float64 bytes, chained."""
+    for row in rows:
+        digest = zlib.crc32(np.asarray(row, dtype=np.float64).tobytes(),
+                            digest)
+    return digest
 
 
 #: Node name of the flat durable coordinator in per-node results.
 COORDINATOR = "coordinator"
 #: Node name (and fault-plan party) of the sharded service's root.
 ROOT = "root"
-#: Node name of the shard pool's topology journal in crash sweeps.
-SHARD_POOL = "shard-pool"
 
 
 @dataclass
 class SimulationResult:
     """Deterministic outcome of one simulation run.
 
-    The durable story is told *per node* of whatever tree ran the
-    rounds: ``shard-<i>`` leaves plus the root for the sharded service,
-    the single node :data:`COORDINATOR` for the flat durable
-    coordinator, nothing for the plain aggregator.  The crash sweep
-    compares a killed node's recovered digest against that node's own
-    trail: ``node_trails[node][lsn]`` is the round and the state digest
-    after the node's record ``lsn``, for every record it ever appended
-    (its journal holds only the last round; the simulator noted each
-    round's before the next one compacted it away).
+    ``rounds`` holds one record per round and federation, in run order.
+    The durable story is told *per node* of whatever ran the rounds:
+    leaves ``shard-<i>`` and the root of a tree, the flat durable
+    :data:`COORDINATOR`, a pool's topology journal :data:`SHARD_POOL`,
+    nothing for the plain aggregator.  The crash sweep compares a killed
+    node's recovered digest against ``node_trails[node][lsn]``, the
+    round and state digest after the node's record ``lsn``, for every
+    record it ever appended (noted each round, before the next one
+    compacts the journal).  A pool also reports its active shards per
+    round and its topology changes.
     """
 
     spec: SimulationSpec
@@ -206,11 +288,38 @@ class SimulationResult:
     node_trails: Dict[str, Dict[int, Tuple[int, int]]] = field(
         default_factory=dict)
     failovers: List[FailoverRecord] = field(default_factory=list)
-    final_weights: List[List[float]] = field(default_factory=list)
+    active_history: List[List[str]] = field(default_factory=list)
+    rebalance_ops: int = 0
+    fault_counts: Dict[str, Dict[str, int]] = field(default_factory=dict)
+
+    @property
+    def statuses(self) -> Dict[str, List[str]]:
+        """Every round's status, per federation."""
+        return {f.tenant_id: [r.status for r in self.rounds
+                              if r.federation == f.tenant_id]
+                for f in self.spec.federations}
+
+    @property
+    def final_weights(self) -> Dict[str, List[List[float]]]:
+        """The decoded aggregate of every round each federation
+        completed -- the byte-exact series the isolation invariant and
+        the crash sweeps compare with ``==``."""
+        return {f.tenant_id: [r.weights for r in self.rounds
+                              if r.federation == f.tenant_id
+                              and r.weights is not None]
+                for f in self.spec.federations}
 
     def checksum(self) -> int:
         """One integer summarizing every round's aggregate -- the value
-        replay equality is asserted on."""
+        replay equality is asserted on.  A pool's also covers its
+        active-shard history, then each tenant's weights in id order."""
+        if self.spec.topology == POOL:
+            digest = zlib.crc32(
+                json.dumps(self.active_history, sort_keys=True).encode())
+            weights = self.final_weights
+            for tenant_id in sorted(weights):
+                digest = _weights_crc(weights[tenant_id], digest)
+            return digest
         digest = 0
         for record in self.rounds:
             digest = zlib.crc32(
@@ -219,37 +328,18 @@ class SimulationResult:
         return digest
 
     def to_dict(self) -> dict:
-        data = {
+        return {
             "trace": self.spec.to_dict(),
             "final_time": self.final_time,
             "checksum": self.checksum(),
-            "rounds": [
-                {"round": r.round_index, "summands": r.summands,
-                 "survivors": list(r.survivors),
-                 "dropped": list(r.dropped),
-                 "modelled_seconds": r.end_time - r.start_time,
-                 "checksum": r.checksum}
-                for r in self.rounds
-            ],
+            "rounds": [{**dataclasses.asdict(r), "checksum": r.checksum}
+                       for r in self.rounds],
+            "active_history": self.active_history,
+            "rebalance_ops": self.rebalance_ops,
+            "fault_counts": self.fault_counts,
+            "node_wal_records": self.node_wal_records,
+            "failovers": [dataclasses.asdict(f) for f in self.failovers],
         }
-        if self.node_wal_records:
-            # The shapes `python -m repro failover` / `shard` print: a
-            # lone coordinator's deaths are told apart by kill kind, a
-            # tree's by node.
-            flat = list(self.node_wal_records) == [COORDINATOR]
-            label = "kind" if flat else "node"
-            deaths = [
-                {label: getattr(f, label), "round": f.round_index,
-                 "lsn": f.lsn, "incarnation": f.incarnation,
-                 "recovered_digest": f.recovered_digest}
-                for f in self.failovers]
-            if flat:
-                data["wal_records"] = self.node_wal_records[COORDINATOR]
-                data["kills"] = deaths
-            else:
-                data["node_wal_records"] = dict(self.node_wal_records)
-                data["failovers"] = deaths
-        return data
 
     def divergence_from(self, reference: "SimulationResult", node: str,
                         index: int) -> Optional[str]:
@@ -282,80 +372,126 @@ def _client_vectors(seed: int, round_index: int, num_clients: int,
 
 
 class FederationSimulator:
-    """Wall-clock-free driver of federation rounds.
+    """Wall-clock-free driver of federation rounds, one loop for every
+    topology.
 
-    Each round first advances the virtual clock to every late
-    straggler's arrival, in order (the straggler delays the fault plan
-    holds for that round -- stragglers genuinely arrive later on the
-    virtual clock), then runs the aggregation step through the real
-    federation stack (faults, quorum, retries and all), and finally
-    advances the clock by the round's modelled ledger seconds.
+    Each round waits on the virtual clock for every late straggler, in
+    arrival order -- except on a shared pool, where one tenant's
+    straggler must not move its neighbours' clock -- then opens every
+    ledger epoch, drives the pool toward its forced target, draws the
+    gradients, aggregates through the real federation stack (faults,
+    quorum, retries and all), advances the clock by the largest ledger's
+    modelled seconds and notes the journaling nodes' trails.
 
-    The aggregation step follows the spec:
+    The aggregation step is the topology's: ``plain`` the
+    :class:`~repro.federation.aggregator.SecureAggregator`; ``durable``
+    (or a plan with coordinator kills) one
+    :class:`~repro.federation.coordinator.DurableCoordinator` under a
+    :class:`~repro.federation.coordinator.NodeSupervisor`, heartbeating
+    its lease each round; ``sharded`` (or a plan with shard faults or
+    root kills) the
+    :class:`~repro.federation.shard.ShardedAggregationService`; ``pool``
+    the :class:`~repro.federation.shard.MultiTenantAggregationService`,
+    every federation a tenant with its key fingerprint pinned, whose
+    crash or quorum failure is its own round's status.
 
-    - ``sharded`` (or a plan with shard faults, or coordinator kills
-      against the ``root`` party): the two-level
-      :class:`~repro.federation.shard.ShardedAggregationService` on the
-      simulator's virtual clock.
-    - ``durable`` (or a plan with coordinator kills): one
-      :class:`~repro.federation.coordinator.DurableCoordinator`, the
-      one node of a
-      :class:`~repro.federation.coordinator.NodeSupervisor`, which
-      heartbeats its lease each round.
-    - otherwise the plain
-      :class:`~repro.federation.aggregator.SecureAggregator`.
-
-    Either durable topology dies right after the WAL record each kill
-    names and recovers through its supervisor: a ``coordinator_crash``
-    restarts the node from its own log, a ``failover`` or
-    ``shard_crash`` waits out the lease and promotes a standby.  A
-    killed round *continues* -- uploads accepted before the death are
-    reused verbatim from the log -- and every scheduled kill must fire
-    or :meth:`run` raises.
+    A node dies right after the WAL record its kill names and recovers
+    through its supervisor (``coordinator_crash`` restarts it from its
+    log, ``failover`` / ``shard_crash`` promote a standby after the
+    lease); the pool dies at ``pool_kill_after_lsn`` and recovers from
+    its topology journal.  A killed round *continues* from the log, and
+    every scheduled kill must fire or :meth:`run` raises.
     """
 
     def __init__(self, spec: SimulationSpec):
         self.spec = spec
         self.clock = VirtualClock()
-        self.runtime = FederationRuntime(
-            config=system_by_name(spec.system),
-            num_clients=spec.num_clients,
-            key_bits=spec.key_bits,
-            physical_key_bits=spec.physical_key_bits,
-            seed=spec.seed,
-            fault_plan=spec.fault_plan,
-            min_quorum=spec.min_quorum,
-            round_deadline_seconds=spec.round_deadline_seconds,
-            incarnation=spec.incarnation,
-        )
-        self.final_weights: List[List[float]] = []
-        self.service: Optional[ShardedAggregationService] = None
-        #: Whichever durable topology runs the rounds, its nodes' one
-        #: supervisor (``None`` for the plain aggregator).
+        #: One runtime per federation, by tenant id, in spec order.
+        self.runtimes: Dict[str, FederationRuntime] = {
+            f.tenant_id: FederationRuntime(
+                config=system_by_name(spec.system),
+                num_clients=f.num_clients,
+                key_bits=spec.key_bits,
+                physical_key_bits=spec.physical_key_bits,
+                seed=f.seed,
+                fault_plan=f.fault_plan,
+                min_quorum=f.min_quorum,
+                round_deadline_seconds=f.round_deadline_seconds,
+                incarnation=f.incarnation,
+            )
+            for f in spec.federations}
+        self.topology = self._run_topology()
+        #: The sharded service, or the pool's multi-tenant service.
+        self.service = None
+        #: The durable or sharded topology's one node supervisor.
         self.supervisor: Optional[NodeSupervisor] = None
         #: node -> LSN -> (round, digest); see ``SimulationResult``.
         self.trails: Dict[str, Dict[int, Tuple[int, int]]] = {}
-        plan = self.runtime.injector.plan
-        coordinator_kills = plan.coordinator_events()
-        if spec.sharded or plan.shard_events() or any(
-                e.party == ROOT for e in coordinator_kills):
+        self.active_history: List[List[str]] = []
+        self.rebalance_ops = 0
+        federation = spec.federations[0]
+        aggregator = self.runtimes[federation.tenant_id].aggregator
+        if self.topology == POOL:
+            self.service = MultiTenantAggregationService(
+                TenantRegistry([Tenant(
+                    tenant_id=f.tenant_id, weight=f.weight,
+                    quota_rate=f.quota_rate, quota_burst=f.quota_burst,
+                    key_fingerprint=self.runtimes[f.tenant_id].aggregator
+                    .client_engine.fingerprint().hex())
+                    for f in spec.federations]),
+                clock=self.clock, queue_capacity=spec.queue_capacity,
+                initial_shards=spec.num_shards or 1,
+                elastic=spec.rebalance_targets is None)
+            for f in spec.federations:
+                self.service.attach(f.tenant_id,
+                                    self.runtimes[f.tenant_id].aggregator,
+                                    seed=f.seed)
+            self.service.pool.kill_after_lsn = spec.pool_kill_after_lsn
+        elif self.topology == SHARDED:
             self.service = ShardedAggregationService(
-                self.runtime.aggregator, clock=self.clock,
-                num_shards=spec.num_shards,
-                queue_capacity=spec.queue_capacity, seed=spec.seed)
+                aggregator, clock=self.clock, num_shards=spec.num_shards,
+                queue_capacity=spec.queue_capacity, seed=federation.seed)
             self.supervisor = self.service.supervisor
-        elif spec.durable or coordinator_kills:
-            self.supervisor = NodeSupervisor(self.runtime.aggregator,
-                                             self.clock)
+        elif self.topology == DURABLE:
+            self.supervisor = NodeSupervisor(aggregator, self.clock)
             self.supervisor.add(COORDINATOR, COORDINATOR, COORDINATOR,
                                 DurableCoordinator)
 
-    def nodes(self) -> Dict[str, DurableCoordinator]:
-        """Every journaling node's *current* coordinator, by name."""
+    def _run_topology(self) -> str:
+        """The spec's topology, upgraded as a one-federation plan needs:
+        coordinator kills need a journal to die at, shard faults and
+        root kills the tree."""
+        if self.spec.topology == POOL:
+            return POOL
+        runtime, = self.runtimes.values()
+        plan = runtime.injector.plan
+        kills = plan.coordinator_events()
+        if self.spec.topology == SHARDED or plan.shard_events() or any(
+                e.party == ROOT for e in kills):
+            return SHARDED
+        if self.spec.topology == DURABLE or kills:
+            return DURABLE
+        return PLAIN
+
+    def nodes(self) -> Dict[str, object]:
+        """Every journaling node's *current* coordinator -- for a pool,
+        its shard pool -- by name."""
+        if self.topology == POOL:
+            return {SHARD_POOL: self.service.pool}
         if self.supervisor is None:
             return {}
         return {key: node.primary
                 for key, node in self.supervisor.nodes.items()}
+
+    def _failovers(self) -> List[FailoverRecord]:
+        """Every node death recovered so far (a pool's own, then its
+        tenants' tree nodes')."""
+        if self.topology == POOL:
+            return [*self.service.failover_log,
+                    *(record for service in self.service.services.values()
+                      for record in service.failover_log)]
+        return list(self.supervisor.failover_log
+                    if self.supervisor is not None else [])
 
     def _note_trails(self) -> None:
         """Note each node's round and digest at every LSN its journal
@@ -370,56 +506,67 @@ class FederationSimulator:
                                                       digest)
 
     # ------------------------------------------------------------------
-    # The aggregation step.
+    # The round loop.
     # ------------------------------------------------------------------
 
-    def _aggregate_round(self, vectors: List[np.ndarray],
-                         round_index: int) -> np.ndarray:
-        if self.service is not None:
-            return self.service.run_round(
-                vectors, round_index=round_index,
+    def _aggregate_round(self, vectors: Dict[str, List[np.ndarray]],
+                         round_index: int) -> Dict[str, TenantRoundOutcome]:
+        if self.topology == POOL:
+            report = self.service.run_round(vectors, round_index)
+            self.rebalance_ops += report.rebalance_ops
+            self.active_history.append(list(report.active_shards))
+            return report.outcomes
+        (tenant_id, client_vectors), = vectors.items()
+        runtime = self.runtimes[tenant_id]
+        if self.topology == SHARDED:
+            total = self.service.run_round(
+                client_vectors, round_index=round_index,
                 cohort_size=self.spec.cohort_size)
-        if self.supervisor is not None:
+        elif self.topology == DURABLE:
             try:
                 self.supervisor.nodes[COORDINATOR].primary.heartbeat(
-                    channel=self.runtime.channel)
+                    channel=runtime.channel)
             except ChannelError:
                 pass  # a lost heartbeat just leaves the lease unrenewed
-            return self.supervisor.run(
+            total = self.supervisor.run(
                 COORDINATOR, round_index,
                 lambda coordinator: coordinator.run_round(
-                    vectors, round_index=round_index))
-        return self.runtime.aggregator.aggregate(
-            vectors, round_index=round_index)
-
-    # ------------------------------------------------------------------
-    # The run loop.
-    # ------------------------------------------------------------------
+                    client_vectors, round_index=round_index))
+        else:
+            total = runtime.aggregator.aggregate(
+                client_vectors, round_index=round_index)
+        return {tenant_id: TenantRoundOutcome(
+            tenant_id, "ok", result=total,
+            report=runtime.aggregator.last_round)}
 
     def run(self) -> SimulationResult:
         """Execute every round; raises :class:`SimulationFailure` with a
         replayable ``(seed, trace)`` on any error."""
         records: List[RoundRecord] = []
-        injector = self.runtime.injector
-        names = client_names(self.spec.num_clients)
+        targets = self.spec.rebalance_targets
         for round_index in range(self.spec.rounds):
             start = self.clock.now
-            # Wait for every straggler's late submission, in arrival
-            # order; on-time submissions arrive at the round's start.
-            for arrival in sorted(
-                    start + injector.straggler_delay(names[client],
-                                                     round_index)
-                    for client in range(self.spec.num_clients)):
-                if arrival > start:
-                    self.clock.advance(arrival - self.clock.now)
-
-            vectors = _client_vectors(self.spec.seed, round_index,
-                                      self.spec.num_clients,
-                                      self.spec.vector_size)
-            ledger = self.runtime.begin_epoch()
+            if self.topology != POOL:
+                # Wait for every straggler's late submission, in arrival
+                # order; on-time submissions arrive at the round's start.
+                runtime, = self.runtimes.values()
+                for arrival in sorted(
+                        start + runtime.injector.straggler_delay(
+                            name, round_index)
+                        for name in client_names(runtime.num_clients)):
+                    if arrival > start:
+                        self.clock.advance(arrival - self.clock.now)
+            ledgers = [runtime.begin_epoch()
+                       for runtime in self.runtimes.values()]
+            if targets is not None:
+                self.rebalance_ops += self.service.rebalance(
+                    targets[min(round_index, len(targets) - 1)],
+                    round_index)
+            vectors = {f.tenant_id: _client_vectors(
+                f.seed, round_index, f.num_clients, self.spec.vector_size)
+                for f in self.spec.federations}
             try:
-                total = np.asarray(
-                    self._aggregate_round(vectors, round_index))
+                outcomes = self._aggregate_round(vectors, round_index)
             except QuorumError as error:
                 raise SimulationFailure(
                     self.spec, f"quorum not met: {error}",
@@ -429,46 +576,52 @@ class FederationSimulator:
                     self.spec, f"{type(error).__name__}: {error}",
                     round_index) from error
 
-            self.clock.advance(ledger.total_seconds)
+            self.clock.advance(max(ledger.total_seconds
+                                   for ledger in ledgers))
             self._note_trails()
-            self.final_weights.append([float(v) for v in total.ravel()])
-            last = self.runtime.aggregator.last_round
-            records.append(RoundRecord(
-                round_index=round_index,
-                start_time=start,
-                end_time=self.clock.now,
-                summands=(last.summands if last is not None
-                          else len(vectors)),
-                survivors=tuple(last.survivors) if last is not None else (),
-                dropped=tuple(last.dropped) if last is not None else (),
-                checksum=zlib.crc32(
-                    np.ascontiguousarray(total).tobytes()),
-            ))
-        failovers = (self.supervisor.failover_log
-                     if self.supervisor is not None else [])
-        scheduled = [e for e in injector.plan.events
-                     if e.kind in NODE_KILL_KINDS]
-        unfired = len(scheduled) - len(failovers)
+            for outcome in outcomes.values():
+                # A crashed tenant ran no round: nothing summed or named.
+                report = outcome.report or AggregationRound(round_index)
+                records.append(RoundRecord(
+                    round_index=round_index,
+                    federation=outcome.tenant_id,
+                    status=outcome.status,
+                    modelled_seconds=self.clock.now - start,
+                    summands=report.summands,
+                    survivors=tuple(report.survivors),
+                    dropped=tuple(report.dropped),
+                    weights=([float(v) for v in
+                              np.asarray(outcome.result).ravel()]
+                             if outcome.status == "ok" else None)))
+        failovers = self._failovers()
+        scheduled = sum(
+            event.kind in NODE_KILL_KINDS
+            for runtime in self.runtimes.values()
+            for event in runtime.injector.plan.events) + (
+            self.spec.pool_kill_after_lsn is not None)
+        unfired = scheduled - len(failovers)
         if unfired > 0:
             raise SimulationFailure(
                 self.spec,
-                f"{unfired} of {len(scheduled)} scheduled "
+                f"{unfired} of {scheduled} scheduled "
                 f"node kills never fired", self.spec.rounds - 1)
-        nodes = self.nodes()
         return SimulationResult(
             spec=self.spec, rounds=records, final_time=self.clock.now,
             node_wal_records={name: len(node.wal)
-                              for name, node in nodes.items()},
+                              for name, node in self.nodes().items()},
             node_trails=self.trails,
-            failovers=list(failovers),
-            final_weights=list(self.final_weights))
+            failovers=failovers,
+            active_history=self.active_history,
+            rebalance_ops=self.rebalance_ops,
+            fault_counts={tenant_id: runtime.injector.triggered_counts()
+                          for tenant_id, runtime in self.runtimes.items()})
 
 
 @dataclass
 class CrashSweepReport:
     """Outcome of a kill-at-every-record-boundary sweep."""
 
-    spec: Union[SimulationSpec, "TenancySpec"]
+    spec: SimulationSpec
     mode: str
     wal_records: int
     boundaries_tested: int
@@ -485,249 +638,11 @@ class CrashSweepReport:
         ]
 
 
-# ----------------------------------------------------------------------
-# Multi-tenant simulation (tenant isolation + elastic rebalancing).
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TenantSpec(_TraceSpec):
-    """One tenant's slice of a multi-tenant simulation.
-
-    Each tenant is a *whole federation*: its own seed (hence its own
-    Paillier keypair and gradient draws), its own client count, and its
-    own fault plan -- the only things tenants share are the clock, the
-    shard pool, and the admission-controlled ingress.
-    """
-
-    tenant_id: str
-    num_clients: int = 4
-    weight: float = 1.0
-    quota_rate: Optional[float] = None
-    quota_burst: int = 16
-    seed: int = 7
-    min_quorum: Optional[int] = None
-    fault_plan: Optional[FaultPlan] = None
-
-
-@dataclass(frozen=True)
-class TenancySpec(_TraceSpec):
-    """The JSON-round-trippable input of one multi-tenant simulation.
-
-    ``rebalance_targets`` (when given) overrides the elastic policy:
-    round ``r`` drives the pool toward target ``targets[min(r, last)]``
-    -- the knob the pool crash sweep uses to force both splits *and*
-    merges into the topology journal.  ``pool_kill_after_lsn`` arms the
-    pool's crash knife: the first topology record appended at or past
-    that LSN kills the pool mid-handoff.
-    """
-
-    system: str = "FLBooster"
-    rounds: int = 3
-    vector_size: int = 8
-    key_bits: int = 256
-    physical_key_bits: Optional[int] = 128
-    queue_capacity: int = 64
-    initial_shards: int = 1
-    tenants: Tuple[TenantSpec, ...] = ()
-    rebalance_targets: Optional[Tuple[int, ...]] = None
-    pool_kill_after_lsn: Optional[int] = None
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TenancySpec":
-        values = dict(data)
-        values["tenants"] = tuple(TenantSpec.from_dict(t)
-                                  for t in values.get("tenants", ()))
-        if values.get("rebalance_targets") is not None:
-            values["rebalance_targets"] = tuple(
-                values["rebalance_targets"])
-        return super().from_dict(values)
-
-    def solo(self, tenant_id: str) -> "TenancySpec":
-        """The same world with only ``tenant_id`` in it -- the baseline
-        the isolation invariant compares against."""
-        keep = tuple(t for t in self.tenants
-                     if t.tenant_id == tenant_id)
-        if not keep:
-            raise ValueError(f"no tenant {tenant_id!r} in the spec")
-        return dataclasses.replace(self, tenants=keep)
-
-
-@dataclass
-class TenancySimulationResult:
-    """Deterministic outcome of one multi-tenant simulation.
-
-    ``final_weights[tenant]`` lists the decoded aggregate of every
-    round the tenant completed (crashed / quorum-failed rounds record a
-    status but no weights) -- the byte-exact series the isolation
-    invariant compares between a noisy multi-tenant run and a solo run.
-    """
-
-    spec: TenancySpec
-    statuses: Dict[str, List[str]] = field(default_factory=dict)
-    final_weights: Dict[str, List[List[float]]] = field(
-        default_factory=dict)
-    active_history: List[List[str]] = field(default_factory=list)
-    rebalance_ops: int = 0
-    pool_failovers: int = 0
-    pool_records: int = 0
-    pool_digest: int = 0
-    tenant_fault_counts: Dict[str, Dict[str, int]] = field(
-        default_factory=dict)
-
-    def checksum(self) -> int:
-        """One integer over every tenant's every-round aggregate."""
-        digest = zlib.crc32(
-            json.dumps(self.active_history,
-                       sort_keys=True).encode())
-        for tenant_id in sorted(self.final_weights):
-            for weights in self.final_weights[tenant_id]:
-                digest = zlib.crc32(
-                    np.asarray(weights, dtype=np.float64).tobytes(),
-                    digest)
-        return digest
-
-    def to_dict(self) -> dict:
-        return {
-            "trace": self.spec.to_dict(),
-            "checksum": self.checksum(),
-            "statuses": self.statuses,
-            "active_history": self.active_history,
-            "rebalance_ops": self.rebalance_ops,
-            "pool_records": self.pool_records,
-            "pool_failovers": self.pool_failovers,
-            "pool_digest": self.pool_digest,
-            "tenant_fault_counts": self.tenant_fault_counts,
-        }
-
-    def divergence_from(self, reference: "TenancySimulationResult",
-                        node: str, index: int) -> Optional[str]:
-        """Why this run, its pool killed at topology record ``index``,
-        is not ``reference`` recovered bit-identically (``None`` if it
-        is): same final topology digest, same active-shard history,
-        same per-tenant weights, and the pool really did fail over."""
-        if self.pool_failovers < 1:
-            return f"the {node} kill armed at record {index} never fired"
-        if self.pool_digest != reference.pool_digest:
-            return (f"recovered topology digest {self.pool_digest} != "
-                    f"reference {reference.pool_digest}")
-        if self.active_history != reference.active_history:
-            return ("active-shard history diverged from the "
-                    "uninterrupted run")
-        if self.final_weights != reference.final_weights:
-            return "tenant weights diverged from the uninterrupted run"
-        return None
-
-
-class MultiTenantSimulator:
-    """Drives several federations over one shared shard pool.
-
-    Builds one :class:`~repro.federation.runtime.FederationRuntime` per
-    tenant (own keys, own fault injector, own ledgers), registers every
-    tenant -- with its engine's key fingerprint pinned -- in a shared
-    :class:`~repro.federation.tenancy.TenantRegistry`, and runs all
-    rounds through the
-    :class:`~repro.federation.shard.MultiTenantAggregationService`.
-    Per-round gradient draws depend only on ``(tenant seed, round)``,
-    never on co-tenants -- the precondition of the isolation invariant.
-    """
-
-    def __init__(self, spec: TenancySpec):
-        if not spec.tenants:
-            raise ValueError("a TenancySpec needs at least one tenant")
-        self.spec = spec
-        self.clock = VirtualClock()
-        self.runtimes: Dict[str, FederationRuntime] = {}
-        tenants = []
-        for tenant_spec in spec.tenants:
-            runtime = FederationRuntime(
-                config=system_by_name(spec.system),
-                num_clients=tenant_spec.num_clients,
-                key_bits=spec.key_bits,
-                physical_key_bits=spec.physical_key_bits,
-                seed=tenant_spec.seed,
-                fault_plan=tenant_spec.fault_plan,
-                min_quorum=tenant_spec.min_quorum,
-            )
-            self.runtimes[tenant_spec.tenant_id] = runtime
-            tenants.append(Tenant(
-                tenant_id=tenant_spec.tenant_id,
-                weight=tenant_spec.weight,
-                quota_rate=tenant_spec.quota_rate,
-                quota_burst=tenant_spec.quota_burst,
-                key_fingerprint=runtime.aggregator.client_engine
-                .fingerprint().hex()))
-        self.registry = TenantRegistry(tenants)
-        self.service = MultiTenantAggregationService(
-            self.registry, clock=self.clock,
-            queue_capacity=spec.queue_capacity,
-            initial_shards=spec.initial_shards,
-            elastic=spec.rebalance_targets is None)
-        for tenant_spec in spec.tenants:
-            self.service.attach(
-                tenant_spec.tenant_id,
-                self.runtimes[tenant_spec.tenant_id].aggregator,
-                seed=tenant_spec.seed)
-        if spec.pool_kill_after_lsn is not None:
-            self.service.pool.kill_after_lsn = spec.pool_kill_after_lsn
-
-    def nodes(self) -> Dict[str, ShardPool]:
-        """The journaling node a crash sweep can kill: the shard pool
-        (the tenants' own tree nodes live on ``service.services``)."""
-        return {SHARD_POOL: self.service.pool}
-
-    def run(self) -> TenancySimulationResult:
-        result = TenancySimulationResult(
-            spec=self.spec,
-            statuses={t.tenant_id: [] for t in self.spec.tenants},
-            final_weights={t.tenant_id: [] for t in self.spec.tenants})
-        targets = self.spec.rebalance_targets
-        for round_index in range(self.spec.rounds):
-            ledgers = {
-                tenant_spec.tenant_id:
-                self.runtimes[tenant_spec.tenant_id].begin_epoch()
-                for tenant_spec in self.spec.tenants}
-            if targets is not None:
-                target = targets[min(round_index, len(targets) - 1)]
-                result.rebalance_ops += self.service.rebalance(
-                    target, round_index)
-            vectors = {
-                tenant_spec.tenant_id:
-                _client_vectors(tenant_spec.seed, round_index,
-                                tenant_spec.num_clients,
-                                self.spec.vector_size)
-                for tenant_spec in self.spec.tenants}
-            try:
-                report = self.service.run_round(vectors, round_index)
-            except Exception as error:
-                raise SimulationFailure(
-                    self.spec, f"{type(error).__name__}: {error}",
-                    round_index) from error
-            result.rebalance_ops += report.rebalance_ops
-            result.active_history.append(list(report.active_shards))
-            for tenant_id, outcome in report.outcomes.items():
-                result.statuses[tenant_id].append(outcome.status)
-                if outcome.status == "ok":
-                    result.final_weights[tenant_id].append(
-                        [float(v) for v in
-                         np.asarray(outcome.result).ravel()])
-            self.clock.advance(max(
-                (ledger.total_seconds for ledger in ledgers.values()),
-                default=0.0))
-        result.pool_failovers = self.service.pool_failovers
-        result.pool_records = len(self.service.pool.wal)
-        result.pool_digest = self.service.pool.digest()
-        for tenant_id, runtime in self.runtimes.items():
-            result.tenant_fault_counts[tenant_id] = \
-                runtime.injector.triggered_counts()
-        return result
-
-
 @dataclass
 class TenantIsolationReport:
     """Verdict of one tenant-isolation check (CLI table body)."""
 
-    spec: TenancySpec
+    spec: SimulationSpec
     quiet_tenant: str
     rounds_compared: int
     noisy_checksum: int
@@ -744,20 +659,20 @@ class TenantIsolationReport:
         ]
 
 
-def tenant_isolation_check(spec: TenancySpec,
+def tenant_isolation_check(spec: SimulationSpec,
                            quiet_tenant: str) -> TenantIsolationReport:
     """Assert the headline invariant: faults degrade their tenant only.
 
-    Runs the full multi-tenant spec (noisy neighbours, floods, crashes
-    and all), then runs ``quiet_tenant`` *alone* with the same seeds,
-    and asserts the quiet tenant's per-round decoded weights are
-    **byte-identical** across the two runs -- ``==`` on the float lists,
-    not approximate.  Raises :class:`SimulationFailure` with a
-    replayable trace on any divergence.
+    Runs the full shared-pool spec (noisy neighbours, floods, crashes
+    and all), then its :meth:`~SimulationSpec.solo` run of
+    ``quiet_tenant`` with the same seeds, and asserts the quiet tenant's
+    per-round decoded weights are **byte-identical** across the two
+    runs -- ``==`` on the float lists, not approximate.  Raises
+    :class:`SimulationFailure` with a replayable trace on any
+    divergence.
     """
-    noisy = MultiTenantSimulator(spec).run()
-    solo_spec = spec.solo(quiet_tenant)
-    solo = MultiTenantSimulator(solo_spec).run()
+    noisy = FederationSimulator(spec).run()
+    solo = FederationSimulator(spec.solo(quiet_tenant)).run()
     noisy_weights = noisy.final_weights[quiet_tenant]
     solo_weights = solo.final_weights[quiet_tenant]
     if noisy.statuses[quiet_tenant] != solo.statuses[quiet_tenant]:
@@ -776,17 +691,11 @@ def tenant_isolation_check(spec: TenancySpec,
             spec,
             f"quiet tenant {quiet_tenant!r} weights diverged from its "
             f"solo run -- isolation is broken", first)
-    def weights_checksum(weights: List[List[float]]) -> int:
-        digest = 0
-        for row in weights:
-            digest = zlib.crc32(
-                np.asarray(row, dtype=np.float64).tobytes(), digest)
-        return digest
     return TenantIsolationReport(
         spec=spec, quiet_tenant=quiet_tenant,
         rounds_compared=len(solo_weights),
-        noisy_checksum=weights_checksum(noisy_weights),
-        solo_checksum=weights_checksum(solo_weights))
+        noisy_checksum=_weights_crc(noisy_weights),
+        solo_checksum=_weights_crc(solo_weights))
 
 
 # ----------------------------------------------------------------------
@@ -794,26 +703,16 @@ def tenant_isolation_check(spec: TenancySpec,
 # ----------------------------------------------------------------------
 
 
-def _simulator_for(spec: Union[SimulationSpec, TenancySpec]):
-    return (MultiTenantSimulator(spec) if isinstance(spec, TenancySpec)
-            else FederationSimulator(spec))
-
-
-def _topology_flag(node: str) -> Dict[str, bool]:
-    """The spec field that puts ``node`` into the simulated topology."""
-    return {"durable" if node == COORDINATOR else "sharded": True}
-
-
-def _with_kill(spec: Union[SimulationSpec, TenancySpec], node: str,
-               mode: str, round_index: int, index: int,
-               root_index: Optional[int]
-               ) -> Union[SimulationSpec, TenancySpec]:
+def _with_kill(spec: SimulationSpec, node: str, mode: str,
+               round_index: int, index: int,
+               root_index: Optional[int]) -> SimulationSpec:
     """``spec`` with a kill of ``node`` after its record ``index`` (and,
     racing, of the root after its record ``root_index``)."""
-    if isinstance(spec, TenancySpec):
+    if node == SHARD_POOL:
         return dataclasses.replace(spec, pool_kill_after_lsn=index)
-    plan = spec.fault_plan if spec.fault_plan is not None \
-        else FaultPlan(seed=spec.seed)
+    federation = spec.federations[0]
+    plan = federation.fault_plan if federation.fault_plan is not None \
+        else FaultPlan(seed=federation.seed)
     if node == COORDINATOR:
         kill = plan.failover if mode == FAILOVER \
             else plan.coordinator_crash
@@ -825,11 +724,10 @@ def _with_kill(spec: Union[SimulationSpec, TenancySpec], node: str,
     if root_index is not None:
         plan = plan.failover(round_index, after_record=root_index,
                              party=ROOT)
-    return dataclasses.replace(spec, fault_plan=plan,
-                               **_topology_flag(node))
+    return spec.replace_federation(fault_plan=plan)
 
 
-def crash_sweep(spec: Union[SimulationSpec, TenancySpec],
+def crash_sweep(spec: SimulationSpec,
                 node: Optional[str] = None,
                 mode: str = COORDINATOR_CRASH,
                 record_indices: Optional[List[int]] = None,
@@ -845,15 +743,12 @@ def crash_sweep(spec: Union[SimulationSpec, TenancySpec],
     round's weights and the run checksum match exactly (``==``).
 
     Args:
-        spec: A :class:`SimulationSpec` is forced durable (``node`` =
-            :data:`COORDINATOR`) or sharded (any other node).  A
-            :class:`TenancySpec` sweeps the shard pool's topology
-            journal -- same final topology digest, active-shard history
-            and tenant weights, and the pool really failed over -- and
-            must make the pool split or merge (``rebalance_targets``).
-        node: :data:`COORDINATOR` (default for a simulation spec),
-            ``shard-<i>``, ``root``, or :data:`SHARD_POOL` (default for
-            a tenancy spec).
+        spec: Run in the topology whose journal ``node`` is: ``durable``
+            for :data:`COORDINATOR`, ``pool`` for :data:`SHARD_POOL`
+            (whose spec must make the pool split or merge, e.g. through
+            ``rebalance_targets``), ``sharded`` for any other node.
+        node: :data:`COORDINATOR` (default), ``shard-<i>``, ``root``, or
+            :data:`SHARD_POOL` (default for a ``pool`` spec).
         mode: How the flat coordinator dies: ``coordinator_crash``
             (restarted from its log) or ``failover`` (standby takes
             over).  Leaves die by ``shard_crash``, the root by
@@ -865,34 +760,26 @@ def crash_sweep(spec: Union[SimulationSpec, TenancySpec],
     Any divergence raises :class:`SimulationFailure` whose message
     embeds the replayable kill spec.
     """
-    if isinstance(spec, TenancySpec):
-        node = node or SHARD_POOL
-        if spec.pool_kill_after_lsn is not None:
-            raise ValueError("the sweep arms the kill itself; pass a "
-                             "spec without pool_kill_after_lsn")
-        reference_spec, label = spec, "shard-pool-rebalance"
-    else:
-        node = node or COORDINATOR
-        reference_spec = dataclasses.replace(spec,
-                                             **_topology_flag(node))
-        label = mode if node == COORDINATOR else f"shard:{node}"
-    reference_sim = _simulator_for(reference_spec)
+    node = node or (SHARD_POOL if spec.topology == POOL else COORDINATOR)
+    if spec.pool_kill_after_lsn is not None:
+        raise ValueError("the sweep arms the kill itself; pass a "
+                         "spec without pool_kill_after_lsn")
+    reference_spec = dataclasses.replace(spec, topology={
+        COORDINATOR: DURABLE, SHARD_POOL: POOL}.get(node, SHARDED))
+    label = {COORDINATOR: mode, SHARD_POOL: "shard-pool-rebalance"}.get(
+        node, f"shard:{node}")
+    reference_sim = FederationSimulator(reference_spec)
     reference = reference_sim.run()
     nodes = reference_sim.nodes()
     if node not in nodes:
         raise ValueError(f"unknown node {node!r}; the reference run "
                          f"has {sorted(nodes)}")
-    if isinstance(spec, TenancySpec):
-        # The pool's topology journal is never compacted: it is whole.
-        rounds = {lsn: record.round_index
-                  for lsn, record in enumerate(nodes[node].wal.records)}
-    else:
-        rounds = {lsn: round_index for lsn, (round_index, _digest)
-                  in reference.node_trails[node].items()}
+    rounds = {lsn: round_index for lsn, (round_index, _digest)
+              in reference.node_trails[node].items()}
     if not rounds:
         raise ValueError(
             f"the reference run journaled no {node} records; give a "
-            f"tenancy spec rebalance_targets (or more clients) so the "
+            f"pool spec rebalance_targets (or more clients) so the "
             f"pool actually splits or merges")
     racing = race_root_failover and node not in (COORDINATOR, ROOT,
                                                  SHARD_POOL)
@@ -912,10 +799,10 @@ def crash_sweep(spec: Union[SimulationSpec, TenancySpec],
                           in root_trail.items()
                           if root_round == round_index),
                          default=None) if racing else None
-        killed_spec = _with_kill(spec, node, mode, round_index, index,
-                                 root_index)
+        killed_spec = _with_kill(reference_spec, node, mode, round_index,
+                                 index, root_index)
         try:
-            result = _simulator_for(killed_spec).run()
+            result = FederationSimulator(killed_spec).run()
         except SimulationFailure as failure:
             raise SimulationFailure(
                 killed_spec,
@@ -931,19 +818,14 @@ def crash_sweep(spec: Union[SimulationSpec, TenancySpec],
         reference_checksum=reference.checksum())
 
 
-def replay(trace_json: str
-           ) -> Union[SimulationResult, "TenancySimulationResult"]:
+def replay(trace_json: str) -> SimulationResult:
     """Rebuild and run a simulation from a failure's printed trace.
 
-    The trace is the full state: this constructs a fresh simulator from
-    the JSON and runs it -- the repro path named in every
-    :class:`SimulationFailure` message.  A trace with a ``tenants`` key
-    is a :class:`TenancySpec` and replays through the
-    :class:`MultiTenantSimulator`; anything else is a
-    :class:`SimulationSpec`, whose own fields and fault plan pick the
-    :class:`FederationSimulator`'s aggregation step.
+    The trace is the full state: this constructs a fresh
+    :class:`FederationSimulator` from the JSON and runs it -- the repro
+    path named in every :class:`SimulationFailure` message.  The spec's
+    topology and fault plans pick the aggregation step; JSON of any
+    other shape is rejected with ``ValueError``.
     """
-    data = json.loads(trace_json)
-    spec = (TenancySpec.from_dict(data) if "tenants" in data
-            else SimulationSpec.from_dict(data))
-    return _simulator_for(spec).run()
+    return FederationSimulator(
+        SimulationSpec.from_dict(json.loads(trace_json))).run()

@@ -27,7 +27,7 @@ captured at commit ``7ea0927`` by running every scenario with
 node's ``wal.image()`` (and ``digest_trail``).
 
 Only :func:`build_simulator`, :func:`simulator_nodes` and
-:func:`result_failovers` know which simulator class runs a spec and
+:func:`result_failovers` know how a simulator is built from a spec and
 where it keeps a node's coordinator; the federation-layer scenarios
 (``DurableCoordinator`` / ``ShardedAggregationService`` /
 ``MultiTenantAggregationService`` over a runtime's aggregator) touch no
@@ -60,10 +60,8 @@ from repro.federation.tenancy import Tenant, TenantRegistry
 from repro.federation.wal import ROUND_OPEN, WriteAheadLog
 from repro.testing.simulator import (
     FederationSimulator,
-    MultiTenantSimulator,
+    FederationSpec,
     SimulationSpec,
-    TenancySpec,
-    TenantSpec,
 )
 
 
@@ -162,44 +160,51 @@ GATE_PLAN = (FaultPlan(seed=5)
 GATE = dict(num_clients=6, min_quorum=2, round_deadline_seconds=10.0,
             fault_plan=GATE_PLAN)
 
+
+def one(topology="plain", spec=None, **federation):
+    """A one-federation spec: ``spec`` holds the spec's own fields."""
+    return SimulationSpec(topology=topology, **(spec or {}),
+                          federations=(FederationSpec(**federation),))
+
+
 SIMULATIONS = {
-    "plain": SimulationSpec(),
-    "plain-gate": SimulationSpec(**GATE),
-    "durable": SimulationSpec(durable=True),
-    "durable-gate": SimulationSpec(durable=True, **GATE),
-    "durable-crash": SimulationSpec(
-        durable=True,
+    "plain": one(),
+    "plain-gate": one(**GATE),
+    "durable": one("durable"),
+    "durable-gate": one("durable", **GATE),
+    "durable-crash": one(
+        "durable",
         fault_plan=FaultPlan(seed=7).coordinator_crash(1, after_record=10)),
-    "durable-failover": SimulationSpec(
-        durable=True,
+    "durable-failover": one(
+        "durable",
         fault_plan=FaultPlan(seed=7).failover(0, after_record=3)),
-    "durable-crash-at-close": SimulationSpec(
-        durable=True,
+    "durable-crash-at-close": one(
+        "durable",
         fault_plan=FaultPlan(seed=7).coordinator_crash(0, after_record=7)),
-    "sharded": SimulationSpec(sharded=True, num_clients=6),
-    "sharded-gate": SimulationSpec(sharded=True, **GATE),
-    "sharded-leaf-kill": SimulationSpec(
-        sharded=True, num_clients=6,
+    "sharded": one("sharded", num_clients=6),
+    "sharded-gate": one("sharded", **GATE),
+    "sharded-leaf-kill": one(
+        "sharded", num_clients=6,
         fault_plan=FaultPlan(seed=7).shard_crash("shard-0", 1,
                                                  after_record=9)),
-    "sharded-root-failover": SimulationSpec(
-        sharded=True, num_clients=6,
+    "sharded-root-failover": one(
+        "sharded", num_clients=6,
         fault_plan=FaultPlan(seed=7).failover(1, after_record=8,
                                               party="root")),
-    "sharded-leaf-racing-root": SimulationSpec(
-        sharded=True, num_clients=6,
+    "sharded-leaf-racing-root": one(
+        "sharded", num_clients=6,
         fault_plan=(FaultPlan(seed=7)
                     .shard_crash("shard-1", 0, after_record=2)
                     .failover(0, after_record=1, party="root"))),
-    "sharded-cohort": SimulationSpec(sharded=True, num_clients=9,
-                                     cohort_size=5, num_shards=2,
-                                     min_quorum=3),
+    "sharded-cohort": one("sharded", num_clients=9, min_quorum=3,
+                          spec=dict(cohort_size=5, num_shards=2)),
 }
 
 
 def simulation_print(spec):
     sim = build_simulator(spec)
-    ledgers = record_epochs(sim.runtime)
+    runtime, = sim.runtimes.values()
+    ledgers = record_epochs(runtime)
     result = sim.run()
     return {
         "nodes": node_prints(simulator_nodes(sim)),
@@ -207,28 +212,30 @@ def simulation_print(spec):
         "final_time": result.final_time,
         "failovers": result_failovers(result),
         "ledgers": [ledger_print(ledger) for ledger in ledgers],
-        "triggered": triggered(sim.runtime),
+        "triggered": triggered(runtime),
     }
 
 
-TENANCY = TenancySpec(
-    tenants=(TenantSpec("tenant-a", seed=11),
-             TenantSpec("tenant-b", seed=23)),
+TENANCY = SimulationSpec(
+    topology="pool",
+    federations=(FederationSpec("tenant-a", seed=11),
+                 FederationSpec("tenant-b", seed=23)),
     rebalance_targets=(3, 1, 2))
-NOISY_TENANCY = TenancySpec(
+NOISY_TENANCY = SimulationSpec(
+    topology="pool",
     rounds=3, vector_size=6, key_bits=256, physical_key_bits=128,
     queue_capacity=32,
-    tenants=(
-        TenantSpec("tenant-a", num_clients=3, quota_rate=2.0,
-                   quota_burst=8, seed=11, min_quorum=1,
-                   fault_plan=(FaultPlan(seed=3)
-                               .tenant_flood("tenant-a", 1, intensity=3)
-                               .tenant_crash("tenant-a", 2))),
-        TenantSpec("tenant-b", num_clients=4, weight=2.0, seed=23)))
+    federations=(
+        FederationSpec("tenant-a", num_clients=3, quota_rate=2.0,
+                       quota_burst=8, seed=11, min_quorum=1,
+                       fault_plan=(FaultPlan(seed=3)
+                                   .tenant_flood("tenant-a", 1, intensity=3)
+                                   .tenant_crash("tenant-a", 2))),
+        FederationSpec("tenant-b", num_clients=4, weight=2.0, seed=23)))
 
 TENANCIES = {
     "tenancy": TENANCY,
-    "tenancy-pool-kill": TenancySpec.from_dict(
+    "tenancy-pool-kill": SimulationSpec.from_dict(
         {**TENANCY.to_dict(), "pool_kill_after_lsn": 2}),
     "tenancy-noisy": NOISY_TENANCY,
 }
@@ -261,7 +268,7 @@ def tenancy_service_print(service, runtimes, ledgers, clock):
 
 
 def tenancy_print(spec):
-    sim = MultiTenantSimulator(spec)
+    sim = build_simulator(spec)
     ledgers = {tenant_id: record_epochs(runtime)
                for tenant_id, runtime in sim.runtimes.items()}
     result = sim.run()

@@ -249,6 +249,22 @@ class TestShardedRound:
         assert sorted(last.survivors) \
             == [f"client-{i}" for i in range(4)]
 
+    def test_a_tree_round_has_one_report_listing_survivors_in_shard_order(
+            self):
+        """Twelve one-client shards run ``shard-0`` .. ``shard-11``: the
+        survivors follow them, not the string order of their names
+        (``shard-10`` before ``shard-2``)."""
+        runtime = make_runtime(num_clients=12)
+        service = ShardedAggregationService(runtime.aggregator, seed=11,
+                                            num_shards=12)
+        service.run_round(client_vectors(12), round_index=0)
+        report = service.last_round
+        assert report is runtime.aggregator.last_round
+        assert list(report.shard_groups) == \
+            [f"shard-{s}" for s in range(12)]
+        assert report.survivors == [f"client-{i}" for i in range(12)]
+        assert report.cohort == report.survivors
+
     def test_input_validation(self):
         runtime = make_runtime(num_clients=2)
         service = ShardedAggregationService(runtime.aggregator, seed=11)

@@ -9,6 +9,7 @@ from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
 from repro.federation.shard import ShardedAggregationService
 from repro.testing.simulator import (
     FederationSimulator,
+    FederationSpec,
     SimulationFailure,
     SimulationSpec,
     crash_sweep,
@@ -16,11 +17,12 @@ from repro.testing.simulator import (
 )
 
 
-def make_spec(**overrides):
-    base = dict(num_clients=5, rounds=2, vector_size=4, key_bits=256,
-                physical_key_bits=128, seed=11)
-    base.update(overrides)
-    return SimulationSpec(**base)
+def make_spec(rounds=2, topology="plain", num_clients=5, seed=11,
+              **federation):
+    return SimulationSpec(
+        rounds=rounds, vector_size=4, key_bits=256, physical_key_bits=128,
+        topology=topology, federations=(FederationSpec(
+            num_clients=num_clients, seed=seed, **federation),))
 
 
 class TestShardCrashSweep:
@@ -54,8 +56,7 @@ class TestShardedSimulator:
     def test_scheduled_kill_fires_and_is_reported(self):
         plan = FaultPlan(seed=11).shard_crash("shard-0", 0,
                                               after_record=1)
-        spec = make_spec(rounds=1, sharded=True,
-                         fault_plan=plan)
+        spec = make_spec(rounds=1, topology="sharded", fault_plan=plan)
         result = FederationSimulator(spec).run()
         assert "root" in result.node_wal_records
         assert [f.node for f in result.failovers] == ["shard-0"]
@@ -66,14 +67,14 @@ class TestShardedSimulator:
     def test_kill_that_never_fires_is_an_error(self):
         plan = FaultPlan(seed=11).shard_crash("shard-0", 0,
                                               after_record=10_000)
-        spec = make_spec(rounds=1, sharded=True, fault_plan=plan)
+        spec = make_spec(rounds=1, topology="sharded", fault_plan=plan)
         with pytest.raises(SimulationFailure):
             FederationSimulator(spec).run()
 
     def test_replay_dispatches_sharded_traces(self):
         plan = FaultPlan(seed=11).shard_crash("shard-0", 0,
                                               after_record=2)
-        spec = make_spec(rounds=1, sharded=True, fault_plan=plan)
+        spec = make_spec(rounds=1, topology="sharded", fault_plan=plan)
         direct = FederationSimulator(spec).run()
         replayed = replay(spec.to_json())
         assert replayed.node_wal_records == direct.node_wal_records
@@ -81,8 +82,8 @@ class TestShardedSimulator:
         assert replayed.final_weights == direct.final_weights
 
     def test_replay_dispatches_on_shard_plan_without_flag(self):
-        # A trace whose spec forgot sharded=True but whose plan holds
-        # shard faults still routes to the sharded simulator.
+        # A plain trace whose plan holds shard faults still runs
+        # through the sharded service.
         plan = FaultPlan(seed=11).queue_overload("shard-0", 0)
         spec = make_spec(rounds=1, min_quorum=2, fault_plan=plan)
         replayed = replay(spec.to_json())
@@ -90,11 +91,11 @@ class TestShardedSimulator:
 
     def test_killed_run_matches_uninterrupted_weights(self):
         reference = FederationSimulator(
-            make_spec(sharded=True)).run()
+            make_spec(topology="sharded")).run()
         plan = FaultPlan(seed=11).shard_crash("shard-1", 1,
                                               after_record=7)
         killed = FederationSimulator(
-            make_spec(sharded=True, fault_plan=plan)).run()
+            make_spec(topology="sharded", fault_plan=plan)).run()
         assert killed.final_weights == reference.final_weights
         assert killed.checksum() == reference.checksum()
 

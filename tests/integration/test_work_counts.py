@@ -41,7 +41,11 @@ from repro.models.homo_lr import HomoLogisticRegression
 from repro.mpint import native
 from repro.quantization import encoding
 from repro.tensor import meta
-from repro.testing.simulator import FederationSimulator, SimulationSpec
+from repro.testing.simulator import (
+    FederationSimulator,
+    FederationSpec,
+    SimulationSpec,
+)
 
 
 @pytest.mark.skipif(not native.HAVE_NATIVE,
@@ -321,10 +325,9 @@ def test_a_leaf_takeover_decodes_each_dead_leafs_upload_once(
         frame_decodes):
     """The successor decodes what only the log holds -- the upload the
     dead leaf journaled -- once, and holds what it accepts itself."""
-    plan = FaultPlan(seed=SHARDED.seed).shard_crash("shard-1", 0,
-                                                    after_record=1)
-    simulator = FederationSimulator(
-        dataclasses.replace(SHARDED, rounds=1, fault_plan=plan))
+    plan = FaultPlan(seed=7).shard_crash("shard-1", 0, after_record=1)
+    simulator = FederationSimulator(dataclasses.replace(
+        SHARDED.replace_federation(fault_plan=plan), rounds=1))
     result = simulator.run()
     assert [(f.node, f.lsn) for f in result.failovers] == [("shard-1", 1)]
     journaled = [record for record in simulator.nodes()["shard-1"].wal.records
@@ -374,7 +377,8 @@ def takeover_work(monkeypatch):
     return parses, standbys
 
 
-SHARDED = SimulationSpec(num_clients=6, rounds=2, sharded=True)
+SHARDED = SimulationSpec(rounds=2, topology="sharded",
+                         federations=(FederationSpec(num_clients=6),))
 
 
 def test_a_fault_free_sharded_run_builds_no_standby_and_parses_nothing(
@@ -412,11 +416,11 @@ def test_a_fault_free_six_round_run_checkpoints_once_per_node_and_round(
 def test_a_shard_crash_parses_the_dead_leafs_image_once(takeover_work):
     """One parse per takeover and one standby per death, named as the
     eagerly built ones were."""
-    plan = (FaultPlan(seed=SHARDED.seed)
+    plan = (FaultPlan(seed=7)
             .shard_crash("shard-1", 0, after_record=2)
             .shard_crash("shard-1", 1, after_record=8))
     result = FederationSimulator(
-        dataclasses.replace(SHARDED, fault_plan=plan)).run()
+        SHARDED.replace_federation(fault_plan=plan)).run()
     parses, standbys = takeover_work
     assert [(f.node, f.lsn, f.incarnation) for f in result.failovers] == \
         [("shard-1", 2, 1), ("shard-1", 8, 2)]
@@ -443,7 +447,8 @@ def test_a_takeover_replays_each_journaled_record_once(monkeypatch):
 
     monkeypatch.setattr(StandbyCoordinator, "take_over", counting)
     plan = FaultPlan(seed=7).failover(0, after_record=3)
-    FederationSimulator(SimulationSpec(rounds=1, fault_plan=plan)).run()
+    FederationSimulator(SimulationSpec(rounds=1).replace_federation(
+        fault_plan=plan)).run()
     (applies, records), = takeovers
     assert applies == records == 4
 
@@ -451,11 +456,11 @@ def test_a_takeover_replays_each_journaled_record_once(monkeypatch):
 def test_a_leaf_killed_twice_in_one_round_fails_over_twice(takeover_work):
     """The supervisor arms each successor with the node's next kill in
     the round, so a second death in the same round fires too."""
-    plan = (FaultPlan(seed=SHARDED.seed)
+    plan = (FaultPlan(seed=7)
             .shard_crash("shard-1", 0, after_record=2)
             .shard_crash("shard-1", 0, after_record=4))
     result = FederationSimulator(
-        dataclasses.replace(SHARDED, fault_plan=plan)).run()
+        SHARDED.replace_federation(fault_plan=plan)).run()
     parses, standbys = takeover_work
     assert [(f.node, f.lsn, f.incarnation) for f in result.failovers] == \
         [("shard-1", 2, 1), ("shard-1", 4, 2)]
@@ -466,16 +471,17 @@ def test_a_leaf_killed_twice_in_one_round_fails_over_twice(takeover_work):
 def test_a_root_coordinator_crash_restarts_the_root_in_place(takeover_work):
     """Recovery follows the kill's kind: a crashed root restarts under
     its own name at the next incarnation, with no standby."""
-    plan = FaultPlan(seed=SHARDED.seed).coordinator_crash(
+    plan = FaultPlan(seed=7).coordinator_crash(
         0, after_record=1, party="root")
     simulator = FederationSimulator(
-        dataclasses.replace(SHARDED, fault_plan=plan))
+        SHARDED.replace_federation(fault_plan=plan))
     result = simulator.run()
     parses, standbys = takeover_work
     assert [(f.node, f.kind, f.lsn, f.incarnation)
             for f in result.failovers] == \
         [("root", COORDINATOR_CRASH, 1, 1)]
-    assert simulator.runtime.injector.triggered == \
+    runtime, = simulator.runtimes.values()
+    assert runtime.injector.triggered == \
         [(COORDINATOR_CRASH, "root", 0)]
     root = simulator.nodes()["root"]
     assert (root.name, root.incarnation) == ("root", 1)
@@ -487,7 +493,8 @@ def test_a_fault_free_flat_durable_run_parses_nothing(takeover_work,
                                                       rounds):
     """The flat coordinator's standby exists from its death, like a
     tree node's: no per-round re-read of a journal nobody lost."""
-    FederationSimulator(SimulationSpec(rounds=rounds, durable=True)).run()
+    FederationSimulator(SimulationSpec(rounds=rounds,
+                                       topology="durable")).run()
     assert takeover_work == ([], [])
 
 
@@ -499,8 +506,8 @@ def test_a_flat_coordinator_kill_parses_its_image_once(takeover_work,
     plan = FaultPlan(seed=7)
     plan = (plan.failover if kind == FAILOVER
             else plan.coordinator_crash)(0, after_record=3)
-    result = FederationSimulator(
-        SimulationSpec(rounds=1, fault_plan=plan)).run()
+    result = FederationSimulator(SimulationSpec(
+        rounds=1).replace_federation(fault_plan=plan)).run()
     parses, standbys = takeover_work
     assert [f.kind for f in result.failovers] == [kind]
     assert len(parses) == 1
@@ -513,7 +520,8 @@ def test_the_flat_failover_golden_parses_once_and_builds_one_standby(
     """The ``durable-failover`` journal-golden scenario: three rounds,
     one standby promotion."""
     plan = FaultPlan(seed=7).failover(0, after_record=3)
-    FederationSimulator(SimulationSpec(durable=True, fault_plan=plan)).run()
+    FederationSimulator(SimulationSpec(
+        topology="durable").replace_federation(fault_plan=plan)).run()
     parses, standbys = takeover_work
     assert len(parses) == 1
     assert standbys == ["coordinator-standby"]

@@ -91,9 +91,9 @@ class TestFailoverCommand:
         assert main(["failover", "--rounds", "1",
                      "--after-record", "2"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["kills"][0]["kind"] == "coordinator_crash"
-        assert data["kills"][0]["lsn"] == 2
-        assert data["wal_records"] == 7
+        assert data["failovers"][0]["kind"] == "coordinator_crash"
+        assert data["failovers"][0]["lsn"] == 2
+        assert data["node_wal_records"] == {"coordinator": 7}
 
     def test_failover_mode(self, capsys):
         import json
@@ -101,7 +101,7 @@ class TestFailoverCommand:
         assert main(["failover", "--rounds", "1", "--mode", "failover",
                      "--after-record", "3"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["kills"][0]["kind"] == "failover"
+        assert data["failovers"][0]["kind"] == "failover"
 
     def test_sweep_reports_every_boundary(self, capsys):
         assert main(["failover", "--sweep", "--rounds", "1"]) == 0
@@ -193,3 +193,26 @@ def test_sweep_and_isolation_verdicts_are_pinned(capsys):
     for argv, expected in SWEEP_VERDICTS.items():
         assert main(list(argv)) == 0, argv
         assert capsys.readouterr().out.splitlines() == expected, argv
+
+
+def test_a_reader_closing_stdout_early_ends_without_a_traceback():
+    """``python -m repro ... | head -0``: the closed pipe ends the run
+    with exit status 1, not a ``BrokenPipeError`` traceback."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "fuzz", "--cases", "500",
+         "--seed", "ci"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    # Closed before the interpreter has even imported the package, so
+    # every byte the command prints meets a broken pipe.
+    process.stdout.close()
+    _, stderr = process.communicate(timeout=120)
+    assert b"Traceback" not in stderr, stderr.decode()
+    assert b"BrokenPipeError" not in stderr, stderr.decode()
+    assert process.returncode == 1

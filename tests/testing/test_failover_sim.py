@@ -1,5 +1,6 @@
 """Durable-coordinator simulation: crash sweeps, failover, replay."""
 
+import dataclasses
 import json
 
 import pytest
@@ -9,6 +10,7 @@ from repro.testing.simulator import (
     COORDINATOR,
     CrashSweepReport,
     FederationSimulator,
+    FederationSpec,
     SimulationFailure,
     SimulationSpec,
     crash_sweep,
@@ -16,19 +18,17 @@ from repro.testing.simulator import (
 )
 
 
-def durable_spec(**overrides):
-    fields = dict(num_clients=3, rounds=2, vector_size=4, key_bits=256,
-                  physical_key_bits=128, seed=11, durable=True)
-    fields.update(overrides)
-    return SimulationSpec(**fields)
+def durable_spec(rounds=2, topology="durable", fault_plan=None):
+    return SimulationSpec(
+        rounds=rounds, vector_size=4, key_bits=256, physical_key_bits=128,
+        topology=topology, federations=(FederationSpec(
+            num_clients=3, seed=11, fault_plan=fault_plan),))
 
 
 class TestDurableRunEquivalence:
     def test_durable_run_matches_plain_run(self):
         spec = durable_spec()
-        plain = FederationSimulator(
-            SimulationSpec.from_dict(
-                {**spec.to_dict(), "durable": False})).run()
+        plain = FederationSimulator(durable_spec(topology="plain")).run()
         durable = FederationSimulator(spec).run()
         assert durable.checksum() == plain.checksum()
         assert [r.survivors for r in durable.rounds] == \
@@ -52,10 +52,8 @@ class TestScheduledKills:
     def test_coordinator_crash_recovers_same_round(self):
         spec = durable_spec()
         reference = FederationSimulator(spec).run()
-        plan = FaultPlan(seed=spec.seed).coordinator_crash(
-            0, after_record=4)
-        killed = FederationSimulator(SimulationSpec.from_dict(
-            {**spec.to_dict(), "fault_plan": plan.to_dict()})).run()
+        plan = FaultPlan(seed=11).coordinator_crash(0, after_record=4)
+        killed = FederationSimulator(durable_spec(fault_plan=plan)).run()
         assert len(killed.failovers) == 1
         kill = killed.failovers[0]
         assert kill.node == COORDINATOR
@@ -70,9 +68,8 @@ class TestScheduledKills:
     def test_failover_hands_round_to_standby(self):
         spec = durable_spec()
         reference = FederationSimulator(spec).run()
-        plan = FaultPlan(seed=spec.seed).failover(0, after_record=2)
-        sim = FederationSimulator(SimulationSpec.from_dict(
-            {**spec.to_dict(), "fault_plan": plan.to_dict()}))
+        plan = FaultPlan(seed=11).failover(0, after_record=2)
+        sim = FederationSimulator(durable_spec(fault_plan=plan))
         result = sim.run()
         assert result.failovers[0].kind == "failover"
         assert sim.nodes()[COORDINATOR].name == "coordinator-standby"
@@ -82,34 +79,32 @@ class TestScheduledKills:
 
     def test_failover_charges_the_ledger(self):
         plan = FaultPlan(seed=11).failover(0, after_record=1)
-        sim = FederationSimulator(SimulationSpec.from_dict(
-            {**durable_spec().to_dict(), "fault_plan": plan.to_dict()}))
+        sim = FederationSimulator(durable_spec(fault_plan=plan))
         sim.run()
-        assert ("failover", "coordinator", 0) in \
-            sim.runtime.injector.triggered
+        runtime, = sim.runtimes.values()
+        assert ("failover", "coordinator", 0) in runtime.injector.triggered
 
     def test_degraded_failover_matches_partial_quorum_run(self):
         """Mid-round takeover under a client crash lands on the PR 1
         partial-quorum Eq. 6 result, identical to the plain run."""
         base_plan = FaultPlan(seed=5).crash("client-1", round_index=0)
-        plain_spec = SimulationSpec(num_clients=3, rounds=2,
-                                    vector_size=4, physical_key_bits=128,
-                                    seed=5, min_quorum=2,
-                                    fault_plan=base_plan)
+        plain_spec = SimulationSpec(
+            rounds=2, vector_size=4, physical_key_bits=128,
+            federations=(FederationSpec(num_clients=3, seed=5,
+                                        min_quorum=2,
+                                        fault_plan=base_plan),))
         plain = FederationSimulator(plain_spec).run()
         kill_plan = base_plan.failover(0, after_record=2)
-        durable = FederationSimulator(SimulationSpec.from_dict(
-            {**plain_spec.to_dict(), "fault_plan": kill_plan.to_dict(),
-             "durable": True})).run()
+        durable = FederationSimulator(dataclasses.replace(
+            plain_spec.replace_federation(fault_plan=kill_plan),
+            topology="durable")).run()
         assert durable.checksum() == plain.checksum()
         assert [r.summands for r in durable.rounds] == \
             [r.summands for r in plain.rounds]
 
     def test_unfired_kill_is_a_replayable_failure(self):
         plan = FaultPlan(seed=11).coordinator_crash(0, after_record=999)
-        spec = SimulationSpec.from_dict(
-            {**durable_spec(rounds=1).to_dict(),
-             "fault_plan": plan.to_dict()})
+        spec = durable_spec(rounds=1, fault_plan=plan)
         with pytest.raises(SimulationFailure, match="never fired"):
             FederationSimulator(spec).run()
 
@@ -148,8 +143,7 @@ class TestCrashConsistencySweep:
 class TestReplayRouting:
     def test_durable_trace_replays_durably(self):
         plan = FaultPlan(seed=11).failover(0, after_record=2)
-        spec = SimulationSpec.from_dict(
-            {**durable_spec().to_dict(), "fault_plan": plan.to_dict()})
+        spec = durable_spec(fault_plan=plan)
         first = FederationSimulator(spec).run()
         again = replay(spec.to_json())
         assert list(again.node_wal_records) == [COORDINATOR]
@@ -158,32 +152,28 @@ class TestReplayRouting:
 
     def test_coordinator_events_force_durable_replay(self):
         plan = FaultPlan(seed=11).coordinator_crash(0, after_record=1)
-        spec = SimulationSpec.from_dict(
-            {**durable_spec().to_dict(), "durable": False,
-             "fault_plan": plan.to_dict()})
+        spec = durable_spec(topology="plain", fault_plan=plan)
         result = replay(spec.to_json())
         assert list(result.node_wal_records) == [COORDINATOR]
         assert len(result.failovers) == 1
 
     def test_plain_trace_still_replays_plainly(self):
-        spec = SimulationSpec(num_clients=3, rounds=1, vector_size=4,
-                              physical_key_bits=128, seed=11)
-        result = replay(spec.to_json())
+        result = replay(durable_spec(rounds=1, topology="plain").to_json())
         assert result.node_wal_records == {}
 
     def test_result_to_dict_carries_kills(self):
         plan = FaultPlan(seed=11).coordinator_crash(1, after_record=9)
-        spec = SimulationSpec.from_dict(
-            {**durable_spec().to_dict(), "fault_plan": plan.to_dict()})
-        data = FederationSimulator(spec).run().to_dict()
-        assert data["wal_records"] == 14
-        assert data["kills"][0]["kind"] == "coordinator_crash"
-        assert data["kills"][0]["lsn"] == 9
+        data = FederationSimulator(
+            durable_spec(fault_plan=plan)).run().to_dict()
+        assert data["node_wal_records"] == {COORDINATOR: 14}
+        assert data["failovers"][0]["kind"] == "coordinator_crash"
+        assert data["failovers"][0]["lsn"] == 9
 
 
 class TestHeartbeats:
     def test_primary_heartbeats_each_round(self):
         sim = FederationSimulator(durable_spec())
         sim.run()
-        ledger = sim.runtime.channel.ledger
+        runtime, = sim.runtimes.values()
+        ledger = runtime.channel.ledger
         assert ledger.count("comm.coordinator.heartbeat") >= 1
