@@ -60,8 +60,9 @@ class PaillierApi:
             if not 0 <= value < n:
                 raise ValueError(f"plaintext {value} outside [0, n)")
         g_m = [1 + m * n for m in values]
-        randomizers = [self.rng.random_unit(n) for _ in values]
-        r_n = self.kernels.mod_pow_scalar_exponent(randomizers, n, n_squared)
+        r_n = pub_key.obfuscators([self.rng.random_unit(n) for _ in values])
+        self.kernels.charge_mod_pow(len(values), n_squared.bit_length(),
+                                    n.bit_length())
         return self.kernels.mod_mul(g_m, r_n, n_squared)
 
     def decrypt(self, pri_key: PaillierPrivateKey,

@@ -13,9 +13,9 @@ FLBooster by swapping its keypair object -- no call-site changes:
 >>> b = public.encrypt(-1.25)
 >>> private.decrypt(a + b)               # 2.0 (within quantization)
 
-Under the hood every call runs through the GPU engine and the Eq. 6-8
-encoding, and the shared device/ledger keep the cost accounting the rest
-of the platform uses.
+Under the hood every call runs through the GPU engine, with a fresh
+randomizer per ciphertext, and the Eq. 6-8 encoding; the shared
+device/ledger keep the cost accounting the rest of the platform uses.
 """
 
 from __future__ import annotations
@@ -153,8 +153,7 @@ def generate_accelerated_keypair(
         keypair = cached_keypair(physical, seed=seed)
         rng = LimbRandom(seed=seed + 1)
     engine = GpuPaillierEngine(keypair, kernels=GpuKernels(),
-                               nominal_bits=key_bits, rng=rng,
-                               randomizer_pool_size=16)
+                               nominal_bits=key_bits, rng=rng)
     scheme = QuantizationScheme(alpha=alpha, r_bits=r_bits,
                                 num_parties=max_summands)
     if scheme.slot_bits > engine.physical_plaintext_bits:

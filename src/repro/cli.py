@@ -67,18 +67,22 @@ def _cmd_info(_args) -> int:
 
 def _cmd_demo(_args) -> int:
     from repro import FlBooster
+    from repro.counters import counted
 
     fl = FlBooster(seed=1)
     pri, pub = fl.paillier.key_gen(1024)
     values = [3, 14, 159]
-    ciphertexts = fl.paillier.encrypt(pub, values)
-    total = fl.paillier.add(pub, ciphertexts, ciphertexts)
+    with counted() as work:
+        ciphertexts = fl.paillier.encrypt(pub, values)
+        total = fl.paillier.add(pub, ciphertexts, ciphertexts)
+        doubled = fl.paillier.decrypt(pri, total)
     print(f"encrypt {values} under a {pub.key_bits}-bit Paillier key,")
-    print(f"homomorphically double, decrypt ->",
-          fl.paillier.decrypt(pri, total))
+    print(f"homomorphically double, decrypt ->", doubled)
     device = fl.kernels.device
     print(f"({device.launches} simulated kernel launches, "
           f"SM utilization {device.mean_sm_utilization():.0%})")
+    print("work:", ", ".join(f"{name} {count}"
+                             for name, count in sorted(work.items())))
     return 0
 
 

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
+from repro.counters import OBFUSCATORS, WORK
 from repro.mpint.native import powmod, run_pair
 from repro.mpint.primes import LimbRandom, generate_distinct_primes
 
@@ -51,6 +52,7 @@ class PaillierPublicKey:
         holds no private key; a key holder gets the same integer faster
         from :meth:`PaillierPrivateKey.obfuscator`.
         """
+        WORK[OBFUSCATORS] += 1
         return powmod(r, self.n, self.n_squared)
 
     def obfuscators(self, randomizers: Sequence[int]) -> List[int]:
@@ -131,6 +133,7 @@ class PaillierPrivateKey:
         p-chains and the q-chains are independent, so a large enough
         batch runs them on two cores (:func:`repro.mpint.native.run_pair`).
         """
+        WORK[OBFUSCATORS] += len(randomizers)
         p_squared, q_squared = self.p_squared, self.q_squared
 
         def chains(prime: int, exponent: int, prime_squared: int):

@@ -55,6 +55,8 @@ from typing import (
 
 import numpy as np
 
+from repro.counters import (DIGESTS, FRAMES_DECODED, RECORDS_REPLAYED,
+                            STANDBYS_BUILT, WORK)
 from repro.federation.aggregator import AggregationRound, SecureAggregator
 from repro.federation.channel import Message
 from repro.federation.eventloop import LEASE_TIMEOUT_SECONDS, VirtualClock
@@ -205,6 +207,7 @@ class LeaseManager:
 
 def frame_tensor(frame: str, engine) -> CipherTensor:
     """Decode one journaled (hex) tensor frame onto ``engine``."""
+    WORK[FRAMES_DECODED] += 1
     tensor = deserialize_tensor(bytes.fromhex(frame))
     return CipherTensor(tensor.meta, words=list(tensor.words),
                         engine=engine)
@@ -460,6 +463,7 @@ class RoundStateMachine:
         (every accepted frame), so the round path takes it once, at
         ``round_close``; recovery and takeover take it once more.
         """
+        WORK[DIGESTS] += 1
         state = {
             "round": (self.round.to_state_dict()
                       if self.round is not None else None),
@@ -511,6 +515,7 @@ class DurableCoordinator:
         self.machine = RoundStateMachine()
         for record in self.wal.records:
             self.machine.apply(record)
+            WORK[RECORDS_REPLAYED] += 1
         if incarnation is None:
             incarnation = (self.machine.max_incarnation + 1
                            if len(self.wal) else 0)
@@ -795,6 +800,7 @@ class StandbyCoordinator:
                  lease_manager: LeaseManager, name: str = "standby",
                  coordinator_cls: Type[DurableCoordinator]
                  = DurableCoordinator):
+        WORK[STANDBYS_BUILT] += 1
         self.aggregator = aggregator
         self.lease_manager = lease_manager
         self.name = name

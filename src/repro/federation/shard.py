@@ -872,7 +872,6 @@ class MultiTenantAggregationService:
         self.platform_ledger = CostLedger()
         self.async_channel: Optional[AsyncChannel] = None
         self.services: Dict[str, ShardedAggregationService] = {}
-        self.pool_failovers = 0
         #: Every pool death recovered, as node :data:`SHARD_POOL`.
         self.failover_log: List[FailoverRecord] = []
         self.round_reports: List[MultiTenantRoundReport] = []
@@ -959,7 +958,6 @@ class MultiTenantAggregationService:
         self.pool = heir
         for service in self.services.values():
             service.pool = heir
-        self.pool_failovers += 1
         self.failover_log.append(FailoverRecord(
             node=SHARD_POOL, kind=FAILOVER, round_index=round_index,
             lsn=lsn, incarnation=heir.incarnation,

@@ -56,6 +56,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
+from repro.counters import CHECKPOINTS, JOURNAL_PARSES, WORK
 from repro.federation.serialization import FrameError
 
 #: File magic; written before the first record.
@@ -298,6 +299,7 @@ def replay_wal(blob: bytes) -> WalReplay:
     of it, part of record 0's frame -- recorded nothing: the empty log
     with a torn tail and nothing consumed.
     """
+    WORK[JOURNAL_PARSES] += 1
     if not WAL_MAGIC.startswith(blob[:len(WAL_MAGIC)]):
         raise WalError(
             f"not a WAL image: expected magic {WAL_MAGIC!r}, got "
@@ -531,6 +533,7 @@ class WriteAheadLog:
         if self.path is not None:
             replace_durably(self.path, _image([checkpoint, *kept]))
         self.checkpoint, self._records = checkpoint, kept
+        WORK[CHECKPOINTS] += 1
 
     # ------------------------------------------------------------------
     # Reading.

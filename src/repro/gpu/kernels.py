@@ -21,6 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.counters import LAUNCH_PRICES, WORK
 from repro.gpu.cost_model import DEFAULT_PROFILE, HardwareProfile
 from repro.gpu.device import DeviceSpec, SimulatedGpu
 from repro.gpu.resource_manager import (
@@ -258,6 +259,7 @@ class GpuKernels:
     def _price(self, tasks: int, limbs: int, words: int, bytes_in: int,
                bytes_out: int) -> Tuple[float, float]:
         """(seconds, SM utilization) of one launch of this shape."""
+        WORK[LAUNCH_PRICES] += 1
         spec = self.device.spec
         if bytes_in + bytes_out > spec.global_memory:
             raise MemoryError(

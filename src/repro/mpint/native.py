@@ -79,6 +79,9 @@ from itertools import repeat
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Tuple, TypeVar, Union)
 
+from repro.counters import (CONVERSIONS, RESIDENT_PRODUCTS, WORDS_ENTERED,
+                            WORK, WORKER_SUBMISSIONS)
+
 __all__ = ["powmod", "resident", "mulmod_batch", "ResidueBatch",
            "run_pair", "HAVE_NATIVE", "BACKEND", "NATIVE_MIN_MODULUS_BITS",
            "SPLIT_MIN_WORK"]
@@ -319,6 +322,8 @@ class _ModulusContext:
         data = map(int.to_bytes, words, repeat(size), repeat("little"))
         if not all(map(lib.BN_lebin2bn, data, repeat(size), block.handles)):
             raise MemoryError("libcrypto could not fill a BIGNUM")
+        WORK[CONVERSIONS] += 1
+        WORK[WORDS_ENTERED] += len(words)
         return block
 
     def enter(self, words: List[int]) -> "ResidueBatch":
@@ -341,6 +346,7 @@ class _ModulusContext:
         else:
             deficits = [d + e + 1 for d, e in zip(_spread(x, count),
                                                   _spread(y, count))]
+        WORK[RESIDENT_PRODUCTS] += 1
         return ResidueBatch(self, block.handles, deficits, (block,))
 
     def leave(self, handle: int, deficit: int) -> int:
@@ -625,6 +631,7 @@ def run_pair(first: Callable[[], T], second: Callable[[], U],
         worker = _worker
     if not worker.busy.acquire(blocking=False):
         return first(), second()
+    WORK[WORKER_SUBMISSIONS] += 1
     worker.submit(first)
     try:
         second_value = second()

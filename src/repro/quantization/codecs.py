@@ -38,6 +38,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
+from repro.counters import CODEC_LOOKUPS, WORK
 from repro.quantization.encoding import QuantizationScheme
 from repro.quantization.packing import BatchPacker, SlotCodec
 
@@ -301,6 +302,7 @@ def build_codec(meta):
     immutable codec, so only the first meta of a layout pays for (and
     can fail) its validation; a rejected layout is never cached.
     """
+    WORK[CODEC_LOOKUPS] += 1
     keyed_by_count = get_codec(meta.codec).keyed_by_count
     return _codec_of(_Layout(
         meta.codec, tuple(meta.codec_params), meta.scheme, meta.capacity,

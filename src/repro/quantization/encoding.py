@@ -27,6 +27,8 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.counters import OVERFLOW_BITS, WORK
+
 #: The paper's default: 32 bits quantize a 32-bit float gradient, "where
 #: the last two bits are used for computational overflow" (Sec. VI-B).
 DEFAULT_QUANTIZATION_BITS = 30
@@ -40,6 +42,7 @@ def overflow_bits_for(num_parties: int) -> int:
     all derive their guard width from here, so the capacity algebra
     cannot drift between call sites.
     """
+    WORK[OVERFLOW_BITS] += 1
     if num_parties < 1:
         raise ValueError("need at least one participant")
     return max(1, math.ceil(math.log2(max(num_parties, 2))))

@@ -24,6 +24,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.counters import CODECS_BUILT, WORK
 from repro.quantization.encoding import QuantizationScheme, slot_bits_for
 
 
@@ -132,6 +133,7 @@ class SlotCodec:
     def __init__(self, scheme: QuantizationScheme, plaintext_bits: int,
                  value_bits: int, guard_bits: int,
                  capacity: int | None = None):
+        WORK[CODECS_BUILT] += 1
         slot_bits = value_bits + guard_bits
         if plaintext_bits < slot_bits:
             raise ValueError(

@@ -16,6 +16,7 @@ import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Tuple
 
+from repro.counters import METAS_BUILT, WORK
 from repro.quantization.codecs import build_codec
 from repro.quantization.encoding import QuantizationScheme
 
@@ -81,6 +82,7 @@ class TensorMeta:
     _num_words: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        WORK[METAS_BUILT] += 1
         if len(self.key_fingerprint) != 16:
             raise ValueError("key fingerprint must be 16 bytes")
         if self.capacity < 1:

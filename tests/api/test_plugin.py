@@ -6,6 +6,27 @@ from repro.api.plugin import (
     EncryptedNumber,
     generate_accelerated_keypair,
 )
+from repro.counters import OBFUSCATORS, counted
+from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
+
+#: Distinct plaintext words, more than the runtime's pool of 32 powers.
+WORDS = [7 * i + 3 for i in range(64)]
+
+
+def shared_randomizers(public_key, ciphertexts):
+    """The plaintext difference each pair ``(i, j)`` of ``ciphertexts``
+    leaks to anyone holding ``public_key``.
+
+    ``c_i / c_j mod n^2`` is ``(1 + n)^(m_i - m_j) (r_i / r_j)^n``: when
+    the two share ``r^n`` it is ``1 + (m_i - m_j) n``, and ``m_i - m_j
+    mod n`` is read off it.  Fresh randomizers leave no such pair.
+    """
+    n, n_squared = public_key.n, public_key.n_squared
+    inverses = [pow(c, -1, n_squared) for c in ciphertexts]
+    quotients = {(i, j): c * inverses[j] % n_squared
+                 for i, c in enumerate(ciphertexts)
+                 for j in range(i + 1, len(ciphertexts))}
+    return {pair: (q - 1) // n for pair, q in quotients.items() if q % n == 1}
 
 
 @pytest.fixture(scope="module")
@@ -106,3 +127,37 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             generate_accelerated_keypair(key_bits=1024, r_bits=300,
                                          physical_key_bits=256, seed=73)
+
+
+class TestFreshRandomizers:
+    def test_a_runtime_at_its_default_pool_leaks_differences(self):
+        """The positive control: the runtime's 32 pooled powers cycle,
+        so each word shares its r^n with the word 32 places on."""
+        engine = FederationRuntime(FLBOOSTER_SYSTEM, num_clients=4,
+                                   key_bits=1024,
+                                   physical_key_bits=256).client_engine
+        assert engine.randomizer_pool_size == 32
+        assert shared_randomizers(
+            engine.public_key, engine.encrypt_batch(WORDS)) == {
+                (i, i + 32): (WORDS[i] - WORDS[i + 32]) % engine.public_key.n
+                for i in range(32)}
+
+    def test_fresh_randomizers_leave_no_pair(self):
+        engine = FederationRuntime(
+            FLBOOSTER_SYSTEM, num_clients=4, key_bits=1024,
+            physical_key_bits=256, randomizer_pool_size=0).client_engine
+        with counted() as added:
+            words = engine.encrypt_batch(WORDS)
+        assert added[OBFUSCATORS] == len(words)
+        assert shared_randomizers(engine.public_key, words) == {}
+
+    def test_the_plugin_computes_one_obfuscator_per_ciphertext(self,
+                                                               keypair):
+        """A python-paillier drop-in must be semantically secure."""
+        public, _private = keypair
+        with counted() as added:
+            numbers = public.encrypt_many([w / 64 for w in WORDS])
+            numbers += [public.encrypt(0.5) for _ in range(4)]
+        words = [number.ciphertext for number in numbers]
+        assert added[OBFUSCATORS] == len(words) == 68
+        assert shared_randomizers(public._engine.public_key, words) == {}

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.counters import DIGESTS, FRAMES_DECODED, counted
 from repro.federation.coordinator import (
     CoordinatorKilled,
     DurableCoordinator,
@@ -243,65 +244,53 @@ class TestDurableRound:
         assert len(coordinator.wal) == 7
 
     def test_accepted_uploads_are_decoded_only_by_a_rebuilt_coordinator(
-            self, monkeypatch):
+            self):
         """The live primary sums the tensors it accepted and decodes
         nothing; a coordinator rebuilt from its image decodes each
         journaled frame once, and the round comes out the same."""
-        from repro.federation import coordinator as module
-
-        decoded = []
-        real = module.deserialize_tensor
-
-        def spy(blob, *args, **kwargs):
-            decoded.append(blob)
-            return real(blob, *args, **kwargs)
-
-        monkeypatch.setattr(module, "deserialize_tensor", spy)
         vectors = client_vectors(3)
         live = DurableCoordinator(make_runtime().aggregator)
-        expected = live.run_round(vectors)
-        assert decoded == []
+        with counted() as added:
+            expected = live.run_round(vectors)
+        assert added[FRAMES_DECODED] == 0
 
         aggregator = make_runtime().aggregator
         dying = DurableCoordinator(aggregator)
         dying.kill_after_lsn = 3  # round_open + three uploads
         with pytest.raises(CoordinatorKilled):
             dying.run_round(vectors)
-        rebuilt = DurableCoordinator(
-            aggregator, wal=WriteAheadLog.from_bytes(dying.wal.image()))
-        result = rebuilt.run_round(vectors, round_index=0)
-        frames = rebuilt.machine.round.upload_frames
-        assert sorted(decoded) == sorted(
-            bytes.fromhex(frame) for frame in frames.values())
-        assert len(decoded) == 3
+        with counted() as added:
+            rebuilt = DurableCoordinator(
+                aggregator, wal=WriteAheadLog.from_bytes(dying.wal.image()))
+            result = rebuilt.run_round(vectors, round_index=0)
+        # Three journaled frames and three decodes: a frame decoded
+        # twice would leave another out of the sum.
+        assert len(rebuilt.machine.round.upload_frames) == 3
+        assert added[FRAMES_DECODED] == 3
         assert np.array_equal(result, expected)
 
-    def test_fault_free_round_digests_once_per_node(self, monkeypatch):
+    def test_fault_free_round_digests_once_per_node(self):
         """Only ``round_close`` takes the state digest on the round
         path: appending the other records of an 8-upload round pays
         nothing for the crash sweep's witness."""
-        calls = []
-        real = RoundStateMachine.digest
-
-        def spy(machine):
-            calls.append(machine)
-            return real(machine)
-
-        monkeypatch.setattr(RoundStateMachine, "digest", spy)
         vectors = client_vectors(8)
         coordinator = DurableCoordinator(make_runtime(8).aggregator)
-        coordinator.run_round(vectors)
+        with counted() as added:
+            coordinator.run_round(vectors)
         assert len(coordinator.wal) == 12  # open, 8 uploads, quorum, ...
-        assert calls == [coordinator.machine]
+        assert added[DIGESTS] == 1
+        assert list(coordinator.machine.closed_rounds) == [0]
 
-        del calls[:]
         runtime = make_runtime(8)
         service = ShardedAggregationService(runtime.aggregator,
                                             seed=runtime.seed)
-        service.run_round(vectors)
+        with counted() as added:
+            service.run_round(vectors)
         nodes = [*service.leaves.values(), service.root]
         assert len(nodes) == 4  # ceil(sqrt(8)) leaves and the root
-        assert calls == [node.machine for node in nodes]
+        assert added[DIGESTS] == 4
+        assert all(list(node.machine.closed_rounds) == [0]
+                   for node in nodes)
 
     def test_digest_trail_is_the_replayed_journal(self):
         """``digest_trail`` holds no state: at every LSN the journal
@@ -497,32 +486,23 @@ class TestOneRoundJournal:
     """A round node's ``round_open`` after a closed round compacts its
     log to a checkpoint and that ``round_open``."""
 
-    def test_a_sharded_run_keeps_every_node_one_round_long(
-            self, monkeypatch):
-        appended = {}
-        append = WriteAheadLog.append
-
-        def counting(log, record):
-            lsn = append(log, record)
-            appended.setdefault(id(log), Counter())[record.round_index] += 1
-            return lsn
-
-        monkeypatch.setattr(WriteAheadLog, "append", counting)
+    def test_a_sharded_run_keeps_every_node_one_round_long(self):
         runtime = make_runtime(8)
         service = ShardedAggregationService(runtime.aggregator,
                                             seed=runtime.seed)
+        appended = Counter()    # node name -> records ever appended
         for round_index in range(6):
             service.run_round(client_vectors(8, seed=round_index),
                               round_index=round_index)
             nodes = [*service.leaves.values(), service.root]
             assert len(nodes) == 4
             for node in nodes:
-                counts = appended[id(node.wal)]
-                assert len(node.wal) == sum(counts.values())
-                assert len(node.wal.records) <= counts[round_index] + 1
+                this_round = len(node.wal) - appended[node.name]
+                appended[node.name] = len(node.wal)
+                assert len(node.wal.records) <= this_round + 1
                 assert [record.round_index for record in node.wal.records
                         if record.kind != CHECKPOINT] == \
-                    [round_index] * counts[round_index]
+                    [round_index] * this_round
                 assert (node.wal.checkpoint is None) == (round_index == 0)
 
     def test_a_file_backed_coordinator_file_is_its_image_after_every_compaction(

@@ -253,7 +253,7 @@ def tenancy_service_print(service, runtimes, ledgers, clock):
         "nodes": node_prints(nodes),
         "pool": [len(service.pool.wal),
                  zlib.crc32(service.pool.wal.image()),
-                 service.pool.digest(), service.pool_failovers],
+                 service.pool.digest(), len(service.failover_log)],
         "final_time": clock.now,
         "failovers": {
             tenant_id: [[f.node, f.lsn, f.incarnation, f.recovered_digest]

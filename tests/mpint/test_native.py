@@ -25,6 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.counters import (CONVERSIONS, WORDS_ENTERED, WORKER_SUBMISSIONS,
+                            counted)
 from repro.crypto.keys import generate_paillier_keypair
 from repro.crypto.paillier import Paillier
 from repro.mpint import native
@@ -286,20 +288,6 @@ def two_cpus(monkeypatch):
 
 
 @pytest.fixture()
-def submissions(monkeypatch):
-    """Each callable handed to the worker thread."""
-    jobs = []
-    submit = native._Worker.submit
-
-    def spy(worker, job):
-        jobs.append(job)
-        submit(worker, job)
-
-    monkeypatch.setattr(native._Worker, "submit", spy)
-    return jobs
-
-
-@pytest.fixture()
 def always_split(two_cpus, monkeypatch):
     monkeypatch.setattr(native, "SPLIT_MIN_WORK", 0)
 
@@ -322,20 +310,20 @@ def _ciphertexts(keypair, count, seed):
     (1024, 1, False),     # one cipher_hist_1024 bin
     (1024, 3, False),     # a tenant_fanin_2x128 root decrypt
 ))
-def test_crossover_on_both_sides(two_cpus, submissions, bits, count,
-                                 splits):
+def test_crossover_on_both_sides(two_cpus, bits, count, splits):
     """Both sides of the measured crossover (docs/cost_model.md)."""
     keypair = _keypair(bits, seed=seed_for(7400 + bits))
     values, ciphertexts = _ciphertexts(keypair, count, seed_for(7401))
     pri = keypair.private_key
-    assert Paillier.raw_decrypt_batch(pri, ciphertexts) == values
-    assert len(submissions) == int(splits)
+    with counted() as added:
+        assert Paillier.raw_decrypt_batch(pri, ciphertexts) == values
+    assert added[WORKER_SUBMISSIONS] == int(splits)
     for modulus_bits in (pri.p_squared.bit_length(), bits - 1, bits):
         assert native._split_worthwhile(count, modulus_bits) is splits
 
 
 @needs_native
-def test_one_cpu_or_no_library_runs_serially(submissions, monkeypatch):
+def test_one_cpu_or_no_library_runs_serially(monkeypatch):
     monkeypatch.setattr(native.os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
     assert not native._split_worthwhile(16, 2048)
@@ -343,51 +331,54 @@ def test_one_cpu_or_no_library_runs_serially(submissions, monkeypatch):
     assert native._split_worthwhile(16, 2048)
     monkeypatch.setattr(native, "_lib", None)
     assert not native._split_worthwhile(16, 2048)
-    assert native.run_pair(lambda: 1, lambda: 2, 16, 2048) == (1, 2)
-    assert submissions == []
+    with counted() as added:
+        assert native.run_pair(lambda: 1, lambda: 2, 16, 2048) == (1, 2)
+    assert added[WORKER_SUBMISSIONS] == 0
 
 
 @needs_native
-def test_split_halves_are_the_serial_integers(always_split, submissions):
+def test_split_halves_are_the_serial_integers(always_split):
     keypair = _keypair(512, seed=seed_for(7410))
     pub, pri = keypair.public_key, keypair.private_key
     values, ciphertexts = _ciphertexts(keypair, 9, seed_for(7411))
-    assert Paillier.raw_decrypt_batch(pri, ciphertexts) == values == [
-        Paillier.raw_decrypt_textbook(pri, c) for c in ciphertexts]
     draws = LimbRandom(seed=seed_for(7412))
     randomizers = [draws.random_unit(pub.n) for _ in range(9)]
-    assert pri.obfuscators(randomizers) == \
-        [pow(r, pub.n, pub.n_squared) for r in randomizers]
-    assert len(submissions) == 2
+    with counted() as added:
+        assert Paillier.raw_decrypt_batch(pri, ciphertexts) == values == [
+            Paillier.raw_decrypt_textbook(pri, c) for c in ciphertexts]
+        assert pri.obfuscators(randomizers) == \
+            [pow(r, pub.n, pub.n_squared) for r in randomizers]
+    assert added[WORKER_SUBMISSIONS] == 2
 
 
 @needs_native
 def test_a_worker_failure_raises_on_the_caller_and_the_worker_lives_on(
-        always_split, submissions):
+        always_split):
     caller = threading.get_ident()
 
     def fail():
         raise ZeroDivisionError("on the worker")
 
-    with pytest.raises(ZeroDivisionError, match="on the worker"):
-        native.run_pair(fail, threading.get_ident, 1, 2048)
-    with pytest.raises(KeyError, match="on the caller"):
-        native.run_pair(threading.get_ident, lambda: {}["on the caller"],
-                        1, 2048)
-    worker_thread, caller_thread = native.run_pair(
-        threading.get_ident, threading.get_ident, 1, 2048)
+    with counted() as added:
+        with pytest.raises(ZeroDivisionError, match="on the worker"):
+            native.run_pair(fail, threading.get_ident, 1, 2048)
+        with pytest.raises(KeyError, match="on the caller"):
+            native.run_pair(threading.get_ident,
+                            lambda: {}["on the caller"], 1, 2048)
+        worker_thread, caller_thread = native.run_pair(
+            threading.get_ident, threading.get_ident, 1, 2048)
     assert caller_thread == caller != worker_thread
-    assert len(submissions) == 3
+    assert added[WORKER_SUBMISSIONS] == 3
     # A worker another caller owns is not waited for: both sides run here.
-    with native._worker.busy:
+    with counted() as added, native._worker.busy:
         assert native.run_pair(threading.get_ident, threading.get_ident,
                                1, 2048) == (caller, caller)
-    assert len(submissions) == 3
+    assert added[WORKER_SUBMISSIONS] == 0
 
 
 @needs_native
 def test_callers_racing_for_the_worker_each_get_their_own_halves(
-        always_split, submissions):
+        always_split):
     """Four callers on two cores: whoever finds the worker owned runs
     both halves itself, and no caller ever collects another's result."""
     moduli = [(1 << 521) - 1, (1 << 607) - 1, (1 << 1279) - 1,
@@ -408,37 +399,41 @@ def test_callers_racing_for_the_worker_each_get_their_own_halves(
     try:
         threads = [threading.Thread(target=work, args=(slot,), daemon=True)
                    for slot in range(len(moduli))]
-        for thread in threads:
-            thread.start()
-        # One deadline for all: a lost handoff hangs every caller.
-        deadline = time.monotonic() + 30
-        for thread in threads:
-            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        with counted() as added:
+            for thread in threads:
+                thread.start()
+            # One deadline for all: a lost handoff hangs every caller.
+            deadline = time.monotonic() + 30
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == [[(pow(i + 2, 65537, modulus),
                          pow(i + 3, 65537, modulus))
                         for i in range(rounds)] for modulus in moduli]
-    assert 0 < len(submissions) <= len(moduli) * rounds
+    assert 0 < added[WORKER_SUBMISSIONS] <= len(moduli) * rounds
 
 
 @needs_native
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this OS")
 def test_a_child_forked_after_a_split_builds_its_own_worker(
-        always_split, submissions):
+        always_split):
     keypair = _keypair(512, seed=seed_for(7420))
     values, ciphertexts = _ciphertexts(keypair, 8, seed_for(7421))
     pri = keypair.private_key
-    assert Paillier.raw_decrypt_batch(pri, ciphertexts) == values
-    assert native._worker is not None and len(submissions) == 1
+    with counted() as added:
+        assert Paillier.raw_decrypt_batch(pri, ciphertexts) == values
+    assert native._worker is not None and added[WORKER_SUBMISSIONS] == 1
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child: report, then leave without unwinding pytest
         try:
             fresh = native._worker is None
-            result = Paillier.raw_decrypt_batch(pri, ciphertexts)
-            ok = fresh and result == values and len(submissions) == 2
+            with counted() as added:
+                result = Paillier.raw_decrypt_batch(pri, ciphertexts)
+            ok = (fresh and result == values
+                  and added[WORKER_SUBMISSIONS] == 1)
             os.write(write, b"1" if ok else b"0")
         finally:
             os._exit(0)
@@ -569,24 +564,22 @@ def test_a_gathered_batch_shares_its_source(rng):
 
 
 @needs_native
-def test_resident_passes_a_batch_under_its_modulus_through(rng,
-                                                           monkeypatch):
+def test_resident_passes_a_batch_under_its_modulus_through(rng):
     modulus, other = odd_modulus(rng, 1024), odd_modulus(rng, 1024)
     values = [rng.randbits(1024) % modulus for _ in range(4)]
     batch = resident(values, modulus)
     product = mulmod_batch(batch, batch, modulus)
-    entered = []
-    fill = native._ModulusContext._fill
-    monkeypatch.setattr(native._ModulusContext, "_fill",
-                        lambda context, words: entered.append(words)
-                        or fill(context, words))
-    assert resident(batch, modulus) is batch
-    assert resident(product, modulus) is product
-    assert entered == []
-    # Under another modulus it is a list of residues like any other.
-    moved = resident(batch, other)
+    with counted() as added:
+        assert resident(batch, modulus) is batch
+        assert resident(product, modulus) is product
+    assert added[CONVERSIONS] == 0
+    # Under another modulus it is a list of residues like any other,
+    # entered in one conversion.
+    with counted() as added:
+        moved = resident(batch, other)
     assert list(moved) == [value % other for value in values]
-    assert entered == [[value % other for value in values]]
+    assert moved.modulus == other
+    assert (added[CONVERSIONS], added[WORDS_ENTERED]) == (1, 4)
 
 
 def test_operands_outside_the_residue_range_enter_reduced(rng):

@@ -10,7 +10,7 @@ codec and capacity named.
 import numpy as np
 import pytest
 
-from repro.quantization import encoding
+from repro.counters import CODECS_BUILT, OVERFLOW_BITS, counted
 from repro.quantization.codecs import (
     CODECS,
     InterleavedCodec,
@@ -102,17 +102,7 @@ def test_every_registered_codec_is_one_slot_codec():
 # Geometry is fixed at construction.
 # ----------------------------------------------------------------------
 
-class _Counter:
-    def __init__(self, wrapped):
-        self.calls = 0
-        self.wrapped = wrapped
-
-    def __call__(self, *args, **kwargs):
-        self.calls += 1
-        return self.wrapped(*args, **kwargs)
-
-
-def test_warm_encode_decode_and_meta_algebra_derive_nothing(monkeypatch):
+def test_warm_encode_decode_and_meta_algebra_derive_nothing():
     packed = BatchPacker(SCHEME, plaintext_bits=256)
     flat = BatchPacker(SCHEME, plaintext_bits=256, capacity=1)
     values = np.linspace(-1.0, 1.0, 64)
@@ -120,25 +110,18 @@ def test_warm_encode_decode_and_meta_algebra_derive_nothing(monkeypatch):
     for packer in (packed, flat):
         PlainTensor.encode(values, packer)
 
-    log2_calls = _Counter(encoding.overflow_bits_for)
-    monkeypatch.setattr(encoding, "overflow_bits_for", log2_calls)
-    constructions = _Counter(SlotCodec.__init__)
-    monkeypatch.setattr(
-        SlotCodec, "__init__",
-        lambda self, *a, **kw: constructions(self, *a, **kw))
-
-    plain = PlainTensor.encode(values, packed)
-    assert np.allclose(plain.decode(), values,
-                       atol=SCHEME.quantization_step)
-    meta = plain.meta
-    assert meta.combine_add(meta).summands == 2
-    assert meta.sliced(0, packed.capacity).count == packed.capacity
-    assert meta.summand_capacity() == 4
-    flat_meta = PlainTensor.encode(values, flat).meta
-    assert flat_meta.summed(3).summands == 3
-
-    assert log2_calls.calls == 0
-    assert constructions.calls == 0
+    with counted() as added:
+        plain = PlainTensor.encode(values, packed)
+        assert np.allclose(plain.decode(), values,
+                           atol=SCHEME.quantization_step)
+        meta = plain.meta
+        assert meta.combine_add(meta).summands == 2
+        assert meta.sliced(0, packed.capacity).count == packed.capacity
+        assert meta.summand_capacity() == 4
+        flat_meta = PlainTensor.encode(values, flat).meta
+        assert flat_meta.summed(3).summands == 3
+    assert added[OVERFLOW_BITS] == 0
+    assert added[CODECS_BUILT] == 0
 
 
 def test_build_codec_shares_one_codec_per_layout():

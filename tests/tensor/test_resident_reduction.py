@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.counters import CONVERSIONS, WORDS_ENTERED, counted
 from repro.crypto.cpu_engine import CpuPaillierEngine
 from repro.crypto.gpu_engine import GpuPaillierEngine
 from repro.crypto.vector_engine import VectorPaillierEngine
@@ -70,19 +71,14 @@ def histogram(engine_class, keypair, passes=1):
 
 
 @pytest.fixture()
-def fills(monkeypatch):
-    """The size of every conversion into the library, from a fresh
-    context cache (so the first leave of a deficit builds its fixup)."""
-    seen = []
-    fill = native._ModulusContext._fill
-
-    def spy(context, words):
-        seen.append(len(words))
-        return fill(context, words)
-
-    monkeypatch.setattr(native._ModulusContext, "_fill", spy)
+def fresh_contexts(monkeypatch):
+    """A fresh context cache: each deficit's first leave enters a fixup."""
     monkeypatch.setattr(native, "_contexts", {})
-    return seen
+
+
+def entered(added):
+    """(conversions into the library, words they entered) of a block."""
+    return added[CONVERSIONS], added[WORDS_ENTERED]
 
 
 @pytest.fixture()
@@ -102,12 +98,14 @@ def products(monkeypatch):
 @SCALAR_ENGINES
 def test_histogram_is_identical_bound_and_unbound(engine_class,
                                                   paillier_128,
-                                                  monkeypatch, fills):
-    bound, expected = histogram(engine_class, paillier_128, passes=2)
+                                                  monkeypatch,
+                                                  fresh_contexts):
+    with counted() as added:
+        bound, expected = histogram(engine_class, paillier_128, passes=2)
     if native.HAVE_NATIVE:
         # The source's words, once for every view and both passes, then
         # the one R^(d+1) fixup all bins of depth LEVELS leave through.
-        assert fills == [BINS * BIN_SIZE, 1]
+        assert entered(added) == (2, BINS * BIN_SIZE + 1)
     with monkeypatch.context() as patch:
         _unbind_native(patch.setattr)
         unbound, _ = histogram(engine_class, paillier_128, passes=2)
@@ -162,7 +160,7 @@ def test_every_level_of_an_nary_add_sees_resident_operands(
 
 @SCALAR_ENGINES
 def test_a_second_pass_converts_nothing(engine_class, paillier_128,
-                                        fills):
+                                        fresh_contexts):
     engine = engine_class(paillier_128, ledger=CostLedger(),
                           rng=LimbRandom(seed=31))
     encrypted = engine.encrypt_tensor(PlainTensor.encode(
@@ -176,33 +174,34 @@ def test_a_second_pass_converts_nothing(engine_class, paillier_128,
         return ([part.sum().materialize().words for part in bins],
                 both.materialize().words)
 
-    first = one_pass()
-    converted = list(fills)
-    del fills[:]
-    assert one_pass() == first
+    with counted() as cold:
+        first = one_pass()
+    with counted() as warm:
+        assert one_pass() == first
     assert first[1] == tuple(planner.eager_flush(both._node, engine))
     if native.HAVE_NATIVE:
         # The source's words, then the fixups of deficits LEVELS and 1.
-        assert converted == [BINS * BIN_SIZE, 1, 1]
-        assert fills == []
+        assert entered(cold) == (3, BINS * BIN_SIZE + 2)
+        assert entered(warm) == (0, 0)
 
 
 @SCALAR_ENGINES
 def test_an_nary_add_enters_its_leaves_in_one_conversion(
-        engine_class, paillier_128, fills):
+        engine_class, paillier_128, fresh_contexts):
     engine = engine_class(paillier_128, ledger=CostLedger(),
                           rng=LimbRandom(seed=31))
     tensors = [engine.encrypt_tensor(PlainTensor.encode(
         np.full(3, 0.1 * i), packer_for(8))) for i in range(5)]
     total = CipherTensor.add_all(tensors)
-    first = total.materialize().words
+    with counted() as added:
+        first = total.materialize().words
     assert list(first) == planner.eager_flush(total._node, engine)
     if native.HAVE_NATIVE:
         # Five leaves' words in one conversion, then the final fixup.
-        assert fills == [15, 1]
-    del fills[:]
-    again = CipherTensor.add_all(tensors[::-1]).materialize().words
-    assert again == first and fills == []
+        assert entered(added) == (2, 15 + 1)
+    with counted() as added:
+        again = CipherTensor.add_all(tensors[::-1]).materialize().words
+    assert again == first and entered(added) == (0, 0)
 
 
 def test_one_shot_adds_stay_python(paillier_128, products):

@@ -58,14 +58,14 @@ KEPT = {
         "the conformance oracle's negative control: a planted Montgomery "
         "bug the oracle must catch (tests/testing/test_broken_engine.py)",
     "repro.federation.intersection":
-        "RSA sample alignment; ROADMAP item 4 starts every vertical run "
+        "RSA sample alignment; ROADMAP item 7 starts every vertical run "
         "from it",
     "repro.api.plugin":
         "the paper's Sec. VI-B plug-in surface (python-paillier-shaped "
-        "keys and EncryptedNumber)",
+        "keys and EncryptedNumber), owed to ROADMAP item 2's one engine",
     "repro.models.evaluation":
         "held-out AUC and model save/reload, reached by the tutorial "
-        "only; ROADMAP item 4's split/loss oracle evaluates through it",
+        "only; ROADMAP item 7's split/loss oracle evaluates through it",
 }
 
 #: Definitions kept on purpose inside reached modules: qualified name,
@@ -86,7 +86,7 @@ KEPT_DEFINITIONS: Dict[str, str] = {
         "the held-out split that predict / models.evaluation are fed "
         "from (tutorial, inference tests)",
     "repro.mpint.limbs.LimbVector":
-        "the scalar limb model ROADMAP item 1 keeps: Sec. IV-A1's "
+        "the scalar limb model ROADMAP item 2 keeps: Sec. IV-A1's "
         "s / d limbs-per-thread partition",
     "repro.mpint.montgomery.cios_montgomery_multiply":
         "the paper's Algorithm 2 (CIOS), the scalar reference the "
@@ -95,7 +95,7 @@ KEPT_DEFINITIONS: Dict[str, str] = {
         "the fused-vs-eager bit-identity oracle the property suite "
         "drives (tests/tensor/test_property_fusion.py)",
     "repro.federation.aggregator.SecureAggregator.cipher_pack":
-        "SecureBoost+ cipher compression; ROADMAP item 4 packs g/h "
+        "SecureBoost+ cipher compression; ROADMAP item 7 packs g/h "
         "through it",
     "repro.federation.faults.FaultPlan.*":
         "the fault DSL's builders for kinds the injector handles but "
