@@ -4,8 +4,9 @@ The paper's claims are about work (Sec. IV, Eqs. 9-13).  The code doing
 that work adds to one process-wide counter, :data:`WORK`, under the
 names below; nothing resets or disables it, and :func:`counted` gives
 the counts one block added.  A count goes up on the thread that asked
-for the work, never on ``run_pair``'s worker.  A number an object
-already keeps (a device's launches, a ledger's operations) is read there.
+for the work: what a job on ``run_pair``'s worker counts, the caller
+adds when it collects the job.  A number an object already keeps (a
+device's launches, a ledger's operations) is read there.
 """
 
 from collections import Counter
@@ -19,7 +20,12 @@ CONVERSIONS = "native.conversions"
 WORDS_ENTERED = "native.words_entered"
 RESIDENT_PRODUCTS = "native.resident_products"
 WORKER_SUBMISSIONS = "native.worker_submissions"
-#: Paillier obfuscators ``r^n mod n^2`` computed, by either key.
+#: Library powers (calls into ``BN_mod_exp_mont_consttime``); Montgomery
+#: contexts set up, cached or inside a power handed none.
+POWMODS = "native.powmods"
+MONTGOMERY_CONTEXTS = "native.montgomery_contexts"
+#: Paillier obfuscators computed, by either key (``r^n mod n^2``, or a
+#: key holder's ``sigma(r)^n mod n^2``).
 OBFUSCATORS = "crypto.obfuscators"
 #: Slot codecs constructed; codecs looked up for a layout; guard-bit
 #: widths derived from a party count; tensor metas built.

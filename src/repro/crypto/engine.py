@@ -40,7 +40,8 @@ def _encrypted_meta(plain: TensorMeta, fingerprint: bytes, nominal_bits: int,
 
 
 class RandomizerPool:
-    """Amortized pool of precomputed ``r^n mod n^2`` obfuscators.
+    """Amortized pool of precomputed obfuscators (``r^n mod n^2``, or a
+    key holder's ``sigma(r)^n``).
 
     The pool holds no randomness of its own: every refill draws its
     randomizers *sequentially from the owning engine's routed rng
@@ -75,9 +76,9 @@ class RandomizerPool:
         Args:
             rng: The engine's :class:`~repro.mpint.primes.LimbRandom`.
             n: The public modulus the randomizers are units of.
-            obfuscators: ``[r] -> [r^n mod n^2]`` of the key the owner
-                holds (:meth:`~repro.crypto.keys.PaillierPrivateKey.obfuscators`
-                or the public key's full-width fallback).
+            obfuscators: ``[r] -> [obfuscator of r]`` of the key the
+                owner holds (:meth:`~repro.crypto.keys.PaillierPrivateKey.obfuscators`
+                or the public key's full-width ``r^n``).
         """
         randomizers = [rng.random_unit(n) for _ in range(self.size)]
         self._powers = obfuscators(randomizers)
@@ -132,8 +133,8 @@ class HeEngine(ABC):
         self.keypair = keypair
         self.public_key = keypair.public_key
         self.private_key = keypair.private_key
-        # [r] -> [r^n mod n^2] by the shortest exact route the held key
-        # allows.
+        # [r] -> obfuscators by the shortest route the held key allows
+        # (a key holder's sigma(r)^n, else r^n; one distribution).
         self._obfuscators = (self.private_key
                              if self.private_key is not None
                              else self.public_key).obfuscators
@@ -282,7 +283,7 @@ class HeEngine(ABC):
         return results
 
     def _take_obfuscators(self, count: int) -> Tuple[List[int], List[int]]:
-        """``count`` powers ``r^n mod n^2`` and their residues mod ``n``.
+        """``count`` obfuscators and their residues mod ``n``.
 
         With ``randomizer_pool_size == 0`` every randomizer is drawn
         first, in order, and the held key's ``obfuscators`` raises them

@@ -49,8 +49,9 @@ class PaillierPublicKey:
         """``r^n mod n^2``, the randomizing factor of Eq. 3.
 
         This is the definition, and the only route open to a party that
-        holds no private key; a key holder gets the same integer faster
-        from :meth:`PaillierPrivateKey.obfuscator`.
+        holds no private key; a key holder draws from the same
+        distribution with two half-width powers
+        (:meth:`PaillierPrivateKey.obfuscators`).
         """
         WORK[OBFUSCATORS] += 1
         return powmod(r, self.n, self.n_squared)
@@ -72,7 +73,7 @@ class PaillierPrivateKey:
     the CRT constants (``hp``, ``hq``, ``q^-1 mod p``) that let
     decryption run two half-size exponentiations instead of one full-size
     one -- the standard production-Paillier optimization -- and the
-    per-prime constants of the key-holder :meth:`obfuscator`.
+    Garner constant of the key-holder :meth:`obfuscators`.
     """
 
     p: int
@@ -86,9 +87,6 @@ class PaillierPrivateKey:
     # Derived from (p, q) alone: kept out of equality, hashing and repr.
     p_squared: int = field(init=False, repr=False, compare=False)
     q_squared: int = field(init=False, repr=False, compare=False)
-    #: ``q mod (p-1)`` and ``p mod (q-1)``: the obfuscator's exponents.
-    obfuscator_exp_p: int = field(init=False, repr=False, compare=False)
-    obfuscator_exp_q: int = field(init=False, repr=False, compare=False)
     #: ``(q^2)^-1 mod p^2`` for Garner recombination modulo ``n^2``.
     q_squared_inverse: int = field(init=False, repr=False, compare=False)
 
@@ -110,40 +108,50 @@ class PaillierPrivateKey:
         object.__setattr__(self, "q_inverse", powmod(q, -1, p))
         object.__setattr__(self, "p_squared", p_squared)
         object.__setattr__(self, "q_squared", q_squared)
-        object.__setattr__(self, "obfuscator_exp_p", q % (p - 1))
-        object.__setattr__(self, "obfuscator_exp_q", p % (q - 1))
         object.__setattr__(self, "q_squared_inverse",
                            powmod(q_squared, -1, p_squared))
 
     def obfuscator(self, r: int) -> int:
-        """``r^n mod n^2`` for a key holder: :meth:`obfuscators` of one."""
+        """The key holder's obfuscator of ``r``: :meth:`obfuscators` of one."""
         return self.obfuscators([r])[0]
 
     def obfuscators(self, randomizers: Sequence[int]) -> List[int]:
-        """``r^n mod n^2`` of each randomizer, in order: the same integers
-        as :meth:`PaillierPublicKey.obfuscators`, from half-width modexps.
+        """``sigma(r)^n mod n^2`` of each randomizer, in order, from one
+        half-width power per prime.
 
-        Modulo ``p^2``: ``(a + kp)^p = a^p``, so ``r^p`` depends only on
-        ``a = r mod p`` and is the Teichmuller lift of ``a`` -- a
-        ``(p-1)``-th root of unity, multiplicative in ``a``.  Hence
-        ``r^n = (r^p)^q = lift(a^q mod p) = lift(a^(q mod (p-1)) mod p)``
-        and ``lift(b) = b^p mod p^2``.  The same holds modulo ``q^2``;
-        Garner recombines the two residues modulo ``n^2``.  Non-units
-        need no special case (``p | r`` gives 0 on both sides).  The
-        p-chains and the q-chains are independent, so a large enough
-        batch runs them on two cores (:func:`repro.mpint.native.run_pair`).
+        ``sigma`` is the map ``r -> r^(q^-1 mod (p-1))`` modulo ``p`` and
+        ``r -> r^(p^-1 mod (q-1))`` modulo ``q``, joined by the CRT.  A
+        key is valid only if ``gcd(n, lambda) = 1``, i.e. ``gcd(q, p-1) =
+        gcd(p, q-1) = 1``, so both exponents exist and each is a
+        bijection of its prime's units: ``sigma`` permutes ``Z_n*``.  A
+        uniform unit ``r`` therefore gives a uniform ``sigma(r)`` and an
+        obfuscator distributed exactly as the textbook ``r^n``: the
+        ciphertexts are textbook Paillier's, under no new assumption.
+        The public route (:meth:`PaillierPublicKey.obfuscators`) stays
+        ``r^n``.
+
+        Modulo ``p^2``: ``(a + kp)^p = a^p``, so ``x^p`` depends only on
+        ``x mod p`` (the Teichmuller lift of ``a = x mod p``).  Hence
+        ``sigma(r)^n = (sigma(r)^q)^p = lift(sigma(r)^q mod p) =
+        lift(r mod p) = a^p mod p^2``, and symmetrically ``b^q mod q^2``
+        with ``b = r mod q``; Garner recombines the two modulo ``n^2``.
+        Library powers per fresh obfuscator: 4 -> 2 (the textbook
+        ``r^n`` taken by CRT needs ``a^(q mod (p-1)) mod p`` before each
+        lift); a short-exponent obfuscator (ROADMAP item 17c) is to be
+        measured against this route.  A non-unit ``r`` gives the power
+        of ``sigma`` extended by ``0 -> 0`` on its prime.  The p-lifts
+        and the q-lifts are independent, so a large enough batch runs
+        them on two cores (:func:`repro.mpint.native.run_pair`).
         """
         WORK[OBFUSCATORS] += len(randomizers)
         p_squared, q_squared = self.p_squared, self.q_squared
 
-        def chains(prime: int, exponent: int, prime_squared: int):
-            return lambda: [powmod(powmod(r % prime, exponent, prime),
-                                   prime, prime_squared)
+        def lifts(prime: int, prime_squared: int):
+            return lambda: [powmod(r % prime, prime, prime_squared)
                             for r in randomizers]
 
         lifts_p, lifts_q = run_pair(
-            chains(self.p, self.obfuscator_exp_p, p_squared),
-            chains(self.q, self.obfuscator_exp_q, q_squared),
+            lifts(self.p, p_squared), lifts(self.q, q_squared),
             len(randomizers), p_squared.bit_length())
         inverse = self.q_squared_inverse
         return [x_q + q_squared * ((x_p - x_q) * inverse % p_squared)

@@ -23,7 +23,10 @@ modulus is even or narrower than :data:`NATIVE_MIN_MODULUS_BITS`
 round trip costs more than the arithmetic), when the exponent is
 negative, when an argument is not a plain ``int``, when a ``BN_*`` call
 reports failure, or when no library was bound.  Range, unit and gcd
-checks stay with the callers.
+checks stay with the callers.  A modulus :func:`powmod` meets a second
+time keeps its ``BIGNUM`` and ``BN_MONT_CTX`` from then on, so the
+moduli a key repeats (``p^2``, ``q^2``, ``n^2``) stop paying to set
+them up on every call.
 
 The cutoff is the measured crossover on the reference host: with an
 exponent as wide as the modulus the library wins from ~96 bits up, with
@@ -74,13 +77,15 @@ import ctypes
 import ctypes.util
 import os
 import threading
+from collections import Counter
 from collections.abc import Sequence
 from itertools import repeat
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Tuple, TypeVar, Union)
 
-from repro.counters import (CONVERSIONS, RESIDENT_PRODUCTS, WORDS_ENTERED,
-                            WORK, WORKER_SUBMISSIONS)
+from repro.counters import (CONVERSIONS, MONTGOMERY_CONTEXTS, POWMODS,
+                            RESIDENT_PRODUCTS, WORDS_ENTERED, WORK,
+                            WORKER_SUBMISSIONS)
 
 __all__ = ["powmod", "resident", "mulmod_batch", "ResidueBatch",
            "run_pair", "HAVE_NATIVE", "BACKEND", "NATIVE_MIN_MODULUS_BITS",
@@ -111,8 +116,11 @@ _KAT_CUBE = 0x8e9081dde27230cb322ecdbe18a3da9c
 # a block that would take the total past this is freed instead.
 _FREE_LIST_MAX = 4096
 
-# Most moduli with a live context in the cache (one per key in use).
+# Most moduli with a live context in each cache (a key uses a handful).
 _CONTEXT_CACHE_MAX = 16
+
+# Most moduli :func:`powmod` remembers having seen once.
+_SEEN_ONCE_MAX = 256
 
 
 class _Scratch:
@@ -193,27 +201,51 @@ def _bind(path: str) -> ctypes.CDLL:
     return lib
 
 
+def _work() -> Counter:
+    """Where the calling thread counts: :data:`WORK`, or on
+    :func:`run_pair`'s worker the job's own tally, which the caller adds
+    to :data:`WORK` when it collects the job."""
+    return getattr(_local, "work", WORK)
+
+
 def _bn_powmod(lib: ctypes.CDLL, scratch: _Scratch, base: int,
                exponent: int, modulus: int) -> Optional[int]:
     """``base^exponent mod modulus`` through the library, or ``None``.
 
     Requires ``0 <= base < modulus``, ``exponent >= 0`` and an odd
-    ``modulus > 1``.  ``None`` means a ``BN_*`` call reported failure;
-    the library's per-thread error queue is emptied so the failure
-    cannot surface later inside :mod:`ssl` or :mod:`hashlib`.
+    ``modulus > 1``.  A modulus seen before runs under its cached
+    Montgomery context (:func:`_power_context`); a new one under the
+    context the library sets up inside the call.  ``None`` means a
+    ``BN_*`` call reported failure; the library's per-thread error queue
+    is emptied so the failure cannot surface later inside :mod:`ssl` or
+    :mod:`hashlib`.
     """
+    work = _work()
+    try:
+        context = _power_context(lib, modulus)
+    except MemoryError:
+        lib.ERR_clear_error()
+        return None
     result, bn_base, bn_exponent, bn_modulus = scratch.numbers
     size = (modulus.bit_length() + 7) >> 3
     buffer = scratch.sized_buffer(size)
     exponent_size = (exponent.bit_length() + 7) >> 3
     bin2bn = lib.BN_bin2bn
-    if not (bin2bn(modulus.to_bytes(size, "big"), size, bn_modulus)
-            and bin2bn(base.to_bytes(size, "big"), size, bn_base)
-            and bin2bn(exponent.to_bytes(exponent_size, "big"),
-                       exponent_size, bn_exponent)
-            and lib.BN_mod_exp_mont_consttime(
-                result, bn_base, bn_exponent, bn_modulus, scratch.ctx,
-                None)):
+    if context is None:
+        mont = None
+        ok = bin2bn(modulus.to_bytes(size, "big"), size, bn_modulus)
+    else:
+        bn_modulus, mont, ok = context._bn_modulus, context._mont, True
+    ok = (ok and bin2bn(base.to_bytes(size, "big"), size, bn_base)
+          and bin2bn(exponent.to_bytes(exponent_size, "big"),
+                     exponent_size, bn_exponent))
+    if ok:
+        work[POWMODS] += 1
+        if mont is None:
+            work[MONTGOMERY_CONTEXTS] += 1
+        ok = lib.BN_mod_exp_mont_consttime(
+            result, bn_base, bn_exponent, bn_modulus, scratch.ctx, mont)
+    if not ok:
         lib.ERR_clear_error()
         return None
     # The result is below the modulus, so it fits the buffer.
@@ -279,10 +311,14 @@ def _spread(deficits: Deficits, count: int) -> List[int]:
 
 
 class _ModulusContext:
-    """One odd modulus: its ``BN_MONT_CTX`` and the way in and out.
+    """One odd modulus: its ``BIGNUM``, its ``BN_MONT_CTX`` and the way
+    in and out.
 
     Read-only once built, so every thread shares it; the ``BN_CTX`` and
     the temporaries a call needs come from the caller's :class:`_Scratch`.
+    The modulus may be secret (a prime of a private key), so both are
+    freed with clearing: ``BN_MONT_CTX_free`` clears the numbers it
+    holds.
     """
 
     def __init__(self, lib: ctypes.CDLL, modulus: int) -> None:
@@ -293,14 +329,15 @@ class _ModulusContext:
         # batch, so the context holds nothing that points back at it.
         self._fixups: Dict[int, _Block] = {}
         self._mont = lib.BN_MONT_CTX_new()
+        self._bn_modulus = lib.BN_new()
         scratch = _scratch(lib)
-        bn_modulus = scratch.numbers[1]
-        if not (self._mont
+        if not (self._mont and self._bn_modulus
                 and lib.BN_lebin2bn(modulus.to_bytes(self.size, "little"),
-                                    self.size, bn_modulus)
-                and lib.BN_MONT_CTX_set(self._mont, bn_modulus,
+                                    self.size, self._bn_modulus)
+                and lib.BN_MONT_CTX_set(self._mont, self._bn_modulus,
                                         scratch.ctx)):
             raise MemoryError("libcrypto could not set up a BN_MONT_CTX")
+        _work()[MONTGOMERY_CONTEXTS] += 1
         # R is whatever this build's word size makes it: the Montgomery
         # product of 1 and 1 is R^-1.  Scratch operands, not blocks, so
         # building a context frees no handles.
@@ -314,6 +351,8 @@ class _ModulusContext:
     def __del__(self) -> None:
         if self._mont:
             self._lib.BN_MONT_CTX_free(self._mont)
+        if self._bn_modulus:
+            self._lib.BN_clear_free(self._bn_modulus)
 
     def _fill(self, words: List[int]) -> _Block:
         """A block holding ``words`` (each in ``[0, modulus)``)."""
@@ -464,6 +503,16 @@ class ResidueBatch(Sequence):
 # Odd modulus -> context; emptied when full (batches keep theirs alive).
 _contexts: Dict[int, _ModulusContext] = {}
 
+# The contexts powmod hands the library, apart from the resident
+# batches' cache so that no modulus powmod sees can evict a context that
+# batches share.  A modulus earns one on its second call: a one-off
+# modulus (a Miller-Rabin candidate that fails its first witness) never
+# builds one, so it cannot push out the contexts of the keys in use.
+# Threads race on both dicts harmlessly: at worst a context is built
+# twice or dropped early, and each call keeps the one it holds.
+_power_contexts: Dict[int, _ModulusContext] = {}
+_seen_once: Dict[int, None] = {}
+
 
 def _context(lib: ctypes.CDLL, modulus: int) -> _ModulusContext:
     """The cached context of an odd ``modulus`` of at least the cutoff."""
@@ -472,6 +521,23 @@ def _context(lib: ctypes.CDLL, modulus: int) -> _ModulusContext:
         if len(_contexts) >= _CONTEXT_CACHE_MAX:
             _contexts.clear()
         context = _contexts[modulus] = _ModulusContext(lib, modulus)
+    return context
+
+
+def _power_context(lib: ctypes.CDLL,
+                   modulus: int) -> Optional[_ModulusContext]:
+    """The cached context :func:`powmod` runs ``modulus`` under, or
+    ``None`` the first time it sees ``modulus``."""
+    context = _power_contexts.get(modulus)
+    if context is None:
+        if modulus not in _seen_once:
+            if len(_seen_once) >= _SEEN_ONCE_MAX:
+                _seen_once.clear()
+            _seen_once[modulus] = None
+            return None
+        if len(_power_contexts) >= _CONTEXT_CACHE_MAX:
+            _power_contexts.clear()
+        context = _power_contexts[modulus] = _ModulusContext(lib, modulus)
     return context
 
 
@@ -551,10 +617,13 @@ class _Worker:
         self._finished.acquire()
         self._job: Optional[Callable[[], object]] = None
         self._outcome: Tuple[bool, object] = (True, None)
+        #: What the jobs counted since the owner last collected it.
+        self.work: Counter = Counter()
         threading.Thread(target=self._serve, name="repro-native-worker",
                          daemon=True).start()
 
     def _serve(self) -> None:
+        _local.work = self.work
         while True:
             self._posted.acquire()
             job, self._job = self._job, None
@@ -639,6 +708,8 @@ def run_pair(first: Callable[[], T], second: Callable[[], U],
         # Released only once the job is collected: a wait interrupted
         # here leaves the worker owned, and later batches run serially.
         ok, first_value = worker.wait()
+        WORK.update(worker.work)
+        worker.work.clear()
         worker.busy.release()
     if not ok:
         raise first_value

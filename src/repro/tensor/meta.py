@@ -119,6 +119,11 @@ class TensorMeta:
         """Ciphertext words the payload occupies (codec-dependent)."""
         return self._num_words
 
+    @property
+    def slot_codec(self):
+        """The codec object :attr:`codec` names, built with this meta."""
+        return self._codec
+
     def summand_capacity(self) -> int:
         """How many same-layout tensors may be slot-wise summed.
 

@@ -16,7 +16,6 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.quantization.codecs import build_codec
 from repro.quantization.packing import SlotCodec
 from repro.tensor.meta import TensorMeta
 
@@ -104,7 +103,7 @@ class PlainTensor:
         interleaved and sparse payloads all come back through the same
         call.
         """
-        decoded = build_codec(self.meta).decode_words(
+        decoded = self.meta.slot_codec.decode_words(
             list(self.words), self.meta.count, summands=self.meta.summands)
         return np.asarray(decoded).reshape(self.meta.shape)
 

@@ -22,12 +22,27 @@ from typing import List, Sequence
 from repro.mpint.primes import LimbRandom
 
 
+def sigma(p: int, q: int, r: int) -> int:
+    """The unit whose ``n``-th power is a key holder's obfuscator of ``r``.
+
+    ``r^(q^-1 mod (p-1)) mod p`` and ``r^(p^-1 mod (q-1)) mod q``, joined
+    by the CRT: a permutation of ``Z_n*``, so ``pow(sigma(p, q, r), n,
+    n^2)`` of a uniform unit is the textbook obfuscator's distribution.
+    Computed from its definition, not from the key's Teichmuller-lift
+    shortcut (:meth:`repro.crypto.keys.PaillierPrivateKey.obfuscators`).
+    """
+    x_p = pow(r % p, pow(q, -1, p - 1), p)
+    x_q = pow(r % q, pow(p, -1, q - 1), q)
+    return x_q + q * ((x_p - x_q) * pow(q, -1, p) % p)
+
+
 class PaillierReference:
     """Textbook Paillier over raw integers, ``pow()`` only.
 
     Encryption is Eq. 3 with ``g = n + 1`` expanded literally as
-    ``pow(g, m, n^2)`` (no ``1 + mn`` shortcut), decryption is the
-    literal Eq. 4 ``L(c^lambda) * mu`` formula (no CRT).
+    ``pow(g, m, n^2)`` (no ``1 + mn`` shortcut), taking the key holder's
+    obfuscator ``pow(sigma(r), n, n^2)`` of each draw ``r`` (:func:`sigma`);
+    decryption is the literal Eq. 4 ``L(c^lambda) * mu`` formula (no CRT).
     """
 
     capabilities = frozenset({"encrypt", "decrypt", "add", "scalar_mul"})
@@ -55,8 +70,9 @@ class PaillierReference:
                 raise ValueError(f"plaintext {m} outside [0, n)")
             r = self._rng.random_unit(self._n)
             g_m = pow(self.public_key.g, m, self._n_squared)
-            out.append((g_m * pow(r, self._n, self._n_squared))
-                       % self._n_squared)
+            r_n = pow(sigma(self.private_key.p, self.private_key.q, r),
+                      self._n, self._n_squared)
+            out.append((g_m * r_n) % self._n_squared)
         return out
 
     def decrypt(self, ciphertexts: Sequence[int]) -> List[int]:

@@ -1,10 +1,12 @@
-"""The key-holder ``r^n mod n^2`` route returns ``pow(r, n, n^2)`` exactly.
+"""The key-holder obfuscator of ``r`` is ``pow(sigma(r), n, n^2)`` exactly,
+and draws the textbook ``r^n`` distribution.
 
 The key-level half of this module is pure integer arithmetic and runs
 without numpy (the ``numpy-free degradation`` CI job collects it); the
 engine-level half needs the tensor stack and is skipped there.  Every
-expected value is computed with ``pow()`` alone, at the key sizes the
-paper charges (1024/2048 bits) as well as the suite's small keys.
+expected value is computed with ``pow()`` alone
+(:func:`repro.testing.reference.sigma`), at the key sizes the paper
+charges (1024/2048 bits) as well as the suite's small keys.
 """
 
 from __future__ import annotations
@@ -16,14 +18,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collections import Counter
+
 from repro.crypto.keys import (
     PaillierKeypair,
+    PaillierPrivateKey,
     PaillierPublicKey,
     generate_paillier_keypair,
 )
 from repro.crypto.paillier import Paillier
 from repro.mpint import limb_plane
 from repro.mpint.primes import LimbRandom
+from repro.testing.reference import sigma
 
 from tests.conftest import seed_for
 
@@ -50,7 +56,8 @@ class TestKeyHolderIdentity:
         @given(st.integers(min_value=1, max_value=pub.n - 1)
                .filter(lambda r: math.gcd(r, pub.n) == 1))
         def check(r):
-            assert pri.obfuscator(r) == pow(r, pub.n, pub.n_squared)
+            assert pri.obfuscator(r) == \
+                pow(sigma(pri.p, pri.q, r), pub.n, pub.n_squared)
 
         check()
 
@@ -59,13 +66,26 @@ class TestKeyHolderIdentity:
         n = pub.n
         for r in (1, n - 1, n + 2, pub.n_squared + 3,   # units, r >= n
                   0, pri.p, pri.q, n, 2 * pri.p):       # non-units
-            assert pri.obfuscator(r) == pow(r, n, pub.n_squared), r
+            assert pri.obfuscator(r) == \
+                pow(sigma(pri.p, pri.q, r), n, pub.n_squared), r
 
     def test_raw_encrypt_still_rejects_non_units(self, bits):
         pri, pub = _keypair(bits)
         for r in (0, pri.p, pri.q):
             with pytest.raises(ValueError, match="unit"):
                 Paillier.raw_encrypt(pub, 1, r=r)
+
+
+def test_a_tiny_key_holder_draws_the_textbook_distribution():
+    """Over all of ``Z_n*``: sigma is a permutation, so the key holder's
+    obfuscators are the textbook ``r^n``, each exactly as often."""
+    p, q = 23, 29
+    pub = PaillierPublicKey(n=p * q, key_bits=10)
+    pri = PaillierPrivateKey(p=p, q=q, public_key=pub)
+    units = [r for r in range(pub.n) if math.gcd(r, pub.n) == 1]
+    assert sorted(sigma(p, q, r) for r in units) == units
+    assert Counter(pri.obfuscators(units)) == \
+        Counter(pow(r, pub.n, pub.n_squared) for r in units)
 
 
 def test_public_key_only_fallback_is_pow():
@@ -111,7 +131,9 @@ class TestEngineObfuscators:
         pub = keypair.public_key
         seed = seed_for(1320 + bits)
         draws = LimbRandom(seed=seed)
-        expected = [pow(draws.random_unit(pub.n), pub.n, pub.n_squared)
+        pri = keypair.private_key
+        expected = [pow(sigma(pri.p, pri.q, draws.random_unit(pub.n)),
+                        pub.n, pub.n_squared)
                     for _ in range(3)]
         for engine in _engines(keypair, seed, pool_size=3):
             assert engine.randomizer_pool_snapshot() == expected, \
@@ -126,3 +148,13 @@ class TestEngineObfuscators:
         for engine in _engines(keypair, seed, pool_size=0):
             assert engine.encrypt_batch(values) == expected, \
                 type(engine).__name__
+
+    def test_fresh_and_pooled_encryptions_decrypt(self, bits):
+        keypair = _keypair(bits)
+        values = [0, 1, 2, keypair.public_key.n - 1, 12345]
+        for pool_size in (0, 3):
+            for engine in _engines(keypair, seed_for(1340 + bits),
+                                   pool_size=pool_size):
+                assert engine.decrypt_batch(
+                    engine.encrypt_batch(values)) == values, \
+                    (type(engine).__name__, pool_size)

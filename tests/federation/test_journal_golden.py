@@ -26,6 +26,16 @@ captured at commit ``7ea0927`` by running every scenario with
 :func:`node_prints` (and :func:`coordinator_print`) also recording each
 node's ``wal.image()`` (and ``digest_trail``).
 
+A third change moved ciphertext bytes: the key holder's obfuscator of a
+draw ``r`` became ``sigma(r)^n`` instead of ``r^n`` (same distribution,
+two library powers instead of four).  :data:`GOLDEN` keeps the literals
+captured before it, which the two tests above read;
+:data:`MOVED` lists what moved and :data:`LIFTED` is what this code
+journals.  The mapping is the obfuscator route itself:
+:func:`test_textbook_obfuscators_reproduce_the_parent_literals` runs
+every scenario with the key holder's obfuscators routed to the textbook
+``r^n`` and reproduces every :data:`GOLDEN` literal.
+
 Only :func:`build_simulator`, :func:`simulator_nodes` and
 :func:`result_failovers` know how a simulator is built from a spec and
 where it keeps a node's coordinator; the federation-layer scenarios
@@ -42,6 +52,7 @@ import pytest
 
 from pathlib import Path
 
+from repro.crypto.keys import PaillierPrivateKey
 from repro.federation.coordinator import (
     CoordinatorKilled,
     DurableCoordinator,
@@ -727,6 +738,159 @@ GOLDEN["runtime-tenancy-pool-kill"] = {
 }
 
 
+#: The literals that moved when the key holder's obfuscator of a draw
+#: ``r`` became ``sigma(r)^n`` (Teichmuller lifts of ``r mod p`` and
+#: ``r mod q``, :meth:`repro.crypto.keys.PaillierPrivateKey.obfuscators`)
+#: instead of ``r^n``.  Ciphertext bytes moved, so every node journal's
+#: CRC and state digest, each failover's recovered digest and the
+#: ``runtime-durable*`` trails moved; record counts, checksums (the
+#: decrypted results), ``final_time``, ledgers, the pool's topology
+#: journal and the injector's ``triggered`` sequences did not.
+MOVED = {
+    "durable": {
+        "nodes": {"coordinator": [24, 956691102, 3576089310]},
+    },
+    "durable-crash": {
+        "failovers": [["coordinator", 10, 1, 2808584874]],
+        "nodes": {"coordinator": [24, 4243304910, 224541454]},
+    },
+    "durable-crash-at-close": {
+        "failovers": [["coordinator", 7, 1, 2056258440]],
+        "nodes": {"coordinator": [24, 4243304910, 224541454]},
+    },
+    "durable-failover": {
+        "failovers": [["coordinator", 3, 1, 1443966947]],
+        "nodes": {"coordinator": [24, 2447456071, 3537187457]},
+    },
+    "durable-gate": {
+        "nodes": {"coordinator": [26, 827850777, 2673072832]},
+    },
+    "runtime-durable": {
+        "nodes": {"coordinator": [14, 3066664756, 2461591832]},
+        "trail": 1933349839,
+    },
+    "runtime-durable-recovered": {
+        "nodes": {"coordinator": [14, 566080452, 2598321895]},
+        "recovered_digest": 3795170541,
+        "trail": 3171002953,
+    },
+    "runtime-durable-standby": {
+        "nodes": {"coordinator": [14, 566080452, 2598321895]},
+        "recovered_digest": 2212457992,
+        "trail": 3171002953,
+    },
+    "runtime-sharded": {
+        "nodes": {"root": [14, 110064068, 2048828027], "shard-0": [12,
+            3196020877, 397573038], "shard-1": [12, 703901440, 994894254],
+            "shard-2": [12, 2137933631, 4056744214]},
+    },
+    "runtime-sharded-gate": {
+        "nodes": {"root": [13, 144424734, 2337863024], "shard-0": [11,
+            2355062232, 3966950822], "shard-1": [5, 478417496, 653827262],
+            "shard-2": [11, 2789171137, 927278018]},
+    },
+    "runtime-sharded-interleave": {
+        "nodes": {"root": [14, 2707074438, 2713067743], "shard-0": [12,
+            3218155969, 4107938796], "shard-1": [12, 2571991799,
+            2341969749], "shard-2": [12, 1480830529, 2048935082]},
+    },
+    "runtime-sharded-leaf-kill": {
+        "failovers": [["shard-1", 3, 1, 1786344544]],
+        "nodes": {"root": [14, 110064068, 2048828027], "shard-0": [12,
+            3196020877, 397573038], "shard-1": [12, 2457114154, 2732148637],
+            "shard-2": [12, 2137933631, 4056744214]},
+    },
+    "runtime-sharded-root-failover": {
+        "failovers": [["root", 7, 1, 2179957134]],
+        "nodes": {"root": [14, 3776170885, 331241662], "shard-0": [12,
+            3196020877, 397573038], "shard-1": [12, 703901440, 994894254],
+            "shard-2": [12, 2137933631, 4056744214]},
+    },
+    "runtime-tenancy": {
+        "nodes": {"tenant-a/root": [18, 2132969248, 4252475263],
+            "tenant-a/shard-2": [5, 3787665069, 4271722400],
+            "tenant-a/shard-3": [5, 3602996106, 1849830295],
+            "tenant-a/shard-4": [5, 134166999, 1767446577],
+            "tenant-a/shard-6": [7, 1570000936, 2591900392],
+            "tenant-a/shard-7": [6, 2229387578, 1598096942],
+            "tenant-a/shard-8": [5, 724934233, 3418774374], "tenant-b/root":
+            [18, 3416138130, 1368056049], "tenant-b/shard-2": [5,
+            2514795981, 2123175264], "tenant-b/shard-3": [6, 2144514920,
+            4034857013], "tenant-b/shard-4": [5, 2187629190, 2364132513],
+            "tenant-b/shard-6": [8, 223218889, 3681730904],
+            "tenant-b/shard-7": [6, 1781989203, 2551762981],
+            "tenant-b/shard-8": [6, 242776618, 1444442913]},
+    },
+    "sharded": {
+        "nodes": {"root": [21, 1600533505, 3125556807], "shard-0": [18,
+            2675912119, 2102896015], "shard-1": [18, 440575642, 2733126725],
+            "shard-2": [18, 3699762124, 2907195314]},
+    },
+    "sharded-cohort": {
+        "nodes": {"root": [18, 3612462813, 2692320327], "shard-0": [21,
+            1474080795, 2604765542], "shard-1": [18, 3910038214,
+            714156447]},
+    },
+    "sharded-gate": {
+        "nodes": {"root": [21, 3145316754, 3848783349], "shard-0": [17,
+            484916155, 4046212939], "shard-1": [17, 2241099325, 3285975975],
+            "shard-2": [16, 4163184139, 292051664]},
+    },
+    "sharded-leaf-kill": {
+        "failovers": [["shard-0", 9, 1, 4098137218]],
+        "nodes": {"root": [21, 1600533505, 3125556807], "shard-0": [18,
+            1572411007, 3188783752], "shard-1": [18, 440575642, 2733126725],
+            "shard-2": [18, 3699762124, 2907195314]},
+    },
+    "sharded-leaf-racing-root": {
+        "failovers": [["shard-1", 2, 1, 782190702], ["root", 1, 1,
+            4215319081]],
+        "nodes": {"root": [21, 908070432, 2669252734], "shard-0": [18,
+            2675912119, 2102896015], "shard-1": [18, 3938493633, 953832371],
+            "shard-2": [18, 3699762124, 2907195314]},
+    },
+    "sharded-root-failover": {
+        "failovers": [["root", 8, 1, 1028840590]],
+        "nodes": {"root": [21, 690231129, 2256597598], "shard-0": [18,
+            2675912119, 2102896015], "shard-1": [18, 440575642, 2733126725],
+            "shard-2": [18, 3699762124, 2907195314]},
+    },
+    "tenancy": {
+        "nodes": {"tenant-a/root": [18, 327019553, 391310543],
+            "tenant-a/shard-2": [5, 1364944828, 774868330],
+            "tenant-a/shard-3": [6, 1382867861, 1457432697],
+            "tenant-a/shard-4": [5, 2968646568, 617496621],
+            "tenant-a/shard-6": [8, 3402377158, 2865098074],
+            "tenant-a/shard-7": [6, 2333589242, 180716451],
+            "tenant-a/shard-8": [6, 664037452, 2730708451], "tenant-b/root":
+            [18, 1416959563, 72515152], "tenant-b/shard-2": [5, 437829030,
+            2477545282], "tenant-b/shard-3": [6, 1130422006, 486558193],
+            "tenant-b/shard-4": [5, 374236355, 922033033],
+            "tenant-b/shard-6": [8, 1711150748, 1890327200],
+            "tenant-b/shard-7": [6, 1394078341, 1083399274],
+            "tenant-b/shard-8": [6, 1544764242, 1377747466]},
+    },
+    "tenancy-noisy": {
+        "nodes": {"tenant-a/root": [13, 196337657, 1477115854],
+            "tenant-a/shard-2": [5, 1491860060, 1497056268],
+            "tenant-a/shard-3": [10, 577104545, 4020506757],
+            "tenant-a/shard-4": [10, 632931986, 2857671655],
+            "tenant-b/root": [21, 2121317902, 1126514171],
+            "tenant-b/shard-2": [15, 3011486069, 3871246319],
+            "tenant-b/shard-3": [18, 3726198641, 565473776],
+            "tenant-b/shard-4": [15, 2496433367, 2673020444]},
+    },
+}
+
+# A pool kill moves no tenant node's journal (see GOLDEN above).
+MOVED["tenancy-pool-kill"] = MOVED["tenancy"]
+MOVED["runtime-tenancy-pool-kill"] = MOVED["runtime-tenancy"]
+
+#: What this code journals: :data:`GOLDEN` with :data:`MOVED` applied.
+LIFTED = {name: {**golden, **MOVED.get(name, {})}
+          for name, golden in GOLDEN.items()}
+
+
 #: ``durable-failover.final_time`` as captured up to commit ``9bb9484``,
 #: when the flat coordinator's failover waited out the lease plus a
 #: fixed 1.0 s grace; the tree's rule it now shares waits out the lease
@@ -805,6 +969,19 @@ def test_every_pre_checkpoint_journal_still_replays(name):
 def test_journal_matches_golden(name):
     # Through JSON so tuples and int keys compare as the literal holds them.
     actual = json.loads(json.dumps(scenario_print(name)))
+    assert actual == LIFTED[name]
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_textbook_obfuscators_reproduce_the_parent_literals(name,
+                                                           monkeypatch):
+    """Rule (b): the key holder's obfuscator is the only change.  Routed
+    back to the textbook ``r^n`` of the public key, every scenario
+    journals :data:`GOLDEN`, the literals captured before it."""
+    monkeypatch.setattr(
+        PaillierPrivateKey, "obfuscators",
+        lambda self, randomizers: self.public_key.obfuscators(randomizers))
+    actual = json.loads(json.dumps(scenario_print(name)))
     assert actual == GOLDEN[name]
 
 
@@ -826,7 +1003,8 @@ def test_issue_headline_values():
 
 
 if __name__ == "__main__":
-    # Capture mode: prints the GOLDEN literal for the checked-out code.
+    # Capture mode: prints every literal the checked-out code journals
+    # (today's is LIFTED; GOLDEN holds the textbook-obfuscator capture).
     import textwrap
 
     print("GOLDEN = {")

@@ -16,9 +16,10 @@ import pytest
 
 from repro.counters import (
     CHECKPOINTS, CODEC_LOOKUPS, CONVERSIONS, DIGESTS, FRAMES_DECODED,
-    JOURNAL_PARSES, LAUNCH_PRICES, METAS_BUILT, OBFUSCATORS, OVERFLOW_BITS,
-    RECORDS_REPLAYED, RESIDENT_PRODUCTS, STANDBYS_BUILT, WORDS_ENTERED,
-    WORKER_SUBMISSIONS, counted)
+    JOURNAL_PARSES, LAUNCH_PRICES, METAS_BUILT, MONTGOMERY_CONTEXTS,
+    OBFUSCATORS, OVERFLOW_BITS, POWMODS, RECORDS_REPLAYED,
+    RESIDENT_PRODUCTS, STANDBYS_BUILT, WORDS_ENTERED, WORKER_SUBMISSIONS,
+    counted)
 from repro.crypto.gpu_engine import GpuPaillierEngine
 from repro.datasets.generators import synthetic_like
 from repro.federation.coordinator import (
@@ -67,6 +68,47 @@ def test_a_1024_word_sum_stays_resident_at_every_level():
     assert added[RESIDENT_PRODUCTS] == \
         engine.kernels.device.launches - launches == 10
     assert engine.decrypt_batch([total]) == [1023 * 512]
+
+
+@pytest.mark.skipif(not native.HAVE_NATIVE,
+                    reason="library powers need the native library")
+def test_a_fresh_key_holder_encrypt_takes_two_library_powers_a_word():
+    """One Teichmuller lift per prime, ``a^p mod p^2`` and ``b^q mod
+    q^2``; the textbook ``r^n`` by the same lifts took four."""
+    engine = GpuPaillierEngine(cached_keypair(1024, seed=1),
+                               randomizer_pool_size=0)
+    with counted() as added:
+        engine.encrypt_batch(list(range(63)))
+    assert added[OBFUSCATORS] == 63
+    assert added[POWMODS] == 126
+
+
+@pytest.mark.skipif(not native.HAVE_NATIVE,
+                    reason="library powers need the native library")
+def test_a_warm_agg_fresh_round_builds_no_montgomery_context(monkeypatch):
+    """``agg_fresh_1024``'s shape: every modulus a round raises powers
+    under -- ``p^2`` and ``q^2``, for the lifts and the CRT decrypt --
+    kept its context from the first round."""
+    monkeypatch.setattr(native, "_power_contexts", {})
+    monkeypatch.setattr(native, "_seen_once", {})
+    runtime = FederationRuntime(FLBOOSTER_SYSTEM, num_clients=2,
+                                key_bits=1024, physical_key_bits=1024,
+                                seed=7, randomizer_pool_size=0,
+                                he_backend="auto")
+    rng = np.random.default_rng(7)
+
+    def one_round():
+        runtime.begin_epoch()
+        runtime.aggregator.aggregate([rng.uniform(-1.0, 1.0, 2048)
+                                      for _ in range(2)])
+
+    one_round()
+    with counted() as added:
+        one_round()
+    # 2 x 63 words: two powers per obfuscator, two per decryption of
+    # the 63-word sum.
+    assert added[POWMODS] == 2 * 126 + 2 * 63
+    assert added[MONTGOMERY_CONTEXTS] == 0
 
 
 @pytest.mark.skipif(not native.HAVE_NATIVE,

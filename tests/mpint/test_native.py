@@ -25,8 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.counters import (CONVERSIONS, WORDS_ENTERED, WORKER_SUBMISSIONS,
-                            counted)
+from repro.counters import (CONVERSIONS, MONTGOMERY_CONTEXTS, POWMODS,
+                            WORDS_ENTERED, WORKER_SUBMISSIONS, counted)
 from repro.crypto.keys import generate_paillier_keypair
 from repro.crypto.paillier import Paillier
 from repro.mpint import native
@@ -38,6 +38,7 @@ from repro.mpint.native import (
     resident,
 )
 from repro.mpint.primes import LimbRandom
+from repro.testing.reference import sigma
 from tests.conftest import seed_for
 
 needs_native = pytest.mark.skipif(
@@ -187,6 +188,61 @@ def test_unbound_library_is_pure_pow(no_native, library_calls):
 
 
 # ----------------------------------------------------------------------
+# One Montgomery context per repeated modulus.
+# ----------------------------------------------------------------------
+
+@pytest.fixture()
+def fresh_power_contexts(monkeypatch):
+    """Empty caches of the contexts powmod keeps and the moduli it saw."""
+    monkeypatch.setattr(native, "_power_contexts", {})
+    monkeypatch.setattr(native, "_seen_once", {})
+
+
+@needs_native
+def test_a_repeated_modulus_gets_one_context_and_one_off_moduli_none(
+        fresh_power_contexts, monkeypatch):
+    monkeypatch.setattr(native, "_contexts", {})
+    modulus = (1 << 521) - 1
+    batch = resident([5, 7], modulus)
+    # Miller-Rabin's shape: many candidates, most tried once.
+    candidates = [(1 << 600) + 2 * i + 1 for i in range(40)]
+    with counted() as added:
+        for _ in range(3):
+            assert powmod(3, modulus - 2, modulus) == \
+                pow(3, modulus - 2, modulus)
+        for candidate in candidates:
+            assert powmod(2, candidate >> 1, candidate) == \
+                pow(2, candidate >> 1, candidate)
+    assert added[POWMODS] == 43
+    # The first call's context is the library's own, the second builds
+    # the one kept; each one-off gets the library's own.
+    assert added[MONTGOMERY_CONTEXTS] == 2 + 40
+    assert list(native._power_contexts) == [modulus]
+    # The resident batches' context is another cache's, and stays.
+    assert native._contexts[modulus] is batch._context
+    assert type(mulmod_batch(batch, resident([2, 3], modulus),
+                             modulus)) is ResidueBatch
+
+
+@needs_native
+def test_a_dropped_context_clears_its_modulus(monkeypatch):
+    """A modulus may be a secret prime: its ``BIGNUM`` is cleared."""
+    cleared = []
+    clear_free = native._lib.BN_clear_free
+
+    def spy(number):
+        cleared.append(number)
+        clear_free(number)
+
+    monkeypatch.setattr(native._lib, "BN_clear_free", spy)
+    context = native._ModulusContext(native._lib, (1 << 521) - 1)
+    number = context._bn_modulus
+    del context
+    gc.collect()
+    assert cleared == [number]
+
+
+# ----------------------------------------------------------------------
 # Binding.
 # ----------------------------------------------------------------------
 
@@ -277,6 +333,39 @@ def test_two_threads_interleaving_calls():
     assert results == expected
 
 
+@needs_native
+def test_threads_racing_on_the_context_caches_get_pow(fresh_power_contexts,
+                                                      monkeypatch):
+    """More threads than cores over more moduli than the caches hold, so
+    admissions, builds and evictions race; each call still gets pow()."""
+    monkeypatch.setattr(native, "_CONTEXT_CACHE_MAX", 2)
+    monkeypatch.setattr(native, "_SEEN_ONCE_MAX", 2)
+    moduli = [(1 << 521) - 1, (1 << 607) - 1, (1 << 521) + 3, (1 << 600) + 1]
+    rounds = 60
+    expected = [[pow(i + 2, modulus >> 5, modulus) for i in range(rounds)]
+                for modulus in moduli]
+    results = [None] * 6
+
+    def work(slot):
+        results[slot] = [[powmod(i + 2, modulus >> 5, modulus)
+                          for modulus in moduli] for i in range(rounds)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(slot,))
+                   for slot in range(len(results))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(result == [list(row) for row in zip(*expected)]
+               for result in results)
+
+
 # ----------------------------------------------------------------------
 # Two halves on two cores: run_pair.
 # ----------------------------------------------------------------------
@@ -347,8 +436,12 @@ def test_split_halves_are_the_serial_integers(always_split):
         assert Paillier.raw_decrypt_batch(pri, ciphertexts) == values == [
             Paillier.raw_decrypt_textbook(pri, c) for c in ciphertexts]
         assert pri.obfuscators(randomizers) == \
-            [pow(r, pub.n, pub.n_squared) for r in randomizers]
+            [pow(sigma(pri.p, pri.q, r), pub.n, pub.n_squared)
+             for r in randomizers]
     assert added[WORKER_SUBMISSIONS] == 2
+    # The worker's powers are counted too, once the caller collects them:
+    # two per decryption and two per obfuscator.
+    assert added[POWMODS] == 36
 
 
 @needs_native

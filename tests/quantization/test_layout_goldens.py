@@ -10,7 +10,8 @@ codec and capacity named.
 import numpy as np
 import pytest
 
-from repro.counters import CODECS_BUILT, OVERFLOW_BITS, counted
+from repro.counters import (CODEC_LOOKUPS, CODECS_BUILT, OVERFLOW_BITS,
+                            counted)
 from repro.quantization.codecs import (
     CODECS,
     InterleavedCodec,
@@ -166,3 +167,15 @@ def test_sparse_codec_encodes_an_empty_array():
     zeros = SparseCodec.for_values(np.zeros(5), SCHEME, 64)
     assert zeros.pack_values(np.zeros(5)) == [0]
     assert PlainTensor.encode(np.zeros(5), zeros).meta.num_words == 1
+
+
+def test_a_warm_decode_looks_up_no_codec():
+    """The meta built its codec; decoding reads it there."""
+    packer = BatchPacker(SCHEME, plaintext_bits=256)
+    values = np.linspace(-1.0, 1.0, 64)
+    plain = PlainTensor.encode(values, packer)
+    with counted() as added:
+        for _ in range(10):
+            assert np.allclose(plain.decode(), values,
+                               atol=SCHEME.quantization_step)
+    assert added[CODEC_LOOKUPS] == 0
