@@ -79,6 +79,7 @@ import os
 import threading
 from collections import Counter
 from collections.abc import Sequence
+from functools import cached_property
 from itertools import repeat
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Tuple, TypeVar, Union)
@@ -87,7 +88,7 @@ from repro.counters import (CONVERSIONS, MONTGOMERY_CONTEXTS, POWMODS,
                             RESIDENT_PRODUCTS, WORDS_ENTERED, WORK,
                             WORKER_SUBMISSIONS)
 
-__all__ = ["powmod", "resident", "mulmod_batch", "ResidueBatch",
+__all__ = ["powmod", "forget", "resident", "mulmod_batch", "ResidueBatch",
            "run_pair", "HAVE_NATIVE", "BACKEND", "NATIVE_MIN_MODULUS_BITS",
            "SPLIT_MIN_WORK"]
 
@@ -119,9 +120,6 @@ _FREE_LIST_MAX = 4096
 # Most moduli with a live context in each cache (a key uses a handful).
 _CONTEXT_CACHE_MAX = 16
 
-# Most moduli :func:`powmod` remembers having seen once.
-_SEEN_ONCE_MAX = 256
-
 
 class _Scratch:
     """One thread's ``BIGNUM`` operands, ``BN_CTX`` and output buffer.
@@ -132,7 +130,7 @@ class _Scratch:
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self.lib = lib
-        self.numbers = [lib.BN_new() for _ in range(4)]
+        self.numbers = [lib.BN_new() for _ in range(3)]
         self.ctx = lib.BN_CTX_new()
         self.buffer = ctypes.create_string_buffer(512)
         if not (all(self.numbers) and self.ctx):
@@ -213,12 +211,11 @@ def _bn_powmod(lib: ctypes.CDLL, scratch: _Scratch, base: int,
     """``base^exponent mod modulus`` through the library, or ``None``.
 
     Requires ``0 <= base < modulus``, ``exponent >= 0`` and an odd
-    ``modulus > 1``.  A modulus seen before runs under its cached
-    Montgomery context (:func:`_power_context`); a new one under the
-    context the library sets up inside the call.  ``None`` means a
-    ``BN_*`` call reported failure; the library's per-thread error queue
-    is emptied so the failure cannot surface later inside :mod:`ssl` or
-    :mod:`hashlib`.
+    ``modulus > 1``.  Every modulus runs under its cached Montgomery
+    context (:func:`_power_context`), built on its first call.  ``None``
+    means a ``BN_*`` call reported failure; the library's per-thread
+    error queue is emptied so the failure cannot surface later inside
+    :mod:`ssl` or :mod:`hashlib`.
     """
     work = _work()
     try:
@@ -226,25 +223,19 @@ def _bn_powmod(lib: ctypes.CDLL, scratch: _Scratch, base: int,
     except MemoryError:
         lib.ERR_clear_error()
         return None
-    result, bn_base, bn_exponent, bn_modulus = scratch.numbers
+    result, bn_base, bn_exponent = scratch.numbers
     size = (modulus.bit_length() + 7) >> 3
     buffer = scratch.sized_buffer(size)
     exponent_size = (exponent.bit_length() + 7) >> 3
     bin2bn = lib.BN_bin2bn
-    if context is None:
-        mont = None
-        ok = bin2bn(modulus.to_bytes(size, "big"), size, bn_modulus)
-    else:
-        bn_modulus, mont, ok = context._bn_modulus, context._mont, True
-    ok = (ok and bin2bn(base.to_bytes(size, "big"), size, bn_base)
+    ok = (bin2bn(base.to_bytes(size, "big"), size, bn_base)
           and bin2bn(exponent.to_bytes(exponent_size, "big"),
                      exponent_size, bn_exponent))
     if ok:
         work[POWMODS] += 1
-        if mont is None:
-            work[MONTGOMERY_CONTEXTS] += 1
         ok = lib.BN_mod_exp_mont_consttime(
-            result, bn_base, bn_exponent, bn_modulus, scratch.ctx, mont)
+            result, bn_base, bn_exponent, context._bn_modulus, scratch.ctx,
+            context._mont)
     if not ok:
         lib.ERR_clear_error()
         return None
@@ -338,15 +329,6 @@ class _ModulusContext:
                                         scratch.ctx)):
             raise MemoryError("libcrypto could not set up a BN_MONT_CTX")
         _work()[MONTGOMERY_CONTEXTS] += 1
-        # R is whatever this build's word size makes it: the Montgomery
-        # product of 1 and 1 is R^-1.  Scratch operands, not blocks, so
-        # building a context frees no handles.
-        r_inverse, one = scratch.numbers[0], scratch.numbers[2]
-        if not (lib.BN_lebin2bn(b"\x01", 1, one)
-                and lib.BN_mod_mul_montgomery(r_inverse, one, one,
-                                              self._mont, scratch.ctx)):
-            raise MemoryError("BN_mod_mul_montgomery failed")
-        self._r = powmod(self.leave(r_inverse, 0), -1, modulus)
 
     def __del__(self) -> None:
         if self._mont:
@@ -387,6 +369,22 @@ class _ModulusContext:
                                                   _spread(y, count))]
         WORK[RESIDENT_PRODUCTS] += 1
         return ResidueBatch(self, block.handles, deficits, (block,))
+
+    @cached_property
+    def _r(self) -> int:
+        """R, whatever this build's word size makes it: the Montgomery
+        product of 1 and 1 is R^-1.  Found on the first fixup, so a
+        context that only runs powers never pays for the inverse."""
+        lib = self._lib
+        scratch = _scratch(lib)
+        # Scratch operands, not blocks, so this frees no handles.
+        r_inverse, one = scratch.numbers[0], scratch.numbers[2]
+        if not (lib.BN_lebin2bn(b"\x01", 1, one)
+                and lib.BN_mod_mul_montgomery(r_inverse, one, one,
+                                              self._mont, scratch.ctx)):
+            lib.ERR_clear_error()
+            raise MemoryError("BN_mod_mul_montgomery failed")
+        return powmod(self.leave(r_inverse, 0), -1, self.modulus)
 
     def leave(self, handle: int, deficit: int) -> int:
         """The residue a handle of the given deficit stands for."""
@@ -505,13 +503,11 @@ _contexts: Dict[int, _ModulusContext] = {}
 
 # The contexts powmod hands the library, apart from the resident
 # batches' cache so that no modulus powmod sees can evict a context that
-# batches share.  A modulus earns one on its second call: a one-off
-# modulus (a Miller-Rabin candidate that fails its first witness) never
-# builds one, so it cannot push out the contexts of the keys in use.
-# Threads race on both dicts harmlessly: at worst a context is built
-# twice or dropped early, and each call keeps the one it holds.
+# batches share.  A prime candidate's context is dropped when its test
+# ends (:func:`forget`).  Threads race on both dicts harmlessly: at worst
+# a context is built twice or dropped early, and each call keeps the one
+# it holds.
 _power_contexts: Dict[int, _ModulusContext] = {}
-_seen_once: Dict[int, None] = {}
 
 
 def _context(lib: ctypes.CDLL, modulus: int) -> _ModulusContext:
@@ -524,17 +520,10 @@ def _context(lib: ctypes.CDLL, modulus: int) -> _ModulusContext:
     return context
 
 
-def _power_context(lib: ctypes.CDLL,
-                   modulus: int) -> Optional[_ModulusContext]:
-    """The cached context :func:`powmod` runs ``modulus`` under, or
-    ``None`` the first time it sees ``modulus``."""
+def _power_context(lib: ctypes.CDLL, modulus: int) -> _ModulusContext:
+    """The cached context :func:`powmod` runs ``modulus`` under."""
     context = _power_contexts.get(modulus)
     if context is None:
-        if modulus not in _seen_once:
-            if len(_seen_once) >= _SEEN_ONCE_MAX:
-                _seen_once.clear()
-            _seen_once[modulus] = None
-            return None
         if len(_power_contexts) >= _CONTEXT_CACHE_MAX:
             _power_contexts.clear()
         context = _power_contexts[modulus] = _ModulusContext(lib, modulus)
@@ -596,6 +585,16 @@ def powmod(base: int, exponent: int, modulus: int) -> int:
     if result is None:
         return pow(base, exponent, modulus)
     return result
+
+
+def forget(modulus: int) -> None:
+    """Drop the context :func:`powmod` keeps for ``modulus``.
+
+    For a modulus that will not come back, or must not stay in the
+    process (a prime candidate): its ``BIGNUM`` is cleared once no call
+    in flight still holds the context.
+    """
+    _power_contexts.pop(modulus, None)
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-from repro.mpint.native import powmod
+from repro.mpint.native import forget, powmod
 
 #: Small primes for fast trial division before Miller-Rabin.
 _SMALL_PRIMES = (
@@ -107,18 +107,23 @@ def is_probable_prime(candidate: int, rounds: int = DEFAULT_ROUNDS,
         d //= 2
         r += 1
 
-    for _ in range(rounds):
-        witness = rng.randint_below(candidate - 3) + 2
-        x = powmod(witness, d, candidate)
-        if x == 1 or x == candidate - 1:
-            continue
-        for _ in range(r - 1):
-            x = (x * x) % candidate
-            if x == candidate - 1:
-                break
-        else:
-            return False
-    return True
+    # A candidate is a one-off modulus, and the one that passes is a
+    # secret prime: neither keeps its context past the test.
+    try:
+        for _ in range(rounds):
+            witness = rng.randint_below(candidate - 3) + 2
+            x = powmod(witness, d, candidate)
+            if x == 1 or x == candidate - 1:
+                continue
+            for _ in range(r - 1):
+                x = (x * x) % candidate
+                if x == candidate - 1:
+                    break
+            else:
+                return False
+        return True
+    finally:
+        forget(candidate)
 
 
 def generate_prime(bits: int, rng: Optional[LimbRandom] = None,

@@ -1003,14 +1003,22 @@ def test_issue_headline_values():
 
 
 if __name__ == "__main__":
-    # Capture mode: prints every literal the checked-out code journals
-    # (today's is LIFTED; GOLDEN holds the textbook-obfuscator capture).
+    # Capture mode: prints, as a MOVED table, every literal the
+    # checked-out code journals that differs from GOLDEN.  GOLDEN stays
+    # the textbook-obfuscator capture that the pre-checkpoint and
+    # textbook tests replay; what moves on purpose goes in MOVED.
     import textwrap
 
-    print("GOLDEN = {")
+    print("# The checked-out code's literals that differ from GOLDEN.")
+    print("MOVED = {")
     for scenario in SCENARIOS:
+        fresh = json.loads(json.dumps(scenario_print(scenario)))
+        moved = {key: value for key, value in sorted(fresh.items())
+                 if value != GOLDEN[scenario].get(key)}
+        if not moved:
+            continue
         print(f'    "{scenario}": {{')
-        for key, value in sorted(scenario_print(scenario).items()):
+        for key, value in moved.items():
             print(textwrap.fill(
                 f'"{key}": {json.dumps(value)},', width=76,
                 initial_indent=" " * 8, subsequent_indent=" " * 12,

@@ -90,7 +90,6 @@ def test_a_warm_agg_fresh_round_builds_no_montgomery_context(monkeypatch):
     under -- ``p^2`` and ``q^2``, for the lifts and the CRT decrypt --
     kept its context from the first round."""
     monkeypatch.setattr(native, "_power_contexts", {})
-    monkeypatch.setattr(native, "_seen_once", {})
     runtime = FederationRuntime(FLBOOSTER_SYSTEM, num_clients=2,
                                 key_bits=1024, physical_key_bits=1024,
                                 seed=7, randomizer_pool_size=0,

@@ -193,35 +193,39 @@ def test_unbound_library_is_pure_pow(no_native, library_calls):
 
 @pytest.fixture()
 def fresh_power_contexts(monkeypatch):
-    """Empty caches of the contexts powmod keeps and the moduli it saw."""
+    """An empty cache of the contexts powmod keeps."""
     monkeypatch.setattr(native, "_power_contexts", {})
-    monkeypatch.setattr(native, "_seen_once", {})
 
 
 @needs_native
-def test_a_repeated_modulus_gets_one_context_and_one_off_moduli_none(
-        fresh_power_contexts, monkeypatch):
+def test_a_repeated_modulus_builds_one_context(fresh_power_contexts,
+                                               monkeypatch):
     monkeypatch.setattr(native, "_contexts", {})
     modulus = (1 << 521) - 1
     batch = resident([5, 7], modulus)
-    # Miller-Rabin's shape: many candidates, most tried once.
-    candidates = [(1 << 600) + 2 * i + 1 for i in range(40)]
     with counted() as added:
         for _ in range(3):
             assert powmod(3, modulus - 2, modulus) == \
                 pow(3, modulus - 2, modulus)
-        for candidate in candidates:
-            assert powmod(2, candidate >> 1, candidate) == \
-                pow(2, candidate >> 1, candidate)
-    assert added[POWMODS] == 43
-    # The first call's context is the library's own, the second builds
-    # the one kept; each one-off gets the library's own.
-    assert added[MONTGOMERY_CONTEXTS] == 2 + 40
+    assert added[POWMODS] == 3
+    assert added[MONTGOMERY_CONTEXTS] == 1
     assert list(native._power_contexts) == [modulus]
     # The resident batches' context is another cache's, and stays.
     assert native._contexts[modulus] is batch._context
     assert type(mulmod_batch(batch, resident([2, 3], modulus),
                              modulus)) is ResidueBatch
+
+
+@needs_native
+def test_key_generation_leaves_no_prime_in_the_context_cache(
+        fresh_power_contexts):
+    """Prime candidates are one-off moduli, and the two that pass are
+    the secret factors: neither stays behind as a cached context."""
+    private = generate_paillier_keypair(
+        512, LimbRandom(seed_for(7430))).private_key
+    assert private.p not in native._power_contexts
+    assert private.q not in native._power_contexts
+    assert native._power_contexts == {}
 
 
 @needs_native
@@ -337,9 +341,8 @@ def test_two_threads_interleaving_calls():
 def test_threads_racing_on_the_context_caches_get_pow(fresh_power_contexts,
                                                       monkeypatch):
     """More threads than cores over more moduli than the caches hold, so
-    admissions, builds and evictions race; each call still gets pow()."""
+    builds and evictions race; each call still gets pow()."""
     monkeypatch.setattr(native, "_CONTEXT_CACHE_MAX", 2)
-    monkeypatch.setattr(native, "_SEEN_ONCE_MAX", 2)
     moduli = [(1 << 521) - 1, (1 << 607) - 1, (1 << 521) + 3, (1 << 600) + 1]
     rounds = 60
     expected = [[pow(i + 2, modulus >> 5, modulus) for i in range(rounds)]
