@@ -54,12 +54,12 @@ from benchmarks.common import (
     publish,
 )
 from repro.crypto.cpu_engine import CpuPaillierEngine
-from repro.crypto.paillier import Paillier
 from repro.crypto.vector_engine import VectorPaillierEngine
 from repro.experiments import format_table
 from repro.federation.runtime import cached_keypair
 from repro.mpint import native
 from repro.mpint.primes import LimbRandom
+from repro.testing.reference import PaillierReference
 
 REPO_ROOT = Path(__file__).parent.parent
 SNAPSHOT = REPO_ROOT / "BENCH_vector.json"
@@ -225,12 +225,12 @@ def measure_crt(keypair, batch=64):
     _, crt_vector_seconds = _timed(
         lambda: vector.decrypt_batch(ciphertexts))
     sample = ciphertexts[:TEXTBOOK_SAMPLE]
+    textbook = PaillierReference(keypair, seed=bench_seed(SEED_STREAM))
     with _builtin_pow():
         plain_crt, crt_sample = _timed(
-            lambda: [Paillier.raw_decrypt(key, c) for c in sample])
+            lambda: [key.decrypt([c])[0] for c in sample])
         plain_textbook, textbook_sample = _timed(
-            lambda: [Paillier.raw_decrypt_textbook(key, c)
-                     for c in sample])
+            lambda: textbook.decrypt(sample))
     assert plain_crt == plain_textbook == values[:TEXTBOOK_SAMPLE]
     scale = batch / len(sample)
     return {

@@ -36,8 +36,6 @@ _EXPORTS = {
     "ArrayOps": "repro.api",
     "PaillierApi": "repro.api",
     "RsaApi": "repro.api",
-    "Paillier": "repro.crypto",
-    "Rsa": "repro.crypto",
     "FaultPlan": "repro.federation.faults",
     "QuorumError": "repro.federation.faults",
     "RetryPolicy": "repro.federation.faults",
@@ -55,7 +53,6 @@ __all__ = list(_EXPORTS) + ["__version__"]
 
 if TYPE_CHECKING:  # pragma: no cover - import-time types for tooling
     from repro.api import FlBooster, ArrayOps, PaillierApi, RsaApi
-    from repro.crypto import Paillier, Rsa
     from repro.federation.faults import FaultPlan, QuorumError, RetryPolicy
     from repro.federation.runtime import (
         FederationRuntime,

@@ -9,20 +9,20 @@ developer experience suggests.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.api.ops import ArrayOps
 from repro.crypto.engine import HeEngine
 from repro.crypto.keys import (
-    PaillierKeypair,
     PaillierPrivateKey,
     PaillierPublicKey,
-    RsaKeypair,
     RsaPrivateKey,
     RsaPublicKey,
+    draw_obfuscators,
+    generate_paillier_keypair,
+    generate_rsa_keypair,
 )
-from repro.crypto.paillier import Paillier
-from repro.crypto.rsa import Rsa
 from repro.gpu.kernels import GpuKernels
 from repro.mpint.primes import LimbRandom
 from repro.quantization.packing import PackingPlan
@@ -47,29 +47,33 @@ class PaillierApi:
     def key_gen(self, size: int) -> Tuple[PaillierPrivateKey,
                                           PaillierPublicKey]:
         """Generate a keypair; returns ``(pri_key, pub_key)`` like Table I."""
-        keypair: PaillierKeypair = Paillier.key_gen(size, rng=self.rng)
+        keypair = generate_paillier_keypair(size, rng=self.rng)
         return keypair.private_key, keypair.public_key
 
     def encrypt(self, pub_key: PaillierPublicKey,
                 plaintext: Ints) -> List[int]:
-        """Encrypt an array of plaintexts in ``[0, n)`` (one GPU batch)."""
+        """Encrypt an array of plaintexts in ``[0, n)`` (one GPU batch).
+
+        The values come from :meth:`PaillierPublicKey.encrypt` with a
+        fresh public ``r^n`` per plaintext; the launches charged are the
+        ``r^n mod n^2`` kernel and the ``g^m r^n`` multiplication.
+        """
         values = _as_list(plaintext)
-        n = pub_key.n
-        n_squared = pub_key.n_squared
-        for value in values:
-            if not 0 <= value < n:
-                raise ValueError(f"plaintext {value} outside [0, n)")
-        g_m = [1 + m * n for m in values]
-        r_n = pub_key.obfuscators([self.rng.random_unit(n) for _ in values])
-        self.kernels.charge_mod_pow(len(values), n_squared.bit_length(),
-                                    n.bit_length())
-        return self.kernels.mod_mul(g_m, r_n, n_squared)
+        if not values:
+            raise ValueError("cannot encrypt an empty batch")
+        results = pub_key.encrypt(values, partial(
+            draw_obfuscators, pub_key.obfuscators, pub_key.n, self.rng))
+        n_squared_bits = pub_key.n_squared.bit_length()
+        self.kernels.charge_mod_pow(len(values), n_squared_bits,
+                                    pub_key.n.bit_length())
+        self.kernels.charge_mod_mul(len(values), n_squared_bits)
+        return results
 
     def decrypt(self, pri_key: PaillierPrivateKey,
                 ciphertext: Ints) -> List[int]:
         """Decrypt an array of ciphertexts in ``[0, n^2)`` (one GPU batch).
 
-        The values come from :meth:`Paillier.raw_decrypt_batch`; the
+        The values come from :meth:`PaillierPrivateKey.decrypt`; the
         launches charged are the ``c^lambda mod n^2`` kernel and the
         ``mu`` multiplication modulo ``n``, as the GPU engine charges
         them.
@@ -77,7 +81,7 @@ class PaillierApi:
         values = _as_list(ciphertext)
         if not values:
             raise ValueError("cannot decrypt an empty batch")
-        results = Paillier.raw_decrypt_batch(pri_key, values)
+        results = pri_key.decrypt(values)
         public = pri_key.public_key
         self.kernels.charge_mod_pow(len(values),
                                     public.n_squared.bit_length(),
@@ -105,7 +109,7 @@ class RsaApi:
 
     def key_gen(self, size: int) -> Tuple[RsaPrivateKey, RsaPublicKey]:
         """Generate a keypair; returns ``(pri_key, pub_key)``."""
-        keypair: RsaKeypair = Rsa.key_gen(size, rng=self.rng)
+        keypair = generate_rsa_keypair(size, rng=self.rng)
         return keypair.private_key, keypair.public_key
 
     def encrypt(self, pub_key: RsaPublicKey, plaintext: Ints) -> List[int]:
@@ -118,10 +122,13 @@ class RsaApi:
             values, pub_key.e, pub_key.n)
 
     def decrypt(self, pri_key: RsaPrivateKey, ciphertext: Ints) -> List[int]:
-        """Decrypt an array of ciphertexts (one GPU batch)."""
+        """Decrypt an array of ciphertexts in ``[0, n)`` (one GPU batch)."""
         values = _as_list(ciphertext)
-        return self.kernels.mod_pow_scalar_exponent(
-            values, pri_key.d, pri_key.public_key.n)
+        n = pri_key.public_key.n
+        for value in values:
+            if not 0 <= value < n:
+                raise ValueError(f"ciphertext {value} outside Z_n")
+        return self.kernels.mod_pow_scalar_exponent(values, pri_key.d, n)
 
     def mul(self, pub_key: RsaPublicKey, ciphertext1: Ints,
             ciphertext2: Ints) -> List[int]:

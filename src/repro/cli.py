@@ -193,7 +193,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_conformance(args) -> int:
     from repro.experiments import format_table
-    from repro.testing import run_all
+    from repro.testing.conformance import run_all
 
     results = run_all(key_bits=args.key_bits)
     rows = [[r.engine, r.trace, r.status, r.ops_checked]

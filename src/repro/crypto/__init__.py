@@ -2,10 +2,11 @@
 
 Implements the two cryptosystems FLBooster exposes through its API layer:
 
-- :mod:`repro.crypto.paillier` -- the additively homomorphic Paillier
-  cryptosystem used for secure federated averaging.
-- :mod:`repro.crypto.rsa` -- multiplicatively homomorphic (textbook) RSA,
-  provided by the paper's API table for intersection protocols.
+- :mod:`repro.crypto.keys` -- the keys of the additively homomorphic
+  Paillier cryptosystem used for secure federated averaging, which
+  define its encryption and decryption, and of multiplicatively
+  homomorphic (textbook) RSA, whose Table I operations for intersection
+  protocols are :class:`repro.api.he.RsaApi`'s.
 - :mod:`repro.crypto.damgard_jurik` -- the Damgard-Jurik generalization of
   Paillier (paper ref. [21]), an extension beyond the headline system.
 
@@ -20,9 +21,8 @@ Engines split the *where* from the *what*:
   obfuscators); resolvable only when numpy is available.
 
 Exports resolve lazily (PEP 562) so that the numpy-free pieces --
-:mod:`repro.crypto.keys`, :mod:`repro.crypto.paillier`,
-:mod:`repro.crypto.vector_math` -- import without dragging in the
-tensor stack the engines depend on.
+:mod:`repro.crypto.keys`, :mod:`repro.crypto.vector_math` -- import
+without dragging in the tensor stack the engines depend on.
 """
 
 from typing import TYPE_CHECKING
@@ -35,8 +35,6 @@ _EXPORTS = {
     "RsaKeypair": "repro.crypto.keys",
     "RsaPublicKey": "repro.crypto.keys",
     "RsaPrivateKey": "repro.crypto.keys",
-    "Paillier": "repro.crypto.paillier",
-    "Rsa": "repro.crypto.rsa",
     "HeEngine": "repro.crypto.engine",
     "RandomizerPool": "repro.crypto.engine",
     "CpuPaillierEngine": "repro.crypto.cpu_engine",
@@ -61,8 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover - import-time types for tooling
         RsaPublicKey,
         RsaPrivateKey,
     )
-    from repro.crypto.paillier import Paillier
-    from repro.crypto.rsa import Rsa
     from repro.crypto.cpu_engine import CpuPaillierEngine
     from repro.crypto.gpu_engine import GpuPaillierEngine
     from repro.crypto.engine import HeEngine, RandomizerPool

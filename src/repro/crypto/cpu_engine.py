@@ -13,7 +13,6 @@ from typing import List, Optional, Sequence
 
 from repro.crypto.engine import HeEngine
 from repro.crypto.keys import PaillierKeypair
-from repro.crypto.paillier import Paillier
 from repro.gpu.cost_model import DEFAULT_PROFILE, HardwareProfile
 from repro.ledger import (
     CAT_HE_ADD,
@@ -22,7 +21,7 @@ from repro.ledger import (
     CAT_HE_SCALAR_MUL,
     CostLedger,
 )
-from repro.mpint.native import mulmod_batch
+from repro.mpint.native import mulmod_batch, powmod
 from repro.mpint.primes import LimbRandom
 
 
@@ -49,16 +48,16 @@ class CpuPaillierEngine(HeEngine):
 
     def encrypt_batch(self, plaintexts: Sequence[int]) -> List[int]:
         """Encrypt by the one-product route of
-        :meth:`HeEngine._encrypt_standard`, charging per-op CPU time."""
-        self._check_plaintexts(plaintexts)
-        results = self._encrypt_standard(plaintexts)
+        :meth:`~repro.crypto.keys.PaillierPublicKey.encrypt`, charging
+        per-op CPU time."""
+        results = self.public_key.encrypt(plaintexts, self._take_obfuscators)
         self._charge(CAT_HE_ENCRYPT, len(plaintexts),
                      self.profile.words_per_encrypt(self.nominal_bits))
         return results
 
     def decrypt_batch(self, ciphertexts: Sequence[int]) -> List[int]:
         """Decrypt the batch by CRT, charging per-op CPU time."""
-        results = Paillier.raw_decrypt_batch(self.private_key, ciphertexts)
+        results = self.private_key.decrypt(ciphertexts)
         self._charge(CAT_HE_DECRYPT, len(ciphertexts),
                      self.profile.words_per_decrypt(self.nominal_bits))
         return results
@@ -77,7 +76,12 @@ class CpuPaillierEngine(HeEngine):
         """Plaintext-scalar multiplications (short modexp each)."""
         if len(ciphertexts) != len(scalars):
             raise ValueError("ciphertext and scalar batches differ in length")
-        results = [Paillier.raw_scalar_mul(self.public_key, c, k)
+        for scalar in scalars:
+            if scalar < 0:
+                raise ValueError("negative scalars require encoding; use "
+                                 "the quantization layer")
+        n_squared = self.public_key.n_squared
+        results = [powmod(c, k, n_squared)
                    for c, k in zip(ciphertexts, scalars)]
         self._charge(CAT_HE_SCALAR_MUL, len(ciphertexts),
                      self.profile.words_per_scalar_mul(self.nominal_bits))

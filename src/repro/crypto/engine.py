@@ -22,7 +22,7 @@ from dataclasses import replace
 from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.crypto.keys import PaillierKeypair
+from repro.crypto.keys import PaillierKeypair, draw_obfuscators
 from repro.ledger import CostLedger
 from repro.mpint.primes import LimbRandom
 from repro.tensor import planner
@@ -52,8 +52,8 @@ class RandomizerPool:
     keeps pooled engines bit-comparable in the conformance oracle while
     the pool has capacity.
 
-    Beside each power it keeps ``r^n mod n``, the factor the standard
-    encryption (:meth:`HeEngine._encrypt_standard`) multiplies by.
+    Beside each power it keeps ``r^n mod n``, the factor encryption
+    (:meth:`repro.crypto.keys.PaillierPublicKey.encrypt`) multiplies by.
     """
 
     def __init__(self, size: int):
@@ -80,9 +80,8 @@ class RandomizerPool:
                 owner holds (:meth:`~repro.crypto.keys.PaillierPrivateKey.obfuscators`
                 or the public key's full-width ``r^n``).
         """
-        randomizers = [rng.random_unit(n) for _ in range(self.size)]
-        self._powers = obfuscators(randomizers)
-        self._residues = [power % n for power in self._powers]
+        self._powers, self._residues = draw_obfuscators(
+            obfuscators, n, rng, self.size)
         self._cursor = 0
 
     def take_with_residues(self, count: int
@@ -258,30 +257,6 @@ class HeEngine(ABC):
             raise ValueError("cannot sum an empty ciphertext batch")
         return planner.reduce_rows(self, ciphertexts, 1)[0]
 
-    def _check_plaintexts(self, plaintexts: Sequence[int]) -> None:
-        bound = self.public_key.n
-        for value in plaintexts:
-            if not 0 <= value < bound:
-                raise ValueError(
-                    f"plaintext {value} outside [0, {bound}); encode first")
-
-    def _encrypt_standard(self, plaintexts: Sequence[int]) -> List[int]:
-        """Encrypt under the generator ``g = n + 1``.
-
-        ``g^m r^n`` is ``(1 + m n) r^n mod n^2 = r^n + n (m r^n mod n)``
-        (because ``m n x mod n^2 = n (m x mod n)``): one product modulo
-        ``n``, taken against ``r^n mod n``.  The sum is below ``2 n^2``,
-        so its reduction modulo ``n^2`` is one conditional subtraction.
-        """
-        n = self.public_key.n
-        n_squared = self.public_key.n_squared
-        powers, residues = self._take_obfuscators(len(plaintexts))
-        results = []
-        for m, power, residue in zip(plaintexts, powers, residues):
-            word = power + n * (m * residue % n)
-            results.append(word - n_squared if word >= n_squared else word)
-        return results
-
     def _take_obfuscators(self, count: int) -> Tuple[List[int], List[int]]:
         """``count`` obfuscators and their residues mod ``n``.
 
@@ -295,10 +270,8 @@ class HeEngine(ABC):
         """
         if self._randomizer_pool is not None:
             return self._filled_pool().take_with_residues(count)
-        n = self.public_key.n
-        powers = self._obfuscators(
-            [self.rng.random_unit(n) for _ in range(count)])
-        return powers, [power % n for power in powers]
+        return draw_obfuscators(self._obfuscators, self.public_key.n,
+                                self.rng, count)
 
     def _filled_pool(self) -> RandomizerPool:
         """The randomizer pool, filled from ``self.rng`` on first use."""

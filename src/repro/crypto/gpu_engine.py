@@ -19,7 +19,6 @@ from typing import Iterator, List, Optional, Sequence
 
 from repro.crypto.engine import HeEngine
 from repro.crypto.keys import PaillierKeypair
-from repro.crypto.paillier import Paillier
 from repro.gpu.kernels import GpuKernels
 from repro.ledger import (
     CAT_GPU_LAUNCH,
@@ -60,15 +59,15 @@ class GpuPaillierEngine(HeEngine):
 
     def encrypt_batch(self, plaintexts: Sequence[int]) -> List[int]:
         """Encrypt a batch: ``(1 + m n) * r^n mod n^2`` on the device."""
-        self._check_plaintexts(plaintexts)
         if not plaintexts:
             return []
         with self._charging(CAT_HE_ENCRYPT, len(plaintexts)):
-            # The one-product route (HeEngine._encrypt_standard): g^m =
+            # The one-product route (PaillierPublicKey.encrypt): g^m =
             # 1 + m n is never formed, and r^n comes from the (possibly
             # pooled) randomizer source.  Charged as the kernels would
             # run it: the g^m mod_mul, the r^n mod_pow, the final mod_mul.
-            results = self._encrypt_standard(plaintexts)
+            results = self.public_key.encrypt(plaintexts,
+                                              self._take_obfuscators)
             self.kernels.charge_mod_mul(len(plaintexts), self._work_bits)
             self.kernels.charge_mod_pow(len(plaintexts), self._work_bits,
                                         self.nominal_bits)
@@ -82,8 +81,7 @@ class GpuPaillierEngine(HeEngine):
         with self._charging(CAT_HE_DECRYPT, len(ciphertexts)):
             # Physical values via CRT decryption; the launch is charged as
             # the full c^lambda kernel plus the mu multiplication.
-            results = Paillier.raw_decrypt_batch(self.private_key,
-                                                 ciphertexts)
+            results = self.private_key.decrypt(ciphertexts)
             self.kernels.charge_mod_pow(len(ciphertexts), self._work_bits,
                                         self.nominal_bits)
             self.kernels.charge_mod_mul(len(ciphertexts), self.nominal_bits)

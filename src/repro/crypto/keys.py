@@ -6,16 +6,21 @@ of equal length from the Miller-Rabin generator, ``n = p * q``,
 standard choice (FATE's too) that turns ``g^m`` into the single
 multiplication ``1 + m n``.  It is the only generator: the private
 constants below follow from it in closed form.
+
+Paillier encryption (Eq. 3) is :meth:`PaillierPublicKey.encrypt` and
+decryption (Eq. 4) :meth:`PaillierPrivateKey.decrypt`: the engines and
+the Table I API (:mod:`repro.api.he`) call them and charge their costs.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.counters import OBFUSCATORS, WORK
-from repro.mpint.native import powmod, run_pair
+from repro.mpint.native import forget, powmod, run_pair
 from repro.mpint.primes import LimbRandom, generate_distinct_primes
 
 
@@ -60,6 +65,39 @@ class PaillierPublicKey:
         """:meth:`obfuscator` of each randomizer, in order."""
         return [self.obfuscator(r) for r in randomizers]
 
+    def check_plaintexts(self, plaintexts: Sequence[int]) -> None:
+        """Raise ``ValueError`` unless every plaintext is in ``[0, n)``."""
+        bound = self.n
+        for value in plaintexts:
+            if not 0 <= value < bound:
+                raise ValueError(
+                    f"plaintext {value} outside [0, {bound}); encode first")
+
+    def encrypt(self, plaintexts: Sequence[int],
+                take_obfuscators: Callable[[int], Tuple[List[int],
+                                                        List[int]]]
+                ) -> List[int]:
+        """Encrypt under the generator ``g = n + 1`` (Eq. 3).
+
+        ``take_obfuscators(count)`` returns ``count`` obfuscators and
+        their residues modulo ``n`` -- fresh powers or a pool's -- and is
+        called once, after the range check, so a rejected batch draws no
+        randomizer.  ``g^m r^n`` is ``(1 + m n) r^n mod n^2 = r^n + n (m
+        r^n mod n)`` (because ``m n x mod n^2 = n (m x mod n)``): one
+        product modulo ``n``, taken against ``r^n mod n``.  The sum is
+        below ``2 n^2``, so its reduction modulo ``n^2`` is one
+        conditional subtraction.
+        """
+        self.check_plaintexts(plaintexts)
+        n = self.n
+        n_squared = self.n_squared
+        powers, residues = take_obfuscators(len(plaintexts))
+        results = []
+        for m, power, residue in zip(plaintexts, powers, residues):
+            word = power + n * (m * residue % n)
+            results.append(word - n_squared if word >= n_squared else word)
+        return results
+
     def ciphertext_bytes(self) -> int:
         """Serialized size of one ciphertext (an element of ``Z_{n^2}``)."""
         return -(-self.n_squared.bit_length() // 8)
@@ -71,9 +109,12 @@ class PaillierPrivateKey:
 
     Besides the textbook ``(lambda, mu)`` of Eq. 4, the key precomputes
     the CRT constants (``hp``, ``hq``, ``q^-1 mod p``) that let
-    decryption run two half-size exponentiations instead of one full-size
-    one -- the standard production-Paillier optimization -- and the
-    Garner constant of the key-holder :meth:`obfuscators`.
+    :meth:`decrypt` run two half-size exponentiations instead of one
+    full-size one -- the standard production-Paillier optimization -- and
+    the Garner constant of the key-holder :meth:`obfuscators`.  When the
+    key is collected, the Montgomery contexts :func:`powmod` kept for its
+    secret moduli ``p^2`` and ``q^2`` are dropped
+    (:func:`repro.mpint.native.forget`).
     """
 
     p: int
@@ -110,6 +151,45 @@ class PaillierPrivateKey:
         object.__setattr__(self, "q_squared", q_squared)
         object.__setattr__(self, "q_squared_inverse",
                            powmod(q_squared, -1, p_squared))
+        for secret_modulus in (p_squared, q_squared):
+            weakref.finalize(self, forget, secret_modulus)
+
+    def decrypt(self, ciphertexts: Sequence[int]) -> List[int]:
+        """Decrypt integer ciphertexts (Eq. 4), via CRT.
+
+        Computes ``m mod p`` and ``m mod q`` with half-size
+        exponentiations and recombines -- numerically identical to the
+        textbook formula (:class:`repro.testing.reference.PaillierReference`,
+        checked by the property tests) at a quarter of the cost.  The
+        ``c^(p-1) mod p^2`` and ``c^(q-1) mod q^2`` powers are
+        independent, so a large enough batch runs the two sets on two
+        cores (:func:`repro.mpint.native.run_pair`); the range checks come
+        before, and the recombination after, on the calling thread.
+        """
+        ciphertexts = list(ciphertexts)
+        n_squared = self.public_key.n_squared
+        for ciphertext in ciphertexts:
+            if not 0 <= ciphertext < n_squared:
+                raise ValueError("ciphertext outside Z_{n^2}")
+        p, q = self.p, self.q
+        p_squared = self.p_squared
+
+        def powers(prime: int, prime_squared: int):
+            exponent = prime - 1
+            return lambda: [powmod(c, exponent, prime_squared)
+                            for c in ciphertexts]
+
+        powers_p, powers_q = run_pair(
+            powers(p, p_squared), powers(q, self.q_squared),
+            len(ciphertexts), p_squared.bit_length())
+        hp, hq, q_inverse = self.hp, self.hq, self.q_inverse
+        results = []
+        for u_p, u_q in zip(powers_p, powers_q):
+            m_p = (u_p - 1) // p * hp % p
+            m_q = (u_q - 1) // q * hq % q
+            # Garner recombination.
+            results.append(m_q + (m_p - m_q) * q_inverse % p * q)
+        return results
 
     def obfuscator(self, r: int) -> int:
         """The key holder's obfuscator of ``r``: :meth:`obfuscators` of one."""
@@ -156,6 +236,21 @@ class PaillierPrivateKey:
         inverse = self.q_squared_inverse
         return [x_q + q_squared * ((x_p - x_q) * inverse % p_squared)
                 for x_p, x_q in zip(lifts_p, lifts_q)]
+
+
+def draw_obfuscators(obfuscators: Callable[[List[int]], List[int]], n: int,
+                     rng: LimbRandom, count: int
+                     ) -> Tuple[List[int], List[int]]:
+    """``count`` obfuscators and their residues modulo ``n``.
+
+    The ``count`` randomizers are drawn from ``rng`` first, in order,
+    and ``obfuscators`` -- a key's :meth:`PaillierPublicKey.obfuscators`
+    or :meth:`PaillierPrivateKey.obfuscators` -- raises them all in one
+    call.  Bound to all but ``count``, it is a ``take_obfuscators`` of
+    :meth:`PaillierPublicKey.encrypt`.
+    """
+    powers = obfuscators([rng.random_unit(n) for _ in range(count)])
+    return powers, [power % n for power in powers]
 
 
 @dataclass(frozen=True)

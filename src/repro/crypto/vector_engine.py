@@ -93,7 +93,7 @@ class VectorPaillierEngine(HeEngine):
 
     def encrypt_batch(self, plaintexts: Sequence[int]) -> List[int]:
         """Encrypt the whole batch with one limb-plane launch chain."""
-        self._check_plaintexts(plaintexts)
+        self.public_key.check_plaintexts(plaintexts)
         count = len(plaintexts)
         if count == 0:
             return []

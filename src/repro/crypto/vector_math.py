@@ -4,7 +4,7 @@ The pieces of the vectorized Paillier path that are pure mathematics --
 CRT-split decryption and the ``g^m r^n`` product -- live here,
 importable without numpy (and without the engine/tensor stack), so the
 mpint property suites can diff-test them directly against the scalar
-formulas in :mod:`repro.crypto.paillier`.  Constructing any of the
+formulas of :mod:`repro.crypto.keys`.  Constructing any of the
 classes without numpy raises via
 :func:`repro.mpint.limb_plane.require_numpy`.
 
@@ -29,7 +29,7 @@ class CrtDecryptor:
     """Vectorized CRT-split Paillier decryption (Garner recombination).
 
     Implements exactly the arithmetic of
-    :meth:`repro.crypto.paillier.Paillier.raw_decrypt` -- two half-size
+    :meth:`repro.crypto.keys.PaillierPrivateKey.decrypt` -- two half-size
     exponentiations ``c^(p-1) mod p^2`` and ``c^(q-1) mod q^2`` followed
     by the L-function and Garner's formula -- but runs both
     exponentiations across the whole batch on limb planes.  The

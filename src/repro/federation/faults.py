@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.ledger import CostLedger, fault_category
 
@@ -556,19 +556,19 @@ class FaultInjector:
         from repro.tensor.cipher import CipherTensor
 
         if isinstance(payload, CipherTensor) and payload.num_words:
-            tampered = list(payload.words)
-            index = self._rng.randrange(len(tampered))
-            bit = self._rng.randrange(max(tampered[index].bit_length(), 8))
-            tampered[index] ^= 1 << bit
-            return payload.with_words(tampered)
+            return payload.with_words(self._flip_one_bit(payload.words))
         if isinstance(payload, list) and payload and \
                 all(isinstance(v, int) for v in payload):
-            tampered = list(payload)
-            index = self._rng.randrange(len(tampered))
-            bit = self._rng.randrange(max(tampered[index].bit_length(), 8))
-            tampered[index] ^= 1 << bit
-            return tampered
+            return self._flip_one_bit(payload)
         return payload
+
+    def _flip_one_bit(self, words: Sequence[int]) -> List[int]:
+        """A copy of ``words`` with one drawn bit of one drawn word flipped."""
+        tampered = list(words)
+        index = self._rng.randrange(len(tampered))
+        bit = self._rng.randrange(max(tampered[index].bit_length(), 8))
+        tampered[index] ^= 1 << bit
+        return tampered
 
     # ------------------------------------------------------------------
     # Bookkeeping.

@@ -10,8 +10,8 @@ power about ten times faster than CPython's ``pow()``, whose reduction is
 a long division per step.  :func:`powmod` returns exactly
 ``pow(base, exponent, modulus)`` for every input ``pow`` accepts, and
 every production modular exponentiation in :mod:`repro` goes through it;
-the test oracles (:mod:`repro.testing.reference`,
-``Paillier.raw_decrypt_textbook``, the golden vectors) keep the builtin.
+the test oracles (:mod:`repro.testing.reference`, the golden vectors)
+keep the builtin.
 
 There is no switch.  The library is bound once at import --
 ``ctypes.util.find_library("crypto")`` first, then the ``libcrypto``
@@ -23,10 +23,11 @@ modulus is even or narrower than :data:`NATIVE_MIN_MODULUS_BITS`
 round trip costs more than the arithmetic), when the exponent is
 negative, when an argument is not a plain ``int``, when a ``BN_*`` call
 reports failure, or when no library was bound.  Range, unit and gcd
-checks stay with the callers.  A modulus :func:`powmod` meets a second
-time keeps its ``BIGNUM`` and ``BN_MONT_CTX`` from then on, so the
-moduli a key repeats (``p^2``, ``q^2``, ``n^2``) stop paying to set
-them up on every call.
+checks stay with the callers.  A modulus :func:`powmod` meets keeps its
+``BIGNUM`` and ``BN_MONT_CTX`` from that first call on, so the moduli a
+key repeats (``p^2``, ``q^2``, ``n^2``) stop paying to set them up on
+every call; :func:`forget` drops one that must not stay (a prime
+candidate's, or a collected private key's ``p^2`` and ``q^2``).
 
 The cutoff is the measured crossover on the reference host: with an
 exponent as wide as the modulus the library wins from ~96 bits up, with

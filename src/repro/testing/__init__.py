@@ -12,42 +12,8 @@ Three pillars (PR 3's tentpole):
 - :mod:`repro.testing.fuzz` -- the structured FLT3 / WAL wire-format fuzzer
   (seeded header/payload mutations that must always produce *typed*
   rejections, never crashes or silent mis-decodes).
+
+Import from the modules themselves: the package imports none of them, so
+the ``pow()``-only :mod:`repro.testing.reference` loads without the
+engines and the tensor stack (numpy) the oracle needs.
 """
-
-from repro.testing.conformance import (
-    ConformanceFailure,
-    ConformancePair,
-    ConformanceResult,
-    check_fused_vs_eager,
-    conformance_matrix,
-    engines,
-    full_trace_suite,
-    replay,
-    run_all,
-    run_trace,
-)
-from repro.testing.trace import (
-    ConformanceTrace,
-    TraceBuilder,
-    TraceOp,
-    ring_trace,
-    standard_traces,
-)
-
-__all__ = [
-    "ConformanceFailure",
-    "ConformancePair",
-    "ConformanceResult",
-    "ConformanceTrace",
-    "TraceBuilder",
-    "TraceOp",
-    "check_fused_vs_eager",
-    "conformance_matrix",
-    "engines",
-    "full_trace_suite",
-    "replay",
-    "ring_trace",
-    "run_all",
-    "run_trace",
-    "standard_traces",
-]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.api import FlBooster, PaillierApi, RsaApi
 from repro.gpu.kernels import GpuKernels
+from repro.mpint.primes import LimbRandom
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +54,27 @@ class TestPaillierApi:
         a = fl.paillier.encrypt(pub, [5])
         b = fl.paillier.encrypt(pub, [5])
         assert a != b
+
+    def test_encrypt_is_the_table1_product_for_the_same_draws(
+            self, paillier_keys):
+        """``g^m r^n mod n^2`` with ``g = n + 1`` and the public ``r^n``,
+        one unit drawn per plaintext in order."""
+        _, pub = paillier_keys
+        n, n_squared = pub.n, pub.n_squared
+        values = [0, 1, 12345, n - 1]
+        draws = LimbRandom(seed=31)
+        expected = [pow(n + 1, m, n_squared)
+                    * pow(draws.random_unit(n), n, n_squared) % n_squared
+                    for m in values]
+        api = PaillierApi(rng=LimbRandom(seed=31))
+        assert api.encrypt(pub, values) == expected
+
+    def test_encrypt_of_nothing_raises(self, fl, paillier_keys):
+        _, pub = paillier_keys
+        launches = fl.kernels.device.launches
+        with pytest.raises(ValueError):
+            fl.paillier.encrypt(pub, [])
+        assert fl.kernels.device.launches == launches
 
 
 #: Out-of-range inputs as functions of the modulus ``n``.
@@ -135,6 +157,18 @@ class TestRsaApi:
         _, pub = rsa_keys
         with pytest.raises(ValueError):
             fl.rsa.encrypt(pub, [pub.n])
+
+    @pytest.mark.parametrize("bad", [BELOW_ZERO,
+                                     pytest.param(lambda n: n + 5,
+                                                  id="n-plus-5")])
+    def test_decrypt_rejects_ciphertexts_outside_zn(self, fl, rsa_keys,
+                                                    bad):
+        pri, pub = rsa_keys
+        good = fl.rsa.encrypt(pub, [5])
+        launches = fl.kernels.device.launches
+        with pytest.raises(ValueError, match="outside"):
+            fl.rsa.decrypt(pri, good + [bad(pub.n)])
+        assert fl.kernels.device.launches == launches
 
     def test_mul_length_mismatch_raises(self, fl, rsa_keys):
         _, pub = rsa_keys

@@ -20,11 +20,16 @@ import importlib
 import inspect
 import os
 import pkgutil
+from functools import partial
 from typing import Set
 
 import pytest
 
-from repro.crypto.keys import generate_paillier_keypair, generate_rsa_keypair
+from repro.crypto.keys import (
+    draw_obfuscators,
+    generate_paillier_keypair,
+    generate_rsa_keypair,
+)
 from repro.mpint import native
 from repro.mpint.primes import LimbRandom
 
@@ -64,6 +69,13 @@ def no_native(monkeypatch):
 def seed_for(stream: int) -> int:
     """Combine the suite master seed with a per-fixture stream id."""
     return MASTER_SEED * 1_000_003 + stream
+
+
+def encrypt_fresh(public_key, values, rng):
+    """``public_key.encrypt`` of ``values`` under fresh public ``r^n``
+    obfuscators, one drawn from ``rng`` per value, in order."""
+    return public_key.encrypt(values, partial(
+        draw_obfuscators, public_key.obfuscators, public_key.n, rng))
 
 
 def concrete_subclasses(base: type, package: str) -> Set[type]:

@@ -6,7 +6,6 @@ from repro.crypto.damgard_jurik import (
     DamgardJurik,
     generate_damgard_jurik_keypair,
 )
-from repro.crypto.paillier import Paillier
 from repro.mpint.primes import LimbRandom
 
 
@@ -96,7 +95,7 @@ class TestPaillierCompatibility:
         pri = PaillierPrivateKey(p=dj.private_key.p, q=dj.private_key.q,
                                  public_key=pub)
         c = DamgardJurik.raw_encrypt(dj.public_key, 777, rng=dj_rng)
-        assert Paillier.raw_decrypt(pri, c) == 777
+        assert pri.decrypt([c]) == [777]
 
 
 class TestGeometry:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.crypto.cpu_engine import CpuPaillierEngine
 from repro.crypto.gpu_engine import GpuPaillierEngine
+from repro.crypto.vector_engine import VectorPaillierEngine
 from repro.gpu.kernels import GpuKernels
 from repro.gpu.resource_manager import ResourceManager
 from repro.ledger import CostLedger
@@ -89,6 +90,24 @@ class TestCorrectness:
         with pytest.raises(ValueError):
             gpu.encrypt_batch([-1])
 
+    @pytest.mark.parametrize("pool_size", [0, 3])
+    @pytest.mark.parametrize("engine_cls", [CpuPaillierEngine,
+                                            GpuPaillierEngine,
+                                            VectorPaillierEngine])
+    def test_a_rejected_plaintext_draws_no_randomizer(
+            self, paillier_128, engine_cls, pool_size):
+        """The range check runs before any draw: the engine's rng stream
+        and pool are where an engine that never saw the batch has them."""
+        def engine():
+            return engine_cls(paillier_128, rng=LimbRandom(seed=8),
+                              randomizer_pool_size=pool_size)
+
+        rejecting, untouched = engine(), engine()
+        with pytest.raises(ValueError, match="outside"):
+            rejecting.encrypt_batch([1, paillier_128.public_key.n])
+        assert rejecting.encrypt_batch([5, 6]) == \
+            untouched.encrypt_batch([5, 6])
+
     def test_mismatched_batches_raise(self, paillier_128):
         cpu, gpu = make_engines(paillier_128)
         with pytest.raises(ValueError):
@@ -97,10 +116,10 @@ class TestCorrectness:
             gpu.scalar_mul_batch([1, 2], [1])
 
     def test_negative_scalar_raises(self, paillier_128):
-        _, gpu = make_engines(paillier_128)
-        cs = gpu.encrypt_batch([1])
-        with pytest.raises(ValueError):
-            gpu.scalar_mul_batch(cs, [-1])
+        for engine in make_engines(paillier_128):
+            cs = engine.encrypt_batch([1, 2])
+            with pytest.raises(ValueError, match="negative"):
+                engine.scalar_mul_batch(cs, [2, -1])
 
     def test_empty_gpu_batches_are_noops(self, paillier_128):
         _, gpu = make_engines(paillier_128)

@@ -11,7 +11,7 @@ from repro.crypto.keys import (
     generate_paillier_keypair,
     generate_rsa_keypair,
 )
-from repro.federation.runtime import cached_keypair
+from repro.mpint import limb_plane
 from repro.mpint.primes import LimbRandom, is_probable_prime
 
 from tests.conftest import seed_for
@@ -97,10 +97,13 @@ def test_modulus_has_key_bits_or_one_fewer(bits, seed):
     assert _keypair(bits, seed).public_key.n.bit_length() in (bits - 1, bits)
 
 
+@pytest.mark.skipif(not limb_plane.HAVE_NUMPY,
+                    reason="the federation runtime needs numpy")
 def test_the_default_seed_keys_are_one_bit_short():
     """``cached_keypair``'s default seed, which the e2e workloads use,
     gives an ``n`` one bit short of the nominal size at both benchmark
     key sizes -- the width packing plans are sized from."""
+    from repro.federation.runtime import cached_keypair
     assert [cached_keypair(bits).public_key.n.bit_length()
             for bits in (1024, 2048)] == [1023, 2047]
 

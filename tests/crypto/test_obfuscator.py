@@ -26,12 +26,11 @@ from repro.crypto.keys import (
     PaillierPublicKey,
     generate_paillier_keypair,
 )
-from repro.crypto.paillier import Paillier
 from repro.mpint import limb_plane
 from repro.mpint.primes import LimbRandom
 from repro.testing.reference import sigma
 
-from tests.conftest import seed_for
+from tests.conftest import encrypt_fresh, seed_for
 
 #: Hypothesis examples per key size: a 2048-bit ``pow()`` oracle call is
 #: ~100 ms, so the real-key rows draw few values and rely on the edges.
@@ -69,12 +68,6 @@ class TestKeyHolderIdentity:
             assert pri.obfuscator(r) == \
                 pow(sigma(pri.p, pri.q, r), n, pub.n_squared), r
 
-    def test_raw_encrypt_still_rejects_non_units(self, bits):
-        pri, pub = _keypair(bits)
-        for r in (0, pri.p, pri.q):
-            with pytest.raises(ValueError, match="unit"):
-                Paillier.raw_encrypt(pub, 1, r=r)
-
 
 def test_a_tiny_key_holder_draws_the_textbook_distribution():
     """Over all of ``Z_n*``: sigma is a permutation, so the key holder's
@@ -94,8 +87,8 @@ def test_public_key_only_fallback_is_pow():
     r = LimbRandom(seed=seed_for(1310)).random_unit(pub.n)
     expected = pow(r, pub.n, pub.n * pub.n)
     assert pub.obfuscator(r) == expected
-    assert Paillier.raw_encrypt(pub, 5, r=r) == \
-        (1 + 5 * pub.n) * expected % (pub.n * pub.n)
+    assert encrypt_fresh(pub, [5], LimbRandom(seed=seed_for(1310))) == \
+        [(1 + 5 * pub.n) * expected % (pub.n * pub.n)]
 
 
 def test_derived_constants_stay_out_of_equality_hash_and_repr():

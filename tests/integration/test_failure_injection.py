@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from repro.baselines import FLBOOSTER
-from repro.crypto.paillier import Paillier
 from repro.federation.runtime import FederationRuntime
 from repro.quantization.encoding import QuantizationScheme
 from repro.quantization.packing import BatchPacker
+
+from tests.conftest import encrypt_fresh
 
 
 class TestOverflowProtection:
@@ -38,17 +39,17 @@ class TestCiphertextTampering:
     def test_bit_flipped_ciphertext_decrypts_garbage(self, paillier_128,
                                                      rng):
         pub, pri = paillier_128.public_key, paillier_128.private_key
-        c = Paillier.raw_encrypt(pub, 42, rng=rng)
+        [c] = encrypt_fresh(pub, [42], rng)
         tampered = c ^ (1 << 10)
         # Paillier is malleable: tampering never errors, it corrupts.
-        assert Paillier.raw_decrypt(pri, tampered) != 42
+        assert pri.decrypt([tampered]) != [42]
 
     def test_wrong_key_decrypts_garbage(self, paillier_128, paillier_256,
                                         rng):
-        c = Paillier.raw_encrypt(paillier_128.public_key, 42, rng=rng)
-        wrong = Paillier.raw_decrypt(paillier_256.private_key,
-                                     c % paillier_256.public_key.n_squared)
-        assert wrong != 42
+        [c] = encrypt_fresh(paillier_128.public_key, [42], rng)
+        wrong = paillier_256.private_key.decrypt(
+            [c % paillier_256.public_key.n_squared])
+        assert wrong != [42]
 
 
 class TestQuantizationDegradation:

@@ -185,15 +185,14 @@ class TestCrtGolden:
             assert c == int(case["ciphertext"])
 
     def test_scalar_crt_decrypt_replays_cases(self, extended_vectors):
-        from repro.crypto.paillier import Paillier
+        from repro.testing.reference import PaillierReference
         crt = extended_vectors["crt"]
-        key = _crt_keypair(crt).private_key
-        for case in crt["cases"]:
-            ciphertext = int(case["ciphertext"])
-            assert Paillier.raw_decrypt(key, ciphertext) == \
-                int(case["plaintext"])
-            assert Paillier.raw_decrypt_textbook(key, ciphertext) == \
-                int(case["plaintext"])
+        keypair = _crt_keypair(crt)
+        ciphertexts = [int(case["ciphertext"]) for case in crt["cases"]]
+        plaintexts = [int(case["plaintext"]) for case in crt["cases"]]
+        assert keypair.private_key.decrypt(ciphertexts) == plaintexts
+        assert PaillierReference(keypair, seed=0).decrypt(ciphertexts) == \
+            plaintexts
 
     @needs_numpy
     def test_limb_plane_crt_decrypt_replays_cases(self, extended_vectors):

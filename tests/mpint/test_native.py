@@ -28,7 +28,6 @@ import repro
 from repro.counters import (CONVERSIONS, MONTGOMERY_CONTEXTS, POWMODS,
                             WORDS_ENTERED, WORKER_SUBMISSIONS, counted)
 from repro.crypto.keys import generate_paillier_keypair
-from repro.crypto.paillier import Paillier
 from repro.mpint import native
 from repro.mpint.native import (
     NATIVE_MIN_MODULUS_BITS,
@@ -38,8 +37,8 @@ from repro.mpint.native import (
     resident,
 )
 from repro.mpint.primes import LimbRandom
-from repro.testing.reference import sigma
-from tests.conftest import seed_for
+from repro.testing.reference import PaillierReference, sigma
+from tests.conftest import encrypt_fresh, seed_for
 
 needs_native = pytest.mark.skipif(
     not native.HAVE_NATIVE, reason="no libcrypto bound on this host")
@@ -229,6 +228,29 @@ def test_key_generation_leaves_no_prime_in_the_context_cache(
 
 
 @needs_native
+def test_a_collected_private_key_leaves_no_secret_modulus_cached(
+        fresh_power_contexts):
+    """A live key keeps its ``p^2`` and ``q^2`` contexts from the first
+    call on; once the key is collected, neither stays behind."""
+    keypair = generate_paillier_keypair(1024, LimbRandom(seed_for(7435)))
+    private = keypair.private_key
+    moduli = (private.p_squared, private.q_squared)
+    draws = LimbRandom(seed_for(7436))
+    randomizers = [draws.random_unit(private.public_key.n) for _ in range(3)]
+    ciphertexts = encrypt_fresh(keypair.public_key, [1, 2, 3], draws)
+    private.obfuscators(randomizers)
+    private.decrypt(ciphertexts)
+    with counted() as added:
+        private.obfuscators(randomizers)
+        assert private.decrypt(ciphertexts) == [1, 2, 3]
+    assert added[MONTGOMERY_CONTEXTS] == 0
+    assert all(modulus in native._power_contexts for modulus in moduli)
+    del keypair, private
+    gc.collect()
+    assert not any(modulus in native._power_contexts for modulus in moduli)
+
+
+@needs_native
 def test_a_dropped_context_clears_its_modulus(monkeypatch):
     """A modulus may be a secret prime: its ``BIGNUM`` is cleared."""
     cleared = []
@@ -290,11 +312,12 @@ def test_package_works_with_the_library_unbindable():
         "from repro.mpint import native\n"
         "assert native.BACKEND == 'python' and not native.HAVE_NATIVE\n"
         "from repro.crypto.keys import generate_paillier_keypair\n"
-        "from repro.crypto.paillier import Paillier\n"
+        "from repro.crypto.keys import draw_obfuscators\n"
         "from repro.mpint.primes import LimbRandom\n"
-        "keys = generate_paillier_keypair(256, rng=LimbRandom(seed=5))\n"
-        "c = Paillier.raw_encrypt(keys.public_key, 41, r=12345)\n"
-        "print(Paillier.raw_decrypt(keys.private_key, c))\n")
+        "pri, pub = generate_paillier_keypair(256, LimbRandom(seed=5))\n"
+        "c = pub.encrypt([41], lambda count: draw_obfuscators(\n"
+        "    pub.obfuscators, pub.n, LimbRandom(seed=6), count))\n"
+        "print(*pri.decrypt(c))\n")
     source = str(pathlib.Path(repro.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
@@ -392,8 +415,7 @@ def _ciphertexts(keypair, count, seed):
     draws = LimbRandom(seed=seed)
     values = [draws.random_unit(keypair.public_key.n)
               for _ in range(count)]
-    return values, [Paillier.raw_encrypt(keypair.public_key, m, rng=draws)
-                    for m in values]
+    return values, encrypt_fresh(keypair.public_key, values, draws)
 
 
 @needs_native
@@ -408,7 +430,7 @@ def test_crossover_on_both_sides(two_cpus, bits, count, splits):
     values, ciphertexts = _ciphertexts(keypair, count, seed_for(7401))
     pri = keypair.private_key
     with counted() as added:
-        assert Paillier.raw_decrypt_batch(pri, ciphertexts) == values
+        assert pri.decrypt(ciphertexts) == values
     assert added[WORKER_SUBMISSIONS] == int(splits)
     for modulus_bits in (pri.p_squared.bit_length(), bits - 1, bits):
         assert native._split_worthwhile(count, modulus_bits) is splits
@@ -436,8 +458,7 @@ def test_split_halves_are_the_serial_integers(always_split):
     draws = LimbRandom(seed=seed_for(7412))
     randomizers = [draws.random_unit(pub.n) for _ in range(9)]
     with counted() as added:
-        assert Paillier.raw_decrypt_batch(pri, ciphertexts) == values == [
-            Paillier.raw_decrypt_textbook(pri, c) for c in ciphertexts]
+        assert pri.decrypt(ciphertexts) == values
         assert pri.obfuscators(randomizers) == \
             [pow(sigma(pri.p, pri.q, r), pub.n, pub.n_squared)
              for r in randomizers]
@@ -445,6 +466,7 @@ def test_split_halves_are_the_serial_integers(always_split):
     # The worker's powers are counted too, once the caller collects them:
     # two per decryption and two per obfuscator.
     assert added[POWMODS] == 36
+    assert values == PaillierReference(keypair, seed=0).decrypt(ciphertexts)
 
 
 @needs_native
@@ -519,7 +541,7 @@ def test_a_child_forked_after_a_split_builds_its_own_worker(
     values, ciphertexts = _ciphertexts(keypair, 8, seed_for(7421))
     pri = keypair.private_key
     with counted() as added:
-        assert Paillier.raw_decrypt_batch(pri, ciphertexts) == values
+        assert pri.decrypt(ciphertexts) == values
     assert native._worker is not None and added[WORKER_SUBMISSIONS] == 1
     read, write = os.pipe()
     pid = os.fork()
@@ -527,7 +549,7 @@ def test_a_child_forked_after_a_split_builds_its_own_worker(
         try:
             fresh = native._worker is None
             with counted() as added:
-                result = Paillier.raw_decrypt_batch(pri, ciphertexts)
+                result = pri.decrypt(ciphertexts)
             ok = (fresh and result == values
                   and added[WORKER_SUBMISSIONS] == 1)
             os.write(write, b"1" if ok else b"0")
@@ -914,7 +936,6 @@ def test_product_known_answer_is_the_python_expression():
 #: the builtin on purpose: the kernel's own fallback and the oracles.
 POW_ALLOWED = {
     ("mpint/native.py", "powmod"),
-    ("crypto/paillier.py", "raw_decrypt_textbook"),
     ("testing/reference.py", None),
 }
 

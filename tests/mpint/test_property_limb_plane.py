@@ -3,7 +3,7 @@
 Every batched numpy kernel in :mod:`repro.mpint.limb_plane` must be
 *bit-identical* to its scalar counterpart -- ``cios_montgomery_multiply``,
 ``sliding_window_pow`` / builtin ``pow``, the scalar CRT decryption in
-:meth:`repro.crypto.paillier.Paillier.raw_decrypt` -- across 1024-,
+:meth:`repro.crypto.keys.PaillierPrivateKey.decrypt` -- across 1024-,
 2048- and 4096-bit moduli, the batch shapes the engines actually use
 (1, 7, 64), and the edge values ``0``, ``1`` and ``n - 1``.
 
@@ -144,7 +144,6 @@ def _golden_key(bits: int):
        shape=st.sampled_from(BATCH_SHAPES),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_crt_decrypt_matches_scalar(bits, shape, seed):
-    from repro.crypto.paillier import Paillier
     from repro.crypto.vector_math import CrtDecryptor
     keypair = _golden_key(bits)
     n = keypair.public_key.n
@@ -159,8 +158,7 @@ def test_crt_decrypt_matches_scalar(bits, shape, seed):
         ciphertexts.append(((1 + m * n) * pow(r, n, n_squared)) % n_squared)
     decryptor = CrtDecryptor(keypair.private_key)
     got = decryptor.decrypt(ciphertexts)
-    want = [Paillier.raw_decrypt(keypair.private_key, c)
-            for c in ciphertexts]
+    want = keypair.private_key.decrypt(ciphertexts)
     assert got == want
     assert got == plaintexts
 

@@ -14,7 +14,8 @@ import json
 
 import pytest
 
-from repro.testing import ConformanceFailure, full_trace_suite, replay
+from repro.testing.conformance import (ConformanceFailure,
+                                      full_trace_suite, replay)
 from repro.testing.broken import (
     BrokenMontgomeryEngine,
     broken_conformance_factory,
@@ -46,7 +47,7 @@ def test_failure_message_carries_seed_and_trace_json():
     assert f"seed={trace.seed}" in message
     assert trace.to_json() in message
     # The embedded JSON is sufficient: it parses back to the same trace.
-    from repro.testing import ConformanceTrace
+    from repro.testing.trace import ConformanceTrace
     start = message.index("trace=") + len("trace=")
     assert ConformanceTrace.from_dict(
         json.loads(message[start:])) == trace

@@ -15,7 +15,7 @@ import pytest
 from repro.crypto.engine import HeEngine
 from repro.crypto.vector_engine import VectorPaillierEngine
 from repro.mpint import limb_plane
-from repro.testing import (
+from repro.testing.conformance import (
     check_fused_vs_eager,
     conformance_matrix,
     engines,
@@ -139,7 +139,7 @@ def test_references_are_not_tautological():
 
 
 def test_skipped_when_capabilities_insufficient():
-    from repro.testing import replay
+    from repro.testing.conformance import replay
     traces = {t.name: t for t in full_trace_suite()}
     pair = engines()["symmetric-masking"].build(traces["roundtrip"])
     result = replay(traces["roundtrip"], pair,
