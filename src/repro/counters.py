@@ -21,7 +21,7 @@ WORDS_ENTERED = "native.words_entered"
 RESIDENT_PRODUCTS = "native.resident_products"
 WORKER_SUBMISSIONS = "native.worker_submissions"
 #: Library powers (calls into ``BN_mod_exp_mont_consttime``); Montgomery
-#: contexts set up, cached or inside a power handed none.
+#: contexts set up, each living as long as its owner holds it.
 POWMODS = "native.powmods"
 MONTGOMERY_CONTEXTS = "native.montgomery_contexts"
 #: Paillier obfuscators computed, by either key (``r^n mod n^2``, or a

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.crypto.keys import generate_paillier_keypair
-from repro.mpint.native import powmod
+from repro.mpint.native import hold, powmod
 from repro.mpint.primes import LimbRandom
 
 
@@ -33,6 +33,11 @@ class DamgardJurikPublicKey:
     n: int
     s: int
     key_bits: int
+    #: The Montgomery context of ``n^(s+1)``, both keys' power modulus.
+    montgomery: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "montgomery", hold(self.ciphertext_modulus))
 
     @property
     def plaintext_modulus(self) -> int:
@@ -170,9 +175,9 @@ def _one_plus_n_power(exponent: int,
     total = 1
     term = 1
     for k in range(1, public_key.s + 1):
-        # term = C(exponent, k) * n^k, built incrementally.
+        # term = C(exponent, k), built incrementally; n^k < n^(s+1).
         term = term * (exponent - (k - 1)) // k
-        total = (total + term * powmod(n, k, modulus)) % modulus
+        total = (total + term * n ** k) % modulus
     return total
 
 
@@ -197,7 +202,7 @@ def _extract_discrete_log(a: int,
             i -= 1
             k_factorial *= k
             t2 = (t2 * i) % n_j
-            correction = (t2 * powmod(n, k - 1, n_j)
+            correction = (t2 * n ** (k - 1)  # below n_j: k <= j
                           * powmod(k_factorial, -1, n_j)) % n_j
             t1 = (t1 - correction) % n_j
         i = t1 % n_j

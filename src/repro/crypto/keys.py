@@ -15,12 +15,11 @@ the Table I API (:mod:`repro.api.he`) call them and charge their costs.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.counters import OBFUSCATORS, WORK
-from repro.mpint.native import forget, powmod, run_pair
+from repro.mpint.native import hold, powmod, run_pair
 from repro.mpint.primes import LimbRandom, generate_distinct_primes
 
 
@@ -41,9 +40,12 @@ class PaillierPublicKey:
     #: The ciphertext modulus ``n^2``, computed once (derived from ``n``,
     #: so it takes no part in equality, hashing or repr).
     n_squared: int = field(init=False, repr=False, compare=False)
+    #: ``n^2``'s Montgomery context (:func:`repro.mpint.native.hold`).
+    montgomery: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_squared", self.n * self.n)
+        object.__setattr__(self, "montgomery", hold(self.n_squared))
 
     @property
     def g(self) -> int:
@@ -111,10 +113,9 @@ class PaillierPrivateKey:
     the CRT constants (``hp``, ``hq``, ``q^-1 mod p``) that let
     :meth:`decrypt` run two half-size exponentiations instead of one
     full-size one -- the standard production-Paillier optimization -- and
-    the Garner constant of the key-holder :meth:`obfuscators`.  When the
-    key is collected, the Montgomery contexts :func:`powmod` kept for its
-    secret moduli ``p^2`` and ``q^2`` are dropped
-    (:func:`repro.mpint.native.forget`).
+    the Garner constant of the key-holder :meth:`obfuscators`.  It holds
+    the Montgomery contexts of its secret moduli ``p^2`` and ``q^2``
+    (:func:`repro.mpint.native.hold`), cleared with the last equal key.
     """
 
     p: int
@@ -130,6 +131,8 @@ class PaillierPrivateKey:
     q_squared: int = field(init=False, repr=False, compare=False)
     #: ``(q^2)^-1 mod p^2`` for Garner recombination modulo ``n^2``.
     q_squared_inverse: int = field(init=False, repr=False, compare=False)
+    #: The Montgomery contexts of ``p^2`` and ``q^2``.
+    montgomery: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.p * self.q != self.public_key.n:
@@ -151,8 +154,8 @@ class PaillierPrivateKey:
         object.__setattr__(self, "q_squared", q_squared)
         object.__setattr__(self, "q_squared_inverse",
                            powmod(q_squared, -1, p_squared))
-        for secret_modulus in (p_squared, q_squared):
-            weakref.finalize(self, forget, secret_modulus)
+        object.__setattr__(self, "montgomery",
+                           (hold(p_squared), hold(q_squared)))
 
     def decrypt(self, ciphertexts: Sequence[int]) -> List[int]:
         """Decrypt integer ciphertexts (Eq. 4), via CRT.
@@ -302,6 +305,11 @@ class RsaPublicKey:
     n: int
     e: int
     key_bits: int
+    #: ``n``'s Montgomery context (both keys' powers run modulo ``n``).
+    montgomery: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "montgomery", hold(self.n))
 
     def ciphertext_bytes(self) -> int:
         """Serialized size of one RSA ciphertext."""

@@ -299,15 +299,7 @@ class RoundStateMachine:
             raise InvalidTransitionError(
                 f"{record.kind} records belong to the shard pool's "
                 f"topology journal, not a round coordinator's log")
-        handler = {
-            ROUND_OPEN: self._apply_open,
-            UPLOAD_ACCEPTED: self._apply_upload,
-            QUORUM_REACHED: self._apply_quorum,
-            DECRYPT_COMMITTED: self._apply_commit,
-            PARTIAL_COMMITTED: self._apply_partial,
-            ROUND_CLOSE: self._apply_close,
-        }[record.kind]
-        return handler(record)
+        return self._HANDLERS[record.kind](self, record)
 
     def _apply_checkpoint(self, record: WalRecord) -> bool:
         if self.round is not None or self.closed_rounds:
@@ -406,6 +398,16 @@ class RoundStateMachine:
         state.held_uploads.clear()
         self.closed_rounds[state.round_index] = self.digest()
         return True
+
+    #: Record kind -> the method that applies it.
+    _HANDLERS = {
+        ROUND_OPEN: _apply_open,
+        UPLOAD_ACCEPTED: _apply_upload,
+        QUORUM_REACHED: _apply_quorum,
+        DECRYPT_COMMITTED: _apply_commit,
+        PARTIAL_COMMITTED: _apply_partial,
+        ROUND_CLOSE: _apply_close,
+    }
 
     def checkpoint(self, lsn: int, resume: WalRecord) -> WalRecord:
         """The record that stands for this machine's log once every

@@ -23,11 +23,11 @@ modulus is even or narrower than :data:`NATIVE_MIN_MODULUS_BITS`
 round trip costs more than the arithmetic), when the exponent is
 negative, when an argument is not a plain ``int``, when a ``BN_*`` call
 reports failure, or when no library was bound.  Range, unit and gcd
-checks stay with the callers.  A modulus :func:`powmod` meets keeps its
-``BIGNUM`` and ``BN_MONT_CTX`` from that first call on, so the moduli a
-key repeats (``p^2``, ``q^2``, ``n^2``) stop paying to set them up on
-every call; :func:`forget` drops one that must not stay (a prime
-candidate's, or a collected private key's ``p^2`` and ``q^2``).
+checks stay with the callers.  A modulus's ``BIGNUM`` and
+``BN_MONT_CTX`` (the paper's ``R`` and ``N'``) live as long as an owner
+holds them (:func:`hold`): a key its moduli, a :class:`ResidueBatch` its
+modulus, a Miller-Rabin test its candidate.  Calls find them through one
+weak index; a modulus nobody holds gets a context for the call alone.
 
 The cutoff is the measured crossover on the reference host: with an
 exponent as wide as the modulus the library wins from ~96 bits up, with
@@ -78,6 +78,7 @@ import ctypes
 import ctypes.util
 import os
 import threading
+import weakref
 from collections import Counter
 from collections.abc import Sequence
 from functools import cached_property
@@ -89,7 +90,7 @@ from repro.counters import (CONVERSIONS, MONTGOMERY_CONTEXTS, POWMODS,
                             RESIDENT_PRODUCTS, WORDS_ENTERED, WORK,
                             WORKER_SUBMISSIONS)
 
-__all__ = ["powmod", "forget", "resident", "mulmod_batch", "ResidueBatch",
+__all__ = ["powmod", "hold", "resident", "mulmod_batch", "ResidueBatch",
            "run_pair", "HAVE_NATIVE", "BACKEND", "NATIVE_MIN_MODULUS_BITS",
            "SPLIT_MIN_WORK"]
 
@@ -117,9 +118,6 @@ _KAT_CUBE = 0x8e9081dde27230cb322ecdbe18a3da9c
 # Most idle handles kept for reuse (~300 bytes each at a 1024-bit key);
 # a block that would take the total past this is freed instead.
 _FREE_LIST_MAX = 4096
-
-# Most moduli with a live context in each cache (a key uses a handful).
-_CONTEXT_CACHE_MAX = 16
 
 
 class _Scratch:
@@ -212,15 +210,14 @@ def _bn_powmod(lib: ctypes.CDLL, scratch: _Scratch, base: int,
     """``base^exponent mod modulus`` through the library, or ``None``.
 
     Requires ``0 <= base < modulus``, ``exponent >= 0`` and an odd
-    ``modulus > 1``.  Every modulus runs under its cached Montgomery
-    context (:func:`_power_context`), built on its first call.  ``None``
-    means a ``BN_*`` call reported failure; the library's per-thread
-    error queue is emptied so the failure cannot surface later inside
-    :mod:`ssl` or :mod:`hashlib`.
+    ``modulus > 1``, under the modulus's held context or one of its own.
+    ``None`` means a ``BN_*`` call reported failure; the library's
+    per-thread error queue is emptied so the failure cannot surface later
+    inside :mod:`ssl` or :mod:`hashlib`.
     """
     work = _work()
     try:
-        context = _power_context(lib, modulus)
+        context = _index.get(modulus) or _ModulusContext(lib, modulus)
     except MemoryError:
         lib.ERR_clear_error()
         return None
@@ -330,6 +327,9 @@ class _ModulusContext:
                                         scratch.ctx)):
             raise MemoryError("libcrypto could not set up a BN_MONT_CTX")
         _work()[MONTGOMERY_CONTEXTS] += 1
+
+    def __reduce__(self):
+        return hold, (self.modulus,)  # a copy is the held context
 
     def __del__(self) -> None:
         if self._mont:
@@ -499,36 +499,11 @@ class ResidueBatch(Sequence):
             else NotImplemented
 
 
-# Odd modulus -> context; emptied when full (batches keep theirs alive).
-_contexts: Dict[int, _ModulusContext] = {}
-
-# The contexts powmod hands the library, apart from the resident
-# batches' cache so that no modulus powmod sees can evict a context that
-# batches share.  A prime candidate's context is dropped when its test
-# ends (:func:`forget`).  Threads race on both dicts harmlessly: at worst
-# a context is built twice or dropped early, and each call keeps the one
-# it holds.
-_power_contexts: Dict[int, _ModulusContext] = {}
-
-
-def _context(lib: ctypes.CDLL, modulus: int) -> _ModulusContext:
-    """The cached context of an odd ``modulus`` of at least the cutoff."""
-    context = _contexts.get(modulus)
-    if context is None:
-        if len(_contexts) >= _CONTEXT_CACHE_MAX:
-            _contexts.clear()
-        context = _contexts[modulus] = _ModulusContext(lib, modulus)
-    return context
-
-
-def _power_context(lib: ctypes.CDLL, modulus: int) -> _ModulusContext:
-    """The cached context :func:`powmod` runs ``modulus`` under."""
-    context = _power_contexts.get(modulus)
-    if context is None:
-        if len(_power_contexts) >= _CONTEXT_CACHE_MAX:
-            _power_contexts.clear()
-        context = _power_contexts[modulus] = _ModulusContext(lib, modulus)
-    return context
+# Odd modulus -> its context while an owner holds it; the index keeps
+# nothing alive.  Threads race on it harmlessly: at worst a context is
+# built twice, and each call keeps the one it holds.
+_index: "weakref.WeakValueDictionary[int, _ModulusContext]" = \
+    weakref.WeakValueDictionary()
 
 
 def _self_test(lib: ctypes.CDLL) -> bool:
@@ -588,14 +563,23 @@ def powmod(base: int, exponent: int, modulus: int) -> int:
     return result
 
 
-def forget(modulus: int) -> None:
-    """Drop the context :func:`powmod` keeps for ``modulus``.
-
-    For a modulus that will not come back, or must not stay in the
-    process (a prime candidate): its ``BIGNUM`` is cleared once no call
-    in flight still holds the context.
-    """
-    _power_contexts.pop(modulus, None)
+def hold(modulus: int) -> Optional[_ModulusContext]:
+    """The context every call under ``modulus`` runs under, for an owner
+    to keep: equal owners share it, and the last one to go clears it.
+    ``None`` where :func:`powmod` takes the builtin for ``modulus`` (no
+    library, an even or narrow modulus) or the library fails."""
+    lib = _lib
+    if (lib is None or type(modulus) is not int or modulus < _CUTOFF
+            or not modulus & 1):
+        return None
+    context = _index.get(modulus)
+    if context is None:
+        try:
+            context = _index.setdefault(modulus,
+                                        _ModulusContext(lib, modulus))
+        except MemoryError:
+            lib.ERR_clear_error()
+    return context
 
 
 # ----------------------------------------------------------------------
@@ -733,15 +717,15 @@ def resident(values: Iterable[int],
             and values.modulus == modulus):
         return values
     words = list(values)
-    if (lib is None or type(modulus) is not int or modulus < _CUTOFF
-            or not modulus & 1 or not words
-            or set(map(type, words)) != {int}):
+    context = hold(modulus) if words and set(map(type, words)) == {int} \
+        else None
+    if context is None:
         return words
     reduced = words
     if min(words) < 0 or max(words) >= modulus:
         reduced = [word % modulus for word in words]
     try:
-        return _context(lib, modulus).enter(reduced)
+        return context.enter(reduced)
     except MemoryError:
         lib.ERR_clear_error()
         return words

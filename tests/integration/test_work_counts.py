@@ -85,11 +85,10 @@ def test_a_fresh_key_holder_encrypt_takes_two_library_powers_a_word():
 
 @pytest.mark.skipif(not native.HAVE_NATIVE,
                     reason="library powers need the native library")
-def test_a_warm_agg_fresh_round_builds_no_montgomery_context(monkeypatch):
+def test_a_warm_agg_fresh_round_builds_no_montgomery_context():
     """``agg_fresh_1024``'s shape: every modulus a round raises powers
     under -- ``p^2`` and ``q^2``, for the lifts and the CRT decrypt --
-    kept its context from the first round."""
-    monkeypatch.setattr(native, "_power_contexts", {})
+    has the context the private key holds."""
     runtime = FederationRuntime(FLBOOSTER_SYSTEM, num_clients=2,
                                 key_bits=1024, physical_key_bits=1024,
                                 seed=7, randomizer_pool_size=0,

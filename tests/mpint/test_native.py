@@ -9,9 +9,11 @@ the library itself skip where none could be bound (and under
 from __future__ import annotations
 
 import ast
+import copy
 import gc
 import os
 import pathlib
+import pickle
 import select
 import signal
 import subprocess
@@ -27,7 +29,9 @@ from hypothesis import strategies as st
 import repro
 from repro.counters import (CONVERSIONS, MONTGOMERY_CONTEXTS, POWMODS,
                             WORDS_ENTERED, WORKER_SUBMISSIONS, counted)
-from repro.crypto.keys import generate_paillier_keypair
+from repro.crypto.damgard_jurik import (DamgardJurik,
+                                        generate_damgard_jurik_keypair)
+from repro.crypto.keys import generate_paillier_keypair, generate_rsa_keypair
 from repro.mpint import native
 from repro.mpint.native import (
     NATIVE_MIN_MODULUS_BITS,
@@ -191,63 +195,137 @@ def test_unbound_library_is_pure_pow(no_native, library_calls):
 # ----------------------------------------------------------------------
 
 @pytest.fixture()
-def fresh_power_contexts(monkeypatch):
-    """An empty cache of the contexts powmod keeps."""
-    monkeypatch.setattr(native, "_power_contexts", {})
+def contexts_built(monkeypatch):
+    """A weakref to each Montgomery context set up during the test."""
+    built = []
+    setup = native._ModulusContext.__init__
+
+    def spy(self, lib, modulus):
+        setup(self, lib, modulus)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(native._ModulusContext, "__init__", spy)
+    return built
+
+
+def alive(refs):
+    """The moduli of the contexts in ``refs`` still alive."""
+    return {ref().modulus for ref in refs if ref() is not None}
 
 
 @needs_native
-def test_a_repeated_modulus_builds_one_context(fresh_power_contexts,
-                                               monkeypatch):
-    monkeypatch.setattr(native, "_contexts", {})
-    modulus = (1 << 521) - 1
-    batch = resident([5, 7], modulus)
+def test_a_held_modulus_builds_one_context(contexts_built, rng):
+    """An owner's context serves every call under its modulus, powers
+    and resident batches alike; a modulus nobody holds gets one per
+    call, which goes with the call."""
+    modulus, loose = odd_modulus(rng, 521), odd_modulus(rng, 607)
+    held = native.hold(modulus)
     with counted() as added:
         for _ in range(3):
             assert powmod(3, modulus - 2, modulus) == \
                 pow(3, modulus - 2, modulus)
-    assert added[POWMODS] == 3
-    assert added[MONTGOMERY_CONTEXTS] == 1
-    assert list(native._power_contexts) == [modulus]
-    # The resident batches' context is another cache's, and stays.
-    assert native._contexts[modulus] is batch._context
+            assert powmod(3, loose - 2, loose) == pow(3, loose - 2, loose)
+    assert added[POWMODS] == 6
+    assert added[MONTGOMERY_CONTEXTS] == 3
+    assert alive(contexts_built) == {modulus}
+    batch = resident([5, 7], modulus)
+    assert batch._context is held
     assert type(mulmod_batch(batch, resident([2, 3], modulus),
                              modulus)) is ResidueBatch
+    del held, batch
+    assert alive(contexts_built) == set()
+    assert native.hold(modulus + 1) is None     # even: the builtin's
+    assert native.hold(odd_modulus(rng, 100)) is None   # below the cutoff
+
+
+def test_nothing_is_held_without_the_library(no_native):
+    assert native.hold((1 << 521) - 1) is None
 
 
 @needs_native
-def test_key_generation_leaves_no_prime_in_the_context_cache(
-        fresh_power_contexts):
+def test_key_generation_leaves_no_candidate_context_alive(contexts_built):
     """Prime candidates are one-off moduli, and the two that pass are
-    the secret factors: neither stays behind as a cached context."""
-    private = generate_paillier_keypair(
-        512, LimbRandom(seed_for(7430))).private_key
-    assert private.p not in native._power_contexts
-    assert private.q not in native._power_contexts
-    assert native._power_contexts == {}
+    the secret factors: once the keys exist, only the contexts of the
+    moduli they hold are alive."""
+    keypair = generate_paillier_keypair(512, LimbRandom(seed_for(7430)))
+    private = keypair.private_key
+    assert len(contexts_built) > 3      # the candidates had theirs
+    assert alive(contexts_built) == {
+        private.p_squared, private.q_squared, private.public_key.n_squared}
 
 
 @needs_native
-def test_a_collected_private_key_leaves_no_secret_modulus_cached(
-        fresh_power_contexts):
-    """A live key keeps its ``p^2`` and ``q^2`` contexts from the first
-    call on; once the key is collected, neither stays behind."""
+def test_a_collected_private_key_leaves_no_secret_context_alive():
+    """A live key runs every power under the contexts it holds; once the
+    key is collected, neither ``p^2``'s nor ``q^2``'s is alive."""
     keypair = generate_paillier_keypair(1024, LimbRandom(seed_for(7435)))
     private = keypair.private_key
-    moduli = (private.p_squared, private.q_squared)
     draws = LimbRandom(seed_for(7436))
     randomizers = [draws.random_unit(private.public_key.n) for _ in range(3)]
     ciphertexts = encrypt_fresh(keypair.public_key, [1, 2, 3], draws)
-    private.obfuscators(randomizers)
-    private.decrypt(ciphertexts)
     with counted() as added:
         private.obfuscators(randomizers)
         assert private.decrypt(ciphertexts) == [1, 2, 3]
     assert added[MONTGOMERY_CONTEXTS] == 0
-    assert all(modulus in native._power_contexts for modulus in moduli)
+    contexts = [weakref.ref(context) for context in private.montgomery]
+    assert [context().modulus for context in contexts] == \
+        [private.p_squared, private.q_squared]
     del keypair, private
     gc.collect()
-    assert not any(modulus in native._power_contexts for modulus in moduli)
+    assert [context() for context in contexts] == [None, None]
+
+
+@needs_native
+def test_equal_private_keys_share_their_contexts():
+    """A second key equal to a live one holds the same contexts, so
+    collecting the first leaves the second nothing to set up."""
+    first, second = (
+        generate_paillier_keypair(1024, LimbRandom(seed_for(7437)))
+        for _ in range(2))
+    assert first == second
+    assert all(a is b for a, b in zip(first.private_key.montgomery,
+                                      second.private_key.montgomery))
+    assert first.public_key.montgomery is second.public_key.montgomery
+    draws = LimbRandom(seed_for(7438))
+    randomizers = [draws.random_unit(second.public_key.n) for _ in range(3)]
+    ciphertexts = encrypt_fresh(second.public_key, [4, 5, 6], draws)
+    del first
+    gc.collect()
+    with counted() as added:
+        second.private_key.obfuscators(randomizers)
+        assert second.private_key.decrypt(ciphertexts) == [4, 5, 6]
+    assert added[MONTGOMERY_CONTEXTS] == 0
+
+
+@needs_native
+def test_rsa_and_damgard_jurik_keys_hold_their_moduli():
+    """Every power of these keys runs modulo one modulus, ``n`` or
+    ``n^(s+1)``, whose context the public key holds."""
+    rsa = generate_rsa_keypair(512, LimbRandom(seed_for(7440)))
+    dj = generate_damgard_jurik_keypair(256, s=2,
+                                        rng=LimbRandom(seed_for(7441)))
+    n, e, d = rsa.public_key.n, rsa.public_key.e, rsa.private_key.d
+    with counted() as added:
+        assert powmod(powmod(7, e, n), d, n) == 7
+        ciphertext = DamgardJurik.raw_encrypt(
+            dj.public_key, 5, rng=LimbRandom(seed_for(7442)))
+        assert DamgardJurik.raw_decrypt(dj.private_key, ciphertext) == 5
+    assert added[POWMODS] == 4
+    assert added[MONTGOMERY_CONTEXTS] == 0
+
+
+@needs_native
+def test_a_copied_key_holds_the_same_contexts():
+    """A context's pointers are never copied: a copy or a pickle of a
+    key holds the contexts of the key it came from."""
+    private = generate_paillier_keypair(
+        512, LimbRandom(seed_for(7439))).private_key
+    for twin in (copy.copy(private), copy.deepcopy(private),
+                 pickle.loads(pickle.dumps(private))):
+        assert twin == private
+        assert all(a is b for a, b in zip(twin.montgomery,
+                                          private.montgomery))
+        assert twin.public_key.montgomery is private.public_key.montgomery
 
 
 @needs_native
@@ -361,12 +439,12 @@ def test_two_threads_interleaving_calls():
 
 
 @needs_native
-def test_threads_racing_on_the_context_caches_get_pow(fresh_power_contexts,
-                                                      monkeypatch):
-    """More threads than cores over more moduli than the caches hold, so
-    builds and evictions race; each call still gets pow()."""
-    monkeypatch.setattr(native, "_CONTEXT_CACHE_MAX", 2)
+def test_threads_racing_on_the_context_index_get_pow():
+    """More threads than cores over shared moduli, half of them held and
+    half built and dropped per call, so lookups, builds and removals
+    race; each call still gets pow()."""
     moduli = [(1 << 521) - 1, (1 << 607) - 1, (1 << 521) + 3, (1 << 600) + 1]
+    owners = [native.hold(modulus) for modulus in moduli[:2]]
     rounds = 60
     expected = [[pow(i + 2, modulus >> 5, modulus) for i in range(rounds)]
                 for modulus in moduli]
@@ -390,6 +468,7 @@ def test_threads_racing_on_the_context_caches_get_pow(fresh_power_contexts,
     assert not any(thread.is_alive() for thread in threads)
     assert all(result == [list(row) for row in zip(*expected)]
                for result in results)
+    assert [owner.modulus for owner in owners] == moduli[:2]
 
 
 # ----------------------------------------------------------------------
@@ -868,8 +947,9 @@ def test_a_dropped_context_needs_no_cycle_collector(rng):
         assert list(product) == [9, 25, 49]  # leave() builds a fixup
         context = weakref.ref(product._context)
         assert context()._fixups
-        del native._contexts[modulus], batch, product
+        del batch, product
         assert context() is None
+        assert modulus not in native._index
     finally:
         gc.enable()
 
@@ -905,16 +985,23 @@ def test_two_threads_reducing_concurrently(rng):
 
 
 @needs_native
-def test_the_context_cache_is_bounded(rng):
-    held = resident([2, 3], odd_modulus(rng, 256))
-    for _ in range(3 * native._CONTEXT_CACHE_MAX):
-        modulus = odd_modulus(rng, 256)
-        assert list(mulmod_batch(resident([2, 3], modulus),
-                                 resident([5, 7], modulus), modulus)) \
-            == [10, 21]
-        assert len(native._contexts) <= native._CONTEXT_CACHE_MAX
-    # An evicted context lives as long as a batch under it does.
-    assert list(mulmod_batch(held, held, held._context.modulus)) == [4, 9]
+def test_a_batch_keeps_its_context_however_many_moduli_pass(rng):
+    """A batch under ``M`` holds ``M``'s context, so a batch entered
+    after many other moduli came and went shares it, and their product
+    stays resident instead of falling back to a list."""
+    modulus = odd_modulus(rng, 256)
+    first = resident([2, 3], modulus)
+    others = [odd_modulus(rng, 256) for _ in range(16)]
+    for other in others:
+        assert list(mulmod_batch(resident([2, 3], other),
+                                 resident([5, 7], other), other)) == [10, 21]
+    second = resident([5, 7], modulus)
+    assert second._context is first._context
+    product = mulmod_batch(first, second, modulus)
+    assert type(product) is ResidueBatch
+    assert list(product) == [10, 21]
+    # The others' contexts went with their batches.
+    assert not any(other in native._index for other in others)
 
 
 @needs_native

@@ -12,6 +12,8 @@ so a silently disengaged path cannot hide behind the fallback.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -72,8 +74,9 @@ def histogram(engine_class, keypair, passes=1):
 
 @pytest.fixture()
 def fresh_contexts(monkeypatch):
-    """A fresh context cache: each deficit's first leave enters a fixup."""
-    monkeypatch.setattr(native, "_contexts", {})
+    """A fresh context index, so the session key's ciphertext modulus
+    gets a new context: each deficit's first leave enters a fixup."""
+    monkeypatch.setattr(native, "_index", weakref.WeakValueDictionary())
 
 
 def entered(added):
