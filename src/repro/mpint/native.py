@@ -299,15 +299,31 @@ def _spread(deficits: Deficits, count: int) -> List[int]:
     return [deficits] * count if type(deficits) is int else deficits
 
 
+class _Montgomery:
+    """A context's library objects, freed with clearing: the modulus may
+    be a secret prime (``BN_MONT_CTX_free`` clears its own numbers).  A
+    finalizer on the context would run while :data:`_index` still hands
+    it out, and the frees drop the interpreter lock."""
+
+    __slots__ = ("lib", "mont", "bn_modulus")
+
+    def __init__(self, lib: ctypes.CDLL) -> None:
+        self.lib, self.mont, self.bn_modulus = \
+            lib, lib.BN_MONT_CTX_new(), lib.BN_new()
+
+    def __del__(self) -> None:
+        if self.mont:
+            self.lib.BN_MONT_CTX_free(self.mont)
+        if self.bn_modulus:
+            self.lib.BN_clear_free(self.bn_modulus)
+
+
 class _ModulusContext:
-    """One odd modulus: its ``BIGNUM``, its ``BN_MONT_CTX`` and the way
-    in and out.
+    """One odd modulus: its :class:`_Montgomery` objects and the way in
+    and out.
 
     Read-only once built, so every thread shares it; the ``BN_CTX`` and
     the temporaries a call needs come from the caller's :class:`_Scratch`.
-    The modulus may be secret (a prime of a private key), so both are
-    freed with clearing: ``BN_MONT_CTX_free`` clears the numbers it
-    holds.
     """
 
     def __init__(self, lib: ctypes.CDLL, modulus: int) -> None:
@@ -317,25 +333,18 @@ class _ModulusContext:
         # Deficit -> the block holding R^(deficit+1): a block, not a
         # batch, so the context holds nothing that points back at it.
         self._fixups: Dict[int, _Block] = {}
-        self._mont = lib.BN_MONT_CTX_new()
-        self._bn_modulus = lib.BN_new()
-        scratch = _scratch(lib)
+        owned = self._owned = _Montgomery(lib)
+        self._mont, self._bn_modulus = owned.mont, owned.bn_modulus
         if not (self._mont and self._bn_modulus
                 and lib.BN_lebin2bn(modulus.to_bytes(self.size, "little"),
                                     self.size, self._bn_modulus)
                 and lib.BN_MONT_CTX_set(self._mont, self._bn_modulus,
-                                        scratch.ctx)):
+                                        _scratch(lib).ctx)):
             raise MemoryError("libcrypto could not set up a BN_MONT_CTX")
         _work()[MONTGOMERY_CONTEXTS] += 1
 
     def __reduce__(self):
         return hold, (self.modulus,)  # a copy is the held context
-
-    def __del__(self) -> None:
-        if self._mont:
-            self._lib.BN_MONT_CTX_free(self._mont)
-        if self._bn_modulus:
-            self._lib.BN_clear_free(self._bn_modulus)
 
     def _fill(self, words: List[int]) -> _Block:
         """A block holding ``words`` (each in ``[0, modulus)``)."""
@@ -499,9 +508,9 @@ class ResidueBatch(Sequence):
             else NotImplemented
 
 
-# Odd modulus -> its context while an owner holds it; the index keeps
-# nothing alive.  Threads race on it harmlessly: at worst a context is
-# built twice, and each call keeps the one it holds.
+# Odd modulus -> its context while an owner holds it.  The index keeps
+# nothing alive, and forgets a context before its _Montgomery objects
+# are freed.  Racing threads may build two; each keeps the one it got.
 _index: "weakref.WeakValueDictionary[int, _ModulusContext]" = \
     weakref.WeakValueDictionary()
 
@@ -558,9 +567,7 @@ def powmod(base: int, exponent: int, modulus: int) -> int:
     if not 0 <= base < modulus:
         base %= modulus
     result = _bn_powmod(lib, _scratch(lib), base, exponent, modulus)
-    if result is None:
-        return pow(base, exponent, modulus)
-    return result
+    return pow(base, exponent, modulus) if result is None else result
 
 
 def hold(modulus: int) -> Optional[_ModulusContext]:
@@ -572,14 +579,12 @@ def hold(modulus: int) -> Optional[_ModulusContext]:
     if (lib is None or type(modulus) is not int or modulus < _CUTOFF
             or not modulus & 1):
         return None
-    context = _index.get(modulus)
-    if context is None:
-        try:
-            context = _index.setdefault(modulus,
-                                        _ModulusContext(lib, modulus))
-        except MemoryError:
-            lib.ERR_clear_error()
-    return context
+    try:
+        return _index.get(modulus) or _index.setdefault(
+            modulus, _ModulusContext(lib, modulus))
+    except MemoryError:
+        lib.ERR_clear_error()
+        return None
 
 
 # ----------------------------------------------------------------------

@@ -101,11 +101,8 @@ def is_probable_prime(candidate: int, rounds: int = DEFAULT_ROUNDS,
         rng = LimbRandom()
 
     # Write candidate - 1 = d * 2^r with d odd.
-    d = candidate - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r = ((candidate - 1) & (1 - candidate)).bit_length() - 1
+    d = (candidate - 1) >> r
 
     # Every witness reuses the candidate's Montgomery context, which the
     # test owns: a secret prime's, if it passes, is cleared on return.

@@ -471,6 +471,79 @@ def test_threads_racing_on_the_context_index_get_pow():
     assert [owner.modulus for owner in owners] == moduli[:2]
 
 
+@needs_native
+def test_the_index_lets_go_of_a_context_before_freeing_it(monkeypatch):
+    """ctypes drops the interpreter lock inside the frees, so another
+    thread may look the modulus up while they run: it must find nothing,
+    not the dying context with its library objects half freed."""
+    modulus = (1 << 607) + 7
+    found = []
+    free = native._lib.BN_MONT_CTX_free
+
+    def spy(mont):
+        found.append(native._index.get(modulus))
+        free(mont)
+
+    monkeypatch.setattr(native._lib, "BN_MONT_CTX_free", spy)
+    owner = native.hold(modulus)
+    del owner
+    assert found == [None]
+    assert modulus not in native._index
+
+
+@needs_native
+def test_threads_looking_up_a_modulus_as_its_last_owner_goes(monkeypatch):
+    """Threads take and drop one modulus's context between powers under
+    it, so the context dies and is rebuilt while others look it up: no
+    lookup returns a context whose ``BN_MONT_CTX`` was freed, and every
+    power is pow()'s."""
+    modulus = (1 << 607) + 7
+    freed = set()
+    new, free = native._lib.BN_MONT_CTX_new, native._lib.BN_MONT_CTX_free
+
+    def spy_new():
+        mont = new()
+        freed.discard(mont)  # before any lookup can return its context
+        return mont
+
+    def spy_free(mont):
+        freed.add(mont)
+        free(mont)
+
+    monkeypatch.setattr(native._lib, "BN_MONT_CTX_new", spy_new)
+    monkeypatch.setattr(native._lib, "BN_MONT_CTX_free", spy_free)
+    rounds = 150
+    expected = [pow(i + 2, modulus >> 5, modulus) for i in range(rounds)]
+    results, stale = [None] * 4, []
+
+    def work(slot):
+        powers = []
+        for i in range(rounds):
+            owner = native.hold(modulus)
+            if owner._mont in freed:
+                stale.append(owner.modulus)
+            del owner
+            powers.append(powmod(i + 2, modulus >> 5, modulus))
+        results[slot] = powers
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with counted() as added:
+            threads = [threading.Thread(target=work, args=(slot,))
+                       for slot in range(len(results))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert added[MONTGOMERY_CONTEXTS] > len(results)  # contexts did die
+    assert stale == []
+    assert results == [expected] * len(results)
+
+
 # ----------------------------------------------------------------------
 # Two halves on two cores: run_pair.
 # ----------------------------------------------------------------------
