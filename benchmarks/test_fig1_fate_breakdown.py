@@ -5,14 +5,14 @@ HE operations take >50% of a FATE epoch and communication >40%.
 """
 
 from benchmarks.common import bench_models, publish
-from repro.baselines import FATE
 from repro.experiments import format_table, run_epoch_experiment
+from repro.federation.runtime import FATE_SYSTEM
 
 
 def collect():
     rows = []
     for model in bench_models():
-        report = run_epoch_experiment(FATE, model, "RCV1", 1024)
+        report = run_epoch_experiment(FATE_SYSTEM, model, "RCV1", 1024)
         percentages = report.component_percentages()
         rows.append((model, report, percentages))
     return rows

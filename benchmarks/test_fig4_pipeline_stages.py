@@ -15,9 +15,8 @@ of a round) rather than Sec. IV-B's "extremely small".
 """
 
 from benchmarks.common import bench_rng, publish
-from repro.baselines import FLBOOSTER
 from repro.experiments import format_table
-from repro.federation.runtime import FederationRuntime
+from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
 from repro.ledger import COMPONENT_COMM, COMPONENT_HE, COMPONENT_OTHERS
 
 CLIENTS = 4
@@ -37,7 +36,7 @@ STAGES = {
 
 
 def collect():
-    runtime = FederationRuntime(FLBOOSTER, num_clients=CLIENTS,
+    runtime = FederationRuntime(FLBOOSTER_SYSTEM, num_clients=CLIENTS,
                                 key_bits=1024, seed=7)
     ledger = runtime.begin_epoch()
     gradients = bench_rng(2).uniform(-1, 1, (CLIENTS, VALUES))

@@ -6,10 +6,13 @@ register pressure.
 """
 
 from benchmarks.common import bench_key_sizes, publish
-from repro.baselines import FLBOOSTER, HAFLO
 from repro.experiments import format_table, physical_key_for, sm_utilization
 from repro.experiments.plots import ascii_chart
-from repro.federation.runtime import FederationRuntime
+from repro.federation.runtime import (
+    FLBOOSTER_SYSTEM,
+    HAFLO_SYSTEM,
+    FederationRuntime,
+)
 
 
 def measured_utilization(config, key_bits):
@@ -27,10 +30,10 @@ def collect():
     rows = []
     for key_bits in bench_key_sizes():
         rows.append((key_bits,
-                     sm_utilization(FLBOOSTER, key_bits),
-                     sm_utilization(HAFLO, key_bits),
-                     measured_utilization(FLBOOSTER, key_bits),
-                     measured_utilization(HAFLO, key_bits)))
+                     sm_utilization(FLBOOSTER_SYSTEM, key_bits),
+                     sm_utilization(HAFLO_SYSTEM, key_bits),
+                     measured_utilization(FLBOOSTER_SYSTEM, key_bits),
+                     measured_utilization(HAFLO_SYSTEM, key_bits)))
     return rows
 
 

@@ -11,8 +11,8 @@ from benchmarks.common import (
     bench_models,
     publish,
 )
-from repro.baselines import FLBOOSTER, WITHOUT_BC
 from repro.experiments import format_table, run_epoch_experiment
+from repro.federation.runtime import FLBOOSTER_SYSTEM, WITHOUT_BC
 from repro.quantization.packing import compression_ratio
 
 
@@ -21,7 +21,7 @@ def collect():
     for model in bench_models():
         for dataset in bench_datasets():
             for key_bits in bench_key_sizes():
-                packed = run_epoch_experiment(FLBOOSTER, model, dataset,
+                packed = run_epoch_experiment(FLBOOSTER_SYSTEM, model, dataset,
                                               key_bits)
                 unpacked = run_epoch_experiment(WITHOUT_BC, model, dataset,
                                                 key_bits)

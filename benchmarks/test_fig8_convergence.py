@@ -9,11 +9,15 @@ than HAFLO, which beats FATE; all three converge to equivalent losses
 import numpy as np
 
 from benchmarks.common import bench_models, fast_mode, publish
-from repro.baselines import FATE, FLBOOSTER, HAFLO
 from repro.experiments.plots import ascii_chart
 from repro.experiments import format_table, run_training
+from repro.federation.runtime import (
+    FATE_SYSTEM,
+    FLBOOSTER_SYSTEM,
+    HAFLO_SYSTEM,
+)
 
-SYSTEMS = (FATE, HAFLO, FLBOOSTER)
+SYSTEMS = (FATE_SYSTEM, HAFLO_SYSTEM, FLBOOSTER_SYSTEM)
 MAX_EPOCHS = 3 if fast_mode() else 6
 
 

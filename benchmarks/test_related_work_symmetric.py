@@ -13,10 +13,9 @@ import time
 import numpy as np
 
 from benchmarks.common import bench_rng, publish
-from repro.baselines import FLBOOSTER
 from repro.crypto.symmetric_he import MaskingScheme
 from repro.experiments import format_table
-from repro.federation.runtime import FederationRuntime
+from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
 
 VECTOR_LENGTH = 1024
 NUM_PARTIES = 4
@@ -38,7 +37,7 @@ def collect():
     assert totals == expected
 
     # Paillier under FLBooster: modelled seconds at the 1024-bit key.
-    runtime = FederationRuntime(FLBOOSTER, num_clients=NUM_PARTIES,
+    runtime = FederationRuntime(FLBOOSTER_SYSTEM, num_clients=NUM_PARTIES,
                                 key_bits=1024, physical_key_bits=256)
     ledger = runtime.begin_epoch()
     float_vectors = [np.asarray(vector, dtype=np.float64) / (1 << 21)

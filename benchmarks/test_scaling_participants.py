@@ -11,8 +11,8 @@ design twice, and this sweep makes both visible:
 """
 
 from benchmarks.common import fast_mode, publish
-from repro.baselines import FLBOOSTER
 from repro.experiments import format_table, run_epoch_experiment
+from repro.federation.runtime import FLBOOSTER_SYSTEM
 from repro.quantization.packing import packing_capacity
 
 CLIENT_COUNTS = (2, 4, 8) if fast_mode() else (2, 4, 8, 16, 32)
@@ -22,7 +22,7 @@ KEY = 1024
 def collect():
     rows = []
     for clients in CLIENT_COUNTS:
-        report = run_epoch_experiment(FLBOOSTER, "Homo LR", "Synthetic",
+        report = run_epoch_experiment(FLBOOSTER_SYSTEM, "Homo LR", "Synthetic",
                                       KEY, num_clients=clients)
         capacity = packing_capacity(KEY, 30, clients)
         rows.append((clients, capacity, report))

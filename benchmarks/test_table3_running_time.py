@@ -13,15 +13,19 @@ from benchmarks.common import (
     bench_models,
     publish,
 )
-from repro.baselines import FATE, FLBOOSTER, HAFLO
 from repro.experiments import (
     format_table,
     run_epoch_experiment,
     scaled_dataset,
 )
 from repro.experiments.extrapolate import extrapolate_report
+from repro.federation.runtime import (
+    FATE_SYSTEM,
+    FLBOOSTER_SYSTEM,
+    HAFLO_SYSTEM,
+)
 
-SYSTEMS = (FATE, HAFLO, FLBOOSTER)
+SYSTEMS = (FATE_SYSTEM, HAFLO_SYSTEM, FLBOOSTER_SYSTEM)
 
 #: Paper Table III FATE column (seconds) for the extrapolation check.
 PAPER_FATE_1024 = {

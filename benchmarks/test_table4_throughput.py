@@ -7,10 +7,14 @@ are asserted.
 """
 
 from benchmarks.common import bench_datasets, bench_key_sizes, publish
-from repro.baselines import FATE, FLBOOSTER, HAFLO
 from repro.experiments import format_table, he_throughput, scaled_dataset
+from repro.federation.runtime import (
+    FATE_SYSTEM,
+    FLBOOSTER_SYSTEM,
+    HAFLO_SYSTEM,
+)
 
-SYSTEMS = (FATE, HAFLO, FLBOOSTER)
+SYSTEMS = (FATE_SYSTEM, HAFLO_SYSTEM, FLBOOSTER_SYSTEM)
 
 #: Paper Table IV reference bands (Homo LR column, rounded):
 PAPER_REFERENCE = {

@@ -11,10 +11,10 @@ from benchmarks.common import (
     bench_models,
     publish,
 )
-from repro.baselines import FLBOOSTER, WITHOUT_BC, WITHOUT_GHE
 from repro.experiments import format_table, run_epoch_experiment
+from repro.federation.runtime import FLBOOSTER_SYSTEM, WITHOUT_BC, WITHOUT_GHE
 
-SYSTEMS = (FLBOOSTER, WITHOUT_GHE, WITHOUT_BC)
+SYSTEMS = (FLBOOSTER_SYSTEM, WITHOUT_GHE, WITHOUT_BC)
 
 
 def collect():

@@ -5,10 +5,14 @@ HAFLO 0.2 / 0.6 / 99.2, FLBooster 22.1 / 5.9 / 72.0.
 """
 
 from benchmarks.common import bench_datasets, publish
-from repro.baselines import FATE, FLBOOSTER, HAFLO
 from repro.experiments import format_table, run_epoch_experiment
+from repro.federation.runtime import (
+    FATE_SYSTEM,
+    FLBOOSTER_SYSTEM,
+    HAFLO_SYSTEM,
+)
 
-SYSTEMS = (FATE, HAFLO, FLBOOSTER)
+SYSTEMS = (FATE_SYSTEM, HAFLO_SYSTEM, FLBOOSTER_SYSTEM)
 
 #: Paper Table VI reference, RCV1 rows: (others, HE, comm).
 PAPER_REFERENCE = {

@@ -9,9 +9,12 @@ sensitive).
 from dataclasses import asdict, dataclass
 
 from benchmarks.common import bench_datasets, bench_models, fast_mode, publish
-from repro.baselines import FATE, FLBOOSTER
 from repro.experiments import format_table, run_training
-from repro.federation.runtime import SystemConfig
+from repro.federation.runtime import (
+    FATE_SYSTEM,
+    FLBOOSTER_SYSTEM,
+    SystemConfig,
+)
 
 MAX_EPOCHS = 3 if fast_mode() else 5
 
@@ -32,10 +35,10 @@ def collect():
     biases = {}
     for model in bench_models():
         for dataset in bench_datasets():
-            fate = run_training(FATE, model, dataset, 1024,
+            fate = run_training(FATE_SYSTEM, model, dataset, 1024,
                                 max_epochs=MAX_EPOCHS,
                                 physical_key_bits=256)
-            flb = run_training(FLBOOSTER, model, dataset, 1024,
+            flb = run_training(FLBOOSTER_SYSTEM, model, dataset, 1024,
                                max_epochs=MAX_EPOCHS,
                                physical_key_bits=256,
                                bc_capacity="physical")
@@ -66,10 +69,10 @@ def collect_sensitivity():
     """
     out = {}
     for model in bench_models():
-        fate = run_training(FATE, model, "Synthetic", 1024,
+        fate = run_training(FATE_SYSTEM, model, "Synthetic", 1024,
                             max_epochs=MAX_EPOCHS, physical_key_bits=256)
         for r_bits in (8, 12, 16, 30):
-            config = SweptWidth(**{**asdict(FLBOOSTER),
+            config = SweptWidth(**{**asdict(FLBOOSTER_SYSTEM),
                                     "name": f"FLBooster(r={r_bits})"},
                                  width=r_bits)
             flb = run_training(config, model, "Synthetic", 1024,

@@ -7,11 +7,16 @@ behaviour: the GHE ratio (Eq. 10), the BC ratio = compression ratio
 """
 
 from benchmarks.common import bench_key_sizes, publish
-from repro.baselines import FATE, FLBOOSTER, WITHOUT_BC, WITHOUT_GHE
 from repro.experiments import (
     format_table,
     he_throughput,
     run_epoch_experiment,
+)
+from repro.federation.runtime import (
+    FATE_SYSTEM,
+    FLBOOSTER_SYSTEM,
+    WITHOUT_BC,
+    WITHOUT_GHE,
 )
 from repro.gpu.cost_model import DEFAULT_PROFILE
 from repro.gpu.resource_manager import ResourceManager
@@ -24,11 +29,13 @@ def collect():
     for key_bits in bench_key_sizes():
         plan = manager.plan(4096, DEFAULT_PROFILE.ciphertext_limbs(key_bits))
         eq10 = DEFAULT_PROFILE.eq10_acceleration_ratio(4096, key_bits, plan)
-        measured_ghe = (he_throughput(FLBOOSTER, key_bits, batch_size=4096)
-                        / he_throughput(FATE, key_bits, batch_size=4096))
+        measured_ghe = (
+            he_throughput(FLBOOSTER_SYSTEM, key_bits, batch_size=4096)
+            / he_throughput(FATE_SYSTEM, key_bits, batch_size=4096))
         eq13 = compression_ratio(10_000, key_bits, 30, 4)
-        fate = run_epoch_experiment(FATE, "Homo LR", "RCV1", key_bits)
-        flb = run_epoch_experiment(FLBOOSTER, "Homo LR", "RCV1", key_bits)
+        fate = run_epoch_experiment(FATE_SYSTEM, "Homo LR", "RCV1", key_bits)
+        flb = run_epoch_experiment(FLBOOSTER_SYSTEM, "Homo LR", "RCV1",
+                                   key_bits)
         no_bc = run_epoch_experiment(WITHOUT_BC, "Homo LR", "RCV1",
                                      key_bits)
         no_ghe = run_epoch_experiment(WITHOUT_GHE, "Homo LR", "RCV1",

@@ -10,8 +10,12 @@ the time axes differ by orders of magnitude -- the paper's Fig. 8.
 
 import sys
 
-from repro.baselines import FATE, FLBOOSTER, HAFLO
 from repro.experiments import format_table, run_training
+from repro.federation.runtime import (
+    FATE_SYSTEM,
+    FLBOOSTER_SYSTEM,
+    HAFLO_SYSTEM,
+)
 
 EPOCHS = 4
 
@@ -21,7 +25,7 @@ def main(model_name: str = "Homo LR") -> None:
           f"1024-bit key, {EPOCHS} epochs\n")
 
     traces = {}
-    for config in (FATE, HAFLO, FLBOOSTER):
+    for config in (FATE_SYSTEM, HAFLO_SYSTEM, FLBOOSTER_SYSTEM):
         traces[config.name] = run_training(
             config, model_name, "Synthetic", key_bits=1024,
             max_epochs=EPOCHS, physical_key_bits=256,

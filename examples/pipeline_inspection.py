@@ -11,9 +11,8 @@ across key sizes and slot layouts.
 
 import numpy as np
 
-from repro.baselines import FLBOOSTER
 from repro.experiments import format_table
-from repro.federation.runtime import FederationRuntime
+from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
 from repro.quantization.packing import (
     compression_ratio,
     packing_capacity,
@@ -22,7 +21,7 @@ from repro.quantization.packing import (
 
 
 def main() -> None:
-    runtime = FederationRuntime(FLBOOSTER, num_clients=4, key_bits=1024,
+    runtime = FederationRuntime(FLBOOSTER_SYSTEM, num_clients=4, key_bits=1024,
                                 seed=7)
     scheme = runtime.plan.scheme
     print(f"1024-bit Paillier, r = {scheme.r_bits} value bits + "

@@ -7,13 +7,19 @@ in ``pytest benchmarks/ --benchmark-only`` -- and prints a one-screen
 paper-versus-measured summary.
 """
 
-from repro.baselines import FATE, FLBOOSTER, HAFLO, WITHOUT_BC, WITHOUT_GHE
 from repro.experiments import (
     format_table,
     he_throughput,
     run_epoch_experiment,
     run_training,
     sm_utilization,
+)
+from repro.federation.runtime import (
+    FATE_SYSTEM,
+    FLBOOSTER_SYSTEM,
+    HAFLO_SYSTEM,
+    WITHOUT_BC,
+    WITHOUT_GHE,
 )
 from repro.quantization.packing import compression_ratio
 
@@ -28,7 +34,8 @@ def main() -> None:
     # --- Table III / Fig. 1 / Table VI: one epoch per system ---------
     reports = {config.name: run_epoch_experiment(
         config, "Homo LR", DATASET, KEY)
-        for config in (FATE, HAFLO, FLBOOSTER, WITHOUT_GHE, WITHOUT_BC)}
+        for config in (FATE_SYSTEM, HAFLO_SYSTEM, FLBOOSTER_SYSTEM,
+                       WITHOUT_GHE, WITHOUT_BC)}
     rows = []
     for name, report in reports.items():
         p = report.component_percentages()
@@ -45,16 +52,17 @@ def main() -> None:
     rows = [[config.name,
              f"{he_throughput(config, KEY, batch_size=4096):,.0f}",
              paper]
-            for config, paper in ((FATE, "363"), (HAFLO, "58,823"),
-                                  (FLBOOSTER, "398,309"))]
+            for config, paper in ((FATE_SYSTEM, "363"),
+                                  (HAFLO_SYSTEM, "58,823"),
+                                  (FLBOOSTER_SYSTEM, "398,309"))]
     print(format_table(["System", "HE ops/s (measured)", "Paper"],
                        rows, title="HE throughput @1024 (Table IV)"))
 
     # --- Fig. 6 / Fig. 7 ---------------------------------------------
     print()
     rows = [[key,
-             f"{sm_utilization(FLBOOSTER, key):.0%} / "
-             f"{sm_utilization(HAFLO, key):.0%}",
+             f"{sm_utilization(FLBOOSTER_SYSTEM, key):.0%} / "
+             f"{sm_utilization(HAFLO_SYSTEM, key):.0%}",
              f"{compression_ratio(12_800, key, 30, 4):.0f}x"]
             for key in (1024, 2048, 4096)]
     print(format_table(
@@ -64,9 +72,9 @@ def main() -> None:
 
     # --- Fig. 8 / Table VII: convergence ------------------------------
     print()
-    fate_trace = run_training(FATE, "Homo LR", DATASET, KEY, max_epochs=4,
-                              physical_key_bits=256)
-    flb_trace = run_training(FLBOOSTER, "Homo LR", DATASET, KEY,
+    fate_trace = run_training(FATE_SYSTEM, "Homo LR", DATASET, KEY,
+                              max_epochs=4, physical_key_bits=256)
+    flb_trace = run_training(FLBOOSTER_SYSTEM, "Homo LR", DATASET, KEY,
                              max_epochs=4, physical_key_bits=256,
                              bc_capacity="physical")
     bias = abs(fate_trace.final_loss - flb_trace.final_loss) \

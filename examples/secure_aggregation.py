@@ -10,8 +10,11 @@ breakdown shows where the 2-orders-of-magnitude gap comes from.
 
 import numpy as np
 
-from repro.baselines import FATE, FLBOOSTER
-from repro.federation.runtime import FederationRuntime
+from repro.federation.runtime import (
+    FATE_SYSTEM,
+    FLBOOSTER_SYSTEM,
+    FederationRuntime,
+)
 
 NUM_HOSPITALS = 4
 GRADIENT_DIM = 2048
@@ -35,7 +38,7 @@ def main() -> None:
           f"1024-bit Paillier\n")
 
     results = {}
-    for config in (FATE, FLBOOSTER):
+    for config in (FATE_SYSTEM, FLBOOSTER_SYSTEM):
         runtime, ledger, averaged = run_round(config, gradients)
         error = float(np.max(np.abs(averaged - expected)))
         results[config.name] = ledger

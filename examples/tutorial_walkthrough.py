@@ -16,10 +16,9 @@ import tempfile
 from pathlib import Path
 
 
-from repro.baselines import FLBOOSTER
 from repro.datasets import synthetic_like, train_test_split, vertical_split
 from repro.federation import RsaIntersection
-from repro.federation.runtime import FederationRuntime
+from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
 from repro.ledger import CostLedger
 from repro.models import HeteroSecureBoost
 from repro.models.evaluation import load_model_state, roc_auc, \
@@ -41,7 +40,7 @@ def main() -> None:
 
     # 2 -- secure training -------------------------------------------
     model = HeteroSecureBoost(train, max_depth=3, num_bins=8, seed=13)
-    runtime = FederationRuntime(FLBOOSTER, num_clients=2, key_bits=1024,
+    runtime = FederationRuntime(FLBOOSTER_SYSTEM, num_clients=2, key_bits=1024,
                                 physical_key_bits=256,
                                 bc_capacity="physical")
     training = CostLedger()                 # every epoch's ledger, merged

@@ -12,10 +12,9 @@ which is the whole point of federating.
 
 import numpy as np
 
-from repro.baselines import FLBOOSTER
 from repro.federation.intersection import RsaIntersection
 from repro.datasets import synthetic_like, vertical_split
-from repro.federation.runtime import FederationRuntime
+from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
 from repro.models import HeteroLogisticRegression, HeteroSecureBoost
 from repro.models.losses import logistic_gradient
 from repro.models.optim import AdamOptimizer
@@ -70,7 +69,7 @@ def main() -> None:
                               (HeteroSecureBoost,
                                dict(max_depth=3, num_bins=8))):
         model = model_cls(dataset, seed=11, **kwargs)
-        runtime = FederationRuntime(FLBOOSTER, num_clients=2,
+        runtime = FederationRuntime(FLBOOSTER_SYSTEM, num_clients=2,
                                     key_bits=1024, physical_key_bits=256,
                                     bc_capacity="physical")
         total_seconds = 0.0

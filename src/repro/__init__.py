@@ -5,8 +5,9 @@ Platform for Federated Learning Acceleration* (Zeng et al., ICDE 2023):
 GPU-parallel Paillier homomorphic encryption (simulated device, real
 mathematics), secure encoding-quantization, batch compression, a FATE-like
 federation substrate, the four benchmark FL models, and the FATE / HAFLO
-baselines -- plus a benchmark harness regenerating every table and figure
-of the paper's evaluation.
+competitors as configurations of the same components
+(:mod:`repro.federation.runtime`) -- plus a benchmark harness regenerating
+every table and figure of the paper's evaluation.
 
 Quick start::
 

@@ -46,13 +46,12 @@ from typing import List, Optional
 
 def _cmd_info(_args) -> int:
     import repro
-    from repro.baselines import systems
+    from repro.federation.runtime import SYSTEMS_BY_NAME
     from repro.gpu.device import RTX_3090
 
     print(f"repro {repro.__version__} -- FLBooster reproduction (ICDE 2023)")
     print("\nsystem configurations:")
-    for config in (systems.FATE, systems.HAFLO, systems.FLBOOSTER,
-                   systems.WITHOUT_GHE, systems.WITHOUT_BC):
+    for config in SYSTEMS_BY_NAME.values():
         print(f"  {config.name:<10s} gpu={config.gpu_he!s:<5s} "
               f"managed={config.managed_gpu!s:<5s} "
               f"bc={config.batch_compression!s:<5s} "
@@ -87,11 +86,15 @@ def _cmd_demo(_args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from repro.baselines import FATE, FLBOOSTER, HAFLO
+    from repro.federation.runtime import (
+        FATE_SYSTEM,
+        FLBOOSTER_SYSTEM,
+        HAFLO_SYSTEM,
+    )
     from repro.experiments import format_table, run_training
 
     rows = []
-    for config in (FATE, HAFLO, FLBOOSTER):
+    for config in (FATE_SYSTEM, HAFLO_SYSTEM, FLBOOSTER_SYSTEM):
         trace = run_training(config, args.model, args.dataset,
                              key_bits=args.key_bits,
                              max_epochs=args.epochs,
@@ -130,7 +133,7 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_faults(args) -> int:
-    from repro.baselines import FATE, FLBOOSTER
+    from repro.federation.runtime import FATE_SYSTEM, FLBOOSTER_SYSTEM
     from repro.experiments import format_table, run_training_with_recovery
     from repro.federation.faults import FaultPlan
 
@@ -149,7 +152,7 @@ def _cmd_faults(args) -> int:
 
     rows = []
     last_result = None
-    for config in (FATE, FLBOOSTER):
+    for config in (FATE_SYSTEM, FLBOOSTER_SYSTEM):
         result = run_training_with_recovery(
             config, args.model, args.dataset, key_bits=args.key_bits,
             max_epochs=args.epochs, fault_plan=plan,

@@ -30,7 +30,7 @@ from repro.datasets.generators import (
     synthetic_like,
 )
 from repro.federation.channel import ChannelError
-from repro.federation.faults import FaultPlan, QuorumError, RetryPolicy
+from repro.federation.faults import FaultPlan, QuorumError
 from repro.federation.metrics import EpochReport, FaultReport
 from repro.federation.runtime import FederationRuntime, SystemConfig
 from repro.federation.wal import replace_durably
@@ -303,15 +303,12 @@ def run_training_with_recovery(
         config: SystemConfig, model_name: str, dataset_name: str,
         key_bits: int, max_epochs: int,
         fault_plan: Optional[FaultPlan] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         min_quorum: Optional[int] = None,
-        round_deadline_seconds: Optional[float] = None,
         physical_key_bits: Optional[int] = None,
         num_clients: int = DEFAULT_NUM_CLIENTS, seed: int = 0,
         bc_capacity: str = "nominal",
         checkpoint_path: Optional[Union[str, Path]] = None,
-        max_restarts: int = 5,
-        tolerance: float = CONVERGENCE_TOLERANCE) -> RecoveryResult:
+        max_restarts: int = 5) -> RecoveryResult:
     """Train under faults with checkpoint/resume instead of restarting.
 
     The training loop snapshots model weights, the epoch index, the
@@ -364,9 +361,7 @@ def run_training_with_recovery(
             config, num_clients=num_clients, key_bits=key_bits,
             physical_key_bits=physical_key_bits, seed=seed,
             bc_capacity=bc_capacity, fault_plan=fault_plan,
-            retry_policy=retry_policy, min_quorum=min_quorum,
-            round_deadline_seconds=round_deadline_seconds,
-            incarnation=restarts)
+            min_quorum=min_quorum, incarnation=restarts)
         trace = TrainingTrace(system=config.name, model=model.name,
                               dataset=dataset.name)
         start_epoch = 0
@@ -396,7 +391,7 @@ def run_training_with_recovery(
                 if checkpoint_path is not None:
                     checkpoint.save(checkpoint_path)
                 if previous_loss is not None and \
-                        abs(previous_loss - loss) < tolerance:
+                        abs(previous_loss - loss) < CONVERGENCE_TOLERANCE:
                     break
                 previous_loss = loss
             return RecoveryResult(

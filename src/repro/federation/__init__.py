@@ -57,7 +57,6 @@ from repro.federation.coordinator import (
     LeaseManager,
     RoundStateMachine,
     StaleIncarnationError,
-    StandbyCoordinator,
 )
 from repro.federation.eventloop import (
     AdmissionRejected,
@@ -121,7 +120,6 @@ __all__ = [
     "LeaseManager",
     "RoundStateMachine",
     "StaleIncarnationError",
-    "StandbyCoordinator",
     "AdmissionRejected",
     "AsyncChannel",
     "CircuitBreaker",

@@ -15,14 +15,14 @@ aggregator itself, the last single point of failure in the federation:
   killed at any record boundary leaves a log from which
   :meth:`DurableCoordinator.recover` rebuilds a bit-identical state
   (accepted ciphertext uploads included) and finishes the round.
-- :class:`LeaseManager` / :class:`StandbyCoordinator` -- hot-standby
-  failover: the primary holds a lease (the flat coordinator heartbeats
-  it, charged to the channel like any other message); a standby is
-  built when the primary dies, and once the lease expires it acquires
-  a bumped incarnation, fences the old primary, and takes over
-  mid-round over one parse of the image.  Full-quorum failovers yield
-  final weights identical to the fault-free run; degraded ones fall
-  back to PR 1's partial-quorum Eq. 6 offset correction.
+- :class:`LeaseManager` -- hot-standby failover: the primary holds a
+  lease (the flat coordinator heartbeats it, charged to the channel
+  like any other message); a standby is built when the primary dies,
+  and once the lease expires it acquires a bumped incarnation, fences
+  the old primary, and takes over mid-round over one parse of the
+  image.  Full-quorum failovers yield final weights identical to the
+  fault-free run; degraded ones fall back to the partial-quorum Eq. 6
+  offset correction.
 - :class:`NodeSupervisor` -- the one death-and-recovery path of every
   journaled coordinator, alone (the flat durable topology) or as a
   node of the sharded tree: it arms each node's scheduled kills
@@ -172,7 +172,7 @@ class LeaseManager:
         return self.lease
 
     def heartbeat(self, holder: str, incarnation: int,
-                  channel=None, receiver: str = "standby") -> Lease:
+                  channel=None) -> Lease:
         """Renew the lease; optionally charge the heartbeat to a channel.
 
         Raises:
@@ -184,7 +184,7 @@ class LeaseManager:
                            expires_at=self.now() + self.timeout_seconds)
         if channel is not None:
             channel.send(Message(
-                sender=holder, receiver=receiver,
+                sender=holder, receiver="standby",
                 tag="coordinator.heartbeat",
                 payload={"holder": holder, "incarnation": incarnation},
                 plaintext_bytes=HEARTBEAT_BYTES))
@@ -781,47 +781,6 @@ class DurableCoordinator:
         return np.asarray(state.result, dtype=np.float64)
 
 
-class StandbyCoordinator:
-    """A standby that takes over a dead primary's lapsed lease.
-
-    At takeover it acquires the lease and builds its successor over the
-    dead primary's log, which the successor replays once.
-
-    Args:
-        aggregator: The data path the standby will drive after takeover
-            (its own engines in a real deployment; in the simulator the
-            shared in-process engines, which hold the same key).
-        lease_manager: The arbitration shared with the primary.
-        name: Standby identity.
-        coordinator_cls: What to build at takeover -- the class of the
-            node it replaces (a leaf's or the root's coordinator in the
-            sharded tree; the flat coordinator by default).
-    """
-
-    def __init__(self, aggregator: SecureAggregator,
-                 lease_manager: LeaseManager, name: str = "standby",
-                 coordinator_cls: Type[DurableCoordinator]
-                 = DurableCoordinator):
-        WORK[STANDBYS_BUILT] += 1
-        self.aggregator = aggregator
-        self.lease_manager = lease_manager
-        self.name = name
-        self.coordinator_cls = coordinator_cls
-
-    def take_over(self, image: bytes) -> DurableCoordinator:
-        """Acquire the lapsed lease and resume from the log.
-
-        Raises:
-            LeaseError: The primary's lease has not expired.
-        """
-        wal = WriteAheadLog.from_bytes(image)
-        lease = self.lease_manager.acquire(self.name)
-        return self.coordinator_cls(
-            self.aggregator, wal=wal, name=self.name,
-            incarnation=lease.incarnation,
-            lease_manager=self.lease_manager)
-
-
 @dataclass
 class FailoverRecord:
     """One node death that was recovered or failed over.
@@ -871,13 +830,15 @@ class NodeSupervisor:
     can die more than once in a round.  Recovery follows the kill's
     kind:
 
-    - ``coordinator_crash`` restarts the same coordinator from its image
-      at the next incarnation;
-    - ``failover`` / ``shard_crash`` build a :class:`StandbyCoordinator`
-      at the death (``<identity>-standby``, suffixed ``-<incarnation>``
-      once the dead primary was itself a successor), wait out the lease
-      -- one timeout on the clock while it is live -- and let it take
-      over with one parse of the image.
+    - ``coordinator_crash`` restarts the same coordinator under its own
+      name;
+    - ``failover`` / ``shard_crash`` promote a standby
+      (``<identity>-standby``, suffixed ``-<incarnation>`` once the dead
+      primary was itself a successor) after waiting out the lease --
+      one timeout on the clock while it is live.
+
+    Either way the successor is the dead node's class, built at the
+    next incarnation over one parse of the dead node's image.
 
     Every death appends one :class:`FailoverRecord` to
     :attr:`failover_log` and is charged once through
@@ -931,25 +892,21 @@ class NodeSupervisor:
         """Replace node ``key``'s dead primary as ``kill.kind`` says."""
         node = self.nodes[key]
         dead = node.primary
-        if kill.kind == COORDINATOR_CRASH:
-            lease = node.lease.acquire(dead.name)
-            successor = type(dead)(
-                self.aggregator, wal=WriteAheadLog.from_bytes(
-                    dead.wal.image()),
-                name=dead.name, incarnation=lease.incarnation,
-                lease_manager=node.lease)
-        else:
+        name = dead.name
+        if kill.kind != COORDINATOR_CRASH:
+            WORK[STANDBYS_BUILT] += 1
             # The first primary runs as incarnation 0; a promoted
             # standby's own standby is named after the incarnation it
             # replaces.
-            standby = StandbyCoordinator(
-                self.aggregator, node.lease,
-                name=f"{node.identity}-standby" + (
-                    f"-{dead.incarnation}" if dead.incarnation else ""),
-                coordinator_cls=type(dead))
+            name = f"{node.identity}-standby" + (
+                f"-{dead.incarnation}" if dead.incarnation else "")
             if not node.lease.expired():
                 self.clock.advance(node.lease.timeout_seconds)
-            successor = standby.take_over(dead.wal.image())
+        wal = WriteAheadLog.from_bytes(dead.wal.image())
+        lease = node.lease.acquire(name)
+        successor = type(dead)(
+            self.aggregator, wal=wal, name=name,
+            incarnation=lease.incarnation, lease_manager=node.lease)
         node.primary = successor
         self.aggregator.injector.record(kill.kind, key, round_index)
         self.failover_log.append(FailoverRecord(

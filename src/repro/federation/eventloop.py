@@ -110,8 +110,8 @@ _REJECTIONS = {
 class VirtualClock:
     """Monotonic modelled time; the only clock the event loop knows."""
 
-    def __init__(self, start: float = 0.0):
-        self._now = float(start)
+    def __init__(self):
+        self._now = 0.0
 
     @property
     def now(self) -> float:

@@ -232,25 +232,6 @@ class FaultReport:
             f.name: getattr(self, f.name) + getattr(other, f.name)
             for f in dataclasses.fields(self)})
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready form (bench artifacts, per-tenant fault tables).
-
-        Field-for-field with the dataclass, so
-        ``FaultReport.from_dict(report.to_dict()) == report`` holds
-        exactly -- the round-trip the tenancy tests assert.
-        """
-        return dict(dataclasses.asdict(self))
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FaultReport":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown FaultReport fields: {sorted(unknown)}")
-        return cls(**data)
-
     def summary_lines(self) -> List[str]:
         """Human-readable summary (the CLI's fault table body)."""
         seconds = {

@@ -6,15 +6,19 @@ and whether batch compression is applied -- and
 :class:`FederationRuntime` turns a configuration into live engines, a
 channel, a packing plan and a fresh-ledger-per-epoch lifecycle.
 
-The five standard configurations (module constants) are the paper's:
+The compared systems are *configurations* of the same components,
+exactly as the paper's ablation treats them.  The five module constants
+are the paper's competitors (Sec. VI-A) and ablations (Sec. VI-E):
 
-- ``FATE_SYSTEM``      -- CPU HE, per-element objects, no compression.
-- ``HAFLO_SYSTEM``     -- GPU HE without the resource manager, no
-  compression (the strongest prior baseline).
-- ``FLBOOSTER_SYSTEM`` -- GPU HE with the resource manager + batch
-  compression (the paper's system).
-- ``WITHOUT_GHE``      -- FLBooster minus the GPU (Table V ablation).
-- ``WITHOUT_BC``       -- FLBooster minus compression (Table V ablation).
+- ``FATE_SYSTEM`` [4] -- the industrial baseline: CPU Paillier,
+  per-element serialized ciphertext objects, no compression.
+- ``HAFLO_SYSTEM`` [18] -- the state-of-the-art acceleration baseline:
+  GPU Paillier *without* FLBooster's resource manager, no compression.
+- ``FLBOOSTER_SYSTEM`` -- the paper's system: GPU Paillier with the
+  resource manager, encoding-quantization + batch compression, packed
+  binary serialization.
+- ``WITHOUT_GHE`` -- FLBooster with the GPU path disabled (Table V).
+- ``WITHOUT_BC`` -- FLBooster with batch compression disabled (Table V).
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from repro.federation.faults import (
     FaultPlan,
     RetryPolicy,
 )
-from repro.gpu.cost_model import DEFAULT_PROFILE, HardwareProfile
 from repro.gpu.device import SimulatedGpu
 from repro.gpu.kernels import GpuKernels
 from repro.gpu.resource_manager import ResourceManager
@@ -131,9 +134,7 @@ class FederationRuntime:
         physical_key_bits: Key size the mathematics actually runs at;
             defaults to ``key_bits`` (full fidelity).  Benchmarks pass a
             reduced size to keep wall-clock runs fast (DESIGN.md).
-        profile: Hardware constants.
         seed: Determinism seed for keys and randomizers.
-        alpha: Gradient bound for the quantization scheme.
         randomizer_pool_size: Engine speed knob (0 = fully fresh
             randomizers; charged costs are unaffected either way).
         bc_capacity: ``"nominal"`` (default) sizes packing by the nominal
@@ -173,8 +174,7 @@ class FederationRuntime:
 
     def __init__(self, config: SystemConfig, num_clients: int,
                  key_bits: int, physical_key_bits: Optional[int] = None,
-                 profile: HardwareProfile = DEFAULT_PROFILE,
-                 seed: int = 7, alpha: float = 1.0,
+                 seed: int = 7,
                  randomizer_pool_size: int = 32,
                  bc_capacity: str = "nominal",
                  fault_plan: Optional[FaultPlan] = None,
@@ -208,9 +208,7 @@ class FederationRuntime:
         self.physical_key_bits = (physical_key_bits
                                   if physical_key_bits is not None
                                   else key_bits)
-        self.profile = profile
         self.seed = seed
-        self.alpha = alpha
         self.randomizer_pool_size = randomizer_pool_size
         self.keypair = cached_keypair(self.physical_key_bits, seed=seed)
         self.ledger = CostLedger()
@@ -230,7 +228,7 @@ class FederationRuntime:
         self.client_engine = self._build_engine(self.ledger)
         self.server_engine = self._build_engine(self.ledger)
         self.silent_engine = self._build_engine(self._silent_ledger)
-        self.channel = Channel(profile=profile, ledger=self.ledger,
+        self.channel = Channel(ledger=self.ledger,
                                retry_policy=self.retry_policy,
                                injector=self.injector,
                                seed=seed + incarnation)
@@ -258,16 +256,14 @@ class FederationRuntime:
         if backend == "gpu":
             manager = ResourceManager(managed=self.config.managed_gpu)
             kernels = GpuKernels(device=SimulatedGpu(),
-                                 resource_manager=manager,
-                                 profile=self.profile)
+                                 resource_manager=manager)
             return GpuPaillierEngine(
                 self.keypair, kernels=kernels,
                 nominal_bits=self.key_bits, ledger=ledger, rng=self._rng,
                 randomizer_pool_size=self.randomizer_pool_size)
         return CpuPaillierEngine(
-            self.keypair, profile=self.profile,
-            nominal_bits=self.key_bits, ledger=ledger, rng=self._rng,
-            randomizer_pool_size=self.randomizer_pool_size)
+            self.keypair, nominal_bits=self.key_bits, ledger=ledger,
+            rng=self._rng, randomizer_pool_size=self.randomizer_pool_size)
 
     def _build_plan(self) -> PackingPlan:
         plan = self._dense_plan()
@@ -287,8 +283,7 @@ class FederationRuntime:
     def _dense_plan(self) -> PackingPlan:
         if self.config.batch_compression:
             if self.bc_capacity == "physical":
-                scheme = QuantizationScheme(alpha=self.alpha,
-                                            r_bits=self.config.r_bits,
+                scheme = QuantizationScheme(r_bits=self.config.r_bits,
                                             num_parties=self.num_clients)
                 packer = BatchPacker(
                     scheme,
@@ -296,17 +291,15 @@ class FederationRuntime:
                 return PackingPlan(scheme=scheme, packer=packer,
                                    nominal_key_bits=self.key_bits)
             return PackingPlan.for_engine(
-                self.client_engine, alpha=self.alpha,
-                r_bits=self.config.r_bits, num_parties=self.num_clients)
+                self.client_engine, r_bits=self.config.r_bits,
+                num_parties=self.num_clients)
         # No compression: one value per ciphertext at (near-)lossless
         # precision, exactly the FATE / HAFLO data path.
-        scheme = QuantizationScheme(alpha=self.alpha,
-                                    r_bits=self.config.r_bits,
+        scheme = QuantizationScheme(r_bits=self.config.r_bits,
                                     num_parties=self.num_clients)
         physical = self.client_engine.physical_plaintext_bits
         if scheme.slot_bits > physical:
             scheme = QuantizationScheme(
-                alpha=self.alpha,
                 r_bits=physical - scheme.overflow_bits,
                 num_parties=self.num_clients)
         packer = BatchPacker(scheme, plaintext_bits=physical, capacity=1)

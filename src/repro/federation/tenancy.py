@@ -11,8 +11,8 @@ multi-tenant service (:mod:`repro.federation.shard`) share:
   and the public-key fingerprint that pins uploads to the keypair the
   tenant's federation actually runs (two tenants must never mix
   ciphertexts under each other's keys).
-- :class:`TenantRegistry` -- the authoritative tenant table, JSON
-  round-trippable so simulation traces replay bit-identically.
+- :class:`TenantRegistry` -- the authoritative tenant table, in
+  registration order.
 - :class:`TokenBucket` -- a lazily-refilled rate limiter over the event
   loop's :class:`~repro.federation.eventloop.VirtualClock`; admission
   spends one token per upload and the bucket's deficit yields the
@@ -82,21 +82,6 @@ class Tenant:
         if self.quota_burst < 1:
             raise ValueError("quota_burst must be at least 1")
 
-    def to_dict(self) -> dict:
-        """JSON-ready form; inverse of :meth:`from_dict`."""
-        return {"tenant_id": self.tenant_id, "weight": self.weight,
-                "quota_rate": self.quota_rate,
-                "quota_burst": self.quota_burst,
-                "key_fingerprint": self.key_fingerprint}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Tenant":
-        return cls(tenant_id=data["tenant_id"],
-                   weight=data.get("weight", 1.0),
-                   quota_rate=data.get("quota_rate"),
-                   quota_burst=data.get("quota_burst", 16),
-                   key_fingerprint=data.get("key_fingerprint"))
-
 
 class TenantRegistry:
     """The authoritative tenant table.
@@ -155,15 +140,6 @@ class TenantRegistry:
     def __len__(self) -> int:
         return len(self._tenants)
 
-    def to_dict(self) -> dict:
-        """JSON-ready form; inverse of :meth:`from_dict`."""
-        return {"tenants": [t.to_dict() for t in self]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TenantRegistry":
-        return cls([Tenant.from_dict(t)
-                    for t in data.get("tenants", [])])
-
 
 class TokenBucket:
     """A lazily-refilled token bucket over modelled time.
@@ -197,20 +173,16 @@ class TokenBucket:
         self._refill()
         return self._tokens
 
-    def try_acquire(self, tokens: int = 1) -> bool:
-        """Spend ``tokens`` if available; False leaves the bucket as-is."""
-        if tokens < 1:
-            raise ValueError("tokens must be at least 1")
-        self._refill()
-        if self._tokens >= tokens:
-            self._tokens -= tokens
+    def try_acquire(self) -> bool:
+        """Spend one token if available; False leaves the bucket as-is."""
+        if self.tokens >= 1:
+            self._tokens -= 1
             return True
         return False
 
-    def retry_after(self, tokens: int = 1) -> float:
-        """Modelled seconds until ``tokens`` will have accrued."""
-        self._refill()
-        deficit = tokens - self._tokens
+    def retry_after(self) -> float:
+        """Modelled seconds until one token will have accrued."""
+        deficit = 1 - self.tokens
         if deficit <= 0:
             return 0.0
         return deficit / self.rate

@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.baselines import FLBOOSTER
 from repro.experiments.harness import (
     CHECKPOINT_VERSION,
     TrainingCheckpoint,
@@ -14,6 +13,7 @@ from repro.experiments.harness import (
 )
 from repro.federation.faults import FaultPlan
 from repro.federation.metrics import FaultReport
+from repro.federation.runtime import FLBOOSTER_SYSTEM
 
 
 def make_checkpoint(**overrides):
@@ -69,8 +69,8 @@ class TestFaultFreeRecovery:
         kwargs = dict(model_name="Homo LR", dataset_name="Synthetic",
                       key_bits=256, max_epochs=2, physical_key_bits=256,
                       num_clients=4, seed=0, bc_capacity="physical")
-        plain = run_training(FLBOOSTER, **kwargs)
-        recovered = run_training_with_recovery(FLBOOSTER, **kwargs)
+        plain = run_training(FLBOOSTER_SYSTEM, **kwargs)
+        recovered = run_training_with_recovery(FLBOOSTER_SYSTEM, **kwargs)
         assert recovered.restarts == 0
         assert recovered.failures == []
         assert recovered.trace.losses == plain.losses
@@ -80,8 +80,8 @@ class TestFaultFreeRecovery:
     def test_checkpoint_written_per_epoch(self, tmp_path):
         path = tmp_path / "run.json"
         result = run_training_with_recovery(
-            FLBOOSTER, "Homo LR", "Synthetic", key_bits=256, max_epochs=2,
-            physical_key_bits=256, num_clients=4, seed=0,
+            FLBOOSTER_SYSTEM, "Homo LR", "Synthetic", key_bits=256,
+            max_epochs=2, physical_key_bits=256, num_clients=4, seed=0,
             bc_capacity="physical", checkpoint_path=path)
         assert path.exists()
         saved = TrainingCheckpoint.load(path)
@@ -96,11 +96,11 @@ class TestResumeFromDisk:
         kwargs = dict(model_name="Homo LR", dataset_name="Synthetic",
                       key_bits=256, physical_key_bits=256, num_clients=4,
                       seed=0, bc_capacity="physical", checkpoint_path=path)
-        first = run_training_with_recovery(FLBOOSTER, max_epochs=1,
+        first = run_training_with_recovery(FLBOOSTER_SYSTEM, max_epochs=1,
                                            **kwargs)
         assert len(first.trace.losses) == 1
 
-        resumed = run_training_with_recovery(FLBOOSTER, max_epochs=3,
+        resumed = run_training_with_recovery(FLBOOSTER_SYSTEM, max_epochs=3,
                                              **kwargs)
         # Epoch 0 came from the checkpoint: its loss is identical and the
         # continuation runs the remaining epochs only.
@@ -113,8 +113,8 @@ class TestResumeFromDisk:
         make_checkpoint(system="FATE", epoch=5,
                         losses=[9.9] * 5, epoch_seconds=[1.0] * 5).save(path)
         result = run_training_with_recovery(
-            FLBOOSTER, "Homo LR", "Synthetic", key_bits=256, max_epochs=1,
-            physical_key_bits=256, num_clients=4, seed=0,
+            FLBOOSTER_SYSTEM, "Homo LR", "Synthetic", key_bits=256,
+            max_epochs=1, physical_key_bits=256, num_clients=4, seed=0,
             bc_capacity="physical", checkpoint_path=path)
         # Fresh run: the alien checkpoint's trace is not inherited.
         assert len(result.trace.losses) == 1
@@ -130,7 +130,7 @@ class TestRecoveryUnderFaults:
         from repro.federation.faults import QuorumError
         with pytest.raises(QuorumError):
             run_training_with_recovery(
-                FLBOOSTER, "Homo LR", "Synthetic", key_bits=256,
+                FLBOOSTER_SYSTEM, "Homo LR", "Synthetic", key_bits=256,
                 max_epochs=2, fault_plan=plan, min_quorum=2,
                 physical_key_bits=256, num_clients=4, seed=0,
                 bc_capacity="physical", max_restarts=2)
@@ -138,9 +138,10 @@ class TestRecoveryUnderFaults:
     def test_crash_tolerated_via_quorum_without_restart(self):
         plan = FaultPlan(seed=0).crash("client-3", round_index=0)
         result = run_training_with_recovery(
-            FLBOOSTER, "Homo LR", "Synthetic", key_bits=256, max_epochs=2,
-            fault_plan=plan, min_quorum=3, physical_key_bits=256,
-            num_clients=4, seed=0, bc_capacity="physical")
+            FLBOOSTER_SYSTEM, "Homo LR", "Synthetic", key_bits=256,
+            max_epochs=2, fault_plan=plan, min_quorum=3,
+            physical_key_bits=256, num_clients=4, seed=0,
+            bc_capacity="physical")
         assert result.restarts == 0
         assert result.fault_report.crashes >= 1
         assert np.isfinite(result.trace.final_loss)
@@ -172,11 +173,11 @@ class TestAtomicSave:
         kwargs = dict(model_name="Homo LR", dataset_name="Synthetic",
                       key_bits=256, physical_key_bits=256, num_clients=4,
                       seed=0, bc_capacity="physical", checkpoint_path=path)
-        first = run_training_with_recovery(FLBOOSTER, max_epochs=1,
+        first = run_training_with_recovery(FLBOOSTER_SYSTEM, max_epochs=1,
                                            **kwargs)
         stale = path.with_suffix(path.suffix + ".tmp")
         stale.write_text("interrupted half-written snapshot")
-        resumed = run_training_with_recovery(FLBOOSTER, max_epochs=2,
+        resumed = run_training_with_recovery(FLBOOSTER_SYSTEM, max_epochs=2,
                                              **kwargs)
         assert not stale.exists()
         assert resumed.trace.losses[0] == first.trace.losses[0]
@@ -200,16 +201,16 @@ class TestResumeComposedWithQuorum:
             self, tmp_path):
         path = tmp_path / "quorum.json"
         first = run_training_with_recovery(
-            FLBOOSTER, max_epochs=1,
+            FLBOOSTER_SYSTEM, max_epochs=1,
             **self.quorum_kwargs(checkpoint_path=path))
         assert first.fault_report.crashes >= 1
         assert first.checkpoint.rounds_completed > 0
 
         resumed = run_training_with_recovery(
-            FLBOOSTER, max_epochs=3,
+            FLBOOSTER_SYSTEM, max_epochs=3,
             **self.quorum_kwargs(checkpoint_path=path))
         straight = run_training_with_recovery(
-            FLBOOSTER, max_epochs=3, **self.quorum_kwargs())
+            FLBOOSTER_SYSTEM, max_epochs=3, **self.quorum_kwargs())
         # Epoch 0 is inherited from the checkpoint verbatim; later
         # epochs rerun the partial-quorum (3/4 survivors) aggregation
         # from the saved round cursor.  Resume is deterministic but not
@@ -226,10 +227,10 @@ class TestResumeComposedWithQuorum:
     def test_resumed_round_cursor_advances_past_checkpoint(self, tmp_path):
         path = tmp_path / "quorum.json"
         first = run_training_with_recovery(
-            FLBOOSTER, max_epochs=1,
+            FLBOOSTER_SYSTEM, max_epochs=1,
             **self.quorum_kwargs(checkpoint_path=path))
         resumed = run_training_with_recovery(
-            FLBOOSTER, max_epochs=2,
+            FLBOOSTER_SYSTEM, max_epochs=2,
             **self.quorum_kwargs(checkpoint_path=path))
         assert resumed.checkpoint.rounds_completed > \
             first.checkpoint.rounds_completed

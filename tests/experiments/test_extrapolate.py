@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.baselines import FATE
 from repro.experiments import run_epoch_experiment, scaled_dataset
 from repro.experiments.extrapolate import (
     extrapolate_report,
     extrapolation_factors,
 )
 from repro.federation.metrics import EpochReport
+from repro.federation.runtime import FATE_SYSTEM
 
 
 class TestFactors:
@@ -46,13 +46,13 @@ class TestFactors:
 
 class TestApply:
     def test_extrapolated_dominates_scaled(self):
-        report = run_epoch_experiment(FATE, "Homo LR", "RCV1", 1024)
+        report = run_epoch_experiment(FATE_SYSTEM, "Homo LR", "RCV1", 1024)
         estimate = extrapolate_report(report, scaled_dataset("RCV1"))
         assert estimate > 10 * report.epoch_seconds
 
     def test_paper_order_of_magnitude(self):
         # Paper Table III: FATE Homo LR RCV1 @1024 = 10,009.9 s.
-        report = run_epoch_experiment(FATE, "Homo LR", "RCV1", 1024)
+        report = run_epoch_experiment(FATE_SYSTEM, "Homo LR", "RCV1", 1024)
         estimate = extrapolate_report(report, scaled_dataset("RCV1"))
         assert 500 < estimate < 200_000
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.baselines import FATE, FLBOOSTER, HAFLO
 from repro.experiments import (
     SCALED_DATASET_SPECS,
     build_model,
@@ -13,6 +12,11 @@ from repro.experiments import (
     run_training,
     scaled_dataset,
     sm_utilization,
+)
+from repro.federation.runtime import (
+    FATE_SYSTEM,
+    FLBOOSTER_SYSTEM,
+    HAFLO_SYSTEM,
 )
 
 
@@ -58,30 +62,31 @@ class TestPhysicalKeyScaling:
 
 class TestMeasurement:
     def test_epoch_report_fields(self):
-        report = run_epoch_experiment(FLBOOSTER, "Hetero LR", "Synthetic",
-                                      1024)
+        report = run_epoch_experiment(FLBOOSTER_SYSTEM, "Hetero LR",
+                                      "Synthetic", 1024)
         assert report.system == "FLBooster"
         assert report.epoch_seconds > 0
         assert report.he_operations > 0
         assert report.wire_bytes > 0
 
     def test_throughput_positive_and_ordered(self):
-        fate = he_throughput(FATE, 1024, batch_size=512)
-        flb = he_throughput(FLBOOSTER, 1024, batch_size=512)
+        fate = he_throughput(FATE_SYSTEM, 1024, batch_size=512)
+        flb = he_throughput(FLBOOSTER_SYSTEM, 1024, batch_size=512)
         assert 0 < fate < flb
 
     def test_throughput_operations(self):
         for op in ("encrypt", "decrypt", "add"):
-            assert he_throughput(FLBOOSTER, 1024, batch_size=256,
+            assert he_throughput(FLBOOSTER_SYSTEM, 1024, batch_size=256,
                                  operation=op) > 0
         with pytest.raises(KeyError):
-            he_throughput(FLBOOSTER, 1024, operation="divide")
+            he_throughput(FLBOOSTER_SYSTEM, 1024, operation="divide")
 
     def test_sm_utilization_ordering(self):
-        assert sm_utilization(FLBOOSTER, 1024) > sm_utilization(HAFLO, 1024)
+        assert sm_utilization(FLBOOSTER_SYSTEM, 1024) > \
+            sm_utilization(HAFLO_SYSTEM, 1024)
 
     def test_run_training_trace(self):
-        trace = run_training(FLBOOSTER, "Hetero SBT", "Synthetic", 1024,
+        trace = run_training(FLBOOSTER_SYSTEM, "Hetero SBT", "Synthetic", 1024,
                              max_epochs=2, physical_key_bits=256)
         assert len(trace.losses) <= 2
         assert trace.system == "FLBooster"

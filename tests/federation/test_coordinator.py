@@ -16,7 +16,6 @@ from repro.federation.coordinator import (
     LeaseManager,
     RoundStateMachine,
     StaleIncarnationError,
-    StandbyCoordinator,
 )
 from repro.federation import wal as wal_module
 from repro.federation.faults import QuorumError
@@ -419,6 +418,16 @@ class TestDurableRound:
                                incarnation=1)
 
 
+def promote(aggregator, manager, image, name="standby"):
+    """Promote a standby as ``NodeSupervisor`` does: parse the dead
+    node's image once, acquire the lease, build the node's class."""
+    wal = WriteAheadLog.from_bytes(image)
+    lease = manager.acquire(name)
+    return DurableCoordinator(aggregator, wal=wal, name=name,
+                              incarnation=lease.incarnation,
+                              lease_manager=manager)
+
+
 class TestStandbyFailover:
     def test_hot_standby_takeover_mid_round(self):
         vectors = client_vectors(3)
@@ -432,17 +441,17 @@ class TestStandbyFailover:
         manager.acquire("coordinator")
         primary = DurableCoordinator(runtime.aggregator,
                                      lease_manager=manager)
-        standby = StandbyCoordinator(runtime.aggregator, manager)
         primary.kill_after_lsn = 2
         with pytest.raises(CoordinatorKilled):
             primary.run_round(vectors)
 
         # Takeover before the lease lapses is illegal...
         with pytest.raises(LeaseError):
-            standby.take_over(primary.wal.image())
+            promote(runtime.aggregator, manager, primary.wal.image())
         # ...after it lapses the standby resumes the round.
         clock["now"] = 6.0
-        successor = standby.take_over(primary.wal.image())
+        successor = promote(runtime.aggregator, manager,
+                            primary.wal.image())
         assert successor.incarnation == 1
         recovered = successor.run_round(vectors)
         assert np.array_equal(recovered, expected)
@@ -459,12 +468,12 @@ class TestStandbyFailover:
         manager.acquire("coordinator")
         primary = DurableCoordinator(runtime.aggregator,
                                      lease_manager=manager)
-        standby = StandbyCoordinator(runtime.aggregator, manager)
         primary.kill_after_lsn = 2  # open + client-0 + client-1 logged
         with pytest.raises(CoordinatorKilled):
             primary.run_round(vectors)
         clock["now"] = 6.0
-        successor = standby.take_over(primary.wal.image())
+        successor = promote(runtime.aggregator, manager,
+                            primary.wal.image())
 
         # client-0 retransmits its upload to the new primary: dropped.
         tensor = runtime.aggregator.encrypt_tensor(vectors[0])

@@ -58,7 +58,6 @@ from repro.federation.coordinator import (
     DurableCoordinator,
     LeaseManager,
     RoundStateMachine,
-    StandbyCoordinator,
 )
 from repro.federation.eventloop import VirtualClock
 from repro.federation.faults import FaultPlan
@@ -351,13 +350,17 @@ def runtime_durable_standby():
     lease.acquire("coordinator")
     coordinator = DurableCoordinator(runtime.aggregator,
                                      lease_manager=lease)
-    standby = StandbyCoordinator(runtime.aggregator, lease)
     coordinator.heartbeat(channel=runtime.channel)
     coordinator.kill_after_lsn = 5
     with pytest.raises(CoordinatorKilled):
         coordinator.run_round(vectors_for(3, 0))
     clock.advance(31.0)
-    successor = standby.take_over(coordinator.wal.image())
+    # Promoted as NodeSupervisor promotes a standby.
+    wal = WriteAheadLog.from_bytes(coordinator.wal.image())
+    successor = DurableCoordinator(
+        runtime.aggregator, wal=wal, name="standby",
+        incarnation=lease.acquire("standby").incarnation,
+        lease_manager=lease)
     recovered_digest = successor.machine.digest()
     rounds = [successor.run_round(vectors_for(3, r), round_index=r)
               for r in range(2)]

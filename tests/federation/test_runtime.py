@@ -5,7 +5,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.baselines import system_by_name
 from repro.crypto.cpu_engine import CpuPaillierEngine
 from repro.crypto.gpu_engine import GpuPaillierEngine
 from repro.federation.channel import Message
@@ -20,6 +19,7 @@ from repro.federation.runtime import (
     WITHOUT_BC,
     WITHOUT_GHE,
     cached_keypair,
+    system_by_name,
 )
 from repro.gpu.device import SimulatedGpu
 

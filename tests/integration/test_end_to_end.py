@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from repro import FlBooster
-from repro.baselines import FATE, FLBOOSTER
 from repro.datasets import synthetic_like
 from repro.experiments import run_training
-from repro.federation.runtime import FederationRuntime
+from repro.federation.runtime import (
+    FATE_SYSTEM,
+    FLBOOSTER_SYSTEM,
+    FederationRuntime,
+)
 from repro.models import HomoLogisticRegression
 
 
@@ -19,13 +22,13 @@ class TestFullFidelityTraining:
         dataset = synthetic_like(instances=128, features=16, seed=9)
         fate_model = HomoLogisticRegression(dataset, num_clients=4,
                                             batch_size=64, seed=1)
-        fate_runtime = FederationRuntime(FATE, num_clients=4,
+        fate_runtime = FederationRuntime(FATE_SYSTEM, num_clients=4,
                                          key_bits=1024)
         fate_trace = fate_model.train(fate_runtime, max_epochs=3)
 
         flb_model = HomoLogisticRegression(dataset, num_clients=4,
                                            batch_size=64, seed=1)
-        flb_runtime = FederationRuntime(FLBOOSTER, num_clients=4,
+        flb_runtime = FederationRuntime(FLBOOSTER_SYSTEM, num_clients=4,
                                         key_bits=1024)
         flb_trace = flb_model.train(flb_runtime, max_epochs=3)
 
@@ -40,13 +43,13 @@ class TestScaledTraining:
     def test_all_models_converge_under_flbooster(self):
         for model_name in ("Homo LR", "Hetero LR", "Hetero SBT",
                            "Hetero NN"):
-            trace = run_training(FLBOOSTER, model_name, "Synthetic", 1024,
-                                 max_epochs=4, physical_key_bits=512)
+            trace = run_training(FLBOOSTER_SYSTEM, model_name, "Synthetic",
+                                 1024, max_epochs=4, physical_key_bits=512)
             assert min(trace.losses) <= trace.losses[0] + 1e-9, model_name
             assert all(np.isfinite(loss) for loss in trace.losses)
 
     def test_epoch_times_stable_across_epochs(self):
-        trace = run_training(FLBOOSTER, "Hetero LR", "Synthetic", 1024,
+        trace = run_training(FLBOOSTER_SYSTEM, "Hetero LR", "Synthetic", 1024,
                              max_epochs=3, physical_key_bits=256)
         seconds = trace.epoch_seconds
         assert max(seconds) < 2.0 * min(seconds)
@@ -61,7 +64,7 @@ class TestPublicApiQuickstart:
         assert fl.paillier.decrypt(pri, doubled) == [2, 4, 6]
 
     def test_gradient_aggregation_example_path(self):
-        runtime = FederationRuntime(FLBOOSTER, num_clients=4,
+        runtime = FederationRuntime(FLBOOSTER_SYSTEM, num_clients=4,
                                     key_bits=1024, physical_key_bits=512)
         rng = np.random.default_rng(0)
         gradients = [rng.uniform(-0.5, 0.5, 100) for _ in range(4)]

@@ -8,8 +8,7 @@ regression that silently relaxes a check will surface.
 import numpy as np
 import pytest
 
-from repro.baselines import FLBOOSTER
-from repro.federation.runtime import FederationRuntime
+from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
 from repro.quantization.encoding import QuantizationScheme
 from repro.quantization.packing import BatchPacker
 
@@ -18,8 +17,8 @@ from tests.conftest import encrypt_fresh
 
 class TestOverflowProtection:
     def test_aggregating_too_many_parties_rejected(self):
-        runtime = FederationRuntime(FLBOOSTER, num_clients=4, key_bits=256,
-                                    physical_key_bits=256)
+        runtime = FederationRuntime(FLBOOSTER_SYSTEM, num_clients=4,
+                                    key_bits=256, physical_key_bits=256)
         safe = runtime.plan.packer.max_safe_summands()
         with pytest.raises(OverflowError):
             runtime.aggregator.aggregate([np.zeros(4)] * (safe + 1))
@@ -54,8 +53,8 @@ class TestCiphertextTampering:
 
 class TestQuantizationDegradation:
     def test_out_of_bound_gradients_clip_not_crash(self):
-        runtime = FederationRuntime(FLBOOSTER, num_clients=2, key_bits=256,
-                                    physical_key_bits=256)
+        runtime = FederationRuntime(FLBOOSTER_SYSTEM, num_clients=2,
+                                    key_bits=256, physical_key_bits=256)
         huge = np.array([1e6, -1e6, 0.5])
         result = runtime.aggregator.aggregate([huge, np.zeros(3)])
         # Clipped to [-alpha, alpha]: the sum saturates instead of wrapping.
@@ -63,8 +62,8 @@ class TestQuantizationDegradation:
         assert abs(result[1] + 1.0) < 0.1
 
     def test_nan_inputs_raise_or_clip(self):
-        runtime = FederationRuntime(FLBOOSTER, num_clients=2, key_bits=256,
-                                    physical_key_bits=256)
+        runtime = FederationRuntime(FLBOOSTER_SYSTEM, num_clients=2,
+                                    key_bits=256, physical_key_bits=256)
         bad = np.array([np.nan, 0.0])
         with pytest.raises((ValueError, OverflowError)):
             runtime.aggregator.aggregate([bad, np.zeros(2)])
@@ -72,8 +71,8 @@ class TestQuantizationDegradation:
 
 class TestEngineInputValidation:
     def test_plaintext_beyond_modulus_rejected(self):
-        runtime = FederationRuntime(FLBOOSTER, num_clients=2, key_bits=256,
-                                    physical_key_bits=256)
+        runtime = FederationRuntime(FLBOOSTER_SYSTEM, num_clients=2,
+                                    key_bits=256, physical_key_bits=256)
         n = runtime.client_engine.public_key.n
         with pytest.raises(ValueError):
             runtime.client_engine.encrypt_batch([n + 1])

@@ -7,11 +7,17 @@ just a different number.
 
 import pytest
 
-from repro.baselines import FATE, FLBOOSTER, HAFLO, WITHOUT_BC, WITHOUT_GHE
 from repro.experiments import (
     he_throughput,
     run_epoch_experiment,
     sm_utilization,
+)
+from repro.federation.runtime import (
+    FATE_SYSTEM,
+    FLBOOSTER_SYSTEM,
+    HAFLO_SYSTEM,
+    WITHOUT_BC,
+    WITHOUT_GHE,
 )
 
 MODELS = ["Homo LR", "Hetero LR", "Hetero SBT", "Hetero NN"]
@@ -21,7 +27,8 @@ MODELS = ["Homo LR", "Hetero LR", "Hetero SBT", "Hetero NN"]
 def homo_reports():
     return {config.name: run_epoch_experiment(config, "Homo LR",
                                               "Synthetic", 1024)
-            for config in (FATE, HAFLO, FLBOOSTER, WITHOUT_GHE, WITHOUT_BC)}
+            for config in (FATE_SYSTEM, HAFLO_SYSTEM, FLBOOSTER_SYSTEM,
+                           WITHOUT_GHE, WITHOUT_BC)}
 
 
 class TestTable3Shapes:
@@ -48,7 +55,7 @@ class TestTable3Shapes:
     def test_ordering_holds_for_every_model(self, model):
         reports = {config.name: run_epoch_experiment(
             config, model, "Synthetic", 1024)
-            for config in (FATE, HAFLO, FLBOOSTER)}
+            for config in (FATE_SYSTEM, HAFLO_SYSTEM, FLBOOSTER_SYSTEM)}
         assert reports["FLBooster"].epoch_seconds < \
             reports["HAFLO"].epoch_seconds < \
             reports["FATE"].epoch_seconds
@@ -56,10 +63,10 @@ class TestTable3Shapes:
     def test_acceleration_grows_with_key_size(self):
         ratios = {}
         for key_bits in (1024, 4096):
-            fate = run_epoch_experiment(FATE, "Hetero LR", "Synthetic",
+            fate = run_epoch_experiment(FATE_SYSTEM, "Hetero LR", "Synthetic",
                                         key_bits)
-            flb = run_epoch_experiment(FLBOOSTER, "Hetero LR", "Synthetic",
-                                       key_bits)
+            flb = run_epoch_experiment(FLBOOSTER_SYSTEM, "Hetero LR",
+                                       "Synthetic", key_bits)
             ratios[key_bits] = fate.epoch_seconds / flb.epoch_seconds
         assert ratios[4096] > ratios[1024]
 
@@ -69,18 +76,18 @@ class TestTable4Shapes:
 
     def test_ordering_at_all_key_sizes(self):
         for key_bits in (1024, 2048, 4096):
-            fate = he_throughput(FATE, key_bits, batch_size=512)
-            haflo = he_throughput(HAFLO, key_bits, batch_size=512)
-            flb = he_throughput(FLBOOSTER, key_bits, batch_size=512)
+            fate = he_throughput(FATE_SYSTEM, key_bits, batch_size=512)
+            haflo = he_throughput(HAFLO_SYSTEM, key_bits, batch_size=512)
+            flb = he_throughput(FLBOOSTER_SYSTEM, key_bits, batch_size=512)
             assert fate < haflo < flb
 
     def test_cpu_to_gpu_gap_two_orders(self):
-        fate = he_throughput(FATE, 1024, batch_size=512)
-        haflo = he_throughput(HAFLO, 1024, batch_size=512)
+        fate = he_throughput(FATE_SYSTEM, 1024, batch_size=512)
+        haflo = he_throughput(HAFLO_SYSTEM, 1024, batch_size=512)
         assert 50 < haflo / fate < 500     # paper: ~160x
 
     def test_throughput_falls_with_key_size(self):
-        for config in (FATE, HAFLO, FLBOOSTER):
+        for config in (FATE_SYSTEM, HAFLO_SYSTEM, FLBOOSTER_SYSTEM):
             t1 = he_throughput(config, 1024, batch_size=512)
             t2 = he_throughput(config, 2048, batch_size=512)
             t4 = he_throughput(config, 4096, batch_size=512)
@@ -94,11 +101,11 @@ class TestFig6Shapes:
 
     def test_flbooster_utilization_higher(self):
         for key_bits in (1024, 2048, 4096):
-            assert sm_utilization(FLBOOSTER, key_bits) > \
-                3 * sm_utilization(HAFLO, key_bits)
+            assert sm_utilization(FLBOOSTER_SYSTEM, key_bits) > \
+                3 * sm_utilization(HAFLO_SYSTEM, key_bits)
 
     def test_utilization_degrades_with_key_size(self):
-        flb = [sm_utilization(FLBOOSTER, k) for k in (1024, 2048, 4096)]
+        flb = [sm_utilization(FLBOOSTER_SYSTEM, k) for k in (1024, 2048, 4096)]
         assert flb[0] >= flb[1] >= flb[2]
 
 

@@ -26,7 +26,7 @@ from repro.federation.coordinator import (
     CoordinatorKilled,
     DurableCoordinator,
     LeaseManager,
-    StandbyCoordinator,
+    NodeSupervisor,
 )
 from repro.federation.eventloop import LEASE_TIMEOUT_SECONDS, VirtualClock
 from repro.federation.faults import COORDINATOR_CRASH, FAILOVER, FaultPlan
@@ -41,7 +41,7 @@ from repro.federation.shard import (
     ShardedAggregationService,
 )
 from repro.federation.tenancy import Tenant, TenantRegistry
-from repro.federation.wal import ROUND_CLOSE, UPLOAD_ACCEPTED
+from repro.federation.wal import ROUND_CLOSE, UPLOAD_ACCEPTED, WriteAheadLog
 from repro.gpu.kernels import GpuKernels
 from repro.ledger import CAT_HE_DECRYPT
 from repro.models.homo_lr import HomoLogisticRegression
@@ -394,10 +394,12 @@ def test_a_takeover_replays_each_journaled_record_once():
     with pytest.raises(CoordinatorKilled):
         primary.run_round([np.linspace(-0.9, 0.9, 64)] * 3)
     clock.advance(LEASE_TIMEOUT_SECONDS)
-    standby = StandbyCoordinator(runtime.aggregator, lease,
-                                 name="coordinator-standby")
     with counted() as added:
-        successor = standby.take_over(primary.wal.image())
+        wal = WriteAheadLog.from_bytes(primary.wal.image())
+        successor = DurableCoordinator(
+            runtime.aggregator, wal=wal, name="coordinator-standby",
+            incarnation=lease.acquire("coordinator-standby").incarnation,
+            lease_manager=lease)
     assert added[RECORDS_REPLAYED] == len(successor.wal.records) == 4
     assert (added[JOURNAL_PARSES], added[DIGESTS]) == (1, 0)
 
@@ -444,9 +446,20 @@ def test_a_fault_free_flat_durable_run_parses_nothing(rounds):
 
 
 @pytest.mark.parametrize("kind", [FAILOVER, COORDINATOR_CRASH])
-def test_a_flat_coordinator_kill_parses_its_image_once(kind):
+def test_a_flat_coordinator_kill_parses_its_image_once(kind, monkeypatch):
     """Standby takeover or in-place restart alike: the dead
-    coordinator's image is read once, at the kill, and nowhere else."""
+    coordinator's image is read once, at the kill, and nowhere else.
+    Only the standby waits out the dead primary's live lease, one
+    timeout on the clock; a restart re-acquires its own lease at once."""
+    waits = []
+    recover = NodeSupervisor._recover
+
+    def timed(supervisor, *args):
+        before = supervisor.clock.now
+        recover(supervisor, *args)
+        waits.append(supervisor.clock.now - before)
+
+    monkeypatch.setattr(NodeSupervisor, "_recover", timed)
     plan = FaultPlan(seed=7)
     plan = (plan.failover if kind == FAILOVER
             else plan.coordinator_crash)(0, after_record=3)
@@ -455,6 +468,7 @@ def test_a_flat_coordinator_kill_parses_its_image_once(kind):
     assert [f.kind for f in result.failovers] == [kind]
     standby = kind == FAILOVER
     assert (added[JOURNAL_PARSES], added[STANDBYS_BUILT]) == (1, int(standby))
+    assert waits == [LEASE_TIMEOUT_SECONDS if standby else 0.0]
     assert simulator.nodes()["coordinator"].name == \
         ("coordinator-standby" if standby else "coordinator")
 

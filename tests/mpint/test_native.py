@@ -398,8 +398,8 @@ def test_package_works_with_the_library_unbindable():
         "print(*pri.decrypt(c))\n")
     source = str(pathlib.Path(repro.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True,
-        timeout=120, env={"PYTHONPATH": source, "PATH": ""})
+        [sys.executable, "-B", "-c", script], capture_output=True,
+        text=True, timeout=120, env={"PYTHONPATH": source, "PATH": ""})
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "41"
 
