@@ -225,6 +225,20 @@ class TestLeaseManager:
         assert runtime.channel.ledger.payload_bytes(
             "comm.coordinator.heartbeat") > 0
 
+    def test_heartbeat_is_addressed_to_the_standby(self):
+        sent = []
+
+        class Recorder:
+            send = staticmethod(sent.append)
+
+        manager = LeaseManager(timeout_seconds=10.0, clock=lambda: 0.0)
+        manager.acquire("primary")
+        manager.heartbeat("primary", 0, channel=Recorder())
+        [message] = sent
+        assert (message.sender, message.receiver, message.tag) == (
+            "primary", "standby", "coordinator.heartbeat")
+        assert message.payload == {"holder": "primary", "incarnation": 0}
+
     def test_invalid_timeout_rejected(self):
         with pytest.raises(ValueError):
             LeaseManager(timeout_seconds=0.0, clock=lambda: 0.0)

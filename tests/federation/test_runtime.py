@@ -21,6 +21,7 @@ from repro.federation.runtime import (
     cached_keypair,
     system_by_name,
 )
+from repro.gpu.cost_model import DEFAULT_PROFILE
 from repro.gpu.device import SimulatedGpu
 
 ALL_SYSTEMS = tuple(SYSTEMS_BY_NAME.values())
@@ -107,6 +108,16 @@ class TestRuntimeWiring:
         with pytest.raises(ValueError, match="he_backend"):
             FederationRuntime(FATE_SYSTEM, num_clients=2, key_bits=128,
                               he_backend=backend)
+
+    def test_components_take_the_default_profile_and_alpha(self):
+        fate = FederationRuntime(FATE_SYSTEM, num_clients=2,
+                                 key_bits=256, physical_key_bits=256)
+        booster = FederationRuntime(FLBOOSTER_SYSTEM, num_clients=2,
+                                    key_bits=256, physical_key_bits=256)
+        assert fate.channel.profile is DEFAULT_PROFILE
+        assert fate.client_engine.profile is DEFAULT_PROFILE
+        assert booster.client_engine.kernels.profile is DEFAULT_PROFILE
+        assert fate.plan.scheme.alpha == booster.plan.scheme.alpha == 1.0
 
     def test_haflo_unmanaged_resource_manager(self):
         runtime = FederationRuntime(HAFLO_SYSTEM, num_clients=2,

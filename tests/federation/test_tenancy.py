@@ -88,6 +88,15 @@ class TestTokenBucket:
         clock.advance(0.5)
         assert bucket.try_acquire()
 
+    def test_refused_acquire_leaves_the_bucket_as_is(self):
+        clock = VirtualClock()
+        bucket = TokenBucket(clock, rate=4.0, burst=1)
+        assert bucket.retry_after() == 0.0
+        assert bucket.try_acquire()
+        assert not bucket.try_acquire()
+        assert bucket.tokens == 0.0
+        assert bucket.retry_after() == pytest.approx(0.25)
+
     def test_never_exceeds_burst(self):
         clock = VirtualClock()
         bucket = TokenBucket(clock, rate=100.0, burst=4)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.federation.runtime import SYSTEMS_BY_NAME
 
 
 class TestParser:
@@ -34,6 +35,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "FLBooster" in out
         assert "RTX 3090" in out
+
+    def test_info_lists_every_system(self, capsys):
+        assert main(["info"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for config in SYSTEMS_BY_NAME.values():
+            [row] = [line for line in lines
+                     if line.startswith(f"  {config.name} ")]
+            assert f"r_bits={config.r_bits}" in row
 
     def test_compress(self, capsys):
         assert main(["compress"]) == 0
