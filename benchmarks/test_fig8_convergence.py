@@ -27,7 +27,7 @@ def collect():
         for config in SYSTEMS:
             traces[(model, config.name)] = run_training(
                 config, model, "Synthetic", 1024, max_epochs=MAX_EPOCHS,
-                physical_key_bits=256, bc_capacity="physical")
+                physical_key_bits=256, bc_capacity="physical").trace
     return traces
 
 

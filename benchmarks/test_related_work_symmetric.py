@@ -52,15 +52,21 @@ def test_related_work_symmetric(benchmark):
     masking_seconds, paillier_seconds = benchmark.pedantic(
         collect, rounds=1, iterations=1)
 
+    # The masking time is wall-clock and varies run to run, so it is
+    # printed but kept out of the committed table, which must regenerate
+    # byte-identically; the Paillier time is the cost ledger's.
     table = format_table(
-        ["Scheme", "Round time (s)", "Security"],
-        [["Symmetric masking (FLASHE-style)", f"{masking_seconds:.4f}",
+        ["Scheme", "Round time (s)", "Clock", "Security"],
+        [["Symmetric masking (FLASHE-style)", "not recorded",
+          "measured (wall-clock)",
           "breaks on mask reuse (known-plaintext)"],
          ["Paillier + FLBooster", f"{paillier_seconds:.4f}",
-          "semantically secure (DCRA)"]],
+          "modelled (cost ledger)", "semantically secure (DCRA)"]],
         title="Related work -- symmetric HE vs accelerated Paillier "
               f"({NUM_PARTIES} parties x {VECTOR_LENGTH} values)")
     publish("related_work_symmetric", table)
+    print(f"symmetric masking round, measured: {masking_seconds:.4f} s "
+          "wall-clock")
 
     # The temptation is real: masking is at least 10x faster even than
     # the fully accelerated Paillier pipeline.

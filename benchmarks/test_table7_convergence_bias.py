@@ -37,11 +37,11 @@ def collect():
         for dataset in bench_datasets():
             fate = run_training(FATE_SYSTEM, model, dataset, 1024,
                                 max_epochs=MAX_EPOCHS,
-                                physical_key_bits=256)
+                                physical_key_bits=256).trace
             flb = run_training(FLBOOSTER_SYSTEM, model, dataset, 1024,
                                max_epochs=MAX_EPOCHS,
                                physical_key_bits=256,
-                               bc_capacity="physical")
+                               bc_capacity="physical").trace
             bias = abs(fate.final_loss - flb.final_loss) / fate.final_loss
             biases[(model, dataset)] = (bias, fate.final_loss,
                                         flb.final_loss)
@@ -70,7 +70,8 @@ def collect_sensitivity():
     out = {}
     for model in bench_models():
         fate = run_training(FATE_SYSTEM, model, "Synthetic", 1024,
-                            max_epochs=MAX_EPOCHS, physical_key_bits=256)
+                            max_epochs=MAX_EPOCHS,
+                            physical_key_bits=256).trace
         for r_bits in (8, 12, 16, 30):
             config = SweptWidth(**{**asdict(FLBOOSTER_SYSTEM),
                                     "name": f"FLBooster(r={r_bits})"},
@@ -78,7 +79,7 @@ def collect_sensitivity():
             flb = run_training(config, model, "Synthetic", 1024,
                                max_epochs=MAX_EPOCHS,
                                physical_key_bits=256,
-                               bc_capacity="physical")
+                               bc_capacity="physical").trace
             bias = abs(fate.final_loss - flb.final_loss) / fate.final_loss
             out[(model, r_bits)] = bias
     return out

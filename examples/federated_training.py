@@ -29,7 +29,7 @@ def main(model_name: str = "Homo LR") -> None:
         traces[config.name] = run_training(
             config, model_name, "Synthetic", key_bits=1024,
             max_epochs=EPOCHS, physical_key_bits=256,
-            bc_capacity="physical")
+            bc_capacity="physical").trace
 
     rows = []
     for system, trace in traces.items():

@@ -73,10 +73,10 @@ def main() -> None:
     # --- Fig. 8 / Table VII: convergence ------------------------------
     print()
     fate_trace = run_training(FATE_SYSTEM, "Homo LR", DATASET, KEY,
-                              max_epochs=4, physical_key_bits=256)
+                              max_epochs=4, physical_key_bits=256).trace
     flb_trace = run_training(FLBOOSTER_SYSTEM, "Homo LR", DATASET, KEY,
                              max_epochs=4, physical_key_bits=256,
-                             bc_capacity="physical")
+                             bc_capacity="physical").trace
     bias = abs(fate_trace.final_loss - flb_trace.final_loss) \
         / fate_trace.final_loss
     speedup = fate_trace.cumulative_seconds[-1] / \

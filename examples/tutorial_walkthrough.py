@@ -15,6 +15,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 
 from repro.datasets import synthetic_like, train_test_split, vertical_split
 from repro.federation import RsaIntersection
@@ -65,10 +66,13 @@ def main() -> None:
         save_model_state(model, path)
         fresh = HeteroSecureBoost(train, max_depth=3, num_bins=8, seed=13)
         load_model_state(fresh, path)
-        size = len(json.loads(path.read_text()))
+        size = len(json.loads(path.read_text())["state"])
+        same_scores = np.array_equal(
+            fresh.predict_scores(guest_block, host_block), scores)
         print(f"4. state saved/reloaded ({path.stat().st_size:,} bytes, "
-              f"{size} fields); losses match: "
-              f"{abs(fresh.loss() - model.loss()) < 1e-12}")
+              f"{size} arrays); losses match: "
+              f"{fresh.loss() == model.loss()}; held-out scores match: "
+              f"{same_scores}")
 
     # 5 -- cost accounting ---------------------------------------------
     shares = ", ".join(f"{component} {percent:.0f}%" for component, percent

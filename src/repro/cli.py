@@ -99,7 +99,7 @@ def _cmd_train(args) -> int:
                              key_bits=args.key_bits,
                              max_epochs=args.epochs,
                              physical_key_bits=256,
-                             bc_capacity="physical")
+                             bc_capacity="physical").trace
         rows.append([config.name, f"{trace.losses[0]:.4f}",
                      f"{trace.final_loss:.4f}",
                      f"{trace.cumulative_seconds[-1]:.2f}"])
@@ -134,7 +134,7 @@ def _cmd_compress(args) -> int:
 
 def _cmd_faults(args) -> int:
     from repro.federation.runtime import FATE_SYSTEM, FLBOOSTER_SYSTEM
-    from repro.experiments import format_table, run_training_with_recovery
+    from repro.experiments import format_table, run_training
     from repro.federation.faults import FaultPlan
 
     plan = FaultPlan(seed=args.seed).with_message_loss(args.loss)
@@ -153,7 +153,7 @@ def _cmd_faults(args) -> int:
     rows = []
     last_result = None
     for config in (FATE_SYSTEM, FLBOOSTER_SYSTEM):
-        result = run_training_with_recovery(
+        result = run_training(
             config, args.model, args.dataset, key_bits=args.key_bits,
             max_epochs=args.epochs, fault_plan=plan,
             min_quorum=args.quorum, num_clients=args.clients,

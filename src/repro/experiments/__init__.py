@@ -14,7 +14,6 @@ from repro.experiments.harness import (
     build_model,
     run_epoch_experiment,
     run_training,
-    run_training_with_recovery,
     RecoveryResult,
     TrainingCheckpoint,
     he_throughput,
@@ -30,7 +29,6 @@ __all__ = [
     "build_model",
     "run_epoch_experiment",
     "run_training",
-    "run_training_with_recovery",
     "RecoveryResult",
     "TrainingCheckpoint",
     "he_throughput",

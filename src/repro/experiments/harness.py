@@ -17,7 +17,7 @@ DESIGN.md, "Timing methodology").  Two fidelity knobs:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -35,13 +35,7 @@ from repro.federation.metrics import EpochReport, FaultReport
 from repro.federation.runtime import FederationRuntime, SystemConfig
 from repro.federation.wal import replace_durably
 from repro.gpu.resource_manager import ResourceManager
-from repro.models import (
-    HeteroLogisticRegression,
-    HeteroNeuralNetwork,
-    HeteroSecureBoost,
-    HomoLogisticRegression,
-    HomoNeuralNetwork,
-)
+from repro.models import MODEL_REGISTRY
 from repro.models.base import (
     CONVERGENCE_TOLERANCE,
     FederatedModel,
@@ -100,20 +94,13 @@ def build_model(model_name: str, dataset: Dataset,
                 num_clients: int = DEFAULT_NUM_CLIENTS,
                 seed: int = 0) -> FederatedModel:
     """Instantiate a registry model (the paper's four plus Homo NN)."""
-    if model_name == "Homo LR":
-        return HomoLogisticRegression(dataset, num_clients=num_clients,
-                                      batch_size=128, seed=seed)
-    if model_name == "Hetero LR":
-        return HeteroLogisticRegression(dataset, batch_size=128, seed=seed)
-    if model_name == "Hetero SBT":
-        return HeteroSecureBoost(dataset, max_depth=2, num_bins=4,
-                                 seed=seed)
-    if model_name == "Hetero NN":
-        return HeteroNeuralNetwork(dataset, batch_size=128, seed=seed)
-    if model_name == "Homo NN":
-        return HomoNeuralNetwork(dataset, num_clients=num_clients,
-                                 batch_size=128, seed=seed)
-    raise KeyError(f"unknown model {model_name!r}")
+    if model_name not in MODEL_REGISTRY:
+        raise KeyError(f"unknown model {model_name!r}")
+    settings = (dict(max_depth=2, num_bins=4) if model_name == "Hetero SBT"
+                else dict(batch_size=128))
+    if model_name.startswith("Homo"):  # horizontal: one shard per client
+        settings["num_clients"] = num_clients
+    return MODEL_REGISTRY[model_name](dataset, seed=seed, **settings)
 
 
 #: Memoized epoch reports: benchmark files share many (system, model,
@@ -147,38 +134,10 @@ def run_epoch_experiment(config: SystemConfig, model_name: str,
                                 key_bits=key_bits,
                                 physical_key_bits=physical_key_bits,
                                 seed=seed)
-    ledger = runtime.begin_epoch()
-    loss = model.run_epoch(runtime)
-    report = EpochReport.from_ledger(ledger, system=config.name,
-                                     model=model_name, dataset=dataset_name,
-                                     key_bits=key_bits, loss=loss)
+    report = model.train(runtime, max_epochs=1).reports[0]
     if use_cache:
         _EPOCH_CACHE[cache_key] = report
     return report
-
-
-def run_training(config: SystemConfig, model_name: str, dataset_name: str,
-                 key_bits: int, max_epochs: int,
-                 physical_key_bits: Optional[int] = None,
-                 num_clients: int = DEFAULT_NUM_CLIENTS,
-                 seed: int = 0, bc_capacity: str = "nominal") -> TrainingTrace:
-    """Train to convergence (or ``max_epochs``); returns the full trace.
-
-    Convergence experiments default to full fidelity
-    (``physical == nominal``) so quantization effects are the real ones;
-    pass a smaller ``physical_key_bits`` with ``bc_capacity="physical"``
-    to keep full quantization precision at reduced key cost.
-    """
-    if physical_key_bits is None:
-        physical_key_bits = key_bits
-    dataset = scaled_dataset(dataset_name, seed=seed)
-    model = build_model(model_name, dataset, num_clients=num_clients,
-                        seed=seed)
-    runtime = FederationRuntime(config, num_clients=num_clients,
-                                key_bits=key_bits,
-                                physical_key_bits=physical_key_bits,
-                                seed=seed, bc_capacity=bc_capacity)
-    return model.train(runtime, max_epochs=max_epochs, key_bits=key_bits)
 
 
 #: Checkpoint format version, bumped on layout changes.
@@ -221,12 +180,12 @@ class TrainingCheckpoint:
     @classmethod
     def capture(cls, model: FederatedModel, runtime: FederationRuntime,
                 trace: TrainingTrace, key_bits: int, seed: int,
-                epoch: int, restarts: int) -> "TrainingCheckpoint":
-        """Snapshot a run at an epoch boundary."""
+                restarts: int) -> "TrainingCheckpoint":
+        """Snapshot a run at the epoch boundary ``trace`` ends on."""
         return cls(
             system=runtime.config.name, model=model.name,
             dataset=model.dataset.name, key_bits=key_bits, seed=seed,
-            epoch=epoch,
+            epoch=len(trace.losses),
             rounds_completed=runtime.aggregator.round_cursor,
             losses=list(trace.losses),
             epoch_seconds=list(trace.epoch_seconds),
@@ -235,27 +194,21 @@ class TrainingCheckpoint:
             restarts=restarts,
         )
 
-    def state_arrays(self) -> Dict[str, np.ndarray]:
-        """The model state as float64 arrays, ready for
-        ``load_state_dict``."""
-        return {name: np.asarray(value, dtype=np.float64)
-                for name, value in self.model_state.items()}
+    def restore(self, model: FederatedModel, runtime: FederationRuntime,
+                trace: TrainingTrace) -> None:
+        """Put a fresh run back where :meth:`capture` snapshotted it."""
+        model.load_state_dict(self.model_state)
+        runtime.aggregator.round_cursor = self.rounds_completed
+        trace.losses = list(self.losses)
+        trace.epoch_seconds = list(self.epoch_seconds)
 
     def save(self, path: Union[str, Path]) -> None:
         """Write the checkpoint atomically and durably
         (:func:`~repro.federation.wal.replace_durably`): a crash at any
         point leaves either the old complete checkpoint or the new
         complete checkpoint -- never a torn one."""
-        payload = {
-            "version": self.version, "system": self.system,
-            "model": self.model, "dataset": self.dataset,
-            "key_bits": self.key_bits, "seed": self.seed,
-            "epoch": self.epoch,
-            "rounds_completed": self.rounds_completed,
-            "losses": self.losses, "epoch_seconds": self.epoch_seconds,
-            "model_state": self.model_state, "restarts": self.restarts,
-        }
-        replace_durably(Path(path), json.dumps(payload).encode("utf-8"))
+        replace_durably(Path(path),
+                        json.dumps(asdict(self)).encode("utf-8"))
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "TrainingCheckpoint":
@@ -278,7 +231,7 @@ class TrainingCheckpoint:
 
 @dataclass
 class RecoveryResult:
-    """Outcome of a fault-tolerant training run.
+    """Outcome of a :func:`run_training` run.
 
     Attributes:
         trace: The completed training trace (losses restored from
@@ -299,7 +252,7 @@ class RecoveryResult:
     fault_report: FaultReport
 
 
-def run_training_with_recovery(
+def run_training(
         config: SystemConfig, model_name: str, dataset_name: str,
         key_bits: int, max_epochs: int,
         fault_plan: Optional[FaultPlan] = None,
@@ -309,16 +262,22 @@ def run_training_with_recovery(
         bc_capacity: str = "nominal",
         checkpoint_path: Optional[Union[str, Path]] = None,
         max_restarts: int = 5) -> RecoveryResult:
-    """Train under faults with checkpoint/resume instead of restarting.
+    """Train to convergence (or ``max_epochs``), resuming after faults.
 
-    The training loop snapshots model weights, the epoch index, the
-    aggregation-round cursor and the loss trace at every epoch boundary.
-    When a fault aborts an epoch (``ChannelError`` from an exhausted
-    transfer, or ``QuorumError`` from a round below quorum), the run
-    resumes from the last checkpoint with a fresh runtime whose fault
-    *incarnation* is bumped -- deterministic for a fixed seed, but not a
-    verbatim replay of the failure.  Transient dropout events do not
-    outlive a restart (see :mod:`repro.federation.faults`).
+    Convergence experiments default to full fidelity
+    (``physical == nominal``) so quantization effects are the real ones;
+    pass a smaller ``physical_key_bits`` with ``bc_capacity="physical"``
+    to keep full quantization precision at reduced key cost.  A run
+    without a ``fault_plan`` is a run in which no fault fires.
+
+    The model's state, the epoch index, the aggregation-round cursor and
+    the loss trace are checkpointed at every epoch boundary.  When a
+    fault aborts an epoch (``ChannelError`` from an exhausted transfer,
+    or ``QuorumError`` from a round below quorum), the run resumes from
+    the last checkpoint with a fresh runtime whose fault *incarnation* is
+    bumped -- deterministic for a fixed seed, but not a verbatim replay
+    of the failure.  Transient dropout events do not outlive a restart
+    (see :mod:`repro.federation.faults`).
 
     Args:
         checkpoint_path: Persist checkpoints here (JSON); an existing,
@@ -326,10 +285,6 @@ def run_training_with_recovery(
             checkpoints in memory only.
         max_restarts: Abandon the run (re-raising the last failure) after
             this many resume cycles.
-
-    Returns:
-        A :class:`RecoveryResult`; its trace is directly comparable to
-        :func:`run_training` output.
     """
     if physical_key_bits is None:
         physical_key_bits = key_bits
@@ -364,36 +319,18 @@ def run_training_with_recovery(
             min_quorum=min_quorum, incarnation=restarts)
         trace = TrainingTrace(system=config.name, model=model.name,
                               dataset=dataset.name)
-        start_epoch = 0
         if checkpoint is not None:
-            model.load_state_dict(checkpoint.state_arrays())
-            runtime.aggregator.round_cursor = checkpoint.rounds_completed
-            trace.losses = list(checkpoint.losses)
-            trace.epoch_seconds = list(checkpoint.epoch_seconds)
-            start_epoch = checkpoint.epoch
-        previous_loss = trace.losses[-1] if trace.losses else None
-
-        epoch = start_epoch
+            checkpoint.restore(model, runtime, trace)
         try:
-            for epoch in range(start_epoch, max_epochs):
-                ledger = runtime.begin_epoch()
-                loss = model.run_epoch(runtime)
+            for ledger in model.epochs(runtime, trace, max_epochs,
+                                       CONVERGENCE_TOLERANCE):
                 fault_total = fault_total.merge(
                     FaultReport.from_ledger(ledger))
-                trace.losses.append(loss)
-                trace.epoch_seconds.append(ledger.total_seconds)
-                trace.reports.append(EpochReport.from_ledger(
-                    ledger, system=config.name, model=model.name,
-                    dataset=dataset.name, key_bits=key_bits, loss=loss))
                 checkpoint = TrainingCheckpoint.capture(
                     model, runtime, trace, key_bits=key_bits, seed=seed,
-                    epoch=epoch + 1, restarts=restarts)
+                    restarts=restarts)
                 if checkpoint_path is not None:
                     checkpoint.save(checkpoint_path)
-                if previous_loss is not None and \
-                        abs(previous_loss - loss) < CONVERGENCE_TOLERANCE:
-                    break
-                previous_loss = loss
             return RecoveryResult(
                 trace=trace, restarts=restarts,
                 resumed_epochs=resumed_epochs, failures=failures,
@@ -402,6 +339,7 @@ def run_training_with_recovery(
             # Count the aborted epoch's partial work before discarding it.
             fault_total = fault_total.merge(
                 FaultReport.from_ledger(runtime.ledger))
+            epoch = len(trace.losses)
             failures.append(f"epoch {epoch}: {failure}")
             restarts += 1
             if restarts > max_restarts:

@@ -162,6 +162,14 @@ class Message:
                    ciphertext_bytes=ciphertext_bytes,
                    packed=tensor.meta.capacity > 1)
 
+    def wire_bytes(self, profile: HardwareProfile) -> int:
+        """Bytes one transmission puts on the wire under ``profile``: the
+        ciphertexts in their serialization format plus the plaintext."""
+        return (self.ciphertext_count
+                * profile.wire_bytes(self.ciphertext_bytes,
+                                     packed=self.packed)
+                + self.plaintext_bytes)
+
 
 @dataclass
 class ChannelStats:
@@ -258,12 +266,7 @@ class Channel:
         failed attempt to the ledger and raises :class:`ChannelError`
         carrying the tag, attempt count and wasted bytes.
         """
-        cipher_wire = 0
-        if message.ciphertext_count:
-            per_ciphertext = self.profile.wire_bytes(
-                message.ciphertext_bytes, packed=message.packed)
-            cipher_wire = message.ciphertext_count * per_ciphertext
-        wire_bytes = cipher_wire + message.plaintext_bytes
+        wire_bytes = message.wire_bytes(self.profile)
         transfer_seconds = self.profile.network_seconds(wire_bytes,
                                                         messages=1)
         policy = self.retry_policy

@@ -583,11 +583,8 @@ class AsyncChannel:
             self.clock.advance(DISPATCH_SECONDS)
             if deadline is not None and \
                     max(entry.ready_at, self.clock.now) > deadline:
-                wire = (message.ciphertext_count
-                        * channel.profile.wire_bytes(
-                            message.ciphertext_bytes, packed=message.packed)
-                        + message.plaintext_bytes)
-                self._charge(CAT_FAULT_SHED, lane, "shed", 0.0, wire)
+                self._charge(CAT_FAULT_SHED, lane, "shed", 0.0,
+                             message.wire_bytes(channel.profile))
                 outcome.shed.append((message.sender, "deadline"))
                 continue
             try:

@@ -5,21 +5,24 @@ Every model implements :meth:`FederatedModel.run_epoch` against a
 here are the secure point-to-point transfer (the vertical protocols'
 workhorse), the convergence-driven training loop of Sec. VI-B ("if the
 loss difference between two successive epochs is less than 1e-6, the model
-reaches convergence"), and the loss/time trace the convergence figures
-read.
+reaches convergence"), the loss/time trace the convergence figures read,
+and the learnable-state pair every model defines for checkpoints and
+saved models.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import List, Optional
+from itertools import accumulate
+from typing import Iterator, List
 
 import numpy as np
 
 from repro.datasets.generators import Dataset
 from repro.federation.metrics import EpochReport
 from repro.federation.runtime import FederationRuntime
+from repro.ledger import CostLedger
 from repro.rng import np_rng
 
 #: The paper's convergence tolerance.
@@ -40,12 +43,7 @@ class TrainingTrace:
     @property
     def cumulative_seconds(self) -> List[float]:
         """Modelled wall-clock at the end of each epoch."""
-        out: List[float] = []
-        total = 0.0
-        for seconds in self.epoch_seconds:
-            total += seconds
-            out.append(total)
-        return out
+        return list(accumulate(self.epoch_seconds))
 
     @property
     def final_loss(self) -> float:
@@ -77,39 +75,24 @@ class FederatedModel(ABC):
         """Current global training loss."""
 
     # ------------------------------------------------------------------
-    # Checkpointable state (fault-tolerant training).
+    # Learnable state: what checkpoints and saved models hold.
     # ------------------------------------------------------------------
 
+    @abstractmethod
     def state_dict(self) -> dict:
-        """Snapshot the aggregated model state as name -> float array.
+        """The model's complete learnable state as name -> float array.
 
-        Covers the two shapes the horizontal models use -- a flat
-        ``weights`` vector (Homo LR) or a ``params`` dict of arrays
-        (Homo NN).  Models with other state override this pair.
-        Optimizer slots and local shards are deliberately *not*
-        checkpointed: they are re-derived on resume, matching a real
-        deployment where a restarted client warm-starts from the global
-        model.
+        Checkpoints (:class:`~repro.experiments.harness.TrainingCheckpoint`)
+        and saved models (:func:`~repro.models.evaluation.save_model_state`)
+        hold exactly this.  Optimizer slots, data partitions and bin edges
+        are deliberately *not* state: a fresh model over the same dataset
+        and seed re-derives them, matching a real deployment where a
+        restarted client warm-starts from the global model.
         """
-        if hasattr(self, "weights"):
-            return {"weights": np.asarray(self.weights, dtype=np.float64)}
-        if hasattr(self, "params"):
-            return {name: np.asarray(value, dtype=np.float64)
-                    for name, value in self.params.items()}
-        raise NotImplementedError(
-            f"{type(self).__name__} does not expose checkpointable state")
 
+    @abstractmethod
     def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot."""
-        if hasattr(self, "weights"):
-            self.weights = np.asarray(state["weights"], dtype=np.float64)
-            return
-        if hasattr(self, "params"):
-            self.params = {name: np.asarray(value, dtype=np.float64)
-                           for name, value in state.items()}
-            return
-        raise NotImplementedError(
-            f"{type(self).__name__} does not expose checkpointable state")
+        """Restore a :meth:`state_dict` snapshot (arrays or nested lists)."""
 
     # ------------------------------------------------------------------
     # Shared secure primitives.
@@ -148,29 +131,36 @@ class FederatedModel(ABC):
     # Training loop.
     # ------------------------------------------------------------------
 
-    def train(self, runtime: FederationRuntime, max_epochs: int,
-              tolerance: float = CONVERGENCE_TOLERANCE,
-              key_bits: Optional[int] = None) -> TrainingTrace:
+    def epochs(self, runtime: FederationRuntime, trace: TrainingTrace,
+               max_epochs: int, tolerance: float) -> Iterator[CostLedger]:
         """Train until convergence or ``max_epochs`` (paper Sec. VI-B).
 
-        Each epoch gets a fresh ledger; the trace records per-epoch loss,
-        modelled seconds, and full reports.
+        Continues ``trace`` from the epochs it already records (a resumed
+        run restores them from a checkpoint).  Each epoch gets a fresh
+        ledger; once the epoch is recorded in ``trace`` its ledger is
+        yielded, so a caller can checkpoint between epochs.
         """
-        trace = TrainingTrace(system=runtime.config.name, model=self.name,
-                              dataset=self.dataset.name)
-        previous_loss: Optional[float] = None
-        for _ in range(max_epochs):
+        previous_loss = trace.losses[-1] if trace.losses else None
+        for _ in range(len(trace.losses), max_epochs):
             ledger = runtime.begin_epoch()
             loss = self.run_epoch(runtime)
             trace.losses.append(loss)
             trace.epoch_seconds.append(ledger.total_seconds)
             trace.reports.append(EpochReport.from_ledger(
                 ledger, system=runtime.config.name, model=self.name,
-                dataset=self.dataset.name,
-                key_bits=key_bits if key_bits is not None else runtime.key_bits,
+                dataset=self.dataset.name, key_bits=runtime.key_bits,
                 loss=loss))
+            yield ledger
             if previous_loss is not None and \
                     abs(previous_loss - loss) < tolerance:
-                break
+                return
             previous_loss = loss
+
+    def train(self, runtime: FederationRuntime, max_epochs: int,
+              tolerance: float = CONVERGENCE_TOLERANCE) -> TrainingTrace:
+        """Run :meth:`epochs` to the end; returns the trace."""
+        trace = TrainingTrace(system=runtime.config.name, model=self.name,
+                              dataset=self.dataset.name)
+        for _ in self.epochs(runtime, trace, max_epochs, tolerance):
+            pass
         return trace

@@ -1,7 +1,7 @@
 """Evaluation metrics and model persistence.
 
-Metrics beyond the paper's training loss (AUC, accuracy, log-loss at a
-threshold sweep) plus JSON-round-trippable state for the four models, so
+Metrics beyond the paper's training loss (ROC AUC, accuracy at a score
+threshold) plus JSON persistence of any model's learnable state, so
 trained federated models can be shipped to serving.
 """
 
@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Union
+from typing import Union
 
 import numpy as np
+
+from repro.federation.wal import replace_durably
 
 
 def binary_accuracy(scores: np.ndarray, labels: np.ndarray,
@@ -62,56 +64,25 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 # Persistence.
 # ----------------------------------------------------------------------
 
-def _encode(value):
-    if isinstance(value, np.ndarray):
-        return {"__ndarray__": value.tolist(), "dtype": str(value.dtype)}
-    return value
-
-
-def _decode(value):
-    if isinstance(value, dict) and "__ndarray__" in value:
-        return np.asarray(value["__ndarray__"], dtype=value["dtype"])
-    return value
-
-
 def save_model_state(model, path: Union[str, Path]) -> None:
-    """Persist a trained model's learnable state as JSON.
+    """Persist a model's :meth:`~repro.models.base.FederatedModel.state_dict`
+    as JSON, atomically and durably
+    (:func:`~repro.federation.wal.replace_durably`).
 
-    Supports the four benchmark models; tree ensembles (SBT) persist
-    their score vector and metadata (trees route through bin indices that
-    depend on the training data, so serving uses the score snapshot).
+    ``ndarray.tolist()`` keeps every float64 exactly, so a model built over
+    the same dataset and seed and loaded with :func:`load_model_state`
+    predicts exactly what this one does.
     """
-    state: Dict[str, object] = {"model": model.name}
-    if model.name == "Homo LR":
-        state["weights"] = _encode(model.weights)
-    elif model.name == "Hetero LR":
-        state["guest_weights"] = _encode(model.guest_weights)
-        state["host_weights"] = [_encode(w) for w in model.host_weights]
-    elif model.name == "Hetero NN":
-        state["params"] = {name: _encode(value)
-                           for name, value in model.params.items()}
-    elif model.name == "Hetero SBT":
-        state["scores"] = _encode(model.scores)
-        state["num_trees"] = len(model.trees)
-        state["learning_rate"] = model.learning_rate
-    else:
-        raise ValueError(f"unknown model {model.name!r}")
-    Path(path).write_text(json.dumps(state))
+    state = {name: np.asarray(value).tolist()
+             for name, value in model.state_dict().items()}
+    replace_durably(Path(path), json.dumps(
+        {"model": model.name, "state": state}).encode("utf-8"))
 
 
 def load_model_state(model, path: Union[str, Path]) -> None:
     """Restore state saved by :func:`save_model_state` (in place)."""
-    state = json.loads(Path(path).read_text())
-    if state.get("model") != model.name:
+    saved = json.loads(Path(path).read_text())
+    if saved.get("model") != model.name:
         raise ValueError(
-            f"state is for {state.get('model')!r}, not {model.name!r}")
-    if model.name == "Homo LR":
-        model.weights = _decode(state["weights"])
-    elif model.name == "Hetero LR":
-        model.guest_weights = _decode(state["guest_weights"])
-        model.host_weights = [_decode(w) for w in state["host_weights"]]
-    elif model.name == "Hetero NN":
-        model.params = {name: _decode(value)
-                        for name, value in state["params"].items()}
-    elif model.name == "Hetero SBT":
-        model.scores = _decode(state["scores"])
+            f"state is for {saved.get('model')!r}, not {model.name!r}")
+    model.load_state_dict(saved["state"])

@@ -164,6 +164,20 @@ class HeteroLogisticRegression(FederatedModel):
         return (self.predict_scores(guest_features, *host_features) > 0) \
             .astype(np.float64)
 
+    def state_dict(self) -> dict:
+        """Guest weights plus each host's (``host_weights.<index>``)."""
+        state = {"guest_weights": self.guest_weights}
+        for index, weights in enumerate(self.host_weights):
+            state[f"host_weights.{index}"] = weights
+        return state
+
+    def load_state_dict(self, state: dict) -> None:
+        self.guest_weights = np.asarray(state["guest_weights"],
+                                        dtype=np.float64)
+        self.host_weights = [
+            np.asarray(state[f"host_weights.{index}"], dtype=np.float64)
+            for index in range(len(self.hosts))]
+
     def loss(self) -> float:
         """Global training loss of the joint model."""
         joint_weights = np.concatenate([self.guest_weights,

@@ -197,6 +197,14 @@ class HeteroNeuralNetwork(FederatedModel):
         return (self.predict_scores(guest_features, host_features) > 0) \
             .astype(np.float64)
 
+    def state_dict(self) -> dict:
+        """Every parameter array, by name."""
+        return dict(self.params)
+
+    def load_state_dict(self, state: dict) -> None:
+        self.params = {name: np.asarray(state[name], dtype=np.float64)
+                       for name in self.params}
+
     def loss(self) -> float:
         """Training loss of the joint split network."""
         return logistic_loss(self.forward(), self.guest.labels)

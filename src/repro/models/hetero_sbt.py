@@ -25,8 +25,8 @@ convergence-bias experiment probes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class _TreeNode:
     """One node of a (vertical) boosting tree."""
 
     instances: np.ndarray
-    depth: int
     party: Optional[str] = None          # "guest" or "host" once split
     feature: int = -1                    # feature index within the party
     threshold_bin: int = -1
@@ -57,13 +56,31 @@ class _TreeNode:
         return self.left is None
 
 
-@dataclass
-class _Tree:
-    """A fitted boosting tree plus the bin edges needed for routing."""
+#: A node-table row's party code; code 0 marks a leaf.
+_PARTIES = (None, "guest", "host")
 
-    root: _TreeNode
-    guest_edges: List[np.ndarray] = field(default_factory=list)
-    host_edges: List[np.ndarray] = field(default_factory=list)
+
+def _node_rows(node: _TreeNode) -> Iterator[tuple]:
+    """The subtree's node-table rows in preorder: a node's row ``(party
+    code, feature, threshold bin, weight)``, then its left subtree's rows,
+    then its right's."""
+    yield (_PARTIES.index(node.party), node.feature, node.threshold_bin,
+           node.weight)
+    if not node.is_leaf:
+        yield from _node_rows(node.left)
+        yield from _node_rows(node.right)
+
+
+def _subtree(rows: Iterator[np.ndarray]) -> _TreeNode:
+    """Rebuild the subtree whose :func:`_node_rows` ``rows`` yields next."""
+    party, feature, threshold_bin, weight = next(rows)
+    node = _TreeNode(instances=np.arange(0), party=_PARTIES[int(party)],
+                     feature=int(feature), threshold_bin=int(threshold_bin),
+                     weight=float(weight))
+    if node.party is not None:
+        node.left = _subtree(rows)
+        node.right = _subtree(rows)
+    return node
 
 
 class HeteroSecureBoost(FederatedModel):
@@ -96,7 +113,8 @@ class HeteroSecureBoost(FederatedModel):
         self.host = host
         self._density = max(dataset.density, 1e-6)
         self.scores = np.zeros(dataset.num_instances)
-        self.trees: List[_Tree] = []
+        #: Root of each fitted tree; routing uses the model's bin edges.
+        self.trees: List[_TreeNode] = []
         self._guest_bins, self._guest_edges = self._bin_features(
             guest.features)
         self._host_bins, self._host_edges = self._bin_features(host.features)
@@ -118,8 +136,7 @@ class HeteroSecureBoost(FederatedModel):
         host_g = transferred[:len(g)]
         host_h = transferred[len(g):]
 
-        root = _TreeNode(instances=np.arange(self.dataset.num_instances),
-                         depth=0)
+        root = _TreeNode(instances=np.arange(self.dataset.num_instances))
         level = [root]
         for _ in range(self.max_depth):
             next_level: List[_TreeNode] = []
@@ -139,11 +156,9 @@ class HeteroSecureBoost(FederatedModel):
                 break
 
         self._finalize_leaves(root, g, h)
-        tree = _Tree(root=root, guest_edges=self._guest_edges,
-                     host_edges=self._host_edges)
-        self.trees.append(tree)
+        self.trees.append(root)
         self.scores = self.scores + self.learning_rate * \
-            self._predict_tree(tree)
+            self._predict_tree(root)
         return self.loss()
 
     # ------------------------------------------------------------------
@@ -288,8 +303,8 @@ class HeteroSecureBoost(FederatedModel):
             node.feature = -1
             node.threshold_bin = -1
             return []
-        node.left = _TreeNode(instances=left_idx, depth=node.depth + 1)
-        node.right = _TreeNode(instances=right_idx, depth=node.depth + 1)
+        node.left = _TreeNode(instances=left_idx)
+        node.right = _TreeNode(instances=right_idx)
         return [node.left, node.right]
 
     # ------------------------------------------------------------------
@@ -309,10 +324,10 @@ class HeteroSecureBoost(FederatedModel):
             else:
                 stack.extend([node.left, node.right])
 
-    def _predict_tree(self, tree: _Tree) -> np.ndarray:
+    def _predict_tree(self, root: _TreeNode) -> np.ndarray:
         """Route every instance to its leaf weight."""
         predictions = np.zeros(self.dataset.num_instances)
-        stack = [(tree.root, np.arange(self.dataset.num_instances))]
+        stack = [(root, np.arange(self.dataset.num_instances))]
         while stack:
             node, instances = stack.pop()
             if node.is_leaf:
@@ -324,6 +339,28 @@ class HeteroSecureBoost(FederatedModel):
             stack.append((node.left, instances[go_left]))
             stack.append((node.right, instances[~go_left]))
         return predictions
+
+    # ------------------------------------------------------------------
+    # Learnable state.
+    # ------------------------------------------------------------------
+
+    def state_dict(self) -> dict:
+        """Training scores plus each tree's node table (``tree.<i>``, the
+        rows of :func:`_node_rows`).  Bin edges are rebuilt from the data,
+        so they are not state."""
+        state = {"scores": self.scores}
+        for index, root in enumerate(self.trees):
+            state[f"tree.{index}"] = np.array(list(_node_rows(root)),
+                                              dtype=np.float64)
+        return state
+
+    def load_state_dict(self, state: dict) -> None:
+        self.scores = np.asarray(state["scores"], dtype=np.float64)
+        # Every entry but the scores is a tree's node table.
+        self.trees = [
+            _subtree(iter(np.asarray(state[f"tree.{index}"],
+                                     dtype=np.float64)))
+            for index in range(len(state) - 1)]
 
     def loss(self) -> float:
         """Training loss of the current ensemble."""
@@ -356,17 +393,17 @@ class HeteroSecureBoost(FederatedModel):
             raise ValueError("feature blocks do not match the partitions")
         count = guest_features.shape[0]
         scores = np.zeros(count)
-        for tree in self.trees:
+        for root in self.trees:
             scores += self.learning_rate * self._route(
-                tree, guest_features, host_features)
+                root, guest_features, host_features)
         return scores
 
-    def _route(self, tree: _Tree, guest_features: np.ndarray,
+    def _route(self, root: _TreeNode, guest_features: np.ndarray,
                host_features: np.ndarray) -> np.ndarray:
         """Route unseen rows through one tree's threshold splits."""
         count = guest_features.shape[0]
         out = np.zeros(count)
-        stack = [(tree.root, np.arange(count))]
+        stack = [(root, np.arange(count))]
         while stack:
             node, rows = stack.pop()
             if not len(rows):
@@ -375,10 +412,10 @@ class HeteroSecureBoost(FederatedModel):
                 out[rows] = node.weight
                 continue
             if node.party == "guest":
-                edges = tree.guest_edges[node.feature]
+                edges = self._guest_edges[node.feature]
                 values = guest_features[rows, node.feature]
             else:
-                edges = tree.host_edges[node.feature]
+                edges = self._host_edges[node.feature]
                 values = host_features[rows, node.feature]
             if node.threshold_bin < len(edges):
                 go_left = values <= edges[node.threshold_bin]

@@ -98,6 +98,13 @@ class HomoLogisticRegression(FederatedModel):
             weights = optimizer.step(weights, gradient)
         return weights
 
+    def state_dict(self) -> dict:
+        """The global weight vector."""
+        return {"weights": self.weights}
+
+    def load_state_dict(self, state: dict) -> None:
+        self.weights = np.asarray(state["weights"], dtype=np.float64)
+
     def loss(self) -> float:
         """Global training loss of the current model."""
         z = self.dataset.features @ self.weights

@@ -156,6 +156,14 @@ class HomoNeuralNetwork(FederatedModel):
         hidden = np.tanh(features @ self.params["w1"] + self.params["b1"])
         return (hidden @ self.params["w2"]).ravel() + self.params["b2"][0]
 
+    def state_dict(self) -> dict:
+        """Every parameter array, by name."""
+        return dict(self.params)
+
+    def load_state_dict(self, state: dict) -> None:
+        self.params = {name: np.asarray(state[name], dtype=np.float64)
+                       for name in self.params}
+
     def loss(self) -> float:
         """Global training loss."""
         return logistic_loss(self.predict_scores(self.dataset.features),

@@ -1,6 +1,8 @@
 """Checkpoint/resume: snapshot format, identity checks, recovery runs."""
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ import pytest
 from repro.experiments.harness import (
     CHECKPOINT_VERSION,
     TrainingCheckpoint,
+    build_model,
     run_training,
-    run_training_with_recovery,
+    scaled_dataset,
 )
 from repro.federation.faults import FaultPlan
 from repro.federation.metrics import FaultReport
@@ -37,12 +40,6 @@ class TestCheckpointRoundtrip:
         # Atomic write leaves no temporary behind.
         assert not path.with_suffix(path.suffix + ".tmp").exists()
 
-    def test_state_arrays_restore_shape_and_dtype(self):
-        arrays = make_checkpoint().state_arrays()
-        assert arrays["weights"].shape == (2, 2)
-        assert arrays["weights"].dtype == np.float64
-        assert arrays["weights"][0, 1] == -0.2
-
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "stale.json"
         payload = json.loads(json.dumps({
@@ -65,24 +62,15 @@ class TestCheckpointRoundtrip:
 
 
 class TestFaultFreeRecovery:
-    def test_trace_matches_plain_training(self):
-        kwargs = dict(model_name="Homo LR", dataset_name="Synthetic",
-                      key_bits=256, max_epochs=2, physical_key_bits=256,
-                      num_clients=4, seed=0, bc_capacity="physical")
-        plain = run_training(FLBOOSTER_SYSTEM, **kwargs)
-        recovered = run_training_with_recovery(FLBOOSTER_SYSTEM, **kwargs)
-        assert recovered.restarts == 0
-        assert recovered.failures == []
-        assert recovered.trace.losses == plain.losses
-        assert recovered.trace.epoch_seconds == plain.epoch_seconds
-        assert recovered.fault_report == FaultReport()
-
     def test_checkpoint_written_per_epoch(self, tmp_path):
         path = tmp_path / "run.json"
-        result = run_training_with_recovery(
+        result = run_training(
             FLBOOSTER_SYSTEM, "Homo LR", "Synthetic", key_bits=256,
             max_epochs=2, physical_key_bits=256, num_clients=4, seed=0,
             bc_capacity="physical", checkpoint_path=path)
+        assert result.restarts == 0
+        assert result.failures == []
+        assert result.fault_report == FaultReport()
         assert path.exists()
         saved = TrainingCheckpoint.load(path)
         assert saved == result.checkpoint
@@ -90,18 +78,57 @@ class TestFaultFreeRecovery:
         assert saved.losses == result.trace.losses
 
 
-class TestResumeFromDisk:
-    def test_resume_continues_from_saved_epoch(self, tmp_path):
-        path = tmp_path / "run.json"
-        kwargs = dict(model_name="Homo LR", dataset_name="Synthetic",
-                      key_bits=256, physical_key_bits=256, num_clients=4,
-                      seed=0, bc_capacity="physical", checkpoint_path=path)
-        first = run_training_with_recovery(FLBOOSTER_SYSTEM, max_epochs=1,
-                                           **kwargs)
-        assert len(first.trace.losses) == 1
+#: Every registry model; each checkpoints and resumes the same way.
+MODELS = ("Homo LR", "Homo NN", "Hetero LR", "Hetero SBT", "Hetero NN")
 
-        resumed = run_training_with_recovery(FLBOOSTER_SYSTEM, max_epochs=3,
-                                             **kwargs)
+#: Checkpoints written before every model defined its own state (format
+#: version 1), after one epoch of the ``resume_kwargs`` run, with the
+#: losses that code's resume to two epochs gave.
+LEGACY = {
+    "Homo LR": ("homo_lr.json", [0.42406142039989014, 0.3638810367828031]),
+    "Homo NN": ("homo_nn.json", [0.5586748087575159, 0.4238360365825947]),
+}
+
+
+def resume_kwargs(model_name, path):
+    return dict(model_name=model_name, dataset_name="Synthetic",
+                key_bits=256, physical_key_bits=256, num_clients=4,
+                seed=0, bc_capacity="physical", checkpoint_path=path)
+
+
+class TestEveryModelCheckpoints:
+    @pytest.mark.parametrize("model_name", MODELS)
+    def test_checkpointed_state_reproduces_its_loss(self, model_name,
+                                                    tmp_path):
+        path = tmp_path / "run.json"
+        run_training(FLBOOSTER_SYSTEM, max_epochs=2,
+                     **resume_kwargs(model_name, path))
+        saved = TrainingCheckpoint.load(path)
+        model = build_model(model_name, scaled_dataset("Synthetic"))
+        model.load_state_dict(saved.model_state)
+        assert model.loss() == saved.losses[-1]
+
+    @pytest.mark.parametrize("model_name", sorted(LEGACY))
+    def test_version_1_checkpoint_resumes(self, model_name, tmp_path):
+        name, losses = LEGACY[model_name]
+        path = tmp_path / name
+        shutil.copy(Path(__file__).parent / "checkpoints_v1" / name, path)
+        assert TrainingCheckpoint.load(path).version == CHECKPOINT_VERSION
+        resumed = run_training(FLBOOSTER_SYSTEM, max_epochs=2,
+                               **resume_kwargs(model_name, path))
+        assert resumed.trace.losses == losses
+
+
+class TestResumeFromDisk:
+    @pytest.mark.parametrize("model_name", MODELS)
+    def test_resume_continues_from_saved_epoch(self, model_name, tmp_path):
+        path = tmp_path / "run.json"
+        kwargs = resume_kwargs(model_name, path)
+        first = run_training(FLBOOSTER_SYSTEM, max_epochs=1, **kwargs)
+        assert len(first.trace.losses) == 1
+        assert TrainingCheckpoint.load(path) == first.checkpoint
+
+        resumed = run_training(FLBOOSTER_SYSTEM, max_epochs=3, **kwargs)
         # Epoch 0 came from the checkpoint: its loss is identical and the
         # continuation runs the remaining epochs only.
         assert resumed.trace.losses[0] == first.trace.losses[0]
@@ -112,7 +139,7 @@ class TestResumeFromDisk:
         path = tmp_path / "run.json"
         make_checkpoint(system="FATE", epoch=5,
                         losses=[9.9] * 5, epoch_seconds=[1.0] * 5).save(path)
-        result = run_training_with_recovery(
+        result = run_training(
             FLBOOSTER_SYSTEM, "Homo LR", "Synthetic", key_bits=256,
             max_epochs=1, physical_key_bits=256, num_clients=4, seed=0,
             bc_capacity="physical", checkpoint_path=path)
@@ -129,7 +156,7 @@ class TestRecoveryUnderFaults:
             plan = plan.crash(f"client-{index}", round_index=0)
         from repro.federation.faults import QuorumError
         with pytest.raises(QuorumError):
-            run_training_with_recovery(
+            run_training(
                 FLBOOSTER_SYSTEM, "Homo LR", "Synthetic", key_bits=256,
                 max_epochs=2, fault_plan=plan, min_quorum=2,
                 physical_key_bits=256, num_clients=4, seed=0,
@@ -137,7 +164,7 @@ class TestRecoveryUnderFaults:
 
     def test_crash_tolerated_via_quorum_without_restart(self):
         plan = FaultPlan(seed=0).crash("client-3", round_index=0)
-        result = run_training_with_recovery(
+        result = run_training(
             FLBOOSTER_SYSTEM, "Homo LR", "Synthetic", key_bits=256,
             max_epochs=2, fault_plan=plan, min_quorum=3,
             physical_key_bits=256, num_clients=4, seed=0,
@@ -173,12 +200,10 @@ class TestAtomicSave:
         kwargs = dict(model_name="Homo LR", dataset_name="Synthetic",
                       key_bits=256, physical_key_bits=256, num_clients=4,
                       seed=0, bc_capacity="physical", checkpoint_path=path)
-        first = run_training_with_recovery(FLBOOSTER_SYSTEM, max_epochs=1,
-                                           **kwargs)
+        first = run_training(FLBOOSTER_SYSTEM, max_epochs=1, **kwargs)
         stale = path.with_suffix(path.suffix + ".tmp")
         stale.write_text("interrupted half-written snapshot")
-        resumed = run_training_with_recovery(FLBOOSTER_SYSTEM, max_epochs=2,
-                                             **kwargs)
+        resumed = run_training(FLBOOSTER_SYSTEM, max_epochs=2, **kwargs)
         assert not stale.exists()
         assert resumed.trace.losses[0] == first.trace.losses[0]
 
@@ -200,16 +225,16 @@ class TestResumeComposedWithQuorum:
     def test_resume_matches_uninterrupted_partial_quorum_run(
             self, tmp_path):
         path = tmp_path / "quorum.json"
-        first = run_training_with_recovery(
+        first = run_training(
             FLBOOSTER_SYSTEM, max_epochs=1,
             **self.quorum_kwargs(checkpoint_path=path))
         assert first.fault_report.crashes >= 1
         assert first.checkpoint.rounds_completed > 0
 
-        resumed = run_training_with_recovery(
+        resumed = run_training(
             FLBOOSTER_SYSTEM, max_epochs=3,
             **self.quorum_kwargs(checkpoint_path=path))
-        straight = run_training_with_recovery(
+        straight = run_training(
             FLBOOSTER_SYSTEM, max_epochs=3, **self.quorum_kwargs())
         # Epoch 0 is inherited from the checkpoint verbatim; later
         # epochs rerun the partial-quorum (3/4 survivors) aggregation
@@ -226,10 +251,10 @@ class TestResumeComposedWithQuorum:
 
     def test_resumed_round_cursor_advances_past_checkpoint(self, tmp_path):
         path = tmp_path / "quorum.json"
-        first = run_training_with_recovery(
+        first = run_training(
             FLBOOSTER_SYSTEM, max_epochs=1,
             **self.quorum_kwargs(checkpoint_path=path))
-        resumed = run_training_with_recovery(
+        resumed = run_training(
             FLBOOSTER_SYSTEM, max_epochs=2,
             **self.quorum_kwargs(checkpoint_path=path))
         assert resumed.checkpoint.rounds_completed > \

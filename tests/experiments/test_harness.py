@@ -87,7 +87,7 @@ class TestMeasurement:
 
     def test_run_training_trace(self):
         trace = run_training(FLBOOSTER_SYSTEM, "Hetero SBT", "Synthetic", 1024,
-                             max_epochs=2, physical_key_bits=256)
+                             max_epochs=2, physical_key_bits=256).trace
         assert len(trace.losses) <= 2
         assert trace.system == "FLBooster"
 

@@ -44,13 +44,14 @@ class TestScaledTraining:
         for model_name in ("Homo LR", "Hetero LR", "Hetero SBT",
                            "Hetero NN"):
             trace = run_training(FLBOOSTER_SYSTEM, model_name, "Synthetic",
-                                 1024, max_epochs=4, physical_key_bits=512)
+                                 1024, max_epochs=4,
+                                 physical_key_bits=512).trace
             assert min(trace.losses) <= trace.losses[0] + 1e-9, model_name
             assert all(np.isfinite(loss) for loss in trace.losses)
 
     def test_epoch_times_stable_across_epochs(self):
         trace = run_training(FLBOOSTER_SYSTEM, "Hetero LR", "Synthetic", 1024,
-                             max_epochs=3, physical_key_bits=256)
+                             max_epochs=3, physical_key_bits=256).trace
         seconds = trace.epoch_seconds
         assert max(seconds) < 2.0 * min(seconds)
 

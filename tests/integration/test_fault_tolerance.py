@@ -11,7 +11,7 @@ categories.  Everything is deterministic for a fixed seed.
 import numpy as np
 import pytest
 
-from repro.experiments.harness import run_training_with_recovery
+from repro.experiments.harness import run_training
 from repro.federation.faults import FaultPlan
 from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
 
@@ -29,7 +29,7 @@ def acceptance_plan(seed=0):
 
 
 def run_acceptance(checkpoint_path=None, seed=0):
-    return run_training_with_recovery(
+    return run_training(
         FLBOOSTER_SYSTEM, "Homo LR", "Synthetic", key_bits=1024, max_epochs=3,
         fault_plan=acceptance_plan(seed), min_quorum=6,
         physical_key_bits=256, num_clients=8, seed=seed,

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.datasets import synthetic_like
+from repro.datasets.partition import train_test_split, vertical_split
 from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
 from repro.models import (
     HeteroLogisticRegression,
     HeteroNeuralNetwork,
     HeteroSecureBoost,
     HomoLogisticRegression,
+    HomoNeuralNetwork,
 )
 from repro.models.evaluation import (
     binary_accuracy,
@@ -91,40 +93,54 @@ def trained(model_cls, dataset, **kwargs):
     return model
 
 
+#: Every registry model, with the keyword arguments the round trip builds
+#: it with and the number of column blocks its ``predict_scores`` takes
+#: (0: it does not predict unseen rows).
+ROUND_TRIP = {
+    "Homo LR": (HomoLogisticRegression, dict(num_clients=4), 0),
+    "Homo NN": (HomoNeuralNetwork, dict(num_clients=4, batch_size=64), 1),
+    "Hetero LR": (HeteroLogisticRegression, dict(batch_size=64), 2),
+    "Hetero SBT": (HeteroSecureBoost, dict(max_depth=2), 2),
+    "Hetero NN": (HeteroNeuralNetwork, dict(batch_size=64), 2),
+}
+
+
+def heldout_blocks(dataset, blocks):
+    """Held-out rows, column-aligned to a model built with seed 1."""
+    if blocks == 1:
+        return [dataset.features]
+    return [party.features for party in
+            vertical_split(dataset, num_parties=blocks, seed=1)]
+
+
 class TestPersistence:
-    def test_homo_lr_roundtrip(self, dataset, tmp_path):
-        model = trained(HomoLogisticRegression, dataset, num_clients=4)
-        path = tmp_path / "homo.json"
+    @pytest.mark.parametrize("name", sorted(ROUND_TRIP))
+    def test_roundtrip_restores_loss_and_predictions(self, name, tmp_path):
+        model_cls, kwargs, blocks = ROUND_TRIP[name]
+        train, test = train_test_split(
+            synthetic_like(instances=160, features=16, seed=6),
+            test_fraction=0.2, seed=6)
+        model = trained(model_cls, train, **kwargs)
+        path = tmp_path / "state.json"
         save_model_state(model, path)
-        fresh = HomoLogisticRegression(dataset, num_clients=4, seed=1)
+        fresh = model_cls(train, seed=1, **kwargs)
         load_model_state(fresh, path)
-        assert np.array_equal(fresh.weights, model.weights)
-        assert fresh.loss() == pytest.approx(model.loss())
+        assert fresh.state_dict().keys() == model.state_dict().keys()
+        for key, value in model.state_dict().items():
+            assert np.array_equal(fresh.state_dict()[key], value), key
+        assert fresh.loss() == model.loss()
+        if blocks:
+            rows = heldout_blocks(test, blocks)
+            expected = model.predict_scores(*rows)
+            assert np.any(expected != 0.0)
+            assert np.array_equal(fresh.predict_scores(*rows), expected)
 
-    def test_hetero_lr_roundtrip(self, dataset, tmp_path):
-        model = trained(HeteroLogisticRegression, dataset)
-        path = tmp_path / "hetero.json"
-        save_model_state(model, path)
-        fresh = HeteroLogisticRegression(dataset, seed=1)
-        load_model_state(fresh, path)
-        assert np.allclose(fresh.forward(), model.forward())
-
-    def test_hetero_nn_roundtrip(self, dataset, tmp_path):
-        model = trained(HeteroNeuralNetwork, dataset, batch_size=64)
-        path = tmp_path / "nn.json"
-        save_model_state(model, path)
-        fresh = HeteroNeuralNetwork(dataset, batch_size=64, seed=1)
-        load_model_state(fresh, path)
-        assert np.allclose(fresh.forward(), model.forward())
-
-    def test_sbt_scores_roundtrip(self, dataset, tmp_path):
-        model = trained(HeteroSecureBoost, dataset, max_depth=2)
-        path = tmp_path / "sbt.json"
-        save_model_state(model, path)
-        fresh = HeteroSecureBoost(dataset, max_depth=2, seed=1)
-        load_model_state(fresh, path)
-        assert np.allclose(fresh.scores, model.scores)
-        assert fresh.loss() == pytest.approx(model.loss())
+    def test_save_is_atomic(self, dataset, tmp_path):
+        path = tmp_path / "state.json"
+        path.with_name(path.name + ".tmp").write_text("{ torn")
+        save_model_state(trained(HomoLogisticRegression, dataset,
+                                 num_clients=4), path)
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_wrong_model_rejected(self, dataset, tmp_path):
         model = trained(HomoLogisticRegression, dataset, num_clients=4)

@@ -128,7 +128,7 @@ class TestHeteroSbt:
         model.train(runtime, max_epochs=6)
         parties = set()
         for tree in model.trees:
-            stack = [tree.root]
+            stack = [tree]
             while stack:
                 node = stack.pop()
                 if not node.is_leaf:

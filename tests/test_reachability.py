@@ -64,8 +64,9 @@ KEPT = {
         "the paper's Sec. VI-B plug-in surface (python-paillier-shaped "
         "keys and EncryptedNumber), owed to ROADMAP item 2's one engine",
     "repro.models.evaluation":
-        "held-out AUC and model save/reload, reached by the tutorial "
-        "only; ROADMAP item 7's split/loss oracle evaluates through it",
+        "held-out AUC and a JSON file of any model's state_dict(), "
+        "reached by the tutorial only; ROADMAP item 7's split/loss "
+        "oracle evaluates through it",
 }
 
 #: Definitions kept on purpose inside reached modules: qualified name,
