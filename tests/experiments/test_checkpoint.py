@@ -40,6 +40,25 @@ class TestCheckpointRoundtrip:
         # Atomic write leaves no temporary behind.
         assert not path.with_suffix(path.suffix + ".tmp").exists()
 
+    def test_state_arrays_restore_shape_and_dtype(self, tmp_path):
+        # Checkpoints hold state as nested lists; loading them gives the
+        # model float64 arrays of the saved shapes and exact values.
+        model = build_model("Homo NN", scaled_dataset("Synthetic"))
+        expected = {name: np.linspace(-0.2, 0.3, value.size)
+                    .reshape(value.shape)
+                    for name, value in model.state_dict().items()}
+        assert any(value.ndim == 2 for value in expected.values())
+        path = tmp_path / "run.json"
+        make_checkpoint(model="Homo NN", model_state={
+            name: value.tolist() for name, value in expected.items()
+        }).save(path)
+        model.load_state_dict(TrainingCheckpoint.load(path).model_state)
+        for name, value in model.state_dict().items():
+            assert value.shape == expected[name].shape, name
+            assert value.dtype == np.float64, name
+            assert value.flat[0] == -0.2, name
+            assert np.array_equal(value, expected[name]), name
+
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "stale.json"
         payload = json.loads(json.dumps({

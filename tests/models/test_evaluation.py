@@ -150,6 +150,13 @@ class TestPersistence:
         with pytest.raises(ValueError):
             load_model_state(other, path)
 
+    def test_older_format_rejected_by_name(self, dataset, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text('{"model": "Homo LR", "weights": [0.5]}')
+        model = HomoLogisticRegression(dataset, num_clients=4, seed=1)
+        with pytest.raises(ValueError, match="older format"):
+            load_model_state(model, path)
+
     def test_auc_improves_with_training(self, dataset):
         model = HomoLogisticRegression(dataset, num_clients=4, seed=1)
         before = roc_auc(dataset.features @ model.weights + 1e-9
