@@ -16,7 +16,11 @@ taint summaries* along the project call graph:
   the shortest call path to the sink;
 - ``attr_always`` / ``attr_deps`` -- ``self`` attributes the function
   stores taint into (unconditionally, or when a given parameter is
-  tainted).
+  tainted);
+- ``param_always`` / ``param_deps`` -- parameters the function stores
+  taint into through an attribute or item write (``box.held = value``),
+  unconditionally or when a given parameter is tainted: at a call site
+  the actual bound to such a parameter holds taint afterwards.
 
 Summaries are context-insensitive (one per function, joined over call
 sites and over CHA dispatch candidates) and are computed with the same
@@ -84,6 +88,10 @@ class TaintSummary:
     sink_params: Tuple[SinkFlow, ...] = ()
     attr_always: FrozenSet[str] = frozenset()
     attr_deps: FrozenSet[Tuple[str, int]] = frozenset()
+    #: Parameter indices left holding taint whatever goes in.
+    param_always: FrozenSet[int] = frozenset()
+    #: (tainted parameter, parameter it is stored into) index pairs.
+    param_deps: FrozenSet[Tuple[int, int]] = frozenset()
 
     def sink_flows_for(self, index: int) -> List[Tuple[str, Tuple[str, ...]]]:
         return [(label, path) for i, label, path in self.sink_params
@@ -146,6 +154,8 @@ class _FunctionTaint:
         # Collected effects (summary mode).
         self.returned_taint = False
         self.attrs_written: Set[str] = set()
+        #: Names taint was stored into by an attribute or item write.
+        self.stored_into: Set[str] = set()
         #: (sink label, call path starting at this function) -> None.
         self.sink_hits: Dict[Tuple[str, Tuple[str, ...]], None] = {}
         # Per-name provenance for readable reporting-mode messages.
@@ -293,23 +303,43 @@ class _FunctionTaint:
             # Unresolved call: a method on a tainted receiver
             # (x.ravel()) or any tainted argument taints the result.
             return any_tainted
+        result = False
         for candidate in candidates:
             summary = self.analysis.summary_for(candidate.qualname)
             flows, unsummarized = self._actual_taints(
                 node, candidate, receiver, arg_taints, kw_taints)
+            self._apply_param_stores(node, candidate, summary, flows)
             # A constructor's result is the instance, not what
             # ``__init__`` returns: built from taint, it holds it.
             constructor = candidate.name == "__init__" and \
                 not isinstance(node.func, ast.Attribute)
-            if summary.ret_always or unsummarized or \
-                    (constructor and any_tainted) or \
-                    any(index in summary.ret_deps for index in flows):
+            if not result and (
+                    summary.ret_always or unsummarized or
+                    (constructor and any_tainted) or
+                    any(index in summary.ret_deps for index in flows)):
                 self._origin_call = callee_name(node.func)
-                return True
-        # Every candidate's summary says the result is clean: this is
-        # the sanitizer summary (an encrypt_tensor wrapper's result is
-        # clean whatever went in), overriding the local heuristic.
-        return False
+                result = True
+        # With no candidate saying otherwise, the result is clean: this
+        # is the sanitizer summary (an encrypt_tensor wrapper's result
+        # is clean whatever went in), overriding the local heuristic.
+        return result
+
+    def _apply_param_stores(self, call: ast.Call, candidate: FunctionInfo,
+                            summary: TaintSummary,
+                            flows: Dict[int, ast.expr]) -> None:
+        """The actuals bound to parameters the callee stores taint into
+        hold taint after the call."""
+        stored = set(summary.param_always)
+        stored.update(target for source, target in summary.param_deps
+                      if source in flows)
+        if not stored:
+            return
+        actuals, _ = self._actual_taints(
+            call, candidate, True, [True] * len(call.args),
+            [True] * len(call.keywords))
+        for index in sorted(stored):
+            if index in actuals:
+                self._store_into(actuals[index])
 
     def _comprehension_taint(self, node, results: List[ast.expr]) -> bool:
         bound: List[str] = []
@@ -354,10 +384,12 @@ class _FunctionTaint:
                 if value_tainted:
                     self.attrs_written.add(core.attr)
             elif value_tainted:  # obj.attr = tainted: obj now holds taint
-                self.tainted.update(_target_names(core.value))
+                self._store_into(core.value)
             return
         if isinstance(core, ast.Name):
-            if value_tainted:
+            if value_tainted and weak:
+                self._store_into(core)
+            elif value_tainted:
                 self.tainted.add(core.id)
             elif not weak:
                 self.tainted.discard(core.id)
@@ -368,6 +400,13 @@ class _FunctionTaint:
                 self.tainted.add(name)
             else:
                 self.tainted.discard(name)
+
+    def _store_into(self, holder: ast.expr) -> None:
+        """``holder`` now holds taint written into an attribute or item of
+        it, here or by a callee through a parameter."""
+        names = _target_names(holder)
+        self.tainted.update(names)
+        self.stored_into.update(names)
 
     def _assign(self, targets: List[ast.expr], value: ast.expr) -> None:
         self._origin_call = None
@@ -601,19 +640,27 @@ class TaintSummaries(SummaryAnalysis):
         return analyzer
 
     def transfer(self, fn: FunctionInfo, get_summary) -> TaintSummary:
+        params = fn.params[:MAX_ASSUMED_PARAMS]
         base = self._analyze(fn, frozenset())
         ret_always = base.returned_taint
         attr_always = frozenset(base.attrs_written)
+        param_always = frozenset(index for index, param in enumerate(params)
+                                 if param in base.stored_into)
         base_sinks = set(base.sink_hits)
         ret_deps: Set[int] = set()
         attr_deps: Set[Tuple[str, int]] = set()
+        param_deps: Set[Tuple[int, int]] = set()
         sink_params: Dict[Tuple[int, str], Tuple[str, ...]] = {}
-        for index, param in enumerate(fn.params[:MAX_ASSUMED_PARAMS]):
+        for index, param in enumerate(params):
             assumed = self._analyze(fn, frozenset({param}))
             if assumed.returned_taint and not ret_always:
                 ret_deps.add(index)
             for attr in assumed.attrs_written - base.attrs_written:
                 attr_deps.add((attr, index))
+            stored = assumed.stored_into - base.stored_into
+            param_deps.update((index, target)
+                              for target, name in enumerate(params)
+                              if target != index and name in stored)
             for label, path in assumed.sink_hits:
                 if (label, path) in base_sinks:
                     continue  # reached without this parameter's help
@@ -627,7 +674,9 @@ class TaintSummaries(SummaryAnalysis):
                             ret_deps=frozenset(ret_deps),
                             sink_params=flows,
                             attr_always=attr_always,
-                            attr_deps=frozenset(attr_deps))
+                            attr_deps=frozenset(attr_deps),
+                            param_always=param_always,
+                            param_deps=frozenset(param_deps))
 
 
 def collect_findings(rule, project: Project) -> List[Diagnostic]:

@@ -6,15 +6,17 @@ here are the secure point-to-point transfer (the vertical protocols'
 workhorse), the convergence-driven training loop of Sec. VI-B ("if the
 loss difference between two successive epochs is less than 1e-6, the model
 reaches convergence"), the loss/time trace the convergence figures read,
-and the learnable-state pair every model defines for checkpoints and
-saved models.
+the learnable-state pair every model defines for checkpoints and
+saved models, and the one scoring path: training loss, training accuracy
+and predictions on unseen rows all come from
+:meth:`FederatedModel.predict_scores`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -22,6 +24,8 @@ from repro.datasets.generators import Dataset
 from repro.federation.metrics import EpochReport
 from repro.federation.runtime import FederationRuntime
 from repro.ledger import CostLedger
+from repro.models.evaluation import binary_accuracy
+from repro.models.losses import logistic_loss
 from repro.rng import np_rng
 
 #: The paper's convergence tolerance.
@@ -74,9 +78,55 @@ class FederatedModel(ABC):
     def run_epoch(self, runtime: FederationRuntime) -> float:
         """Run one training epoch; returns the training loss after it."""
 
+    # ------------------------------------------------------------------
+    # Scoring: one path for loss, accuracy and prediction.
+    # ------------------------------------------------------------------
+
+    @property
+    def training_blocks(self) -> Tuple[np.ndarray, ...]:
+        """The training rows as one feature block per party, in the order
+        :meth:`predict_scores` takes them.  A horizontal model has one
+        block, the whole dataset; a vertical model overrides this."""
+        return (self.dataset.features,)
+
     @abstractmethod
+    def _scores(self, *blocks: np.ndarray) -> np.ndarray:
+        """Logits for row-aligned float64 blocks :meth:`predict_scores`
+        has checked against :attr:`training_blocks`."""
+
+    def predict_scores(self, *blocks: np.ndarray) -> np.ndarray:
+        """Logits for (possibly unseen) rows, one feature block per party.
+
+        Each block's columns are in its party's training order (a
+        vertical split of new rows with the model's seed lines them up).
+        """
+        training = self.training_blocks
+        if len(blocks) != len(training):
+            raise ValueError(f"expected {len(training)} feature blocks, "
+                             f"got {len(blocks)}")
+        blocks = tuple(np.asarray(block, dtype=np.float64)
+                       for block in blocks)
+        for block, seen in zip(blocks, training):
+            if block.ndim != 2 or block.shape[1] != seen.shape[1]:
+                raise ValueError("feature block does not match the "
+                                 "partition it stands for")
+            if block.shape[0] != blocks[0].shape[0]:
+                raise ValueError("party blocks must align on rows")
+        return self._scores(*blocks)
+
+    def predict(self, *blocks: np.ndarray) -> np.ndarray:
+        """Binary predictions (1.0 where the logit is positive)."""
+        return (self.predict_scores(*blocks) > 0).astype(np.float64)
+
     def loss(self) -> float:
-        """Current global training loss."""
+        """Global training loss of the current model."""
+        return logistic_loss(self.predict_scores(*self.training_blocks),
+                             self.dataset.labels)
+
+    def accuracy(self) -> float:
+        """Global training accuracy of the current model."""
+        return binary_accuracy(self.predict_scores(*self.training_blocks),
+                               self.dataset.labels)
 
     # ------------------------------------------------------------------
     # Learnable state: what checkpoints and saved models hold.

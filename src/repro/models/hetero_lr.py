@@ -130,39 +130,18 @@ class HeteroLogisticRegression(FederatedModel):
                              2.0 * X_g.size * self._density,
                              tag="model.hetero_lr.gradients")
 
-    def forward(self) -> np.ndarray:
-        """Joint logits over the full dataset (evaluation only)."""
-        logits = self.guest.features @ self.guest_weights
-        for host, weights in zip(self.hosts, self.host_weights):
-            logits = logits + host.features @ weights
-        return logits
+    @property
+    def training_blocks(self):
+        """The guest's features, then each host's."""
+        return (self.guest.features,
+                *(host.features for host in self.hosts))
 
-    def predict_scores(self, guest_features: np.ndarray,
-                       *host_features: np.ndarray) -> np.ndarray:
-        """Joint logits for unseen rows (one block per party)."""
-        guest_features = np.asarray(guest_features, dtype=np.float64)
-        if len(host_features) != len(self.hosts):
-            raise ValueError(
-                f"expected {len(self.hosts)} host blocks, "
-                f"got {len(host_features)}")
-        if guest_features.shape[1] != self.guest.num_features:
-            raise ValueError("guest block does not match the partition")
+    def _scores(self, guest_features: np.ndarray,
+                *host_features: np.ndarray) -> np.ndarray:
         logits = guest_features @ self.guest_weights
-        for block, host, weights in zip(host_features, self.hosts,
-                                        self.host_weights):
-            block = np.asarray(block, dtype=np.float64)
-            if block.shape[0] != guest_features.shape[0]:
-                raise ValueError("party blocks must align on rows")
-            if block.shape[1] != host.num_features:
-                raise ValueError("host block does not match the partition")
+        for block, weights in zip(host_features, self.host_weights):
             logits = logits + block @ weights
         return logits
-
-    def predict(self, guest_features: np.ndarray,
-                *host_features: np.ndarray) -> np.ndarray:
-        """Binary predictions for unseen rows."""
-        return (self.predict_scores(guest_features, *host_features) > 0) \
-            .astype(np.float64)
 
     def state_dict(self) -> dict:
         """Guest weights plus each host's (``host_weights.<index>``)."""
@@ -179,13 +158,10 @@ class HeteroLogisticRegression(FederatedModel):
             for index in range(len(self.hosts))]
 
     def loss(self) -> float:
-        """Global training loss of the joint model."""
+        """Global training loss, with the L2 penalty on every party's
+        weights."""
         joint_weights = np.concatenate([self.guest_weights,
                                         *self.host_weights])
-        return logistic_loss(self.forward(), self.guest.labels,
-                             weights=joint_weights, l2=self.l2)
-
-    def accuracy(self) -> float:
-        """Global training accuracy of the joint model."""
-        predictions = (self.forward() > 0).astype(np.float64)
-        return float(np.mean(predictions == self.guest.labels))
+        return logistic_loss(self.predict_scores(*self.training_blocks),
+                             self.dataset.labels, weights=joint_weights,
+                             l2=self.l2)

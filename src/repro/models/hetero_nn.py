@@ -29,7 +29,7 @@ from repro.datasets.partition import vertical_split
 from repro.federation.metrics import charge_model_compute
 from repro.federation.runtime import FederationRuntime
 from repro.models.base import FederatedModel
-from repro.models.losses import logistic_loss, sigmoid
+from repro.models.losses import sigmoid
 from repro.models.optim import AdamOptimizer
 
 
@@ -168,34 +168,21 @@ class HeteroNeuralNetwork(FederatedModel):
             p[name] = self._optimizers[name].step(p[name], gradient)
 
     # ------------------------------------------------------------------
-    # Evaluation.
+    # Scoring.
     # ------------------------------------------------------------------
 
-    def forward(self) -> np.ndarray:
-        """Plaintext joint forward pass over the full dataset."""
-        return self.predict_scores(self.guest.features, self.host.features)
+    @property
+    def training_blocks(self):
+        """The guest's features, then the host's."""
+        return (self.guest.features, self.host.features)
 
-    def predict_scores(self, guest_features: np.ndarray,
-                       host_features: np.ndarray) -> np.ndarray:
-        """Joint logits for unseen rows (one block per party)."""
-        guest_features = np.asarray(guest_features, dtype=np.float64)
-        host_features = np.asarray(host_features, dtype=np.float64)
-        if guest_features.shape[0] != host_features.shape[0]:
-            raise ValueError("party blocks must align on rows")
-        if guest_features.shape[1] != self.guest.num_features or \
-                host_features.shape[1] != self.host.num_features:
-            raise ValueError("feature blocks do not match the partitions")
+    def _scores(self, guest_features: np.ndarray,
+                host_features: np.ndarray) -> np.ndarray:
         p = self.params
         a_g = np.tanh(guest_features @ p["guest_w1"] + p["guest_b1"])
         a_h = np.tanh(host_features @ p["host_w1"] + p["host_b1"])
         z_i = a_g @ p["guest_wi"] + a_h @ p["host_wi"] + p["bias_i"]
         return (np.tanh(z_i) @ p["top_w"]).ravel() + p["top_b"][0]
-
-    def predict(self, guest_features: np.ndarray,
-                host_features: np.ndarray) -> np.ndarray:
-        """Binary predictions for unseen rows."""
-        return (self.predict_scores(guest_features, host_features) > 0) \
-            .astype(np.float64)
 
     def state_dict(self) -> dict:
         """Every parameter array, by name."""
@@ -204,12 +191,3 @@ class HeteroNeuralNetwork(FederatedModel):
     def load_state_dict(self, state: dict) -> None:
         self.params = {name: np.asarray(state[name], dtype=np.float64)
                        for name in self.params}
-
-    def loss(self) -> float:
-        """Training loss of the joint split network."""
-        return logistic_loss(self.forward(), self.guest.labels)
-
-    def accuracy(self) -> float:
-        """Training accuracy of the joint split network."""
-        predictions = (self.forward() > 0).astype(np.float64)
-        return float(np.mean(predictions == self.guest.labels))

@@ -36,7 +36,7 @@ from repro.federation.channel import Message
 from repro.federation.metrics import charge_model_compute
 from repro.federation.runtime import FederationRuntime
 from repro.models.base import FederatedModel
-from repro.models.losses import gbdt_gradients, logistic_loss
+from repro.models.losses import gbdt_gradients
 
 
 @dataclass
@@ -54,6 +54,15 @@ class _TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.left is None
+
+
+def _bin(features: np.ndarray, edges: List[np.ndarray]) -> np.ndarray:
+    """Each value's bin: how many of its column's cut points are <= it."""
+    bins = np.zeros_like(features, dtype=np.int32)
+    for column, cuts in enumerate(edges):
+        bins[:, column] = np.searchsorted(cuts, features[:, column],
+                                          side="right")
+    return bins
 
 
 #: A node-table row's party code; code 0 marks a leaf.
@@ -113,7 +122,8 @@ class HeteroSecureBoost(FederatedModel):
         self.host = host
         self._density = max(dataset.density, 1e-6)
         self.scores = np.zeros(dataset.num_instances)
-        #: Root of each fitted tree; routing uses the model's bin edges.
+        #: Root of each fitted tree; rows are routed by their bins under
+        #: the model's edges.
         self.trees: List[_TreeNode] = []
         self._guest_bins, self._guest_edges = self._bin_features(
             guest.features)
@@ -157,8 +167,8 @@ class HeteroSecureBoost(FederatedModel):
 
         self._finalize_leaves(root, g, h)
         self.trees.append(root)
-        self.scores = self.scores + self.learning_rate * \
-            self._predict_tree(root)
+        self.scores = self.scores + self.learning_rate * self._walk(
+            root, self._guest_bins, self._host_bins)
         return self.loss()
 
     # ------------------------------------------------------------------
@@ -167,15 +177,10 @@ class HeteroSecureBoost(FederatedModel):
 
     def _bin_features(self, features: np.ndarray):
         """Quantile binning; returns (bin indices, edges per feature)."""
-        bins = np.zeros_like(features, dtype=np.int32)
-        edges: List[np.ndarray] = []
         quantiles = np.linspace(0, 1, self.num_bins + 1)[1:-1]
-        for column in range(features.shape[1]):
-            cuts = np.unique(np.quantile(features[:, column], quantiles))
-            edges.append(cuts)
-            bins[:, column] = np.searchsorted(cuts, features[:, column],
-                                              side="right")
-        return bins, edges
+        edges = [np.unique(np.quantile(features[:, column], quantiles))
+                 for column in range(features.shape[1])]
+        return _bin(features, edges), edges
 
     def _histograms(self, bins: np.ndarray, instances: np.ndarray,
                     g: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -308,7 +313,7 @@ class HeteroSecureBoost(FederatedModel):
         return [node.left, node.right]
 
     # ------------------------------------------------------------------
-    # Leaves, prediction, loss.
+    # Leaves and scoring.
     # ------------------------------------------------------------------
 
     def _finalize_leaves(self, root: _TreeNode, g: np.ndarray,
@@ -324,21 +329,39 @@ class HeteroSecureBoost(FederatedModel):
             else:
                 stack.extend([node.left, node.right])
 
-    def _predict_tree(self, root: _TreeNode) -> np.ndarray:
-        """Route every instance to its leaf weight."""
-        predictions = np.zeros(self.dataset.num_instances)
-        stack = [(root, np.arange(self.dataset.num_instances))]
+    def _walk(self, root: _TreeNode, guest_bins: np.ndarray,
+              host_bins: np.ndarray) -> np.ndarray:
+        """Route every row of the parties' bin blocks to its leaf weight."""
+        predictions = np.zeros(len(guest_bins))
+        stack = [(root, np.arange(len(guest_bins)))]
         while stack:
             node, instances = stack.pop()
             if node.is_leaf:
                 predictions[instances] = node.weight
                 continue
-            bins = (self._guest_bins if node.party == "guest"
-                    else self._host_bins)
+            bins = guest_bins if node.party == "guest" else host_bins
             go_left = bins[instances, node.feature] <= node.threshold_bin
             stack.append((node.left, instances[go_left]))
             stack.append((node.right, instances[~go_left]))
         return predictions
+
+    @property
+    def training_blocks(self):
+        """The guest's features, then the host's."""
+        return (self.guest.features, self.host.features)
+
+    def _scores(self, guest_features: np.ndarray,
+                host_features: np.ndarray) -> np.ndarray:
+        """Ensemble scores: rows are binned by the training edges and go
+        through the same walk as training, so a training row scores
+        exactly its entry of :attr:`scores`."""
+        guest_bins = _bin(guest_features, self._guest_edges)
+        host_bins = _bin(host_features, self._host_edges)
+        scores = np.zeros(len(guest_bins))
+        for root in self.trees:
+            scores += self.learning_rate * self._walk(root, guest_bins,
+                                                      host_bins)
+        return scores
 
     # ------------------------------------------------------------------
     # Learnable state.
@@ -361,73 +384,3 @@ class HeteroSecureBoost(FederatedModel):
             _subtree(iter(np.asarray(state[f"tree.{index}"],
                                      dtype=np.float64)))
             for index in range(len(state) - 1)]
-
-    def loss(self) -> float:
-        """Training loss of the current ensemble."""
-        return logistic_loss(self.scores, self.guest.labels)
-
-    def accuracy(self) -> float:
-        """Training accuracy of the current ensemble."""
-        predictions = (self.scores > 0).astype(np.float64)
-        return float(np.mean(predictions == self.guest.labels))
-
-    # ------------------------------------------------------------------
-    # Inference on unseen data.
-    # ------------------------------------------------------------------
-
-    def predict_scores(self, guest_features: np.ndarray,
-                       host_features: np.ndarray) -> np.ndarray:
-        """Ensemble scores for unseen instances.
-
-        Args:
-            guest_features: New rows over the guest's feature block
-                (columns in the guest partition's order).
-            host_features: Matching rows over the host's block.
-        """
-        guest_features = np.asarray(guest_features, dtype=np.float64)
-        host_features = np.asarray(host_features, dtype=np.float64)
-        if guest_features.shape[0] != host_features.shape[0]:
-            raise ValueError("guest and host rows must align")
-        if guest_features.shape[1] != self.guest.num_features or \
-                host_features.shape[1] != self.host.num_features:
-            raise ValueError("feature blocks do not match the partitions")
-        count = guest_features.shape[0]
-        scores = np.zeros(count)
-        for root in self.trees:
-            scores += self.learning_rate * self._route(
-                root, guest_features, host_features)
-        return scores
-
-    def _route(self, root: _TreeNode, guest_features: np.ndarray,
-               host_features: np.ndarray) -> np.ndarray:
-        """Route unseen rows through one tree's threshold splits."""
-        count = guest_features.shape[0]
-        out = np.zeros(count)
-        stack = [(root, np.arange(count))]
-        while stack:
-            node, rows = stack.pop()
-            if not len(rows):
-                continue
-            if node.is_leaf:
-                out[rows] = node.weight
-                continue
-            if node.party == "guest":
-                edges = self._guest_edges[node.feature]
-                values = guest_features[rows, node.feature]
-            else:
-                edges = self._host_edges[node.feature]
-                values = host_features[rows, node.feature]
-            if node.threshold_bin < len(edges):
-                go_left = values <= edges[node.threshold_bin]
-            else:
-                # Degenerate feature: every bin is <= the threshold.
-                go_left = np.ones(len(rows), dtype=bool)
-            stack.append((node.left, rows[go_left]))
-            stack.append((node.right, rows[~go_left]))
-        return out
-
-    def predict(self, guest_features: np.ndarray,
-                host_features: np.ndarray) -> np.ndarray:
-        """Binary predictions for unseen instances."""
-        return (self.predict_scores(guest_features, host_features) > 0) \
-            .astype(np.float64)

@@ -105,14 +105,11 @@ class HomoLogisticRegression(FederatedModel):
     def load_state_dict(self, state: dict) -> None:
         self.weights = np.asarray(state["weights"], dtype=np.float64)
 
-    def loss(self) -> float:
-        """Global training loss of the current model."""
-        z = self.dataset.features @ self.weights
-        return logistic_loss(z, self.dataset.labels,
-                             weights=self.weights, l2=self.l2)
+    def _scores(self, features: np.ndarray) -> np.ndarray:
+        return features @ self.weights
 
-    def accuracy(self) -> float:
-        """Global training accuracy of the current model."""
-        z = self.dataset.features @ self.weights
-        predictions = (z > 0).astype(np.float64)
-        return float(np.mean(predictions == self.dataset.labels))
+    def loss(self) -> float:
+        """Global training loss, with the L2 penalty on the weights."""
+        return logistic_loss(self.predict_scores(*self.training_blocks),
+                             self.dataset.labels, weights=self.weights,
+                             l2=self.l2)

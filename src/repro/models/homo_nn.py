@@ -20,7 +20,7 @@ from repro.datasets.partition import HorizontalPartition, horizontal_split
 from repro.federation.metrics import charge_model_compute
 from repro.federation.runtime import FederationRuntime
 from repro.models.base import FederatedModel
-from repro.models.losses import logistic_loss, sigmoid
+from repro.models.losses import sigmoid
 from repro.models.optim import AdamOptimizer
 
 
@@ -144,15 +144,7 @@ class HomoNeuralNetwork(FederatedModel):
         grad_b1 = d_hidden.sum(axis=0)
         return {"w1": grad_w1, "b1": grad_b1, "w2": grad_w2, "b2": grad_b2}
 
-    # ------------------------------------------------------------------
-    # Evaluation.
-    # ------------------------------------------------------------------
-
-    def predict_scores(self, features: np.ndarray) -> np.ndarray:
-        """Logits for (possibly unseen) rows."""
-        features = np.asarray(features, dtype=np.float64)
-        if features.shape[1] != self.dataset.num_features:
-            raise ValueError("feature width does not match the model")
+    def _scores(self, features: np.ndarray) -> np.ndarray:
         hidden = np.tanh(features @ self.params["w1"] + self.params["b1"])
         return (hidden @ self.params["w2"]).ravel() + self.params["b2"][0]
 
@@ -163,13 +155,3 @@ class HomoNeuralNetwork(FederatedModel):
     def load_state_dict(self, state: dict) -> None:
         self.params = {name: np.asarray(state[name], dtype=np.float64)
                        for name in self.params}
-
-    def loss(self) -> float:
-        """Global training loss."""
-        return logistic_loss(self.predict_scores(self.dataset.features),
-                             self.dataset.labels)
-
-    def accuracy(self) -> float:
-        """Global training accuracy."""
-        scores = self.predict_scores(self.dataset.features)
-        return float(np.mean((scores > 0) == self.dataset.labels))

@@ -49,3 +49,12 @@ def round_trip(channel, engine, share):
     acc = Accumulator()
     acc.stash(protect(engine.decrypt_share(share)))  # stores ciphertext
     acc.flush(channel)
+
+
+def put(box, value):
+    box.held = value
+
+
+def publish_boxed(channel, engine, box, share):
+    put(box, protect(engine.decrypt_share(share)))  # stores ciphertext
+    channel.send(box)

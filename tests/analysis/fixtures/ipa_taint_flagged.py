@@ -54,3 +54,31 @@ def round_trip(channel, engine, share):
     acc = Accumulator()
     acc.stash(engine.decrypt_share(share))  # grounds the attribute taint
     acc.flush(channel)
+
+
+
+def put(box, value):
+    box.held = value  # parameter-to-parameter store
+
+
+def publish_boxed(channel, engine, box, share):
+    put(box, engine.decrypt_share(share))  # the callee fills the box
+    channel.send(box)  # flagged -- box holds what put() stored
+
+
+def put_first(items, value):
+    items[0] = value  # an item store into a parameter
+
+
+def publish_items(channel, engine, items, share):
+    put_first(items, engine.decrypt_share(share))
+    channel.send(items)  # flagged -- items holds what put_first() stored
+
+
+def fill(box, engine, blob):
+    box.held = engine.decrypt(blob)  # stored whatever the caller passes
+
+
+def publish_filled(channel, engine, box, blob):
+    fill(box, engine, blob)
+    channel.send(box)  # flagged -- fill() left plaintext in box

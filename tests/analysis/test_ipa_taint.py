@@ -45,6 +45,26 @@ def test_attribute_flow_is_grounded_through_the_call_site():
     assert "'self'" in flush[0].message or "self.buf" not in flush[0].message
 
 
+def test_store_into_a_parameter_taints_the_actual():
+    findings = _ipa_findings("ipa_taint_flagged.py")
+    for symbol, name in (("publish_boxed", "'box'"),
+                         ("publish_items", "'items'"),
+                         ("publish_filled", "'box'")):
+        stored = [d for d in findings if d.symbol == symbol]
+        assert len(stored) == 1, symbol
+        assert name in stored[0].message
+    project = _project("ipa_taint_flagged.py")
+    analysis = TaintSummaries(PlaintextWireRule(), project)
+    analysis.run()
+    for helper in ("put", "put_first"):
+        summary = analysis.summary_for(f"fixtures.ipa_taint_flagged.{helper}")
+        assert summary.param_deps == frozenset({(1, 0)})
+        assert summary.param_always == frozenset()
+    fill = analysis.summary_for("fixtures.ipa_taint_flagged.fill")
+    assert fill.param_always == frozenset({0})
+    assert fill.param_deps == frozenset()
+
+
 def test_clean_twin_is_silent():
     assert _ipa_findings("ipa_taint_clean.py") == []
 

@@ -94,10 +94,9 @@ def trained(model_cls, dataset, **kwargs):
 
 
 #: Every registry model, with the keyword arguments the round trip builds
-#: it with and the number of column blocks its ``predict_scores`` takes
-#: (0: it does not predict unseen rows).
+#: it with and the number of column blocks its ``predict_scores`` takes.
 ROUND_TRIP = {
-    "Homo LR": (HomoLogisticRegression, dict(num_clients=4), 0),
+    "Homo LR": (HomoLogisticRegression, dict(num_clients=4), 1),
     "Homo NN": (HomoNeuralNetwork, dict(num_clients=4, batch_size=64), 1),
     "Hetero LR": (HeteroLogisticRegression, dict(batch_size=64), 2),
     "Hetero SBT": (HeteroSecureBoost, dict(max_depth=2), 2),
@@ -129,11 +128,10 @@ class TestPersistence:
         for key, value in model.state_dict().items():
             assert np.array_equal(fresh.state_dict()[key], value), key
         assert fresh.loss() == model.loss()
-        if blocks:
-            rows = heldout_blocks(test, blocks)
-            expected = model.predict_scores(*rows)
-            assert np.any(expected != 0.0)
-            assert np.array_equal(fresh.predict_scores(*rows), expected)
+        rows = heldout_blocks(test, blocks)
+        expected = model.predict_scores(*rows)
+        assert np.any(expected != 0.0)
+        assert np.array_equal(fresh.predict_scores(*rows), expected)
 
     def test_save_is_atomic(self, dataset, tmp_path):
         path = tmp_path / "state.json"
@@ -159,11 +157,12 @@ class TestPersistence:
 
     def test_auc_improves_with_training(self, dataset):
         model = HomoLogisticRegression(dataset, num_clients=4, seed=1)
-        before = roc_auc(dataset.features @ model.weights + 1e-9
+        before = roc_auc(model.predict_scores(dataset.features) + 1e-9
                          * np.arange(dataset.num_instances),
                          dataset.labels)
         runtime = FederationRuntime(FLBOOSTER_SYSTEM, num_clients=4,
                                     key_bits=256, physical_key_bits=256)
         model.train(runtime, max_epochs=5)
-        after = roc_auc(dataset.features @ model.weights, dataset.labels)
+        after = roc_auc(model.predict_scores(dataset.features),
+                        dataset.labels)
         assert after > max(before, 0.6)

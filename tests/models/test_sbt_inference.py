@@ -5,6 +5,8 @@ import pytest
 
 from repro.datasets import synthetic_like
 from repro.datasets.partition import train_test_split, vertical_split
+from repro.experiments.harness import (SCALED_DATASET_SPECS, build_model,
+                                       scaled_dataset)
 from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
 from repro.models import HeteroSecureBoost
 from repro.models.evaluation import roc_auc
@@ -37,13 +39,19 @@ def split_columns(model, dataset):
 
 
 class TestRoutingConsistency:
-    def test_training_rows_reproduce_training_scores(self, split_data,
-                                                     trained_model):
-        # Routing the training rows through the threshold-based path
-        # must agree with the bin-index path used during fitting.
-        scores = trained_model.predict_scores(
-            trained_model.guest.features, trained_model.host.features)
-        assert np.allclose(scores, trained_model.scores, atol=1e-9)
+    @pytest.mark.parametrize("name", sorted(SCALED_DATASET_SPECS))
+    def test_training_rows_reproduce_training_scores(self, name):
+        # Scoring the training rows bins them by the training edges and
+        # walks the training trees, so it reproduces the fitted scores
+        # exactly -- also on sparse data, where many values sit on a
+        # quantile cut.
+        model = build_model("Hetero SBT", scaled_dataset(name))
+        runtime = FederationRuntime(FLBOOSTER_SYSTEM, num_clients=4,
+                                    key_bits=256, physical_key_bits=256)
+        model.train(runtime, max_epochs=3)
+        scores = model.predict_scores(model.guest.features,
+                                      model.host.features)
+        assert np.array_equal(scores, model.scores)
 
     def test_shape_validation(self, trained_model):
         with pytest.raises(ValueError):
