@@ -124,8 +124,9 @@ class FederatedModel(ABC):
                              self.dataset.labels)
 
     def accuracy(self) -> float:
-        """Global training accuracy of the current model."""
-        return binary_accuracy(self.predict_scores(*self.training_blocks),
+        """Global training accuracy: the share of :meth:`predict`'s labels
+        that are right."""
+        return binary_accuracy(self.predict(*self.training_blocks),
                                self.dataset.labels)
 
     # ------------------------------------------------------------------

@@ -73,17 +73,14 @@ KEPT_DEFINITIONS: Dict[str, str] = {
     "repro.api.*":
         "the paper's Sec. VI / Table I API listing: div, mod, mod_inv, "
         "mul and RSA::mul are the rows no benchmark happens to call",
-    "repro.models.base.FederatedModel.predict":
-        "every model's binary labels for unseen rows, the thresholded "
-        "predict_scores the inference tests read",
     "repro.models.base.FederatedModel.accuracy":
         "training accuracy, the number every model test and example "
-        "reads next to the loss",
+        "reads next to the loss; predict, every model's labels for "
+        "unseen rows, is reached through it",
     "repro.models.evaluation.*":
         "held-out AUC and a JSON file of any model's state_dict(), "
         "reached by the tutorial only; ROADMAP item 7's split/loss "
-        "oracle evaluates through it (binary_accuracy is reached "
-        "through FederatedModel.accuracy)",
+        "oracle evaluates through it",
     "repro.datasets.partition.train_test_split":
         "the held-out split that predict / models.evaluation are fed "
         "from (tutorial, inference tests)",
@@ -359,7 +356,7 @@ def _check_definitions(table: SymbolTable, kept: Mapping[str, str]) -> None:
 
 def test_every_definition_is_reached_from_a_root_or_kept_for_a_reason():
     _check_definitions(_project(), KEPT_DEFINITIONS)
-    assert len(KEPT_DEFINITIONS) <= 12
+    assert len(KEPT_DEFINITIONS) <= 11
     assert all(reason.strip() for reason in KEPT_DEFINITIONS.values())
 
 
