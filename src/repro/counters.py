@@ -20,9 +20,11 @@ CONVERSIONS = "native.conversions"
 WORDS_ENTERED = "native.words_entered"
 RESIDENT_PRODUCTS = "native.resident_products"
 WORKER_SUBMISSIONS = "native.worker_submissions"
-#: Library powers (calls into ``BN_mod_exp_mont_consttime``); Montgomery
-#: contexts set up, each living as long as its owner holds it.
+#: Library powers (calls into ``BN_mod_exp_mont_consttime``, two per
+#: call into its ``_x2`` pair); library calls that ran two powers;
+#: Montgomery contexts set up, each living as long as its owner holds it.
 POWMODS = "native.powmods"
+POWER_PAIRS = "native.power_pairs"
 MONTGOMERY_CONTEXTS = "native.montgomery_contexts"
 #: Paillier obfuscators computed, by either key (``r^n mod n^2``, or a
 #: key holder's ``sigma(r)^n mod n^2``).

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.counters import OBFUSCATORS, WORK
-from repro.mpint.native import hold, powmod, run_pair
+from repro.mpint.native import hold, powmod, powmods
 from repro.mpint.primes import LimbRandom, generate_distinct_primes
 
 
@@ -165,8 +165,9 @@ class PaillierPrivateKey:
         textbook formula (:class:`repro.testing.reference.PaillierReference`,
         checked by the property tests) at a quarter of the cost.  The
         ``c^(p-1) mod p^2`` and ``c^(q-1) mod q^2`` powers are
-        independent, so a large enough batch runs the two sets on two
-        cores (:func:`repro.mpint.native.run_pair`); the range checks come
+        independent: they are one batch of powers
+        (:func:`repro.mpint.native.powmods`), whose ``p`` half a large
+        enough batch runs on a second core; the range checks come
         before, and the recombination after, on the calling thread.
         """
         ciphertexts = list(ciphertexts)
@@ -175,19 +176,13 @@ class PaillierPrivateKey:
             if not 0 <= ciphertext < n_squared:
                 raise ValueError("ciphertext outside Z_{n^2}")
         p, q = self.p, self.q
-        p_squared = self.p_squared
-
-        def powers(prime: int, prime_squared: int):
-            exponent = prime - 1
-            return lambda: [powmod(c, exponent, prime_squared)
-                            for c in ciphertexts]
-
-        powers_p, powers_q = run_pair(
-            powers(p, p_squared), powers(q, self.q_squared),
-            len(ciphertexts), p_squared.bit_length())
+        count = len(ciphertexts)
+        powers = powmods(
+            [(c, p - 1, self.p_squared) for c in ciphertexts]
+            + [(c, q - 1, self.q_squared) for c in ciphertexts])
         hp, hq, q_inverse = self.hp, self.hq, self.q_inverse
         results = []
-        for u_p, u_q in zip(powers_p, powers_q):
+        for u_p, u_q in zip(powers[:count], powers[count:]):
             m_p = (u_p - 1) // p * hp % p
             m_q = (u_q - 1) // q * hq % q
             # Garner recombination.
@@ -223,22 +218,18 @@ class PaillierPrivateKey:
         lift); a short-exponent obfuscator (ROADMAP item 17c) is to be
         measured against this route.  A non-unit ``r`` gives the power
         of ``sigma`` extended by ``0 -> 0`` on its prime.  The p-lifts
-        and the q-lifts are independent, so a large enough batch runs
-        them on two cores (:func:`repro.mpint.native.run_pair`).
+        and the q-lifts are one batch of independent powers
+        (:func:`repro.mpint.native.powmods`), as in :meth:`decrypt`.
         """
-        WORK[OBFUSCATORS] += len(randomizers)
+        count = len(randomizers)
+        WORK[OBFUSCATORS] += count
+        p, q = self.p, self.q
         p_squared, q_squared = self.p_squared, self.q_squared
-
-        def lifts(prime: int, prime_squared: int):
-            return lambda: [powmod(r % prime, prime, prime_squared)
-                            for r in randomizers]
-
-        lifts_p, lifts_q = run_pair(
-            lifts(self.p, p_squared), lifts(self.q, q_squared),
-            len(randomizers), p_squared.bit_length())
+        lifts = powmods([(r % p, p, p_squared) for r in randomizers]
+                        + [(r % q, q, q_squared) for r in randomizers])
         inverse = self.q_squared_inverse
         return [x_q + q_squared * ((x_p - x_q) * inverse % p_squared)
-                for x_p, x_q in zip(lifts_p, lifts_q)]
+                for x_p, x_q in zip(lifts[:count], lifts[count:])]
 
 
 def draw_obfuscators(obfuscators: Callable[[List[int]], List[int]], n: int,

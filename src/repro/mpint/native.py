@@ -9,9 +9,9 @@ constant-time ladder) computes a 2048-bit-modulus / 1024-bit-exponent
 power about ten times faster than CPython's ``pow()``, whose reduction is
 a long division per step.  :func:`powmod` returns exactly
 ``pow(base, exponent, modulus)`` for every input ``pow`` accepts, and
-every production modular exponentiation in :mod:`repro` goes through it;
-the test oracles (:mod:`repro.testing.reference`, the golden vectors)
-keep the builtin.
+every production modular exponentiation in :mod:`repro` goes through it
+or, batched, through :func:`powmods`; the test oracles
+(:mod:`repro.testing.reference`, the golden vectors) keep the builtin.
 
 There is no switch.  The library is bound once at import --
 ``ctypes.util.find_library("crypto")`` first, then the ``libcrypto``
@@ -60,16 +60,21 @@ list and ``BN_free``d, never cleared.  A batch is never duplicated:
 copying one returns it, and pickling one raises ``TypeError``.
 
 The third piece is concurrency.  The paper puts modexps on however many
-parallel units the host has; here those are libcrypto on each core, and
-``ctypes`` drops the interpreter lock inside every call.
-:func:`run_pair` runs one callable on a single lazily started worker
-thread while the caller runs the other -- the two CRT halves of a batch
-of decryptions or obfuscations (:mod:`repro.crypto`).  It runs both on
-the caller when no library is bound (``pow()`` holds the lock), when the
-process may use one CPU, or when the batch is under the measured
-crossover :data:`SPLIT_MIN_WORK`; below it, waking the worker costs more
-than it saves.  A forked child drops the inherited worker and builds its
-own.
+parallel units the host has; here those are the two lanes of the
+library's vector ladder and libcrypto on each core.  :func:`powmods`
+takes one batch of independent powers -- the two CRT halves of a batch
+of decryptions or obfuscations (:mod:`repro.crypto`), a Miller-Rabin
+batch (:mod:`repro.mpint.primes`) -- and hands them to the library two
+to a call (``BN_mod_exp_mont_consttime_x2``, which on a CPU with AVX-512
+IFMA runs two 1024-bit powers in one ladder at 0.42x the time of two
+calls, and elsewhere runs the two calls itself).  ``ctypes`` drops the
+interpreter lock inside every call, so :func:`run_pair` runs the
+batch's first half on a single lazily started worker thread while the
+caller runs the second.  It runs both on the caller when no library is
+bound (``pow()`` holds the lock), when the process may use one CPU, or
+when the batch is under the measured crossover :data:`SPLIT_MIN_WORK`;
+below it, waking the worker costs more than it saves.  A forked child
+drops the inherited worker and builds its own.
 """
 
 from __future__ import annotations
@@ -81,18 +86,18 @@ import threading
 import weakref
 from collections import Counter
 from collections.abc import Sequence
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import repeat
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Tuple, TypeVar, Union)
 
-from repro.counters import (CONVERSIONS, MONTGOMERY_CONTEXTS, POWMODS,
-                            RESIDENT_PRODUCTS, WORDS_ENTERED, WORK,
+from repro.counters import (CONVERSIONS, MONTGOMERY_CONTEXTS, POWER_PAIRS,
+                            POWMODS, RESIDENT_PRODUCTS, WORDS_ENTERED, WORK,
                             WORKER_SUBMISSIONS)
 
-__all__ = ["powmod", "hold", "resident", "mulmod_batch", "ResidueBatch",
-           "run_pair", "HAVE_NATIVE", "BACKEND", "NATIVE_MIN_MODULUS_BITS",
-           "SPLIT_MIN_WORK"]
+__all__ = ["powmod", "powmods", "hold", "resident", "mulmod_batch",
+           "ResidueBatch", "run_pair", "split_worthwhile", "HAVE_NATIVE",
+           "BACKEND", "NATIVE_MIN_MODULUS_BITS", "SPLIT_MIN_WORK"]
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -114,6 +119,27 @@ _KAT_EXPONENT = (1 << 127) - 1
 _KAT_MODULUS = (1 << 130) - 5
 _KAT_RESULT = 0x3de345def2d47c7b60ec583dbe382bc6e
 _KAT_CUBE = 0x8e9081dde27230cb322ecdbe18a3da9c
+# And one pair of the shape the vector ladder takes (1024-bit moduli,
+# bases and exponents over 960 bits): (m1 // 3)^(2^1023 - 1) mod m1 and
+# (m2 // 5)^(2^961 + 1) mod m2.
+_KAT_M1 = (1 << 1024) - 105
+_KAT_M2 = (1 << 1024) - (1 << 512) - 1
+_KAT_PAIR = ((_KAT_M1 // 3, (1 << 1023) - 1, _KAT_M1),
+             (_KAT_M2 // 5, (1 << 961) + 1, _KAT_M2))
+_KAT_PAIR_RESULTS = (
+    int("707b75fdcabf92941c3192acbbdd78284d4b352b319b5205d204669758b99e90"
+        "984e81ba5f47a6d0b322db54618f4a9123e14c0cc4d4b8d14748ee71c25b764a"
+        "0b924ca1e2df0f109b948a2a4c28c3b0b0924f13e42770ca1423392324e4e5fd"
+        "beacff2db1a95ac081f544f8d48b3635d7b034577560dfbeb13315f643abd0f3",
+        16),
+    int("c367034e3082c71bea2d68fb88db8e14ce1b7cc2228a71ed7173ad9ff62e0e0d"
+        "965ef36a6ee64c24cb1dedfed664a8e024cc27619f896863533e4287d328897d"
+        "d5fea099cf8f47b4f88995de265dfd5f08bd31fa70bb86c0a95e383d05b39c2d"
+        "9284627f2833c4c4b7b00405e67612b65440f6fd2c329ad4bf04bd5c534858b0",
+        16))
+
+# Two powers in one call (OpenSSL 3.0+); bound when the library has it.
+_PAIR = "BN_mod_exp_mont_consttime_x2"
 
 # Most idle handles kept for reuse (~300 bytes each at a 1024-bit key);
 # a block that would take the total past this is freed instead.
@@ -129,7 +155,8 @@ class _Scratch:
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self.lib = lib
-        self.numbers = [lib.BN_new() for _ in range(3)]
+        # Result, base and exponent of a power; six for a pair.
+        self.numbers = [lib.BN_new() for _ in range(6)]
         self.ctx = lib.BN_CTX_new()
         self.buffer = ctypes.create_string_buffer(512)
         if not (all(self.numbers) and self.ctx):
@@ -169,7 +196,8 @@ def _bind(path: str) -> ctypes.CDLL:
     """Load ``path`` and declare every function this module calls.
 
     Raises ``OSError`` (not loadable) or ``AttributeError`` (a symbol is
-    missing, e.g. an SSL library without the ``BN`` API).
+    missing, e.g. an SSL library without the ``BN`` API).  The pair
+    power is optional: a library without it runs each pair as two calls.
     """
     lib = ctypes.CDLL(path)
     pointer = ctypes.c_void_p
@@ -195,6 +223,10 @@ def _bind(path: str) -> ctypes.CDLL:
         function = getattr(lib, name)
         function.restype = restype
         function.argtypes = argtypes
+    pair = getattr(lib, _PAIR, None)
+    if pair is not None:
+        pair.restype = ctypes.c_int
+        pair.argtypes = [pointer] * 11
     return lib
 
 
@@ -215,31 +247,98 @@ def _bn_powmod(lib: ctypes.CDLL, scratch: _Scratch, base: int,
     per-thread error queue is emptied so the failure cannot surface later
     inside :mod:`ssl` or :mod:`hashlib`.
     """
-    work = _work()
     try:
         context = _index.get(modulus) or _ModulusContext(lib, modulus)
     except MemoryError:
         lib.ERR_clear_error()
         return None
-    result, bn_base, bn_exponent = scratch.numbers
-    size = (modulus.bit_length() + 7) >> 3
-    buffer = scratch.sized_buffer(size)
+    return _bn_power(lib, scratch, base, exponent, context)
+
+
+# A library power's operands: base, exponent, and the modulus's context.
+Job = Tuple[int, int, "_ModulusContext"]
+
+
+def _enter_operands(lib: ctypes.CDLL, bn_base: int, bn_exponent: int,
+                    base: int, exponent: int, size: int) -> bool:
+    """Load ``base`` (as ``size`` bytes) and ``exponent``."""
     exponent_size = (exponent.bit_length() + 7) >> 3
     bin2bn = lib.BN_bin2bn
-    ok = (bin2bn(base.to_bytes(size, "big"), size, bn_base)
-          and bin2bn(exponent.to_bytes(exponent_size, "big"),
-                     exponent_size, bn_exponent))
+    return bool(bin2bn(base.to_bytes(size, "big"), size, bn_base)
+                and bin2bn(exponent.to_bytes(exponent_size, "big"),
+                           exponent_size, bn_exponent))
+
+
+def _read(lib: ctypes.CDLL, scratch: _Scratch, number: int,
+          size: int) -> int:
+    """The value of a number below a ``size``-byte modulus."""
+    buffer = scratch.sized_buffer(size)
+    length = lib.BN_bn2bin(number, buffer)
+    return int.from_bytes(buffer[:length], "big")
+
+
+def _bn_power(lib: ctypes.CDLL, scratch: _Scratch, base: int,
+              exponent: int, context: "_ModulusContext") -> Optional[int]:
+    """:func:`_bn_powmod` under a context already found."""
+    result, bn_base, bn_exponent = scratch.numbers[:3]
+    ok = _enter_operands(lib, bn_base, bn_exponent, base, exponent,
+                         context.size)
     if ok:
-        work[POWMODS] += 1
+        _work()[POWMODS] += 1
         ok = lib.BN_mod_exp_mont_consttime(
             result, bn_base, bn_exponent, context._bn_modulus, scratch.ctx,
             context._mont)
     if not ok:
         lib.ERR_clear_error()
         return None
-    # The result is below the modulus, so it fits the buffer.
-    length = lib.BN_bn2bin(result, buffer)
-    return int.from_bytes(buffer[:length], "big")
+    return _read(lib, scratch, result, context.size)
+
+
+def _bn_power_pair(lib: ctypes.CDLL, scratch: _Scratch, pair,
+                   first: Job, second: Job) -> Optional[Tuple[int, int]]:
+    """Two library powers in one call, or ``None`` on failure.
+
+    The library runs them in one vector ladder where it can (two
+    1024-bit moduli on a CPU with AVX-512 IFMA, docs/cost_model.md) and
+    as two ordinary calls everywhere else.
+    """
+    result_1, base_1, exponent_1, result_2, base_2, exponent_2 = \
+        scratch.numbers
+    (b1, e1, c1), (b2, e2, c2) = first, second
+    ok = (_enter_operands(lib, base_1, exponent_1, b1, e1, c1.size)
+          and _enter_operands(lib, base_2, exponent_2, b2, e2, c2.size))
+    if ok:
+        work = _work()
+        work[POWMODS] += 2
+        work[POWER_PAIRS] += 1
+        ok = pair(result_1, base_1, exponent_1, c1._bn_modulus, c1._mont,
+                  result_2, base_2, exponent_2, c2._bn_modulus, c2._mont,
+                  scratch.ctx)
+    if not ok:
+        lib.ERR_clear_error()
+        return None
+    return (_read(lib, scratch, result_1, c1.size),
+            _read(lib, scratch, result_2, c2.size))
+
+
+def _bn_powers(lib: ctypes.CDLL, jobs: List[Job]) -> List[int]:
+    """The power of each job, two to a library call where the library
+    has the pair call; a call that fails is :func:`powmod`'s."""
+    scratch = _scratch(lib)
+    pair = getattr(lib, _PAIR, None)
+    results: List[int] = []
+    paired = len(jobs) & ~1 if pair is not None else 0
+    for index in range(0, paired, 2):
+        first, second = jobs[index], jobs[index + 1]
+        both = _bn_power_pair(lib, scratch, pair, first, second)
+        results += both if both is not None else (
+            powmod(first[0], first[1], first[2].modulus),
+            powmod(second[0], second[1], second[2].modulus))
+    for base, exponent, context in jobs[paired:]:
+        power = _bn_power(lib, scratch, base, exponent, context)
+        results.append(powmod(base, exponent, context.modulus)
+                       if power is None else power)
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -516,13 +615,17 @@ _index: "weakref.WeakValueDictionary[int, _ModulusContext]" = \
 
 
 def _self_test(lib: ctypes.CDLL) -> bool:
-    """Whether ``lib`` reproduces both known answers."""
+    """Whether ``lib`` reproduces every known answer: a power, a cube
+    through resident products, and a pair of powers."""
     context = _ModulusContext(lib, _KAT_MODULUS)
     power = context.enter([_KAT_RESULT])
     cube = context.multiply(context.multiply(power, power), power)
+    pair = [(base, exponent, _ModulusContext(lib, modulus))
+            for base, exponent, modulus in _KAT_PAIR]
     return (_bn_powmod(lib, _scratch(lib), _KAT_BASE, _KAT_EXPONENT,
                        _KAT_MODULUS) == _KAT_RESULT
-            and list(cube) == [_KAT_CUBE])
+            and list(cube) == [_KAT_CUBE]
+            and _bn_powers(lib, pair) == list(_KAT_PAIR_RESULTS))
 
 
 def _load() -> Tuple[Optional[ctypes.CDLL], str]:
@@ -568,6 +671,60 @@ def powmod(base: int, exponent: int, modulus: int) -> int:
         base %= modulus
     result = _bn_powmod(lib, _scratch(lib), base, exponent, modulus)
     return pow(base, exponent, modulus) if result is None else result
+
+
+def powmods(jobs: Iterable[Tuple[int, int, int]]) -> List[int]:
+    """``[pow(base, exponent, modulus) for base, exponent, modulus in
+    jobs]``: one batch of independent powers.
+
+    Bit-identical to the builtin, and raises what the builtin raises;
+    the jobs :func:`powmod` would hand to the library go to it two to a
+    call (``BN_mod_exp_mont_consttime_x2``), in order, and the rest are
+    the builtin, computed first.  The library jobs split in two halves
+    by position, and the first half runs on the worker thread when
+    :func:`split_worthwhile` says so (:func:`run_pair`).  A modulus
+    nobody holds gets one context for the call.
+    """
+    lib = _lib
+    results: List[int] = []
+    positions: List[int] = []
+    library_jobs: List[Job] = []
+    contexts: Dict[int, _ModulusContext] = {}
+    for base, exponent, modulus in jobs:
+        context = None
+        if (lib is not None and type(modulus) is int and modulus >= _CUTOFF
+                and modulus & 1 and type(exponent) is int and exponent >= 0
+                and type(base) is int):
+            context = contexts.get(modulus)
+            if context is None:
+                try:
+                    context = contexts[modulus] = \
+                        _index.get(modulus) or _ModulusContext(lib, modulus)
+                except MemoryError:
+                    lib.ERR_clear_error()
+        if context is None:
+            results.append(powmod(base, exponent, modulus))
+            continue
+        if not 0 <= base < modulus:
+            base %= modulus
+        positions.append(len(results))
+        results.append(0)
+        library_jobs.append((base, exponent, context))
+    if not library_jobs:
+        return results
+    half = len(library_jobs) // 2
+    first, second = library_jobs[:half], library_jobs[half:]
+    widest = max((job[2].modulus.bit_length() for job in first), default=0)
+    if split_worthwhile(half, widest):
+        powers_1, powers_2 = run_pair(partial(_bn_powers, lib, first),
+                                      partial(_bn_powers, lib, second),
+                                      half, widest)
+        powers = powers_1 + powers_2
+    else:
+        powers = _bn_powers(lib, library_jobs)
+    for position, power in zip(positions, powers):
+        results[position] = power
+    return results
 
 
 def hold(modulus: int) -> Optional[_ModulusContext]:
@@ -659,7 +816,7 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _split_worthwhile(powers: int, modulus_bits: int) -> bool:
+def split_worthwhile(powers: int, modulus_bits: int) -> bool:
     """Whether ``powers`` native exponentiations per side, modulo
     ``modulus_bits``-bit moduli, pay for handing one side to a second
     core (the crossover table is in docs/cost_model.md)."""
@@ -674,14 +831,14 @@ def run_pair(first: Callable[[], T], second: Callable[[], U],
     the split is worthwhile.
 
     Both callables must be pure functions of their inputs whose time is
-    native :func:`powmod` calls (ctypes drops the interpreter lock
-    inside them), so the result cannot depend on which thread ran what.
+    library calls (ctypes drops the interpreter lock inside them), so
+    the result cannot depend on which thread ran what.
     An exception ``first`` raises on the worker is raised here, after
     both sides finished.  A caller that finds the worker owned by
     another thread runs both sides itself.
     """
     global _worker
-    if not _split_worthwhile(powers, modulus_bits):
+    if not split_worthwhile(powers, modulus_bits):
         return first(), second()
     with _worker_lock:
         if _worker is None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
                     Sequence, Tuple, Type)
 
@@ -43,7 +43,8 @@ from repro.tensor import planner
 from repro.testing.parties import (DamgardJurikParty, HeEngineParty,
                                    MaskingParty)
 from repro.testing.reference import (DamgardJurikReference,
-                                     MaskingReference, PaillierReference)
+                                     MaskingReference, PaillierReference,
+                                     serial_paillier_primes)
 from repro.testing.trace import (
     ADD,
     DECRYPT,
@@ -107,17 +108,32 @@ def _paillier_pair(engine_cls: Type[HeEngine],
                    trace: ConformanceTrace) -> ConformancePair:
     """A Paillier engine vs the textbook ``pow()`` Paillier reference.
 
-    Both sides draw their randomizers from the same trace-seeded
+    The key's primes must be the textbook serial search's from the same
+    seed.  Both sides draw their randomizers from the same trace-seeded
     stream, and the engine's randomizer pool is off, so every encrypt
     takes a fresh randomizer exactly as the reference does.
     """
     keypair = generate_paillier_keypair(
         trace.key_bits, rng=LimbRandom(seed=trace.seed))
+    primes = (keypair.private_key.p, keypair.private_key.q)
+    textbook = _textbook_primes(trace.key_bits, trace.seed)
+    if primes != textbook:
+        raise ConformanceFailure(
+            engine_cls.__name__, trace, 0,
+            f"key generation diverged from the serial search: primes "
+            f"{primes} vs {textbook}")
     engine = engine_cls(keypair, rng=LimbRandom(seed=trace.seed + 1),
                         randomizer_pool_size=0)
     reference = PaillierReference(keypair, seed=trace.seed + 1)
     return ConformancePair(party=HeEngineParty(engine),
                            reference=reference)
+
+
+@lru_cache(maxsize=64)
+def _textbook_primes(key_bits: int, seed: int) -> Tuple[int, int]:
+    """:func:`serial_paillier_primes` of a seed, once per process: every
+    Paillier row replays the same traces."""
+    return serial_paillier_primes(key_bits, LimbRandom(seed=seed))
 
 
 def _damgard_jurik_pair(trace: ConformanceTrace) -> ConformancePair:

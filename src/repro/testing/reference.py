@@ -17,9 +17,63 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from repro.mpint.primes import LimbRandom
+
+
+#: The 50 primes below 230: the trial divisors of key generation.
+_TRIAL_PRIMES = tuple(p for p in range(2, 230)
+                      if all(p % f for f in range(2, p)))
+
+
+def serial_prime(bits: int, rng: LimbRandom, rounds: int = 64) -> int:
+    """The textbook prime search, ``pow()`` only.
+
+    Draw a ``bits``-bit candidate with its top and bottom bits set,
+    trial-divide it by the 50 primes below 230, then draw one
+    Miller-Rabin witness per round and test it, until one fails.  Key
+    generation's batched, speculative search
+    (:func:`repro.mpint.primes.generate_prime`) must return the same
+    prime and leave ``rng`` where this leaves it.
+    """
+    while True:
+        candidate = rng.randbits(bits) | (1 << (bits - 1)) | 1
+        if candidate in _TRIAL_PRIMES:
+            return candidate
+        if any(candidate % prime == 0 for prime in _TRIAL_PRIMES):
+            continue
+        d, r = candidate - 1, 0
+        while d % 2 == 0:
+            d, r = d // 2, r + 1
+        for _ in range(rounds):
+            x = pow(rng.randint_below(candidate - 3) + 2, d, candidate)
+            if x in (1, candidate - 1):
+                continue
+            for _ in range(r - 1):
+                x = pow(x, 2, candidate)
+                if x == candidate - 1:
+                    break
+            else:
+                break  # the witness proves the candidate composite
+        else:
+            return candidate
+
+
+def serial_paillier_primes(key_bits: int,
+                           rng: LimbRandom) -> Tuple[int, int]:
+    """The textbook Paillier primes: two distinct :func:`serial_prime`
+    draws of ``key_bits // 2`` bits, drawn again until ``gcd(pq, (p-1)
+    (q-1)) = 1`` -- what :func:`repro.crypto.keys.generate_paillier_keypair`
+    must pick from the same ``rng``."""
+    half = key_bits // 2
+    while True:
+        p = serial_prime(half, rng)
+        q = serial_prime(half, rng)
+        while q == p:
+            q = serial_prime(half, rng)
+        if math.gcd(p * q, (p - 1) * (q - 1)) == 1:
+            return p, q
 
 
 def sigma(p: int, q: int, r: int) -> int:

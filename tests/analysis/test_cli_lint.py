@@ -10,6 +10,8 @@ from tests.analysis.conftest import FIXTURES
 
 LEAK_FIXTURE = FIXTURES / "taint_bad_basic.py"
 SRC_REPRO = Path(repro.__file__).resolve().parent
+#: The committed flcheck snapshot (benchmarks/test_bench_flcheck.py).
+SNAPSHOT = SRC_REPRO.parents[1] / "BENCH_flcheck.json"
 
 
 def test_shipped_codebase_is_flcheck_clean(capsys):
@@ -20,6 +22,11 @@ def test_shipped_codebase_is_flcheck_clean(capsys):
     assert payload["rules_run"] == sorted([
         "plaintext-wire", "determinism", "ledger-category",
         "deprecated-api", "wal-discipline"])
+    # The committed snapshot describes this tree (its seconds are the
+    # host's and are not compared).
+    snapshot = json.loads(SNAPSHOT.read_text())
+    assert (snapshot["files_scanned"], snapshot["full"]["suppressed"]) == \
+        (payload["files_scanned"], payload["suppressed"])
 
 
 def test_planted_leak_fails_lint(tmp_path, capsys):

@@ -17,10 +17,11 @@ import pytest
 from repro.counters import (
     CHECKPOINTS, CODEC_LOOKUPS, CONVERSIONS, DIGESTS, FRAMES_DECODED,
     JOURNAL_PARSES, LAUNCH_PRICES, METAS_BUILT, MONTGOMERY_CONTEXTS,
-    OBFUSCATORS, OVERFLOW_BITS, POWMODS, RECORDS_REPLAYED,
+    OBFUSCATORS, OVERFLOW_BITS, POWER_PAIRS, POWMODS, RECORDS_REPLAYED,
     RESIDENT_PRODUCTS, STANDBYS_BUILT, WORDS_ENTERED, WORKER_SUBMISSIONS,
     counted)
 from repro.crypto.gpu_engine import GpuPaillierEngine
+from repro.crypto.keys import generate_paillier_keypair
 from repro.datasets.generators import synthetic_like
 from repro.federation.coordinator import (
     CoordinatorKilled,
@@ -46,6 +47,7 @@ from repro.gpu.kernels import GpuKernels
 from repro.ledger import CAT_HE_DECRYPT
 from repro.models.homo_lr import HomoLogisticRegression
 from repro.mpint import native
+from repro.mpint.primes import LimbRandom
 from repro.testing.simulator import (
     FederationSimulator,
     FederationSpec,
@@ -240,6 +242,22 @@ def test_a_2048_bit_homo_lr_epoch_splits_each_decrypt_batch_once():
         model.run_epoch(runtime)
     assert ledger.count(CAT_HE_DECRYPT) == 16
     assert (added[WORKER_SUBMISSIONS], added[OBFUSCATORS]) == (1, 0)
+
+
+@needs_two_cores
+@pytest.mark.skipif(getattr(native._lib, native._PAIR, None) is None,
+                    reason="the bound library has no pair power")
+def test_a_2048_bit_key_pairs_its_powers_and_speculates_a_short_tail():
+    """``homo_lr_pooled_2048``'s key: the serial search's 335 powers
+    (209 first witnesses, 63 more for each prime), plus the 7 first
+    witnesses drawn past each prime's in its batch of twelve; all but
+    two of them ran two to a library call, in 18 speculative batches
+    and 2 confirmations split over the worker."""
+    with counted() as added:
+        generate_paillier_keypair(2048, LimbRandom(seed=7))
+    assert added[POWMODS] == 335 + 7
+    assert added[POWER_PAIRS] == 170
+    assert added[WORKER_SUBMISSIONS] == 18 + 2
 
 
 @needs_two_cores

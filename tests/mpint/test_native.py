@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import copy
+import ctypes
 import gc
 import os
 import pathlib
@@ -27,8 +28,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.counters import (CONVERSIONS, MONTGOMERY_CONTEXTS, POWMODS,
-                            WORDS_ENTERED, WORKER_SUBMISSIONS, counted)
+from repro.counters import (CONVERSIONS, MONTGOMERY_CONTEXTS, POWER_PAIRS,
+                            POWMODS, WORDS_ENTERED, WORKER_SUBMISSIONS,
+                            counted)
 from repro.crypto.damgard_jurik import (DamgardJurik,
                                         generate_damgard_jurik_keypair)
 from repro.crypto.keys import generate_paillier_keypair, generate_rsa_keypair
@@ -405,6 +407,184 @@ def test_package_works_with_the_library_unbindable():
 
 
 # ----------------------------------------------------------------------
+# Batches of powers: powmods.
+# ----------------------------------------------------------------------
+
+needs_pair = pytest.mark.skipif(
+    getattr(native._lib, native._PAIR, None) is None,
+    reason="the bound library has no pair power")
+
+
+@pytest.fixture()
+def one_cpu(monkeypatch):
+    """Affinity reads one CPU, so no batch splits."""
+    monkeypatch.setattr(native, "_cpus", lambda: 1)
+
+
+def _wide(rng, bits):
+    """A ``bits``-bit value with its top bit set."""
+    return rng.randbits(bits) | (1 << (bits - 1))
+
+
+def _power_jobs(rng):
+    """Each shape ``powmods`` must get right, as ``(base, exponent,
+    modulus)`` jobs."""
+    m1024, m1023, m512 = (odd_modulus(rng, bits)
+                          for bits in (1024, 1023, 512))
+    small = odd_modulus(rng, NATIVE_MIN_MODULUS_BITS - 1)
+    vector = [(rng.randint_below(m1024), _wide(rng, bits), m1024)
+              for bits in (961, 962, 1000, 1023, 1024)]
+    return vector + [
+        (rng.randint_below(m1023), _wide(rng, 1022), m1023),
+        (rng.randint_below(m512), _wide(rng, 511), m512),
+        (rng.randint_below(m1024), _wide(rng, 960), m1024),  # one short
+        (rng.randint_below(m1024), _wide(rng, 512), m1024),  # half width
+        (m1024 + 5, _wide(rng, 1000), m1024),                # base >= m
+        (-7, _wide(rng, 1000), m1024),                       # negative
+        (rng.randint_below(m512), 0, m512),
+        (rng.randint_below(m512), 1, m512),
+        (3, 65537, m1024 + 1),                               # even
+        (3, 65537, small),                                   # narrow
+        (5, -1, m1023),                                      # an inverse
+    ]
+
+
+@pytest.mark.parametrize("offset", (0, 1))
+def test_powmods_is_pow_for_every_shape(offset, one_cpu, rng):
+    """Mixed sizes, one modulus many times, and the jobs the builtin
+    keeps, at both pairings (an odd offset shifts every pair by one)."""
+    jobs = _power_jobs(rng)[offset:]
+    assert native.powmods(jobs) == [pow(*job) for job in jobs]
+    assert native.powmods(iter(jobs)) == [pow(*job) for job in jobs]
+    assert native.powmods([]) == []
+
+
+def test_powmods_raises_what_pow_raises(rng):
+    odd = odd_modulus(rng, 521)
+    assert outcome(native.powmods, [(2, 3, odd), (3, -1, 3 * odd)]) \
+        is ValueError
+    assert outcome(native.powmods, [(2, 3, odd), (2, 3.0, odd)]) \
+        is TypeError
+    assert outcome(native.powmods, [(2, 3)]) is ValueError
+
+
+@needs_native
+@needs_pair
+def test_library_jobs_go_two_to_a_call(one_cpu, rng):
+    jobs = _power_jobs(rng)
+    library = [job for job in jobs if job[2] & 1
+               and job[2].bit_length() >= NATIVE_MIN_MODULUS_BITS
+               and job[1] >= 0]
+    with counted() as added:
+        native.powmods(jobs)
+    assert added[POWMODS] == len(library) == 13
+    assert added[POWER_PAIRS] == len(library) // 2
+    assert added[WORKER_SUBMISSIONS] == 0
+
+
+@needs_native
+def test_a_split_batch_pairs_each_half(always_split, rng):
+    modulus = odd_modulus(rng, 1024)
+    jobs = [(rng.randint_below(modulus), _wide(rng, 1023), modulus)
+            for _ in range(7)]
+    with counted() as added:
+        assert native.powmods(jobs) == [pow(*job) for job in jobs]
+    assert added[WORKER_SUBMISSIONS] == 1
+    assert added[POWMODS] == 7
+    # Three on the worker, four here: one pair and two.
+    paired = getattr(native._lib, native._PAIR, None) is not None
+    assert added[POWER_PAIRS] == (3 if paired else 0)
+
+
+@needs_native
+@needs_pair
+def test_a_failed_pair_call_falls_back_to_pow(monkeypatch, one_cpu, rng):
+    modulus = odd_modulus(rng, 1024)
+    jobs = [(rng.randint_below(modulus), _wide(rng, 1023), modulus)
+            for _ in range(2)]
+    cleared = []
+    with monkeypatch.context() as patch:
+        patch.setattr(native._lib, native._PAIR, lambda *args: 0)
+        patch.setattr(native._lib, "ERR_clear_error",
+                      lambda: cleared.append(True))
+        assert native.powmods(jobs) == [pow(*job) for job in jobs]
+    assert cleared == [True]
+
+
+def test_unbound_library_powmods_is_pure_pow(no_native, rng):
+    jobs = _power_jobs(rng)
+    with counted() as added:
+        assert native.powmods(jobs) == [pow(*job) for job in jobs]
+    assert added[POWMODS] == added[POWER_PAIRS] == 0
+
+
+class _WithoutPair(ctypes.CDLL):
+    """A library that exports everything but the pair power."""
+
+    def __getattr__(self, name):
+        if name == native._PAIR:
+            raise AttributeError(name)
+        return super().__getattr__(name)
+
+
+@needs_native
+def test_a_library_without_the_pair_runs_two_calls(monkeypatch, one_cpu,
+                                                   rng):
+    monkeypatch.setattr(ctypes, "CDLL", _WithoutPair)
+    lib = native._bind(native._lib._name)
+    assert getattr(lib, native._PAIR, None) is None
+    assert native._self_test(lib)
+    monkeypatch.setattr(native, "_lib", lib)
+    jobs = _power_jobs(rng)
+    with counted() as added:
+        assert native.powmods(jobs) == [pow(*job) for job in jobs]
+    assert (added[POWMODS], added[POWER_PAIRS]) == (13, 0)
+
+
+def test_pair_known_answer_is_pow_on_the_vector_shape():
+    """The pair's known answer takes the vector ladder where there is
+    one: 1024-bit moduli, bases and exponents over 960 bits."""
+    assert [pow(*job) for job in native._KAT_PAIR] == \
+        list(native._KAT_PAIR_RESULTS)
+    for base, exponent, modulus in native._KAT_PAIR:
+        assert modulus.bit_length() == 1024 and modulus & 1
+        assert base.bit_length() > 960 and exponent.bit_length() > 960
+
+
+@needs_native
+def test_load_rejects_a_library_that_fails_the_pair_known_answer(
+        monkeypatch):
+    first, second = native._KAT_PAIR_RESULTS
+    monkeypatch.setattr(native, "_KAT_PAIR_RESULTS", (first, second ^ 1))
+    assert native._load() == (None, "python")
+
+
+@needs_native
+def test_key_generation_leaves_no_prime_or_candidate_indexed(
+        two_cpus, monkeypatch):
+    """A candidate's context lives for its batch of powers alone: with
+    the key alive, the index holds its moduli and nothing else new."""
+    from repro.mpint import primes
+    moduli = set()
+    batch = primes.powmods
+
+    def spy(jobs):
+        jobs = list(jobs)
+        moduli.update(modulus for _, _, modulus in jobs)
+        return batch(jobs)
+
+    monkeypatch.setattr(primes, "powmods", spy)
+    before = set(native._index.keys())
+    keypair = generate_paillier_keypair(2048, LimbRandom(seed_for(7440)))
+    private = keypair.private_key
+    gc.collect()
+    assert {private.p, private.q} < moduli
+    assert set(native._index.keys()) - before <= {
+        private.p_squared, private.q_squared, private.public_key.n_squared}
+    assert not moduli & set(native._index.keys())
+
+
+# ----------------------------------------------------------------------
 # Threads.
 # ----------------------------------------------------------------------
 
@@ -585,18 +765,18 @@ def test_crossover_on_both_sides(two_cpus, bits, count, splits):
         assert pri.decrypt(ciphertexts) == values
     assert added[WORKER_SUBMISSIONS] == int(splits)
     for modulus_bits in (pri.p_squared.bit_length(), bits - 1, bits):
-        assert native._split_worthwhile(count, modulus_bits) is splits
+        assert native.split_worthwhile(count, modulus_bits) is splits
 
 
 @needs_native
 def test_one_cpu_or_no_library_runs_serially(monkeypatch):
     monkeypatch.setattr(native.os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
-    assert not native._split_worthwhile(16, 2048)
+    assert not native.split_worthwhile(16, 2048)
     monkeypatch.setattr(native, "_cpus", lambda: 2)
-    assert native._split_worthwhile(16, 2048)
+    assert native.split_worthwhile(16, 2048)
     monkeypatch.setattr(native, "_lib", None)
-    assert not native._split_worthwhile(16, 2048)
+    assert not native.split_worthwhile(16, 2048)
     with counted() as added:
         assert native.run_pair(lambda: 1, lambda: 2, 16, 2048) == (1, 2)
     assert added[WORKER_SUBMISSIONS] == 0
