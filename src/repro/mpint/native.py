@@ -26,8 +26,8 @@ reports failure, or when no library was bound.  Range, unit and gcd
 checks stay with the callers.  A modulus's ``BIGNUM`` and
 ``BN_MONT_CTX`` (the paper's ``R`` and ``N'``) live as long as an owner
 holds them (:func:`hold`): a key its moduli, a :class:`ResidueBatch` its
-modulus, a Miller-Rabin test its candidate.  Calls find them through one
-weak index; a modulus nobody holds gets a context for the call alone.
+modulus.  Calls find them through one weak index; a modulus nobody holds
+(a prime candidate) gets a context for the call alone.
 
 The cutoff is the measured crossover on the reference host: with an
 exponent as wide as the modulus the library wins from ~96 bits up, with
