@@ -187,7 +187,8 @@ class TestAgainstTheSerialSearch:
 
     def test_is_probable_prime_draws_what_the_serial_test_draws(self):
         """A composite's witnesses stop at its first failing one, a
-        prime's after all of them."""
+        prime's after all of them (every candidate here survives trial
+        division, so each draws witnesses)."""
         for candidate in (250717, 409 * 613 * 617, (1 << 61) - 1,
                           (1 << 89) - 1, 233 * 239):
             ours, theirs = LimbRandom(5), LimbRandom(5)
