@@ -9,7 +9,7 @@ between HAFLO and FLBooster into its three mechanisms (Sec. IV-A2):
 """
 
 from benchmarks.common import bench_key_sizes, publish
-from repro.experiments import format_table
+from repro.experiments.harness import format_table
 from repro.gpu.cost_model import DEFAULT_PROFILE
 from repro.gpu.device import RTX_3090
 from repro.gpu.resource_manager import (

@@ -17,7 +17,7 @@ import numpy as np
 
 from benchmarks.common import RESULTS_DIR, bench_seed, label_figures, publish
 from repro.datasets.generators import synthetic_like
-from repro.experiments import format_table
+from repro.experiments.harness import format_table
 from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
 from repro.models.homo_lr import HomoLogisticRegression
 

@@ -17,8 +17,8 @@ import time
 from pathlib import Path
 
 from benchmarks.common import label_figures, publish
-from repro.analysis import ALL_RULES, run_lint
-from repro.experiments import format_table
+from repro.analysis.engine import ALL_RULES, run_lint
+from repro.experiments.harness import format_table
 
 REPO_ROOT = Path(__file__).parent.parent
 SNAPSHOT = REPO_ROOT / "BENCH_flcheck.json"

@@ -24,7 +24,7 @@ from benchmarks.common import (
     label_figures,
     publish,
 )
-from repro.experiments import format_table
+from repro.experiments.harness import format_table
 from repro.quantization.codecs import InterleavedCodec, SparseCodec
 from repro.quantization.encoding import QuantizationScheme
 from repro.quantization.packing import BatchPacker

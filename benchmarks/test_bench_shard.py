@@ -25,7 +25,7 @@ from benchmarks.common import (
     label_figures,
     publish,
 )
-from repro.experiments import format_table
+from repro.experiments.harness import format_table
 from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
 from repro.federation.shard import ShardedAggregationService
 

@@ -22,7 +22,7 @@ from benchmarks.common import (
     label_figures,
     publish,
 )
-from repro.experiments import format_table
+from repro.experiments.harness import format_table
 from repro.federation.eventloop import VirtualClock
 from repro.federation.faults import FaultPlan
 from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime

@@ -55,7 +55,7 @@ from benchmarks.common import (
 )
 from repro.crypto.cpu_engine import CpuPaillierEngine
 from repro.crypto.vector_engine import VectorPaillierEngine
-from repro.experiments import format_table
+from repro.experiments.harness import format_table
 from repro.federation.runtime import cached_keypair
 from repro.mpint import native
 from repro.mpint.primes import LimbRandom

@@ -5,7 +5,7 @@ HE operations take >50% of a FATE epoch and communication >40%.
 """
 
 from benchmarks.common import bench_models, publish
-from repro.experiments import format_table, run_epoch_experiment
+from repro.experiments.harness import format_table, run_epoch_experiment
 from repro.federation.runtime import FATE_SYSTEM
 
 

@@ -15,7 +15,7 @@ of a round) rather than Sec. IV-B's "extremely small".
 """
 
 from benchmarks.common import bench_rng, publish
-from repro.experiments import format_table
+from repro.experiments.harness import format_table
 from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
 from repro.ledger import COMPONENT_COMM, COMPONENT_HE, COMPONENT_OTHERS
 

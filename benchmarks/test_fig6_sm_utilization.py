@@ -6,7 +6,11 @@ register pressure.
 """
 
 from benchmarks.common import bench_key_sizes, publish
-from repro.experiments import format_table, physical_key_for, sm_utilization
+from repro.experiments.harness import (
+    format_table,
+    physical_key_for,
+    sm_utilization,
+)
 from repro.experiments.plots import ascii_chart
 from repro.federation.runtime import (
     FLBOOSTER_SYSTEM,

@@ -10,7 +10,7 @@ import numpy as np
 
 from benchmarks.common import bench_models, fast_mode, publish
 from repro.experiments.plots import ascii_chart
-from repro.experiments import format_table, run_training
+from repro.experiments.harness import format_table, run_training
 from repro.federation.runtime import (
     FATE_SYSTEM,
     FLBOOSTER_SYSTEM,

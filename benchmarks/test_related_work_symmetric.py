@@ -14,7 +14,7 @@ import numpy as np
 
 from benchmarks.common import bench_rng, publish
 from repro.crypto.symmetric_he import MaskingScheme
-from repro.experiments import format_table
+from repro.experiments.harness import format_table
 from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
 
 VECTOR_LENGTH = 1024

@@ -11,7 +11,7 @@ design twice, and this sweep makes both visible:
 """
 
 from benchmarks.common import fast_mode, publish
-from repro.experiments import format_table, run_epoch_experiment
+from repro.experiments.harness import format_table, run_epoch_experiment
 from repro.federation.runtime import FLBOOSTER_SYSTEM
 from repro.quantization.packing import packing_capacity
 

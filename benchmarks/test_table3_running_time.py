@@ -13,7 +13,7 @@ from benchmarks.common import (
     bench_models,
     publish,
 )
-from repro.experiments import (
+from repro.experiments.harness import (
     format_table,
     run_epoch_experiment,
     scaled_dataset,

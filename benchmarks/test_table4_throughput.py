@@ -7,7 +7,11 @@ are asserted.
 """
 
 from benchmarks.common import bench_datasets, bench_key_sizes, publish
-from repro.experiments import format_table, he_throughput, scaled_dataset
+from repro.experiments.harness import (
+    format_table,
+    he_throughput,
+    scaled_dataset,
+)
 from repro.federation.runtime import (
     FATE_SYSTEM,
     FLBOOSTER_SYSTEM,

@@ -11,7 +11,7 @@ from benchmarks.common import (
     bench_models,
     publish,
 )
-from repro.experiments import format_table, run_epoch_experiment
+from repro.experiments.harness import format_table, run_epoch_experiment
 from repro.federation.runtime import FLBOOSTER_SYSTEM, WITHOUT_BC, WITHOUT_GHE
 
 SYSTEMS = (FLBOOSTER_SYSTEM, WITHOUT_GHE, WITHOUT_BC)

@@ -5,7 +5,7 @@ HAFLO 0.2 / 0.6 / 99.2, FLBooster 22.1 / 5.9 / 72.0.
 """
 
 from benchmarks.common import bench_datasets, publish
-from repro.experiments import format_table, run_epoch_experiment
+from repro.experiments.harness import format_table, run_epoch_experiment
 from repro.federation.runtime import (
     FATE_SYSTEM,
     FLBOOSTER_SYSTEM,

@@ -9,7 +9,7 @@ sensitive).
 from dataclasses import asdict, dataclass
 
 from benchmarks.common import bench_datasets, bench_models, fast_mode, publish
-from repro.experiments import format_table, run_training
+from repro.experiments.harness import format_table, run_training
 from repro.federation.runtime import (
     FATE_SYSTEM,
     FLBOOSTER_SYSTEM,

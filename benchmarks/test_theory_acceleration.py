@@ -7,7 +7,7 @@ behaviour: the GHE ratio (Eq. 10), the BC ratio = compression ratio
 """
 
 from benchmarks.common import bench_key_sizes, publish
-from repro.experiments import (
+from repro.experiments.harness import (
     format_table,
     he_throughput,
     run_epoch_experiment,

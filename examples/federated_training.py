@@ -10,7 +10,7 @@ the time axes differ by orders of magnitude -- the paper's Fig. 8.
 
 import sys
 
-from repro.experiments import format_table, run_training
+from repro.experiments.harness import format_table, run_training
 from repro.federation.runtime import (
     FATE_SYSTEM,
     FLBOOSTER_SYSTEM,

@@ -11,7 +11,7 @@ across key sizes and slot layouts.
 
 import numpy as np
 
-from repro.experiments import format_table
+from repro.experiments.harness import format_table
 from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
 from repro.quantization.packing import (
     compression_ratio,

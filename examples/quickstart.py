@@ -7,7 +7,7 @@ operations on the (simulated) GPU, and the Paillier / RSA homomorphic
 APIs.
 """
 
-from repro import FlBooster
+from repro.api.he import FlBooster
 
 
 def main() -> None:

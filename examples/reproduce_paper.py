@@ -7,7 +7,7 @@ in ``pytest benchmarks/ --benchmark-only`` -- and prints a one-screen
 paper-versus-measured summary.
 """
 
-from repro.experiments import (
+from repro.experiments.harness import (
     format_table,
     he_throughput,
     run_epoch_experiment,

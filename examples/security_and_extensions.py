@@ -19,7 +19,7 @@ from repro.crypto.damgard_jurik import (
     DamgardJurik,
     generate_damgard_jurik_keypair,
 )
-from repro.experiments import format_table
+from repro.experiments.harness import format_table
 from repro.mpint.primes import LimbRandom
 from repro.quantization.encoding import QuantizationScheme
 

@@ -17,11 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.datasets import synthetic_like, train_test_split, vertical_split
-from repro.federation import RsaIntersection
+from repro.datasets.generators import synthetic_like
+from repro.datasets.partition import train_test_split, vertical_split
+from repro.federation.intersection import RsaIntersection
 from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
 from repro.ledger import CostLedger
-from repro.models import HeteroSecureBoost
+from repro.models.hetero_sbt import HeteroSecureBoost
 from repro.models.evaluation import load_model_state, roc_auc, \
     save_model_state
 

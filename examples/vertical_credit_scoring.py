@@ -13,9 +13,11 @@ which is the whole point of federating.
 import numpy as np
 
 from repro.federation.intersection import RsaIntersection
-from repro.datasets import synthetic_like, vertical_split
+from repro.datasets.generators import synthetic_like
+from repro.datasets.partition import vertical_split
 from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
-from repro.models import HeteroLogisticRegression, HeteroSecureBoost
+from repro.models.hetero_lr import HeteroLogisticRegression
+from repro.models.hetero_sbt import HeteroSecureBoost
 from repro.models.losses import logistic_gradient
 from repro.models.optim import AdamOptimizer
 

@@ -9,7 +9,8 @@ module under ``src/repro`` with :mod:`ast` and reports typed diagnostics
 with file:line anchors, so a violating diff fails lint instead of a fuzz
 run.
 
-Rules (each in its own module, all listed in :data:`ALL_RULES`):
+Rules (each in its own module, all listed in
+:data:`repro.analysis.engine.ALL_RULES`):
 
 - ``plaintext-wire``   -- taint analysis from ``decrypt*`` / ``PlainTensor``
   to ``send`` / ``serialize_*`` / WAL sinks, one interprocedural pass
@@ -36,32 +37,3 @@ admission verdict in one call (``AsyncChannel._charge``).
 Run it as ``python -m repro lint``; see ``docs/analysis.md`` for the
 pragma workflow.
 """
-
-from repro.analysis.base import Rule
-from repro.analysis.deprecation import DeprecatedApiRule
-from repro.analysis.determinism import DeterminismRule
-from repro.analysis.diagnostics import Diagnostic, LintReport
-from repro.analysis.engine import (
-    ALL_RULES,
-    ModuleUnit,
-    TimeBudgetExceeded,
-    run_lint,
-)
-from repro.analysis.ipa.wal_rule import WalDisciplineRule
-from repro.analysis.ledger_rule import LedgerCategoryRule
-from repro.analysis.taint import PlaintextWireRule
-
-__all__ = [
-    "ALL_RULES",
-    "Diagnostic",
-    "DeprecatedApiRule",
-    "DeterminismRule",
-    "LedgerCategoryRule",
-    "LintReport",
-    "ModuleUnit",
-    "PlaintextWireRule",
-    "Rule",
-    "WalDisciplineRule",
-    "TimeBudgetExceeded",
-    "run_lint",
-]

@@ -18,8 +18,9 @@ channel unseen.  This subpackage gives rules a *project* view:
 - :mod:`repro.analysis.ipa.dataflow` -- the worklist framework that
   computes one *summary* per function, callee-first over the SCC
   condensation, iterating each SCC to a fixpoint;
-- :mod:`repro.analysis.ipa.project` -- the :class:`Project` facade the
-  engine builds once per run and hands to every project-scoped rule;
+- :mod:`repro.analysis.ipa.project` -- the
+  :class:`~repro.analysis.ipa.project.Project` facade the engine builds
+  once per run and hands to every project-scoped rule;
 - :mod:`repro.analysis.ipa.taint_summaries` -- the interprocedural
   upgrade of ``plaintext-wire``: per-function taint summaries
   (param -> sink, tainted returns, ``self`` attribute flows, encrypt
@@ -33,18 +34,3 @@ over all call sites) but *summary-composed*: a helper's effects are
 applied at every caller, so a taint fact or journal obligation crosses
 any number of call boundaries at a cost linear in program size.
 """
-
-from repro.analysis.ipa.callgraph import CallGraph, Resolver
-from repro.analysis.ipa.dataflow import SummaryAnalysis
-from repro.analysis.ipa.project import Project
-from repro.analysis.ipa.symbols import ClassInfo, FunctionInfo, SymbolTable
-
-__all__ = [
-    "CallGraph",
-    "ClassInfo",
-    "FunctionInfo",
-    "Project",
-    "Resolver",
-    "SummaryAnalysis",
-    "SymbolTable",
-]

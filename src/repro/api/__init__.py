@@ -3,7 +3,7 @@
 Array-oriented multi-precision arithmetic plus the Paillier / RSA facades,
 exactly the surface of the paper's Table I:
 
->>> from repro.api import FlBooster
+>>> from repro.api.he import FlBooster
 >>> fl = FlBooster()
 >>> fl.add([1, 2], [3, 4])
 [4, 6]
@@ -12,23 +12,3 @@ exactly the surface of the paper's Table I:
 >>> fl.paillier.decrypt(pri, fl.paillier.add(pub, c, c))
 [10, 12]
 """
-
-from repro.api.ops import ArrayOps
-from repro.api.he import PaillierApi, RsaApi, FlBooster
-from repro.api.plugin import (
-    AcceleratedPublicKey,
-    AcceleratedPrivateKey,
-    EncryptedNumber,
-    generate_accelerated_keypair,
-)
-
-__all__ = [
-    "ArrayOps",
-    "PaillierApi",
-    "RsaApi",
-    "FlBooster",
-    "AcceleratedPublicKey",
-    "AcceleratedPrivateKey",
-    "EncryptedNumber",
-    "generate_accelerated_keypair",
-]

@@ -140,54 +140,20 @@ class RsaApi:
         return self.kernels.mod_mul(a, b, pub_key.n)
 
 
-class FlBooster:
+class FlBooster(ArrayOps):
     """The one-stop developer object: array ops + both cryptosystems.
 
-    All sub-APIs share one simulated GPU, so a session's kernel launches
-    and utilization can be inspected at ``fl.kernels.device``.
+    The Table I array operations are :class:`ArrayOps`'s own.  All
+    sub-APIs share one simulated GPU, so a session's kernel launches and
+    utilization can be inspected at ``fl.kernels.device``.
     """
 
     def __init__(self, kernels: Optional[GpuKernels] = None,
                  seed: Optional[int] = None):
-        self.kernels = kernels if kernels is not None else GpuKernels()
+        super().__init__(kernels=kernels)
         rng = LimbRandom(seed=seed) if seed is not None else LimbRandom()
-        self.ops = ArrayOps(kernels=self.kernels)
         self.paillier = PaillierApi(kernels=self.kernels, rng=rng)
         self.rsa = RsaApi(kernels=self.kernels, rng=rng)
-
-    # Convenience pass-throughs for the Table I fundamental ops.
-
-    def add(self, values1, values2):
-        """Table I ``add``."""
-        return self.ops.add(values1, values2)
-
-    def sub(self, values1, values2):
-        """Table I ``sub``."""
-        return self.ops.sub(values1, values2)
-
-    def mul(self, values1, values2):
-        """Table I ``mul``."""
-        return self.ops.mul(values1, values2)
-
-    def div(self, values1, values2):
-        """Table I ``div``."""
-        return self.ops.div(values1, values2)
-
-    def mod(self, x, n):
-        """Table I ``mod``."""
-        return self.ops.mod(x, n)
-
-    def mod_inv(self, x, n):
-        """Table I ``mod_inv``."""
-        return self.ops.mod_inv(x, n)
-
-    def mod_mul(self, values1, values2, n):
-        """Table I ``mod_mul``."""
-        return self.ops.mod_mul(values1, values2, n)
-
-    def mod_pow(self, x, p, n):
-        """Table I ``mod_pow``."""
-        return self.ops.mod_pow(x, p, n)
 
     # Encrypted tensors -----------------------------------------------
 

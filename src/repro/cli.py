@@ -65,7 +65,7 @@ def _cmd_info(_args) -> int:
 
 
 def _cmd_demo(_args) -> int:
-    from repro import FlBooster
+    from repro.api.he import FlBooster
     from repro.counters import counted
 
     fl = FlBooster(seed=1)
@@ -91,7 +91,7 @@ def _cmd_train(args) -> int:
         FLBOOSTER_SYSTEM,
         HAFLO_SYSTEM,
     )
-    from repro.experiments import format_table, run_training
+    from repro.experiments.harness import format_table, run_training
 
     rows = []
     for config in (FATE_SYSTEM, HAFLO_SYSTEM, FLBOOSTER_SYSTEM):
@@ -112,7 +112,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_compress(args) -> int:
-    from repro.experiments import format_table
+    from repro.experiments.harness import format_table
     from repro.quantization.packing import (
         compression_ratio,
         packing_capacity,
@@ -134,7 +134,7 @@ def _cmd_compress(args) -> int:
 
 def _cmd_faults(args) -> int:
     from repro.federation.runtime import FATE_SYSTEM, FLBOOSTER_SYSTEM
-    from repro.experiments import format_table, run_training
+    from repro.experiments.harness import format_table, run_training
     from repro.federation.faults import FaultPlan
 
     plan = FaultPlan(seed=args.seed).with_message_loss(args.loss)
@@ -195,7 +195,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_conformance(args) -> int:
-    from repro.experiments import format_table
+    from repro.experiments.harness import format_table
     from repro.testing.conformance import run_all
 
     results = run_all(key_bits=args.key_bits)
@@ -407,11 +407,7 @@ def _cmd_lint(args) -> int:
     from pathlib import Path
 
     import repro
-    from repro.analysis import (
-        ALL_RULES,
-        TimeBudgetExceeded,
-        run_lint,
-    )
+    from repro.analysis.engine import ALL_RULES, TimeBudgetExceeded, run_lint
 
     paths = [Path(p) for p in args.paths] if args.paths else \
         [Path(repro.__file__).resolve().parent]

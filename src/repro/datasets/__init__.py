@@ -10,33 +10,3 @@ that produce the homogeneous and heterogeneous federation splits.
 - ``synthetic_like`` -- the dense LEAF ``synthetic`` generator of Li et
   al. [39], reimplemented from its published recipe.
 """
-
-from repro.datasets.generators import (
-    Dataset,
-    rcv1_like,
-    avazu_like,
-    synthetic_like,
-    DATASET_GENERATORS,
-    PAPER_SCALES,
-)
-from repro.datasets.partition import (
-    horizontal_split,
-    vertical_split,
-    train_test_split,
-    HorizontalPartition,
-    VerticalPartition,
-)
-
-__all__ = [
-    "Dataset",
-    "rcv1_like",
-    "avazu_like",
-    "synthetic_like",
-    "DATASET_GENERATORS",
-    "PAPER_SCALES",
-    "horizontal_split",
-    "train_test_split",
-    "vertical_split",
-    "HorizontalPartition",
-    "VerticalPartition",
-]

@@ -35,13 +35,11 @@ from repro.federation.metrics import EpochReport, FaultReport
 from repro.federation.runtime import FederationRuntime, SystemConfig
 from repro.federation.wal import replace_durably
 from repro.gpu.resource_manager import ResourceManager
-from repro.models import (
-    HeteroLogisticRegression,
-    HeteroNeuralNetwork,
-    HeteroSecureBoost,
-    HomoLogisticRegression,
-    HomoNeuralNetwork,
-)
+from repro.models.hetero_lr import HeteroLogisticRegression
+from repro.models.hetero_nn import HeteroNeuralNetwork
+from repro.models.hetero_sbt import HeteroSecureBoost
+from repro.models.homo_lr import HomoLogisticRegression
+from repro.models.homo_nn import HomoNeuralNetwork
 from repro.models.base import (
     CONVERGENCE_TOLERANCE,
     FederatedModel,

@@ -10,7 +10,7 @@ ledger so the benchmark harness can read epoch times and component splits.
   aggregate -> decrypt -> decode secure federated averaging.
 - :mod:`repro.federation.runtime` -- wires a system configuration
   (FATE / HAFLO / FLBooster / ablations) into engines, channel and packer.
-- :mod:`repro.federation.metrics` -- ledger re-exports and epoch reports.
+- :mod:`repro.federation.metrics` -- epoch and fault reports over the ledger.
 - :mod:`repro.federation.faults` -- seeded fault injection (crashes,
   dropouts, stragglers, loss, corruption, coordinator kills),
   retry/backoff policy and quorum semantics for fault-tolerant
@@ -31,122 +31,3 @@ ledger so the benchmark harness can read epoch times and component splits.
 - :mod:`repro.federation.tenancy` -- tenant registry, token-bucket
   quotas, and weighted-fair scheduling primitives.
 """
-
-from repro.federation.channel import (
-    Channel,
-    ChannelError,
-    Message,
-    payload_checksum,
-)
-from repro.federation.aggregator import AggregationRound, SecureAggregator
-from repro.federation.faults import (
-    FaultEvent,
-    FaultInjector,
-    FaultPlan,
-    QuorumError,
-    RetryPolicy,
-)
-from repro.federation.coordinator import (
-    CoordinatorError,
-    CoordinatorKilled,
-    DurableCoordinator,
-    FailoverRecord,
-    InvalidTransitionError,
-    Lease,
-    LeaseError,
-    LeaseManager,
-    RoundStateMachine,
-    StaleIncarnationError,
-)
-from repro.federation.eventloop import (
-    AdmissionRejected,
-    AsyncChannel,
-    CircuitBreaker,
-    DrainOutcome,
-    QueueStats,
-    QuotaExceeded,
-    VirtualClock,
-)
-from repro.federation.shard import (
-    MultiTenantAggregationService,
-    MultiTenantRoundReport,
-    RootCoordinator,
-    ShardAggregator,
-    ShardedAggregationService,
-    ShardPool,
-    TenantRoundOutcome,
-    cohort_sample,
-    default_num_shards,
-    plan_shards,
-    segment_partials,
-)
-from repro.federation.tenancy import (
-    Tenant,
-    TenantRegistry,
-    TokenBucket,
-    UnknownTenantError,
-)
-from repro.federation.runtime import FederationRuntime, SystemConfig
-from repro.federation.wal import (
-    WalError,
-    WalRecord,
-    WriteAheadLog,
-    replay_wal,
-)
-from repro.federation.metrics import EpochReport, FaultReport
-from repro.federation.intersection import RsaIntersection
-
-__all__ = [
-    "Channel",
-    "ChannelError",
-    "Message",
-    "payload_checksum",
-    "AggregationRound",
-    "SecureAggregator",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultReport",
-    "QuorumError",
-    "RetryPolicy",
-    "FederationRuntime",
-    "SystemConfig",
-    "CoordinatorError",
-    "CoordinatorKilled",
-    "DurableCoordinator",
-    "InvalidTransitionError",
-    "Lease",
-    "LeaseError",
-    "LeaseManager",
-    "RoundStateMachine",
-    "StaleIncarnationError",
-    "AdmissionRejected",
-    "AsyncChannel",
-    "CircuitBreaker",
-    "DrainOutcome",
-    "QueueStats",
-    "QuotaExceeded",
-    "VirtualClock",
-    "FailoverRecord",
-    "MultiTenantAggregationService",
-    "MultiTenantRoundReport",
-    "RootCoordinator",
-    "ShardAggregator",
-    "ShardedAggregationService",
-    "ShardPool",
-    "TenantRoundOutcome",
-    "Tenant",
-    "TenantRegistry",
-    "TokenBucket",
-    "UnknownTenantError",
-    "cohort_sample",
-    "default_num_shards",
-    "plan_shards",
-    "segment_partials",
-    "WalError",
-    "WalRecord",
-    "WriteAheadLog",
-    "replay_wal",
-    "EpochReport",
-    "RsaIntersection",
-]

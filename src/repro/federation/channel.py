@@ -173,16 +173,17 @@ class Message:
 
 @dataclass
 class ChannelStats:
-    """Aggregate transfer statistics for one channel."""
+    """Aggregate transfer statistics for one channel.
+
+    Modelled seconds, backoff, corrupted attempts and abandoned
+    transfers are the ledger's: ``comm.<tag>`` and ``fault.retransmit``
+    seconds, ``fault.corrupt`` and ``fault.giveup`` counts.
+    """
 
     messages: int = 0
     ciphertexts: int = 0
     wire_bytes: int = 0
-    modelled_seconds: float = 0.0
     retransmissions: int = 0
-    corrupted: int = 0
-    failed_messages: int = 0
-    backoff_seconds: float = 0.0
 
 
 class ChannelError(RuntimeError):
@@ -282,7 +283,6 @@ class Channel:
                 delivered = True
                 break
             if corrupted:
-                self.stats.corrupted += 1
                 self.ledger.charge(CAT_FAULT_CORRUPT, 0.0, count=1,
                                    payload_bytes=wire_bytes)
             retry_index = attempts - 1  # 0-based index of the retry to come
@@ -292,7 +292,6 @@ class Channel:
             backoff = policy.backoff_seconds(retry_index,
                                              rng=self._jitter_rng)
             backoff_total += backoff
-            self.stats.backoff_seconds += backoff
             self.ledger.charge(CAT_FAULT_RETRANSMIT, backoff, count=1,
                                payload_bytes=wire_bytes)
 
@@ -301,11 +300,9 @@ class Channel:
                            payload_bytes=attempts * wire_bytes)
         self.stats.ciphertexts += message.ciphertext_count
         self.stats.wire_bytes += attempts * wire_bytes
-        self.stats.modelled_seconds += seconds + backoff_total
         self.stats.retransmissions += attempts - 1
 
         if not delivered:
-            self.stats.failed_messages += 1
             wasted = attempts * wire_bytes
             self.ledger.charge(CAT_FAULT_GIVEUP, 0.0, count=1,
                                payload_bytes=wasted)

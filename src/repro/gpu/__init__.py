@@ -17,19 +17,3 @@ transfer out -- following the structure of the paper's Eq. 10.
 - :mod:`repro.gpu.kernels` -- batched big-integer kernels (mod_mul,
   mod_pow, encrypt/decrypt primitives) used by the GPU HE engine.
 """
-
-from repro.gpu.device import DeviceSpec, SimulatedGpu, RTX_3090
-from repro.gpu.resource_manager import ResourceManager, BlockPlan
-from repro.gpu.cost_model import HardwareProfile, DEFAULT_PROFILE
-from repro.gpu.kernels import GpuKernels
-
-__all__ = [
-    "DeviceSpec",
-    "SimulatedGpu",
-    "RTX_3090",
-    "ResourceManager",
-    "BlockPlan",
-    "HardwareProfile",
-    "DEFAULT_PROFILE",
-    "GpuKernels",
-]

@@ -17,41 +17,3 @@ paper's do.  DESIGN.md documents where the cipher-domain per-element
 computations of the original vertical protocols are replaced by
 masked-transfer equivalents with matching operation counts.
 """
-
-from repro.models.base import FederatedModel, TrainingTrace
-from repro.models.optim import AdamOptimizer
-from repro.models.losses import (
-    sigmoid,
-    logistic_loss,
-    logistic_gradient,
-)
-from repro.models.homo_lr import HomoLogisticRegression
-from repro.models.hetero_lr import HeteroLogisticRegression
-from repro.models.hetero_sbt import HeteroSecureBoost
-from repro.models.hetero_nn import HeteroNeuralNetwork
-from repro.models.homo_nn import HomoNeuralNetwork
-
-#: Name -> class, for the benchmark sweeps.  "Homo NN" is a
-#: beyond-the-paper extension (the paper benchmarks the first four).
-MODEL_REGISTRY = {
-    "Homo LR": HomoLogisticRegression,
-    "Hetero LR": HeteroLogisticRegression,
-    "Hetero SBT": HeteroSecureBoost,
-    "Hetero NN": HeteroNeuralNetwork,
-    "Homo NN": HomoNeuralNetwork,
-}
-
-__all__ = [
-    "FederatedModel",
-    "TrainingTrace",
-    "AdamOptimizer",
-    "sigmoid",
-    "logistic_loss",
-    "logistic_gradient",
-    "HomoLogisticRegression",
-    "HeteroLogisticRegression",
-    "HeteroSecureBoost",
-    "HeteroNeuralNetwork",
-    "HomoNeuralNetwork",
-    "MODEL_REGISTRY",
-]

@@ -11,47 +11,8 @@ the arithmetic the paper builds on it:
 - :mod:`repro.mpint.modexp` -- sliding-window modular exponentiation.
 - :mod:`repro.mpint.primes` -- Miller-Rabin testing and prime generation.
 - :mod:`repro.mpint.limb_plane` -- batched limb-matrix (numpy) CIOS
-  multiplication and shared/varying modexp; optional, degrades to :data:`~repro.mpint.limb_plane.HAVE_NUMPY` =
-  ``False`` without numpy.
+  multiplication and shared/varying modexp; optional, it imports without
+  numpy and its array entry points then raise.
+- :mod:`repro.mpint.native` -- ``pow``-compatible modular powers and
+  products through the system's bignum library.
 """
-
-from repro.mpint.limbs import (
-    LimbVector,
-    from_int,
-    to_int,
-    limbs_for_bits,
-)
-from repro.mpint.montgomery import (
-    MontgomeryContext,
-    montgomery_multiply,
-    cios_montgomery_multiply,
-)
-from repro.mpint.modexp import mod_pow, sliding_window_pow
-from repro.mpint.primes import is_probable_prime, generate_prime, LimbRandom
-from repro.mpint.limb_plane import (
-    HAVE_NUMPY,
-    PlaneContext,
-    batched_pow,
-    ints_to_plane,
-    plane_to_ints,
-)
-
-__all__ = [
-    "LimbVector",
-    "from_int",
-    "to_int",
-    "limbs_for_bits",
-    "MontgomeryContext",
-    "montgomery_multiply",
-    "cios_montgomery_multiply",
-    "mod_pow",
-    "sliding_window_pow",
-    "is_probable_prime",
-    "generate_prime",
-    "LimbRandom",
-    "HAVE_NUMPY",
-    "PlaneContext",
-    "batched_pow",
-    "ints_to_plane",
-    "plane_to_ints",
-]

@@ -9,16 +9,3 @@
   fusion planner (:mod:`repro.tensor.planner`) flushes into minimal
   batched engine calls.
 """
-
-from repro.tensor.cipher import CipherTensor
-from repro.tensor.meta import KeyMismatchError, TensorMeta, key_fingerprint
-from repro.tensor.plain import PLAINTEXT_FINGERPRINT, PlainTensor
-
-__all__ = [
-    "CipherTensor",
-    "KeyMismatchError",
-    "TensorMeta",
-    "key_fingerprint",
-    "PLAINTEXT_FINGERPRINT",
-    "PlainTensor",
-]

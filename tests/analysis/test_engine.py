@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from repro.analysis import ALL_RULES, Rule
+from repro.analysis.base import Rule
 from repro.analysis.engine import (
+    ALL_RULES,
     TimeBudgetExceeded,
     discover_files,
     run_lint,

@@ -10,7 +10,7 @@ actually enforces on upload.
 
 import json
 
-from repro.analysis import ALL_RULES
+from repro.analysis.engine import ALL_RULES
 from repro.analysis.diagnostics import Diagnostic, LintReport
 from repro.cli import main
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import FlBooster, PaillierApi, RsaApi
+from repro.api.he import FlBooster, PaillierApi
 from repro.gpu.kernels import GpuKernels
 from repro.mpint.primes import LimbRandom
 
@@ -188,7 +188,6 @@ class TestFacade:
         assert fl.mod_pow([2], [3], 5) == [3]
 
     def test_shared_device(self, fl):
-        assert fl.ops.kernels is fl.kernels
         assert fl.paillier.kernels is fl.kernels
         assert fl.rsa.kernels is fl.kernels
 

@@ -15,8 +15,8 @@ from typing import Dict
 import numpy as np
 import pytest
 
-from repro.datasets import horizontal_split, synthetic_like
-from repro.datasets.generators import _labels_from_logits
+from repro.datasets.generators import _labels_from_logits, synthetic_like
+from repro.datasets.partition import horizontal_split
 from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
 from repro.models.homo_lr import HomoLogisticRegression
 from repro.models.homo_nn import HomoNeuralNetwork

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.datasets import (
+from repro.datasets.generators import (
     PAPER_SCALES,
     avazu_like,
-    horizontal_split,
     rcv1_like,
     synthetic_like,
-    vertical_split,
 )
+from repro.datasets.partition import horizontal_split, vertical_split
 
 
 class TestGenerators:

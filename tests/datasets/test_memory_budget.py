@@ -8,7 +8,7 @@ costs almost nothing more.
 
 import tracemalloc
 
-from repro.datasets import synthetic_like
+from repro.datasets.generators import synthetic_like
 from repro.models.homo_lr import HomoLogisticRegression
 from repro.models.homo_nn import HomoNeuralNetwork
 

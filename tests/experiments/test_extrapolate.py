@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import run_epoch_experiment, scaled_dataset
+from repro.experiments.harness import run_epoch_experiment, scaled_dataset
 from repro.experiments.extrapolate import (
     extrapolate_report,
     extrapolation_factors,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import (
+from repro.experiments.harness import (
     SCALED_DATASET_SPECS,
     build_model,
     format_table,

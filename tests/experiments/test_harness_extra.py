@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import (
+from repro.experiments.harness import (
     build_model,
     he_throughput,
     run_epoch_experiment,

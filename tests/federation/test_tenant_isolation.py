@@ -15,8 +15,8 @@ import json
 import pytest
 
 from repro.federation.faults import FaultPlan
+from repro.federation.shard import SHARD_POOL
 from repro.testing.simulator import (
-    SHARD_POOL,
     FederationSimulator,
     FederationSpec,
     SimulationFailure,

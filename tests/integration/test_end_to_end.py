@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from repro import FlBooster
-from repro.datasets import synthetic_like
-from repro.experiments import run_training
+from repro.api.he import FlBooster
+from repro.datasets.generators import synthetic_like
+from repro.experiments.harness import run_training
 from repro.federation.runtime import (
     FATE_SYSTEM,
     FLBOOSTER_SYSTEM,
     FederationRuntime,
 )
-from repro.models import HomoLogisticRegression
+from repro.models.homo_lr import HomoLogisticRegression
 
 
 class TestFullFidelityTraining:

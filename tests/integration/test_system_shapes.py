@@ -7,7 +7,7 @@ just a different number.
 
 import pytest
 
-from repro.experiments import (
+from repro.experiments.harness import (
     he_throughput,
     run_epoch_experiment,
     sm_utilization,

@@ -3,16 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.datasets import synthetic_like
+from repro.datasets.generators import synthetic_like
 from repro.datasets.partition import train_test_split, vertical_split
 from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
-from repro.models import (
-    HeteroLogisticRegression,
-    HeteroNeuralNetwork,
-    HeteroSecureBoost,
-    HomoLogisticRegression,
-    HomoNeuralNetwork,
-)
+from repro.models.hetero_lr import HeteroLogisticRegression
+from repro.models.hetero_nn import HeteroNeuralNetwork
+from repro.models.hetero_sbt import HeteroSecureBoost
+from repro.models.homo_lr import HomoLogisticRegression
+from repro.models.homo_nn import HomoNeuralNetwork
 from repro.models.evaluation import (
     binary_accuracy,
     load_model_state,

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.datasets import synthetic_like, train_test_split
+from repro.datasets.generators import synthetic_like
+from repro.datasets.partition import train_test_split
 from repro.federation.runtime import (
     FATE_SYSTEM,
     FLBOOSTER_SYSTEM,
     FederationRuntime,
 )
-from repro.models import HomoNeuralNetwork
+from repro.models.homo_nn import HomoNeuralNetwork
 
 
 @pytest.fixture(scope="module")

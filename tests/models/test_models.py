@@ -3,19 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.datasets import synthetic_like
+from repro.datasets.generators import synthetic_like
+from repro.experiments.harness import build_model
 from repro.federation.runtime import (
     FATE_SYSTEM,
     FLBOOSTER_SYSTEM,
     FederationRuntime,
 )
-from repro.models import (
-    HeteroLogisticRegression,
-    HeteroNeuralNetwork,
-    HeteroSecureBoost,
-    HomoLogisticRegression,
-    MODEL_REGISTRY,
-)
+from repro.models.hetero_lr import HeteroLogisticRegression
+from repro.models.hetero_nn import HeteroNeuralNetwork
+from repro.models.hetero_sbt import HeteroSecureBoost
+from repro.models.homo_lr import HomoLogisticRegression
 
 
 @pytest.fixture(scope="module")
@@ -29,10 +27,12 @@ def make_runtime(config=FLBOOSTER_SYSTEM, clients=4):
 
 
 class TestRegistry:
-    def test_paper_models_plus_extension(self):
-        assert set(MODEL_REGISTRY) == {"Homo LR", "Hetero LR",
-                                       "Hetero SBT", "Hetero NN",
-                                       "Homo NN"}
+    def test_paper_models_plus_extension(self, dataset):
+        names = ["Homo LR", "Hetero LR", "Hetero SBT", "Hetero NN",
+                 "Homo NN"]
+        assert [build_model(name, dataset).name for name in names] == names
+        with pytest.raises(KeyError):
+            build_model("Linear SVM", dataset)
 
 
 class TestHomoLr:

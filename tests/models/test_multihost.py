@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.datasets import synthetic_like
+from repro.datasets.generators import synthetic_like
 from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
-from repro.models import HeteroLogisticRegression
+from repro.models.hetero_lr import HeteroLogisticRegression
 
 
 @pytest.fixture(scope="module")

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.datasets import synthetic_like
+from repro.datasets.generators import synthetic_like
 from repro.datasets.partition import train_test_split, vertical_split
 from repro.experiments.harness import (SCALED_DATASET_SPECS, build_model,
                                        scaled_dataset)
 from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
-from repro.models import HeteroSecureBoost
+from repro.models.hetero_sbt import HeteroSecureBoost
 from repro.models.evaluation import roc_auc
 
 
