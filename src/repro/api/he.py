@@ -148,9 +148,8 @@ class FlBooster(ArrayOps):
     utilization can be inspected at ``fl.kernels.device``.
     """
 
-    def __init__(self, kernels: Optional[GpuKernels] = None,
-                 seed: Optional[int] = None):
-        super().__init__(kernels=kernels)
+    def __init__(self, seed: Optional[int] = None):
+        super().__init__()
         rng = LimbRandom(seed=seed) if seed is not None else LimbRandom()
         self.paillier = PaillierApi(kernels=self.kernels, rng=rng)
         self.rsa = RsaApi(kernels=self.kernels, rng=rng)

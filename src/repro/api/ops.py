@@ -9,7 +9,7 @@ precision, which is already exact.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 from repro.gpu.kernels import GpuKernels
 from repro.mpint.native import powmod
@@ -40,13 +40,12 @@ def _broadcast(a: Union[int, IntArray],
 class ArrayOps:
     """The fundamental and modular array operations of Table I.
 
-    Args:
-        kernels: Simulated-GPU executor for the modular operations; a
-            private instance is created when omitted.
+    The modular operations run on a private simulated-GPU executor,
+    ``self.kernels``.
     """
 
-    def __init__(self, kernels: Optional[GpuKernels] = None):
-        self.kernels = kernels if kernels is not None else GpuKernels()
+    def __init__(self):
+        self.kernels = GpuKernels()
 
     # Fundamental operations ------------------------------------------------
 

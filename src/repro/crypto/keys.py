@@ -331,8 +331,7 @@ RSA_PUBLIC_EXPONENT = 65537
 
 
 def generate_rsa_keypair(key_bits: int,
-                         rng: Optional[LimbRandom] = None,
-                         public_exponent: int = RSA_PUBLIC_EXPONENT) -> RsaKeypair:
+                         rng: Optional[LimbRandom] = None) -> RsaKeypair:
     """Generate a textbook-RSA keypair (multiplicatively homomorphic)."""
     if key_bits < 16:
         raise ValueError("key_bits must be at least 16")
@@ -342,10 +341,10 @@ def generate_rsa_keypair(key_bits: int,
     while True:
         p, q = generate_distinct_primes(half, count=2, rng=rng)
         phi = (p - 1) * (q - 1)
-        if math.gcd(public_exponent, phi) == 1:
+        if math.gcd(RSA_PUBLIC_EXPONENT, phi) == 1:
             break
     n = p * q
-    d = powmod(public_exponent, -1, phi)
-    public = RsaPublicKey(n=n, e=public_exponent, key_bits=key_bits)
+    d = powmod(RSA_PUBLIC_EXPONENT, -1, phi)
+    public = RsaPublicKey(n=n, e=RSA_PUBLIC_EXPONENT, key_bits=key_bits)
     return RsaKeypair(public_key=public,
                       private_key=RsaPrivateKey(d=d, public_key=public))

@@ -121,30 +121,26 @@ _EPOCH_CACHE: Dict[tuple, EpochReport] = {}
 
 def run_epoch_experiment(config: SystemConfig, model_name: str,
                          dataset_name: str, key_bits: int,
-                         physical_key_bits: Optional[int] = None,
                          num_clients: int = DEFAULT_NUM_CLIENTS,
-                         seed: int = 0,
                          use_cache: bool = True) -> EpochReport:
     """Measure one training epoch of (system, model, dataset, key size).
 
-    The model trains for real on the scaled dataset; the report carries
-    the modelled epoch time and component split at the nominal key size.
-    Reports are memoized across calls (deterministic given the seed);
+    The model trains for real, at seed 0, on the scaled dataset, under
+    :func:`physical_key_for`'s physical key; the report carries the
+    modelled epoch time and component split at the nominal key size.
+    Reports are memoized across calls (the runs are deterministic);
     pass ``use_cache=False`` to force a fresh run.
     """
-    if physical_key_bits is None:
-        physical_key_bits = physical_key_for(key_bits)
     cache_key = (config.name, model_name, dataset_name, key_bits,
-                 physical_key_bits, num_clients, seed)
+                 num_clients)
     if use_cache and cache_key in _EPOCH_CACHE:
         return _EPOCH_CACHE[cache_key]
-    dataset = scaled_dataset(dataset_name, seed=seed)
-    model = build_model(model_name, dataset, num_clients=num_clients,
-                        seed=seed)
+    dataset = scaled_dataset(dataset_name)
+    model = build_model(model_name, dataset, num_clients=num_clients)
     runtime = FederationRuntime(config, num_clients=num_clients,
                                 key_bits=key_bits,
-                                physical_key_bits=physical_key_bits,
-                                seed=seed)
+                                physical_key_bits=physical_key_for(key_bits),
+                                seed=0)
     report = model.train(runtime, max_epochs=1).reports[0]
     if use_cache:
         _EPOCH_CACHE[cache_key] = report
@@ -362,21 +358,18 @@ def run_training(
 
 def he_throughput(config: SystemConfig, key_bits: int,
                   batch_size: int = 4096,
-                  physical_key_bits: Optional[int] = None,
-                  operation: str = "encrypt",
-                  seed: int = 0) -> float:
+                  operation: str = "encrypt") -> float:
     """HE-operation throughput in instances/second (Table IV).
 
-    Runs one real batch through the configured engine and divides the
-    batch size by the modelled seconds.  ``operation`` is one of
-    ``encrypt``, ``decrypt``, ``add``.
+    Runs one real batch through the configured engine, at seed 0 under
+    :func:`physical_key_for`'s physical key, and divides the batch size
+    by the modelled seconds.  ``operation`` is one of ``encrypt``,
+    ``decrypt``, ``add``.
     """
-    if physical_key_bits is None:
-        physical_key_bits = physical_key_for(key_bits)
     runtime = FederationRuntime(config, num_clients=DEFAULT_NUM_CLIENTS,
                                 key_bits=key_bits,
-                                physical_key_bits=physical_key_bits,
-                                seed=seed)
+                                physical_key_bits=physical_key_for(key_bits),
+                                seed=0)
     engine = runtime.client_engine
     ledger = runtime.begin_epoch()
     plaintexts = [(i * 2654435761) % (1 << 20) for i in range(batch_size)]

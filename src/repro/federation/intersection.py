@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set
+from typing import List, Sequence, Set
 
 from repro.crypto.keys import RsaKeypair, generate_rsa_keypair
 from repro.federation.channel import Channel, Message
@@ -71,16 +71,13 @@ class RsaIntersection:
     Args:
         key_bits: RSA modulus size (paper-scale 1024-2048; tests use
             small keys).
-        channel: Byte-counting channel; a private one when omitted.
         seed: Determinism seed for keys and blinding factors.
     """
 
-    def __init__(self, key_bits: int = 1024,
-                 channel: Optional[Channel] = None, seed: int = 0):
+    def __init__(self, key_bits: int = 1024, seed: int = 0):
         self.key_bits = key_bits
         self.ledger = CostLedger()
-        self.channel = channel if channel is not None else Channel(
-            profile=DEFAULT_PROFILE, ledger=self.ledger)
+        self.channel = Channel(profile=DEFAULT_PROFILE, ledger=self.ledger)
         self._rng = LimbRandom(seed=seed)
 
     def run(self, guest_ids: Sequence[str],

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.counters import LAUNCH_PRICES, WORK
-from repro.gpu.cost_model import DEFAULT_PROFILE, HardwareProfile
+from repro.gpu.cost_model import DEFAULT_PROFILE
 from repro.gpu.device import DeviceSpec, SimulatedGpu
 from repro.gpu.resource_manager import (
     BASE_REGISTERS_PER_THREAD,
@@ -135,16 +135,14 @@ class GpuKernels:
         device: Launch sums; a fresh :class:`SimulatedGpu` when omitted.
         resource_manager: Launch planner; pass one with ``managed=False``
             to model the HAFLO-style baseline.
-        profile: Calibrated hardware constants.
     """
 
     def __init__(self, device: Optional[SimulatedGpu] = None,
-                 resource_manager: Optional[ResourceManager] = None,
-                 profile: HardwareProfile = DEFAULT_PROFILE):
+                 resource_manager: Optional[ResourceManager] = None):
         self.device = device if device is not None else SimulatedGpu()
         self.resource_manager = (resource_manager if resource_manager is not None
                                  else ResourceManager(self.device.spec))
-        self.profile = profile
+        self.profile = DEFAULT_PROFILE
         validate_budgets(self.device.spec)
         #: (tasks, limbs, words, bytes in, bytes out) -> (seconds, SM
         #: utilization) of a launch of that shape.

@@ -16,14 +16,13 @@ import numpy as np
 from repro.federation.wal import replace_durably
 
 
-def binary_accuracy(scores: np.ndarray, labels: np.ndarray,
-                    threshold: float = 0.0) -> float:
-    """Fraction of correct sign predictions at a score threshold."""
+def binary_accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of correct sign predictions (a positive score is 1)."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if scores.shape != labels.shape:
         raise ValueError("scores and labels must share a shape")
-    return float(np.mean((scores > threshold) == labels))
+    return float(np.mean((scores > 0.0) == labels))
 
 
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:

@@ -32,6 +32,11 @@ from repro.models.base import FederatedModel
 from repro.models.losses import logistic_loss, taylor_gradient
 from repro.models.optim import AdamOptimizer
 
+#: Adam step size.
+LEARNING_RATE = 0.15
+#: L2 penalty (the paper's 0.01).
+L2 = 0.01
+
 
 class HeteroLogisticRegression(FederatedModel):
     """Vertical logistic regression between a guest and >= 1 hosts.
@@ -39,8 +44,6 @@ class HeteroLogisticRegression(FederatedModel):
     Args:
         dataset: The full dataset (vertically split internally).
         batch_size: Mini-batch size (paper default 1024).
-        learning_rate: Optimizer step size.
-        l2: L2 penalty (paper default 0.01).
         num_hosts: Feature-holding parties besides the guest (FATE's
             multi-host vertical setting).
         seed: Determinism seed.
@@ -49,13 +52,11 @@ class HeteroLogisticRegression(FederatedModel):
     name = "Hetero LR"
 
     def __init__(self, dataset: Dataset, batch_size: int = 256,
-                 learning_rate: float = 0.15, l2: float = 0.01,
                  num_hosts: int = 1, seed: int = 0):
         super().__init__(dataset, seed=seed)
         if num_hosts < 1:
             raise ValueError("need at least one host")
         self.batch_size = batch_size
-        self.l2 = l2
         self._density = max(dataset.density, 1e-6)
         parties = vertical_split(dataset, num_parties=1 + num_hosts,
                                  seed=seed)
@@ -64,8 +65,8 @@ class HeteroLogisticRegression(FederatedModel):
         self.guest_weights = np.zeros(self.guest.num_features)
         self.host_weights = [np.zeros(host.num_features)
                              for host in self.hosts]
-        self._guest_optimizer = AdamOptimizer(learning_rate=learning_rate)
-        self._host_optimizers = [AdamOptimizer(learning_rate=learning_rate)
+        self._guest_optimizer = AdamOptimizer(LEARNING_RATE)
+        self._host_optimizers = [AdamOptimizer(LEARNING_RATE)
                                  for _ in self.hosts]
 
     @property
@@ -110,7 +111,7 @@ class HeteroLogisticRegression(FederatedModel):
         # (3) The residual returns to every host; gradients are local.
         guest_gradient = taylor_gradient(X_g, residual,
                                          weights=self.guest_weights,
-                                         l2=self.l2)
+                                         l2=L2)
         self.guest_weights = self._guest_optimizer.step(
             self.guest_weights, guest_gradient)
         for index, host in enumerate(self.hosts):
@@ -120,7 +121,7 @@ class HeteroLogisticRegression(FederatedModel):
             X_h = host.features[batch]
             host_gradient = taylor_gradient(X_h, residual_received,
                                             weights=self.host_weights[index],
-                                            l2=self.l2)
+                                            l2=L2)
             charge_model_compute(
                 runtime.ledger, 2.0 * X_h.size * self._density,
                 tag="model.hetero_lr.gradients")
@@ -164,4 +165,4 @@ class HeteroLogisticRegression(FederatedModel):
                                         *self.host_weights])
         return logistic_loss(self.predict_scores(*self.training_blocks),
                              self.dataset.labels, weights=joint_weights,
-                             l2=self.l2)
+                             l2=L2)

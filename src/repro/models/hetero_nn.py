@@ -12,7 +12,7 @@ Hetero NN / GELU-Net:
   ``dL/du_h`` to the host, which backpropagates through its weights.
 
 The two per-batch cross-party tensors -- the forward fragment and the
-backward gradient, each ``batch x interactive_dim`` -- travel through the
+backward gradient, each ``batch x INTERACTIVE_DIM`` -- travel through the
 encode -> pack -> encrypt -> transfer -> decrypt pipeline, making Hetero
 NN the most HE-op-intensive model per instance after SBT, as in the
 paper's Fig. 1.
@@ -32,31 +32,32 @@ from repro.models.base import FederatedModel
 from repro.models.losses import sigmoid
 from repro.models.optim import AdamOptimizer
 
+#: Bottom-MLP hidden width on each side.
+HIDDEN_DIM = 16
+#: Width of the encrypted interactive layer.
+INTERACTIVE_DIM = 4
+#: Adam step size.
+LEARNING_RATE = 0.02
+#: Weight decay.
+L2 = 1e-4
+
 
 class HeteroNeuralNetwork(FederatedModel):
     """Split neural network between a guest and a host.
 
     Args:
         dataset: The full dataset (vertically split internally).
-        hidden_dim: Bottom-MLP hidden width on each side.
-        interactive_dim: Width of the encrypted interactive layer.
         batch_size: Mini-batch size.
-        learning_rate: Adam step size.
-        l2: Weight decay.
         seed: Determinism seed.
     """
 
     name = "Hetero NN"
 
-    def __init__(self, dataset: Dataset, hidden_dim: int = 16,
-                 interactive_dim: int = 4, batch_size: int = 256,
-                 learning_rate: float = 0.02, l2: float = 1e-4,
+    def __init__(self, dataset: Dataset, batch_size: int = 256,
                  seed: int = 0):
         super().__init__(dataset, seed=seed)
         self.batch_size = batch_size
-        self.l2 = l2
         self._density = max(dataset.density, 1e-6)
-        self.interactive_dim = interactive_dim
         guest, host = vertical_split(dataset, num_parties=2, seed=seed)
         self.guest = guest
         self.host = host
@@ -67,20 +68,20 @@ class HeteroNeuralNetwork(FederatedModel):
 
         self.params: Dict[str, np.ndarray] = {
             # Bottom MLPs (tanh keeps interactive inputs bounded).
-            "guest_w1": xavier(guest.num_features, hidden_dim),
-            "guest_b1": np.zeros(hidden_dim),
-            "host_w1": xavier(host.num_features, hidden_dim),
-            "host_b1": np.zeros(hidden_dim),
+            "guest_w1": xavier(guest.num_features, HIDDEN_DIM),
+            "guest_b1": np.zeros(HIDDEN_DIM),
+            "host_w1": xavier(host.num_features, HIDDEN_DIM),
+            "host_b1": np.zeros(HIDDEN_DIM),
             # Interactive layer.
-            "guest_wi": xavier(hidden_dim, interactive_dim),
-            "host_wi": xavier(hidden_dim, interactive_dim),
-            "bias_i": np.zeros(interactive_dim),
+            "guest_wi": xavier(HIDDEN_DIM, INTERACTIVE_DIM),
+            "host_wi": xavier(HIDDEN_DIM, INTERACTIVE_DIM),
+            "bias_i": np.zeros(INTERACTIVE_DIM),
             # Top (logistic head).
-            "top_w": xavier(interactive_dim, 1),
+            "top_w": xavier(INTERACTIVE_DIM, 1),
             "top_b": np.zeros(1),
         }
         self._optimizers = {
-            name: AdamOptimizer(learning_rate=learning_rate)
+            name: AdamOptimizer(LEARNING_RATE)
             for name in self.params
         }
 
@@ -111,7 +112,7 @@ class HeteroNeuralNetwork(FederatedModel):
             runtime.ledger,
             2.0 * (X_h.size * self._density * p["host_w1"].shape[1]
                    / max(m, 1)
-                   + a_h.size * self.interactive_dim / max(m, 1)) * m,
+                   + a_h.size * INTERACTIVE_DIM / max(m, 1)) * m,
             tag="model.nn.host_forward")
         u_h_received = self.secure_transfer(
             runtime, u_h, sender="host", receiver="guest",
@@ -129,15 +130,15 @@ class HeteroNeuralNetwork(FederatedModel):
 
         # Backward (manual autodiff of the split graph).
         d_logits = (probabilities - y)[:, None] / m
-        grad_top_w = act_i.T @ d_logits + self.l2 * p["top_w"]
+        grad_top_w = act_i.T @ d_logits + L2 * p["top_w"]
         grad_top_b = d_logits.sum(axis=0)
         d_act_i = d_logits @ p["top_w"].T
         d_z_i = d_act_i * (1.0 - act_i ** 2)
         grad_bias_i = d_z_i.sum(axis=0)
-        grad_guest_wi = a_g.T @ d_z_i + self.l2 * p["guest_wi"]
+        grad_guest_wi = a_g.T @ d_z_i + L2 * p["guest_wi"]
         d_a_g = d_z_i @ p["guest_wi"].T
         d_z_g = d_a_g * (1.0 - a_g ** 2)
-        grad_guest_w1 = X_g.T @ d_z_g + self.l2 * p["guest_w1"]
+        grad_guest_w1 = X_g.T @ d_z_g + L2 * p["guest_w1"]
         grad_guest_b1 = d_z_g.sum(axis=0)
         charge_model_compute(runtime.ledger,
                              8.0 * X_g.size * self._density,
@@ -148,10 +149,10 @@ class HeteroNeuralNetwork(FederatedModel):
             runtime, d_z_i, sender="guest", receiver="host",
             tag="hetero_nn.backward", scale=1.0)
 
-        grad_host_wi = a_h.T @ d_u_h + self.l2 * p["host_wi"]
+        grad_host_wi = a_h.T @ d_u_h + L2 * p["host_wi"]
         d_a_h = d_u_h @ p["host_wi"].T
         d_z_h = d_a_h * (1.0 - a_h ** 2)
-        grad_host_w1 = X_h.T @ d_z_h + self.l2 * p["host_w1"]
+        grad_host_w1 = X_h.T @ d_z_h + L2 * p["host_w1"]
         grad_host_b1 = d_z_h.sum(axis=0)
         charge_model_compute(runtime.ledger,
                              8.0 * X_h.size * self._density,

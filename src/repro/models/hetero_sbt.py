@@ -38,6 +38,13 @@ from repro.federation.runtime import FederationRuntime
 from repro.models.base import FederatedModel
 from repro.models.losses import gbdt_gradients
 
+#: Shrinkage applied to leaf weights.
+LEARNING_RATE = 0.3
+#: L2 regularization on leaf weights.
+REG_LAMBDA = 1.0
+#: Fewest instances a child keeps for its parent to split.
+MIN_CHILD_INSTANCES = 8
+
 
 @dataclass
 class _TreeNode:
@@ -99,24 +106,16 @@ class HeteroSecureBoost(FederatedModel):
         dataset: The full dataset (vertically split internally).
         max_depth: Tree depth (levels of splits).
         num_bins: Histogram bins per feature.
-        learning_rate: Shrinkage applied to leaf weights.
-        reg_lambda: L2 regularization on leaf weights.
-        min_child_instances: Minimum instances to keep splitting.
         seed: Determinism seed.
     """
 
     name = "Hetero SBT"
 
     def __init__(self, dataset: Dataset, max_depth: int = 3,
-                 num_bins: int = 8, learning_rate: float = 0.3,
-                 reg_lambda: float = 1.0, min_child_instances: int = 8,
-                 seed: int = 0):
+                 num_bins: int = 8, seed: int = 0):
         super().__init__(dataset, seed=seed)
         self.max_depth = max_depth
         self.num_bins = num_bins
-        self.learning_rate = learning_rate
-        self.reg_lambda = reg_lambda
-        self.min_child_instances = min_child_instances
         guest, host = vertical_split(dataset, num_parties=2, seed=seed)
         self.guest = guest
         self.host = host
@@ -151,7 +150,7 @@ class HeteroSecureBoost(FederatedModel):
         for _ in range(self.max_depth):
             next_level: List[_TreeNode] = []
             splittable = [node for node in level
-                          if len(node.instances) >= 2 * self.min_child_instances]
+                          if len(node.instances) >= 2 * MIN_CHILD_INSTANCES]
             if not splittable:
                 break
             # (2) Host histograms for this whole level, one transfer.
@@ -167,7 +166,7 @@ class HeteroSecureBoost(FederatedModel):
 
         self._finalize_leaves(root, g, h)
         self.trees.append(root)
-        self.scores = self.scores + self.learning_rate * self._walk(
+        self.scores = self.scores + LEARNING_RATE * self._walk(
             root, self._guest_bins, self._host_bins)
         return self.loss()
 
@@ -238,10 +237,9 @@ class HeteroSecureBoost(FederatedModel):
         """XGBoost split gain (up to the constant gamma)."""
         g_right = g_total - g_left
         h_right = h_total - h_left
-        lam = self.reg_lambda
 
         def score(g_sum: float, h_sum: float) -> float:
-            return g_sum * g_sum / (h_sum + lam)
+            return g_sum * g_sum / (h_sum + REG_LAMBDA)
 
         return 0.5 * (score(g_left, h_left) + score(g_right, h_right)
                       - score(g_total, h_total))
@@ -302,8 +300,8 @@ class HeteroSecureBoost(FederatedModel):
 
         left_idx = node.instances[go_left]
         right_idx = node.instances[~go_left]
-        if len(left_idx) < self.min_child_instances or \
-                len(right_idx) < self.min_child_instances:
+        if len(left_idx) < MIN_CHILD_INSTANCES or \
+                len(right_idx) < MIN_CHILD_INSTANCES:
             node.party = None
             node.feature = -1
             node.threshold_bin = -1
@@ -325,7 +323,7 @@ class HeteroSecureBoost(FederatedModel):
             if node.is_leaf:
                 g_sum = float(g[node.instances].sum())
                 h_sum = float(h[node.instances].sum())
-                node.weight = -g_sum / (h_sum + self.reg_lambda)
+                node.weight = -g_sum / (h_sum + REG_LAMBDA)
             else:
                 stack.extend([node.left, node.right])
 
@@ -359,8 +357,8 @@ class HeteroSecureBoost(FederatedModel):
         host_bins = _bin(host_features, self._host_edges)
         scores = np.zeros(len(guest_bins))
         for root in self.trees:
-            scores += self.learning_rate * self._walk(root, guest_bins,
-                                                      host_bins)
+            scores += LEARNING_RATE * self._walk(root, guest_bins,
+                                                 host_bins)
         return scores
 
     # ------------------------------------------------------------------

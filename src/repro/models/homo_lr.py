@@ -25,6 +25,11 @@ from repro.models.base import FederatedModel
 from repro.models.losses import logistic_gradient, logistic_loss
 from repro.models.optim import AdamOptimizer, Optimizer
 
+#: Local Adam step size.
+LEARNING_RATE = 0.1
+#: L2 penalty (the paper's 0.01).
+L2 = 0.01
+
 
 class HomoLogisticRegression(FederatedModel):
     """FedAvg-style logistic regression over horizontal shards.
@@ -33,8 +38,6 @@ class HomoLogisticRegression(FederatedModel):
         dataset: The full dataset (split internally).
         num_clients: Participant count.
         batch_size: Local mini-batch size (paper default 1024).
-        learning_rate: Local optimizer step size.
-        l2: L2 penalty (paper default 0.01).
         rounds_per_epoch: Secure aggregation rounds per epoch.
         seed: Determinism seed.
     """
@@ -42,20 +45,19 @@ class HomoLogisticRegression(FederatedModel):
     name = "Homo LR"
 
     def __init__(self, dataset: Dataset, num_clients: int = 4,
-                 batch_size: int = 256, learning_rate: float = 0.1,
-                 l2: float = 0.01, rounds_per_epoch: int = 2, seed: int = 0):
+                 batch_size: int = 256, rounds_per_epoch: int = 2,
+                 seed: int = 0):
         super().__init__(dataset, seed=seed)
         if rounds_per_epoch < 1:
             raise ValueError("need at least one aggregation round per epoch")
         self.num_clients = num_clients
         self.batch_size = batch_size
-        self.l2 = l2
         self.rounds_per_epoch = rounds_per_epoch
         self.partitions: List[HorizontalPartition] = horizontal_split(
             dataset, num_clients, seed=seed)
         self.weights = np.zeros(dataset.num_features)
         self._optimizers: List[Optimizer] = [
-            AdamOptimizer(learning_rate=learning_rate)
+            AdamOptimizer(LEARNING_RATE)
             for _ in range(num_clients)
         ]
 
@@ -94,7 +96,7 @@ class HomoLogisticRegression(FederatedModel):
             X = self.dataset.features[rows]
             y = self.dataset.labels[rows]
             gradient = logistic_gradient(X, X @ weights, y,
-                                         weights=weights, l2=self.l2)
+                                         weights=weights, l2=L2)
             weights = optimizer.step(weights, gradient)
         return weights
 
@@ -112,4 +114,4 @@ class HomoLogisticRegression(FederatedModel):
         """Global training loss, with the L2 penalty on the weights."""
         return logistic_loss(self.predict_scores(*self.training_blocks),
                              self.dataset.labels, weights=self.weights,
-                             l2=self.l2)
+                             l2=L2)

@@ -23,6 +23,13 @@ from repro.models.base import FederatedModel
 from repro.models.losses import sigmoid
 from repro.models.optim import AdamOptimizer
 
+#: Hidden-layer width.
+HIDDEN_DIM = 16
+#: Local Adam step size.
+LEARNING_RATE = 0.02
+#: Weight decay.
+L2 = 1e-4
+
 
 class HomoNeuralNetwork(FederatedModel):
     """FedAvg over a one-hidden-layer MLP on horizontal shards.
@@ -30,10 +37,7 @@ class HomoNeuralNetwork(FederatedModel):
     Args:
         dataset: The full dataset (split internally).
         num_clients: Participant count.
-        hidden_dim: Hidden-layer width.
         batch_size: Local mini-batch size.
-        learning_rate: Local Adam step size.
-        l2: Weight decay.
         rounds_per_epoch: Secure aggregation rounds per epoch.
         seed: Determinism seed.
     """
@@ -41,15 +45,13 @@ class HomoNeuralNetwork(FederatedModel):
     name = "Homo NN"
 
     def __init__(self, dataset: Dataset, num_clients: int = 4,
-                 hidden_dim: int = 16, batch_size: int = 256,
-                 learning_rate: float = 0.02, l2: float = 1e-4,
-                 rounds_per_epoch: int = 2, seed: int = 0):
+                 batch_size: int = 256, rounds_per_epoch: int = 2,
+                 seed: int = 0):
         super().__init__(dataset, seed=seed)
         if rounds_per_epoch < 1:
             raise ValueError("need at least one aggregation round per epoch")
         self.num_clients = num_clients
         self.batch_size = batch_size
-        self.l2 = l2
         self.rounds_per_epoch = rounds_per_epoch
         self._density = max(dataset.density, 1e-6)
         self.partitions: List[HorizontalPartition] = horizontal_split(
@@ -60,13 +62,13 @@ class HomoNeuralNetwork(FederatedModel):
             return self.rng.uniform(-bound, bound, size=(rows, cols))
 
         self.params: Dict[str, np.ndarray] = {
-            "w1": xavier(dataset.num_features, hidden_dim),
-            "b1": np.zeros(hidden_dim),
-            "w2": xavier(hidden_dim, 1),
+            "w1": xavier(dataset.num_features, HIDDEN_DIM),
+            "b1": np.zeros(HIDDEN_DIM),
+            "w2": xavier(HIDDEN_DIM, 1),
             "b2": np.zeros(1),
         }
         self._optimizers = [
-            {name: AdamOptimizer(learning_rate=learning_rate)
+            {name: AdamOptimizer(LEARNING_RATE)
              for name in self.params}
             for _ in range(num_clients)
         ]
@@ -137,10 +139,10 @@ class HomoNeuralNetwork(FederatedModel):
         hidden = np.tanh(X @ params["w1"] + params["b1"])
         logits = (hidden @ params["w2"]).ravel() + params["b2"][0]
         d_logits = (sigmoid(logits) - y)[:, None] / m
-        grad_w2 = hidden.T @ d_logits + self.l2 * params["w2"]
+        grad_w2 = hidden.T @ d_logits + L2 * params["w2"]
         grad_b2 = d_logits.sum(axis=0)
         d_hidden = (d_logits @ params["w2"].T) * (1.0 - hidden ** 2)
-        grad_w1 = X.T @ d_hidden + self.l2 * params["w1"]
+        grad_w1 = X.T @ d_hidden + L2 * params["w1"]
         grad_b1 = d_hidden.sum(axis=0)
         return {"w1": grad_w1, "b1": grad_b1, "w2": grad_w2, "b2": grad_b2}
 

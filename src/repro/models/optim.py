@@ -20,17 +20,17 @@ class Optimizer(ABC):
         """Return updated weights; must not mutate the inputs."""
 
 
+#: Adam's moment decay rates and denominator guard (Kingma & Ba's).
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
+
 class AdamOptimizer(Optimizer):
     """Adam [33] with the paper's default hyperparameters."""
 
-    def __init__(self, learning_rate: float = 0.1, beta1: float = 0.9,
-                 beta2: float = 0.999, epsilon: float = 1e-8):
+    def __init__(self, learning_rate: float):
         if learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self._m: np.ndarray | None = None
         self._v: np.ndarray | None = None
         self._t = 0
@@ -41,9 +41,9 @@ class AdamOptimizer(Optimizer):
             self._m = np.zeros_like(weights)
             self._v = np.zeros_like(weights)
         self._t += 1
-        self._m = self.beta1 * self._m + (1 - self.beta1) * gradient
-        self._v = self.beta2 * self._v + (1 - self.beta2) * gradient ** 2
-        m_hat = self._m / (1 - self.beta1 ** self._t)
-        v_hat = self._v / (1 - self.beta2 ** self._t)
+        self._m = BETA1 * self._m + (1 - BETA1) * gradient
+        self._v = BETA2 * self._v + (1 - BETA2) * gradient ** 2
+        m_hat = self._m / (1 - BETA1 ** self._t)
+        v_hat = self._v / (1 - BETA2 ** self._t)
         return weights - self.learning_rate * m_hat / \
-            (np.sqrt(v_hat) + self.epsilon)
+            (np.sqrt(v_hat) + EPSILON)

@@ -256,13 +256,13 @@ class PlaneContext:
     # Batched exponentiation.
     # ------------------------------------------------------------------
 
-    def pow_shared(self, base_plane, exponent: int,
-                   window_bits: int = DEFAULT_WINDOW_BITS):
+    def pow_shared(self, base_plane, exponent: int):
         """``base ** exponent mod N`` for every column, shared exponent.
 
         Runs the exact sliding-window schedule of
-        :func:`repro.mpint.modexp.sliding_window_pow` with every
-        Montgomery multiplication batched across the plane.  The output
+        :func:`repro.mpint.modexp.sliding_window_pow`, with
+        ``DEFAULT_WINDOW_BITS``-bit windows and every Montgomery
+        multiplication batched across the plane.  The output
         is canonical and bit-identical to ``pow(base, exponent, N)``.
         """
         np = _np
@@ -272,7 +272,7 @@ class PlaneContext:
         if exponent == 0:
             return self.one_plane(batch)
         mont_base = self.to_montgomery(base_plane)
-        table_size = 1 << (window_bits - 1)
+        table_size = 1 << (DEFAULT_WINDOW_BITS - 1)
         base_squared = self.mont_mul(mont_base, mont_base)
         table = [mont_base]
         for _ in range(table_size - 1):
@@ -287,7 +287,7 @@ class PlaneContext:
                     result = self.mont_mul(result, result)
                 index += 1
                 continue
-            window_end = min(index + window_bits, length)
+            window_end = min(index + DEFAULT_WINDOW_BITS, length)
             while bits[window_end - 1] == "0":
                 window_end -= 1
             window_value = int(bits[index:window_end], 2)
@@ -332,23 +332,21 @@ class PlaneContext:
 # Convenience wrappers over int lists (used by the property suites).
 # ----------------------------------------------------------------------
 
-_CONTEXT_CACHE: Dict[tuple, PlaneContext] = {}
+_CONTEXT_CACHE: Dict[int, PlaneContext] = {}
 
 
-def plane_context(modulus: int, headroom: int = 1) -> PlaneContext:
+def plane_context(modulus: int) -> PlaneContext:
     """A cached :class:`PlaneContext` (constants are reusable)."""
-    key = (modulus, headroom)
-    if key not in _CONTEXT_CACHE:
+    if modulus not in _CONTEXT_CACHE:
         if len(_CONTEXT_CACHE) > 64:
             _CONTEXT_CACHE.clear()
-        _CONTEXT_CACHE[key] = PlaneContext(modulus, headroom=headroom)
-    return _CONTEXT_CACHE[key]
+        _CONTEXT_CACHE[modulus] = PlaneContext(modulus)
+    return _CONTEXT_CACHE[modulus]
 
 
-def batched_pow(values: Sequence[int], exponent: int, modulus: int,
-                window_bits: int = DEFAULT_WINDOW_BITS) -> List[int]:
+def batched_pow(values: Sequence[int], exponent: int,
+                modulus: int) -> List[int]:
     """Shared-exponent batched modexp over Python integers."""
     plane = plane_context(modulus)
     base = ints_to_plane([v % modulus for v in values], plane.num_limbs)
-    return plane_to_ints(
-        plane.pow_shared(base, exponent, window_bits=window_bits))
+    return plane_to_ints(plane.pow_shared(base, exponent))

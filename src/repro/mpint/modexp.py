@@ -106,8 +106,7 @@ def sliding_window_pow(base: int, exponent: int, ctx: MontgomeryContext,
     return ctx.from_montgomery(result)
 
 
-def mod_pow(base: int, exponent: int, modulus: int,
-            window_bits: int = DEFAULT_WINDOW_BITS) -> int:
+def mod_pow(base: int, exponent: int, modulus: int) -> int:
     """Convenience wrapper: sliding-window power for an arbitrary modulus.
 
     Even moduli, which the Montgomery representation cannot host, go to
@@ -118,20 +117,20 @@ def mod_pow(base: int, exponent: int, modulus: int,
     if modulus % 2 == 0:
         return powmod(base, exponent, modulus)
     ctx = MontgomeryContext(modulus)
-    return sliding_window_pow(base, exponent, ctx, window_bits=window_bits)
+    return sliding_window_pow(base, exponent, ctx)
 
 
-def modexp_multiplication_count(exponent_bits: int,
-                                window_bits: int = DEFAULT_WINDOW_BITS) -> int:
+def modexp_multiplication_count(exponent_bits: int) -> int:
     """Expected Montgomery multiplications for an exponent of given size.
 
-    One squaring per exponent bit, one table multiplication per window
-    (``bits / b`` on average), plus ``2^(b-1)`` precomputations.  Used by the
+    One squaring per exponent bit, one table multiplication per
+    ``b = DEFAULT_WINDOW_BITS``-bit window (``bits / b`` on average),
+    plus ``2^(b-1)`` precomputations.  Used by the
     GPU cost model to charge modular exponentiations without rerunning them.
     """
     if exponent_bits <= 0:
         return 0
     squarings = exponent_bits
-    window_mults = -(-exponent_bits // window_bits)
-    precompute = 1 << (window_bits - 1)
+    window_mults = -(-exponent_bits // DEFAULT_WINDOW_BITS)
+    precompute = 1 << (DEFAULT_WINDOW_BITS - 1)
     return squarings + window_mults + precompute

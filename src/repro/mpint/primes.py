@@ -207,8 +207,7 @@ def _speculation_width(bits: int, rounds: int) -> int:
                  if split_worthwhile(width // 2, bits)), 1)
 
 
-def generate_prime(bits: int, rng: Optional[LimbRandom] = None,
-                   rounds: int = DEFAULT_ROUNDS) -> int:
+def generate_prime(bits: int, rng: Optional[LimbRandom] = None) -> int:
     """Generate a probable prime of exactly ``bits`` bits.
 
     The top bit is forced so the prime has full length (the paper keeps
@@ -222,6 +221,7 @@ def generate_prime(bits: int, rng: Optional[LimbRandom] = None,
         raise ValueError("a prime needs at least 2 bits")
     if rng is None:
         rng = LimbRandom()
+    rounds = DEFAULT_ROUNDS
     width = _speculation_width(bits, rounds)
     while True:
         # A batch of one already ends where the serial loop stands.

@@ -27,8 +27,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
-                    Sequence, Tuple, Type)
+from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Sequence,
+                    Tuple, Type)
 
 from repro.crypto.cpu_engine import CpuPaillierEngine
 from repro.crypto.damgard_jurik import generate_damgard_jurik_keypair
@@ -338,7 +338,6 @@ def run_all(key_bits: int = 128) -> List[ConformanceResult]:
 # ----------------------------------------------------------------------
 
 def check_fused_vs_eager(pair: ConformancePair,
-                         trace: Optional[ConformanceTrace] = None,
                          engine_name: str = "engine") -> int:
     """Assert the fusion planner and the eager path agree bit-for-bit.
 
@@ -351,9 +350,7 @@ def check_fused_vs_eager(pair: ConformancePair,
     Scalar nodes are included only when the party supports
     ``scalar_mul`` (the symmetric masking path is add-only).
     """
-    if trace is None:
-        trace = ConformanceTrace(name="fused_vs_eager", seed=109,
-                                 key_bits=128)
+    trace = ConformanceTrace(name="fused_vs_eager", seed=109, key_bits=128)
     party = pair.party
     width = 4
     batches = [

@@ -34,7 +34,7 @@ import json
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.federation.serialization import (
     TENSOR_HEADER,
@@ -459,14 +459,12 @@ def _classify(fmt: str, mutant: bytes, original: bytes,
 
 
 def run_fuzz(cases: int = 500, seed: Union[int, str] = 0,
-             on_case: Optional[Callable[[int], None]] = None,
              corpus: str = "all") -> FuzzReport:
     """Run a fuzz campaign; deterministic in ``(cases, seed, corpus)``.
 
     Args:
         cases: Mutants to generate and classify.
         seed: Campaign seed; strings are hashed (``--seed ci``).
-        on_case: Optional per-case progress hook.
         corpus: ``"all"`` draws every format; ``"packing"`` restricts
             to FLT3 tensor frames (the codec-focused campaign).
     """
@@ -496,6 +494,4 @@ def run_fuzz(cases: int = 500, seed: Union[int, str] = 0,
                 report.accepted += 1
             except ValueError:
                 report.rejected += 1
-        if on_case is not None:
-            on_case(case_index)
     return report

@@ -24,7 +24,7 @@ engine of the oracle, not just the Paillier ones.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.crypto.damgard_jurik import DamgardJurik, DamgardJurikKeypair
 from repro.crypto.engine import HeEngine
@@ -74,12 +74,11 @@ class DamgardJurikParty:
 
     capabilities = frozenset({"encrypt", "decrypt", "add", "scalar_mul"})
 
-    def __init__(self, keypair: DamgardJurikKeypair, seed: int,
-                 rng: Optional[LimbRandom] = None):
+    def __init__(self, keypair: DamgardJurikKeypair, seed: int):
         self.keypair = keypair
         self.public_key = keypair.public_key
         self.private_key = keypair.private_key
-        self.rng = rng if rng is not None else LimbRandom(seed=seed)
+        self.rng = LimbRandom(seed=seed)
 
     @property
     def plaintext_modulus(self) -> int:

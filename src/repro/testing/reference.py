@@ -19,7 +19,7 @@ import hashlib
 import math
 from typing import List, Sequence, Tuple
 
-from repro.mpint.primes import LimbRandom
+from repro.mpint.primes import DEFAULT_ROUNDS, LimbRandom
 
 
 #: The 50 primes below 230: the trial divisors of key generation.
@@ -27,12 +27,13 @@ _TRIAL_PRIMES = tuple(p for p in range(2, 230)
                       if all(p % f for f in range(2, p)))
 
 
-def serial_prime(bits: int, rng: LimbRandom, rounds: int = 64) -> int:
+def serial_prime(bits: int, rng: LimbRandom) -> int:
     """The textbook prime search, ``pow()`` only.
 
     Draw a ``bits``-bit candidate with its top and bottom bits set,
     trial-divide it by the 50 primes below 230, then draw one
-    Miller-Rabin witness per round and test it, until one fails.  Key
+    Miller-Rabin witness per round and test it, ``DEFAULT_ROUNDS``
+    rounds, until one fails.  Key
     generation's batched, speculative search
     (:func:`repro.mpint.primes.generate_prime`) must return the same
     prime and leave ``rng`` where this leaves it.
@@ -46,7 +47,7 @@ def serial_prime(bits: int, rng: LimbRandom, rounds: int = 64) -> int:
         d, r = candidate - 1, 0
         while d % 2 == 0:
             d, r = d // 2, r + 1
-        for _ in range(rounds):
+        for _ in range(DEFAULT_ROUNDS):
             x = pow(rng.randint_below(candidate - 3) + 2, d, candidate)
             if x in (1, candidate - 1):
                 continue

@@ -304,15 +304,14 @@ def codec_trace_suite(key_bits: int = 128) -> List[ConformanceTrace]:
     return traces
 
 
-def ring_trace(num_parties: int, key_bits: int = 128,
-               seed: int = 108) -> ConformanceTrace:
+def ring_trace(num_parties: int, key_bits: int = 128) -> ConformanceTrace:
     """A full-ring masking trace: every party encrypts, all sum, decrypt.
 
     Only parties advertising ``ring_decrypt`` run it (the symmetric
     masking scheme, whose decryption is defined exactly on the sum of all
     ``num_parties`` ciphertexts -- that is when the ring masks cancel).
     """
-    builder = TraceBuilder(f"ring_sum_{num_parties}", seed=seed,
+    builder = TraceBuilder(f"ring_sum_{num_parties}", seed=108,
                            key_bits=key_bits,
                            requires=("ring_decrypt",))
     values = [[(17 * p + 3 * i + 1) % 1000 for i in range(4)]

@@ -18,7 +18,7 @@ import pytest
 from repro.datasets.generators import _labels_from_logits, synthetic_like
 from repro.datasets.partition import horizontal_split
 from repro.federation.runtime import FLBOOSTER_SYSTEM, FederationRuntime
-from repro.models.homo_lr import HomoLogisticRegression
+from repro.models.homo_lr import L2, HomoLogisticRegression
 from repro.models.homo_nn import HomoNeuralNetwork
 from repro.models.losses import logistic_gradient
 from repro.rng import np_rng
@@ -84,7 +84,7 @@ class CopiedHomoLR(HomoLogisticRegression):
             X = partition.features[batch]
             y = partition.labels[batch]
             gradient = logistic_gradient(X, X @ weights, y,
-                                         weights=weights, l2=self.l2)
+                                         weights=weights, l2=L2)
             weights = optimizer.step(weights, gradient)
         return weights
 
